@@ -269,6 +269,30 @@ func BenchmarkScenario7(b *testing.B) {
 	}
 }
 
+// BenchmarkScenario8 measures the connection plane at a scaled-down
+// churn point: 4 shards in capability mode hold 10 000 idle connections
+// while 50 000 short flows/s arrive open-loop for 100 ms. accepts/s is
+// the figure of merit (the offered rate absorbed) and deferred counts
+// the pace slots the generator could not offer; both are virtual-time
+// results, so they only move when behavior does. Set-up — building the
+// bed and establishing the idle population — is part of the measured
+// time, as it is for a `cherinet scenario8` run.
+func BenchmarkScenario8(b *testing.B) {
+	var last core.Scenario8Result
+	for i := 0; i < b.N; i++ {
+		r, err := core.RunScenario8(core.Scenario8Config{
+			Shards: 4, CapMode: true, Conns: 10000, Rate: 50000, DurationNS: 100e6,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = r
+	}
+	b.ReportMetric(last.AcceptsPerSec(), "accepts/s")
+	b.ReportMetric(float64(last.ConnectP99NS)/1e3, "connect-p99-µs")
+	b.ReportMetric(float64(last.Deferred), "deferred")
+}
+
 // BenchmarkScenario9 measures the request/response plane at the
 // moderate-load point: open-loop HTTP keep-alive and DNS-shaped UDP
 // traffic over two shards, reporting the merged per-request tail. The

@@ -3,7 +3,9 @@ package cheri
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // TMem is tagged memory: a flat byte array plus one validity-tag bit per
@@ -23,13 +25,17 @@ import (
 // memory). The tag structures, however, are shared bookkeeping and are
 // guarded by a mutex, so concurrent compartment loops (paper Scenario 1
 // runs two) may fault-check and copy in parallel safely.
+// The tag bits are atomic words, changed only under the mutex but read
+// without it, so a data store (several per simulated frame) locks only
+// when its range really holds a tag; a range's owner is the only one
+// who tags or stores into it, so its own bits are never stale to it.
 type TMem struct {
 	data []byte
 	size uint64
 
 	tagMu sync.Mutex
-	tags  []bool         // one per granule
-	caps  map[uint64]Cap // granule-aligned address -> stored capability
+	tags  []atomic.Uint64 // bit g%64 of word g/64 is granule g's tag
+	caps  map[uint64]Cap  // granule-aligned address -> stored capability
 }
 
 // NewTMem allocates tagged memory of the given size (rounded up to a
@@ -38,7 +44,7 @@ func NewTMem(size uint64) *TMem {
 	size = (size + CapSize - 1) &^ (CapSize - 1)
 	return &TMem{
 		data: make([]byte, size),
-		tags: make([]bool, size/CapSize),
+		tags: make([]atomic.Uint64, (size/CapSize+63)/64),
 		caps: make(map[uint64]Cap),
 		size: size,
 	}
@@ -50,20 +56,33 @@ func (m *TMem) Size() uint64 { return m.size }
 // Root returns the architectural root capability over all of memory.
 func (m *TMem) Root() Cap { return NewRoot(0, m.size, PermAll) }
 
+// tagged reports granule g's tag bit.
+func (m *TMem) tagged(g uint64) bool { return m.tags[g/64].Load()>>(g%64)&1 != 0 }
+
 // clearTags invalidates every granule overlapping [addr, addr+n).
 func (m *TMem) clearTags(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	m.tagMu.Lock()
-	defer m.tagMu.Unlock()
 	first := addr / CapSize
 	last := (addr + uint64(n) - 1) / CapSize
-	for g := first; g <= last; g++ {
-		if m.tags[g] {
-			m.tags[g] = false
-			delete(m.caps, g*CapSize)
+	for w := first / 64; w <= last/64; w++ {
+		mask := ^uint64(0)
+		if w == first/64 {
+			mask <<= first % 64
 		}
+		if w == last/64 {
+			mask &= ^uint64(0) >> (63 - last%64)
+		}
+		if m.tags[w].Load()&mask == 0 {
+			continue // the usual case: plain data over plain data
+		}
+		m.tagMu.Lock()
+		for hit := m.tags[w].Load() & mask; hit != 0; hit &= hit - 1 {
+			delete(m.caps, (w*64+uint64(bits.TrailingZeros64(hit)))*CapSize)
+		}
+		m.tags[w].And(^mask)
+		m.tagMu.Unlock()
 	}
 }
 
@@ -205,10 +224,10 @@ func (m *TMem) StoreCap(c Cap, addr uint64, v Cap) error {
 	defer m.tagMu.Unlock()
 	g := addr / CapSize
 	if v.tag {
-		m.tags[g] = true
+		m.tags[g/64].Or(1 << (g % 64))
 		m.caps[addr] = v
 	} else {
-		m.tags[g] = false
+		m.tags[g/64].And(^(uint64(1) << (g % 64)))
 		delete(m.caps, addr)
 	}
 	return nil
@@ -231,7 +250,7 @@ func (m *TMem) LoadCap(c Cap, addr uint64) (Cap, error) {
 		return NullCap, newFault(FaultBounds, "loadcap", c, addr, CapSize)
 	}
 	m.tagMu.Lock()
-	tagged := m.tags[addr/CapSize]
+	tagged := m.tagged(addr / CapSize)
 	v, hasCap := m.caps[addr]
 	m.tagMu.Unlock()
 	if tagged && hasCap {
@@ -254,9 +273,7 @@ func (m *TMem) TagAt(addr uint64) bool {
 	if addr >= m.size {
 		return false
 	}
-	m.tagMu.Lock()
-	defer m.tagMu.Unlock()
-	return m.tags[addr/CapSize]
+	return m.tagged(addr / CapSize)
 }
 
 // --- unchecked access (device DMA in raw mode, Baseline scenario) ---

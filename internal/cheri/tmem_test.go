@@ -245,3 +245,52 @@ func TestCheckedSliceClearsTags(t *testing.T) {
 		t.Fatal("writable slice over a capability granule must clear its tag")
 	}
 }
+
+// TestStoreClearsExactlyTheGranulesItTouches drives the tag bitmap
+// against a one-bool-per-granule model: stores of every alignment and
+// of lengths that stay inside one 64-granule word, end on its last
+// granule, and span two or three words must clear the tags of exactly
+// the granules they overlap — neighbours, and their stored
+// capabilities, survive.
+func TestStoreClearsExactlyTheGranulesItTouches(t *testing.T) {
+	const granules = 4 * 64
+	m := NewTMem(granules * CapSize)
+	root := m.Root()
+	v, err := root.SetAddr(0x40).SetBounds(0x40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([]bool, granules)
+	retag := func() {
+		for g := range model {
+			if err := m.StoreCap(root, uint64(g)*CapSize, v); err != nil {
+				t.Fatal(err)
+			}
+			model[g] = true
+		}
+	}
+	buf := make([]byte, 3*64*CapSize)
+	for _, start := range []uint64{0, 1, 15, 16, 62*CapSize + 7, 63 * CapSize, 64*CapSize - 1, 64 * CapSize, 100*CapSize + 3} {
+		for _, n := range []int{1, 2, 16, 17, 64, 1514, 64 * CapSize, 64*CapSize + 1, 130 * CapSize} {
+			if start+uint64(n) > m.Size() {
+				continue
+			}
+			retag()
+			if err := m.Store(root, start, buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+			for g := start / CapSize; g <= (start+uint64(n)-1)/CapSize; g++ {
+				model[g] = false
+			}
+			for g, want := range model {
+				addr := uint64(g) * CapSize
+				if got := m.TagAt(addr); got != want {
+					t.Fatalf("store [%#x,+%d): granule %d tag = %v, want %v", start, n, g, got, want)
+				}
+				if c, err := m.LoadCap(root, addr); err != nil || c.Tag() != want {
+					t.Fatalf("store [%#x,+%d): granule %d LoadCap tag = %v (err %v), want %v", start, n, g, c.Tag(), err, want)
+				}
+			}
+		}
+	}
+}

@@ -246,6 +246,9 @@ type Stack struct {
 	// the device never retains the slice.
 	rxBurst [32]*dpdk.Mbuf
 	txOne   [1]*dpdk.Mbuf
+	// sackRx backs the SACK blocks of the segment being parsed, sackTx
+	// those of the ACK being built: input ACKs while its header is live.
+	sackRx, sackTx [MaxSACKBlocks]SACKBlock
 
 	tap   Tap
 	stats StackStats
@@ -826,7 +829,7 @@ func (s *Stack) inputICMP(nif *NetIF, ip IPv4Header, seg []byte) {
 
 // inputTCP finds or creates the connection for a segment.
 func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte) {
-	h, hl, err := ParseTCPHeader(seg, ip.Src, ip.Dst)
+	h, hl, err := parseTCPHeader(seg, ip.Src, ip.Dst, s.sackRx[:])
 	if err != nil {
 		s.stats.RxDropped++
 		return

@@ -157,6 +157,13 @@ func PutTCPHeader(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
 // ParseTCPHeader unmarshals and validates a TCP segment, returning the
 // header and the data offset.
 func ParseTCPHeader(b []byte, src, dst IPv4Addr) (TCPHeader, int, error) {
+	return parseTCPHeader(b, src, dst, nil)
+}
+
+// parseTCPHeader is ParseTCPHeader with caller-owned backing for the
+// SACK blocks (appended to sack[:0], which the header's SACK field then
+// aliases), so the input path parses a SACK-bearing ACK without allocating.
+func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock) (TCPHeader, int, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: short TCP segment (%d bytes)", len(b))
 	}
@@ -167,7 +174,7 @@ func ParseTCPHeader(b []byte, src, dst IPv4Addr) (TCPHeader, int, error) {
 	if transportChecksum(src, dst, ProtoTCP, b) != 0 {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: TCP checksum mismatch")
 	}
-	var h TCPHeader
+	h := TCPHeader{SACK: sack[:0]}
 	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	h.DstPort = binary.BigEndian.Uint16(b[2:4])
 	h.Seq = binary.BigEndian.Uint32(b[4:8])

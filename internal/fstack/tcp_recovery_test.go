@@ -3,6 +3,8 @@ package fstack
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -335,5 +337,69 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSACKBlocks is the two-slice construction sackBlocks used to be:
+// coalesce every run, find the one holding the latest arrival, emit it
+// first and the rest in sequence order. The single-pass version must
+// agree with it block for block.
+func refSACKBlocks(c *tcpConn) []SACKBlock {
+	if len(c.rcvOOO) == 0 {
+		return nil
+	}
+	var runs []SACKBlock
+	for _, s := range c.rcvOOO {
+		end := s.seq + uint32(len(s.data))
+		if n := len(runs); n > 0 && runs[n-1].End == s.seq {
+			runs[n-1].End = end
+		} else {
+			runs = append(runs, SACKBlock{Start: s.seq, End: end})
+		}
+	}
+	first := 0
+	for i, r := range runs {
+		if seqLE(r.Start, c.lastOOO.start) && seqLT(c.lastOOO.start, r.End) {
+			first = i
+			break
+		}
+	}
+	out := []SACKBlock{runs[first]}
+	for i := 0; i < len(runs) && len(out) < MaxSACKBlocks; i++ {
+		if i != first {
+			out = append(out, runs[i])
+		}
+	}
+	return out
+}
+
+func TestSACKBlocksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := &tcpConn{stk: &Stack{}}
+	for iter := 0; iter < 5000; iter++ {
+		// A sorted, non-overlapping queue of 1..12 segments starting near
+		// the sequence wrap, neighbours contiguous about half the time,
+		// so run counts cover 1 to well past MaxSACKBlocks.
+		c.rcvOOO = c.rcvOOO[:0]
+		seq := uint32(0xFFFFF000) + uint32(rng.Intn(0x2000))
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				seq += 1 + uint32(rng.Intn(3000))
+			}
+			size := 1 + rng.Intn(1448)
+			c.rcvOOO = append(c.rcvOOO, oooSeg{seq: seq, data: make([]byte, size)})
+			seq += uint32(size)
+		}
+		// The latest arrival: usually one of the queued segments (any
+		// position), sometimes a range the queue no longer holds.
+		s := c.rcvOOO[rng.Intn(len(c.rcvOOO))]
+		c.lastOOO = seqRange{start: s.seq, end: s.seq + uint32(len(s.data))}
+		if rng.Intn(8) == 0 {
+			c.lastOOO.start -= 1 + uint32(rng.Intn(5000))
+		}
+		got, want := c.sackBlocks(), refSACKBlocks(c)
+		if !slices.Equal(got, want) {
+			t.Fatalf("iter %d (%d segments, lastOOO %v):\n got %v\nwant %v", iter, len(c.rcvOOO), c.lastOOO, got, want)
+		}
 	}
 }

@@ -946,32 +946,42 @@ func (c *tcpConn) oooSegCap() int {
 
 // sackBlocks builds the SACK option content: the run holding the most
 // recent arrival first (RFC 2018 §4), then the remaining runs in
-// sequence order, capped at what fits beside the timestamps option.
+// sequence order, capped at what fits beside the timestamps option —
+// so only that run and the lowest MaxSACKBlocks matter. One pass over
+// the reassembly queue coalesces runs on the fly and keeps just those;
+// the result lives in stack-owned scratch, valid until the next call.
 func (c *tcpConn) sackBlocks() []SACKBlock {
 	if len(c.rcvOOO) == 0 {
 		return nil
 	}
-	var runs []SACKBlock
-	for _, s := range c.rcvOOO {
-		end := s.seq + uint32(len(s.data))
-		if n := len(runs); n > 0 && runs[n-1].End == s.seq {
-			runs[n-1].End = end
-		} else {
-			runs = append(runs, SACKBlock{Start: s.seq, End: end})
+	var lowest [MaxSACKBlocks]SACKBlock
+	var recent SACKBlock
+	n, first := 0, -1 // runs completed; index of the run holding lastOOO
+	run := SACKBlock{Start: c.rcvOOO[0].seq, End: c.rcvOOO[0].seq}
+	for i := 0; ; i++ {
+		if i < len(c.rcvOOO) && c.rcvOOO[i].seq == run.End {
+			run.End += uint32(len(c.rcvOOO[i].data))
+			continue
 		}
-	}
-	first := 0
-	for i, r := range runs {
-		if seqLE(r.Start, c.lastOOO.start) && seqLT(c.lastOOO.start, r.End) {
-			first = i
+		if n < MaxSACKBlocks {
+			lowest[n] = run
+		}
+		if first < 0 && seqLE(run.Start, c.lastOOO.start) && seqLT(c.lastOOO.start, run.End) {
+			first, recent = n, run
+		}
+		n++
+		if i == len(c.rcvOOO) || first >= 0 && n >= MaxSACKBlocks {
 			break
 		}
+		run = SACKBlock{Start: c.rcvOOO[i].seq, End: c.rcvOOO[i].seq + uint32(len(c.rcvOOO[i].data))}
 	}
-	out := make([]SACKBlock, 0, min(len(runs), MaxSACKBlocks))
-	out = append(out, runs[first])
-	for i := 0; i < len(runs) && len(out) < MaxSACKBlocks; i++ {
+	if first < 0 {
+		first, recent = 0, lowest[0]
+	}
+	out := append(c.stk.sackTx[:0], recent)
+	for i := 0; i < min(n, MaxSACKBlocks) && len(out) < MaxSACKBlocks; i++ {
 		if i != first {
-			out = append(out, runs[i])
+			out = append(out, lowest[i])
 		}
 	}
 	return out

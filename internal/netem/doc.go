@@ -10,6 +10,10 @@
 //   - fixed one-way delay plus uniform jitter;
 //   - explicit reordering (a fraction of frames held back extra time).
 //
+// Frames in flight wait in a per-direction delay line ordered by
+// (delivery instant, send order), which the ports pump from every
+// device step (an idle pump is one atomic load: DESIGN.md §8).
+//
 // Everything is driven by the shared virtual clock and per-direction
 // seeded PRNGs, so a run is exactly reproducible. A Link built with a
 // zero Config is bit-transparent: frames pass through unchanged, with

@@ -1,12 +1,12 @@
 package netem
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hostos"
 	"repro/internal/nic"
@@ -136,24 +136,54 @@ type heldFrame struct {
 	seq       uint64 // tie-break: equal instants deliver in send order
 }
 
-// frameHeap orders held frames by (deliverAt, seq).
+// before is the delay line's order, (deliverAt, seq): total, since seq
+// is unique per direction, so any correct heap pops the same sequence.
+func (f heldFrame) before(g heldFrame) bool {
+	if f.deliverAt != g.deliverAt {
+		return f.deliverAt < g.deliverAt
+	}
+	return f.seq < g.seq
+}
+
+// frameHeap is a binary min-heap of held frames in `before` order —
+// typed, because container/heap's `any` elements boxed every heldFrame
+// on Push and again on Pop: two allocations per frame.
 type frameHeap []heldFrame
 
-func (h frameHeap) Len() int { return len(h) }
-func (h frameHeap) Less(i, j int) bool {
-	if h[i].deliverAt != h[j].deliverAt {
-		return h[i].deliverAt < h[j].deliverAt
+func (h *frameHeap) push(f heldFrame) {
+	s := append(*h, f)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
 }
-func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *frameHeap) Push(x any)   { *h = append(*h, x.(heldFrame)) }
-func (h *frameHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	*h = old[:n-1]
-	return f
+
+// pop removes and returns the earliest frame; the heap must be non-empty.
+func (h *frameHeap) pop() heldFrame {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0], s[n] = s[n], heldFrame{} // and drop the data reference
+	*h = s[:n]
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && s[l].before(s[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && s[r].before(s[min]) {
+			min = r
+		}
+		if min == i {
+			return top
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
 }
 
 // dirState is one direction's impairment pipeline.
@@ -173,6 +203,11 @@ type dirState struct {
 	// SetCarrierSchedule must be called before traffic.
 	carr   []int64
 	carrUp bool
+	// wakeAt mirrors the earliest instant Pump has work here — the delay
+	// line's head or the next carrier toggle, math.MaxInt64 for neither —
+	// so Pump and NextDeadline answer "nothing yet" without the lock.
+	// Every locked section that changes held or carr republishes it.
+	wakeAt atomic.Int64
 	// due is the reusable scratch takeDueLocked fills — allocating a
 	// fresh slice per release was one of the datapath's per-frame
 	// allocation sites. It is LOANED: takeDueLocked hands it out and
@@ -273,6 +308,7 @@ func NewAsym(clk hostos.Clock, a, b Endpoint, ab, ba Config) *Link {
 	for d := range l.dirs {
 		// Distinct, seed-derived streams per direction.
 		l.dirs[d].rng = rand.New(rand.NewSource(l.cfg[d].Seed ^ (int64(d+1) * 0x6C62272E07BB0141)))
+		l.dirs[d].wakeAt.Store(math.MaxInt64)
 	}
 	return l
 }
@@ -323,6 +359,7 @@ func (l *Link) SetCarrierSchedule(dir int, toggles []int64) {
 	sort.Slice(sched, func(i, j int) bool { return sched[i] < sched[j] })
 	d.carr = sched
 	d.carrUp = true
+	d.publishLocked()
 }
 
 // Carrier reports one direction's carrier state after advancing its
@@ -332,6 +369,7 @@ func (l *Link) Carrier(dir int, now int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l.advanceCarrierLocked(d, dir, now)
+	d.publishLocked()
 	if d.carr == nil {
 		return true
 	}
@@ -368,6 +406,7 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 	if d.carr != nil {
 		d.mu.Lock()
 		l.advanceCarrierLocked(d, from, readyAt)
+		d.publishLocked()
 		if !d.carrUp {
 			d.stats.Sent++
 			d.stats.DroppedCarrier++
@@ -467,10 +506,11 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		d.stats.Reordered++
 	}
 
-	heap.Push(&d.held, heldFrame{data: data, deliverAt: at, seq: d.seq})
+	d.held.push(heldFrame{data: data, deliverAt: at, seq: d.seq})
 	d.seq++
 	held := len(d.held)
 	due := d.takeDueLocked(now)
+	d.publishLocked()
 	d.mu.Unlock()
 	if l.tr != nil {
 		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(held))
@@ -483,15 +523,19 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 
 // Pump implements nic.Conduit: release every held frame that is due.
 // Ports call it from each device step, so held frames drain even when
-// nothing new is sent.
+// nothing new is sent. Most pumps are therefore idle: a direction whose
+// wakeAt lies beyond now has no frame to release and no carrier edge to
+// take, so its lock is left alone (DESIGN.md §8, staleness argument).
 func (l *Link) Pump(now int64) {
 	for dir := range l.dirs {
 		d := &l.dirs[dir]
-		d.mu.Lock()
-		if d.carr != nil {
-			l.advanceCarrierLocked(d, dir, now)
+		if d.wakeAt.Load() > now {
+			continue
 		}
+		d.mu.Lock()
+		l.advanceCarrierLocked(d, dir, now)
 		due := d.takeDueLocked(now)
+		d.publishLocked()
 		d.mu.Unlock()
 		if len(due) > 0 {
 			deliverAll(l.ends[1-dir], due)
@@ -505,22 +549,9 @@ func (l *Link) Pump(now int64) {
 // are empty. The attached ports fold this into their own deadlines, so
 // the event-driven driver leaps straight to the next delivery.
 func (l *Link) NextDeadline(int64) int64 {
-	d := int64(math.MaxInt64)
-	for dir := range l.dirs {
-		ds := &l.dirs[dir]
-		ds.mu.Lock()
-		if len(ds.held) > 0 && ds.held[0].deliverAt < d {
-			d = ds.held[0].deliverAt
-		}
-		// Pending flap edges are deadlines too, so the leaping driver
-		// visits every toggle instant (and traces it) even on an idle
-		// link.
-		if len(ds.carr) > 0 && ds.carr[0] < d {
-			d = ds.carr[0]
-		}
-		ds.mu.Unlock()
-	}
-	return d
+	// wakeAt already folds in pending flap edges, so the leaping driver
+	// visits every toggle instant (and traces it) even on an idle link.
+	return min(l.dirs[0].wakeAt.Load(), l.dirs[1].wakeAt.Load())
 }
 
 // stepGE advances the Gilbert–Elliott chain to time `at`, one
@@ -559,6 +590,19 @@ func (d *dirState) stepGE(cfg Config, at int64) {
 	}
 }
 
+// publishLocked refreshes wakeAt; caller holds d.mu and is done changing
+// held and carr.
+func (d *dirState) publishLocked() {
+	at := int64(math.MaxInt64)
+	if len(d.held) > 0 {
+		at = d.held[0].deliverAt
+	}
+	if len(d.carr) > 0 && d.carr[0] < at {
+		at = d.carr[0]
+	}
+	d.wakeAt.Store(at)
+}
+
 // takeDueLocked pops the frames due at `now`, in delivery order, into
 // the direction's loaned scratch slice. A non-empty result must be
 // handed back via putDue once delivered.
@@ -569,7 +613,7 @@ func (d *dirState) takeDueLocked(now int64) []heldFrame {
 	due := d.due[:0]
 	d.due = nil // loaned out until putDue
 	for len(d.held) > 0 && d.held[0].deliverAt <= now {
-		due = append(due, heap.Pop(&d.held).(heldFrame))
+		due = append(due, d.held.pop())
 		d.stats.Delivered++
 	}
 	return due

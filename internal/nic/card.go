@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cheri"
@@ -133,6 +134,7 @@ func New(cfg Config) (*Card, error) {
 		for q := range p.fifos {
 			p.fifos[q].limit = fifoBytes
 			p.fifos[q].arena = arena
+			p.fifos[q].headAt.Store(math.MaxInt64)
 		}
 		p.capDMA = cfg.CapDMA
 		c.ports = append(c.ports, p)

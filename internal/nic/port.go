@@ -67,15 +67,39 @@ type Port struct {
 	// observability sinks (guarded by mu, nil = off; see internal/obs).
 	// Every hook below nil-checks its sink, so a port without
 	// observability runs the exact datapath it always has.
-	obsTr  *obs.Trace
-	obsDP  *stats.Histogram
-	obsSrc uint16
-	rxTap  func(tsNS int64, data []byte)
+	obs   portObs
+	rxTap func(tsNS int64, data []byte)
+}
+
+// portObs is the port's flight recorder, datapath-latency histogram and
+// trace source id, grouped so Step snapshots them with the rings.
+type portObs struct {
+	tr  *obs.Trace
+	dp  *stats.Histogram
+	src uint16
 }
 
 // queueRegs is one RX or TX queue's descriptor-ring register bank.
 type queueRegs struct {
 	bal, bah, length, head, tail uint32
+}
+
+// ring is a snapshot of one descriptor ring taken under p.mu; a queue
+// step works from it and writes only the advanced head back.
+type ring struct {
+	base       uint64
+	n          uint32 // descriptors in the ring; 0 = nothing to do
+	head, tail uint32
+}
+
+// movable snapshots the ring if the device can advance it: armed and
+// head != tail (TX: descriptors pending; RX: descriptors free). Stepping
+// any other ring would touch nothing, so it gets the zero ring (n == 0).
+func (qr *queueRegs) movable() ring {
+	if qr.length < DescSize || qr.head == qr.tail {
+		return ring{}
+	}
+	return ring{base: uint64(qr.bal) | uint64(qr.bah)<<32, n: qr.length / DescSize, head: qr.head, tail: qr.tail}
 }
 
 // portRegs is the software-visible register file. Queue 0 of rxq/txq is
@@ -108,7 +132,7 @@ func (p *Port) Attach(c Conduit, end int) {
 func (p *Port) SetObs(tr *obs.Trace, dp *stats.Histogram, src uint16) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.obsTr, p.obsDP, p.obsSrc = tr, dp, src
+	p.obs = portObs{tr: tr, dp: dp, src: src}
 }
 
 // SetRxTap installs (or, with nil, removes) a delivery observer: fn
@@ -396,34 +420,52 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 // Step advances the device: it drains every armed TX ring onto the wire
 // and fills every armed RX ring from its FIFO, under line-rate and
 // bus-budget admission. The DPDK poll-mode driver calls it from every
-// burst — it is the simulator's hottest path, so the armed-queue scan
-// happens under one lock acquisition and unarmed queues cost nothing.
+// burst, far more often than a ring has anything to move, so this is the
+// simulator's hottest path: one lock acquisition snapshots the rings that
+// can move at all and only those enter stepTX/stepRX. An RX ring is also
+// skipped while its FIFO's head frame has not fully arrived — except on a
+// bus-limited card, where stepRX's arbiter poll is itself simulated state
+// (DESIGN.md §8 proves each skip a no-op).
 func (p *Port) Step() {
-	var tx, rx [MaxQueues]bool
+	var tx, rx [MaxQueues]ring
 	p.mu.Lock()
-	pipe := p.pipe
-	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
-	rxEn := p.regs.rctl&RctlEN != 0
+	pipe, o := p.pipe, p.obs
 	for q := 0; q < MaxQueues; q++ {
-		tx[q] = txEn && p.regs.txq[q].length >= DescSize && !p.stalled[q]
-		rx[q] = rxEn && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
+		tx[q], rx[q] = p.movableLocked(q)
 	}
 	p.mu.Unlock()
+	now := p.clk.Now()
 	if pipe != nil {
 		// Let a frame-holding conduit (netem delay line, rate limiter)
 		// release whatever is due before the RX rings look for arrivals.
-		pipe.Pump(p.clk.Now())
+		pipe.Pump(now)
 	}
-	for q := 0; q < MaxQueues; q++ {
-		if tx[q] {
-			p.stepTX(q)
+	for q := range tx {
+		if tx[q].n > 0 {
+			p.stepTX(q, tx[q], o)
 		}
 	}
-	for q := 0; q < MaxQueues; q++ {
-		if rx[q] {
-			p.stepRX(q)
+	for q := range rx {
+		if rx[q].n > 0 && (p.card.busLimited() || p.fifos[q].headAt.Load() <= now) {
+			p.stepRX(q, rx[q], now, o)
 		}
 	}
+}
+
+// movableLocked snapshots queue q's rings where the device may advance
+// them: the direction enabled (TX also needs a conduit), the queue not
+// stalled, the ring movable. Caller holds p.mu.
+func (p *Port) movableLocked(q int) (tx, rx ring) {
+	if p.stalled[q] {
+		return
+	}
+	if p.regs.tctl&TctlEN != 0 && p.pipe != nil {
+		tx = p.regs.txq[q].movable()
+	}
+	if p.regs.rctl&RctlEN != 0 {
+		rx = p.regs.rxq[q].movable()
+	}
+	return tx, rx
 }
 
 // DrainTXThrough transmits as many pending descriptors as the line and
@@ -448,13 +490,10 @@ func (p *Port) DrainTXThrough(maxQ int) bool {
 	for q := 0; q <= maxQ; q++ {
 		for {
 			p.mu.Lock()
-			before := p.regs.txq[q].head
+			r, _ := p.movableLocked(q)
+			o := p.obs
 			p.mu.Unlock()
-			p.stepTX(q)
-			p.mu.Lock()
-			moved := p.regs.txq[q].head != before
-			p.mu.Unlock()
-			if !moved {
+			if r.n == 0 || p.stepTX(q, r, o) == r.head {
 				break
 			}
 			if q == maxQ {
@@ -465,28 +504,15 @@ func (p *Port) DrainTXThrough(maxQ int) bool {
 	return progress
 }
 
-// stepTX transmits queue q's descriptors [TDH, TDT).
-func (p *Port) stepTX(q int) {
-	p.mu.Lock()
-	if p.regs.tctl&TctlEN == 0 || p.pipe == nil || p.stalled[q] {
-		p.mu.Unlock()
-		return
-	}
-	qr := &p.regs.txq[q]
-	base := uint64(qr.bal) | uint64(qr.bah)<<32
-	n := qr.length / DescSize
-	head, tail := qr.head, qr.tail
-	tr, src := p.obsTr, p.obsSrc
-	p.mu.Unlock()
-	if n == 0 {
-		return
-	}
-
+// stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r
+// and returns the new head.
+func (p *Port) stepTX(q int, r ring, o portObs) uint32 {
 	// Stats batch per burst: taking p.mu twice per transmitted frame
 	// was measurable lock churn on the simulator's hottest path.
 	var sentFrames, sentBytes uint64
-	for burst := 0; burst < maxBurst && head != tail; burst++ {
-		descAddr := base + uint64(head)*DescSize
+	head := r.head
+	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
+		descAddr := r.base + uint64(head)*DescSize
 		desc, ok := p.dmaRO(descAddr, DescSize)
 		if !ok {
 			// DMA fault: silently stop, like a master abort. Deliberate
@@ -502,7 +528,7 @@ func (p *Port) stepTX(q int) {
 		if length == 0 || length > maxFrame || cmd&TxCmdEOP == 0 {
 			// Malformed descriptor: consume it without transmitting.
 			p.writeBackStatus(descAddr, StatDD)
-			head = (head + 1) % n
+			head = (head + 1) % r.n
 			continue
 		}
 		// Admission: the line must have room AND the bus must have
@@ -513,7 +539,7 @@ func (p *Port) stepTX(q int) {
 		buf, ok := p.dmaRO(bufAddr, length)
 		if !ok {
 			p.writeBackStatus(descAddr, StatDD)
-			head = (head + 1) % n
+			head = (head + 1) % r.n
 			continue
 		}
 		doneAt, _ := p.line.Admit(length + wireOverhead)
@@ -523,41 +549,30 @@ func (p *Port) stepTX(q int) {
 		p.pipe.Send(p.pipeEnd, data, doneAt+PropagationDelayNS)
 
 		p.writeBackStatus(descAddr, StatDD)
-		head = (head + 1) % n
+		head = (head + 1) % r.n
 		sentFrames++
 		sentBytes += uint64(length)
 	}
-	if sentFrames > 0 && tr != nil {
-		tr.Record(p.clk.Now(), obs.EvNicTxBurst, src, int64(sentFrames), int64(sentBytes), int64(q))
+	if head == r.head {
+		return head // line or bus refused the first frame: nothing to commit
+	}
+	if sentFrames > 0 && o.tr != nil {
+		o.tr.Record(p.clk.Now(), obs.EvNicTxBurst, o.src, int64(sentFrames), int64(sentBytes), int64(q))
 	}
 	p.mu.Lock()
 	p.gptc += sentFrames
 	p.gotc += sentBytes
 	p.regs.txq[q].head = head
 	p.mu.Unlock()
+	return head
 }
 
 // stepRX moves queue q's fully arrived frames into descriptors
-// [RDH, RDT).
-func (p *Port) stepRX(q int) {
-	p.mu.Lock()
-	if p.regs.rctl&RctlEN == 0 || p.stalled[q] {
-		p.mu.Unlock()
-		return
-	}
-	qr := &p.regs.rxq[q]
-	base := uint64(qr.bal) | uint64(qr.bah)<<32
-	n := qr.length / DescSize
-	head, tail := qr.head, qr.tail
-	tr, dp, src := p.obsTr, p.obsDP, p.obsSrc
-	p.mu.Unlock()
-	if n == 0 {
-		return
-	}
-
-	now := p.clk.Now()
+// [RDH, RDT) as snapshotted in r.
+func (p *Port) stepRX(q int, r ring, now int64, o portObs) {
 	var gotFrames, gotBytes uint64
-	for burst := 0; burst < maxBurst && head != tail; burst++ {
+	head := r.head
+	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
 		// Bus budget gate BEFORE popping, so refused frames stay queued.
 		if !p.card.busCanAdmit(p.idx) {
 			break
@@ -566,7 +581,7 @@ func (p *Port) stepRX(q int) {
 		if !ok {
 			break
 		}
-		descAddr := base + uint64(head)*DescSize
+		descAddr := r.base + uint64(head)*DescSize
 		desc, ok := p.dmaRO(descAddr, DescSize)
 		if !ok {
 			p.arena.Free(fr.data) // popped, so ours to release
@@ -578,26 +593,29 @@ func (p *Port) stepRX(q int) {
 			// Bad buffer: drop the frame, consume the descriptor.
 			p.arena.Free(fr.data)
 			p.writeBackRX(descAddr, 0)
-			head = (head + 1) % n
+			head = (head + 1) % r.n
 			continue
 		}
 		copy(dst, fr.data)
 		p.card.busAdmit(p.idx, int(p.card.cfg.BusCostRX*float64(len(fr.data)+wireOverhead)))
 		p.writeBackRX(descAddr, uint16(len(fr.data)))
-		head = (head + 1) % n
+		head = (head + 1) % r.n
 		gotFrames++
 		gotBytes += uint64(len(fr.data))
-		if dp != nil {
+		if o.dp != nil {
 			// Datapath latency: last bit on the wire to DMA completion
 			// (FIFO residence + bus admission).
-			dp.Record(now - fr.readyAt)
+			o.dp.Record(now - fr.readyAt)
 		}
 		// The frame now lives in descriptor memory; its wire buffer
 		// returns to the arena (see the ownership contract in arena.go).
 		p.arena.Free(fr.data)
 	}
-	if gotFrames > 0 && tr != nil {
-		tr.Record(now, obs.EvNicRxBurst, src, int64(gotFrames), int64(gotBytes), int64(q))
+	if head == r.head {
+		return // nothing arrived, or the bus refused: nothing to commit
+	}
+	if gotFrames > 0 && o.tr != nil {
+		o.tr.Record(now, obs.EvNicRxBurst, o.src, int64(gotFrames), int64(gotBytes), int64(q))
 	}
 	p.mu.Lock()
 	p.gprc += gotFrames
@@ -683,7 +701,7 @@ func (p *Port) NextDeadline(now int64) int64 {
 		if !rxArmed[q] {
 			continue
 		}
-		if at, ok := p.fifos[q].headReadyAt(); ok && at < d {
+		if at := p.fifos[q].headAt.Load(); at < d {
 			d = at
 		}
 	}

@@ -1,0 +1,291 @@
+package nic
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// refStep is Step without its idle short-circuits — the device step as
+// it was before them, kept here as the reference: every armed queue
+// enters stepTX/stepRX with its ring exactly as the registers hold it,
+// whether or not anything can move. Step must leave a port (and its
+// peer, its card's arbiter and host memory) in the identical state.
+func refStep(p *Port) {
+	var tx, rx [MaxQueues]ring
+	raw := func(qr *queueRegs) ring {
+		return ring{base: uint64(qr.bal) | uint64(qr.bah)<<32, n: qr.length / DescSize, head: qr.head, tail: qr.tail}
+	}
+	p.mu.Lock()
+	pipe, o := p.pipe, p.obs
+	for q := range tx {
+		if p.stalled[q] {
+			continue
+		}
+		if p.regs.tctl&TctlEN != 0 && pipe != nil {
+			tx[q] = raw(&p.regs.txq[q])
+		}
+		if p.regs.rctl&RctlEN != 0 {
+			rx[q] = raw(&p.regs.rxq[q])
+		}
+	}
+	p.mu.Unlock()
+	now := p.clk.Now()
+	if pipe != nil {
+		pipe.Pump(now)
+	}
+	for q := range tx {
+		if tx[q].n > 0 {
+			p.stepTX(q, tx[q], o)
+		}
+	}
+	for q := range rx {
+		if rx[q].n > 0 {
+			p.stepRX(q, rx[q], now, o)
+		}
+	}
+}
+
+// deviceState renders everything a device step may touch: registers,
+// statistics, FIFO contents and counters, line and bus serializer
+// bookings, the arbiter's activity record, and a hash of host memory —
+// the descriptor rings always, the packet buffers too when full is set
+// (they are 99 % of the bytes, so the traffic test samples them).
+func deviceState(t *testing.T, be *bench, full bool) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, p := range []*Port{be.a, be.b} {
+		p.mu.Lock()
+		fmt.Fprintf(&sb, "%s regs=%v stats=%d/%d/%d/%d stalled=%v dmaFaults=%d/%d\n",
+			p.bdf, p.regs, p.gprc, p.gptc, p.gorc, p.gotc, p.stalled, p.dmaFaults.Load(), p.dmaFaulted.Load())
+		p.mu.Unlock()
+		for q := range p.fifos {
+			f := &p.fifos[q]
+			f.mu.Lock()
+			fmt.Fprintf(&sb, " fifo%d bytes=%d missed=%d headAt=%d:", q, f.bytes, f.missed, f.headAt.Load())
+			for _, fr := range f.frames[f.head:] {
+				fmt.Fprintf(&sb, " %d@%d", len(fr.data), fr.readyAt)
+			}
+			f.mu.Unlock()
+			sb.WriteByte('\n')
+		}
+		// NextAdmitAt(-inf) is nextFree - window: the booking itself.
+		fmt.Fprintf(&sb, " line=%d", p.line.NextAdmitAt(math.MinInt64))
+		c := p.card
+		c.busMu.Lock()
+		fmt.Fprintf(&sb, " busUse=%v busAct=%d", c.busUse, c.busAct)
+		for _, s := range c.busShare {
+			fmt.Fprintf(&sb, " share=%d", s.NextAdmitAt(math.MinInt64))
+		}
+		c.busMu.Unlock()
+		sb.WriteByte('\n')
+	}
+	h := fnv.New64a()
+	for _, r := range []ringLayout{be.atx, be.arx, be.btx, be.brx} {
+		n := uint64(r.n) * DescSize
+		if full {
+			n += uint64(r.n) * r.bufSize // the buffers follow their ring
+		}
+		region, err := be.mem.RawSlice(r.descBase, int(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(region)
+	}
+	fmt.Fprintf(&sb, "mem=%x", h.Sum64())
+	return sb.String()
+}
+
+// TestIdleStepIsANoOp is the table of states in which Step now declines
+// to enter a queue. In each, on an ideal and on a bus-limited card, Step
+// and the reference step must produce the same state — which for all
+// but one row is the state they started from. The exception is the
+// proof obligation DESIGN.md §8 carves out: on a bus-limited card an RX
+// ring with free descriptors polls the fair-share arbiter on every step
+// even when no frame has arrived, and Step must keep doing so.
+func TestIdleStepIsANoOp(t *testing.T) {
+	frame := make([]byte, 200)
+	cases := []struct {
+		name    string
+		prepare func(be *bench)
+		// polls: the step touches the arbiter of a bus-limited card.
+		polls bool
+	}{
+		{"empty TX ring, empty FIFO", func(be *bench) {}, true},
+		{"full RX ring, frame waiting", func(be *bench) {
+			be.b.RegWrite32(RegRDT, be.b.RegRead32(RegRDH)) // head == tail: no free descriptor
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()-1)
+		}, false},
+		{"FIFO head not yet due", func(be *bench) {
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()+50_000)
+		}, true},
+		{"later frame due before the head", func(be *bench) {
+			// Strict FIFO: an undue head blocks a due successor.
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()+50_000)
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()-1)
+		}, true},
+		{"stalled queue, frame waiting, TX pending", func(be *bench) {
+			be.b.SetQueueStall(0, true)
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()-1)
+			be.queueTX(t, be.b, be.btx, frame)
+		}, false},
+		{"RX and TX disabled, work pending", func(be *bench) {
+			be.b.RegWrite32(RegRCTL, 0)
+			be.b.RegWrite32(RegTCTL, 0)
+			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()-1)
+			be.queueTX(t, be.b, be.btx, frame)
+		}, false},
+	}
+	for _, busRate := range []float64{0, 1.66e9} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/bus=%g", tc.name, busRate), func(t *testing.T) {
+				got, ref := newBench(t, busRate), newBench(t, busRate)
+				for _, be := range []*bench{got, ref} {
+					be.clk.Advance(100_000)
+					tc.prepare(be)
+				}
+				before := deviceState(t, got, true)
+				if before != deviceState(t, ref, true) {
+					t.Fatal("the two benches differ before stepping")
+				}
+				for i := 0; i < 3; i++ {
+					got.b.Step()
+					refStep(ref.b)
+					gs, rs := deviceState(t, got, true), deviceState(t, ref, true)
+					if gs != rs {
+						t.Fatalf("step %d diverges from the reference step:\n got %s\nwant %s", i, gs, rs)
+					}
+					if busRate > 0 && tc.polls {
+						if use := got.b.card.busUse[0]; use != got.clk.Now() {
+							t.Fatalf("step %d: bus-limited card's arbiter last polled at %d, want now (%d)", i, use, got.clk.Now())
+						}
+					} else if gs != before {
+						t.Fatalf("step %d changed state:\n got %s\nwant %s", i, gs, before)
+					}
+					got.clk.Advance(5000)
+					ref.clk.Advance(5000)
+				}
+			})
+		}
+	}
+}
+
+// TestStepMatchesReferenceUnderTraffic runs the same random traffic —
+// bursts queued on both ports, irregular clock advances, receivers that
+// harvest late so rings fill and FIFOs back up, a queue stall coming and
+// going — through Step on one bench and the reference step on another,
+// and requires identical device state after every iteration, on an
+// ideal and on a bus-limited card.
+func TestStepMatchesReferenceUnderTraffic(t *testing.T) {
+	for _, busRate := range []float64{0, 1.2e9} {
+		t.Run(fmt.Sprintf("bus=%g", busRate), func(t *testing.T) {
+			got, ref := newBench(t, busRate), newBench(t, busRate)
+			benches := []*bench{got, ref}
+			var nextA, nextB [2]uint32
+			rng := rand.New(rand.NewSource(21))
+			frame := make([]byte, 1514)
+			moved := 0
+			for iter := 0; iter < 3000; iter++ {
+				burst, size := rng.Intn(4), 60+rng.Intn(1455)
+				fromA, harvest, stall := rng.Intn(2) == 0, rng.Intn(6) == 0, rng.Intn(200) == 0
+				adv := int64(rng.Intn(20_000))
+				for i, be := range benches {
+					p, r := be.b, be.btx
+					if fromA {
+						p, r = be.a, be.atx
+					}
+					for k := 0; k < burst; k++ {
+						if (p.RegRead32(RegTDT)+1)%r.n != p.RegRead32(RegTDH) {
+							be.queueTX(t, p, r, frame[:size])
+						}
+					}
+					if stall {
+						be.b.SetQueueStall(0, !be.b.QueueStalled(0))
+					}
+					if i == 0 {
+						be.a.Step()
+						be.b.Step()
+					} else {
+						refStep(be.a)
+						refStep(be.b)
+					}
+					if harvest {
+						moved += len(be.rxHarvest(t, be.a, be.arx, &nextA[i]))
+						moved += len(be.rxHarvest(t, be.b, be.brx, &nextB[i]))
+					}
+					be.clk.Advance(adv)
+				}
+				full := iter%100 == 99
+				if gs, rs := deviceState(t, got, full), deviceState(t, ref, full); gs != rs {
+					t.Fatalf("iteration %d diverges from the reference step:\n got %s\nwant %s", iter, gs, rs)
+				}
+			}
+			if moved < 1000 || got.a.Missed()+got.b.Missed() == 0 {
+				t.Fatalf("run too tame to mean anything: %d frames harvested, %d tail drops", moved, got.a.Missed()+got.b.Missed())
+			}
+		})
+	}
+}
+
+// TestRxFifoQueueDiscipline checks the head-indexed queue against a
+// plain slice model over random push/pop interleavings: strict FIFO
+// order, byte accounting, tail-drop counting at the byte limit, the
+// head-arrival mirror, and a backing array that stays bounded when the
+// queue never drains.
+func TestRxFifoQueueDiscipline(t *testing.T) {
+	f := rxFifo{limit: 8000, arena: NewFrameArena()}
+	f.headAt.Store(math.MaxInt64)
+	var model []frame
+	modelBytes, modelMissed := 0, uint64(0)
+	rng := rand.New(rand.NewSource(31))
+	now, id := int64(0), 0
+	for op := 0; op < 50000; op++ {
+		now += int64(rng.Intn(30))
+		// Pushes outnumber pops early in each cycle so the queue both
+		// fills to its limit and drains to empty.
+		if rng.Intn(100) < 30+40*((op/500)%2) {
+			fr := frame{data: make([]byte, 60+rng.Intn(1400)), readyAt: now + int64(rng.Intn(100))}
+			fr.data[0], fr.data[1] = byte(id), byte(id>>8)
+			id++
+			if modelBytes+len(fr.data) > f.limit {
+				modelMissed++
+			} else {
+				model = append(model, fr)
+				modelBytes += len(fr.data)
+			}
+			f.push(fr)
+		} else {
+			got, ok := f.pop(now)
+			wantOK := len(model) > 0 && model[0].readyAt <= now
+			if ok != wantOK {
+				t.Fatalf("op %d: pop ok=%v, model says %v", op, ok, wantOK)
+			}
+			if ok {
+				want := model[0]
+				model = model[1:]
+				modelBytes -= len(want.data)
+				if &got.data[0] != &want.data[0] || got.readyAt != want.readyAt {
+					t.Fatalf("op %d: popped frame %d, want frame %d", op, int(got.data[0])|int(got.data[1])<<8, int(want.data[0])|int(want.data[1])<<8)
+				}
+			}
+		}
+		wantHead := int64(math.MaxInt64)
+		if len(model) > 0 {
+			wantHead = model[0].readyAt
+		}
+		if f.pending() != len(model) || f.bytes != modelBytes || f.missedCount() != modelMissed || f.headAt.Load() != wantHead {
+			t.Fatalf("op %d: pending %d bytes %d missed %d headAt %d; model %d/%d/%d/%d",
+				op, f.pending(), f.bytes, f.missedCount(), f.headAt.Load(), len(model), modelBytes, modelMissed, wantHead)
+		}
+		// 8000 bytes of >= 60-byte frames is at most 133 live frames.
+		if cap(f.frames) > 4*134 {
+			t.Fatalf("op %d: backing array grew to %d slots for at most 133 live frames", op, cap(f.frames))
+		}
+	}
+	if modelMissed == 0 || id < 1000 {
+		t.Fatalf("run too tame: %d pushes, %d tail drops", id, modelMissed)
+	}
+}

@@ -3,6 +3,7 @@ package nic
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // PropagationDelayNS is the cable's one-way latency. A metre of copper
@@ -22,11 +23,19 @@ type frame struct {
 	readyAt int64
 }
 
-// rxFifo is a port's receive packet buffer.
+// rxFifo is a port's receive packet buffer: a strictly first-in-first-out
+// queue, head-indexed (frames[head:] are queued, oldest first) so a pop
+// is O(1) however deep a line-rate burst has filled it.
 type rxFifo struct {
 	mu     sync.Mutex
 	frames []frame
+	head   int
 	bytes  int
+	// headAt mirrors the head frame's readyAt (math.MaxInt64 when empty)
+	// for lock-free readers; push and pop republish it before unlocking.
+	// pop only ever looks at the head, so this IS the instant the queue
+	// next has something to harvest, even if a later frame is due first.
+	headAt atomic.Int64
 	limit  int
 	missed uint64
 	arena  *FrameArena // where tail-dropped frames return; nil = default
@@ -47,18 +56,40 @@ func (f *rxFifo) push(fr frame) {
 	}
 	f.frames = append(f.frames, fr)
 	f.bytes += len(fr.data)
+	if len(f.frames)-f.head == 1 {
+		f.headAt.Store(fr.readyAt)
+	}
 }
 
-// pop removes the next fully arrived frame, if any.
+// pop removes the next fully arrived frame, if any; "nothing has
+// arrived", the usual answer to a poll, comes from headAt without the
+// lock.
 func (f *rxFifo) pop(now int64) (frame, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.frames) == 0 || f.frames[0].readyAt > now {
+	if f.headAt.Load() > now {
 		return frame{}, false
 	}
-	fr := f.frames[0]
-	copy(f.frames, f.frames[1:])
-	f.frames = f.frames[:len(f.frames)-1]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.head == len(f.frames) || f.frames[f.head].readyAt > now {
+		return frame{}, false
+	}
+	fr := f.frames[f.head]
+	f.head++
+	live := len(f.frames) - f.head
+	next := int64(math.MaxInt64)
+	if live > 0 {
+		next = f.frames[f.head].readyAt
+	}
+	f.headAt.Store(next)
+	if f.head >= live {
+		// The popped prefix has outgrown the live frames (or the queue
+		// just drained): slide them down, so the array is reused and a
+		// queue that never drains stays bounded. A slide moves no more
+		// frames than were popped since the last one: O(1) amortized.
+		copy(f.frames, f.frames[f.head:])
+		clear(f.frames[live:])
+		f.frames, f.head = f.frames[:live], 0
+	}
 	f.bytes -= len(fr.data)
 	return fr, true
 }
@@ -74,20 +105,7 @@ func (f *rxFifo) missedCount() uint64 {
 func (f *rxFifo) pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.frames)
-}
-
-// headReadyAt reports when the FIFO's head frame becomes harvestable.
-// The buffer is strictly first-in-first-out — pop only ever looks at
-// the head — so the head's arrival instant IS the queue's deadline
-// even if a later frame happens to be due earlier.
-func (f *rxFifo) headReadyAt() (int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.frames) == 0 {
-		return 0, false
-	}
-	return f.frames[0].readyAt, true
+	return len(f.frames) - f.head
 }
 
 // Conduit is the medium a port transmits into. A *Wire is the direct
