@@ -1,11 +1,13 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/fstack"
 	"repro/internal/netem"
 	"repro/internal/sim"
 )
@@ -26,10 +28,20 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
+// update rewrites the golden files from the current behaviour instead
+// of comparing against them: go test ./internal/core -run Golden -update
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
 // assertGolden compares got against testdata/<name>, printing a
 // line-anchored diff on mismatch.
 func assertGolden(t *testing.T, name, got string) {
 	t.Helper()
+	if *update {
+		if err := os.WriteFile("testdata/"+name, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
@@ -147,4 +159,73 @@ func TestGoldenScenario10(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGolden(t, "scenario10.golden", FormatScenario10(results))
+}
+
+// The goldens below were captured immediately before the scenario
+// harness replaced the per-scenario bulk-flow drivers, at test-sized
+// durations: they fence the paths the older goldens do not reach.
+
+// TestGoldenScenario4Server pins Scenario 4 with the local shards
+// receiving: listeners cloned across every shard, the peer's source
+// ports engineered to round-robin the RSS queues.
+func TestGoldenScenario4Server(t *testing.T) {
+	skipUnderRace(t)
+	var results []Scenario4Result
+	for _, cfg := range []Scenario4Config{{Shards: 1}, {Shards: 4}, {Shards: 4, CapMode: true}} {
+		r, err := RunScenario4(cfg, LocalIsServer, 8, 60e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
+	}
+	assertGolden(t, "scenario4_server.golden", FormatScenario4(results))
+}
+
+// TestGoldenScenario5BDP pins a short BDP sweep (2 and 40 ms RTT at
+// 0.25 % loss, both modes and both stacks).
+func TestGoldenScenario5BDP(t *testing.T) {
+	skipUnderRace(t)
+	results, err := RunScenario5BDPSweep([]int64{1e6, 20e6}, 0.0025, 100e6, "", 300e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "scenario5_bdp.golden", FormatScenario5("golden BDP sweep", results))
+}
+
+// TestGoldenScenario6 pins a short upload sweep (1 and 2 shards, 4
+// flows, both modes and both stacks, default bursty link) and one
+// download point into the RSS-cloned listeners.
+func TestGoldenScenario6(t *testing.T) {
+	skipUnderRace(t)
+	up, err := RunScenario6Sweep([]int{1, 2}, 4, 200e6, Scenario6Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := RunScenario6(Scenario6Config{Shards: 2, Modern: true, Download: true}, 4, 300e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "scenario6.golden", FormatScenario6(up)+FormatScenario6([]Scenario6Result{down}))
+}
+
+// TestGoldenScenario7 pins two RTTs x reno/cubic at 2 s per point,
+// both modes.
+func TestGoldenScenario7(t *testing.T) {
+	skipUnderRace(t)
+	results, err := RunScenario7RTTSweep([]int64{5e6, 25e6}, []string{fstack.CCReno, fstack.CCCubic}, 100e6, 2_000e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "scenario7.golden", FormatScenario7(results))
+}
+
+// TestGoldenScenario8 pins one churn point — 2 k idle connections
+// held, 20 ms of 20 k flows/s — in both modes.
+func TestGoldenScenario8(t *testing.T) {
+	skipUnderRace(t)
+	results, err := RunScenario8RateSweep(2, 2000, []float64{20000}, 20e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "scenario8.golden", FormatScenario8(results))
 }
