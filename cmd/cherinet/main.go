@@ -10,7 +10,9 @@
 //	cherinet all               # run every registered experiment
 //
 // Experiments and their flags come from internal/core's scenario
-// registry; an unknown name suggests the nearest registered ones.
+// registry: each experiment declares the flags it reads, and one it
+// does not read is a usage error. An unknown name suggests the nearest
+// registered ones.
 //
 // The -parallel flag (default GOMAXPROCS) sets how many host workers a
 // scenario's sweep cells — and, inside a sharded bed, its stack shards
@@ -19,137 +21,97 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fstack"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: cherinet {list|all|%s} [flags]\n",
-		strings.Join(core.ScenarioNames(), "|"))
-	fmt.Fprintf(os.Stderr, "run `cherinet list` for descriptions and per-experiment flags\n")
-	os.Exit(2)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+// run is the command: args without the program name in, exit code out.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		fmt.Fprintf(stderr, "usage: cherinet {list|all|%s} [flags]\n", strings.Join(core.ScenarioNames(), "|"))
+		fmt.Fprintf(stderr, "run `cherinet list` for descriptions and per-experiment flags\n")
+		return 2
 	}
-	cmd := os.Args[1]
+	cmd := args[0]
 	if cmd == "list" {
-		fmt.Print(core.FormatScenarioList())
-		return
+		fmt.Fprint(stdout, core.FormatScenarioList())
+		return 0
 	}
-
-	def := core.DefaultRunOptions()
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	iters := fs.Int("iters", def.FFWrite.Iterations, "timed ff_write iterations (paper: 1e6)")
-	interval := fs.Int64("interval", def.FFWrite.IntervalNS, "ns between timed writes")
-	payload := fs.Int("payload", def.FFWrite.Payload, "ff_write payload bytes")
-	shards := fs.Int("shards", def.Shards, "max stack shards for scenarios 4 and 6 (swept in powers of two)")
-	flows := fs.Int("flows", def.Flows, "concurrent iperf flows for scenarios 4 and 6")
-	duration := fs.Int64("duration", def.DurationNS, "scenario4 traffic time (virtual ns)")
-	loss := fs.Float64("loss", def.Loss, "scenario5 max random loss rate (swept from 0)")
-	delay := fs.Int64("delay", def.DelayNS, "scenario5 one-way delay for the loss sweep (ns)")
-	rate := fs.Float64("rate", def.RateBps, "scenario5 bottleneck rate (bits/s); for scenario8, the churn rate (flows/s)")
-	s5dur := fs.Int64("s5duration", def.S5DurationNS, "scenario5 traffic time per point (virtual ns)")
-	ackrate := fs.Float64("ackrate", 0, "scenario6 reverse (ACK) channel bottleneck (bits/s; 0 = clean)")
-	s6dur := fs.Int64("s6duration", def.S6DurationNS, "scenario6 traffic time per point (virtual ns)")
-	mode := fs.String("mode", def.Mode, "scenario6 traffic direction: upload (sharded box sends) or download (peer sends into the cloned listeners)")
-	cc := fs.String("cc", "", fmt.Sprintf("congestion control %v: modern stacks of scenarios 5-6, restricts the scenario7 sweep (empty = reno / both)", fstack.CongestionAlgos()))
-	s7dur := fs.Int64("s7duration", def.S7DurationNS, "scenario7 traffic time per point (virtual ns)")
-	conns := fs.Int("conns", def.Conns, "scenario8 idle connection population held across the churn; for scenario9, the connection/concurrency count")
-	s8dur := fs.Int64("s8duration", def.S8DurationNS, "scenario8 churn time per point (virtual ns)")
-	proto := fs.String("proto", "", "scenario9 protocol: http or dns (empty = both)")
-	s9dur := fs.Int64("s9duration", def.S9DurationNS, "scenario9 measured time per point (virtual ns)")
-	faults := fs.Int("faults", def.Faults, "scenario10 injected capability-fault count")
-	mtbf := fs.Int64("mtbf", def.MTBFNS, "scenario10 mean time between faults (virtual ns)")
-	s10dur := fs.Int64("s10duration", def.S10DurationNS, "scenario10 measured time (virtual ns)")
-	traceDir := fs.String("trace", "", "scenario5: write per-point Chrome trace-event JSON into this directory")
-	metricsDir := fs.String("metrics", "", "scenario5: write per-point metrics timeseries (CSV+JSON) into this directory")
-	pcapDir := fs.String("pcap", "", "scenario5: write per-point per-peer libpcap captures under this directory")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "host workers for sweep cells and shard stepping (1 = sequential; output is identical at any value)")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		usage()
-	}
-	core.SetParallelism(*parallel)
-	if !fstack.ValidCongestion(*cc) {
-		fmt.Fprintf(os.Stderr, "cherinet: -cc %q is not a registered algorithm (have %v)\n",
-			*cc, fstack.CongestionAlgos())
-		os.Exit(2)
-	}
-	opts := core.RunOptions{
-		FFWrite:       core.FFWriteConfig{Iterations: *iters, IntervalNS: *interval, Payload: *payload},
-		Shards:        *shards,
-		Flows:         *flows,
-		DurationNS:    *duration,
-		Loss:          *loss,
-		DelayNS:       *delay,
-		RateBps:       *rate,
-		S5DurationNS:  *s5dur,
-		AckRateBps:    *ackrate,
-		S6DurationNS:  *s6dur,
-		Mode:          *mode,
-		Congestion:    *cc,
-		S7DurationNS:  *s7dur,
-		Conns:         *conns,
-		ConnRate:      def.ConnRate,
-		S8DurationNS:  *s8dur,
-		Proto:         *proto,
-		S9Rate:        def.S9Rate,
-		S9Conns:       def.S9Conns,
-		S9DurationNS:  *s9dur,
-		Faults:        *faults,
-		MTBFNS:        *mtbf,
-		S10Conns:      def.S10Conns,
-		S10DurationNS: *s10dur,
-		TraceDir:      *traceDir,
-		MetricsDir:    *metricsDir,
-		PcapDir:       *pcapDir,
-	}
-	// -rate and -conns are overloaded: -rate is bits/s for scenario5's
-	// bottleneck, flows/s for scenario8's churn, requests/s for
-	// scenario9; -conns is scenario8's idle population or scenario9's
-	// connection count. Only explicit flags move a ladder off its
-	// default.
-	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case cmd == "scenario8" && f.Name == "rate":
-			opts.ConnRate = *rate
-		case cmd == "scenario9" && f.Name == "rate":
-			opts.S9Rate = *rate
-		case cmd == "scenario9" && f.Name == "conns":
-			opts.S9Conns = *conns
-		case cmd == "scenario10" && f.Name == "conns":
-			opts.S10Conns = *conns
-		}
-	})
-
-	var entries []core.ScenarioEntry
-	if cmd == "all" {
-		entries = core.Registry
-	} else {
+	entries := core.Registry
+	if cmd != "all" {
 		e, ok := core.LookupScenario(cmd)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cherinet: unknown experiment %q\n", cmd)
+			fmt.Fprintf(stderr, "cherinet: unknown experiment %q\n", cmd)
 			if sugg := core.SuggestScenarios(cmd); len(sugg) > 0 {
-				fmt.Fprintf(os.Stderr, "did you mean: %s?\n", strings.Join(sugg, ", "))
+				fmt.Fprintf(stderr, "did you mean: %s?\n", strings.Join(sugg, ", "))
 			}
-			fmt.Fprintf(os.Stderr, "run `cherinet list` for the registry\n")
-			os.Exit(2)
+			fmt.Fprintf(stderr, "run `cherinet list` for the registry\n")
+			return 2
 		}
 		entries = []core.ScenarioEntry{e}
 	}
-	for _, e := range entries {
-		if err := e.Run(opts, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "cherinet %s: %v\n", e.Name, err)
-			os.Exit(1)
+
+	front, _, runs := bind(cmd, entries, stderr)
+	parallel := front.Int("parallel", runtime.GOMAXPROCS(0), "host workers for sweep cells and shard stepping (1 = sequential; output is identical at any value)")
+	if err := front.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		fmt.Println()
+		return 2
 	}
+	core.SetParallelism(*parallel)
+
+	for i, e := range entries {
+		if err := runs[i](stdout); err != nil {
+			fmt.Fprintf(stderr, "cherinet %s: %v\n", e.Name, err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
+	}
+	return 0
+}
+
+// bind gives every entry a flag set of its own to declare its flags on,
+// and returns them with the entries' runs and the front set that parses
+// the command line: it knows each name some entry declared and hands
+// the value to every entry that did. So a flag the experiment does not
+// read is a usage error, and under `all` a flag reaches all the
+// experiments that read it (-rate is a bottleneck in bits/s to
+// scenario5 and 7, flows/s to scenario8, requests/s to scenario9) and
+// is an error only if none does.
+func bind(cmd string, entries []core.ScenarioEntry, stderr io.Writer) (front *flag.FlagSet, sets []*flag.FlagSet, runs []func(io.Writer) error) {
+	front = flag.NewFlagSet("cherinet "+cmd, flag.ContinueOnError)
+	front.SetOutput(stderr)
+	for _, e := range entries {
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		runs = append(runs, e.Bind(fs))
+		sets = append(sets, fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if front.Lookup(f.Name) != nil {
+				return
+			}
+			front.Func(f.Name, f.Usage, func(v string) error {
+				for _, fs := range sets {
+					if fs.Lookup(f.Name) == nil {
+						continue
+					}
+					if err := fs.Set(f.Name, v); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			front.Lookup(f.Name).DefValue = f.DefValue
+		})
+	}
+	return front, sets, runs
 }

@@ -1,11 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// cherinet runs the command in-process and returns what it wrote and
+// its exit code.
+func cherinet(args ...string) (stdout, stderr string, code int) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return out.String(), errOut.String(), code
+}
 
 // TestListGolden pins `cherinet list` byte for byte.
 func TestListGolden(t *testing.T) {
@@ -13,7 +25,112 @@ func TestListGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := core.FormatScenarioList(); got != string(want) {
-		t.Fatalf("cherinet list drifted:\n-- got --\n%s\n-- want --\n%s", got, want)
+	got, _, code := cherinet("list")
+	if code != 0 || got != string(want) {
+		t.Fatalf("cherinet list (exit %d) drifted:\n-- got --\n%s\n-- want --\n%s", code, got, want)
+	}
+}
+
+func TestUnknownExperimentSuggests(t *testing.T) {
+	out, errOut, code := cherinet("scenaro5")
+	if code != 2 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 2 and nothing on stdout", code, out)
+	}
+	if !strings.Contains(errOut, "did you mean: scenario5") {
+		t.Fatalf("no suggestion on stderr:\n%s", errOut)
+	}
+	if _, _, code := cherinet(); code != 2 {
+		t.Fatalf("no arguments: exit %d, want 2", code)
+	}
+}
+
+// TestUndeclaredFlagRejected pins the per-entry flag sets: a flag the
+// experiment does not read is a usage error naming that experiment's
+// flags, not a silently ignored setting; so is a value its flag refuses.
+func TestUndeclaredFlagRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"scenario6", "-loss", "0.02"},
+		{"scenario7", "-shards", "8"},
+		{"table2", "-flows", "2"},
+		{"scenario7", "-cc", "vegas"},
+		{"all", "-nosuchflag", "1"},
+	} {
+		out, errOut, code := cherinet(args...)
+		if code != 2 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 before anything runs", args, code, out)
+		}
+		if !strings.Contains(errOut, "Usage of cherinet "+args[0]) || !strings.Contains(errOut, "-parallel") {
+			t.Errorf("%v: stderr is not the experiment's usage:\n%s", args, errOut)
+		}
+	}
+	_, errOut, _ := cherinet("scenario7", "-shards", "8")
+	if !strings.Contains(errOut, "-s7duration") || strings.Contains(errOut, "-flows") {
+		t.Errorf("scenario7's usage should list its own flags only:\n%s", errOut)
+	}
+}
+
+// TestAllFlagFanOut pins what a flag means under `cherinet all`: it
+// reaches every experiment that declares it (and no other), whatever
+// the unit there — -rate is bits/s for scenario5 and 7, flows/s for
+// scenario8, requests/s for scenario9; -conns sizes scenario8's idle
+// population, scenario9's concurrency and scenario10's per-shard
+// connections.
+func TestAllFlagFanOut(t *testing.T) {
+	front, sets, _ := bind("all", core.Registry, io.Discard)
+	if err := front.Parse([]string{"-rate", "12345", "-conns", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	for _, fs := range sets {
+		fs.Visit(func(f *flag.Flag) { // the flags that were set
+			got[f.Name+"="+f.Value.String()] = append(got[f.Name+"="+f.Value.String()], fs.Name())
+		})
+	}
+	want := map[string]string{
+		"rate=12345": "scenario5 scenario7 scenario8 scenario9",
+		"conns=7":    "scenario8 scenario9 scenario10",
+	}
+	for k, who := range want {
+		if strings.Join(got[k], " ") != who {
+			t.Errorf("%s reached %v, want %s", k, got[k], who)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("flags set: %v, want exactly %v", got, want)
+	}
+	// A value one of the declaring experiments refuses fails the parse.
+	if _, errOut, code := cherinet("all", "-shards", "x"); code != 2 || !strings.Contains(errOut, "-shards") {
+		t.Errorf("all -shards x: exit %d, stderr:\n%s", code, errOut)
+	}
+}
+
+// TestBindParsesOwnDefaults feeds every registered entry's flags their
+// own printed defaults back: each must parse.
+func TestBindParsesOwnDefaults(t *testing.T) {
+	for _, e := range core.Registry {
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		if e.Bind(fs) == nil {
+			t.Errorf("%s: Bind returned no run", e.Name)
+		}
+		fs.VisitAll(func(f *flag.Flag) {
+			if err := fs.Set(f.Name, f.DefValue); err != nil {
+				t.Errorf("%s: -%s rejects its own default %q: %v", e.Name, f.Name, f.DefValue, err)
+			}
+		})
+	}
+}
+
+// TestScenario4MatchesLibrary runs a short sweep through the command
+// and through the library: the bytes must match, so the flags reach the
+// sweep unchanged.
+func TestScenario4MatchesLibrary(t *testing.T) {
+	results, err := core.RunScenario4Sweep([]int{1, 2}, 4, 50e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.FormatScenario4(results) + "\n"
+	got, errOut, code := cherinet("scenario4", "-shards", "2", "-flows", "4", "-duration", "50000000")
+	if code != 0 || got != want {
+		t.Fatalf("exit %d, stderr %q\n-- got --\n%s\n-- want --\n%s", code, errOut, got, want)
 	}
 }

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/fstack"
-	"repro/internal/iperf"
-	"repro/internal/sim"
-	"repro/internal/testbed"
-)
+import "fmt"
 
 // Direction selects which side of the link the local box plays, as in
 // Table II's "Server" (receiver) and "Client" (sender) columns.
@@ -42,7 +35,6 @@ func (r BWResult) String() string {
 
 // bandwidth run parameters.
 const (
-	bwTick = 5_000 // 5 µs virtual per iteration
 	// bwDuration is the per-measurement traffic time. Sender-side
 	// accounting includes the residual socket buffer (it is counted when
 	// written, as in iperf3), which inflates the client figure by
@@ -52,139 +44,6 @@ const (
 	iperfPort  = uint16(5201)
 )
 
-// deadliner reports the next virtual instant a component may act of
-// its own accord (math.MaxInt64 = never): the hook iperf endpoints and
-// the testbed expose for the event-driven driver. A value at or before
-// `now` means the component has work right now.
-type deadliner interface{ NextDeadline(now int64) int64 }
-
-// leapEnabled gates the event-driven clock: when true (the default),
-// runVirtualUntil leaps over tick rounds in which provably nothing is
-// due. The quiescence-leap test flips it to compare the event-driven
-// run against the tick-stepped reference.
-var leapEnabled = true
-
-// visitHook, when non-nil, observes every iteration the driver runs:
-// the instant and whether the bed reported due work there. Test-only.
-var visitHook func(now int64, active bool)
-
-// runVirtual steps every loop (and the extra app steppers) in lockstep
-// virtual time until done() or the deadline.
-func runVirtual(clk *sim.VClock, bed *Setup, apps []func(now int64), timed []deadliner, done func() bool) error {
-	return runVirtualUntil(clk, bed, apps, timed, done, bwDeadline)
-}
-
-// runVirtualUntil is runVirtual with an explicit deadline, for runs
-// whose drain time scales with the path RTT (Scenario 5's WAN paths
-// retransmit across hundred-ms round trips).
-//
-// The clock is event-driven: each iteration steps every loop and app
-// stepper at the current instant, then asks the bed (Bed.NextDeadline:
-// connection timers, RX FIFOs, serializers, netem delay lines) and the
-// timed components (iperf duration/interval ends) for the earliest
-// future instant anything could happen. When that instant lies beyond
-// the next 5 µs tick, the clock leaps directly to the grid point
-// containing it — the same instant the tick-stepped loop would first
-// have noticed the event at, with every skipped grid point a provable
-// no-op — so observable behavior is bit-identical while wall-clock
-// cost scales with events rather than virtual duration.
-func runVirtualUntil(clk *sim.VClock, bed *Setup, apps []func(now int64), timed []deadliner, done func() bool, deadlineNS int64) error {
-	start := clk.Now()
-	loops := bed.Loops()
-	// Per-instant loop stepping: sequential by default; a bed eligible
-	// for parallel shard stepping (see testbed.NewShardStepper) runs its
-	// shard loops on Parallelism() host workers instead, with identical
-	// observable behavior.
-	stepLoops := func() {
-		for _, l := range loops {
-			l.RunOnce()
-		}
-	}
-	if p := Parallelism(); p > 1 {
-		if ps := testbed.NewShardStepper(bed, p); ps != nil {
-			defer ps.Close()
-			stepLoops = ps.RunOnce
-		}
-	}
-	for clk.Now()-start < deadlineNS {
-		if done() {
-			return nil
-		}
-		stepLoops()
-		now := clk.Now()
-		for _, f := range apps {
-			f(now)
-		}
-		// Metrics sampling rides the same iteration grid; with
-		// observability off this is a nil check. Bed.NextDeadline folds
-		// the sampler's next instant in, so leaping never skips a sample.
-		bed.ObsTick(now)
-		step := int64(bwTick)
-		if leapEnabled || visitHook != nil {
-			next := bed.NextDeadline(now)
-			for _, d := range timed {
-				if next <= now {
-					break
-				}
-				if at := d.NextDeadline(now); at < next {
-					next = at
-				}
-			}
-			if visitHook != nil {
-				visitHook(now, next <= now)
-			}
-			if next > now+bwTick {
-				// Land exactly on the tick-grid point containing the
-				// deadline (never past the run deadline), so the event
-				// is handled at the same instant the tick loop would
-				// have handled it.
-				if end := start + deadlineNS; next > end {
-					next = end
-				}
-				if k := (next - now + bwTick - 1) / bwTick; k > 1 && leapEnabled {
-					step = k * bwTick
-				}
-			}
-		}
-		clk.Advance(step)
-	}
-	// A run can complete into total quiescence: the final step finishes
-	// the workload, every deadline goes to infinity, and the leap lands
-	// on the budget end — re-check before calling that a timeout.
-	if done() {
-		return nil
-	}
-	return fmt.Errorf("core: bandwidth run did not finish within %.0f ms virtual", float64(deadlineNS)/1e6)
-}
-
-// timedOf collects the deadline hooks of a run's iperf endpoints (nil
-// entries are skipped, so optional endpoints can be passed directly).
-func timedOf(clis []*iperf.Client, srvs []*iperf.Server) []deadliner {
-	var out []deadliner
-	for _, c := range clis {
-		if c != nil {
-			out = append(out, c)
-		}
-	}
-	for _, s := range srvs {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// attachInLoop embeds an iperf endpoint in a loop's user callback, the
-// Baseline/Scenario 1 layout where the application runs inside the
-// stack's compartment.
-func attachInLoop(env *Env, step func(api iperf.API, now int64)) {
-	api := env.Loop.Locked()
-	env.Loop.OnLoop = func(now int64) bool {
-		step(api, now)
-		return true
-	}
-}
-
 // BandwidthPair measures one (setup, direction) combination with one
 // connection per local environment or app compartment, and returns the
 // local-side goodput per endpoint (which is what Table II tabulates).
@@ -192,153 +51,33 @@ func attachInLoop(env *Env, step func(api iperf.API, now int64)) {
 // In LocalIsServer mode the local endpoints run iperf servers and the
 // remote partners run clients; in LocalIsClient mode the roles flip.
 func BandwidthPair(s *Setup, dir Direction) ([]BWResult, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return nil, fmt.Errorf("core: bandwidth runs need the virtual clock")
-	}
-	type endpoint struct {
-		label  string
-		client *iperf.Client
-		server *iperf.Server
-	}
-	var eps []endpoint
-	var appSteppers []func(now int64)
-
-	// Local endpoints: per port-owning env (Baseline, Scenario 1) or per
-	// application compartment (Scenario 2).
+	var flows []bulkFlow
+	upload := dir == LocalIsClient
 	if len(s.Apps) == 0 {
+		// Baseline, Scenarios 1 and 3: environment i owns port i and
+		// talks to the peer on it, the application inside the stack's
+		// loop.
 		for i, env := range s.Envs {
-			port := i // env i owns port i in these layouts
-			ep := endpoint{label: env.Name}
-			if dir == LocalIsServer {
-				srv := iperf.NewServer(fstack.IPv4Addr{}, iperfPort)
-				ep.server = srv
-				attachInLoop(env, srv.Step)
-			} else {
-				cli := iperf.NewClient(peerIP(port), iperfPort, int64(bwDuration))
-				ep.client = cli
-				attachInLoop(env, cli.Step)
-			}
-			eps = append(eps, ep)
-		}
-	} else {
-		// Scenario 2: all apps share the single stack on port 0; each
-		// uses a distinct TCP port.
-		for i, api := range s.Apps {
-			api := api
-			port := iperfPort + uint16(i)
-			ep := endpoint{label: api.App.Name}
-			if dir == LocalIsServer {
-				srv := iperf.NewServer(fstack.IPv4Addr{}, port)
-				ep.server = srv
-				appSteppers = append(appSteppers, func(now int64) { srv.Step(api, now) })
-			} else {
-				cli := iperf.NewClient(peerIP(0), port, int64(bwDuration))
-				ep.client = cli
-				appSteppers = append(appSteppers, func(now int64) { cli.Step(api, now) })
-			}
-			eps = append(eps, ep)
+			flows = append(flows, bulkFlow{label: env.Name, env: env, peer: s.Peers[i], port: iperfPort, upload: upload})
 		}
 	}
-
-	// Remote endpoints: the peer for port i talks to local endpoint i —
-	// except in Scenario 2 where one peer carries every flow.
-	var peerCli []*iperf.Client
-	var peerSrv []*iperf.Server
-	if len(s.Apps) == 0 {
-		for i, p := range s.Peers {
-			if dir == LocalIsServer {
-				cli := iperf.NewClient(localIP(i), iperfPort, int64(bwDuration))
-				peerCli = append(peerCli, cli)
-				attachInLoop(p.Env, cli.Step)
-			} else {
-				srv := iperf.NewServer(fstack.IPv4Addr{}, iperfPort)
-				peerSrv = append(peerSrv, srv)
-				attachInLoop(p.Env, srv.Step)
-			}
-		}
-	} else {
-		p := s.Peers[0]
-		n := len(s.Apps)
-		if dir == LocalIsServer {
-			for i := 0; i < n; i++ {
-				cli := iperf.NewClient(localIP(0), iperfPort+uint16(i), int64(bwDuration))
-				peerCli = append(peerCli, cli)
-			}
-			api := p.Env.Loop.Locked()
-			p.Env.Loop.OnLoop = func(now int64) bool {
-				for _, c := range peerCli {
-					c.Step(api, now)
-				}
-				return true
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				srv := iperf.NewServer(fstack.IPv4Addr{}, iperfPort+uint16(i))
-				peerSrv = append(peerSrv, srv)
-			}
-			api := p.Env.Loop.Locked()
-			p.Env.Loop.OnLoop = func(now int64) bool {
-				for _, sv := range peerSrv {
-					sv.Step(api, now)
-				}
-				return true
-			}
-		}
+	// Scenario 2: every app cVM reaches the single stack on port 0
+	// through its gated API view, each on a distinct TCP port; the one
+	// peer carries the far end of every flow.
+	for i, app := range s.Apps {
+		flows = append(flows, bulkFlow{label: app.App.Name, api: app, peer: s.Peers[0], port: iperfPort + uint16(i), upload: upload})
 	}
-
-	done := func() bool {
-		for _, ep := range eps {
-			if ep.client != nil && !ep.client.Done() {
-				return false
-			}
-			if ep.server != nil && !ep.server.Done() {
-				return false
-			}
-		}
-		for _, c := range peerCli {
-			if !c.Done() {
-				return false
-			}
-		}
-		for _, sv := range peerSrv {
-			if !sv.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	var epCli []*iperf.Client
-	var epSrv []*iperf.Server
-	for _, ep := range eps {
-		epCli = append(epCli, ep.client)
-		epSrv = append(epSrv, ep.server)
-	}
-	timed := append(timedOf(epCli, epSrv), timedOf(peerCli, peerSrv)...)
-	if err := runVirtual(clk, s, appSteppers, timed, done); err != nil {
+	reps, err := runFlows(s, "bandwidth", flows, bwDuration, bwDeadline)
+	if err != nil {
 		return nil, err
 	}
-
-	var out []BWResult
-	for _, ep := range eps {
-		var rep iperf.Report
-		switch {
-		case ep.server != nil:
-			if ep.server.Err() != 0 {
-				return nil, fmt.Errorf("core: server %s failed: %v", ep.label, ep.server.Err())
-			}
-			rep = ep.server.Report()
-		case ep.client != nil:
-			if ep.client.Err() != 0 {
-				return nil, fmt.Errorf("core: client %s failed: %v", ep.label, ep.client.Err())
-			}
-			rep = ep.client.Report()
+	out := make([]BWResult, len(reps))
+	for i, rep := range reps {
+		out[i] = BWResult{
+			Label:      fmt.Sprintf("%s %s", flows[i].label, dir),
+			Mbps:       rep.local.Mbps(),
+			Efficiency: rep.local.Efficiency(1000),
 		}
-		out = append(out, BWResult{
-			Label:      fmt.Sprintf("%s %s", ep.label, dir),
-			Mbps:       rep.Mbps(),
-			Efficiency: rep.Efficiency(1000),
-		})
 	}
 	return out, nil
 }

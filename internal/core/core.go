@@ -14,20 +14,29 @@
 //     two (contended) application cVMs call the F-Stack API through
 //     cross-compartment gates, serialized by the stack mutex.
 //
-// Past the paper, four forward-looking layouts ride on the same spec
+// Past the paper, forward-looking scenarios ride on the same spec
 // model: Scenario 3 (§VI's future work — DPDK separated into its own
 // cVM, gates on the datapath), Scenario 4 (multi-core scaling — a
 // multi-queue RSS port with one CPU-budgeted stack shard per queue
 // pair), Scenario 5 (a lossy high-BDP WAN behind a netem.Link,
-// comparing go-back-N against SACK + window scaling), and Scenario 6
-// (the composition: the sharded stack of Scenario 4 driving many flows
+// comparing go-back-N against SACK + window scaling), Scenario 6 (the
+// composition: the sharded stack of Scenario 4 driving many flows
 // through the impaired — and per-direction asymmetric — bottleneck of
-// Scenario 5).
+// Scenario 5), Scenario 7 (the same WAN, reno against cubic across the
+// RTT ladder), Scenario 8 (a connection churn storm over a held idle
+// population), Scenario 9 (HTTP- and DNS-shaped request/response tail
+// latency) and Scenario 10 (a capability-fault storm: blast radius and
+// time-to-recovery, Baseline monolith against one cVM per shard).
 //
-// The package also carries the experiment drivers that regenerate every
-// table and figure of the evaluation (bandwidth.go, latency.go,
-// fig3.go, table1.go), and the scenario registry (registry.go) the
-// cherinet command consumes.
+// Every run goes through one scenario harness (harness.go: the
+// measured-run wrapper over the event-driven virtual clock, the
+// build-then-run and the sweep over the host worker pool) and every
+// bulk iperf measurement — Table II and Scenarios 3-7 — through one
+// flow driver (flows.go); a scenario file holds its config defaults,
+// its result struct and its table. The package also carries the
+// drivers behind the remaining tables and figures (latency.go, fig3.go,
+// table1.go), and the scenario registry (registry.go) the cherinet
+// command consumes: each entry declares the flags it reads.
 package core
 
 import (

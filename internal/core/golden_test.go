@@ -151,7 +151,7 @@ func TestGoldenScenario9(t *testing.T) {
 // probe shows up as a byte diff in the dip/blast/MTTR columns.
 func TestGoldenScenario10(t *testing.T) {
 	skipUnderRace(t)
-	results, err := runScenario10Cells(Parallelism(), Scenario10Config{
+	results, err := RunScenario10Sweep(Scenario10Config{
 		Shards: 3, Faults: 2, MTBFNS: 40e6,
 		Conns: 2, DurationNS: 300e6,
 	})

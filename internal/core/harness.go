@@ -1,0 +1,256 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/fstack"
+	"repro/internal/hostos"
+	"repro/internal/sim"
+	"repro/internal/testbed"
+)
+
+// The scenario harness: what every experiment shares once its bed is
+// built and its workload endpoints are placed — one measured-run
+// wrapper over the event-driven clock, one build-then-run, one sweep
+// over the host worker pool. What stays per scenario is what differs:
+// config defaults, the result struct and the table layout. DESIGN.md
+// §14 has the argument; flows.go is the bulk-flow driver on top.
+
+// bwTick is the virtual time one driver iteration covers (5 µs).
+const bwTick = 5_000
+
+// endpoint is the part of the stepper contract the harness consumes.
+// Every workload endpoint — iperf, churn and the app plane's clients
+// and servers — has a sticky errno and a deadline hook: the next
+// virtual instant it may act of its own accord (math.MaxInt64 = never;
+// a value at or before `now` means it has work right now), which is
+// what lets the event-driven driver leap.
+type endpoint interface {
+	NextDeadline(now int64) int64
+	Err() hostos.Errno
+}
+
+// labelled names an endpoint for error reports.
+type labelled struct {
+	label string
+	endpoint
+}
+
+// phase is one leg of a measured run: stepped until done reports true,
+// an endpoint latches an error, or budgetNS of virtual time has passed.
+type phase struct {
+	// name tells the legs of a multi-phase run apart in errors.
+	name     string
+	budgetNS int64
+	// start, when set, runs as the leg begins.
+	start func(now int64)
+	done  func() bool
+}
+
+// measure is the one measured run: it asserts the virtual clock, drives
+// the bed through each phase, turns a budget overrun or the first
+// latched endpoint errno into an error naming the scenario, phase and
+// endpoint, and closes the bed's captures. steppers run after the loops
+// at every instant; eps are all the run's endpoints, whose deadlines
+// keep the clock from leaping past their timed work.
+//
+// An end-of-run audit (conservation checks over the bed) and a host
+// profile of the driver loop belong here: this is the only place every
+// scenario's run passes through.
+func measure(bed *Setup, what string, steppers []func(now int64), eps []labelled, phases ...phase) error {
+	clk, ok := bed.Clk.(*sim.VClock)
+	if !ok {
+		return fmt.Errorf("core: %s runs need the virtual clock", what)
+	}
+	failed := func() *labelled {
+		for i := range eps {
+			if eps[i].Err() != hostos.OK {
+				return &eps[i]
+			}
+		}
+		return nil
+	}
+	for _, ph := range phases {
+		leg := what
+		if ph.name != "" {
+			leg += " " + ph.name
+		}
+		if ph.start != nil {
+			ph.start(clk.Now())
+		}
+		done := func() bool { return failed() != nil || ph.done() }
+		if err := runVirtualUntil(clk, bed, leg, steppers, eps, done, ph.budgetNS); err != nil {
+			return err
+		}
+		if ep := failed(); ep != nil {
+			return fmt.Errorf("core: %s: %s failed: %v", leg, ep.label, ep.Err())
+		}
+	}
+	if err := bed.CloseObs(); err != nil {
+		return fmt.Errorf("core: %s capture: %w", what, err)
+	}
+	return nil
+}
+
+// leapEnabled gates the event-driven clock: when true (the default),
+// runVirtualUntil leaps over tick rounds in which provably nothing is
+// due. The quiescence-leap test flips it to compare the event-driven
+// run against the tick-stepped reference.
+var leapEnabled = true
+
+// visitHook, when non-nil, observes every iteration the driver runs:
+// the instant and whether the bed reported due work there. Test-only.
+var visitHook func(now int64, active bool)
+
+// runVirtualUntil steps every loop (and the extra app steppers) in
+// lockstep virtual time until done() or budgetNS has passed; what names
+// the run in the overrun error.
+//
+// The clock is event-driven: each iteration steps every loop and app
+// stepper at the current instant, then asks the bed (Bed.NextDeadline:
+// connection timers, RX FIFOs, serializers, netem delay lines) and the
+// timed endpoints (workload duration/interval/pacing ends) for the
+// earliest future instant anything could happen. When that instant lies
+// beyond the next 5 µs tick, the clock leaps directly to the grid point
+// containing it — the same instant the tick-stepped loop would first
+// have noticed the event at, with every skipped grid point a provable
+// no-op — so observable behavior is bit-identical while wall-clock
+// cost scales with events rather than virtual duration.
+func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now int64), timed []labelled, done func() bool, budgetNS int64) error {
+	start := clk.Now()
+	loops := bed.Loops()
+	// Per-instant loop stepping: sequential by default; a bed eligible
+	// for parallel shard stepping (see testbed.NewShardStepper) runs its
+	// shard loops on Parallelism() host workers instead, with identical
+	// observable behavior.
+	stepLoops := func() {
+		for _, l := range loops {
+			l.RunOnce()
+		}
+	}
+	if p := Parallelism(); p > 1 {
+		if ps := testbed.NewShardStepper(bed, p); ps != nil {
+			defer ps.Close()
+			stepLoops = ps.RunOnce
+		}
+	}
+	for clk.Now()-start < budgetNS {
+		if done() {
+			return nil
+		}
+		stepLoops()
+		now := clk.Now()
+		for _, f := range apps {
+			f(now)
+		}
+		// Metrics sampling rides the same iteration grid; with
+		// observability off this is a nil check. Bed.NextDeadline folds
+		// the sampler's next instant in, so leaping never skips a sample.
+		bed.ObsTick(now)
+		step := int64(bwTick)
+		if leapEnabled || visitHook != nil {
+			next := bed.NextDeadline(now)
+			for _, d := range timed {
+				if next <= now {
+					break
+				}
+				if at := d.NextDeadline(now); at < next {
+					next = at
+				}
+			}
+			if visitHook != nil {
+				visitHook(now, next <= now)
+			}
+			if next > now+bwTick {
+				// Land exactly on the tick-grid point containing the
+				// deadline (never past the run's budget), so the event
+				// is handled at the same instant the tick loop would
+				// have handled it.
+				if end := start + budgetNS; next > end {
+					next = end
+				}
+				if k := (next - now + bwTick - 1) / bwTick; k > 1 && leapEnabled {
+					step = k * bwTick
+				}
+			}
+		}
+		clk.Advance(step)
+	}
+	// A run can complete into total quiescence: the final step finishes
+	// the workload, every deadline goes to infinity, and the leap lands
+	// on the budget end — re-check before calling that a timeout.
+	if done() {
+		return nil
+	}
+	return fmt.Errorf("core: %s did not finish within %.0f ms virtual", what, float64(budgetNS)/1e6)
+}
+
+// allDone is the usual end of a phase: every worker has finished.
+func allDone[W interface{ Done() bool }](workers []W) func() bool {
+	return func() bool {
+		for _, w := range workers {
+			if !w.Done() {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// wanBudget is the virtual-time budget of a run whose loss recovery and
+// final drain ride WAN round trips (through a deep queue): generous
+// headroom beyond the traffic time, growing with the path's one-way
+// delay.
+func wanBudget(durationNS, delayNS int64) int64 {
+	return durationNS + 8_000e6 + 200*2*delayNS
+}
+
+// lockedStats snapshots an environment's stack counters under the
+// stack mutex.
+func lockedStats(env *Env) fstack.StackStats {
+	env.Stk.Lock()
+	defer env.Stk.Unlock()
+	return env.Stk.Stats()
+}
+
+// fresh is RunScenarioN: build the configuration's bed on a new
+// virtual clock, then run it once.
+func fresh[C, S, R any](build func(hostos.Clock, C) (S, error), cfg C, run func(S) (R, error)) (R, error) {
+	s, err := build(sim.NewVClock(), cfg)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return run(s)
+}
+
+// sweep runs every cell on the host worker pool (Parallelism) and
+// returns the results in cell order; a failing cell's error carries its
+// label.
+func sweep[C, R any](cells []C, run func(C) (R, error), label func(C) string) ([]R, error) {
+	return RunCells(Parallelism(), len(cells), func(i int) (R, error) {
+		r, err := run(cells[i])
+		if err != nil {
+			return r, fmt.Errorf("%s: %w", label(cells[i]), err)
+		}
+		return r, nil
+	})
+}
+
+// modeName is a report's Mode column: the Baseline process layout or
+// the capability-mode cVM.
+func modeName(capMode bool) string {
+	if capMode {
+		return "cheri"
+	}
+	return "baseline"
+}
+
+// recoveryName is a report's Recovery column: the paper's stack or the
+// modern tuning (SACK + window scaling).
+func recoveryName(modern bool) string {
+	if modern {
+		return "SACK+WS"
+	}
+	return "go-back-N"
+}

@@ -46,7 +46,7 @@ func startPeerSinks(s *Setup, flows int) (stop func()) {
 	for _, p := range s.Peers {
 		sinks := make([]*iperf.Server, flows)
 		for i := range sinks {
-			sinks[i] = iperf.NewServer(fstack.IPv4Addr{}, latPort+uint16(i))
+			sinks[i] = newReceiver(latPort + uint16(i))
 		}
 		api := p.Env.Loop.Locked()
 		p.Env.Loop.OnLoop = func(now int64) bool {

@@ -110,24 +110,24 @@ func TestScenario5Observability(t *testing.T) {
 	}
 }
 
-// TestScenario5ObsExport drives one sweep point through the export
-// path: per-point Chrome trace, metrics CSV and JSON must land under
+// TestScenario5ObsExport drives one sweep through the export path: per-point Chrome trace, metrics CSV and JSON must land under
 // their directories and parse.
 func TestScenario5ObsExport(t *testing.T) {
 	dir := t.TempDir()
-	so := Scenario5Obs{
+	so := SweepObs{
 		TraceDir:   filepath.Join(dir, "trace"),
 		MetricsDir: filepath.Join(dir, "metrics"),
 		PcapDir:    filepath.Join(dir, "pcap"),
 	}
-	cfg := Scenario5Config{Modern: true, Link: netem.Config{LossRate: 0.005, DelayNS: 5e6}}
-	r, err := runScenario5Point(cfg, 100e6, []Scenario5Obs{so})
+	// One loss point is four cells; the baseline SACK one is checked.
+	rs, err := RunScenario5LossSweep([]float64{0.005}, 5e6, 0, "", 100e6, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Obs == nil {
+	if rs[1].Obs == nil {
 		t.Fatal("export destinations did not switch instruments on")
 	}
+	cfg := Scenario5Config{Modern: true, Link: netem.Config{LossRate: 0.005, DelayNS: 5e6}}
 	label := scenario5Label(cfg)
 
 	raw, err := os.ReadFile(filepath.Join(so.TraceDir, label+".trace.json"))
@@ -173,6 +173,51 @@ func TestScenario5ObsExport(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(so.PcapDir, label, "peer0.pcap")); err != nil {
 		t.Errorf("per-point pcap missing: %v", err)
 	}
+}
+
+// TestSweepObsReachesScenario9And10 pins the per-point export on the
+// other two scenarios whose config carries an ObsSpec: every point's
+// trace, timeseries and captures land under its label, and the report
+// is byte-identical to the uninstrumented sweep's.
+func TestSweepObsReachesScenario9And10(t *testing.T) {
+	skipUnderRace(t)
+	dir := t.TempDir()
+	so := SweepObs{TraceDir: dir, MetricsDir: dir, PcapDir: filepath.Join(dir, "pcap")}
+	exported := func(label, peer string) {
+		t.Helper()
+		for _, name := range []string{label + ".trace.json", label + ".metrics.csv", filepath.Join("pcap", label, peer+".pcap")} {
+			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+				t.Errorf("%s missing or empty (%v)", name, err)
+			}
+		}
+	}
+
+	s9 := func(o ...SweepObs) string {
+		rs, err := RunScenario9RateSweep("dns", 2, 8, []float64{4000}, netem.Config{}, 20e6, o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FormatScenario9("obs", rs)
+	}
+	if plain, traced := s9(), s9(so); plain != traced {
+		t.Errorf("scenario 9 report moved under observation:\n%s\nvs\n%s", plain, traced)
+	}
+	exported("s9_dns_baseline_open4000", "peer0")
+	exported("s9_dns_cheri_open4000", "peer0")
+
+	cfg := Scenario10Config{Shards: 2, Faults: 1, MTBFNS: 10e6, Conns: 2, DurationNS: 50e6}
+	s10 := func(o ...SweepObs) string {
+		rs, err := RunScenario10Sweep(cfg, o...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FormatScenario10(rs)
+	}
+	if plain, traced := s10(), s10(so); plain != traced {
+		t.Errorf("scenario 10 report moved under observation:\n%s\nvs\n%s", plain, traced)
+	}
+	exported("s10_baseline_clean", "peer0")
+	exported("s10_cheri_1F", "peer1")
 }
 
 // TestGateCrossingEvents wires the flight recorder into a Scenario 2

@@ -5,16 +5,15 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/obs"
 	"repro/internal/testbed"
 )
 
-// Scenario5Obs configures observability for a Scenario 5 sweep: which
-// instruments each point's bed carries, and where the per-point exports
-// land. The zero value disables everything (the sweeps' default).
-type Scenario5Obs struct {
-	// Spec is wired into every sweep point's bed (PcapDir is managed
-	// per point — set PcapDir below instead).
-	Spec testbed.ObsSpec
+// SweepObs configures observability for a sweep over a scenario whose
+// config carries an ObsSpec (5, 9, 10): where each point's exports land,
+// which implies the instruments its bed carries. The zero value
+// disables everything (the sweeps' default).
+type SweepObs struct {
 	// TraceDir, when non-empty, receives one Chrome trace-event JSON
 	// per point (<label>.trace.json), loadable in Perfetto.
 	TraceDir string
@@ -26,27 +25,25 @@ type Scenario5Obs struct {
 	PcapDir string
 }
 
-// scenario5DefaultTrace and scenario5DefaultSample size the instruments
-// when an export destination is given without explicit knobs.
+// sweepTraceEvents and sweepSampleNS size the instruments an export
+// destination implies.
 const (
-	scenario5DefaultTrace  = 65536
-	scenario5DefaultSample = int64(1e6) // 1 ms virtual
+	sweepTraceEvents = 65536
+	sweepSampleNS    = int64(1e6) // 1 ms virtual
 )
 
 // pointSpec resolves the ObsSpec for one labelled sweep point: export
 // destinations imply their instruments, and captures go into a
 // per-point subdirectory so points do not overwrite each other.
-func (o Scenario5Obs) pointSpec(label string) testbed.ObsSpec {
-	spec := o.Spec
-	if o.TraceDir != "" && spec.TraceEvents == 0 {
-		spec.TraceEvents = scenario5DefaultTrace
+func (o SweepObs) pointSpec(label string) testbed.ObsSpec {
+	var spec testbed.ObsSpec
+	if o.TraceDir != "" {
+		spec.TraceEvents = sweepTraceEvents
 	}
-	if o.MetricsDir != "" && spec.SampleNS == 0 {
-		spec.SampleNS = scenario5DefaultSample
+	if o.MetricsDir != "" {
+		spec.SampleNS = sweepSampleNS
 	}
-	if o.TraceDir != "" || o.MetricsDir != "" {
-		spec.Latency = true
-	}
+	spec.Latency = o.TraceDir != "" || o.MetricsDir != ""
 	if o.PcapDir != "" {
 		spec.PcapDir = filepath.Join(o.PcapDir, label)
 	}
@@ -55,30 +52,51 @@ func (o Scenario5Obs) pointSpec(label string) testbed.ObsSpec {
 
 // export writes one point's trace and timeseries to the configured
 // directories.
-func (o Scenario5Obs) export(r Scenario5Result, label string) error {
-	if r.Obs == nil {
+func (o SweepObs) export(ob *obs.Obs, label string) error {
+	if ob == nil {
 		return nil
 	}
-	if o.TraceDir != "" && r.Obs.Trace != nil {
+	if o.TraceDir != "" && ob.Trace != nil {
 		if err := writeTo(o.TraceDir, label+".trace.json", func(f *os.File) error {
-			return r.Obs.Trace.WriteChromeTrace(f)
+			return ob.Trace.WriteChromeTrace(f)
 		}); err != nil {
 			return err
 		}
 	}
-	if o.MetricsDir != "" && r.Obs.Metrics != nil {
+	if o.MetricsDir != "" && ob.Metrics != nil {
 		if err := writeTo(o.MetricsDir, label+".metrics.csv", func(f *os.File) error {
-			return r.Obs.Metrics.WriteCSV(f)
+			return ob.Metrics.WriteCSV(f)
 		}); err != nil {
 			return err
 		}
 		if err := writeTo(o.MetricsDir, label+".metrics.json", func(f *os.File) error {
-			return r.Obs.Metrics.WriteJSON(f)
+			return ob.Metrics.WriteJSON(f)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sweepObserved is sweep for those scenarios: every cell runs with the
+// ObsSpec the (optional) SweepObs implies for its label, and its
+// instruments — obsOf picks them out of the result — are exported under
+// that label. Without a SweepObs the spec is zero and nothing is
+// written.
+func sweepObserved[C, R any](cells []C, obsOpt []SweepObs, label func(C) string,
+	run func(C, testbed.ObsSpec) (R, error), obsOf func(R) *obs.Obs) ([]R, error) {
+	var so SweepObs
+	if len(obsOpt) > 0 {
+		so = obsOpt[0]
+	}
+	return sweep(cells, func(cfg C) (R, error) {
+		name := label(cfg)
+		r, err := run(cfg, so.pointSpec(name))
+		if err != nil {
+			return r, err
+		}
+		return r, so.export(obsOf(r), name)
+	}, label)
 }
 
 // writeTo creates dir/name and streams write into it.
@@ -95,18 +113,4 @@ func writeTo(dir, name string, write func(f *os.File) error) error {
 		return fmt.Errorf("core: exporting %s: %w", name, err)
 	}
 	return f.Close()
-}
-
-// scenario5Label names one sweep point for export filenames:
-// mode_recovery_loss_rtt, e.g. "baseline_sack_loss0.25_rtt20ms".
-func scenario5Label(cfg Scenario5Config) string {
-	mode := "baseline"
-	if cfg.CapMode {
-		mode = "cheri"
-	}
-	rec := "gbn"
-	if cfg.Modern {
-		rec = "sack"
-	}
-	return fmt.Sprintf("%s_%s_loss%.2f_rtt%dms", mode, rec, cfg.Link.LossRate*100, 2*cfg.Link.DelayNS/1e6)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"flag"
 	"fmt"
 	"io"
 	"sort"
@@ -13,103 +15,10 @@ import (
 )
 
 // The scenario registry: one table naming every experiment the
-// reproduction can run, with a one-line description and the flags that
-// apply. cmd/cherinet consumes it for dispatch, `cherinet list`, and
+// reproduction can run, with a one-line description and the flags it
+// reads. cmd/cherinet consumes it for dispatch, `cherinet list`, and
 // near-miss suggestions; anything else (examples, future front ends)
 // can iterate it the same way.
-
-// RunOptions carries every flag the registered experiments understand.
-// Run uses the values verbatim — zero is meaningful (e.g. Loss 0 is a
-// loss-free sweep) — so programmatic callers should start from
-// DefaultRunOptions and override fields, exactly as cmd/cherinet's
-// flag defaults do.
-type RunOptions struct {
-	// FFWrite parameterizes the timed ff_write probes (figs 4-6).
-	FFWrite FFWriteConfig
-	// Shards is the maximum shard count for scenarios 4 and 6 (swept
-	// in powers of two); Flows the concurrent iperf flow count.
-	Shards int
-	Flows  int
-	// DurationNS is scenario 4's per-measurement traffic time.
-	DurationNS int64
-	// Loss, DelayNS, RateBps shape scenarios 5 and 6's links;
-	// S5DurationNS is scenario 5's per-point traffic time.
-	Loss         float64
-	DelayNS      int64
-	RateBps      float64
-	S5DurationNS int64
-	// AckRateBps, when positive, squeezes scenario 6's reverse (ACK)
-	// channel — the per-direction link demo. S6DurationNS is scenario
-	// 6's per-point traffic time.
-	AckRateBps   float64
-	S6DurationNS int64
-	// Mode selects scenario 6's traffic direction: "upload" (the
-	// sharded box sends) or "download" (the peer sends into the
-	// RSS-cloned listeners through the impaired link).
-	Mode string
-	// Congestion picks the congestion-control algorithm for the modern
-	// stacks of scenarios 5 and 6, and restricts scenario 7's sweep to
-	// one controller ("" sweeps reno and cubic). S7DurationNS is
-	// scenario 7's per-point traffic time.
-	Congestion   string
-	S7DurationNS int64
-	// Conns is scenario 8's idle connection population; ConnRate its
-	// offered churn rate in flows/s (the sweep ladder tops out there);
-	// S8DurationNS its churn time per point.
-	Conns        int
-	ConnRate     float64
-	S8DurationNS int64
-	// Proto restricts scenario 9 to one protocol ("" runs http and
-	// dns); S9Rate is its open-loop offered rate in requests/s (ladder
-	// top), S9Conns the connection/concurrency count (ladder top for
-	// the closed-loop sweep), S9DurationNS its measured time per point.
-	// Scenario 9 shares -loss and -delay for its link impairment.
-	Proto        string
-	S9Rate       float64
-	S9Conns      int
-	S9DurationNS int64
-	// Faults caps scenario 10's injected capability-fault count; MTBFNS
-	// is its mean time between faults; S10Conns its per-shard closed-
-	// loop connection count; S10DurationNS its measured time.
-	Faults        int
-	MTBFNS        int64
-	S10Conns      int
-	S10DurationNS int64
-	// TraceDir, MetricsDir and PcapDir switch on the observability
-	// layer for scenario 5: per-point Chrome trace-event JSON, metrics
-	// timeseries (CSV + JSON), and per-peer link captures. Empty (the
-	// default) keeps observability off and output byte-identical.
-	TraceDir   string
-	MetricsDir string
-	PcapDir    string
-}
-
-// DefaultRunOptions mirrors the cherinet flag defaults.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{
-		FFWrite:       FFWriteConfig{Iterations: 100_000, IntervalNS: 20_000, Payload: 1448},
-		Shards:        4,
-		Flows:         8,
-		DurationNS:    DefaultScenario4Duration,
-		Loss:          0.01,
-		DelayNS:       10e6,
-		RateBps:       100e6,
-		S5DurationNS:  DefaultScenario5Duration,
-		S6DurationNS:  DefaultScenario6Duration,
-		Mode:          "upload",
-		S7DurationNS:  DefaultScenario7Duration,
-		Conns:         100_000,
-		ConnRate:      50_000,
-		S8DurationNS:  DefaultScenario8Duration,
-		S9Rate:        20_000,
-		S9Conns:       32,
-		S9DurationNS:  DefaultScenario9Duration,
-		Faults:        4,
-		MTBFNS:        60e6,
-		S10Conns:      4,
-		S10DurationNS: DefaultScenario10Duration,
-	}
-}
 
 // ScenarioEntry is one registered experiment.
 type ScenarioEntry struct {
@@ -117,10 +26,85 @@ type ScenarioEntry struct {
 	Name string
 	// Desc is the one-line description `cherinet list` prints.
 	Desc string
-	// Flags names the flags that affect this experiment (for list).
-	Flags string
-	// Run executes the experiment and writes its report to w.
-	Run func(o RunOptions, w io.Writer) error
+	// Bind declares on fs the flags this experiment reads — and only
+	// those, so a flag it would ignore is a usage error — and returns
+	// the run: it executes the experiment with whatever fs parsed and
+	// writes the report to w.
+	Bind func(fs *flag.FlagSet) func(w io.Writer) error
+}
+
+// Flags several experiments declare. A flag keeps one meaning wherever
+// it appears, except -rate and -conns, which each scenario declares
+// with its own unit and default.
+
+func shardsFlag(fs *flag.FlagSet, usage string) *int { return fs.Int("shards", 4, usage) }
+
+func flowsFlag(fs *flag.FlagSet) *int { return fs.Int("flows", 8, "concurrent iperf flows") }
+
+func lossFlag(fs *flag.FlagSet, usage string) *float64 { return fs.Float64("loss", 0.01, usage) }
+
+func delayFlag(fs *flag.FlagSet, usage string) *int64 { return fs.Int64("delay", 10e6, usage) }
+
+func rateBpsFlag(fs *flag.FlagSet) *float64 {
+	return fs.Float64("rate", 100e6, "bottleneck rate (bits/s)")
+}
+
+// ccFlag declares -cc; an unregistered algorithm is a usage error.
+func ccFlag(fs *flag.FlagSet, usage string) *string {
+	cc := new(string)
+	fs.Func("cc", fmt.Sprintf("congestion control %v: %s", fstack.CongestionAlgos(), usage), func(v string) error {
+		if !fstack.ValidCongestion(v) {
+			return fmt.Errorf("not a registered algorithm (have %v)", fstack.CongestionAlgos())
+		}
+		*cc = v
+		return nil
+	})
+	return cc
+}
+
+// obsFlags declares the export destinations that switch the
+// observability layer on for every point of a sweep. Unset (the
+// default) keeps it off and the report byte-identical.
+func obsFlags(fs *flag.FlagSet) *SweepObs {
+	so := new(SweepObs)
+	fs.StringVar(&so.TraceDir, "trace", "", "write per-point Chrome trace-event JSON into this directory")
+	fs.StringVar(&so.MetricsDir, "metrics", "", "write per-point metrics timeseries (CSV+JSON) into this directory")
+	fs.StringVar(&so.PcapDir, "pcap", "", "write per-point per-peer libpcap captures under this directory")
+	return so
+}
+
+// ffWriteFigure registers one of the timed ff_write figures (4-6).
+func ffWriteFigure(name, desc, title string, figure func(FFWriteConfig) ([]LatencySet, error)) ScenarioEntry {
+	return ScenarioEntry{Name: name, Desc: desc, Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+		var cfg FFWriteConfig
+		fs.IntVar(&cfg.Iterations, "iters", 100_000, "timed ff_write iterations (paper: 1e6)")
+		fs.Int64Var(&cfg.IntervalNS, "interval", 20_000, "ns between timed writes")
+		fs.IntVar(&cfg.Payload, "payload", 1448, "ff_write payload bytes")
+		return func(w io.Writer) error {
+			sets, err := figure(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, title)
+			for _, s := range sets {
+				fmt.Fprintf(w, "  %-26s %v\n", s.Label, stats.CleanBox(s.Samples))
+			}
+			return nil
+		}
+	}}
+}
+
+// noFlags binds an experiment that reads none.
+func noFlags(run func(w io.Writer) error) func(*flag.FlagSet) func(io.Writer) error {
+	return func(*flag.FlagSet) func(io.Writer) error { return run }
+}
+
+// atLeast1 is the usual lower bound on a count flag.
+func atLeast1(flagName string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("-%s must be at least 1", flagName)
+	}
+	return nil
 }
 
 // Registry lists every runnable experiment, in `cherinet all` order.
@@ -128,7 +112,7 @@ var Registry = []ScenarioEntry{
 	{
 		Name: "fig3",
 		Desc: "capability out-of-bounds demonstration (applications escaping their boundaries)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			rep, err := RunFig3()
 			if err != nil {
 				return err
@@ -136,12 +120,12 @@ var Registry = []ScenarioEntry{
 			fmt.Fprintln(w, "FIG 3 — applications accessing memory outside their boundaries")
 			fmt.Fprintln(w, " ", rep)
 			return nil
-		},
+		}),
 	},
 	{
 		Name: "table1",
 		Desc: "capability-integration LoC of the F-Stack port",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			row, err := RunTable1()
 			if err != nil {
 				return err
@@ -149,63 +133,30 @@ var Registry = []ScenarioEntry{
 			fmt.Fprintln(w, "TABLE I — capability-integration lines in the TCP/IP library")
 			fmt.Fprintln(w, " ", row)
 			return nil
-		},
+		}),
 	},
 	{
 		Name: "table2",
 		Desc: "TCP bandwidth, Baseline + Scenarios 1-2, both directions (virtual time)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			blocks, err := RunTable2()
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(w, FormatTable2(blocks))
 			return nil
-		},
+		}),
 	},
-	{
-		Name:  "fig4",
-		Desc:  "ff_write() execution time: Scenario 1 vs Baseline",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig4(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 4 — ff_write() execution time: Scenario 1 vs Baseline (ns)", sets)
-			return nil
-		},
-	},
-	{
-		Name:  "fig5",
-		Desc:  "ff_write() execution time: Scenario 2 (uncontended) vs Baseline",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig5(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 5 — ff_write() execution time: Scenario 2 (uncontended) vs Baseline (ns)", sets)
-			return nil
-		},
-	},
-	{
-		Name:  "fig6",
-		Desc:  "ff_write() execution time: Scenario 2 uncontended vs contended",
-		Flags: "-iters -interval -payload",
-		Run: func(o RunOptions, w io.Writer) error {
-			sets, err := MeasureFig6(o.FFWrite)
-			if err != nil {
-				return err
-			}
-			printBoxes(w, "FIG 6 — ff_write() execution time: Scenario 2 uncontended vs contended (ns)", sets)
-			return nil
-		},
-	},
+	ffWriteFigure("fig4", "ff_write() execution time: Scenario 1 vs Baseline",
+		"FIG 4 — ff_write() execution time: Scenario 1 vs Baseline (ns)", MeasureFig4),
+	ffWriteFigure("fig5", "ff_write() execution time: Scenario 2 (uncontended) vs Baseline",
+		"FIG 5 — ff_write() execution time: Scenario 2 (uncontended) vs Baseline (ns)", MeasureFig5),
+	ffWriteFigure("fig6", "ff_write() execution time: Scenario 2 uncontended vs contended",
+		"FIG 6 — ff_write() execution time: Scenario 2 uncontended vs contended (ns)", MeasureFig6),
 	{
 		Name: "scenario3",
 		Desc: "future-work split: DPDK in its own cVM, gates on the datapath (bandwidth)",
-		Run: func(o RunOptions, w io.Writer) error {
+		Bind: noFlags(func(w io.Writer) error {
 			for _, dir := range []Direction{LocalIsServer, LocalIsClient} {
 				s, err := NewScenario3(sim.NewVClock())
 				if err != nil {
@@ -221,200 +172,214 @@ var Registry = []ScenarioEntry{
 				}
 			}
 			return nil
-		},
+		}),
 	},
 	{
-		Name:  "scenario4",
-		Desc:  "multi-core scaling: sharded stack over RSS queues, goodput vs shard count",
-		Flags: "-shards -flows -duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			results, err := RunScenario4Sweep(powersOfTwo(o.Shards), o.Flows, o.DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario4(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario5",
-		Desc:  "lossy high-BDP WAN: goodput vs loss and vs BDP, go-back-N vs SACK+WS",
-		Flags: "-loss -delay -rate -cc -s5duration -trace -metrics -pcap",
-		Run: func(o RunOptions, w io.Writer) error {
-			so := Scenario5Obs{TraceDir: o.TraceDir, MetricsDir: o.MetricsDir, PcapDir: o.PcapDir}
-			losses := []float64{0, o.Loss / 4, o.Loss / 2, o.Loss}
-			lossResults, err := RunScenario5LossSweep(losses, o.DelayNS, o.RateBps, o.Congestion, o.S5DurationNS, so)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario5(
-				fmt.Sprintf("goodput vs random loss (%.0f Mbit/s bottleneck, %.0f ms RTT)",
-					o.RateBps/1e6, float64(2*o.DelayNS)/1e6), lossResults))
-			fmt.Fprintln(w)
-			bdpResults, err := RunScenario5BDPSweep(
-				[]int64{1e6, 5e6, 20e6, 50e6}, o.Loss/4, o.RateBps, o.Congestion, o.S5DurationNS, so)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario5(
-				fmt.Sprintf("goodput vs path BDP (%.0f Mbit/s bottleneck, %.2f%% loss)",
-					o.RateBps/1e6, o.Loss/4*100), bdpResults))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario6",
-		Desc:  "composed: sharded stack over an impaired WAN, paper stack vs shards+SACK",
-		Flags: "-shards -flows -mode -ackrate -cc -s6duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			base := Scenario6Config{Congestion: o.Congestion}
-			switch o.Mode {
-			case "", "upload":
-			case "download":
-				base.Download = true
-			default:
-				return fmt.Errorf("-mode must be upload or download, not %q", o.Mode)
-			}
-			if o.AckRateBps > 0 {
-				// Squeeze only the ACK channel; propagation stays
-				// symmetric.
-				base.Rev = &netem.Config{DelayNS: s6DelayNS, RateBps: o.AckRateBps}
-			}
-			results, err := RunScenario6Sweep(powersOfTwo(o.Shards), o.Flows, o.S6DurationNS, base)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario6(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario7",
-		Desc:  "WAN utilization vs congestion control: reno vs cubic across the RTT ladder",
-		Flags: "-cc -rate -s7duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			ccs := []string{fstack.CCReno, fstack.CCCubic}
-			if o.Congestion != "" {
-				if !fstack.ValidCongestion(o.Congestion) {
-					return fmt.Errorf("-cc must be one of %v, not %q",
-						fstack.CongestionAlgos(), o.Congestion)
+		Name: "scenario4",
+		Desc: "multi-core scaling: sharded stack over RSS queues, goodput vs shard count",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			shards := shardsFlag(fs, "max stack shards (swept in powers of two)")
+			flows := flowsFlag(fs)
+			duration := fs.Int64("duration", DefaultScenario4Duration, "traffic time (virtual ns)")
+			return func(w io.Writer) error {
+				if err := atLeast1("shards", *shards); err != nil {
+					return err
 				}
-				ccs = []string{o.Congestion}
-			}
-			// The paper's BDP ladder: 10/50/100/200 ms RTT.
-			results, err := RunScenario7RTTSweep(
-				[]int64{5e6, 25e6, 50e6, 100e6}, ccs, o.RateBps, o.S7DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario7(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario8",
-		Desc:  "connection churn storm: idle 100k-conn population held while rate-paced short flows churn",
-		Flags: "-conns -rate -shards -s8duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			if o.Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
-			}
-			if o.ConnRate <= 0 {
-				return fmt.Errorf("the churn rate must be positive")
-			}
-			rates := []float64{o.ConnRate / 4, o.ConnRate / 2, o.ConnRate}
-			results, err := RunScenario8RateSweep(o.Shards, o.Conns, rates, o.S8DurationNS)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, FormatScenario8(results))
-			return nil
-		},
-	},
-	{
-		Name:  "scenario9",
-		Desc:  "request/response tail latency: HTTP/1.1 keep-alive and DNS-shaped UDP, p50/p99/p999 per request",
-		Flags: "-proto -rate -conns -loss -delay -shards -s9duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			protos := []string{"http", "dns"}
-			switch o.Proto {
-			case "":
-			case "http", "dns":
-				protos = []string{o.Proto}
-			default:
-				return fmt.Errorf("-proto must be http or dns, not %q", o.Proto)
-			}
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
-			}
-			if o.S9Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
-			}
-			if o.S9Rate <= 0 {
-				return fmt.Errorf("the request rate must be positive")
-			}
-			link := netem.Config{LossRate: o.Loss, DelayNS: o.DelayNS}
-			rates := []float64{o.S9Rate / 4, o.S9Rate / 2, o.S9Rate}
-			concs := []int{o.S9Conns / 4, o.S9Conns / 2, o.S9Conns}
-			for i, c := range concs {
-				if c < 1 {
-					concs[i] = 1
-				}
-			}
-			for _, proto := range protos {
-				open, err := RunScenario9RateSweep(proto, o.Shards, o.S9Conns, rates, link, o.S9DurationNS)
+				results, err := RunScenario4Sweep(powersOfTwo(*shards), *flows, *duration)
 				if err != nil {
 					return err
 				}
-				fmt.Fprint(w, FormatScenario9(
-					fmt.Sprintf("%s open-loop rate sweep (%.2f%% loss, %.0f ms RTT)",
-						proto, o.Loss*100, float64(2*o.DelayNS)/1e6), open))
-				closed, err := RunScenario9ConcurrencySweep(proto, o.Shards, concs, link, o.S9DurationNS)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, FormatScenario9(
-					fmt.Sprintf("%s closed-loop concurrency sweep (%.2f%% loss, %.0f ms RTT)",
-						proto, o.Loss*100, float64(2*o.DelayNS)/1e6), closed))
+				fmt.Fprint(w, FormatScenario4(results))
+				return nil
 			}
-			return nil
 		},
 	},
 	{
-		Name:  "scenario10",
-		Desc:  "fault storm: injected capability faults, blast radius and time-to-recovery, baseline vs cheri",
-		Flags: "-shards -faults -mtbf -conns -s10duration",
-		Run: func(o RunOptions, w io.Writer) error {
-			if o.Shards < 1 {
-				return fmt.Errorf("-shards must be at least 1")
+		Name: "scenario5",
+		Desc: "lossy high-BDP WAN: goodput vs loss and vs BDP, go-back-N vs SACK+WS",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			loss := lossFlag(fs, "max random loss rate (swept from 0)")
+			delay := delayFlag(fs, "one-way delay for the loss sweep (ns)")
+			rate := rateBpsFlag(fs)
+			cc := ccFlag(fs, "the modern stacks' controller (empty = reno)")
+			duration := fs.Int64("s5duration", DefaultScenario5Duration, "traffic time per point (virtual ns)")
+			so := obsFlags(fs)
+			return func(w io.Writer) error {
+				losses := []float64{0, *loss / 4, *loss / 2, *loss}
+				lossResults, err := RunScenario5LossSweep(losses, *delay, *rate, *cc, *duration, *so)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario5(
+					fmt.Sprintf("goodput vs random loss (%.0f Mbit/s bottleneck, %.0f ms RTT)",
+						*rate/1e6, float64(2**delay)/1e6), lossResults))
+				fmt.Fprintln(w)
+				bdpResults, err := RunScenario5BDPSweep(
+					[]int64{1e6, 5e6, 20e6, 50e6}, *loss/4, *rate, *cc, *duration, *so)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario5(
+					fmt.Sprintf("goodput vs path BDP (%.0f Mbit/s bottleneck, %.2f%% loss)",
+						*rate/1e6, *loss/4*100), bdpResults))
+				return nil
 			}
-			if o.Faults < 1 {
-				return fmt.Errorf("-faults must be at least 1")
+		},
+	},
+	{
+		Name: "scenario6",
+		Desc: "composed: sharded stack over an impaired WAN, paper stack vs shards+SACK",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			shards := shardsFlag(fs, "max stack shards (swept in powers of two)")
+			flows := flowsFlag(fs)
+			mode := fs.String("mode", "upload", "traffic direction: upload (sharded box sends) or download (peer sends into the cloned listeners)")
+			ackrate := fs.Float64("ackrate", 0, "reverse (ACK) channel bottleneck (bits/s; 0 = clean)")
+			cc := ccFlag(fs, "the modern stacks' controller (empty = reno)")
+			duration := fs.Int64("s6duration", DefaultScenario6Duration, "traffic time per point (virtual ns)")
+			return func(w io.Writer) error {
+				if err := atLeast1("shards", *shards); err != nil {
+					return err
+				}
+				base := Scenario6Config{Congestion: *cc}
+				switch *mode {
+				case "", "upload":
+				case "download":
+					base.Download = true
+				default:
+					return fmt.Errorf("-mode must be upload or download, not %q", *mode)
+				}
+				if *ackrate > 0 {
+					// Squeeze only the ACK channel; propagation stays
+					// symmetric.
+					base.Rev = &netem.Config{DelayNS: s6DelayNS, RateBps: *ackrate}
+				}
+				results, err := RunScenario6Sweep(powersOfTwo(*shards), *flows, *duration, base)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario6(results))
+				return nil
 			}
-			if o.MTBFNS <= 0 {
-				return fmt.Errorf("-mtbf must be positive")
+		},
+	},
+	{
+		Name: "scenario7",
+		Desc: "WAN utilization vs congestion control: reno vs cubic across the RTT ladder",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			cc := ccFlag(fs, "restricts the sweep to one controller (empty = both)")
+			rate := rateBpsFlag(fs)
+			duration := fs.Int64("s7duration", DefaultScenario7Duration, "traffic time per point (virtual ns)")
+			return func(w io.Writer) error {
+				ccs := []string{fstack.CCReno, fstack.CCCubic}
+				if *cc != "" {
+					ccs = []string{*cc}
+				}
+				// The paper's BDP ladder: 10/50/100/200 ms RTT.
+				results, err := RunScenario7RTTSweep([]int64{5e6, 25e6, 50e6, 100e6}, ccs, *rate, *duration)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario7(results))
+				return nil
 			}
-			if o.S10Conns < 1 {
-				return fmt.Errorf("-conns must be at least 1")
+		},
+	},
+	{
+		Name: "scenario8",
+		Desc: "connection churn storm: idle 100k-conn population held while rate-paced short flows churn",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			conns := fs.Int("conns", 100_000, "idle connection population held across the churn")
+			rate := fs.Float64("rate", 50_000, "offered churn rate (flows/s; the ladder tops out here)")
+			shards := shardsFlag(fs, "server stack shards")
+			duration := fs.Int64("s8duration", DefaultScenario8Duration, "churn time per point (virtual ns)")
+			return func(w io.Writer) error {
+				if err := cmp.Or(atLeast1("shards", *shards), atLeast1("conns", *conns)); err != nil {
+					return err
+				}
+				if *rate <= 0 {
+					return fmt.Errorf("the churn rate must be positive")
+				}
+				results, err := RunScenario8RateSweep(*shards, *conns, []float64{*rate / 4, *rate / 2, *rate}, *duration)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario8(results))
+				return nil
 			}
-			results, err := RunScenario10Sweep(Scenario10Config{
-				Shards: o.Shards, Faults: o.Faults, MTBFNS: o.MTBFNS,
-				Conns: o.S10Conns, DurationNS: o.S10DurationNS,
-			})
-			if err != nil {
-				return err
+		},
+	},
+	{
+		Name: "scenario9",
+		Desc: "request/response tail latency: HTTP/1.1 keep-alive and DNS-shaped UDP, p50/p99/p999 per request",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			proto := fs.String("proto", "", "protocol: http or dns (empty = both)")
+			rate := fs.Float64("rate", 20_000, "open-loop offered rate (requests/s; the ladder tops out here)")
+			conns := fs.Int("conns", 32, "connection/concurrency count (ladder top of the closed-loop sweep)")
+			loss := lossFlag(fs, "link loss rate")
+			delay := delayFlag(fs, "link one-way delay (ns)")
+			shards := shardsFlag(fs, "server stack shards (and client workers)")
+			duration := fs.Int64("s9duration", DefaultScenario9Duration, "measured time per point (virtual ns)")
+			so := obsFlags(fs)
+			return func(w io.Writer) error {
+				protos := []string{"http", "dns"}
+				switch *proto {
+				case "":
+				case "http", "dns":
+					protos = []string{*proto}
+				default:
+					return fmt.Errorf("-proto must be http or dns, not %q", *proto)
+				}
+				if err := cmp.Or(atLeast1("shards", *shards), atLeast1("conns", *conns)); err != nil {
+					return err
+				}
+				if *rate <= 0 {
+					return fmt.Errorf("the request rate must be positive")
+				}
+				link := netem.Config{LossRate: *loss, DelayNS: *delay}
+				rates := []float64{*rate / 4, *rate / 2, *rate}
+				concs := []int{max(*conns/4, 1), max(*conns/2, 1), *conns}
+				path := fmt.Sprintf("(%.2f%% loss, %.0f ms RTT)", *loss*100, float64(2**delay)/1e6)
+				for _, proto := range protos {
+					open, err := RunScenario9RateSweep(proto, *shards, *conns, rates, link, *duration, *so)
+					if err != nil {
+						return err
+					}
+					fmt.Fprint(w, FormatScenario9(proto+" open-loop rate sweep "+path, open))
+					closed, err := RunScenario9ConcurrencySweep(proto, *shards, concs, link, *duration, *so)
+					if err != nil {
+						return err
+					}
+					fmt.Fprint(w, FormatScenario9(proto+" closed-loop concurrency sweep "+path, closed))
+				}
+				return nil
 			}
-			fmt.Fprint(w, FormatScenario10(results))
-			return nil
+		},
+	},
+	{
+		Name: "scenario10",
+		Desc: "fault storm: injected capability faults, blast radius and time-to-recovery, baseline vs cheri",
+		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
+			cfg := Scenario10Config{}
+			fs.IntVar(&cfg.Shards, "shards", 4, "compartments, one stack + server each")
+			fs.IntVar(&cfg.Faults, "faults", 4, "injected capability-fault count")
+			fs.Int64Var(&cfg.MTBFNS, "mtbf", 60e6, "mean time between faults (virtual ns)")
+			fs.IntVar(&cfg.Conns, "conns", 4, "closed-loop keep-alive connections per shard")
+			fs.Int64Var(&cfg.DurationNS, "s10duration", DefaultScenario10Duration, "measured time (virtual ns)")
+			so := obsFlags(fs)
+			return func(w io.Writer) error {
+				if err := cmp.Or(atLeast1("shards", cfg.Shards), atLeast1("faults", cfg.Faults), atLeast1("conns", cfg.Conns)); err != nil {
+					return err
+				}
+				if cfg.MTBFNS <= 0 {
+					return fmt.Errorf("-mtbf must be positive")
+				}
+				results, err := RunScenario10Sweep(cfg, *so)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, FormatScenario10(results))
+				return nil
+			}
 		},
 	},
 }
@@ -438,16 +403,20 @@ func ScenarioNames() []string {
 	return names
 }
 
-// FormatScenarioList renders the registry for `cherinet list`.
+// FormatScenarioList renders the registry for `cherinet list`, each
+// entry with the flags its Bind declares.
 func FormatScenarioList() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Registered experiments (cherinet <name> [flags], `cherinet all` runs every one):\n")
 	for _, e := range Registry {
-		flags := e.Flags
-		if flags == "" {
-			flags = "-"
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		e.Bind(fs)
+		var flags []string
+		fs.VisitAll(func(f *flag.Flag) { flags = append(flags, "-"+f.Name) })
+		if flags == nil {
+			flags = []string{"-"}
 		}
-		fmt.Fprintf(&b, "  %-10s %s\n  %10s   flags: %s\n", e.Name, e.Desc, "", flags)
+		fmt.Fprintf(&b, "  %-10s %s\n  %10s   flags: %s\n", e.Name, e.Desc, "", strings.Join(flags, " "))
 	}
 	return b.String()
 }
@@ -508,13 +477,4 @@ func powersOfTwo(max int) []int {
 		out = append(out, k)
 	}
 	return out
-}
-
-// printBoxes renders latency sets as IQR-cleaned box summaries.
-func printBoxes(w io.Writer, title string, sets []LatencySet) {
-	fmt.Fprintln(w, title)
-	for _, s := range sets {
-		b := stats.CleanBox(s.Samples)
-		fmt.Fprintf(w, "  %-26s %v\n", s.Label, b)
-	}
 }

@@ -8,7 +8,7 @@ import (
 func TestRegistryLookupAndList(t *testing.T) {
 	for _, name := range []string{"table2", "scenario4", "scenario6", "fig3"} {
 		e, ok := LookupScenario(name)
-		if !ok || e.Name != name || e.Desc == "" || e.Run == nil {
+		if !ok || e.Name != name || e.Desc == "" || e.Bind == nil {
 			t.Fatalf("registry entry %q broken: %+v ok=%v", name, e, ok)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/faultplane"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -35,12 +35,10 @@ import (
 
 const (
 	// The service: one HTTP/1.1 keep-alive server per shard on the
-	// scenario-9 request plane, driven closed-loop by resilient clients.
-	s10Port      = uint16(8080)
-	s10Backlog   = 128
-	s10BufBytes  = 32 << 10
-	s10SynCache  = 1024
-	s10RespBytes = 1200
+	// scenario-9 request plane (s9Tuning), driven closed-loop by
+	// resilient clients.
+	s10Port    = uint16(8080)
+	s10Backlog = 128
 
 	// Environment sizing: every shard carries a full stack (and, in
 	// capability mode, its own cVM window), so the machine's tagged
@@ -119,17 +117,6 @@ func s10FaultTimes(cfg Scenario10Config) []int64 {
 	return times
 }
 
-// s10Tuning is the scenario-9 request-plane stack configuration.
-func s10Tuning() *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SACK:         true,
-		SndBufBytes:  s10BufBytes,
-		RcvBufBytes:  s10BufBytes,
-		LazyBuffers:  true,
-		SynCacheSize: s10SynCache,
-	}
-}
-
 // NewScenario10 builds the sharded-service layout: K compartments
 // ("shard0".."shardK-1"), each a plain single-queue stack on its own
 // port, K peers as per-shard load generators, and — when the config
@@ -150,16 +137,14 @@ func NewScenario10(clk hostos.Clock, cfg Scenario10Config) (*testbed.Bed, error)
 	peers := make([]testbed.PeerSpec, cfg.Shards)
 	for i := range comps {
 		comps[i] = testbed.CompartmentSpec{
-			Name: fmt.Sprintf("shard%d", i),
-			CVM:  cfg.CapMode,
-			Ifs:  []testbed.IfSpec{{Port: i}},
-			Stack: testbed.StackSpec{
-				Tuning: s10Tuning(),
-			},
+			Name:  fmt.Sprintf("shard%d", i),
+			CVM:   cfg.CapMode,
+			Ifs:   []testbed.IfSpec{{Port: i}},
+			Stack: testbed.StackSpec{Tuning: s9Tuning()},
 		}
 		peers[i] = testbed.PeerSpec{
 			Port:  i,
-			Stack: testbed.StackSpec{Tuning: s10Tuning()},
+			Stack: testbed.StackSpec{Tuning: s9Tuning()},
 		}
 	}
 	spec := testbed.Spec{
@@ -226,6 +211,8 @@ type Scenario10Result struct {
 	P99NS int64
 	// RunNS is the longest client's measured phase.
 	RunNS int64
+	// Obs carries the run's instruments when cfg.Obs enabled them.
+	Obs *obs.Obs
 }
 
 // CompletedPerSec is the achieved request completion rate.
@@ -237,14 +224,10 @@ func (r Scenario10Result) CompletedPerSec() float64 {
 }
 
 // Scenario10Run drives one point on a built bed.
-func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (res Scenario10Result, err error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return res, fmt.Errorf("core: scenario 10 runs need the virtual clock")
-	}
+func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, error) {
 	cfg.applyDefaults()
 	times := s10FaultTimes(cfg)
-	res = Scenario10Result{
+	res := Scenario10Result{
 		Shards: cfg.Shards, CapMode: cfg.CapMode,
 		Faults: len(times), MTBFNS: cfg.MTBFNS, Conns: cfg.Conns,
 	}
@@ -304,51 +287,28 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (res Scenario10Result, 
 		}
 	}
 
-	steppers := []func(now int64){s.FaultStep}
-	var timed []deadliner
-	for _, srv := range srvs {
-		timed = append(timed, srv)
+	var eps []labelled
+	for i, srv := range srvs {
+		eps = append(eps, labelled{fmt.Sprintf("shard %d server", i), srv})
 	}
-	for _, cli := range clis {
-		timed = append(timed, cli)
-	}
-	done := func() bool {
-		for _, srv := range srvs {
-			if srv.Err() != hostos.OK {
-				return true
-			}
-		}
-		for _, cli := range clis {
-			if !cli.Done() && cli.Err() == hostos.OK {
-				return false
-			}
-		}
-		return true
+	for i, cli := range clis {
+		eps = append(eps, labelled{fmt.Sprintf("shard %d client", i), cli})
 	}
 	// Budget: the measured phase plus recovery slack — every fault can
 	// cost a timeout plus a capped backoff before its shard serves
 	// again, then the drain.
-	slack := int64(2_000e6) + int64(len(times))*(s10TimeoutNS+s10MaxBackoffNS)
-	if err = runVirtualUntil(clk, s, steppers, timed, done, cfg.DurationNS+slack); err != nil {
+	budget := cfg.DurationNS + 2_000e6 + int64(len(times))*(s10TimeoutNS+s10MaxBackoffNS)
+	if err := measure(s, "scenario 10", []func(now int64){s.FaultStep}, eps,
+		phase{budgetNS: budget, done: allDone(clis)}); err != nil {
 		return res, err
-	}
-	for i, srv := range srvs {
-		if errno := srv.Err(); errno != hostos.OK {
-			return res, fmt.Errorf("core: scenario 10 shard %d server failed: %v", i, errno)
-		}
 	}
 	var merged stats.Histogram
 	for i, cli := range clis {
-		if errno := cli.Err(); errno != hostos.OK {
-			return res, fmt.Errorf("core: scenario 10 shard %d client failed: %v", i, errno)
-		}
 		res.Issued += cli.Issued()
 		res.Completed += cli.Completed()
 		res.Lost += cli.Lost()
 		res.Resets += cli.Resets()
-		if cli.RunNS() > res.RunNS {
-			res.RunNS = cli.RunNS()
-		}
+		res.RunNS = max(res.RunNS, cli.RunNS())
 		merged.Merge(&cli.Hist)
 		done := cli.Completed()
 		if i == 0 {
@@ -378,25 +338,22 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (res Scenario10Result, 
 	if len(mttr) > 0 {
 		res.MTTRMeanNS /= int64(len(mttr))
 	}
-	if err = s.CloseObs(); err != nil {
-		return res, err
-	}
+	res.Obs = s.Obs
 	return res, nil
 }
 
 // RunScenario10 measures one configuration on a fresh virtual testbed.
 func RunScenario10(cfg Scenario10Config) (Scenario10Result, error) {
-	s, err := NewScenario10(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario10Result{}, err
-	}
-	return Scenario10Run(s, cfg)
+	return fresh(NewScenario10, cfg, func(s *testbed.Bed) (Scenario10Result, error) {
+		return Scenario10Run(s, cfg)
+	})
 }
 
-// runScenario10Cells runs the four-cell grid — {baseline, cheri} x
-// {clean, storm} — on at most parallelism workers. The clean cells are
-// the dip references for the matching storm cells.
-func runScenario10Cells(parallelism int, cfg Scenario10Config) ([]Scenario10Result, error) {
+// RunScenario10Sweep measures the four-cell grid — {baseline, cheri} x
+// {clean, storm}; the clean cells are the dip references for the
+// matching storm cells. An optional SweepObs instruments every cell's
+// bed and exports its trace, timeseries and captures.
+func RunScenario10Sweep(cfg Scenario10Config, obsOpt ...SweepObs) ([]Scenario10Result, error) {
 	var cells []Scenario10Config
 	for _, capMode := range []bool{false, true} {
 		for _, faults := range []int{0, cfg.Faults} {
@@ -406,18 +363,29 @@ func runScenario10Cells(parallelism int, cfg Scenario10Config) ([]Scenario10Resu
 			cells = append(cells, cell)
 		}
 	}
-	return RunCells(parallelism, len(cells), func(i int) (Scenario10Result, error) {
-		r, err := RunScenario10(cells[i])
-		if err != nil {
-			return r, fmt.Errorf("cap=%v faults=%d: %w", cells[i].CapMode, cells[i].Faults, err)
-		}
-		return r, nil
-	})
+	return sweepObserved(cells, obsOpt, scenario10Label,
+		func(cell Scenario10Config, spec testbed.ObsSpec) (Scenario10Result, error) {
+			if spec.Enabled() {
+				cell.Obs = spec
+			}
+			return RunScenario10(cell)
+		},
+		func(r Scenario10Result) *obs.Obs { return r.Obs })
 }
 
-// RunScenario10Sweep measures the four-cell grid.
-func RunScenario10Sweep(cfg Scenario10Config) ([]Scenario10Result, error) {
-	return runScenario10Cells(Parallelism(), cfg)
+// scenario10Label names one grid cell in errors and export filenames,
+// e.g. "s10_cheri_4F" or "s10_baseline_clean".
+func scenario10Label(cfg Scenario10Config) string {
+	return fmt.Sprintf("s10_%s_%s", modeName(cfg.CapMode), stormName(cfg.Faults))
+}
+
+// stormName is a report's Storm column: the injected fault count, or
+// "clean".
+func stormName(faults int) string {
+	if faults > 0 {
+		return fmt.Sprintf("%dF", faults)
+	}
+	return "clean"
 }
 
 // FormatScenario10 renders the grid: each storm row's dip columns are
@@ -435,14 +403,7 @@ func FormatScenario10(results []Scenario10Result) string {
 		"Mode", "Storm", "Done/s", "dip%", "blast%", "lost", "resets", "restarts", "giveups", "MTTR(ms) avg/max", "p99(ms)")
 	clean := map[bool]Scenario10Result{}
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
-		storm := "clean"
-		if r.Faults > 0 {
-			storm = fmt.Sprintf("%dF", r.Faults)
-		} else {
+		if r.Faults == 0 {
 			clean[r.CapMode] = r
 		}
 		dip, blast := "-", "-"
@@ -457,7 +418,7 @@ func FormatScenario10(results []Scenario10Result) string {
 			mttr = fmt.Sprintf("%.1f/%.1f", float64(r.MTTRMeanNS)/1e6, float64(r.MTTRMaxNS)/1e6)
 		}
 		fmt.Fprintf(&b, "  %-9s %-6s %8.0f %6s %7s %5d %6d %8d %7d %16s %8.2f\n",
-			mode, storm, r.CompletedPerSec(), dip, blast,
+			modeName(r.CapMode), stormName(r.Faults), r.CompletedPerSec(), dip, blast,
 			r.Lost, r.Resets, r.Restarts, r.GiveUps, mttr, float64(r.P99NS)/1e6)
 	}
 	return b.String()

@@ -138,14 +138,16 @@ func TestScenario10Deterministic(t *testing.T) {
 // the cells run sequentially or concurrently.
 func TestScenario10ParallelIdentical(t *testing.T) {
 	cfg := s10TestConfig(false, 2)
-	seq, err := runScenario10Cells(1, cfg)
-	if err != nil {
-		t.Fatal(err)
+	grid := func(par int) (out []Scenario10Result) {
+		withParallelism(par, func() {
+			var err error
+			if out, err = RunScenario10Sweep(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return out
 	}
-	par, err := runScenario10Cells(4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := grid(1), grid(4)
 	if FormatScenario10(seq) != FormatScenario10(par) {
 		t.Fatalf("sequential and parallel grids diverged:\n%s\nvs\n%s",
 			FormatScenario10(seq), FormatScenario10(par))

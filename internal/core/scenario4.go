@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -81,43 +79,17 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: scenario 4 needs at least one shard")
 	}
-	return testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", Ports: 1, LineRateBps: s4LineRate,
-			RxFifoBytes: s4RxFifoBytes, CapDMA: cfg.CapMode,
+	return boxSpec{
+		name: "s4", capMode: cfg.CapMode,
+		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
+		cvmBytes: s4CVMMem, segBytes: s4SegSize, poolBufs: s4PoolBufs,
+		stack: testbed.StackSpec{
+			Shards: cfg.Shards, RingSize: s4RingSize,
+			CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
+			RTOMinNS: s4RTOMin,
 		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: "s4", CVM: cfg.CapMode, CVMName: "cvm1",
-				CVMBytes: s4CVMMem, SegBytes: s4SegSize,
-				PoolBufs: s4PoolBufs, PoolName: "s4-pkt",
-				Ifs: []testbed.IfSpec{{Port: 0}},
-				Stack: testbed.StackSpec{
-					Shards: cfg.Shards, RingSize: s4RingSize,
-					CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
-					RTOMinNS: s4RTOMin,
-				},
-			},
-		},
-		Peers: []testbed.PeerSpec{
-			{Port: 0, LineRateBps: s4LineRate, Stack: testbed.StackSpec{RTOMinNS: s4RTOMin}},
-		},
-	})
-}
-
-// engineerCport picks a source port for inbound flow f toward dport so
-// that its tuple hashes to shard f modulo the shard count.
-func engineerCport(s *Setup4, f int, dport uint16) uint16 {
-	want := f % s.Sharded.NumShards()
-	p := uint16(42000 + 97*f)
-	for try := 0; try < 2048; try++ {
-		if s.Dev.RxQueueOf(peerIP(0), localIP(0), fstack.ProtoTCP, p, dport) == want {
-			return p
-		}
-		p++
-	}
-	return uint16(42000 + 97*f)
+		peerStack: testbed.StackSpec{RTOMinNS: s4RTOMin},
+	}.build(clk)
 }
 
 // Scenario4Result is one measured (shard count, direction) point.
@@ -137,108 +109,17 @@ type Scenario4Result struct {
 
 // Scenario4Bandwidth runs flows concurrent iperf flows for durationNS
 // of virtual time and returns the aggregate local goodput. In
-// LocalIsClient mode the local shards send (the steering oracle places
-// each connection on the shard its ACK stream will hit); in
-// LocalIsServer mode the local shards receive on listeners cloned
-// across every shard, each SYN accepted wherever RSS lands it.
+// LocalIsClient mode the local shards send; in LocalIsServer mode they
+// receive on listeners cloned across every shard (see shardedFlows).
 func Scenario4Bandwidth(s *Setup4, dir Direction, flows int, durationNS int64) (Scenario4Result, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return Scenario4Result{}, fmt.Errorf("core: scenario 4 runs need the virtual clock")
-	}
-	if flows < 1 {
-		return Scenario4Result{}, fmt.Errorf("core: scenario 4 needs at least one flow")
-	}
 	res := Scenario4Result{Shards: s.Sharded.NumShards(), Flows: flows, CapMode: s.Envs[0].CVM != nil, Dir: dir}
-
-	api := s.Sharded.API()
-	var appSteppers []func(now int64)
-	var localCli []*iperf.Client
-	var localSrv []*iperf.Server
-	for f := 0; f < flows; f++ {
-		port := s4BasePort + uint16(f)
-		if dir == LocalIsClient {
-			cli := iperf.NewClient(peerIP(0), port, durationNS)
-			localCli = append(localCli, cli)
-			appSteppers = append(appSteppers, func(now int64) { cli.Step(api, now) })
-		} else {
-			srv := iperf.NewServer(fstack.IPv4Addr{}, port)
-			localSrv = append(localSrv, srv)
-			appSteppers = append(appSteppers, func(now int64) { srv.Step(api, now) })
-		}
-	}
-
-	// The peer carries the far end of every flow on its single stack.
-	var peerCli []*iperf.Client
-	var peerSrv []*iperf.Server
-	papi := s.Peers[0].Env.Loop.Locked()
-	for f := 0; f < flows; f++ {
-		port := s4BasePort + uint16(f)
-		if dir == LocalIsClient {
-			peerSrv = append(peerSrv, iperf.NewServer(fstack.IPv4Addr{}, port))
-		} else {
-			cli := iperf.NewClient(localIP(0), port, durationNS)
-			// The load generator engineers its source ports so the
-			// flows round-robin the receiver's RSS queues, as hardware
-			// traffic generators (and RSS-aware client fleets) do;
-			// unengineered ports land wherever the hash scatters them.
-			cli.LocalPort = engineerCport(s, f, port)
-			peerCli = append(peerCli, cli)
-		}
-	}
-	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
-		for _, c := range peerCli {
-			c.Step(papi, now)
-		}
-		for _, sv := range peerSrv {
-			sv.Step(papi, now)
-		}
-		return true
-	}
-
-	done := func() bool {
-		for _, c := range localCli {
-			if !c.Done() {
-				return false
-			}
-		}
-		for _, sv := range localSrv {
-			if !sv.Done() {
-				return false
-			}
-		}
-		for _, c := range peerCli {
-			if !c.Done() {
-				return false
-			}
-		}
-		for _, sv := range peerSrv {
-			if !sv.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	timed := append(timedOf(localCli, localSrv), timedOf(peerCli, peerSrv)...)
-	if err := runVirtual(clk, s, appSteppers, timed, done); err != nil {
+	reps, err := runFlows(s, "scenario 4", shardedFlows(s, flows, s4BasePort, dir == LocalIsClient), durationNS, bwDeadline)
+	if err != nil {
 		return res, err
 	}
-
-	for f := 0; f < flows; f++ {
-		var rep iperf.Report
-		if dir == LocalIsClient {
-			if localCli[f].Err() != 0 {
-				return res, fmt.Errorf("core: scenario 4 client %d failed: %v", f, localCli[f].Err())
-			}
-			rep = localCli[f].Report()
-		} else {
-			if localSrv[f].Err() != 0 {
-				return res, fmt.Errorf("core: scenario 4 server %d failed: %v", f, localSrv[f].Err())
-			}
-			rep = localSrv[f].Report()
-		}
-		res.PerFlow = append(res.PerFlow, rep.Mbps())
-		res.Mbps += rep.Mbps()
+	for _, rep := range reps {
+		res.PerFlow = append(res.PerFlow, rep.local.Mbps())
+		res.Mbps += rep.local.Mbps()
 	}
 	res.Stats = s.Sharded.Stats()
 	return res, nil
@@ -250,11 +131,9 @@ const DefaultScenario4Duration = int64(300e6)
 // RunScenario4 measures one configuration end to end on a fresh
 // virtual-time testbed.
 func RunScenario4(cfg Scenario4Config, dir Direction, flows int, durationNS int64) (Scenario4Result, error) {
-	s, err := NewScenario4(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario4Result{}, err
-	}
-	return Scenario4Bandwidth(s, dir, flows, durationNS)
+	return fresh(NewScenario4, cfg, func(s *Setup4) (Scenario4Result, error) {
+		return Scenario4Bandwidth(s, dir, flows, durationNS)
+	})
 }
 
 // RunScenario4Sweep measures aggregate goodput for every shard count in
@@ -266,13 +145,10 @@ func RunScenario4Sweep(shardCounts []int, flows int, durationNS int64) ([]Scenar
 			cells = append(cells, Scenario4Config{Shards: k, CapMode: capMode})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario4Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario4(cfg, LocalIsClient, flows, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("shards=%d cap=%v: %w", cfg.Shards, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(cells, func(cfg Scenario4Config) (Scenario4Result, error) {
+		return RunScenario4(cfg, LocalIsClient, flows, durationNS)
+	}, func(cfg Scenario4Config) string {
+		return fmt.Sprintf("shards=%d %s", cfg.Shards, modeName(cfg.CapMode))
 	})
 }
 
@@ -290,16 +166,12 @@ func FormatScenario4(results []Scenario4Result) string {
 	}
 	fmt.Fprintf(&b, "  %-10s %8s %8s %14s %9s  %s\n", "Mode", "Shards", "Flows", "Mbit/s", "Speedup", "recovery")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		speedup := "-"
 		if b1 := base[r.CapMode]; b1 > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.Mbps/b1)
 		}
 		fmt.Fprintf(&b, "  %-10s %8d %8d %14.0f %9s  %s\n",
-			mode, r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
+			modeName(r.CapMode), r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

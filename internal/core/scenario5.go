@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/netem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -47,11 +45,10 @@ const (
 
 	// Modern-tuning knobs: 4 MiB socket buffers cover the default
 	// 100 Mbit/s x 100 ms BDP (1.25 MB) with slow-start overshoot to
-	// spare; shift 7 advertises up to 4 MiB
-	// through the 16-bit window field.
-	s5SndBuf = 4 << 20
-	s5RcvBuf = 4 << 20
-	s5WScale = 7
+	// spare (and Scenario 7's 200 ms RTT point: BDP 2.5 MB plus queue);
+	// shift 7 advertises up to 8 MiB through the 16-bit window field.
+	s5BufBytes = 4 << 20
+	s5WScale   = 7
 
 	// Environment sizing: two 4 MiB buffers per connection plus the
 	// mbuf pool must fit the segment.
@@ -84,25 +81,25 @@ type Scenario5Config struct {
 	Obs testbed.ObsSpec
 }
 
-// s5Tuning is the modern (SACK + window scaling) stack configuration.
-func s5Tuning(cc string) *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SACK:        true,
-		WindowScale: s5WScale,
-		SndBufBytes: s5SndBuf,
-		RcvBufBytes: s5RcvBuf,
-		Congestion:  cc,
-	}
-}
-
 // Setup5 is a wired Scenario 5 topology.
 type Setup5 struct {
 	*testbed.Bed
 	Cfg Scenario5Config
 }
 
-// Link is the WAN impairment pipeline.
-func (s *Setup5) Link() *netem.Link { return s.Links[0] }
+// wanBox is the layout Scenarios 5 and 7 share: the local box (process
+// or cVM) and one link partner on 1 GbE access ports, joined by a
+// symmetric impairment pipeline, the same stack tuning (nil = the
+// paper's stack) and WAN-scale RTO floor on both ends.
+func wanBox(capMode bool, tuning *fstack.TCPTuning, link netem.Config, obs testbed.ObsSpec) boxSpec {
+	stack := testbed.StackSpec{RTOMinNS: s5RTOMin, Tuning: tuning}
+	return boxSpec{
+		capMode: capMode, lineRate: s5LineRate,
+		cvmBytes: s5CVMMem, segBytes: s5SegSize, poolBufs: s5PoolBufs,
+		stack: stack, peerStack: stack,
+		link: testbed.SymmetricLink(link), obs: obs,
+	}
+}
 
 // NewScenario5 builds the WAN layout: local box (process or cVM) and
 // one link partner, joined by the impairment pipeline.
@@ -116,36 +113,11 @@ func NewScenario5(clk hostos.Clock, cfg Scenario5Config) (*Setup5, error) {
 	if cfg.Link.Seed == 0 {
 		cfg.Link.Seed = s5Seed
 	}
-	stack := testbed.StackSpec{RTOMinNS: s5RTOMin}
+	var tuning *fstack.TCPTuning
 	if cfg.Modern {
-		stack.Tuning = s5Tuning(cfg.Congestion)
+		tuning = modernTuning(s5BufBytes, s5WScale, cfg.Congestion)
 	}
-	name := "proc"
-	if cfg.CapMode {
-		name = "cvm1"
-	}
-	bed, err := testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", Ports: 1, LineRateBps: s5LineRate, CapDMA: cfg.CapMode,
-		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: name, CVM: cfg.CapMode,
-				CVMBytes: s5CVMMem, SegBytes: s5SegSize, PoolBufs: s5PoolBufs,
-				Ifs:   []testbed.IfSpec{{Port: 0}},
-				Stack: stack,
-			},
-		},
-		Peers: []testbed.PeerSpec{
-			{
-				Port: 0, LineRateBps: s5LineRate,
-				Link:  testbed.SymmetricLink(cfg.Link),
-				Stack: stack,
-			},
-		},
-		Obs: cfg.Obs,
-	})
+	bed, err := wanBox(cfg.CapMode, tuning, cfg.Link, cfg.Obs).build(clk)
 	if err != nil {
 		return nil, err
 	}
@@ -177,39 +149,16 @@ func (r Scenario5Result) RTTms() float64 { return float64(2*r.Link.DelayNS) / 1e
 // Scenario5Bandwidth sends one flow from the local box through the
 // impaired link for durationNS of virtual traffic time.
 func Scenario5Bandwidth(s *Setup5, durationNS int64) (Scenario5Result, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return Scenario5Result{}, fmt.Errorf("core: scenario 5 runs need the virtual clock")
-	}
-	res := Scenario5Result{CapMode: s.Cfg.CapMode, Modern: s.Cfg.Modern, Link: s.Link().Config()}
-
-	cli := iperf.NewClient(peerIP(0), s5Port, durationNS)
-	attachInLoop(s.Envs[0], cli.Step)
-	srv := iperf.NewServer(fstack.IPv4Addr{}, s5Port)
-	attachInLoop(s.Peers[0].Env, srv.Step)
-
-	done := func() bool { return cli.Done() && srv.Done() }
-	// Loss recovery and the final drain ride WAN RTTs: give the run
-	// generous headroom beyond the traffic time.
-	deadline := durationNS + 8_000e6 + 200*2*s.Link().Config().DelayNS
-	if err := runVirtualUntil(clk, s.Bed, nil, timedOf([]*iperf.Client{cli}, []*iperf.Server{srv}), done, deadline); err != nil {
+	link := s.Links[0]
+	res := Scenario5Result{CapMode: s.Cfg.CapMode, Modern: s.Cfg.Modern, Link: link.Config()}
+	reps, err := runFlows(s.Bed, "scenario 5", wanUpload(s.Bed, s5Port), durationNS, wanBudget(durationNS, res.Link.DelayNS))
+	if err != nil {
 		return res, err
 	}
-	if cli.Err() != 0 {
-		return res, fmt.Errorf("core: scenario 5 client failed: %v", cli.Err())
-	}
-	if srv.Err() != 0 {
-		return res, fmt.Errorf("core: scenario 5 server failed: %v", srv.Err())
-	}
-	res.Mbps = srv.Report().Mbps()
-	s.Envs[0].Stk.Lock()
-	res.Stats = s.Envs[0].Stk.Stats()
-	s.Envs[0].Stk.Unlock()
-	res.Fwd = s.Link().Stats(0)
+	res.Mbps = reps[0].recv.Mbps()
+	res.Stats = lockedStats(s.Envs[0])
+	res.Fwd = link.Stats(0)
 	res.Obs = s.Obs
-	if err := s.CloseObs(); err != nil {
-		return res, fmt.Errorf("core: scenario 5 capture: %w", err)
-	}
 	return res, nil
 }
 
@@ -218,84 +167,61 @@ const DefaultScenario5Duration = int64(1_000e6)
 
 // RunScenario5 measures one configuration on a fresh virtual testbed.
 func RunScenario5(cfg Scenario5Config, durationNS int64) (Scenario5Result, error) {
-	s, err := NewScenario5(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario5Result{}, err
-	}
-	return Scenario5Bandwidth(s, durationNS)
+	return fresh(NewScenario5, cfg, func(s *Setup5) (Scenario5Result, error) {
+		return Scenario5Bandwidth(s, durationNS)
+	})
 }
 
 // RunScenario5LossSweep measures goodput vs loss rate: for every loss
 // point, go-back-N vs SACK in both Baseline and capability mode, at
-// equal link settings. An optional Scenario5Obs instruments every
-// point's bed and exports the traces/timeseries per point. Cells run
-// on the host worker pool (Parallelism); results keep sweep order.
-func RunScenario5LossSweep(losses []float64, delayNS int64, rateBps float64, cc string, durationNS int64, obsOpt ...Scenario5Obs) ([]Scenario5Result, error) {
-	var cells []Scenario5Config
+// equal link settings. An optional SweepObs instruments every point's
+// bed and exports the traces/timeseries per point. Cells run on the
+// host worker pool (Parallelism); results keep sweep order.
+func RunScenario5LossSweep(losses []float64, delayNS int64, rateBps float64, cc string, durationNS int64, obsOpt ...SweepObs) ([]Scenario5Result, error) {
+	var links []netem.Config
 	for _, loss := range losses {
-		for _, capMode := range []bool{false, true} {
-			for _, modern := range []bool{false, true} {
-				cells = append(cells, Scenario5Config{
-					CapMode: capMode, Modern: modern, Congestion: cc,
-					Link: netem.Config{LossRate: loss, DelayNS: delayNS, RateBps: rateBps},
-				})
-			}
-		}
+		links = append(links, netem.Config{LossRate: loss, DelayNS: delayNS, RateBps: rateBps})
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario5Result, error) {
-		cfg := cells[i]
-		r, err := runScenario5Point(cfg, durationNS, obsOpt)
-		if err != nil {
-			return r, fmt.Errorf("loss=%.2f%% cap=%v modern=%v: %w",
-				cfg.Link.LossRate*100, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
-	})
+	return sweepScenario5(links, cc, durationNS, obsOpt)
 }
 
 // RunScenario5BDPSweep measures goodput vs path BDP (the one-way delay
 // swept at a fixed bottleneck rate), go-back-N vs SACK+window-scaling,
 // in both Baseline and capability mode.
-func RunScenario5BDPSweep(delaysNS []int64, lossRate float64, rateBps float64, cc string, durationNS int64, obsOpt ...Scenario5Obs) ([]Scenario5Result, error) {
-	var cells []Scenario5Config
+func RunScenario5BDPSweep(delaysNS []int64, lossRate float64, rateBps float64, cc string, durationNS int64, obsOpt ...SweepObs) ([]Scenario5Result, error) {
+	var links []netem.Config
 	for _, d := range delaysNS {
+		links = append(links, netem.Config{LossRate: lossRate, DelayNS: d, RateBps: rateBps})
+	}
+	return sweepScenario5(links, cc, durationNS, obsOpt)
+}
+
+// sweepScenario5 runs, for every link, both stacks in both modes.
+func sweepScenario5(links []netem.Config, cc string, durationNS int64, obsOpt []SweepObs) ([]Scenario5Result, error) {
+	var cells []Scenario5Config
+	for _, link := range links {
 		for _, capMode := range []bool{false, true} {
 			for _, modern := range []bool{false, true} {
-				cells = append(cells, Scenario5Config{
-					CapMode: capMode, Modern: modern, Congestion: cc,
-					Link: netem.Config{LossRate: lossRate, DelayNS: d, RateBps: rateBps},
-				})
+				cells = append(cells, Scenario5Config{CapMode: capMode, Modern: modern, Congestion: cc, Link: link})
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario5Result, error) {
-		cfg := cells[i]
-		r, err := runScenario5Point(cfg, durationNS, obsOpt)
-		if err != nil {
-			return r, fmt.Errorf("delay=%dms cap=%v modern=%v: %w",
-				cfg.Link.DelayNS/1e6, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
-	})
+	return sweepObserved(cells, obsOpt, scenario5Label,
+		func(cfg Scenario5Config, spec testbed.ObsSpec) (Scenario5Result, error) {
+			cfg.Obs = spec
+			return RunScenario5(cfg, durationNS)
+		},
+		func(r Scenario5Result) *obs.Obs { return r.Obs })
 }
 
-// runScenario5Point runs one sweep point, instrumented and exported
-// per the (optional) sweep observability config.
-func runScenario5Point(cfg Scenario5Config, durationNS int64, obsOpt []Scenario5Obs) (Scenario5Result, error) {
-	var so Scenario5Obs
-	if len(obsOpt) > 0 {
-		so = obsOpt[0]
+// scenario5Label names one sweep point in errors and export filenames:
+// mode_recovery_loss_rtt, e.g. "baseline_sack_loss0.25_rtt20ms".
+func scenario5Label(cfg Scenario5Config) string {
+	rec := "gbn"
+	if cfg.Modern {
+		rec = "sack"
 	}
-	label := scenario5Label(cfg)
-	cfg.Obs = so.pointSpec(label)
-	r, err := RunScenario5(cfg, durationNS)
-	if err != nil {
-		return r, err
-	}
-	if err := so.export(r, label); err != nil {
-		return r, err
-	}
-	return r, nil
+	return fmt.Sprintf("%s_%s_loss%.2f_rtt%dms", modeName(cfg.CapMode), rec, cfg.Link.LossRate*100, 2*cfg.Link.DelayNS/1e6)
 }
 
 // FormatScenario5 renders a sweep with the recovery breakdown beside
@@ -306,17 +232,9 @@ func FormatScenario5(title string, results []Scenario5Result) string {
 	fmt.Fprintf(&b, "  %-9s %-9s %7s %8s %9s %9s  %s\n",
 		"Mode", "Recovery", "Loss%", "RTT(ms)", "BDP(KiB)", "Mbit/s", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
-		rec := "go-back-N"
-		if r.Modern {
-			rec = "SACK+WS"
-		}
 		bdpKiB := r.Link.RateBps / 8 * float64(2*r.Link.DelayNS) / 1e9 / 1024
 		fmt.Fprintf(&b, "  %-9s %-9s %7.2f %8.0f %9.0f %9.1f  %s\n",
-			mode, rec, r.Link.LossRate*100, r.RTTms(), bdpKiB, r.Mbps, r.Stats.RecoverySummary())
+			modeName(r.CapMode), recoveryName(r.Modern), r.Link.LossRate*100, r.RTTms(), bdpKiB, r.Mbps, r.Stats.RecoverySummary())
 		// Latency percentiles ride under the row they belong to — only
 		// when the run carried histograms, so un-instrumented sweeps
 		// (and the pinned goldens) render byte-identically.

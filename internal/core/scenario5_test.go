@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fstack"
-	"repro/internal/iperf"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -29,7 +28,6 @@ func (t *traceTap) Frame(dir fstack.TapDir, tsNS int64, data []byte) {
 // frame trace.
 func runTransparencyRig(t *testing.T, linked bool) []string {
 	t.Helper()
-	clk := sim.NewVClock()
 	// Pin the peer sizing so both rigs differ ONLY in the conduit (a
 	// link implies the big sizing by default).
 	peer := testbed.PeerSpec{Port: 0, SegBytes: testbed.DefaultSegBytes, PoolBufs: testbed.DefaultPoolBufs}
@@ -38,7 +36,7 @@ func runTransparencyRig(t *testing.T, linked bool) []string {
 		peer.Link = &testbed.LinkSpec{}
 	}
 	bed, err := testbed.Build(testbed.Spec{
-		Clk:     clk,
+		Clk:     sim.NewVClock(),
 		Machine: testbed.MachineSpec{Name: "morello", Ports: 1},
 		Compartments: []testbed.CompartmentSpec{
 			{Name: "proc", Ifs: []testbed.IfSpec{{Port: 0}}},
@@ -52,12 +50,7 @@ func runTransparencyRig(t *testing.T, linked bool) []string {
 	tap := &traceTap{}
 	env.Stk.SetTap(tap)
 
-	cli := iperf.NewClient(peerIP(0), iperfPort, 100e6)
-	attachInLoop(env, cli.Step)
-	srv := iperf.NewServer(fstack.IPv4Addr{}, iperfPort)
-	attachInLoop(bed.Peers[0].Env, srv.Step)
-	done := func() bool { return cli.Done() && srv.Done() }
-	if err := runVirtual(clk, bed, nil, timedOf([]*iperf.Client{cli}, []*iperf.Server{srv}), done); err != nil {
+	if _, err := runFlows(bed, "transparency rig", wanUpload(bed, iperfPort), 100e6, bwDeadline); err != nil {
 		t.Fatal(err)
 	}
 	if len(tap.events) == 0 {

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -29,16 +27,9 @@ import (
 // the capability overhead read off one table.
 
 const (
-	// s6LineRate is the access port: multi-gigabit, faster than one
-	// core, as in Scenario 4.
-	s6LineRate = 4e9
-	// s6CPUBps / s6CPUWindow: one shard's core budget (Scenario 4's
-	// CPU model).
-	s6CPUBps    = 1e9
-	s6CPUWindow = 3 * 12304
-	// s6RxFifoBytes is the per-queue RX buffer of the multi-gigabit
-	// part.
-	s6RxFifoBytes = 512 << 10
+	// The access port (multi-gigabit, faster than one core), the
+	// per-queue RX buffer, the ring size and one shard's core budget are
+	// Scenario 4's.
 
 	// The WAN bottleneck: 2 Gbit/s — above one core's budget, below
 	// the port and the aggregate core budget, so BOTH axes bind: shard
@@ -65,16 +56,14 @@ const (
 	// Modern-tuning knobs: per-flow 1 MiB buffers cover a fair share
 	// of the 2.5 MB path BDP with headroom; shift 6 advertises up to
 	// 4 MiB through the 16-bit window field.
-	s6SndBuf = 1 << 20
-	s6RcvBuf = 1 << 20
-	s6WScale = 6
+	s6BufBytes = 1 << 20
+	s6WScale   = 6
 
 	// Environment sizing: M flows × (1+1) MiB buffers plus the pool.
 	s6MachineMem = 96 << 20
 	s6SegSize    = 32 << 20
 	s6CVMMem     = 40 << 20
 	s6PoolBufs   = 4096
-	s6RingSize   = 256
 
 	// s6BasePort is the first iperf port; flow f uses s6BasePort+f.
 	s6BasePort = uint16(5501)
@@ -112,25 +101,11 @@ type Scenario6Config struct {
 	Rev *netem.Config
 }
 
-// s6Tuning is the modern stack configuration for this scenario.
-func s6Tuning(cc string) *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SACK:        true,
-		WindowScale: s6WScale,
-		SndBufBytes: s6SndBuf,
-		RcvBufBytes: s6RcvBuf,
-		Congestion:  cc,
-	}
-}
-
 // Setup6 is a wired Scenario 6 topology.
 type Setup6 struct {
 	*testbed.Bed
 	Cfg Scenario6Config
 }
-
-// Link is the WAN impairment pipeline (direction 0 = data path).
-func (s *Setup6) Link() *netem.Link { return s.Links[0] }
 
 // NewScenario6 builds the composed layout: one fast port with
 // cfg.Shards RSS-steered queue pairs and CPU-budgeted shards, and one
@@ -170,14 +145,14 @@ func NewScenario6(clk hostos.Clock, cfg Scenario6Config) (*Setup6, error) {
 	cfg.Fwd, cfg.Rev = fwd, &rev
 
 	stack := testbed.StackSpec{
-		Shards: cfg.Shards, RingSize: s6RingSize,
-		CPUBps: s6CPUBps, CPUWindowNS: s6CPUWindow,
+		Shards: cfg.Shards, RingSize: s4RingSize,
+		CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
 		RTOMinNS: s6RTOMin,
 	}
 	peerStack := testbed.StackSpec{RTOMinNS: s6RTOMin}
 	if cfg.Modern {
-		stack.Tuning = s6Tuning(cfg.Congestion)
-		peerStack.Tuning = s6Tuning(cfg.Congestion)
+		stack.Tuning = modernTuning(s6BufBytes, s6WScale, cfg.Congestion)
+		peerStack.Tuning = stack.Tuning
 	}
 	// Fwd impairs the data direction: toward the peer for uploads,
 	// toward the local box for downloads.
@@ -185,30 +160,13 @@ func NewScenario6(clk hostos.Clock, cfg Scenario6Config) (*Setup6, error) {
 	if cfg.Download {
 		link = &testbed.LinkSpec{ToPeer: rev, ToLocal: fwd}
 	}
-	bed, err := testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", MemBytes: s6MachineMem, Ports: 1,
-			LineRateBps: s6LineRate, RxFifoBytes: s6RxFifoBytes, CapDMA: cfg.CapMode,
-		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: "s6", CVM: cfg.CapMode, CVMName: "cvm1",
-				CVMBytes: s6CVMMem, SegBytes: s6SegSize,
-				PoolBufs: s6PoolBufs, PoolName: "s6-pkt",
-				Ifs:   []testbed.IfSpec{{Port: 0}},
-				Stack: stack,
-			},
-		},
-		Peers: []testbed.PeerSpec{
-			{
-				Port: 0, LineRateBps: s6LineRate,
-				SegBytes: s6SegSize, PoolBufs: s6PoolBufs,
-				Link:  link,
-				Stack: peerStack,
-			},
-		},
-	})
+	bed, err := boxSpec{
+		name: "s6", capMode: cfg.CapMode,
+		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
+		memBytes: s6MachineMem, cvmBytes: s6CVMMem, segBytes: s6SegSize, poolBufs: s6PoolBufs,
+		peerSeg: s6SegSize, peerPool: s6PoolBufs,
+		stack: stack, peerStack: peerStack, link: link,
+	}.build(clk)
 	if err != nil {
 		return nil, err
 	}
@@ -239,21 +197,12 @@ type Scenario6Result struct {
 
 // Scenario6Bandwidth drives flows concurrent iperf transfers between
 // the sharded local box and the peer through the impaired link for
-// durationNS of virtual traffic time. Uploads (the default) send from
-// the local shards — the steering oracle places each connection on the
-// shard its ACK stream will hit, as in Scenario 4's client mode.
-// Downloads (Cfg.Download) send from the peer into listeners cloned
-// across every shard, each SYN accepted wherever RSS lands it; the
-// load generator engineers its source ports to round-robin the
-// receiver's queues, as in Scenario 4's server mode.
+// durationNS of virtual traffic time: uploads (the default) from the
+// local shards as in Scenario 4's client mode, downloads (Cfg.Download)
+// from the peer into listeners cloned across every shard as in its
+// server mode (see shardedFlows).
 func Scenario6Bandwidth(s *Setup6, flows int, durationNS int64) (Scenario6Result, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return Scenario6Result{}, fmt.Errorf("core: scenario 6 runs need the virtual clock")
-	}
-	if flows < 1 {
-		return Scenario6Result{}, fmt.Errorf("core: scenario 6 needs at least one flow")
-	}
+	link := s.Links[0]
 	dataDir := 0 // link direction the data crosses
 	if s.Cfg.Download {
 		dataDir = 1
@@ -261,99 +210,27 @@ func Scenario6Bandwidth(s *Setup6, flows int, durationNS int64) (Scenario6Result
 	res := Scenario6Result{
 		Shards: s.Sharded.NumShards(), Flows: flows,
 		CapMode: s.Cfg.CapMode, Modern: s.Cfg.Modern, Download: s.Cfg.Download,
-		Fwd: s.Link().DirConfig(dataDir),
+		Fwd: link.DirConfig(dataDir),
 	}
-
-	api := s.Sharded.API()
-	var appSteppers []func(now int64)
-	var localCli []*iperf.Client
-	var localSrv []*iperf.Server
-	var peerCli []*iperf.Client
-	var peerSrv []*iperf.Server
-	for f := 0; f < flows; f++ {
-		port := s6BasePort + uint16(f)
-		if s.Cfg.Download {
-			srv := iperf.NewServer(fstack.IPv4Addr{}, port)
-			localSrv = append(localSrv, srv)
-			appSteppers = append(appSteppers, func(now int64) { srv.Step(api, now) })
-			cli := iperf.NewClient(localIP(0), port, durationNS)
-			cli.LocalPort = engineerCport(s.Bed, f, port)
-			peerCli = append(peerCli, cli)
-		} else {
-			cli := iperf.NewClient(peerIP(0), port, durationNS)
-			localCli = append(localCli, cli)
-			appSteppers = append(appSteppers, func(now int64) { cli.Step(api, now) })
-			peerSrv = append(peerSrv, iperf.NewServer(fstack.IPv4Addr{}, port))
-		}
-	}
-	papi := s.Peers[0].Env.Loop.Locked()
-	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
-		for _, c := range peerCli {
-			c.Step(papi, now)
-		}
-		for _, sv := range peerSrv {
-			sv.Step(papi, now)
-		}
-		return true
-	}
-
-	allDone := func(clis []*iperf.Client, srvs []*iperf.Server) bool {
-		for _, c := range clis {
-			if !c.Done() {
-				return false
-			}
-		}
-		for _, sv := range srvs {
-			if !sv.Done() {
-				return false
-			}
-		}
-		return true
-	}
-	done := func() bool {
-		return allDone(localCli, localSrv) && allDone(peerCli, peerSrv)
-	}
-	// Recovery and the final drain ride WAN RTTs through a deep queue:
-	// generous headroom beyond the traffic time.
-	deadline := durationNS + 8_000e6 + 200*2*res.Fwd.DelayNS
-	timed := append(timedOf(localCli, localSrv), timedOf(peerCli, peerSrv)...)
-	if err := runVirtualUntil(clk, s.Bed, appSteppers, timed, done, deadline); err != nil {
+	reps, err := runFlows(s.Bed, "scenario 6", shardedFlows(s.Bed, flows, s6BasePort, !s.Cfg.Download),
+		durationNS, wanBudget(durationNS, res.Fwd.DelayNS))
+	if err != nil {
 		return res, err
 	}
-
 	// Goodput is read at the data receivers, behind the impaired path.
-	recv := peerSrv
-	if s.Cfg.Download {
-		recv = localSrv
-	}
-	for f := 0; f < flows; f++ {
-		var cErr, sErr hostos.Errno
-		if s.Cfg.Download {
-			cErr, sErr = peerCli[f].Err(), localSrv[f].Err()
-		} else {
-			cErr, sErr = localCli[f].Err(), peerSrv[f].Err()
-		}
-		if cErr != 0 {
-			return res, fmt.Errorf("core: scenario 6 client %d failed: %v", f, cErr)
-		}
-		if sErr != 0 {
-			return res, fmt.Errorf("core: scenario 6 server %d failed: %v", f, sErr)
-		}
-		rep := recv[f].Report()
-		res.PerFlow = append(res.PerFlow, rep.Mbps())
-		res.Mbps += rep.Mbps()
+	for _, rep := range reps {
+		res.PerFlow = append(res.PerFlow, rep.recv.Mbps())
+		res.Mbps += rep.recv.Mbps()
 	}
 	// Stats carry the data sender's recovery story: the local shards
 	// for uploads, the peer stack for downloads.
 	if s.Cfg.Download {
-		s.Peers[0].Env.Stk.Lock()
-		res.Stats = s.Peers[0].Env.Stk.Stats()
-		s.Peers[0].Env.Stk.Unlock()
+		res.Stats = lockedStats(s.Peers[0].Env)
 	} else {
 		res.Stats = s.Sharded.Stats()
 	}
-	res.FwdStats = s.Link().Stats(dataDir)
-	res.RevStats = s.Link().Stats(1 - dataDir)
+	res.FwdStats = link.Stats(dataDir)
+	res.RevStats = link.Stats(1 - dataDir)
 	return res, nil
 }
 
@@ -362,11 +239,9 @@ const DefaultScenario6Duration = int64(300e6)
 
 // RunScenario6 measures one configuration on a fresh virtual testbed.
 func RunScenario6(cfg Scenario6Config, flows int, durationNS int64) (Scenario6Result, error) {
-	s, err := NewScenario6(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario6Result{}, err
-	}
-	return Scenario6Bandwidth(s, flows, durationNS)
+	return fresh(NewScenario6, cfg, func(s *Setup6) (Scenario6Result, error) {
+		return Scenario6Bandwidth(s, flows, durationNS)
+	})
 }
 
 // RunScenario6Sweep measures every (shard count × recovery) pair in
@@ -382,14 +257,21 @@ func RunScenario6Sweep(shardCounts []int, flows int, durationNS int64, base Scen
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario6Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario6(cfg, flows, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("shards=%d cap=%v modern=%v: %w", cfg.Shards, cfg.CapMode, cfg.Modern, err)
-		}
-		return r, nil
+	return sweep(cells, func(cfg Scenario6Config) (Scenario6Result, error) {
+		return RunScenario6(cfg, flows, durationNS)
+	}, func(cfg Scenario6Config) string {
+		return fmt.Sprintf("shards=%d %s %s", cfg.Shards, modeName(cfg.CapMode), recoveryName(cfg.Modern))
 	})
+}
+
+// lossOf summarizes a link's loss process for a report header: the
+// stationary loss rate, and whether losses arrive independently or in
+// Gilbert–Elliott bursts.
+func lossOf(l netem.Config) (rate float64, kind string) {
+	if l.GEBadProb > 0 {
+		return l.GEBadProb / (l.GEBadProb + l.GERecoverProb) * l.GELossBad, "bursty"
+	}
+	return l.LossRate, "i.i.d."
 }
 
 // FormatScenario6 renders a sweep. Speedup is against the paper
@@ -404,12 +286,7 @@ func FormatScenario6(results []Scenario6Result) string {
 	fmt.Fprintf(&b, "SCENARIO 6 — sharded stack over an impaired WAN: aggregate goodput%s\n", mode)
 	if len(results) > 0 {
 		f := results[0].Fwd
-		loss := f.LossRate
-		kind := "i.i.d."
-		if f.GEBadProb > 0 {
-			loss = f.GEBadProb / (f.GEBadProb + f.GERecoverProb) * f.GELossBad
-			kind = "bursty"
-		}
+		loss, kind := lossOf(f)
 		fmt.Fprintf(&b, "(%.1f Gbit/s bottleneck, %.0f ms RTT, %.2f%% %s loss, clean ACK path unless impaired)\n",
 			f.RateBps/1e9, float64(2*f.DelayNS)/1e6, loss*100, kind)
 	}
@@ -422,20 +299,12 @@ func FormatScenario6(results []Scenario6Result) string {
 	fmt.Fprintf(&b, "  %-10s %-9s %7s %6s %10s %9s  %s\n",
 		"Mode", "Recovery", "Shards", "Flows", "Mbit/s", "Speedup", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
-		rec := "go-back-N"
-		if r.Modern {
-			rec = "SACK+WS"
-		}
 		speedup := "-"
 		if b1 := base[r.CapMode]; b1 > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.Mbps/b1)
 		}
 		fmt.Fprintf(&b, "  %-10s %-9s %7d %6d %10.0f %9s  %s\n",
-			mode, rec, r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
+			modeName(r.CapMode), recoveryName(r.Modern), r.Shards, r.Flows, r.Mbps, speedup, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

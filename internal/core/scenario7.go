@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -30,9 +28,6 @@ import (
 // recovers, in Baseline and capability mode.
 
 const (
-	// s7LineRate is both ports' access-line rate; the netem bottleneck
-	// below it shapes the path.
-	s7LineRate = 1e9
 	// s7RateBps is the WAN bottleneck under study.
 	s7RateBps = 100e6
 	// s7DelayNS is the default one-way propagation delay (50 ms: the
@@ -55,20 +50,8 @@ const (
 	// s7Seed makes every impairment stream reproducible.
 	s7Seed = 2031
 
-	// s7RTOMin is FreeBSD's 200 ms floor, as in Scenario 5.
-	s7RTOMin = int64(200e6)
-
-	// Modern-tuning knobs, sized for the 200 ms RTT point: BDP 2.5 MB
-	// plus queue fits the 4 MiB buffers; shift 7 advertises up to
-	// 8 MiB through the 16-bit window field.
-	s7SndBuf = 4 << 20
-	s7RcvBuf = 4 << 20
-	s7WScale = 7
-
-	// Environment sizing, as Scenario 5 (two 4 MiB buffers + pool).
-	s7SegSize  = 24 << 20
-	s7CVMMem   = 32 << 20
-	s7PoolBufs = 3072
+	// Access ports, RTO floor, modern-tuning knobs and environment
+	// sizing are Scenario 5's (wanBox): one WAN layout, two questions.
 
 	s7Port = uint16(5701)
 )
@@ -88,26 +71,11 @@ type Scenario7Config struct {
 	Link netem.Config
 }
 
-// s7Tuning is the modern stack configuration with a selectable
-// congestion controller.
-func s7Tuning(cc string) *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SACK:        true,
-		WindowScale: s7WScale,
-		SndBufBytes: s7SndBuf,
-		RcvBufBytes: s7RcvBuf,
-		Congestion:  cc,
-	}
-}
-
 // Setup7 is a wired Scenario 7 topology.
 type Setup7 struct {
 	*testbed.Bed
 	Cfg Scenario7Config
 }
-
-// Link is the WAN impairment pipeline.
-func (s *Setup7) Link() *netem.Link { return s.Links[0] }
 
 // NewScenario7 builds the WAN layout: local box (process or cVM) and
 // one link partner, joined by the impairment pipeline, with the
@@ -133,33 +101,8 @@ func NewScenario7(clk hostos.Clock, cfg Scenario7Config) (*Setup7, error) {
 		cfg.Link.GEBadProb = s7GEBadProb
 		cfg.Link.GERecoverProb = s7GERecoverProb
 	}
-	stack := testbed.StackSpec{RTOMinNS: s7RTOMin, Tuning: s7Tuning(cfg.Congestion)}
-	name := "proc"
-	if cfg.CapMode {
-		name = "cvm1"
-	}
-	bed, err := testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", Ports: 1, LineRateBps: s7LineRate, CapDMA: cfg.CapMode,
-		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: name, CVM: cfg.CapMode,
-				CVMBytes: s7CVMMem, SegBytes: s7SegSize, PoolBufs: s7PoolBufs,
-				Ifs:   []testbed.IfSpec{{Port: 0}},
-				Stack: stack,
-			},
-		},
-		Peers: []testbed.PeerSpec{
-			{
-				Port: 0, LineRateBps: s7LineRate,
-				SegBytes: s7SegSize, PoolBufs: s7PoolBufs,
-				Link:  testbed.SymmetricLink(cfg.Link),
-				Stack: stack,
-			},
-		},
-	})
+	tuning := modernTuning(s5BufBytes, s5WScale, cfg.Congestion)
+	bed, err := wanBox(cfg.CapMode, tuning, cfg.Link, testbed.ObsSpec{}).build(clk)
 	if err != nil {
 		return nil, err
 	}
@@ -196,35 +139,17 @@ func ccName(cc string) string {
 // Scenario7Bandwidth sends one flow through the impaired link for
 // durationNS of virtual traffic time.
 func Scenario7Bandwidth(s *Setup7, durationNS int64) (Scenario7Result, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return Scenario7Result{}, fmt.Errorf("core: scenario 7 runs need the virtual clock")
-	}
+	link := s.Links[0]
 	res := Scenario7Result{
-		CapMode: s.Cfg.CapMode, Congestion: ccName(s.Cfg.Congestion), Link: s.Link().Config(),
+		CapMode: s.Cfg.CapMode, Congestion: ccName(s.Cfg.Congestion), Link: link.Config(),
 	}
-
-	cli := iperf.NewClient(peerIP(0), s7Port, durationNS)
-	attachInLoop(s.Envs[0], cli.Step)
-	srv := iperf.NewServer(fstack.IPv4Addr{}, s7Port)
-	attachInLoop(s.Peers[0].Env, srv.Step)
-
-	done := func() bool { return cli.Done() && srv.Done() }
-	deadline := durationNS + 8_000e6 + 200*2*s.Link().Config().DelayNS
-	if err := runVirtualUntil(clk, s.Bed, nil, timedOf([]*iperf.Client{cli}, []*iperf.Server{srv}), done, deadline); err != nil {
+	reps, err := runFlows(s.Bed, "scenario 7", wanUpload(s.Bed, s7Port), durationNS, wanBudget(durationNS, res.Link.DelayNS))
+	if err != nil {
 		return res, err
 	}
-	if cli.Err() != 0 {
-		return res, fmt.Errorf("core: scenario 7 client failed: %v", cli.Err())
-	}
-	if srv.Err() != 0 {
-		return res, fmt.Errorf("core: scenario 7 server failed: %v", srv.Err())
-	}
-	res.Mbps = srv.Report().Mbps()
-	s.Envs[0].Stk.Lock()
-	res.Stats = s.Envs[0].Stk.Stats()
-	s.Envs[0].Stk.Unlock()
-	res.Fwd = s.Link().Stats(0)
+	res.Mbps = reps[0].recv.Mbps()
+	res.Stats = lockedStats(s.Envs[0])
+	res.Fwd = link.Stats(0)
 	return res, nil
 }
 
@@ -236,11 +161,9 @@ const DefaultScenario7Duration = int64(30_000e6)
 
 // RunScenario7 measures one configuration on a fresh virtual testbed.
 func RunScenario7(cfg Scenario7Config, durationNS int64) (Scenario7Result, error) {
-	s, err := NewScenario7(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario7Result{}, err
-	}
-	return Scenario7Bandwidth(s, durationNS)
+	return fresh(NewScenario7, cfg, func(s *Setup7) (Scenario7Result, error) {
+		return Scenario7Bandwidth(s, durationNS)
+	})
 }
 
 // RunScenario7RTTSweep measures goodput vs RTT: for every delay point,
@@ -258,14 +181,10 @@ func RunScenario7RTTSweep(delaysNS []int64, ccs []string, rateBps float64, durat
 			}
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario7Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario7(cfg, durationNS)
-		if err != nil {
-			return r, fmt.Errorf("delay=%dms cap=%v cc=%s: %w",
-				cfg.Link.DelayNS/1e6, cfg.CapMode, ccName(cfg.Congestion), err)
-		}
-		return r, nil
+	return sweep(cells, func(cfg Scenario7Config) (Scenario7Result, error) {
+		return RunScenario7(cfg, durationNS)
+	}, func(cfg Scenario7Config) string {
+		return fmt.Sprintf("delay=%dms %s cc=%s", cfg.Link.DelayNS/1e6, modeName(cfg.CapMode), ccName(cfg.Congestion))
 	})
 }
 
@@ -276,12 +195,7 @@ func FormatScenario7(results []Scenario7Result) string {
 	fmt.Fprintf(&b, "SCENARIO 7 — WAN utilization vs congestion control\n")
 	if len(results) > 0 {
 		l := results[0].Link
-		loss := l.LossRate
-		kind := "i.i.d."
-		if l.GEBadProb > 0 {
-			loss = l.GEBadProb / (l.GEBadProb + l.GERecoverProb) * l.GELossBad
-			kind = "bursty"
-		}
+		loss, kind := lossOf(l)
 		fmt.Fprintf(&b, "(%.0f Mbit/s bottleneck, %.1f MiB queue, %.3f%% %s loss, one flow, SACK+WS on)\n",
 			l.RateBps/1e6, float64(l.QueueBytes)/(1<<20), loss*100, kind)
 	}
@@ -298,16 +212,12 @@ func FormatScenario7(results []Scenario7Result) string {
 	fmt.Fprintf(&b, "  %-9s %-6s %8s %10s %6s %8s  %s\n",
 		"Mode", "CC", "RTT(ms)", "Mbit/s", "Util", "vs reno", "recovery breakdown")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		gain := "-"
 		if base := reno[key(r)]; base > 0 && r.Congestion != fstack.CCReno {
 			gain = fmt.Sprintf("%.2fx", r.Mbps/base)
 		}
 		fmt.Fprintf(&b, "  %-9s %-6s %8.0f %10.1f %5.0f%% %8s  %s\n",
-			mode, r.Congestion, r.RTTms(), r.Mbps, r.Utilization()*100, gain, r.Stats.RecoverySummary())
+			modeName(r.CapMode), r.Congestion, r.RTTms(), r.Mbps, r.Utilization()*100, gain, r.Stats.RecoverySummary())
 	}
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/churn"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -27,12 +26,8 @@ import (
 // and heap cost per connection, in Baseline and capability mode.
 
 const (
-	// s8LineRate / s8RxFifoBytes / s8RingSize: the scenario-4 fast
-	// multi-queue port, so the connection plane — not the wire — is the
-	// variable under test.
-	s8LineRate    = 4e9
-	s8RxFifoBytes = 512 << 10
-	s8RingSize    = 256
+	// The port is Scenario 4's fast multi-queue one, so the connection
+	// plane — not the wire — is the variable under test.
 
 	// s8Ports is the listen-port spread per flow class (preload and
 	// churn); the varying client source ports scatter connections
@@ -82,49 +77,21 @@ type Scenario8Config struct {
 	DurationNS int64
 }
 
-// s8Tuning is the connection-plane stack configuration.
-func s8Tuning() *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SndBufBytes:  s8BufBytes,
-		RcvBufBytes:  s8BufBytes,
-		LazyBuffers:  true,
-		SynCacheSize: s8SynCache,
-	}
-}
-
 // NewScenario8 builds the churn layout: a sharded server box (process
 // or cVM) on a fast RSS port, one link partner as the load generator.
 func NewScenario8(clk hostos.Clock, cfg Scenario8Config) (*testbed.Bed, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: scenario 8 needs at least one shard")
 	}
-	return testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", MemBytes: s8MemBytes, Ports: 1,
-			LineRateBps: s8LineRate, RxFifoBytes: s8RxFifoBytes,
-			CapDMA: cfg.CapMode,
-		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: "s8", CVM: cfg.CapMode, CVMName: "cvm1",
-				CVMBytes: s8CVMMem, SegBytes: s8SegSize,
-				PoolBufs: s8PoolBufs, PoolName: "s8-pkt",
-				Ifs: []testbed.IfSpec{{Port: 0}},
-				Stack: testbed.StackSpec{
-					Shards: cfg.Shards, RingSize: s8RingSize,
-					Tuning: s8Tuning(),
-				},
-			},
-		},
-		Peers: []testbed.PeerSpec{
-			{
-				Port: 0, LineRateBps: s8LineRate,
-				SegBytes: s8SegSize, PoolBufs: s8PoolBufs,
-				Stack: testbed.StackSpec{Tuning: s8Tuning()},
-			},
-		},
-	})
+	tuning := connTuning(false, s8BufBytes, s8SynCache)
+	return boxSpec{
+		name: "s8", capMode: cfg.CapMode,
+		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
+		memBytes: s8MemBytes, cvmBytes: s8CVMMem, segBytes: s8SegSize, poolBufs: s8PoolBufs,
+		peerSeg: s8SegSize, peerPool: s8PoolBufs,
+		stack:     testbed.StackSpec{Shards: cfg.Shards, RingSize: s4RingSize, Tuning: tuning},
+		peerStack: testbed.StackSpec{Tuning: tuning},
+	}.build(clk)
 }
 
 // Scenario8Result is one measured churn point.
@@ -164,16 +131,10 @@ func (r Scenario8Result) AcceptsPerSec() float64 {
 // Scenario8Churn drives the two-phase storm on a built bed: establish
 // and hold the idle population (measuring its cost), then churn.
 func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return Scenario8Result{}, fmt.Errorf("core: scenario 8 runs need the virtual clock")
-	}
 	res := Scenario8Result{Shards: cfg.Shards, CapMode: cfg.CapMode, Conns: cfg.Conns, Rate: cfg.Rate}
 
 	srv := churn.NewServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, s8Ports, s8Backlog)
 	api := s.Sharded.API()
-	appSteppers := []func(now int64){func(now int64) { srv.Step(api, now) }}
-
 	cli, err := churn.NewClient(localIP(0), s8PreloadPort, s8ChurnPort, s8Ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
 	if err != nil {
 		return res, err
@@ -183,46 +144,25 @@ func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error
 		cli.Step(papi, now)
 		return true
 	}
-	timed := []deadliner{cli, srv}
-	fail := func(stage string) error {
-		if cli.Err() != hostos.OK {
-			return fmt.Errorf("core: scenario 8 client failed (%s): %v", stage, cli.Err())
-		}
-		if srv.Err() != hostos.OK {
-			return fmt.Errorf("core: scenario 8 server failed (%s): %v", stage, srv.Err())
-		}
-		return nil
-	}
 
-	// Phase A: establish and hold the idle population.
 	segBefore := s.Envs[0].Seg.Used()
 	heapBefore := retainedBytes(s)
-	preloaded := func() bool {
-		return cli.PreloadDone() || cli.Err() != hostos.OK || srv.Err() != hostos.OK
-	}
-	if err := runVirtualUntil(clk, s, appSteppers, timed, preloaded, 8_000e6); err != nil {
-		return res, err
-	}
-	if err := fail("preload"); err != nil {
-		return res, err
-	}
-	if cfg.Conns > 0 {
-		res.SegPerConn = float64(s.Envs[0].Seg.Used()-segBefore) / float64(cfg.Conns)
-		res.HeapPerConn = float64(int64(retainedBytes(s))-int64(heapBefore)) / float64(cfg.Conns)
-	}
-
-	// Phase B: the rate-paced storm, over the held population.
-	cli.StartChurn(clk.Now())
-	churned := func() bool {
-		if cli.Err() != hostos.OK || srv.Err() != hostos.OK {
-			return true
-		}
-		return cli.Done() && srv.Served() >= cli.Completed()
-	}
-	if err := runVirtualUntil(clk, s, appSteppers, timed, churned, cfg.DurationNS+8_000e6); err != nil {
-		return res, err
-	}
-	if err := fail("churn"); err != nil {
+	err = measure(s, "scenario 8",
+		[]func(now int64){func(now int64) { srv.Step(api, now) }},
+		[]labelled{{"client", cli}, {"server", srv}},
+		// Phase A: establish and hold the idle population.
+		phase{name: "preload", budgetNS: 8_000e6, done: cli.PreloadDone},
+		// Phase B: the rate-paced storm, over the held population.
+		phase{name: "churn", budgetNS: cfg.DurationNS + 8_000e6,
+			start: func(now int64) {
+				if cfg.Conns > 0 {
+					res.SegPerConn = float64(s.Envs[0].Seg.Used()-segBefore) / float64(cfg.Conns)
+					res.HeapPerConn = float64(int64(retainedBytes(s))-int64(heapBefore)) / float64(cfg.Conns)
+				}
+				cli.StartChurn(now)
+			},
+			done: func() bool { return cli.Done() && srv.Served() >= cli.Completed() }})
+	if err != nil {
 		return res, err
 	}
 
@@ -255,11 +195,9 @@ const DefaultScenario8Duration = int64(1_000e6)
 
 // RunScenario8 measures one configuration on a fresh virtual testbed.
 func RunScenario8(cfg Scenario8Config) (Scenario8Result, error) {
-	s, err := NewScenario8(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario8Result{}, err
-	}
-	return Scenario8Churn(s, cfg)
+	return fresh(NewScenario8, cfg, func(s *testbed.Bed) (Scenario8Result, error) {
+		return Scenario8Churn(s, cfg)
+	})
 }
 
 // RunScenario8RateSweep measures the offered-rate ladder in both
@@ -275,13 +213,8 @@ func RunScenario8RateSweep(shards, conns int, rates []float64, durationNS int64)
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario8Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario8(cfg)
-		if err != nil {
-			return r, fmt.Errorf("rate=%.0f cap=%v: %w", cfg.Rate, cfg.CapMode, err)
-		}
-		return r, nil
+	return sweep(cells, RunScenario8, func(cfg Scenario8Config) string {
+		return fmt.Sprintf("rate=%.0f %s", cfg.Rate, modeName(cfg.CapMode))
 	})
 }
 
@@ -294,21 +227,17 @@ func FormatScenario8(results []Scenario8Result) string {
 	if len(results) > 0 {
 		r := results[0]
 		fmt.Fprintf(&b, "(port %.0f Gbit/s, %d shards, %d idle conns held, 64 B flows, client closes first)\n",
-			s8LineRate/1e9, r.Shards, r.Conns)
+			s4LineRate/1e9, r.Shards, r.Conns)
 	}
 	fmt.Fprintf(&b, "  %-9s %10s %10s %9s %9s %10s %10s %7s\n",
 		"Mode", "Offered/s", "Accepts/s", "p50(µs)", "p99(µs)", "seg B/idle", "heap B/idle", "drops")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		note := ""
 		if r.Deferred > 0 {
 			note = fmt.Sprintf("  (client deferred %d)", r.Deferred)
 		}
 		fmt.Fprintf(&b, "  %-9s %10.0f %10.0f %9.1f %9.1f %10.1f %10.0f %7d%s\n",
-			mode, r.Rate, r.AcceptsPerSec(),
+			modeName(r.CapMode), r.Rate, r.AcceptsPerSec(),
 			float64(r.ConnectP50NS)/1e3, float64(r.ConnectP99NS)/1e3,
 			r.SegPerConn, r.HeapPerConn,
 			r.Stats.SynDrops+r.Stats.AcceptOverflows, note)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/netem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -29,11 +28,8 @@ import (
 // gate-crossing latency story (Figs 4-6) to realistic traffic.
 
 const (
-	// The scenario-4/8 fast multi-queue port: the application plane,
-	// not the wire, is the variable under test.
-	s9LineRate    = 4e9
-	s9RxFifoBytes = 512 << 10
-	s9RingSize    = 256
+	// The port is Scenario 4's fast multi-queue one: the application
+	// plane, not the wire, is the variable under test.
 
 	// s9HTTPPort / s9DNSPort are the server's listen ports.
 	s9HTTPPort = uint16(8080)
@@ -110,15 +106,7 @@ func (c *Scenario9Config) applyDefaults() {
 // s9Tuning is the request-plane stack configuration: modern loss
 // recovery (small exchanges cannot afford go-back-N under impairment),
 // sized buffers, lazy backing, a bounded SYN cache.
-func s9Tuning() *fstack.TCPTuning {
-	return &fstack.TCPTuning{
-		SACK:         true,
-		SndBufBytes:  s9BufBytes,
-		RcvBufBytes:  s9BufBytes,
-		LazyBuffers:  true,
-		SynCacheSize: s9SynCache,
-	}
-}
+func s9Tuning() *fstack.TCPTuning { return connTuning(true, s9BufBytes, s9SynCache) }
 
 // NewScenario9 builds the RPC layout: a sharded server box (process or
 // cVM) on a fast RSS port, one peer as the load generator, optionally
@@ -134,46 +122,29 @@ func NewScenario9(clk hostos.Clock, cfg Scenario9Config) (*testbed.Bed, error) {
 		return nil, fmt.Errorf("core: scenario 9 needs at least one connection")
 	}
 	cfg.applyDefaults()
-	stack := testbed.StackSpec{
-		Shards: cfg.Shards, RingSize: s9RingSize, Tuning: s9Tuning(),
-	}
-	peer := testbed.PeerSpec{
-		Port: 0, LineRateBps: s9LineRate,
-		SegBytes: s9SegSize, PoolBufs: s9PoolBufs,
-		Stack: testbed.StackSpec{Tuning: s9Tuning()},
+	box := boxSpec{
+		name: "s9", capMode: cfg.CapMode,
+		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
+		memBytes: s9MemBytes, cvmBytes: s9CVMMem, segBytes: s9SegSize, poolBufs: s9PoolBufs,
+		peerSeg: s9SegSize, peerPool: s9PoolBufs,
+		stack:     testbed.StackSpec{Shards: cfg.Shards, RingSize: s4RingSize, Tuning: s9Tuning()},
+		peerStack: testbed.StackSpec{Tuning: s9Tuning()},
+		obs:       cfg.Obs,
 	}
 	if cfg.Link != (netem.Config{}) {
 		link := cfg.Link
 		if link.Seed == 0 {
 			link.Seed = s9Seed
 		}
-		peer.Link = testbed.SymmetricLink(link)
+		box.link = testbed.SymmetricLink(link)
 	}
 	if cfg.Link.DelayNS >= 1e6 {
 		// ms-scale RTTs: raise the RTO floor on both ends so queueing
 		// jitter cannot fire spurious retransmissions (DESIGN.md §7).
-		stack.RTOMinNS = s9RTOMin
-		peer.Stack.RTOMinNS = s9RTOMin
+		box.stack.RTOMinNS = s9RTOMin
+		box.peerStack.RTOMinNS = s9RTOMin
 	}
-	return testbed.Build(testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name: "morello", MemBytes: s9MemBytes, Ports: 1,
-			LineRateBps: s9LineRate, RxFifoBytes: s9RxFifoBytes,
-			CapDMA: cfg.CapMode,
-		},
-		Compartments: []testbed.CompartmentSpec{
-			{
-				Name: "s9", CVM: cfg.CapMode, CVMName: "cvm1",
-				CVMBytes: s9CVMMem, SegBytes: s9SegSize,
-				PoolBufs: s9PoolBufs, PoolName: "s9-pkt",
-				Ifs:   []testbed.IfSpec{{Port: 0}},
-				Stack: stack,
-			},
-		},
-		Peers: []testbed.PeerSpec{peer},
-		Obs:   cfg.Obs,
-	})
+	return box.build(clk)
 }
 
 // Scenario9Result is one measured request/response point.
@@ -241,22 +212,27 @@ func s9Sports(s *testbed.Bed, proto uint8, dport uint16, want, n int, cursor *ui
 	return out
 }
 
-// s9Deadliners adapts the per-worker clients to the driver's deadline
-// interface.
-type s9Worker interface {
-	deadliner
+// s9Server and s9Client are what the harness needs of either protocol
+// pair: app.HTTPServer/HTTPClient and app.DNSServer/DNSClient both meet
+// them.
+type s9Server interface {
+	endpoint
+	Step(api app.API, now int64)
+}
+
+type s9Client interface {
+	s9Server
 	Done() bool
-	Err() hostos.Errno
+	Issued() uint64
+	Completed() uint64
+	Deferred() uint64
+	RunNS() int64
 }
 
 // Scenario9Run drives one point on a built bed.
-func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (res Scenario9Result, err error) {
-	clk, ok := s.Clk.(*sim.VClock)
-	if !ok {
-		return res, fmt.Errorf("core: scenario 9 runs need the virtual clock")
-	}
+func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) {
 	cfg.applyDefaults()
-	res = Scenario9Result{
+	res := Scenario9Result{
 		Proto: cfg.Proto, Shards: cfg.Shards, CapMode: cfg.CapMode,
 		Rate: cfg.Rate, Conns: cfg.Conns,
 	}
@@ -267,145 +243,77 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (res Scenario9Result, err
 	if workers > cfg.Conns {
 		workers = cfg.Conns
 	}
-	share := func(total, w int) int { // worker w's slice of total slots
-		n := total / workers
-		if w < total%workers {
-			n++
-		}
-		return n
+	http := cfg.Proto == "http"
+	var srv s9Server = app.NewDNSServer(fstack.IPv4Addr{}, s9DNSPort)
+	if http {
+		srv = app.NewHTTPServer(fstack.IPv4Addr{}, s9HTTPPort, s9Backlog, cfg.RespBytes)
 	}
-
-	api := s.Sharded.API()
-	papi := s.Peers[0].Env.Loop.Locked()
+	var trace *obs.Trace
+	if s.Obs != nil {
+		trace = s.Obs.Trace
+	}
 	cursor := s9SportBase
-	var (
-		steppers []func(now int64)
-		timed    []deadliner
-		checks   []s9Worker
-		hists    []*stats.Histogram
-	)
-	var srvErr func() hostos.Errno
-
-	switch cfg.Proto {
-	case "http":
-		srv := app.NewHTTPServer(fstack.IPv4Addr{}, s9HTTPPort, s9Backlog, cfg.RespBytes)
-		steppers = append(steppers, func(now int64) { srv.Step(api, now) })
-		timed = append(timed, srv)
-		srvErr = srv.Err
-		var clis []*app.HTTPClient
-		for w := 0; w < workers; w++ {
-			conns := share(cfg.Conns, w)
-			sports := s9Sports(s, fstack.ProtoTCP, s9HTTPPort, w, conns, &cursor)
-			if len(sports) < conns {
+	eps := []labelled{{"server", srv}}
+	var clis []s9Client
+	var hists []*stats.Histogram
+	for w := 0; w < workers; w++ {
+		slots := cfg.Conns / workers // worker w's slice of the slots
+		if w < cfg.Conns%workers {
+			slots++
+		}
+		var cli s9Client
+		if http {
+			sports := s9Sports(s, fstack.ProtoTCP, s9HTTPPort, w, slots, &cursor)
+			if len(sports) < slots {
 				return res, fmt.Errorf("core: scenario 9 found no steered source ports for shard %d", w)
 			}
-			rate := cfg.Rate * float64(conns) / float64(cfg.Conns)
-			cli, err := app.NewHTTPClient(localIP(0), s9HTTPPort, conns, sports, rate, cfg.DurationNS)
+			c, err := app.NewHTTPClient(localIP(0), s9HTTPPort, slots, sports, cfg.Rate*float64(slots)/float64(cfg.Conns), cfg.DurationNS)
 			if err != nil {
 				return res, err
 			}
-			if s.Obs != nil && s.Obs.Trace != nil {
-				cli.Trace, cli.Src = s.Obs.Trace, uint16(192+w)
-			}
-			clis = append(clis, cli)
-			timed = append(timed, cli)
-			checks = append(checks, cli)
-			hists = append(hists, &cli.Hist)
-		}
-		s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
-			for _, c := range clis {
-				c.Step(papi, now)
-			}
-			return true
-		}
-		defer func() {
-			for _, c := range clis {
-				res.Issued += c.Issued()
-				res.Completed += c.Completed()
-				res.Deferred += c.Deferred()
-				if c.RunNS() > res.RunNS {
-					res.RunNS = c.RunNS()
-				}
-			}
-		}()
-
-	case "dns":
-		srv := app.NewDNSServer(fstack.IPv4Addr{}, s9DNSPort)
-		steppers = append(steppers, func(now int64) { srv.Step(api, now) })
-		timed = append(timed, srv)
-		srvErr = srv.Err
-		var clis []*app.DNSClient
-		for w := 0; w < workers; w++ {
-			conc := share(cfg.Conns, w)
+			c.Trace, c.Src = trace, uint16(192+w)
+			cli, hists = c, append(hists, &c.Hist)
+		} else {
 			sports := s9Sports(s, fstack.ProtoUDP, s9DNSPort, w, 1, &cursor)
 			if len(sports) < 1 {
 				return res, fmt.Errorf("core: scenario 9 found no steered source port for shard %d", w)
 			}
-			rate := cfg.Rate / float64(workers)
-			if cfg.Rate <= 0 {
-				rate = 0
-			}
-			cli, err := app.NewDNSClient(localIP(0), s9DNSPort, sports[0], rate, conc, cfg.DurationNS, cfg.TimeoutNS, s9MaxTries)
+			c, err := app.NewDNSClient(localIP(0), s9DNSPort, sports[0], max(cfg.Rate, 0)/float64(workers), slots, cfg.DurationNS, cfg.TimeoutNS, s9MaxTries)
 			if err != nil {
 				return res, err
 			}
-			if s.Obs != nil && s.Obs.Trace != nil {
-				cli.Trace, cli.Src = s.Obs.Trace, uint16(192+w)
-			}
-			clis = append(clis, cli)
-			timed = append(timed, cli)
-			checks = append(checks, cli)
-			hists = append(hists, &cli.Hist)
+			c.Trace, c.Src = trace, uint16(192+w)
+			cli, hists = c, append(hists, &c.Hist)
 		}
-		s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
-			for _, c := range clis {
-				c.Step(papi, now)
-			}
-			return true
-		}
-		defer func() {
-			for _, c := range clis {
-				res.Issued += c.Issued()
-				res.Completed += c.Completed()
-				res.Deferred += c.Deferred()
-				res.Timeouts += c.Timeouts()
-				res.Failed += c.Failed()
-				if c.RunNS() > res.RunNS {
-					res.RunNS = c.RunNS()
-				}
-			}
-		}()
-
-	default:
-		return res, fmt.Errorf("core: scenario 9 proto must be http or dns, not %q", cfg.Proto)
+		clis = append(clis, cli)
+		eps = append(eps, labelled{fmt.Sprintf("worker %d", w), cli})
 	}
-
-	done := func() bool {
-		if srvErr() != hostos.OK {
-			return true
-		}
-		for _, c := range checks {
-			if !c.Done() && c.Err() == hostos.OK {
-				return false
-			}
+	api := s.Sharded.API()
+	papi := s.Peers[0].Env.Loop.Locked()
+	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
+		for _, c := range clis {
+			c.Step(papi, now)
 		}
 		return true
 	}
 	// Budget: the measured phase plus generous handshake/drain/retry
 	// slack (DNS abandons after MaxTries timeouts).
-	slack := int64(8_000e6) + int64(s9MaxTries+1)*cfg.TimeoutNS
-	if err = runVirtualUntil(clk, s, steppers, timed, done, cfg.DurationNS+slack); err != nil {
+	budget := cfg.DurationNS + 8_000e6 + int64(s9MaxTries+1)*cfg.TimeoutNS
+	err := measure(s, "scenario 9", []func(now int64){func(now int64) { srv.Step(api, now) }}, eps,
+		phase{budgetNS: budget, done: allDone(clis)})
+	for _, c := range clis {
+		res.Issued += c.Issued()
+		res.Completed += c.Completed()
+		res.Deferred += c.Deferred()
+		if d, ok := c.(*app.DNSClient); ok {
+			res.Timeouts += d.Timeouts()
+			res.Failed += d.Failed()
+		}
+		res.RunNS = max(res.RunNS, c.RunNS())
+	}
+	if err != nil {
 		return res, err
 	}
-	if errno := srvErr(); errno != hostos.OK {
-		return res, fmt.Errorf("core: scenario 9 server failed: %v", errno)
-	}
-	for i, c := range checks {
-		if errno := c.Err(); errno != hostos.OK {
-			return res, fmt.Errorf("core: scenario 9 worker %d failed: %v", i, errno)
-		}
-	}
-
 	// Merge the per-worker (per-shard) histograms for the report.
 	var merged stats.Histogram
 	for _, h := range hists {
@@ -416,9 +324,6 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (res Scenario9Result, err
 	res.P999NS = merged.Quantile(0.999)
 	res.Stats = s.Sharded.Stats()
 	res.Obs = s.Obs
-	if err = s.CloseObs(); err != nil {
-		return res, err
-	}
 	return res, nil
 }
 
@@ -427,16 +332,15 @@ const DefaultScenario9Duration = int64(500e6)
 
 // RunScenario9 measures one configuration on a fresh virtual testbed.
 func RunScenario9(cfg Scenario9Config) (Scenario9Result, error) {
-	s, err := NewScenario9(sim.NewVClock(), cfg)
-	if err != nil {
-		return Scenario9Result{}, err
-	}
-	return Scenario9Run(s, cfg)
+	return fresh(NewScenario9, cfg, func(s *testbed.Bed) (Scenario9Result, error) {
+		return Scenario9Run(s, cfg)
+	})
 }
 
 // RunScenario9RateSweep measures the open-loop offered-rate ladder in
-// both Baseline and capability mode.
-func RunScenario9RateSweep(proto string, shards, conns int, rates []float64, link netem.Config, durationNS int64) ([]Scenario9Result, error) {
+// both Baseline and capability mode. An optional SweepObs instruments
+// every point's bed and exports its trace, timeseries and captures.
+func RunScenario9RateSweep(proto string, shards, conns int, rates []float64, link netem.Config, durationNS int64, obsOpt ...SweepObs) ([]Scenario9Result, error) {
 	var cells []Scenario9Config
 	for _, capMode := range []bool{false, true} {
 		for _, rate := range rates {
@@ -446,19 +350,12 @@ func RunScenario9RateSweep(proto string, shards, conns int, rates []float64, lin
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario9Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario9(cfg)
-		if err != nil {
-			return r, fmt.Errorf("%s rate=%.0f cap=%v: %w", cfg.Proto, cfg.Rate, cfg.CapMode, err)
-		}
-		return r, nil
-	})
+	return sweepScenario9(cells, obsOpt)
 }
 
 // RunScenario9ConcurrencySweep measures the closed-loop concurrency
 // ladder in both Baseline and capability mode.
-func RunScenario9ConcurrencySweep(proto string, shards int, concs []int, link netem.Config, durationNS int64) ([]Scenario9Result, error) {
+func RunScenario9ConcurrencySweep(proto string, shards int, concs []int, link netem.Config, durationNS int64, obsOpt ...SweepObs) ([]Scenario9Result, error) {
 	var cells []Scenario9Config
 	for _, capMode := range []bool{false, true} {
 		for _, conc := range concs {
@@ -468,14 +365,26 @@ func RunScenario9ConcurrencySweep(proto string, shards int, concs []int, link ne
 			})
 		}
 	}
-	return RunCells(Parallelism(), len(cells), func(i int) (Scenario9Result, error) {
-		cfg := cells[i]
-		r, err := RunScenario9(cfg)
-		if err != nil {
-			return r, fmt.Errorf("%s conc=%d cap=%v: %w", cfg.Proto, cfg.Conns, cfg.CapMode, err)
-		}
-		return r, nil
-	})
+	return sweepScenario9(cells, obsOpt)
+}
+
+func sweepScenario9(cells []Scenario9Config, obsOpt []SweepObs) ([]Scenario9Result, error) {
+	return sweepObserved(cells, obsOpt, scenario9Label,
+		func(cfg Scenario9Config, spec testbed.ObsSpec) (Scenario9Result, error) {
+			cfg.Obs = spec
+			return RunScenario9(cfg)
+		},
+		func(r Scenario9Result) *obs.Obs { return r.Obs })
+}
+
+// scenario9Label names one sweep point in errors and export filenames,
+// e.g. "s9_http_cheri_open20000" or "s9_dns_baseline_closed8".
+func scenario9Label(cfg Scenario9Config) string {
+	load := fmt.Sprintf("closed%d", cfg.Conns)
+	if cfg.Rate > 0 {
+		load = fmt.Sprintf("open%.0f", cfg.Rate)
+	}
+	return fmt.Sprintf("s9_%s_%s_%s", cfg.Proto, modeName(cfg.CapMode), load)
 }
 
 // FormatScenario9 renders a sweep: per-request latency quantiles
@@ -487,15 +396,11 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 	if len(results) > 0 {
 		r := results[0]
 		fmt.Fprintf(&b, "(port %.0f Gbit/s, %d shards, per-request latency merged across shards)\n",
-			s9LineRate/1e9, r.Shards)
+			s4LineRate/1e9, r.Shards)
 	}
 	fmt.Fprintf(&b, "  %-9s %-14s %9s %9s %9s %9s %5s %6s\n",
 		"Mode", "Load", "Done/s", "p50(µs)", "p99(µs)", "p999(µs)", "tmo", "drops")
 	for _, r := range results {
-		mode := "baseline"
-		if r.CapMode {
-			mode = "cheri"
-		}
 		load := fmt.Sprintf("closed ×%d", r.Conns)
 		if r.Rate > 0 {
 			load = fmt.Sprintf("open %.0f/s", r.Rate)
@@ -508,7 +413,7 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 			note += fmt.Sprintf("  (%d failed)", r.Failed)
 		}
 		fmt.Fprintf(&b, "  %-9s %-14s %9.0f %9.1f %9.1f %9.1f %5d %6d%s\n",
-			mode, load, r.CompletedPerSec(),
+			modeName(r.CapMode), load, r.CompletedPerSec(),
 			float64(r.P50NS)/1e3, float64(r.P99NS)/1e3, float64(r.P999NS)/1e3,
 			r.Timeouts, r.Drops(), note)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/testbed"
 )
@@ -94,4 +95,79 @@ func NewScenario3(clk hostos.Clock) (*Setup, error) {
 		},
 		Peers: []testbed.PeerSpec{{Port: 0}},
 	})
+}
+
+// boxSpec is the topology Scenarios 4-9 share, and the only part of
+// their specs that differs: one compartment — a process, or cVM "cvm1"
+// in capability mode — owning port 0 of a one-port machine, and one
+// link partner at the same line rate, over a wire or a netem link.
+type boxSpec struct {
+	// name is the compartment's name; "" names it after its mode
+	// ("proc" / "cvm1").
+	name    string
+	capMode bool
+	// lineRate and rxFifo size the port (0 = the paper's 82576).
+	lineRate float64
+	rxFifo   int
+	// memBytes, cvmBytes, segBytes and poolBufs size the local machine
+	// and compartment; peerSeg and peerPool the peer's environment
+	// (0 = the testbed's sizing).
+	memBytes, cvmBytes, segBytes uint64
+	poolBufs                     int
+	peerSeg                      uint64
+	peerPool                     int
+	stack, peerStack             testbed.StackSpec
+	link                         *testbed.LinkSpec
+	obs                          testbed.ObsSpec
+}
+
+func (b boxSpec) build(clk hostos.Clock) (*Setup, error) {
+	name := b.name
+	if name == "" {
+		name = "proc"
+		if b.capMode {
+			name = "cvm1"
+		}
+	}
+	return testbed.Build(testbed.Spec{
+		Clk: clk,
+		Machine: testbed.MachineSpec{
+			Name: "morello", MemBytes: b.memBytes, Ports: 1,
+			LineRateBps: b.lineRate, RxFifoBytes: b.rxFifo, CapDMA: b.capMode,
+		},
+		Compartments: []testbed.CompartmentSpec{{
+			Name: name, CVM: b.capMode, CVMName: "cvm1",
+			CVMBytes: b.cvmBytes, SegBytes: b.segBytes, PoolBufs: b.poolBufs,
+			Ifs:   []testbed.IfSpec{{Port: 0}},
+			Stack: b.stack,
+		}},
+		Peers: []testbed.PeerSpec{{
+			Port: 0, LineRateBps: b.lineRate,
+			SegBytes: b.peerSeg, PoolBufs: b.peerPool,
+			Link: b.link, Stack: b.peerStack,
+		}},
+		Obs: b.obs,
+	})
+}
+
+// modernTuning is the stack configuration the paper's port lacks:
+// RFC 2018 SACK, RFC 7323 window scaling by wscale, both socket buffers
+// at bufBytes, and the named congestion controller ("" = reno).
+func modernTuning(bufBytes int, wscale uint8, cc string) *fstack.TCPTuning {
+	return &fstack.TCPTuning{
+		SACK: true, WindowScale: wscale,
+		SndBufBytes: bufBytes, RcvBufBytes: bufBytes,
+		Congestion: cc,
+	}
+}
+
+// connTuning is the connection-plane configuration of Scenarios 8-10:
+// small lazily-backed socket buffers of bufBytes and a bounded
+// half-open cache, with or without SACK.
+func connTuning(sack bool, bufBytes, synCache int) *fstack.TCPTuning {
+	return &fstack.TCPTuning{
+		SACK:        sack,
+		SndBufBytes: bufBytes, RcvBufBytes: bufBytes,
+		LazyBuffers: true, SynCacheSize: synCache,
+	}
 }

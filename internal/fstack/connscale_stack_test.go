@@ -129,11 +129,7 @@ func TestPollVisitOrderIsCreationOrder(t *testing.T) {
 		}
 	}
 	var w pcapBuffer
-	pw, err := NewPcapWriter(&w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.stkA.SetTap(pw)
+	e.stkA.SetTap(newPcapTap(t, &w))
 	e.stkA.PollOnce()
 	e.stkA.SetTap(nil)
 

@@ -3,10 +3,34 @@ package fstack
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"repro/internal/hostos"
+	"repro/internal/obs"
 )
+
+// The libpcap header fields parsePcap checks (the writer lives in
+// internal/obs, whose own test pins the format).
+const (
+	pcapMagic    = 0xa1b2c3d4
+	pcapEthernet = 1
+)
+
+// pcapTap captures every frame a stack sees, both directions, through
+// the shared capture writer.
+type pcapTap struct{ *obs.PcapWriter }
+
+func (p pcapTap) Frame(_ TapDir, tsNS int64, data []byte) { _ = p.WritePacket(tsNS, data) }
+
+func newPcapTap(t *testing.T, w io.Writer) pcapTap {
+	t.Helper()
+	pw, err := obs.NewPcapWriter(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pcapTap{pw}
+}
 
 // parsePcap decodes a classic libpcap stream back into frames.
 func parsePcap(t *testing.T, raw []byte) [][]byte {
@@ -37,39 +61,10 @@ func parsePcap(t *testing.T, raw []byte) [][]byte {
 	return frames
 }
 
-func TestPcapWriterFormat(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewPcapWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(1_500_000_123, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(2_000_000_000, bytes.Repeat([]byte{0xAB}, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 2 || w.Err() != nil {
-		t.Fatalf("count=%d err=%v", w.Count(), w.Err())
-	}
-	frames := parsePcap(t, buf.Bytes())
-	if len(frames) != 2 || len(frames[0]) != 4 || len(frames[1]) != 100 {
-		t.Fatalf("frames: %d", len(frames))
-	}
-	// Timestamp of the first record: 1 s, 500000 µs.
-	raw := buf.Bytes()[24:]
-	if binary.LittleEndian.Uint32(raw) != 1 || binary.LittleEndian.Uint32(raw[4:]) != 500000 {
-		t.Fatal("timestamp encoding wrong")
-	}
-}
-
 func TestStackTapCapturesTraffic(t *testing.T) {
 	e := newEnv(t, false)
 	var buf bytes.Buffer
-	w, err := NewPcapWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newPcapTap(t, &buf)
 	e.stkA.SetTap(w)
 	cfd, afd := e.connectPair(5001)
 	msg := bytes.Repeat([]byte{0x33}, 4000)
