@@ -26,9 +26,10 @@ type API interface {
 }
 
 const (
-	// evBuf is sized past any reachable ready-set so EpollWait never
-	// truncates: a truncated wait returns a map-ordered (random) subset
-	// and the run stops being deterministic.
+	// evBuf is sized past any reachable ready-set so one EpollWait
+	// reports all of it: a truncated wait leaves the rest queued for the
+	// next call, which would spread an instant's events over app steps
+	// and move the virtual results the goldens pin.
 	evBuf = 4096
 	// maxOutstanding bounds an open-loop client's in-flight requests.
 	// Past it, pace slots are counted as deferred instead of issued, so

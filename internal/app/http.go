@@ -154,7 +154,7 @@ func (s *HTTPServer) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
-	// EpollWait ranges a map: sort so equal runs process equal orders.
+	// EpollWait reports in wake order; the goldens pin descriptor order.
 	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
 		if ev.FD == s.lfd {

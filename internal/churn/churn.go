@@ -51,9 +51,10 @@ const (
 	maxInflight = 256
 	// payloadBytes is one short flow's request size.
 	payloadBytes = 64
-	// evBuf is sized past any reachable ready-set so EpollWait never
-	// truncates: a truncated wait returns a map-ordered (random) subset
-	// and the run stops being deterministic.
+	// evBuf is sized past any reachable ready-set so one EpollWait
+	// reports all of it: a truncated wait leaves the rest queued for the
+	// next call, which would spread an instant's events over app steps
+	// and move the virtual results the goldens pin.
 	evBuf = 4096
 )
 
@@ -162,7 +163,7 @@ func (s *Server) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
-	// EpollWait ranges a map: sort so equal runs process equal orders.
+	// EpollWait reports in wake order; the goldens pin descriptor order.
 	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
 		switch {

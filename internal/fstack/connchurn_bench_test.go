@@ -87,3 +87,53 @@ func churnCycle(b *testing.B, e *testEnv, lfd int) {
 		e.tick()
 	}
 }
+
+// sparseEpoll registers n bound datagram sockets for EPOLLIN on one
+// instance and settles the ready list, so all n are registered and
+// quiet; it returns the instance, the descriptors and the socket a
+// benchmark wakes.
+func sparseEpoll(tb testing.TB, s *Stack, n int) (epfd int, fds []int, hot *udpSock) {
+	epfd = s.EpollCreate()
+	for i := 0; i < n; i++ {
+		fd, errno := s.Socket(SockDgram)
+		if errno != hostos.OK {
+			tb.Fatal(errno)
+		}
+		if errno := s.Bind(fd, IPv4Addr{}, uint16(10000+i)); errno != hostos.OK {
+			tb.Fatal(errno)
+		}
+		if errno := s.EpollCtl(epfd, EpollCtlAdd, fd, EPOLLIN); errno != hostos.OK {
+			tb.Fatal(errno)
+		}
+		fds = append(fds, fd)
+	}
+	var evs [8]Event
+	if k, errno := s.EpollWait(epfd, evs[:]); errno != hostos.OK || k != 0 {
+		tb.Fatalf("quiet sockets reported: n=%d errno=%v", k, errno)
+	}
+	return epfd, fds, s.socks[fds[n/2]].udp
+}
+
+// BenchmarkEpollWaitSparse is the case the pushed ready list exists
+// for: 4096 registered descriptors, one of them ready. Each iteration
+// queues a datagram (the wake), waits, drains it, and waits again (the
+// call that drops the no-longer-ready entry) — a cost that must not
+// depend on the 4095 quiet registrations.
+func BenchmarkEpollWaitSparse(b *testing.B) {
+	e := newEnv(b, false)
+	s := e.stkB
+	epfd, _, hot := sparseEpoll(b, s, 4096)
+	var evs [8]Event
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hot.pushDgram(dgram{})
+		if k, _ := s.EpollWait(epfd, evs[:]); k != 1 || evs[0].FD != hot.sk.fd {
+			b.Fatalf("woken socket not reported: n=%d %v", k, evs[0])
+		}
+		hot.popDgram()
+		if k, _ := s.EpollWait(epfd, evs[:]); k != 0 {
+			b.Fatalf("drained socket still reported: n=%d", k)
+		}
+	}
+}

@@ -6,20 +6,32 @@
 // connections cheap.
 package connscale
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Wheel geometry. Three levels of 256 slots each; with the default
 // tick of 1<<16 ns (~65.5 µs) the levels span ~16.8 ms, ~4.3 s and
 // ~1100 s — delayed ACKs and RTO floors land in level 0, initial RTOs
 // and TIME_WAIT in level 1, and only pathological backoffs reach
-// level 2. Deadlines past the top level are parked in its last slot
-// and re-sorted as the cursor approaches (cascading keeps firing
-// exact regardless).
+// level 2. Deadlines past the top level wait on an overflow list,
+// bookkept as one more level with a single slot, and are re-sorted
+// every time the top level's cursor moves — so they enter the wheel
+// proper a full revolution before they are due. (Clamping them into
+// the top level's last slot instead would break the rule NextDeadline
+// rests on: once the cursor moves on, that slot is scanned before a
+// later one that may hold a nearer deadline.)
 const (
 	slotBits  = 8
 	numSlots  = 1 << slotBits
 	slotMask  = numSlots - 1
 	numLevels = 3
+
+	overflow = numLevels                  // level index of the overflow list
+	numLists = numLevels*numSlots + 1     // every slot, then the overflow list
+	occWords = numSlots / 64              // occupancy bitmap words per level
+	topShift = slotBits * (numLevels - 1) // tick -> top-level cursor
 )
 
 // DefaultTickShift is the tick granularity fstack uses: 1<<16 ns.
@@ -47,11 +59,12 @@ type item[T any] struct {
 
 // Wheel is a hierarchical timing wheel over an int64 nanosecond clock.
 // Insert and Remove are O(1); Advance is bounded by the slots crossed
-// (at most 256 per level) plus the entries actually due; NextDeadline
-// is O(1) while the cached minimum holds and recomputes in at most
-// numLevels*numSlots slot probes when it does not. Firing is exact:
-// entries carry their precise deadline, and Advance only fires those
-// with deadline <= now — the tick merely buckets them.
+// (at most 256 per level) plus the entries actually due. NextDeadline
+// is exact, and O(1) while every level's cached minimum holds; a level
+// whose minimum left re-walks its own first occupied slot — found
+// through an occupancy bitmap, not by probing — and no other level's.
+// Firing is exact: entries carry their precise deadline, and Advance
+// only fires those with deadline <= now — the tick merely buckets them.
 //
 // Not safe for concurrent use; fstack drives it under the stack mutex.
 type Wheel[T any] struct {
@@ -59,18 +72,30 @@ type Wheel[T any] struct {
 	start   int64
 	curTick int64
 
-	slots [numLevels * numSlots]Handle
+	slots [numLists]Handle
 	items []item[T]
 	free  Handle
 
 	size      int
-	levelSize [numLevels]int
+	levelSize [numLevels + 1]int
+	// occ holds one bit per slot, set while the slot's list is non-empty.
+	occ [numLevels + 1][occWords]uint64
 
-	// minCache is the exact earliest deadline while minValid; Insert
-	// keeps it current, and removing or firing an entry at (or below)
-	// it invalidates for a lazy recompute.
-	minCache int64
-	minValid bool
+	// minCache[k] is the exact earliest deadline on level k while
+	// minValid[k] (math.MaxInt64 for an empty level). One cache per
+	// level, not one for the wheel: the entry that leaves most often is
+	// a short level-0 timer, and finding its successor must not re-walk
+	// a level-1 slot holding hundreds of cold TIME_WAIT entries — with a
+	// single cache that walk ran several times per flow over a slot
+	// whose population grows with the flow rate. place lowers a level's
+	// cache; an entry leaving at (or below) it invalidates that level
+	// alone, for a lazy recompute.
+	minCache [numLevels + 1]int64
+	minValid [numLevels + 1]bool
+
+	// walked counts the entries recomputeMin has visited; the fat-slot
+	// regression test asserts on it.
+	walked uint64
 }
 
 // New builds a wheel whose tick is 1<<tickShift nanoseconds, with the
@@ -80,6 +105,9 @@ func New[T any](startNS int64, tickShift uint) *Wheel[T] {
 	w := &Wheel[T]{shift: tickShift, start: startNS, free: None}
 	for i := range w.slots {
 		w.slots[i] = None
+	}
+	for k := range w.minCache {
+		w.minCache[k], w.minValid[k] = math.MaxInt64, true
 	}
 	return w
 }
@@ -106,9 +134,6 @@ func (w *Wheel[T]) Insert(deadline int64, v T) Handle {
 	it.value = v
 	w.place(h, deadline)
 	w.size++
-	if w.minValid && deadline < w.minCache {
-		w.minCache = deadline
-	}
 	return h
 }
 
@@ -120,9 +145,8 @@ func (w *Wheel[T]) Remove(h Handle) {
 		panic("connscale: Remove of dead timer handle")
 	}
 	w.unlink(h)
-	w.dropMin(it.deadline)
+	w.leave(int(it.slot)/numSlots, it.deadline)
 	w.size--
-	w.levelSize[it.slot/numSlots]--
 	w.freeItem(h)
 }
 
@@ -176,37 +200,54 @@ func (w *Wheel[T]) Advance(now int64, fire func(T)) {
 			}
 		}
 	}
+	// The overflow list is re-sorted whenever the top level's window
+	// moved: whatever the window now reaches drops into the wheel.
+	if w.levelSize[overflow] > 0 && t>>topShift != old>>topShift {
+		w.cascade(overflow, 0, now, fire)
+	}
 }
 
 // NextDeadline returns the exact earliest deadline held, or
-// math.MaxInt64 when the wheel is empty.
+// math.MaxInt64 when the wheel is empty. Levels overlap in time near
+// their boundaries, so it is the least of the per-level minima.
 func (w *Wheel[T]) NextDeadline() int64 {
-	if w.size == 0 {
-		return math.MaxInt64
+	m := int64(math.MaxInt64)
+	for k := range w.minCache {
+		if !w.minValid[k] {
+			w.recomputeMin(k)
+		}
+		m = min(m, w.minCache[k])
 	}
-	if !w.minValid {
-		w.recomputeMin()
-	}
-	return w.minCache
+	return m
 }
 
 // place buckets a live item by its deadline relative to the current
-// cursor: the first level whose 256-slot window reaches the deadline's
-// tick, with the top level's last slot catching everything farther.
+// cursor — the first level whose 256-slot window reaches the
+// deadline's tick, or the overflow list past the top level — and
+// lowers that level's cached minimum.
 func (w *Wheel[T]) place(h Handle, deadline int64) {
 	t := w.tickOf(deadline)
-	for k := 0; k < numLevels; k++ {
-		shift := uint(slotBits * k)
-		cursor := w.curTick >> shift
-		v := t >> shift
-		if v < cursor+numSlots || k == numLevels-1 {
-			if v >= cursor+numSlots {
-				v = cursor + numSlots - 1
-			}
-			w.push(k*numSlots+int(v&slotMask), h)
-			w.levelSize[k]++
-			return
+	k, idx := overflow, numLists-1
+	for l := 0; l < numLevels; l++ {
+		shift := uint(slotBits * l)
+		if v := t >> shift; v < w.curTick>>shift+numSlots {
+			k, idx = l, l*numSlots+int(v&slotMask)
+			break
 		}
+	}
+	w.push(idx, h)
+	w.levelSize[k]++
+	if w.minValid[k] && deadline < w.minCache[k] {
+		w.minCache[k] = deadline
+	}
+}
+
+// leave accounts for an entry leaving level k: one at (or below) the
+// level's cached minimum invalidates that level, and only that level.
+func (w *Wheel[T]) leave(k int, deadline int64) {
+	w.levelSize[k]--
+	if w.minValid[k] && deadline <= w.minCache[k] {
+		w.minValid[k] = false
 	}
 }
 
@@ -220,9 +261,8 @@ func (w *Wheel[T]) expire(slot int, now int64, fire func(T)) {
 		if it.deadline <= now {
 			v := it.value
 			w.unlink(h)
-			w.dropMin(it.deadline)
+			w.leave(0, it.deadline)
 			w.size--
-			w.levelSize[0]--
 			w.freeItem(h)
 			fire(v)
 		}
@@ -230,19 +270,19 @@ func (w *Wheel[T]) expire(slot int, now int64, fire func(T)) {
 	}
 }
 
-// cascade empties one upper-level slot: due entries fire, the rest are
-// re-placed relative to the new cursor (dropping to a lower level).
+// cascade empties one upper-level slot (or the overflow list): due
+// entries fire, the rest are re-placed relative to the new cursor.
 func (w *Wheel[T]) cascade(level, slot int, now int64, fire func(T)) {
 	idx := level*numSlots + slot
 	h := w.slots[idx]
 	w.slots[idx] = None
+	w.clearOcc(idx)
 	for h != None {
 		it := &w.items[h]
 		next := it.next
-		w.levelSize[level]--
+		w.leave(level, it.deadline)
 		if it.deadline <= now {
 			v := it.value
-			w.dropMin(it.deadline)
 			w.size--
 			w.freeItem(h)
 			fire(v)
@@ -254,43 +294,38 @@ func (w *Wheel[T]) cascade(level, slot int, now int64, fire func(T)) {
 	}
 }
 
-// recomputeMin rebuilds the cached minimum. Within one level, slots
-// scanned outward from the cursor hold strictly increasing ticks, so
-// the first non-empty slot contains that level's minimum; levels
-// overlap in time near their boundaries, so the global minimum is the
-// min across the per-level minima.
-func (w *Wheel[T]) recomputeMin() {
+// recomputeMin rebuilds level k's cached minimum. Slots scanned outward
+// from the level's cursor hold strictly increasing ticks, so the first
+// occupied one contains the level's minimum: that one slot is walked
+// and nothing else.
+func (w *Wheel[T]) recomputeMin(k int) {
 	m := int64(math.MaxInt64)
-	for k := 0; k < numLevels; k++ {
-		if w.levelSize[k] == 0 {
-			continue
-		}
-		shift := uint(slotBits * k)
-		cursor := w.curTick >> shift
-		for i := int64(0); i < numSlots; i++ {
-			idx := k*numSlots + int((cursor+i)&slotMask)
-			h := w.slots[idx]
-			if h == None {
-				continue
-			}
-			for ; h != None; h = w.items[h].next {
-				if d := w.items[h].deadline; d < m {
-					m = d
-				}
-			}
-			break
+	if w.levelSize[k] > 0 {
+		from := int(w.curTick >> uint(slotBits*k) & slotMask)
+		for h := w.slots[k*numSlots+w.firstOccupied(k, from)]; h != None; h = w.items[h].next {
+			m = min(m, w.items[h].deadline)
+			w.walked++
 		}
 	}
-	w.minCache = m
-	w.minValid = true
+	w.minCache[k], w.minValid[k] = m, true
 }
 
-// dropMin invalidates the cached minimum when an entry at (or below)
-// it leaves the wheel.
-func (w *Wheel[T]) dropMin(deadline int64) {
-	if w.minValid && deadline <= w.minCache {
-		w.minValid = false
+// firstOccupied returns the first occupied slot of non-empty level k at
+// or after slot from, wrapping around the level.
+func (w *Wheel[T]) firstOccupied(k, from int) int {
+	occ := &w.occ[k]
+	word := from >> 6
+	if m := occ[word] >> uint(from&63); m != 0 {
+		return from + bits.TrailingZeros64(m)
 	}
+	// The last round re-reads the starting word, for its bits below from.
+	for i := 1; i <= occWords; i++ {
+		wi := (word + i) % occWords
+		if m := occ[wi]; m != 0 {
+			return wi<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("connscale: occupancy bitmap out of step with level size")
 }
 
 // alloc takes an item off the free list, growing the backing slice
@@ -318,6 +353,10 @@ func (w *Wheel[T]) freeItem(h Handle) {
 	w.free = h
 }
 
+// setOcc / clearOcc maintain the occupancy bit of a flattened slot index.
+func (w *Wheel[T]) setOcc(idx int)   { w.occ[idx/numSlots][idx&slotMask>>6] |= 1 << uint(idx&63) }
+func (w *Wheel[T]) clearOcc(idx int) { w.occ[idx/numSlots][idx&slotMask>>6] &^= 1 << uint(idx&63) }
+
 // push links an item at the head of a slot list.
 func (w *Wheel[T]) push(idx int, h Handle) {
 	it := &w.items[h]
@@ -327,6 +366,7 @@ func (w *Wheel[T]) push(idx int, h Handle) {
 		w.items[it.next].prev = h
 	}
 	w.slots[idx] = h
+	w.setOcc(idx)
 	it.slot = int32(idx)
 }
 
@@ -337,6 +377,9 @@ func (w *Wheel[T]) unlink(h Handle) {
 		w.items[it.prev].next = it.next
 	} else {
 		w.slots[it.slot] = it.next
+		if it.next == None {
+			w.clearOcc(int(it.slot))
+		}
 	}
 	if it.next != None {
 		w.items[it.next].prev = it.prev

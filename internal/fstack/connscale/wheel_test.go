@@ -100,17 +100,24 @@ func TestWheelRandomized(t *testing.T) {
 	}
 	live := map[int]ref{}
 	now, nextID := int64(0), 0
-	for step := 0; step < 20000; step++ {
+	for step := 0; step < 40000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 5: // insert at a mixed-scale future offset
 			var off int64
-			switch rng.Intn(3) {
+			switch rng.Intn(6) {
 			case 0:
 				off = rng.Int63n(1 << 20) // within level 0
 			case 1:
 				off = rng.Int63n(1 << 28) // level 1 territory
-			default:
+			case 2:
 				off = rng.Int63n(1 << 34) // level 2 territory
+			case 3: // straddling a level's far edge (level 0/1, 1/2, 2/clamp)
+				edge := int64(1) << (DefaultTickShift + slotBits*(1+rng.Intn(numLevels)))
+				off = edge - 1<<18 + rng.Int63n(1<<19)
+			case 4: // past the top level: the far clamp
+				off = 1<<(DefaultTickShift+slotBits*numLevels) + rng.Int63n(1<<42)
+			default: // already due
+				off = -rng.Int63n(1 << 20)
 			}
 			d := now + off
 			live[nextID] = ref{deadline: d, h: w.Insert(d, nextID)}
@@ -123,6 +130,9 @@ func TestWheelRandomized(t *testing.T) {
 			}
 		default: // advance by a random leap
 			now += rng.Int63n(1 << 24)
+			if rng.Intn(200) == 0 {
+				now += rng.Int63n(1 << 41) // a leap across top-level slots
+			}
 			fired := map[int]bool{}
 			w.Advance(now, func(id int) { fired[id] = true })
 			for id, rf := range live {
@@ -173,4 +183,77 @@ func TestWheelSteadyStateNoGrowth(t *testing.T) {
 	if len(w.items) != high {
 		t.Fatalf("items grew from %d to %d in steady state", high, len(w.items))
 	}
+}
+
+// TestWheelFarClampBehindNearerEntry: a deadline parked past the top
+// level must not hide a nearer one filed after the cursor moved on.
+func TestWheelFarClampBehindNearerEntry(t *testing.T) {
+	w := New[int](0, DefaultTickShift)
+	const topSlot = int64(1) << (DefaultTickShift + slotBits*(numLevels-1))
+	w.Insert(512*topSlot, 1) // two revolutions out
+	w.Advance(topSlot, func(int) {})
+	w.Insert(256*topSlot, 2) // the last slot the top level now reaches
+	w.Remove(w.Insert(topSlot+5, 3))
+	if d := w.NextDeadline(); d != 256*topSlot {
+		t.Fatalf("NextDeadline = %d, want %d", d, 256*topSlot)
+	}
+	if got := collect(w, 256*topSlot); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("fired %v, want [2]", got)
+	}
+	if got := collect(w, 512*topSlot); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("fired %v, want [1]", got)
+	}
+}
+
+// fatSlotWheel files n cold entries in one level-1 slot — the shape a
+// churn run's TIME_WAIT population takes — and settles the caches.
+func fatSlotWheel(n int) *Wheel[int] {
+	w := New[int](0, DefaultTickShift)
+	const level1Slot = int64(1) << (DefaultTickShift + slotBits)
+	for i := 0; i < n; i++ {
+		w.Insert(3*level1Slot+int64(i), i)
+	}
+	w.NextDeadline()
+	return w
+}
+
+// TestWheelFatSlotStaysCold is the regression the per-level minimum
+// exists for: a short level-0 timer coming and going (every handshake
+// of a churn run) must not re-walk the fat level-1 slot behind it.
+func TestWheelFatSlotStaysCold(t *testing.T) {
+	const fat, cycles = 10_000, 1000
+	w := fatSlotWheel(fat)
+	before := w.walked
+	for i := 0; i < cycles; i++ {
+		d := int64(1000 + i)
+		h := w.Insert(d, -1)
+		if got := w.NextDeadline(); got != d {
+			t.Fatalf("cycle %d: NextDeadline = %d with the level-0 entry in, want %d", i, got, d)
+		}
+		w.Remove(h)
+		if got, want := w.NextDeadline(), 3*int64(1)<<(DefaultTickShift+slotBits); got != want {
+			t.Fatalf("cycle %d: NextDeadline = %d after Remove, want %d", i, got, want)
+		}
+	}
+	// Each Remove invalidates level 0 alone, and level 0 is then empty.
+	if walked := w.walked - before; walked > cycles {
+		t.Fatalf("recomputeMin visited %d entries over %d cycles; the %d-entry level-1 slot is being re-walked",
+			walked, cycles, fat)
+	}
+}
+
+// BenchmarkWheelNextDeadlineFatSlot times one level-0 arm / query /
+// disarm / query cycle in front of a fat level-1 slot.
+func BenchmarkWheelNextDeadlineFatSlot(b *testing.B) {
+	w := fatSlotWheel(10_000)
+	var sink int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := w.Insert(int64(1000+i&1023), -1)
+		sink += w.NextDeadline()
+		w.Remove(h)
+		sink += w.NextDeadline()
+	}
+	_ = sink
 }

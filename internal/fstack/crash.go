@@ -71,8 +71,8 @@ func (s *Stack) Crash() {
 
 	// Epoll: registrations are fully dropped — a restarted application
 	// re-registers from scratch. The instances (and their fds) remain.
-	for _, ep := range s.epolls {
-		clear(ep.interest)
+	for _, sk := range s.socks {
+		s.unregister(sk, nil)
 	}
 
 	// Half-open connections die silently; freeing every entry empties

@@ -13,7 +13,10 @@
 //     Accept, Connect, Read, Write, Close) plus an epoll-style event
 //     API. All calls are non-blocking; readiness is reported through
 //     epoll, which is how the paper's iperf3 port works after its
-//     select->epoll conversion (§III-B).
+//     select->epoll conversion (§III-B). Readiness is pushed onto a
+//     per-instance ready list by the sites that raise it, so EpollWait
+//     costs what is ready, not what is registered (epoll.go,
+//     DESIGN.md §10).
 //
 //   - API calls and the main loop are serialized by one stack mutex.
 //     In Baseline and Scenario 1 the application runs inside the loop

@@ -19,9 +19,9 @@ type testEnv struct {
 	stkB *Stack
 }
 
-// buildMachine makes one machine: memory, card, segment, pool, ethdev,
-// stack.
-func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IPv4Addr, capMode bool) (*Stack, *nic.Card) {
+// buildDevice makes one machine up to its started ethdev: memory, card,
+// segment, pool, and nq RX/TX queue pairs.
+func buildDevice(t testing.TB, clk *sim.VClock, bdf string, macLast byte, capMode bool, nq int) (*dpdk.MemSeg, *dpdk.Mempool, *dpdk.EthDev, *nic.Card) {
 	t.Helper()
 	mem := cheri.NewTMem(16 << 20)
 	pci := hostos.NewPCI()
@@ -62,15 +62,37 @@ func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IP
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Configure(256, 256, pool); err != nil {
+	if err := dev.ConfigureQueues(nq, 256, 256, pool); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.Start(); err != nil {
 		t.Fatal(err)
 	}
+	return seg, pool, dev, card
+}
+
+// buildMachine makes one machine: a single-queue device under one stack.
+func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IPv4Addr, capMode bool) (*Stack, *nic.Card) {
+	t.Helper()
+	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, capMode, 1)
 	stk := NewStack(seg, pool, clk)
 	stk.AddNetIF("eth0", dev, ip, IP4(255, 255, 255, 0))
 	return stk, card
+}
+
+// buildShardedMachine is buildMachine with nq queue pairs under a
+// ShardedStack.
+func buildShardedMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IPv4Addr, nq int) (*ShardedStack, *nic.Card) {
+	t.Helper()
+	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, false, nq)
+	ss, err := NewShardedStack(nq, seg, pool, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.AddNetIF("eth0", dev, ip, IP4(255, 255, 255, 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	return ss, card
 }
 
 // newEnv builds the rig.

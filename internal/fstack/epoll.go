@@ -27,8 +27,109 @@ type Event struct {
 // sockets. The paper's iperf3 port replaced select with this mechanism
 // (§III-B); in a poll-mode stack Wait never blocks — the main loop is
 // the thing that makes progress.
+//
+// Readiness is pushed, not polled. The instance holds no interest table
+// to scan: a registration hangs off its socket, and every site that can
+// raise a bit of socket.readiness calls socket.wake, which queues the
+// socket's registrations on their instances' ready lists. EpollWait
+// walks that list only, so a descriptor that is registered but quiet
+// costs nothing. Lowering a bit needs no call: Wait re-evaluates the
+// predicate and drops what is no longer ready.
 type epollInstance struct {
-	interest map[int]uint32
+	// ready is the sentinel of the circular ready list, oldest wake
+	// first.
+	ready epollReg
+}
+
+// epollReg is one socket's registration with one instance. Pooled per
+// stack (regFree) and chained intrusively, so registering allocates
+// nothing at steady state and the socket struct carries one pointer.
+type epollReg struct {
+	ep   *epollInstance
+	sk   *socket
+	want uint32
+
+	// nextSk chains the registrations of one socket, one per instance
+	// watching it (and the stack's free list).
+	nextSk *epollReg
+	// prev/next link the registration into ep's ready list; nil while
+	// it is not queued.
+	prev, next *epollReg
+}
+
+// regSlabLen is how many registrations one pool refill allocates: a run
+// that parks tens of thousands of registered connections pays one
+// allocation per slab, not one per connection.
+const regSlabLen = 128
+
+// queue appends r to its instance's ready list unless it is already on
+// it.
+func (r *epollReg) queue() {
+	if r.next != nil {
+		return
+	}
+	head := &r.ep.ready
+	r.prev, r.next = head.prev, head
+	head.prev.next = r
+	head.prev = r
+}
+
+// unqueue takes r off its instance's ready list, if it is on it.
+func (r *epollReg) unqueue() {
+	if r.next == nil {
+		return
+	}
+	r.prev.next, r.next.prev = r.next, r.prev
+	r.prev, r.next = nil, nil
+}
+
+// wake queues every registration of sk for its instance's next Wait.
+// The contract that replaces the interest scan: every assignment that
+// can raise a bit of sk.readiness() is followed by a wake before the
+// stack mutex is released (DESIGN.md §10 lists the sites).
+func (sk *socket) wake() {
+	for r := sk.regs; r != nil; r = r.nextSk {
+		r.queue()
+	}
+}
+
+// wake queues the registrations of the connection's socket, if the
+// application holds one (not before Accept, not after Close).
+func (c *tcpConn) wake() {
+	if c.sk != nil {
+		c.sk.wake()
+	}
+}
+
+// allocReg takes a registration off the pool, refilling it a slab at a
+// time.
+func (s *Stack) allocReg() *epollReg {
+	if s.regFree == nil {
+		slab := make([]epollReg, regSlabLen)
+		for i := range slab[:regSlabLen-1] {
+			slab[i].nextSk = &slab[i+1]
+		}
+		s.regFree = &slab[0]
+	}
+	r := s.regFree
+	s.regFree = r.nextSk
+	return r
+}
+
+// unregister drops sk's registration with ep — with every instance when
+// ep is nil — and returns the structs to the pool.
+func (s *Stack) unregister(sk *socket, ep *epollInstance) {
+	for link := &sk.regs; *link != nil; {
+		r := *link
+		if ep != nil && r.ep != ep {
+			link = &r.nextSk
+			continue
+		}
+		*link = r.nextSk
+		r.unqueue()
+		*r = epollReg{nextSk: s.regFree}
+		s.regFree = r
+	}
 }
 
 // EpollCreate makes an epoll descriptor.
@@ -41,8 +142,20 @@ func (s *Stack) EpollCreate() int {
 func (s *Stack) epollCreateLocked() int {
 	fd := s.nextFD
 	s.nextFD++
-	s.epolls[fd] = &epollInstance{interest: make(map[int]uint32)}
+	ep := &epollInstance{}
+	ep.ready.prev, ep.ready.next = &ep.ready, &ep.ready
+	s.epolls[fd] = ep
 	return fd
+}
+
+// closeEpoll drops an instance and every registration with it. The one
+// operation here that walks the descriptor table: an application makes
+// an instance per lifetime, not per connection.
+func (s *Stack) closeEpoll(epfd int, ep *epollInstance) {
+	for _, sk := range s.socks {
+		s.unregister(sk, ep)
+	}
+	delete(s.epolls, epfd)
 }
 
 // EpollCtl manipulates the interest set.
@@ -57,29 +170,45 @@ func (s *Stack) epollCtlLocked(epfd, op, fd int, events uint32) hostos.Errno {
 	if !ok {
 		return hostos.EBADF
 	}
-	if _, ok := s.socks[fd]; !ok {
+	sk, ok := s.socks[fd]
+	if !ok {
 		return hostos.EBADF
+	}
+	r := sk.regs
+	for r != nil && r.ep != ep {
+		r = r.nextSk
 	}
 	switch op {
 	case EpollCtlAdd:
-		if _, dup := ep.interest[fd]; dup {
+		if r != nil {
 			return hostos.EINVAL
 		}
-		ep.interest[fd] = events
+		r = s.allocReg()
+		*r = epollReg{ep: ep, sk: sk, want: events, nextSk: sk.regs}
+		sk.regs = r
+		// Whatever the socket already holds (data that arrived before
+		// Accept, a completed connect) is reported by the next Wait.
+		r.queue()
 	case EpollCtlMod:
-		if _, ok := ep.interest[fd]; !ok {
+		if r == nil {
 			return hostos.ENOENT
 		}
-		ep.interest[fd] = events
+		r.want = events
+		r.queue() // the new mask may select a bit that is already up
 	case EpollCtlDel:
-		delete(ep.interest, fd)
+		s.unregister(sk, ep)
 	default:
 		return hostos.EINVAL
 	}
 	return hostos.OK
 }
 
-// EpollWait collects ready events (non-blocking).
+// EpollWait collects ready events (non-blocking), oldest wake first. It
+// visits only the registrations woken since they last reported nothing:
+// each is re-evaluated, reported and re-queued behind the others if
+// still ready (level-triggered), dropped from the list if not. When
+// more are ready than evs holds, the rest stay queued in order for the
+// next call — and lead it, since the reported ones went to the back.
 func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,25 +221,24 @@ func (s *Stack) epollWaitLocked(epfd int, evs []Event) (int, hostos.Errno) {
 		return -1, hostos.EBADF
 	}
 	n := 0
-	for fd, want := range ep.interest {
-		if n >= len(evs) {
-			break
-		}
-		got := s.readiness(fd) & (want | EPOLLERR | EPOLLHUP)
-		if got != 0 {
-			evs[n] = Event{FD: fd, Events: got}
+	last := ep.ready.prev // one pass: what follows it is re-queued by this call
+	for n < len(evs) && ep.ready.next != &ep.ready {
+		r := ep.ready.next
+		r.unqueue()
+		if got := r.sk.readiness() & (r.want | EPOLLERR | EPOLLHUP); got != 0 {
+			evs[n] = Event{FD: r.sk.fd, Events: got}
 			n++
+			r.queue()
+		}
+		if r == last {
+			break
 		}
 	}
 	return n, hostos.OK
 }
 
 // readiness computes the level-triggered event set of a socket.
-func (s *Stack) readiness(fd int) uint32 {
-	sk, ok := s.socks[fd]
-	if !ok {
-		return EPOLLERR
-	}
+func (sk *socket) readiness() uint32 {
 	var r uint32
 	switch {
 	case sk.lst != nil:

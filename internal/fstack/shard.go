@@ -328,8 +328,7 @@ type ShardedAPI struct {
 	fds    map[int]*shardedFD
 	rev    []map[int]int // per shard: shard fd -> logical fd
 	eph    uint16
-	rr     int     // round-robin shard target for outbound connections
-	tmp    []Event // EpollWait per-shard scratch, sized to the caller's buffer
+	rr     int // round-robin shard target for outbound connections
 }
 
 // API returns a sharded application view. Like a single Stack's
@@ -657,27 +656,21 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	if !ok || ep.kind != sfEpoll {
 		return -1, hostos.EBADF
 	}
-	// The scratch buffer matches the caller's: a smaller one would
-	// truncate a shard's ready set to a map-ordered (random) subset and
-	// make busy runs nondeterministic.
-	if len(a.tmp) < len(evs) {
-		a.tmp = make([]Event, len(evs))
-	}
+	// Each shard reports straight into what is left of the caller's
+	// buffer and the descriptors are translated in place: whatever does
+	// not fit stays queued on its shard, in order, for the next call.
 	n := 0
 	for i, s := range a.ss.shards {
-		if n >= len(evs) {
-			break
-		}
-		k, errno := s.EpollWait(ep.sub[i], a.tmp[:len(evs)])
+		k, errno := s.EpollWait(ep.sub[i], evs[n:])
 		if errno != hostos.OK {
 			return -1, errno
 		}
-		for j := 0; j < k && n < len(evs); j++ {
-			lfd, ok := a.rev[i][a.tmp[j].FD]
+		for _, ev := range evs[n : n+k] {
+			lfd, ok := a.rev[i][ev.FD]
 			if !ok {
 				continue // descriptor raced with Close
 			}
-			evs[n] = Event{FD: lfd, Events: a.tmp[j].Events}
+			evs[n] = Event{FD: lfd, Events: ev.Events}
 			n++
 		}
 	}

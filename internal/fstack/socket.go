@@ -17,6 +17,7 @@ const (
 // as a head-indexed ring over one slice so steady-state churn neither
 // allocates nor shifts elements.
 type listener struct {
+	sk       *socket // the listening descriptor, for its epoll wakes
 	ep       tcpEndpoint
 	backlog  int
 	halfOpen int
@@ -36,6 +37,7 @@ func (l *listener) pendingCount() int { return len(l.pending) - l.head }
 func (l *listener) pushPending(c *tcpConn) {
 	c.inPending = true
 	l.pending = append(l.pending, c)
+	l.sk.wake()
 }
 
 // popPending dequeues the oldest pending connection, recycling the
@@ -70,6 +72,7 @@ const udpPayloadMax = MTU - IPv4HeaderLen - UDPHeaderLen
 // array is reused once drained, so a steady query/answer exchange never
 // regrows it.
 type udpSock struct {
+	sk   *socket // the bound descriptor, for its epoll wakes
 	ep   tcpEndpoint
 	q    []dgram
 	head int
@@ -81,7 +84,10 @@ type udpSock struct {
 
 func (u *udpSock) queued() int { return len(u.q) - u.head }
 
-func (u *udpSock) pushDgram(d dgram) { u.q = append(u.q, d) }
+func (u *udpSock) pushDgram(d dgram) {
+	u.q = append(u.q, d)
+	u.sk.wake()
+}
 
 // popDgram removes the oldest datagram. Caller must check queued() > 0
 // and recycle d.data via freeDgramBuf when done with it.
@@ -112,16 +118,22 @@ func (s *Stack) freeDgramBuf(b []byte) {
 	s.dgramFree = append(s.dgramFree, b[:0])
 }
 
-// socket is one file descriptor.
+// socket is one file descriptor. Its size is part of Scenario 8's
+// bytes-per-idle-connection figure (Stack.RetainedBytes) and pinned by a
+// test: typ shares bound's word so the epoll chain head fits without
+// growing the struct.
 type socket struct {
 	fd  int
-	typ int
 	stk *Stack
 
 	bound tcpEndpoint
+	typ   int16     // SockStream or SockDgram
 	conn  *tcpConn  // stream, after connect/accept
 	lst   *listener // stream, after listen
 	udp   *udpSock  // dgram, after bind
+
+	// regs chains this descriptor's epoll registrations (epoll.go).
+	regs *epollReg
 }
 
 // The ff_* API. All calls are non-blocking and must run under the stack
@@ -142,7 +154,7 @@ func (s *Stack) socketLocked(typ int) (int, hostos.Errno) {
 	fd := s.nextFD
 	s.nextFD++
 	sk := s.allocSocket()
-	sk.fd, sk.typ = fd, typ
+	sk.fd, sk.typ = fd, int16(typ)
 	s.socks[fd] = sk
 	return fd, hostos.OK
 }
@@ -188,8 +200,9 @@ func (s *Stack) bindLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 		if _, dup := s.udps[ep]; dup {
 			return hostos.EADDRINUSE
 		}
-		sk.udp = &udpSock{ep: ep}
+		sk.udp = &udpSock{sk: sk, ep: ep}
 		s.udps[ep] = sk.udp
+		sk.wake() // a bound datagram socket is writable
 	}
 	sk.bound = ep
 	return hostos.OK
@@ -213,7 +226,7 @@ func (s *Stack) listenLocked(fd, backlog int) hostos.Errno {
 	if backlog < 1 {
 		backlog = 1
 	}
-	sk.lst = &listener{ep: sk.bound, backlog: backlog}
+	sk.lst = &listener{sk: sk, ep: sk.bound, backlog: backlog}
 	s.listeners[sk.bound] = sk.lst
 	return hostos.OK
 }
@@ -490,7 +503,7 @@ func (s *Stack) readCapLocked(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (in
 }
 
 // Close shuts a descriptor down: streams FIN, listeners stop, datagram
-// sockets unbind.
+// sockets unbind, epoll instances drop their registrations.
 func (s *Stack) Close(fd int) hostos.Errno {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -500,12 +513,14 @@ func (s *Stack) Close(fd int) hostos.Errno {
 func (s *Stack) closeLocked(fd int) hostos.Errno {
 	sk, ok := s.socks[fd]
 	if !ok {
+		if ep, ok := s.epolls[fd]; ok {
+			s.closeEpoll(fd, ep)
+			return hostos.OK
+		}
 		return hostos.EBADF
 	}
 	delete(s.socks, fd)
-	for _, ep := range s.epolls {
-		delete(ep.interest, fd)
-	}
+	s.unregister(sk, nil)
 	switch {
 	case sk.lst != nil:
 		delete(s.listeners, sk.bound)

@@ -208,6 +208,9 @@ type Stack struct {
 	// would leak its buffers for good.
 	connFree []*tcpConn
 	sockFree []*socket
+	// regFree pools epoll registrations the same way, chained through
+	// nextSk: churn registers and unregisters every short flow.
+	regFree *epollReg
 
 	// dgramFree recycles UDP payload buffers (udpPayloadMax capacity
 	// each) between inputUDP and RecvFrom/Close, keeping the datagram

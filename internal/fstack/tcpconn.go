@@ -1137,13 +1137,16 @@ func (c *tcpConn) enterTimeWait() {
 }
 
 // setState transitions the connection. Every state change goes through
-// here so the flight recorder sees the complete transition sequence.
+// here so the flight recorder sees the complete transition sequence —
+// and so epoll hears of it: the state decides EPOLLOUT and EPOLLHUP, and
+// abort latches sockErr (EPOLLERR) just before coming here.
 func (c *tcpConn) setState(s tcpState) {
 	if tr := c.stk.obsTr; tr != nil && s != c.state {
 		tr.Record(c.stk.now(), obs.EvTCPState, c.stk.obsSrc,
 			int64(c.state), int64(s), int64(c.tuple.local.Port))
 	}
 	c.state = s
+	c.wake()
 }
 
 // noteRetx records one retransmission event (kind is obs.RetxRTO /
@@ -1268,6 +1271,10 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 	}
 	// Push out anything the new window allows.
 	c.output()
+	// The segment may have delivered data or a FIN (EPOLLIN) or acked
+	// send-buffer space free (EPOLLOUT); the early returns above change
+	// readiness only through setState.
+	c.wake()
 }
 
 // onTimers runs the connection's timers; called from the loop.
