@@ -1,7 +1,7 @@
 // Package repro's benchmark harness regenerates every table and figure
 // of the paper's evaluation (run `go test -bench=. -benchmem`):
 //
-//	BenchmarkTable2/*      — Table II TCP bandwidth rows (Mbit/s metric)
+//	BenchmarkTable2/*      — Table II TCP bandwidth rows (Mbit/s and polls/op metrics)
 //	BenchmarkFig3*         — the capability-violation experiment
 //	BenchmarkFig4*         — ff_write(): Scenario 1 vs Baseline
 //	BenchmarkFig5*         — ff_write(): Scenario 2 (uncontended) vs Baseline
@@ -26,10 +26,13 @@ import (
 // --- Table II ---
 
 // benchTable2Block runs one scenario/direction pair per iteration and
-// reports the local goodput.
+// reports the local goodput and the driver's polls: Loop.RunOnce calls
+// summed over the bed's loops, the host-side count the event-driven
+// driver exists to keep proportional to events (DESIGN.md §8).
 func benchTable2Block(b *testing.B, spec int, dir core.Direction) {
 	b.ReportAllocs()
 	var last []core.BWResult
+	var polls uint64
 	for i := 0; i < b.N; i++ {
 		s, err := core.Table2Spec[spec].Build(sim.NewVClock())
 		if err != nil {
@@ -40,10 +43,14 @@ func benchTable2Block(b *testing.B, spec int, dir core.Direction) {
 			b.Fatal(err)
 		}
 		last = res
+		for _, l := range s.Loops() {
+			polls += l.Iterations()
+		}
 	}
 	for i, r := range last {
 		b.ReportMetric(r.Mbps, fmt.Sprintf("Mbit/s:ep%d", i))
 	}
+	b.ReportMetric(float64(polls)/float64(b.N), "polls/op")
 }
 
 func BenchmarkTable2(b *testing.B) {

@@ -248,7 +248,7 @@ func metricDirection(unit string) int {
 	case "Mbit/s", "MB/s", "util-pct", "done/s", "blast-min":
 		return +1
 	case "ns/op", "B/op", "allocs/op", "retx", "ns-mean", "ns-med",
-		"p99-µs", "timeouts", "mttr-ms":
+		"p99-µs", "timeouts", "mttr-ms", "polls/op":
 		return -1
 	}
 	// Custom ReportMetric units with a known prefix (ns-mean:label).

@@ -302,3 +302,25 @@ func TestParseBenchmemLine(t *testing.T) {
 		t.Fatal("50% B/op growth not flagged at 10% threshold")
 	}
 }
+
+func TestPollsPerOpIsLowerBetter(t *testing.T) {
+	// BenchmarkTable2 reports the driver's poll count beside the
+	// goodput: a poll count that grows is a host-cost regression even
+	// when every virtual result holds.
+	in := "BenchmarkTable2/Scenario1/Server-2 \t 1\t 402385729 ns/op\t 656.9 Mbit/s:ep0\t 656.9 Mbit/s:ep1\t 187888 polls/op\n"
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benches) != 1 || doc.Benches[0].Metrics["polls/op"] != 187888 {
+		t.Fatalf("polls/op not captured: %+v", doc.Benches)
+	}
+	grown := Doc{Benches: []Result{{Name: "Table2/Scenario1/Server", Metrics: map[string]float64{"polls/op": 805104}}}}
+	deltas, _, _ := compareDocs(doc, grown, thresholds{def: 30})
+	for _, d := range deltas {
+		if d.unit == "polls/op" && d.regressed {
+			return
+		}
+	}
+	t.Fatalf("a fourfold polls/op growth was not flagged: %+v", deltas)
+}

@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/fstack"
@@ -234,5 +235,54 @@ func TestHTTPServerPipelinedRequests(t *testing.T) {
 	srv.Step(api, 3)
 	if srv.Bad() != 1 || !api.closed[cfd] {
 		t.Fatalf("bad=%d closed=%v", srv.Bad(), api.closed[cfd])
+	}
+}
+
+// TestHTTPServerAnnouncesQueuedWork pins the server's deadline hook to
+// the two kinds of work one Step leaves for the next, which no stack
+// event announces: a connection accepted after this Step's EpollWait
+// (its request may have arrived in the same poll), and ready
+// descriptors a full event buffer could not report.
+func TestHTTPServerAnnouncesQueuedWork(t *testing.T) {
+	api := newFakeAPI()
+	srv := NewHTTPServer(fstack.IPv4Addr{}, 80, 8, 5)
+	quiet := func(when string, now int64) {
+		t.Helper()
+		if d := srv.NextDeadline(now); d != math.MaxInt64 {
+			t.Fatalf("%s: deadline %d, want none", when, d)
+		}
+	}
+	due := func(when string, now int64) {
+		t.Helper()
+		if d := srv.NextDeadline(now); d != now {
+			t.Fatalf("%s: deadline %d, want now (%d)", when, d, now)
+		}
+	}
+	srv.Step(api, 0)
+	quiet("after setup", 0)
+
+	api.accepts = []int{100, 101, 102}
+	api.events = [][]fstack.Event{{{FD: srv.lfd, Events: fstack.EPOLLIN}}}
+	srv.Step(api, 1)
+	due("after accepting", 1)
+	srv.Step(api, 2)
+	quiet("after an empty wait", 2)
+
+	// Three readable connections against a two-entry buffer: the first
+	// wait is full, the second reports the rest.
+	srv.evs = srv.evs[:2]
+	for fd := 100; fd <= 102; fd++ {
+		api.reads[fd] = [][]byte{httpRequest}
+	}
+	api.events = [][]fstack.Event{
+		{{FD: 100, Events: fstack.EPOLLIN}, {FD: 101, Events: fstack.EPOLLIN}},
+		{{FD: 102, Events: fstack.EPOLLIN}},
+	}
+	srv.Step(api, 3)
+	due("after a full wait", 3)
+	srv.Step(api, 4)
+	quiet("after the rest was reported", 4)
+	if srv.Served() != 3 {
+		t.Fatalf("served %d requests, want 3", srv.Served())
 	}
 }

@@ -107,7 +107,10 @@ func (s *HTTPServer) Bad() uint64 { return s.bad }
 // Err returns the sticky failure, if any.
 func (s *HTTPServer) Err() hostos.Errno { return s.failure }
 
-// NextDeadline: the server is purely event-driven past its setup step.
+// NextDeadline: past its setup step the server reacts to stack events,
+// with one kind of work its own Step queues for the next one: ready
+// descriptors the last EpollWait did not report — connections accepted
+// after it (acceptAll) and whatever a full buffer left behind (Step).
 func (s *HTTPServer) NextDeadline(now int64) int64 {
 	if s.wantStep {
 		return now
@@ -154,6 +157,10 @@ func (s *HTTPServer) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
+	// A wait that filled the buffer may have left ready descriptors
+	// unreported: they are served on the next Step, which no stack event
+	// announces.
+	s.wantStep = n == len(s.evs)
 	// EpollWait reports in wake order; the goldens pin descriptor order.
 	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
@@ -180,6 +187,10 @@ func (s *HTTPServer) Step(api API, now int64) {
 	}
 }
 
+// acceptAll registers every pending connection. A request can arrive in
+// the same poll as the handshake's last ACK, after this Step's
+// EpollWait: the accepted descriptor is read on the next Step, so the
+// server asks for it.
 func (s *HTTPServer) acceptAll(api API) {
 	for {
 		cfd, _, _, errno := api.Accept(s.lfd)
@@ -195,6 +206,7 @@ func (s *HTTPServer) acceptAll(api API) {
 			return
 		}
 		s.conns[cfd] = &httpSrvConn{}
+		s.wantStep = true
 	}
 }
 
@@ -495,7 +507,6 @@ func (c *HTTPClient) Step(api API, now int64) {
 		c.wantStep = true
 
 	case httpCliRunning:
-		c.wantStep = false
 		if !c.drain(api, now) {
 			return
 		}
@@ -651,6 +662,9 @@ func (c *HTTPClient) drain(api API, now int64) bool {
 		c.fail(errno)
 		return false
 	}
+	// Every queued next-Step request ends here; a full buffer may have
+	// left ready descriptors unreported, which queues another.
+	c.wantStep = n == len(c.evs)
 	slices.SortFunc(c.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range c.evs[:n] {
 		i, ok := c.byFD[ev.FD]

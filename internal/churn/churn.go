@@ -111,7 +111,12 @@ func (s *Server) Served() uint64 { return s.served }
 // Err returns the sticky failure, if any.
 func (s *Server) Err() hostos.Errno { return s.failure }
 
-// NextDeadline: the server is purely event-driven past its setup step.
+// NextDeadline: past its setup step the server reacts to stack events,
+// with one kind of work its own Step queues for the next one: ready
+// descriptors the last EpollWait did not report — a short flow's bytes
+// (and FIN) can arrive in the same poll as its handshake's last ACK, so
+// a connection accepted in this Step may be readable already, and a
+// wait that filled the buffer may have left others behind.
 func (s *Server) NextDeadline(now int64) int64 {
 	if s.wantStep {
 		return now
@@ -163,6 +168,7 @@ func (s *Server) Step(api API, now int64) {
 		s.fail(errno)
 		return
 	}
+	s.wantStep = n == len(s.evs)
 	// EpollWait reports in wake order; the goldens pin descriptor order.
 	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
 	for _, ev := range s.evs[:n] {
@@ -195,6 +201,7 @@ func (s *Server) Step(api API, now int64) {
 					s.fail(errno)
 					return
 				}
+				s.wantStep = true
 			}
 		default:
 			if ev.Events&fstack.EPOLLIN == 0 && ev.Events&(fstack.EPOLLERR|fstack.EPOLLHUP) == 0 {

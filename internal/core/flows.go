@@ -89,14 +89,16 @@ func runFlows(bed *Setup, what string, flows []bulkFlow, durationNS, budgetNS in
 	inLoop := map[*Env][]flowEnd{}
 	for _, f := range flows {
 		local, remote := f.ends(durationNS)
+		var localLoop *fstack.Loop // nil: api-sited, stepped by the driver
 		if f.api != nil {
 			steppers = append(steppers, func(now int64) { local.Step(f.api, now) })
 		} else {
 			inLoop[f.env] = append(inLoop[f.env], local)
+			localLoop = f.env.Loop
 		}
 		inLoop[f.peer.Env] = append(inLoop[f.peer.Env], remote)
 		ends = append(ends, local, remote)
-		eps = append(eps, labelled{f.label + " (local)", local}, labelled{f.label + " (peer)", remote})
+		eps = append(eps, labelled{f.label + " (local)", local, localLoop}, labelled{f.label + " (peer)", remote, f.peer.Env.Loop})
 	}
 	for env, here := range inLoop {
 		var api iperf.API = env.Loop.Locked()

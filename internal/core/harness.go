@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
@@ -24,16 +25,25 @@ const bwTick = 5_000
 // and servers — has a sticky errno and a deadline hook: the next
 // virtual instant it may act of its own accord (math.MaxInt64 = never;
 // a value at or before `now` means it has work right now), which is
-// what lets the event-driven driver leap.
+// what lets the event-driven driver leap. The hook must be complete:
+// an endpoint whose next Step would do anything — timed or queued by
+// its own previous Step — and that no stack or device deadline of the
+// loop it is stepped in announces, must say so here (DESIGN.md §8).
 type endpoint interface {
 	NextDeadline(now int64) int64
 	Err() hostos.Errno
 }
 
-// labelled names an endpoint for error reports.
+// labelled names an endpoint for error reports and says where it is
+// stepped.
 type labelled struct {
 	label string
 	endpoint
+	// loop is the loop whose OnLoop steps the endpoint: the endpoint's
+	// deadline makes that loop due. nil for an endpoint the driver steps
+	// itself after the loops (one of measure's steppers), which runs at
+	// every visited instant and needs only the instant to be visited.
+	loop *fstack.Loop
 }
 
 // phase is one leg of a measured run: stepped until done reports true,
@@ -51,8 +61,9 @@ type phase struct {
 // the bed through each phase, turns a budget overrun or the first
 // latched endpoint errno into an error naming the scenario, phase and
 // endpoint, and closes the bed's captures. steppers run after the loops
-// at every instant; eps are all the run's endpoints, whose deadlines
-// keep the clock from leaping past their timed work.
+// at every visited instant; eps are all the run's endpoints, whose
+// deadlines keep the clock from leaping past their work and make the
+// loop that steps them due for it.
 //
 // An end-of-run audit (conservation checks over the bed) and a host
 // profile of the driver loop belong here: this is the only place every
@@ -92,46 +103,67 @@ func measure(bed *Setup, what string, steppers []func(now int64), eps []labelled
 	return nil
 }
 
-// leapEnabled gates the event-driven clock: when true (the default),
+// leapEnabled gates the event-driven driver: when true (the default),
 // runVirtualUntil leaps over tick rounds in which provably nothing is
-// due. The quiescence-leap test flips it to compare the event-driven
-// run against the tick-stepped reference.
+// due and, at the instants it does visit, steps only the loops that
+// are. False is the oracle the differential tests compare against:
+// every loop stepped at every tick.
 var leapEnabled = true
 
-// visitHook, when non-nil, observes every iteration the driver runs:
-// the instant and whether the bed reported due work there. Test-only.
+// visitHook, when non-nil, observes every iteration the driver runs,
+// after its loops and steppers: the instant and whether the bed
+// reported due work there. Test-only.
 var visitHook func(now int64, active bool)
 
-// runVirtualUntil steps every loop (and the extra app steppers) in
-// lockstep virtual time until done() or budgetNS has passed; what names
-// the run in the overrun error.
+// runVirtualUntil steps the bed's due loops (and the extra app
+// steppers) in lockstep virtual time until done() or budgetNS has
+// passed; what names the run in the overrun error.
 //
-// The clock is event-driven: each iteration steps every loop and app
-// stepper at the current instant, then asks the bed (Bed.NextDeadline:
+// The driver is event-driven, and its unit of work is the due loop.
+// Each iteration steps the loops that are due at the current instant
+// and every app stepper, then asks each loop (Bed.LoopDeadlines:
 // connection timers, RX FIFOs, serializers, netem delay lines) and the
-// timed endpoints (workload duration/interval/pacing ends) for the
-// earliest future instant anything could happen. When that instant lies
-// beyond the next 5 µs tick, the clock leaps directly to the grid point
-// containing it — the same instant the tick-stepped loop would first
-// have noticed the event at, with every skipped grid point a provable
-// no-op — so observable behavior is bit-identical while wall-clock
-// cost scales with events rather than virtual duration.
+// timed endpoints (workload duration/interval/pacing ends, queued
+// next-Step work — charged to the loop that steps them) for the
+// earliest future instant anything could happen. That one computation
+// yields both the next instant to visit — when it lies beyond the next
+// 5 µs tick, the clock leaps directly to the grid point containing it,
+// the same instant the tick-stepped loop would first have noticed the
+// event at — and the set of loops to step there: those whose own
+// deadline has come. Every skipped grid point and every skipped loop is
+// a provable no-op (DESIGN.md §8), so observable behavior is
+// bit-identical while wall-clock cost scales with events per component
+// rather than with virtual duration times loops.
 func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now int64), timed []labelled, done func() bool, budgetNS int64) error {
 	start := clk.Now()
 	loops := bed.Loops()
+	// hosted[i] indexes the loop timed[i] is stepped in, -1 for one of
+	// the driver's own steppers.
+	hosted := make([]int, len(timed))
+	for i, d := range timed {
+		hosted[i] = slices.Index(loops, d.loop)
+	}
+	// The first instant steps every loop: set-up steps announce nothing.
+	due := make([]bool, len(loops))
+	for i := range due {
+		due[i] = true
+	}
+	dueAt := make([]int64, len(loops))
 	// Per-instant loop stepping: sequential by default; a bed eligible
 	// for parallel shard stepping (see testbed.NewShardStepper) runs its
 	// shard loops on Parallelism() host workers instead, with identical
 	// observable behavior.
 	stepLoops := func() {
-		for _, l := range loops {
-			l.RunOnce()
+		for i, l := range loops {
+			if due[i] {
+				l.RunOnce()
+			}
 		}
 	}
 	if p := Parallelism(); p > 1 {
 		if ps := testbed.NewShardStepper(bed, p); ps != nil {
 			defer ps.Close()
-			stepLoops = ps.RunOnce
+			stepLoops = func() { ps.RunOnce(due) }
 		}
 	}
 	for clk.Now()-start < budgetNS {
@@ -144,17 +176,18 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 			f(now)
 		}
 		// Metrics sampling rides the same iteration grid; with
-		// observability off this is a nil check. Bed.NextDeadline folds
+		// observability off this is a nil check. Bed.LoopDeadlines folds
 		// the sampler's next instant in, so leaping never skips a sample.
 		bed.ObsTick(now)
 		step := int64(bwTick)
 		if leapEnabled || visitHook != nil {
-			next := bed.NextDeadline(now)
-			for _, d := range timed {
-				if next <= now {
-					break
+			next := bed.LoopDeadlines(now, dueAt)
+			for i, d := range timed {
+				at := d.NextDeadline(now)
+				if l := hosted[i]; l >= 0 && at < dueAt[l] {
+					dueAt[l] = at
 				}
-				if at := d.NextDeadline(now); at < next {
+				if at < next {
 					next = at
 				}
 			}
@@ -171,6 +204,11 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 				}
 				if k := (next - now + bwTick - 1) / bwTick; k > 1 && leapEnabled {
 					step = k * bwTick
+				}
+			}
+			if leapEnabled {
+				for i, at := range dueAt {
+					due[i] = at <= now+step
 				}
 			}
 		}

@@ -1,107 +1,258 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/fstack"
+	"repro/internal/hostos"
 	"repro/internal/sim"
 )
 
 // The event-driven driver's correctness contract: leaping the clock
-// over quiescent tick rounds must be invisible. This file pins it on a
-// recorded Scenario 5 run — the seeded lossy WAN exercises every
-// deadline source at once (netem delay lines, the bottleneck
-// serializer, RTO/delack/persist timers, iperf's duration end) — by
-// running the identical configuration under the tick-stepped reference
-// driver and the leaping driver and comparing what each did.
+// over quiescent tick rounds, and stepping only the due loops at the
+// instants it does visit, must be invisible. This file pins it against
+// the tick oracle (leapEnabled = false: every loop stepped at every
+// 5 µs tick) on one cell per kind of bed the repository builds — the
+// seeded lossy WAN of Scenario 5, which exercises every deadline source
+// at once (netem delay lines, the bottleneck serializer,
+// RTO/delack/persist timers, iperf's duration end); Table II's
+// bus-limited two-port, API-gate and device-gate layouts; the sharded
+// connection and request planes; and the fault storms, where a
+// restarted stack, its re-listening server and its reconnecting clients
+// all queue work for a next poll that nothing else announces.
 
-// leapRecording is one instrumented run.
-type leapRecording struct {
-	visited map[int64]bool // grid points the driver iterated at
-	active  []int64        // grid points where the bed reported due work
-	frames  []string       // the local stack's frame trace (dir, ns, len, hash)
-	result  string         // the formatted scenario output
+// driverCell is one configuration the two drivers are compared on.
+type driverCell struct {
+	name string
+	// sharded beds are also run with parallel shard stepping.
+	sharded bool
+	// run builds the cell's bed on clk, hands it to tap before any
+	// traffic, runs it and returns the formatted report.
+	run func(clk hostos.Clock, tap func(*Setup)) (string, error)
 }
 
-// recordScenario5 runs the golden Scenario 5 configuration with the
-// given driver mode and records every visited grid point plus the
-// local stack's full frame trace.
-func recordScenario5(t *testing.T, leap bool) leapRecording {
+func bandwidthCell(name string, build func(hostos.Clock) (*Setup, error), dir Direction) driverCell {
+	return driverCell{name: name, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := build(clk)
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		res, err := bandwidthPair(s, dir, 150e6)
+		return fmt.Sprint(res), err
+	}}
+}
+
+func scenario9Cell(proto string) driverCell {
+	cfg := Scenario9Config{Proto: proto, Shards: 2, CapMode: true, Rate: 4000, Conns: 8, DurationNS: 50e6}
+	return driverCell{name: "scenario 9 " + proto, sharded: true, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := NewScenario9(clk, cfg)
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		r, err := Scenario9Run(s, cfg)
+		return FormatScenario9(proto, []Scenario9Result{r}), err
+	}}
+}
+
+func scenario10Cell(shards int, capMode bool) driverCell {
+	cfg := Scenario10Config{Shards: shards, CapMode: capMode, Faults: 2, MTBFNS: 40e6, Conns: 2, DurationNS: 300e6}
+	name := fmt.Sprintf("scenario 10 %s storm, %d shards", modeName(capMode), shards)
+	return driverCell{name: name, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := NewScenario10(clk, cfg)
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		r, err := Scenario10Run(s, cfg)
+		return FormatScenario10([]Scenario10Result{r}), err
+	}}
+}
+
+var driverCells = []driverCell{
+	{name: "scenario 5 lossy WAN", run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := NewScenario5(clk, Scenario5Config{Modern: true, Link: s5TestLossyLink})
+		if err != nil {
+			return "", err
+		}
+		tap(s.Bed)
+		r, err := Scenario5Bandwidth(s, 300e6)
+		return FormatScenario5("driver equivalence", []Scenario5Result{r}), err
+	}},
+	bandwidthCell("table II scenario 1 server", func(clk hostos.Clock) (*Setup, error) { return NewScenario1(clk) }, LocalIsServer),
+	bandwidthCell("table II scenario 2 contended client", func(clk hostos.Clock) (*Setup, error) { return NewScenario2(clk, 2) }, LocalIsClient),
+	bandwidthCell("scenario 3 client", func(clk hostos.Clock) (*Setup, error) { return NewScenario3(clk) }, LocalIsClient),
+	{name: "scenario 8 churn", sharded: true, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		cfg := Scenario8Config{Shards: 4, CapMode: true, Conns: 400, Rate: 20000, DurationNS: 20e6}
+		s, err := NewScenario8(clk, cfg)
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		r, err := Scenario8Churn(s, cfg)
+		return FormatScenario8([]Scenario8Result{r}), err
+	}},
+	scenario9Cell("http"),
+	scenario9Cell("dns"),
+	scenario10Cell(1, true),
+	scenario10Cell(1, false),
+	scenario10Cell(3, true),
+	scenario10Cell(3, false),
+}
+
+// driverRecording is one instrumented run.
+type driverRecording struct {
+	visited []int64    // grid points the driver iterated at, in order
+	active  []int64    // those at which the bed reported work due now
+	frames  [][]string // every stack's frame trace (dir, ns, len, hash), in tapAll order
+	polls   []uint64   // Loop.Iterations per loop, in Bed.Loops order
+	report  string
+}
+
+// tapAll installs a frame-trace tap on every stack of the bed — local
+// compartments (each shard of a sharded one), then peers.
+func tapAll(s *Setup) []*traceTap {
+	var stacks []*fstack.Stack
+	for _, e := range s.Envs {
+		if e.Sharded != nil {
+			for i := 0; i < e.Sharded.NumShards(); i++ {
+				stacks = append(stacks, e.Sharded.Shard(i))
+			}
+		} else {
+			stacks = append(stacks, e.Stk)
+		}
+	}
+	for _, p := range s.Peers {
+		stacks = append(stacks, p.Env.Stk)
+	}
+	taps := make([]*traceTap, len(stacks))
+	for i, stk := range stacks {
+		taps[i] = &traceTap{}
+		stk.SetTap(taps[i])
+	}
+	return taps
+}
+
+// record runs the cell under the event driver (leap) or the tick
+// oracle, on par host workers.
+func (c driverCell) record(t *testing.T, leap bool, par int) driverRecording {
 	t.Helper()
-	rec := leapRecording{visited: map[int64]bool{}}
+	var rec driverRecording
 	oldLeap, oldHook := leapEnabled, visitHook
 	leapEnabled = leap
 	visitHook = func(now int64, active bool) {
-		rec.visited[now] = true
+		rec.visited = append(rec.visited, now)
 		if active {
 			rec.active = append(rec.active, now)
 		}
 	}
 	defer func() { leapEnabled, visitHook = oldLeap, oldHook }()
-
-	s, err := NewScenario5(sim.NewVClock(), Scenario5Config{Modern: true, Link: s5TestLossyLink})
-	if err != nil {
-		t.Fatal(err)
+	var bed *Setup
+	var taps []*traceTap
+	withParallelism(par, func() {
+		var err error
+		rec.report, err = c.run(sim.NewVClock(), func(s *Setup) { bed, taps = s, tapAll(s) })
+		if err != nil {
+			t.Fatalf("%s (leap=%v, parallel=%d): %v", c.name, leap, par, err)
+		}
+	})
+	for _, tap := range taps {
+		rec.frames = append(rec.frames, tap.events)
 	}
-	tap := &traceTap{}
-	s.Envs[0].Stk.SetTap(tap)
-	r, err := Scenario5Bandwidth(s, 300e6)
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range bed.Loops() {
+		rec.polls = append(rec.polls, l.Iterations())
 	}
-	rec.frames = tap.events
-	rec.result = FormatScenario5("leap equivalence", []Scenario5Result{r})
 	return rec
 }
 
-// TestLeapVisitsSameEventGridPoints asserts the tentpole invariant:
-// the leaping driver visits exactly the grid points at which the tick
-// loop found work due (every event lands on the same 5 µs instant),
-// every point it visits lies on the tick grid, and the measured result
-// is byte-identical.
-func TestLeapVisitsSameEventGridPoints(t *testing.T) {
-	skipUnderRace(t)
-	tick := recordScenario5(t, false)
-	leap := recordScenario5(t, true)
+// sameHistory requires two recordings to agree on every frame every
+// stack saw — same bytes, same virtual instant, same per-stack order —
+// and on the formatted report.
+func sameHistory(t *testing.T, aName string, a driverRecording, bName string, b driverRecording) {
+	t.Helper()
+	if a.report != b.report {
+		t.Errorf("reports differ:\n-- %s --\n%s\n-- %s --\n%s", aName, a.report, bName, b.report)
+	}
+	if len(a.frames) != len(b.frames) {
+		t.Fatalf("stack counts differ: %s %d, %s %d", aName, len(a.frames), bName, len(b.frames))
+	}
+	total := 0
+	for st := range a.frames {
+		af, bf := a.frames[st], b.frames[st]
+		for i := 0; i < len(af) && i < len(bf); i++ {
+			if af[i] != bf[i] {
+				t.Fatalf("stack %d frame %d differs:\n  %s: %s\n  %s: %s", st, i, aName, af[i], bName, bf[i])
+			}
+		}
+		if len(af) != len(bf) {
+			t.Errorf("stack %d frame counts differ: %s %d, %s %d", st, aName, len(af), bName, len(bf))
+		}
+		total += len(af)
+	}
+	if total == 0 {
+		t.Fatal("no frames traced; the workload is broken")
+	}
+}
 
-	if tick.result != leap.result {
-		t.Errorf("results differ:\n-- tick driver --\n%s\n-- leap driver --\n%s", tick.result, leap.result)
+// TestEventDriverMatchesTickOracle asserts the tentpole invariant on
+// every cell: the event driver — leaping, and stepping only due loops —
+// produces the oracle's exact frame history and report, visits only
+// grid points the oracle visited, finds work due now at exactly the
+// instants the oracle does, and saves polls. Sharded cells must also
+// come out identical, poll for poll, under parallel shard stepping.
+func TestEventDriverMatchesTickOracle(t *testing.T) {
+	skipUnderRace(t)
+	for _, c := range driverCells {
+		t.Run(strings.ReplaceAll(c.name, " ", "_"), func(t *testing.T) {
+			tick := c.record(t, false, 1)
+			event := c.record(t, true, 1)
+			sameHistory(t, "tick oracle", tick, "event driver", event)
+
+			onGrid := make(map[int64]bool, len(tick.visited))
+			for _, at := range tick.visited {
+				onGrid[at] = true
+			}
+			for _, at := range event.visited {
+				if !onGrid[at] {
+					t.Fatalf("event driver visited %d ns, which the tick oracle never reached", at)
+				}
+			}
+			if len(tick.active) == 0 {
+				t.Fatal("tick oracle recorded no active grid points; the workload is broken")
+			}
+			if len(tick.active) != len(event.active) {
+				t.Errorf("active grid point counts differ: tick %d, event %d", len(tick.active), len(event.active))
+			}
+			for i := 0; i < len(tick.active) && i < len(event.active); i++ {
+				if tick.active[i] != event.active[i] {
+					t.Fatalf("active grid point %d differs: tick %d ns, event %d ns", i, tick.active[i], event.active[i])
+				}
+			}
+			var tickPolls, eventPolls uint64
+			for i := range tick.polls {
+				tickPolls += tick.polls[i]
+				eventPolls += event.polls[i]
+			}
+			if eventPolls >= tickPolls {
+				t.Errorf("event driver ran %d polls, tick oracle %d: nothing was saved", eventPolls, tickPolls)
+			}
+			t.Logf("tick oracle %d instants / %d polls, event driver %d instants / %d polls (%.1f%% of polls skipped)",
+				len(tick.visited), tickPolls, len(event.visited), eventPolls, 100*(1-float64(eventPolls)/float64(tickPolls)))
+
+			if c.sharded {
+				par := c.record(t, true, 4)
+				sameHistory(t, "event driver", event, "event driver, 4 workers", par)
+				for i := range event.polls {
+					if event.polls[i] != par.polls[i] {
+						t.Errorf("loop %d: %d polls sequential, %d on 4 workers", i, event.polls[i], par.polls[i])
+					}
+				}
+			}
+		})
 	}
-	// Every frame the stack saw must cross at the same virtual instant
-	// with identical bytes — the event history, not just its summary.
-	if len(tick.frames) != len(leap.frames) {
-		t.Errorf("frame counts differ: tick %d, leap %d", len(tick.frames), len(leap.frames))
-	}
-	for i := 0; i < len(tick.frames) && i < len(leap.frames); i++ {
-		if tick.frames[i] != leap.frames[i] {
-			t.Fatalf("frame %d differs:\n  tick: %s\n  leap: %s", i, tick.frames[i], leap.frames[i])
-		}
-	}
-	if len(tick.active) == 0 {
-		t.Fatal("tick run recorded no active grid points; the workload is broken")
-	}
-	if len(tick.active) != len(leap.active) {
-		t.Errorf("active grid point counts differ: tick %d, leap %d", len(tick.active), len(leap.active))
-	}
-	for i := 0; i < len(tick.active) && i < len(leap.active); i++ {
-		if tick.active[i] != leap.active[i] {
-			t.Fatalf("active grid point %d differs: tick %d ns, leap %d ns", i, tick.active[i], leap.active[i])
-		}
-	}
-	for at := range leap.visited {
-		if at%bwTick != 0 {
-			t.Fatalf("leap driver visited off-grid instant %d ns", at)
-		}
-		if !tick.visited[at] {
-			t.Fatalf("leap driver visited %d ns, which the tick driver never reached", at)
-		}
-	}
-	saved := 1 - float64(len(leap.visited))/float64(len(tick.visited))
-	if len(leap.visited) >= len(tick.visited) {
-		t.Errorf("leap driver visited %d grid points, tick driver %d: no iterations were saved",
-			len(leap.visited), len(tick.visited))
-	}
-	t.Logf("tick iterations %d, leap iterations %d (%.1f%% skipped), events %d",
-		len(tick.visited), len(leap.visited), saved*100, len(tick.active))
 }
 
 // TestLeapLandsOnTickGrid pins the grid-alignment arithmetic in

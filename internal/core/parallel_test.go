@@ -96,6 +96,17 @@ func TestParallelSweepUnderRace(t *testing.T) {
 		if r.Mbps <= 0 {
 			t.Fatalf("sharded run moved no data: %+v", r)
 		}
+		// The same schedule over sparse due sets: a paced request plane
+		// leaves most instants with one shard due, or none, so workers
+		// pass over loops while the driver rewrites the set between
+		// instants.
+		q, err := RunScenario9(Scenario9Config{Proto: "http", Shards: 4, Rate: 20000, Conns: 16, DurationNS: 20e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Completed == 0 {
+			t.Fatalf("sharded request run completed nothing: %+v", q)
+		}
 	})
 }
 

@@ -289,10 +289,10 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 
 	var eps []labelled
 	for i, srv := range srvs {
-		eps = append(eps, labelled{fmt.Sprintf("shard %d server", i), srv})
+		eps = append(eps, labelled{fmt.Sprintf("shard %d server", i), srv, s.Envs[i].Loop})
 	}
 	for i, cli := range clis {
-		eps = append(eps, labelled{fmt.Sprintf("shard %d client", i), cli})
+		eps = append(eps, labelled{fmt.Sprintf("shard %d client", i), cli, s.Peers[i].Env.Loop})
 	}
 	// Budget: the measured phase plus recovery slack — every fault can
 	// cost a timeout plus a capped backoff before its shard serves

@@ -149,7 +149,7 @@ func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error
 	heapBefore := retainedBytes(s)
 	err = measure(s, "scenario 8",
 		[]func(now int64){func(now int64) { srv.Step(api, now) }},
-		[]labelled{{"client", cli}, {"server", srv}},
+		[]labelled{{"client", cli, s.Peers[0].Env.Loop}, {"server", srv, nil}},
 		// Phase A: establish and hold the idle population.
 		phase{name: "preload", budgetNS: 8_000e6, done: cli.PreloadDone},
 		// Phase B: the rate-paced storm, over the held population.

@@ -253,7 +253,8 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 		trace = s.Obs.Trace
 	}
 	cursor := s9SportBase
-	eps := []labelled{{"server", srv}}
+	peerLoop := s.Peers[0].Env.Loop
+	eps := []labelled{{"server", srv, nil}} // stepped by the driver, below
 	var clis []s9Client
 	var hists []*stats.Histogram
 	for w := 0; w < workers; w++ {
@@ -286,11 +287,11 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 			cli, hists = c, append(hists, &c.Hist)
 		}
 		clis = append(clis, cli)
-		eps = append(eps, labelled{fmt.Sprintf("worker %d", w), cli})
+		eps = append(eps, labelled{fmt.Sprintf("worker %d", w), cli, peerLoop})
 	}
 	api := s.Sharded.API()
-	papi := s.Peers[0].Env.Loop.Locked()
-	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
+	papi := peerLoop.Locked()
+	peerLoop.OnLoop = func(now int64) bool {
 		for _, c := range clis {
 			c.Step(papi, now)
 		}

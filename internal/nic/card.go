@@ -224,3 +224,17 @@ func (c *Card) busNextAdmitAt(port int, now int64) int64 {
 	c.busMu.Unlock()
 	return s.NextAdmitAt(now)
 }
+
+// busPollBy reports the instant by which the port must have polled the
+// arbiter again to stay in the active set the way a port stepped every
+// tick does: half an activity window past its last touch, so never
+// later than now + busActivityWindow/2. math.MaxInt64 on an ideal bus,
+// which has no arbiter. Side-effect free, like busNextAdmitAt.
+func (c *Card) busPollBy(port int) int64 {
+	if c.busShare == nil {
+		return math.MaxInt64
+	}
+	c.busMu.Lock()
+	defer c.busMu.Unlock()
+	return c.busUse[port] + busActivityWindow/2
+}

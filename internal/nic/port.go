@@ -669,10 +669,12 @@ func (p *Port) PendingRXQueue(q int) int { return p.fifos[q].pending() }
 
 // NextDeadline reports the earliest virtual instant at or after which
 // this port could make progress: the head frame of an armed RX queue
-// becoming harvestable, a pending TX descriptor becoming admissible on
-// the line and the bus, or the attached conduit releasing a held
-// frame. math.MaxInt64 means the port holds no time-based work. A
-// value <= now means the port has work right now.
+// becoming harvestable — fully arrived AND admissible on the port's bus
+// share, since a frame the bus refuses stays in the FIFO — a pending TX
+// descriptor becoming admissible on the line and the bus, or the
+// attached conduit releasing a held frame. math.MaxInt64 means the port
+// holds no time-based work. A value <= now means the port has work
+// right now.
 //
 // The query is side-effect free — in particular it must not touch the
 // bus arbiter, whose activity window is part of the simulated machine
@@ -696,18 +698,28 @@ func (p *Port) NextDeadline(now int64) int64 {
 	}
 	p.mu.Unlock()
 
+	// The port's bus share books RX and TX alike and only moves when
+	// this port DMAs, so one reading serves every queue.
+	busAt := p.card.busNextAdmitAt(p.idx, now)
 	d := int64(math.MaxInt64)
 	for q := 0; q < MaxQueues; q++ {
 		if !rxArmed[q] {
 			continue
 		}
-		if at := p.fifos[q].headAt.Load(); at < d {
+		at := p.fifos[q].headAt.Load()
+		if at <= now && busAt > now {
+			// Arrived but bus-throttled: stepRX refuses it (touching
+			// only the arbiter, which the cap below accounts for) until
+			// the share re-enters its booking window.
+			at = busAt
+		}
+		if at < d {
 			d = at
 		}
 	}
 	if txPending {
 		at := p.line.NextAdmitAt(now)
-		if busAt := p.card.busNextAdmitAt(p.idx, now); busAt > at {
+		if busAt > at {
 			at = busAt
 		}
 		if at < d {
@@ -722,11 +734,14 @@ func (p *Port) NextDeadline(now int64) int64 {
 	// On a bus-limited card the polling itself is state: every armed
 	// port's Step touches the fair-share arbiter each iteration, and a
 	// port that stays silent past busActivityWindow changes the active
-	// set (and everyone's rates). Capping the leap at half the window
-	// keeps the arbiter's view identical to the tick-stepped driver's.
-	if rxEn && p.card.busLimited() {
-		if cap := now + busActivityWindow/2; cap < d {
-			d = cap
+	// set (and everyone's rates). Capping the port's silence at half the
+	// window — measured from its own last touch, since a driver that
+	// steps only due loops may visit many instants without stepping this
+	// one — keeps the arbiter's view identical to the tick-stepped
+	// driver's.
+	if rxEn {
+		if by := p.card.busPollBy(p.idx); by < d {
+			d = by
 		}
 	}
 	return d

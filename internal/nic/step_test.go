@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/cheri"
+	"repro/internal/sim"
 )
 
 // refStep is Step without its idle short-circuits — the device step as
@@ -287,5 +290,142 @@ func TestRxFifoQueueDiscipline(t *testing.T) {
 	}
 	if modelMissed == 0 || id < 1000 {
 		t.Fatalf("run too tame: %d pushes, %d tail drops", id, modelMissed)
+	}
+}
+
+// rxCard builds one card with two RX-armed ports (64 free descriptors
+// each, no conduit) on a shared bus of busRate bits/s (0 = ideal).
+func rxCard(t *testing.T, busRate float64) (*Card, *sim.VClock) {
+	t.Helper()
+	mem := cheri.NewTMem(1 << 22)
+	clk := sim.NewVClock()
+	c, err := New(Config{
+		BDFBase: "0000:03:00", Ports: 2, LineRateBps: 1e9,
+		BusRateBps: busRate, BusCostTX: 1.0, BusCostRX: 1.16,
+		MAC: [6]byte{2, 0, 0, 0, 0, 1}, Clk: clk, Mem: mem,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(0x1000)
+	for i := 0; i < c.Ports(); i++ {
+		r := ringLayout{descBase: next, n: 64, bufSize: 2048}
+		next += uint64(r.n) * DescSize
+		r.bufBase = next
+		next += uint64(r.n) * r.bufSize
+		r.install(t, mem)
+		p := c.Port(i)
+		p.RegWrite32(RegRDBAL, uint32(r.descBase))
+		p.RegWrite32(RegRDLEN, r.n*DescSize)
+		p.RegWrite32(RegRDT, r.n-1)
+		p.RegWrite32(RegRCTL, RctlEN)
+	}
+	return c, clk
+}
+
+// arbiterRecord renders the fair-share arbiter's activity state.
+func arbiterRecord(c *Card) string {
+	c.busMu.Lock()
+	defer c.busMu.Unlock()
+	return fmt.Sprint(c.busUse, c.busAct)
+}
+
+// TestRxDeadlineIsBusAdmission pins the RX arm of Port.NextDeadline on
+// a bus-throttled receiver: two ports share the calibrated 1.66 Gbit/s
+// bus, port 0's FIFO holds a backlog of frames that have all arrived,
+// and a reference driver steps both ports every 5 µs tick. Before every
+// step the port is asked for its deadline, which must be the instant
+// its bus share re-enters its booking window — not the head frame's
+// long-past arrival — must never come after the tick at which the
+// reference next writes back an RX descriptor, must stay within half an
+// arbiter activity window, and must leave the arbiter's record alone.
+func TestRxDeadlineIsBusAdmission(t *testing.T) {
+	const tick = 5_000
+	c, clk := rxCard(t, 1.66e9)
+	p := c.Port(0)
+	clk.Advance(100 * tick)
+	if d := p.NextDeadline(clk.Now()); d > clk.Now() {
+		t.Fatalf("a port that has never polled the arbiter is due at once, not at %d", d)
+	}
+	for i := 0; i < 40; i++ {
+		p.DeliverFrame(make([]byte, maxFrame), clk.Now()-1)
+	}
+	for i := 0; i < c.Ports(); i++ {
+		c.Port(i).Step() // both ports join the arbiter's active set
+	}
+	var asked []int64 // deadlines answered since the last write-back
+	throttled, moved := 0, 0
+	for p.PendingRX() > 0 {
+		now := clk.Now()
+		before := arbiterRecord(c)
+		d := p.NextDeadline(now)
+		if after := arbiterRecord(c); after != before {
+			t.Fatalf("at %d: the deadline query changed the arbiter's record: %s -> %s", now, before, after)
+		}
+		if limit := now + busActivityWindow/2; d > limit {
+			t.Fatalf("at %d: deadline %d is past the arbiter cap %d", now, d, limit)
+		}
+		if want := c.busNextAdmitAt(0, now); want > now && d != want {
+			t.Fatalf("at %d: deadline %d, want the port's bus admission instant %d", now, d, want)
+		} else if want <= now && d > now {
+			t.Fatalf("at %d: the bus has room and the head has arrived, but the deadline is %d", now, d)
+		}
+		if d > now {
+			throttled++
+		}
+		asked = append(asked, d)
+		head := p.RegRead32(RegRDH)
+		for i := 0; i < c.Ports(); i++ {
+			c.Port(i).Step()
+		}
+		if p.RegRead32(RegRDH) != head {
+			moved++
+			for _, d := range asked {
+				if d > now {
+					t.Fatalf("the reference wrote back an RX descriptor at %d, before an announced deadline of %d", now, d)
+				}
+			}
+			asked = asked[:0]
+		} else if d <= now {
+			t.Fatalf("at %d: deadline %d was due, but the step moved nothing", now, d)
+		}
+		clk.Advance(tick)
+	}
+	if moved < 20 || throttled < 20 {
+		t.Fatalf("run too tame: %d write-back ticks, %d throttled ticks", moved, throttled)
+	}
+
+	// Drained and silent: the only deadline left is the arbiter cap,
+	// half a window past the port's last poll however many instants are
+	// visited without stepping it.
+	last := clk.Now() - tick
+	for i := 0; i < 3; i++ {
+		if d, want := p.NextDeadline(clk.Now()), last+busActivityWindow/2; d != want {
+			t.Fatalf("idle port %d ns after its last poll: deadline %d, want %d", clk.Now()-last, d, want)
+		}
+		clk.Advance(40 * tick)
+	}
+}
+
+// TestRxDeadlineOnIdealBus pins the other half: without a finite bus
+// the RX arm is the head frame's arrival instant, due or not, and there
+// is no arbiter cap.
+func TestRxDeadlineOnIdealBus(t *testing.T) {
+	c, clk := rxCard(t, 0)
+	p := c.Port(0)
+	clk.Advance(500_000)
+	if d := p.NextDeadline(clk.Now()); d != math.MaxInt64 {
+		t.Fatalf("empty FIFO: deadline %d, want none", d)
+	}
+	arrived := clk.Now() - 1_234
+	p.DeliverFrame(make([]byte, 200), arrived)
+	if d := p.NextDeadline(clk.Now()); d != arrived {
+		t.Fatalf("due head: deadline %d, want its arrival instant %d", d, arrived)
+	}
+	p.Step()
+	later := clk.Now() + 50_000
+	p.DeliverFrame(make([]byte, 200), later)
+	if d := p.NextDeadline(clk.Now()); d != later {
+		t.Fatalf("future head: deadline %d, want its arrival instant %d", d, later)
 	}
 }

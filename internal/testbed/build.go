@@ -98,10 +98,23 @@ func (b *Bed) AppCVM(i int) *intravisor.CVM { return b.Apps[i].App }
 // until something outside it (an application's timed action) happens.
 // Event-driven experiment drivers use this to leap the virtual clock
 // over provably empty poll rounds.
-func (b *Bed) NextDeadline(now int64) int64 {
+func (b *Bed) NextDeadline(now int64) int64 { return b.LoopDeadlines(now, nil) }
+
+// LoopDeadlines is NextDeadline that also reports where the work is:
+// perLoop[i], when perLoop is non-nil (len(b.Loops())), receives loop
+// i's own deadline — everything RunOnce on that loop could act on — so
+// a driver can step only the loops that are due at the instant it
+// visits next (DESIGN.md §8, "Due-set stepping"). The return value is
+// the bed-wide aggregate, which also covers the components no loop
+// owns: links, the metrics sampler, the fault plane and the supervisor.
+func (b *Bed) LoopDeadlines(now int64, perLoop []int64) int64 {
 	d := int64(math.MaxInt64)
-	for _, l := range b.Loops() {
-		if at := l.NextDeadline(now); at < d {
+	for i, l := range b.Loops() {
+		at := l.NextDeadline(now)
+		if perLoop != nil {
+			perLoop[i] = at
+		}
+		if at < d {
 			d = at
 		}
 	}

@@ -30,6 +30,15 @@ import (
 // strictly in the future (line booking plus propagation delay), so no
 // shard can observe another's same-instant output in either schedule.
 //
+// The schedule runs over the driver's due set (DESIGN.md §8): only the
+// loops due at the instant are stepped — the same loops the sequential
+// driver steps. An instant at which no shard is due skips all three
+// phases, as no sequential shard poll would have stepped the device
+// either, and one with a single due shard steps it exactly as the
+// sequential driver does. Shards that are not due count as finished
+// from the start, so a stalled shard waits only on lower shards that
+// are running.
+//
 // One piece of sequential behavior cannot wait for a phase boundary:
 // descriptor-ring backpressure. The sequential driver steps the device
 // inside every burst call, so a stack saturating its TX ring sees the
@@ -58,8 +67,13 @@ type ShardStepper struct {
 	stallReply []chan bool // per-shard drain verdict, unblocking the shard
 	quit       chan struct{}
 
+	// due is the current instant's due set, indexed like Bed.Loops();
+	// the coordinator stores it before the kicks and the workers read it
+	// between their kick and their last completion report.
+	due []bool
+
 	// Coordinator-only scratch, reused across instants.
-	done []bool // per-shard: finished the current instant
+	done []bool // per-shard: finished (or not due at) the current instant
 	held []int  // stalled shards waiting on lower shards to finish
 }
 
@@ -135,10 +149,12 @@ func NewShardStepper(b *Bed, workers int) *ShardStepper {
 	return ps
 }
 
-// worker steps loops w, w+n, w+2n, ... on every kick, reporting each
-// completion. Ascending order matters: a stalled shard's drain waits on
-// every lower shard, so a worker visiting its loops out of order could
-// close a cycle.
+// worker steps the due loops among w, w+n, w+2n, ... on every kick,
+// reporting each completion — and each loop it passed over, so that the
+// coordinator's join also means no worker will read the due set again.
+// Ascending order matters: a stalled shard's drain waits on every lower
+// shard, so a worker visiting its loops out of order could close a
+// cycle.
 func (ps *ShardStepper) worker(w int) {
 	for {
 		select {
@@ -146,17 +162,19 @@ func (ps *ShardStepper) worker(w int) {
 			return
 		case <-ps.kicks[w]:
 			for i := w; i < len(ps.loops); i += len(ps.kicks) {
-				ps.loops[i].RunOnce()
+				if ps.due[i] {
+					ps.loops[i].RunOnce()
+				}
 				ps.loopDone <- i
 			}
 		}
 	}
 }
 
-// RunOnce advances every loop of the bed one iteration at the current
-// virtual instant: the three-phase shard schedule, then the peer loops.
-// It is the parallel drop-in for the sequential driver's "step every
-// loop once" inner body.
+// RunOnce advances the due loops of the bed one iteration at the
+// current virtual instant: the three-phase shard schedule, then the peer
+// loops. due is indexed like Bed.Loops(). It is the parallel drop-in for
+// the sequential driver's "step every due loop once" inner body.
 //
 // Deferred device stepping is scoped to phase B alone. Anything that
 // drives the sharded API outside the fork/join — the scenario app
@@ -166,34 +184,49 @@ func (ps *ShardStepper) worker(w int) {
 // instant's phase A and book the line one tick late. The toggles
 // happen strictly before the kick sends and after the join, so the
 // workers always observe deferSteps = true.
-func (ps *ShardStepper) RunOnce() {
-	ps.sharded.StepDevices() // phase A
-	ps.sharded.SetDeferDeviceSteps(true)
+func (ps *ShardStepper) RunOnce(due []bool) {
+	nDue, last := 0, 0
 	for i := range ps.done {
-		ps.done[i] = false
-	}
-	for _, k := range ps.kicks {
-		k <- struct{}{}
-	}
-	// Phase B coordination: collect per-loop completions and service TX
-	// ring-full stalls. A held stall becomes serviceable once every
-	// lower shard is done; its worker stays blocked until then, so it
-	// cannot report completion and the loop cannot exit with stalls
-	// pending.
-	for remaining := len(ps.loops); remaining > 0; {
-		select {
-		case i := <-ps.loopDone:
-			ps.done[i] = true
-			remaining--
-		case q := <-ps.stalls:
-			ps.held = append(ps.held, q)
+		ps.done[i] = !due[i]
+		if due[i] {
+			nDue, last = nDue+1, i
 		}
-		ps.serviceStalls()
 	}
-	ps.sharded.SetDeferDeviceSteps(false)
-	ps.sharded.StepDevices() // phase C
-	for _, l := range ps.peers {
-		l.RunOnce()
+	switch nDue {
+	case 0:
+	case 1:
+		// One due shard has nobody to run beside: step it the way the
+		// sequential driver does, device steps inline.
+		ps.loops[last].RunOnce()
+	default:
+		ps.due = due
+		ps.sharded.StepDevices() // phase A
+		ps.sharded.SetDeferDeviceSteps(true)
+		for _, k := range ps.kicks {
+			k <- struct{}{}
+		}
+		// Phase B coordination: collect per-loop completions and service
+		// TX ring-full stalls. A held stall becomes serviceable once
+		// every lower shard is done; its worker stays blocked until
+		// then, so it cannot report completion and the loop cannot exit
+		// with stalls pending.
+		for remaining := len(ps.loops); remaining > 0; {
+			select {
+			case i := <-ps.loopDone:
+				ps.done[i] = true
+				remaining--
+			case q := <-ps.stalls:
+				ps.held = append(ps.held, q)
+			}
+			ps.serviceStalls()
+		}
+		ps.sharded.SetDeferDeviceSteps(false)
+		ps.sharded.StepDevices() // phase C
+	}
+	for i, l := range ps.peers {
+		if due[len(ps.loops)+i] {
+			l.RunOnce()
+		}
 	}
 }
 
