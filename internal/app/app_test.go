@@ -286,3 +286,59 @@ func TestHTTPServerAnnouncesQueuedWork(t *testing.T) {
 		t.Fatalf("served %d requests, want 3", srv.Served())
 	}
 }
+
+// TestHTTPClientAnnouncesQueuedWork is the client's half: its only
+// queued next-Step work is what a full event buffer left unreported —
+// while connecting and while running — plus the first measured Step it
+// queues itself when the last connection comes up.
+func TestHTTPClientAnnouncesQueuedWork(t *testing.T) {
+	const durationNS = 1_000
+	api := newFakeAPI()
+	c, err := NewHTTPClient(fstack.IPv4Addr{}, 80, 3, nil, 0, durationNS) // closed-loop
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.evs = c.evs[:2]
+	step := func(when string, now, want int64) {
+		t.Helper()
+		c.Step(api, now)
+		if d := c.NextDeadline(now); d != want || c.Err() != hostos.OK {
+			t.Fatalf("%s: deadline %d (err %v), want %d", when, d, c.Err(), want)
+		}
+	}
+	out := func(fds ...int) (evs []fstack.Event) {
+		for _, fd := range fds {
+			evs = append(evs, fstack.Event{FD: fd, Events: fstack.EPOLLOUT})
+		}
+		return evs
+	}
+	in := func(fds ...int) (evs []fstack.Event) {
+		for _, fd := range fds {
+			evs = append(evs, fstack.Event{FD: fd, Events: fstack.EPOLLIN})
+		}
+		return evs
+	}
+	step("connects started", 0, math.MaxInt64) // fds 10, 11, 12
+
+	// Three handshakes complete against the two-entry buffer.
+	api.events = [][]fstack.Event{out(10, 11), out(12)}
+	step("connecting, full wait", 1, 1)
+	step("last connection up", 2, 2) // the first measured Step is queued
+	const end = 2 + durationNS
+	step("three requests issued", 3, end)
+	if c.Issued() != 3 {
+		t.Fatalf("issued %d requests, want 3", c.Issued())
+	}
+
+	// Three responses against the two-entry buffer.
+	resp := []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+	for fd := 10; fd <= 12; fd++ {
+		api.reads[fd] = [][]byte{resp}
+	}
+	api.events = [][]fstack.Event{in(10, 11), in(12)}
+	step("running, full wait", 4, 4)
+	step("the rest reported", 5, end)
+	if c.Completed() != 3 {
+		t.Fatalf("completed %d requests, want 3", c.Completed())
+	}
+}

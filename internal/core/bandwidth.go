@@ -51,11 +51,6 @@ const (
 // In LocalIsServer mode the local endpoints run iperf servers and the
 // remote partners run clients; in LocalIsClient mode the roles flip.
 func BandwidthPair(s *Setup, dir Direction) ([]BWResult, error) {
-	return bandwidthPair(s, dir, bwDuration)
-}
-
-// bandwidthPair is BandwidthPair over durationNS of traffic time.
-func bandwidthPair(s *Setup, dir Direction, durationNS int64) ([]BWResult, error) {
 	var flows []bulkFlow
 	upload := dir == LocalIsClient
 	if len(s.Apps) == 0 {
@@ -72,7 +67,7 @@ func bandwidthPair(s *Setup, dir Direction, durationNS int64) ([]BWResult, error
 	for i, app := range s.Apps {
 		flows = append(flows, bulkFlow{label: app.App.Name, api: app, peer: s.Peers[0], port: iperfPort + uint16(i), upload: upload})
 	}
-	reps, err := runFlows(s, "bandwidth", flows, durationNS, bwDeadline)
+	reps, err := runFlows(s, "bandwidth", flows, bwDuration, bwDeadline)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fstack"
@@ -101,5 +102,25 @@ func TestRunFlowsSteppingOrder(t *testing.T) {
 	}
 	if both < 100 {
 		t.Fatalf("only %d iterations stepped both api-sited endpoints; the run did not exercise the rule", both)
+	}
+}
+
+// TestMeasureRejectsForeignLoop: an endpoint that names a loop the bed
+// does not run would be taken for a driver stepper, and its deadline
+// would never make its own loop due; the run must refuse it by label
+// instead of delivering a late frame.
+func TestMeasureRejectsForeignLoop(t *testing.T) {
+	s, err := NewScenario1(sim.NewVClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewScenario1(sim.NewVClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := []labelled{{"stray sink", newReceiver(iperfPort), other.Envs[0].Loop}}
+	err = measure(s, "misattributed", nil, eps, phase{budgetNS: 1e6, done: func() bool { return false }})
+	if err == nil || !strings.Contains(err.Error(), "stray sink") {
+		t.Fatalf("measure with an endpoint in another bed's loop: error %v, want one naming the endpoint", err)
 	}
 }

@@ -142,6 +142,11 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 	hosted := make([]int, len(timed))
 	for i, d := range timed {
 		hosted[i] = slices.Index(loops, d.loop)
+		if d.loop != nil && hosted[i] < 0 {
+			// Treated as a stepper its deadline would never make its
+			// loop due: a late frame or a hang instead of this error.
+			return fmt.Errorf("core: %s: endpoint %s names a loop that is not one of the bed's", what, d.label)
+		}
 	}
 	// The first instant steps every loop: set-up steps announce nothing.
 	due := make([]bool, len(loops))

@@ -33,15 +33,28 @@ type driverCell struct {
 	run func(clk hostos.Clock, tap func(*Setup)) (string, error)
 }
 
-func bandwidthCell(name string, build func(hostos.Clock) (*Setup, error), dir Direction) driverCell {
+// bandwidthCell is a Table II cell cut to 150 ms of traffic: the flow
+// list BandwidthPair builds for the layout (an environment's flow sited
+// in its loop, an app cVM's behind its gated API view), handed to the
+// same bulk-flow driver.
+func bandwidthCell(name string, build func(hostos.Clock) (*Setup, error), upload bool) driverCell {
 	return driverCell{name: name, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
 		s, err := build(clk)
 		if err != nil {
 			return "", err
 		}
 		tap(s)
-		res, err := bandwidthPair(s, dir, 150e6)
-		return fmt.Sprint(res), err
+		var flows []bulkFlow
+		if len(s.Apps) == 0 {
+			for i, env := range s.Envs {
+				flows = append(flows, bulkFlow{label: env.Name, env: env, peer: s.Peers[i], port: iperfPort, upload: upload})
+			}
+		}
+		for i, app := range s.Apps {
+			flows = append(flows, bulkFlow{label: app.App.Name, api: app, peer: s.Peers[0], port: iperfPort + uint16(i), upload: upload})
+		}
+		reps, err := runFlows(s, "bandwidth", flows, 150e6, bwDeadline)
+		return fmt.Sprint(reps), err
 	}}
 }
 
@@ -82,9 +95,9 @@ var driverCells = []driverCell{
 		r, err := Scenario5Bandwidth(s, 300e6)
 		return FormatScenario5("driver equivalence", []Scenario5Result{r}), err
 	}},
-	bandwidthCell("table II scenario 1 server", func(clk hostos.Clock) (*Setup, error) { return NewScenario1(clk) }, LocalIsServer),
-	bandwidthCell("table II scenario 2 contended client", func(clk hostos.Clock) (*Setup, error) { return NewScenario2(clk, 2) }, LocalIsClient),
-	bandwidthCell("scenario 3 client", func(clk hostos.Clock) (*Setup, error) { return NewScenario3(clk) }, LocalIsClient),
+	bandwidthCell("table II scenario 1 server", func(clk hostos.Clock) (*Setup, error) { return NewScenario1(clk) }, false),
+	bandwidthCell("table II scenario 2 contended client", func(clk hostos.Clock) (*Setup, error) { return NewScenario2(clk, 2) }, true),
+	bandwidthCell("scenario 3 client", func(clk hostos.Clock) (*Setup, error) { return NewScenario3(clk) }, true),
 	{name: "scenario 8 churn", sharded: true, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
 		cfg := Scenario8Config{Shards: 4, CapMode: true, Conns: 400, Rate: 20000, DurationNS: 20e6}
 		s, err := NewScenario8(clk, cfg)

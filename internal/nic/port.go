@@ -685,12 +685,15 @@ func (p *Port) NextDeadline(now int64) int64 {
 	rxEn := p.regs.rctl&RctlEN != 0
 	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
 	var rxArmed [MaxQueues]bool
-	txPending := false
+	txPending, rxPolls := false, false
 	for q := 0; q < MaxQueues; q++ {
 		// A stalled queue holds no time-based work: excluding it keeps
 		// the leaping driver from spinning at `now` on a ring that will
 		// not move until the fault plane thaws it.
 		rxArmed[q] = rxEn && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
+		if rxArmed[q] && p.regs.rxq[q].head != p.regs.rxq[q].tail {
+			rxPolls = true // Step enters stepRX, which polls the arbiter
+		}
 		if txEn && p.regs.txq[q].length >= DescSize && !p.stalled[q] &&
 			p.regs.txq[q].head != p.regs.txq[q].tail {
 			txPending = true
@@ -738,8 +741,11 @@ func (p *Port) NextDeadline(now int64) int64 {
 	// window — measured from its own last touch, since a driver that
 	// steps only due loops may visit many instants without stepping this
 	// one — keeps the arbiter's view identical to the tick-stepped
-	// driver's.
-	if rxEn {
+	// driver's. A port whose Step would not reach the arbiter (every RX
+	// ring stalled or out of free descriptors) has no poll to keep up:
+	// its last touch only ages, and a cap anchored there would sit in
+	// the past and have the driver poll the loop at every tick.
+	if rxPolls {
 		if by := p.card.busPollBy(p.idx); by < d {
 			d = by
 		}

@@ -407,6 +407,55 @@ func TestRxDeadlineIsBusAdmission(t *testing.T) {
 	}
 }
 
+// TestRxDeadlineWithoutArbiterPoll pins where the arbiter cap stops
+// applying: a bus-limited port whose Step cannot reach the arbiter — its
+// only RX queue stalled, or its ring out of free descriptors — has no
+// poll to keep up, so it must not answer with a cap that trails ever
+// further behind `now` (the driver would poll its loop at every tick
+// and the bed would never leap). The cap returns with the poll.
+func TestRxDeadlineWithoutArbiterPoll(t *testing.T) {
+	const tick = 5_000
+	for _, tc := range []struct {
+		name             string
+		freeze, unfreeze func(p *Port)
+	}{
+		{"stalled queue",
+			func(p *Port) { p.SetQueueStall(0, true) },
+			func(p *Port) { p.SetQueueStall(0, false) }},
+		{"no free descriptors",
+			func(p *Port) { p.RegWrite32(RegRDT, p.RegRead32(RegRDH)) },
+			func(p *Port) { p.RegWrite32(RegRDT, (p.RegRead32(RegRDH)+63)%64) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, clk := rxCard(t, 1.66e9)
+			p := c.Port(0)
+			clk.Advance(100 * tick)
+			p.Step()
+			polled := clk.Now()
+			tc.freeze(p)
+			for i := 0; i < 400; i++ { // 2 ms: four cap periods
+				clk.Advance(tick)
+				before := arbiterRecord(c)
+				p.Step()
+				if after := arbiterRecord(c); after != before {
+					t.Fatalf("at %d: the frozen port's Step polled the arbiter: %s -> %s", clk.Now(), before, after)
+				}
+				if d := p.NextDeadline(clk.Now()); d != math.MaxInt64 {
+					t.Fatalf("%d ns after the last arbiter poll: deadline %d (now %d), want none", clk.Now()-polled, d, clk.Now())
+				}
+			}
+			tc.unfreeze(p)
+			if d, want := p.NextDeadline(clk.Now()), polled+busActivityWindow/2; d != want {
+				t.Fatalf("thawed: deadline %d, want the overdue arbiter poll %d", d, want)
+			}
+			p.Step()
+			if d, want := p.NextDeadline(clk.Now()), clk.Now()+busActivityWindow/2; d != want {
+				t.Fatalf("polled again: deadline %d, want %d", d, want)
+			}
+		})
+	}
+}
+
 // TestRxDeadlineOnIdealBus pins the other half: without a finite bus
 // the RX arm is the head frame's arrival instant, due or not, and there
 // is no arbiter cap.

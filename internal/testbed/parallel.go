@@ -34,10 +34,8 @@ import (
 // loops due at the instant are stepped — the same loops the sequential
 // driver steps. An instant at which no shard is due skips all three
 // phases, as no sequential shard poll would have stepped the device
-// either, and one with a single due shard steps it exactly as the
-// sequential driver does. Shards that are not due count as finished
-// from the start, so a stalled shard waits only on lower shards that
-// are running.
+// either. Shards that are not due count as finished from the start, so
+// a stalled shard waits only on lower shards that are running.
 //
 // One piece of sequential behavior cannot wait for a phase boundary:
 // descriptor-ring backpressure. The sequential driver steps the device
@@ -185,20 +183,12 @@ func (ps *ShardStepper) worker(w int) {
 // happen strictly before the kick sends and after the join, so the
 // workers always observe deferSteps = true.
 func (ps *ShardStepper) RunOnce(due []bool) {
-	nDue, last := 0, 0
+	anyDue := false
 	for i := range ps.done {
 		ps.done[i] = !due[i]
-		if due[i] {
-			nDue, last = nDue+1, i
-		}
+		anyDue = anyDue || due[i]
 	}
-	switch nDue {
-	case 0:
-	case 1:
-		// One due shard has nobody to run beside: step it the way the
-		// sequential driver does, device steps inline.
-		ps.loops[last].RunOnce()
-	default:
+	if anyDue {
 		ps.due = due
 		ps.sharded.StepDevices() // phase A
 		ps.sharded.SetDeferDeviceSteps(true)
