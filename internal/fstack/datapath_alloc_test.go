@@ -24,10 +24,10 @@ func TestDatapathFrameZeroAllocs(t *testing.T) {
 // allocations: building the option from a reassembly queue with more
 // runs than fit, and parsing it back on the stack's input path.
 func TestSACKAckZeroAllocs(t *testing.T) {
-	s := &Stack{}
-	c := &tcpConn{stk: s}
+	c := bareReceiver(t, 32<<10, 0)
+	s := c.stk
 	for i := uint32(0); i < 6; i++ {
-		c.rcvOOO = append(c.rcvOOO, oooSeg{seq: 1000 + 3000*i, data: make([]byte, 1448)})
+		c.oooInsert(1000+3000*i, make([]byte, 1448))
 	}
 	c.lastOOO = seqRange{start: 1000 + 3000*5, end: 1000 + 3000*5 + 1448}
 	src, dst := IPv4Addr{10, 0, 0, 1}, IPv4Addr{10, 0, 0, 2}
@@ -42,5 +42,33 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("a SACK-bearing ACK costs %v allocs, want 0", a)
+	}
+}
+
+// TestReassemblyZeroAllocs pins what in-ring reassembly is for: once the
+// run list has its capacity, parking a segment — as a new run, extending
+// one, or merging two — and draining the runs allocate nothing.
+func TestReassemblyZeroAllocs(t *testing.T) {
+	c := bareReceiver(t, 64<<10, 0)
+	seg, hole := make([]byte, 100), make([]byte, 1000)
+	round := func() {
+		for i := uint32(0); i < 10; i++ {
+			c.oooInsert(1000+300*i, seg) // ten runs
+		}
+		for i := uint32(0); i < 10; i++ {
+			c.oooInsert(1100+300*i, seg) // each extended
+		}
+		c.oooInsert(1200, seg) // the first two merged
+		c.rcvBuf.writeFrom(hole)
+		c.rcvNxt = 1000
+		c.oooDrain()
+		if c.rcvNxt != 1500 || c.rcvBuf.Len() != 1500 || len(c.rcvOOO) != 8 {
+			t.Fatalf("after the drain: rcvNxt %d, %d buffered, %d runs", c.rcvNxt, c.rcvBuf.Len(), len(c.rcvOOO))
+		}
+		c.rcvNxt, c.rcvOOO, c.rcvBuf.r, c.rcvBuf.w = 0, c.rcvOOO[:0], 0, 0
+	}
+	round()
+	if a := testing.AllocsPerRun(100, round); a != 0 {
+		t.Fatalf("parking and draining 21 segments costs %v allocs, want 0", a)
 	}
 }

@@ -1,6 +1,11 @@
 package fstack
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,4 +153,118 @@ func TestHostileFramesDoNotCrashStack(t *testing.T) {
 	if e.stkB.Stats().RxDropped == 0 {
 		t.Log("note: all hostile datagrams happened to hit open ports")
 	}
+}
+
+// FuzzTCPHeader feeds arbitrary bytes (with a repaired checksum, so the
+// fuzzer reaches the option parser) to the TCP header decoder: it must
+// never panic, and a header it accepts and that fits TCP's 60-byte limit
+// must survive PutTCPHeader and a second parse unchanged.
+func FuzzTCPHeader(f *testing.F) {
+	src, dst := IP4(10, 0, 0, 1), IP4(10, 0, 0, 2)
+	for _, h := range []TCPHeader{
+		{SrcPort: 5001, DstPort: 80, Seq: 1, Flags: TCPSyn, Window: 65535, MSS: MSSDefault, HasWS: true, WScale: 7, SACKPermitted: true, HasTS: true, TSVal: 9},
+		{SrcPort: 80, DstPort: 5001, Seq: 0xFFFFFFF0, Ack: 2, Flags: TCPAck, HasTS: true, TSVal: 10, TSEcr: 9,
+			SACK: []SACKBlock{{Start: 0xFFFFFF00, End: 0x40}, {Start: 0x100, End: 0x200}, {Start: 0x300, End: 0x400}}},
+		{SrcPort: 1, DstPort: 2, Flags: TCPAck | TCPPsh | TCPFin},
+		{SrcPort: 1, DstPort: 2, Flags: TCPSyn | TCPAck, HasWS: true, WScale: 200},
+	} {
+		b := make([]byte, h.encodedLen()+3)
+		copy(b[h.encodedLen():], "abc")
+		PutTCPHeader(b, h, src, dst, len(b))
+		f.Add(b)
+	}
+	f.Add([]byte{0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0x60, 0x10, 0, 0, 0, 0, 0, 0, 5, 2, 0, 0})  // SACK option of length 2
+	f.Add([]byte{0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0x60, 0x10, 0, 0, 0, 0, 0, 0, 8, 10, 1, 1}) // timestamps running off the end
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) >= TCPHeaderLen {
+			b[16], b[17] = 0, 0
+			binary.BigEndian.PutUint16(b[16:18], transportChecksum(src, dst, ProtoTCP, b))
+		}
+		h, hl, err := ParseTCPHeader(b, src, dst)
+		if err != nil {
+			return
+		}
+		if hl < TCPHeaderLen || hl > len(b) {
+			t.Fatalf("accepted header length %d of a %d-byte segment", hl, len(b))
+		}
+		if h.encodedLen() > 60 {
+			return // e.g. four SACK blocks beside timestamps: parseable, not encodable
+		}
+		payload := b[hl:]
+		out := make([]byte, h.encodedLen()+len(payload))
+		copy(out[h.encodedLen():], payload)
+		PutTCPHeader(out, h, src, dst, len(out))
+		h2, hl2, err := ParseTCPHeader(out, src, dst)
+		if err != nil {
+			t.Fatalf("re-encoded header does not parse: %v\n%+v", err, h)
+		}
+		sack, sack2 := h.SACK, h2.SACK
+		h.SACK, h2.SACK = nil, nil
+		if hl2 != len(out)-len(payload) || !reflect.DeepEqual(h, h2) || !slices.Equal(sack, sack2) {
+			t.Fatalf("round trip changed the header:\n was %+v %v\n now %+v %v", h, sack, h2, sack2)
+		}
+	})
+}
+
+// FuzzReassembly turns bytes into an arrival trace — segments of a known
+// source stream at fuzzer-chosen offsets around rcvNxt, and application
+// reads — against a 4 KiB receive ring that starts just below the
+// sequence wrap. Whatever arrives: the run list keeps its invariants
+// (checkRuns) and what the application reads is always the source, in
+// order, with nothing missing.
+func FuzzReassembly(f *testing.F) {
+	const size = 4096
+	src := make([]byte, 16*size)
+	rand.New(rand.NewSource(1)).Read(src)
+	g := newReassRig(f)
+
+	// Four bytes an op: a zero first pair is a read, anything else a
+	// segment at offset pair%8192-256 from rcvNxt, 1+pair%2048 bytes long.
+	f.Add([]byte{})
+	f.Add([]byte{1, 100, 0, 99, 2, 44, 0, 99, 1, 0, 0, 99, 0, 0, 255, 255})              // two parked, the fill, a read
+	f.Add([]byte{1, 100, 0, 99, 1, 200, 0, 99, 1, 150, 0, 199, 1, 0, 0, 99, 0, 0, 1, 0}) // an arrival spanning two parked segments
+	f.Add([]byte{16, 160, 0, 99, 1, 0, 7, 255, 1, 0, 3, 231, 2, 244, 0, 99, 1, 0, 7, 255,
+		0, 0, 8, 0, 1, 100, 0, 99, 1, 0, 0, 99}) // past the window; a window overrun over a parked run
+	f.Add(bytes.Repeat([]byte{1, 8, 0, 0, 1, 4, 0, 0, 1, 6, 0, 0, 0, 0, 0, 7}, 40)) // one-byte segments
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		g.stk.Lock()
+		defer g.stk.Unlock()
+		const isn = uint32(1<<32 - size/2)
+		g.reset(t, size, len(ops)%2 == 1, isn, src)
+		c := g.conn
+		delivered := 0
+		read := func(n int) {
+			got := g.read(n)
+			if !bytes.Equal(got, src[delivered:delivered+len(got)]) {
+				t.Fatalf("read %d bytes at stream offset %d that are not the source's", len(got), delivered)
+			}
+			delivered += len(got)
+		}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			nxt := int(c.rcvNxt - isn)
+			if nxt > len(src)-2*size {
+				break
+			}
+			a, b := int(ops[0])<<8|int(ops[1]), int(ops[2])<<8|int(ops[3])
+			if a == 0 {
+				read(b % (size + 1))
+				continue
+			}
+			// The segment's offset from rcvNxt: a little behind it, on it,
+			// or anywhere up to well past the window.
+			from := max(nxt+a%(2*size)-256, 0)
+			to := min(from+1+b%2048, len(src))
+			g.arrive(from, to)
+			if err := checkRuns(c); err != nil {
+				t.Fatalf("after [%d,%d) with rcvNxt at %d: %v", from, to, nxt, err)
+			}
+			if got := int(c.rcvNxt-isn) - delivered; got != c.rcvBuf.Len() {
+				t.Fatalf("rcvNxt is %d past what was read, the ring holds %d", got, c.rcvBuf.Len())
+			}
+		}
+		read(size)
+		if delivered != int(c.rcvNxt-isn) {
+			t.Fatalf("delivered %d bytes, rcvNxt says %d", delivered, int(c.rcvNxt-isn))
+		}
+	})
 }

@@ -70,23 +70,48 @@ func (b *sockBuf) Free() int { return b.size - b.Len() }
 // writeFrom appends up to len(src) bytes from a plain slice, returning
 // the count stored.
 func (b *sockBuf) writeFrom(src []byte) (int, error) {
-	if err := b.back(); err != nil {
+	n := min(len(src), b.Free())
+	if err := b.writeAt(0, src[:n]); err != nil {
 		return 0, err
 	}
-	n := min(len(src), b.Free())
-	written := 0
-	for written < n {
-		off := int(b.w % uint64(b.size))
-		chunk := min(n-written, b.size-off)
-		dst, err := b.seg.Slice(b.base+uint64(off), chunk)
-		if err != nil {
-			return written, err
-		}
-		copy(dst, src[written:written+chunk])
-		b.w += uint64(chunk)
-		written += chunk
+	b.w += uint64(n)
+	return n, nil
+}
+
+// writeAt stores src at logical offset off past the write point without
+// moving it: an out-of-order payload parked where the in-order stream
+// will reach it. The bytes stay outside Len, Free and every reader until
+// commit passes the write point over them. It refuses whatever does not
+// lie wholly inside the free space.
+func (b *sockBuf) writeAt(off int, src []byte) error {
+	if off < 0 || off+len(src) > b.Free() {
+		return fmt.Errorf("fstack: writeAt [%d,%d) outside the %d free bytes", off, off+len(src), b.Free())
 	}
-	return written, nil
+	if err := b.back(); err != nil {
+		return err
+	}
+	pos := b.w + uint64(off)
+	for len(src) > 0 {
+		o := int(pos % uint64(b.size))
+		chunk := min(len(src), b.size-o)
+		dst, err := b.seg.Slice(b.base+uint64(o), chunk)
+		if err != nil {
+			return err
+		}
+		copy(dst, src[:chunk])
+		pos += uint64(chunk)
+		src = src[chunk:]
+	}
+	return nil
+}
+
+// commit advances the write point over n bytes writeAt already stored.
+func (b *sockBuf) commit(n int) error {
+	if n < 0 || n > b.Free() {
+		return fmt.Errorf("fstack: commit %d into %d free bytes", n, b.Free())
+	}
+	b.w += uint64(n)
+	return nil
 }
 
 // writeFromCap appends up to n bytes loaded through the caller's

@@ -9,7 +9,7 @@ import (
 	"repro/internal/dpdk"
 )
 
-func testSeg(t *testing.T, capMode bool) (*dpdk.MemSeg, *cheri.TMem) {
+func testSeg(t testing.TB, capMode bool) (*dpdk.MemSeg, *cheri.TMem) {
 	t.Helper()
 	mem := cheri.NewTMem(4 << 20)
 	var c cheri.Cap
@@ -220,5 +220,97 @@ func TestQuickSockBufStreamIntegrity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSockBufWriteAtCommit pins the in-ring reassembly primitives:
+// writeAt parks bytes ahead of the write point — across the ring's wrap
+// too — without moving Len or Free (so the window the connection
+// advertises from Free ignores them), commit makes them readable in
+// place, and neither reaches outside the free space.
+func TestSockBufWriteAtCommit(t *testing.T) {
+	seg, _ := testSeg(t, true)
+	b, err := newSockBuf(seg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Put the write point 8 bytes before the wrap with 16 bytes unread.
+	b.writeFrom(make([]byte, 56))
+	b.readInto(make([]byte, 40))
+	stream := []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKL") // 48 = Free()
+	if b.Len() != 16 || b.Free() != len(stream) {
+		t.Fatalf("setup: len %d free %d", b.Len(), b.Free())
+	}
+	// Out of order: the tail (wholly past the wrap), then a piece
+	// straddling it, and only then the head.
+	for _, r := range [][2]int{{30, 48}, {4, 30}} {
+		if err := b.writeAt(r[0], stream[r[0]:r[1]]); err != nil {
+			t.Fatalf("writeAt [%d,%d): %v", r[0], r[1], err)
+		}
+		if b.Len() != 16 || b.Free() != 48 {
+			t.Fatalf("parking [%d,%d) moved the ring: len %d free %d", r[0], r[1], b.Len(), b.Free())
+		}
+	}
+	if n, err := b.writeFrom(stream[:4]); n != 4 || err != nil {
+		t.Fatal(n, err)
+	}
+	if err := b.commit(44); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	b.readInto(got[:16]) // the zeros written first
+	if n, _ := b.readInto(got); n != len(stream) || !bytes.Equal(got[:n], stream) {
+		t.Fatalf("read %q, want %q", got[:n], stream)
+	}
+
+	// Refusals: the ring is empty again, Free() == 64.
+	if err := b.writeAt(60, make([]byte, 5)); err == nil {
+		t.Fatal("writeAt past the free space accepted")
+	}
+	if err := b.writeAt(-1, make([]byte, 1)); err == nil {
+		t.Fatal("writeAt at a negative offset accepted")
+	}
+	if err := b.writeAt(60, make([]byte, 4)); err != nil {
+		t.Fatalf("writeAt flush with the free space: %v", err)
+	}
+	b.writeFrom(make([]byte, 10))
+	if err := b.writeAt(51, make([]byte, 4)); err == nil {
+		t.Fatal("writeAt ignored the bytes now buffered")
+	}
+	if b.commit(55) == nil || b.commit(-1) == nil {
+		t.Fatal("commit outside the free space accepted")
+	}
+	if err := b.commit(54); err != nil || b.Free() != 0 {
+		t.Fatalf("commit of all the free space: %v, free %d", err, b.Free())
+	}
+}
+
+// TestSockBufWriteAtBacksLazyRing: an idle connection's lazy ring costs
+// no segment memory until data arrives, and the first arrival may be out
+// of order.
+func TestSockBufWriteAtBacksLazyRing(t *testing.T) {
+	seg, _ := testSeg(t, false)
+	b, err := newLazySockBuf(seg, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := seg.Used()
+	if err := b.writeAt(5000, []byte("x")); err == nil || b.backed || seg.Used() != used {
+		t.Fatalf("a refused writeAt must not back the ring: err %v backed %v", err, b.backed)
+	}
+	if err := b.writeAt(100, []byte("parked")); err != nil {
+		t.Fatal(err)
+	}
+	if !b.backed || seg.Used() < used+4096 {
+		t.Fatalf("first writeAt did not back the ring: backed %v, segment grew %d", b.backed, seg.Used()-used)
+	}
+	if b.Len() != 0 || b.Free() != 4096 {
+		t.Fatalf("parked bytes count as buffered: len %d free %d", b.Len(), b.Free())
+	}
+	b.writeFrom(make([]byte, 100))
+	b.commit(6)
+	got := make([]byte, 200)
+	if n, _ := b.readInto(got); n != 106 || string(got[100:106]) != "parked" {
+		t.Fatalf("read %d bytes ending %q", n, got[100:106])
 	}
 }

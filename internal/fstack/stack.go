@@ -78,6 +78,7 @@ type StackStats struct {
 	SynDrops        uint64 // SYNs refused (backlog or SYN cache full)
 	AcceptOverflows uint64 // graduations deferred/refused: accept queue full
 	TimeWaitReuses  uint64 // TIME_WAIT tuples recycled for a fresh connection
+	ReassDrops      uint64 // out-of-order segments refused: reassembly budget or window
 }
 
 // Add accumulates another stack's counters into st — the one place
@@ -99,6 +100,7 @@ func (st *StackStats) Add(o StackStats) {
 	st.SynDrops += o.SynDrops
 	st.AcceptOverflows += o.AcceptOverflows
 	st.TimeWaitReuses += o.TimeWaitReuses
+	st.ReassDrops += o.ReassDrops
 }
 
 // RecoverySummary formats the retransmit breakdown for scenario
@@ -540,7 +542,7 @@ func (s *Stack) ConnCount() int {
 
 // RetainedBytes is a deterministic accounting of the heap the stack's
 // connection plane holds onto: connection and socket structs (live and
-// free-listed), their buffer headers, reassembly queues and SACK
+// free-listed), their buffer headers, reassembly run lists and SACK
 // scoreboards, half-open SYN-cache entries, and recycled datagram
 // buffers. Segment-backed socket buffer storage is excluded — the
 // segment allocator reports that itself (MemSeg.Used).
@@ -559,7 +561,7 @@ func (s *Stack) RetainedBytes() uint64 {
 		bufSz   = uint64(unsafe.Sizeof(sockBuf{}))
 		synSz   = uint64(unsafe.Sizeof(synEntry{}))
 		rangeSz = uint64(unsafe.Sizeof(seqRange{}))
-		oooSz   = uint64(unsafe.Sizeof(oooSeg{}))
+		oooSz   = uint64(unsafe.Sizeof(oooRun{}))
 	)
 	var b uint64
 	conn := func(c *tcpConn) {

@@ -2,12 +2,14 @@ package fstack
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dpdk"
 	"repro/internal/hostos"
 	"repro/internal/netem"
 	"repro/internal/nic"
@@ -299,6 +301,10 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 			conn.oooInsert(seq, payload)
 			conn.lastOOO = seqRange{start: seq, end: seq + uint32(len(payload))}
 		}
+		if err := checkRuns(conn); err != nil {
+			t.Log(err)
+			return false
+		}
 		blocks := conn.sackBlocks()
 		if len(blocks) > MaxSACKBlocks {
 			return false
@@ -323,9 +329,8 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 		// First block reports the most recent arrival's run, whenever
 		// that run survived the insert budget.
 		if len(blocks) > 0 {
-			for _, s := range conn.rcvOOO {
-				end := s.seq + uint32(len(s.data))
-				if seqLE(s.seq, conn.lastOOO.start) && seqLT(conn.lastOOO.start, end) {
+			for _, r := range conn.rcvOOO {
+				if seqLE(r.start, conn.lastOOO.start) && seqLT(conn.lastOOO.start, r.end) {
 					if !(seqLE(blocks[0].Start, conn.lastOOO.start) && seqLT(conn.lastOOO.start, blocks[0].End)) {
 						return false
 					}
@@ -340,16 +345,186 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	}
 }
 
-// refSACKBlocks is the two-slice construction sackBlocks used to be:
-// coalesce every run, find the one holding the latest arrival, emit it
-// first and the rest in sequence order. The single-pass version must
-// agree with it block for block.
-func refSACKBlocks(c *tcpConn) []SACKBlock {
-	if len(c.rcvOOO) == 0 {
-		return nil
+// checkRuns verifies the reassembly list's invariants: runs non-empty,
+// sorted, disjoint and non-adjacent; none reaching past the ring's free
+// space (run.end <= rcvNxt+Free()); none straddling rcvNxt — a run is
+// either wholly ahead of it or, after a window overrun wrote over it,
+// wholly stale until the next drain drops it.
+func checkRuns(c *tcpConn) error {
+	limit := c.rcvNxt + uint32(c.rcvBuf.Free())
+	live := 0
+	for i, r := range c.rcvOOO {
+		switch {
+		case !seqLT(r.start, r.end) || r.segs == 0:
+			return fmt.Errorf("run %d %+v is empty", i, r)
+		case i > 0 && !seqLT(c.rcvOOO[i-1].end, r.start):
+			return fmt.Errorf("runs %d %+v and %d %+v overlap, touch or are out of order", i-1, c.rcvOOO[i-1], i, r)
+		case seqGT(r.end, limit):
+			return fmt.Errorf("run %d %+v ends past rcvNxt+Free = %d", i, r, limit)
+		case seqLE(r.start, c.rcvNxt) && seqGT(r.end, c.rcvNxt):
+			return fmt.Errorf("run %d %+v straddles rcvNxt %d: a drain was missed", i, r, c.rcvNxt)
+		}
+		if seqGT(r.start, c.rcvNxt) {
+			live += int(r.end - r.start)
+		}
 	}
+	if c.rcvBuf.Len()+live > c.rcvBuf.size {
+		return fmt.Errorf("%d buffered + %d parked exceed the %d-byte ring", c.rcvBuf.Len(), live, c.rcvBuf.size)
+	}
+	return nil
+}
+
+// bareReceiver is a connection with only what reassembly touches: a
+// receive ring, the budgets and a stack to count refusals on. Enough
+// for oooInsert, oooDrain and sackBlocks; acceptData needs a real stack
+// to send its ACKs through (see reassRig).
+func bareReceiver(t testing.TB, size int, rcvNxt uint32) *tcpConn {
+	t.Helper()
+	seg, _ := testSeg(t, false)
+	ring, err := newSockBuf(seg, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tcpConn{stk: &Stack{}, rcvBuf: ring, rcvNxt: rcvNxt, oooCap: max(oooMaxBytes, size)}
+}
+
+// oooSeg is one parked segment of the reference queue.
+type oooSeg struct {
+	seq  uint32
+	data []byte
+}
+
+// refReassembly is the receiver the stack had before runs lived in the
+// ring, kept as the differential reference: every parked segment its
+// own heap copy in a queue sorted by sequence number, walked whole for
+// the byte budget and for every SACK option, and copied a second time
+// into the receive buffer at drain. buf models the receive ring (bytes
+// sequenced and not yet read); acceptData is the old acceptData minus
+// the ACKs it sent.
+type refReassembly struct {
+	rcvNxt  uint32
+	size    int
+	buf     []byte
+	ooo     []oooSeg
+	lastOOO seqRange
+	oooCap  int
+	refused int // arrivals turned away by a budget or the window check
+}
+
+func (r *refReassembly) free() int { return r.size - len(r.buf) }
+
+func (r *refReassembly) oooBytes() int {
+	t := 0
+	for _, s := range r.ooo {
+		t += len(s.data)
+	}
+	return t
+}
+
+func (r *refReassembly) oooInsert(seq uint32, payload []byte) {
+	if len(r.ooo) >= max(oooMaxSegs, r.oooCap/MaxSegData) || r.oooBytes()+len(payload) > r.oooCap {
+		r.refused++
+		return
+	}
+	if seqGT(seq+uint32(len(payload)), r.rcvNxt+uint32(r.free())) {
+		r.refused++
+		return
+	}
+	pos := 0
+	for pos < len(r.ooo) && seqLT(r.ooo[pos].seq, seq) {
+		pos++
+	}
+	// Trim against predecessor.
+	if pos > 0 {
+		prev := r.ooo[pos-1]
+		prevEnd := prev.seq + uint32(len(prev.data))
+		if seqGE(prevEnd, seq+uint32(len(payload))) {
+			return // fully contained
+		}
+		if seqGT(prevEnd, seq) {
+			payload = payload[prevEnd-seq:]
+			seq = prevEnd
+		}
+	}
+	// Trim against successor. This is where the old queue threw new
+	// bytes away: it looked at one neighbour on each side, so a segment
+	// reaching past its successor lost everything beyond the successor's
+	// start (see TestReassemblyKeepsBytesPastANeighbour).
+	if pos < len(r.ooo) {
+		next := r.ooo[pos]
+		if seqLE(next.seq, seq) {
+			return
+		}
+		if seqGT(seq+uint32(len(payload)), next.seq) {
+			payload = payload[:next.seq-seq]
+		}
+	}
+	if len(payload) == 0 {
+		return
+	}
+	r.ooo = slices.Insert(r.ooo, pos, oooSeg{seq: seq, data: bytes.Clone(payload)})
+}
+
+func (r *refReassembly) oooDrain() {
+	for len(r.ooo) > 0 {
+		s := r.ooo[0]
+		end := s.seq + uint32(len(s.data))
+		if seqGT(s.seq, r.rcvNxt) {
+			return // still a hole
+		}
+		if seqLE(end, r.rcvNxt) {
+			r.ooo = r.ooo[1:] // stale
+			continue
+		}
+		data := s.data[r.rcvNxt-s.seq:]
+		if len(data) > r.free() {
+			return // no room; keep parked
+		}
+		r.buf = append(r.buf, data...)
+		r.rcvNxt = end
+		r.ooo = r.ooo[1:]
+	}
+}
+
+func (r *refReassembly) acceptData(seq uint32, payload []byte) {
+	if len(payload) == 0 {
+		return
+	}
+	if seq != r.rcvNxt {
+		if seqGT(seq, r.rcvNxt) {
+			r.oooInsert(seq, payload)
+			r.lastOOO = seqRange{start: seq, end: seq + uint32(len(payload))}
+		} else if seqGT(seq+uint32(len(payload)), r.rcvNxt) {
+			tail := payload[r.rcvNxt-seq:]
+			if n := min(len(tail), r.free()); n > 0 {
+				r.buf = append(r.buf, tail[:n]...)
+				r.rcvNxt += uint32(n)
+				r.oooDrain()
+			}
+		}
+		return
+	}
+	n := min(len(payload), r.free())
+	r.buf = append(r.buf, payload[:n]...)
+	r.rcvNxt += uint32(n)
+	if n < len(payload) {
+		return // window overrun: no drain, as the stack has it
+	}
+	r.oooDrain()
+}
+
+// read is the application consuming up to n sequenced bytes.
+func (r *refReassembly) read(n int) []byte {
+	n = min(n, len(r.buf))
+	out := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return out
+}
+
+// runs coalesces the queue into the contiguous runs it holds.
+func (r *refReassembly) runs() []SACKBlock {
 	var runs []SACKBlock
-	for _, s := range c.rcvOOO {
+	for _, s := range r.ooo {
 		end := s.seq + uint32(len(s.data))
 		if n := len(runs); n > 0 && runs[n-1].End == s.seq {
 			runs[n-1].End = end
@@ -357,9 +532,20 @@ func refSACKBlocks(c *tcpConn) []SACKBlock {
 			runs = append(runs, SACKBlock{Start: s.seq, End: end})
 		}
 	}
+	return runs
+}
+
+// sackBlocks is the construction the SACK option started from: coalesce
+// every run, find the one holding the latest arrival, emit it first and
+// the rest in sequence order.
+func (r *refReassembly) sackBlocks() []SACKBlock {
+	runs := r.runs()
+	if len(runs) == 0 {
+		return nil
+	}
 	first := 0
-	for i, r := range runs {
-		if seqLE(r.Start, c.lastOOO.start) && seqLT(c.lastOOO.start, r.End) {
+	for i, run := range runs {
+		if seqLE(run.Start, r.lastOOO.start) && seqLT(r.lastOOO.start, run.End) {
 			first = i
 			break
 		}
@@ -373,33 +559,446 @@ func refSACKBlocks(c *tcpConn) []SACKBlock {
 	return out
 }
 
+// connRuns is the connection's run list in the reference's terms.
+func connRuns(c *tcpConn) []SACKBlock {
+	var runs []SACKBlock
+	for _, r := range c.rcvOOO {
+		runs = append(runs, r.block())
+	}
+	return runs
+}
+
 func TestSACKBlocksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := &tcpConn{stk: &Stack{}}
+	c := bareReceiver(t, 64<<10, 0)
 	for iter := 0; iter < 5000; iter++ {
-		// A sorted, non-overlapping queue of 1..12 segments starting near
-		// the sequence wrap, neighbours contiguous about half the time,
-		// so run counts cover 1 to well past MaxSACKBlocks.
-		c.rcvOOO = c.rcvOOO[:0]
+		// A queue of 1..12 segments starting near the sequence wrap,
+		// neighbours contiguous about half the time, so run counts cover 1
+		// to well past MaxSACKBlocks — inserted in a shuffled order, so
+		// runs also grow at the front and merge in the middle.
 		seq := uint32(0xFFFFF000) + uint32(rng.Intn(0x2000))
+		c.rcvNxt, c.rcvOOO = seq-1, c.rcvOOO[:0]
+		ref := &refReassembly{rcvNxt: c.rcvNxt, size: c.rcvBuf.size, oooCap: c.oooCap}
+		var segs []seqRange
 		for n := 1 + rng.Intn(12); n > 0; n-- {
 			if rng.Intn(2) == 0 {
 				seq += 1 + uint32(rng.Intn(3000))
 			}
 			size := 1 + rng.Intn(1448)
-			c.rcvOOO = append(c.rcvOOO, oooSeg{seq: seq, data: make([]byte, size)})
+			segs = append(segs, seqRange{start: seq, end: seq + uint32(size)})
 			seq += uint32(size)
+		}
+		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+		for _, s := range segs {
+			payload := make([]byte, s.end-s.start)
+			c.oooInsert(s.start, payload)
+			ref.oooInsert(s.start, payload)
+		}
+		if err := checkRuns(c); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
 		}
 		// The latest arrival: usually one of the queued segments (any
 		// position), sometimes a range the queue no longer holds.
-		s := c.rcvOOO[rng.Intn(len(c.rcvOOO))]
-		c.lastOOO = seqRange{start: s.seq, end: s.seq + uint32(len(s.data))}
+		c.lastOOO = segs[rng.Intn(len(segs))]
 		if rng.Intn(8) == 0 {
 			c.lastOOO.start -= 1 + uint32(rng.Intn(5000))
 		}
-		got, want := c.sackBlocks(), refSACKBlocks(c)
+		ref.lastOOO = c.lastOOO
+		got, want := c.sackBlocks(), ref.sackBlocks()
 		if !slices.Equal(got, want) {
-			t.Fatalf("iter %d (%d segments, lastOOO %v):\n got %v\nwant %v", iter, len(c.rcvOOO), c.lastOOO, got, want)
+			t.Fatalf("iter %d (%d segments, lastOOO %v):\n got %v\nwant %v", iter, len(segs), c.lastOOO, got, want)
 		}
+	}
+}
+
+// TestReassemblyKeepsBytesPastANeighbour pins the one place the run
+// list is allowed to differ from the reference queue. The queue trimmed
+// an arrival against one neighbour on each side: with [100,200) and
+// [200,300) parked, [150,350) was cut to [200,350) by the first and then
+// dropped whole because the second starts exactly there — 50 new bytes
+// thrown away for the sender to retransmit. Likewise a longer resend of
+// a short parked segment ([100,150) parked, [100,200) arriving) was
+// dropped for starting where its successor does. Runs store every byte
+// no run holds yet.
+func TestReassemblyKeepsBytesPastANeighbour(t *testing.T) {
+	stream := make([]byte, 400)
+	for i := range stream {
+		stream[i] = byte(i)
+	}
+	for _, tc := range []struct {
+		name    string
+		parked  []seqRange
+		arrival seqRange
+		refRuns []SACKBlock
+		want    oooRun
+	}{
+		{"two abutting segments", []seqRange{{100, 200}, {200, 300}}, seqRange{150, 350},
+			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350, segs: 3}},
+		{"short segment resent longer", []seqRange{{100, 150}}, seqRange{100, 200},
+			[]SACKBlock{{100, 150}}, oooRun{start: 100, end: 200, segs: 2}},
+		{"across a hole and a run", []seqRange{{100, 200}, {250, 300}}, seqRange{150, 350},
+			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350, segs: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := bareReceiver(t, 1024, 0)
+			ref := &refReassembly{size: 1024, oooCap: c.oooCap}
+			for _, s := range append(tc.parked, tc.arrival) {
+				c.oooInsert(s.start, stream[s.start:s.end])
+				ref.oooInsert(s.start, stream[s.start:s.end])
+			}
+			if got := ref.runs(); !slices.Equal(got, tc.refRuns) {
+				t.Fatalf("reference queue holds %v, want %v: the pinned difference moved", got, tc.refRuns)
+			}
+			if len(c.rcvOOO) != 1 || c.rcvOOO[0] != tc.want {
+				t.Fatalf("runs %+v, want [%+v]", c.rcvOOO, tc.want)
+			}
+			// Fill the hole: everything parked must come out, in order.
+			if n, err := c.rcvBuf.writeFrom(stream[:100]); n != 100 || err != nil {
+				t.Fatal(n, err)
+			}
+			c.rcvNxt = 100
+			c.oooDrain()
+			got := make([]byte, len(stream))
+			n, _ := c.rcvBuf.readInto(got)
+			if c.rcvNxt != tc.want.end || len(c.rcvOOO) != 0 || !bytes.Equal(got[:n], stream[:tc.want.end]) {
+				t.Fatalf("after the fill: rcvNxt %d, %d runs, %d bytes read; want the first %d stream bytes", c.rcvNxt, len(c.rcvOOO), n, tc.want.end)
+			}
+		})
+	}
+}
+
+// TestReassemblyRefusalsAreCounted forces both of oooInsert's refusal
+// exits and checks each lands in StackStats.ReassDrops, and that the
+// sharded aggregator carries the counter.
+func TestReassemblyRefusalsAreCounted(t *testing.T) {
+	c := bareReceiver(t, 64<<10, 1000)
+	seg := make([]byte, 1448)
+	c.oooCap = 2 * len(seg)
+	c.oooInsert(2000, seg)
+	c.oooInsert(5000, seg)
+	if c.stk.stats.ReassDrops != 0 || len(c.rcvOOO) != 2 {
+		t.Fatalf("two segments inside the budget: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	}
+	c.oooInsert(8000, seg) // byte budget
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 2 {
+		t.Fatalf("over the byte budget: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	}
+	c.oooCap = oooMaxBytes
+	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1447, seg) // one byte past the window
+	if c.stk.stats.ReassDrops != 2 || len(c.rcvOOO) != 2 {
+		t.Fatalf("past the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	}
+	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1448, seg) // flush with it
+	if c.stk.stats.ReassDrops != 2 || len(c.rcvOOO) != 3 {
+		t.Fatalf("flush with the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	}
+	// Segment budget: one-byte arrivals, each its own run.
+	c = bareReceiver(t, 64<<10, 0)
+	for i := 0; i <= c.oooSegCap(); i++ {
+		c.oooInsert(uint32(10+2*i), seg[:1])
+	}
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != c.oooSegCap() {
+		t.Fatalf("over the segment budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO))
+	}
+	var sum StackStats
+	sum.Add(c.stk.stats)
+	sum.Add(StackStats{ReassDrops: 4})
+	if sum.ReassDrops != 5 {
+		t.Fatalf("StackStats.Add carried %d reassembly drops, want 5", sum.ReassDrops)
+	}
+}
+
+// reassRig drives the real receive path — tcpConn.acceptData on an
+// established connection of a two-stack rig, so every arrival also
+// builds and sends its ACK — against a source stream whose byte at
+// sequence isn+i is src[i]. The rig is never polled: the ACKs pile up in
+// the TX ring and are then refused, which is all the receiver needs.
+type reassRig struct {
+	stk  *Stack
+	conn *tcpConn
+	seg  *dpdk.MemSeg // rings for reset come from here, not the stack's segment
+	isn  uint32
+	src  []byte
+}
+
+func newReassRig(t testing.TB) *reassRig {
+	e := newEnv(t, false)
+	_, afd := e.connectPair(5001)
+	e.stkB.Lock()
+	defer e.stkB.Unlock()
+	conn := e.stkB.socks[afd].conn
+	conn.sackOK = true
+	return &reassRig{stk: e.stkB, conn: conn}
+}
+
+// reset gives the connection a fresh receive ring of the given size
+// (unbacked when lazy) and restarts the stream at isn.
+func (g *reassRig) reset(t testing.TB, size int, lazy bool, isn uint32, src []byte) {
+	// A segment only ever grows; start a new one when this ring (backed
+	// now, or by its first write) would not fit.
+	if g.seg == nil || g.seg.Used()+uint64(size)+64 > g.seg.Size() {
+		g.seg, _ = testSeg(t, false)
+	}
+	mk := newSockBuf
+	if lazy {
+		mk = newLazySockBuf
+	}
+	ring, err := mk(g.seg, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.conn
+	c.rcvBuf, c.rcvNxt, c.rcvOOO, c.lastOOO = ring, isn, c.rcvOOO[:0], seqRange{}
+	c.oooCap = max(oooMaxBytes, size)
+	g.isn, g.src = isn, src
+}
+
+// arrive delivers stream bytes [from, to) as one segment.
+func (g *reassRig) arrive(from, to int) {
+	g.conn.acceptData(TCPHeader{Seq: g.isn + uint32(from)}, g.src[from:to])
+}
+
+// read is the application consuming up to n bytes.
+func (g *reassRig) read(n int) []byte {
+	out := make([]byte, n)
+	n, _ = g.conn.rcvBuf.readInto(out)
+	return out[:n]
+}
+
+// TestReassemblyMatchesReference is the differential test of in-ring
+// reassembly: seeded arrival traces near the sequence wrap — MSS-aligned
+// segments opening holes, retransmissions on the parked boundaries,
+// go-back-N resends from rcvNxt, fills, beyond-window probes, the
+// application reading in between, tight budgets, lazy and eager rings —
+// drive the stack's receiver and the per-segment reference queue side by
+// side. After every arrival both must have made the same accept/refuse
+// decision and hold the same rcvNxt, the same SACK option and the same
+// readable bytes; at the end both have delivered the same prefix of the
+// source. The one arrival the two may treat differently — the reference
+// discarding bytes past a neighbour, pinned by
+// TestReassemblyKeepsBytesPastANeighbour — is left out of these traces
+// and gets its own below.
+func TestReassemblyMatchesReference(t *testing.T) {
+	const traces = 6000
+	g := newReassRig(t)
+	g.stk.Lock()
+	defer g.stk.Unlock()
+	var arrivals, parkedArrivals, refusals, wraps int
+	stream := make([]byte, 3*256<<10)
+	rand.New(rand.NewSource(1)).Read(stream)
+	for trace := 0; trace < traces; trace++ {
+		rng := rand.New(rand.NewSource(int64(trace)))
+		size := 4096 << (2 * rng.Intn(4)) // 4 KiB .. 256 KiB
+		mss := []int{MaxSegData, MaxSegData, 536, 100, 9}[rng.Intn(5)]
+		src := stream[:3*size]
+		isn := -uint32(rng.Intn(2 * size))
+		g.reset(t, size, trace%2 == 1, isn, src)
+		ref := &refReassembly{rcvNxt: isn, size: size, oooCap: g.conn.oooCap}
+		if rng.Intn(4) == 0 {
+			// A budget tight enough to bite inside one window.
+			g.conn.oooCap = size / 8
+			ref.oooCap = size / 8
+		}
+		var delivered []byte
+		steps := 120
+		if mss <= 100 {
+			steps = 400 // enough small arrivals to run into the segment budget
+		}
+		for step := 0; step < steps; step++ {
+			nxt := int(ref.rcvNxt - isn) // stream offset of rcvNxt
+			if nxt >= len(src)-size {
+				break
+			}
+			if rng.Intn(6) == 0 {
+				n := rng.Intn(len(ref.buf) + 1)
+				got, want := g.read(n), ref.read(n)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("trace %d step %d: read of %d bytes differs from the reference", trace, step, n)
+				}
+				delivered = append(delivered, got...)
+				continue
+			}
+			// Pick the segment [from, to) of the stream that arrives.
+			aligned := func(k int) (int, int) { return k * mss, min((k+1)*mss, len(src)) }
+			var from, to int
+			switch k := rng.Intn(10); {
+			case k < 3: // the next in-order bytes, resegmented from rcvNxt
+				from, to = nxt, min(nxt+mss, len(src))
+			case k < 6: // an aligned segment somewhere in (or just past) the window
+				from, to = aligned(nxt/mss + rng.Intn(ref.free()/mss+3))
+			case k < 8 && len(ref.ooo) > 0: // on a parked boundary: before, on, or after a parked segment
+				s := ref.ooo[rng.Intn(len(ref.ooo))]
+				at := int(s.seq - isn)
+				switch rng.Intn(4) {
+				case 0:
+					from, to = max(at-mss, 0), at
+				case 1:
+					from, to = at, at+len(s.data)
+				case 2:
+					from, to = at+len(s.data), min(at+len(s.data)+mss, len(src))
+				default: // unaligned, overlapping its front or back
+					from = max(at-rng.Intn(mss), 0)
+					to = min(from+mss, len(src))
+				}
+			case k < 9: // straddling rcvNxt: partly delivered already
+				from = max(nxt-rng.Intn(mss), 0)
+				to = min(from+mss, len(src))
+			default: // an old duplicate
+				from, to = aligned(rng.Intn(nxt/mss + 1))
+			}
+			if from >= to {
+				continue
+			}
+			seq := isn + uint32(from)
+			if refDiscards(ref, seq, src[from:to]) {
+				continue
+			}
+			wasParked, wasRefused := len(ref.ooo), ref.refused
+			dropsBefore := g.stk.stats.ReassDrops
+			g.arrive(from, to)
+			ref.acceptData(seq, src[from:to])
+			arrivals++
+			if len(ref.ooo) > wasParked {
+				parkedArrivals++
+			}
+			refusals += ref.refused - wasRefused
+			c := g.conn
+			if got, want := int(g.stk.stats.ReassDrops-dropsBefore), ref.refused-wasRefused; got != want {
+				t.Fatalf("trace %d step %d [%d,%d): refused %d, reference %d", trace, step, from, to, got, want)
+			}
+			if c.rcvNxt != ref.rcvNxt || c.rcvBuf.Len() != len(ref.buf) || c.lastOOO != ref.lastOOO {
+				t.Fatalf("trace %d step %d [%d,%d): rcvNxt %d len %d lastOOO %v, reference %d %d %v",
+					trace, step, from, to, c.rcvNxt, c.rcvBuf.Len(), c.lastOOO, ref.rcvNxt, len(ref.buf), ref.lastOOO)
+			}
+			if got, want := c.rcvWnd(), uint32(min(ref.free(), maxRcvWnd)); got != want {
+				t.Fatalf("trace %d step %d [%d,%d): window %d, reference %d: parked bytes must not be charged to it", trace, step, from, to, got, want)
+			}
+			if got, want := c.sackBlocks(), ref.sackBlocks(); !slices.Equal(got, want) {
+				t.Fatalf("trace %d step %d [%d,%d): SACK %v, reference %v", trace, step, from, to, got, want)
+			}
+			if got, want := connRuns(c), ref.runs(); !slices.Equal(got, want) {
+				t.Fatalf("trace %d step %d [%d,%d): runs %v, reference %v", trace, step, from, to, got, want)
+			}
+			if err := checkRuns(c); err != nil {
+				t.Fatalf("trace %d step %d [%d,%d): %v", trace, step, from, to, err)
+			}
+		}
+		if ref.rcvNxt < isn {
+			wraps++
+		}
+		got, want := g.read(size), ref.read(size)
+		delivered = append(delivered, got...)
+		if !bytes.Equal(got, want) || !bytes.Equal(delivered, src[:len(delivered)]) {
+			t.Fatalf("trace %d: delivered stream differs from the reference or is not a prefix of the source", trace)
+		}
+	}
+	t.Logf("%d traces: %d arrivals, %d parked, %d refused, %d traces crossed the sequence wrap", traces, arrivals, parkedArrivals, refusals, wraps)
+	if parkedArrivals < traces || refusals < traces/10 || wraps < traces/4 {
+		t.Fatal("the traces did not exercise parking, refusal and the sequence wrap: test is vacuous")
+	}
+}
+
+// refDiscards reports whether the reference queue would throw away
+// bytes of this out-of-order arrival that it does not hold — the
+// single-neighbour trimming the run list does not share.
+func refDiscards(r *refReassembly, seq uint32, payload []byte) bool {
+	if !seqGT(seq, r.rcvNxt) {
+		return false
+	}
+	probe := *r
+	probe.ooo = slices.Clone(r.ooo)
+	probe.oooInsert(seq, payload)
+	if probe.refused != r.refused {
+		return false
+	}
+	fresh := len(payload) // bytes of the arrival no parked segment holds
+	end := seq + uint32(len(payload))
+	for _, s := range r.ooo {
+		lo, hi := seqMax(s.seq, seq), s.seq+uint32(len(s.data))
+		if seqGT(hi, end) {
+			hi = end
+		}
+		if seqLT(lo, hi) {
+			fresh -= int(hi - lo)
+		}
+	}
+	return probe.oooBytes()-r.oooBytes() != fresh
+}
+
+// TestReassemblyHoldsASuperset runs the arrivals the differential test
+// leaves out: unaligned segments reaching across parked neighbours.
+// From the first such arrival the two receivers may differ, in one
+// direction only — the run list holds everything the reference holds and
+// possibly more, so its rcvNxt is never behind, and both still deliver
+// prefixes of the source. Budgets stay at their defaults, which a
+// 64 KiB ring cannot exhaust, so holding more never costs an accept.
+func TestReassemblyHoldsASuperset(t *testing.T) {
+	const size, mss = 64 << 10, MaxSegData
+	g := newReassRig(t)
+	g.stk.Lock()
+	defer g.stk.Unlock()
+	ahead := 0
+	src := make([]byte, 3*size)
+	rand.New(rand.NewSource(1)).Read(src)
+	for trace := 0; trace < 500; trace++ {
+		rng := rand.New(rand.NewSource(int64(trace)))
+		isn := -uint32(rng.Intn(size))
+		g.reset(t, size, false, isn, src)
+		ref := &refReassembly{rcvNxt: isn, size: size, oooCap: g.conn.oooCap}
+		var delivered, refDelivered []byte
+		for step := 0; step < 150; step++ {
+			c := g.conn
+			nxt := int(ref.rcvNxt - isn)
+			if int(c.rcvNxt-isn) >= len(src)-size {
+				break
+			}
+			switch k := rng.Intn(8); {
+			case k == 0:
+				n := rng.Intn(len(ref.buf) + 1) // the same count from both keeps their windows equal
+				delivered = append(delivered, g.read(n)...)
+				refDelivered = append(refDelivered, ref.read(n)...)
+				continue
+			case k == 1:
+				g.arrive(nxt, nxt+mss)
+				ref.acceptData(isn+uint32(nxt), src[nxt:nxt+mss])
+			default: // up to three segments long, anywhere in the first part of the window
+				from := nxt + 1 + rng.Intn(12*mss)
+				to := from + 1 + rng.Intn(3*mss)
+				if to-nxt > ref.free() {
+					continue
+				}
+				g.arrive(from, to)
+				ref.acceptData(isn+uint32(from), src[from:to])
+			}
+			if g.stk.stats.ReassDrops != 0 || ref.refused != 0 {
+				t.Fatalf("trace %d step %d: a budget or the window refused an arrival", trace, step)
+			}
+			if seqLT(c.rcvNxt, ref.rcvNxt) {
+				t.Fatalf("trace %d step %d: rcvNxt %d behind the reference's %d", trace, step, c.rcvNxt, ref.rcvNxt)
+			}
+			if c.rcvNxt != ref.rcvNxt {
+				ahead++
+			}
+			for _, want := range ref.runs() {
+				held := seqGE(c.rcvNxt, want.End)
+				for _, r := range c.rcvOOO {
+					held = held || seqLE(r.start, seqMax(want.Start, c.rcvNxt)) && seqGE(r.end, want.End)
+				}
+				if !held {
+					t.Fatalf("trace %d step %d: reference holds %v, runs %+v (rcvNxt %d) do not", trace, step, want, c.rcvOOO, c.rcvNxt)
+				}
+			}
+			if err := checkRuns(c); err != nil {
+				t.Fatalf("trace %d step %d: %v", trace, step, err)
+			}
+		}
+		delivered = append(delivered, g.read(size)...)
+		refDelivered = append(refDelivered, ref.read(size)...)
+		if !bytes.Equal(delivered, src[:len(delivered)]) || !bytes.Equal(refDelivered, src[:len(refDelivered)]) || len(delivered) < len(refDelivered) {
+			t.Fatalf("trace %d: delivered %d bytes, reference %d; both must be prefixes of the source, the reference's the shorter", trace, len(delivered), len(refDelivered))
+		}
+	}
+	if ahead == 0 {
+		t.Fatal("the run list never got ahead of the reference: the traces hold no spanning arrival")
 	}
 }

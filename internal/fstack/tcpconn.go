@@ -1,6 +1,8 @@
 package fstack
 
 import (
+	"slices"
+
 	"repro/internal/fstack/connscale"
 	"repro/internal/hostos"
 	"repro/internal/obs"
@@ -101,7 +103,7 @@ type tcpConn struct {
 
 	// receive state
 	rcvBuf    *sockBuf
-	rcvOOO    []oooSeg // out-of-order reassembly queue (sorted by seq)
+	rcvOOO    []oooRun // out-of-order runs parked in rcvBuf (sorted, disjoint, non-adjacent)
 	rcvNxt    uint32
 	finRcvd   bool   // peer's FIN has been sequenced into rcvNxt
 	advWnd    uint32 // last advertised window
@@ -924,11 +926,17 @@ func (c *tcpConn) onRTO() {
 	c.output()
 }
 
-// oooSeg is one out-of-order segment held for reassembly.
-type oooSeg struct {
-	seq  uint32
-	data []byte
+// oooRun is one contiguous run of out-of-order bytes parked for
+// reassembly: sequence range [start, end), accepted as segs arrivals.
+// The bytes sit in the receive ring itself, at offset seq-rcvNxt past
+// its write point, where the in-order stream will reach them.
+type oooRun struct {
+	start, end uint32
+	segs       uint32
 }
+
+// block is the run as RFC 2018 reports it.
+func (r oooRun) block() SACKBlock { return SACKBlock{Start: r.start, End: r.end} }
 
 // Reassembly bounds (FreeBSD's net.inet.tcp.reass analog): at most this
 // many segments / bytes parked per connection. The byte budget grows
@@ -946,127 +954,116 @@ func (c *tcpConn) oooSegCap() int {
 
 // sackBlocks builds the SACK option content: the run holding the most
 // recent arrival first (RFC 2018 §4), then the remaining runs in
-// sequence order, capped at what fits beside the timestamps option —
-// so only that run and the lowest MaxSACKBlocks matter. One pass over
-// the reassembly queue coalesces runs on the fly and keeps just those;
-// the result lives in stack-owned scratch, valid until the next call.
+// sequence order, capped at what fits beside the timestamps option. The
+// parked runs are the blocks; the result lives in stack-owned scratch,
+// valid until the next call.
 func (c *tcpConn) sackBlocks() []SACKBlock {
 	if len(c.rcvOOO) == 0 {
 		return nil
 	}
-	var lowest [MaxSACKBlocks]SACKBlock
-	var recent SACKBlock
-	n, first := 0, -1 // runs completed; index of the run holding lastOOO
-	run := SACKBlock{Start: c.rcvOOO[0].seq, End: c.rcvOOO[0].seq}
-	for i := 0; ; i++ {
-		if i < len(c.rcvOOO) && c.rcvOOO[i].seq == run.End {
-			run.End += uint32(len(c.rcvOOO[i].data))
-			continue
-		}
-		if n < MaxSACKBlocks {
-			lowest[n] = run
-		}
-		if first < 0 && seqLE(run.Start, c.lastOOO.start) && seqLT(c.lastOOO.start, run.End) {
-			first, recent = n, run
-		}
-		n++
-		if i == len(c.rcvOOO) || first >= 0 && n >= MaxSACKBlocks {
+	first := 0
+	for i, r := range c.rcvOOO {
+		if seqLE(r.start, c.lastOOO.start) && seqLT(c.lastOOO.start, r.end) {
+			first = i
 			break
 		}
-		run = SACKBlock{Start: c.rcvOOO[i].seq, End: c.rcvOOO[i].seq + uint32(len(c.rcvOOO[i].data))}
 	}
-	if first < 0 {
-		first, recent = 0, lowest[0]
-	}
-	out := append(c.stk.sackTx[:0], recent)
-	for i := 0; i < min(n, MaxSACKBlocks) && len(out) < MaxSACKBlocks; i++ {
+	out := append(c.stk.sackTx[:0], c.rcvOOO[first].block())
+	for i := 0; i < len(c.rcvOOO) && len(out) < MaxSACKBlocks; i++ {
 		if i != first {
-			out = append(out, lowest[i])
+			out = append(out, c.rcvOOO[i].block())
 		}
 	}
 	return out
 }
 
-// oooBytes returns the bytes parked in the reassembly queue.
-func (c *tcpConn) oooBytes() int {
-	t := 0
-	for _, s := range c.rcvOOO {
-		t += len(s.data)
-	}
-	return t
-}
-
-// oooInsert parks an out-of-order segment, keeping the queue sorted and
-// non-overlapping (new data loses on overlap — the copy we already hold
-// is as good).
+// oooInsert parks an out-of-order segment. The bytes no run holds yet
+// are stored in the receive ring (new data loses on overlap — the copy
+// we already hold is as good), and every run the segment overlaps or
+// abuts coalesces with it, so the list stays sorted, disjoint and
+// non-adjacent. A refused segment is counted; the sender retransmits.
 func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
-	if len(c.rcvOOO) >= c.oooSegCap() || c.oooBytes()+len(payload) > c.oooCap {
-		return // reassembly budget exhausted: drop, sender retransmits
+	end := seq + uint32(len(payload))
+	// The budgets are sums over the (few) runs rather than running
+	// counters, so the connection struct carries no reassembly state
+	// beyond the list itself.
+	var segs uint32
+	parked := len(payload)
+	for _, r := range c.rcvOOO {
+		segs += r.segs
+		parked += int(r.end - r.start)
 	}
-	// Beyond what we could ever buffer: drop.
-	if seqGT(seq+uint32(len(payload)), c.rcvNxt+uint32(c.rcvBuf.Free())) {
+	if int(segs) >= c.oooSegCap() || parked > c.oooCap {
+		c.stk.stats.ReassDrops++ // reassembly budget exhausted
 		return
 	}
-	pos := 0
-	for pos < len(c.rcvOOO) && seqLT(c.rcvOOO[pos].seq, seq) {
-		pos++
-	}
-	// Trim against predecessor.
-	if pos > 0 {
-		prev := c.rcvOOO[pos-1]
-		prevEnd := prev.seq + uint32(len(prev.data))
-		if seqGE(prevEnd, seq+uint32(len(payload))) {
-			return // fully contained
-		}
-		if seqGT(prevEnd, seq) {
-			payload = payload[prevEnd-seq:]
-			seq = prevEnd
-		}
-	}
-	// Trim against successor.
-	if pos < len(c.rcvOOO) {
-		next := c.rcvOOO[pos]
-		if seqLE(next.seq, seq) {
-			return
-		}
-		if seqGT(seq+uint32(len(payload)), next.seq) {
-			payload = payload[:next.seq-seq]
-		}
-	}
-	if len(payload) == 0 {
+	// Beyond what we could ever buffer. This is also what keeps every run
+	// inside the ring's free space: run.end <= rcvNxt + Free().
+	if seqGT(end, c.rcvNxt+uint32(c.rcvBuf.Free())) {
+		c.stk.stats.ReassDrops++
 		return
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	c.rcvOOO = append(c.rcvOOO, oooSeg{})
-	copy(c.rcvOOO[pos+1:], c.rcvOOO[pos:])
-	c.rcvOOO[pos] = oooSeg{seq: seq, data: cp}
+	// runs[lo:hi] are the runs the segment overlaps or abuts. An arrival
+	// usually extends the newest run, so the search starts at the tail.
+	runs := c.rcvOOO
+	hi := len(runs)
+	for hi > 0 && seqGT(runs[hi-1].start, end) {
+		hi--
+	}
+	lo := hi
+	for lo > 0 && seqGE(runs[lo-1].end, seq) {
+		lo--
+	}
+	// Store the gaps between those runs; at is the first byte of the
+	// segment not known to be held. m is the run all of it coalesces into.
+	m := oooRun{start: seq, end: end, segs: 1}
+	if lo < hi && seqLT(runs[lo].start, seq) {
+		m.start = runs[lo].start
+	}
+	stored := false
+	at := seq
+	for i := lo; i <= hi; i++ {
+		gapEnd := end
+		if i < hi {
+			gapEnd = runs[i].start
+		}
+		if seqLT(at, gapEnd) {
+			if err := c.rcvBuf.writeAt(int(at-c.rcvNxt), payload[at-seq:gapEnd-seq]); err != nil {
+				c.abort(hostos.ENOMEM)
+				return
+			}
+			stored = true
+		}
+		if i < hi {
+			at = seqMax(at, runs[i].end)
+			m.segs += runs[i].segs
+		}
+	}
+	if !stored {
+		return // every byte already held
+	}
+	m.end = seqMax(end, at)
+	c.rcvOOO = slices.Replace(runs, lo, hi, m)
 }
 
-// oooDrain moves now-in-order segments from the reassembly queue into
-// the receive buffer.
+// oooDrain passes the receive ring's write point over every parked run
+// the in-order stream has reached; the bytes are already in place.
 func (c *tcpConn) oooDrain() {
-	for len(c.rcvOOO) > 0 {
-		s := c.rcvOOO[0]
-		end := s.seq + uint32(len(s.data))
-		if seqGT(s.seq, c.rcvNxt) {
-			return // still a hole
+	n := 0
+	for _, r := range c.rcvOOO {
+		if seqGT(r.start, c.rcvNxt) {
+			break // still a hole
 		}
-		if seqLE(end, c.rcvNxt) {
-			c.rcvOOO = c.rcvOOO[1:] // stale
-			continue
+		if seqGT(r.end, c.rcvNxt) { // else stale: delivered in order meanwhile
+			if err := c.rcvBuf.commit(int(r.end - c.rcvNxt)); err != nil {
+				c.abort(hostos.ENOMEM)
+				return
+			}
+			c.rcvNxt = r.end
 		}
-		data := s.data[c.rcvNxt-s.seq:]
-		if len(data) > c.rcvBuf.Free() {
-			return // no room; keep parked
-		}
-		if _, err := c.rcvBuf.writeFrom(data); err != nil {
-			c.abort(hostos.ENOMEM)
-			return
-		}
-		c.rcvNxt = end
-		c.rcvOOO = c.rcvOOO[1:]
+		n++
 	}
+	c.rcvOOO = slices.Delete(c.rcvOOO, 0, n)
 }
 
 // acceptData sequences payload into the receive buffer, parking
@@ -1078,6 +1075,9 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 	if h.Seq != c.rcvNxt {
 		if seqGT(h.Seq, c.rcvNxt) {
 			c.oooInsert(h.Seq, payload)
+			if c.state == tcpClosed {
+				return // parking could not back the ring
+			}
 			// The dup-ACK below leads its SACK list with this run.
 			c.lastOOO = seqRange{start: h.Seq, end: h.Seq + uint32(len(payload))}
 		} else if seqGT(h.Seq+uint32(len(payload)), c.rcvNxt) {
@@ -1255,6 +1255,9 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 	if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt && !c.finRcvd {
 		c.finRcvd = true
 		c.rcvNxt++
+		// Nothing follows a FIN, and it took a sequence number but no ring
+		// byte: anything parked past it would now sit one off.
+		c.rcvOOO = c.rcvOOO[:0]
 		c.sendAckNow()
 		switch c.state {
 		case tcpEstablished, tcpSynReceived:

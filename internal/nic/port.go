@@ -51,6 +51,11 @@ type Port struct {
 
 	mu   sync.Mutex
 	regs portRegs
+	// nq bounds every per-queue walk: queues nq and above have no
+	// descriptor ring programmed in either direction, so there is nothing
+	// of theirs to step. Recomputed on a queue LEN write and on CTRL.RST,
+	// the only events that program or clear a ring.
+	nq int
 
 	// Fault injection (the Scenario 10 fault plane). stalled queues are
 	// skipped by Step and excluded from NextDeadline (guarded by mu);
@@ -290,6 +295,9 @@ func (p *Port) RegWrite32(off uint64, v uint32) {
 	}
 	if r := p.queueReg(off); r != nil {
 		*r = v
+		if off%RegQStride == regQLEN {
+			p.countProgrammedLocked()
+		}
 		return
 	}
 	switch {
@@ -322,7 +330,20 @@ func (p *Port) RegWrite32(off uint64, v uint32) {
 func (p *Port) resetLocked() {
 	lu := p.regs.status & StatusLU
 	p.regs = portRegs{status: lu}
+	p.nq = 0
 	p.gprc, p.gptc, p.gorc, p.gotc = 0, 0, 0, 0
+}
+
+// countProgrammedLocked recomputes nq: one past the highest queue with a
+// ring of at least one descriptor, the condition every ring test below
+// (movable, NextDeadline's armed/pending) starts from. Caller holds p.mu.
+func (p *Port) countProgrammedLocked() {
+	p.nq = 0
+	for q := range p.regs.rxq {
+		if p.regs.rxq[q].length >= DescSize || p.regs.txq[q].length >= DescSize {
+			p.nq = q + 1
+		}
+	}
 }
 
 // DeliverFrame places an arriving frame in the RX queue the RSS
@@ -429,8 +450,8 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 func (p *Port) Step() {
 	var tx, rx [MaxQueues]ring
 	p.mu.Lock()
-	pipe, o := p.pipe, p.obs
-	for q := 0; q < MaxQueues; q++ {
+	pipe, o, nq := p.pipe, p.obs, p.nq
+	for q := 0; q < nq; q++ {
 		tx[q], rx[q] = p.movableLocked(q)
 	}
 	p.mu.Unlock()
@@ -440,12 +461,12 @@ func (p *Port) Step() {
 		// release whatever is due before the RX rings look for arrivals.
 		pipe.Pump(now)
 	}
-	for q := range tx {
+	for q := 0; q < nq; q++ {
 		if tx[q].n > 0 {
 			p.stepTX(q, tx[q], o)
 		}
 	}
-	for q := range rx {
+	for q := 0; q < nq; q++ {
 		if rx[q].n > 0 && (p.card.busLimited() || p.fifos[q].headAt.Load() <= now) {
 			p.stepRX(q, rx[q], now, o)
 		}
@@ -486,8 +507,11 @@ func (p *Port) DrainTXThrough(maxQ int) bool {
 	if maxQ >= MaxQueues {
 		maxQ = MaxQueues - 1
 	}
+	p.mu.Lock()
+	nq := p.nq
+	p.mu.Unlock()
 	progress := false
-	for q := 0; q <= maxQ; q++ {
+	for q := 0; q <= maxQ && q < nq; q++ {
 		for {
 			p.mu.Lock()
 			r, _ := p.movableLocked(q)
@@ -681,12 +705,12 @@ func (p *Port) PendingRXQueue(q int) int { return p.fifos[q].pending() }
 // state (see busNextAdmitAt).
 func (p *Port) NextDeadline(now int64) int64 {
 	p.mu.Lock()
-	pipe := p.pipe
+	pipe, nq := p.pipe, p.nq
 	rxEn := p.regs.rctl&RctlEN != 0
 	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
 	var rxArmed [MaxQueues]bool
 	txPending, rxPolls := false, false
-	for q := 0; q < MaxQueues; q++ {
+	for q := 0; q < nq; q++ {
 		// A stalled queue holds no time-based work: excluding it keeps
 		// the leaping driver from spinning at `now` on a ring that will
 		// not move until the fault plane thaws it.
@@ -705,7 +729,7 @@ func (p *Port) NextDeadline(now int64) int64 {
 	// this port DMAs, so one reading serves every queue.
 	busAt := p.card.busNextAdmitAt(p.idx, now)
 	d := int64(math.MaxInt64)
-	for q := 0; q < MaxQueues; q++ {
+	for q := 0; q < nq; q++ {
 		if !rxArmed[q] {
 			continue
 		}

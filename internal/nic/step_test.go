@@ -1,10 +1,12 @@
 package nic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -476,5 +478,177 @@ func TestRxDeadlineOnIdealBus(t *testing.T) {
 	p.DeliverFrame(make([]byte, 200), later)
 	if d := p.NextDeadline(clk.Now()); d != later {
 		t.Fatalf("future head: deadline %d, want its arrival instant %d", d, later)
+	}
+}
+
+// walkAllQueues makes p's next Step, NextDeadline or DrainTXThrough walk
+// all MaxQueues register banks, as each did before the port kept a
+// programmed-queue count — the reference the bounded walks must match.
+func walkAllQueues(p *Port) *Port {
+	p.mu.Lock()
+	p.nq = MaxQueues
+	p.mu.Unlock()
+	return p
+}
+
+// TestQueueWalksStopAtTheProgrammedCount drives two identical benches
+// through the events that move the programmed-queue count — a queue pair
+// programmed after start, its stall, DrainTXThrough below, at and past
+// the count, the pair unprogrammed again, CTRL.RST and reprogramming —
+// one walking queues [0, nq), the other all MaxQueues banks, and requires
+// the same device state, deadlines and DrainTXThrough results after
+// every step.
+func TestQueueWalksStopAtTheProgrammedCount(t *testing.T) {
+	const q = 5 // the late queue pair, on port b
+	for _, busRate := range []float64{0, 1.2e9} {
+		t.Run(fmt.Sprintf("bus=%g", busRate), func(t *testing.T) {
+			got, ref := newBench(t, busRate), newBench(t, busRate)
+			btxq := ringLayout{descBase: 0x200000, bufBase: 0x201000, n: 64, bufSize: 2048}
+			brxq := ringLayout{descBase: 0x300000, bufBase: 0x301000, n: 64, bufSize: 2048}
+			// An IPv4/UDP frame, which RSS (once enabled) steers to q.
+			ipFrame := make([]byte, 300)
+			ipFrame[12], ipFrame[13], ipFrame[14], ipFrame[23] = 0x08, 0x00, 0x45, 17
+			plain := make([]byte, 200)
+
+			// each applies op to both benches; walk is identity on the
+			// bench under test and walkAllQueues on the reference.
+			each := func(op func(i int, be *bench, walk func(*Port) *Port)) {
+				op(0, got, func(p *Port) *Port { return p })
+				op(1, ref, walkAllQueues)
+			}
+			queueTXQ := func(be *bench, r ringLayout, payload []byte) {
+				tdt := be.b.RegRead32(RegTDTQ(q))
+				buf, _ := be.mem.RawSlice(r.bufBase+uint64(tdt)*r.bufSize, len(payload))
+				copy(buf, payload)
+				d, _ := be.mem.RawSlice(r.descBase+uint64(tdt)*DescSize, DescSize)
+				binary.LittleEndian.PutUint64(d[0:8], r.bufBase+uint64(tdt)*r.bufSize)
+				binary.LittleEndian.PutUint16(d[8:10], uint16(len(payload)))
+				d[11], d[12] = TxCmdEOP|TxCmdRS, 0
+				be.b.RegWrite32(RegTDTQ(q), (tdt+1)%r.n)
+			}
+			var results [2][]string // what each bench reported, step by step
+			run := func(label string, steps int) {
+				t.Helper()
+				for step := 0; step < steps; step++ {
+					each(func(i int, be *bench, walk func(*Port) *Port) {
+						now := be.clk.Now()
+						line := fmt.Sprintf("%s deadlines a=%d b=%d", label, walk(be.a).NextDeadline(now), walk(be.b).NextDeadline(now))
+						walk(be.a).Step()
+						walk(be.b).Step()
+						be.clk.Advance(3000)
+						results[i] = append(results[i], line)
+					})
+					if gs, rs := deviceState(t, got, true), deviceState(t, ref, true); gs != rs {
+						t.Fatalf("%s, step %d diverges from the full walk:\n got %s\nwant %s", label, step, gs, rs)
+					}
+				}
+				if !slices.Equal(results[0], results[1]) {
+					t.Fatalf("%s: deadlines differ from the full walk:\n got %v\nwant %v", label, results[0], results[1])
+				}
+			}
+			wantNQ := func(label string, a, b int) {
+				t.Helper()
+				if got.a.nq != a || got.b.nq != b {
+					t.Fatalf("%s: programmed counts a=%d b=%d, want %d and %d", label, got.a.nq, got.b.nq, a, b)
+				}
+			}
+
+			wantNQ("as built", 1, 1)
+			each(func(_ int, be *bench, _ func(*Port) *Port) {
+				be.queueTX(t, be.a, be.atx, plain)
+				be.queueTX(t, be.b, be.btx, plain)
+			})
+			run("queue 0 only", 20)
+
+			// A queue pair programmed after start, RSS steering IPv4 to it.
+			each(func(_ int, be *bench, _ func(*Port) *Port) {
+				btxq.install(t, be.mem)
+				brxq.install(t, be.mem)
+				be.b.RegWrite32(RegTDBALQ(q), uint32(btxq.descBase))
+				be.b.RegWrite32(RegTDLENQ(q), btxq.n*DescSize)
+				be.b.RegWrite32(RegRDBALQ(q), uint32(brxq.descBase))
+				be.b.RegWrite32(RegRDLENQ(q), brxq.n*DescSize)
+				be.b.RegWrite32(RegRDTQ(q), brxq.n-1)
+				for i := uint64(0); i < RetaEntries; i += 4 {
+					be.b.RegWrite32(RegRETA+i, q|q<<8|q<<16|q<<24)
+				}
+				be.b.RegWrite32(RegMRQC, MRQCEnable|MaxQueues<<MRQCQueueShift)
+				for i := 0; i < 3; i++ {
+					be.queueTX(t, be.a, be.atx, ipFrame)
+					queueTXQ(be, btxq, plain)
+				}
+			})
+			wantNQ("queue 5 programmed", 1, q+1)
+			run("late queue", 30)
+			if rdh := got.b.RegRead32(RegRDHQ(q)); rdh != 3 || got.b.RegRead32(RegTDHQ(q)) != 3 {
+				t.Fatalf("the late queue pair moved %d RX and %d TX descriptors, want 3 and 3", rdh, got.b.RegRead32(RegTDHQ(q)))
+			}
+
+			// Stalled: its frames park in the FIFO, its TX ring stands.
+			each(func(_ int, be *bench, _ func(*Port) *Port) {
+				be.b.SetQueueStall(q, true)
+				be.queueTX(t, be.a, be.atx, ipFrame)
+				queueTXQ(be, btxq, plain)
+			})
+			run("late queue stalled", 20)
+			if got.b.PendingRXQueue(q) != 1 || got.b.RegRead32(RegTDHQ(q)) != 3 {
+				t.Fatal("the stalled queue pair moved")
+			}
+			each(func(_ int, be *bench, _ func(*Port) *Port) { be.b.SetQueueStall(q, false) })
+			run("late queue thawed", 20)
+
+			// DrainTXThrough below, at and past the programmed count, with
+			// descriptors pending on queue 0 and on the late queue.
+			for _, maxQ := range []int{0, q - 1, q, q + 1, MaxQueues - 1, MaxQueues + 3} {
+				var progress [2]bool
+				each(func(i int, be *bench, walk func(*Port) *Port) {
+					be.queueTX(t, be.b, be.btx, plain)
+					queueTXQ(be, btxq, plain)
+					progress[i] = walk(be.b).DrainTXThrough(maxQ)
+				})
+				if progress[0] != progress[1] || progress[0] != (maxQ == 0 || maxQ == q) {
+					t.Fatalf("DrainTXThrough(%d) reported %v, the full walk %v", maxQ, progress[0], progress[1])
+				}
+				run(fmt.Sprintf("after DrainTXThrough(%d)", maxQ), 10)
+			}
+
+			// Unprogrammed again: the count falls back, RSS still steers
+			// frames to the FIFO nobody drains.
+			each(func(_ int, be *bench, _ func(*Port) *Port) {
+				be.b.RegWrite32(RegTDLENQ(q), 0)
+				be.b.RegWrite32(RegRDLENQ(q), 0)
+				be.queueTX(t, be.a, be.atx, ipFrame)
+			})
+			wantNQ("queue 5 unprogrammed", 1, 1)
+			run("late queue unprogrammed", 20)
+			if got.b.PendingRXQueue(q) != 1 {
+				t.Fatal("a frame for the unprogrammed queue should wait in its FIFO")
+			}
+
+			// CTRL.RST clears every ring; reprogramming queue 0 brings the
+			// port back.
+			each(func(_ int, be *bench, _ func(*Port) *Port) { be.b.RegWrite32(RegCTRL, CtrlRST) })
+			wantNQ("after reset", 1, 0)
+			run("reset", 10)
+			each(func(_ int, be *bench, _ func(*Port) *Port) {
+				be.brx.install(t, be.mem)
+				be.b.RegWrite32(RegTDBAL, uint32(be.btx.descBase))
+				be.b.RegWrite32(RegTDLEN, be.btx.n*DescSize)
+				be.b.RegWrite32(RegRDBAL, uint32(be.brx.descBase))
+				be.b.RegWrite32(RegRDLEN, be.brx.n*DescSize)
+				be.b.RegWrite32(RegRDT, be.brx.n-1)
+				be.b.RegWrite32(RegRCTL, RctlEN)
+				be.b.RegWrite32(RegTCTL, TctlEN)
+				be.queueTX(t, be.a, be.atx, plain)
+				be.queueTX(t, be.b, be.btx, plain)
+			})
+			wantNQ("reprogrammed", 1, 1)
+			gprc := got.b.RegRead32(RegGPRC)
+			run("reprogrammed", 20)
+			if got.b.RegRead32(RegGPRC) != gprc+1 || got.b.RegRead32(RegGPTC) != 1 {
+				t.Fatalf("the reprogrammed port received %d and sent %d frames, want 1 and 1",
+					got.b.RegRead32(RegGPRC)-gprc, got.b.RegRead32(RegGPTC))
+			}
+		})
 	}
 }
