@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -61,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	front, _, runs := bind(cmd, entries, stderr)
-	parallel := front.Int("parallel", runtime.GOMAXPROCS(0), "host workers for sweep cells and shard stepping (1 = sequential; output is identical at any value)")
+	parallel := front.Int("parallel", 0, "host workers (0 = default: one sweep cell per core, shards stepped sequentially; N = N workers for sweep cells and, only when set, for shard stepping; 1 = fully sequential; output is identical at any value)")
 	if err := front.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

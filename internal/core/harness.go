@@ -154,10 +154,11 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 		due[i] = true
 	}
 	dueAt := make([]int64, len(loops))
-	// Per-instant loop stepping: sequential by default; a bed eligible
-	// for parallel shard stepping (see testbed.NewShardStepper) runs its
-	// shard loops on Parallelism() host workers instead, with identical
-	// observable behavior.
+	// Per-instant loop stepping: sequential unless a worker count was
+	// set explicitly (explicitParallelism); then a bed eligible for
+	// parallel shard stepping (see testbed.NewShardStepper) runs its
+	// shard loops on that many host workers, with identical observable
+	// behavior.
 	stepLoops := func() {
 		for i, l := range loops {
 			if due[i] {
@@ -165,7 +166,7 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 			}
 		}
 	}
-	if p := Parallelism(); p > 1 {
+	if p := explicitParallelism(); p > 1 {
 		if ps := testbed.NewShardStepper(bed, p); ps != nil {
 			defer ps.Close()
 			stepLoops = func() { ps.RunOnce(due) }

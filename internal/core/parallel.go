@@ -17,20 +17,20 @@ import (
 // byte-identical to the sequential order no matter how the host
 // schedules the work.
 //
-// The knob below also gates the second level — parallel stepping of a
-// bed's stack shards between virtual deadlines (testbed.ParallelLoopRunner)
-// — so `-parallel 1` restores the fully sequential execution end to end.
+// The knob below also reaches the second level — parallel stepping of a
+// bed's stack shards between virtual deadlines (testbed.ShardStepper) —
+// but only when somebody set it: the ledger has that level losing to
+// sequential stepping (ROADMAP, "Host parallelism that pays, or goes"),
+// so a default run parallelises cells and nothing else.
 
 // parallelismSetting holds the configured host parallelism: 0 means
 // "default" (CHERINET_PARALLEL env override, else GOMAXPROCS).
 var parallelismSetting atomic.Int32
 
-// Parallelism reports the host worker count sweeps run cells on. The
-// default is GOMAXPROCS (the CHERINET_PARALLEL environment variable
-// overrides it, which is how CI pins both sides of its wall-clock
-// comparison); SetParallelism overrides both. The result is never
-// below 1.
-func Parallelism() int {
+// explicitParallelism is the worker count somebody asked for —
+// SetParallelism, else the CHERINET_PARALLEL environment variable — or 0
+// when nobody did. It is what measure engages shard-level workers on.
+func explicitParallelism() int {
 	if n := int(parallelismSetting.Load()); n > 0 {
 		return n
 	}
@@ -38,6 +38,18 @@ func Parallelism() int {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
 			return n
 		}
+	}
+	return 0
+}
+
+// Parallelism reports the host worker count sweeps run cells on. The
+// default is GOMAXPROCS (the CHERINET_PARALLEL environment variable
+// overrides it, which is how CI pins both sides of its wall-clock
+// comparison); SetParallelism overrides both. The result is never
+// below 1.
+func Parallelism() int {
+	if n := explicitParallelism(); n > 0 {
+		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }

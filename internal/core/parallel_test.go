@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -223,4 +224,45 @@ func TestTickVsParallelShardTraceIdentical(t *testing.T) {
 		t.Fatal("no frames traced; the workload is broken")
 	}
 	t.Logf("compared %d frames across %d shards", total, len(tick))
+}
+
+// TestShardStepperOnlyWhenParallelismIsExplicit: the ledger has
+// shard-level workers losing to sequential stepping, so a run nobody
+// configured must not engage them — RunCells keeps its GOMAXPROCS
+// default — while an explicit value still does, and the report is the
+// same bytes either way. The stepper's workers are goroutines that live
+// for the run, so the driver's per-instant hook can count them.
+func TestShardStepperOnlyWhenParallelismIsExplicit(t *testing.T) {
+	skipUnderRace(t)
+	t.Setenv("CHERINET_PARALLEL", "")
+	run := func() (report string, extra int) {
+		base := runtime.NumGoroutine()
+		visitHook = func(int64, bool) { extra = max(extra, runtime.NumGoroutine()-base) }
+		defer func() { visitHook = nil }()
+		s, err := NewScenario4(sim.NewVClock(), Scenario4Config{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Scenario4Bandwidth(s, LocalIsServer, 4, 20e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FormatScenario4([]Scenario4Result{r}), extra
+	}
+	SetParallelism(0)
+	if Parallelism() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default cell parallelism %d, want GOMAXPROCS", Parallelism())
+	}
+	byDefault, workers := run()
+	if workers != 0 {
+		t.Errorf("default parallelism: %d extra goroutines during the run, want no shard stepper", workers)
+	}
+	var explicit string
+	withParallelism(4, func() { explicit, workers = run() })
+	if workers == 0 {
+		t.Error("-parallel 4: no extra goroutines during the run, want the shard stepper's workers")
+	}
+	if byDefault != explicit {
+		t.Errorf("reports differ:\n-- default --\n%s\n-- parallel 4 --\n%s", byDefault, explicit)
+	}
 }

@@ -73,7 +73,7 @@ type EthDev struct {
 	rxqs []rxQueue
 	txqs []txQueue
 
-	rssKey [nic.RSSKeyLen]byte
+	rssTab [12][256]uint32 // the programmed key's byte table (nic.RSSHashTuple)
 	reta   [nic.RetaEntries]byte
 	rssOn  bool
 
@@ -239,9 +239,18 @@ func (d *EthDev) descStatus(descAddr uint64) (status byte, length uint16, err er
 // itself is flow-symmetric via canonical endpoint ordering).
 func (d *EthDev) programRSS() {
 	nq := len(d.rxqs)
-	d.rssKey = nic.DefaultRSSKey()
+	key := nic.DefaultRSSKey()
 	for i := 0; i < nic.RSSKeyLen; i += 4 {
-		d.dev.RegWrite32(nic.RegRSSRK+uint64(i), binary.LittleEndian.Uint32(d.rssKey[i:i+4]))
+		d.dev.RegWrite32(nic.RegRSSRK+uint64(i), binary.LittleEndian.Uint32(key[i:i+4]))
+	}
+	// The steering oracle's table, entry by entry from the specification:
+	// byte b at input offset i hashes as b alone under the key shifted i
+	// bytes. (The device builds its own; the two must agree on every
+	// tuple.)
+	for i := range d.rssTab {
+		for b := range d.rssTab[i] {
+			d.rssTab[i][b] = nic.ToeplitzHash(key[i:], []byte{byte(b)})
+		}
 	}
 	for i := range d.reta {
 		d.reta[i] = byte(i % nq)
@@ -576,7 +585,7 @@ func (d *EthDev) RxQueueOf(src, dst [4]byte, proto byte, sport, dport uint16) in
 	if !d.rssOn {
 		return 0
 	}
-	h := nic.RSSHashTuple(d.rssKey[:], src, dst, proto, sport, dport)
+	h := nic.RSSHashTuple(&d.rssTab, src, dst, proto, sport, dport)
 	q := int(d.reta[h&(nic.RetaEntries-1)])
 	if q >= len(d.rxqs) {
 		return 0

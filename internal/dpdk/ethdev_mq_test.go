@@ -1,8 +1,12 @@
 package dpdk
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
+
+	"repro/internal/nic"
 )
 
 // udpFrame crafts a minimal Ethernet/IPv4/UDP frame for the classifier
@@ -145,4 +149,44 @@ func TestMultiQueueStatsSum(t *testing.T) {
 	if dev := r.devA.Stats(); dev.IPackets != frames {
 		t.Fatalf("device RX count %d, want %d", dev.IPackets, frames)
 	}
+}
+
+// TestRxQueueOfMatchesTheBitSerialHash: the steering oracle's byte
+// table, built in programRSS, names the queue the specification does —
+// canonical endpoint order, nic.ToeplitzHash over 12 bytes (TCP/UDP) or
+// 8 (anything else), the redirection table — and a second programRSS
+// rebuilds it (a table left from before would answer with the old key).
+func TestRxQueueOfMatchesTheBitSerialHash(t *testing.T) {
+	const nq = 8
+	r := newRigQueues(t, false, nq)
+	key := nic.DefaultRSSKey()
+	ref := func(src, dst [4]byte, proto byte, sport, dport uint16) int {
+		a, b := append(src[:], byte(sport>>8), byte(sport)), append(dst[:], byte(dport>>8), byte(dport))
+		if bytes.Compare(a, b) >= 0 {
+			a, b = b, a
+		}
+		in := append(append(append(append([]byte{}, a[:4]...), b[:4]...), a[4:]...), b[4:]...)
+		if proto != 6 && proto != 17 {
+			in = in[:8]
+		}
+		return int(nic.ToeplitzHash(key[:], in)&(nic.RetaEntries-1)) % nq
+	}
+	rng := rand.New(rand.NewSource(29))
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < 2000; i++ {
+			var src, dst [4]byte
+			rng.Read(src[:])
+			rng.Read(dst[:])
+			proto := []byte{6, 17, 1}[i%3]
+			sport, dport := uint16(rng.Uint32()), uint16(rng.Uint32())
+			if got, want := r.devA.RxQueueOf(src, dst, proto, sport, dport), ref(src, dst, proto, sport, dport); got != want {
+				t.Fatalf("%s: %v:%d -> %v:%d proto %d: RxQueueOf %d, bit-serial hash says %d", when, src, sport, dst, dport, proto, got, want)
+			}
+		}
+	}
+	check("after Start")
+	r.devA.rssTab = [12][256]uint32{} // what a key change would leave stale
+	r.devA.programRSS()
+	check("after a second programRSS")
 }

@@ -111,7 +111,7 @@ func sparseEpoll(tb testing.TB, s *Stack, n int) (epfd int, fds []int, hot *udpS
 	if k, errno := s.EpollWait(epfd, evs[:]); errno != hostos.OK || k != 0 {
 		tb.Fatalf("quiet sockets reported: n=%d errno=%v", k, errno)
 	}
-	return epfd, fds, s.socks[fds[n/2]].udp
+	return epfd, fds, s.socks.get(fds[n/2]).udp
 }
 
 // BenchmarkEpollWaitSparse is the case the pushed ready list exists

@@ -82,7 +82,7 @@ func warmARP(e *testEnv) {
 		for _, c := range pr.s.conns {
 			pr.s.removeConn(c)
 		}
-		delete(pr.s.socks, pr.fd)
+		pr.s.socks.del(pr.fd)
 		pr.s.Unlock()
 	}
 }

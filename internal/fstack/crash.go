@@ -71,9 +71,7 @@ func (s *Stack) Crash() {
 
 	// Epoll: registrations are fully dropped — a restarted application
 	// re-registers from scratch. The instances (and their fds) remain.
-	for _, sk := range s.socks {
-		s.unregister(sk, nil)
-	}
+	s.socks.each(func(_ int, sk *socket) { s.unregister(sk, nil) })
 
 	// Half-open connections die silently; freeing every entry empties
 	// the SYN wheel (order-free: nothing observable is emitted).

@@ -1,6 +1,8 @@
 package fstack
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/hostos"
@@ -166,5 +168,114 @@ func TestRetainedBytesRecoverAcrossRestart(t *testing.T) {
 	}
 	if got := e.stkB.RetainedBytes(); got != base {
 		t.Fatalf("retained bytes after crash cycle: %d, want pre-fault %d", got, base)
+	}
+}
+
+// crashScript parks 210 connections on stack B, each registered with one
+// or two of three epoll instances (a listener and a datagram socket
+// too), makes some of them readable, crashes B and reports everything a
+// second run of the same script must reproduce: the counters, the
+// retained bytes, the order the crash returned the registrations to the
+// pool (each named by the descriptor and instance it belonged to), and
+// what the instances report once the stale descriptors are registered
+// again.
+func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []string, events []Event) {
+	e := newEnv(t, false)
+	tune := TCPTuning{LazyBuffers: true, SndBufBytes: 16384, RcvBufBytes: 16384}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
+	b := e.stkB
+	lfd, _ := b.Socket(SockStream)
+	b.Bind(lfd, IPv4Addr{}, 8080)
+	b.Listen(lfd, 16)
+	ufd, _ := b.Socket(SockDgram)
+	b.Bind(ufd, IPv4Addr{}, 5353)
+	eps := []int{b.EpollCreate(), b.EpollCreate(), b.EpollCreate()}
+	add := func(ep, fd int, want uint32) {
+		t.Helper()
+		if errno := b.EpollCtl(eps[ep], EpollCtlAdd, fd, want); errno != hostos.OK {
+			t.Fatalf("EpollCtl(%d, add %d): %v", ep, fd, errno)
+		}
+	}
+	add(0, lfd, EPOLLIN)
+	add(1, ufd, EPOLLIN)
+	var afds []int
+	for k := 0; k < 210; k++ {
+		cfd, afd := establish(e, lfd, 8080, 0)
+		add(k%3, afd, EPOLLIN)
+		if k%2 == 0 {
+			add((k+1)%3, afd, EPOLLOUT)
+		}
+		if k%7 == 0 {
+			e.stkA.Write(cfd, []byte("unread at the crash"))
+		}
+		afds = append(afds, afd)
+	}
+	for i := 0; i < 50; i++ {
+		e.tick()
+	}
+
+	// Name every registration before the crash recycles it.
+	name := map[*epollReg]string{}
+	b.Lock()
+	b.socks.each(func(fd int, sk *socket) {
+		for r := sk.regs; r != nil; r = r.nextSk {
+			for i, ep := range eps {
+				if b.epolls.get(ep) == r.ep {
+					name[r] = fmt.Sprintf("%d@%d", fd, i)
+				}
+			}
+		}
+	})
+	b.Unlock()
+	if len(name) != 2+210+105 {
+		t.Fatalf("%d registrations before the crash, want %d", len(name), 2+210+105)
+	}
+
+	b.Crash()
+
+	b.Lock()
+	for r := b.regFree; r != nil; r = r.nextSk {
+		if n, ok := name[r]; ok {
+			freed = append(freed, n)
+		}
+	}
+	stats = b.Stats()
+	b.Unlock()
+	retained = b.RetainedBytes()
+	for _, afd := range afds {
+		add(afd%3, afd, EPOLLIN|EPOLLOUT)
+	}
+	add(0, lfd, EPOLLIN)
+	evs := make([]Event, 512)
+	for _, ep := range eps {
+		n, errno := b.EpollWait(ep, evs)
+		if errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		events = append(events, evs[:n]...)
+	}
+	return stats, retained, freed, events
+}
+
+// TestCrashIsDeterministic: Crash (and closeEpoll) walk the descriptor
+// table, which used to be a Go map — a different order every run. The
+// table walks in ascending descriptor order now, so two runs of one
+// script agree on everything, down to the order registrations went back
+// to their pool.
+func TestCrashIsDeterministic(t *testing.T) {
+	stats1, retained1, freed1, events1 := crashScript(t)
+	stats2, retained2, freed2, events2 := crashScript(t)
+	if stats1 != stats2 {
+		t.Errorf("StackStats differ:\n %+v\n %+v", stats1, stats2)
+	}
+	if retained1 != retained2 {
+		t.Errorf("RetainedBytes differ: %d vs %d", retained1, retained2)
+	}
+	if len(freed1) != 317 || !slices.Equal(freed1, freed2) {
+		t.Errorf("registrations were recycled in different orders (%d, %d):\n %v\n %v", len(freed1), len(freed2), freed1, freed2)
+	}
+	if len(events1) != 211 || !slices.Equal(events1, events2) {
+		t.Errorf("ready lists differ after re-registering (%d, %d events):\n %v\n %v", len(events1), len(events2), events1, events2)
 	}
 }

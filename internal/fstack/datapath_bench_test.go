@@ -58,8 +58,8 @@ func BenchmarkDatapathFrame(b *testing.B) {
 func (e *testEnv) sndBufLen(fd int) int {
 	e.stkA.mu.Lock()
 	defer e.stkA.mu.Unlock()
-	sk, ok := e.stkA.socks[fd]
-	if !ok || sk.conn == nil {
+	sk := e.stkA.socks.get(fd)
+	if sk == nil || sk.conn == nil {
 		return -1
 	}
 	return sk.conn.sndBuf.Len()

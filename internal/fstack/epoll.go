@@ -144,7 +144,7 @@ func (s *Stack) epollCreateLocked() int {
 	s.nextFD++
 	ep := &epollInstance{}
 	ep.ready.prev, ep.ready.next = &ep.ready, &ep.ready
-	s.epolls[fd] = ep
+	s.epolls.put(fd, ep)
 	return fd
 }
 
@@ -152,10 +152,8 @@ func (s *Stack) epollCreateLocked() int {
 // operation here that walks the descriptor table: an application makes
 // an instance per lifetime, not per connection.
 func (s *Stack) closeEpoll(epfd int, ep *epollInstance) {
-	for _, sk := range s.socks {
-		s.unregister(sk, ep)
-	}
-	delete(s.epolls, epfd)
+	s.socks.each(func(_ int, sk *socket) { s.unregister(sk, ep) })
+	s.epolls.del(epfd)
 }
 
 // EpollCtl manipulates the interest set.
@@ -166,12 +164,8 @@ func (s *Stack) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 }
 
 func (s *Stack) epollCtlLocked(epfd, op, fd int, events uint32) hostos.Errno {
-	ep, ok := s.epolls[epfd]
-	if !ok {
-		return hostos.EBADF
-	}
-	sk, ok := s.socks[fd]
-	if !ok {
+	ep, sk := s.epolls.get(epfd), s.socks.get(fd)
+	if ep == nil || sk == nil {
 		return hostos.EBADF
 	}
 	r := sk.regs
@@ -216,8 +210,8 @@ func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 }
 
 func (s *Stack) epollWaitLocked(epfd int, evs []Event) (int, hostos.Errno) {
-	ep, ok := s.epolls[epfd]
-	if !ok {
+	ep := s.epolls.get(epfd)
+	if ep == nil {
 		return -1, hostos.EBADF
 	}
 	n := 0

@@ -58,7 +58,7 @@ func refStack(s *Stack) func(map[int]uint32) []Event {
 	return func(interest map[int]uint32) []Event {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return scanInterest(interest, func(fd int) *socket { return s.socks[fd] }, nil)
+		return scanInterest(interest, s.socks.get, nil)
 	}
 }
 
@@ -71,14 +71,14 @@ func refSharded(a *ShardedAPI) func(map[int]uint32) []Event {
 		for i, s := range a.ss.shards {
 			s.mu.Lock()
 			out = scanInterest(interest, func(lfd int) *socket {
-				f := a.fds[lfd]
+				f := a.fds.get(lfd)
 				switch {
 				case f == nil:
 					return nil
 				case f.kind != sfConn:
-					return s.socks[f.sub[i]]
+					return s.socks.get(f.sub[i])
 				case f.shard == i:
-					return s.socks[f.fd]
+					return s.socks.get(f.fd)
 				}
 				return nil
 			}, out)
@@ -488,7 +488,7 @@ func TestEpollClose(t *testing.T) {
 	if errno := s.Close(ep); errno != hostos.EBADF {
 		t.Fatalf("second Close(epfd): %v, want EBADF", errno)
 	}
-	if sk := s.socks[fd]; sk == nil || sk.regs != nil {
+	if sk := s.socks.get(fd); sk == nil || sk.regs != nil {
 		t.Fatalf("socket after its instance closed: %+v, want it open and unregistered", sk)
 	}
 	ep2 := s.EpollCreate()

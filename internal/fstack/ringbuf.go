@@ -22,27 +22,19 @@ type sockBuf struct {
 	backed bool // segment memory reserved (false only under LazyBuffers)
 }
 
-// newSockBuf allocates a ring of the given power-of-two size.
-func newSockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
+// init makes b an empty ring of the given power-of-two size. A lazy ring
+// reserves its segment memory only on first write (the LazyBuffers
+// tuning knob): an idle accepted connection that never moves data then
+// costs no segment bytes — the per-idle-conn figure Scenario 8 measures.
+func (b *sockBuf) init(seg *dpdk.MemSeg, size int, lazy bool) error {
 	if size <= 0 || size&(size-1) != 0 {
-		return nil, fmt.Errorf("fstack: socket buffer size %d not a power of two", size)
+		return fmt.Errorf("fstack: socket buffer size %d not a power of two", size)
 	}
-	base, err := seg.Alloc(uint64(size), 64)
-	if err != nil {
-		return nil, err
+	*b = sockBuf{seg: seg, size: size}
+	if lazy {
+		return nil
 	}
-	return &sockBuf{seg: seg, base: base, size: size, backed: true}, nil
-}
-
-// newLazySockBuf builds a ring whose segment memory is reserved only
-// on first write (the LazyBuffers tuning knob). An idle accepted
-// connection that never moves data then costs no segment bytes — the
-// per-idle-conn figure Scenario 8 measures.
-func newLazySockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
-	if size <= 0 || size&(size-1) != 0 {
-		return nil, fmt.Errorf("fstack: socket buffer size %d not a power of two", size)
-	}
-	return &sockBuf{seg: seg, size: size}, nil
+	return b.back()
 }
 
 // back reserves the segment memory of a lazily-built ring. Idempotent;

@@ -314,3 +314,15 @@ func TestSockBufWriteAtBacksLazyRing(t *testing.T) {
 		t.Fatalf("read %d bytes ending %q", n, got[100:106])
 	}
 }
+
+// newSockBuf / newLazySockBuf build one standalone ring for the tests
+// (the stack itself initialises rings in place inside a connBlock).
+func newSockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
+	b := new(sockBuf)
+	return b, b.init(seg, size, false)
+}
+
+func newLazySockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
+	b := new(sockBuf)
+	return b, b.init(seg, size, true)
+}

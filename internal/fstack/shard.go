@@ -325,8 +325,9 @@ type shardedFD struct {
 type ShardedAPI struct {
 	ss     *ShardedStack
 	nextFD int
-	fds    map[int]*shardedFD
-	rev    []map[int]int // per shard: shard fd -> logical fd
+	fds    fdTable[*shardedFD]
+	rev    []fdTable[int] // per shard: shard fd -> logical fd
+	fdSlab []shardedFD    // unissued tail of the current slab (slabLen)
 	eph    uint16
 	rr     int // round-robin shard target for outbound connections
 }
@@ -335,46 +336,45 @@ type ShardedAPI struct {
 // descriptor table it is not itself thread-safe: one application
 // driver uses one ShardedAPI.
 func (ss *ShardedStack) API() *ShardedAPI {
-	rev := make([]map[int]int, len(ss.shards))
-	for i := range rev {
-		rev[i] = make(map[int]int)
-	}
-	return &ShardedAPI{ss: ss, nextFD: 3, fds: make(map[int]*shardedFD), rev: rev, eph: 40000}
+	return &ShardedAPI{ss: ss, nextFD: 3, rev: make([]fdTable[int], len(ss.shards)), eph: 40000}
 }
 
-// alloc registers a logical descriptor.
-func (a *ShardedAPI) alloc(f *shardedFD) int {
+// alloc registers a logical descriptor, its struct taken from a slab
+// refilled slabLen at a time.
+func (a *ShardedAPI) alloc(f shardedFD) int {
+	p := slabTake(&a.fdSlab)
+	*p = f
 	fd := a.nextFD
 	a.nextFD++
-	a.fds[fd] = f
+	a.fds.put(fd, p)
 	return fd
 }
 
 // Socket creates a descriptor. It exists on every shard until Listen or
 // Connect decides whether it is cloned or pinned.
 func (a *ShardedAPI) Socket(typ int) (int, hostos.Errno) {
-	f := &shardedFD{kind: sfSocket, typ: typ, shard: -1, sub: make([]int, len(a.ss.shards))}
+	sub := make([]int, len(a.ss.shards))
 	for i, s := range a.ss.shards {
 		fd, errno := s.Socket(typ)
 		if errno != hostos.OK {
 			for j := 0; j < i; j++ {
-				a.ss.shards[j].Close(f.sub[j])
+				a.ss.shards[j].Close(sub[j])
 			}
 			return -1, errno
 		}
-		f.sub[i] = fd
+		sub[i] = fd
 	}
-	lfd := a.alloc(f)
+	lfd := a.alloc(shardedFD{kind: sfSocket, typ: typ, shard: -1, sub: sub})
 	for i := range a.ss.shards {
-		a.rev[i][f.sub[i]] = lfd
+		a.rev[i].put(sub[i], lfd)
 	}
 	return lfd, hostos.OK
 }
 
 // Bind attaches a local address on every shard.
 func (a *ShardedAPI) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return hostos.EBADF
 	}
 	if f.kind != sfSocket {
@@ -391,8 +391,8 @@ func (a *ShardedAPI) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 
 // Listen clones the listener across every shard.
 func (a *ShardedAPI) Listen(fd, backlog int) hostos.Errno {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return hostos.EBADF
 	}
 	if f.kind != sfSocket || f.typ != SockStream {
@@ -410,8 +410,8 @@ func (a *ShardedAPI) Listen(fd, backlog int) hostos.Errno {
 // Accept dequeues an established connection from whichever shard has
 // one; the returned descriptor is pinned to that shard.
 func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
 	if f.kind != sfListener {
@@ -425,8 +425,8 @@ func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 		if errno != hostos.OK {
 			return -1, IPv4Addr{}, 0, errno
 		}
-		lfd := a.alloc(&shardedFD{kind: sfConn, typ: SockStream, shard: i, fd: nfd})
-		a.rev[i][nfd] = lfd
+		lfd := a.alloc(shardedFD{kind: sfConn, typ: SockStream, shard: i, fd: nfd})
+		a.rev[i].put(nfd, lfd)
 		return lfd, ip, port, hostos.OK
 	}
 	return -1, IPv4Addr{}, 0, hostos.EAGAIN
@@ -440,8 +440,8 @@ func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 // actually hashes. Either way the clones on the other shards are
 // discarded and inbound segments need no cross-shard hand-off.
 func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return hostos.EBADF
 	}
 	if f.kind != sfSocket || f.typ != SockStream {
@@ -499,7 +499,7 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 			continue
 		}
 		other.Close(f.sub[i])
-		delete(a.rev[i], f.sub[i])
+		a.rev[i].del(f.sub[i])
 	}
 	f.kind, f.shard, f.fd, f.sub = sfConn, shard, sfd, nil
 	return errno
@@ -507,8 +507,8 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 
 // conn resolves a pinned descriptor.
 func (a *ShardedAPI) conn(fd int) (*Stack, *shardedFD, hostos.Errno) {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return nil, nil, hostos.EBADF
 	}
 	if f.kind != sfConn {
@@ -541,8 +541,8 @@ func (a *ShardedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 // flow's return traffic will hit, keeping both directions of a
 // query/answer exchange on one shard the way pinned TCP connections are.
 func (a *ShardedAPI) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return -1, hostos.EBADF
 	}
 	if f.kind != sfSocket || f.typ != SockDgram {
@@ -575,8 +575,8 @@ func (a *ShardedAPI) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int,
 // RecvFrom pops the oldest queued datagram, scanning shards in shard
 // order (deterministic under the fixed RSS steering).
 func (a *ShardedAPI) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
 	if f.kind != sfSocket || f.typ != SockDgram || f.bound.port == 0 {
@@ -597,19 +597,19 @@ func (a *ShardedAPI) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos
 // Close shuts the logical descriptor down on every shard that holds a
 // piece of it.
 func (a *ShardedAPI) Close(fd int) hostos.Errno {
-	f, ok := a.fds[fd]
-	if !ok {
+	f := a.fds.get(fd)
+	if f == nil {
 		return hostos.EBADF
 	}
-	delete(a.fds, fd)
+	a.fds.del(fd)
 	switch f.kind {
 	case sfConn:
-		delete(a.rev[f.shard], f.fd)
+		a.rev[f.shard].del(f.fd)
 		return a.ss.shards[f.shard].Close(f.fd)
 	default:
 		var first hostos.Errno = hostos.OK
 		for i, s := range a.ss.shards {
-			delete(a.rev[i], f.sub[i])
+			a.rev[i].del(f.sub[i])
 			if errno := s.Close(f.sub[i]); errno != hostos.OK && first == hostos.OK {
 				first = errno
 			}
@@ -620,22 +620,18 @@ func (a *ShardedAPI) Close(fd int) hostos.Errno {
 
 // EpollCreate makes a logical epoll descriptor cloned on every shard.
 func (a *ShardedAPI) EpollCreate() int {
-	f := &shardedFD{kind: sfEpoll, shard: -1, sub: make([]int, len(a.ss.shards))}
+	sub := make([]int, len(a.ss.shards))
 	for i, s := range a.ss.shards {
-		f.sub[i] = s.EpollCreate()
+		sub[i] = s.EpollCreate()
 	}
-	return a.alloc(f)
+	return a.alloc(shardedFD{kind: sfEpoll, shard: -1, sub: sub})
 }
 
 // EpollCtl manipulates the interest set: pinned targets on their shard,
 // cloned targets on every shard.
 func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
-	ep, ok := a.fds[epfd]
-	if !ok || ep.kind != sfEpoll {
-		return hostos.EBADF
-	}
-	f, ok := a.fds[fd]
-	if !ok {
+	ep, f := a.fds.get(epfd), a.fds.get(fd)
+	if ep == nil || ep.kind != sfEpoll || f == nil {
 		return hostos.EBADF
 	}
 	if f.kind == sfConn {
@@ -652,8 +648,8 @@ func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 // EpollWait collects ready events across every shard, translated back
 // to logical descriptors.
 func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
-	ep, ok := a.fds[epfd]
-	if !ok || ep.kind != sfEpoll {
+	ep := a.fds.get(epfd)
+	if ep == nil || ep.kind != sfEpoll {
 		return -1, hostos.EBADF
 	}
 	// Each shard reports straight into what is left of the caller's
@@ -666,8 +662,8 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 			return -1, errno
 		}
 		for _, ev := range evs[n : n+k] {
-			lfd, ok := a.rev[i][ev.FD]
-			if !ok {
+			lfd := a.rev[i].get(ev.FD)
+			if lfd == 0 {
 				continue // descriptor raced with Close
 			}
 			evs[n] = Event{FD: lfd, Events: ev.Events}
@@ -680,7 +676,7 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 // ShardOf reports which shard a pinned descriptor lives on (-1 for
 // cloned or unplaced descriptors) — a diagnostics and testing hook.
 func (a *ShardedAPI) ShardOf(fd int) int {
-	if f, ok := a.fds[fd]; ok {
+	if f := a.fds.get(fd); f != nil {
 		return f.shard
 	}
 	return -1

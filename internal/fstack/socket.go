@@ -155,21 +155,23 @@ func (s *Stack) socketLocked(typ int) (int, hostos.Errno) {
 	s.nextFD++
 	sk := s.allocSocket()
 	sk.fd, sk.typ = fd, int16(typ)
-	s.socks[fd] = sk
+	s.socks.put(fd, sk)
 	return fd, hostos.OK
 }
 
-// allocSocket takes a socket struct off the arena (or allocates one),
+// allocSocket takes a socket struct off the arena (or the current slab),
 // reset to the zero state with stk set.
 func (s *Stack) allocSocket() *socket {
+	var sk *socket
 	if n := len(s.sockFree); n > 0 {
-		sk := s.sockFree[n-1]
+		sk = s.sockFree[n-1]
 		s.sockFree[n-1] = nil
 		s.sockFree = s.sockFree[:n-1]
-		*sk = socket{stk: s}
-		return sk
+	} else {
+		sk = slabTake(&s.sockSlab)
 	}
-	return &socket{stk: s}
+	*sk = socket{stk: s}
+	return sk
 }
 
 // Bind attaches a local address. A zero IP binds all interfaces.
@@ -180,8 +182,8 @@ func (s *Stack) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 }
 
 func (s *Stack) bindLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return hostos.EBADF
 	}
 	if sk.bound.Port != 0 {
@@ -216,8 +218,8 @@ func (s *Stack) Listen(fd, backlog int) hostos.Errno {
 }
 
 func (s *Stack) listenLocked(fd, backlog int) hostos.Errno {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return hostos.EBADF
 	}
 	if sk.typ != SockStream || sk.bound.Port == 0 || sk.lst != nil || sk.conn != nil {
@@ -241,8 +243,8 @@ func (s *Stack) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 }
 
 func (s *Stack) acceptLocked(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
 	if sk.lst == nil {
@@ -260,7 +262,7 @@ func (s *Stack) acceptLocked(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 	nsk := s.allocSocket()
 	nsk.fd, nsk.typ, nsk.conn, nsk.bound = nfd, SockStream, c, c.tuple.local
 	c.sk = nsk
-	s.socks[nfd] = nsk
+	s.socks.put(nfd, nsk)
 	return nfd, c.tuple.remote.IP, c.tuple.remote.Port, hostos.OK
 }
 
@@ -273,8 +275,8 @@ func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 }
 
 func (s *Stack) connectLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return hostos.EBADF
 	}
 	if sk.typ != SockStream || sk.conn != nil || sk.lst != nil {
@@ -342,8 +344,8 @@ func (s *Stack) allocEphemeral() uint16 {
 
 // connFor returns the stream connection behind fd.
 func (s *Stack) connFor(fd int) (*socket, *tcpConn, hostos.Errno) {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return nil, nil, hostos.EBADF
 	}
 	if sk.typ != SockStream || sk.conn == nil {
@@ -511,15 +513,15 @@ func (s *Stack) Close(fd int) hostos.Errno {
 }
 
 func (s *Stack) closeLocked(fd int) hostos.Errno {
-	sk, ok := s.socks[fd]
-	if !ok {
-		if ep, ok := s.epolls[fd]; ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
+		if ep := s.epolls.get(fd); ep != nil {
 			s.closeEpoll(fd, ep)
 			return hostos.OK
 		}
 		return hostos.EBADF
 	}
-	delete(s.socks, fd)
+	s.socks.del(fd)
 	s.unregister(sk, nil)
 	switch {
 	case sk.lst != nil:
@@ -561,8 +563,8 @@ func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, host
 }
 
 func (s *Stack) sendToLocked(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return -1, hostos.EBADF
 	}
 	if sk.typ != SockDgram {
@@ -610,8 +612,8 @@ func (s *Stack) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errn
 }
 
 func (s *Stack) recvFromLocked(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
-	sk, ok := s.socks[fd]
-	if !ok {
+	sk := s.socks.get(fd)
+	if sk == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
 	if sk.typ != SockDgram || sk.udp == nil {
@@ -664,8 +666,8 @@ func (s *Stack) inputUDP(nif *NetIF, ip IPv4Header, seg []byte) {
 func (s *Stack) ConnState(fd int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sk, ok := s.socks[fd]
-	if !ok || sk.conn == nil {
+	sk := s.socks.get(fd)
+	if sk == nil || sk.conn == nil {
 		return "NONE"
 	}
 	return sk.conn.state.String()

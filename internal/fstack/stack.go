@@ -165,8 +165,8 @@ type Stack struct {
 	conns     map[fourTuple]*tcpConn
 	listeners map[tcpEndpoint]*listener
 	udps      map[tcpEndpoint]*udpSock
-	socks     map[int]*socket
-	epolls    map[int]*epollInstance
+	socks     fdTable[*socket]
+	epolls    fdTable[*epollInstance]
 	nextFD    int
 
 	// connSeq numbers connections in creation order. The poll loop
@@ -210,6 +210,10 @@ type Stack struct {
 	// would leak its buffers for good.
 	connFree []*tcpConn
 	sockFree []*socket
+	// connSlab/sockSlab are the unissued tails of the current slabs the
+	// arenas take fresh structs from (slabLen at a time).
+	connSlab []connBlock
+	sockSlab []socket
 	// regFree pools epoll registrations the same way, chained through
 	// nextSk: churn registers and unregisters every short flow.
 	regFree *epollReg
@@ -278,8 +282,6 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 		conns:     make(map[fourTuple]*tcpConn),
 		listeners: make(map[tcpEndpoint]*listener),
 		udps:      make(map[tcpEndpoint]*udpSock),
-		socks:     make(map[int]*socket),
-		epolls:    make(map[int]*epollInstance),
 		syncache:  make(map[fourTuple]*synEntry),
 		nextFD:    3,
 		ephemeral: ephemeralBase,
@@ -545,7 +547,9 @@ func (s *Stack) ConnCount() int {
 // free-listed), their buffer headers, reassembly run lists and SACK
 // scoreboards, half-open SYN-cache entries, and recycled datagram
 // buffers. Segment-backed socket buffer storage is excluded — the
-// segment allocator reports that itself (MemSeg.Used).
+// segment allocator reports that itself (MemSeg.Used) — and so is the
+// unissued tail of the current slabs (at most one slab per type per
+// stack): capacity, not population.
 //
 // Scenario 8 measures the idle population's memory cost as a delta of
 // this count, not of runtime.MemStats: the process heap is shared by
@@ -581,7 +585,7 @@ func (s *Stack) RetainedBytes() uint64 {
 	for _, c := range s.connFree {
 		conn(c)
 	}
-	b += uint64(len(s.socks)+len(s.sockFree)) * sockSz
+	b += uint64(s.socks.len()+len(s.sockFree)) * sockSz
 	b += uint64(len(s.syncache)+len(s.synFree)) * synSz
 	for _, d := range s.dgramFree {
 		b += uint64(cap(d))
@@ -1022,7 +1026,7 @@ func (s *Stack) PollOnce() {
 
 // String summarizes the stack.
 func (s *Stack) String() string {
-	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), len(s.socks))
+	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.socks.len())
 }
 
 // DebugConnDump summarizes every connection's sender state (testing

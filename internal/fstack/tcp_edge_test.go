@@ -62,7 +62,7 @@ func TestTCPRstOnDataToClosedPort(t *testing.T) {
 	for _, c := range e.stkB.conns {
 		e.stkB.removeConn(c)
 	}
-	delete(e.stkB.socks, afd)
+	e.stkB.socks.del(afd)
 	e.stkB.Unlock()
 	e.stkA.Write(cfd, []byte("into the void"))
 	e.pumpUntil(8000, "reset", func() bool {

@@ -236,7 +236,7 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 	cfd, afd := e.connectPair(5001)
 
 	e.stkA.Lock()
-	conn := e.stkA.socks[cfd].conn
+	conn := e.stkA.socks.get(cfd).conn
 	e.stkA.Unlock()
 	if !conn.sackOK || conn.sndWScale != 4 || conn.rcvWScale != 4 {
 		t.Fatalf("negotiation failed: sackOK=%v snd<<%d rcv<<%d", conn.sackOK, conn.sndWScale, conn.rcvWScale)
@@ -266,7 +266,7 @@ func TestTuningOffKeepsWireIdentical(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, _ := e.connectPair(5001)
 	e.stkA.Lock()
-	conn := e.stkA.socks[cfd].conn
+	conn := e.stkA.socks.get(cfd).conn
 	sackOK, sndWS, rcvWS := conn.sackOK, conn.sndWScale, conn.rcvWScale
 	e.stkA.Unlock()
 	if sackOK || sndWS != 0 || rcvWS != 0 {
@@ -283,7 +283,7 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	cfd, afd := e.connectPair(5001)
 	_ = cfd
 	e.stkB.Lock()
-	conn := e.stkB.socks[afd].conn
+	conn := e.stkB.socks.get(afd).conn
 	conn.sackOK = true
 	e.stkB.Unlock()
 
@@ -726,7 +726,7 @@ func newReassRig(t testing.TB) *reassRig {
 	_, afd := e.connectPair(5001)
 	e.stkB.Lock()
 	defer e.stkB.Unlock()
-	conn := e.stkB.socks[afd].conn
+	conn := e.stkB.socks.get(afd).conn
 	conn.sackOK = true
 	return &reassRig{stk: e.stkB, conn: conn}
 }

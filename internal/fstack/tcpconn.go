@@ -208,25 +208,25 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 			return c, nil
 		}
 	}
-	snd, err := s.newTunedSockBuf(sndSize)
-	if err != nil {
-		return nil, err
-	}
-	rcv, err := s.newTunedSockBuf(rcvSize)
-	if err != nil {
-		return nil, err
-	}
 	cc, err := newCongestionController(s.tuning.Congestion)
 	if err != nil {
 		return nil, err
 	}
-	c := &tcpConn{
+	b := slabTake(&s.connSlab)
+	if err := b.snd.init(s.seg, sndSize, s.tuning.LazyBuffers); err != nil {
+		return nil, err
+	}
+	if err := b.rcv.init(s.seg, rcvSize, s.tuning.LazyBuffers); err != nil {
+		return nil, err
+	}
+	c := &b.conn
+	*c = tcpConn{
 		stk:       s,
 		nif:       nif,
 		tuple:     tuple,
 		state:     tcpClosed,
-		sndBuf:    snd,
-		rcvBuf:    rcv,
+		sndBuf:    &b.snd,
+		rcvBuf:    &b.rcv,
 		oooCap:    max(oooMaxBytes, rcvSize),
 		sndMSS:    MaxSegData,
 		cc:        cc,
@@ -239,13 +239,28 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 	return c, nil
 }
 
-// newTunedSockBuf allocates one socket buffer, deferring segment
-// backing when the LazyBuffers tuning is on.
-func (s *Stack) newTunedSockBuf(size int) (*sockBuf, error) {
-	if s.tuning.LazyBuffers {
-		return newLazySockBuf(s.seg, size)
+// slabLen is how many fresh structs one arena refill allocates (the
+// regSlabLen rule): populating a stack costs one allocation per slab
+// and type, not one per struct. A slab's unissued tail is the only part
+// of it the free lists and RetainedBytes do not see.
+const slabLen = 64
+
+// slabTake returns the next unissued struct of *slab, refilling it when
+// the last one has gone.
+func slabTake[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, slabLen)
 	}
-	return newSockBuf(s.seg, size)
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
+
+// connBlock is one slab element: a connection and the headers of its two
+// socket buffers, which live and recycle together.
+type connBlock struct {
+	conn     tcpConn
+	snd, rcv sockBuf
 }
 
 // resetConn reinitializes a pooled connection struct to fresh-conn

@@ -56,6 +56,9 @@ type Port struct {
 	// of theirs to step. Recomputed on a queue LEN write and on CTRL.RST,
 	// the only events that program or clear a ring.
 	nq int
+	// rssTab is regs.rssKey's byte table (buildRSSTable): rebuilt on every
+	// RSSRK write and zeroed with the key on CTRL.RST.
+	rssTab [12][256]uint32
 
 	// Fault injection (the Scenario 10 fault plane). stalled queues are
 	// skipped by Step and excluded from NextDeadline (guarded by mu);
@@ -308,6 +311,7 @@ func (p *Port) RegWrite32(off uint64, v uint32) {
 	case off >= RegRSSRK && off < RegRSSRK+RSSKeyLen:
 		i := int(off - RegRSSRK)
 		binary.LittleEndian.PutUint32(p.regs.rssKey[i:i+4], v)
+		buildRSSTable(&p.rssTab, p.regs.rssKey[:])
 		return
 	}
 	switch off {
@@ -331,6 +335,7 @@ func (p *Port) resetLocked() {
 	lu := p.regs.status & StatusLU
 	p.regs = portRegs{status: lu}
 	p.nq = 0
+	p.rssTab = [12][256]uint32{}
 	p.gprc, p.gptc, p.gorc, p.gotc = 0, 0, 0, 0
 }
 

@@ -26,7 +26,8 @@ const RetaEntries = 128
 
 // ToeplitzHash computes the RSS Toeplitz hash of data under key: for
 // every set bit i of the input, XOR in the 32-bit window of the key
-// starting at bit i.
+// starting at bit i. It is the specification; frames are hashed through
+// the byte table built from it (RSSHashTuple).
 func ToeplitzHash(key, data []byte) uint32 {
 	var h uint32
 	for i, b := range data {
@@ -80,27 +81,42 @@ func endpointLess(aIP [4]byte, aPort uint16, bIP [4]byte, bPort uint16) bool {
 	return aPort < bPort
 }
 
+// buildRSSTable fills tab for key: tab[i][b] is the Toeplitz hash of an
+// input whose only nonzero byte is b at offset i (12 bytes is the longest
+// input the classifier hashes) — which is the hash of the one byte b
+// under the key shifted i bytes. The hash is linear over XOR, so the
+// eight one-bit entries of a byte position, taken from ToeplitzHash,
+// give the other 247, and a whole input's hash is one lookup per byte.
+func buildRSSTable(tab *[12][256]uint32, key []byte) {
+	for i := range tab {
+		for bit := 0; bit < 8; bit++ {
+			w := ToeplitzHash(key[i:], []byte{1 << bit})
+			for b := 1 << bit; b < 2<<bit; b++ {
+				tab[i][b] = tab[i][b-(1<<bit)] ^ w
+			}
+		}
+	}
+}
+
 // RSSHashTuple hashes an IPv4 flow tuple the way the device hashes an
-// arriving frame: 4-tuple for TCP/UDP, 2-tuple for other IP protocols.
+// arriving frame: 4-tuple for TCP/UDP, 2-tuple for other IP protocols,
+// through the byte table of the programmed key (see buildRSSTable).
 // The endpoints are put in canonical (smaller-first) order before
 // hashing, so hash(src,dst,sport,dport) == hash(dst,src,dport,sport)
 // and both directions of a flow select the same queue — which is what
 // lets a sharded stack keep a connection's whole lifecycle on one
 // shard.
-func RSSHashTuple(key []byte, src, dst [4]byte, proto byte, sport, dport uint16) uint32 {
+func RSSHashTuple(tab *[12][256]uint32, src, dst [4]byte, proto byte, sport, dport uint16) uint32 {
 	if !endpointLess(src, sport, dst, dport) {
 		src, dst = dst, src
 		sport, dport = dport, sport
 	}
-	var in [12]byte
-	copy(in[0:4], src[:])
-	copy(in[4:8], dst[:])
+	h := tab[0][src[0]] ^ tab[1][src[1]] ^ tab[2][src[2]] ^ tab[3][src[3]] ^
+		tab[4][dst[0]] ^ tab[5][dst[1]] ^ tab[6][dst[2]] ^ tab[7][dst[3]]
 	if proto == protoTCP || proto == protoUDP {
-		binary.BigEndian.PutUint16(in[8:10], sport)
-		binary.BigEndian.PutUint16(in[10:12], dport)
-		return ToeplitzHash(key, in[:12])
+		h ^= tab[8][byte(sport>>8)] ^ tab[9][byte(sport)] ^ tab[10][byte(dport>>8)] ^ tab[11][byte(dport)]
 	}
-	return ToeplitzHash(key, in[:8])
+	return h
 }
 
 // IP protocol numbers the hash engine distinguishes.
@@ -148,7 +164,7 @@ func (p *Port) classifyLocked(data []byte) int {
 		sport = binary.BigEndian.Uint16(ip[ihl:])
 		dport = binary.BigEndian.Uint16(ip[ihl+2:])
 	}
-	h := RSSHashTuple(p.regs.rssKey[:], src, dst, proto, sport, dport)
+	h := RSSHashTuple(&p.rssTab, src, dst, proto, sport, dport)
 	q := int(p.regs.reta[h&(RetaEntries-1)])
 	if q >= nq {
 		q = 0
