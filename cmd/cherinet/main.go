@@ -14,10 +14,10 @@
 // does not read is a usage error. An unknown name suggests the nearest
 // registered ones.
 //
-// The -parallel flag (default GOMAXPROCS) sets how many host workers a
-// scenario's sweep cells — and, inside a sharded bed, its stack shards
-// — run on. Every report is byte-identical at any value; -parallel 1
-// restores fully sequential execution.
+// The -parallel flag sets how many of a scenario's sweep cells run at
+// once: 0 (the default) is one per core, N at most N, 1 sequential. A
+// cell — one bed — always runs on one goroutine, and every report is
+// byte-identical at any value.
 package main
 
 import (
@@ -60,11 +60,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	front, _, runs := bind(cmd, entries, stderr)
-	parallel := front.Int("parallel", 0, "host workers (0 = default: one sweep cell per core, shards stepped sequentially; N = N workers for sweep cells and, only when set, for shard stepping; 1 = fully sequential; output is identical at any value)")
+	parallel := front.Int("parallel", 0, "sweep cells run at once (0 = one per core, N = at most N, 1 = sequential; output is identical at any value)")
 	if err := front.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -parallel: want 0 or a positive cell count\n", *parallel)
+		front.Usage()
 		return 2
 	}
 	core.SetParallelism(*parallel)

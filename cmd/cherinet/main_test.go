@@ -54,6 +54,7 @@ func TestUndeclaredFlagRejected(t *testing.T) {
 		{"table2", "-flows", "2"},
 		{"scenario7", "-cc", "vegas"},
 		{"all", "-nosuchflag", "1"},
+		{"scenario4", "-parallel", "-3"},
 	} {
 		out, errOut, code := cherinet(args...)
 		if code != 2 || out != "" {
@@ -63,7 +64,11 @@ func TestUndeclaredFlagRejected(t *testing.T) {
 			t.Errorf("%v: stderr is not the experiment's usage:\n%s", args, errOut)
 		}
 	}
-	_, errOut, _ := cherinet("scenario7", "-shards", "8")
+	_, errOut, _ := cherinet("scenario4", "-parallel", "-3")
+	if !strings.Contains(errOut, "invalid value -3 for flag -parallel") {
+		t.Errorf("a negative -parallel should be refused by name:\n%s", errOut)
+	}
+	_, errOut, _ = cherinet("scenario7", "-shards", "8")
 	if !strings.Contains(errOut, "-s7duration") || strings.Contains(errOut, "-flows") {
 		t.Errorf("scenario7's usage should list its own flags only:\n%s", errOut)
 	}

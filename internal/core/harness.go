@@ -7,7 +7,6 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/sim"
-	"repro/internal/testbed"
 )
 
 // The scenario harness: what every experiment shares once its bed is
@@ -154,29 +153,15 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 		due[i] = true
 	}
 	dueAt := make([]int64, len(loops))
-	// Per-instant loop stepping: sequential unless a worker count was
-	// set explicitly (explicitParallelism); then a bed eligible for
-	// parallel shard stepping (see testbed.NewShardStepper) runs its
-	// shard loops on that many host workers, with identical observable
-	// behavior.
-	stepLoops := func() {
+	for clk.Now()-start < budgetNS {
+		if done() {
+			return nil
+		}
 		for i, l := range loops {
 			if due[i] {
 				l.RunOnce()
 			}
 		}
-	}
-	if p := explicitParallelism(); p > 1 {
-		if ps := testbed.NewShardStepper(bed, p); ps != nil {
-			defer ps.Close()
-			stepLoops = func() { ps.RunOnce(due) }
-		}
-	}
-	for clk.Now()-start < budgetNS {
-		if done() {
-			return nil
-		}
-		stepLoops()
 		now := clk.Now()
 		for _, f := range apps {
 			f(now)

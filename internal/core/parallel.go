@@ -1,9 +1,7 @@
 package core
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -16,39 +14,17 @@ import (
 // pool and results are committed by index, so the assembled report is
 // byte-identical to the sequential order no matter how the host
 // schedules the work.
-//
-// The knob below also reaches the second level — parallel stepping of a
-// bed's stack shards between virtual deadlines (testbed.ShardStepper) —
-// but only when somebody set it: the ledger has that level losing to
-// sequential stepping (ROADMAP, "Host parallelism that pays, or goes"),
-// so a default run parallelises cells and nothing else.
 
 // parallelismSetting holds the configured host parallelism: 0 means
-// "default" (CHERINET_PARALLEL env override, else GOMAXPROCS).
+// "default" (GOMAXPROCS).
 var parallelismSetting atomic.Int32
 
-// explicitParallelism is the worker count somebody asked for —
-// SetParallelism, else the CHERINET_PARALLEL environment variable — or 0
-// when nobody did. It is what measure engages shard-level workers on.
-func explicitParallelism() int {
-	if n := int(parallelismSetting.Load()); n > 0 {
-		return n
-	}
-	if s := os.Getenv("CHERINET_PARALLEL"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// Parallelism reports the host worker count sweeps run cells on. The
-// default is GOMAXPROCS (the CHERINET_PARALLEL environment variable
-// overrides it, which is how CI pins both sides of its wall-clock
-// comparison); SetParallelism overrides both. The result is never
-// below 1.
+// Parallelism reports how many sweep cells run at once: the value
+// SetParallelism stored, else GOMAXPROCS. It reaches RunCells and
+// nothing else — a bed always steps on the goroutine that runs it
+// (DESIGN.md §12). The result is never below 1.
 func Parallelism() int {
-	if n := explicitParallelism(); n > 0 {
+	if n := int(parallelismSetting.Load()); n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)

@@ -2,19 +2,14 @@ package core
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
-	"repro/internal/testbed"
 )
 
 // This file pins the host-parallelism contract: any -parallel value
-// must produce byte-identical reports. Cell-level (RunCells) and
-// shard-level (testbed.ShardStepper) parallelism are pinned
-// separately, the latter down to the full per-shard frame trace
-// against the tick-stepped sequential reference.
+// must produce byte-identical reports, and the value reaches RunCells
+// only — a bed runs on the goroutine that drives it.
 
 // withParallelism runs fn with the package parallelism knob pinned to
 // n, restoring the default afterward.
@@ -72,15 +67,15 @@ func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestParallelSweepUnderRace drives both parallelism levels with real
-// scenario work so `go test -race` patrols the worker pool and the
-// parallel shard stepper. It deliberately does NOT skip under the race
-// detector — that coverage is its whole point — and keeps the
-// simulated durations small to stay fast there.
+// TestParallelSweepUnderRace drives the worker pool with real scenario
+// work so `go test -race` patrols it and everything concurrent cells
+// could share. It deliberately does NOT skip under the race detector —
+// that coverage is its whole point — and keeps the simulated durations
+// small to stay fast there.
 func TestParallelSweepUnderRace(t *testing.T) {
 	withParallelism(4, func() {
-		// Cell-level: four Scenario 5 cells (cap × modern at one loss
-		// point) on four workers, each building and driving its own bed.
+		// Four Scenario 5 cells (cap × modern at one loss point) on four
+		// workers, each building and driving its own bed.
 		results, err := RunScenario5LossSweep([]float64{0.005}, 5e6, 50e6, "", 50e6)
 		if err != nil {
 			t.Fatal(err)
@@ -88,25 +83,24 @@ func TestParallelSweepUnderRace(t *testing.T) {
 		if len(results) != 4 {
 			t.Fatalf("want 4 sweep cells, got %d", len(results))
 		}
-		// Shard-level: a four-shard bed stepped by four workers between
-		// virtual instants (the fork/join schedule under test).
-		r, err := RunScenario4(Scenario4Config{Shards: 4}, LocalIsServer, 4, 50e6)
+		// Four sharded beds side by side: two saturating bulk cells and
+		// two paced request planes, whose sparse due sets leave most
+		// instants with one shard due, or none.
+		moved, err := RunCells(Parallelism(), 4, func(i int) (bool, error) {
+			if i%2 == 0 {
+				r, err := RunScenario4(Scenario4Config{Shards: 4}, LocalIsServer, 4, 50e6)
+				return r.Mbps > 0, err
+			}
+			q, err := RunScenario9(Scenario9Config{Proto: "http", Shards: 4, Rate: 20000, Conns: 16, DurationNS: 20e6})
+			return q.Completed > 0, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Mbps <= 0 {
-			t.Fatalf("sharded run moved no data: %+v", r)
-		}
-		// The same schedule over sparse due sets: a paced request plane
-		// leaves most instants with one shard due, or none, so workers
-		// pass over loops while the driver rewrites the set between
-		// instants.
-		q, err := RunScenario9(Scenario9Config{Proto: "http", Shards: 4, Rate: 20000, Conns: 16, DurationNS: 20e6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Completed == 0 {
-			t.Fatalf("sharded request run completed nothing: %+v", q)
+		for i, ok := range moved {
+			if !ok {
+				t.Errorf("sharded cell %d moved no data", i)
+			}
 		}
 	})
 }
@@ -146,123 +140,23 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 	}
 }
 
-// recordScenario4 runs one fixed four-shard Scenario 4 configuration
-// and records every shard's full frame trace (direction, instant,
-// length, content hash per frame) plus the formatted result. leap
-// selects the event-driven or tick-stepped reference driver; par the
-// host worker count.
-func recordScenario4(t *testing.T, leap bool, par int) (traces [][]string, result string) {
-	t.Helper()
-	oldLeap := leapEnabled
-	leapEnabled = leap
-	defer func() { leapEnabled = oldLeap }()
-	withParallelism(par, func() {
-		clk := sim.NewVClock()
-		s, err := NewScenario4(clk, Scenario4Config{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		taps := make([]*traceTap, s.Sharded.NumShards())
-		for i := range taps {
-			taps[i] = &traceTap{}
-			s.Sharded.Shard(i).SetTap(taps[i])
-		}
-		r, err := Scenario4Bandwidth(s, LocalIsServer, 4, 60e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tap := range taps {
-			traces = append(traces, tap.events)
-		}
-		result = FormatScenario4([]Scenario4Result{r})
-	})
-	return traces, result
-}
-
-// TestTickVsParallelShardTraceIdentical is the shard-parallelism
-// tentpole invariant, in the style of the PR-5 leap test: the
-// tick-stepped fully sequential reference and the leaping four-worker
-// parallel run must agree on every frame every shard ever saw — same
-// bytes, same virtual instant, same per-shard order — and on the
-// formatted result.
-func TestTickVsParallelShardTraceIdentical(t *testing.T) {
+// TestParallelismStaysOutsideTheBed: the parallelism setting is a cell
+// count and nothing else. A single sharded cell at SetParallelism(4)
+// never has more goroutines alive inside the driver than before it
+// started, and its frame history, report and per-loop poll counts are
+// the SetParallelism(1) run's.
+func TestParallelismStaysOutsideTheBed(t *testing.T) {
 	skipUnderRace(t)
-	// The bed must actually be eligible for parallel stepping, or this
-	// test would silently compare sequential against sequential.
-	probe, err := NewScenario4(sim.NewVClock(), Scenario4Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := testbed.NewShardStepper(probe, 4)
-	if ps == nil {
-		t.Fatal("scenario 4 bed is not eligible for parallel shard stepping")
-	}
-	ps.Close()
-
-	tick, tickResult := recordScenario4(t, false, 1)
-	par, parResult := recordScenario4(t, true, 4)
-
-	if tickResult != parResult {
-		t.Errorf("results differ:\n-- tick sequential --\n%s\n-- leap parallel --\n%s", tickResult, parResult)
-	}
-	if len(tick) != len(par) {
-		t.Fatalf("shard counts differ: %d vs %d", len(tick), len(par))
-	}
-	total := 0
-	for sh := range tick {
-		if len(tick[sh]) != len(par[sh]) {
-			t.Errorf("shard %d frame counts differ: tick %d, parallel %d", sh, len(tick[sh]), len(par[sh]))
+	for _, c := range []driverCell{scenario4ServerCell, scenario9Cell("http")} {
+		var seq, par driverRecording
+		withParallelism(1, func() { seq = c.record(t, true) })
+		withParallelism(4, func() { par = c.record(t, true) })
+		if par.extra > 0 {
+			t.Errorf("%s: %d goroutines started inside the driver at parallelism 4, want none", c.name, par.extra)
 		}
-		for i := 0; i < len(tick[sh]) && i < len(par[sh]); i++ {
-			if tick[sh][i] != par[sh][i] {
-				t.Fatalf("shard %d frame %d differs:\n  tick:     %s\n  parallel: %s", sh, i, tick[sh][i], par[sh][i])
-			}
+		sameHistory(t, "parallelism 1", seq, "parallelism 4", par)
+		if !slices.Equal(seq.polls, par.polls) {
+			t.Errorf("%s: per-loop polls %v at parallelism 1, %v at 4", c.name, seq.polls, par.polls)
 		}
-		total += len(tick[sh])
-	}
-	if total == 0 {
-		t.Fatal("no frames traced; the workload is broken")
-	}
-	t.Logf("compared %d frames across %d shards", total, len(tick))
-}
-
-// TestShardStepperOnlyWhenParallelismIsExplicit: the ledger has
-// shard-level workers losing to sequential stepping, so a run nobody
-// configured must not engage them — RunCells keeps its GOMAXPROCS
-// default — while an explicit value still does, and the report is the
-// same bytes either way. The stepper's workers are goroutines that live
-// for the run, so the driver's per-instant hook can count them.
-func TestShardStepperOnlyWhenParallelismIsExplicit(t *testing.T) {
-	skipUnderRace(t)
-	t.Setenv("CHERINET_PARALLEL", "")
-	run := func() (report string, extra int) {
-		base := runtime.NumGoroutine()
-		visitHook = func(int64, bool) { extra = max(extra, runtime.NumGoroutine()-base) }
-		defer func() { visitHook = nil }()
-		s, err := NewScenario4(sim.NewVClock(), Scenario4Config{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Scenario4Bandwidth(s, LocalIsServer, 4, 20e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatScenario4([]Scenario4Result{r}), extra
-	}
-	SetParallelism(0)
-	if Parallelism() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default cell parallelism %d, want GOMAXPROCS", Parallelism())
-	}
-	byDefault, workers := run()
-	if workers != 0 {
-		t.Errorf("default parallelism: %d extra goroutines during the run, want no shard stepper", workers)
-	}
-	var explicit string
-	withParallelism(4, func() { explicit, workers = run() })
-	if workers == 0 {
-		t.Error("-parallel 4: no extra goroutines during the run, want the shard stepper's workers")
-	}
-	if byDefault != explicit {
-		t.Errorf("reports differ:\n-- default --\n%s\n-- parallel 4 --\n%s", byDefault, explicit)
 	}
 }

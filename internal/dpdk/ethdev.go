@@ -14,11 +14,6 @@ import (
 // poll-mode driver advances the device from its own burst calls.
 type steppable interface{ Step() }
 
-// txDrainer is the optional TX-only drain surface of the simulated
-// device: transmit everything the line will admit on queues 0..maxQ in
-// queue-index order, without touching the RX path or the conduit.
-type txDrainer interface{ DrainTXThrough(maxQ int) bool }
-
 // Stats mirrors rte_eth_stats.
 type Stats struct {
 	IPackets uint64 // received packets
@@ -63,12 +58,11 @@ type txQueue struct {
 // pairs; the queue-less API (Configure/RxBurst/TxBurst/Poll) is the
 // single-queue view over queue 0, so existing callers are unchanged.
 type EthDev struct {
-	dev     hostos.PCIDevice
-	step    func()
-	drainTX func(int) bool
-	seg     *MemSeg
-	pool    *Mempool
-	mac     [6]byte
+	dev  hostos.PCIDevice
+	step func()
+	seg  *MemSeg
+	pool *Mempool
+	mac  [6]byte
 
 	rxqs []rxQueue
 	txqs []txQueue
@@ -109,9 +103,6 @@ func Probe(pci *hostos.PCI, bdf string, seg *MemSeg) (*EthDev, error) {
 		return nil, fmt.Errorf("dpdk: device %s cannot be polled", bdf)
 	}
 	d := &EthDev{dev: dev, step: st.Step, seg: seg}
-	if td, ok := dev.(txDrainer); ok {
-		d.drainTX = td.DrainTXThrough
-	}
 	ral := dev.RegRead32(nic.RegRAL0)
 	rah := dev.RegRead32(nic.RegRAH0)
 	d.mac = [6]byte{byte(ral), byte(ral >> 8), byte(ral >> 16), byte(ral >> 24), byte(rah), byte(rah >> 8)}
@@ -309,24 +300,6 @@ func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 		return 0
 	}
 	d.step()
-	return d.rxHarvestQ(q, out)
-}
-
-// RxBurstQNoStep is RxBurstQ without advancing the device: it only
-// harvests descriptors the hardware already completed. The parallel
-// shard runner uses it so concurrent shards never step the (shared)
-// port; the runner steps the device itself at the sequential phase
-// boundaries (see StepDevice).
-func (d *EthDev) RxBurstQNoStep(q int, out []*Mbuf) int {
-	if !d.started || q >= len(d.rxqs) {
-		return 0
-	}
-	return d.rxHarvestQ(q, out)
-}
-
-// rxHarvestQ collects queue q's completed descriptors into out,
-// refilling the ring as it goes.
-func (d *EthDev) rxHarvestQ(q int, out []*Mbuf) int {
 	rq := &d.rxqs[q]
 	n := 0
 	for n < len(out) {
@@ -400,35 +373,6 @@ func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 		return 0
 	}
 	d.step() // push earlier frames, complete descriptors
-	n := d.txEnqueueQ(q, bufs)
-	if n > 0 {
-		d.step()
-		if d.obsTr != nil {
-			d.obsTr.Record(d.obsNow(), obs.EvDevTxBurst, d.obsSrc, int64(n), 0, int64(q))
-		}
-	}
-	return n
-}
-
-// TxBurstQNoStep is TxBurstQ without advancing the device: descriptors
-// are programmed and the tail register written, but the frames leave
-// only when the runner next calls StepDevice. Queue tails are drained
-// in queue-index order there — the same order sequential shard loops
-// submit in — so the line serializer books the identical schedule.
-func (d *EthDev) TxBurstQNoStep(q int, bufs []*Mbuf) int {
-	if !d.started || q >= len(d.txqs) {
-		return 0
-	}
-	n := d.txEnqueueQ(q, bufs)
-	if n > 0 && d.obsTr != nil {
-		d.obsTr.Record(d.obsNow(), obs.EvDevTxBurst, d.obsSrc, int64(n), 0, int64(q))
-	}
-	return n
-}
-
-// txEnqueueQ reclaims queue q's completed descriptors, programs new
-// ones for bufs and advances the tail register.
-func (d *EthDev) txEnqueueQ(q int, bufs []*Mbuf) int {
 	d.reclaimTX(q)
 	tq := &d.txqs[q]
 	n := 0
@@ -449,6 +393,10 @@ func (d *EthDev) txEnqueueQ(q int, bufs []*Mbuf) int {
 	}
 	if n > 0 {
 		d.dev.RegWrite32(nic.RegTDTQ(q), tq.next)
+		d.step()
+		if d.obsTr != nil {
+			d.obsTr.Record(d.obsNow(), obs.EvDevTxBurst, d.obsSrc, int64(n), 0, int64(q))
+		}
 	}
 	return n
 }
@@ -475,46 +423,6 @@ func (d *EthDev) PollQ(q int) {
 	}
 	d.step()
 	d.reclaimTX(q)
-}
-
-// PollQNoStep reclaims queue q's completed transmissions without
-// advancing the device (the parallel shard runner's per-shard poll).
-func (d *EthDev) PollQNoStep(q int) {
-	if !d.started || q >= len(d.txqs) {
-		return
-	}
-	d.reclaimTX(q)
-}
-
-// StepDevice advances the underlying hardware once: drain armed TX
-// rings onto the wire (queue-index order), pump the attached conduit,
-// and fill armed RX rings from the FIFOs. The parallel shard runner
-// calls this at the sequential phase boundaries that bracket the
-// concurrent no-step bursts; everything the sequential driver would
-// have done inline happens here instead, in the same order.
-func (d *EthDev) StepDevice() {
-	if d.started {
-		d.step()
-	}
-}
-
-// SupportsTxDrain reports whether the underlying device exposes the
-// TX-only drain surface DrainTXThrough needs.
-func (d *EthDev) SupportsTxDrain() bool { return d.drainTX != nil }
-
-// DrainTXThrough transmits everything the line will currently admit on
-// queues 0..maxQ in queue-index order and reports whether queue maxQ's
-// ring head advanced. The parallel shard runner calls it when a shard
-// working between phase boundaries fills its TX descriptor ring: the
-// drain reproduces, at the same frozen instant and in the same order,
-// the ring reclaims the sequential driver's inline device steps would
-// have performed, so descriptor-ring backpressure surfaces to the
-// stack at exactly the sequential stall points.
-func (d *EthDev) DrainTXThrough(maxQ int) bool {
-	if !d.started || d.drainTX == nil {
-		return false
-	}
-	return d.drainTX(maxQ)
 }
 
 // NextDeadline reports the earliest virtual instant this device could

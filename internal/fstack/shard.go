@@ -38,78 +38,18 @@ type MultiQueueDevice interface {
 	NextDeadline(now int64) int64
 }
 
-// DeferredStepDevice is the optional no-step surface of a
-// MultiQueueDevice: burst variants that move descriptors without
-// advancing the simulated hardware, plus the explicit device step. A
-// parallel shard runner needs it to run shards concurrently — stepping
-// the device touches port state every queue shares, so the runner does
-// it alone at the sequential phase boundaries while the concurrent
-// bursts stay within their shard's own ring. *dpdk.EthDev implements
-// it.
-type DeferredStepDevice interface {
-	RxBurstQNoStep(q int, out []*dpdk.Mbuf) int
-	TxBurstQNoStep(q int, bufs []*dpdk.Mbuf) int
-	PollQNoStep(q int)
-	StepDevice()
-}
-
 // queueDev is one shard's single-queue view of a multi-queue device; it
-// satisfies EthDevice so a Stack drives its queue pair unchanged. While
-// the owning ShardedStack has deferred stepping on, every burst routes
-// to the device's no-step variant.
+// satisfies EthDevice so a Stack drives its queue pair unchanged.
 type queueDev struct {
-	ss  *ShardedStack
 	dev MultiQueueDevice
-	ns  DeferredStepDevice // non-nil iff dev supports deferred stepping
 	q   int
 }
 
-func (d queueDev) RxBurst(out []*dpdk.Mbuf) int {
-	if d.ns != nil && d.ss.deferSteps {
-		return d.ns.RxBurstQNoStep(d.q, out)
-	}
-	return d.dev.RxBurstQ(d.q, out)
-}
-
-func (d queueDev) TxBurst(bufs []*dpdk.Mbuf) int {
-	if d.ns != nil && d.ss.deferSteps {
-		// The no-step burst can only reclaim descriptors the device has
-		// already completed; without the inline device steps the
-		// sequential path gets, a -parallel shard saturating its TX ring
-		// would hit ring-full backpressure earlier than the sequential
-		// run and the reports would diverge. On a short write, ask the
-		// runner's stall handler to drain the wire for us (it does so
-		// only once every lower-numbered shard has finished the instant,
-		// preserving the sequential line-booking order) and retry until
-		// the handler reports the line refused too — which is exactly
-		// when the sequential stack would have seen the shortfall.
-		n := d.ns.TxBurstQNoStep(d.q, bufs)
-		for n < len(bufs) {
-			h := d.ss.onTxStall
-			if h == nil || !h(d.q) {
-				break
-			}
-			m := d.ns.TxBurstQNoStep(d.q, bufs[n:])
-			if m == 0 {
-				break
-			}
-			n += m
-		}
-		return n
-	}
-	return d.dev.TxBurstQ(d.q, bufs)
-}
-
-func (d queueDev) Poll() {
-	if d.ns != nil && d.ss.deferSteps {
-		d.ns.PollQNoStep(d.q)
-		return
-	}
-	d.dev.PollQ(d.q)
-}
-
-func (d queueDev) MAC() [6]byte      { return d.dev.MAC() }
-func (d queueDev) Stats() dpdk.Stats { return d.dev.QueueStats(d.q) }
+func (d queueDev) RxBurst(out []*dpdk.Mbuf) int  { return d.dev.RxBurstQ(d.q, out) }
+func (d queueDev) TxBurst(bufs []*dpdk.Mbuf) int { return d.dev.TxBurstQ(d.q, bufs) }
+func (d queueDev) Poll()                         { d.dev.PollQ(d.q) }
+func (d queueDev) MAC() [6]byte                  { return d.dev.MAC() }
+func (d queueDev) Stats() dpdk.Stats             { return d.dev.QueueStats(d.q) }
 
 // NextDeadline delegates to the whole device. The port-wide answer is
 // conservative — another queue's frame may wake this shard for a
@@ -121,21 +61,6 @@ type ShardedStack struct {
 	shards []*Stack
 	loops  []*Loop
 	devs   []MultiQueueDevice
-
-	// deferSteps routes every shard's bursts to the device's no-step
-	// variants (DeferredStepDevice); the parallel shard runner owns the
-	// device steps then. Toggled only while no shard loop is running —
-	// the runner's fork/join provides the ordering.
-	deferSteps bool
-
-	// onTxStall, when set, is consulted by a shard whose TX ring fills
-	// while deferred stepping is on. It must drain completed frames onto
-	// the wire (in a way that preserves the sequential booking order) and
-	// report whether the stalled queue made progress; false means the
-	// shard should surface the shortfall to its stack, exactly as the
-	// sequential path would. Called from shard worker goroutines — the
-	// handler owns its own synchronization.
-	onTxStall func(q int) bool
 }
 
 // NewShardedStack builds n shards over the given segment, buffer pool
@@ -164,9 +89,8 @@ func (ss *ShardedStack) AddNetIF(name string, dev MultiQueueDevice, ip, mask IPv
 		return fmt.Errorf("fstack: device has %d RX queues for %d shards", dev.NumRxQueues(), len(ss.shards))
 	}
 	arp := newARPCache()
-	ns, _ := dev.(DeferredStepDevice)
 	for i, s := range ss.shards {
-		var ed EthDevice = queueDev{ss: ss, dev: dev, ns: ns, q: i}
+		var ed EthDevice = queueDev{dev: dev, q: i}
 		if wrap != nil {
 			ed = wrap(i, ed)
 		}
@@ -175,43 +99,6 @@ func (ss *ShardedStack) AddNetIF(name string, dev MultiQueueDevice, ip, mask IPv
 	}
 	ss.devs = append(ss.devs, dev)
 	return nil
-}
-
-// SupportsDeferredSteps reports whether every bound device offers the
-// no-step burst surface (DeferredStepDevice) a parallel shard runner
-// needs. False with no device bound.
-func (ss *ShardedStack) SupportsDeferredSteps() bool {
-	if len(ss.devs) == 0 {
-		return false
-	}
-	for _, d := range ss.devs {
-		if _, ok := d.(DeferredStepDevice); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// SetDeferDeviceSteps switches every shard's bursts between the normal
-// (self-stepping) and no-step device variants. Callers toggle it only
-// from the sequential phases of a fork/join schedule, never while a
-// shard loop runs.
-func (ss *ShardedStack) SetDeferDeviceSteps(on bool) { ss.deferSteps = on }
-
-// SetTxStallHandler installs (or clears, with nil) the deferred-mode
-// TX ring-full handler. Set it before any deferred-stepping run and
-// clear it when the runner shuts down; it is never consulted while
-// deferred stepping is off.
-func (ss *ShardedStack) SetTxStallHandler(h func(q int) bool) { ss.onTxStall = h }
-
-// StepDevices advances every bound device once — the sequential phase
-// boundary of the parallel shard runner's schedule.
-func (ss *ShardedStack) StepDevices() {
-	for _, d := range ss.devs {
-		if ns, ok := d.(DeferredStepDevice); ok {
-			ns.StepDevice()
-		}
-	}
 }
 
 // NumShards reports the shard count.

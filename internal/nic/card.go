@@ -205,12 +205,6 @@ func (c *Card) busCanAdmit(port int) bool {
 // busLimited reports whether the card models a finite PCI bus.
 func (c *Card) busLimited() bool { return c.busShare != nil }
 
-// BusLimited reports whether the card models a finite PCI bus. The
-// fair-share arbiter of a finite bus makes polling order part of the
-// machine state, so drivers that reorder device steps (the parallel
-// shard runner) must check this before doing so.
-func (c *Card) BusLimited() bool { return c.busLimited() }
-
 // busNextAdmitAt reports when the port's bus share could next admit a
 // transfer, WITHOUT recording activity: deadline queries are simulator
 // introspection, and touching the arbiter from them would perturb the

@@ -494,48 +494,8 @@ func (p *Port) movableLocked(q int) (tx, rx ring) {
 	return tx, rx
 }
 
-// DrainTXThrough transmits as many pending descriptors as the line and
-// bus will admit on queues 0..maxQ, in queue-index order, looping past
-// stepTX's per-call burst cap, and reports whether queue maxQ's head
-// advanced. It touches only the TX path — no conduit pump, no RX ring
-// fill — so it is safe to run while other queues' software rings are
-// being driven concurrently.
-//
-// The parallel shard runner calls it when a shard's TX ring fills
-// mid-instant: the sequential driver would have drained the ring
-// continuously while the shard ran, and because virtual time is frozen
-// and earlier shards' frames all book before later ones', draining
-// queues 0..q at the stall point books the identical line schedule and
-// reproduces the exact descriptor-ring backpressure the sequential
-// stack would have seen.
-func (p *Port) DrainTXThrough(maxQ int) bool {
-	if maxQ >= MaxQueues {
-		maxQ = MaxQueues - 1
-	}
-	p.mu.Lock()
-	nq := p.nq
-	p.mu.Unlock()
-	progress := false
-	for q := 0; q <= maxQ && q < nq; q++ {
-		for {
-			p.mu.Lock()
-			r, _ := p.movableLocked(q)
-			o := p.obs
-			p.mu.Unlock()
-			if r.n == 0 || p.stepTX(q, r, o) == r.head {
-				break
-			}
-			if q == maxQ {
-				progress = true
-			}
-		}
-	}
-	return progress
-}
-
-// stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r
-// and returns the new head.
-func (p *Port) stepTX(q int, r ring, o portObs) uint32 {
+// stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r.
+func (p *Port) stepTX(q int, r ring, o portObs) {
 	// Stats batch per burst: taking p.mu twice per transmitted frame
 	// was measurable lock churn on the simulator's hottest path.
 	var sentFrames, sentBytes uint64
@@ -583,7 +543,7 @@ func (p *Port) stepTX(q int, r ring, o portObs) uint32 {
 		sentBytes += uint64(length)
 	}
 	if head == r.head {
-		return head // line or bus refused the first frame: nothing to commit
+		return // line or bus refused the first frame: nothing to commit
 	}
 	if sentFrames > 0 && o.tr != nil {
 		o.tr.Record(p.clk.Now(), obs.EvNicTxBurst, o.src, int64(sentFrames), int64(sentBytes), int64(q))
@@ -593,7 +553,6 @@ func (p *Port) stepTX(q int, r ring, o portObs) uint32 {
 	p.gotc += sentBytes
 	p.regs.txq[q].head = head
 	p.mu.Unlock()
-	return head
 }
 
 // stepRX moves queue q's fully arrived frames into descriptors
