@@ -1,0 +1,178 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/hostos"
+	"repro/internal/iperf"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/testbed"
+)
+
+// The paper's three isolation layouts, as axes set on Scenario 4's
+// sharded compartment. layoutPlain is NewScenario4's own capability-mode
+// bed: the un-gated control.
+const (
+	layoutPlain     = "un-gated"
+	layoutAPIGated  = "API-gated"
+	layoutDevGated  = "device-gated"
+	composeDuration = int64(10e6)
+	composeFlows    = 4
+)
+
+// newComposedBed builds Scenario 4's port and CPU-budgeted shards in
+// capability mode with the given gate layout composed on.
+func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSpec) (*Setup, error) {
+	cs := testbed.CompartmentSpec{
+		Name: "cvm1", CVM: true,
+		CVMBytes: s4CVMMem, SegBytes: s4SegSize, PoolBufs: s4PoolBufs,
+		Ifs: []testbed.IfSpec{{Port: 0}},
+		Stack: testbed.StackSpec{
+			Shards: shards, RingSize: s4RingSize,
+			CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
+			RTOMinNS: s4RTOMin,
+		},
+	}
+	switch layout {
+	case layoutAPIGated:
+		cs.APIGate, cs.AppCVMs = true, []string{"app1"}
+	case layoutDevGated:
+		cs.DeviceGate = true
+	}
+	return testbed.Build(testbed.Spec{
+		Clk: clk,
+		Machine: testbed.MachineSpec{
+			Name: "morello", Ports: 1,
+			LineRateBps: s4LineRate, RxFifoBytes: s4RxFifoBytes, CapDMA: true,
+		},
+		Compartments: []testbed.CompartmentSpec{cs},
+		Peers: []testbed.PeerSpec{{
+			Port: 0, LineRateBps: s4LineRate,
+			Stack: testbed.StackSpec{RTOMinNS: s4RTOMin},
+		}},
+		Obs: o,
+	})
+}
+
+// composedFlows is shardedFlows, sited behind the app cVM's gated API
+// view when the bed has one.
+func composedFlows(s *Setup, upload bool) []bulkFlow {
+	flows := shardedFlows(s, composeFlows, s4BasePort, upload)
+	if len(s.Apps) > 0 {
+		var api iperf.API = s.Apps[0]
+		for i := range flows {
+			flows[i].api = api
+		}
+	}
+	return flows
+}
+
+// composedRun is what one cell's run leaves behind.
+type composedRun struct {
+	reports   string
+	sent      uint64 // uploads: bytes the local senders wrote
+	received  uint64 // bytes the receivers read
+	crossings uint64
+	frames    uint64 // frames the local shards moved, both ways
+	shardRx   []uint64
+}
+
+func runComposed(t *testing.T, shards int, layout string, upload bool) composedRun {
+	run, _ := runComposedObs(t, shards, layout, upload, testbed.ObsSpec{})
+	return run
+}
+
+// runComposedObs is runComposed on an instrumented bed.
+func runComposedObs(t *testing.T, shards int, layout string, upload bool, o testbed.ObsSpec) (composedRun, *obs.Obs) {
+	t.Helper()
+	s, err := newComposedBed(sim.NewVClock(), shards, layout, o)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	reps, err := runFlows(s, "compose", composedFlows(s, upload), composeDuration, bwDeadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := composedRun{reports: fmt.Sprint(reps), crossings: s.Local.IV.Crossings.Load()}
+	for _, rep := range reps {
+		run.sent += rep.local.Bytes
+		run.received += rep.recv.Bytes
+	}
+	for i := 0; i < shards; i++ {
+		st := s.Sharded.ShardStats(i)
+		run.shardRx = append(run.shardRx, st.RxFrames)
+		run.frames += st.RxFrames + st.TxFrames
+	}
+	return run, s.Obs
+}
+
+// TestShardsComposeWithGates is the proof that no layout is special:
+// every gate layout builds over every shard count and carries traffic —
+// every byte sent is received, every shard takes frames, gated layouts
+// cross compartments and the un-gated control never does — and a cell
+// re-run is the same run.
+func TestShardsComposeWithGates(t *testing.T) {
+	for _, layout := range []string{layoutPlain, layoutAPIGated, layoutDevGated} {
+		for _, shards := range []int{1, 2, 4} {
+			for _, upload := range []bool{true, false} {
+				dir := map[bool]string{true: "upload", false: "download"}[upload]
+				t.Run(fmt.Sprintf("%s/%d_shards/%s", layout, shards, dir), func(t *testing.T) {
+					run := runComposed(t, shards, layout, upload)
+					if run.received == 0 {
+						t.Fatal("no bytes received")
+					}
+					// A download's sender is the peer, whose report the
+					// flow driver does not keep; uploads check both ends.
+					if upload && run.sent != run.received {
+						t.Errorf("sent %d bytes, received %d", run.sent, run.received)
+					}
+					for i, rx := range run.shardRx {
+						if rx == 0 {
+							t.Errorf("shard %d received no frames", i)
+						}
+					}
+					if gated := layout != layoutPlain; gated != (run.crossings > 0) {
+						t.Errorf("%d compartment crossings on the %s layout", run.crossings, layout)
+					}
+					if again := runComposed(t, shards, layout, upload); fmt.Sprint(again) != fmt.Sprint(run) {
+						t.Errorf("re-run differs:\n first  %+v\n second %+v", run, again)
+					}
+					t.Logf("%d bytes, %d frames, %d crossings = %.2f per frame",
+						run.received, run.frames, run.crossings, float64(run.crossings)/float64(run.frames))
+				})
+			}
+		}
+	}
+}
+
+// TestDeviceGatedBedTracesDriverBursts: the driver device behind device
+// gates is wired to the flight recorder like any other (it used to be
+// skipped, being listed nowhere), on every queue, and tracing still
+// changes nothing about the run.
+func TestDeviceGatedBedTracesDriverBursts(t *testing.T) {
+	plain := runComposed(t, 2, layoutDevGated, true)
+	traced, o := runComposedObs(t, 2, layoutDevGated, true, testbed.ObsSpec{TraceEvents: 1 << 18})
+	if fmt.Sprint(traced) != fmt.Sprint(plain) {
+		t.Errorf("tracing changed the run:\n untraced %+v\n traced   %+v", plain, traced)
+	}
+	// Source 0 is the driver cVM's device, 1 the peer's.
+	type burst struct {
+		typ   obs.EventType
+		queue int64
+	}
+	seen := map[burst]int{}
+	for _, e := range o.Trace.Snapshot() {
+		if (e.Type == obs.EvDevRxBurst || e.Type == obs.EvDevTxBurst) && e.Src == 0 {
+			seen[burst{e.Type, e.C}]++
+		}
+	}
+	for _, typ := range []obs.EventType{obs.EvDevRxBurst, obs.EvDevTxBurst} {
+		for q := int64(0); q < 2; q++ {
+			if seen[burst{typ, q}] == 0 {
+				t.Errorf("no %v event from the driver device's queue %d", typ, q)
+			}
+		}
+	}
+}

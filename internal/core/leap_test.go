@@ -9,6 +9,7 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // The event-driven driver's correctness contract: leaping the clock
@@ -19,10 +20,11 @@ import (
 // seeded lossy WAN of Scenario 5, which exercises every deadline source
 // at once (netem delay lines, the bottleneck serializer,
 // RTO/delack/persist timers, iperf's duration end); Table II's
-// bus-limited two-port, API-gate and device-gate layouts; the sharded
-// bulk beds of Scenarios 4 and 6 (the latter saturates its TX rings, so
-// the burst calls' inline device steps decide where a write stalls); the
-// sharded connection and request planes; and the fault storms, where a
+// bus-limited two-port, API-gate and device-gate layouts, and both gate
+// layouts composed on a sharded stack; the sharded bulk beds of
+// Scenarios 4 and 6 (the latter saturates its TX rings, so the burst
+// calls' inline device steps decide where a write stalls); the sharded
+// connection and request planes; and the fault storms, where a
 // restarted stack, its re-listening server and its reconnecting clients
 // all queue work for a next poll that nothing else announces.
 
@@ -96,6 +98,21 @@ func scenario10Cell(shards int, capMode bool) driverCell {
 	}}
 }
 
+// composedCell is a gate layout composed on two CPU-budgeted shards
+// (compose_test.go's bed): the burst gates, or the API gates, sit
+// between the driver's due-set stepping and each shard's queue.
+func composedCell(layout string) driverCell {
+	return driverCell{name: layout + " x 2 shards", run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := newComposedBed(clk, 2, layout, testbed.ObsSpec{})
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		reps, err := runFlows(s, "compose", composedFlows(s, true), 60e6, bwDeadline)
+		return fmt.Sprint(reps), err
+	}}
+}
+
 var driverCells = []driverCell{
 	{name: "scenario 5 lossy WAN", run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
 		s, err := NewScenario5(clk, Scenario5Config{Modern: true, Link: s5TestLossyLink})
@@ -136,6 +153,8 @@ var driverCells = []driverCell{
 	scenario10Cell(1, false),
 	scenario10Cell(3, true),
 	scenario10Cell(3, false),
+	composedCell(layoutDevGated),
+	composedCell(layoutAPIGated),
 }
 
 // driverRecording is one instrumented run.

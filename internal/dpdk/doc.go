@@ -11,12 +11,16 @@
 //     "the correct permission flags" (§III-B).
 //   - Mempool / Mbuf: fixed-size packet buffers with headroom, allocated
 //     from a segment.
-//   - EthDev: the ethdev API (configure / start / RxBurst / TxBurst /
-//     Stats) implemented by an igb-class poll-mode driver that programs
-//     the 82576 register file directly. The kernel's only involvement is
-//     the one-time PCI unbind that hands the device to user space.
+//   - EthDev: the ethdev API (ConfigureQueues / Start / RxBurstQ /
+//     TxBurstQ / PollQ / Stats) implemented by an igb-class poll-mode
+//     driver that programs the 82576 register file directly. The
+//     kernel's only involvement is the one-time PCI unbind that hands
+//     the device to user space.
+//   - Queue: one RX/TX queue pair of an EthDev. A stack binds queue
+//     handles, never a device: one handle for the paper's single-queue
+//     layouts, one per shard over an RSS port.
 //
-// Polling mode: there are no interrupts anywhere; RxBurst and TxBurst
+// Polling mode: there are no interrupts anywhere; the burst calls
 // advance the device model themselves, so whoever polls pays the cost —
 // exactly the DPDK execution model the paper relies on.
 package dpdk

@@ -103,7 +103,7 @@ func newRigQueues(t *testing.T, capMode bool, nq int) *rig {
 	if err := r.devA.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.devB.Configure(64, 64, r.popB); err != nil {
+	if err := r.devB.ConfigureQueues(1, 64, 64, r.popB); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.devB.Start(); err != nil {
@@ -130,8 +130,8 @@ func makeFrame(t *testing.T, pool *Mempool, payload []byte) *Mbuf {
 // pump advances virtual time while polling both devices.
 func (r *rig) pump(ticks int) {
 	for i := 0; i < ticks; i++ {
-		r.devA.Poll()
-		r.devB.Poll()
+		r.devA.PollQ(0)
+		r.devB.PollQ(0)
 		r.clk.Advance(5000)
 	}
 }
@@ -167,12 +167,12 @@ func TestTxRxRoundTrip(t *testing.T) {
 			payload := bytes.Repeat([]byte{0x5A}, 300)
 			payload[0] = 0xFF
 			m := makeFrame(t, r.popA, payload)
-			if n := r.devA.TxBurst([]*Mbuf{m}); n != 1 {
+			if n := r.devA.TxBurstQ(0, []*Mbuf{m}); n != 1 {
 				t.Fatalf("TxBurst accepted %d", n)
 			}
 			r.pump(10)
 			out := make([]*Mbuf, 8)
-			n := r.devB.RxBurst(out)
+			n := r.devB.RxBurstQ(0, out)
 			if n != 1 {
 				t.Fatalf("RxBurst returned %d frames", n)
 			}
@@ -202,14 +202,14 @@ func TestBurstOfMany(t *testing.T) {
 	for iter := 0; iter < 4000 && received < total; iter++ {
 		for sent < total {
 			m := makeFrame(t, r.popA, []byte{byte(sent), byte(sent >> 8), 3, 4})
-			if r.devA.TxBurst([]*Mbuf{m}) == 0 {
+			if r.devA.TxBurstQ(0, []*Mbuf{m}) == 0 {
 				m.Free()
 				break
 			}
 			sent++
 		}
 		r.pump(1)
-		n := r.devB.RxBurst(out)
+		n := r.devB.RxBurstQ(0, out)
 		for i := 0; i < n; i++ {
 			out[i].Free()
 		}
@@ -220,7 +220,7 @@ func TestBurstOfMany(t *testing.T) {
 	}
 	// All mbufs must eventually return home.
 	r.pump(50)
-	r.devA.Poll()
+	r.devA.PollQ(0)
 	if got := r.popA.Avail(); got != r.popA.Total()-64 {
 		t.Fatalf("sender pool leaked: avail %d of %d", got, r.popA.Total())
 	}
@@ -233,7 +233,7 @@ func TestTxBackpressure(t *testing.T) {
 	accepted := 0
 	for i := 0; i < 200; i++ {
 		m := makeFrame(t, r.popA, make([]byte, 1200))
-		if r.devA.TxBurst([]*Mbuf{m}) == 0 {
+		if r.devA.TxBurstQ(0, []*Mbuf{m}) == 0 {
 			m.Free()
 			break
 		}
@@ -250,10 +250,10 @@ func TestTxBackpressure(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	r := newRig(t, false)
 	m := makeFrame(t, r.popA, make([]byte, 500))
-	r.devA.TxBurst([]*Mbuf{m})
+	r.devA.TxBurstQ(0, []*Mbuf{m})
 	r.pump(10)
 	out := make([]*Mbuf, 4)
-	if n := r.devB.RxBurst(out); n != 1 {
+	if n := r.devB.RxBurstQ(0, out); n != 1 {
 		t.Fatalf("rx %d", n)
 	}
 	out[0].Free()

@@ -55,8 +55,7 @@ type txQueue struct {
 
 // EthDev is one bound Ethernet port driven in user space (rte_ethdev +
 // igb PMD in one type). It exposes up to nic.MaxQueues RX/TX queue
-// pairs; the queue-less API (Configure/RxBurst/TxBurst/Poll) is the
-// single-queue view over queue 0, so existing callers are unchanged.
+// pairs; a stack binds one pair through its Queue handle.
 type EthDev struct {
 	dev  hostos.PCIDevice
 	step func()
@@ -145,15 +144,9 @@ func (d *EthDev) InjectDMAFaults(n int64) bool {
 	return ok
 }
 
-// Configure allocates one nrx/ntx descriptor ring pair from the segment
-// and programs the device — the single-queue setup every pre-RSS caller
-// uses. pool supplies RX buffers.
-func (d *EthDev) Configure(nrx, ntx uint32, pool *Mempool) error {
-	return d.ConfigureQueues(1, nrx, ntx, pool)
-}
-
 // ConfigureQueues allocates nq RX/TX queue pairs of nrx/ntx descriptors
-// each and programs the device's per-queue register banks. With nq > 1,
+// each from the segment and programs the device's per-queue register
+// banks; pool supplies RX buffers. With nq > 1,
 // Start additionally programs the RSS engine (symmetric Toeplitz key +
 // identity redirection table) so inbound flows spread over the queues.
 func (d *EthDev) ConfigureQueues(nq int, nrx, ntx uint32, pool *Mempool) error {
@@ -290,11 +283,8 @@ func (d *EthDev) Start() error {
 	return nil
 }
 
-// RxBurst polls the device and harvests up to len(out) received frames
-// from queue 0. Each returned mbuf's payload is the raw Ethernet frame.
-func (d *EthDev) RxBurst(out []*Mbuf) int { return d.RxBurstQ(0, out) }
-
-// RxBurstQ harvests up to len(out) received frames from queue q.
+// RxBurstQ polls the device and harvests up to len(out) received frames
+// from queue q. Each returned mbuf's payload is the raw Ethernet frame.
 func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 	if !d.started || q >= len(d.rxqs) {
 		return 0
@@ -362,12 +352,9 @@ func (d *EthDev) reclaimTX(q int) {
 	}
 }
 
-// TxBurst enqueues up to len(bufs) frames on queue 0 and returns how
+// TxBurstQ enqueues up to len(bufs) frames on queue q and returns how
 // many were accepted; ownership of accepted mbufs passes to the driver
 // (they return to the pool after the device sends them).
-func (d *EthDev) TxBurst(bufs []*Mbuf) int { return d.TxBurstQ(0, bufs) }
-
-// TxBurstQ enqueues up to len(bufs) frames on queue q.
 func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 	if !d.started || q >= len(d.txqs) {
 		return 0
@@ -401,22 +388,10 @@ func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 	return n
 }
 
-// Poll advances the device without transferring mbufs (keeps TX
-// draining while the application is idle) and reclaims completed
-// transmissions on every queue.
-func (d *EthDev) Poll() {
-	if !d.started {
-		return
-	}
-	d.step()
-	for q := range d.txqs {
-		d.reclaimTX(q)
-	}
-}
-
-// PollQ advances the device and reclaims queue q's completed
-// transmissions only — the per-shard poll, so shards do not touch each
-// other's software ring state.
+// PollQ advances the device without transferring mbufs (keeps TX
+// draining while the application is idle) and reclaims queue q's
+// completed transmissions only, so shards do not touch each other's
+// software ring state.
 func (d *EthDev) PollQ(q int) {
 	if !d.started || q >= len(d.txqs) {
 		return
@@ -484,6 +459,27 @@ func (d *EthDev) QueueStatsSum() Stats {
 	}
 	return st
 }
+
+// Queue is one RX/TX queue pair of a device — the thing a stack binds
+// (it satisfies fstack.EthDevice). The burst calls are the device's own
+// RxBurstQ/TxBurstQ/PollQ with the queue filled in.
+type Queue struct {
+	d *EthDev
+	q int
+}
+
+// Queue returns the handle of queue pair q.
+func (d *EthDev) Queue(q int) Queue { return Queue{d: d, q: q} }
+
+func (h Queue) RxBurst(out []*Mbuf) int  { return h.d.RxBurstQ(h.q, out) }
+func (h Queue) TxBurst(bufs []*Mbuf) int { return h.d.TxBurstQ(h.q, bufs) }
+func (h Queue) Poll()                    { h.d.PollQ(h.q) }
+func (h Queue) MAC() [6]byte             { return h.d.mac }
+
+// NextDeadline is the whole port's. The port-wide answer is
+// conservative — another queue's frame may wake this queue's stack for
+// a no-op iteration — which costs a visit, never a missed event.
+func (h Queue) NextDeadline(now int64) int64 { return h.d.NextDeadline(now) }
 
 // RxQueueOf reports which RX queue the device's RSS classifier would
 // select for an inbound IPv4 packet with the given flow tuple — the

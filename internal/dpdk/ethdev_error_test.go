@@ -47,22 +47,22 @@ func TestEthDevMisuse(t *testing.T) {
 		t.Fatal("start before configure accepted")
 	}
 	// Burst before start.
-	if n := dev.RxBurst(make([]*Mbuf, 4)); n != 0 {
+	if n := dev.RxBurstQ(0, make([]*Mbuf, 4)); n != 0 {
 		t.Fatal("rx before start returned frames")
 	}
-	if n := dev.TxBurst(nil); n != 0 {
+	if n := dev.TxBurstQ(0, nil); n != 0 {
 		t.Fatal("tx before start accepted frames")
 	}
-	dev.Poll() // must be harmless
+	dev.PollQ(0) // must be harmless
 	// Undersized rings.
-	if err := dev.Configure(4, 4, pool); err == nil {
+	if err := dev.ConfigureQueues(1, 4, 4, pool); err == nil {
 		t.Fatal("tiny rings accepted")
 	}
-	if err := dev.Configure(64, 64, pool); err != nil {
+	if err := dev.ConfigureQueues(1, 64, 64, pool); err != nil {
 		t.Fatal(err)
 	}
 	// Double configure.
-	if err := dev.Configure(64, 64, pool); err == nil {
+	if err := dev.ConfigureQueues(1, 64, 64, pool); err == nil {
 		t.Fatal("double configure accepted")
 	}
 	if err := dev.Start(); err != nil {
@@ -82,7 +82,7 @@ func TestEthDevStartFailsOnTinyPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Configure(64, 64, tiny); err != nil {
+	if err := dev.ConfigureQueues(1, 64, 64, tiny); err != nil {
 		t.Fatal(err)
 	}
 	// 64 RX descriptors need 64 buffers; the pool has 8.

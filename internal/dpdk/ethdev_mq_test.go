@@ -46,7 +46,7 @@ func TestMultiQueueSteering(t *testing.T) {
 		queueUsed[want] = true
 
 		m := makeFrame(t, r.popB, udpFrame(src, dst, sport, dport, 64))
-		if r.devB.TxBurst([]*Mbuf{m}) != 1 {
+		if r.devB.TxBurstQ(0, []*Mbuf{m}) != 1 {
 			t.Fatal("tx refused")
 		}
 		r.pump(5)
@@ -87,7 +87,7 @@ func TestMultiQueueNonIPToQueueZero(t *testing.T) {
 	arp := make([]byte, 64)
 	binary.BigEndian.PutUint16(arp[12:14], 0x0806)
 	m := makeFrame(t, r.popB, arp)
-	if r.devB.TxBurst([]*Mbuf{m}) != 1 {
+	if r.devB.TxBurstQ(0, []*Mbuf{m}) != 1 {
 		t.Fatal("tx refused")
 	}
 	r.pump(5)
@@ -113,7 +113,7 @@ func TestMultiQueueStatsSum(t *testing.T) {
 	const frames = 24
 	for f := 0; f < frames; f++ {
 		m := makeFrame(t, r.popB, udpFrame(src, dst, uint16(41000+211*f), 5301, 64))
-		if r.devB.TxBurst([]*Mbuf{m}) != 1 {
+		if r.devB.TxBurstQ(0, []*Mbuf{m}) != 1 {
 			t.Fatal("tx refused")
 		}
 	}

@@ -7,7 +7,10 @@
 //   - The stack is owned by a single poll-mode main loop (Loop): every
 //     iteration drains the NIC RX rings, runs protocol input, fires
 //     timers, flushes TX, and invokes a user callback. There are no
-//     interrupts and no kernel involvement after boot.
+//     interrupts and no kernel involvement after boot. A stack binds
+//     queue handles (EthDevice: one RX/TX queue pair each), never a
+//     device — what sits behind a handle (the driver itself, a gated
+//     proxy, a CPU model) is the builder's business.
 //
 //   - Applications use the ff_* socket API (Socket, Bind, Listen,
 //     Accept, Connect, Read, Write, Close) plus an epoll-style event
@@ -25,8 +28,9 @@
 //     on it — the effect Fig. 6 measures.
 //
 //   - The multi-core escape from that mutex is ShardedStack: N Stack
-//     instances, each bound to one NIC RX/TX queue pair, with symmetric
-//     RSS steering keeping both directions of every flow on one shard.
+//     instances, each bound to one queue handle of the same port, with
+//     symmetric RSS steering keeping both directions of every flow on
+//     one shard.
 //     Connection, socket and listener tables plus timers are
 //     shard-local; ARP state is shared (read-mostly); listening sockets
 //     are cloned per shard so a SYN is accepted wherever RSS lands it.

@@ -76,7 +76,7 @@ func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IP
 	t.Helper()
 	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, capMode, 1)
 	stk := NewStack(seg, pool, clk)
-	stk.AddNetIF("eth0", dev, ip, IP4(255, 255, 255, 0))
+	stk.AddNetIF("eth0", dev.Queue(0), ip, IP4(255, 255, 255, 0))
 	return stk, card
 }
 
@@ -89,7 +89,11 @@ func buildShardedMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.AddNetIF("eth0", dev, ip, IP4(255, 255, 255, 0), nil); err != nil {
+	queues := make([]EthDevice, nq)
+	for q := range queues {
+		queues[q] = dev.Queue(q)
+	}
+	if err := ss.AddNetIF("eth0", queues, dev.RxQueueOf, ip, IP4(255, 255, 255, 0)); err != nil {
 		t.Fatal(err)
 	}
 	return ss, card

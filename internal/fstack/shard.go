@@ -3,6 +3,7 @@ package fstack
 import (
 	"fmt"
 
+	"repro/internal/cheri"
 	"repro/internal/dpdk"
 	"repro/internal/hostos"
 )
@@ -20,47 +21,16 @@ import (
 // other's mutex on the datapath, which is what real F-Stack achieves by
 // pinning one stack process per core.
 
-// MultiQueueDevice is the N-queue packet I/O surface a ShardedStack
-// drives. *dpdk.EthDev implements it directly.
-type MultiQueueDevice interface {
-	RxBurstQ(q int, out []*dpdk.Mbuf) int
-	TxBurstQ(q int, bufs []*dpdk.Mbuf) int
-	PollQ(q int)
-	NumRxQueues() int
-	MAC() [6]byte
-	QueueStats(q int) dpdk.Stats
-	// RxQueueOf is the steering oracle: which RX queue the device's RSS
-	// hash sends an inbound packet with this flow tuple to.
-	RxQueueOf(src, dst [4]byte, proto byte, sport, dport uint16) int
-	// NextDeadline mirrors EthDevice's hook (compile-enforced for the
-	// same reason: a forgetful wrapper must not silently read as
-	// quiescent to the event-driven clock).
-	NextDeadline(now int64) int64
-}
-
-// queueDev is one shard's single-queue view of a multi-queue device; it
-// satisfies EthDevice so a Stack drives its queue pair unchanged.
-type queueDev struct {
-	dev MultiQueueDevice
-	q   int
-}
-
-func (d queueDev) RxBurst(out []*dpdk.Mbuf) int  { return d.dev.RxBurstQ(d.q, out) }
-func (d queueDev) TxBurst(bufs []*dpdk.Mbuf) int { return d.dev.TxBurstQ(d.q, bufs) }
-func (d queueDev) Poll()                         { d.dev.PollQ(d.q) }
-func (d queueDev) MAC() [6]byte                  { return d.dev.MAC() }
-func (d queueDev) Stats() dpdk.Stats             { return d.dev.QueueStats(d.q) }
-
-// NextDeadline delegates to the whole device. The port-wide answer is
-// conservative — another queue's frame may wake this shard for a
-// no-op iteration — which costs a visit, never a missed event.
-func (d queueDev) NextDeadline(now int64) int64 { return d.dev.NextDeadline(now) }
+// SteerFunc is the steering oracle: which RX queue the device's RSS
+// hash sends an inbound packet with this flow tuple to
+// (dpdk.EthDev.RxQueueOf).
+type SteerFunc func(src, dst [4]byte, proto byte, sport, dport uint16) int
 
 // ShardedStack is N independent Stacks over one multi-queue device.
 type ShardedStack struct {
 	shards []*Stack
 	loops  []*Loop
-	devs   []MultiQueueDevice
+	steer  SteerFunc // of the first interface bound
 }
 
 // NewShardedStack builds n shards over the given segment, buffer pool
@@ -80,24 +50,21 @@ func NewShardedStack(n int, seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clo
 	return ss, nil
 }
 
-// AddNetIF binds a started multi-queue device: shard i drives queue
-// pair i, and every shard shares one ARP cache for the interface. wrap,
-// when non-nil, decorates each shard's queue view (a CPU model, a
-// gated proxy, ...).
-func (ss *ShardedStack) AddNetIF(name string, dev MultiQueueDevice, ip, mask IPv4Addr, wrap func(shard int, dev EthDevice) EthDevice) error {
-	if dev.NumRxQueues() < len(ss.shards) {
-		return fmt.Errorf("fstack: device has %d RX queues for %d shards", dev.NumRxQueues(), len(ss.shards))
+// AddNetIF binds one interface: shard i drives devs[i] — queue pair i of
+// a started multi-queue device, already wrapped in whatever the layout
+// puts in front of it — and every shard shares one ARP cache for the
+// interface. steer is that device's steering oracle.
+func (ss *ShardedStack) AddNetIF(name string, devs []EthDevice, steer SteerFunc, ip, mask IPv4Addr) error {
+	if len(devs) != len(ss.shards) {
+		return fmt.Errorf("fstack: %d queue handles for %d shards", len(devs), len(ss.shards))
 	}
 	arp := newARPCache()
 	for i, s := range ss.shards {
-		var ed EthDevice = queueDev{dev: dev, q: i}
-		if wrap != nil {
-			ed = wrap(i, ed)
-		}
-		nif := s.AddNetIF(name, ed, ip, mask)
-		nif.arp = arp
+		s.AddNetIF(name, devs[i], ip, mask).arp = arp
 	}
-	ss.devs = append(ss.devs, dev)
+	if ss.steer == nil {
+		ss.steer = steer
+	}
 	return nil
 }
 
@@ -334,14 +301,14 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	if f.kind != sfSocket || f.typ != SockStream {
 		return hostos.EINVAL
 	}
-	if len(a.ss.devs) == 0 {
+	steer := a.ss.steer
+	if steer == nil {
 		return hostos.EINVAL
 	}
 	localIP := f.bound.ip
 	if localIP == (IPv4Addr{}) {
 		localIP = a.ss.shards[0].localIPFor(ip)
 	}
-	dev := a.ss.devs[0]
 	sport := f.bound.port
 	if sport == 0 {
 		// Inbound segments of this flow will carry src=(ip,port),
@@ -355,7 +322,7 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 			if a.eph < 40000 {
 				a.eph = 40000
 			}
-			if dev.RxQueueOf(ip, localIP, ProtoTCP, port, p) == want {
+			if steer(ip, localIP, ProtoTCP, port, p) == want {
 				sport = p
 				break
 			}
@@ -365,7 +332,7 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 			a.eph++
 		}
 	}
-	shard := dev.RxQueueOf(ip, localIP, ProtoTCP, port, sport)
+	shard := steer(ip, localIP, ProtoTCP, port, sport)
 	s := a.ss.shards[shard]
 	sfd := f.sub[shard]
 	// Bind and connect on the target shard BEFORE discarding the other
@@ -422,6 +389,24 @@ func (a *ShardedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 	return s.Write(f.fd, src)
 }
 
+// ReadCap and WriteCap are Read and Write through a capability buffer
+// (what a gate target hands down), on the connection's shard.
+func (a *ShardedAPI) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+	s, f, errno := a.conn(fd)
+	if errno != hostos.OK {
+		return -1, errno
+	}
+	return s.ReadCap(f.fd, mem, buf, n)
+}
+
+func (a *ShardedAPI) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+	s, f, errno := a.conn(fd)
+	if errno != hostos.OK {
+		return -1, errno
+	}
+	return s.WriteCap(f.fd, mem, buf, n)
+}
+
 // SendTo transmits one datagram. A bound UDP socket stays cloned across
 // every shard (Bind fans out), so datagrams are received wherever RSS
 // steers them; transmission goes through the shard whose RX queue the
@@ -449,12 +434,12 @@ func (a *ShardedAPI) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int,
 		}
 	}
 	shard := 0
-	if len(a.ss.devs) > 0 {
+	if steer := a.ss.steer; steer != nil {
 		localIP := f.bound.ip
 		if localIP == (IPv4Addr{}) {
 			localIP = a.ss.shards[0].localIPFor(ip)
 		}
-		shard = a.ss.devs[0].RxQueueOf(ip, localIP, ProtoUDP, port, f.bound.port)
+		shard = steer(ip, localIP, ProtoUDP, port, f.bound.port)
 	}
 	return a.ss.shards[shard].SendTo(f.sub[shard], data, ip, port)
 }

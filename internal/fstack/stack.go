@@ -15,17 +15,15 @@ import (
 	"repro/internal/stats"
 )
 
-// EthDevice is the packet I/O surface the stack drives — rte_ethdev in
-// DPDK terms. *dpdk.EthDev implements it directly (Baseline, Scenarios
-// 1-2: the driver lives in the same compartment as the stack); the
-// future-work Scenario 3 substitutes a gated proxy whose every burst
-// crosses into a separate DPDK compartment.
+// EthDevice is the packet I/O surface the stack drives: one RX/TX queue
+// pair. dpdk.Queue implements it directly (the driver lives in the same
+// compartment as the stack); the device-gate layout substitutes a gated
+// proxy whose every burst crosses into a separate DPDK compartment.
 type EthDevice interface {
 	RxBurst(out []*dpdk.Mbuf) int
 	TxBurst(bufs []*dpdk.Mbuf) int
 	Poll()
 	MAC() [6]byte
-	Stats() dpdk.Stats
 	// NextDeadline reports the earliest virtual instant the device
 	// could make progress (harvestable frame, admissible TX, conduit
 	// release); math.MaxInt64 = quiescent, <= now = work right now.
@@ -434,7 +432,8 @@ func (s *Stack) NextDeadline(now int64) int64 {
 	return s.nextDeadlineLocked(now)
 }
 
-// AddNetIF attaches a started ethdev with its IPv4 configuration.
+// AddNetIF binds one queue pair of a started ethdev with its IPv4
+// configuration.
 func (s *Stack) AddNetIF(name string, dev EthDevice, ip, mask IPv4Addr) *NetIF {
 	nif := &NetIF{
 		Name: name,

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -158,9 +159,9 @@ type Peer struct {
 }
 
 // Build wires a spec into a running Bed. Construction order is
-// deterministic — machine, then compartments in spec order (each env,
-// then its gates and app cVMs), then peers, then stack tuning — so
-// equal specs build bit-identical topologies.
+// deterministic — machine, then compartments in spec order (each by
+// buildEnv's fixed steps), then peers, then stack tuning — so equal
+// specs build bit-identical topologies.
 func Build(spec Spec) (*Bed, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -187,8 +188,16 @@ func Build(spec Spec) (*Bed, error) {
 	}
 	bed := &Bed{Clk: spec.Clk, Local: local, arena: arena}
 	for _, cs := range spec.Compartments {
-		if err := bed.buildCompartment(cs); err != nil {
+		env, err := bed.buildEnv(local, cs)
+		if err != nil {
 			return nil, err
+		}
+		bed.Envs = append(bed.Envs, env)
+		if env.Sharded != nil {
+			if bed.Sharded != nil {
+				return nil, fmt.Errorf("testbed: only one sharded compartment per bed")
+			}
+			bed.Sharded, bed.Dev = env.Sharded, env.drv[0]
 		}
 	}
 	for _, ps := range spec.Peers {
@@ -222,191 +231,142 @@ func Build(spec Spec) (*Bed, error) {
 	return bed, nil
 }
 
-// buildCompartment wires one local environment per its spec.
-func (b *Bed) buildCompartment(cs CompartmentSpec) error {
-	segBytes := cs.SegBytes
-	if segBytes == 0 {
-		segBytes = DefaultSegBytes
-	}
-	poolBufs := cs.PoolBufs
-	if poolBufs == 0 {
-		poolBufs = DefaultPoolBufs
-	}
-	poolName := cs.PoolName
-	if poolName == "" {
-		poolName = cs.Name + "-pkt"
-	}
-	ringSize := cs.Stack.RingSize
-	if ringSize == 0 {
-		ringSize = DefaultRingSize
-	}
-	cvmName := cs.CVMName
-	if cvmName == "" {
-		cvmName = cs.Name
-	}
-	cvmBytes := cs.CVMBytes
-	if cvmBytes == 0 {
-		cvmBytes = DefaultCVMBytes
-	}
-
-	if cs.DeviceGate {
-		env, err := b.buildDeviceGated(cs, cvmName, poolName, cvmBytes, segBytes, poolBufs, ringSize)
-		if err != nil {
-			return err
+// buildEnv wires one network environment on machine m — a local
+// compartment or a peer's, all from the same independent axes, composed
+// in one fixed order (DESIGN.md §6): where the driver lives, how many
+// queue pairs it configures, what stands in front of each queue handle,
+// which stack binds the handles, and who calls the stack's API. No
+// combination has a constructor of its own, so every combination builds.
+func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
+	segBytes := cmp.Or(cs.SegBytes, DefaultSegBytes)
+	poolBufs := cmp.Or(cs.PoolBufs, DefaultPoolBufs)
+	ringSize := uint32(cmp.Or(cs.Stack.RingSize, DefaultRingSize))
+	cvmBytes := cmp.Or(cs.CVMBytes, DefaultCVMBytes)
+	// place creates a home for code and its packet memory: a cVM (nil
+	// for a plain process), a DPDK segment in it and a pool in that.
+	place := func(name, poolName string) (cvm *intravisor.CVM, seg *dpdk.MemSeg, pool *dpdk.Mempool, err error) {
+		if cs.CVM {
+			if cvm, err = m.NewCVMSized(name, cvmBytes); err == nil {
+				seg, err = cvmSeg(m, cvm, segBytes)
+			}
+		} else {
+			seg, err = m.baselineSeg(name, segBytes)
 		}
-		b.Envs = append(b.Envs, env)
-		return nil
+		if err == nil {
+			pool, err = dpdk.NewMempool(seg, poolName, poolBufs, dpdk.DefaultDataroom)
+		}
+		return cvm, seg, pool, err
+	}
+	env := &Env{Name: cs.Name}
+	placeStack := func() (err error) {
+		env.CVM, env.Seg, env.Pool, err = place(cmp.Or(cs.CVMName, cs.Name), cmp.Or(cs.PoolName, cs.Name+"-pkt"))
+		return err
 	}
 
-	var cvm *intravisor.CVM
-	var seg *dpdk.MemSeg
+	// 1. Where the driver lives: with the stack, or in a cVM of its own
+	// that the stack reaches only through sealed per-burst gates.
+	var drvCVM *intravisor.CVM
+	var drvSeg *dpdk.MemSeg
+	var drvPool *dpdk.Mempool
 	var err error
-	if cs.CVM {
-		cvm, err = b.Local.NewCVMSized(cvmName, cvmBytes)
+	if cs.DeviceGate {
+		drvCVM, drvSeg, drvPool, err = place(cmp.Or(cs.DevCVMName, cs.Name+"-dpdk"), "dpdk-pkt")
+	} else if err = placeStack(); err == nil {
+		drvSeg, drvPool = env.Seg, env.Pool
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// 2. How many queue pairs each port gets.
+	nq := cs.Stack.queues()
+	for _, ic := range cs.Ifs {
+		dev, err := dpdk.Probe(m.K.PCI, m.Card.Port(ic.Port).BDF(), drvSeg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		seg, err = cvmSeg(b.Local, cvm, segBytes)
+		if err := dev.ConfigureQueues(nq, ringSize, ringSize, drvPool); err != nil {
+			return nil, err
+		}
+		if err := dev.Start(); err != nil {
+			return nil, err
+		}
+		env.drv = append(env.drv, dev)
+	}
+
+	// 3. What stands in front of each queue handle: the gated proxy
+	// (its stack-side half needs the stack's home, placed after the
+	// driver's and its gates), then the core's CPU budget.
+	var gates []*DevGates
+	if cs.DeviceGate {
+		for _, dev := range env.drv {
+			g, err := NewDevGates(m.IV, drvCVM, dev, drvPool)
+			if err != nil {
+				return nil, err
+			}
+			gates = append(gates, g)
+		}
+		if err := placeStack(); err != nil {
+			return nil, err
+		}
 	} else {
-		seg, err = b.Local.baselineSeg(cs.Name, segBytes)
+		env.Devs = env.drv
 	}
-	if err != nil {
-		return err
+	handles := make([][]fstack.EthDevice, len(env.drv))
+	for i, dev := range env.drv {
+		for q := 0; q < nq; q++ {
+			var h fstack.EthDevice = dev.Queue(q)
+			if cs.DeviceGate {
+				h = NewGatedEthDev(gates[i], env.CVM, env.Pool, q)
+			}
+			if cs.Stack.CPUBps > 0 {
+				window := cmp.Or(cs.Stack.CPUWindowNS, defaultCPUWindow(cs.Stack.CPUBps))
+				h = cpuDev{dev: h, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, window)}
+			}
+			handles[i] = append(handles[i], h)
+		}
 	}
 
+	// 4. Which stack binds the handles.
 	if cs.Stack.Shards > 0 {
-		env, err := b.buildSharded(cs, cvm, seg, poolName, poolBufs, ringSize)
-		if err != nil {
-			return err
+		if env.Sharded, err = fstack.NewShardedStack(nq, env.Seg, env.Pool, b.Clk); err != nil {
+			return nil, err
 		}
-		b.Envs = append(b.Envs, env)
-		return nil
+		// The steering oracle is a pure function of the RSS key and table
+		// the driver programmed, so a device-gated stack asks it directly
+		// (like NextDeadline) instead of across the gates.
+		for i, ic := range cs.Ifs {
+			if err := env.Sharded.AddNetIF(ifName(ic), handles[i], env.drv[i].RxQueueOf, ifIP(ic), ifMask(ic)); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		env.Stk = fstack.NewStack(env.Seg, env.Pool, b.Clk)
+		for i, ic := range cs.Ifs {
+			env.IFs = append(env.IFs, env.Stk.AddNetIF(ifName(ic), handles[i][0], ifIP(ic), ifMask(ic)))
+		}
+		env.Loop = &fstack.Loop{Stk: env.Stk}
 	}
 
-	env, err := b.Local.finishEnv(cs.Name, poolName, cvm, seg, cs.Ifs, poolBufs, ringSize)
-	if err != nil {
-		return err
-	}
-	b.Envs = append(b.Envs, env)
-
+	// 5. Who calls the API: code inside the compartment, or application
+	// cVMs through sealed gates.
 	if cs.APIGate {
-		gates, err := NewStackGates(b.Local.IV, env)
-		if err != nil {
-			return err
+		env.api = env.Stk
+		if env.Sharded != nil {
+			env.api = env.Sharded.API()
 		}
-		b.Gates = gates
+		if b.Gates, err = NewStackGates(m.IV, env); err != nil {
+			return nil, err
+		}
 		b.gatesEnv = env
 		for _, appName := range cs.AppCVMs {
-			app, err := b.Local.NewCVM(appName)
+			app, err := m.NewCVM(appName)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			b.Apps = append(b.Apps, NewGatedAPI(gates, app, b.Local.K.Mem))
+			b.Apps = append(b.Apps, NewGatedAPI(b.Gates, app, m.K.Mem))
 		}
 	}
-	return nil
-}
-
-// buildSharded wires a multi-queue RSS port with one CPU-budgeted
-// stack shard per queue pair.
-func (b *Bed) buildSharded(cs CompartmentSpec, cvm *intravisor.CVM, seg *dpdk.MemSeg, poolName string, poolBufs, ringSize int) (*Env, error) {
-	if b.Sharded != nil {
-		return nil, fmt.Errorf("testbed: only one sharded compartment per bed")
-	}
-	pool, err := dpdk.NewMempool(seg, poolName, poolBufs, dpdk.DefaultDataroom)
-	if err != nil {
-		return nil, err
-	}
-	ic := cs.Ifs[0]
-	dev, err := dpdk.Probe(b.Local.K.PCI, b.Local.Card.Port(ic.Port).BDF(), seg)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.ConfigureQueues(cs.Stack.Shards, uint32(ringSize), uint32(ringSize), pool); err != nil {
-		return nil, err
-	}
-	if err := dev.Start(); err != nil {
-		return nil, err
-	}
-	ss, err := fstack.NewShardedStack(cs.Stack.Shards, seg, pool, b.Clk)
-	if err != nil {
-		return nil, err
-	}
-	var wrap func(shard int, d fstack.EthDevice) fstack.EthDevice
-	if cs.Stack.CPUBps > 0 {
-		window := cs.Stack.CPUWindowNS
-		if window == 0 {
-			window = defaultCPUWindow(cs.Stack.CPUBps)
-		}
-		wrap = func(shard int, d fstack.EthDevice) fstack.EthDevice {
-			return cpuDev{dev: d, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, window)}
-		}
-	}
-	if err := ss.AddNetIF(ifName(ic), dev, ifIP(ic), ifMask(ic), wrap); err != nil {
-		return nil, err
-	}
-	env := &Env{Name: cs.Name, CVM: cvm, Seg: seg, Pool: pool, Devs: []*dpdk.EthDev{dev}, Sharded: ss}
-	b.Sharded, b.Dev = ss, dev
-	return env, nil
-}
-
-// buildDeviceGated wires the split-driver layout: one cVM holds only
-// the DPDK driver, a second holds F-Stack + application, and every
-// burst crosses sealed gates between them.
-func (b *Bed) buildDeviceGated(cs CompartmentSpec, cvmName, poolName string, cvmBytes, segBytes uint64, poolBufs, ringSize int) (*Env, error) {
-	devName := cs.DevCVMName
-	if devName == "" {
-		devName = cs.Name + "-dpdk"
-	}
-	ic := cs.Ifs[0]
-
-	// The driver compartment — segment, pool, bound port.
-	dpdkCVM, err := b.Local.NewCVMSized(devName, cvmBytes)
-	if err != nil {
-		return nil, err
-	}
-	devSeg, err := cvmSeg(b.Local, dpdkCVM, segBytes)
-	if err != nil {
-		return nil, err
-	}
-	devPool, err := dpdk.NewMempool(devSeg, "dpdk-pkt", poolBufs, dpdk.DefaultDataroom)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := dpdk.Probe(b.Local.K.PCI, b.Local.Card.Port(ic.Port).BDF(), devSeg)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.Configure(uint32(ringSize), uint32(ringSize), devPool); err != nil {
-		return nil, err
-	}
-	if err := dev.Start(); err != nil {
-		return nil, err
-	}
-	gates, err := NewDevGates(b.Local.IV, dpdkCVM, dev, devPool)
-	if err != nil {
-		return nil, err
-	}
-
-	// The stack compartment — F-Stack + application, no direct NIC
-	// access.
-	stackCVM, err := b.Local.NewCVMSized(cvmName, cvmBytes)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := cvmSeg(b.Local, stackCVM, segBytes)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := dpdk.NewMempool(seg, poolName, poolBufs, dpdk.DefaultDataroom)
-	if err != nil {
-		return nil, err
-	}
-	stk := fstack.NewStack(seg, pool, b.Clk)
-	gdev := NewGatedEthDev(gates, stackCVM, pool)
-	stk.AddNetIF(ifName(ic), gdev, ifIP(ic), ifMask(ic))
-	env := &Env{Name: cs.Name, CVM: stackCVM, Seg: seg, Pool: pool, Stk: stk}
-	env.Loop = &fstack.Loop{Stk: stk}
 	return env, nil
 }
 
@@ -418,12 +378,6 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 	if big {
 		segBytes, poolBufs = bigPeerSegBytes, bigPeerPoolBufs
 	}
-	if ps.SegBytes != 0 {
-		segBytes = ps.SegBytes
-	}
-	if ps.PoolBufs != 0 {
-		poolBufs = ps.PoolBufs
-	}
 	name := peerName(ps)
 	m, err := newMachine(machineConfig{
 		Name: name, Clk: spec.Clk, Ports: defaultPeerPorts,
@@ -433,17 +387,13 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 	if err != nil {
 		return err
 	}
-	seg, err := m.baselineSeg(name, segBytes)
-	if err != nil {
-		return err
-	}
-	ringSize := ps.Stack.RingSize
-	if ringSize == 0 {
-		ringSize = DefaultRingSize
-	}
-	env, err := m.finishEnv(name, name+"-pkt", nil, seg,
-		[]IfSpec{{Port: 0, Name: "eth0", IP: PeerIP(ps.Port), Mask: Mask24}},
-		poolBufs, ringSize)
+	env, err := b.buildEnv(m, CompartmentSpec{
+		Name:     name,
+		SegBytes: cmp.Or(ps.SegBytes, segBytes),
+		PoolBufs: cmp.Or(ps.PoolBufs, poolBufs),
+		Ifs:      []IfSpec{{Port: 0, Name: "eth0", IP: PeerIP(ps.Port), Mask: Mask24}},
+		Stack:    ps.Stack,
+	})
 	if err != nil {
 		return err
 	}
@@ -462,15 +412,7 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 // applyStackSpec applies the tuning half of a StackSpec to a built
 // environment (single stack or every shard).
 func applyStackSpec(env *Env, ss StackSpec) {
-	stacks := []*fstack.Stack{}
-	if env.Sharded != nil {
-		for i := 0; i < env.Sharded.NumShards(); i++ {
-			stacks = append(stacks, env.Sharded.Shard(i))
-		}
-	} else if env.Stk != nil {
-		stacks = append(stacks, env.Stk)
-	}
-	for _, stk := range stacks {
+	for _, stk := range envStacks(env) {
 		if ss.RTOMinNS > 0 {
 			stk.SetRTOMin(ss.RTOMinNS)
 		}

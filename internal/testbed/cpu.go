@@ -58,8 +58,11 @@ func (d cpuDev) RxBurst(out []*dpdk.Mbuf) int {
 // processing, inflating the flow's RTT against its window.)
 func (d cpuDev) TxBurst(bufs []*dpdk.Mbuf) int {
 	// Capture lengths first: accepted mbufs pass to the driver and may
-	// be recycled before we charge for them.
-	lens := make([]int, len(bufs))
+	// be recycled before we charge for them. A burst past the array is
+	// cut short, which the burst contract allows (the stack sends one
+	// frame at a time).
+	var lens [32]int
+	bufs = bufs[:min(len(bufs), len(lens))]
 	for i, m := range bufs {
 		lens[i] = m.Len()
 	}
@@ -70,9 +73,8 @@ func (d cpuDev) TxBurst(bufs []*dpdk.Mbuf) int {
 	return n
 }
 
-func (d cpuDev) Poll()             { d.dev.Poll() }
-func (d cpuDev) MAC() [6]byte      { return d.dev.MAC() }
-func (d cpuDev) Stats() dpdk.Stats { return d.dev.Stats() }
+func (d cpuDev) Poll()        { d.dev.Poll() }
+func (d cpuDev) MAC() [6]byte { return d.dev.MAC() }
 
 // NextDeadline passes the inner device's deadline through unchanged: a
 // booked-out core only delays RX work the device already reports, and

@@ -19,7 +19,8 @@ import (
 // memory. A CompartmentSpec with DeviceGate set builds this layout.
 
 // Device-gate staging layout inside the stack cVM's window (distinct
-// from the GatedAPI staging, which Scenario 3 does not use).
+// from the GatedAPI staging): one buffer per queue pair, so shards never
+// share one.
 const (
 	devStageOff  = 0x200000
 	devStageSize = 64 * 1024
@@ -28,10 +29,11 @@ const (
 	devBurstMax = 32
 )
 
-// DevGates exports a DPDK compartment's ethdev as sealed entry points.
+// DevGates exports a DPDK compartment's ethdev as sealed entry points;
+// every call names the queue pair it is for.
 type DevGates struct {
-	rx, tx, poll, stats *intravisor.Gate
-	mac                 [6]byte
+	rx, tx, poll *intravisor.Gate
+	mac          [6]byte
 	// dev is the inner device, retained for deadline queries only:
 	// NextDeadline is simulator introspection, not modeled datapath,
 	// so it must not burn a gate crossing (which would perturb the
@@ -47,16 +49,19 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 	mk := func(fn intravisor.GateFunc) (*intravisor.Gate, error) {
 		return iv.NewGate(dpdkCVM, fn)
 	}
+	// queue checks the queue index a caller passed across the boundary.
+	queue := func(v uint64) (int, bool) { return int(v), v < uint64(dev.NumRxQueues()) }
 	var err error
-	// rx: harvest up to a[0] frames; pack [u16 len][bytes]... through
-	// the caller's staging capability; returns the frame count.
+	// rx: harvest up to a[0] frames from queue a[1]; pack [u16 len][bytes]...
+	// through the caller's staging capability; returns the frame count.
 	if g.rx, err = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
-		n := int(a[0])
-		if n > devBurstMax {
-			n = devBurstMax
+		q, ok := queue(a[1])
+		if !ok {
+			return 0, hostos.EINVAL
 		}
+		n := min(int(a[0]), devBurstMax)
 		var burst [devBurstMax]*dpdk.Mbuf
-		k := dev.RxBurst(burst[:n])
+		k := dev.RxBurstQ(q, burst[:n])
 		addr := stage.Addr()
 		packed := 0
 		for i := 0; i < k; i++ {
@@ -78,8 +83,13 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		return nil, err
 	}
 	// tx: unpack a[0] frames from the staging capability into the DPDK
-	// compartment's own mbufs and transmit; returns accepted count.
+	// compartment's own mbufs and transmit on queue a[1]; returns the
+	// accepted count.
 	if g.tx, err = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
+		q, ok := queue(a[1])
+		if !ok {
+			return 0, hostos.EINVAL
+		}
 		n := int(a[0])
 		addr := stage.Addr()
 		accepted := 0
@@ -98,7 +108,7 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 				m.Free()
 				break
 			}
-			if dev.TxBurst([]*dpdk.Mbuf{m}) != 1 {
+			if dev.TxBurstQ(q, []*dpdk.Mbuf{m}) != 1 {
 				m.Free()
 				break
 			}
@@ -109,23 +119,12 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 	}); err != nil {
 		return nil, err
 	}
-	if g.poll, err = mk(func(_ *intravisor.CVM, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		dev.Poll()
-		return 0, hostos.OK
-	}); err != nil {
-		return nil, err
-	}
-	if g.stats, err = mk(func(_ *intravisor.CVM, _ hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
-		st := dev.Stats()
-		var buf [40]byte
-		binary.LittleEndian.PutUint64(buf[0:], st.IPackets)
-		binary.LittleEndian.PutUint64(buf[8:], st.OPackets)
-		binary.LittleEndian.PutUint64(buf[16:], st.IBytes)
-		binary.LittleEndian.PutUint64(buf[24:], st.OBytes)
-		binary.LittleEndian.PutUint64(buf[32:], st.IMissed)
-		if mem.Store(stage, stage.Addr(), buf[:]) != nil {
-			return 0, hostos.EFAULT
+	if g.poll, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		q, ok := queue(a[0])
+		if !ok {
+			return 0, hostos.EINVAL
 		}
+		dev.PollQ(q)
 		return 0, hostos.OK
 	}); err != nil {
 		return nil, err
@@ -133,24 +132,32 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 	return g, nil
 }
 
-// GatedEthDev is the stack-compartment side: it satisfies
-// fstack.EthDevice, crossing into the DPDK compartment per burst.
+// GatedEthDev is the stack-compartment side of one queue pair: it
+// satisfies fstack.EthDevice, crossing into the DPDK compartment per
+// burst.
 type GatedEthDev struct {
 	g      *DevGates
 	caller *intravisor.CVM // the F-Stack cVM
 	pool   *dpdk.Mempool   // stack-side pool for harvested frames
+	q      uint64          // the queue pair, as the gates take it
 }
 
 var _ fstack.EthDevice = (*GatedEthDev)(nil)
 
-// NewGatedEthDev wires the stack cVM to the device gates.
-func NewGatedEthDev(g *DevGates, stackCVM *intravisor.CVM, pool *dpdk.Mempool) *GatedEthDev {
-	return &GatedEthDev{g: g, caller: stackCVM, pool: pool}
+// NewGatedEthDev wires the stack cVM to queue pair q of the device
+// gates.
+func NewGatedEthDev(g *DevGates, stackCVM *intravisor.CVM, pool *dpdk.Mempool, q int) *GatedEthDev {
+	return &GatedEthDev{g: g, caller: stackCVM, pool: pool, q: uint64(q)}
+}
+
+// stageAddr is this queue's staging buffer in the caller's window.
+func (d *GatedEthDev) stageAddr() uint64 {
+	return d.caller.Base() + devStageOff + d.q*devStageSize
 }
 
 // stage derives the staging capability for one crossing.
 func (d *GatedEthDev) stage() (cheri.Cap, error) {
-	return d.caller.DeriveBuf(d.caller.Base()+devStageOff, devStageSize)
+	return d.caller.DeriveBuf(d.stageAddr(), devStageSize)
 }
 
 // MAC returns the port's hardware address (cached at gate creation).
@@ -167,11 +174,11 @@ func (d *GatedEthDev) RxBurst(out []*dpdk.Mbuf) int {
 	if err != nil {
 		return 0
 	}
-	r, errno := d.g.rx.Call(d.caller, hostos.Args{uint64(want)}, stage)
+	r, errno := d.g.rx.Call(d.caller, hostos.Args{uint64(want), d.q}, stage)
 	if errno != hostos.OK || r == 0 {
 		return 0
 	}
-	addr := d.caller.Base() + devStageOff
+	addr := d.stageAddr()
 	got := 0
 	for i := 0; i < int(r); i++ {
 		var hdr [2]byte
@@ -206,7 +213,7 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 	if err != nil {
 		return 0
 	}
-	addr := d.caller.Base() + devStageOff
+	addr := d.stageAddr()
 	packed := 0
 	for _, m := range bufs[:n] {
 		data, err := m.BytesRO()
@@ -221,7 +228,7 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 		addr += 2 + uint64(len(data))
 		packed++
 	}
-	r, errno := d.g.tx.Call(d.caller, hostos.Args{uint64(packed)}, stage)
+	r, errno := d.g.tx.Call(d.caller, hostos.Args{uint64(packed), d.q}, stage)
 	if errno != hostos.OK {
 		return 0
 	}
@@ -233,33 +240,11 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 
 // Poll advances the device across the gate.
 func (d *GatedEthDev) Poll() {
-	d.g.poll.Call(d.caller, hostos.Args{}, cheri.NullCap)
+	d.g.poll.Call(d.caller, hostos.Args{d.q}, cheri.NullCap)
 }
 
 // NextDeadline asks the inner device directly — no gate crossing; see
 // the DevGates.dev comment.
 func (d *GatedEthDev) NextDeadline(now int64) int64 {
 	return d.g.dev.NextDeadline(now)
-}
-
-// Stats reads the device counters across the gate.
-func (d *GatedEthDev) Stats() dpdk.Stats {
-	stage, err := d.stage()
-	if err != nil {
-		return dpdk.Stats{}
-	}
-	if _, errno := d.g.stats.Call(d.caller, hostos.Args{}, stage); errno != hostos.OK {
-		return dpdk.Stats{}
-	}
-	var buf [40]byte
-	if d.caller.Load(d.caller.Base()+devStageOff, buf[:]) != nil {
-		return dpdk.Stats{}
-	}
-	return dpdk.Stats{
-		IPackets: binary.LittleEndian.Uint64(buf[0:]),
-		OPackets: binary.LittleEndian.Uint64(buf[8:]),
-		IBytes:   binary.LittleEndian.Uint64(buf[16:]),
-		OBytes:   binary.LittleEndian.Uint64(buf[24:]),
-		IMissed:  binary.LittleEndian.Uint64(buf[32:]),
-	}
 }

@@ -13,6 +13,13 @@
 // Scenario 6 — a sharded stack driving flows through an impaired WAN
 // bottleneck — is a Spec with both knobs set, not a ninth constructor.
 //
+// Inside Build the same holds: a stack binds queue handles
+// (dpdk.EthDev.Queue), and one builder (buildEnv) wires every
+// environment, local or peer, by composing where the driver lives, how
+// many queue pairs it configures, what stands in front of each handle,
+// which stack binds them and who calls its API — so shards, API gates
+// and device gates combine without any combination being a case.
+//
 // What is declarative: topology, sizing, addressing (with collision
 // checks), gate policy, stack tuning, link impairments, and
 // observability (Spec.Obs selects the internal/obs instruments —

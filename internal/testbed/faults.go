@@ -102,9 +102,9 @@ func (r RestartSpec) policy() faultplane.Policy {
 // validateFaults checks the fault plan against the topology plan.
 func (s Spec) validateFaults() error {
 	f := s.Faults
-	envs := map[string]bool{}
+	envs := map[string]CompartmentSpec{}
 	for _, cs := range s.Compartments {
-		envs[cs.Name] = true
+		envs[cs.Name] = cs
 	}
 	peers := map[string]bool{}
 	for _, ps := range s.Peers {
@@ -123,8 +123,15 @@ func (s Spec) validateFaults() error {
 		}
 	}
 	for _, nf := range f.NICFaults {
-		if !envs[nf.Env] {
+		cs, ok := envs[nf.Env]
+		if !ok {
 			return fmt.Errorf("testbed: NIC fault references unknown compartment %q", nf.Env)
+		}
+		if nf.Dev < 0 || nf.Dev >= len(cs.Ifs) {
+			return fmt.Errorf("testbed: NIC fault on %q: device %d, compartment has %d", nf.Env, nf.Dev, len(cs.Ifs))
+		}
+		if nq := cs.Stack.queues(); nf.Queue < 0 || nf.Queue >= nq {
+			return fmt.Errorf("testbed: NIC fault on %q: queue %d, device has %d", nf.Env, nf.Queue, nq)
 		}
 		if nf.ResumeAt < nf.StallAt {
 			return fmt.Errorf("testbed: NIC fault on %q: resume %d before stall %d", nf.Env, nf.ResumeAt, nf.StallAt)
@@ -134,7 +141,7 @@ func (s Spec) validateFaults() error {
 		}
 	}
 	for _, cf := range f.CapFaults {
-		if !envs[cf.Env] {
+		if _, ok := envs[cf.Env]; !ok {
 			return fmt.Errorf("testbed: capability fault references unknown compartment %q", cf.Env)
 		}
 	}
@@ -254,7 +261,7 @@ func (b *Bed) wireFaults(spec Spec) error {
 	for _, nf := range fs.NICFaults {
 		nf := nf
 		e := b.Envs[envIdx(nf.Env)]
-		dev := e.Devs[nf.Dev]
+		dev := e.drv[nf.Dev]
 		src := uint16(envIdx(nf.Env))
 		if nf.ResumeAt > nf.StallAt {
 			evs = append(evs,

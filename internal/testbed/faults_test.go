@@ -41,6 +41,33 @@ func TestFaultSpecValidation(t *testing.T) {
 	wantBuildError(t, s, "unknown peer")
 }
 
+// TestNICFaultReachesGatedDriver: a device-gated environment lists no
+// device (its driver sits in another cVM), yet a NIC fault aimed at it
+// lands on that driver's port — on a sharded one, on the queue named.
+func TestNICFaultReachesGatedDriver(t *testing.T) {
+	s := minimalSpec()
+	s.Compartments[0].CVM = true
+	s.Compartments[0].DeviceGate = true
+	s.Compartments[0].Stack.Shards = 2
+	s.Faults.NICFaults = []NICFaultSpec{{Env: "proc", Queue: 1, StallAt: 100, ResumeAt: 200, DMAFaultAt: 100, DMAFaults: 3}}
+	bed, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(bed.Envs[0].Devs); n != 0 {
+		t.Fatalf("device-gated environment lists %d devices", n)
+	}
+	port := bed.Local.Card.Port(0)
+	bed.FaultStep(100)
+	if port.QueueStalled(0) || !port.QueueStalled(1) {
+		t.Fatalf("at the stall: queue 0 stalled=%v, queue 1 stalled=%v", port.QueueStalled(0), port.QueueStalled(1))
+	}
+	bed.FaultStep(200)
+	if port.QueueStalled(1) {
+		t.Fatal("queue 1 still stalled after its resume instant")
+	}
+}
+
 func TestCapFaultTrapAndSupervisedRestart(t *testing.T) {
 	s := minimalSpec()
 	s.Compartments[0].CVM = true

@@ -17,8 +17,6 @@ import (
 // crosses from the application compartment into the stack compartment
 // and takes the F-Stack mutex there.
 type StackGates struct {
-	stk *fstack.Stack
-
 	socket, bind, listen, accept, connect *intravisor.Gate
 	read, write, closeG                   *intravisor.Gate
 	epCreate, epCtl, epWait               *intravisor.Gate
@@ -47,15 +45,32 @@ func u64FromIP4(ip fstack.IPv4Addr) uint64 {
 	return uint64(ip[0])<<24 | uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
 }
 
-// NewStackGates exports the F-Stack API of stackEnv's stack from its
+// stackAPI is what the gates export: the self-locking socket API of a
+// Stack, or of a ShardedAPI fanning out over a sharded one. The gate
+// targets never learn which.
+type stackAPI interface {
+	Socket(typ int) (int, hostos.Errno)
+	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
+	Listen(fd, backlog int) hostos.Errno
+	Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno)
+	Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
+	ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
+	WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
+	Close(fd int) hostos.Errno
+	EpollCreate() int
+	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
+	EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno)
+}
+
+// NewStackGates exports the socket API of stackEnv's stack from its
 // cVM.
 func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error) {
 	if stackEnv.CVM == nil {
 		return nil, fmt.Errorf("testbed: gates need a cVM-hosted stack")
 	}
-	s := stackEnv.Stk
+	s := stackEnv.api
 	mem := iv.Mem()
-	g := &StackGates{stk: s}
+	g := &StackGates{}
 	mk := func(fn intravisor.GateFunc) (*intravisor.Gate, error) {
 		return iv.NewGate(stackEnv.CVM, fn)
 	}

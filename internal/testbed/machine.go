@@ -17,7 +17,6 @@ type Machine struct {
 	K    *hostos.Kernel
 	Card *nic.Card
 	IV   *intravisor.Intravisor // created lazily by NewCVM
-	clk  hostos.Clock
 }
 
 // machineConfig is the resolved (defaults filled) machine description.
@@ -76,7 +75,7 @@ func newMachine(cfg machineConfig) (*Machine, error) {
 			return nil, fmt.Errorf("testbed: unbinding port %d: %v", i, errno)
 		}
 	}
-	return &Machine{Name: cfg.Name, K: k, Card: card, clk: cfg.Clk}, nil
+	return &Machine{Name: cfg.Name, K: k, Card: card}, nil
 }
 
 // NewCVM creates a default-sized cVM on this machine (boots the
@@ -112,6 +111,8 @@ type Env struct {
 	CVM  *intravisor.CVM // nil for Baseline processes
 	Seg  *dpdk.MemSeg
 	Pool *dpdk.Mempool
+	// Devs are the devices driven from inside the environment (empty
+	// when the driver sits behind device gates).
 	Devs []*dpdk.EthDev
 	// IFs are the stack's bound interfaces, in IfSpec order (empty for
 	// sharded environments, whose single interface spans every shard).
@@ -120,6 +121,13 @@ type Env struct {
 	Loop *fstack.Loop  // nil when Sharded is set
 	// Sharded is the multi-queue stack of a sharded environment.
 	Sharded *fstack.ShardedStack
+
+	// drv is the builder's record of the devices the stack's queue
+	// handles lead to, in IfSpec order: Devs, except that a device-gated
+	// environment's driver sits in its own cVM and is not listed there.
+	drv []*dpdk.EthDev
+	// api is the socket API the environment's gates export (APIGate).
+	api stackAPI
 }
 
 // CapMode reports whether the environment runs the CHERI port.
@@ -163,30 +171,4 @@ func cvmSeg(m *Machine, cvm *intravisor.CVM, segBytes uint64) (*dpdk.MemSeg, err
 		return nil, err
 	}
 	return dpdk.NewMemSeg(m.K.Mem, segBase, segBytes, segCap, true)
-}
-
-// finishEnv probes the ports, builds the pool, stack and loop.
-func (m *Machine) finishEnv(name, poolName string, cvm *intravisor.CVM, seg *dpdk.MemSeg, ifs []IfSpec, poolN, ringSize int) (*Env, error) {
-	pool, err := dpdk.NewMempool(seg, poolName, poolN, dpdk.DefaultDataroom)
-	if err != nil {
-		return nil, err
-	}
-	stk := fstack.NewStack(seg, pool, m.clk)
-	env := &Env{Name: name, CVM: cvm, Seg: seg, Pool: pool, Stk: stk}
-	for _, ic := range ifs {
-		dev, err := dpdk.Probe(m.K.PCI, m.Card.Port(ic.Port).BDF(), seg)
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.Configure(uint32(ringSize), uint32(ringSize), pool); err != nil {
-			return nil, err
-		}
-		if err := dev.Start(); err != nil {
-			return nil, err
-		}
-		env.IFs = append(env.IFs, stk.AddNetIF(ifName(ic), dev, ifIP(ic), ifMask(ic)))
-		env.Devs = append(env.Devs, dev)
-	}
-	env.Loop = &fstack.Loop{Stk: stk}
-	return env, nil
 }

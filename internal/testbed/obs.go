@@ -61,7 +61,8 @@ func (b *Bed) wireObs(spec Spec) error {
 		} else if e.Stk != nil {
 			e.Stk.SetObs(o.Trace, o.RTT, uint16(i))
 		}
-		for _, d := range e.Devs {
+		// Every driver device, a device-gated environment's included.
+		for _, d := range e.drv {
 			d.SetObs(o.Trace, now, devSrc)
 			devSrc++
 		}
@@ -71,7 +72,7 @@ func (b *Bed) wireObs(spec Spec) error {
 		if p.Env.Stk != nil {
 			p.Env.Stk.SetObs(o.Trace, o.RTT, peerStackSrc+uint16(p.Port))
 		}
-		for _, d := range p.Env.Devs {
+		for _, d := range p.Env.drv {
 			d.SetObs(o.Trace, now, devSrc)
 			devSrc++
 		}

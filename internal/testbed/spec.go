@@ -134,6 +134,10 @@ type StackSpec struct {
 	RTOMinNS int64
 }
 
+// queues is how many queue pairs each of the environment's ports is
+// configured with: one per shard.
+func (ss StackSpec) queues() int { return max(1, ss.Shards) }
+
 // IfSpec binds one NIC port to an interface of a compartment's stack.
 // The zero address takes the testbed addressing plan: port i is subnet
 // 10.0.i.0/24 with .1 local and .2 remote.
@@ -272,9 +276,6 @@ func (s Spec) validate() error {
 		}
 		if cs.DeviceGate && len(cs.Ifs) != 1 {
 			return fmt.Errorf("testbed: %s: a device-gated stack drives exactly one port", what)
-		}
-		if cs.Stack.Shards > 0 && (cs.APIGate || cs.DeviceGate) {
-			return fmt.Errorf("testbed: %s: sharding does not compose with gates yet", what)
 		}
 		if cs.Stack.CPUBps > 0 && cs.Stack.Shards == 0 {
 			return fmt.Errorf("testbed: %s: a CPU budget needs a sharded stack (set Shards >= 1)", what)

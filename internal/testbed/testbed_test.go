@@ -72,6 +72,10 @@ func TestSpecValidationErrors(t *testing.T) {
 	wantBuildError(t, s, "cVM")
 
 	s = minimalSpec()
+	s.Compartments[0].DeviceGate = true // so does the device-gate split
+	wantBuildError(t, s, "cVM")
+
+	s = minimalSpec()
 	s.Compartments[0].AppCVMs = []string{"app"}
 	wantBuildError(t, s, "APIGate")
 
@@ -89,6 +93,27 @@ func TestSpecValidationErrors(t *testing.T) {
 	s.Compartments[0].DeviceGate = true
 	s.Compartments[0].Ifs = nil
 	wantBuildError(t, s, "exactly one port")
+
+	s = minimalSpec()
+	s.Compartments[0].CVM = true
+	s.Compartments[0].DeviceGate = true
+	s.Compartments[0].Ifs = append(s.Compartments[0].Ifs, IfSpec{Port: 1})
+	wantBuildError(t, s, "exactly one port")
+
+	// A NIC fault must name a device and a queue the compartment has;
+	// both used to index past the end inside Build.
+	s = minimalSpec()
+	s.Faults.NICFaults = []NICFaultSpec{{Env: "proc", Dev: 1, DMAFaultAt: 1, DMAFaults: 1}}
+	wantBuildError(t, s, "device 1")
+
+	s = minimalSpec()
+	s.Faults.NICFaults = []NICFaultSpec{{Env: "proc", Queue: 1, StallAt: 1, ResumeAt: 2}}
+	wantBuildError(t, s, "queue 1")
+
+	s = minimalSpec()
+	s.Compartments[0].Stack.Shards = 2
+	s.Faults.NICFaults = []NICFaultSpec{{Env: "proc", Queue: 2, StallAt: 1, ResumeAt: 2}}
+	wantBuildError(t, s, "queue 2")
 
 	// An unknown congestion-control name is rejected at spec time, on
 	// compartments and peers alike, instead of failing the first
