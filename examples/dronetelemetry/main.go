@@ -61,35 +61,37 @@ func main() {
 		}
 	}
 
-	// The flight app uses the stack only through its compartment view.
-	// UDP send/recv go through the stack's own API here; the app's data
-	// lives in its cVM window.
+	// The flight app lives in its own cVM and reaches the stack only
+	// through its gated API view: every heartbeat is staged in the app's
+	// window and crosses the compartment boundary on a sealed call.
 	app := setup.AppCVM(0)
 	fmt.Printf("drone app compartment: [%#x,+%#x); stack compartment: [%#x,+%#x)\n",
 		app.Base(), app.Size(), stackEnv.CVM.Base(), stackEnv.CVM.Size())
 
-	sapi := stackEnv.Loop.Locked()
-	ufd, _ := sapi.Socket(fstack.SockDgram)
+	api := setup.Apps[0]
+	ufd, _ := api.Socket(fstack.SockDgram)
 
 	const wanted = 25
 	seq := byte(0)
 	nextSend := int64(0)
-	stackEnv.Loop.OnLoop = func(now int64) bool {
+	flightApp := func(now int64) {
 		if now >= nextSend && int(seq) < wanted {
 			hb := mavHeartbeat(seq)
-			if _, errno := sapi.SendTo(ufd, hb, fstack.IP4(10, 0, 0, 2), 14550); errno == hostos.OK {
+			if _, errno := api.SendTo(ufd, hb, fstack.IP4(10, 0, 0, 2), 14550); errno == hostos.OK {
 				seq++
 			}
 			nextSend = now + 1_000_000 // 1 kHz telemetry
 		}
-		return true
 	}
 
+	// The app cVM is outside every stack's loop: the driver steps it
+	// after the loops, as core.measure does for a loop-less site.
 	loops := setup.Loops()
 	for i := 0; i < 200000 && len(received) < wanted; i++ {
 		for _, l := range loops {
 			l.RunOnce()
 		}
+		flightApp(clk.Now())
 		clk.Advance(5000)
 	}
 	if len(received) < wanted {

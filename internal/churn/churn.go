@@ -26,22 +26,6 @@ import (
 	"repro/internal/stats"
 )
 
-// API is the slice of the ff_* surface the workload needs; it matches
-// iperf.API, so every compartment layout's API view satisfies it.
-type API interface {
-	Socket(typ int) (int, hostos.Errno)
-	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Listen(fd, backlog int) hostos.Errno
-	Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno)
-	Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Read(fd int, dst []byte) (int, hostos.Errno)
-	Write(fd int, src []byte) (int, hostos.Errno)
-	Close(fd int) hostos.Errno
-	EpollCreate() int
-	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
-	EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno)
-}
-
 const (
 	// sportBase/sportSpan is the client's managed source-port window.
 	sportBase = uint16(1024)
@@ -127,7 +111,7 @@ func (s *Server) NextDeadline(now int64) int64 {
 func (s *Server) fail(errno hostos.Errno) { s.failure = errno }
 
 // Step advances the server; call once per loop iteration.
-func (s *Server) Step(api API, now int64) {
+func (s *Server) Step(api fstack.API, now int64) {
 	if s.failure != hostos.OK {
 		return
 	}
@@ -356,7 +340,7 @@ func (c *Client) fail(errno hostos.Errno) {
 }
 
 // open starts handshake i of a phase toward the given base port.
-func (c *Client) open(api API, now int64, i int, base uint16, preload bool) bool {
+func (c *Client) open(api fstack.API, now int64, i int, base uint16, preload bool) bool {
 	sport, off := connAddr(i)
 	fd, errno := api.Socket(fstack.SockStream)
 	if errno != hostos.OK {
@@ -380,7 +364,7 @@ func (c *Client) open(api API, now int64, i int, base uint16, preload bool) bool
 }
 
 // Step advances the client; call once per loop iteration.
-func (c *Client) Step(api API, now int64) {
+func (c *Client) Step(api fstack.API, now int64) {
 	switch c.state {
 	case clientInit:
 		c.epfd = api.EpollCreate()
@@ -428,7 +412,7 @@ func (c *Client) Step(api API, now int64) {
 }
 
 // drain processes handshake completions; false means the run failed.
-func (c *Client) drain(api API, now int64) bool {
+func (c *Client) drain(api fstack.API, now int64) bool {
 	n, errno := api.EpollWait(c.epfd, c.evs)
 	if errno != hostos.OK {
 		c.fail(errno)

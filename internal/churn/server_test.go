@@ -10,8 +10,10 @@ import (
 
 // scriptAPI scripts the socket surface the server sees: queued accepts
 // per listener, queued read results per connection (0 = EOF), queued
-// epoll ready sets. Everything else succeeds.
+// epoll ready sets. Every other stream call succeeds; the datagram
+// calls, which the server never makes, are the embedded nil's.
 type scriptAPI struct {
+	fstack.API
 	nextFD  int
 	accepts map[int][]int
 	reads   map[int][]int

@@ -51,22 +51,7 @@ const (
 // In LocalIsServer mode the local endpoints run iperf servers and the
 // remote partners run clients; in LocalIsClient mode the roles flip.
 func BandwidthPair(s *Setup, dir Direction) ([]BWResult, error) {
-	var flows []bulkFlow
-	upload := dir == LocalIsClient
-	if len(s.Apps) == 0 {
-		// Baseline, Scenarios 1 and 3: environment i owns port i and
-		// talks to the peer on it, the application inside the stack's
-		// loop.
-		for i, env := range s.Envs {
-			flows = append(flows, bulkFlow{label: env.Name, env: env, peer: s.Peers[i], port: iperfPort, upload: upload})
-		}
-	}
-	// Scenario 2: every app cVM reaches the single stack on port 0
-	// through its gated API view, each on a distinct TCP port; the one
-	// peer carries the far end of every flow.
-	for i, app := range s.Apps {
-		flows = append(flows, bulkFlow{label: app.App.Name, api: app, peer: s.Peers[0], port: iperfPort + uint16(i), upload: upload})
-	}
+	flows := tableFlows(s, dir == LocalIsClient)
 	reps, err := runFlows(s, "bandwidth", flows, bwDuration, bwDeadline)
 	if err != nil {
 		return nil, err

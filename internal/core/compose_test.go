@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -31,8 +30,7 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 		Ifs: []testbed.IfSpec{{Port: 0}},
 		Stack: testbed.StackSpec{
 			Shards: shards, RingSize: s4RingSize,
-			CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
-			RTOMinNS: s4RTOMin,
+			CPUBps: s4CPUBps, RTOMinNS: s4RTOMin,
 		},
 	}
 	switch layout {
@@ -54,19 +52,6 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 		}},
 		Obs: o,
 	})
-}
-
-// composedFlows is shardedFlows, sited behind the app cVM's gated API
-// view when the bed has one.
-func composedFlows(s *Setup, upload bool) []bulkFlow {
-	flows := shardedFlows(s, composeFlows, s4BasePort, upload)
-	if len(s.Apps) > 0 {
-		var api iperf.API = s.Apps[0]
-		for i := range flows {
-			flows[i].api = api
-		}
-	}
-	return flows
 }
 
 // composedRun is what one cell's run leaves behind.
@@ -91,7 +76,7 @@ func runComposedObs(t *testing.T, shards int, layout string, upload bool, o test
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	reps, err := runFlows(s, "compose", composedFlows(s, upload), composeDuration, bwDeadline)
+	reps, err := runFlows(s, "compose", shardedFlows(s, composeFlows, s4BasePort, upload), composeDuration, bwDeadline)
 	if err != nil {
 		t.Fatal(err)
 	}

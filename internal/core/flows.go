@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/iperf"
+	"repro/internal/testbed"
 )
 
 // The bulk-flow driver. The paper's method is one iperf benchmark
@@ -16,14 +17,10 @@ import (
 type bulkFlow struct {
 	// label names the flow in results and errors.
 	label string
-	// The local endpoint's site, exactly one of the two. env steps it
-	// inside that environment's loop callback: the application lives in
-	// the stack's compartment (Baseline, Scenarios 1, 3, 5, 7). api is a
-	// view onto a stack the application does not live in — a gated app
-	// cVM, the sharded stack's steering API — which the driver steps
-	// after the loops.
-	env *Env
-	api iperf.API
+	// local is where the local endpoint runs: inside the stack's
+	// compartment (Baseline, Scenarios 1, 3, 5, 7), in an app cVM behind
+	// the API gates, or on the sharded stack's steering API.
+	local testbed.Site
 	// peer carries the far endpoint, inside its loop callback.
 	peer *Peer
 	// port is the server's listen port.
@@ -37,32 +34,10 @@ type bulkFlow struct {
 	srcPort uint16
 }
 
-// flowEnd is either iperf endpoint.
-type flowEnd interface {
-	endpoint
-	Done() bool
-	Step(api iperf.API, now int64)
-	Report() iperf.Report
-}
-
 // newReceiver is the iperf server on every interface: the receiving end
 // of each flow, and the byte sink of the latency probes.
 func newReceiver(port uint16) *iperf.Server {
 	return iperf.NewServer(fstack.IPv4Addr{}, port)
-}
-
-// ends creates the flow's two endpoints.
-func (f bulkFlow) ends(durationNS int64) (local, remote flowEnd) {
-	dst := localIP(f.peer.Port)
-	if f.upload {
-		dst = peerIP(f.peer.Port)
-	}
-	cli := iperf.NewClient(dst, f.port, durationNS)
-	cli.LocalPort = f.srcPort
-	if f.upload {
-		return cli, newReceiver(f.port)
-	}
-	return newReceiver(f.port), cli
 }
 
 // flowReports are one finished flow's figures: the local endpoint's
@@ -72,59 +47,63 @@ type flowReports struct{ local, recv iperf.Report }
 
 // runFlows runs the flows concurrently for durationNS of virtual
 // traffic time, within budgetNS, and returns their reports in flow
-// order.
-//
-// The stepping-order rule: endpoints sharing a loop are stepped in flow
-// order inside that loop's callback, and api-sited endpoints in flow
-// order after all the loops. Frames leave a stack in the order its
-// endpoints wrote, so flow order is wire order; the rule reproduces
-// what each hand-written driver did (DESIGN.md §14).
+// order. Endpoints are placed in flow order, local before remote, so
+// flow order is wire order (place has the stepping-order rule).
 func runFlows(bed *Setup, what string, flows []bulkFlow, durationNS, budgetNS int64) ([]flowReports, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("core: %s needs at least one flow", what)
 	}
-	var ends []flowEnd // flow i's local and remote endpoints at 2i, 2i+1
-	var steppers []func(now int64)
-	var eps []labelled
-	inLoop := map[*Env][]flowEnd{}
-	for _, f := range flows {
-		local, remote := f.ends(durationNS)
-		var localLoop *fstack.Loop // nil: api-sited, stepped by the driver
-		if f.api != nil {
-			steppers = append(steppers, func(now int64) { local.Step(f.api, now) })
-		} else {
-			inLoop[f.env] = append(inLoop[f.env], local)
-			localLoop = f.env.Loop
+	clis := make([]*iperf.Client, len(flows))
+	srvs := make([]*iperf.Server, len(flows))
+	var eps []placed
+	for i, f := range flows {
+		dst := localIP(f.peer.Port)
+		if f.upload {
+			dst = peerIP(f.peer.Port)
 		}
-		inLoop[f.peer.Env] = append(inLoop[f.peer.Env], remote)
-		ends = append(ends, local, remote)
-		eps = append(eps, labelled{f.label + " (local)", local, localLoop}, labelled{f.label + " (peer)", remote, f.peer.Env.Loop})
-	}
-	for env, here := range inLoop {
-		var api iperf.API = env.Loop.Locked()
-		env.Loop.OnLoop = func(now int64) bool {
-			for _, e := range here {
-				e.Step(api, now)
-			}
-			return true
+		clis[i], srvs[i] = iperf.NewClient(dst, f.port, durationNS), newReceiver(f.port)
+		clis[i].LocalPort = f.srcPort
+		var local, remote endpoint = srvs[i], clis[i]
+		if f.upload {
+			local, remote = remote, local
 		}
+		eps = append(eps, placed{f.label + " (local)", f.local, local}, placed{f.label + " (peer)", f.peer.Site(), remote})
 	}
-	if err := measure(bed, what, steppers, eps, phase{budgetNS: budgetNS, done: allDone(ends)}); err != nil {
+	sent, received := allDone(clis), allDone(srvs)
+	done := func() bool { return sent() && received() }
+	if err := measure(bed, what, eps, phase{budgetNS: budgetNS, done: done}); err != nil {
 		return nil, err
 	}
 	out := make([]flowReports, len(flows))
 	for i, f := range flows {
-		local, remote := ends[2*i].Report(), ends[2*i+1].Report()
-		out[i] = flowReports{local: local, recv: remote}
-		if !f.upload {
-			out[i].recv = local
+		recv := srvs[i].Report()
+		out[i] = flowReports{local: recv, recv: recv}
+		if f.upload {
+			out[i].local = clis[i].Report()
 		}
 	}
 	return out, nil
 }
 
-// shardedFlows lists n flows between the sharded stack's steering
-// API and the bed's one peer, flow f on basePort+f. Uploads send from
+// tableFlows lists Table II's flows for a bed: one per application
+// site. Site i faces peer i modulo the peer count — a bed has either one
+// peer per environment, each environment owning a port, or one peer for
+// every app cVM of its single stack — and the flows that share a peer
+// take successive TCP ports.
+func tableFlows(s *Setup, upload bool) []bulkFlow {
+	var flows []bulkFlow
+	for i, site := range s.AppSites() {
+		flows = append(flows, bulkFlow{
+			label: site.Name, local: site, upload: upload,
+			peer: s.Peers[i%len(s.Peers)], port: iperfPort + uint16(i/len(s.Peers)),
+		})
+	}
+	return flows
+}
+
+// shardedFlows lists n flows between the bed's one application site — a
+// sharded stack's steering API, or the app cVM in front of it — and its
+// one peer, flow f on basePort+f. Uploads send from
 // the local shards: the steering oracle places each connection on the
 // shard its ACK stream will hit. Downloads send from the peer into
 // listeners cloned across every shard, each SYN accepted wherever RSS
@@ -136,11 +115,11 @@ func shardedFlows(s *Setup, n int, basePort uint16, upload bool) []bulkFlow {
 	if n < 1 {
 		return nil
 	}
-	api := s.Sharded.API()
+	site := s.AppSites()[0]
 	flows := make([]bulkFlow, n)
 	for f := range flows {
 		port := basePort + uint16(f)
-		flows[f] = bulkFlow{label: fmt.Sprintf("flow %d", f), api: api, peer: s.Peers[0], port: port, upload: upload}
+		flows[f] = bulkFlow{label: fmt.Sprintf("flow %d", f), local: site, peer: s.Peers[0], port: port, upload: upload}
 		if !upload {
 			flows[f].srcPort = engineerCport(s, f, port)
 		}
@@ -166,5 +145,5 @@ func engineerCport(s *Setup, f int, dport uint16) uint16 {
 // the local box, application inside the stack's compartment, uploads
 // to the peer through the impaired link.
 func wanUpload(bed *Setup, port uint16) []bulkFlow {
-	return []bulkFlow{{label: "flow", env: bed.Envs[0], peer: bed.Peers[0], port: port, upload: true}}
+	return []bulkFlow{{label: "flow", local: bed.AppSites()[0], peer: bed.Peers[0], port: port, upload: true}}
 }

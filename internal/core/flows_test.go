@@ -1,21 +1,22 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // recAPI notes which party the driver is stepping whenever an iperf
 // server steps through it (every server Step opens with one of these
 // three calls).
 type recAPI struct {
-	iperf.API
+	fstack.API
 	who  string
 	note func(who string)
 }
@@ -79,9 +80,10 @@ func TestRunFlowsSteppingOrder(t *testing.T) {
 	tap := &synTap{note: note}
 	s.Peers[0].Env.Stk.SetTap(tap)
 	var flows []bulkFlow
-	for i, app := range s.Apps {
+	for i, site := range s.AppSites() {
 		who := []string{"app 0", "app 1"}[i]
-		flows = append(flows, bulkFlow{label: who, api: recAPI{app, who, note}, peer: s.Peers[0], port: iperfPort + uint16(i)})
+		site.API = recAPI{site.API, who, note}
+		flows = append(flows, bulkFlow{label: who, local: site, peer: s.Peers[0], port: iperfPort + uint16(i)})
 	}
 	if _, err := runFlows(s, "stepping order", flows, 10e6, bwDeadline); err != nil {
 		t.Fatal(err)
@@ -105,10 +107,10 @@ func TestRunFlowsSteppingOrder(t *testing.T) {
 	}
 }
 
-// TestMeasureRejectsForeignLoop: an endpoint that names a loop the bed
-// does not run would be taken for a driver stepper, and its deadline
-// would never make its own loop due; the run must refuse it by label
-// instead of delivering a late frame.
+// TestMeasureRejectsForeignLoop: an endpoint placed on a site of another
+// bed names a loop this bed does not run, so its deadline would never
+// make its own loop due; the run must refuse it by label instead of
+// delivering a late frame.
 func TestMeasureRejectsForeignLoop(t *testing.T) {
 	s, err := NewScenario1(sim.NewVClock())
 	if err != nil {
@@ -118,9 +120,94 @@ func TestMeasureRejectsForeignLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := []labelled{{"stray sink", newReceiver(iperfPort), other.Envs[0].Loop}}
-	err = measure(s, "misattributed", nil, eps, phase{budgetNS: 1e6, done: func() bool { return false }})
+	eps := []placed{{"stray sink", other.Envs[0].Site(), newReceiver(iperfPort)}}
+	err = measure(s, "misattributed", eps, phase{budgetNS: 1e6, done: func() bool { return false }})
 	if err == nil || !strings.Contains(err.Error(), "stray sink") {
-		t.Fatalf("measure with an endpoint in another bed's loop: error %v, want one naming the endpoint", err)
+		t.Fatalf("measure with an endpoint on another bed's site: error %v, want one naming the endpoint", err)
+	}
+}
+
+// probe is a scripted endpoint: it logs every Step and is due at one
+// instant of its own.
+type probe struct {
+	name  string
+	log   *[]string
+	at    int64 // own deadline; never again once stepped there
+	steps []int64
+	api   fstack.API
+}
+
+func (p *probe) Step(api fstack.API, now int64) {
+	*p.log = append(*p.log, p.name)
+	p.steps, p.api = append(p.steps, now), api
+	if now >= p.at {
+		p.at = math.MaxInt64
+	}
+}
+func (p *probe) NextDeadline(int64) int64 { return p.at }
+func (p *probe) Err() hostos.Errno        { return hostos.OK }
+
+// TestMeasurePlacesMixedSites puts endpoints on all three kinds of site
+// in one run — inside an environment, in an app cVM behind the API
+// gates, on a peer — over an otherwise silent bed. Placement alone must
+// yield the stepping order (loops in bed order, each stepping its
+// endpoints in placement order with its site's API, then the loop-less
+// site) and the deadline mapping: an endpoint's deadline makes its own
+// loop due and no other, and the driver-stepped endpoint runs at every
+// visited instant.
+func TestMeasurePlacesMixedSites(t *testing.T) {
+	s, err := testbed.Build(testbed.Spec{
+		Clk:     sim.NewVClock(),
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, CapDMA: true},
+		Compartments: []testbed.CompartmentSpec{
+			{Name: "cvm1", CVM: true, Ifs: []testbed.IfSpec{{Port: 0}}, APIGate: true, AppCVMs: []string{"app1"}},
+			{Name: "proc2", Ifs: []testbed.IfSpec{{Port: 1}}},
+		},
+		Peers: []testbed.PeerSpec{{Port: 0}, {Port: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := s.AppSites()
+	if len(sites) != 2 || sites[0].Name != "app1" || sites[0].Loop != nil || sites[1].Loop != s.Envs[1].Loop {
+		t.Fatalf("application sites %+v, want app cVM app1 (driver-stepped), then proc2 in its own loop", sites)
+	}
+	var log []string
+	const ms = int64(1e6)
+	app := &probe{name: "app", log: &log, at: 3 * ms}
+	env1 := &probe{name: "env 1", log: &log, at: 1 * ms}
+	env2 := &probe{name: "env 2", log: &log, at: math.MaxInt64}
+	peer := &probe{name: "peer", log: &log, at: 2 * ms}
+	// The app cVM's endpoint is placed first and still steps last.
+	eps := []placed{
+		{"app", sites[0], app},
+		{"env 1", sites[1], env1},
+		{"peer", s.Peers[0].Site(), peer},
+		{"env 2", sites[1], env2},
+	}
+	err = measure(s, "placement", eps, phase{budgetNS: 10 * ms, done: func() bool { return app.at == math.MaxInt64 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Loops run in bed order: cvm1 (nothing placed), proc2, the peers.
+	if want := []string{"env 1", "env 2", "peer", "app"}; !slices.Equal(log[:4], want) {
+		t.Errorf("first instant stepped %v, want %v", log[:4], want)
+	}
+	for _, c := range []struct {
+		p    *probe
+		want []int64
+		api  fstack.API
+	}{
+		{env1, []int64{0, 1 * ms}, s.Envs[1].Loop.Locked()},
+		{env2, []int64{0, 1 * ms}, s.Envs[1].Loop.Locked()},
+		{peer, []int64{0, 2 * ms}, s.Peers[0].Env.Loop.Locked()},
+		{app, []int64{0, 1 * ms, 2 * ms, 3 * ms}, s.Apps[0]},
+	} {
+		if !slices.Equal(c.p.steps, c.want) {
+			t.Errorf("%s stepped at %v, want %v", c.p.name, c.p.steps, c.want)
+		}
+		if c.p.api != c.api {
+			t.Errorf("%s stepped with %T, want its site's %T", c.p.name, c.p.api, c.api)
+		}
 	}
 }

@@ -92,8 +92,12 @@ func TestGatedAPIFullSocketLifecycle(t *testing.T) {
 		t.Fatalf("cross-compartment read corrupted: %d of %d bytes", len(got), len(msg))
 	}
 
-	// App writes back; peer receives.
-	reply := bytes.Repeat([]byte{0xC5}, 3000)
+	// App writes back, more than one crossing's worth and no two chunks
+	// alike; peer receives.
+	reply := make([]byte, 40000)
+	for i := range reply {
+		reply[i] = byte(i % 251)
+	}
 	if n, errno := api.Write(afd, reply); errno != hostos.OK || n != len(reply) {
 		t.Fatalf("gated write: n=%d errno=%v", n, errno)
 	}
@@ -117,6 +121,48 @@ func TestGatedAPIFullSocketLifecycle(t *testing.T) {
 	if errno := api.Close(lfd); errno != hostos.OK {
 		t.Fatal(errno)
 	}
+
+	// The datagram leg: the peer's query reaches the app with its
+	// source address, and the app's answer goes back to it, both
+	// through the gates.
+	ufd, errno := api.Socket(fstack.SockDgram)
+	if errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := api.Bind(ufd, fstack.IPv4Addr{}, 7778); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	pfd, _ := pstk.Socket(fstack.SockDgram)
+	if errno := pstk.Bind(pfd, fstack.IPv4Addr{}, 9999); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	query := []byte("who is behind the gate?")
+	if n, errno := pstk.SendTo(pfd, query, localIP(0), 7778); errno != hostos.OK || n != len(query) {
+		t.Fatalf("peer sendto: n=%d errno=%v", n, errno)
+	}
+	n, from, fromPort, errno := -1, fstack.IPv4Addr{}, uint16(0), hostos.EAGAIN
+	for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
+		pumpS2(s, clk, 1)
+		n, from, fromPort, errno = api.RecvFrom(ufd, buf)
+	}
+	if errno != hostos.OK || !bytes.Equal(buf[:n], query) || from != peerIP(0) || fromPort != 9999 {
+		t.Fatalf("gated recvfrom: %q from %v:%d, errno %v", buf[:max(n, 0)], from, fromPort, errno)
+	}
+	answer := []byte("an app cVM")
+	if n, errno := api.SendTo(ufd, answer, from, fromPort); errno != hostos.OK || n != len(answer) {
+		t.Fatalf("gated sendto: n=%d errno=%v", n, errno)
+	}
+	errno = hostos.EAGAIN
+	for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
+		pumpS2(s, clk, 1)
+		n, from, fromPort, errno = pstk.RecvFrom(pfd, buf)
+	}
+	if errno != hostos.OK || !bytes.Equal(buf[:n], answer) || from != localIP(0) || fromPort != 7778 {
+		t.Fatalf("peer recvfrom: %q from %v:%d, errno %v", buf[:max(n, 0)], from, fromPort, errno)
+	}
+	if _, _, _, errno := api.RecvFrom(ufd, buf); errno != hostos.EAGAIN {
+		t.Fatalf("gated recvfrom on an empty queue: %v, want EAGAIN", errno)
+	}
 	// Crossings were counted.
 	if s.Local.IV.Crossings.Load() == 0 {
 		t.Fatal("no domain crossings recorded")
@@ -135,8 +181,8 @@ func TestGatedWriteCachesStagedBuffer(t *testing.T) {
 	if _, errno := api.Write(999, buf); errno != hostos.EBADF {
 		t.Fatalf("bad fd write: %v", errno)
 	}
-	// Same buffer again: staged copy is skipped (pointer cache), same
-	// errno.
+	// Same buffer again: the staging area already holds these bytes,
+	// so the copy is skipped; same errno.
 	if _, errno := api.Write(999, buf); errno != hostos.EBADF {
 		t.Fatalf("bad fd write (cached): %v", errno)
 	}
@@ -146,6 +192,42 @@ func TestGatedWriteCachesStagedBuffer(t *testing.T) {
 	}
 	if _, errno := api.Write(3, nil); errno != hostos.EINVAL {
 		t.Fatalf("empty write: %v", errno)
+	}
+}
+
+// TestGatedWriteRestagesABufferRefilledInPlace: the skip is keyed on
+// what the staging area holds, not on which buffer the caller passes —
+// a caller that rewrites one buffer between sends (the DNS client and
+// its query id) must not send the old bytes again.
+func TestGatedWriteRestagesABufferRefilledInPlace(t *testing.T) {
+	clk := sim.NewVClock()
+	s, err := NewScenario2(clk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api, pstk := s.Apps[0], s.Peers[0].Env.Stk
+	pfd, _ := pstk.Socket(fstack.SockDgram)
+	if errno := pstk.Bind(pfd, fstack.IPv4Addr{}, 9999); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	ufd, _ := api.Socket(fstack.SockDgram)
+	msg := []byte("query 1")
+	for _, id := range []byte{'1', '2'} {
+		msg[len(msg)-1] = id
+		if n, errno := api.SendTo(ufd, msg, peerIP(0), 9999); errno != hostos.OK || n != len(msg) {
+			t.Fatalf("gated sendto %q: n=%d errno=%v", msg, n, errno)
+		}
+	}
+	buf := make([]byte, 64)
+	for _, want := range []string{"query 1", "query 2"} {
+		n, errno := -1, hostos.EAGAIN
+		for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
+			pumpS2(s, clk, 1)
+			n, _, _, errno = pstk.RecvFrom(pfd, buf)
+		}
+		if errno != hostos.OK || string(buf[:n]) != want {
+			t.Fatalf("peer read %q (errno %v), want %q", buf[:max(n, 0)], errno, want)
+		}
 	}
 }
 

@@ -7,42 +7,93 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // The scenario harness: what every experiment shares once its bed is
-// built and its workload endpoints are placed — one measured-run
-// wrapper over the event-driven clock, one build-then-run, one sweep
-// over the host worker pool. What stays per scenario is what differs:
-// config defaults, the result struct and the table layout. DESIGN.md
-// §14 has the argument; flows.go is the bulk-flow driver on top.
+// built — one measured-run wrapper that places the workload's endpoints
+// on the bed's sites and drives the event-driven clock, one
+// build-then-run, one sweep over the host worker pool. What stays per
+// scenario is what differs: config defaults, which endpoints go on which
+// sites, the result struct and the table layout. DESIGN.md §14 has the
+// argument; flows.go is the bulk-flow driver on top.
 
 // bwTick is the virtual time one driver iteration covers (5 µs).
 const bwTick = 5_000
 
-// endpoint is the part of the stepper contract the harness consumes.
-// Every workload endpoint — iperf, churn and the app plane's clients
-// and servers — has a sticky errno and a deadline hook: the next
-// virtual instant it may act of its own accord (math.MaxInt64 = never;
-// a value at or before `now` means it has work right now), which is
-// what lets the event-driven driver leap. The hook must be complete:
-// an endpoint whose next Step would do anything — timed or queued by
-// its own previous Step — and that no stack or device deadline of the
-// loop it is stepped in announces, must say so here (DESIGN.md §8).
+// endpoint is the stepper contract every workload meets — iperf, churn
+// and the app plane's clients and servers. Step advances it against the
+// API of the site it is placed on. It has a sticky errno and a deadline
+// hook: the next virtual instant it may act of its own accord
+// (math.MaxInt64 = never; a value at or before `now` means it has work
+// right now), which is what lets the event-driven driver leap. The hook
+// must be complete: an endpoint whose next Step would do anything —
+// timed or queued by its own previous Step — and that no stack or device
+// deadline of the loop it is stepped in announces, must say so here
+// (DESIGN.md §8).
 type endpoint interface {
+	Step(api fstack.API, now int64)
 	NextDeadline(now int64) int64
 	Err() hostos.Errno
 }
 
-// labelled names an endpoint for error reports and says where it is
-// stepped.
-type labelled struct {
+// placed is one endpoint of a run, the name errors call it by and the
+// site it runs on. The site is all the harness needs to know about the
+// compartment layout.
+type placed struct {
 	label string
+	site  testbed.Site
 	endpoint
-	// loop is the loop whose OnLoop steps the endpoint: the endpoint's
-	// deadline makes that loop due. nil for an endpoint the driver steps
-	// itself after the loops (one of measure's steppers), which runs at
-	// every visited instant and needs only the instant to be visited.
-	loop *fstack.Loop
+}
+
+// placement is where a run's endpoints step.
+type placement struct {
+	eps []placed
+	// hosted[i] indexes, in the bed's loops, the loop whose callback
+	// steps eps[i]: the endpoint's deadline makes that loop due. -1 for a
+	// driver-stepped endpoint, which runs at every visited instant and
+	// needs only the instant to be visited.
+	hosted []int
+	// driven are the driver-stepped endpoints.
+	driven []placed
+}
+
+// place sites every endpoint. The stepping-order rule: endpoints sharing
+// a loop are stepped in placement order inside that loop's callback, and
+// the endpoints of loop-less sites in placement order after all the
+// loops. Frames leave a stack in the order its endpoints wrote, so
+// placement order is wire order (DESIGN.md §14). A loop nothing is
+// placed on hosts nothing.
+func place(bed *Setup, what string, eps []placed) (placement, error) {
+	loops := bed.Loops()
+	pl := placement{eps: eps, hosted: make([]int, len(eps))}
+	inLoop := make([][]placed, len(loops))
+	for i, ep := range eps {
+		at := slices.Index(loops, ep.site.Loop)
+		pl.hosted[i] = at
+		switch {
+		case ep.site.Loop == nil:
+			pl.driven = append(pl.driven, ep)
+		case at < 0:
+			// Its deadline would make no loop of this bed due: a late
+			// frame or a hang instead of this error.
+			return pl, fmt.Errorf("core: %s: endpoint %s is sited on a loop that is not one of the bed's", what, ep.label)
+		default:
+			inLoop[at] = append(inLoop[at], ep)
+		}
+	}
+	for i, l := range loops {
+		l.OnLoop = nil
+		if here := inLoop[i]; len(here) > 0 {
+			l.OnLoop = func(now int64) bool {
+				for _, ep := range here {
+					ep.Step(ep.site.API, now)
+				}
+				return true
+			}
+		}
+	}
+	return pl, nil
 }
 
 // phase is one leg of a measured run: stepped until done reports true,
@@ -56,23 +107,24 @@ type phase struct {
 	done  func() bool
 }
 
-// measure is the one measured run: it asserts the virtual clock, drives
-// the bed through each phase, turns a budget overrun or the first
-// latched endpoint errno into an error naming the scenario, phase and
-// endpoint, and closes the bed's captures. steppers run after the loops
-// at every visited instant; eps are all the run's endpoints, whose
-// deadlines keep the clock from leaping past their work and make the
-// loop that steps them due for it.
+// measure is the one measured run: it asserts the virtual clock, places
+// the endpoints, drives the bed through each phase, turns a budget
+// overrun or the first latched endpoint errno into an error naming the
+// scenario, phase and endpoint, and closes the bed's captures.
 //
 // An end-of-run audit (conservation checks over the bed) and a host
 // profile of the driver loop belong here: this is the only place every
 // scenario's run passes through.
-func measure(bed *Setup, what string, steppers []func(now int64), eps []labelled, phases ...phase) error {
+func measure(bed *Setup, what string, eps []placed, phases ...phase) error {
 	clk, ok := bed.Clk.(*sim.VClock)
 	if !ok {
 		return fmt.Errorf("core: %s runs need the virtual clock", what)
 	}
-	failed := func() *labelled {
+	pl, err := place(bed, what, eps)
+	if err != nil {
+		return err
+	}
+	failed := func() *placed {
 		for i := range eps {
 			if eps[i].Err() != hostos.OK {
 				return &eps[i]
@@ -89,7 +141,7 @@ func measure(bed *Setup, what string, steppers []func(now int64), eps []labelled
 			ph.start(clk.Now())
 		}
 		done := func() bool { return failed() != nil || ph.done() }
-		if err := runVirtualUntil(clk, bed, leg, steppers, eps, done, ph.budgetNS); err != nil {
+		if err := runVirtualUntil(clk, bed, leg, pl, done, ph.budgetNS); err != nil {
 			return err
 		}
 		if ep := failed(); ep != nil {
@@ -110,20 +162,20 @@ func measure(bed *Setup, what string, steppers []func(now int64), eps []labelled
 var leapEnabled = true
 
 // visitHook, when non-nil, observes every iteration the driver runs,
-// after its loops and steppers: the instant and whether the bed
+// after its loops and driven endpoints: the instant and whether the bed
 // reported due work there. Test-only.
 var visitHook func(now int64, active bool)
 
-// runVirtualUntil steps the bed's due loops (and the extra app
-// steppers) in lockstep virtual time until done() or budgetNS has
-// passed; what names the run in the overrun error.
+// runVirtualUntil steps the bed's due loops (and the driver-stepped
+// endpoints and fault plane) in lockstep virtual time until done() or
+// budgetNS has passed; what names the run in the overrun error.
 //
 // The driver is event-driven, and its unit of work is the due loop.
 // Each iteration steps the loops that are due at the current instant
-// and every app stepper, then asks each loop (Bed.LoopDeadlines:
+// and every driven endpoint, then asks each loop (Bed.LoopDeadlines:
 // connection timers, RX FIFOs, serializers, netem delay lines) and the
-// timed endpoints (workload duration/interval/pacing ends, queued
-// next-Step work — charged to the loop that steps them) for the
+// endpoints (workload duration/interval/pacing ends, queued
+// next-Step work — charged to the loop that hosts them) for the
 // earliest future instant anything could happen. That one computation
 // yields both the next instant to visit — when it lies beyond the next
 // 5 µs tick, the clock leaps directly to the grid point containing it,
@@ -133,20 +185,9 @@ var visitHook func(now int64, active bool)
 // a provable no-op (DESIGN.md §8), so observable behavior is
 // bit-identical while wall-clock cost scales with events per component
 // rather than with virtual duration times loops.
-func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now int64), timed []labelled, done func() bool, budgetNS int64) error {
+func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, pl placement, done func() bool, budgetNS int64) error {
 	start := clk.Now()
 	loops := bed.Loops()
-	// hosted[i] indexes the loop timed[i] is stepped in, -1 for one of
-	// the driver's own steppers.
-	hosted := make([]int, len(timed))
-	for i, d := range timed {
-		hosted[i] = slices.Index(loops, d.loop)
-		if d.loop != nil && hosted[i] < 0 {
-			// Treated as a stepper its deadline would never make its
-			// loop due: a late frame or a hang instead of this error.
-			return fmt.Errorf("core: %s: endpoint %s names a loop that is not one of the bed's", what, d.label)
-		}
-	}
 	// The first instant steps every loop: set-up steps announce nothing.
 	due := make([]bool, len(loops))
 	for i := range due {
@@ -163,9 +204,10 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 			}
 		}
 		now := clk.Now()
-		for _, f := range apps {
-			f(now)
+		for _, ep := range pl.driven {
+			ep.Step(ep.site.API, now)
 		}
+		bed.FaultStep(now)
 		// Metrics sampling rides the same iteration grid; with
 		// observability off this is a nil check. Bed.LoopDeadlines folds
 		// the sampler's next instant in, so leaping never skips a sample.
@@ -173,9 +215,9 @@ func runVirtualUntil(clk *sim.VClock, bed *Setup, what string, apps []func(now i
 		step := int64(bwTick)
 		if leapEnabled || visitHook != nil {
 			next := bed.LoopDeadlines(now, dueAt)
-			for i, d := range timed {
-				at := d.NextDeadline(now)
-				if l := hosted[i]; l >= 0 && at < dueAt[l] {
+			for i, ep := range pl.eps {
+				at := ep.NextDeadline(now)
+				if l := pl.hosted[i]; l >= 0 && at < dueAt[l] {
 					dueAt[l] = at
 				}
 				if at < next {

@@ -47,16 +47,7 @@ func bandwidthCell(name string, build func(hostos.Clock) (*Setup, error), upload
 			return "", err
 		}
 		tap(s)
-		var flows []bulkFlow
-		if len(s.Apps) == 0 {
-			for i, env := range s.Envs {
-				flows = append(flows, bulkFlow{label: env.Name, env: env, peer: s.Peers[i], port: iperfPort, upload: upload})
-			}
-		}
-		for i, app := range s.Apps {
-			flows = append(flows, bulkFlow{label: app.App.Name, api: app, peer: s.Peers[0], port: iperfPort + uint16(i), upload: upload})
-		}
-		reps, err := runFlows(s, "bandwidth", flows, 150e6, bwDeadline)
+		reps, err := runFlows(s, "bandwidth", tableFlows(s, upload), 150e6, bwDeadline)
 		return fmt.Sprint(reps), err
 	}}
 }
@@ -108,7 +99,7 @@ func composedCell(layout string) driverCell {
 			return "", err
 		}
 		tap(s)
-		reps, err := runFlows(s, "compose", composedFlows(s, true), 60e6, bwDeadline)
+		reps, err := runFlows(s, "compose", shardedFlows(s, composeFlows, s4BasePort, true), 60e6, bwDeadline)
 		return fmt.Sprint(reps), err
 	}}
 }

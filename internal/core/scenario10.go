@@ -232,22 +232,20 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 		Faults: len(times), MTBFNS: cfg.MTBFNS, Conns: cfg.Conns,
 	}
 
-	// One HTTP server per shard, stepped inside its compartment's loop.
-	// The supervisor's restart hook re-runs the crashed shard's
-	// application setup — close stale fds, listen again — exactly what
-	// the restarted compartment's main() would do.
+	// One HTTP server per shard, inside its compartment. The
+	// supervisor's restart hook re-runs the crashed shard's application
+	// setup — close stale fds, listen again — exactly what the restarted
+	// compartment's main() would do.
 	srvs := make([]*app.HTTPServer, len(s.Envs))
-	apis := make([]fstack.LockedAPI, len(s.Envs))
+	eps := make([]placed, len(s.Envs), len(s.Envs)+len(s.Peers))
 	for i, env := range s.Envs {
-		srv := app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, cfg.RespBytes)
-		api := env.Loop.Locked()
-		srvs[i], apis[i] = srv, api
-		env.Loop.OnLoop = func(now int64) bool { srv.Step(api, now); return true }
+		srvs[i] = app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, cfg.RespBytes)
+		eps[i] = placed{fmt.Sprintf("shard %d server", i), env.Site(), srvs[i]}
 	}
 	s.RestartHook = func(e *Env, now int64) {
 		for i, env := range s.Envs {
 			if env == e {
-				srvs[i].Restart(apis[i])
+				srvs[i].Restart(eps[i].site.API)
 			}
 		}
 	}
@@ -264,9 +262,8 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 		}
 		cli.Resilient = true
 		cli.TimeoutNS = s10TimeoutNS
-		papi := p.Env.Loop.Locked()
-		p.Env.Loop.OnLoop = func(now int64) bool { cli.Step(papi, now); return true }
 		clis[i] = cli
+		eps = append(eps, placed{fmt.Sprintf("shard %d client", i), p.Site(), cli})
 	}
 
 	// The MTTR probe rides the faulted shard's completion stream: each
@@ -287,18 +284,11 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 		}
 	}
 
-	var eps []labelled
-	for i, srv := range srvs {
-		eps = append(eps, labelled{fmt.Sprintf("shard %d server", i), srv, s.Envs[i].Loop})
-	}
-	for i, cli := range clis {
-		eps = append(eps, labelled{fmt.Sprintf("shard %d client", i), cli, s.Peers[i].Env.Loop})
-	}
 	// Budget: the measured phase plus recovery slack — every fault can
 	// cost a timeout plus a capped backoff before its shard serves
 	// again, then the drain.
 	budget := cfg.DurationNS + 2_000e6 + int64(len(times))*(s10TimeoutNS+s10MaxBackoffNS)
-	if err := measure(s, "scenario 10", []func(now int64){s.FaultStep}, eps,
+	if err := measure(s, "scenario 10", eps,
 		phase{budgetNS: budget, done: allDone(clis)}); err != nil {
 		return res, err
 	}

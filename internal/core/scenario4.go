@@ -30,9 +30,6 @@ const (
 	// data per second — one simulated core keeps up with roughly the
 	// paper's 1 GbE figure, which is what the Morello box measured.
 	s4CPUBps = 1e9
-	// s4CPUWindow is how far ahead a core may be booked (a few
-	// full-size frame times, like the device serializers).
-	s4CPUWindow = 3 * 12304
 	// s4RxFifoBytes is the per-queue RX packet buffer: multi-gigabit
 	// parts ship hundreds of KiB (e.g. 512 KiB on the X550), which is
 	// what lets TCP find a fair share when the line outruns the cores
@@ -85,8 +82,7 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 		cvmBytes: s4CVMMem, segBytes: s4SegSize, poolBufs: s4PoolBufs,
 		stack: testbed.StackSpec{
 			Shards: cfg.Shards, RingSize: s4RingSize,
-			CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
-			RTOMinNS: s4RTOMin,
+			CPUBps: s4CPUBps, RTOMinNS: s4RTOMin,
 		},
 		peerStack: testbed.StackSpec{RTOMinNS: s4RTOMin},
 	}.build(clk)

@@ -146,8 +146,7 @@ func NewScenario6(clk hostos.Clock, cfg Scenario6Config) (*Setup6, error) {
 
 	stack := testbed.StackSpec{
 		Shards: cfg.Shards, RingSize: s4RingSize,
-		CPUBps: s4CPUBps, CPUWindowNS: s4CPUWindow,
-		RTOMinNS: s6RTOMin,
+		CPUBps: s4CPUBps, RTOMinNS: s6RTOMin,
 	}
 	peerStack := testbed.StackSpec{RTOMinNS: s6RTOMin}
 	if cfg.Modern {

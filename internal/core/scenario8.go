@@ -134,22 +134,15 @@ func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error
 	res := Scenario8Result{Shards: cfg.Shards, CapMode: cfg.CapMode, Conns: cfg.Conns, Rate: cfg.Rate}
 
 	srv := churn.NewServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, s8Ports, s8Backlog)
-	api := s.Sharded.API()
 	cli, err := churn.NewClient(localIP(0), s8PreloadPort, s8ChurnPort, s8Ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
 	if err != nil {
 		return res, err
-	}
-	papi := s.Peers[0].Env.Loop.Locked()
-	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
-		cli.Step(papi, now)
-		return true
 	}
 
 	segBefore := s.Envs[0].Seg.Used()
 	heapBefore := retainedBytes(s)
 	err = measure(s, "scenario 8",
-		[]func(now int64){func(now int64) { srv.Step(api, now) }},
-		[]labelled{{"client", cli, s.Peers[0].Env.Loop}, {"server", srv, nil}},
+		[]placed{{"client", s.Peers[0].Site(), cli}, {"server", s.AppSites()[0], srv}},
 		// Phase A: establish and hold the idle population.
 		phase{name: "preload", budgetNS: 8_000e6, done: cli.PreloadDone},
 		// Phase B: the rate-paced storm, over the held population.

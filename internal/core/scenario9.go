@@ -212,21 +212,12 @@ func s9Sports(s *testbed.Bed, proto uint8, dport uint16, want, n int, cursor *ui
 	return out
 }
 
-// s9Server and s9Client are what the harness needs of either protocol
-// pair: app.HTTPServer/HTTPClient and app.DNSServer/DNSClient both meet
-// them.
-type s9Server interface {
-	endpoint
-	Step(api app.API, now int64)
-}
-
-type s9Client interface {
-	s9Server
-	Done() bool
-	Issued() uint64
-	Completed() uint64
-	Deferred() uint64
-	RunNS() int64
+// tally adds one finished worker's counters to the point.
+func (r *Scenario9Result) tally(issued, completed, deferred uint64, runNS int64) {
+	r.Issued += issued
+	r.Completed += completed
+	r.Deferred += deferred
+	r.RunNS = max(r.RunNS, runNS)
 }
 
 // Scenario9Run drives one point on a built bed.
@@ -244,7 +235,7 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 		workers = cfg.Conns
 	}
 	http := cfg.Proto == "http"
-	var srv s9Server = app.NewDNSServer(fstack.IPv4Addr{}, s9DNSPort)
+	var srv endpoint = app.NewDNSServer(fstack.IPv4Addr{}, s9DNSPort)
 	if http {
 		srv = app.NewHTTPServer(fstack.IPv4Addr{}, s9HTTPPort, s9Backlog, cfg.RespBytes)
 	}
@@ -253,16 +244,16 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 		trace = s.Obs.Trace
 	}
 	cursor := s9SportBase
-	peerLoop := s.Peers[0].Env.Loop
-	eps := []labelled{{"server", srv, nil}} // stepped by the driver, below
-	var clis []s9Client
-	var hists []*stats.Histogram
+	peer := s.Peers[0].Site()
+	eps := []placed{{"server", s.AppSites()[0], srv}}
+	var https []*app.HTTPClient
+	var dnss []*app.DNSClient
 	for w := 0; w < workers; w++ {
 		slots := cfg.Conns / workers // worker w's slice of the slots
 		if w < cfg.Conns%workers {
 			slots++
 		}
-		var cli s9Client
+		var cli endpoint
 		if http {
 			sports := s9Sports(s, fstack.ProtoTCP, s9HTTPPort, w, slots, &cursor)
 			if len(sports) < slots {
@@ -273,7 +264,7 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 				return res, err
 			}
 			c.Trace, c.Src = trace, uint16(192+w)
-			cli, hists = c, append(hists, &c.Hist)
+			cli, https = c, append(https, c)
 		} else {
 			sports := s9Sports(s, fstack.ProtoUDP, s9DNSPort, w, 1, &cursor)
 			if len(sports) < 1 {
@@ -284,41 +275,30 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 				return res, err
 			}
 			c.Trace, c.Src = trace, uint16(192+w)
-			cli, hists = c, append(hists, &c.Hist)
+			cli, dnss = c, append(dnss, c)
 		}
-		clis = append(clis, cli)
-		eps = append(eps, labelled{fmt.Sprintf("worker %d", w), cli, peerLoop})
-	}
-	api := s.Sharded.API()
-	papi := peerLoop.Locked()
-	peerLoop.OnLoop = func(now int64) bool {
-		for _, c := range clis {
-			c.Step(papi, now)
-		}
-		return true
+		eps = append(eps, placed{fmt.Sprintf("worker %d", w), peer, cli})
 	}
 	// Budget: the measured phase plus generous handshake/drain/retry
 	// slack (DNS abandons after MaxTries timeouts).
 	budget := cfg.DurationNS + 8_000e6 + int64(s9MaxTries+1)*cfg.TimeoutNS
-	err := measure(s, "scenario 9", []func(now int64){func(now int64) { srv.Step(api, now) }}, eps,
-		phase{budgetNS: budget, done: allDone(clis)})
-	for _, c := range clis {
-		res.Issued += c.Issued()
-		res.Completed += c.Completed()
-		res.Deferred += c.Deferred()
-		if d, ok := c.(*app.DNSClient); ok {
-			res.Timeouts += d.Timeouts()
-			res.Failed += d.Failed()
-		}
-		res.RunNS = max(res.RunNS, c.RunNS())
+	httpDone, dnsDone := allDone(https), allDone(dnss)
+	done := func() bool { return httpDone() && dnsDone() }
+	err := measure(s, "scenario 9", eps, phase{budgetNS: budget, done: done})
+	// Merge the per-worker (per-shard) histograms for the report.
+	var merged stats.Histogram
+	for _, c := range https {
+		res.tally(c.Issued(), c.Completed(), c.Deferred(), c.RunNS())
+		merged.Merge(&c.Hist)
+	}
+	for _, c := range dnss {
+		res.tally(c.Issued(), c.Completed(), c.Deferred(), c.RunNS())
+		res.Timeouts += c.Timeouts()
+		res.Failed += c.Failed()
+		merged.Merge(&c.Hist)
 	}
 	if err != nil {
 		return res, err
-	}
-	// Merge the per-worker (per-shard) histograms for the report.
-	var merged stats.Histogram
-	for _, h := range hists {
-		merged.Merge(h)
 	}
 	res.P50NS = merged.Quantile(0.50)
 	res.P99NS = merged.Quantile(0.99)

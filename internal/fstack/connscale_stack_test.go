@@ -221,36 +221,6 @@ func TestListenBacklogSilentDrop(t *testing.T) {
 	})
 }
 
-// TestListenBacklogRST flips the SynRST knob: refused SYNs are
-// answered with a RST, so overflowing clients fail fast instead of
-// retrying into silence.
-func TestListenBacklogRST(t *testing.T) {
-	e := newEnv(t, false)
-	e.stkB.SetTCPTuning(TCPTuning{SynRST: true})
-	lfd, _ := e.stkB.Socket(SockStream)
-	e.stkB.Bind(lfd, IPv4Addr{}, 7001)
-	e.stkB.Listen(lfd, 2)
-	var cfds []int
-	for i := 0; i < 6; i++ {
-		cfd, _ := e.stkA.Socket(SockStream)
-		e.stkA.Connect(cfd, IP4(10, 0, 0, 2), 7001)
-		cfds = append(cfds, cfd)
-	}
-	reset := 0
-	e.pumpUntil(8000, "overflow clients reset", func() bool {
-		reset = 0
-		for _, cfd := range cfds {
-			if _, errno := e.stkA.Read(cfd, make([]byte, 4)); errno == hostos.ECONNRESET {
-				reset++
-			}
-		}
-		return reset == 4
-	})
-	if st := e.stkB.Stats(); st.SynDrops != 4 {
-		t.Fatalf("SynDrops %d, want 4; stats %+v", st.SynDrops, st)
-	}
-}
-
 // TestSynCacheGraduation pins the half-open lifecycle: after the SYN
 // lands the server holds a syncache entry and no connection; only the
 // handshake's final ACK graduates the entry into a conn on the accept

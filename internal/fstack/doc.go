@@ -50,11 +50,11 @@
 //     visits only connections with pending work (idle conns cost
 //     nothing per iteration), inbound handshakes go through a
 //     FreeBSD-style SYN cache (a half-open costs one pooled entry,
-//     not a conn; backlog/cache overflow is counted and traced, with
-//     a SynRST knob choosing RST over silent drop), and setup and
-//     teardown recycle conns, sockets, syncache entries and timer
-//     items through arenas — a full connect/accept/close/close cycle
-//     is zero-alloc at steady state (BenchmarkConnChurn pins it).
+//     not a conn; backlog/cache overflow is counted, traced and
+//     dropped silently), and setup and teardown recycle conns,
+//     sockets, syncache entries and timer items through arenas — a
+//     full connect/accept/close/close cycle is zero-alloc at steady
+//     state (BenchmarkConnChurn pins it).
 //     TIME_WAIT holds tuples for 2MSL with both BSD reuse paths
 //     (active reconnect and forward-sequence fresh SYN) counted in
 //     StackStats; ephemeral-port exhaustion returns EADDRNOTAVAIL.

@@ -544,12 +544,3 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	}
 	return n, hostos.OK
 }
-
-// ShardOf reports which shard a pinned descriptor lives on (-1 for
-// cloned or unplaced descriptors) — a diagnostics and testing hook.
-func (a *ShardedAPI) ShardOf(fd int) int {
-	if f := a.fds.get(fd); f != nil {
-		return f.shard
-	}
-	return -1
-}

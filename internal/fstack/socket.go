@@ -12,6 +12,27 @@ const (
 	SockDgram  = 2
 )
 
+// API is the ff_* socket contract application code is written against.
+// Stack and ShardedAPI (self-locking), LockedAPI (inside the loop
+// callback) and the testbed's gated view (across compartments) all
+// satisfy it, so one workload runs unchanged in every layout — the
+// paper's single iperf3 port.
+type API interface {
+	Socket(typ int) (int, hostos.Errno)
+	Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno
+	Listen(fd, backlog int) hostos.Errno
+	Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno)
+	Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno
+	Read(fd int, dst []byte) (int, hostos.Errno)
+	Write(fd int, src []byte) (int, hostos.Errno)
+	SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno)
+	RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno)
+	Close(fd int) hostos.Errno
+	EpollCreate() int
+	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
+	EpollWait(epfd int, evs []Event) (int, hostos.Errno)
+}
+
 // listener is a passive TCP socket's accept machinery. halfOpen counts
 // this listener's SYN-cache entries; pending is the accept queue, run
 // as a head-indexed ring over one slice so steady-state churn neither

@@ -137,10 +137,6 @@ type TCPTuning struct {
 	// SynCacheSize bounds the half-open SYN cache
 	// (net.inet.tcp.syncache.cachelimit); 0 keeps the 1024 default.
 	SynCacheSize int
-	// SynRST answers refused SYNs and overflowed graduations with a
-	// reset instead of the default silent drop
-	// (net.inet.tcp.syncache.rst_on_sock_fail flavor).
-	SynRST bool
 	// LazyBuffers defers socket-buffer segment backing until the first
 	// write, so an idle accepted connection costs only its struct —
 	// the knob that makes 100k parked connections fit in one segment.
@@ -867,9 +863,7 @@ func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte) {
 	// New flow: only a SYN to a listener is welcome.
 	if h.Flags&TCPSyn != 0 && h.Flags&TCPAck == 0 {
 		if l := s.findListener(tuple.local); l != nil {
-			if !s.acceptSyn(nif, l, tuple, h) && s.tuning.SynRST {
-				s.sendRSTFor(nif, ip, h, len(payload))
-			}
+			s.acceptSyn(nif, l, tuple, h)
 			return
 		}
 	}
@@ -1026,24 +1020,4 @@ func (s *Stack) PollOnce() {
 // String summarizes the stack.
 func (s *Stack) String() string {
 	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.socks.len())
-}
-
-// DebugConnDump summarizes every connection's sender state (testing
-// hook).
-func (s *Stack) DebugConnDump() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	order := make([]*tcpConn, 0, len(s.conns))
-	for _, c := range s.conns {
-		order = append(order, c)
-	}
-	slices.SortFunc(order, func(a, b *tcpConn) int {
-		return cmp.Compare(a.seq, b.seq)
-	})
-	out := ""
-	for _, c := range order {
-		out += fmt.Sprintf("[%s una=%d nxt=%d max=%d cwnd=%d pipe=%d wnd=%d sacked=%d rec=%v rtxAt=%d rto=%d buf=%d]",
-			c.state, c.sndUna, c.sndNxt, c.sndMax, c.cc.Cwnd(), c.pipe(), c.sndWnd, len(c.sacked), c.inRecovery, c.rtxAt, c.rto, c.sndBuf.Len())
-	}
-	return out
 }

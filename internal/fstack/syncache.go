@@ -69,17 +69,17 @@ func (s *Stack) noteSynDrop(reason int64, l *listener, port uint16) {
 	}
 }
 
-// acceptSyn admits a SYN into the cache and answers SYN|ACK. Returns
-// false when the SYN was refused (backlog or cache full) — the caller
-// decides between the default silent drop and the SynRST knob.
-func (s *Stack) acceptSyn(nif *NetIF, l *listener, tuple fourTuple, h TCPHeader) bool {
+// acceptSyn admits a SYN into the cache and answers SYN|ACK. A SYN
+// refused because the backlog or the cache is full is counted and
+// dropped silently (the peer retransmits).
+func (s *Stack) acceptSyn(nif *NetIF, l *listener, tuple fourTuple, h TCPHeader) {
 	if l.pendingCount()+l.halfOpen >= l.backlog {
 		s.noteSynDrop(obs.SynDropBacklog, l, tuple.local.Port)
-		return false
+		return
 	}
 	if len(s.syncache) >= s.synCacheCap() {
 		s.noteSynDrop(obs.SynDropCache, l, tuple.local.Port)
-		return false
+		return
 	}
 	e := s.allocSynEntry()
 	e.tuple = tuple
@@ -105,7 +105,6 @@ func (s *Stack) acceptSyn(nif *NetIF, l *listener, tuple fourTuple, h TCPHeader)
 	l.halfOpen++
 	s.sendSynAck(e)
 	e.timerH = s.synWheel.Insert(s.now()+e.rto, e)
-	return true
 }
 
 // freshRcvWnd is the receive window a brand-new connection would
@@ -199,18 +198,13 @@ func (s *Stack) synInput(e *synEntry, h TCPHeader, payload []byte) {
 func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	l := s.findListener(e.tuple.local)
 	if l != nil && l.pendingCount() >= l.backlog {
-		// Accept queue full. Default: keep the entry half-open (the
-		// SYN|ACK retransmit re-offers graduation once the application
-		// drains the queue — FreeBSD's syncache does the same); the
-		// SynRST knob refuses loudly instead.
+		// Accept queue full: keep the entry half-open (the SYN|ACK
+		// retransmit re-offers graduation once the application drains
+		// the queue — FreeBSD's syncache does the same).
 		s.stats.AcceptOverflows++
 		if s.obsTr != nil {
 			s.obsTr.Record(s.now(), obs.EvTCPSynDrop, s.obsSrc,
 				obs.SynDropOverflow, int64(l.pendingCount()), int64(e.tuple.local.Port))
-		}
-		if s.tuning.SynRST {
-			s.sendRSTForEntry(e)
-			s.synDropEntry(e)
 		}
 		return
 	}
@@ -245,24 +239,6 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 		return // listener vanished: notifyAccept already RST+aborted
 	}
 	c.input(h, payload)
-}
-
-// sendRSTForEntry refuses a half-open peer with a reset.
-func (s *Stack) sendRSTForEntry(e *synEntry) {
-	h := TCPHeader{
-		SrcPort: e.tuple.local.Port,
-		DstPort: e.tuple.remote.Port,
-		Seq:     e.iss + 1,
-		Ack:     e.irs + 1,
-		Flags:   TCPRst | TCPAck,
-	}
-	hl := h.encodedLen()
-	m, frame := s.txAlloc(e.nif, IPv4HeaderLen+hl)
-	if m == nil {
-		return
-	}
-	PutTCPHeader(frame[EthHeaderLen+IPv4HeaderLen:], h, e.tuple.local.IP, e.tuple.remote.IP, hl)
-	s.sendIPv4(e.nif, m, frame, e.tuple.remote.IP, ProtoTCP, hl)
 }
 
 // synDropEntry abandons a half-open entry, releasing its listener's

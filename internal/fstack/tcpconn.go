@@ -672,15 +672,6 @@ func (c *tcpConn) sackPrune() {
 	}
 }
 
-// sackedBytes sums the scoreboard.
-func (c *tcpConn) sackedBytes() int {
-	t := 0
-	for _, r := range c.sacked {
-		t += int(r.end - r.start)
-	}
-	return t
-}
-
 // sackedBytesBelow sums the scoreboard under a ceiling — after a
 // timeout rewind only the part below sndNxt may offset the pipe, or
 // the whole lost window would be resent in one burst.

@@ -8,25 +8,6 @@ import (
 	"repro/internal/hostos"
 )
 
-// API is the slice of the ff_* surface iperf needs. Both
-// fstack.LockedAPI (application inside the loop callback — Baseline and
-// Scenario 1) and the Scenario 2 gate wrappers satisfy it, so the same
-// benchmark binary runs in every compartmentalization layout, exactly
-// like the paper's single iperf3 port.
-type API interface {
-	Socket(typ int) (int, hostos.Errno)
-	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Listen(fd, backlog int) hostos.Errno
-	Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno)
-	Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Read(fd int, dst []byte) (int, hostos.Errno)
-	Write(fd int, src []byte) (int, hostos.Errno)
-	Close(fd int) hostos.Errno
-	EpollCreate() int
-	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
-	EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno)
-}
-
 // Interval is one reporting window.
 type Interval struct {
 	StartNS int64
@@ -160,7 +141,7 @@ func (c *Client) fail(errno hostos.Errno) {
 
 // Step advances the client; call it once per loop iteration (or gate
 // slot) with the current time. It never blocks.
-func (c *Client) Step(api API, now int64) {
+func (c *Client) Step(api fstack.API, now int64) {
 	switch c.state {
 	case clientInit:
 		fd, errno := api.Socket(fstack.SockStream)
@@ -241,7 +222,7 @@ func (c *Client) Step(api API, now int64) {
 }
 
 // finish closes the connection and seals the report.
-func (c *Client) finish(api API, now int64) {
+func (c *Client) finish(api fstack.API, now int64) {
 	if c.IntervalNS > 0 && c.ivBytes > 0 {
 		c.report.Intervals = append(c.report.Intervals, Interval{
 			StartNS: c.ivStartNS, EndNS: now, Bytes: c.ivBytes,
@@ -311,7 +292,7 @@ func (s *Server) fail(errno hostos.Errno) {
 }
 
 // Step advances the server; call once per loop iteration.
-func (s *Server) Step(api API, now int64) {
+func (s *Server) Step(api fstack.API, now int64) {
 	switch s.state {
 	case serverInit:
 		fd, errno := api.Socket(fstack.SockStream)

@@ -45,11 +45,11 @@ func newStation(t *testing.T, clk hostos.Clock, mem *cheri.TMem, bdf string, mac
 		binary.LittleEndian.PutUint64(s.slice(t, s.rxDesc+i*nic.DescSize, nic.DescSize), rxBuf+i*stationBuf)
 	}
 	p := s.port
-	p.RegWrite32(nic.RegTDBAL, uint32(s.txDesc))
-	p.RegWrite32(nic.RegTDLEN, stationRing*nic.DescSize)
-	p.RegWrite32(nic.RegRDBAL, uint32(s.rxDesc))
-	p.RegWrite32(nic.RegRDLEN, stationRing*nic.DescSize)
-	p.RegWrite32(nic.RegRDT, stationRing-1)
+	p.RegWrite32(nic.RegTDBALQ(0), uint32(s.txDesc))
+	p.RegWrite32(nic.RegTDLENQ(0), stationRing*nic.DescSize)
+	p.RegWrite32(nic.RegRDBALQ(0), uint32(s.rxDesc))
+	p.RegWrite32(nic.RegRDLENQ(0), stationRing*nic.DescSize)
+	p.RegWrite32(nic.RegRDTQ(0), stationRing-1)
 	p.RegWrite32(nic.RegRCTL, nic.RctlEN)
 	p.RegWrite32(nic.RegTCTL, nic.TctlEN)
 	return s
@@ -66,8 +66,8 @@ func (s *station) slice(t *testing.T, addr uint64, n int) []byte {
 
 // queue programs one frame carrying idx if the TX ring has a free slot.
 func (s *station) queue(t *testing.T, idx uint32) bool {
-	tdt := s.port.RegRead32(nic.RegTDT)
-	if (tdt+1)%stationRing == s.port.RegRead32(nic.RegTDH) {
+	tdt := s.port.RegRead32(nic.RegTDTQ(0))
+	if (tdt+1)%stationRing == s.port.RegRead32(nic.RegTDHQ(0)) {
 		return false
 	}
 	buf := s.txBuf + uint64(tdt)*stationBuf
@@ -76,7 +76,7 @@ func (s *station) queue(t *testing.T, idx uint32) bool {
 	binary.LittleEndian.PutUint64(d[0:8], buf)
 	binary.LittleEndian.PutUint16(d[8:10], 64)
 	d[11], d[12] = nic.TxCmdEOP|nic.TxCmdRS, 0
-	s.port.RegWrite32(nic.RegTDT, (tdt+1)%stationRing)
+	s.port.RegWrite32(nic.RegTDTQ(0), (tdt+1)%stationRing)
 	return true
 }
 
@@ -95,7 +95,7 @@ func (s *station) harvest(t *testing.T, seen []int) (n int) {
 			t.Errorf("harvested frame with index %d out of range", idx)
 		}
 		d[12] = 0
-		s.port.RegWrite32(nic.RegRDT, s.rxNext)
+		s.port.RegWrite32(nic.RegRDTQ(0), s.rxNext)
 		s.rxNext = (s.rxNext + 1) % stationRing
 	}
 }
@@ -127,7 +127,7 @@ func TestTwoGoroutinesStepOneLink(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sent, got := uint32(0), 0
-			flushed := func() bool { return sent == n && s.port.RegRead32(nic.RegTDH) == s.port.RegRead32(nic.RegTDT) }
+			flushed := func() bool { return sent == n && s.port.RegRead32(nic.RegTDHQ(0)) == s.port.RegRead32(nic.RegTDTQ(0)) }
 			for !(flushed() && got+int(s.port.Missed()) == n) && time.Now().Before(deadline) {
 				if sent < n && s.queue(t, sent) {
 					sent++

@@ -5,8 +5,8 @@
 //
 //   - random loss: i.i.d. per-frame loss and/or a two-state
 //     Gilbert–Elliott burst-loss process;
-//   - a rate limiter with a bounded queue (tail-drop or a simple RED),
-//     modelling the narrow WAN hop between two fast access links;
+//   - a rate limiter with a bounded tail-drop queue, modelling the
+//     narrow WAN hop between two fast access links;
 //   - fixed one-way delay plus uniform jitter;
 //   - explicit reordering (a fraction of frames held back extra time).
 //

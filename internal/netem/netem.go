@@ -40,11 +40,10 @@ type Config struct {
 	// durations as a saturating one instead of being starved by a
 	// per-packet chain that only advances when it has traffic to eat.
 	// The stationary loss rate is GEBadProb/(GEBadProb+GERecoverProb)
-	// * GELossBad (plus the good-state term), with mean outage length
-	// 1/GERecoverProb slots.
+	// * GELossBad (the good state loses nothing), with mean outage
+	// length 1/GERecoverProb slots.
 	GEBadProb     float64 // P(good -> bad) per slot
 	GERecoverProb float64 // P(bad -> good) per slot
-	GELossGood    float64 // loss probability in the good state (usually 0)
 	GELossBad     float64 // loss probability in the bad state (0 means 1)
 	// GESlotNS overrides the chain's time slot; 0 derives it from
 	// RateBps (one 1538-byte wire frame), or 100 µs on an unshaped
@@ -54,11 +53,9 @@ type Config struct {
 	// RateBps, when positive, serializes frames through a bottleneck of
 	// this many bits per second — the narrow WAN hop. QueueBytes bounds
 	// the bottleneck's queue (0 = a generous 256 KiB); arrivals beyond
-	// it are tail-dropped, or RED-dropped when RED is set (drop
-	// probability ramps linearly from 0 at half occupancy to 1 at full).
+	// it are tail-dropped.
 	RateBps    float64
 	QueueBytes int
-	RED        bool
 
 	// DelayNS is the fixed one-way propagation delay added to every
 	// frame; JitterNS adds a uniform [0, JitterNS] extra per frame.
@@ -103,7 +100,7 @@ type DirStats struct {
 	Delivered      uint64 // frames handed to the far port
 	LostRandom     uint64 // i.i.d. loss
 	LostBurst      uint64 // Gilbert–Elliott loss
-	DroppedQueue   uint64 // bottleneck queue overflow (tail or RED)
+	DroppedQueue   uint64 // bottleneck queue overflow (tail drop)
 	DroppedCarrier uint64 // frames offered while the carrier was down
 	Reordered      uint64 // frames held back by the reorder knob
 }
@@ -439,11 +436,7 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 	// bottleneck queue.
 	if cfg.GEBadProb > 0 {
 		d.stepGE(cfg, readyAt)
-		lossP := cfg.GELossGood
-		if d.geBad {
-			lossP = cfg.GELossBad
-		}
-		if lossP > 0 && d.rng.Float64() < lossP {
+		if d.geBad && d.rng.Float64() < cfg.GELossBad {
 			d.stats.LostBurst++
 			d.mu.Unlock()
 			if l.tr != nil {
@@ -470,20 +463,7 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 			d.nextFree = at
 		}
 		backlogBytes := int(float64(d.nextFree-at) * cfg.RateBps / 8e9)
-		drop := false
-		switch {
-		case backlogBytes+len(data) > cfg.QueueBytes:
-			drop = true // tail drop (and RED's hard ceiling)
-		case cfg.RED:
-			// Simple RED: linear ramp from 0 at half occupancy to 1 at
-			// the limit.
-			minTh := cfg.QueueBytes / 2
-			if backlogBytes > minTh {
-				p := float64(backlogBytes-minTh) / float64(cfg.QueueBytes-minTh)
-				drop = d.rng.Float64() < p
-			}
-		}
-		if drop {
+		if backlogBytes+len(data) > cfg.QueueBytes { // tail drop
 			d.stats.DroppedQueue++
 			d.mu.Unlock()
 			if l.tr != nil {

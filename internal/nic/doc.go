@@ -37,7 +37,7 @@
 // Beyond the paper's single-queue setup, each port carries up to
 // MaxQueues RX/TX queue pairs with receive-side scaling: a symmetric
 // Toeplitz hash over the flow tuple indexes a 128-entry redirection
-// table that picks the RX queue (rss.go); queue 0 aliases the legacy
-// register offsets and receives all non-IP traffic. This is the
-// hardware half of the sharded-stack scaling scenario (DESIGN.md §3).
+// table that picks the RX queue (rss.go); queue 0 receives all non-IP
+// traffic. This is the hardware half of the sharded-stack scaling
+// scenario (DESIGN.md §3).
 package nic

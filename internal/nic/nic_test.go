@@ -85,16 +85,16 @@ func newBench(t *testing.T, busRate float64) *bench {
 	be.atx, be.arx, be.btx, be.brx = carve(), carve(), carve(), carve()
 
 	program := func(p *Port, tx, rx ringLayout) {
-		p.RegWrite32(RegTDBAL, uint32(tx.descBase))
-		p.RegWrite32(RegTDBAH, uint32(tx.descBase>>32))
-		p.RegWrite32(RegTDLEN, tx.n*DescSize)
-		p.RegWrite32(RegTDH, 0)
-		p.RegWrite32(RegTDT, 0)
-		p.RegWrite32(RegRDBAL, uint32(rx.descBase))
-		p.RegWrite32(RegRDBAH, uint32(rx.descBase>>32))
-		p.RegWrite32(RegRDLEN, rx.n*DescSize)
-		p.RegWrite32(RegRDH, 0)
-		p.RegWrite32(RegRDT, rx.n-1) // all but one descriptor free
+		p.RegWrite32(RegTDBALQ(0), uint32(tx.descBase))
+		p.RegWrite32(RegTDBAHQ(0), uint32(tx.descBase>>32))
+		p.RegWrite32(RegTDLENQ(0), tx.n*DescSize)
+		p.RegWrite32(RegTDHQ(0), 0)
+		p.RegWrite32(RegTDTQ(0), 0)
+		p.RegWrite32(RegRDBALQ(0), uint32(rx.descBase))
+		p.RegWrite32(RegRDBAHQ(0), uint32(rx.descBase>>32))
+		p.RegWrite32(RegRDLENQ(0), rx.n*DescSize)
+		p.RegWrite32(RegRDHQ(0), 0)
+		p.RegWrite32(RegRDTQ(0), rx.n-1) // all but one descriptor free
 		p.RegWrite32(RegRCTL, RctlEN)
 		p.RegWrite32(RegTCTL, TctlEN)
 	}
@@ -106,7 +106,7 @@ func newBench(t *testing.T, busRate float64) *bench {
 // queueTX writes a frame into the sender's next TX slot and bumps TDT.
 func (be *bench) queueTX(t *testing.T, p *Port, r ringLayout, payload []byte) {
 	t.Helper()
-	tdt := p.RegRead32(RegTDT)
+	tdt := p.RegRead32(RegTDTQ(0))
 	bufAddr := r.bufBase + uint64(tdt)*r.bufSize
 	s, err := be.mem.RawSlice(bufAddr, len(payload))
 	if err != nil {
@@ -121,7 +121,7 @@ func (be *bench) queueTX(t *testing.T, p *Port, r ringLayout, payload []byte) {
 	binary.LittleEndian.PutUint16(d[8:10], uint16(len(payload)))
 	d[11] = TxCmdEOP | TxCmdRS
 	d[12] = 0
-	p.RegWrite32(RegTDT, (tdt+1)%r.n)
+	p.RegWrite32(RegTDTQ(0), (tdt+1)%r.n)
 }
 
 // rxHarvest collects completed RX descriptors from r starting at *next.
@@ -146,7 +146,7 @@ func (be *bench) rxHarvest(t *testing.T, p *Port, r ringLayout, next *uint32) []
 		out = append(out, cp)
 		d[12] = 0 // recycle
 		*next = (*next + 1) % r.n
-		p.RegWrite32(RegRDT, (p.RegRead32(RegRDT)+1)%r.n)
+		p.RegWrite32(RegRDTQ(0), (p.RegRead32(RegRDTQ(0))+1)%r.n)
 	}
 }
 
@@ -226,8 +226,8 @@ func TestLineRatePacing(t *testing.T) {
 	for be.clk.Now() < 20e6 {
 		// Top up the ring.
 		for {
-			tdt := be.a.RegRead32(RegTDT)
-			tdh := be.a.RegRead32(RegTDH)
+			tdt := be.a.RegRead32(RegTDTQ(0))
+			tdh := be.a.RegRead32(RegTDHQ(0))
 			if (tdt+1)%be.atx.n == tdh {
 				break
 			}
@@ -255,8 +255,8 @@ func TestBusLimitsThroughput(t *testing.T) {
 	frame := make([]byte, 1514)
 	for be.clk.Now() < 20e6 {
 		for {
-			tdt := be.a.RegRead32(RegTDT)
-			tdh := be.a.RegRead32(RegTDH)
+			tdt := be.a.RegRead32(RegTDTQ(0))
+			tdh := be.a.RegRead32(RegTDHQ(0))
 			if (tdt+1)%be.atx.n == tdh {
 				break
 			}
@@ -299,14 +299,14 @@ func TestRxFifoTailDrop(t *testing.T) {
 func TestMalformedDescriptorConsumed(t *testing.T) {
 	be := newBench(t, 0)
 	// Zero-length descriptor: consumed without transmission.
-	tdt := be.a.RegRead32(RegTDT)
+	tdt := be.a.RegRead32(RegTDTQ(0))
 	d, _ := be.mem.RawSlice(be.atx.descBase+uint64(tdt)*DescSize, DescSize)
 	binary.LittleEndian.PutUint64(d[0:8], be.atx.bufBase)
 	binary.LittleEndian.PutUint16(d[8:10], 0)
 	d[11] = TxCmdEOP
-	be.a.RegWrite32(RegTDT, (tdt+1)%be.atx.n)
+	be.a.RegWrite32(RegTDTQ(0), (tdt+1)%be.atx.n)
 	step(be, 5, 2000)
-	if be.a.RegRead32(RegTDH) != (tdt+1)%be.atx.n {
+	if be.a.RegRead32(RegTDHQ(0)) != (tdt+1)%be.atx.n {
 		t.Fatal("malformed descriptor not consumed")
 	}
 	if be.a.RegRead32(RegGPTC) != 0 {
@@ -340,7 +340,7 @@ func TestDeviceReset(t *testing.T) {
 	if be.a.RegRead32(RegGPTC) != 0 {
 		t.Fatal("reset did not clear statistics")
 	}
-	if be.a.RegRead32(RegTDLEN) != 0 {
+	if be.a.RegRead32(RegTDLENQ(0)) != 0 {
 		t.Fatal("reset did not clear ring registers")
 	}
 	if be.a.RegRead32(RegSTATUS)&StatusLU == 0 {
@@ -381,14 +381,14 @@ func TestCapabilityDMAConfinement(t *testing.T) {
 
 	r := ringLayout{descBase: 0x1000, bufBase: 0x2000, n: 8, bufSize: 2048}
 	r.install(t, mem)
-	a.RegWrite32(RegTDBAL, uint32(r.descBase))
-	a.RegWrite32(RegTDLEN, r.n*DescSize)
+	a.RegWrite32(RegTDBALQ(0), uint32(r.descBase))
+	a.RegWrite32(RegTDLENQ(0), r.n*DescSize)
 	a.RegWrite32(RegTCTL, TctlEN)
 	d, _ := mem.RawSlice(r.descBase, DescSize)
 	binary.LittleEndian.PutUint64(d[0:8], r.bufBase)
 	binary.LittleEndian.PutUint16(d[8:10], 64)
 	d[11] = TxCmdEOP
-	a.RegWrite32(RegTDT, 1)
+	a.RegWrite32(RegTDTQ(0), 1)
 	a.Step()
 	if a.RegRead32(RegGPTC) != 0 {
 		t.Fatal("device DMAed outside its capability window")

@@ -110,8 +110,7 @@ func (qr *queueRegs) movable() ring {
 	return ring{base: uint64(qr.bal) | uint64(qr.bah)<<32, n: qr.length / DescSize, head: qr.head, tail: qr.tail}
 }
 
-// portRegs is the software-visible register file. Queue 0 of rxq/txq is
-// aliased by the legacy RDxx/TDxx offsets.
+// portRegs is the software-visible register file.
 type portRegs struct {
 	ctrl, status uint32
 	rctl, tctl   uint32
@@ -210,40 +209,10 @@ func (p *Port) queueReg(off uint64) *uint32 {
 	return nil
 }
 
-// legacyAlias maps the legacy single-queue offsets onto queue 0's banks.
-func legacyAlias(off uint64) (uint64, bool) {
-	switch off {
-	case RegRDBAL:
-		return RegRDBALQ(0), true
-	case RegRDBAH:
-		return RegRDBAHQ(0), true
-	case RegRDLEN:
-		return RegRDLENQ(0), true
-	case RegRDH:
-		return RegRDHQ(0), true
-	case RegRDT:
-		return RegRDTQ(0), true
-	case RegTDBAL:
-		return RegTDBALQ(0), true
-	case RegTDBAH:
-		return RegTDBAHQ(0), true
-	case RegTDLEN:
-		return RegTDLENQ(0), true
-	case RegTDH:
-		return RegTDHQ(0), true
-	case RegTDT:
-		return RegTDTQ(0), true
-	}
-	return off, false
-}
-
 // RegRead32 implements MMIO reads.
 func (p *Port) RegRead32(off uint64) uint32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if alias, ok := legacyAlias(off); ok {
-		off = alias
-	}
 	if r := p.queueReg(off); r != nil {
 		return *r
 	}
@@ -293,9 +262,6 @@ func (p *Port) RegRead32(off uint64) uint32 {
 func (p *Port) RegWrite32(off uint64, v uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if alias, ok := legacyAlias(off); ok {
-		off = alias
-	}
 	if r := p.queueReg(off); r != nil {
 		*r = v
 		if off%RegQStride == regQLEN {

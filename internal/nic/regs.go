@@ -1,23 +1,11 @@
 package nic
 
-// MMIO register offsets (e1000/82576 legacy layout, BAR0).
+// MMIO register offsets (82576 layout, BAR0).
 const (
 	RegCTRL   = 0x0000
 	RegSTATUS = 0x0008
 	RegRCTL   = 0x0100
 	RegTCTL   = 0x0400
-
-	RegRDBAL = 0x2800
-	RegRDBAH = 0x2804
-	RegRDLEN = 0x2808
-	RegRDH   = 0x2810
-	RegRDT   = 0x2818
-
-	RegTDBAL = 0x3800
-	RegTDBAH = 0x3804
-	RegTDLEN = 0x3808
-	RegTDH   = 0x3810
-	RegTDT   = 0x3818
 
 	// Statistics (read-only; clear-on-read is NOT modelled).
 	RegMPC   = 0x4010 // missed packets (RX ring full)
@@ -48,8 +36,8 @@ const (
 	MRQCQueueShift = 8
 )
 
-// Per-queue register banks (82576-style). Queue 0's bank aliases the
-// legacy RDxx/TDxx offsets above, so single-queue drivers are oblivious.
+// Per-queue register banks (82576-style): the descriptor-ring registers
+// of every RX/TX queue pair, queue 0 included.
 const (
 	RegRXQBase = 0xC000
 	RegTXQBase = 0xE000

@@ -121,7 +121,7 @@ func TestIdleStepIsANoOp(t *testing.T) {
 	}{
 		{"empty TX ring, empty FIFO", func(be *bench) {}, true},
 		{"full RX ring, frame waiting", func(be *bench) {
-			be.b.RegWrite32(RegRDT, be.b.RegRead32(RegRDH)) // head == tail: no free descriptor
+			be.b.RegWrite32(RegRDTQ(0), be.b.RegRead32(RegRDHQ(0))) // head == tail: no free descriptor
 			be.b.DeliverFrame(append([]byte(nil), frame...), be.clk.Now()-1)
 		}, false},
 		{"FIFO head not yet due", func(be *bench) {
@@ -203,7 +203,7 @@ func TestStepMatchesReferenceUnderTraffic(t *testing.T) {
 						p, r = be.a, be.atx
 					}
 					for k := 0; k < burst; k++ {
-						if (p.RegRead32(RegTDT)+1)%r.n != p.RegRead32(RegTDH) {
+						if (p.RegRead32(RegTDTQ(0))+1)%r.n != p.RegRead32(RegTDHQ(0)) {
 							be.queueTX(t, p, r, frame[:size])
 						}
 					}
@@ -317,9 +317,9 @@ func rxCard(t *testing.T, busRate float64) (*Card, *sim.VClock) {
 		next += uint64(r.n) * r.bufSize
 		r.install(t, mem)
 		p := c.Port(i)
-		p.RegWrite32(RegRDBAL, uint32(r.descBase))
-		p.RegWrite32(RegRDLEN, r.n*DescSize)
-		p.RegWrite32(RegRDT, r.n-1)
+		p.RegWrite32(RegRDBALQ(0), uint32(r.descBase))
+		p.RegWrite32(RegRDLENQ(0), r.n*DescSize)
+		p.RegWrite32(RegRDTQ(0), r.n-1)
 		p.RegWrite32(RegRCTL, RctlEN)
 	}
 	return c, clk
@@ -376,11 +376,11 @@ func TestRxDeadlineIsBusAdmission(t *testing.T) {
 			throttled++
 		}
 		asked = append(asked, d)
-		head := p.RegRead32(RegRDH)
+		head := p.RegRead32(RegRDHQ(0))
 		for i := 0; i < c.Ports(); i++ {
 			c.Port(i).Step()
 		}
-		if p.RegRead32(RegRDH) != head {
+		if p.RegRead32(RegRDHQ(0)) != head {
 			moved++
 			for _, d := range asked {
 				if d > now {
@@ -425,8 +425,8 @@ func TestRxDeadlineWithoutArbiterPoll(t *testing.T) {
 			func(p *Port) { p.SetQueueStall(0, true) },
 			func(p *Port) { p.SetQueueStall(0, false) }},
 		{"no free descriptors",
-			func(p *Port) { p.RegWrite32(RegRDT, p.RegRead32(RegRDH)) },
-			func(p *Port) { p.RegWrite32(RegRDT, (p.RegRead32(RegRDH)+63)%64) }},
+			func(p *Port) { p.RegWrite32(RegRDTQ(0), p.RegRead32(RegRDHQ(0))) },
+			func(p *Port) { p.RegWrite32(RegRDTQ(0), (p.RegRead32(RegRDHQ(0))+63)%64) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, clk := rxCard(t, 1.66e9)
@@ -616,11 +616,11 @@ func TestQueueWalksStopAtTheProgrammedCount(t *testing.T) {
 			run("reset", 10)
 			each(func(_ int, be *bench, _ func(*Port) *Port) {
 				be.brx.install(t, be.mem)
-				be.b.RegWrite32(RegTDBAL, uint32(be.btx.descBase))
-				be.b.RegWrite32(RegTDLEN, be.btx.n*DescSize)
-				be.b.RegWrite32(RegRDBAL, uint32(be.brx.descBase))
-				be.b.RegWrite32(RegRDLEN, be.brx.n*DescSize)
-				be.b.RegWrite32(RegRDT, be.brx.n-1)
+				be.b.RegWrite32(RegTDBALQ(0), uint32(be.btx.descBase))
+				be.b.RegWrite32(RegTDLENQ(0), be.btx.n*DescSize)
+				be.b.RegWrite32(RegRDBALQ(0), uint32(be.brx.descBase))
+				be.b.RegWrite32(RegRDLENQ(0), be.brx.n*DescSize)
+				be.b.RegWrite32(RegRDTQ(0), be.brx.n-1)
 				be.b.RegWrite32(RegRCTL, RctlEN)
 				be.b.RegWrite32(RegTCTL, TctlEN)
 				be.queueTX(t, be.a, be.atx, plain)

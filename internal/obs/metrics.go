@@ -49,9 +49,6 @@ func NewMetrics(intervalNS int64) *Metrics {
 	return &Metrics{interval: intervalNS}
 }
 
-// SampleInterval returns the sampling period in ns.
-func (m *Metrics) SampleInterval() int64 { return m.interval }
-
 // Gauge registers a named gauge; fn is called at each sample instant
 // with the current virtual time. Gauges run on the driver goroutine —
 // they may take component locks but must not drive the simulation.
@@ -115,13 +112,6 @@ func (m *Metrics) Samples() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.rows)
-}
-
-// Names returns the registered series names, in registration order.
-func (m *Metrics) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.names...)
 }
 
 // WriteCSV streams the timeseries as CSV: a time_ns column followed by

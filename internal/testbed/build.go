@@ -166,23 +166,8 @@ func Build(spec Spec) (*Bed, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	macLast := spec.Machine.MACLast
-	if macLast == 0 {
-		macLast = defaultLocalMAC
-	}
 	arena := nic.NewFrameArena()
-	local, err := newMachine(machineConfig{
-		Name:        spec.Machine.Name,
-		Clk:         spec.Clk,
-		MemBytes:    spec.Machine.MemBytes,
-		Ports:       spec.Machine.Ports,
-		LineRateBps: spec.Machine.LineRateBps,
-		RxFifoBytes: spec.Machine.RxFifoBytes,
-		BusLimited:  spec.Machine.BusLimited,
-		CapDMA:      spec.Machine.CapDMA,
-		MACLast:     macLast,
-		Arena:       arena,
-	})
+	local, err := newMachine(spec.Clk, arena, defaultLocalMAC, spec.Machine)
 	if err != nil {
 		return nil, err
 	}
@@ -320,8 +305,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 				h = NewGatedEthDev(gates[i], env.CVM, env.Pool, q)
 			}
 			if cs.Stack.CPUBps > 0 {
-				window := cmp.Or(cs.Stack.CPUWindowNS, defaultCPUWindow(cs.Stack.CPUBps))
-				h = cpuDev{dev: h, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, window)}
+				h = cpuDev{dev: h, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, cpuWindow(cs.Stack.CPUBps))}
 			}
 			handles[i] = append(handles[i], h)
 		}
@@ -364,7 +348,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 			if err != nil {
 				return nil, err
 			}
-			b.Apps = append(b.Apps, NewGatedAPI(b.Gates, app, m.K.Mem))
+			b.Apps = append(b.Apps, NewGatedAPI(b.Gates, app))
 		}
 	}
 	return env, nil
@@ -372,18 +356,15 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 
 // buildPeer wires one link partner per its spec.
 func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
-	lineRate := ps.LineRateBps
-	big := ps.Big || lineRate > defaultLineRate || ps.Link != nil
+	// A fast line or an impaired link, whose window-scaled flows buffer
+	// multi-MiB per connection, gets the large environment sizing.
 	segBytes, poolBufs := uint64(DefaultSegBytes), DefaultPoolBufs
-	if big {
+	if ps.LineRateBps > defaultLineRate || ps.Link != nil {
 		segBytes, poolBufs = bigPeerSegBytes, bigPeerPoolBufs
 	}
 	name := peerName(ps)
-	m, err := newMachine(machineConfig{
-		Name: name, Clk: spec.Clk, Ports: defaultPeerPorts,
-		LineRateBps: lineRate, MACLast: peerMAC(ps),
-		Arena: b.arena,
-	})
+	m, err := newMachine(spec.Clk, b.arena, peerMAC(ps),
+		MachineSpec{Name: name, Ports: defaultPeerPorts, LineRateBps: ps.LineRateBps})
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,9 @@ type cpuDev struct {
 // and coarse gating would drop them for hundreds of µs at a time).
 const cpuChunk = 4
 
-// defaultCPUWindow is three full-size frame times at the given core
-// budget, the booking window used when a spec gives none.
-func defaultCPUWindow(cpuBps float64) int64 {
+// cpuWindow is how far ahead a core may be booked: three full-size
+// frame times at its budget, like the device serializers.
+func cpuWindow(cpuBps float64) int64 {
 	return int64(3 * 1538 * 8e9 / cpuBps)
 }
 

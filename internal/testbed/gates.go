@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -18,7 +19,7 @@ import (
 // and takes the F-Stack mutex there.
 type StackGates struct {
 	socket, bind, listen, accept, connect *intravisor.Gate
-	read, write, closeG                   *intravisor.Gate
+	read, write, sendTo, recvFrom, closeG *intravisor.Gate
 	epCreate, epCtl, epWait               *intravisor.Gate
 }
 
@@ -45,21 +46,27 @@ func u64FromIP4(ip fstack.IPv4Addr) uint64 {
 	return uint64(ip[0])<<24 | uint64(ip[1])<<16 | uint64(ip[2])<<8 | uint64(ip[3])
 }
 
+// sockaddrLen is a peer address as it crosses a gate: IPv4 address,
+// then the port little-endian, padded to 8 bytes.
+const sockaddrLen = 8
+
+func putSockaddr(b []byte, ip fstack.IPv4Addr, port uint16) {
+	copy(b[0:4], ip[:])
+	binary.LittleEndian.PutUint16(b[4:6], port)
+}
+
+func getSockaddr(b []byte) (fstack.IPv4Addr, uint16) {
+	return fstack.IPv4Addr{b[0], b[1], b[2], b[3]}, binary.LittleEndian.Uint16(b[4:6])
+}
+
 // stackAPI is what the gates export: the self-locking socket API of a
-// Stack, or of a ShardedAPI fanning out over a sharded one. The gate
-// targets never learn which.
+// Stack, or of a ShardedAPI fanning out over a sharded one, with the
+// capability-buffer stream calls beside it. The gate targets never
+// learn which.
 type stackAPI interface {
-	Socket(typ int) (int, hostos.Errno)
-	Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
-	Listen(fd, backlog int) hostos.Errno
-	Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno)
-	Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
+	fstack.API
 	ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
 	WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
-	Close(fd int) hostos.Errno
-	EpollCreate() int
-	EpollCtl(epfd, op, fd int, events uint32) hostos.Errno
-	EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno)
 }
 
 // NewStackGates exports the socket API of stackEnv's stack from its
@@ -97,9 +104,8 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 			return 0, errno
 		}
 		// Write the peer address through the caller's sockaddr buffer.
-		var sa [8]byte
-		copy(sa[0:4], ip[:])
-		binary.LittleEndian.PutUint16(sa[4:6], port)
+		var sa [sockaddrLen]byte
+		putSockaddr(sa[:], ip, port)
 		if addrOut.Tag() {
 			if err := mem.Store(addrOut, addrOut.Addr(), sa[:]); err != nil {
 				return 0, hostos.EFAULT
@@ -123,6 +129,34 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 	if g.write, err = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
 		n, errno := s.WriteCap(int(a[0]), mem, src, int(a[1]))
 		return uint64(n), errno
+	}); err != nil {
+		return nil, err
+	}
+	if g.sendTo, err = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
+		// The stack builds the datagram from the caller's staged bytes,
+		// read through the capability that crossed.
+		data, err := mem.CheckedSliceRO(src, src.Addr(), int(a[1]))
+		if err != nil {
+			return 0, hostos.EFAULT
+		}
+		n, errno := s.SendTo(int(a[0]), data, ip4FromU64(a[2]), uint16(a[3]))
+		return uint64(n), errno
+	}); err != nil {
+		return nil, err
+	}
+	if g.recvFrom, err = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
+		// The sender's address leads the caller's buffer, the payload
+		// follows it.
+		buf, err := mem.CheckedSlice(dst, dst.Addr(), sockaddrLen+int(a[1]))
+		if err != nil {
+			return 0, hostos.EFAULT
+		}
+		n, ip, port, errno := s.RecvFrom(int(a[0]), buf[sockaddrLen:])
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		putSockaddr(buf, ip, port)
+		return uint64(n), hostos.OK
 	}); err != nil {
 		return nil, err
 	}
@@ -169,33 +203,30 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 
 // Staging-area layout inside an application cVM's window.
 // StageWriteSize is exported as the gated Write's per-call ceiling.
+// stageChunk is how much of a write one crossing offers the stack: past
+// TCP's initial window (10 segments), so the first chunk of a large
+// write into an idle socket leaves as the same frames the whole would.
 const (
 	stageWriteOff  = 0x1000
 	StageWriteSize = 256 * 1024
+	stageChunk     = 16 * 1024
 	stageReadOff   = stageWriteOff + StageWriteSize
 	stageReadSize  = 128 * 1024
-	stageAddrOff   = stageReadOff + stageReadSize // 8-byte sockaddr
+	stageAddrOff   = stageReadOff + stageReadSize // one sockaddr
 	stageEventsOff = stageAddrOff + 16
 	stageEventsMax = 64 // events of 8 bytes
 )
 
 // GatedAPI is the application-side view of the F-Stack API in
-// Scenario 2. It satisfies iperf.API; every method is a cross-cVM call.
+// Scenario 2. It satisfies fstack.API; every method is a cross-cVM call.
 type GatedAPI struct {
 	G   *StackGates
 	App *intravisor.CVM
-	mem *cheri.TMem
-
-	// staged tracks which application buffer currently sits in the
-	// write staging area, so repeated sends of the same buffer (iperf's
-	// pattern — and any zero-copy-minded app) skip the refresh.
-	stagedPtr *byte
-	stagedLen int
 }
 
 // NewGatedAPI wires an application cVM to the stack gates.
-func NewGatedAPI(g *StackGates, app *intravisor.CVM, mem *cheri.TMem) *GatedAPI {
-	return &GatedAPI{G: g, App: app, mem: mem}
+func NewGatedAPI(g *StackGates, app *intravisor.CVM) *GatedAPI {
+	return &GatedAPI{G: g, App: app}
 }
 
 // stageCap derives a capability over a staging area of the app window.
@@ -224,7 +255,7 @@ func (a *GatedAPI) Listen(fd, backlog int) hostos.Errno {
 // Accept dequeues a connection; the peer address crosses through the
 // sockaddr staging buffer.
 func (a *GatedAPI) Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
-	sa, err := a.stageCap(stageAddrOff, 8)
+	sa, err := a.stageCap(stageAddrOff, sockaddrLen)
 	if err != nil {
 		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
 	}
@@ -232,12 +263,11 @@ func (a *GatedAPI) Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
 	if errno != hostos.OK {
 		return -1, fstack.IPv4Addr{}, 0, errno
 	}
-	var buf [8]byte
+	var buf [sockaddrLen]byte
 	if err := a.App.Load(a.App.Base()+stageAddrOff, buf[:]); err != nil {
 		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
 	}
-	ip := fstack.IPv4Addr{buf[0], buf[1], buf[2], buf[3]}
-	port := uint16(buf[4]) | uint16(buf[5])<<8
+	ip, port := getSockaddr(buf[:])
 	return int(r), ip, port, hostos.OK
 }
 
@@ -247,25 +277,91 @@ func (a *GatedAPI) Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
 	return errno
 }
 
-// Write sends bytes: the application buffer is staged into the app
-// window once (it is the app's own memory) and its capability crosses
-// the gate — the measured ff_write path of Figs. 5 and 6.
+// stage puts src at offset off of the write staging area in the app
+// window (it is the app's own memory) and derives the capability that
+// crosses the gate. Bytes the area already holds are not stored again,
+// so repeated sends of one unchanged buffer (iperf's pattern) skip the
+// copy while a buffer refilled in place is staged afresh.
+func (a *GatedAPI) stage(off int, src []byte) (cheri.Cap, hostos.Errno) {
+	at := stageWriteOff + uint64(off)
+	addr := a.App.Base() + at
+	if staged, err := a.App.Mem().CheckedSliceRO(a.App.DDC(), addr, len(src)); err != nil || !bytes.Equal(staged, src) {
+		if err := a.App.Store(addr, src); err != nil {
+			return cheri.NullCap, hostos.EFAULT
+		}
+	}
+	buf, err := a.stageCap(at, len(src))
+	if err != nil {
+		return cheri.NullCap, hostos.EFAULT
+	}
+	return buf, hostos.OK
+}
+
+// Write sends bytes: a staged buffer's capability crosses the gate — the
+// measured ff_write path of Figs. 5 and 6. A buffer longer than
+// stageChunk crosses a chunk at a time for as long as the stack takes
+// every byte offered, so a caller re-offering a large buffer to a full
+// socket pays for checking one chunk of it, not all.
 func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 	if len(src) == 0 || len(src) > StageWriteSize {
 		return -1, hostos.EINVAL
 	}
-	if a.stagedPtr != &src[0] || a.stagedLen != len(src) {
-		if err := a.App.Store(a.App.Base()+stageWriteOff, src); err != nil {
-			return -1, hostos.EFAULT
+	sent := 0
+	for sent < len(src) {
+		chunk := src[sent:min(sent+stageChunk, len(src))]
+		buf, errno := a.stage(sent, chunk)
+		if errno != hostos.OK {
+			return -1, errno
 		}
-		a.stagedPtr, a.stagedLen = &src[0], len(src)
+		r, errno := a.G.write.Call(a.App, hostos.Args{uint64(fd), uint64(len(chunk))}, buf)
+		if errno != hostos.OK {
+			if sent > 0 {
+				break // the socket filled: a short write
+			}
+			return int(r), errno
+		}
+		sent += int(r)
+		if int(r) < len(chunk) {
+			break
+		}
 	}
-	buf, err := a.stageCap(stageWriteOff, len(src))
-	if err != nil {
-		return -1, hostos.EFAULT
+	return sent, hostos.OK
+}
+
+// SendTo transmits one datagram from the write staging area.
+func (a *GatedAPI) SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) (int, hostos.Errno) {
+	if len(data) == 0 || len(data) > StageWriteSize {
+		return -1, hostos.EINVAL
 	}
-	r, errno := a.G.write.Call(a.App, hostos.Args{uint64(fd), uint64(len(src))}, buf)
+	buf, errno := a.stage(0, data)
+	if errno != hostos.OK {
+		return -1, errno
+	}
+	r, errno := a.G.sendTo.Call(a.App, hostos.Args{uint64(fd), uint64(len(data)), u64FromIP4(ip), uint64(port)}, buf)
 	return int(r), errno
+}
+
+// RecvFrom pops one datagram through the read staging area: the
+// sender's address, then the payload.
+func (a *GatedAPI) RecvFrom(fd int, dst []byte) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
+	n := min(len(dst), stageReadSize-sockaddrLen)
+	buf, err := a.stageCap(stageReadOff, sockaddrLen+n)
+	if err != nil {
+		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
+	}
+	r, errno := a.G.recvFrom.Call(a.App, hostos.Args{uint64(fd), uint64(n)}, buf)
+	if errno != hostos.OK {
+		return -1, fstack.IPv4Addr{}, 0, errno
+	}
+	var sa [sockaddrLen]byte
+	if err := a.App.Load(a.App.Base()+stageReadOff, sa[:]); err != nil {
+		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
+	}
+	if err := a.App.Load(a.App.Base()+stageReadOff+sockaddrLen, dst[:r]); err != nil {
+		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
+	}
+	ip, port := getSockaddr(sa[:])
+	return int(r), ip, port, hostos.OK
 }
 
 // Read receives bytes through the read staging area.

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/cheri"
@@ -19,46 +20,26 @@ type Machine struct {
 	IV   *intravisor.Intravisor // created lazily by NewCVM
 }
 
-// machineConfig is the resolved (defaults filled) machine description.
-type machineConfig struct {
-	Name        string
-	Clk         hostos.Clock
-	MemBytes    uint64
-	Ports       int
-	LineRateBps float64
-	RxFifoBytes int
-	BusLimited  bool
-	CapDMA      bool
-	MACLast     byte
-	Arena       *nic.FrameArena
-}
-
-// newMachine boots a machine per the config.
-func newMachine(cfg machineConfig) (*Machine, error) {
-	mem := cfg.MemBytes
-	if mem == 0 {
-		mem = DefaultMachineMem
-	}
-	k, err := hostos.NewKernel(mem)
+// newMachine boots a machine per its spec: clk drives its NIC, arena
+// backs its frames and macLast seeds the card's MAC addresses and PCI
+// slot.
+func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms MachineSpec) (*Machine, error) {
+	k, err := hostos.NewKernel(cmp.Or(ms.MemBytes, DefaultMachineMem))
 	if err != nil {
 		return nil, err
 	}
-	lineRate := cfg.LineRateBps
-	if lineRate <= 0 {
-		lineRate = defaultLineRate
-	}
 	ncfg := nic.Config{
-		BDFBase:     fmt.Sprintf("0000:03:%02x", cfg.MACLast),
-		Ports:       cfg.Ports,
-		LineRateBps: lineRate,
-		RxFifoBytes: cfg.RxFifoBytes,
-		MAC:         [6]byte{0x02, 0x82, 0x57, 0x60, 0x00, cfg.MACLast},
-		Clk:         cfg.Clk,
+		BDFBase:     fmt.Sprintf("0000:03:%02x", macLast),
+		Ports:       ms.Ports,
+		LineRateBps: cmp.Or(ms.LineRateBps, defaultLineRate),
+		RxFifoBytes: ms.RxFifoBytes,
+		MAC:         [6]byte{0x02, 0x82, 0x57, 0x60, 0x00, macLast},
+		Clk:         clk,
 		Mem:         k.Mem,
-		CapDMA:      cfg.CapDMA,
-		Arena:       cfg.Arena,
+		CapDMA:      ms.CapDMA,
+		Arena:       arena,
 	}
-	if cfg.BusLimited {
+	if ms.BusLimited {
 		ncfg.BusRateBps, ncfg.BusCostTX, ncfg.BusCostRX = nic.DefaultBusConfig()
 	}
 	card, err := nic.New(ncfg)
@@ -70,12 +51,12 @@ func newMachine(cfg machineConfig) (*Machine, error) {
 	}
 	// Boot-time kernel configuration: detach every port from the kernel
 	// driver so user space (DPDK) can claim it.
-	for i := 0; i < cfg.Ports; i++ {
+	for i := 0; i < ms.Ports; i++ {
 		if errno := k.PCI.Unbind(card.Port(i).BDF()); errno != hostos.OK {
 			return nil, fmt.Errorf("testbed: unbinding port %d: %v", i, errno)
 		}
 	}
-	return &Machine{Name: cfg.Name, K: k, Card: card}, nil
+	return &Machine{Name: ms.Name, K: k, Card: card}, nil
 }
 
 // NewCVM creates a default-sized cVM on this machine (boots the

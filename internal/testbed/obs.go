@@ -199,7 +199,7 @@ func rateMbps(get func() uint64) func(now int64) float64 {
 	}
 }
 
-// openPcaps creates one capture file per selected peer and taps both
+// openPcaps creates one capture file per peer and taps both
 // ends of that peer's cable into it. The tap observes frames at
 // delivery into the receiving port — exactly what survived the link —
 // so netem drops show up as sequence gaps in Wireshark.
@@ -207,22 +207,8 @@ func (b *Bed) openPcaps(spec ObsSpec) error {
 	if err := os.MkdirAll(spec.PcapDir, 0o755); err != nil {
 		return fmt.Errorf("testbed: pcap dir: %w", err)
 	}
-	selected := func(name string) bool {
-		if len(spec.PcapPeers) == 0 {
-			return true
-		}
-		for _, want := range spec.PcapPeers {
-			if want == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, p := range b.Peers {
 		name := p.Env.Name
-		if !selected(name) {
-			continue
-		}
 		f, err := os.Create(filepath.Join(spec.PcapDir, name+".pcap"))
 		if err != nil {
 			return err

@@ -72,14 +72,11 @@ type ObsSpec struct {
 	// Latency attaches log-bucketed histograms for per-frame datapath
 	// latency (wire arrival to DMA completion) and TCP RTT samples.
 	Latency bool
-	// PcapDir, when non-empty, writes one libpcap capture per selected
-	// peer link into this directory (created if missing). The tap sits
-	// at the receiving end of each cable, so impairment drops appear
-	// as gaps in the capture.
+	// PcapDir, when non-empty, writes one libpcap capture per peer link
+	// into this directory (created if missing). The tap sits at the
+	// receiving end of each cable, so impairment drops appear as gaps
+	// in the capture.
 	PcapDir string
-	// PcapPeers selects which peers are captured by name; empty means
-	// every peer (when PcapDir is set).
-	PcapPeers []string
 }
 
 // Enabled reports whether any instrument is on.
@@ -105,8 +102,6 @@ type MachineSpec struct {
 	BusLimited bool
 	// CapDMA bounds device DMA with capabilities (CHERI scenarios).
 	CapDMA bool
-	// MACLast seeds the card's MAC addresses (0 = 0x01).
-	MACLast byte
 }
 
 // StackSpec tunes one environment's network stack.
@@ -121,11 +116,9 @@ type StackSpec struct {
 	// CPUBps, when positive, charges every frame byte a shard moves
 	// against a per-shard core budget of this many bits per second —
 	// the multi-core CPU model. It requires a sharded stack and is
-	// rejected on peers (ideal cores). CPUWindowNS bounds how far
-	// ahead a core may be booked (0 = three full-size frame times at
-	// CPUBps).
-	CPUBps      float64
-	CPUWindowNS int64
+	// rejected on peers (ideal cores). A core may be booked three
+	// full-size frame times ahead.
+	CPUBps float64
 	// Tuning, when non-nil, applies modern TCP knobs (SACK, window
 	// scaling, buffer sizes, congestion-control selection); nil keeps
 	// the paper's stack. An unknown Congestion name is a spec error.
@@ -215,11 +208,8 @@ type PeerSpec struct {
 	// paper's 1 GbE. Both ends of a cable must serialize at the same
 	// rate, so this should match the local port for direct wires.
 	LineRateBps float64
-	// Big forces the large environment sizing. It is implied by a fast
-	// line (> 1 GbE) or an impaired link, whose window-scaled flows
-	// buffer multi-MiB per connection.
-	Big bool
-	// SegBytes / PoolBufs override the environment sizing explicitly.
+	// SegBytes / PoolBufs override the environment sizing (the default
+	// grows for a fast line, > 1 GbE, or an impaired link).
 	SegBytes uint64
 	PoolBufs int
 	// Link, when non-nil, interposes a netem impairment pipeline in
@@ -242,11 +232,7 @@ func (s Spec) validate() error {
 		return fmt.Errorf("testbed: spec has no compartments")
 	}
 	plan := newAddrPlan()
-	localMAC := s.Machine.MACLast
-	if localMAC == 0 {
-		localMAC = defaultLocalMAC
-	}
-	if err := plan.claimMAC(localMAC, "machine "+s.Machine.Name); err != nil {
+	if err := plan.claimMAC(defaultLocalMAC, "machine "+s.Machine.Name); err != nil {
 		return err
 	}
 	names := map[string]string{}
@@ -322,7 +308,7 @@ func (s Spec) validate() error {
 		if ps.Stack.Shards > 0 {
 			return fmt.Errorf("testbed: %s: peers never shard", what)
 		}
-		if ps.Stack.CPUBps > 0 || ps.Stack.CPUWindowNS > 0 {
+		if ps.Stack.CPUBps > 0 {
 			return fmt.Errorf("testbed: %s: peers stand in for the other end of the cable and have ideal cores", what)
 		}
 		if err := validStackTuning(ps.Stack, what); err != nil {

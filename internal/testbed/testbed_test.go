@@ -8,6 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
+// The four views application code can be handed, one contract.
+var (
+	_ fstack.API = (*fstack.Stack)(nil)
+	_ fstack.API = fstack.LockedAPI{}
+	_ fstack.API = (*fstack.ShardedAPI)(nil)
+	_ fstack.API = (*GatedAPI)(nil)
+)
+
 // minimalSpec is a valid one-process, one-peer topology.
 func minimalSpec() Spec {
 	return Spec{
