@@ -74,6 +74,53 @@ func TestUndeclaredFlagRejected(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeValueRejected pins the range every numeric flag carries,
+// wherever it is declared: a value outside it is a usage error (exit 2)
+// naming the flag, before anything runs. At the parent commit
+// `fig5 -payload 0` and `fig4 -payload -5` never returned, `-iters 0`
+// silently measured once, `-payload 400000` failed mid-run, and
+// `scenario7 -rate -5` printed -279306629 % utilisation with exit 0.
+func TestOutOfRangeValueRejected(t *testing.T) {
+	for _, tc := range []struct{ cmd, flag, value string }{
+		{"fig4", "iters", "0"},
+		{"fig4", "payload", "-5"},
+		{"fig5", "payload", "0"},
+		{"fig6", "payload", "400000"},
+		{"fig5", "interval", "-1"},
+		{"scenario4", "shards", "0"},
+		{"scenario4", "duration", "-1"},
+		{"scenario5", "rate", "-1"},
+		{"scenario5", "loss", "1"},
+		{"scenario5", "loss", "-0.1"},
+		{"scenario5", "delay", "-1"},
+		{"scenario5", "s5duration", "0"},
+		{"scenario6", "ackrate", "-1"},
+		{"scenario6", "s6duration", "0"},
+		{"scenario7", "rate", "-5"},
+		{"scenario7", "s7duration", "-1"},
+		{"scenario8", "rate", "0"},
+		{"scenario8", "conns", "0"},
+		{"scenario8", "s8duration", "0"},
+		{"scenario9", "rate", "NaN"},
+		{"scenario9", "loss", "1.5"},
+		{"scenario9", "delay", "-5"},
+		{"scenario9", "conns", "0"},
+		{"scenario9", "s9duration", "0"},
+		{"scenario10", "faults", "0"},
+		{"scenario10", "mtbf", "0"},
+		{"scenario10", "s10duration", "-1"},
+		{"all", "rate", "-5"},
+	} {
+		out, errOut, code := cherinet(tc.cmd, "-"+tc.flag, tc.value)
+		if code != 2 || out != "" {
+			t.Errorf("%s -%s %s: exit %d, stdout %q; want exit 2 before anything runs", tc.cmd, tc.flag, tc.value, code, out)
+		}
+		if want := "invalid value \"" + tc.value + "\" for flag -" + tc.flag + ": must be "; !strings.Contains(errOut, want) {
+			t.Errorf("%s -%s %s: stderr does not name the flag and its range:\n%s", tc.cmd, tc.flag, tc.value, errOut)
+		}
+	}
+}
+
 // TestAllFlagFanOut pins what a flag means under `cherinet all`: it
 // reaches every experiment that declares it (and no other), whatever
 // the unit there — -rate is bits/s for scenario5 and 7, flows/s for

@@ -124,80 +124,7 @@ func TestHTTPParserRejectsBadContentLength(t *testing.T) {
 	}
 }
 
-// --- HTTP server over a scripted API ---
-
-// fakeAPI scripts the socket surface: queued accepts, per-fd read
-// chunks, captured writes, queued epoll ready sets. Everything else
-// succeeds.
-type fakeAPI struct {
-	nextFD  int
-	accepts []int
-	reads   map[int][][]byte
-	writes  map[int][]byte
-	events  [][]fstack.Event
-	closed  map[int]bool
-}
-
-func newFakeAPI() *fakeAPI {
-	return &fakeAPI{
-		nextFD: 10,
-		reads:  make(map[int][][]byte),
-		writes: make(map[int][]byte),
-		closed: make(map[int]bool),
-	}
-}
-
-func (f *fakeAPI) Socket(typ int) (int, hostos.Errno) {
-	fd := f.nextFD
-	f.nextFD++
-	return fd, hostos.OK
-}
-func (f *fakeAPI) Bind(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno { return hostos.OK }
-func (f *fakeAPI) Listen(fd, backlog int) hostos.Errno                       { return hostos.OK }
-func (f *fakeAPI) Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno {
-	return hostos.EINPROGRESS
-}
-func (f *fakeAPI) Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
-	if len(f.accepts) == 0 {
-		return -1, fstack.IPv4Addr{}, 0, hostos.EAGAIN
-	}
-	cfd := f.accepts[0]
-	f.accepts = f.accepts[1:]
-	return cfd, fstack.IPv4Addr{}, 0, hostos.OK
-}
-func (f *fakeAPI) Read(fd int, dst []byte) (int, hostos.Errno) {
-	q := f.reads[fd]
-	if len(q) == 0 {
-		return 0, hostos.EAGAIN
-	}
-	chunk := q[0]
-	f.reads[fd] = q[1:]
-	return copy(dst, chunk), hostos.OK
-}
-func (f *fakeAPI) Write(fd int, src []byte) (int, hostos.Errno) {
-	f.writes[fd] = append(f.writes[fd], src...)
-	return len(src), hostos.OK
-}
-func (f *fakeAPI) SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) (int, hostos.Errno) {
-	return len(data), hostos.OK
-}
-func (f *fakeAPI) RecvFrom(fd int, dst []byte) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
-	return 0, fstack.IPv4Addr{}, 0, hostos.EAGAIN
-}
-func (f *fakeAPI) Close(fd int) hostos.Errno {
-	f.closed[fd] = true
-	return hostos.OK
-}
-func (f *fakeAPI) EpollCreate() int                                      { return 1 }
-func (f *fakeAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno { return hostos.OK }
-func (f *fakeAPI) EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno) {
-	if len(f.events) == 0 {
-		return 0, hostos.OK
-	}
-	n := copy(evs, f.events[0])
-	f.events = f.events[1:]
-	return n, hostos.OK
-}
+// --- HTTP server and client over the scripted API (fake_test.go) ---
 
 // TestHTTPServerPipelinedRequests drives the server over the scripted
 // API: a request head split across reads, then two pipelined heads in
@@ -209,7 +136,7 @@ func TestHTTPServerPipelinedRequests(t *testing.T) {
 	srv.Step(api, 0) // setup: listener + epoll registration
 
 	const cfd = 100
-	api.accepts = []int{cfd}
+	api.accepts[srv.lfd] = []int{cfd}
 	api.reads[cfd] = [][]byte{
 		[]byte("GET / HT"),
 		[]byte("TP/1.1\r\nHost: x\r\n\r\nGET / HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\n\r\n"),
@@ -261,7 +188,7 @@ func TestHTTPServerAnnouncesQueuedWork(t *testing.T) {
 	srv.Step(api, 0)
 	quiet("after setup", 0)
 
-	api.accepts = []int{100, 101, 102}
+	api.accepts[srv.lfd] = []int{100, 101, 102}
 	api.events = [][]fstack.Event{{{FD: srv.lfd, Events: fstack.EPOLLIN}}}
 	srv.Step(api, 1)
 	due("after accepting", 1)

@@ -1,9 +1,9 @@
-package churn_test
+package app_test
 
 import (
 	"testing"
 
-	"repro/internal/churn"
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/fstack"
 )
@@ -56,9 +56,9 @@ func TestChurnWithoutIdlePopulation(t *testing.T) {
 	}
 }
 
-func TestNewClientRejectsOversizedPreload(t *testing.T) {
+func TestNewChurnClientRejectsOversizedPreload(t *testing.T) {
 	// One listen port spans 64 000 managed source ports.
-	if _, err := churn.NewClient(fstack.IPv4Addr{}, 5801, 5901, 1, 64_001, 1000, 1e6); err == nil {
+	if _, err := app.NewChurnClient(fstack.IPv4Addr{}, 5801, 5901, 1, 64_001, 1000, 1e6); err == nil {
 		t.Fatal("64 001 preload connections fit one port's source-port window")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
@@ -78,29 +77,26 @@ func dnsID(msg []byte) (uint16, bool) {
 // A-record response carrying the query's ID. It is epoll-driven: one
 // bound datagram socket, drained to EAGAIN whenever it is readable.
 type DNSServer struct {
+	kit
 	ListenIP fstack.IPv4Addr
 	Port     uint16
 
 	started   bool
-	epfd      int
 	fd        int
 	buf       []byte
 	out       []byte
-	evs       []fstack.Event
 	served    uint64
 	malformed uint64
 	txBusy    uint64
-	failure   hostos.Errno
-	wantStep  bool
 }
 
 // NewDNSServer prepares the responder.
 func NewDNSServer(ip fstack.IPv4Addr, port uint16) *DNSServer {
 	return &DNSServer{
+		kit:      kit{evs: make([]fstack.Event, evBuf)},
 		ListenIP: ip, Port: port,
 		buf: make([]byte, 2048),
 		out: make([]byte, 2048),
-		evs: make([]fstack.Event, evBuf),
 	}
 }
 
@@ -114,50 +110,23 @@ func (s *DNSServer) Malformed() uint64 { return s.malformed }
 // the client's retry machinery recovers them.
 func (s *DNSServer) TxBusy() uint64 { return s.txBusy }
 
-// Err returns the sticky failure, if any.
-func (s *DNSServer) Err() hostos.Errno { return s.failure }
-
 // NextDeadline: the server is purely event-driven past its setup step.
-func (s *DNSServer) NextDeadline(now int64) int64 {
-	if s.wantStep {
-		return now
-	}
-	return math.MaxInt64
-}
-
-func (s *DNSServer) fail(errno hostos.Errno) { s.failure = errno }
+func (s *DNSServer) NextDeadline(now int64) int64 { return s.deadline(now, math.MaxInt64) }
 
 // Step advances the server; call once per loop iteration.
 func (s *DNSServer) Step(api API, now int64) {
-	if s.failure != hostos.OK {
+	if s.failed() {
 		return
 	}
 	if !s.started {
 		s.started = true
 		s.wantStep = false
 		s.epfd = api.EpollCreate()
-		fd, errno := api.Socket(fstack.SockDgram)
-		if errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		s.fd = fd
-		if errno := api.Bind(fd, s.ListenIP, s.Port); errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		if errno := api.EpollCtl(s.epfd, fstack.EpollCtlAdd, fd, fstack.EPOLLIN); errno != hostos.OK {
-			s.fail(errno)
-		}
+		s.fd, _ = s.listen(api, fstack.SockDgram, s.ListenIP, s.Port, 0)
 		return
 	}
-	n, errno := api.EpollWait(s.epfd, s.evs)
-	if errno != hostos.OK {
-		s.fail(errno)
-		return
-	}
-	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
-	for _, ev := range s.evs[:n] {
+	evs, _ := s.harvest(api)
+	for _, ev := range evs {
 		if ev.FD != s.fd || ev.Events&fstack.EPOLLIN == 0 {
 			continue
 		}
@@ -166,8 +135,7 @@ func (s *DNSServer) Step(api API, now int64) {
 			if errno == hostos.EAGAIN {
 				break
 			}
-			if errno != hostos.OK {
-				s.fail(errno)
+			if !s.ok(errno) {
 				return
 			}
 			id, ok := dnsID(s.buf[:n])
@@ -176,13 +144,13 @@ func (s *DNSServer) Step(api API, now int64) {
 				continue
 			}
 			m := putDNSAnswer(s.out, id)
-			if _, errno := api.SendTo(s.fd, s.out[:m], ip, port); errno != hostos.OK {
-				if errno == hostos.EAGAIN {
-					// TX ring full: drop the answer, the client retries.
-					s.txBusy++
-					continue
-				}
-				s.fail(errno)
+			_, errno = api.SendTo(s.fd, s.out[:m], ip, port)
+			if errno == hostos.EAGAIN {
+				// TX ring full: drop the answer, the client retries.
+				s.txBusy++
+				continue
+			}
+			if !s.ok(errno) {
 				return
 			}
 			s.served++
@@ -225,6 +193,7 @@ const (
 // attempts, then abandoned; Timeouts counts every expiration and
 // Failed the abandonments. Latency is recorded first-send to answer.
 type DNSClient struct {
+	kit
 	ServerIP    fstack.IPv4Addr
 	Port        uint16
 	Sport       uint16 // local port; 0 lets the stack pick
@@ -245,15 +214,12 @@ type DNSClient struct {
 	queue     []dnsTimeout
 	qHead     int
 	nextID    uint16
-	startNS   int64
+	pace      pacer
 	endNS     int64
 	issued    uint64
 	completed uint64
 	timeouts  uint64
-	failed    uint64
-	deferred  uint64
-	failure   hostos.Errno
-	wantStep  bool
+	abandoned uint64
 }
 
 // NewDNSClient prepares the query driver.
@@ -277,7 +243,7 @@ func NewDNSClient(ip fstack.IPv4Addr, port, sport uint16, rate float64, concurre
 
 // Done reports that the run is complete: duration elapsed and every
 // outstanding query answered or abandoned.
-func (c *DNSClient) Done() bool { return c.state == dnsCliDone }
+func (c *DNSClient) Done() bool { return c.state == dnsCliDone || c.failed() }
 
 // Issued / Completed report queries sent (retries not counted) and
 // answered.
@@ -287,102 +253,71 @@ func (c *DNSClient) Completed() uint64 { return c.completed }
 // Timeouts counts timeout expirations (each triggering a retry or an
 // abandonment); Failed counts queries abandoned after MaxTries.
 func (c *DNSClient) Timeouts() uint64 { return c.timeouts }
-func (c *DNSClient) Failed() uint64   { return c.failed }
+func (c *DNSClient) Failed() uint64   { return c.abandoned }
 
 // Deferred reports pace slots skipped at the outstanding cap.
-func (c *DNSClient) Deferred() uint64 { return c.deferred }
+func (c *DNSClient) Deferred() uint64 { return c.pace.deferred }
 
 // RunNS returns the measured phase's virtual length (valid once Done).
-func (c *DNSClient) RunNS() int64 { return c.endNS - c.startNS }
-
-// Err returns the sticky failure, if any.
-func (c *DNSClient) Err() hostos.Errno { return c.failure }
+func (c *DNSClient) RunNS() int64 { return c.endNS - c.pace.start }
 
 // NextDeadline: the earliest of the next pace slot, the oldest
-// outstanding query's timeout, and the duration edge.
+// outstanding query's timeout, and the duration edge. Once done, the
+// timeout queue holds only stale entries.
 func (c *DNSClient) NextDeadline(now int64) int64 {
-	if c.wantStep {
-		return now
-	}
-	if c.state != dnsCliRunning {
-		return math.MaxInt64
-	}
 	d := int64(math.MaxInt64)
-	if c.qHead < len(c.queue) {
-		d = c.queue[c.qHead].deadline
-	}
-	end := c.startNS + c.DurationNS
-	if now < end {
-		if end < d {
-			d = end
-		}
-		if c.Rate > 0 && len(c.flights) < maxOutstanding {
-			at := c.startNS + int64(float64(c.issued+1)/c.Rate*1e9)
-			if at < d {
-				d = at
-			}
+	if c.state == dnsCliRunning {
+		d = c.pace.next(now)
+		if c.qHead < len(c.queue) {
+			d = min(d, c.queue[c.qHead].deadline)
 		}
 	}
-	return d
-}
-
-func (c *DNSClient) fail(errno hostos.Errno) {
-	c.failure = errno
-	c.state = dnsCliDone
+	return c.deadline(now, d)
 }
 
 // Step advances the client; call once per loop iteration.
 func (c *DNSClient) Step(api API, now int64) {
+	if c.failed() {
+		return
+	}
 	switch c.state {
 	case dnsCliInit:
 		fd, errno := api.Socket(fstack.SockDgram)
-		if errno != hostos.OK {
-			c.fail(errno)
+		if !c.ok(errno) || c.Sport != 0 && !c.ok(api.Bind(fd, fstack.IPv4Addr{}, c.Sport)) {
 			return
 		}
 		c.fd = fd
-		if c.Sport != 0 {
-			if errno := api.Bind(fd, fstack.IPv4Addr{}, c.Sport); errno != hostos.OK {
-				c.fail(errno)
-				return
-			}
-		}
-		c.startNS = now
+		c.pace = pacer{rate: c.Rate, start: now, end: now + c.DurationNS}
 		c.state = dnsCliRunning
 		c.wantStep = true
 
 	case dnsCliRunning:
 		c.wantStep = false
-		if !c.drainAnswers(api, now) {
+		if !c.drainAnswers(api, now) || !c.expire(api, now) {
 			return
 		}
-		if !c.expire(api, now) {
-			return
-		}
-		elapsed := now - c.startNS
-		if elapsed < c.DurationNS {
-			if c.Rate > 0 {
-				target := uint64(float64(elapsed) * c.Rate / 1e9)
-				for c.issued < target {
-					if len(c.flights) >= maxOutstanding {
-						c.deferred += target - c.issued
-						break
-					}
-					if !c.query(api, now) {
-						return
-					}
-				}
-			} else {
-				for len(c.flights) < c.Concurrency {
-					if !c.query(api, now) {
-						return
-					}
-				}
+		if now >= c.pace.end {
+			if len(c.flights) == 0 {
+				c.endNS = now
+				api.Close(c.fd)
+				c.state = dnsCliDone
 			}
-		} else if len(c.flights) == 0 {
-			c.endNS = now
-			api.Close(c.fd)
-			c.state = dnsCliDone
+			return
+		}
+		for k := c.pace.due(now); k > 0; k-- {
+			if len(c.flights) >= maxOutstanding {
+				c.pace.deferred += k
+				break
+			}
+			if !c.query(api, now) {
+				return
+			}
+		}
+		// Closed-loop: hold Concurrency queries outstanding.
+		for c.Rate <= 0 && len(c.flights) < c.Concurrency {
+			if !c.query(api, now) {
+				return
+			}
 		}
 	}
 }
@@ -414,11 +349,8 @@ func (c *DNSClient) allocID() uint16 {
 // fatal: the timeout machinery re-offers the query.
 func (c *DNSClient) send(api API, id uint16) bool {
 	m := putDNSQuery(c.qbuf, id)
-	if _, errno := api.SendTo(c.fd, c.qbuf[:m], c.ServerIP, c.Port); errno != hostos.OK && errno != hostos.EAGAIN {
-		c.fail(errno)
-		return false
-	}
-	return true
+	_, errno := api.SendTo(c.fd, c.qbuf[:m], c.ServerIP, c.Port)
+	return errno == hostos.EAGAIN || c.ok(errno)
 }
 
 // popTimeout removes the oldest queue entry; ok is false when empty or
@@ -458,7 +390,7 @@ func (c *DNSClient) expire(api API, now int64) bool {
 			continue
 		}
 		delete(c.flights, e.id)
-		c.failed++
+		c.abandoned++
 		if c.Trace != nil {
 			c.Trace.Record(now, obs.EvAppRequest, c.Src, now-fl.t0, 0, obs.ReqTimeout)
 		}
@@ -475,8 +407,7 @@ func (c *DNSClient) drainAnswers(api API, now int64) bool {
 		if errno == hostos.EINVAL && c.Sport == 0 && c.issued == 0 {
 			return true // not yet auto-bound: nothing can have arrived
 		}
-		if errno != hostos.OK {
-			c.fail(errno)
+		if !c.ok(errno) {
 			return false
 		}
 		id, ok := dnsID(c.buf[:n])

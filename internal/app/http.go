@@ -25,13 +25,11 @@ var (
 // --- server ---
 
 // httpSrvConn is one accepted keep-alive connection's parse/flush
-// state. rx holds a partial request head; tx is the head-indexed queue
-// of response bytes Write has not yet accepted.
+// state. rx holds a partial request head; the sendq holds response
+// bytes Write has not yet accepted.
 type httpSrvConn struct {
-	rx      []byte
-	tx      []byte
-	txHead  int
-	wantOut bool
+	rx []byte
+	sendq
 }
 
 // HTTPServer accepts keep-alive connections and answers every GET with
@@ -39,22 +37,19 @@ type httpSrvConn struct {
 // split across segments is buffered, and several pipelined heads in
 // one segment are each answered, in order.
 type HTTPServer struct {
+	kit
 	ListenIP  fstack.IPv4Addr
 	Port      uint16
 	Backlog   int
 	RespBytes int // response body size
 
-	started  bool
-	epfd     int
-	lfd      int
-	conns    map[int]*httpSrvConn
-	resp     []byte // precomputed header + body
-	buf      []byte
-	evs      []fstack.Event
-	served   uint64
-	bad      uint64
-	failure  hostos.Errno
-	wantStep bool
+	started bool
+	lfd     int
+	conns   map[int]*httpSrvConn
+	resp    []byte // precomputed header + body
+	buf     []byte
+	served  uint64
+	bad     uint64
 }
 
 // NewHTTPServer prepares the accept side.
@@ -66,11 +61,11 @@ func NewHTTPServer(ip fstack.IPv4Addr, port uint16, backlog, respBytes int) *HTT
 		resp = append(resp, byte('a'+i%26))
 	}
 	return &HTTPServer{
+		kit:      kit{evs: make([]fstack.Event, evBuf)},
 		ListenIP: ip, Port: port, Backlog: backlog, RespBytes: respBytes,
 		conns: make(map[int]*httpSrvConn),
 		resp:  resp,
 		buf:   make([]byte, 16<<10),
-		evs:   make([]fstack.Event, evBuf),
 	}
 }
 
@@ -104,25 +99,15 @@ func (s *HTTPServer) Served() uint64 { return s.served }
 // Bad reports malformed request heads (the connection is closed).
 func (s *HTTPServer) Bad() uint64 { return s.bad }
 
-// Err returns the sticky failure, if any.
-func (s *HTTPServer) Err() hostos.Errno { return s.failure }
-
 // NextDeadline: past its setup step the server reacts to stack events,
 // with one kind of work its own Step queues for the next one: ready
 // descriptors the last EpollWait did not report — connections accepted
-// after it (acceptAll) and whatever a full buffer left behind (Step).
-func (s *HTTPServer) NextDeadline(now int64) int64 {
-	if s.wantStep {
-		return now
-	}
-	return math.MaxInt64
-}
-
-func (s *HTTPServer) fail(errno hostos.Errno) { s.failure = errno }
+// after it (acceptAll) and whatever a full buffer left behind (harvest).
+func (s *HTTPServer) NextDeadline(now int64) int64 { return s.deadline(now, math.MaxInt64) }
 
 // Step advances the server; call once per loop iteration.
 func (s *HTTPServer) Step(api API, now int64) {
-	if s.failure != hostos.OK {
+	if s.failed() {
 		return
 	}
 	if !s.started {
@@ -133,37 +118,11 @@ func (s *HTTPServer) Step(api API, now int64) {
 			// interest set is dropped), so a restarted server reuses it.
 			s.epfd = api.EpollCreate()
 		}
-		fd, errno := api.Socket(fstack.SockStream)
-		if errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		s.lfd = fd
-		if errno := api.Bind(fd, s.ListenIP, s.Port); errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		if errno := api.Listen(fd, s.Backlog); errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		if errno := api.EpollCtl(s.epfd, fstack.EpollCtlAdd, fd, fstack.EPOLLIN); errno != hostos.OK {
-			s.fail(errno)
-		}
+		s.lfd, _ = s.listen(api, fstack.SockStream, s.ListenIP, s.Port, s.Backlog)
 		return
 	}
-	n, errno := api.EpollWait(s.epfd, s.evs)
-	if errno != hostos.OK {
-		s.fail(errno)
-		return
-	}
-	// A wait that filled the buffer may have left ready descriptors
-	// unreported: they are served on the next Step, which no stack event
-	// announces.
-	s.wantStep = n == len(s.evs)
-	// EpollWait reports in wake order; the goldens pin descriptor order.
-	slices.SortFunc(s.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
-	for _, ev := range s.evs[:n] {
+	evs, _ := s.harvest(api)
+	for _, ev := range evs {
 		if ev.FD == s.lfd {
 			s.acceptAll(api)
 			continue
@@ -194,15 +153,7 @@ func (s *HTTPServer) Step(api API, now int64) {
 func (s *HTTPServer) acceptAll(api API) {
 	for {
 		cfd, _, _, errno := api.Accept(s.lfd)
-		if errno == hostos.EAGAIN {
-			return
-		}
-		if errno != hostos.OK {
-			s.fail(errno)
-			return
-		}
-		if errno := api.EpollCtl(s.epfd, fstack.EpollCtlAdd, cfd, fstack.EPOLLIN); errno != hostos.OK {
-			s.fail(errno)
+		if errno == hostos.EAGAIN || !s.ok(errno) || !s.ctl(api, fstack.EpollCtlAdd, cfd, fstack.EPOLLIN) {
 			return
 		}
 		s.conns[cfd] = &httpSrvConn{}
@@ -223,11 +174,7 @@ func (s *HTTPServer) read(api API, fd int, c *httpSrvConn) {
 		if errno == hostos.EAGAIN {
 			return
 		}
-		if errno != hostos.OK {
-			s.drop(api, fd)
-			return
-		}
-		if n == 0 { // EOF: client is done with this connection
+		if errno != hostos.OK || n == 0 { // reset, or EOF: the client is done with it
 			s.drop(api, fd)
 			return
 		}
@@ -255,40 +202,15 @@ func (s *HTTPServer) read(api API, fd int, c *httpSrvConn) {
 	}
 }
 
-// flush pushes pending response bytes; on EAGAIN it arms EPOLLOUT and
-// resumes from the writability event. Returns false if the connection
-// was dropped.
+// flush pushes pending response bytes, resuming from the writability
+// event after an EAGAIN. Returns false if the connection was dropped
+// or the server failed.
 func (s *HTTPServer) flush(api API, fd int, c *httpSrvConn) bool {
-	for c.txHead < len(c.tx) {
-		n, errno := api.Write(fd, c.tx[c.txHead:])
-		if errno == hostos.EAGAIN {
-			break
-		}
-		if errno != hostos.OK {
-			s.drop(api, fd)
-			return false
-		}
-		c.txHead += n
+	if s.kit.flush(api, fd, &c.sendq) != hostos.OK {
+		s.drop(api, fd)
+		return false
 	}
-	if c.txHead == len(c.tx) {
-		c.tx, c.txHead = c.tx[:0], 0
-		if c.wantOut {
-			c.wantOut = false
-			if errno := api.EpollCtl(s.epfd, fstack.EpollCtlMod, fd, fstack.EPOLLIN); errno != hostos.OK {
-				s.fail(errno)
-				return false
-			}
-		}
-		return true
-	}
-	if !c.wantOut {
-		c.wantOut = true
-		if errno := api.EpollCtl(s.epfd, fstack.EpollCtlMod, fd, fstack.EPOLLIN|fstack.EPOLLOUT); errno != hostos.OK {
-			s.fail(errno)
-			return false
-		}
-	}
-	return true
+	return !s.failed()
 }
 
 // --- client ---
@@ -296,8 +218,8 @@ func (s *HTTPServer) flush(api API, fd int, c *httpSrvConn) bool {
 // httpCliConn is one persistent connection's request pipeline: t0 is
 // the head-indexed FIFO of outstanding requests' issue instants, hdr
 // accumulates a partial response head, need counts the body bytes
-// still expected (-1 while parsing the head), tx buffers request bytes
-// the stack has not accepted.
+// still expected (-1 while parsing the head), the sendq buffers request
+// bytes the stack has not accepted.
 type httpCliConn struct {
 	fd      int
 	up      bool
@@ -306,9 +228,7 @@ type httpCliConn struct {
 	hdr     []byte
 	need    int
 	bodyLen int // current response's Content-Length (trace argument)
-	tx      []byte
-	txHead  int
-	wantOut bool
+	sendq
 }
 
 func (c *httpCliConn) outstanding() int { return len(c.t0) - c.t0Head }
@@ -330,6 +250,7 @@ const (
 // Conns is the concurrency. Per-request latency (issue to last
 // response byte) is recorded into Hist.
 type HTTPClient struct {
+	kit
 	ServerIP   fstack.IPv4Addr
 	Port       uint16
 	Conns      int
@@ -359,22 +280,17 @@ type HTTPClient struct {
 	TimeoutNS int64
 
 	state     httpCliState
-	epfd      int
 	conns     []*httpCliConn
 	byFD      map[int]int
-	evs       []fstack.Event
 	buf       []byte
-	startNS   int64
+	pace      pacer
 	endNS     int64
 	issued    uint64
 	completed uint64
-	deferred  uint64
 	lost      uint64
 	resets    uint64
 	inflight  int
 	rr        int
-	failure   hostos.Errno
-	wantStep  bool
 }
 
 // NewHTTPClient prepares the request driver.
@@ -386,23 +302,23 @@ func NewHTTPClient(ip fstack.IPv4Addr, port uint16, conns int, sports []uint16, 
 		return nil, fmt.Errorf("app: %d source ports for %d connections", len(sports), conns)
 	}
 	return &HTTPClient{
+		kit:      kit{evs: make([]fstack.Event, evBuf)},
 		ServerIP: ip, Port: port, Conns: conns, Sports: sports,
 		Rate: rate, DurationNS: durationNS,
 		byFD: make(map[int]int),
-		evs:  make([]fstack.Event, evBuf),
 		buf:  make([]byte, 16<<10),
 	}, nil
 }
 
 // Done reports that the run is complete: duration elapsed and every
 // outstanding response drained.
-func (c *HTTPClient) Done() bool { return c.state == httpCliDone }
+func (c *HTTPClient) Done() bool { return c.state == httpCliDone || c.failed() }
 
 // Issued / Completed / Deferred report requests sent, responses fully
 // received, and pace slots skipped because maxOutstanding was reached.
 func (c *HTTPClient) Issued() uint64    { return c.issued }
 func (c *HTTPClient) Completed() uint64 { return c.completed }
-func (c *HTTPClient) Deferred() uint64  { return c.deferred }
+func (c *HTTPClient) Deferred() uint64  { return c.pace.deferred }
 
 // Lost / Resets report requests abandoned on reset connections and
 // connection re-establishments (Resilient mode).
@@ -410,34 +326,13 @@ func (c *HTTPClient) Lost() uint64   { return c.lost }
 func (c *HTTPClient) Resets() uint64 { return c.resets }
 
 // RunNS returns the measured phase's virtual length (valid once Done).
-func (c *HTTPClient) RunNS() int64 { return c.endNS - c.startNS }
-
-// Err returns the sticky failure, if any.
-func (c *HTTPClient) Err() hostos.Errno { return c.failure }
+func (c *HTTPClient) RunNS() int64 { return c.endNS - c.pace.start }
 
 // NextDeadline: open-loop pacing self-clocks; the duration edge gets
 // its own instant so closed-loop runs end crisply; drains are
-// event-driven.
+// event-driven, request timeouts are not.
 func (c *HTTPClient) NextDeadline(now int64) int64 {
-	if c.wantStep {
-		return now
-	}
-	if c.state != httpCliRunning {
-		return math.MaxInt64
-	}
-	d := c.expiry()
-	end := c.startNS + c.DurationNS
-	if now >= end {
-		return d // draining: completions are event-driven, timeouts are not
-	}
-	if c.Rate <= 0 || c.inflight >= maxOutstanding {
-		return min(d, end)
-	}
-	at := c.startNS + int64(float64(c.issued+1)/c.Rate*1e9)
-	if at > end {
-		at = end
-	}
-	return min(d, at)
+	return c.deadline(now, min(c.expiry(), c.pace.next(now)))
 }
 
 // expiry is the earliest instant an outstanding request times out
@@ -449,47 +344,25 @@ func (c *HTTPClient) expiry() int64 {
 	d := int64(math.MaxInt64)
 	for _, cc := range c.conns {
 		if cc.up && cc.outstanding() > 0 {
-			if at := cc.t0[cc.t0Head] + c.TimeoutNS; at < d {
-				d = at
-			}
+			d = min(d, cc.t0[cc.t0Head]+c.TimeoutNS)
 		}
 	}
 	return d
 }
 
-func (c *HTTPClient) fail(errno hostos.Errno) {
-	c.failure = errno
-	c.state = httpCliDone
-}
-
 // Step advances the client; call once per loop iteration.
 func (c *HTTPClient) Step(api API, now int64) {
+	if c.failed() {
+		return
+	}
 	switch c.state {
 	case httpCliInit:
 		c.epfd = api.EpollCreate()
 		for i := 0; i < c.Conns; i++ {
-			fd, errno := api.Socket(fstack.SockStream)
-			if errno != hostos.OK {
-				c.fail(errno)
+			c.conns = append(c.conns, &httpCliConn{})
+			if !c.connect(api, i) {
 				return
 			}
-			if c.Sports != nil && c.Sports[i] != 0 {
-				if errno := api.Bind(fd, fstack.IPv4Addr{}, c.Sports[i]); errno != hostos.OK {
-					c.fail(errno)
-					return
-				}
-			}
-			if errno := api.EpollCtl(c.epfd, fstack.EpollCtlAdd, fd, fstack.EPOLLOUT); errno != hostos.OK {
-				c.fail(errno)
-				return
-			}
-			if errno := api.Connect(fd, c.ServerIP, c.Port); errno != hostos.EINPROGRESS && errno != hostos.OK {
-				c.fail(errno)
-				return
-			}
-			cc := &httpCliConn{fd: fd, need: -1}
-			c.conns = append(c.conns, cc)
-			c.byFD[fd] = i
 		}
 		c.state = httpCliConnecting
 
@@ -502,7 +375,7 @@ func (c *HTTPClient) Step(api API, now int64) {
 				return
 			}
 		}
-		c.startNS = now
+		c.pace = pacer{rate: c.Rate, start: now, end: now + c.DurationNS}
 		c.state = httpCliRunning
 		c.wantStep = true
 
@@ -521,43 +394,42 @@ func (c *HTTPClient) Step(api API, now int64) {
 				}
 			}
 		}
-		elapsed := now - c.startNS
-		if elapsed < c.DurationNS {
-			if c.Rate > 0 {
-				// Open-loop: issue every due pace slot round-robin.
-				target := uint64(float64(elapsed) * c.Rate / 1e9)
-				for c.issued < target {
-					if c.inflight >= maxOutstanding {
-						c.deferred += target - c.issued
-						break
-					}
-					cc := c.pickUp()
-					if cc == nil {
-						// Every connection is re-establishing; the due
-						// slots are honest backpressure.
-						c.deferred += target - c.issued
-						break
-					}
-					if !c.issue(api, cc, now) {
-						return
-					}
-				}
-			} else {
-				// Closed-loop: every idle connection issues immediately.
+		if now >= c.pace.end {
+			if c.inflight == 0 {
+				c.endNS = now
 				for _, cc := range c.conns {
-					if cc.up && cc.outstanding() == 0 {
-						if !c.issue(api, cc, now) {
-							return
-						}
-					}
+					api.Close(cc.fd)
+				}
+				c.state = httpCliDone
+			}
+			return
+		}
+		if c.Rate > 0 {
+			// Open-loop: issue every due pace slot round-robin.
+			for k := c.pace.due(now); k > 0; k-- {
+				var cc *httpCliConn
+				if c.inflight < maxOutstanding {
+					cc = c.pickUp()
+				}
+				if cc == nil {
+					// At the cap, or every connection is re-establishing:
+					// the due slots are honest backpressure.
+					c.pace.deferred += k
+					break
+				}
+				if !c.issue(api, cc, now) {
+					return
 				}
 			}
-		} else if c.inflight == 0 {
-			c.endNS = now
-			for _, cc := range c.conns {
-				api.Close(cc.fd)
+			return
+		}
+		// Closed-loop: every idle connection issues immediately.
+		for _, cc := range c.conns {
+			if cc.up && cc.outstanding() == 0 {
+				if !c.issue(api, cc, now) {
+					return
+				}
 			}
-			c.state = httpCliDone
 		}
 	}
 }
@@ -575,28 +447,32 @@ func (c *HTTPClient) reconnect(api API, i int) bool {
 	c.resets++
 	api.Close(cc.fd)
 	delete(c.byFD, cc.fd)
-	fd, errno := api.Socket(fstack.SockStream)
-	if errno != hostos.OK {
-		c.fail(errno)
-		return false
+	return c.connect(api, i)
+}
+
+// connect dials connection i, from its managed source port if it has
+// one, keeping the slot's buffers.
+func (c *HTTPClient) connect(api API, i int) bool {
+	var sport uint16
+	if c.Sports != nil {
+		sport = c.Sports[i]
 	}
-	if c.Sports != nil && c.Sports[i] != 0 {
-		if errno := api.Bind(fd, fstack.IPv4Addr{}, c.Sports[i]); errno != hostos.OK {
-			c.fail(errno)
-			return false
-		}
+	fd, ok := c.dial(api, sport, c.ServerIP, c.Port)
+	if ok {
+		cc := c.conns[i]
+		*cc = httpCliConn{fd: fd, need: -1, t0: cc.t0[:0], hdr: cc.hdr[:0], sendq: sendq{tx: cc.tx[:0]}}
+		c.byFD[fd] = i
 	}
-	if errno := api.EpollCtl(c.epfd, fstack.EpollCtlAdd, fd, fstack.EPOLLOUT); errno != hostos.OK {
-		c.fail(errno)
-		return false
+	return ok
+}
+
+// reset handles a connection that was reset or closed under the
+// client: a Resilient client replaces it, any other fails with errno.
+func (c *HTTPClient) reset(api API, cc *httpCliConn, errno hostos.Errno) bool {
+	if c.Resilient {
+		return c.reconnect(api, c.byFD[cc.fd])
 	}
-	if errno := api.Connect(fd, c.ServerIP, c.Port); errno != hostos.EINPROGRESS && errno != hostos.OK {
-		c.fail(errno)
-		return false
-	}
-	*cc = httpCliConn{fd: fd, need: -1, t0: cc.t0[:0], hdr: cc.hdr[:0], tx: cc.tx[:0]}
-	c.byFD[fd] = i
-	return true
+	return c.ok(errno)
 }
 
 // issue starts one request on a connection: the latency clock starts
@@ -623,70 +499,35 @@ func (c *HTTPClient) pickUp() *httpCliConn {
 	return nil
 }
 
-// flush pushes buffered request bytes, arming EPOLLOUT on EAGAIN.
+// flush pushes buffered request bytes, resuming from the writability
+// event after an EAGAIN.
 func (c *HTTPClient) flush(api API, cc *httpCliConn) bool {
-	for cc.txHead < len(cc.tx) {
-		n, errno := api.Write(cc.fd, cc.tx[cc.txHead:])
-		if errno == hostos.EAGAIN {
-			break
-		}
-		if errno != hostos.OK {
-			if c.Resilient {
-				return c.reconnect(api, c.byFD[cc.fd])
-			}
-			c.fail(errno)
-			return false
-		}
-		cc.txHead += n
+	if errno := c.kit.flush(api, cc.fd, &cc.sendq); errno != hostos.OK {
+		return c.reset(api, cc, errno)
 	}
-	want := fstack.EPOLLIN
-	if cc.txHead == len(cc.tx) {
-		cc.tx, cc.txHead = cc.tx[:0], 0
-	} else {
-		want |= fstack.EPOLLOUT
-	}
-	if (want&fstack.EPOLLOUT != 0) != cc.wantOut {
-		cc.wantOut = want&fstack.EPOLLOUT != 0
-		if errno := api.EpollCtl(c.epfd, fstack.EpollCtlMod, cc.fd, want); errno != hostos.OK {
-			c.fail(errno)
-			return false
-		}
-	}
-	return true
+	return !c.failed()
 }
 
-// drain processes stack events; false means the run failed.
+// drain processes stack events; false means the run failed. Every
+// queued next-Step request ends at its harvest.
 func (c *HTTPClient) drain(api API, now int64) bool {
-	n, errno := api.EpollWait(c.epfd, c.evs)
-	if errno != hostos.OK {
-		c.fail(errno)
-		return false
-	}
-	// Every queued next-Step request ends here; a full buffer may have
-	// left ready descriptors unreported, which queues another.
-	c.wantStep = n == len(c.evs)
-	slices.SortFunc(c.evs[:n], func(a, b fstack.Event) int { return a.FD - b.FD })
-	for _, ev := range c.evs[:n] {
-		i, ok := c.byFD[ev.FD]
-		if !ok {
+	evs, ok := c.harvest(api)
+	for _, ev := range evs {
+		i, known := c.byFD[ev.FD]
+		if !known {
 			continue
 		}
 		cc := c.conns[i]
 		if ev.Events&(fstack.EPOLLERR|fstack.EPOLLHUP) != 0 {
-			if c.Resilient {
-				if !c.reconnect(api, i) {
-					return false
-				}
-				continue
+			if !c.reset(api, cc, hostos.ECONNRESET) {
+				return false
 			}
-			c.fail(hostos.ECONNRESET)
-			return false
+			continue
 		}
 		if !cc.up {
 			if ev.Events&fstack.EPOLLOUT != 0 {
 				cc.up = true
-				if errno := api.EpollCtl(c.epfd, fstack.EpollCtlMod, cc.fd, fstack.EPOLLIN); errno != hostos.OK {
-					c.fail(errno)
+				if !c.ctl(api, fstack.EpollCtlMod, cc.fd, fstack.EPOLLIN) {
 					return false
 				}
 			}
@@ -703,7 +544,7 @@ func (c *HTTPClient) drain(api API, now int64) bool {
 			}
 		}
 	}
-	return true
+	return ok
 }
 
 // read consumes response bytes, completing requests in FIFO order.
@@ -714,16 +555,23 @@ func (c *HTTPClient) read(api API, cc *httpCliConn, now int64) bool {
 			return true
 		}
 		if errno != hostos.OK || n == 0 {
-			if c.Resilient {
-				return c.reconnect(api, c.byFD[cc.fd])
-			}
-			c.fail(hostos.ECONNRESET)
-			return false
+			return c.reset(api, cc, hostos.ECONNRESET)
 		}
 		if !c.feed(cc, c.buf[:n], now) {
 			return false
 		}
 	}
+}
+
+// contentLength reads a response head's Content-Length.
+func contentLength(head []byte) (int, bool) {
+	_, rest, ok := bytes.Cut(head, clPrefix)
+	if !ok {
+		return 0, false
+	}
+	digits, _, _ := bytes.Cut(rest, []byte("\r"))
+	v, err := strconv.Atoi(string(digits))
+	return v, err == nil
 }
 
 // feed advances the incremental response parser over arrived bytes.
@@ -736,21 +584,9 @@ func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 			if i < 0 {
 				continue
 			}
-			cl := bytes.Index(cc.hdr[:i], clPrefix)
-			if cl < 0 {
-				c.fail(hostos.EINVAL)
-				return false
-			}
-			rest := cc.hdr[cl+len(clPrefix):]
-			e := bytes.IndexByte(rest, '\r')
-			if e < 0 {
-				c.fail(hostos.EINVAL)
-				return false
-			}
-			v, err := strconv.Atoi(string(rest[:e]))
-			if err != nil {
-				c.fail(hostos.EINVAL)
-				return false
+			v, ok := contentLength(cc.hdr[:i+len(crlfcrlf)])
+			if !ok {
+				return c.ok(hostos.EINVAL)
 			}
 			cc.need, cc.bodyLen = v, v
 			// Bytes past the head are body bytes: re-feed them.
@@ -761,10 +597,7 @@ func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 			}
 			continue
 		}
-		take := len(b)
-		if take > cc.need {
-			take = cc.need
-		}
+		take := min(len(b), cc.need)
 		cc.need -= take
 		b = b[take:]
 		if cc.need == 0 {

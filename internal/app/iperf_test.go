@@ -1,27 +1,27 @@
-package iperf_test
+package app_test
 
 import (
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 	"repro/internal/sim"
 )
 
 func TestIntervalMath(t *testing.T) {
-	iv := iperf.Interval{StartNS: 0, EndNS: 1e9, Bytes: 125_000_000}
+	iv := app.Interval{StartNS: 0, EndNS: 1e9, Bytes: 125_000_000}
 	if got := iv.Mbps(); got < 999 || got > 1001 {
 		t.Fatalf("1 Gbit/s interval computed as %.1f", got)
 	}
-	if (iperf.Interval{}).Mbps() != 0 {
+	if (app.Interval{}).Mbps() != 0 {
 		t.Fatal("degenerate interval")
 	}
 }
 
 func TestReportMath(t *testing.T) {
-	r := iperf.Report{Bytes: 125_000_000, StartNS: 0, EndNS: 2e9}
+	r := app.Report{Bytes: 125_000_000, StartNS: 0, EndNS: 2e9}
 	if got := r.Mbps(); got < 499 || got > 501 {
 		t.Fatalf("rate %.1f", got)
 	}
@@ -33,22 +33,22 @@ func TestReportMath(t *testing.T) {
 	}
 }
 
-// TestClientServerOverStack runs a full iperf pair over the simulated
+// TestIperfClientServerOverStack runs a full iperf pair over the simulated
 // network in virtual time with interval reporting.
-func TestClientServerOverStack(t *testing.T) {
+func TestIperfClientServerOverStack(t *testing.T) {
 	clk := sim.NewVClock()
 	s, err := core.NewBaselineSingle(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := iperf.NewServer(fstack.IPv4Addr{}, 5201)
+	srv := app.NewIperfServer(fstack.IPv4Addr{}, 5201)
 	// Server runs on the peer, client on the local box.
 	papi := s.Peers[0].Env.Loop.Locked()
 	s.Peers[0].Env.Loop.OnLoop = func(now int64) bool {
 		srv.Step(papi, now)
 		return true
 	}
-	cli := iperf.NewClient(fstack.IP4(10, 0, 0, 2), 5201, 100e6 /* 100 ms */)
+	cli := app.NewIperfClient(fstack.IP4(10, 0, 0, 2), 5201, 100e6 /* 100 ms */)
 	cli.IntervalNS = 20e6 // 20 ms windows
 	lapi := s.Envs[0].Loop.Locked()
 	s.Envs[0].Loop.OnLoop = func(now int64) bool {
@@ -90,15 +90,15 @@ func TestClientServerOverStack(t *testing.T) {
 	}
 }
 
-// TestClientConnectionRefused checks failure reporting when no server
+// TestIperfClientConnectionRefused checks failure reporting when no server
 // listens.
-func TestClientConnectionRefused(t *testing.T) {
+func TestIperfClientConnectionRefused(t *testing.T) {
 	clk := sim.NewVClock()
 	s, err := core.NewBaselineSingle(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := iperf.NewClient(fstack.IP4(10, 0, 0, 2), 9999, 50e6)
+	cli := app.NewIperfClient(fstack.IP4(10, 0, 0, 2), 9999, 50e6)
 	lapi := s.Envs[0].Loop.Locked()
 	s.Envs[0].Loop.OnLoop = func(now int64) bool {
 		cli.Step(lapi, now)

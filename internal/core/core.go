@@ -33,10 +33,12 @@
 // build-then-run and the sweep over the host worker pool) and every
 // bulk iperf measurement — Table II and Scenarios 3-7 — through one
 // flow driver (flows.go); a scenario file holds its config defaults,
-// its result struct and its table. The package also carries the
-// drivers behind the remaining tables and figures (latency.go, fig3.go,
-// table1.go), and the scenario registry (registry.go) the cherinet
-// command consumes: each entry declares the flags it reads.
+// its result struct and its table. The endpoints a run places — iperf,
+// churn, HTTP, DNS — all come from internal/app, the one workload
+// package. The package also carries the drivers behind the remaining
+// tables and figures (latency.go, fig3.go, table1.go), and the scenario
+// registry (registry.go) the cherinet command consumes: each entry
+// declares the flags it reads and the range each accepts.
 package core
 
 import (

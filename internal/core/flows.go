@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/app"
 	"repro/internal/fstack"
-	"repro/internal/iperf"
 	"repro/internal/testbed"
 )
 
@@ -36,14 +36,14 @@ type bulkFlow struct {
 
 // newReceiver is the iperf server on every interface: the receiving end
 // of each flow, and the byte sink of the latency probes.
-func newReceiver(port uint16) *iperf.Server {
-	return iperf.NewServer(fstack.IPv4Addr{}, port)
+func newReceiver(port uint16) *app.IperfServer {
+	return app.NewIperfServer(fstack.IPv4Addr{}, port)
 }
 
 // flowReports are one finished flow's figures: the local endpoint's
 // (what Table II tabulates) and the receiver's, behind whatever the
 // path did to the data.
-type flowReports struct{ local, recv iperf.Report }
+type flowReports struct{ local, recv app.Report }
 
 // runFlows runs the flows concurrently for durationNS of virtual
 // traffic time, within budgetNS, and returns their reports in flow
@@ -53,15 +53,15 @@ func runFlows(bed *Setup, what string, flows []bulkFlow, durationNS, budgetNS in
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("core: %s needs at least one flow", what)
 	}
-	clis := make([]*iperf.Client, len(flows))
-	srvs := make([]*iperf.Server, len(flows))
+	clis := make([]*app.IperfClient, len(flows))
+	srvs := make([]*app.IperfServer, len(flows))
 	var eps []placed
 	for i, f := range flows {
 		dst := localIP(f.peer.Port)
 		if f.upload {
 			dst = peerIP(f.peer.Port)
 		}
-		clis[i], srvs[i] = iperf.NewClient(dst, f.port, durationNS), newReceiver(f.port)
+		clis[i], srvs[i] = app.NewIperfClient(dst, f.port, durationNS), newReceiver(f.port)
 		clis[i].LocalPort = f.srcPort
 		var local, remote endpoint = srvs[i], clis[i]
 		if f.upload {

@@ -5,10 +5,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/cheri"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
-	"repro/internal/iperf"
 )
 
 // FFWriteConfig parameterizes the ff_write() latency experiments of
@@ -44,7 +44,7 @@ const latPort = uint16(5301)
 func startPeerSinks(s *Setup, flows int) (stop func()) {
 	var wg sync.WaitGroup
 	for _, p := range s.Peers {
-		sinks := make([]*iperf.Server, flows)
+		sinks := make([]*app.IperfServer, flows)
 		for i := range sinks {
 			sinks[i] = newReceiver(latPort + uint16(i))
 		}

@@ -7,8 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-// smallCfg keeps latency tests fast; benches and the CLI use bigger
-// counts.
+// smallCfg keeps latency tests fast; the CLI uses bigger counts.
 func smallCfg() FFWriteConfig {
 	return FFWriteConfig{Iterations: 300, IntervalNS: 20_000, Payload: 1448}
 }
@@ -16,12 +15,50 @@ func smallCfg() FFWriteConfig {
 // needRealClock gates the wall-clock latency-shape tests: their
 // quartile comparisons measure the host's scheduler as much as the
 // simulator, and they flake when CI machines run under CPU load. Set
-// CHERINET_REALCLOCK=1 to run them (the benchmarks report the same
-// figures unconditionally).
+// CHERINET_REALCLOCK=1 to run them (`cherinet fig4|fig5|fig6` report the
+// same figures unconditionally).
 func needRealClock(t *testing.T) {
 	t.Helper()
 	if os.Getenv("CHERINET_REALCLOCK") == "" {
 		t.Skip("real-clock latency shapes flake under CI CPU load; set CHERINET_REALCLOCK=1 to run")
+	}
+}
+
+// TestFFWriteFiguresStructure is the always-on half of the three
+// figures: the boxes each reports, their labels and that every box holds
+// exactly the iterations asked for, each a positive real-clock reading.
+// It is what runs the threaded harness in tier-1; the host-dependent
+// shapes stay behind needRealClock.
+func TestFFWriteFiguresStructure(t *testing.T) {
+	cfg := FFWriteConfig{Iterations: 50, IntervalNS: 20_000, Payload: 1448}
+	for _, fig := range []struct {
+		name    string
+		measure func(FFWriteConfig) ([]LatencySet, error)
+		labels  []string
+	}{
+		{"fig4", MeasureFig4, []string{"Baseline (cVM1)", "Baseline (cVM2)", "Scenario 1 (cVM1)", "Scenario 1 (cVM2)"}},
+		{"fig5", MeasureFig5, []string{"Baseline", "Scenario 2 (uncontended)"}},
+		{"fig6", MeasureFig6, []string{"Scenario 2 (uncontended)", "Scenario 2 (contended)"}},
+	} {
+		sets, err := fig.measure(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", fig.name, err)
+		}
+		if len(sets) != len(fig.labels) {
+			t.Fatalf("%s: %d boxes, want %d", fig.name, len(sets), len(fig.labels))
+		}
+		for i, s := range sets {
+			if s.Label != fig.labels[i] || len(s.Samples) != cfg.Iterations {
+				t.Errorf("%s box %d: %q with %d samples, want %q with %d",
+					fig.name, i, s.Label, len(s.Samples), fig.labels[i], cfg.Iterations)
+			}
+			for _, ns := range s.Samples {
+				if ns <= 0 {
+					t.Errorf("%s %s: a timed ff_write read %d ns", fig.name, s.Label, ns)
+					break
+				}
+			}
+		}
 	}
 }
 
@@ -93,7 +130,7 @@ func TestFig6ShapeContentionDominates(t *testing.T) {
 	t.Logf("%-26s %v", sets[1].Label, con)
 	// Shape: mutex contention dominates (paper: ≈152x, ~19 µs). The
 	// magnitude is host-dependent; demand a clear (2x) mean blow-up and
-	// let the bench report the real figure.
+	// let `cherinet fig6` report the real figure.
 	if con.Mean < unc.Mean*2 {
 		t.Errorf("contended mean %.0f ns not clearly above uncontended %.0f ns",
 			con.Mean, unc.Mean)

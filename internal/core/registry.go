@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/testbed"
 )
 
 // The scenario registry: one table naming every experiment the
@@ -37,16 +37,37 @@ type ScenarioEntry struct {
 // it appears, except -rate and -conns, which each scenario declares
 // with its own unit and default.
 
-func shardsFlag(fs *flag.FlagSet, usage string) *int { return fs.Int("shards", 4, usage) }
+func shardsFlag(fs *flag.FlagSet, usage string) *int {
+	v := fs.Int("shards", 4, usage)
+	atLeast1(fs, "shards")
+	return v
+}
 
 func flowsFlag(fs *flag.FlagSet) *int { return fs.Int("flows", 8, "concurrent iperf flows") }
 
-func lossFlag(fs *flag.FlagSet, usage string) *float64 { return fs.Float64("loss", 0.01, usage) }
+func lossFlag(fs *flag.FlagSet, usage string) *float64 {
+	v := fs.Float64("loss", 0.01, usage)
+	bounded(fs, "loss", "in [0, 1)", func(v float64) bool { return v >= 0 && v < 1 })
+	return v
+}
 
-func delayFlag(fs *flag.FlagSet, usage string) *int64 { return fs.Int64("delay", 10e6, usage) }
+func delayFlag(fs *flag.FlagSet, usage string) *int64 {
+	v := fs.Int64("delay", 10e6, usage)
+	notNegative(fs, "delay")
+	return v
+}
 
 func rateBpsFlag(fs *flag.FlagSet) *float64 {
-	return fs.Float64("rate", 100e6, "bottleneck rate (bits/s)")
+	v := fs.Float64("rate", 100e6, "bottleneck rate (bits/s)")
+	positive(fs, "rate")
+	return v
+}
+
+// durationFlag declares a scenario's traffic-time flag.
+func durationFlag(fs *flag.FlagSet, name string, def int64, usage string) *int64 {
+	v := fs.Int64(name, def, usage)
+	positive(fs, name)
+	return v
 }
 
 // ccFlag declares -cc; an unregistered algorithm is a usage error.
@@ -80,6 +101,11 @@ func ffWriteFigure(name, desc, title string, figure func(FFWriteConfig) ([]Laten
 		fs.IntVar(&cfg.Iterations, "iters", 100_000, "timed ff_write iterations (paper: 1e6)")
 		fs.Int64Var(&cfg.IntervalNS, "interval", 20_000, "ns between timed writes")
 		fs.IntVar(&cfg.Payload, "payload", 1448, "ff_write payload bytes")
+		atLeast1(fs, "iters")
+		notNegative(fs, "interval")
+		// A gated ff_write stages at most StageWriteSize bytes per call.
+		bounded(fs, "payload", fmt.Sprintf("between 1 and %d", testbed.StageWriteSize),
+			func(v float64) bool { return v >= 1 && v <= testbed.StageWriteSize })
 		return func(w io.Writer) error {
 			sets, err := figure(cfg)
 			if err != nil {
@@ -99,12 +125,58 @@ func noFlags(run func(w io.Writer) error) func(*flag.FlagSet) func(io.Writer) er
 	return func(*flag.FlagSet) func(io.Writer) error { return run }
 }
 
-// atLeast1 is the usual lower bound on a count flag.
-func atLeast1(flagName string, v int) error {
-	if v < 1 {
-		return fmt.Errorf("-%s must be at least 1", flagName)
+// bound is a numeric flag that refuses, when it is parsed, a value
+// outside its range: a usage error (exit 2) that names the flag, before
+// anything runs.
+type bound struct {
+	flag.Getter
+	want string
+	ok   func(v float64) bool
+}
+
+func (b bound) Set(s string) error {
+	if err := b.Getter.Set(s); err != nil {
+		return err
+	}
+	var v float64
+	switch x := b.Get().(type) {
+	case int:
+		v = float64(x)
+	case int64:
+		v = float64(x)
+	case float64:
+		v = x
+	}
+	if !b.ok(v) {
+		return fmt.Errorf("must be %s", b.want)
 	}
 	return nil
+}
+
+// bounded puts a range on the numeric flag name, already declared on fs.
+func bounded(fs *flag.FlagSet, name, want string, ok func(v float64) bool) {
+	f := fs.Lookup(name)
+	f.Value = bound{f.Value.(flag.Getter), want, ok}
+}
+
+// The usual ranges: a count is at least 1, a rate or a duration is
+// positive, a delay is not negative.
+func atLeast1(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		bounded(fs, name, "at least 1", func(v float64) bool { return v >= 1 })
+	}
+}
+
+func positive(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		bounded(fs, name, "positive", func(v float64) bool { return v > 0 })
+	}
+}
+
+func notNegative(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		bounded(fs, name, "zero or more", func(v float64) bool { return v >= 0 })
+	}
 }
 
 // Registry lists every runnable experiment, in `cherinet all` order.
@@ -180,11 +252,8 @@ var Registry = []ScenarioEntry{
 		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
 			shards := shardsFlag(fs, "max stack shards (swept in powers of two)")
 			flows := flowsFlag(fs)
-			duration := fs.Int64("duration", DefaultScenario4Duration, "traffic time (virtual ns)")
+			duration := durationFlag(fs, "duration", DefaultScenario4Duration, "traffic time (virtual ns)")
 			return func(w io.Writer) error {
-				if err := atLeast1("shards", *shards); err != nil {
-					return err
-				}
 				results, err := RunScenario4Sweep(powersOfTwo(*shards), *flows, *duration)
 				if err != nil {
 					return err
@@ -202,7 +271,7 @@ var Registry = []ScenarioEntry{
 			delay := delayFlag(fs, "one-way delay for the loss sweep (ns)")
 			rate := rateBpsFlag(fs)
 			cc := ccFlag(fs, "the modern stacks' controller (empty = reno)")
-			duration := fs.Int64("s5duration", DefaultScenario5Duration, "traffic time per point (virtual ns)")
+			duration := durationFlag(fs, "s5duration", DefaultScenario5Duration, "traffic time per point (virtual ns)")
 			so := obsFlags(fs)
 			return func(w io.Writer) error {
 				losses := []float64{0, *loss / 4, *loss / 2, *loss}
@@ -235,11 +304,9 @@ var Registry = []ScenarioEntry{
 			mode := fs.String("mode", "upload", "traffic direction: upload (sharded box sends) or download (peer sends into the cloned listeners)")
 			ackrate := fs.Float64("ackrate", 0, "reverse (ACK) channel bottleneck (bits/s; 0 = clean)")
 			cc := ccFlag(fs, "the modern stacks' controller (empty = reno)")
-			duration := fs.Int64("s6duration", DefaultScenario6Duration, "traffic time per point (virtual ns)")
+			duration := durationFlag(fs, "s6duration", DefaultScenario6Duration, "traffic time per point (virtual ns)")
+			notNegative(fs, "ackrate")
 			return func(w io.Writer) error {
-				if err := atLeast1("shards", *shards); err != nil {
-					return err
-				}
 				base := Scenario6Config{Congestion: *cc}
 				switch *mode {
 				case "", "upload":
@@ -268,7 +335,7 @@ var Registry = []ScenarioEntry{
 		Bind: func(fs *flag.FlagSet) func(io.Writer) error {
 			cc := ccFlag(fs, "restricts the sweep to one controller (empty = both)")
 			rate := rateBpsFlag(fs)
-			duration := fs.Int64("s7duration", DefaultScenario7Duration, "traffic time per point (virtual ns)")
+			duration := durationFlag(fs, "s7duration", DefaultScenario7Duration, "traffic time per point (virtual ns)")
 			return func(w io.Writer) error {
 				ccs := []string{fstack.CCReno, fstack.CCCubic}
 				if *cc != "" {
@@ -291,14 +358,10 @@ var Registry = []ScenarioEntry{
 			conns := fs.Int("conns", 100_000, "idle connection population held across the churn")
 			rate := fs.Float64("rate", 50_000, "offered churn rate (flows/s; the ladder tops out here)")
 			shards := shardsFlag(fs, "server stack shards")
-			duration := fs.Int64("s8duration", DefaultScenario8Duration, "churn time per point (virtual ns)")
+			duration := durationFlag(fs, "s8duration", DefaultScenario8Duration, "churn time per point (virtual ns)")
+			atLeast1(fs, "conns")
+			positive(fs, "rate")
 			return func(w io.Writer) error {
-				if err := cmp.Or(atLeast1("shards", *shards), atLeast1("conns", *conns)); err != nil {
-					return err
-				}
-				if *rate <= 0 {
-					return fmt.Errorf("the churn rate must be positive")
-				}
 				results, err := RunScenario8RateSweep(*shards, *conns, []float64{*rate / 4, *rate / 2, *rate}, *duration)
 				if err != nil {
 					return err
@@ -318,7 +381,9 @@ var Registry = []ScenarioEntry{
 			loss := lossFlag(fs, "link loss rate")
 			delay := delayFlag(fs, "link one-way delay (ns)")
 			shards := shardsFlag(fs, "server stack shards (and client workers)")
-			duration := fs.Int64("s9duration", DefaultScenario9Duration, "measured time per point (virtual ns)")
+			duration := durationFlag(fs, "s9duration", DefaultScenario9Duration, "measured time per point (virtual ns)")
+			atLeast1(fs, "conns")
+			positive(fs, "rate")
 			so := obsFlags(fs)
 			return func(w io.Writer) error {
 				protos := []string{"http", "dns"}
@@ -328,12 +393,6 @@ var Registry = []ScenarioEntry{
 					protos = []string{*proto}
 				default:
 					return fmt.Errorf("-proto must be http or dns, not %q", *proto)
-				}
-				if err := cmp.Or(atLeast1("shards", *shards), atLeast1("conns", *conns)); err != nil {
-					return err
-				}
-				if *rate <= 0 {
-					return fmt.Errorf("the request rate must be positive")
 				}
 				link := netem.Config{LossRate: *loss, DelayNS: *delay}
 				rates := []float64{*rate / 4, *rate / 2, *rate}
@@ -365,14 +424,10 @@ var Registry = []ScenarioEntry{
 			fs.Int64Var(&cfg.MTBFNS, "mtbf", 60e6, "mean time between faults (virtual ns)")
 			fs.IntVar(&cfg.Conns, "conns", 4, "closed-loop keep-alive connections per shard")
 			fs.Int64Var(&cfg.DurationNS, "s10duration", DefaultScenario10Duration, "measured time (virtual ns)")
+			atLeast1(fs, "shards", "faults", "conns")
+			positive(fs, "mtbf", "s10duration")
 			so := obsFlags(fs)
 			return func(w io.Writer) error {
-				if err := cmp.Or(atLeast1("shards", cfg.Shards), atLeast1("faults", cfg.Faults), atLeast1("conns", cfg.Conns)); err != nil {
-					return err
-				}
-				if cfg.MTBFNS <= 0 {
-					return fmt.Errorf("-mtbf must be positive")
-				}
 				results, err := RunScenario10Sweep(cfg, *so)
 				if err != nil {
 					return err

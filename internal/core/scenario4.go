@@ -90,7 +90,7 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 
 // Scenario4Result is one measured (shard count, direction) point.
 // (Per-shard load shows up in ShardedStack.ShardStats and the device's
-// QueueStats, which is what examples/multicore prints.)
+// QueueStats.)
 type Scenario4Result struct {
 	Shards  int
 	Flows   int

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/churn"
+	"repro/internal/app"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/testbed"
@@ -133,8 +133,8 @@ func (r Scenario8Result) AcceptsPerSec() float64 {
 func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error) {
 	res := Scenario8Result{Shards: cfg.Shards, CapMode: cfg.CapMode, Conns: cfg.Conns, Rate: cfg.Rate}
 
-	srv := churn.NewServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, s8Ports, s8Backlog)
-	cli, err := churn.NewClient(localIP(0), s8PreloadPort, s8ChurnPort, s8Ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
+	srv := app.NewChurnServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, s8Ports, s8Backlog)
+	cli, err := app.NewChurnClient(localIP(0), s8PreloadPort, s8ChurnPort, s8Ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
 	if err != nil {
 		return res, err
 	}

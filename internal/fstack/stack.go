@@ -104,8 +104,14 @@ func (st *StackStats) Add(o StackStats) {
 // RecoverySummary formats the retransmit breakdown for scenario
 // summaries.
 func (st StackStats) RecoverySummary() string {
-	return fmt.Sprintf("retx %d (fast %d, sack %d, rto %d), dup-acks %d",
+	s := fmt.Sprintf("retx %d (fast %d, sack %d, rto %d), dup-acks %d",
 		st.Retransmit, st.FastRetransmit, st.SACKRetransmit, st.RTORetransmit, st.DupAcks)
+	if st.ReassDrops > 0 {
+		// A receiver that refused out-of-order segments says so; a run
+		// that dropped none prints as it always did.
+		s += fmt.Sprintf(", reass-drops %d", st.ReassDrops)
+	}
+	return s
 }
 
 // TCPTuning is the stack-wide TCP feature configuration, the analog of

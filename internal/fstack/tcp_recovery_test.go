@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -705,6 +706,14 @@ func TestReassemblyRefusalsAreCounted(t *testing.T) {
 	sum.Add(StackStats{ReassDrops: 4})
 	if sum.ReassDrops != 5 {
 		t.Fatalf("StackStats.Add carried %d reassembly drops, want 5", sum.ReassDrops)
+	}
+	// The counter reaches the reports — and only when it has something
+	// to say, so a run that dropped nothing prints as it always did.
+	if got := sum.RecoverySummary(); !strings.HasSuffix(got, ", reass-drops 5") {
+		t.Fatalf("summary does not report the drops: %q", got)
+	}
+	if got := (StackStats{}).RecoverySummary(); strings.Contains(got, "reass") {
+		t.Fatalf("a clean run's summary changed: %q", got)
 	}
 }
 

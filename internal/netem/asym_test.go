@@ -6,8 +6,8 @@ package netem_test
 import (
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/fstack"
-	"repro/internal/iperf"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -105,10 +105,10 @@ func runForwardTransfer(t *testing.T, link *testbed.LinkSpec) float64 {
 	bed.Peers[0].Env.Stk.SetRTOMin(200e6)
 
 	const port = 5601
-	cli := iperf.NewClient(testbed.PeerIP(0), port, 200e6)
+	cli := app.NewIperfClient(testbed.PeerIP(0), port, 200e6)
 	api := bed.Envs[0].Loop.Locked()
 	bed.Envs[0].Loop.OnLoop = func(now int64) bool { cli.Step(api, now); return true }
-	srv := iperf.NewServer(fstack.IPv4Addr{}, port)
+	srv := app.NewIperfServer(fstack.IPv4Addr{}, port)
 	papi := bed.Peers[0].Env.Loop.Locked()
 	bed.Peers[0].Env.Loop.OnLoop = func(now int64) bool { srv.Step(papi, now); return true }
 
