@@ -88,6 +88,9 @@ func TestOutOfRangeValueRejected(t *testing.T) {
 		{"fig6", "payload", "400000"},
 		{"fig5", "interval", "-1"},
 		{"scenario4", "shards", "0"},
+		{"scenario4", "shards", "9"}, // used to sweep to 8 in silence
+		{"scenario8", "shards", "9"}, // used to die inside Build, exit 1
+		{"scenario9", "shards", "16"},
 		{"scenario4", "duration", "-1"},
 		{"scenario5", "rate", "-1"},
 		{"scenario5", "loss", "1"},

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/netem"
+	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -39,7 +40,8 @@ type ScenarioEntry struct {
 
 func shardsFlag(fs *flag.FlagSet, usage string) *int {
 	v := fs.Int("shards", 4, usage)
-	atLeast1(fs, "shards")
+	// One shard per queue pair of the port it drives.
+	bounded(fs, "shards", fmt.Sprintf("between 1 and %d", nic.MaxQueues), func(v float64) bool { return v >= 1 && v <= nic.MaxQueues })
 	return v
 }
 

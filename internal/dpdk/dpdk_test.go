@@ -20,8 +20,10 @@ type rig struct {
 	segB *MemSeg
 	devA *EthDev
 	devB *EthDev
-	popA *Mempool
-	popB *Mempool
+	// portA is the port under devA, for the tests that tap its arrivals.
+	portA *nic.Port
+	popA  *Mempool
+	popB  *Mempool
 }
 
 func newRig(t *testing.T, capMode bool) *rig {
@@ -73,7 +75,7 @@ func newRigQueues(t *testing.T, capMode bool, nq int) *rig {
 		}
 		return seg
 	}
-	r := &rig{mem: mem, clk: clk, pci: pci, segA: mkSeg(0x100000), segB: mkSeg(0x400000)}
+	r := &rig{mem: mem, clk: clk, pci: pci, segA: mkSeg(0x100000), segB: mkSeg(0x400000), portA: ca.Port(0)}
 
 	for _, bdf := range []string{"0000:03:00.0", "0000:04:00.0"} {
 		if errno := pci.Unbind(bdf); errno != hostos.OK {

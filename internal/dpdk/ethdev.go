@@ -63,6 +63,10 @@ type EthDev struct {
 	pool *Mempool
 	mac  [6]byte
 
+	// queueDeadline is the device's per-queue deadline hook, resolved
+	// once in Probe.
+	queueDeadline func(q int, now int64) int64
+
 	rxqs []rxQueue
 	txqs []txQueue
 
@@ -102,6 +106,14 @@ func Probe(pci *hostos.PCI, bdf string, seg *MemSeg) (*EthDev, error) {
 		return nil, fmt.Errorf("dpdk: device %s cannot be polled", bdf)
 	}
 	d := &EthDev{dev: dev, step: st.Step, seg: seg}
+	// A device without the hook (hostos.PCIDevice is a foreign interface
+	// we cannot extend here) reports "work now", which disables leaping
+	// over it entirely — slower, never wrong. Silence in the other
+	// direction (MaxInt64) would let the driver skip frames it holds.
+	d.queueDeadline = func(_ int, now int64) int64 { return now }
+	if qd, ok := dev.(interface{ QueueDeadline(q int, now int64) int64 }); ok {
+		d.queueDeadline = qd.QueueDeadline
+	}
 	ral := dev.RegRead32(nic.RegRAL0)
 	rah := dev.RegRead32(nic.RegRAH0)
 	d.mac = [6]byte{byte(ral), byte(ral >> 8), byte(ral >> 16), byte(ral >> 24), byte(rah), byte(rah >> 8)}
@@ -400,33 +412,33 @@ func (d *EthDev) PollQ(q int) {
 	d.reclaimTX(q)
 }
 
-// NextDeadline reports the earliest virtual instant this device could
-// make progress: immediately when a received frame already sits in a
-// descriptor the driver has not harvested, otherwise whenever the
-// underlying port (FIFOs, line serializer, attached conduit) next has
-// work. math.MaxInt64 means the device is fully quiescent. The
-// event-driven simulation driver aggregates these to leap the clock
-// over provably empty poll iterations.
+// NextDeadline reports the earliest virtual instant the device as a
+// whole could make progress: immediately when any queue holds a received
+// frame the driver has not harvested, otherwise whenever the underlying
+// port next has work. No stack asks it — each asks its own Queue handle —
+// so it is the reference the handles are held to: the earliest of their
+// answers is this one.
 func (d *EthDev) NextDeadline(now int64) int64 {
 	if !d.started {
 		return math.MaxInt64
 	}
 	for q := range d.rxqs {
-		rq := &d.rxqs[q]
-		status, _, err := d.descStatus(rq.base + uint64(rq.next)*nic.DescSize)
-		if err == nil && status&nic.StatDD != 0 {
-			return now // harvestable frame waiting in the ring
+		if d.rxReady(q) {
+			return now
 		}
 	}
 	if dl, ok := d.dev.(interface{ NextDeadline(now int64) int64 }); ok {
 		return dl.NextDeadline(now)
 	}
-	// Unknown PCI device (hostos.PCIDevice is a foreign interface we
-	// cannot extend here): report "work now", which disables leaping
-	// over this device entirely — slower, never wrong. Silence in the
-	// other direction (MaxInt64) would let the driver skip frames a
-	// forgetful wrapper holds.
-	return now
+	return now // unknown device: see Probe
+}
+
+// rxReady reports whether queue q's next RX descriptor already holds a
+// frame the driver has not harvested.
+func (d *EthDev) rxReady(q int) bool {
+	rq := &d.rxqs[q]
+	status, _, err := d.descStatus(rq.base + uint64(rq.next)*nic.DescSize)
+	return err == nil && status&nic.StatDD != 0
 }
 
 // Stats reads the device counters (whole-port aggregates).
@@ -476,10 +488,22 @@ func (h Queue) TxBurst(bufs []*Mbuf) int { return h.d.TxBurstQ(h.q, bufs) }
 func (h Queue) Poll()                    { h.d.PollQ(h.q) }
 func (h Queue) MAC() [6]byte             { return h.d.mac }
 
-// NextDeadline is the whole port's. The port-wide answer is
-// conservative — another queue's frame may wake this queue's stack for
-// a no-op iteration — which costs a visit, never a missed event.
-func (h Queue) NextDeadline(now int64) int64 { return h.d.NextDeadline(now) }
+// NextDeadline reports the earliest virtual instant this queue pair's
+// owner could make progress: immediately when a received frame already
+// sits in its next RX descriptor, otherwise whenever the port next has
+// work of this queue's (nic.Port.QueueDeadline) — another queue's frame
+// is another loop's to harvest and does not wake this one. An index the
+// burst calls would refuse can never be due. The event-driven driver
+// leaps the clock over the iterations these answers prove empty.
+func (h Queue) NextDeadline(now int64) int64 {
+	if !h.d.started || h.q >= len(h.d.rxqs) {
+		return math.MaxInt64
+	}
+	if h.d.rxReady(h.q) {
+		return now // harvestable frame waiting in the ring
+	}
+	return h.d.queueDeadline(h.q, now)
+}
 
 // RxQueueOf reports which RX queue the device's RSS classifier would
 // select for an inbound IPv4 packet with the given flow tuple — the

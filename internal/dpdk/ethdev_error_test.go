@@ -1,6 +1,7 @@
 package dpdk
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cheri"
@@ -54,6 +55,9 @@ func TestEthDevMisuse(t *testing.T) {
 		t.Fatal("tx before start accepted frames")
 	}
 	dev.PollQ(0) // must be harmless
+	if d := dev.Queue(0).NextDeadline(0); d != math.MaxInt64 {
+		t.Fatalf("a queue of a device not started is due at %d", d)
+	}
 	// Undersized rings.
 	if err := dev.ConfigureQueues(1, 4, 4, pool); err == nil {
 		t.Fatal("tiny rings accepted")
@@ -71,6 +75,17 @@ func TestEthDevMisuse(t *testing.T) {
 	// Double start.
 	if err := dev.Start(); err == nil {
 		t.Fatal("double start accepted")
+	}
+	// A queue the device does not have: the bursts refuse it, so nothing
+	// of it can ever be due.
+	if n := dev.RxBurstQ(1, make([]*Mbuf, 4)); n != 0 {
+		t.Fatal("rx on an unconfigured queue returned frames")
+	}
+	if d := dev.Queue(1).NextDeadline(0); d != math.MaxInt64 {
+		t.Fatalf("an unconfigured queue is due at %d", d)
+	}
+	if d := dev.Queue(0).NextDeadline(0); d != math.MaxInt64 {
+		t.Fatalf("an idle queue on an unconnected port is due at %d", d)
 	}
 }
 

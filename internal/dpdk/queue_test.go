@@ -2,6 +2,8 @@ package dpdk
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -14,11 +16,10 @@ type refQueueDev struct {
 	q   int
 }
 
-func (d refQueueDev) RxBurst(out []*Mbuf) int      { return d.dev.RxBurstQ(d.q, out) }
-func (d refQueueDev) TxBurst(bufs []*Mbuf) int     { return d.dev.TxBurstQ(d.q, bufs) }
-func (d refQueueDev) Poll()                        { d.dev.PollQ(d.q) }
-func (d refQueueDev) MAC() [6]byte                 { return d.dev.MAC() }
-func (d refQueueDev) NextDeadline(now int64) int64 { return d.dev.NextDeadline(now) }
+func (d refQueueDev) RxBurst(out []*Mbuf) int  { return d.dev.RxBurstQ(d.q, out) }
+func (d refQueueDev) TxBurst(bufs []*Mbuf) int { return d.dev.TxBurstQ(d.q, bufs) }
+func (d refQueueDev) Poll()                    { d.dev.PollQ(d.q) }
+func (d refQueueDev) MAC() [6]byte             { return d.dev.MAC() }
 
 // queueSurface is what both sides of the comparison offer.
 type queueSurface interface {
@@ -26,18 +27,22 @@ type queueSurface interface {
 	TxBurst(bufs []*Mbuf) int
 	Poll()
 	MAC() [6]byte
-	NextDeadline(now int64) int64
 }
 
 // TestQueueHandleMatchesReferenceAdapter drives EthDev.Queue(q) and the
 // reference adapter through one seeded script of bursts on two identical
 // 4-queue rigs and requires, after every burst, the same mbufs (address,
 // bytes), the same per-queue and device counters, the same pool level
-// and the same descriptor-ring state on every queue.
+// and the same descriptor-ring state on every queue. The handles'
+// deadlines are held to the device-wide answer, EthDev.NextDeadline: the
+// earliest of them is that answer after every burst, and a frame the far
+// end delivers moves the deadline of the queue RSS steers it to — to its
+// arrival instant, unless that queue had earlier work — and no other's.
 func TestQueueHandleMatchesReferenceAdapter(t *testing.T) {
 	const nq = 4
 	ref, got := newRigQueues(t, false, nq), newRigQueues(t, false, nq)
-	var refQ, gotQ [nq]queueSurface
+	var refQ [nq]queueSurface
+	var gotQ [nq]Queue
 	for q := 0; q < nq; q++ {
 		refQ[q] = refQueueDev{dev: ref.devA, q: q}
 		gotQ[q] = got.devA.Queue(q)
@@ -65,26 +70,49 @@ func TestQueueHandleMatchesReferenceAdapter(t *testing.T) {
 		if a, b := ref.popA.Avail(), got.popA.Avail(); a != b {
 			t.Fatalf("step %d (%s): pool holds %d, reference %d", step, what, b, a)
 		}
-		now := ref.clk.Now()
+		now, earliest := got.clk.Now(), int64(math.MaxInt64)
 		for q := 0; q < nq; q++ {
-			if a, b := refQ[q].NextDeadline(now), gotQ[q].NextDeadline(got.clk.Now()); a != b {
-				t.Fatalf("step %d (%s): queue %d deadline %d, reference %d", step, what, q, b, a)
-			}
+			earliest = min(earliest, gotQ[q].NextDeadline(now))
+		}
+		if want := got.devA.NextDeadline(now); earliest != want {
+			t.Fatalf("step %d (%s): earliest queue deadline %d, device-wide %d", step, what, earliest, want)
 		}
 	}
+	// arrived[q] is the earliest arrival instant of the frames the wire
+	// handed queue q since the last reset.
+	var arrived [nq]int64
+	got.portA.SetRxTap(func(readyAt int64, f []byte) {
+		q := got.devA.RxQueueOf([4]byte(f[26:30]), [4]byte(f[30:34]), f[23],
+			binary.BigEndian.Uint16(f[34:36]), binary.BigEndian.Uint16(f[36:38]))
+		arrived[q] = min(arrived[q], readyAt)
+	})
 
 	rng := rand.New(rand.NewSource(19))
 	src, dst := [4]byte{10, 0, 0, 2}, [4]byte{10, 0, 0, 1}
-	harvested := 0
+	harvested, woken := 0, 0
 	for step := 0; step < 600; step++ {
 		q := rng.Intn(nq)
 		switch op := rng.Intn(4); op {
 		case 0: // the far end sends a few flows; RSS spreads them
 			for k := rng.Intn(6); k >= 0; k-- {
 				frame := udpFrame(src, dst, uint16(rng.Uint32()), uint16(5301+rng.Intn(8)), 32+rng.Intn(900))
+				now := got.clk.Now()
+				var before [nq]int64
+				for j := range before {
+					before[j], arrived[j] = gotQ[j].NextDeadline(now), math.MaxInt64
+				}
 				for _, r := range []*rig{ref, got} {
 					if r.devB.TxBurstQ(0, []*Mbuf{makeFrame(t, r.popB, frame)}) != 1 {
 						t.Fatalf("step %d: far end refused a frame", step)
+					}
+				}
+				for j := range before {
+					if d, want := gotQ[j].NextDeadline(now), min(before[j], arrived[j]); d != want {
+						t.Fatalf("step %d: queue %d deadline %d after the far end's burst, want %d (was %d, its frames arrive at %d)",
+							step, j, d, want, before[j], arrived[j])
+					}
+					if arrived[j] < before[j] {
+						woken++
 					}
 				}
 			}
@@ -143,7 +171,7 @@ func TestQueueHandleMatchesReferenceAdapter(t *testing.T) {
 			}
 		}
 	}
-	if harvested == 0 {
-		t.Fatal("script harvested no frames; the fence checked nothing")
+	if harvested == 0 || woken < 20 {
+		t.Fatalf("script harvested %d frames and moved a queue's deadline %d times; the fence checked nothing", harvested, woken)
 	}
 }

@@ -48,7 +48,7 @@ func (w *hookWire) Pump(int64) {}
 
 // NextDeadline implements nic.Conduit: the hook delays frames via
 // readyAt, so held work already shows up as far-FIFO deadlines.
-func (w *hookWire) NextDeadline(int64) int64 { return math.MaxInt64 }
+func (w *hookWire) NextDeadline(int, int64) int64 { return math.MaxInt64 }
 
 // newHookedEnv is newEnv with a hookWire instead of a plain cable.
 func newHookedEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) (int64, bool)) *testEnv {

@@ -80,16 +80,16 @@ func TestCarrierNextDeadlineAndTrace(t *testing.T) {
 	l.SetTrace(tr, 40)
 	l.SetCarrierSchedule(0, []int64{1_000_000, 2_000_000})
 
-	if d := l.NextDeadline(0); d != 1_000_000 {
+	if d := l.NextDeadline(1, 0); d != 1_000_000 {
 		t.Fatalf("NextDeadline before first toggle: %d", d)
 	}
 	l.Pump(1_500_000) // consume the down edge
-	if d := l.NextDeadline(0); d != 2_000_000 {
+	if d := l.NextDeadline(1, 0); d != 2_000_000 {
 		t.Fatalf("NextDeadline between toggles: %d", d)
 	}
 	l.Send(0, []byte("x"), 1_600_000) // dropped: carrier down
 	l.Pump(2_500_000)                 // consume the up edge
-	if d := l.NextDeadline(0); d != math.MaxInt64 {
+	if d := l.NextDeadline(1, 0); d != math.MaxInt64 {
 		t.Fatalf("NextDeadline after schedule exhausted: %d", d)
 	}
 

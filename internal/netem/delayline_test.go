@@ -111,12 +111,12 @@ func TestPumpWakeMirrorTracksDeadlines(t *testing.T) {
 	var b recorder
 	l := New(clk, &recorder{}, &b, Config{DelayNS: 1000})
 	const never = int64(1<<63 - 1)
-	if got := l.NextDeadline(0); got != never {
+	if got := l.NextDeadline(1, 0); got != never {
 		t.Fatalf("empty link: deadline %d, want none", got)
 	}
 	l.Send(0, make([]byte, 64), 0)
 	l.Send(0, make([]byte, 64), 500)
-	if got := l.NextDeadline(0); got != 1000 {
+	if got := l.NextDeadline(1, 0); got != 1000 {
 		t.Fatalf("after two sends: deadline %d, want 1000", got)
 	}
 	clk.Set(999)
@@ -126,21 +126,21 @@ func TestPumpWakeMirrorTracksDeadlines(t *testing.T) {
 	}
 	clk.Set(1000)
 	l.Pump(1000)
-	if len(b.frames) != 1 || l.NextDeadline(1000) != 1500 {
-		t.Fatalf("at 1000: %d delivered, deadline %d; want 1 and 1500", len(b.frames), l.NextDeadline(1000))
+	if len(b.frames) != 1 || l.NextDeadline(1, 1000) != 1500 {
+		t.Fatalf("at 1000: %d delivered, deadline %d; want 1 and 1500", len(b.frames), l.NextDeadline(1, 1000))
 	}
 	l.SetCarrierSchedule(0, []int64{1200, 1800})
-	if got := l.NextDeadline(1000); got != 1200 {
+	if got := l.NextDeadline(1, 1000); got != 1200 {
 		t.Fatalf("carrier toggle pending: deadline %d, want 1200", got)
 	}
 	clk.Set(1200)
 	l.Pump(1200) // takes the toggle; the frame due at 1500 stays held
-	if got := l.NextDeadline(1200); got != 1500 || len(b.frames) != 1 {
+	if got := l.NextDeadline(1, 1200); got != 1500 || len(b.frames) != 1 {
 		t.Fatalf("after toggle: deadline %d (want 1500), %d delivered", got, len(b.frames))
 	}
 	clk.Set(2000)
 	l.Pump(2000)
-	if got := l.NextDeadline(2000); got != never || len(b.frames) != 2 {
+	if got := l.NextDeadline(1, 2000); got != never || len(b.frames) != 2 {
 		t.Fatalf("drained: deadline %d (want none), %d delivered", got, len(b.frames))
 	}
 	if !l.Carrier(0, 2000) {

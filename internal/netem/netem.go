@@ -524,14 +524,14 @@ func (l *Link) Pump(now int64) {
 	}
 }
 
-// NextDeadline reports the earliest instant at which a held frame (in
-// either direction) becomes due, or math.MaxInt64 when the delay lines
-// are empty. The attached ports fold this into their own deadlines, so
-// the event-driven driver leaps straight to the next delivery.
-func (l *Link) NextDeadline(int64) int64 {
-	// wakeAt already folds in pending flap edges, so the leaping driver
-	// visits every toggle instant (and traces it) even on an idle link.
-	return min(l.dirs[0].wakeAt.Load(), l.dirs[1].wakeAt.Load())
+// NextDeadline reports the earliest instant Pump has work for endpoint
+// `to`: the wakeAt of the direction that delivers there — its delay
+// line's head, or its next carrier edge, so the leaping driver visits
+// (and traces) every toggle instant even on an idle link. The port at
+// that end folds this into its own deadline; the other end's loops sleep
+// through it.
+func (l *Link) NextDeadline(to int, _ int64) int64 {
+	return l.dirs[1-to].wakeAt.Load()
 }
 
 // stepGE advances the Gilbert–Elliott chain to time `at`, one

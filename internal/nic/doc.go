@@ -28,9 +28,12 @@
 // The device is interrupt-less: Step drains rings when called, and the
 // DPDK PMD calls it from rx_burst/tx_burst — polling mode, as DPDK does.
 // For the event-driven virtual clock each port also answers deadline
-// queries (Port.NextDeadline): when could it next act — a FIFO head
-// becoming harvestable, a pending TX descriptor becoming admissible,
-// the attached conduit releasing a frame. Frame buffers crossing a
+// queries, per queue pair (Port.QueueDeadline): when could that queue
+// next act — its FIFO head becoming harvestable, its pending TX
+// descriptor becoming admissible — or the attached conduit release a
+// frame toward this port. A frame thus wakes only the loop that will
+// harvest it; Port.NextDeadline is the earliest of the queues' answers.
+// Frame buffers crossing a
 // conduit come from a sync.Pool arena (arena.go) whose ownership rules
 // are documented there and in DESIGN.md §8.
 //

@@ -61,7 +61,7 @@ type Port struct {
 	rssTab [12][256]uint32
 
 	// Fault injection (the Scenario 10 fault plane). stalled queues are
-	// skipped by Step and excluded from NextDeadline (guarded by mu);
+	// skipped by Step and excluded from QueueDeadline (guarded by mu);
 	// dmaFaults budgets injected DMA failures consumed by dmaRO/dmaRW —
 	// atomics, because the DMA helpers run without p.mu held.
 	stalled    [MaxQueues]bool
@@ -307,7 +307,7 @@ func (p *Port) resetLocked() {
 
 // countProgrammedLocked recomputes nq: one past the highest queue with a
 // ring of at least one descriptor, the condition every ring test below
-// (movable, NextDeadline's armed/pending) starts from. Caller holds p.mu.
+// (movable, QueueDeadline's armed/pending) starts from. Caller holds p.mu.
 func (p *Port) countProgrammedLocked() {
 	p.nq = 0
 	for q := range p.regs.rxq {
@@ -621,72 +621,55 @@ func (p *Port) PendingRX() int {
 // hook).
 func (p *Port) PendingRXQueue(q int) int { return p.fifos[q].pending() }
 
-// NextDeadline reports the earliest virtual instant at or after which
-// this port could make progress: the head frame of an armed RX queue
-// becoming harvestable — fully arrived AND admissible on the port's bus
-// share, since a frame the bus refuses stays in the FIFO — a pending TX
-// descriptor becoming admissible on the line and the bus, or the
-// attached conduit releasing a held frame. math.MaxInt64 means the port
-// holds no time-based work. A value <= now means the port has work
-// right now.
+// QueueDeadline reports the earliest virtual instant at or after which
+// queue pair q could make progress — what the loop that owns q, and only
+// that loop, has to be stepped for: q's head frame becoming harvestable
+// (fully arrived AND admissible on the port's bus share, since a frame
+// the bus refuses stays in the FIFO) and q's pending TX descriptor
+// becoming admissible on the line and the bus. Two terms no queue owns
+// are in every queue's answer: the attached conduit releasing a frame
+// toward this port (RSS classifies it only on delivery) and the arbiter
+// poll cap below. math.MaxInt64 means no time-based work; a value <= now
+// means work right now.
 //
 // The query is side-effect free — in particular it must not touch the
 // bus arbiter, whose activity window is part of the simulated machine
 // state (see busNextAdmitAt).
-func (p *Port) NextDeadline(now int64) int64 {
+func (p *Port) QueueDeadline(q int, now int64) int64 {
 	p.mu.Lock()
-	pipe, nq := p.pipe, p.nq
-	rxEn := p.regs.rctl&RctlEN != 0
-	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
-	var rxArmed [MaxQueues]bool
-	txPending, rxPolls := false, false
-	for q := 0; q < nq; q++ {
-		// A stalled queue holds no time-based work: excluding it keeps
-		// the leaping driver from spinning at `now` on a ring that will
-		// not move until the fault plane thaws it.
-		rxArmed[q] = rxEn && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
-		if rxArmed[q] && p.regs.rxq[q].head != p.regs.rxq[q].tail {
-			rxPolls = true // Step enters stepRX, which polls the arbiter
-		}
-		if txEn && p.regs.txq[q].length >= DescSize && !p.stalled[q] &&
-			p.regs.txq[q].head != p.regs.txq[q].tail {
-			txPending = true
+	pipe, end := p.pipe, p.pipeEnd
+	// A stalled queue holds no time-based work: excluding it keeps the
+	// leaping driver from spinning at `now` on a ring that will not move
+	// until the fault plane thaws it.
+	rxArmed := p.regs.rctl&RctlEN != 0 && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
+	tx, _ := p.movableLocked(q)
+	rxPolls := false // some queue's Step enters stepRX, which polls the arbiter
+	if p.card.busLimited() {
+		for i := 0; i < p.nq && !rxPolls; i++ {
+			_, rx := p.movableLocked(i)
+			rxPolls = rx.n > 0
 		}
 	}
 	p.mu.Unlock()
 
 	// The port's bus share books RX and TX alike and only moves when
-	// this port DMAs, so one reading serves every queue.
+	// this port DMAs, so one reading serves both directions.
 	busAt := p.card.busNextAdmitAt(p.idx, now)
 	d := int64(math.MaxInt64)
-	for q := 0; q < nq; q++ {
-		if !rxArmed[q] {
-			continue
-		}
-		at := p.fifos[q].headAt.Load()
-		if at <= now && busAt > now {
+	if rxArmed {
+		d = p.fifos[q].headAt.Load()
+		if d <= now && busAt > now {
 			// Arrived but bus-throttled: stepRX refuses it (touching
 			// only the arbiter, which the cap below accounts for) until
 			// the share re-enters its booking window.
-			at = busAt
-		}
-		if at < d {
-			d = at
+			d = busAt
 		}
 	}
-	if txPending {
-		at := p.line.NextAdmitAt(now)
-		if busAt > at {
-			at = busAt
-		}
-		if at < d {
-			d = at
-		}
+	if tx.n > 0 {
+		d = min(d, max(p.line.NextAdmitAt(now), busAt))
 	}
 	if pipe != nil {
-		if at := pipe.NextDeadline(now); at < d {
-			d = at
-		}
+		d = min(d, pipe.NextDeadline(end, now))
 	}
 	// On a bus-limited card the polling itself is state: every armed
 	// port's Step touches the fair-share arbiter each iteration, and a
@@ -695,14 +678,27 @@ func (p *Port) NextDeadline(now int64) int64 {
 	// window — measured from its own last touch, since a driver that
 	// steps only due loops may visit many instants without stepping this
 	// one — keeps the arbiter's view identical to the tick-stepped
-	// driver's. A port whose Step would not reach the arbiter (every RX
+	// driver's. Any loop's Step polls for every queue, so the cap is the
+	// port's. A port whose Step would not reach the arbiter (every RX
 	// ring stalled or out of free descriptors) has no poll to keep up:
 	// its last touch only ages, and a cap anchored there would sit in
 	// the past and have the driver poll the loop at every tick.
 	if rxPolls {
-		if by := p.card.busPollBy(p.idx); by < d {
-			d = by
-		}
+		d = min(d, p.card.busPollBy(p.idx))
+	}
+	return d
+}
+
+// NextDeadline is the whole port's answer: the earliest QueueDeadline
+// over the programmed queues. Queue 0 is always asked, so a port with no
+// ring programmed still reports its conduit.
+func (p *Port) NextDeadline(now int64) int64 {
+	p.mu.Lock()
+	nq := p.nq
+	p.mu.Unlock()
+	d := p.QueueDeadline(0, now)
+	for q := 1; q < nq; q++ {
+		d = min(d, p.QueueDeadline(q, now))
 	}
 	return d
 }

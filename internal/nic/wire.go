@@ -126,12 +126,13 @@ type Conduit interface {
 	Send(from int, data []byte, readyAt int64)
 	// Pump delivers any held frames that are due at virtual time now.
 	Pump(now int64)
-	// NextDeadline reports the earliest instant a held frame becomes
-	// due, or math.MaxInt64 for a conduit holding nothing. Part of the
-	// interface so a frame-holding conduit that forgets it fails to
-	// compile instead of silently reading as quiescent to the
-	// event-driven clock.
-	NextDeadline(now int64) int64
+	// NextDeadline reports the earliest instant Pump has something to
+	// release toward endpoint `to` — the port that will harvest it, so
+	// only that port's loops wake for it — or math.MaxInt64 when nothing
+	// is held for that end. Part of the interface so a frame-holding
+	// conduit that forgets it fails to compile instead of silently
+	// reading as quiescent to the event-driven clock.
+	NextDeadline(to int, now int64) int64
 }
 
 // Wire is a full-duplex point-to-point Ethernet cable: frames sent by
@@ -160,4 +161,4 @@ func (w *Wire) Send(from int, data []byte, readyAt int64) {
 func (w *Wire) Pump(int64) {}
 
 // NextDeadline implements Conduit; a plain cable holds nothing.
-func (w *Wire) NextDeadline(int64) int64 { return math.MaxInt64 }
+func (w *Wire) NextDeadline(int, int64) int64 { return math.MaxInt64 }

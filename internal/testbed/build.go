@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dpdk"
 	"repro/internal/faultplane"
@@ -119,15 +120,22 @@ func (b *Bed) LoopDeadlines(now int64, perLoop []int64) int64 {
 			d = at
 		}
 	}
-	// The loops reach the links through their ports already; asking
-	// the links directly keeps the answer correct even for a link
-	// whose ports are all idle-disarmed.
-	for _, ln := range b.Links {
-		if ln == nil {
+	// A link's releases toward an end are in that end's port's answer, so
+	// in its loops'; asking the link directly keeps the aggregate correct
+	// for a link whose ports are all idle-disarmed. And a held frame must
+	// always have a polled owner: where no loop of the receiving end
+	// reports the release — the local stack is down, polls nothing and
+	// answers MaxInt64 — the peer's loop is charged with it (any port's
+	// Step pumps both directions), or the instant would pass with no loop
+	// due and the driver would tick through the outage on a past wakeAt.
+	for _, p := range b.Peers {
+		if p.Link == nil {
 			continue
 		}
-		if at := ln.NextDeadline(now); at < d {
-			d = at
+		toLocal := p.Link.NextDeadline(0, now)
+		d = min(d, toLocal, p.Link.NextDeadline(1, now))
+		if perLoop != nil && !slices.ContainsFunc(p.near, func(i int) bool { return perLoop[i] <= toLocal }) {
+			perLoop[p.far] = min(perLoop[p.far], toLocal)
 		}
 	}
 	// The metrics sampler is a timed component too: folding its next
@@ -156,6 +164,10 @@ type Peer struct {
 	Port int
 	// Link is the netem pipeline to the local port, nil for a wire.
 	Link *netem.Link
+	// near and far index Bed.Loops(): the loops that poll the local port
+	// this peer faces, and the peer's own.
+	near []int
+	far  int
 }
 
 // Build wires a spec into a running Bed. Construction order is
@@ -379,6 +391,18 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 		return err
 	}
 	p := &Peer{M: m, Env: env, Port: ps.Port}
+	// Bed.Loops() lists the compartments' loops in spec order, then one
+	// per peer; far counts up to this peer's.
+	for i, cs := range spec.Compartments {
+		faces := slices.ContainsFunc(cs.Ifs, func(ic IfSpec) bool { return ic.Port == ps.Port })
+		for range b.Envs[i].Loops() {
+			if faces {
+				p.near = append(p.near, p.far)
+			}
+			p.far++
+		}
+	}
+	p.far += len(b.Peers)
 	localPort := b.Local.Card.Port(ps.Port)
 	if ps.Link != nil {
 		p.Link = netem.ConnectAsym(spec.Clk, localPort, m.Card.Port(0), ps.Link.ToPeer, ps.Link.ToLocal)

@@ -243,8 +243,8 @@ func (d *GatedEthDev) Poll() {
 	d.g.poll.Call(d.caller, hostos.Args{d.q}, cheri.NullCap)
 }
 
-// NextDeadline asks the inner device directly — no gate crossing; see
-// the DevGates.dev comment.
+// NextDeadline asks the inner device's queue handle directly — no gate
+// crossing; see the DevGates.dev comment.
 func (d *GatedEthDev) NextDeadline(now int64) int64 {
-	return d.g.dev.NextDeadline(now)
+	return d.g.dev.Queue(int(d.q)).NextDeadline(now)
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/netem"
+	"repro/internal/nic"
 )
 
 // Default sizing for the simulated machines. Every spec field that
@@ -262,6 +263,9 @@ func (s Spec) validate() error {
 		}
 		if cs.DeviceGate && len(cs.Ifs) != 1 {
 			return fmt.Errorf("testbed: %s: a device-gated stack drives exactly one port", what)
+		}
+		if cs.Stack.Shards > nic.MaxQueues {
+			return fmt.Errorf("testbed: %s: %d shards, a port has %d queue pairs", what, cs.Stack.Shards, nic.MaxQueues)
 		}
 		if cs.Stack.CPUBps > 0 && cs.Stack.Shards == 0 {
 			return fmt.Errorf("testbed: %s: a CPU budget needs a sharded stack (set Shards >= 1)", what)

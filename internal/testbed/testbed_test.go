@@ -93,6 +93,10 @@ func TestSpecValidationErrors(t *testing.T) {
 	wantBuildError(t, s, "exactly one port")
 
 	s = minimalSpec()
+	s.Compartments[0].Stack.Shards = 9 // a port has 8 queue pairs
+	wantBuildError(t, s, "9 shards")
+
+	s = minimalSpec()
 	s.Peers[0].Stack.Shards = 2
 	wantBuildError(t, s, "peers never shard")
 
