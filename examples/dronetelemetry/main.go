@@ -50,12 +50,12 @@ func main() {
 	gfd, _ := gapi.Socket(fstack.SockDgram)
 	gapi.Bind(gfd, fstack.IPv4Addr{}, 14550)
 	var received [][]byte
-	ground.Loop.OnLoop = func(now int64) bool {
+	ground.Loop.OnLoop = func(now int64) {
 		buf := make([]byte, 512)
 		for {
 			n, _, _, errno := gapi.RecvFrom(gfd, buf)
 			if errno != hostos.OK {
-				return true
+				return
 			}
 			received = append(received, append([]byte{}, buf[:n]...))
 		}

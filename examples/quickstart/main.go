@@ -36,7 +36,7 @@ func main() {
 	lfd, _ := papi.Socket(fstack.SockStream)
 	papi.Bind(lfd, fstack.IPv4Addr{}, 7)
 	papi.Listen(lfd, 4)
-	peer.Loop.OnLoop = func(now int64) bool {
+	peer.Loop.OnLoop = func(now int64) {
 		if fd, _, _, errno := papi.Accept(lfd); errno == hostos.OK {
 			echoFDs = append(echoFDs, fd)
 		}
@@ -50,7 +50,6 @@ func main() {
 				papi.Write(fd, buf[:n])
 			}
 		}
-		return true
 	}
 
 	// The cVM application: connect, send, await the echo.
@@ -62,18 +61,17 @@ func main() {
 	msg := []byte("hello from a CHERI compartment")
 	var got []byte
 	sent := false
-	cvm1.Loop.OnLoop = func(now int64) bool {
+	cvm1.Loop.OnLoop = func(now int64) {
 		if !sent {
 			if n, errno := api.Write(fd, msg); errno == hostos.OK && n == len(msg) {
 				sent = true
 			}
-			return true
+			return
 		}
 		buf := make([]byte, 256)
 		if n, errno := api.Read(fd, buf); errno == hostos.OK && n > 0 {
 			got = append(got, buf[:n]...)
 		}
-		return len(got) < len(msg)
 	}
 
 	// Drive both machines in lockstep virtual time.

@@ -87,6 +87,23 @@ func (k *kit) dial(api API, sport uint16, ip fstack.IPv4Addr, port uint16) (fd i
 	return fd, true
 }
 
+// established is one harvest of a dial in progress: whether fd's
+// handshake has completed. A refused one is latched.
+func (k *kit) established(api API, fd int) bool {
+	evs, _ := k.harvest(api)
+	for _, ev := range evs {
+		switch {
+		case ev.FD != fd:
+		case ev.Events&(fstack.EPOLLERR|fstack.EPOLLHUP) != 0:
+			k.ok(hostos.ECONNREFUSED)
+			return false
+		case ev.Events&fstack.EPOLLOUT != 0:
+			return true
+		}
+	}
+	return false
+}
+
 // listen opens a socket bound to ip:port and watched for readability:
 // a listener for a stream socket, a bound datagram socket otherwise.
 func (k *kit) listen(api API, typ int, ip fstack.IPv4Addr, port uint16, backlog int) (fd int, ok bool) {

@@ -4,7 +4,8 @@
 // hook, so the same code runs in a stack's main-loop callback
 // (Baseline / Scenario 1), in an application compartment through
 // cross-cVM gates (Scenario 2), on a peer or on the sharded API, under
-// the event-driven virtual clock. Four client/server pairs:
+// the event-driven virtual clock. Four client/server pairs, and the
+// measurement pair of Figs. 4-6:
 //
 //   - IperfClient/IperfServer: the iperf3 analog of the paper's
 //     evaluation ("we selected iperf3 [31] as an application ... iperf3
@@ -47,7 +48,10 @@
 //     outstanding (closed-loop), retransmits on timeout up to a retry
 //     budget, and counts expirations and abandoned queries.
 //
-// All eight are written over one small socket kit (app.go), each
+//   - WriteProbe/Hammer: the timed ff_write probe of §IV and the
+//     saturating second application of the contended Scenario 2.
+//
+// All ten are written over one small socket kit (app.go), each
 // sequence once: dial (socket, bind, watch, connect), listen, harvest
 // (one EpollWait in descriptor order), flush (a connection's unsent
 // bytes and its EPOLLOUT interest), the pacer (the open-loop schedule

@@ -137,21 +137,11 @@ func (c *IperfClient) Step(api API, now int64) {
 		}
 
 	case iperfOpening:
-		evs, _ := c.harvest(api)
-		for _, ev := range evs {
-			if ev.FD != c.fd {
-				continue
-			}
-			if ev.Events&(fstack.EPOLLERR|fstack.EPOLLHUP) != 0 {
-				c.ok(hostos.ECONNREFUSED)
-				return
-			}
-			if ev.Events&fstack.EPOLLOUT != 0 {
-				c.state = iperfRunning
-				c.report.StartNS = now
-				c.ivStartNS = now
-				c.wantStep = true // first write happens next Step
-			}
+		if c.established(api, c.fd) {
+			c.state = iperfRunning
+			c.report.StartNS = now
+			c.ivStartNS = now
+			c.wantStep = true // first write happens next Step
 		}
 
 	case iperfRunning:

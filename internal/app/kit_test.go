@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func ready(events uint32, fds ...int) (evs []fstack.Event) {
 	return evs
 }
 
-// setups drives each of the eight endpoints through its set-up
+// setups drives each of the ten endpoints through its set-up
 // sequence — every call up to the first exchange, where any failing
 // call is the endpoint's failure — over the scripted API, and pins the
 // order of the calls: descriptor numbers follow from it, and the
@@ -103,6 +104,26 @@ var setups = []struct {
 		c.Step(api, 1)
 		return c
 	}},
+	{"write probe", "EpollCreate Socket EpollCtl Connect EpollWait Write Close", func(api *fakeAPI) stepper {
+		api.events = [][]fstack.Event{ready(fstack.EPOLLOUT, 10)}
+		p := NewWriteProbe(fstack.IPv4Addr{}, 5301, 1, 20_000, 64, func() int64 { return 0 })
+		p.Step(api, 0)
+		p.Step(api, 1)
+		p.Start(2)
+		p.Step(api, 2) // the one timed write; done, closed
+		return p
+	}},
+	{"hammer", "EpollCreate Socket EpollCtl Connect EpollWait Write Write", func(api *fakeAPI) stepper {
+		api.events = [][]fstack.Event{ready(fstack.EPOLLOUT, 10)}
+		api.room = 64 // one payload, then refused
+		h := NewHammer(fstack.IPv4Addr{}, 5302, 64)
+		h.Step(api, 0) // not started: no call
+		h.Start()
+		for now := int64(1); now < 4; now++ {
+			h.Step(api, now)
+		}
+		return h
+	}},
 }
 
 // TestSetupFailureLatches fails, in turn, every call of every
@@ -136,6 +157,77 @@ func TestSetupFailureLatches(t *testing.T) {
 				t.Errorf("%s, %s (call %d) failing: deadline %d, want none", tc.name, name, k+1, d)
 			}
 		}
+	}
+}
+
+// TestWriteProbeScript drives the probe of Figs. 4-6 over the scripted
+// API on the driver's 5 µs grid: exactly Iterations samples, each the
+// difference of the two clock reads around its write; a refused write is
+// retried an interval later and never sampled; consecutive timed writes
+// are IntervalNS apart; a connected probe asks for every Step until it is
+// started, then NextDeadline announces each next write, and nothing once
+// done.
+func TestWriteProbeScript(t *testing.T) {
+	const interval, tick = 20_000, 5_000
+	api := newFakeAPI()
+	api.events = [][]fstack.Event{ready(fstack.EPOLLOUT, 10)}
+	api.room = 100 // the first timed write fits, the second is refused
+	var now, reads int64
+	clock := func() int64 { reads++; return now + 40*reads }
+	p := NewWriteProbe(fstack.IPv4Addr{}, 5301, 3, interval, 100, clock)
+	for ; now < 2*tick; now += tick {
+		p.Step(api, now)
+	}
+	if !p.Connected() || p.NextDeadline(now) != now {
+		t.Fatalf("connected %v, deadline %d at %d: a connected probe waits for Start, asking for every Step", p.Connected(), p.NextDeadline(now), now)
+	}
+	if p.Step(api, now); reads != 0 {
+		t.Fatal("the probe read its clock before Start")
+	}
+	p.Start(now)
+	var writesAt []int64
+	for ; !p.Done() && now < 100*tick; now += tick {
+		announced := p.NextDeadline(now)
+		before := len(api.calls)
+		p.Step(api, now)
+		if wrote := len(api.calls) > before; wrote != (announced <= now) {
+			t.Fatalf("at %d: wrote %v, NextDeadline had announced %d", now, wrote, announced)
+		} else if wrote {
+			if writesAt = append(writesAt, now); len(writesAt) == 2 {
+				api.room = -1 // after the refusal, room again
+			}
+		}
+	}
+	if want := []int64{2 * tick, 2*tick + interval, 2*tick + 2*interval, 2*tick + 3*interval}; !slices.Equal(writesAt, want) {
+		t.Errorf("timed writes at %v, want %v: an interval apart, the refused one retried", writesAt, want)
+	}
+	if got := p.Samples(); !slices.Equal(got, []int64{40, 40, 40}) || reads != 8 {
+		t.Errorf("samples %v from %d clock reads, want three of 40 ns from eight: the refused write is not sampled", got, reads)
+	}
+	if !p.Done() || !api.closed[10] || p.NextDeadline(now) != math.MaxInt64 || p.Err() != hostos.OK {
+		t.Errorf("done %v, closed %v, deadline %d, err %v after the last sample", p.Done(), api.closed[10], p.NextDeadline(now), p.Err())
+	}
+}
+
+// TestWriteProbeDefersToItsOwnClock: a write that cost the probe's thread
+// more than the interval puts the next one off until the thread is free,
+// and NextDeadline announces that instant, not the interval's.
+func TestWriteProbeDefersToItsOwnClock(t *testing.T) {
+	api := newFakeAPI()
+	api.events = [][]fstack.Event{ready(fstack.EPOLLOUT, 10)}
+	var now, reads int64
+	clock := func() int64 { reads++; return now + 30_000*(reads-1) } // t0 = now, t1 = now + 30 µs
+	p := NewWriteProbe(fstack.IPv4Addr{}, 5301, 2, 20_000, 100, clock)
+	p.Step(api, 0)
+	p.Step(api, 0)
+	p.Start(0)
+	p.Step(api, 0)
+	if got := p.NextDeadline(0); got != 30_000 {
+		t.Fatalf("next write announced for %d, want 30000: the thread is booked until then", got)
+	}
+	now = 25_000
+	if p.Step(api, now); len(p.Samples()) != 1 {
+		t.Fatalf("%d samples at 25 µs: the second write ran before the thread was free", len(p.Samples()))
 	}
 }
 

@@ -34,9 +34,12 @@
 // bulk iperf measurement — Table II and Scenarios 3-7 — through one
 // flow driver (flows.go); a scenario file holds its config defaults,
 // its result struct and its table. The endpoints a run places — iperf,
-// churn, HTTP, DNS — all come from internal/app, the one workload
-// package. The package also carries the drivers behind the remaining
-// tables and figures (latency.go, fig3.go, table1.go), and the scenario
+// churn, HTTP, DNS, the timed ff_write probe and its hammer — all come
+// from internal/app, the one workload package. Figs. 4-6 (latency.go)
+// are such runs too: their samples are virtual time read off each site's
+// own clock (sim's crossing-cost table), and nothing here starts a
+// goroutine or reads a real clock outside the sweep pool (parallel.go).
+// The package also carries fig3.go and table1.go, and the scenario
 // registry (registry.go) the cherinet command consumes: each entry
 // declares the flags it reads and the range each accepts.
 package core

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cheri"
-	"repro/internal/hostos"
 	"repro/internal/intravisor"
+	"repro/internal/sim"
 )
 
 // Fig3Report is the outcome of the compartmentalization-violation
@@ -33,7 +33,7 @@ func (r Fig3Report) String() string {
 // dereferences addresses inside cVM1's window; CHERI answers with a
 // capability out-of-bounds exception and cVM1 is untouched.
 func RunFig3() (Fig3Report, error) {
-	s, err := NewScenario1(hostos.NewRealClock())
+	s, err := NewScenario1(sim.NewVClock())
 	if err != nil {
 		return Fig3Report{}, err
 	}

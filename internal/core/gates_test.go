@@ -281,24 +281,30 @@ func TestEnvNowNSPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Baseline: direct syscall path. The kernel clock is the REAL clock
-	// inside the kernel; here we only verify the call works and is
-	// monotonic.
-	t0 := b.Envs[0].NowNS(b.Local.K)
-	t1 := b.Envs[0].NowNS(b.Local.K)
-	if t1 < t0 {
-		t.Fatal("baseline clock went backwards")
+	// Baseline: a direct syscall, free in the cost model. The kernel's
+	// clock is the bed's, so an idle process reads virtual now.
+	if t0, t1 := b.Envs[0].NowNS(), b.Envs[0].NowNS(); t0 != clk.Now() || t1 != t0 {
+		t.Fatalf("baseline clock reads %d, %d at virtual %d", t0, t1, clk.Now())
 	}
-	s1, err := NewScenario1(sim.NewVClock())
+	s1, err := NewScenario1(clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := s1.Envs[0].NowNS(s1.Local.K)
-	c1 := s1.Envs[0].NowNS(s1.Local.K)
-	if c1 < c0 {
-		t.Fatal("cVM trampoline clock went backwards")
+	// A cVM's read crosses the trampoline and sees its own crossing: two
+	// back-to-back reads are one crossing apart, and once the bed's clock
+	// has passed the booking an idle cVM is back on it.
+	c0, c1 := s1.Envs[0].NowNS(), s1.Envs[0].NowNS()
+	if c0 != clk.Now()+sim.TrampolineNS || c1-c0 != sim.TrampolineNS {
+		t.Fatalf("cVM clock reads %d, %d at virtual %d: want one and two crossings of %d ns", c0, c1, clk.Now(), sim.TrampolineNS)
 	}
-	if s1.Local.IV.Crossings.Load() < 2 {
+	if s1.Local.IV.Crossings.Load() != 2 {
 		t.Fatal("cVM clock reads must cross the trampoline")
+	}
+	if other := s1.Envs[1].NowNS(); other != c0 {
+		t.Fatalf("the second cVM reads %d: bookings are per compartment, want %d", other, c0)
+	}
+	clk.Advance(bwTick)
+	if c2 := s1.Envs[0].NowNS(); c2 != clk.Now()+sim.TrampolineNS {
+		t.Fatalf("a tick later the cVM reads %d, want %d: bookings lapse with the clock", c2, clk.Now()+sim.TrampolineNS)
 	}
 }

@@ -229,3 +229,27 @@ func TestGoldenScenario8(t *testing.T) {
 	}
 	assertGolden(t, "scenario8.golden", FormatScenario8(results))
 }
+
+// TestGoldenFigures pins Figs. 4-6 as `cherinet figN -iters 2000` prints
+// them, through the registry entry and its flags: the crossing-cost
+// table (sim/cost.go) is what these bytes are made of, and a changed
+// constant shows up here beside the shape tests' bounds.
+func TestGoldenFigures(t *testing.T) {
+	skipUnderRace(t)
+	for _, name := range []string{"fig4", "fig5", "fig6"} {
+		e, ok := LookupScenario(name)
+		if !ok {
+			t.Fatalf("%s is not registered", name)
+		}
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		run := e.Bind(fs)
+		if err := fs.Parse([]string{"-iters", "2000"}); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := run(&b); err != nil {
+			t.Fatal(err)
+		}
+		assertGolden(t, name+".golden", b.String())
+	}
+}

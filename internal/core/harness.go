@@ -85,11 +85,10 @@ func place(bed *Setup, what string, eps []placed) (placement, error) {
 	for i, l := range loops {
 		l.OnLoop = nil
 		if here := inLoop[i]; len(here) > 0 {
-			l.OnLoop = func(now int64) bool {
+			l.OnLoop = func(now int64) {
 				for _, ep := range here {
 					ep.Step(ep.site.API, now)
 				}
-				return true
 			}
 		}
 	}

@@ -1,46 +1,62 @@
 package core
 
 import (
-	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/fstack"
+	"repro/internal/hostos"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// smallCfg keeps latency tests fast; the CLI uses bigger counts.
-func smallCfg() FFWriteConfig {
-	return FFWriteConfig{Iterations: 300, IntervalNS: 20_000, Payload: 1448}
-}
+// goldenFFCfg is the configuration testdata/fig{4,5,6}.golden pin:
+// `cherinet figN -iters 2000`.
+var goldenFFCfg = FFWriteConfig{Iterations: 2000, IntervalNS: 20_000, Payload: 1448}
 
-// needRealClock gates the wall-clock latency-shape tests: their
-// quartile comparisons measure the host's scheduler as much as the
-// simulator, and they flake when CI machines run under CPU load. Set
-// CHERINET_REALCLOCK=1 to run them (`cherinet fig4|fig5|fig6` report the
-// same figures unconditionally).
-func needRealClock(t *testing.T) {
+// The figures as the registry pairs the beds.
+var (
+	fig4Cells = []ffCell{ffBaselineDual, ffScenario1}
+	fig5Cells = []ffCell{ffBaselineSingle, ffUncontended}
+	fig6Cells = []ffCell{ffUncontended, ffContended}
+)
+
+// boxesOf measures a figure on the golden configuration and returns its
+// cleaned boxes, logging each and refusing a sample that is not positive.
+func boxesOf(t *testing.T, cells []ffCell) []stats.Box {
 	t.Helper()
-	if os.Getenv("CHERINET_REALCLOCK") == "" {
-		t.Skip("real-clock latency shapes flake under CI CPU load; set CHERINET_REALCLOCK=1 to run")
+	sets, err := measureFigure(goldenFFCfg, cells...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	boxes := make([]stats.Box, len(sets))
+	for i, s := range sets {
+		boxes[i] = stats.CleanBox(s.Samples)
+		t.Logf("%-26s %v", s.Label, boxes[i])
+		for _, ns := range s.Samples {
+			if ns <= 0 {
+				t.Fatalf("%s: a timed ff_write read %d ns", s.Label, ns)
+			}
+		}
+	}
+	return boxes
 }
 
-// TestFFWriteFiguresStructure is the always-on half of the three
-// figures: the boxes each reports, their labels and that every box holds
-// exactly the iterations asked for, each a positive real-clock reading.
-// It is what runs the threaded harness in tier-1; the host-dependent
-// shapes stay behind needRealClock.
+// TestFFWriteFiguresStructure pins what each figure reports whatever the
+// cost table says: its boxes, their labels, and that every box holds
+// exactly the iterations asked for before the IQR filter.
 func TestFFWriteFiguresStructure(t *testing.T) {
 	cfg := FFWriteConfig{Iterations: 50, IntervalNS: 20_000, Payload: 1448}
 	for _, fig := range []struct {
-		name    string
-		measure func(FFWriteConfig) ([]LatencySet, error)
-		labels  []string
+		name   string
+		cells  []ffCell
+		labels []string
 	}{
-		{"fig4", MeasureFig4, []string{"Baseline (cVM1)", "Baseline (cVM2)", "Scenario 1 (cVM1)", "Scenario 1 (cVM2)"}},
-		{"fig5", MeasureFig5, []string{"Baseline", "Scenario 2 (uncontended)"}},
-		{"fig6", MeasureFig6, []string{"Scenario 2 (uncontended)", "Scenario 2 (contended)"}},
+		{"fig4", fig4Cells, []string{"Baseline (cVM1)", "Baseline (cVM2)", "Scenario 1 (cVM1)", "Scenario 1 (cVM2)"}},
+		{"fig5", fig5Cells, []string{"Baseline", "Scenario 2 (uncontended)"}},
+		{"fig6", fig6Cells, []string{"Scenario 2 (uncontended)", "Scenario 2 (contended)"}},
 	} {
-		sets, err := fig.measure(cfg)
+		sets, err := measureFigure(cfg, fig.cells...)
 		if err != nil {
 			t.Fatalf("%s: %v", fig.name, err)
 		}
@@ -52,89 +68,87 @@ func TestFFWriteFiguresStructure(t *testing.T) {
 				t.Errorf("%s box %d: %q with %d samples, want %q with %d",
 					fig.name, i, s.Label, len(s.Samples), fig.labels[i], cfg.Iterations)
 			}
-			for _, ns := range s.Samples {
-				if ns <= 0 {
-					t.Errorf("%s %s: a timed ff_write read %d ns", fig.name, s.Label, ns)
-					break
-				}
-			}
 		}
 	}
 }
 
+// TestFig4ShapeS1vsBaseline: a cVM reads its clock through the
+// Intravisor, and Scenario 1 sits one trampoline crossing above the
+// Baseline for it (paper: ≈ 125 ns), on both cVMs.
 func TestFig4ShapeS1vsBaseline(t *testing.T) {
-	needRealClock(t)
-	sets, err := MeasureFig4(smallCfg())
-	if err != nil {
-		t.Fatal(err)
+	boxes := boxesOf(t, fig4Cells)
+	if len(boxes) != 4 {
+		t.Fatalf("want 4 boxes, got %d", len(boxes))
 	}
-	if len(sets) != 4 {
-		t.Fatalf("want 4 boxes, got %d", len(sets))
-	}
-	boxes := make([]stats.Box, len(sets))
-	for i, s := range sets {
-		boxes[i] = stats.CleanBox(s.Samples)
-		t.Logf("%-22s %v", s.Label, boxes[i])
-	}
-	// Shape: Scenario 1 sits above Baseline by a small fixed overhead
-	// (paper: ≈125 ns of musl-Intravisor indirection), far under 10x.
-	// The fixed offset shows most clearly at the fast end of the
-	// distribution (Q1); medians wander with host noise.
-	baseQ1 := (boxes[0].Q1 + boxes[1].Q1) / 2
-	s1Q1 := (boxes[2].Q1 + boxes[3].Q1) / 2
-	if s1Q1 <= baseQ1 {
-		t.Errorf("Scenario 1 (q1=%.0f ns) should cost more than Baseline (q1=%.0f ns)", s1Q1, baseQ1)
-	}
-	if s1Q1 > baseQ1*10 {
-		t.Errorf("Scenario 1 overhead too large: %.0f vs %.0f ns", s1Q1, baseQ1)
+	for i := 0; i < 2; i++ {
+		if d := boxes[2+i].Median - boxes[i].Median; d < 100 || d > 150 {
+			t.Errorf("cVM%d: Scenario 1 median %.0f ns − Baseline %.0f ns = %.0f, want 100–150",
+				i+1, boxes[2+i].Median, boxes[i].Median, d)
+		}
 	}
 }
 
+// TestFig5ShapeS2UncontendedVsBaseline: the cross-cVM jump, the staging
+// copy and an uncontended mutex put Scenario 2 above Scenario 1 (paper:
+// ≈ +200 ns), which Fig. 4 put ≈ 125 ns above the Baseline.
 func TestFig5ShapeS2UncontendedVsBaseline(t *testing.T) {
-	needRealClock(t)
-	sets, err := MeasureFig5(smallCfg())
-	if err != nil {
-		t.Fatal(err)
+	boxes := boxesOf(t, fig5Cells)
+	if len(boxes) != 2 {
+		t.Fatalf("want 2 boxes, got %d", len(boxes))
 	}
-	if len(sets) != 2 {
-		t.Fatalf("want 2 boxes, got %d", len(sets))
+	s1 := boxesOf(t, fig4Cells)[2]
+	if d := boxes[1].Median - s1.Median; d < 150 || d > 250 {
+		t.Errorf("uncontended Scenario 2 median %.0f ns − Scenario 1 %.0f ns = %.0f, want 150–250",
+			boxes[1].Median, s1.Median, d)
 	}
-	base := stats.CleanBox(sets[0].Samples)
-	s2 := stats.CleanBox(sets[1].Samples)
-	t.Logf("%-26s %v", sets[0].Label, base)
-	t.Logf("%-26s %v", sets[1].Label, s2)
-	// Shape: the extra cross-cVM jump + mutex cost more than Baseline
-	// but stay within the same order of magnitude (paper: ≈+200 ns over
-	// Scenario 1's cost).
-	if s2.Median <= base.Median {
-		t.Errorf("Scenario 2 (%.0f ns) should cost more than Baseline (%.0f ns)",
-			s2.Median, base.Median)
-	}
-	if s2.Median > base.Median*30 {
-		t.Errorf("uncontended Scenario 2 overhead out of band: %.0f vs %.0f ns",
-			s2.Median, base.Median)
+	if d := s1.Median - boxes[0].Median; d < 100 || d > 150 {
+		t.Errorf("Scenario 1 median %.0f ns − single-process Baseline %.0f ns = %.0f, want 100–150",
+			s1.Median, boxes[0].Median, d)
 	}
 }
 
+// TestFig6ShapeContentionDominates: with a second application standing
+// on the stack mutex, the mean is the hand-off (paper: ≈ 19 µs). The
+// paper's "≈ 152×" is 19 µs over the 125 ns crossing; against the
+// uncontended box, which holds the whole write, the ratio is what
+// this test prints (DESIGN.md §15).
 func TestFig6ShapeContentionDominates(t *testing.T) {
-	needRealClock(t)
-	cfg := smallCfg()
-	cfg.Iterations = 800 // contention statistics need more samples
-	sets, err := MeasureFig6(cfg)
+	boxes := boxesOf(t, fig6Cells)
+	unc, con := boxes[0], boxes[1]
+	t.Logf("contended mean / uncontended mean = %.1f×", con.Mean/unc.Mean)
+	if con.Mean < 19_000*0.75 || con.Mean > 19_000*1.25 {
+		t.Errorf("contended mean %.0f ns, want 19 µs ± 25 %%", con.Mean)
+	}
+	if con.Mean < 20*unc.Mean {
+		t.Errorf("contended mean %.0f ns is under 20× the uncontended %.0f ns", con.Mean, unc.Mean)
+	}
+}
+
+// refuseConnect is a site's API whose Connect is refused.
+type refuseConnect struct{ fstack.API }
+
+func (refuseConnect) Connect(int, fstack.IPv4Addr, uint16) hostos.Errno { return hostos.ECONNREFUSED }
+
+// TestSilentHammerFailsTheRun: the threaded harness's hammer returned
+// silently when its Socket or Connect failed, and the "contended" box
+// was then an uncontended one. A hammer that fails now fails the run,
+// by name.
+func TestSilentHammerFailsTheRun(t *testing.T) {
+	s, err := NewScenario2(sim.NewVClock(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unc := stats.CleanBox(sets[0].Samples)
-	con := stats.CleanBox(sets[1].Samples)
-	t.Logf("%-26s %v", sets[0].Label, unc)
-	t.Logf("%-26s %v", sets[1].Label, con)
-	// Shape: mutex contention dominates (paper: ≈152x, ~19 µs). The
-	// magnitude is host-dependent; demand a clear (2x) mean blow-up and
-	// let `cherinet fig6` report the real figure.
-	if con.Mean < unc.Mean*2 {
-		t.Errorf("contended mean %.0f ns not clearly above uncontended %.0f ns",
-			con.Mean, unc.Mean)
+	sites := s.AppSites()
+	sites[1].API = refuseConnect{sites[1].API}
+	_, err = ffWriteRun(s, "fig6 contended", smallCfg(), sites, ffContended.labels, true)
+	if err == nil || !strings.Contains(err.Error(), "fig6 contended") || !strings.Contains(err.Error(), "hammer failed: "+hostos.ECONNREFUSED.String()) {
+		t.Fatalf("a hammer whose connect is refused: got %v, want the run to fail naming the hammer", err)
 	}
+}
+
+// smallCfg keeps direct runs short.
+func smallCfg() FFWriteConfig {
+	return FFWriteConfig{Iterations: 300, IntervalNS: 20_000, Payload: 1448}
 }
 
 func TestFig3CapabilityViolation(t *testing.T) {

@@ -114,6 +114,23 @@ func composedCell(layout string) driverCell {
 	}}
 }
 
+// ffWriteCell is one bed of Figs. 4-6 on a short sample count. Its report
+// is every raw sample beside the box rows: hold time booked per poll
+// instead of per frame, a refused call that left a booking behind, or a
+// booked-ahead compartment deferring work no NextDeadline announces,
+// moves a sample between the drivers long before it moves a quartile.
+func ffWriteCell(name string, build func(hostos.Clock) (*Setup, error), hammer bool) driverCell {
+	return driverCell{name: name, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
+		s, err := build(clk)
+		if err != nil {
+			return "", err
+		}
+		tap(s)
+		sets, err := ffWriteRun(s, name, FFWriteConfig{Iterations: 400, IntervalNS: 20_000, Payload: 1448}, s.AppSites(), []string{"probe 0", "probe 1"}, hammer)
+		return FormatFFWrite(name, sets) + fmt.Sprint(sets), err
+	}}
+}
+
 var driverCells = []driverCell{
 	{name: "scenario 5 lossy WAN", maxPollsPerFrame: 0.585, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
 		s, err := NewScenario5(clk, Scenario5Config{Modern: true, Link: s5TestLossyLink})
@@ -167,6 +184,9 @@ var driverCells = []driverCell{
 	scenario10Cell(3, false),
 	composedCell(layoutDevGated),
 	composedCell(layoutAPIGated),
+	ffWriteCell("fig 4 scenario 1", func(clk hostos.Clock) (*Setup, error) { return NewScenario1(clk) }, false),
+	ffWriteCell("fig 5 scenario 2 uncontended", func(clk hostos.Clock) (*Setup, error) { return NewScenario2(clk, 1) }, false),
+	ffWriteCell("fig 6 scenario 2 contended", func(clk hostos.Clock) (*Setup, error) { return NewScenario2(clk, 2) }, true),
 }
 
 func withPollCap(c driverCell, maxPollsPerFrame float64) driverCell {

@@ -138,6 +138,22 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 			t.Errorf("seed %d: reports differ\n-- parallel 1 --\n%s\n-- parallel 4 --\n%s", seed, seq, par)
 		}
 	}
+	// Figs. 4-6 are two cells each.
+	for name, cells := range map[string][]ffCell{"fig4": fig4Cells, "fig5": fig5Cells, "fig6": fig6Cells} {
+		report := func(par int) (out string) {
+			withParallelism(par, func() {
+				sets, err := measureFigure(smallCfg(), cells...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = FormatFFWrite(name, sets)
+			})
+			return out
+		}
+		if seq, par := report(1), report(4); seq != par {
+			t.Errorf("%s: reports differ\n-- parallel 1 --\n%s\n-- parallel 4 --\n%s", name, seq, par)
+		}
+	}
 }
 
 // TestParallelismStaysOutsideTheBed: the parallelism setting is a cell

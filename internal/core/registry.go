@@ -11,7 +11,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nic"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/testbed"
 )
 
@@ -97,7 +96,7 @@ func obsFlags(fs *flag.FlagSet) *SweepObs {
 }
 
 // ffWriteFigure registers one of the timed ff_write figures (4-6).
-func ffWriteFigure(name, desc, title string, figure func(FFWriteConfig) ([]LatencySet, error)) ScenarioEntry {
+func ffWriteFigure(name, desc, title string, cells ...ffCell) ScenarioEntry {
 	return ScenarioEntry{Name: name, Desc: desc, Bind: func(fs *flag.FlagSet) func(io.Writer) error {
 		var cfg FFWriteConfig
 		fs.IntVar(&cfg.Iterations, "iters", 100_000, "timed ff_write iterations (paper: 1e6)")
@@ -109,14 +108,11 @@ func ffWriteFigure(name, desc, title string, figure func(FFWriteConfig) ([]Laten
 		bounded(fs, "payload", fmt.Sprintf("between 1 and %d", testbed.StageWriteSize),
 			func(v float64) bool { return v >= 1 && v <= testbed.StageWriteSize })
 		return func(w io.Writer) error {
-			sets, err := figure(cfg)
+			sets, err := measureFigure(cfg, cells...)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintln(w, title)
-			for _, s := range sets {
-				fmt.Fprintf(w, "  %-26s %v\n", s.Label, stats.CleanBox(s.Samples))
-			}
+			fmt.Fprint(w, FormatFFWrite(title, sets))
 			return nil
 		}
 	}}
@@ -222,11 +218,11 @@ var Registry = []ScenarioEntry{
 		}),
 	},
 	ffWriteFigure("fig4", "ff_write() execution time: Scenario 1 vs Baseline",
-		"FIG 4 — ff_write() execution time: Scenario 1 vs Baseline (ns)", MeasureFig4),
+		"FIG 4 — ff_write() execution time: Scenario 1 vs Baseline (ns)", ffBaselineDual, ffScenario1),
 	ffWriteFigure("fig5", "ff_write() execution time: Scenario 2 (uncontended) vs Baseline",
-		"FIG 5 — ff_write() execution time: Scenario 2 (uncontended) vs Baseline (ns)", MeasureFig5),
+		"FIG 5 — ff_write() execution time: Scenario 2 (uncontended) vs Baseline (ns)", ffBaselineSingle, ffUncontended),
 	ffWriteFigure("fig6", "ff_write() execution time: Scenario 2 uncontended vs contended",
-		"FIG 6 — ff_write() execution time: Scenario 2 uncontended vs contended (ns)", MeasureFig6),
+		"FIG 6 — ff_write() execution time: Scenario 2 uncontended vs contended (ns)", ffUncontended, ffContended),
 	{
 		Name: "scenario3",
 		Desc: "future-work split: DPDK in its own cVM, gates on the datapath (bandwidth)",

@@ -1,9 +1,6 @@
 package fstack
 
-import (
-	"repro/internal/cheri"
-	"repro/internal/hostos"
-)
+import "repro/internal/hostos"
 
 // The LockedAPI methods mirror the Stack API one-for-one but assume the
 // caller already holds the stack mutex — i.e. it is running inside the
@@ -36,16 +33,6 @@ func (a LockedAPI) Read(fd int, dst []byte) (int, hostos.Errno) { return a.S.rea
 
 // Write stores bytes for transmission.
 func (a LockedAPI) Write(fd int, src []byte) (int, hostos.Errno) { return a.S.writeLocked(fd, src) }
-
-// ReadCap is the capability-buffer read.
-func (a LockedAPI) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	return a.S.readCapLocked(fd, mem, buf, n)
-}
-
-// WriteCap is the capability-buffer write.
-func (a LockedAPI) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	return a.S.writeCapLocked(fd, mem, buf, n)
-}
 
 // Close shuts a descriptor down.
 func (a LockedAPI) Close(fd int) hostos.Errno { return a.S.closeLocked(fd) }

@@ -1,9 +1,6 @@
 package fstack
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Loop is the F-Stack main loop: after an initialization phase, a
 // poll-mode iteration runs forever — "(i) process the ring buffers of
@@ -14,51 +11,24 @@ type Loop struct {
 	// OnLoop is the user-defined function, called every iteration while
 	// the stack mutex is held (the app and the stack share a compartment
 	// in Baseline and Scenario 1). It may call the *Locked API variants
-	// freely. Returning false stops Run.
-	OnLoop func(now int64) bool
-	// Yield inserts a scheduler yield between iterations. The paper's
-	// testbed pins each busy loop to its own core; on a smaller host the
-	// yield emulates that by letting the other compartments' loops run
-	// every iteration instead of every preemption quantum.
-	Yield bool
+	// freely.
+	OnLoop func(now int64)
 
 	iterations atomic.Uint64
-	stopped    atomic.Bool
 }
 
 // RunOnce executes one locked iteration: drain RX rings, run protocol
 // input and timers, flush TX, then the user callback.
-func (l *Loop) RunOnce() bool {
+func (l *Loop) RunOnce() {
 	s := l.Stk
 	s.mu.Lock()
 	s.poll()
-	cont := true
 	if l.OnLoop != nil {
-		cont = l.OnLoop(s.now())
+		l.OnLoop(s.now())
 	}
 	s.mu.Unlock()
 	l.iterations.Add(1)
-	return cont
 }
-
-// Run spins until the callback returns false or Stop is called. This is
-// the busy-polling DPDK main loop — it never sleeps, by design ("DPDK
-// also operates in polling mode to reduce the latency caused by
-// interrupt-triggered context switches", §II-C).
-func (l *Loop) Run() {
-	l.stopped.Store(false)
-	for !l.stopped.Load() {
-		if !l.RunOnce() {
-			return
-		}
-		if l.Yield {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Stop makes Run return after the current iteration.
-func (l *Loop) Stop() { l.stopped.Store(true) }
 
 // NextDeadline reports the earliest virtual instant at which this
 // loop's next iteration could do anything: a connection timer firing,

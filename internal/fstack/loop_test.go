@@ -1,19 +1,14 @@
 package fstack
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestLoopRunOnceCountsIterations(t *testing.T) {
 	e := newEnv(t, false)
 	l := &Loop{Stk: e.stkA}
 	calls := 0
-	l.OnLoop = func(now int64) bool {
-		calls++
-		return calls < 5
-	}
-	for l.RunOnce() {
+	l.OnLoop = func(now int64) { calls++ }
+	for i := 0; i < 5; i++ {
+		l.RunOnce()
 	}
 	if calls != 5 {
 		t.Fatalf("callback ran %d times", calls)
@@ -23,43 +18,16 @@ func TestLoopRunOnceCountsIterations(t *testing.T) {
 	}
 }
 
-func TestLoopStopTerminatesRun(t *testing.T) {
-	e := newEnv(t, false)
-	l := &Loop{Stk: e.stkA, Yield: true}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	started := make(chan struct{})
-	l.OnLoop = func(now int64) bool {
-		select {
-		case <-started:
-		default:
-			close(started)
-		}
-		return true
-	}
-	go func() {
-		defer wg.Done()
-		l.Run()
-	}()
-	<-started
-	l.Stop()
-	wg.Wait() // must return
-	if l.Iterations() == 0 {
-		t.Fatal("no iterations recorded")
-	}
-}
-
 func TestLoopCallbackSeesMonotonicTime(t *testing.T) {
 	e := newEnv(t, false)
 	l := &Loop{Stk: e.stkA}
 	var last int64 = -1
 	ok := true
-	l.OnLoop = func(now int64) bool {
+	l.OnLoop = func(now int64) {
 		if now < last {
 			ok = false
 		}
 		last = now
-		return false
 	}
 	for i := 0; i < 10; i++ {
 		l.RunOnce()

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cheri"
 	"repro/internal/hostos"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Socket types (ff_socket's type argument).
@@ -399,6 +400,7 @@ func (s *Stack) writeLocked(fd int, src []byte) (int, hostos.Errno) {
 	if n == 0 {
 		return -1, hostos.EAGAIN
 	}
+	s.Core.Book(s.now(), sim.WriteCallNS+sim.CopyNS(n)) // a refused write costs nothing
 	c.output()
 	return n, hostos.OK
 }
@@ -427,6 +429,7 @@ func (s *Stack) writeCapLocked(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (i
 	if written == 0 {
 		return -1, hostos.EAGAIN
 	}
+	s.Core.Book(s.now(), sim.WriteCallNS+sim.CopyNS(written))
 	c.output()
 	return written, hostos.OK
 }

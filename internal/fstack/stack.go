@@ -12,6 +12,7 @@ import (
 	"repro/internal/fstack/connscale"
 	"repro/internal/hostos"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -157,7 +158,7 @@ type Stack struct {
 	clk  hostos.Clock
 
 	// mu is THE F-Stack mutex: it serializes API calls against the main
-	// loop (paper §III-A, Scenario 2). Loop.RunOnce holds it for the
+	// loop (paper §III-A, Scenario 2). A loop's RunOnce holds it for the
 	// duration of an iteration; API entry points hold it per call.
 	mu sync.Mutex
 
@@ -268,6 +269,10 @@ type Stack struct {
 	obsTr  *obs.Trace
 	obsRTT *stats.Histogram
 	obsSrc uint16
+
+	// Core is where the stack books what its work costs its thread (sim's
+	// cost table): its own, or the cVM's it runs in. Protocol time is clk's.
+	Core *sim.Core
 }
 
 // ephemeralBase is the bottom of the ephemeral port range.
@@ -279,6 +284,7 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 		seg:       seg,
 		pool:      pool,
 		clk:       clk,
+		Core:      new(sim.Core),
 		conns:     make(map[fourTuple]*tcpConn),
 		listeners: make(map[tcpEndpoint]*listener),
 		udps:      make(map[tcpEndpoint]*udpSock),
@@ -751,6 +757,7 @@ func (s *Stack) input(nif *NetIF, m *dpdk.Mbuf) {
 		return
 	}
 	s.stats.RxFrames++
+	s.Core.Book(s.now(), sim.FrameHoldNS)
 	if s.tap != nil {
 		s.tap.Frame(TapRx, s.now(), frame)
 	}

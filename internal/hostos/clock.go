@@ -11,10 +11,10 @@ const (
 	ClockMonotonicRaw = 11
 )
 
-// Clock provides monotonic time in nanoseconds since boot. The network
-// simulator substitutes a virtual clock in deterministic tests; the
-// evaluation binaries use the real clock so latency figures are genuine
-// measurements.
+// Clock provides monotonic time in nanoseconds since boot. Every bed the
+// experiments build runs on a virtual clock (sim.VClock), its kernels
+// included; the real clock is what a bare kernel boots with and what the
+// host-cost probes in bench/ time against.
 type Clock interface {
 	Now() int64
 }

@@ -21,8 +21,6 @@ const (
 	SysMmap SysNo = 477
 	// SysMunmap releases the reservation [a0, a0+a1).
 	SysMunmap SysNo = 73
-	// SysNanosleep sleeps for a0 nanoseconds.
-	SysNanosleep SysNo = 240
 )
 
 // Args carries up to six syscall arguments.
@@ -81,13 +79,7 @@ func (k *Kernel) Syscall(num SysNo, a Args) (r0, r1 uint64, errno Errno) {
 		return addr, 0, errno
 	case SysMunmap:
 		return 0, 0, k.Pages.Free(a[0], a[1])
-	case SysNanosleep:
-		time.Sleep(time.Duration(a[0]))
-		return 0, 0, OK
 	default:
 		return 0, 0, ENOSYS
 	}
 }
-
-// NowNS returns kernel monotonic time; convenience for in-kernel code.
-func (k *Kernel) NowNS() int64 { return k.Clk.Now() }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/cheri"
+	"repro/internal/sim"
 )
 
 // State is a cVM lifecycle state.
@@ -50,6 +51,12 @@ type CVM struct {
 	entry cheri.EntryPair // sealed entry into the Intravisor
 	ctx   cheri.Context
 
+	// Core is the virtual time the compartment's thread has booked.
+	Core sim.Core
+	// refused marks, by ID, the callers standing refused on this
+	// compartment's gates (Gate.Call's settle).
+	refused uint64
+
 	mu    sync.Mutex
 	state State
 	trap  *cheri.Fault
@@ -60,6 +67,9 @@ func (c *CVM) Base() uint64 { return c.base }
 
 // Size returns the size of the cVM's memory window.
 func (c *CVM) Size() uint64 { return c.size }
+
+// Book charges ns of the compartment's own work to its thread.
+func (c *CVM) Book(ns int64) { c.Core.Book(c.iv.K.Clk.Now(), ns) }
 
 // DDC returns the cVM's default data capability.
 func (c *CVM) DDC() cheri.Cap { return c.ddc }

@@ -21,6 +21,11 @@
 //
 // The per-crossing cost — two frame copies, register clearing, the
 // sealed-pair CInvoke checks — is the overhead the paper measures at
-// ~125 ns (Fig. 4); it is a genuine cost of this implementation too,
-// not a modelled constant.
+// ~125 ns (Fig. 4). In virtual time it is a modelled constant: the
+// trampoline and Gate.Call book sim's cost table on the calling (and
+// called) cVM's core as they count the crossing, and a cVM's clock read
+// sees what its thread has booked — what Figs. 4-6 report (DESIGN.md
+// §15). What the crossing costs the host running the simulator is
+// bench/'s to measure (intravisor.gate_call_ns, trampoline_ns); no report
+// depends on it.
 package intravisor

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cheri"
 	"repro/internal/hostos"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // GateFunc is the target of a cross-compartment call: code that runs
@@ -68,12 +69,43 @@ func (g *Gate) Call(caller *CVM, args hostos.Args, buf cheri.Cap) (uint64, hosto
 		ctx.Restore(frame)
 		return 0, hostos.EFAULT
 	}
+	now := g.iv.K.Clk.Now()
+	free := g.owner.Core.At(now)
 	r0, errno := g.fn(caller, args, buf)
 	ctx.ClearVolatile()
 	ctx.Restore(frame)
 	crossings := g.iv.Crossings.Add(1)
+	g.owner.settle(caller, now, free, errno == hostos.EAGAIN)
 	if g.iv.obsTr != nil {
 		g.iv.obsTr.Record(g.iv.obsNow(), obs.EvGateCrossing, uint16(caller.ID), int64(crossings), 0, 0)
 	}
 	return r0, errno
+}
+
+// settle books one counted crossing into o (sim's cost table). The
+// caller's thread ran o's code: it began once it and the compartment —
+// free at `free` before the call; the F-Stack mutex, for the stack's
+// gates — were both available, did the work the target booked on o's core
+// meanwhile, and crossed; both cores are busy until it is back.
+//
+// A call refused with EAGAIN is a poll, free as an idle loop iteration
+// is: poll-mode callers return every driver step, so a booking per
+// refusal would tie virtual time to how often the driver steps. It leaves
+// a mark instead — the caller stands refused on o and keeps coming back
+// for the lock — and while another caller stands so, taking the lock
+// costs the hand-off on top.
+func (o *CVM) settle(caller *CVM, now, free int64, refused bool) {
+	mark := uint64(1) << caller.ID // 0 past 64 cVMs: those never stand
+	if refused {
+		o.refused |= mark
+		return
+	}
+	o.refused &^= mark
+	start := max(caller.Core.At(now), free)
+	if o.refused != 0 {
+		start += sim.HandoffNS
+	}
+	end := start + (o.Core.At(now) - free) + sim.GateCallNS
+	o.Core.Book(end, 0)
+	caller.Core.Book(end, 0)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cheri"
 	"repro/internal/hostos"
+	"repro/internal/sim"
 )
 
 func newIV(t *testing.T) *Intravisor {
@@ -326,5 +327,70 @@ func TestMmapThroughProxy(t *testing.T) {
 	}
 	if _, _, errno := c.Syscall(MuslMunmap, hostos.Args{addr, hostos.PageSize * 2}); errno != hostos.OK {
 		t.Fatalf("munmap: %v", errno)
+	}
+}
+
+// TestGateBooksTheCrossing pins the booking site on a virtual clock: a
+// served call leaves caller and callee busy through the caller's wait for
+// the callee, the work the target booked and one gate crossing; a
+// refused call leaves no booking on either side however often it is
+// repeated, only a standing mark that costs every other caller the
+// hand-off until the refused one is served.
+func TestGateBooksTheCrossing(t *testing.T) {
+	iv := newIV(t)
+	clk := sim.NewVClock()
+	iv.K.Clk = clk
+	clk.Advance(1_000_000)
+	now := clk.Now()
+	stack, _ := iv.CreateCVM("stack", 1<<20)
+	app, _ := iv.CreateCVM("app", 1<<20)
+	other, _ := iv.CreateCVM("other", 1<<20)
+	const work = 300
+	verdict := hostos.OK
+	g, err := iv.NewGate(stack, func(*CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
+		if verdict == hostos.OK {
+			stack.Book(work)
+		}
+		return 0, verdict
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := func(c *CVM) int64 { return c.Core.At(now) - now }
+
+	// The callee is 1 µs into earlier work: the caller waits it out.
+	stack.Book(1000)
+	g.Call(app, hostos.Args{}, cheri.NullCap)
+	if want := int64(1000 + work + sim.GateCallNS); busy(app) != want || busy(stack) != want {
+		t.Fatalf("served call: app busy %d ns, stack %d ns, want %d on both", busy(app), busy(stack), want)
+	}
+	if t0 := app.NowNS(); t0 != now+1000+work+sim.GateCallNS+sim.TrampolineNS {
+		t.Fatalf("the caller's clock reads %d ns past now, want its bookings and this crossing", t0-now)
+	}
+
+	// Refused, thrice: nothing moves.
+	clk.Advance(5000)
+	now = clk.Now()
+	verdict = hostos.EAGAIN
+	for i := 0; i < 3; i++ {
+		g.Call(other, hostos.Args{}, cheri.NullCap)
+	}
+	if busy(other) != 0 || busy(stack) != 0 {
+		t.Fatalf("refused calls booked %d ns on the caller, %d on the callee, want none", busy(other), busy(stack))
+	}
+
+	// While `other` stands refused, app pays the hand-off; other does not
+	// pay for itself, and once served it stands no longer.
+	verdict = hostos.OK
+	g.Call(app, hostos.Args{}, cheri.NullCap)
+	if want := int64(sim.HandoffNS + work + sim.GateCallNS); busy(app) != want {
+		t.Fatalf("call beside a refused caller: busy %d ns, want %d", busy(app), want)
+	}
+	clk.Advance(50_000)
+	now = clk.Now()
+	g.Call(other, hostos.Args{}, cheri.NullCap)
+	g.Call(app, hostos.Args{}, cheri.NullCap)
+	if want := int64(2 * (work + sim.GateCallNS)); busy(app) != want {
+		t.Fatalf("after the refused caller was served: app busy %d ns, want %d (queued behind it, no hand-off)", busy(app), want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/hostos"
+	"repro/internal/sim"
 )
 
 // MuslSysNo is a musl-libc (Linux aarch64) syscall number. cVMs link
@@ -17,8 +18,6 @@ const (
 	MuslClockGettime MuslSysNo = 113
 	// MuslFutex is Linux futex(2); the proxy translates it to umtx.
 	MuslFutex MuslSysNo = 98
-	// MuslNanosleep is Linux nanosleep(2).
-	MuslNanosleep MuslSysNo = 101
 	// MuslMmap is Linux mmap(2).
 	MuslMmap MuslSysNo = 222
 	// MuslMunmap is Linux munmap(2).
@@ -42,8 +41,8 @@ const (
 // Syscall is the musl trampoline: the only road from a cVM to the host
 // kernel. It performs the full domain crossing — frame save, volatile
 // register clearing, sealed-pair CInvoke into the Intravisor, proxy
-// translation, host syscall, return crossing — and therefore carries the
-// per-crossing cost the paper measures.
+// translation, host syscall, return crossing — and books the crossing's
+// modelled cost on the calling cVM as it counts it.
 func (c *CVM) Syscall(num MuslSysNo, a hostos.Args) (r0, r1 uint64, errno hostos.Errno) {
 	// Each cVM thread has its own register file (cVMs run as threads of
 	// the Intravisor); the trampoline operates on this thread's context,
@@ -66,6 +65,7 @@ func (c *CVM) Syscall(num MuslSysNo, a hostos.Args) (r0, r1 uint64, errno hostos
 	ctx.ClearVolatile()
 	ctx.Restore(frame)
 	c.iv.Crossings.Add(1)
+	c.Book(sim.TrampolineNS)
 	return r0, r1, errno
 }
 
@@ -107,9 +107,6 @@ func (iv *Intravisor) proxy(c *CVM, num MuslSysNo, a hostos.Args) (r0, r1 uint64
 			return 0, 0, hostos.EINVAL
 		}
 
-	case MuslNanosleep:
-		return iv.K.Syscall(hostos.SysNanosleep, hostos.Args{a[0]})
-
 	case MuslMmap:
 		// Length only; the proxy allocates inside the host arena. The
 		// region is NOT added to the cVM's DDC automatically — the
@@ -126,14 +123,15 @@ func (iv *Intravisor) proxy(c *CVM, num MuslSysNo, a hostos.Args) (r0, r1 uint64
 
 // NowNS reads CLOCK_MONOTONIC_RAW through the trampoline, the way the
 // paper's measurement probes do from inside a cVM ("we can't directly
-// access the timers of the system", §IV). The returned value includes
-// the crossing cost by construction.
+// access the timers of the system", §IV). The reading is the calling
+// thread's: no earlier than the work it has booked, this crossing
+// included.
 func (c *CVM) NowNS() int64 {
 	s, ns, errno := c.Syscall(MuslClockGettime, hostos.Args{LinuxClockMonotonicRaw})
 	if errno != hostos.OK {
 		return -1
 	}
-	return int64(s)*int64(time.Second) + int64(ns)
+	return c.Core.At(int64(s)*int64(time.Second) + int64(ns))
 }
 
 // FutexWait parks the caller while the word at addr equals val.

@@ -107,10 +107,10 @@ func runForwardTransfer(t *testing.T, link *testbed.LinkSpec) float64 {
 	const port = 5601
 	cli := app.NewIperfClient(testbed.PeerIP(0), port, 200e6)
 	api := bed.Envs[0].Loop.Locked()
-	bed.Envs[0].Loop.OnLoop = func(now int64) bool { cli.Step(api, now); return true }
+	bed.Envs[0].Loop.OnLoop = func(now int64) { cli.Step(api, now) }
 	srv := app.NewIperfServer(fstack.IPv4Addr{}, port)
 	papi := bed.Peers[0].Env.Loop.Locked()
-	bed.Peers[0].Env.Loop.OnLoop = func(now int64) bool { srv.Step(papi, now); return true }
+	bed.Peers[0].Env.Loop.OnLoop = func(now int64) { srv.Step(papi, now) }
 
 	loops := bed.Loops()
 	for i := 0; i < 2_000_000 && !(cli.Done() && srv.Done()); i++ {

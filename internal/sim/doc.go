@@ -13,6 +13,7 @@
 // leaps straight to the grid point containing that deadline — skipped
 // iterations are provably no-ops, so behavior is bit-identical to
 // stepping every tick (DESIGN.md §8). Latency experiments (Figs. 4-6)
-// use the real clock — they measure the genuine cost of the
-// capability machinery.
+// run on the same clock and driver: what a timed ff_write reads is the
+// virtual time its thread booked for the crossings, copies and lock
+// waits on the way, from the cost table in cost.go (DESIGN.md §15).
 package sim

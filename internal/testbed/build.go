@@ -254,7 +254,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 		}
 		return cvm, seg, pool, err
 	}
-	env := &Env{Name: cs.Name}
+	env := &Env{Name: cs.Name, k: m.K}
 	placeStack := func() (err error) {
 		env.CVM, env.Seg, env.Pool, err = place(cmp.Or(cs.CVMName, cs.Name), cmp.Or(cs.PoolName, cs.Name+"-pkt"))
 		return err
@@ -342,6 +342,11 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 			env.IFs = append(env.IFs, env.Stk.AddNetIF(ifName(ic), handles[i][0], ifIP(ic), ifMask(ic)))
 		}
 		env.Loop = &fstack.Loop{Stk: env.Stk}
+		// A cVM's main loop is the cVM's thread: stack work and crossings
+		// book on one core. (A shard is a thread of its own, and keeps its.)
+		if env.CVM != nil {
+			env.Stk.Core = &env.CVM.Core
+		}
 	}
 
 	// 5. Who calls the API: code inside the compartment, or application

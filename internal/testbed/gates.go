@@ -9,6 +9,7 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/intravisor"
+	"repro/internal/sim"
 )
 
 // StackGates is the Scenario 2 wrapper layer: one sealed entry gate per
@@ -325,6 +326,9 @@ func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 			break
 		}
 	}
+	// The staging copy of the bytes the stack took (skipping an unchanged
+	// buffer is the simulator's economy, not the application's).
+	a.App.Book(sim.CopyNS(sent))
 	return sent, hostos.OK
 }
 
@@ -338,6 +342,9 @@ func (a *GatedAPI) SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) 
 		return -1, errno
 	}
 	r, errno := a.G.sendTo.Call(a.App, hostos.Args{uint64(fd), uint64(len(data)), u64FromIP4(ip), uint64(port)}, buf)
+	if errno == hostos.OK {
+		a.App.Book(sim.CopyNS(int(r)))
+	}
 	return int(r), errno
 }
 

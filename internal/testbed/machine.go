@@ -28,6 +28,7 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 	if err != nil {
 		return nil, err
 	}
+	k.Clk = clk // one clock per bed: a compartment reads the time its stack runs on
 	ncfg := nic.Config{
 		BDFBase:     fmt.Sprintf("0000:03:%02x", macLast),
 		Ports:       ms.Ports,
@@ -109,6 +110,8 @@ type Env struct {
 	drv []*dpdk.EthDev
 	// api is the socket API the environment's gates export (APIGate).
 	api stackAPI
+	// k is the kernel of the machine the environment runs on.
+	k *hostos.Kernel
 }
 
 // CapMode reports whether the environment runs the CHERI port.
@@ -116,13 +119,18 @@ func (e *Env) CapMode() bool { return e.Seg.CapMode() }
 
 // NowNS reads the clock the way this environment's code must: directly
 // for a Baseline process, through the Intravisor trampoline for a cVM
-// ("in cVMs we can't directly access the timers of the system", §IV).
-func (e *Env) NowNS(k *hostos.Kernel) int64 {
+// ("in cVMs we can't directly access the timers of the system", §IV):
+// the main-loop thread's own reading, the work booked on its core in it.
+func (e *Env) NowNS() int64 {
 	if e.CVM != nil {
 		return e.CVM.NowNS()
 	}
-	s, ns, _ := k.Syscall(hostos.SysClockGettime, hostos.Args{hostos.ClockMonotonicRaw})
-	return int64(s)*1e9 + int64(ns)
+	s, ns, _ := e.k.Syscall(hostos.SysClockGettime, hostos.Args{hostos.ClockMonotonicRaw})
+	t := int64(s)*1e9 + int64(ns)
+	if e.Stk != nil {
+		t = e.Stk.Core.At(t)
+	}
+	return t
 }
 
 // Loops lists the environment's main loops (one, or one per shard).

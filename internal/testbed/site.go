@@ -16,6 +16,9 @@ type Site struct {
 	// sharded stack's steering API — which the experiment driver steps
 	// itself.
 	Loop *fstack.Loop
+	// Now is the clock read application code makes there: the
+	// compartment's own, through whatever stands between it and the host.
+	Now func() int64
 }
 
 // Site is application code inside the environment: in the loop callback
@@ -25,16 +28,16 @@ type Site struct {
 // once.
 func (e *Env) Site() Site {
 	if e.Sharded != nil {
-		return Site{Name: e.Name, API: e.Sharded.API()}
+		return Site{Name: e.Name, API: e.Sharded.API(), Now: e.NowNS}
 	}
-	return Site{Name: e.Name, API: e.Loop.Locked(), Loop: e.Loop}
+	return Site{Name: e.Name, API: e.Loop.Locked(), Loop: e.Loop, Now: e.NowNS}
 }
 
 // Site is application code on the link partner.
 func (p *Peer) Site() Site { return p.Env.Site() }
 
 // Site is the application cVM, calling the stack through its gates.
-func (a *GatedAPI) Site() Site { return Site{Name: a.App.Name, API: a} }
+func (a *GatedAPI) Site() Site { return Site{Name: a.App.Name, API: a, Now: a.App.NowNS} }
 
 // AppSites lists where the local box's applications run, environment by
 // environment: in its application cVMs when the environment exports its

@@ -1,7 +1,9 @@
 package testbed
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"repro/internal/fstack"
 	"repro/internal/hostos"
@@ -232,6 +234,9 @@ func (s Spec) validate() error {
 	if len(s.Compartments) == 0 {
 		return fmt.Errorf("testbed: spec has no compartments")
 	}
+	if err := validRate(s.Machine.LineRateBps, "machine "+s.Machine.Name, "LineRateBps"); err != nil {
+		return err
+	}
 	plan := newAddrPlan()
 	if err := plan.claimMAC(defaultLocalMAC, "machine "+s.Machine.Name); err != nil {
 		return err
@@ -266,6 +271,9 @@ func (s Spec) validate() error {
 		}
 		if cs.Stack.Shards > nic.MaxQueues {
 			return fmt.Errorf("testbed: %s: %d shards, a port has %d queue pairs", what, cs.Stack.Shards, nic.MaxQueues)
+		}
+		if err := validRate(cs.Stack.CPUBps, what, "Stack.CPUBps"); err != nil {
+			return err
 		}
 		if cs.Stack.CPUBps > 0 && cs.Stack.Shards == 0 {
 			return fmt.Errorf("testbed: %s: a CPU budget needs a sharded stack (set Shards >= 1)", what)
@@ -312,8 +320,14 @@ func (s Spec) validate() error {
 		if ps.Stack.Shards > 0 {
 			return fmt.Errorf("testbed: %s: peers never shard", what)
 		}
-		if ps.Stack.CPUBps > 0 {
+		if ps.Stack.CPUBps != 0 {
 			return fmt.Errorf("testbed: %s: peers stand in for the other end of the cable and have ideal cores", what)
+		}
+		link := cmp.Or(ps.Link, &LinkSpec{})
+		if err := cmp.Or(validRate(ps.LineRateBps, what, "LineRateBps"),
+			validRate(link.ToPeer.RateBps, what, "Link.ToPeer.RateBps"),
+			validRate(link.ToLocal.RateBps, what, "Link.ToLocal.RateBps")); err != nil {
+			return err
 		}
 		if err := validStackTuning(ps.Stack, what); err != nil {
 			return err
@@ -332,6 +346,15 @@ func (s Spec) validate() error {
 		}
 	}
 	return s.validateFaults()
+}
+
+// validRate rejects a bit rate that is neither unset (0) nor positive and
+// finite: it would pass for unset, or panic in sim.NewSerializer.
+func validRate(v float64, what, field string) error {
+	if !(v >= 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("testbed: %s: %s is %v; a rate is positive, or 0 for unset", what, field, v)
+	}
+	return nil
 }
 
 // validStackTuning rejects TCP tunings the stack would refuse at

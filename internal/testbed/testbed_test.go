@@ -1,10 +1,12 @@
 package testbed
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/fstack"
+	"repro/internal/netem"
 	"repro/internal/sim"
 )
 
@@ -137,6 +139,42 @@ func TestSpecValidationErrors(t *testing.T) {
 	s = minimalSpec()
 	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{Congestion: "vegas"}
 	wantBuildError(t, s, "congestion")
+
+	// A rate is positive, or 0 for unset. A negative or NaN line rate
+	// passed cmp.Or and panicked in sim.NewSerializer inside Build; a
+	// negative CPU budget or link rate was silently "unset".
+	s = minimalSpec()
+	s.Machine.LineRateBps = -1e9
+	wantBuildError(t, s, "machine morello: LineRateBps")
+
+	s = minimalSpec()
+	s.Machine.LineRateBps = math.NaN()
+	wantBuildError(t, s, "machine morello: LineRateBps")
+
+	s = minimalSpec()
+	s.Peers[0].LineRateBps = -1
+	wantBuildError(t, s, "peer peer0: LineRateBps")
+
+	s = minimalSpec()
+	s.Peers[0].LineRateBps = math.NaN()
+	wantBuildError(t, s, "peer peer0: LineRateBps")
+
+	s = minimalSpec()
+	s.Compartments[0].Stack.Shards = 2
+	s.Compartments[0].Stack.CPUBps = -1e9
+	wantBuildError(t, s, "Stack.CPUBps")
+
+	s = minimalSpec()
+	s.Peers[0].Stack.CPUBps = -1e9
+	wantBuildError(t, s, "ideal cores")
+
+	s = minimalSpec()
+	s.Peers[0].Link = SymmetricLink(netem.Config{RateBps: -100e6})
+	wantBuildError(t, s, "Link.ToPeer.RateBps")
+
+	s = minimalSpec()
+	s.Peers[0].Link = &LinkSpec{ToLocal: netem.Config{RateBps: math.NaN()}}
+	wantBuildError(t, s, "Link.ToLocal.RateBps")
 }
 
 // TestAddressCollisionsAreErrors pins the satellite: the centralized
