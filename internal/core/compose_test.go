@@ -26,7 +26,7 @@ const (
 func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSpec) (*Setup, error) {
 	cs := testbed.CompartmentSpec{
 		Name: "cvm1", CVM: true,
-		CVMBytes: s4CVMMem, SegBytes: s4SegSize, PoolBufs: s4PoolBufs,
+		SegBytes: s4SegSize, PoolBufs: s4PoolBufs,
 		Ifs: []testbed.IfSpec{{Port: 0}},
 		Stack: testbed.StackSpec{
 			Shards: shards, RingSize: s4RingSize,
@@ -43,11 +43,11 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 		Clk: clk,
 		Machine: testbed.MachineSpec{
 			Name: "morello", Ports: 1,
-			LineRateBps: s4LineRate, RxFifoBytes: s4RxFifoBytes, CapDMA: true,
+			LineRateBps: s4LineRate, RxFifoBytes: s4RxFifoBytes,
 		},
 		Compartments: []testbed.CompartmentSpec{cs},
 		Peers: []testbed.PeerSpec{{
-			Port: 0, LineRateBps: s4LineRate,
+			Port:  0,
 			Stack: testbed.StackSpec{RTOMinNS: s4RTOMin},
 		}},
 		Obs: o,

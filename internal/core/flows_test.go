@@ -158,10 +158,10 @@ func (p *probe) Err() hostos.Errno        { return hostos.OK }
 func TestMeasurePlacesMixedSites(t *testing.T) {
 	s, err := testbed.Build(testbed.Spec{
 		Clk:     sim.NewVClock(),
-		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, CapDMA: true},
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2},
 		Compartments: []testbed.CompartmentSpec{
 			{Name: "cvm1", CVM: true, Ifs: []testbed.IfSpec{{Port: 0}}, APIGate: true, AppCVMs: []string{"app1"}},
-			{Name: "proc2", Ifs: []testbed.IfSpec{{Port: 1}}},
+			{Name: "cvm2", CVM: true, Ifs: []testbed.IfSpec{{Port: 1}}},
 		},
 		Peers: []testbed.PeerSpec{{Port: 0}, {Port: 1}},
 	})
@@ -170,7 +170,7 @@ func TestMeasurePlacesMixedSites(t *testing.T) {
 	}
 	sites := s.AppSites()
 	if len(sites) != 2 || sites[0].Name != "app1" || sites[0].Loop != nil || sites[1].Loop != s.Envs[1].Loop {
-		t.Fatalf("application sites %+v, want app cVM app1 (driver-stepped), then proc2 in its own loop", sites)
+		t.Fatalf("application sites %+v, want app cVM app1 (driver-stepped), then cvm2 in its own loop", sites)
 	}
 	var log []string
 	const ms = int64(1e6)
@@ -189,7 +189,7 @@ func TestMeasurePlacesMixedSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Loops run in bed order: cvm1 (nothing placed), proc2, the peers.
+	// Loops run in bed order: cvm1 (nothing placed), cvm2, the peers.
 	if want := []string{"env 1", "env 2", "peer", "app"}; !slices.Equal(log[:4], want) {
 		t.Errorf("first instant stepped %v, want %v", log[:4], want)
 	}

@@ -40,12 +40,6 @@ const (
 	s10Port    = uint16(8080)
 	s10Backlog = 128
 
-	// Environment sizing: every shard carries a full stack (and, in
-	// capability mode, its own cVM window), so the machine's tagged
-	// memory scales with the shard count.
-	s10PerShardMem = uint64(20 << 20)
-	s10BaseMem     = uint64(24 << 20)
-
 	// s10Seed fixes the fault-arrival draw; the schedule is materialized
 	// once, up front, and replayed identically every run.
 	s10Seed = 10
@@ -148,13 +142,8 @@ func NewScenario10(clk hostos.Clock, cfg Scenario10Config) (*testbed.Bed, error)
 		}
 	}
 	spec := testbed.Spec{
-		Clk: clk,
-		Machine: testbed.MachineSpec{
-			Name:     "morello",
-			MemBytes: s10BaseMem + uint64(cfg.Shards)*s10PerShardMem,
-			Ports:    cfg.Shards,
-			CapDMA:   cfg.CapMode,
-		},
+		Clk:          clk,
+		Machine:      testbed.MachineSpec{Name: "morello", Ports: cfg.Shards},
 		Compartments: comps,
 		Peers:        peers,
 		Obs:          cfg.Obs,

@@ -39,7 +39,6 @@ const (
 	// Sized up from the default environment: K shards × 256-descriptor
 	// rings plus M flows × (512+256) KiB socket buffers.
 	s4SegSize  = 16 << 20
-	s4CVMMem   = 24 << 20
 	s4PoolBufs = 3072
 	s4RingSize = 256
 
@@ -79,7 +78,7 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 	return boxSpec{
 		name: "s4", capMode: cfg.CapMode,
 		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
-		cvmBytes: s4CVMMem, segBytes: s4SegSize, poolBufs: s4PoolBufs,
+		segBytes: s4SegSize, poolBufs: s4PoolBufs,
 		stack: testbed.StackSpec{
 			Shards: cfg.Shards, RingSize: s4RingSize,
 			CPUBps: s4CPUBps, RTOMinNS: s4RTOMin,

@@ -53,7 +53,6 @@ const (
 	// Environment sizing: two 4 MiB buffers per connection plus the
 	// mbuf pool must fit the segment.
 	s5SegSize  = 24 << 20
-	s5CVMMem   = 32 << 20
 	s5PoolBufs = 3072
 
 	s5Port = uint16(5401)
@@ -95,7 +94,7 @@ func wanBox(capMode bool, tuning *fstack.TCPTuning, link netem.Config, obs testb
 	stack := testbed.StackSpec{RTOMinNS: s5RTOMin, Tuning: tuning}
 	return boxSpec{
 		capMode: capMode, lineRate: s5LineRate,
-		cvmBytes: s5CVMMem, segBytes: s5SegSize, poolBufs: s5PoolBufs,
+		segBytes: s5SegSize, poolBufs: s5PoolBufs,
 		stack: stack, peerStack: stack,
 		link: testbed.SymmetricLink(link), obs: obs,
 	}

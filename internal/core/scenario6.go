@@ -60,10 +60,8 @@ const (
 	s6WScale   = 6
 
 	// Environment sizing: M flows × (1+1) MiB buffers plus the pool.
-	s6MachineMem = 96 << 20
-	s6SegSize    = 32 << 20
-	s6CVMMem     = 40 << 20
-	s6PoolBufs   = 4096
+	s6SegSize  = 32 << 20
+	s6PoolBufs = 4096
 
 	// s6BasePort is the first iperf port; flow f uses s6BasePort+f.
 	s6BasePort = uint16(5501)
@@ -162,7 +160,7 @@ func NewScenario6(clk hostos.Clock, cfg Scenario6Config) (*Setup6, error) {
 	bed, err := boxSpec{
 		name: "s6", capMode: cfg.CapMode,
 		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
-		memBytes: s6MachineMem, cvmBytes: s6CVMMem, segBytes: s6SegSize, poolBufs: s6PoolBufs,
+		segBytes: s6SegSize, poolBufs: s6PoolBufs,
 		peerSeg: s6SegSize, peerPool: s6PoolBufs,
 		stack: stack, peerStack: peerStack, link: link,
 	}.build(clk)

@@ -53,12 +53,7 @@ const (
 	// holds a closed conn's buffers until the arena recycles them,
 	// ~rate × 2MSL conns on the client side). Idle preload conns never
 	// move data, so lazy buffers keep them out of this budget entirely.
-	// Peers run on the default 64 MiB machine, so the segment must fit
-	// under that; the local machine is sized explicitly for the cVM
-	// window.
 	s8SegSize  = 48 << 20
-	s8CVMMem   = 56 << 20
-	s8MemBytes = 160 << 20
 	s8PoolBufs = 3072
 )
 
@@ -87,7 +82,7 @@ func NewScenario8(clk hostos.Clock, cfg Scenario8Config) (*testbed.Bed, error) {
 	return boxSpec{
 		name: "s8", capMode: cfg.CapMode,
 		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
-		memBytes: s8MemBytes, cvmBytes: s8CVMMem, segBytes: s8SegSize, poolBufs: s8PoolBufs,
+		segBytes: s8SegSize, poolBufs: s8PoolBufs,
 		peerSeg: s8SegSize, peerPool: s8PoolBufs,
 		stack:     testbed.StackSpec{Shards: cfg.Shards, RingSize: s4RingSize, Tuning: tuning},
 		peerStack: testbed.StackSpec{Tuning: tuning},

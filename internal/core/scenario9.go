@@ -46,8 +46,6 @@ const (
 
 	// Environment sizing, as in Scenario 8.
 	s9SegSize  = 48 << 20
-	s9CVMMem   = 56 << 20
-	s9MemBytes = 160 << 20
 	s9PoolBufs = 3072
 
 	// s9SportBase is where the client workers' managed source-port walk
@@ -125,7 +123,7 @@ func NewScenario9(clk hostos.Clock, cfg Scenario9Config) (*testbed.Bed, error) {
 	box := boxSpec{
 		name: "s9", capMode: cfg.CapMode,
 		lineRate: s4LineRate, rxFifo: s4RxFifoBytes,
-		memBytes: s9MemBytes, cvmBytes: s9CVMMem, segBytes: s9SegSize, poolBufs: s9PoolBufs,
+		segBytes: s9SegSize, poolBufs: s9PoolBufs,
 		peerSeg: s9SegSize, peerPool: s9PoolBufs,
 		stack:     testbed.StackSpec{Shards: cfg.Shards, RingSize: s4RingSize, Tuning: s9Tuning()},
 		peerStack: testbed.StackSpec{Tuning: s9Tuning()},
@@ -167,6 +165,13 @@ type Scenario9Result struct {
 	// Timeouts / Failed are DNS expirations and abandoned queries.
 	Timeouts uint64
 	Failed   uint64
+	// ServerBad, ServerMalformed and ServerTxBusy are what the server
+	// application itself dropped: malformed HTTP request heads, datagrams
+	// too short for a DNS header, and answers refused by a full transmit
+	// path. All zero on a clean run.
+	ServerBad       uint64
+	ServerMalformed uint64
+	ServerTxBusy    uint64
 	// P50NS/P99NS/P999NS are per-request latency quantiles, merged
 	// across the workers (one per server shard).
 	P50NS  int64
@@ -297,6 +302,12 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 		res.Failed += c.Failed()
 		merged.Merge(&c.Hist)
 	}
+	switch srv := srv.(type) {
+	case *app.HTTPServer:
+		res.ServerBad = srv.Bad()
+	case *app.DNSServer:
+		res.ServerMalformed, res.ServerTxBusy = srv.Malformed(), srv.TxBusy()
+	}
 	if err != nil {
 		return res, err
 	}
@@ -392,6 +403,14 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 		}
 		if r.Failed > 0 {
 			note += fmt.Sprintf("  (%d failed)", r.Failed)
+		}
+		for _, drop := range []struct {
+			n    uint64
+			what string
+		}{{r.ServerBad, "bad requests"}, {r.ServerMalformed, "malformed queries"}, {r.ServerTxBusy, "answers dropped tx-busy"}} {
+			if drop.n > 0 {
+				note += fmt.Sprintf("  (server: %d %s)", drop.n, drop.what)
+			}
 		}
 		fmt.Fprintf(&b, "  %-9s %-14s %9.0f %9.1f %9.1f %9.1f %5d %6d%s\n",
 			modeName(r.CapMode), load, r.CompletedPerSec(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/netem"
@@ -33,6 +34,10 @@ func requireClean(t *testing.T, r Scenario9Result) {
 	if r.Drops() != 0 {
 		t.Fatalf("unforced server drops: %d SYN, %d overflow, %d udp-queue",
 			r.Stats.SynDrops, r.Stats.AcceptOverflows, r.Stats.UdpQueueDrops)
+	}
+	if r.ServerBad != 0 || r.ServerMalformed != 0 || r.ServerTxBusy != 0 {
+		t.Fatalf("the server application dropped: %d bad requests, %d malformed queries, %d answers tx-busy",
+			r.ServerBad, r.ServerMalformed, r.ServerTxBusy)
 	}
 	if r.P50NS <= 0 || r.P99NS < r.P50NS || r.P999NS < r.P99NS {
 		t.Fatalf("implausible quantiles p50=%d p99=%d p999=%d", r.P50NS, r.P99NS, r.P999NS)
@@ -217,6 +222,24 @@ func TestScenario9RejectsBadConfig(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := NewScenario9(sim.NewVClock(), cfg); err == nil {
 			t.Fatalf("case %d: bad config accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestScenario9ReportsServerDrops: what the server application dropped is
+// in the row's trailing note when there is any, and only then — the
+// golden rows, which drop nothing, carry no note.
+func TestScenario9ReportsServerDrops(t *testing.T) {
+	clean := Scenario9Result{Proto: "dns", Shards: 2, Rate: 1000, Conns: 4, RunNS: 1e9, Completed: 1000}
+	if out := FormatScenario9("t", []Scenario9Result{clean}); strings.Contains(out, "server:") {
+		t.Fatalf("a clean row carries a server note:\n%s", out)
+	}
+	dirty := clean
+	dirty.ServerBad, dirty.ServerMalformed, dirty.ServerTxBusy = 1, 2, 3
+	out := FormatScenario9("t", []Scenario9Result{dirty})
+	for _, want := range []string{"(server: 1 bad requests)", "(server: 2 malformed queries)", "(server: 3 answers dropped tx-busy)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("row lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func NewBaselineDual(clk hostos.Clock) (*Setup, error) {
 func NewScenario1(clk hostos.Clock) (*Setup, error) {
 	return testbed.Build(testbed.Spec{
 		Clk:     clk,
-		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true, CapDMA: true},
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true},
 		Compartments: []testbed.CompartmentSpec{
 			{Name: "cvm1", CVM: true, Ifs: []testbed.IfSpec{{Port: 0}}},
 			{Name: "cvm2", CVM: true, Ifs: []testbed.IfSpec{{Port: 1}}},
@@ -65,7 +65,7 @@ func NewScenario2(clk hostos.Clock, apps int) (*Setup, error) {
 	}
 	return testbed.Build(testbed.Spec{
 		Clk:     clk,
-		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true, CapDMA: true},
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true},
 		Compartments: []testbed.CompartmentSpec{
 			{
 				Name: "cvm1", CVM: true,
@@ -84,7 +84,7 @@ func NewScenario2(clk hostos.Clock, apps int) (*Setup, error) {
 func NewScenario3(clk hostos.Clock) (*Setup, error) {
 	return testbed.Build(testbed.Spec{
 		Clk:     clk,
-		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true, CapDMA: true},
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true},
 		Compartments: []testbed.CompartmentSpec{
 			{
 				Name: "cvm2", CVM: true, CVMName: "cvm2-fstack",
@@ -100,7 +100,9 @@ func NewScenario3(clk hostos.Clock) (*Setup, error) {
 // boxSpec is the topology Scenarios 4-9 share, and the only part of
 // their specs that differs: one compartment — a process, or cVM "cvm1"
 // in capability mode — owning port 0 of a one-port machine, and one
-// link partner at the same line rate, over a wire or a netem link.
+// link partner over a wire or a netem link. A scenario sizes what it
+// fills (segments and pools); machine memory, cVM windows and the DMA
+// regime follow from that in testbed.Build.
 type boxSpec struct {
 	// name is the compartment's name; "" names it after its mode
 	// ("proc" / "cvm1").
@@ -109,16 +111,15 @@ type boxSpec struct {
 	// lineRate and rxFifo size the port (0 = the paper's 82576).
 	lineRate float64
 	rxFifo   int
-	// memBytes, cvmBytes, segBytes and poolBufs size the local machine
-	// and compartment; peerSeg and peerPool the peer's environment
-	// (0 = the testbed's sizing).
-	memBytes, cvmBytes, segBytes uint64
-	poolBufs                     int
-	peerSeg                      uint64
-	peerPool                     int
-	stack, peerStack             testbed.StackSpec
-	link                         *testbed.LinkSpec
-	obs                          testbed.ObsSpec
+	// segBytes and poolBufs size the local compartment; peerSeg and
+	// peerPool the peer's environment (0 = the testbed's sizing).
+	segBytes         uint64
+	poolBufs         int
+	peerSeg          uint64
+	peerPool         int
+	stack, peerStack testbed.StackSpec
+	link             *testbed.LinkSpec
+	obs              testbed.ObsSpec
 }
 
 func (b boxSpec) build(clk hostos.Clock) (*Setup, error) {
@@ -132,18 +133,17 @@ func (b boxSpec) build(clk hostos.Clock) (*Setup, error) {
 	return testbed.Build(testbed.Spec{
 		Clk: clk,
 		Machine: testbed.MachineSpec{
-			Name: "morello", MemBytes: b.memBytes, Ports: 1,
-			LineRateBps: b.lineRate, RxFifoBytes: b.rxFifo, CapDMA: b.capMode,
+			Name: "morello", Ports: 1,
+			LineRateBps: b.lineRate, RxFifoBytes: b.rxFifo,
 		},
 		Compartments: []testbed.CompartmentSpec{{
 			Name: name, CVM: b.capMode, CVMName: "cvm1",
-			CVMBytes: b.cvmBytes, SegBytes: b.segBytes, PoolBufs: b.poolBufs,
+			SegBytes: b.segBytes, PoolBufs: b.poolBufs,
 			Ifs:   []testbed.IfSpec{{Port: 0}},
 			Stack: b.stack,
 		}},
 		Peers: []testbed.PeerSpec{{
-			Port: 0, LineRateBps: b.lineRate,
-			SegBytes: b.peerSeg, PoolBufs: b.peerPool,
+			Port: 0, SegBytes: b.peerSeg, PoolBufs: b.peerPool,
 			Link: b.link, Stack: b.peerStack,
 		}},
 		Obs: b.obs,

@@ -40,28 +40,27 @@ func (iv *Intravisor) SetTrace(tr *obs.Trace, now func() int64) {
 	iv.obsTr, iv.obsNow = tr, now
 }
 
-// codeWindow is the size of the synthetic executable region entry points
-// live in. The model does not interpret instructions; the window exists
-// so PCC capabilities have real bounds.
-const codeWindow = 1 << 20
+// CodeWindow is the size of the synthetic executable region entry points
+// live in, reserved from the kernel's pages by New: a machine that will
+// host an Intravisor needs this much memory beyond its cVM windows. The
+// model does not interpret instructions; the window exists so PCC
+// capabilities have real bounds.
+const CodeWindow = 1 << 20
 
 // New boots an Intravisor on the kernel. It mints the memory root, a
 // sealing root, and the executable window for entry points.
 func New(k *hostos.Kernel) (*Intravisor, error) {
-	codeBase, errno := k.Pages.Alloc(codeWindow)
+	codeBase, errno := k.Pages.Alloc(CodeWindow)
 	if errno != hostos.OK {
 		return nil, fmt.Errorf("intravisor: allocating code window: %v", errno)
 	}
 	root := k.Mem.Root()
-	sealer, err := root.SetAddr(uint64(cheri.OTypeFirst)).SetBounds(uint64(cheri.OTypeLast))
-	if err != nil {
-		return nil, fmt.Errorf("intravisor: deriving sealer: %v", err)
-	}
-	sealer, err = sealer.AndPerms(cheri.PermSeal | cheri.PermUnseal)
-	if err != nil {
-		return nil, err
-	}
-	codeCap, err := root.SetAddr(codeBase).SetBounds(codeWindow)
+	// The sealing root is minted on its own, not derived from the memory
+	// root: otype space is not memory, and a derivation over
+	// [OTypeFirst, OTypeLast] is a monotonicity violation on any machine
+	// with less than 16 MiB.
+	sealer := cheri.NewRoot(uint64(cheri.OTypeFirst), uint64(cheri.OTypeLast), cheri.PermSeal|cheri.PermUnseal)
+	codeCap, err := root.SetAddr(codeBase).SetBounds(CodeWindow)
 	if err != nil {
 		return nil, err
 	}

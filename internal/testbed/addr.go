@@ -7,11 +7,12 @@ import (
 )
 
 // The testbed addressing plan, centralized here so no scenario needs
-// its own copy: NIC port i uses subnet 10.0.i.0/24 with .1 on the
-// local box and .2 on the link partner; MACs are 02:82:57:60:00:XX
-// with XX = 0x01 for the local card and 0x80+port for peers. Build
-// validates every claimed address against the plan and fails loudly on
-// collisions instead of silently overlapping.
+// its own copy, and no spec can state an address: NIC port i uses subnet
+// 10.0.i.0/24 with .1 on the local box and .2 on the link partner
+// "peer<i>"; interfaces are eth<port>; MACs are 02:82:57:60:00:XX with
+// XX = 0x01 for the local card and 0x80+port for peers. What a spec can
+// still get wrong — two owners of one port, two peers on one cable — is
+// a Build error naming both claimants.
 
 // Mask24 is the /24 netmask used throughout the testbed.
 var Mask24 = fstack.IP4(255, 255, 255, 0)
@@ -22,52 +23,5 @@ func LocalIP(port int) fstack.IPv4Addr { return fstack.IP4(10, 0, byte(port), 1)
 // PeerIP is the link partner's address on port's subnet.
 func PeerIP(port int) fstack.IPv4Addr { return fstack.IP4(10, 0, byte(port), 2) }
 
-// addrPlan tracks who claimed which address or port, so collisions
-// surface as build errors naming both claimants.
-type addrPlan struct {
-	ips        map[fstack.IPv4Addr]string
-	macs       map[byte]string
-	localPorts map[int]string
-	peerPorts  map[int]string
-}
-
-func newAddrPlan() *addrPlan {
-	return &addrPlan{
-		ips:        map[fstack.IPv4Addr]string{},
-		macs:       map[byte]string{},
-		localPorts: map[int]string{},
-		peerPorts:  map[int]string{},
-	}
-}
-
-func (p *addrPlan) claimIP(ip fstack.IPv4Addr, what string) error {
-	if prev, ok := p.ips[ip]; ok {
-		return fmt.Errorf("testbed: IP %v claimed by both %s and %s", ip, prev, what)
-	}
-	p.ips[ip] = what
-	return nil
-}
-
-func (p *addrPlan) claimMAC(last byte, what string) error {
-	if prev, ok := p.macs[last]; ok {
-		return fmt.Errorf("testbed: MAC suffix %#02x claimed by both %s and %s", last, prev, what)
-	}
-	p.macs[last] = what
-	return nil
-}
-
-func (p *addrPlan) claimLocalPort(port int, what string) error {
-	if prev, ok := p.localPorts[port]; ok {
-		return fmt.Errorf("testbed: local port %d claimed by both %s and %s", port, prev, what)
-	}
-	p.localPorts[port] = what
-	return nil
-}
-
-func (p *addrPlan) claimPeerPort(port int, what string) error {
-	if prev, ok := p.peerPorts[port]; ok {
-		return fmt.Errorf("testbed: port %d already faces %s; %s cannot share the cable", port, prev, what)
-	}
-	p.peerPorts[port] = what
-	return nil
-}
+// peerName names the link partner facing a local port.
+func peerName(port int) string { return fmt.Sprintf("peer%d", port) }

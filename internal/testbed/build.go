@@ -179,13 +179,13 @@ func Build(spec Spec) (*Bed, error) {
 		return nil, err
 	}
 	arena := nic.NewFrameArena()
-	local, err := newMachine(spec.Clk, arena, defaultLocalMAC, spec.Machine)
+	local, err := newMachine(spec.Clk, arena, defaultLocalMAC, spec.Machine, spec.Compartments)
 	if err != nil {
 		return nil, err
 	}
 	bed := &Bed{Clk: spec.Clk, Local: local, arena: arena}
 	for _, cs := range spec.Compartments {
-		env, err := bed.buildEnv(local, cs)
+		env, err := bed.buildEnv(local, cs, LocalIP)
 		if err != nil {
 			return nil, err
 		}
@@ -234,20 +234,19 @@ func Build(spec Spec) (*Bed, error) {
 // queue pairs it configures, what stands in front of each queue handle,
 // which stack binds the handles, and who calls the stack's API. No
 // combination has a constructor of its own, so every combination builds.
-func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
-	segBytes := cmp.Or(cs.SegBytes, DefaultSegBytes)
+// ipOf addresses the interface on a port: the plan's local or peer side.
+func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstack.IPv4Addr) (*Env, error) {
 	poolBufs := cmp.Or(cs.PoolBufs, DefaultPoolBufs)
 	ringSize := uint32(cmp.Or(cs.Stack.RingSize, DefaultRingSize))
-	cvmBytes := cmp.Or(cs.CVMBytes, DefaultCVMBytes)
 	// place creates a home for code and its packet memory: a cVM (nil
 	// for a plain process), a DPDK segment in it and a pool in that.
 	place := func(name, poolName string) (cvm *intravisor.CVM, seg *dpdk.MemSeg, pool *dpdk.Mempool, err error) {
 		if cs.CVM {
-			if cvm, err = m.NewCVMSized(name, cvmBytes); err == nil {
-				seg, err = cvmSeg(m, cvm, segBytes)
+			if cvm, err = m.newCVM(name, cs.homeBytes()); err == nil {
+				seg, err = cvmSeg(m, cvm, cs.segBytes())
 			}
 		} else {
-			seg, err = m.baselineSeg(name, segBytes)
+			seg, err = m.baselineSeg(name, cs.segBytes())
 		}
 		if err == nil {
 			pool, err = dpdk.NewMempool(seg, poolName, poolBufs, dpdk.DefaultDataroom)
@@ -294,14 +293,13 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 	// 3. What stands in front of each queue handle: the gated proxy
 	// (its stack-side half needs the stack's home, placed after the
 	// driver's and its gates), then the core's CPU budget.
-	var gates []*DevGates
 	if cs.DeviceGate {
 		for _, dev := range env.drv {
 			g, err := NewDevGates(m.IV, drvCVM, dev, drvPool)
 			if err != nil {
 				return nil, err
 			}
-			gates = append(gates, g)
+			env.devGates = append(env.devGates, g)
 		}
 		if err := placeStack(); err != nil {
 			return nil, err
@@ -314,7 +312,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 		for q := 0; q < nq; q++ {
 			var h fstack.EthDevice = dev.Queue(q)
 			if cs.DeviceGate {
-				h = NewGatedEthDev(gates[i], env.CVM, env.Pool, q)
+				h = NewGatedEthDev(env.devGates[i], env.CVM, env.Pool, q)
 			}
 			if cs.Stack.CPUBps > 0 {
 				h = cpuDev{dev: h, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, cpuWindow(cs.Stack.CPUBps))}
@@ -332,14 +330,14 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 		// the driver programmed, so a device-gated stack asks it directly
 		// (like NextDeadline) instead of across the gates.
 		for i, ic := range cs.Ifs {
-			if err := env.Sharded.AddNetIF(ifName(ic), handles[i], env.drv[i].RxQueueOf, ifIP(ic), ifMask(ic)); err != nil {
+			if err := env.Sharded.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		env.Stk = fstack.NewStack(env.Seg, env.Pool, b.Clk)
 		for i, ic := range cs.Ifs {
-			env.IFs = append(env.IFs, env.Stk.AddNetIF(ifName(ic), handles[i][0], ifIP(ic), ifMask(ic)))
+			env.IFs = append(env.IFs, env.Stk.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i][0], ipOf(ic.Port), Mask24))
 		}
 		env.Loop = &fstack.Loop{Stk: env.Stk}
 		// A cVM's main loop is the cVM's thread: stack work and crossings
@@ -361,7 +359,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec) (*Env, error) {
 		}
 		b.gatesEnv = env
 		for _, appName := range cs.AppCVMs {
-			app, err := m.NewCVM(appName)
+			app, err := m.newCVM(appName, appAreaBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -376,22 +374,24 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 	// A fast line or an impaired link, whose window-scaled flows buffer
 	// multi-MiB per connection, gets the large environment sizing.
 	segBytes, poolBufs := uint64(DefaultSegBytes), DefaultPoolBufs
-	if ps.LineRateBps > defaultLineRate || ps.Link != nil {
+	if spec.Machine.LineRateBps > defaultLineRate || ps.Link != nil {
 		segBytes, poolBufs = bigPeerSegBytes, bigPeerPoolBufs
 	}
-	name := peerName(ps)
-	m, err := newMachine(spec.Clk, b.arena, peerMAC(ps),
-		MachineSpec{Name: name, Ports: defaultPeerPorts, LineRateBps: ps.LineRateBps})
-	if err != nil {
-		return err
-	}
-	env, err := b.buildEnv(m, CompartmentSpec{
+	name := peerName(ps.Port)
+	cs := CompartmentSpec{
 		Name:     name,
 		SegBytes: cmp.Or(ps.SegBytes, segBytes),
 		PoolBufs: cmp.Or(ps.PoolBufs, poolBufs),
-		Ifs:      []IfSpec{{Port: 0, Name: "eth0", IP: PeerIP(ps.Port), Mask: Mask24}},
+		Ifs:      []IfSpec{{Port: 0}},
 		Stack:    ps.Stack,
-	})
+	}
+	// Both ends of a cable serialize at one rate: the local machine's.
+	m, err := newMachine(spec.Clk, b.arena, defaultPeerMAC+byte(ps.Port),
+		MachineSpec{Name: name, Ports: defaultPeerPorts, LineRateBps: spec.Machine.LineRateBps}, []CompartmentSpec{cs})
+	if err != nil {
+		return err
+	}
+	env, err := b.buildEnv(m, cs, func(int) fstack.IPv4Addr { return PeerIP(ps.Port) })
 	if err != nil {
 		return err
 	}

@@ -46,26 +46,39 @@ type DevGates struct {
 func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.EthDev, devPool *dpdk.Mempool) (*DevGates, error) {
 	mem := iv.Mem()
 	g := &DevGates{mac: dev.MAC(), dev: dev}
-	mk := func(fn intravisor.GateFunc) (*intravisor.Gate, error) {
-		return iv.NewGate(dpdkCVM, fn)
+	// mk seals one entry point; the first failure sticks.
+	var err error
+	mk := func(fn intravisor.GateFunc) (gate *intravisor.Gate) {
+		if err == nil {
+			gate, err = iv.NewGate(dpdkCVM, fn)
+		}
+		return gate
 	}
 	// queue checks the queue index a caller passed across the boundary.
 	queue := func(v uint64) (int, bool) { return int(v), v < uint64(dev.NumRxQueues()) }
-	var err error
+	// burst checks a frame count and the staging capability it came with:
+	// a burst the stage cannot hold is refused whole, before a frame is
+	// harvested for it and lost.
+	burst := func(v uint64, stage cheri.Cap) (int, hostos.Errno) {
+		return crossedLen(v, devStageSize/devBurstMax, 0, devBurstMax, stage)
+	}
 	// rx: harvest up to a[0] frames from queue a[1]; pack [u16 len][bytes]...
 	// through the caller's staging capability; returns the frame count.
-	if g.rx, err = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
+	g.rx = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
 		q, ok := queue(a[1])
 		if !ok {
 			return 0, hostos.EINVAL
 		}
-		n := min(int(a[0]), devBurstMax)
-		var burst [devBurstMax]*dpdk.Mbuf
-		k := dev.RxBurstQ(q, burst[:n])
+		n, errno := burst(a[0], stage)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		var bufs [devBurstMax]*dpdk.Mbuf
+		k := dev.RxBurstQ(q, bufs[:n])
 		addr := stage.Addr()
 		packed := 0
 		for i := 0; i < k; i++ {
-			m := burst[i]
+			m := bufs[i]
 			data, err := m.BytesRO()
 			if err == nil {
 				var hdr [2]byte
@@ -79,21 +92,22 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 			m.Free()
 		}
 		return uint64(packed), hostos.OK
-	}); err != nil {
-		return nil, err
-	}
+	})
 	// tx: unpack a[0] frames from the staging capability into the DPDK
 	// compartment's own mbufs and transmit on queue a[1]; returns the
 	// accepted count.
-	if g.tx, err = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
+	g.tx = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
 		q, ok := queue(a[1])
 		if !ok {
 			return 0, hostos.EINVAL
 		}
-		n := int(a[0])
+		n, errno := burst(a[0], stage)
+		if errno != hostos.OK {
+			return 0, errno
+		}
 		addr := stage.Addr()
 		accepted := 0
-		for i := 0; i < n && i < devBurstMax; i++ {
+		for i := 0; i < n; i++ {
 			var hdr [2]byte
 			if mem.Load(stage, addr, hdr[:]) != nil {
 				break
@@ -116,17 +130,16 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 			accepted++
 		}
 		return uint64(accepted), hostos.OK
-	}); err != nil {
-		return nil, err
-	}
-	if g.poll, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.poll = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		q, ok := queue(a[0])
 		if !ok {
 			return 0, hostos.EINVAL
 		}
 		dev.PollQ(q)
 		return 0, hostos.OK
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -20,9 +20,15 @@
 // which stack binds them and who calls its API — so shards, API gates
 // and device gates combine without any combination being a case.
 //
-// What is declarative: topology, sizing, addressing (with collision
-// checks), gate policy, stack tuning, link impairments, and
-// observability (Spec.Obs selects the internal/obs instruments —
+// A spec says what differs between layouts and nothing Build can work
+// out: a machine's memory is the sum of what is placed on it, a cVM's
+// window its segment plus a fixed application area, its card does
+// capability DMA exactly when its compartments are cVMs, a peer
+// serializes at the machine's line rate, and every name and address
+// comes from the plan in addr.go (DESIGN.md §6).
+//
+// What is declarative: topology, segment and pool sizing, gate policy,
+// stack tuning, link impairments, and observability (Spec.Obs selects the internal/obs instruments —
 // flight-recorder trace, metrics sampling, latency histograms, link
 // pcap captures — wired into every layer at build time; the zero
 // ObsSpec wires nothing and leaves the bed's behavior byte-identical).

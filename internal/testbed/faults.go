@@ -108,7 +108,7 @@ func (s Spec) validateFaults() error {
 	}
 	peers := map[string]bool{}
 	for _, ps := range s.Peers {
-		peers[peerName(ps)] = ps.Link != nil
+		peers[peerName(ps.Port)] = ps.Link != nil
 	}
 	for _, lf := range f.LinkFlaps {
 		linked, ok := peers[lf.Peer]

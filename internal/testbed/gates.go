@@ -70,6 +70,30 @@ type stackAPI interface {
 	WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
 }
 
+// capRoom is how many bytes c covers from its cursor on: 0 for an
+// untagged capability or a cursor outside the bounds.
+func capRoom(c cheri.Cap) uint64 {
+	if !c.Tag() || c.Addr() < c.Base() || c.Addr() > c.Top() {
+		return 0
+	}
+	return c.Top() - c.Addr()
+}
+
+// crossedLen admits a count the caller passed beside buf: at most limit
+// units (what the wrapper layer's staging area holds; EINVAL past it),
+// and, after hdr bytes, inside what buf covers (EFAULT past that). The
+// caller is another compartment: a target converts, slices and allocates
+// by an admitted count only, so no argument can trap the stack.
+func crossedLen(v uint64, unit, hdr, limit int, buf cheri.Cap) (int, hostos.Errno) {
+	if v > uint64(limit) {
+		return 0, hostos.EINVAL
+	}
+	if uint64(hdr)+v*uint64(unit) > capRoom(buf) {
+		return 0, hostos.EFAULT
+	}
+	return int(v), hostos.OK
+}
+
 // NewStackGates exports the socket API of stackEnv's stack from its
 // cVM.
 func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error) {
@@ -79,27 +103,31 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 	s := stackEnv.api
 	mem := iv.Mem()
 	g := &StackGates{}
-	mk := func(fn intravisor.GateFunc) (*intravisor.Gate, error) {
-		return iv.NewGate(stackEnv.CVM, fn)
-	}
+	// mk seals one entry point; the first failure sticks and is returned
+	// once every target is declared.
 	var err error
-	if g.socket, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	mk := func(fn intravisor.GateFunc) (gate *intravisor.Gate) {
+		if err == nil {
+			gate, err = iv.NewGate(stackEnv.CVM, fn)
+		}
+		return gate
+	}
+	g.socket = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		fd, errno := s.Socket(int(a[0]))
 		return uint64(fd), errno
-	}); err != nil {
-		return nil, err
-	}
-	if g.bind, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.bind = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return 0, s.Bind(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
-	}); err != nil {
-		return nil, err
-	}
-	if g.listen, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.listen = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return 0, s.Listen(int(a[0]), int(a[1]))
-	}); err != nil {
-		return nil, err
-	}
-	if g.accept, err = mk(func(_ *intravisor.CVM, a hostos.Args, addrOut cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.accept = mk(func(_ *intravisor.CVM, a hostos.Args, addrOut cheri.Cap) (uint64, hostos.Errno) {
+		// Before a connection leaves the queue for a buffer too short to
+		// name its peer.
+		if addrOut.Tag() && capRoom(addrOut) < sockaddrLen {
+			return 0, hostos.EFAULT
+		}
 		nfd, ip, port, errno := s.Accept(int(a[0]))
 		if errno != hostos.OK {
 			return 0, errno
@@ -113,42 +141,48 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 			}
 		}
 		return uint64(nfd), hostos.OK
-	}); err != nil {
-		return nil, err
-	}
-	if g.connect, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.connect = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return 0, s.Connect(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
-	}); err != nil {
-		return nil, err
-	}
-	if g.read, err = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
-		n, errno := s.ReadCap(int(a[0]), mem, dst, int(a[1]))
+	})
+	g.read = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
+		want, errno := crossedLen(a[1], 1, 0, stageReadSize, dst)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		n, errno := s.ReadCap(int(a[0]), mem, dst, want)
 		return uint64(n), errno
-	}); err != nil {
-		return nil, err
-	}
-	if g.write, err = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
-		n, errno := s.WriteCap(int(a[0]), mem, src, int(a[1]))
+	})
+	g.write = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
+		have, errno := crossedLen(a[1], 1, 0, StageWriteSize, src)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		n, errno := s.WriteCap(int(a[0]), mem, src, have)
 		return uint64(n), errno
-	}); err != nil {
-		return nil, err
-	}
-	if g.sendTo, err = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.sendTo = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
 		// The stack builds the datagram from the caller's staged bytes,
 		// read through the capability that crossed.
-		data, err := mem.CheckedSliceRO(src, src.Addr(), int(a[1]))
+		have, errno := crossedLen(a[1], 1, 0, StageWriteSize, src)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		data, err := mem.CheckedSliceRO(src, src.Addr(), have)
 		if err != nil {
 			return 0, hostos.EFAULT
 		}
 		n, errno := s.SendTo(int(a[0]), data, ip4FromU64(a[2]), uint16(a[3]))
 		return uint64(n), errno
-	}); err != nil {
-		return nil, err
-	}
-	if g.recvFrom, err = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.recvFrom = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
 		// The sender's address leads the caller's buffer, the payload
 		// follows it.
-		buf, err := mem.CheckedSlice(dst, dst.Addr(), sockaddrLen+int(a[1]))
+		want, errno := crossedLen(a[1], 1, sockaddrLen, stageReadSize-sockaddrLen, dst)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		buf, err := mem.CheckedSlice(dst, dst.Addr(), sockaddrLen+want)
 		if err != nil {
 			return 0, hostos.EFAULT
 		}
@@ -158,45 +192,41 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		}
 		putSockaddr(buf, ip, port)
 		return uint64(n), hostos.OK
-	}); err != nil {
-		return nil, err
-	}
-	if g.closeG, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.closeG = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return 0, s.Close(int(a[0]))
-	}); err != nil {
-		return nil, err
-	}
-	if g.epCreate, err = mk(func(_ *intravisor.CVM, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.epCreate = mk(func(_ *intravisor.CVM, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return uint64(s.EpollCreate()), hostos.OK
-	}); err != nil {
-		return nil, err
-	}
-	if g.epCtl, err = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+	})
+	g.epCtl = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		return 0, s.EpollCtl(int(a[0]), int(a[1]), int(a[2]), uint32(a[3]))
-	}); err != nil {
-		return nil, err
-	}
-	if g.epWait, err = mk(func(_ *intravisor.CVM, a hostos.Args, evOut cheri.Cap) (uint64, hostos.Errno) {
-		maxEv := int(a[1])
-		evs := make([]fstack.Event, maxEv)
-		n, errno := s.EpollWait(int(a[0]), evs)
+	})
+	g.epWait = mk(func(_ *intravisor.CVM, a hostos.Args, evOut cheri.Cap) (uint64, hostos.Errno) {
+		maxEv, errno := crossedLen(a[1], stageEventLen, 0, stageEventsMax, evOut)
+		if errno != hostos.OK {
+			return 0, errno
+		}
+		var evs [stageEventsMax]fstack.Event
+		n, errno := s.EpollWait(int(a[0]), evs[:maxEv])
 		if errno != hostos.OK {
 			return 0, errno
 		}
 		// Marshal events (fd u32, events u32) through the caller's
 		// buffer capability.
-		out := make([]byte, 8*n)
+		var out [stageEventsMax * stageEventLen]byte
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(out[i*8:], uint32(evs[i].FD))
-			binary.LittleEndian.PutUint32(out[i*8+4:], evs[i].Events)
+			binary.LittleEndian.PutUint32(out[i*stageEventLen:], uint32(evs[i].FD))
+			binary.LittleEndian.PutUint32(out[i*stageEventLen+4:], evs[i].Events)
 		}
 		if n > 0 {
-			if err := mem.Store(evOut, evOut.Addr(), out); err != nil {
+			if err := mem.Store(evOut, evOut.Addr(), out[:n*stageEventLen]); err != nil {
 				return 0, hostos.EFAULT
 			}
 		}
 		return uint64(n), hostos.OK
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -215,7 +245,8 @@ const (
 	stageReadSize  = 128 * 1024
 	stageAddrOff   = stageReadOff + stageReadSize // one sockaddr
 	stageEventsOff = stageAddrOff + 16
-	stageEventsMax = 64 // events of 8 bytes
+	stageEventsMax = 64
+	stageEventLen  = 8 // fd u32, events u32
 )
 
 // GatedAPI is the application-side view of the F-Stack API in
@@ -418,7 +449,7 @@ func (a *GatedAPI) EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno) {
 	if n == 0 {
 		return 0, hostos.OK
 	}
-	buf, err := a.stageCap(stageEventsOff, n*8)
+	buf, err := a.stageCap(stageEventsOff, n*stageEventLen)
 	if err != nil {
 		return -1, hostos.EFAULT
 	}
@@ -427,14 +458,14 @@ func (a *GatedAPI) EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno) {
 		return -1, errno
 	}
 	if r > 0 {
-		raw := make([]byte, int(r)*8)
-		if err := a.App.Load(a.App.Base()+stageEventsOff, raw); err != nil {
+		var raw [stageEventsMax * stageEventLen]byte
+		if err := a.App.Load(a.App.Base()+stageEventsOff, raw[:int(r)*stageEventLen]); err != nil {
 			return -1, hostos.EFAULT
 		}
 		for i := 0; i < int(r); i++ {
 			evs[i] = fstack.Event{
-				FD:     int(binary.LittleEndian.Uint32(raw[i*8:])),
-				Events: binary.LittleEndian.Uint32(raw[i*8+4:]),
+				FD:     int(binary.LittleEndian.Uint32(raw[i*stageEventLen:])),
+				Events: binary.LittleEndian.Uint32(raw[i*stageEventLen+4:]),
 			}
 		}
 	}

@@ -1,0 +1,298 @@
+package testbed
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"testing"
+
+	"repro/internal/cheri"
+	"repro/internal/fstack"
+	"repro/internal/hostos"
+	"repro/internal/intravisor"
+	"repro/internal/sim"
+)
+
+// The hostile-caller tables: the code behind a gate runs in the callee's
+// compartment on the caller's arguments, so an argument that makes it
+// panic (or allocate without bound) is one compartment taking another
+// down. Every target is called with every scalar argument in turn set to
+// each of hostileValues, the others valid; the call must come back with
+// an errno, and the compartment behind the gate must still serve a
+// second, well-behaved caller afterwards.
+
+// hostileValues are the scalars tried in every argument position;
+// onePast, per target, is one more than the capability that crossed
+// holds.
+var hostileValues = []uint64{^uint64(0), 1 << 62, 1 << 40, 0}
+
+// pump steps every loop of the bed for ticks driver ticks.
+func pump(bed *Bed, clk *sim.VClock, ticks int) {
+	for i := 0; i < ticks; i++ {
+		for _, l := range bed.Loops() {
+			l.RunOnce()
+		}
+		clk.Advance(5000)
+	}
+}
+
+// hostileTarget is one gate with arguments it would accept.
+type hostileTarget struct {
+	name string
+	gate *intravisor.Gate
+	// args are valid arguments for socket fd (and epoll descriptor ep);
+	// buf is the capability that crosses with them.
+	args    func(fd, ep uint64) hostos.Args
+	nargs   int
+	buf     cheri.Cap
+	onePast uint64
+}
+
+// udpEcho checks that the stack still carries a well-behaved caller's
+// traffic: the peer's datagram reaches api's bound socket fd and the
+// answer gets back.
+func udpEcho(t *testing.T, bed *Bed, clk *sim.VClock, api fstack.API, fd int, port uint16, after string) {
+	t.Helper()
+	peer := bed.Peers[0].Env.Stk
+	pfd, _ := peer.Socket(fstack.SockDgram)
+	defer peer.Close(pfd)
+	if errno := peer.Bind(pfd, fstack.IPv4Addr{}, 9999); errno != hostos.OK {
+		t.Fatalf("after %s: peer bind: %v", after, errno)
+	}
+	ping := []byte("still there after " + after + "?")
+	if _, errno := peer.SendTo(pfd, ping, LocalIP(0), port); errno != hostos.OK {
+		t.Fatalf("after %s: peer send: %v", after, errno)
+	}
+	// await polls recv for the ping, past anything else that arrives (a
+	// hostile tx may resend what the staging buffer still held).
+	buf := make([]byte, 256)
+	await := func(who string, recv func() (int, fstack.IPv4Addr, uint16, hostos.Errno)) (fstack.IPv4Addr, uint16) {
+		t.Helper()
+		for i := 0; i < 400; i++ {
+			pump(bed, clk, 1)
+			n, from, fromPort, errno := recv()
+			if errno == hostos.OK && bytes.Equal(buf[:n], ping) {
+				return from, fromPort
+			}
+			if errno != hostos.OK && errno != hostos.EAGAIN {
+				t.Fatalf("after %s: %s: %v", after, who, errno)
+			}
+		}
+		t.Fatalf("after %s: %s never saw the ping", after, who)
+		return fstack.IPv4Addr{}, 0
+	}
+	from, fromPort := await("the well-behaved caller's socket", func() (int, fstack.IPv4Addr, uint16, hostos.Errno) { return api.RecvFrom(fd, buf) })
+	if _, errno := api.SendTo(fd, ping, from, fromPort); errno != hostos.OK {
+		t.Fatalf("after %s: echo send: %v", after, errno)
+	}
+	await("the peer", func() (int, fstack.IPv4Addr, uint16, hostos.Errno) { return peer.RecvFrom(pfd, buf) })
+}
+
+// TestHostileStackGateCaller: one application cVM throws the table at
+// every exported F-Stack entry point, on a fresh socket, a listening one,
+// a connected one with unread data and a bound datagram socket with a
+// queued datagram; a second application cVM's socket on the same stack
+// keeps echoing. On the single stack and on the sharded API.
+func TestHostileStackGateCaller(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) { hostileStackGateCaller(t, shards) })
+	}
+}
+
+func hostileStackGateCaller(t *testing.T, shards int) {
+	clk := sim.NewVClock()
+	small := &fstack.TCPTuning{SndBufBytes: 16 << 10, RcvBufBytes: 16 << 10, LazyBuffers: true}
+	bed, err := Build(Spec{
+		Clk:     clk,
+		Machine: MachineSpec{Name: "morello", Ports: 1},
+		Compartments: []CompartmentSpec{{
+			Name: "stack", CVM: true, Ifs: []IfSpec{{Port: 0}},
+			APIGate: true, AppCVMs: []string{"attacker", "victim"},
+			Stack: StackSpec{Shards: shards, Tuning: small},
+		}},
+		Peers: []PeerSpec{{Port: 0, Stack: StackSpec{Tuning: small}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attacker, victim, g := bed.Apps[0], bed.Apps[1], bed.Gates
+	peer := bed.Peers[0].Env.Stk
+
+	const victimPort, peerPort = 7, 9000
+	vfd, errno := victim.Socket(fstack.SockDgram)
+	if errno == hostos.OK {
+		errno = victim.Bind(vfd, fstack.IPv4Addr{}, victimPort)
+	}
+	if errno != hostos.OK {
+		t.Fatalf("victim socket: %v", errno)
+	}
+	udpEcho(t, bed, clk, victim, vfd, victimPort, "nothing")
+
+	plfd, _ := peer.Socket(fstack.SockStream)
+	if errno := cmp.Or(peer.Bind(plfd, fstack.IPv4Addr{}, peerPort), peer.Listen(plfd, 64)); errno != hostos.OK {
+		t.Fatalf("peer listener: %v", errno)
+	}
+	pufd, _ := peer.Socket(fstack.SockDgram)
+
+	stage := func(off uint64, n int) cheri.Cap {
+		c, err := attacker.stageCap(off, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	fdOnly := func(fd, _ uint64) hostos.Args { return hostos.Args{fd} }
+	addr := func(fd, _ uint64) hostos.Args { return hostos.Args{fd, u64FromIP4(PeerIP(0)), peerPort} }
+	targets := []hostileTarget{
+		{"socket", g.socket, func(_, _ uint64) hostos.Args { return hostos.Args{fstack.SockStream} }, 1, cheri.NullCap, 1},
+		{"bind", g.bind, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 0, 6000} }, 3, cheri.NullCap, 1},
+		{"listen", g.listen, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 4} }, 2, cheri.NullCap, 1},
+		{"accept", g.accept, fdOnly, 1, stage(stageAddrOff, sockaddrLen), sockaddrLen + 1},
+		{"connect", g.connect, addr, 3, cheri.NullCap, 1},
+		{"read", g.read, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 4096} }, 2, stage(stageReadOff, 4096), 4097},
+		{"write", g.write, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 4096} }, 2, stage(stageWriteOff, 4096), 4097},
+		{"sendTo", g.sendTo, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 512, u64FromIP4(PeerIP(0)), peerPort} }, 4,
+			stage(stageWriteOff, 512), 513},
+		{"recvFrom", g.recvFrom, func(fd, _ uint64) hostos.Args { return hostos.Args{fd, 512} }, 2,
+			stage(stageReadOff, sockaddrLen+512), 513},
+		{"close", g.closeG, fdOnly, 1, cheri.NullCap, 1},
+		{"epCreate", g.epCreate, func(_, _ uint64) hostos.Args { return hostos.Args{} }, 1, cheri.NullCap, 1},
+		{"epCtl", g.epCtl, func(fd, ep uint64) hostos.Args {
+			return hostos.Args{ep, fstack.EpollCtlMod, fd, uint64(fstack.EPOLLIN)}
+		}, 4, cheri.NullCap, 1},
+		{"epWait", g.epWait, func(_, ep uint64) hostos.Args { return hostos.Args{ep, 8} }, 2,
+			stage(stageEventsOff, 8*stageEventLen), 9},
+	}
+
+	port := uint16(20000)
+	// sockets opens the four socket states afresh and registers them with
+	// a new epoll descriptor; done closes what it opened.
+	sockets := func() (fds [4]int, ep int, done func()) {
+		must := func(errno hostos.Errno, what string) {
+			t.Helper()
+			if errno != hostos.OK {
+				t.Fatalf("%s: %v", what, errno)
+			}
+		}
+		var e0, e1, e2, e3 hostos.Errno
+		fds[0], e0 = attacker.Socket(fstack.SockStream)
+		fds[1], e1 = attacker.Socket(fstack.SockStream)
+		fds[2], e2 = attacker.Socket(fstack.SockStream)
+		fds[3], e3 = attacker.Socket(fstack.SockDgram)
+		must(cmp.Or(e0, e1, e2, e3), "attacker sockets")
+		port += 2
+		must(cmp.Or(attacker.Bind(fds[1], fstack.IPv4Addr{}, port), attacker.Listen(fds[1], 4)), "attacker listener")
+		must(attacker.Bind(fds[3], fstack.IPv4Addr{}, port+1), "attacker datagram bind")
+		if errno := attacker.Connect(fds[2], PeerIP(0), peerPort); errno != hostos.EINPROGRESS {
+			t.Fatalf("attacker connect: %v", errno)
+		}
+		if _, errno := peer.SendTo(pufd, []byte("queued"), LocalIP(0), port+1); errno != hostos.OK {
+			t.Fatalf("peer datagram: %v", errno)
+		}
+		pafd, errno := -1, hostos.EAGAIN
+		for i := 0; i < 400 && errno == hostos.EAGAIN; i++ {
+			pump(bed, clk, 1)
+			pafd, _, _, errno = peer.Accept(plfd)
+		}
+		must(errno, "peer accept")
+		if _, errno := peer.Write(pafd, []byte("unread data")); errno != hostos.OK {
+			t.Fatalf("peer write: %v", errno)
+		}
+		pump(bed, clk, 20)
+		ep = attacker.EpollCreate()
+		for _, fd := range fds {
+			must(attacker.EpollCtl(ep, fstack.EpollCtlAdd, fd, fstack.EPOLLIN|fstack.EPOLLOUT), "attacker epoll add")
+		}
+		return fds, ep, func() {
+			for _, fd := range fds {
+				attacker.Close(fd) // a hostile close may have got there first
+			}
+			attacker.Close(ep)
+			peer.Close(pafd)
+			pump(bed, clk, 20)
+		}
+	}
+
+	states := [4]string{"fresh", "listening", "connected", "bound datagram"}
+	for _, tg := range targets {
+		for pos := 0; pos < tg.nargs; pos++ {
+			for _, v := range append([]uint64{tg.onePast}, hostileValues...) {
+				fds, ep, done := sockets()
+				for i, fd := range fds {
+					a := tg.args(uint64(fd), uint64(ep))
+					a[pos] = v
+					// Any errno will do, OK included (a zero backlog is a
+					// backlog): the call returned, so nothing panicked.
+					_, errno := tg.gate.Call(attacker.App, a, tg.buf)
+					if testing.Verbose() {
+						t.Logf("%s(%v) on a %s socket: %v", tg.name, a[:tg.nargs], states[i], errno)
+					}
+				}
+				done()
+			}
+		}
+		if bed.Envs[0].CVM.Trapped() {
+			t.Fatalf("the stack compartment trapped on %s", tg.name)
+		}
+		udpEcho(t, bed, clk, victim, vfd, victimPort, tg.name)
+	}
+}
+
+// TestHostileDevGateCaller: the same rows against the three device-gate
+// targets, called as the stack compartment; the driver compartment keeps
+// moving the stack's frames afterwards.
+func TestHostileDevGateCaller(t *testing.T) {
+	clk := sim.NewVClock()
+	bed, err := Build(Spec{
+		Clk:     clk,
+		Machine: MachineSpec{Name: "morello", Ports: 1},
+		Compartments: []CompartmentSpec{{
+			Name: "stack", CVM: true, DeviceGate: true, Ifs: []IfSpec{{Port: 0}},
+			Stack: StackSpec{Shards: 2},
+		}},
+		Peers: []PeerSpec{{Port: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := bed.Envs[0]
+	api := env.Sharded.API()
+	const port = 7
+	fd, errno := api.Socket(fstack.SockDgram)
+	if errno == hostos.OK {
+		errno = api.Bind(fd, fstack.IPv4Addr{}, port)
+	}
+	if errno != hostos.OK {
+		t.Fatalf("stack socket: %v", errno)
+	}
+	udpEcho(t, bed, clk, api, fd, port, "nothing")
+
+	g := env.devGates[0]
+	// A staging capability with room for four frames.
+	const frames = 4
+	stage, err := env.CVM.DeriveBuf(env.CVM.Base()+devStageOff, frames*devStageSize/devBurstMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := func(_, _ uint64) hostos.Args { return hostos.Args{frames, 1} }
+	for _, tg := range []hostileTarget{
+		{"rx", g.rx, burst, 2, stage, frames + 1},
+		{"tx", g.tx, burst, 2, stage, frames + 1},
+		{"poll", g.poll, func(_, _ uint64) hostos.Args { return hostos.Args{1} }, 1, cheri.NullCap, 2},
+	} {
+		for pos := 0; pos < tg.nargs; pos++ {
+			for _, v := range append([]uint64{tg.onePast}, hostileValues...) {
+				a := tg.args(0, 0)
+				a[pos] = v
+				_, errno := tg.gate.Call(env.CVM, a, tg.buf)
+				if testing.Verbose() {
+					t.Logf("%s(%v): %v", tg.name, a[:tg.nargs], errno)
+				}
+			}
+		}
+		if cvm := g.rx.Owner(); cvm.Trapped() {
+			t.Fatalf("the driver compartment trapped on %s", tg.name)
+		}
+		udpEcho(t, bed, clk, api, fd, port, tg.name)
+	}
+}

@@ -17,14 +17,55 @@ type Machine struct {
 	Name string
 	K    *hostos.Kernel
 	Card *nic.Card
-	IV   *intravisor.Intravisor // created lazily by NewCVM
+	IV   *intravisor.Intravisor // nil on a machine of processes
 }
 
-// newMachine boots a machine per its spec: clk drives its NIC, arena
+// appAreaBytes is the part of a cVM's window below its DPDK segment: the
+// compartment's own data, where the gate staging areas live (gates.go's
+// layout ends under 0.4 MiB, devgate.go's per-queue buffers at 2.5 MiB).
+// An application cVM's window is this and nothing else.
+const appAreaBytes = 4 << 20
+
+// segBytes is the compartment's DPDK segment size.
+func (cs CompartmentSpec) segBytes() uint64 { return cmp.Or(cs.SegBytes, DefaultSegBytes) }
+
+// homeBytes is what one home of the compartment reserves: a process's
+// segment, or a cVM window of the segment plus the application area.
+func (cs CompartmentSpec) homeBytes() uint64 {
+	n := cs.segBytes()
+	if cs.CVM {
+		n += appAreaBytes
+	}
+	return n
+}
+
+// machineMem is the tagged memory of a machine hosting comps: the sum,
+// reservation by reservation, of what newMachine and buildEnv place on
+// it — no more, so a term missing here is an ENOMEM in Build and a term
+// over-counted is caught by TestBuildFitsItsMachines.
+func machineMem(comps []CompartmentSpec) uint64 {
+	pages := func(n uint64) uint64 { return (n + hostos.PageSize - 1) &^ (hostos.PageSize - 1) }
+	mem := uint64(hostos.PageSize) // the kernel's null page
+	if comps[0].CVM {
+		mem += intravisor.CodeWindow
+	}
+	for _, cs := range comps {
+		mem += pages(cs.homeBytes())
+		if cs.DeviceGate {
+			mem += pages(cs.homeBytes()) // the driver cVM's home
+		}
+		mem += uint64(len(cs.AppCVMs)) * appAreaBytes
+	}
+	return mem
+}
+
+// newMachine boots a machine for the compartments it will host (all
+// processes or all cVMs, per Spec.validate): clk drives its NIC, arena
 // backs its frames and macLast seeds the card's MAC addresses and PCI
-// slot.
-func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms MachineSpec) (*Machine, error) {
-	k, err := hostos.NewKernel(cmp.Or(ms.MemBytes, DefaultMachineMem))
+// slot. Its memory is what comps take, its card does capability DMA iff
+// they are cVMs, and cVMs get their Intravisor here.
+func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms MachineSpec, comps []CompartmentSpec) (*Machine, error) {
+	k, err := hostos.NewKernel(machineMem(comps))
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +78,7 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 		MAC:         [6]byte{0x02, 0x82, 0x57, 0x60, 0x00, macLast},
 		Clk:         clk,
 		Mem:         k.Mem,
-		CapDMA:      ms.CapDMA,
+		CapDMA:      comps[0].CVM,
 		Arena:       arena,
 	}
 	if ms.BusLimited {
@@ -57,25 +98,17 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 			return nil, fmt.Errorf("testbed: unbinding port %d: %v", i, errno)
 		}
 	}
-	return &Machine{Name: ms.Name, K: k, Card: card}, nil
-}
-
-// NewCVM creates a default-sized cVM on this machine (boots the
-// Intravisor on first use).
-func (m *Machine) NewCVM(name string) (*intravisor.CVM, error) {
-	return m.NewCVMSized(name, DefaultCVMBytes)
-}
-
-// NewCVMSized creates a cVM with a non-default window (sharded or
-// window-scaled workloads need room for many connections' buffers).
-func (m *Machine) NewCVMSized(name string, size uint64) (*intravisor.CVM, error) {
-	if m.IV == nil {
-		iv, err := intravisor.New(m.K)
-		if err != nil {
+	m := &Machine{Name: ms.Name, K: k, Card: card}
+	if comps[0].CVM {
+		if m.IV, err = intravisor.New(k); err != nil {
 			return nil, err
 		}
-		m.IV = iv
 	}
+	return m, nil
+}
+
+// newCVM creates and starts a cVM with a window of size bytes.
+func (m *Machine) newCVM(name string, size uint64) (*intravisor.CVM, error) {
 	c, err := m.IV.CreateCVM(name, size)
 	if err != nil {
 		return nil, err
@@ -108,6 +141,9 @@ type Env struct {
 	// handles lead to, in IfSpec order: Devs, except that a device-gated
 	// environment's driver sits in its own cVM and is not listed there.
 	drv []*dpdk.EthDev
+	// devGates are the sealed entry points in front of drv, device by
+	// device, when the driver sits in its own cVM.
+	devGates []*DevGates
 	// api is the socket API the environment's gates export (APIGate).
 	api stackAPI
 	// k is the kernel of the machine the environment runs on.

@@ -13,12 +13,8 @@ import (
 
 // Default sizing for the simulated machines. Every spec field that
 // admits a zero value falls back to one of these, which reproduce the
-// paper's testbed.
+// paper's testbed. What a spec cannot say is derived: see machineMem.
 const (
-	// DefaultMachineMem is a machine's tagged memory.
-	DefaultMachineMem = 64 << 20
-	// DefaultCVMBytes is a cVM's window.
-	DefaultCVMBytes = 12 << 20
 	// DefaultSegBytes is a DPDK segment inside a process/cVM.
 	DefaultSegBytes = 8 << 20
 	// DefaultPoolBufs is the mbufs per packet pool.
@@ -87,24 +83,21 @@ func (o ObsSpec) Enabled() bool {
 	return o.TraceEvents > 0 || o.SampleNS > 0 || o.Latency || o.PcapDir != ""
 }
 
-// MachineSpec parameterizes the local machine: its NIC, bus model and
-// capability regime.
+// MachineSpec parameterizes the local machine: its NIC and bus model.
+// Its tagged memory is the sum of what Build places on it, and its card
+// does capability DMA exactly when its compartments are cVMs.
 type MachineSpec struct {
 	Name string
-	// MemBytes is the machine's tagged memory (0 = 64 MiB).
-	MemBytes uint64
 	// Ports on the machine's NIC.
 	Ports int
 	// LineRateBps overrides the per-port line rate; 0 means the paper's
-	// 1 GbE.
+	// 1 GbE. A cable has one rate: every peer serializes at it too.
 	LineRateBps float64
 	// RxFifoBytes overrides the per-queue RX packet buffer; 0 keeps the
 	// 82576's 64 KiB.
 	RxFifoBytes int
 	// BusLimited installs the calibrated 82576 shared-bus model.
 	BusLimited bool
-	// CapDMA bounds device DMA with capabilities (CHERI scenarios).
-	CapDMA bool
 }
 
 // StackSpec tunes one environment's network stack.
@@ -135,20 +128,16 @@ type StackSpec struct {
 func (ss StackSpec) queues() int { return max(1, ss.Shards) }
 
 // IfSpec binds one NIC port to an interface of a compartment's stack.
-// The zero address takes the testbed addressing plan: port i is subnet
-// 10.0.i.0/24 with .1 local and .2 remote.
+// The interface is eth<Port>, addressed by the testbed plan: port i is
+// subnet 10.0.i.0/24 with .1 local and .2 remote.
 type IfSpec struct {
 	Port int
-	// Name defaults to eth<Port>.
-	Name string
-	// IP and Mask default to LocalIP(Port) and Mask24.
-	IP   fstack.IPv4Addr
-	Mask fstack.IPv4Addr
 }
 
 // CompartmentSpec describes one local network environment: a Baseline
 // process or a capability cVM, its sizing, the ports it owns, its
-// stack tuning, and its gate policy.
+// stack tuning, and its gate policy. One card has one DMA regime, so a
+// machine's compartments are all processes or all cVMs.
 type CompartmentSpec struct {
 	Name string
 	// CVM runs the environment inside a capability cVM; false is a
@@ -156,9 +145,8 @@ type CompartmentSpec struct {
 	CVM bool
 	// CVMName overrides the cVM's name (defaults to Name).
 	CVMName string
-	// CVMBytes sizes the cVM window (0 = 12 MiB).
-	CVMBytes uint64
-	// SegBytes sizes the DPDK segment (0 = 8 MiB).
+	// SegBytes sizes the DPDK segment (0 = 8 MiB); a cVM's window is its
+	// segment plus the fixed application area below it.
 	SegBytes uint64
 	// PoolBufs sizes the packet pool (0 = 2048); PoolName overrides the
 	// pool's name (defaults to Name+"-pkt").
@@ -197,20 +185,13 @@ func SymmetricLink(cfg netem.Config) *LinkSpec {
 	return &LinkSpec{ToPeer: cfg, ToLocal: cfg}
 }
 
-// PeerSpec describes one remote link partner: its own machine with an
-// ideal NIC and a Baseline environment, wired (directly or through a
-// netem link) to one local port.
+// PeerSpec describes one remote link partner: machine peer<Port> with
+// an ideal NIC at the local machine's line rate and a Baseline
+// environment, wired (directly or through a netem link) to one local
+// port.
 type PeerSpec struct {
 	// Port is the local NIC port this peer faces.
 	Port int
-	// Name defaults to peer<Port>.
-	Name string
-	// MACLast seeds the peer card's MACs (0 = 0x80+Port).
-	MACLast byte
-	// LineRateBps is the peer port's serialization rate; 0 means the
-	// paper's 1 GbE. Both ends of a cable must serialize at the same
-	// rate, so this should match the local port for direct wires.
-	LineRateBps float64
 	// SegBytes / PoolBufs override the environment sizing (the default
 	// grows for a fast line, > 1 GbE, or an impaired link).
 	SegBytes uint64
@@ -237,11 +218,9 @@ func (s Spec) validate() error {
 	if err := validRate(s.Machine.LineRateBps, "machine "+s.Machine.Name, "LineRateBps"); err != nil {
 		return err
 	}
-	plan := newAddrPlan()
-	if err := plan.claimMAC(defaultLocalMAC, "machine "+s.Machine.Name); err != nil {
-		return err
-	}
-	names := map[string]string{}
+	// Who claimed each name, each local port and each cable: a collision
+	// is an error naming both claimants.
+	names, owners, facing := map[string]string{}, map[int]string{}, map[int]string{}
 	claimName := func(name, what string) error {
 		if prev, ok := names[name]; ok {
 			return fmt.Errorf("testbed: name %q claimed by both %s and %s", name, prev, what)
@@ -253,6 +232,12 @@ func (s Spec) validate() error {
 		what := fmt.Sprintf("compartment %s", cs.Name)
 		if cs.Name == "" {
 			return fmt.Errorf("testbed: compartment %d has no name", i)
+		}
+		// A cVM's port must do capability DMA and a process's cannot: on a
+		// mixed card one of the two would DMA anywhere, or nowhere.
+		if first := s.Compartments[0]; cs.CVM != first.CVM {
+			return fmt.Errorf("testbed: %s and compartment %s mix a cVM and a process on one card, which has one DMA regime",
+				what, first.Name)
 		}
 		if err := claimName(cs.Name, what); err != nil {
 			return err
@@ -304,16 +289,14 @@ func (s Spec) validate() error {
 			if ic.Port < 0 || ic.Port >= s.Machine.Ports {
 				return fmt.Errorf("testbed: %s: port %d out of range [0,%d)", what, ic.Port, s.Machine.Ports)
 			}
-			if err := plan.claimLocalPort(ic.Port, what); err != nil {
-				return err
+			if prev, ok := owners[ic.Port]; ok {
+				return fmt.Errorf("testbed: local port %d claimed by both %s and %s", ic.Port, prev, what)
 			}
-			if err := plan.claimIP(ifIP(ic), what); err != nil {
-				return err
-			}
+			owners[ic.Port] = what
 		}
 	}
 	for _, ps := range s.Peers {
-		what := fmt.Sprintf("peer %s", peerName(ps))
+		what := "peer " + peerName(ps.Port)
 		if ps.Port < 0 || ps.Port >= s.Machine.Ports {
 			return fmt.Errorf("testbed: %s: port %d out of range [0,%d)", what, ps.Port, s.Machine.Ports)
 		}
@@ -324,24 +307,19 @@ func (s Spec) validate() error {
 			return fmt.Errorf("testbed: %s: peers stand in for the other end of the cable and have ideal cores", what)
 		}
 		link := cmp.Or(ps.Link, &LinkSpec{})
-		if err := cmp.Or(validRate(ps.LineRateBps, what, "LineRateBps"),
-			validRate(link.ToPeer.RateBps, what, "Link.ToPeer.RateBps"),
+		if err := cmp.Or(validRate(link.ToPeer.RateBps, what, "Link.ToPeer.RateBps"),
 			validRate(link.ToLocal.RateBps, what, "Link.ToLocal.RateBps")); err != nil {
 			return err
 		}
 		if err := validStackTuning(ps.Stack, what); err != nil {
 			return err
 		}
-		if err := claimName(peerName(ps), what); err != nil {
-			return err
+		// The cable before the name: two peers on one port have one name.
+		if prev, ok := facing[ps.Port]; ok {
+			return fmt.Errorf("testbed: port %d already faces %s; %s cannot share the cable", ps.Port, prev, what)
 		}
-		if err := plan.claimPeerPort(ps.Port, what); err != nil {
-			return err
-		}
-		if err := plan.claimIP(PeerIP(ps.Port), what); err != nil {
-			return err
-		}
-		if err := plan.claimMAC(peerMAC(ps), what); err != nil {
+		facing[ps.Port] = what
+		if err := claimName(peerName(ps.Port), what); err != nil {
 			return err
 		}
 	}
@@ -366,44 +344,4 @@ func validStackTuning(ss StackSpec, what string) error {
 			what, ss.Tuning.Congestion, fstack.CongestionAlgos())
 	}
 	return nil
-}
-
-// ifIP resolves an interface spec's address against the plan.
-func ifIP(ic IfSpec) fstack.IPv4Addr {
-	if ic.IP != (fstack.IPv4Addr{}) {
-		return ic.IP
-	}
-	return LocalIP(ic.Port)
-}
-
-// ifMask resolves an interface spec's netmask.
-func ifMask(ic IfSpec) fstack.IPv4Addr {
-	if ic.Mask != (fstack.IPv4Addr{}) {
-		return ic.Mask
-	}
-	return Mask24
-}
-
-// ifName resolves an interface spec's name.
-func ifName(ic IfSpec) string {
-	if ic.Name != "" {
-		return ic.Name
-	}
-	return fmt.Sprintf("eth%d", ic.Port)
-}
-
-// peerName resolves a peer spec's name.
-func peerName(ps PeerSpec) string {
-	if ps.Name != "" {
-		return ps.Name
-	}
-	return fmt.Sprintf("peer%d", ps.Port)
-}
-
-// peerMAC resolves a peer spec's MAC seed.
-func peerMAC(ps PeerSpec) byte {
-	if ps.MACLast != 0 {
-		return ps.MACLast
-	}
-	return defaultPeerMAC + byte(ps.Port)
 }

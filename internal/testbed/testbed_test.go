@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/fstack"
 	"repro/internal/netem"
+	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
@@ -114,6 +116,12 @@ func TestSpecValidationErrors(t *testing.T) {
 	s.Compartments[0].Ifs = append(s.Compartments[0].Ifs, IfSpec{Port: 1})
 	wantBuildError(t, s, "exactly one port")
 
+	// One card has one DMA regime: a cVM beside a process would leave one
+	// of the two with a port that DMAs anywhere, or nowhere.
+	s = minimalSpec()
+	s.Compartments = append(s.Compartments, CompartmentSpec{Name: "cvm1", CVM: true, Ifs: []IfSpec{{Port: 1}}})
+	wantBuildError(t, s, "compartment cvm1 and compartment proc mix")
+
 	// A NIC fault must name a device and a queue the compartment has;
 	// both used to index past the end inside Build.
 	s = minimalSpec()
@@ -152,14 +160,6 @@ func TestSpecValidationErrors(t *testing.T) {
 	wantBuildError(t, s, "machine morello: LineRateBps")
 
 	s = minimalSpec()
-	s.Peers[0].LineRateBps = -1
-	wantBuildError(t, s, "peer peer0: LineRateBps")
-
-	s = minimalSpec()
-	s.Peers[0].LineRateBps = math.NaN()
-	wantBuildError(t, s, "peer peer0: LineRateBps")
-
-	s = minimalSpec()
 	s.Compartments[0].Stack.Shards = 2
 	s.Compartments[0].Stack.CPUBps = -1e9
 	wantBuildError(t, s, "Stack.CPUBps")
@@ -178,36 +178,24 @@ func TestSpecValidationErrors(t *testing.T) {
 }
 
 // TestAddressCollisionsAreErrors pins the satellite: the centralized
-// plan rejects overlapping IPs, MACs, port owners and duplicate names
-// instead of silently wiring them.
+// plan rejects overlapping port owners and duplicate names instead of
+// silently wiring them.
 func TestAddressCollisionsAreErrors(t *testing.T) {
 	// Two compartments owning the same NIC port.
 	s := minimalSpec()
 	s.Compartments = append(s.Compartments, CompartmentSpec{Name: "proc2", Ifs: []IfSpec{{Port: 0}}})
 	wantBuildError(t, s, "local port 0")
 
-	// Explicit IP colliding with the plan's peer address.
+	// Two peers on one cable. (A spec cannot state an address any more, so
+	// the IP and MAC collisions this table used to hold cannot be written.)
 	s = minimalSpec()
-	s.Compartments[0].Ifs[0].IP = PeerIP(0)
-	wantBuildError(t, s, "IP")
-
-	// Two compartments with explicit IPs colliding across subnets.
-	s = minimalSpec()
-	s.Compartments = append(s.Compartments, CompartmentSpec{
-		Name: "proc2",
-		Ifs:  []IfSpec{{Port: 1, IP: LocalIP(0)}},
-	})
-	wantBuildError(t, s, "IP")
-
-	// Two peers on one cable.
-	s = minimalSpec()
-	s.Peers = append(s.Peers, PeerSpec{Port: 0, Name: "peer0b", MACLast: 0x90})
+	s.Peers = append(s.Peers, PeerSpec{Port: 0})
 	wantBuildError(t, s, "share the cable")
 
-	// MAC collision between a peer and the local card.
+	// A compartment taking a link partner's name.
 	s = minimalSpec()
-	s.Peers[0].MACLast = defaultLocalMAC
-	wantBuildError(t, s, "MAC")
+	s.Compartments[0].Name = "peer0"
+	wantBuildError(t, s, "name")
 
 	// Duplicate compartment/app names.
 	s = minimalSpec()
@@ -227,9 +215,7 @@ func TestAddressCollisionsAreErrors(t *testing.T) {
 // TestSpecDefaultsResolve pins the fallback chain: zero-valued fields
 // take the documented defaults, explicit fields win.
 func TestSpecDefaultsResolve(t *testing.T) {
-	s := minimalSpec()
-	s.Compartments[0].Ifs[0] = IfSpec{Port: 0} // all defaults
-	bed, err := Build(s)
+	bed, err := Build(minimalSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +239,61 @@ func TestSpecDefaultsResolve(t *testing.T) {
 	}
 }
 
+// dmaProbe is TestCapabilityDMAConfinement's probe (internal/nic) on a
+// built bed: local port 0's TX ring 0 reprogrammed to one 64-byte
+// descriptor at descAddr, its buffer right behind it. It reports whether
+// the device fetched and transmitted it.
+func dmaProbe(t *testing.T, bed *Bed, descAddr uint64) bool {
+	t.Helper()
+	port := bed.Local.Card.Port(0)
+	d, err := bed.Local.K.Mem.RawSlice(descAddr, nic.DescSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(d[0:8], descAddr+nic.DescSize)
+	binary.LittleEndian.PutUint16(d[8:10], 64)
+	d[11] = nic.TxCmdEOP
+	sent := port.RegRead32(nic.RegGPTC)
+	port.RegWrite32(nic.RegTDBALQ(0), uint32(descAddr))
+	port.RegWrite32(nic.RegTDLENQ(0), 8*nic.DescSize)
+	port.RegWrite32(nic.RegTDHQ(0), 0)
+	port.RegWrite32(nic.RegTDTQ(0), 1)
+	port.Step()
+	return port.RegRead32(nic.RegGPTC) != sent
+}
+
+// TestCVMPortsDoCapabilityDMA: nothing in a spec asks for capability DMA
+// and a cVM's port does it all the same — a descriptor in the cVM's own
+// window but outside its DPDK segment is refused, one inside the segment
+// goes out; a process's port fetches from anywhere.
+func TestCVMPortsDoCapabilityDMA(t *testing.T) {
+	s := minimalSpec()
+	s.Compartments[0].CVM = true
+	bed, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := bed.Envs[0]
+	if dmaProbe(t, bed, env.CVM.Base()+0x1000) {
+		t.Fatal("a cVM's port DMAed outside its segment")
+	}
+	inside, err := env.Seg.Alloc(0x1000, 0x100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dmaProbe(t, bed, inside) {
+		t.Fatal("the probe moved nothing inside the segment either: it checks nothing")
+	}
+
+	bed, err = Build(minimalSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dmaProbe(t, bed, 0x100) { // the kernel's null page
+		t.Fatal("a process's port does raw DMA")
+	}
+}
+
 // TestShardedSpecBuildsShardedEnv: the sharded path produces a
 // ShardedStack with per-shard loops and exposes the multi-queue device.
 func TestShardedSpecBuildsShardedEnv(t *testing.T) {
@@ -266,7 +307,7 @@ func TestShardedSpecBuildsShardedEnv(t *testing.T) {
 				Stack: StackSpec{Shards: 4, RingSize: 256, CPUBps: 1e9, RTOMinNS: 20e6},
 			},
 		},
-		Peers: []PeerSpec{{Port: 0, LineRateBps: 4e9}},
+		Peers: []PeerSpec{{Port: 0}},
 	}
 	bed, err := Build(s)
 	if err != nil {
