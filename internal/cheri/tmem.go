@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // TMem is tagged memory: a flat byte array plus one validity-tag bit per
@@ -20,22 +18,15 @@ import (
 // (base, addr) so that plain data reads of capability memory see something
 // deterministic.
 //
-// Concurrency: distinct compartments and device queues own disjoint
-// ranges, so data copies never overlap (the ownership discipline of real
-// memory). The tag structures, however, are shared bookkeeping and are
-// guarded by a mutex, so concurrent compartment loops (paper Scenario 1
-// runs two) may fault-check and copy in parallel safely.
-// The tag bits are atomic words, changed only under the mutex but read
-// without it, so a data store (several per simulated frame) locks only
-// when its range really holds a tag; a range's owner is the only one
-// who tags or stores into it, so its own bits are never stale to it.
+// A TMem belongs to one machine of one bed, and the bed's one goroutine
+// is its only user (DESIGN.md §12). The tag bits are packed 64 granules
+// to a word, so a data store (several per simulated frame) touches the
+// capability map only when its range really holds a tag.
 type TMem struct {
 	data []byte
 	size uint64
-
-	tagMu sync.Mutex
-	tags  []atomic.Uint64 // bit g%64 of word g/64 is granule g's tag
-	caps  map[uint64]Cap  // granule-aligned address -> stored capability
+	tags []uint64       // bit g%64 of word g/64 is granule g's tag
+	caps map[uint64]Cap // granule-aligned address -> stored capability
 }
 
 // NewTMem allocates tagged memory of the given size (rounded up to a
@@ -44,7 +35,7 @@ func NewTMem(size uint64) *TMem {
 	size = (size + CapSize - 1) &^ (CapSize - 1)
 	return &TMem{
 		data: make([]byte, size),
-		tags: make([]atomic.Uint64, (size/CapSize+63)/64),
+		tags: make([]uint64, (size/CapSize+63)/64),
 		caps: make(map[uint64]Cap),
 		size: size,
 	}
@@ -57,7 +48,7 @@ func (m *TMem) Size() uint64 { return m.size }
 func (m *TMem) Root() Cap { return NewRoot(0, m.size, PermAll) }
 
 // tagged reports granule g's tag bit.
-func (m *TMem) tagged(g uint64) bool { return m.tags[g/64].Load()>>(g%64)&1 != 0 }
+func (m *TMem) tagged(g uint64) bool { return m.tags[g/64]>>(g%64)&1 != 0 }
 
 // clearTags invalidates every granule overlapping [addr, addr+n).
 func (m *TMem) clearTags(addr uint64, n int) {
@@ -74,15 +65,11 @@ func (m *TMem) clearTags(addr uint64, n int) {
 		if w == last/64 {
 			mask &= ^uint64(0) >> (63 - last%64)
 		}
-		if m.tags[w].Load()&mask == 0 {
-			continue // the usual case: plain data over plain data
-		}
-		m.tagMu.Lock()
-		for hit := m.tags[w].Load() & mask; hit != 0; hit &= hit - 1 {
+		// The usual case, plain data over plain data, finds no hit.
+		for hit := m.tags[w] & mask; hit != 0; hit &= hit - 1 {
 			delete(m.caps, (w*64+uint64(bits.TrailingZeros64(hit)))*CapSize)
 		}
-		m.tags[w].And(^mask)
-		m.tagMu.Unlock()
+		m.tags[w] &^= mask
 	}
 }
 
@@ -220,14 +207,12 @@ func (m *TMem) StoreCap(c Cap, addr uint64, v Cap) error {
 	// Render a deterministic data view (base, addr) of the capability.
 	binary.LittleEndian.PutUint64(m.data[addr:], v.base)
 	binary.LittleEndian.PutUint64(m.data[addr+8:], v.addr)
-	m.tagMu.Lock()
-	defer m.tagMu.Unlock()
 	g := addr / CapSize
 	if v.tag {
-		m.tags[g/64].Or(1 << (g % 64))
+		m.tags[g/64] |= 1 << (g % 64)
 		m.caps[addr] = v
 	} else {
-		m.tags[g/64].And(^(uint64(1) << (g % 64)))
+		m.tags[g/64] &^= 1 << (g % 64)
 		delete(m.caps, addr)
 	}
 	return nil
@@ -249,23 +234,18 @@ func (m *TMem) LoadCap(c Cap, addr uint64) (Cap, error) {
 	if !m.inRange(addr, CapSize) {
 		return NullCap, newFault(FaultBounds, "loadcap", c, addr, CapSize)
 	}
-	m.tagMu.Lock()
-	tagged := m.tagged(addr / CapSize)
-	v, hasCap := m.caps[addr]
-	m.tagMu.Unlock()
-	if tagged && hasCap {
+	if v, ok := m.caps[addr]; ok && m.tagged(addr/CapSize) {
 		if !c.perms.Has(PermLoadCap) {
 			v.tag = false
 		}
 		return v, nil
 	}
 	// Untagged granule: reconstruct a null-derived value from raw bytes.
-	v = Cap{
+	return Cap{
 		base:  binary.LittleEndian.Uint64(m.data[addr:]),
 		addr:  binary.LittleEndian.Uint64(m.data[addr+8:]),
 		otype: OTypeUnsealed,
-	}
-	return v, nil
+	}, nil
 }
 
 // TagAt reports the tag bit of the granule containing addr.

@@ -1,9 +1,6 @@
 package dpdk
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // MbufHeadroom is the reserved space before packet data
 // (RTE_PKTMBUF_HEADROOM); protocol layers prepend headers into it.
@@ -116,7 +113,6 @@ type Mempool struct {
 	name string
 	room uint16
 
-	mu    sync.Mutex
 	free  []*Mbuf
 	total int
 }
@@ -148,8 +144,6 @@ func (p *Mempool) Name() string { return p.name }
 
 // Get allocates an mbuf; ok is false when the pool is exhausted.
 func (p *Mempool) Get() (*Mbuf, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.free) == 0 {
 		return nil, false
 	}
@@ -161,8 +155,6 @@ func (p *Mempool) Get() (*Mbuf, bool) {
 // put returns an mbuf to the pool.
 func (p *Mempool) put(m *Mbuf) {
 	m.reset()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.free) >= p.total {
 		panic(fmt.Sprintf("dpdk: mempool %q double free", p.name))
 	}
@@ -170,11 +162,7 @@ func (p *Mempool) put(m *Mbuf) {
 }
 
 // Avail reports free mbufs.
-func (p *Mempool) Avail() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
+func (p *Mempool) Avail() int { return len(p.free) }
 
 // Total reports the pool population.
 func (p *Mempool) Total() int { return p.total }

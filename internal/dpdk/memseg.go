@@ -2,7 +2,6 @@ package dpdk
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cheri"
 )
@@ -19,7 +18,6 @@ type MemSeg struct {
 	capMode bool
 	cap     cheri.Cap
 
-	mu   sync.Mutex
 	next uint64 // bump pointer
 }
 
@@ -59,8 +57,6 @@ func (s *MemSeg) Alloc(n, align uint64) (uint64, error) {
 	if align == 0 {
 		align = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	off := (s.next + align - 1) &^ (align - 1)
 	if off+n > s.size || off+n < off {
 		return 0, fmt.Errorf("dpdk: segment exhausted (%d of %d used, want %d)", s.next, s.size, n)
@@ -70,11 +66,7 @@ func (s *MemSeg) Alloc(n, align uint64) (uint64, error) {
 }
 
 // Used reports allocated bytes.
-func (s *MemSeg) Used() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
+func (s *MemSeg) Used() uint64 { return s.next }
 
 // Slice maps [addr, addr+n) read-write. In capability mode the access is
 // bounds- and permission-checked through the segment capability; these

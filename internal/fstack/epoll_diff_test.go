@@ -102,8 +102,8 @@ type diffMachine struct {
 	ip     IPv4Addr
 	ref    func(interest map[int]uint32) []Event
 	// oneAtATime: len(evs)=1 waits are checked too. Not on a sharded
-	// machine, where shard 0's level-triggered entries keep a one-slot
-	// buffer to themselves.
+	// machine, where the shards take turns per call, so a shard with
+	// fewer ready entries repeats one before a fuller shard is through.
 	oneAtATime bool
 
 	interest map[int]map[int]uint32 // epfd -> fd -> mask, as EpollCtl accepted it
@@ -462,6 +462,82 @@ func TestEpollTruncationKeepsWakeOrder(t *testing.T) {
 	}
 	if got := order(epollEvents(t, s, ep, 0)); len(got) != 0 {
 		t.Fatalf("zero-length buffer reported %v", got)
+	}
+}
+
+// TestShardedEpollWaitTakesTurns: with one readable connection on each
+// of two shards, two one-slot waits report both — a call that runs out
+// of room hands the next one to the first shard it could not ask, so
+// shard 0's level-triggered entry cannot keep the buffer to itself.
+func TestShardedEpollWaitTakesTurns(t *testing.T) {
+	clk := sim.NewVClock()
+	ipB := IP4(10, 0, 0, 2)
+	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
+	ss, cardB := buildShardedMachine(t, clk, "0000:04:00", 2, ipB, 2)
+	nic.Connect(cardA.Port(0), cardB.Port(0))
+	b := ss.API()
+	tick := func() {
+		stkA.PollOnce()
+		for _, s := range ss.shards {
+			s.PollOnce()
+		}
+		clk.Advance(5000)
+	}
+	lfd, _ := b.Socket(SockStream)
+	if errno := b.Bind(lfd, IPv4Addr{}, 5001); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := b.Listen(lfd, 16); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	// Connect until a connection has landed on each shard, and send one
+	// byte down the first one found on each.
+	ep := b.EpollCreate()
+	var onShard [2]int
+	for sport := uint16(40000); onShard[0] == 0 || onShard[1] == 0; sport++ {
+		if sport == 40064 {
+			t.Fatalf("64 connections never covered both shards: %v", onShard)
+		}
+		cfd, _ := stkA.Socket(SockStream)
+		stkA.Bind(cfd, IPv4Addr{}, sport)
+		if errno := stkA.Connect(cfd, ipB, 5001); errno != hostos.EINPROGRESS {
+			t.Fatalf("connect: %v", errno)
+		}
+		afd := 0
+		for i := 0; afd == 0; i++ {
+			if i == 4000 {
+				t.Fatal("connection never accepted")
+			}
+			tick()
+			if fd, _, _, errno := b.Accept(lfd); errno == hostos.OK {
+				afd = fd
+			}
+		}
+		if sh := b.fds.get(afd).shard; onShard[sh] == 0 {
+			onShard[sh] = afd
+			if n, errno := stkA.Write(cfd, []byte{1}); n != 1 || errno != hostos.OK {
+				t.Fatalf("write: %d, %v", n, errno)
+			}
+			if errno := b.EpollCtl(ep, EpollCtlAdd, afd, EPOLLIN); errno != hostos.OK {
+				t.Fatal(errno)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		tick()
+	}
+	var got []int
+	evs := make([]Event, 1)
+	for range 2 {
+		if n, errno := b.EpollWait(ep, evs); n != 1 || errno != hostos.OK {
+			t.Fatalf("one-slot EpollWait = %d, %v", n, errno)
+		}
+		got = append(got, evs[0].FD)
+	}
+	slices.Sort(got)
+	want := []int{min(onShard[0], onShard[1]), max(onShard[0], onShard[1])}
+	if !slices.Equal(got, want) {
+		t.Fatalf("two one-slot waits reported %v, want both readable descriptors %v", got, want)
 	}
 }
 

@@ -3,11 +3,16 @@ package fstack
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/hostos"
+	"repro/internal/nic"
+	"repro/internal/sim"
 )
 
 // These property tests feed arbitrary bytes into every wire-format
@@ -265,6 +270,133 @@ func FuzzReassembly(f *testing.F) {
 		read(size)
 		if delivered != int(c.rcvNxt-isn) {
 			t.Fatalf("delivered %d bytes, rcvNxt says %d", delivered, int(c.rcvNxt-isn))
+		}
+	})
+}
+
+// nowhere is a cable that drops whatever is sent into it, so a port
+// attached to it transmits, completes and frees every frame it is given.
+type nowhere struct{}
+
+func (nowhere) Send(_ int, data []byte, _ int64) { nic.FreeFrame(data) }
+func (nowhere) Pump(int64)                       {}
+func (nowhere) NextDeadline(int, int64) int64    { return math.MaxInt64 }
+
+// inputRig is one stack (10.0.0.2) on one port cabled to nowhere, with a
+// TCP listener on port 80 and a UDP socket bound to port 53, so a SYN
+// and a datagram reach a socket.
+func inputRig(t testing.TB) (*sim.VClock, *Stack) {
+	t.Helper()
+	clk := sim.NewVClock()
+	stk, card := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
+	card.Port(0).Attach(nowhere{}, 0)
+	lfd, _ := stk.Socket(SockStream)
+	ufd, _ := stk.Socket(SockDgram)
+	if stk.Bind(lfd, IPv4Addr{}, 80) != hostos.OK || stk.Listen(lfd, 8) != hostos.OK || stk.Bind(ufd, IPv4Addr{}, 53) != hostos.OK {
+		t.Fatal("rig sockets")
+	}
+	return clk, stk
+}
+
+// repairChecksums recomputes the IPv4 header checksum and, where the
+// total length fits the frame, the TCP or UDP one, so a mutation reaches
+// the decoders behind the checksums instead of stopping at them.
+func repairChecksums(frame []byte) {
+	if len(frame) < EthHeaderLen+IPv4HeaderLen || binary.BigEndian.Uint16(frame[12:14]) != EtherTypeIPv4 {
+		return
+	}
+	ip := frame[EthHeaderLen:]
+	ihl := int(ip[0]&0xF) * 4
+	if ihl < IPv4HeaderLen || ihl > len(ip) {
+		return
+	}
+	ip[10], ip[11] = 0, 0
+	binary.BigEndian.PutUint16(ip[10:12], Checksum(ip[:ihl]))
+	total := int(binary.BigEndian.Uint16(ip[2:4]))
+	if total < ihl || total > len(ip) {
+		return
+	}
+	src, dst := IPv4Addr(ip[12:16]), IPv4Addr(ip[16:20])
+	seg := ip[ihl:total]
+	switch {
+	case ip[9] == ProtoTCP && len(seg) >= TCPHeaderLen:
+		seg[16], seg[17] = 0, 0
+		binary.BigEndian.PutUint16(seg[16:18], transportChecksum(src, dst, ProtoTCP, seg))
+	case ip[9] == ProtoUDP && len(seg) >= UDPHeaderLen:
+		if n := int(binary.BigEndian.Uint16(seg[4:6])); n >= UDPHeaderLen && n <= len(seg) {
+			seg[6], seg[7] = 0, 0
+			binary.BigEndian.PutUint16(seg[6:8], max(transportChecksum(src, dst, ProtoUDP, seg[:n]), 1))
+		}
+	}
+}
+
+// FuzzFrameInput hands arbitrary bytes, as a received frame, to a live
+// stack's input path — Ethernet, ARP, IPv4, ICMP, UDP and TCP decode and
+// everything a frame can make the stack do. It must never panic, and
+// the mbuf pool must be back to its level once the device has sent what
+// the stack answered: every frame is consumed or freed, none leaks.
+func FuzzFrameInput(f *testing.F) {
+	ip, peer := IP4(10, 0, 0, 2), IP4(10, 0, 0, 1)
+	mac, peerMAC := MACAddr{2, 0, 0, 0, 0, 2}, MACAddr{2, 0, 0, 0, 0, 1}
+	arp := make([]byte, EthHeaderLen+ARPPacketLen)
+	PutEthHeader(arp, EthHeader{Dst: BroadcastMAC, Src: peerMAC, Type: EtherTypeARP})
+	PutARPPacket(arp[EthHeaderLen:], ARPPacket{Op: ARPRequest, SenderMAC: peerMAC, SenderIP: peer, TargetIP: ip})
+	f.Add(arp)
+	// ipFrame builds an IPv4 frame around a transport segment.
+	ipFrame := func(proto uint8, seg []byte) []byte {
+		b := make([]byte, EthHeaderLen+IPv4HeaderLen+len(seg))
+		PutEthHeader(b, EthHeader{Dst: mac, Src: peerMAC, Type: EtherTypeIPv4})
+		PutIPv4Header(b[EthHeaderLen:], IPv4Header{TotalLen: uint16(IPv4HeaderLen + len(seg)), TTL: 64, Proto: proto, Src: peer, Dst: ip})
+		copy(b[EthHeaderLen+IPv4HeaderLen:], seg)
+		return b
+	}
+	syn := TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: TCPSyn, Window: 65535, MSS: MSSDefault}
+	seg := make([]byte, syn.encodedLen())
+	PutTCPHeader(seg, syn, peer, ip, len(seg))
+	synFrame := ipFrame(ProtoTCP, seg)
+	f.Add(synFrame)
+	dgram := make([]byte, UDPHeaderLen+5)
+	copy(dgram[UDPHeaderLen:], "query")
+	PutUDPHeader(dgram, UDPHeader{SrcPort: 40001, DstPort: 53, Length: uint16(len(dgram))}, peer, ip)
+	udpFrame := ipFrame(ProtoUDP, dgram)
+	f.Add(udpFrame)
+	short := slices.Clone(udpFrame)
+	short[EthHeaderLen] = 0x44 // IHL 4 (16 bytes) < 5
+	f.Add(short)
+	long := slices.Clone(udpFrame)
+	binary.BigEndian.PutUint16(long[EthHeaderLen+2:], uint16(len(long)-EthHeaderLen+100)) // total length past the frame
+	f.Add(long)
+	f.Add(ipFrame(ProtoTCP, seg[:TCPHeaderLen/2])) // truncated TCP header
+	off := ipFrame(ProtoTCP, seg[:TCPHeaderLen])
+	off[EthHeaderLen+IPv4HeaderLen+12] = 15 << 4 // data offset 60 > a 20-byte segment
+	f.Add(off)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) == 0 {
+			return // the device drops an empty frame before a descriptor holds it
+		}
+		clk, stk := inputRig(t)
+		nif, pool := stk.nifs[0], stk.pool
+		before := pool.Avail()
+		m, ok := pool.Get()
+		if !ok {
+			t.Fatal("empty pool")
+		}
+		frame = frame[:min(len(frame), m.Tailroom())]
+		buf, err := m.Append(len(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, frame)
+		repairChecksums(buf)
+		stk.Lock()
+		stk.input(nif, m)
+		stk.Unlock()
+		for i := 0; i < 4 && pool.Avail() != before; i++ {
+			clk.Advance(1e6)
+			nif.dev.Poll() // send what the stack answered; reclaim the mbufs
+		}
+		if got := pool.Avail(); got != before {
+			t.Fatalf("pool holds %d mbufs after the frame, %d before it", got, before)
 		}
 	})
 }

@@ -159,7 +159,7 @@ const (
 type shardedFD struct {
 	kind  sfKind
 	typ   int
-	shard int   // sfConn: owning shard
+	shard int   // sfConn: owning shard; sfEpoll: where EpollWait starts
 	fd    int   // sfConn: descriptor on that shard
 	sub   []int // cloned kinds: descriptor per shard
 	bound struct {
@@ -496,7 +496,7 @@ func (a *ShardedAPI) EpollCreate() int {
 	for i, s := range a.ss.shards {
 		sub[i] = s.EpollCreate()
 	}
-	return a.alloc(shardedFD{kind: sfEpoll, shard: -1, sub: sub})
+	return a.alloc(shardedFD{kind: sfEpoll, sub: sub})
 }
 
 // EpollCtl manipulates the interest set: pinned targets on their shard,
@@ -527,9 +527,18 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 	// Each shard reports straight into what is left of the caller's
 	// buffer and the descriptors are translated in place: whatever does
 	// not fit stays queued on its shard, in order, for the next call.
-	n := 0
-	for i, s := range a.ss.shards {
-		k, errno := s.EpollWait(ep.sub[i], evs[n:])
+	// The shards are asked from ep.shard on, and a call that runs out of
+	// room moves it to the first shard it could not ask, so a full shard
+	// cannot keep the buffer to itself; a call with room for every shard
+	// leaves it where it was.
+	n, shards := 0, len(a.ss.shards)
+	for j := range shards {
+		i := (ep.shard + j) % shards
+		if n == len(evs) {
+			ep.shard = i
+			break
+		}
+		k, errno := a.ss.shards[i].EpollWait(ep.sub[i], evs[n:])
 		if errno != hostos.OK {
 			return -1, errno
 		}

@@ -3,7 +3,6 @@ package hostos
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // PageSize is the allocation granule for memory reservations.
@@ -13,7 +12,6 @@ const PageSize = 4096
 // the role of the kernel's mmap for the Intravisor and DPDK's
 // hugepage-like segments.
 type PageAlloc struct {
-	mu   sync.Mutex
 	base uint64
 	size uint64
 	free []span // sorted by addr, coalesced
@@ -43,8 +41,6 @@ func (p *PageAlloc) Alloc(n uint64) (uint64, Errno) {
 		return 0, EINVAL
 	}
 	n = (n + PageSize - 1) &^ (PageSize - 1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for i := range p.free {
 		if p.free[i].size >= n {
 			addr := p.free[i].addr
@@ -68,8 +64,6 @@ func (p *PageAlloc) Free(addr, n uint64) Errno {
 	if addr < p.base || addr+n > p.base+p.size || addr+n < addr {
 		return EINVAL
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// Reject overlap with existing free spans.
 	for _, s := range p.free {
 		if addr < s.addr+s.size && s.addr < addr+n {
@@ -94,8 +88,6 @@ func (p *PageAlloc) Free(addr, n uint64) Errno {
 
 // FreeBytes reports the total unreserved size.
 func (p *PageAlloc) FreeBytes() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var t uint64
 	for _, s := range p.free {
 		t += s.size

@@ -1,9 +1,6 @@
 package hostos
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PCIDevice is the device side of the PCI registry. The simulated Intel
 // 82576 NIC implements it; DPDK's poll-mode driver talks to it through
@@ -28,7 +25,6 @@ type pciSlot struct {
 // PCI is the host's PCI registry: device discovery, kernel-driver
 // binding state, and user-space pass-through.
 type PCI struct {
-	mu    sync.Mutex
 	slots map[string]*pciSlot
 }
 
@@ -38,8 +34,6 @@ func NewPCI() *PCI { return &PCI{slots: make(map[string]*pciSlot)} }
 // Register adds a device; it starts bound to the kernel driver, like a
 // NIC owned by the in-kernel network stack at boot.
 func (p *PCI) Register(dev PCIDevice) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.slots[dev.BDF()]; dup {
 		return fmt.Errorf("hostos: PCI device %s already registered", dev.BDF())
 	}
@@ -50,8 +44,6 @@ func (p *PCI) Register(dev PCIDevice) error {
 // Unbind detaches the kernel driver from the device so user space can
 // claim it (DPDK's igb_uio/nic_uio step, §II-C).
 func (p *PCI) Unbind(bdf string) Errno {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s, ok := p.slots[bdf]
 	if !ok {
 		return ENOENT
@@ -65,8 +57,6 @@ func (p *PCI) Unbind(bdf string) Errno {
 
 // Claim returns the pass-through handle for an unbound device.
 func (p *PCI) Claim(bdf string) (PCIDevice, Errno) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s, ok := p.slots[bdf]
 	if !ok {
 		return nil, ENOENT
@@ -79,8 +69,6 @@ func (p *PCI) Claim(bdf string) (PCIDevice, Errno) {
 
 // Devices lists registered BDFs (unordered).
 func (p *PCI) Devices() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]string, 0, len(p.slots))
 	for bdf := range p.slots {
 		out = append(out, bdf)

@@ -2,7 +2,6 @@ package intravisor
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cheri"
 	"repro/internal/sim"
@@ -57,7 +56,6 @@ type CVM struct {
 	// compartment's gates (Gate.Call's settle).
 	refused uint64
 
-	mu    sync.Mutex
 	state State
 	trap  *cheri.Fault
 }
@@ -75,16 +73,10 @@ func (c *CVM) Book(ns int64) { c.Core.Book(c.iv.K.Clk.Now(), ns) }
 func (c *CVM) DDC() cheri.Cap { return c.ddc }
 
 // State returns the lifecycle state.
-func (c *CVM) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
+func (c *CVM) State() State { return c.state }
 
 // Start marks the cVM running.
 func (c *CVM) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.state == StateCreated || c.state == StateStopped {
 		c.state = StateRunning
 	}
@@ -92,8 +84,6 @@ func (c *CVM) Start() {
 
 // Stop marks the cVM cleanly stopped.
 func (c *CVM) Stop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.state == StateRunning {
 		c.state = StateStopped
 	}
@@ -102,19 +92,13 @@ func (c *CVM) Stop() {
 // Trap records a capability fault and terminates the cVM, as CheriBSD's
 // SIGPROT delivery does for the paper's Fig. 3 experiment.
 func (c *CVM) Trap(f *cheri.Fault) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.state = StateTrapped
 	c.trap = f
 }
 
 // Trapped reports whether the cVM is dead from a capability fault (the
 // supervisor's poll predicate).
-func (c *CVM) Trapped() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state == StateTrapped
-}
+func (c *CVM) Trapped() bool { return c.state == StateTrapped }
 
 // Restart revives a trapped cVM in place. Intravisor restarts a crashed
 // compartment by re-entering its loader over the same memory window
@@ -123,8 +107,6 @@ func (c *CVM) Trapped() bool {
 // the window, ID and name survive; every capability the old incarnation
 // held is dead because new gates must be sealed over the fresh DDC.
 func (c *CVM) Restart() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.state != StateTrapped {
 		return fmt.Errorf("intravisor: restart of cVM %q in state %v", c.Name, c.state)
 	}
@@ -148,11 +130,7 @@ func (c *CVM) Restart() error {
 }
 
 // TrapFault returns the fault that terminated the cVM, if any.
-func (c *CVM) TrapFault() *cheri.Fault {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.trap
-}
+func (c *CVM) TrapFault() *cheri.Fault { return c.trap }
 
 // faultOf converts an error to *cheri.Fault when it is one.
 func faultOf(err error) (*cheri.Fault, bool) {

@@ -26,8 +26,6 @@ type Gate struct {
 
 // NewGate exports fn from the owner cVM as a callable gate.
 func (iv *Intravisor) NewGate(owner *CVM, fn GateFunc) (*Gate, error) {
-	iv.mu.Lock()
-	defer iv.mu.Unlock()
 	pair, err := iv.sealPair(owner.ddc)
 	if err != nil {
 		return nil, err

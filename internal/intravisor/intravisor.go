@@ -2,7 +2,6 @@ package intravisor
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cheri"
@@ -20,7 +19,6 @@ type Intravisor struct {
 	sealer  cheri.Cap // sealing authority, cursor selects otype
 	codeCap cheri.Cap // executable window for entry points
 
-	mu        sync.Mutex
 	cvms      map[string]*CVM
 	nextOType uint64
 	nextID    int
@@ -86,7 +84,7 @@ func (iv *Intravisor) allocOType() uint64 {
 }
 
 // sealPair builds a sealed entry pair targeting the given data window
-// with a fresh otype. Callers hold iv.mu.
+// with a fresh otype.
 func (iv *Intravisor) sealPair(data cheri.Cap) (cheri.EntryPair, error) {
 	if !data.Perms().Has(cheri.PermInvoke) {
 		// Re-derive over the same window with PermInvoke added; the
@@ -110,8 +108,6 @@ func (iv *Intravisor) sealPair(data cheri.Cap) (cheri.EntryPair, error) {
 // (without system, seal or unseal rights) and a sealed entry pair into
 // the Intravisor for syscall proxying.
 func (iv *Intravisor) CreateCVM(name string, size uint64) (*CVM, error) {
-	iv.mu.Lock()
-	defer iv.mu.Unlock()
 	if _, dup := iv.cvms[name]; dup {
 		return nil, fmt.Errorf("intravisor: cVM %q already exists", name)
 	}
@@ -160,8 +156,6 @@ func (iv *Intravisor) CreateCVM(name string, size uint64) (*CVM, error) {
 
 // CVMs returns the cVMs by name.
 func (iv *Intravisor) CVMs() map[string]*CVM {
-	iv.mu.Lock()
-	defer iv.mu.Unlock()
 	out := make(map[string]*CVM, len(iv.cvms))
 	for k, v := range iv.cvms {
 		out[k] = v

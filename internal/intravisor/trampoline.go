@@ -139,12 +139,3 @@ func (c *CVM) FutexWait(addr uint64, val uint32) hostos.Errno {
 	_, _, errno := c.Syscall(MuslFutex, hostos.Args{addr, LinuxFutexWait, uint64(val), 0})
 	return errno
 }
-
-// FutexWake wakes up to n waiters parked on addr and returns the count.
-func (c *CVM) FutexWake(addr uint64, n int) int {
-	woken, _, errno := c.Syscall(MuslFutex, hostos.Args{addr, LinuxFutexWake, uint64(n)})
-	if errno != hostos.OK {
-		return 0
-	}
-	return int(woken)
-}

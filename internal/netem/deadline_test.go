@@ -12,20 +12,17 @@ import (
 
 // refLinkDeadline is the link-wide answer Link.NextDeadline gave before
 // it took the receiving end — the earliest delay-line head or carrier
-// toggle in either direction — recomputed from the state itself rather
-// than from the wakeAt mirror.
+// toggle in either direction — recomputed from the state itself.
 func refLinkDeadline(l *Link) int64 {
 	at := int64(math.MaxInt64)
 	for i := range l.dirs {
 		d := &l.dirs[i]
-		d.mu.Lock()
 		if len(d.held) > 0 {
 			at = min(at, d.held[0].deliverAt)
 		}
 		if len(d.carr) > 0 {
 			at = min(at, d.carr[0])
 		}
-		d.mu.Unlock()
 	}
 	return at
 }

@@ -103,9 +103,10 @@ func TestJitterReorderDeliversInDeadlineOrder(t *testing.T) {
 	}
 }
 
-// TestPumpWakeMirrorTracksDeadlines pins the lock-free mirror Pump and
-// NextDeadline read against the state it mirrors, through every path
-// that changes it: enqueue, release, carrier schedule install, toggle.
+// TestPumpWakeMirrorTracksDeadlines pins the wake instant Pump and
+// NextDeadline compute from the delay line and the carrier schedule,
+// through every path that changes them: enqueue, release, carrier
+// schedule install, toggle.
 func TestPumpWakeMirrorTracksDeadlines(t *testing.T) {
 	clk := sim.NewVClock()
 	var b recorder

@@ -12,7 +12,7 @@
 //
 // Frames in flight wait in a per-direction delay line ordered by
 // (delivery instant, send order), which the ports pump from every
-// device step (an idle pump is one atomic load: DESIGN.md §8).
+// device step (an idle pump reads two heads: DESIGN.md §8).
 //
 // Everything is driven by the shared virtual clock and per-direction
 // seeded PRNGs, so a run is exactly reproducible. A Link built with a

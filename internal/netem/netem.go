@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hostos"
 	"repro/internal/nic"
@@ -185,7 +183,6 @@ func (h *frameHeap) pop() heldFrame {
 
 // dirState is one direction's impairment pipeline.
 type dirState struct {
-	mu       sync.Mutex
 	rng      *rand.Rand
 	geBad    bool
 	geAt     int64 // virtual time the GE chain has been stepped to
@@ -195,23 +192,10 @@ type dirState struct {
 	stats    DirStats
 	// Carrier flap schedule: carr holds the remaining toggle instants
 	// (sorted ascending; each consumes one flip of carrUp). The carrier
-	// starts up; nil carr means no schedule and zero cost — the nil
-	// check is read without the lock, mirroring the tr contract, so
+	// starts up; nil carr means no schedule and zero cost, so
 	// SetCarrierSchedule must be called before traffic.
 	carr   []int64
 	carrUp bool
-	// wakeAt mirrors the earliest instant Pump has work here — the delay
-	// line's head or the next carrier toggle, math.MaxInt64 for neither —
-	// so Pump and NextDeadline answer "nothing yet" without the lock.
-	// Every locked section that changes held or carr republishes it.
-	wakeAt atomic.Int64
-	// due is the reusable scratch takeDueLocked fills — allocating a
-	// fresh slice per release was one of the datapath's per-frame
-	// allocation sites. It is LOANED: takeDueLocked hands it out and
-	// nils the field, putDue returns it after delivery, so even
-	// concurrent steppers of the two endpoints can never iterate the
-	// same backing array (the loser of the race just allocates).
-	due []heldFrame
 }
 
 // Link is a composable impairment pipeline between two endpoints. It
@@ -226,8 +210,8 @@ type Link struct {
 	dirs [2]dirState
 
 	// tr is the flight recorder (nil = off); direction d's events carry
-	// src trSrc+d. Set before traffic via SetTrace, read without a lock
-	// on the datapath — the nil check is the whole disabled-cost.
+	// src trSrc+d. Set before traffic via SetTrace; on the datapath the
+	// nil check is the whole disabled-cost.
 	tr    *obs.Trace
 	trSrc uint16
 
@@ -258,8 +242,6 @@ func (l *Link) SetTrace(tr *obs.Trace, src uint16) {
 // ahead of now the serializer is booked).
 func (l *Link) Depth(dir int, now int64) (frames int, backlogNS int64) {
 	d := &l.dirs[dir]
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	frames = len(d.held)
 	if d.nextFree > now {
 		backlogNS = d.nextFree - now
@@ -305,7 +287,6 @@ func NewAsym(clk hostos.Clock, a, b Endpoint, ab, ba Config) *Link {
 	for d := range l.dirs {
 		// Distinct, seed-derived streams per direction.
 		l.dirs[d].rng = rand.New(rand.NewSource(l.cfg[d].Seed ^ (int64(d+1) * 0x6C62272E07BB0141)))
-		l.dirs[d].wakeAt.Store(math.MaxInt64)
 	}
 	return l
 }
@@ -335,12 +316,7 @@ func (l *Link) Config() Config { return l.cfg[0] }
 func (l *Link) DirConfig(dir int) Config { return l.cfg[dir] }
 
 // Stats snapshots one direction's counters (0 = a-to-b, 1 = b-to-a).
-func (l *Link) Stats(dir int) DirStats {
-	d := &l.dirs[dir]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
+func (l *Link) Stats(dir int) DirStats { return l.dirs[dir].stats }
 
 // SetCarrierSchedule installs a deterministic carrier flap schedule on
 // one direction: toggles are the virtual-time instants (ns, ascending)
@@ -350,33 +326,26 @@ func (l *Link) Stats(dir int) DirStats {
 // deliver. Call before driving traffic, like SetTrace.
 func (l *Link) SetCarrierSchedule(dir int, toggles []int64) {
 	d := &l.dirs[dir]
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	sched := append([]int64(nil), toggles...)
 	sort.Slice(sched, func(i, j int) bool { return sched[i] < sched[j] })
 	d.carr = sched
 	d.carrUp = true
-	d.publishLocked()
 }
 
 // Carrier reports one direction's carrier state after advancing its
 // flap schedule to now.
 func (l *Link) Carrier(dir int, now int64) bool {
 	d := &l.dirs[dir]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	l.advanceCarrierLocked(d, dir, now)
-	d.publishLocked()
+	l.advanceCarrier(d, dir, now)
 	if d.carr == nil {
 		return true
 	}
 	return d.carrUp
 }
 
-// advanceCarrierLocked consumes every toggle due at or before t,
-// flipping the carrier and tracing each edge at its scheduled instant.
-// Caller holds d.mu.
-func (l *Link) advanceCarrierLocked(d *dirState, dir int, t int64) {
+// advanceCarrier consumes every toggle due at or before t, flipping the
+// carrier and tracing each edge at its scheduled instant.
+func (l *Link) advanceCarrier(d *dirState, dir int, t int64) {
 	for len(d.carr) > 0 && d.carr[0] <= t {
 		at := d.carr[0]
 		d.carr = d.carr[1:]
@@ -401,35 +370,28 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 	// offered to a dead carrier never reaches the loss models or the
 	// bottleneck. The nil check keeps flap-free links at zero cost.
 	if d.carr != nil {
-		d.mu.Lock()
-		l.advanceCarrierLocked(d, from, readyAt)
-		d.publishLocked()
+		l.advanceCarrier(d, from, readyAt)
 		if !d.carrUp {
 			d.stats.Sent++
 			d.stats.DroppedCarrier++
-			d.mu.Unlock()
 			if l.tr != nil {
 				l.tr.Record(readyAt, obs.EvNetemDrop, l.trSrc+uint16(from), int64(len(data)), obs.DropCarrier, 0)
 			}
 			l.freeFrame(data)
 			return
 		}
-		d.mu.Unlock()
 	}
 	if cfg.pristine() {
 		// Bit-transparent: same bytes, same instant, same order, and no
 		// PRNG draws, so a pristine link is indistinguishable from a
 		// plain wire.
-		d.mu.Lock()
 		d.stats.Sent++
 		d.stats.Delivered++
-		d.mu.Unlock()
 		dst.DeliverFrame(data, readyAt)
 		return
 	}
 
 	now := l.clk.Now()
-	d.mu.Lock()
 	d.stats.Sent++
 
 	// Loss first: a frame destroyed on the wire never occupies the
@@ -438,7 +400,6 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		d.stepGE(cfg, readyAt)
 		if d.geBad && d.rng.Float64() < cfg.GELossBad {
 			d.stats.LostBurst++
-			d.mu.Unlock()
 			if l.tr != nil {
 				l.tr.Record(now, obs.EvNetemDrop, l.trSrc+uint16(from), int64(len(data)), obs.DropBurst, 0)
 			}
@@ -448,7 +409,6 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 	}
 	if cfg.LossRate > 0 && d.rng.Float64() < cfg.LossRate {
 		d.stats.LostRandom++
-		d.mu.Unlock()
 		if l.tr != nil {
 			l.tr.Record(now, obs.EvNetemDrop, l.trSrc+uint16(from), int64(len(data)), obs.DropIID, 0)
 		}
@@ -465,7 +425,6 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		backlogBytes := int(float64(d.nextFree-at) * cfg.RateBps / 8e9)
 		if backlogBytes+len(data) > cfg.QueueBytes { // tail drop
 			d.stats.DroppedQueue++
-			d.mu.Unlock()
 			if l.tr != nil {
 				l.tr.Record(now, obs.EvNetemDrop, l.trSrc+uint16(from), int64(len(data)), obs.DropQueue, 0)
 			}
@@ -488,39 +447,25 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 
 	d.held.push(heldFrame{data: data, deliverAt: at, seq: d.seq})
 	d.seq++
-	held := len(d.held)
-	due := d.takeDueLocked(now)
-	d.publishLocked()
-	d.mu.Unlock()
 	if l.tr != nil {
-		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(held))
+		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(len(d.held)))
 	}
-	if len(due) > 0 {
-		deliverAll(dst, due)
-		d.putDue(due)
-	}
+	d.release(dst, now)
 }
 
 // Pump implements nic.Conduit: release every held frame that is due.
 // Ports call it from each device step, so held frames drain even when
 // nothing new is sent. Most pumps are therefore idle: a direction whose
 // wakeAt lies beyond now has no frame to release and no carrier edge to
-// take, so its lock is left alone (DESIGN.md §8, staleness argument).
+// take.
 func (l *Link) Pump(now int64) {
 	for dir := range l.dirs {
 		d := &l.dirs[dir]
-		if d.wakeAt.Load() > now {
+		if d.wakeAt() > now {
 			continue
 		}
-		d.mu.Lock()
-		l.advanceCarrierLocked(d, dir, now)
-		due := d.takeDueLocked(now)
-		d.publishLocked()
-		d.mu.Unlock()
-		if len(due) > 0 {
-			deliverAll(l.ends[1-dir], due)
-			d.putDue(due)
-		}
+		l.advanceCarrier(d, dir, now)
+		d.release(l.ends[1-dir], now)
 	}
 }
 
@@ -531,7 +476,7 @@ func (l *Link) Pump(now int64) {
 // that end folds this into its own deadline; the other end's loops sleep
 // through it.
 func (l *Link) NextDeadline(to int, _ int64) int64 {
-	return l.dirs[1-to].wakeAt.Load()
+	return l.dirs[1-to].wakeAt()
 }
 
 // stepGE advances the Gilbert–Elliott chain to time `at`, one
@@ -570,9 +515,9 @@ func (d *dirState) stepGE(cfg Config, at int64) {
 	}
 }
 
-// publishLocked refreshes wakeAt; caller holds d.mu and is done changing
-// held and carr.
-func (d *dirState) publishLocked() {
+// wakeAt is the earliest instant Pump has work here: the delay line's
+// head or the next carrier toggle, math.MaxInt64 for neither.
+func (d *dirState) wakeAt() int64 {
 	at := int64(math.MaxInt64)
 	if len(d.held) > 0 {
 		at = d.held[0].deliverAt
@@ -580,40 +525,14 @@ func (d *dirState) publishLocked() {
 	if len(d.carr) > 0 && d.carr[0] < at {
 		at = d.carr[0]
 	}
-	d.wakeAt.Store(at)
+	return at
 }
 
-// takeDueLocked pops the frames due at `now`, in delivery order, into
-// the direction's loaned scratch slice. A non-empty result must be
-// handed back via putDue once delivered.
-func (d *dirState) takeDueLocked(now int64) []heldFrame {
-	if len(d.held) == 0 || d.held[0].deliverAt > now {
-		return nil // fast path: nothing due, no loan
-	}
-	due := d.due[:0]
-	d.due = nil // loaned out until putDue
+// release hands dst every held frame due at now, in delivery order.
+func (d *dirState) release(dst Endpoint, now int64) {
 	for len(d.held) > 0 && d.held[0].deliverAt <= now {
-		due = append(due, d.held.pop())
+		f := d.held.pop()
 		d.stats.Delivered++
-	}
-	return due
-}
-
-// putDue returns the delivery scratch after its frames were handed
-// over. If a concurrent release already replaced it, the older slice
-// is simply dropped.
-func (d *dirState) putDue(due []heldFrame) {
-	d.mu.Lock()
-	if d.due == nil {
-		d.due = due[:0]
-	}
-	d.mu.Unlock()
-}
-
-// deliverAll hands released frames to the endpoint outside the
-// direction lock (the endpoint's FIFO has its own).
-func deliverAll(dst Endpoint, due []heldFrame) {
-	for _, f := range due {
 		dst.DeliverFrame(f.data, f.deliverAt)
 	}
 }

@@ -1,7 +1,5 @@
 package nic
 
-import "sync"
-
 // The frame arena recycles the per-frame byte buffers that carry
 // Ethernet frames between a port's TX path and the far port's RX FIFO
 // (directly over a Wire, or held in a netem delay line in between).
@@ -20,28 +18,21 @@ import "sync"
 // Locality: frames never cross testbeds — a frame allocated by a bed's
 // TX path is freed by the same bed's RX path or links — so each
 // testbed.Bed owns a private FrameArena shared by its local machine,
-// its peers and its links. Concurrent sweep cells therefore never
-// contend on (or leak buffers into) one global sync.Pool shard chain,
-// and within a bed every Alloc/Free site runs in the sequential device
-// phases, so the pool is contention-free there too. The package-level
+// its peers and its links, and steps it from the bed's one goroutine
+// (DESIGN.md §12): an arena is a plain free list. The package-level
 // AllocFrame/FreeFrame keep their signatures over a process-wide
 // default arena for hand-wired tests and single-topology tools.
 
-// FrameArena is one pool of wire-frame buffers. The zero value is not
-// usable; call NewFrameArena.
+// FrameArena is one pool of wire-frame buffers, recycled last in, first
+// out. The zero value is an empty arena.
 type FrameArena struct {
-	// pool holds *[maxFrame]byte so Get/Put move a single pointer —
-	// pooling []byte directly would allocate a slice header per Put.
-	pool sync.Pool
+	// free holds *[maxFrame]byte so Alloc/Free move a single pointer.
+	free []*[maxFrame]byte
 }
 
 // NewFrameArena returns an empty arena (buffers are allocated on
 // demand and recycled thereafter).
-func NewFrameArena() *FrameArena {
-	return &FrameArena{pool: sync.Pool{
-		New: func() any { return new([maxFrame]byte) },
-	}}
-}
+func NewFrameArena() *FrameArena { return &FrameArena{} }
 
 // Alloc returns an n-byte frame buffer from the arena. Buffers always
 // carry cap == maxFrame, which is how Free recognizes arena frames.
@@ -51,7 +42,14 @@ func (a *FrameArena) Alloc(n int) []byte {
 		// the MTU): fall back to the allocator; Free will ignore it.
 		return make([]byte, n)
 	}
-	return a.pool.Get().(*[maxFrame]byte)[:n]
+	k := len(a.free) - 1
+	if k < 0 {
+		return new([maxFrame]byte)[:n]
+	}
+	b := a.free[k]
+	a.free[k] = nil
+	a.free = a.free[:k]
+	return b[:n]
 }
 
 // Free returns a frame buffer to the arena. Foreign slices (tests
@@ -61,7 +59,7 @@ func (a *FrameArena) Free(b []byte) {
 	if cap(b) != maxFrame {
 		return
 	}
-	a.pool.Put((*[maxFrame]byte)(b[:maxFrame]))
+	a.free = append(a.free, (*[maxFrame]byte)(b[:maxFrame]))
 }
 
 // defaultArena backs the package-level AllocFrame/FreeFrame: the arena

@@ -3,7 +3,6 @@ package nic
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/cheri"
 	"repro/internal/hostos"
@@ -79,7 +78,6 @@ type Card struct {
 	cfg   Config
 	ports []*Port
 
-	busMu    sync.Mutex
 	busShare []*sim.Serializer // per-port slice of the bus; nil = ideal
 	busUse   []int64           // last admission attempt per port
 	busAct   int               // ports currently counted active
@@ -134,7 +132,6 @@ func New(cfg Config) (*Card, error) {
 		for q := range p.fifos {
 			p.fifos[q].limit = fifoBytes
 			p.fifos[q].arena = arena
-			p.fifos[q].headAt.Store(math.MaxInt64)
 		}
 		p.capDMA = cfg.CapDMA
 		c.ports = append(c.ports, p)
@@ -161,8 +158,6 @@ func (c *Card) RegisterPCI(pci *hostos.PCI) error {
 // busTouch records port activity and rebalances the per-port shares
 // when the active set changes. It returns the port's serializer.
 func (c *Card) busTouch(port int) *sim.Serializer {
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
 	now := c.cfg.Clk.Now()
 	c.busUse[port] = now
 	active := 0
@@ -213,10 +208,7 @@ func (c *Card) busNextAdmitAt(port int, now int64) int64 {
 	if c.busShare == nil {
 		return now
 	}
-	c.busMu.Lock()
-	s := c.busShare[port]
-	c.busMu.Unlock()
-	return s.NextAdmitAt(now)
+	return c.busShare[port].NextAdmitAt(now)
 }
 
 // busPollBy reports the instant by which the port must have polled the
@@ -228,7 +220,5 @@ func (c *Card) busPollBy(port int) int64 {
 	if c.busShare == nil {
 		return math.MaxInt64
 	}
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
 	return c.busUse[port] + busActivityWindow/2
 }

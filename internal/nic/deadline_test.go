@@ -13,7 +13,6 @@ import (
 // FIFO head and pending TX, beside the two terms no queue owns (the
 // conduit's releases toward this port and the arbiter poll cap).
 func refDeadline(p *Port, now int64, only int) int64 {
-	p.mu.Lock()
 	pipe, end, nq := p.pipe, p.pipeEnd, p.nq
 	rxEn := p.regs.rctl&RctlEN != 0
 	txEn := p.regs.tctl&TctlEN != 0 && pipe != nil
@@ -33,7 +32,6 @@ func refDeadline(p *Port, now int64, only int) int64 {
 			txPending = true
 		}
 	}
-	p.mu.Unlock()
 
 	busAt := p.card.busNextAdmitAt(p.idx, now)
 	d := int64(math.MaxInt64)
@@ -41,7 +39,7 @@ func refDeadline(p *Port, now int64, only int) int64 {
 		if !rxArmed[q] {
 			continue
 		}
-		at := p.fifos[q].headAt.Load()
+		at := p.fifos[q].headAt()
 		if at <= now && busAt > now {
 			at = busAt
 		}

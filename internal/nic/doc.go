@@ -33,9 +33,9 @@
 // descriptor becoming admissible — or the attached conduit release a
 // frame toward this port. A frame thus wakes only the loop that will
 // harvest it; Port.NextDeadline is the earliest of the queues' answers.
-// Frame buffers crossing a
-// conduit come from a sync.Pool arena (arena.go) whose ownership rules
-// are documented there and in DESIGN.md §8.
+// Frame buffers crossing a conduit come from a free-list arena
+// (arena.go) whose ownership rules are documented there and in
+// DESIGN.md §8.
 //
 // Beyond the paper's single-queue setup, each port carries up to
 // MaxQueues RX/TX queue pairs with receive-side scaling: a symmetric

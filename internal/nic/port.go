@@ -3,8 +3,6 @@ package nic
 import (
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cheri"
 	"repro/internal/hostos"
@@ -49,7 +47,6 @@ type Port struct {
 	capDMA bool
 	dmaCap cheri.Cap
 
-	mu   sync.Mutex
 	regs portRegs
 	// nq bounds every per-queue walk: queues nq and above have no
 	// descriptor ring programmed in either direction, so there is nothing
@@ -61,26 +58,25 @@ type Port struct {
 	rssTab [12][256]uint32
 
 	// Fault injection (the Scenario 10 fault plane). stalled queues are
-	// skipped by Step and excluded from QueueDeadline (guarded by mu);
-	// dmaFaults budgets injected DMA failures consumed by dmaRO/dmaRW —
-	// atomics, because the DMA helpers run without p.mu held.
+	// skipped by Step and excluded from QueueDeadline; dmaFaults budgets
+	// injected DMA failures consumed by dmaRO/dmaRW.
 	stalled    [MaxQueues]bool
-	dmaFaults  atomic.Int64
-	dmaFaulted atomic.Uint64
+	dmaFaults  int64
+	dmaFaulted uint64
 
-	// statistics (guarded by mu)
+	// statistics
 	gprc, gptc uint64 // good packets
 	gorc, gotc uint64 // good octets
 
-	// observability sinks (guarded by mu, nil = off; see internal/obs).
-	// Every hook below nil-checks its sink, so a port without
-	// observability runs the exact datapath it always has.
+	// observability sinks (nil = off; see internal/obs). Every hook below
+	// nil-checks its sink, so a port without observability runs the exact
+	// datapath it always has.
 	obs   portObs
 	rxTap func(tsNS int64, data []byte)
 }
 
 // portObs is the port's flight recorder, datapath-latency histogram and
-// trace source id, grouped so Step snapshots them with the rings.
+// trace source id.
 type portObs struct {
 	tr  *obs.Trace
 	dp  *stats.Histogram
@@ -92,8 +88,8 @@ type queueRegs struct {
 	bal, bah, length, head, tail uint32
 }
 
-// ring is a snapshot of one descriptor ring taken under p.mu; a queue
-// step works from it and writes only the advanced head back.
+// ring is a snapshot of one descriptor ring that the device can move; a
+// queue step works from it and writes only the advanced head back.
 type ring struct {
 	base       uint64
 	n          uint32 // descriptors in the ring; 0 = nothing to do
@@ -127,8 +123,6 @@ type portRegs struct {
 // link-up. nic.Connect uses it for the direct cable; impairment
 // pipelines (internal/netem) attach themselves the same way.
 func (p *Port) Attach(c Conduit, end int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.pipe = c
 	p.pipeEnd = end
 	p.regs.status |= StatusLU
@@ -137,8 +131,6 @@ func (p *Port) Attach(c Conduit, end int) {
 // SetObs installs the port's flight recorder and datapath-latency
 // histogram (nil disables either); src tags the port's trace events.
 func (p *Port) SetObs(tr *obs.Trace, dp *stats.Histogram, src uint16) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.obs = portObs{tr: tr, dp: dp, src: src}
 }
 
@@ -150,8 +142,6 @@ func (p *Port) SetObs(tr *obs.Trace, dp *stats.Histogram, src uint16) {
 // pcap writer, which copies into its output stream, is the intended
 // consumer.
 func (p *Port) SetRxTap(fn func(tsNS int64, data []byte)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.rxTap = fn
 }
 
@@ -175,8 +165,6 @@ func (p *Port) MAC() [6]byte { return p.mac }
 // SetDMACap grants the port its DMA window (IOMMU programming). Only
 // meaningful in capability-DMA mode.
 func (p *Port) SetDMACap(c cheri.Cap) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.dmaCap = c
 }
 
@@ -211,8 +199,6 @@ func (p *Port) queueReg(off uint64) *uint32 {
 
 // RegRead32 implements MMIO reads.
 func (p *Port) RegRead32(off uint64) uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if r := p.queueReg(off); r != nil {
 		return *r
 	}
@@ -236,7 +222,7 @@ func (p *Port) RegRead32(off uint64) uint32 {
 	case RegMRQC:
 		return p.regs.mrqc
 	case RegMPC:
-		return uint32(p.missedSum())
+		return uint32(p.Missed())
 	case RegGPRC:
 		return uint32(p.gprc)
 	case RegGPTC:
@@ -260,12 +246,10 @@ func (p *Port) RegRead32(off uint64) uint32 {
 
 // RegWrite32 implements MMIO writes.
 func (p *Port) RegWrite32(off uint64, v uint32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if r := p.queueReg(off); r != nil {
 		*r = v
 		if off%RegQStride == regQLEN {
-			p.countProgrammedLocked()
+			p.countProgrammed()
 		}
 		return
 	}
@@ -283,7 +267,7 @@ func (p *Port) RegWrite32(off uint64, v uint32) {
 	switch off {
 	case RegCTRL:
 		if v&CtrlRST != 0 {
-			p.resetLocked()
+			p.reset()
 			return
 		}
 		p.regs.ctrl = v
@@ -296,8 +280,8 @@ func (p *Port) RegWrite32(off uint64, v uint32) {
 	}
 }
 
-// resetLocked clears device state (CTRL.RST).
-func (p *Port) resetLocked() {
+// reset clears device state (CTRL.RST).
+func (p *Port) reset() {
 	lu := p.regs.status & StatusLU
 	p.regs = portRegs{status: lu}
 	p.nq = 0
@@ -305,10 +289,10 @@ func (p *Port) resetLocked() {
 	p.gprc, p.gptc, p.gorc, p.gotc = 0, 0, 0, 0
 }
 
-// countProgrammedLocked recomputes nq: one past the highest queue with a
-// ring of at least one descriptor, the condition every ring test below
-// (movable, QueueDeadline's armed/pending) starts from. Caller holds p.mu.
-func (p *Port) countProgrammedLocked() {
+// countProgrammed recomputes nq: one past the highest queue with a ring
+// of at least one descriptor, the condition every ring test below
+// (movable, QueueDeadline's armed/pending) starts from.
+func (p *Port) countProgrammed() {
 	p.nq = 0
 	for q := range p.regs.rxq {
 		if p.regs.rxq[q].length >= DescSize || p.regs.txq[q].length >= DescSize {
@@ -322,14 +306,10 @@ func (p *Port) countProgrammedLocked() {
 // is the virtual instant the last bit arrives; the frame becomes
 // visible to the RX rings from then on.
 func (p *Port) DeliverFrame(data []byte, readyAt int64) {
-	p.mu.Lock()
-	q := p.classifyLocked(data)
-	tap := p.rxTap
-	p.mu.Unlock()
-	if tap != nil {
-		tap(readyAt, data)
+	if p.rxTap != nil {
+		p.rxTap(readyAt, data)
 	}
-	p.fifos[q].push(frame{data: data, readyAt: readyAt})
+	p.fifos[p.classify(data)].push(frame{data: data, readyAt: readyAt})
 }
 
 // SetQueueStall freezes (or thaws) one queue pair: a stalled queue's
@@ -341,19 +321,12 @@ func (p *Port) SetQueueStall(q int, stalled bool) {
 	if q < 0 || q >= MaxQueues {
 		return
 	}
-	p.mu.Lock()
 	p.stalled[q] = stalled
-	p.mu.Unlock()
 }
 
 // QueueStalled reports one queue's stall state.
 func (p *Port) QueueStalled(q int) bool {
-	if q < 0 || q >= MaxQueues {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stalled[q]
+	return q >= 0 && q < MaxQueues && p.stalled[q]
 }
 
 // InjectDMAFaults arms a burst: the next n DMA mappings (descriptor or
@@ -362,20 +335,20 @@ func (p *Port) QueueStalled(q int) bool {
 // with the descriptor consumed.
 func (p *Port) InjectDMAFaults(n int64) {
 	if n > 0 {
-		p.dmaFaults.Add(n)
+		p.dmaFaults += n
 	}
 }
 
 // DMAFaulted counts injected DMA faults that have fired.
-func (p *Port) DMAFaulted() uint64 { return p.dmaFaulted.Load() }
+func (p *Port) DMAFaulted() uint64 { return p.dmaFaulted }
 
 // dmaFault consumes one unit of the injected-fault budget.
 func (p *Port) dmaFault() bool {
-	if p.dmaFaults.Load() <= 0 {
+	if p.dmaFaults <= 0 {
 		return false
 	}
-	p.dmaFaults.Add(-1)
-	p.dmaFaulted.Add(1)
+	p.dmaFaults--
+	p.dmaFaulted++
 	return true
 }
 
@@ -413,41 +386,39 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 // and fills every armed RX ring from its FIFO, under line-rate and
 // bus-budget admission. The DPDK poll-mode driver calls it from every
 // burst, far more often than a ring has anything to move, so this is the
-// simulator's hottest path: one lock acquisition snapshots the rings that
-// can move at all and only those enter stepTX/stepRX. An RX ring is also
-// skipped while its FIFO's head frame has not fully arrived — except on a
+// simulator's hottest path: one pass snapshots the rings that can move at
+// all and only those enter stepTX/stepRX. An RX ring is also skipped
+// while its FIFO's head frame has not fully arrived — except on a
 // bus-limited card, where stepRX's arbiter poll is itself simulated state
 // (DESIGN.md §8 proves each skip a no-op).
 func (p *Port) Step() {
 	var tx, rx [MaxQueues]ring
-	p.mu.Lock()
-	pipe, o, nq := p.pipe, p.obs, p.nq
+	nq := p.nq
 	for q := 0; q < nq; q++ {
-		tx[q], rx[q] = p.movableLocked(q)
+		tx[q], rx[q] = p.movable(q)
 	}
-	p.mu.Unlock()
 	now := p.clk.Now()
-	if pipe != nil {
+	if p.pipe != nil {
 		// Let a frame-holding conduit (netem delay line, rate limiter)
 		// release whatever is due before the RX rings look for arrivals.
-		pipe.Pump(now)
+		p.pipe.Pump(now)
 	}
 	for q := 0; q < nq; q++ {
 		if tx[q].n > 0 {
-			p.stepTX(q, tx[q], o)
+			p.stepTX(q, tx[q])
 		}
 	}
 	for q := 0; q < nq; q++ {
-		if rx[q].n > 0 && (p.card.busLimited() || p.fifos[q].headAt.Load() <= now) {
-			p.stepRX(q, rx[q], now, o)
+		if rx[q].n > 0 && (p.card.busLimited() || p.fifos[q].headAt() <= now) {
+			p.stepRX(q, rx[q], now)
 		}
 	}
 }
 
-// movableLocked snapshots queue q's rings where the device may advance
-// them: the direction enabled (TX also needs a conduit), the queue not
-// stalled, the ring movable. Caller holds p.mu.
-func (p *Port) movableLocked(q int) (tx, rx ring) {
+// movable snapshots queue q's rings where the device may advance them:
+// the direction enabled (TX also needs a conduit), the queue not
+// stalled, the ring movable.
+func (p *Port) movable(q int) (tx, rx ring) {
 	if p.stalled[q] {
 		return
 	}
@@ -461,20 +432,15 @@ func (p *Port) movableLocked(q int) (tx, rx ring) {
 }
 
 // stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r.
-func (p *Port) stepTX(q int, r ring, o portObs) {
-	// Stats batch per burst: taking p.mu twice per transmitted frame
-	// was measurable lock churn on the simulator's hottest path.
+func (p *Port) stepTX(q int, r ring) {
 	var sentFrames, sentBytes uint64
 	head := r.head
 	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
 		descAddr := r.base + uint64(head)*DescSize
 		desc, ok := p.dmaRO(descAddr, DescSize)
 		if !ok {
-			// DMA fault: silently stop, like a master abort. Deliberate
-			// change from the pre-batching code, which returned without
-			// committing head — frames sent before a mid-burst fault
-			// were re-read and re-transmitted on the next step; now
-			// their head advance (and stats) are written back below.
+			// DMA fault: silently stop, like a master abort. The frames
+			// sent before it keep their head advance and stats, below.
 			break
 		}
 		bufAddr := binary.LittleEndian.Uint64(desc[0:8])
@@ -508,22 +474,17 @@ func (p *Port) stepTX(q int, r ring, o portObs) {
 		sentFrames++
 		sentBytes += uint64(length)
 	}
-	if head == r.head {
-		return // line or bus refused the first frame: nothing to commit
+	if sentFrames > 0 && p.obs.tr != nil {
+		p.obs.tr.Record(p.clk.Now(), obs.EvNicTxBurst, p.obs.src, int64(sentFrames), int64(sentBytes), int64(q))
 	}
-	if sentFrames > 0 && o.tr != nil {
-		o.tr.Record(p.clk.Now(), obs.EvNicTxBurst, o.src, int64(sentFrames), int64(sentBytes), int64(q))
-	}
-	p.mu.Lock()
 	p.gptc += sentFrames
 	p.gotc += sentBytes
 	p.regs.txq[q].head = head
-	p.mu.Unlock()
 }
 
 // stepRX moves queue q's fully arrived frames into descriptors
 // [RDH, RDT) as snapshotted in r.
-func (p *Port) stepRX(q int, r ring, now int64, o portObs) {
+func (p *Port) stepRX(q int, r ring, now int64) {
 	var gotFrames, gotBytes uint64
 	head := r.head
 	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
@@ -556,26 +517,21 @@ func (p *Port) stepRX(q int, r ring, now int64, o portObs) {
 		head = (head + 1) % r.n
 		gotFrames++
 		gotBytes += uint64(len(fr.data))
-		if o.dp != nil {
+		if p.obs.dp != nil {
 			// Datapath latency: last bit on the wire to DMA completion
 			// (FIFO residence + bus admission).
-			o.dp.Record(now - fr.readyAt)
+			p.obs.dp.Record(now - fr.readyAt)
 		}
 		// The frame now lives in descriptor memory; its wire buffer
 		// returns to the arena (see the ownership contract in arena.go).
 		p.arena.Free(fr.data)
 	}
-	if head == r.head {
-		return // nothing arrived, or the bus refused: nothing to commit
+	if gotFrames > 0 && p.obs.tr != nil {
+		p.obs.tr.Record(now, obs.EvNicRxBurst, p.obs.src, int64(gotFrames), int64(gotBytes), int64(q))
 	}
-	if gotFrames > 0 && o.tr != nil {
-		o.tr.Record(now, obs.EvNicRxBurst, o.src, int64(gotFrames), int64(gotBytes), int64(q))
-	}
-	p.mu.Lock()
 	p.gprc += gotFrames
 	p.gorc += gotBytes
 	p.regs.rxq[q].head = head
-	p.mu.Unlock()
 }
 
 // writeBackStatus sets the status byte of a TX descriptor.
@@ -595,18 +551,14 @@ func (p *Port) writeBackRX(descAddr uint64, length uint16) {
 	}
 }
 
-// missedSum sums the per-queue tail-drop counters (the FIFOs carry
-// their own locks, so this is safe with or without p.mu held).
-func (p *Port) missedSum() uint64 {
+// Missed returns the RX FIFO tail-drop count (MPC), summed over queues.
+func (p *Port) Missed() uint64 {
 	var total uint64
 	for q := range p.fifos {
-		total += p.fifos[q].missedCount()
+		total += p.fifos[q].missed
 	}
 	return total
 }
-
-// Missed returns the RX FIFO tail-drop count (MPC), summed over queues.
-func (p *Port) Missed() uint64 { return p.missedSum() }
 
 // PendingRX reports frames waiting in the RX FIFOs (testing hook).
 func (p *Port) PendingRX() int {
@@ -636,28 +588,25 @@ func (p *Port) PendingRXQueue(q int) int { return p.fifos[q].pending() }
 // bus arbiter, whose activity window is part of the simulated machine
 // state (see busNextAdmitAt).
 func (p *Port) QueueDeadline(q int, now int64) int64 {
-	p.mu.Lock()
-	pipe, end := p.pipe, p.pipeEnd
 	// A stalled queue holds no time-based work: excluding it keeps the
 	// leaping driver from spinning at `now` on a ring that will not move
 	// until the fault plane thaws it.
 	rxArmed := p.regs.rctl&RctlEN != 0 && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
-	tx, _ := p.movableLocked(q)
+	tx, _ := p.movable(q)
 	rxPolls := false // some queue's Step enters stepRX, which polls the arbiter
 	if p.card.busLimited() {
 		for i := 0; i < p.nq && !rxPolls; i++ {
-			_, rx := p.movableLocked(i)
+			_, rx := p.movable(i)
 			rxPolls = rx.n > 0
 		}
 	}
-	p.mu.Unlock()
 
 	// The port's bus share books RX and TX alike and only moves when
 	// this port DMAs, so one reading serves both directions.
 	busAt := p.card.busNextAdmitAt(p.idx, now)
 	d := int64(math.MaxInt64)
 	if rxArmed {
-		d = p.fifos[q].headAt.Load()
+		d = p.fifos[q].headAt()
 		if d <= now && busAt > now {
 			// Arrived but bus-throttled: stepRX refuses it (touching
 			// only the arbiter, which the cap below accounts for) until
@@ -668,8 +617,8 @@ func (p *Port) QueueDeadline(q int, now int64) int64 {
 	if tx.n > 0 {
 		d = min(d, max(p.line.NextAdmitAt(now), busAt))
 	}
-	if pipe != nil {
-		d = min(d, pipe.NextDeadline(end, now))
+	if p.pipe != nil {
+		d = min(d, p.pipe.NextDeadline(p.pipeEnd, now))
 	}
 	// On a bus-limited card the polling itself is state: every armed
 	// port's Step touches the fair-share arbiter each iteration, and a
@@ -693,11 +642,8 @@ func (p *Port) QueueDeadline(q int, now int64) int64 {
 // over the programmed queues. Queue 0 is always asked, so a port with no
 // ring programmed still reports its conduit.
 func (p *Port) NextDeadline(now int64) int64 {
-	p.mu.Lock()
-	nq := p.nq
-	p.mu.Unlock()
 	d := p.QueueDeadline(0, now)
-	for q := 1; q < nq; q++ {
+	for q := 1; q < p.nq; q++ {
 		d = min(d, p.QueueDeadline(q, now))
 	}
 	return d

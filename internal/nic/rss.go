@@ -132,9 +132,9 @@ const (
 	ipHeaderOff   = 14
 )
 
-// classifyLocked maps a received frame to its RX queue per the current
-// RSS configuration. Callers hold p.mu.
-func (p *Port) classifyLocked(data []byte) int {
+// classify maps a received frame to its RX queue per the current RSS
+// configuration.
+func (p *Port) classify(data []byte) int {
 	if p.regs.mrqc&MRQCEnable == 0 {
 		return 0
 	}

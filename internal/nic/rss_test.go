@@ -26,7 +26,7 @@ func refRSSHashTuple(key []byte, src, dst [4]byte, proto byte, sport, dport uint
 	return ToeplitzHash(key, in[:8])
 }
 
-// refClassify is classifyLocked as it was before the byte table: parse,
+// refClassify is classify as it was before the byte table: parse,
 // hash bit by bit under the key the registers hold, index RETA.
 func refClassify(p *Port, data []byte) int {
 	if p.regs.mrqc&MRQCEnable == 0 {
@@ -167,9 +167,7 @@ func TestRSSTableFollowsTheKey(t *testing.T) {
 			rng.Read(src[:])
 			rng.Read(dst[:])
 			f := ipv4Frame(src, dst, []byte{protoTCP, protoUDP, 1}[i%3], uint16(rng.Uint32()), uint16(rng.Uint32()))
-			p.mu.Lock()
-			got, want := p.classifyLocked(f), refClassify(p, f)
-			p.mu.Unlock()
+			got, want := p.classify(f), refClassify(p, f)
 			if got != want {
 				t.Fatalf("%s: frame %d steered to queue %d, bit-serial hash says %d", when, i, got, want)
 			}
@@ -227,7 +225,7 @@ func FuzzRSSClassify(f *testing.F) {
 			p.regs.reta[i] = byte(i) // entries past nq must fold to queue 0
 		}
 		p.regs.mrqc = MRQCEnable | uint32(nq&0xF)<<MRQCQueueShift
-		got := p.classifyLocked(frame)
+		got := p.classify(frame)
 		if limit := max(1, min(int(nq&0xF), MaxQueues)); got < 0 || got >= limit {
 			t.Fatalf("queue %d outside [0,%d)", got, limit)
 		}

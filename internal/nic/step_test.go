@@ -24,8 +24,7 @@ func refStep(p *Port) {
 	raw := func(qr *queueRegs) ring {
 		return ring{base: uint64(qr.bal) | uint64(qr.bah)<<32, n: qr.length / DescSize, head: qr.head, tail: qr.tail}
 	}
-	p.mu.Lock()
-	pipe, o := p.pipe, p.obs
+	pipe := p.pipe
 	for q := range tx {
 		if p.stalled[q] {
 			continue
@@ -37,19 +36,18 @@ func refStep(p *Port) {
 			rx[q] = raw(&p.regs.rxq[q])
 		}
 	}
-	p.mu.Unlock()
 	now := p.clk.Now()
 	if pipe != nil {
 		pipe.Pump(now)
 	}
 	for q := range tx {
 		if tx[q].n > 0 {
-			p.stepTX(q, tx[q], o)
+			p.stepTX(q, tx[q])
 		}
 	}
 	for q := range rx {
 		if rx[q].n > 0 {
-			p.stepRX(q, rx[q], now, o)
+			p.stepRX(q, rx[q], now)
 		}
 	}
 }
@@ -63,29 +61,23 @@ func deviceState(t *testing.T, be *bench, full bool) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, p := range []*Port{be.a, be.b} {
-		p.mu.Lock()
 		fmt.Fprintf(&sb, "%s regs=%v stats=%d/%d/%d/%d stalled=%v dmaFaults=%d/%d\n",
-			p.bdf, p.regs, p.gprc, p.gptc, p.gorc, p.gotc, p.stalled, p.dmaFaults.Load(), p.dmaFaulted.Load())
-		p.mu.Unlock()
+			p.bdf, p.regs, p.gprc, p.gptc, p.gorc, p.gotc, p.stalled, p.dmaFaults, p.dmaFaulted)
 		for q := range p.fifos {
 			f := &p.fifos[q]
-			f.mu.Lock()
-			fmt.Fprintf(&sb, " fifo%d bytes=%d missed=%d headAt=%d:", q, f.bytes, f.missed, f.headAt.Load())
+			fmt.Fprintf(&sb, " fifo%d bytes=%d missed=%d headAt=%d:", q, f.bytes, f.missed, f.headAt())
 			for _, fr := range f.frames[f.head:] {
 				fmt.Fprintf(&sb, " %d@%d", len(fr.data), fr.readyAt)
 			}
-			f.mu.Unlock()
 			sb.WriteByte('\n')
 		}
 		// NextAdmitAt(-inf) is nextFree - window: the booking itself.
 		fmt.Fprintf(&sb, " line=%d", p.line.NextAdmitAt(math.MinInt64))
 		c := p.card
-		c.busMu.Lock()
 		fmt.Fprintf(&sb, " busUse=%v busAct=%d", c.busUse, c.busAct)
 		for _, s := range c.busShare {
 			fmt.Fprintf(&sb, " share=%d", s.NextAdmitAt(math.MinInt64))
 		}
-		c.busMu.Unlock()
 		sb.WriteByte('\n')
 	}
 	h := fnv.New64a()
@@ -238,11 +230,10 @@ func TestStepMatchesReferenceUnderTraffic(t *testing.T) {
 // TestRxFifoQueueDiscipline checks the head-indexed queue against a
 // plain slice model over random push/pop interleavings: strict FIFO
 // order, byte accounting, tail-drop counting at the byte limit, the
-// head-arrival mirror, and a backing array that stays bounded when the
+// head-arrival instant, and a backing array that stays bounded when the
 // queue never drains.
 func TestRxFifoQueueDiscipline(t *testing.T) {
 	f := rxFifo{limit: 8000, arena: NewFrameArena()}
-	f.headAt.Store(math.MaxInt64)
 	var model []frame
 	modelBytes, modelMissed := 0, uint64(0)
 	rng := rand.New(rand.NewSource(31))
@@ -281,9 +272,9 @@ func TestRxFifoQueueDiscipline(t *testing.T) {
 		if len(model) > 0 {
 			wantHead = model[0].readyAt
 		}
-		if f.pending() != len(model) || f.bytes != modelBytes || f.missedCount() != modelMissed || f.headAt.Load() != wantHead {
+		if f.pending() != len(model) || f.bytes != modelBytes || f.missed != modelMissed || f.headAt() != wantHead {
 			t.Fatalf("op %d: pending %d bytes %d missed %d headAt %d; model %d/%d/%d/%d",
-				op, f.pending(), f.bytes, f.missedCount(), f.headAt.Load(), len(model), modelBytes, modelMissed, wantHead)
+				op, f.pending(), f.bytes, f.missed, f.headAt(), len(model), modelBytes, modelMissed, wantHead)
 		}
 		// 8000 bytes of >= 60-byte frames is at most 133 live frames.
 		if cap(f.frames) > 4*134 {
@@ -327,8 +318,6 @@ func rxCard(t *testing.T, busRate float64) (*Card, *sim.VClock) {
 
 // arbiterRecord renders the fair-share arbiter's activity state.
 func arbiterRecord(c *Card) string {
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
 	return fmt.Sprint(c.busUse, c.busAct)
 }
 
@@ -485,9 +474,7 @@ func TestRxDeadlineOnIdealBus(t *testing.T) {
 // register banks, as each did before the port kept a programmed-queue
 // count — the reference the bounded walks must match.
 func walkAllQueues(p *Port) *Port {
-	p.mu.Lock()
 	p.nq = MaxQueues
-	p.mu.Unlock()
 	return p
 }
 

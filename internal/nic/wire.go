@@ -1,10 +1,6 @@
 package nic
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // PropagationDelayNS is the cable's one-way latency. A metre of copper
 // plus PHY latency is well under a microsecond; 500 ns is representative.
@@ -27,15 +23,9 @@ type frame struct {
 // queue, head-indexed (frames[head:] are queued, oldest first) so a pop
 // is O(1) however deep a line-rate burst has filled it.
 type rxFifo struct {
-	mu     sync.Mutex
 	frames []frame
 	head   int
 	bytes  int
-	// headAt mirrors the head frame's readyAt (math.MaxInt64 when empty)
-	// for lock-free readers; push and pop republish it before unlocking.
-	// pop only ever looks at the head, so this IS the instant the queue
-	// next has something to harvest, even if a later frame is due first.
-	headAt atomic.Int64
 	limit  int
 	missed uint64
 	arena  *FrameArena // where tail-dropped frames return; nil = default
@@ -43,8 +33,6 @@ type rxFifo struct {
 
 // push stores an arriving frame, tail-dropping when the buffer is full.
 func (f *rxFifo) push(fr frame) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.bytes+len(fr.data) > f.limit {
 		f.missed++
 		arena := f.arena
@@ -56,31 +44,26 @@ func (f *rxFifo) push(fr frame) {
 	}
 	f.frames = append(f.frames, fr)
 	f.bytes += len(fr.data)
-	if len(f.frames)-f.head == 1 {
-		f.headAt.Store(fr.readyAt)
-	}
 }
 
-// pop removes the next fully arrived frame, if any; "nothing has
-// arrived", the usual answer to a poll, comes from headAt without the
-// lock.
-func (f *rxFifo) pop(now int64) (frame, bool) {
-	if f.headAt.Load() > now {
-		return frame{}, false
+// headAt is the head frame's readyAt (math.MaxInt64 when empty). pop only
+// ever looks at the head, so this IS the instant the queue next has
+// something to harvest, even if a later frame is due first.
+func (f *rxFifo) headAt() int64 {
+	if f.head == len(f.frames) {
+		return math.MaxInt64
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.head == len(f.frames) || f.frames[f.head].readyAt > now {
+	return f.frames[f.head].readyAt
+}
+
+// pop removes the next fully arrived frame, if any.
+func (f *rxFifo) pop(now int64) (frame, bool) {
+	if f.headAt() > now {
 		return frame{}, false
 	}
 	fr := f.frames[f.head]
 	f.head++
 	live := len(f.frames) - f.head
-	next := int64(math.MaxInt64)
-	if live > 0 {
-		next = f.frames[f.head].readyAt
-	}
-	f.headAt.Store(next)
 	if f.head >= live {
 		// The popped prefix has outgrown the live frames (or the queue
 		// just drained): slide them down, so the array is reused and a
@@ -94,19 +77,8 @@ func (f *rxFifo) pop(now int64) (frame, bool) {
 	return fr, true
 }
 
-// missedCount returns the tail-drop counter.
-func (f *rxFifo) missedCount() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.missed
-}
-
 // pending reports queued frames (testing hook).
-func (f *rxFifo) pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.frames) - f.head
-}
+func (f *rxFifo) pending() int { return len(f.frames) - f.head }
 
 // Conduit is the medium a port transmits into. A *Wire is the direct
 // back-to-back cable; internal/netem's Link interposes an impairment

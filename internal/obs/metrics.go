@@ -7,22 +7,19 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a named monotonic metric. Add is atomic, so datapath code
-// may bump it without holding any lock; the sampler reads it into the
+// Counter is a named monotonic metric; the sampler reads it into the
 // timeseries cumulatively.
 type Counter struct {
-	v atomic.Uint64
+	v uint64
 }
 
 // Add increments the counter.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 { return c.v }
 
 // Metrics is the registry: named gauges (sampled by calling back) and
 // counters (sampled cumulatively), recorded into per-series timeseries
@@ -30,7 +27,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Tick runs from the experiment driver, so samples land at
 // deterministic virtual instants.
 type Metrics struct {
-	mu       sync.Mutex
 	interval int64
 	names    []string
 	gauges   []func(now int64) float64
@@ -51,10 +47,8 @@ func NewMetrics(intervalNS int64) *Metrics {
 
 // Gauge registers a named gauge; fn is called at each sample instant
 // with the current virtual time. Gauges run on the driver goroutine —
-// they may take component locks but must not drive the simulation.
+// they read component state but must not drive the simulation.
 func (m *Metrics) Gauge(name string, fn func(now int64) float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.names = append(m.names, name)
 	m.gauges = append(m.gauges, fn)
 }
@@ -70,37 +64,25 @@ func (m *Metrics) Counter(name string) *Counter {
 // Tick samples every registered series when a sample is due. The first
 // call anchors the schedule at its `now`.
 func (m *Metrics) Tick(now int64) {
-	m.mu.Lock()
 	if !m.started {
 		m.started = true
 		m.nextAt = now
 	}
 	if now < m.nextAt {
-		m.mu.Unlock()
 		return
 	}
-	gauges := m.gauges
-	m.mu.Unlock()
-
-	// Sample outside the registry lock: gauges may take component
-	// locks, and nothing else mutates the registry mid-run.
-	row := make([]float64, len(gauges))
-	for i, fn := range gauges {
+	row := make([]float64, len(m.gauges))
+	for i, fn := range m.gauges {
 		row[i] = fn(now)
 	}
-
-	m.mu.Lock()
 	m.times = append(m.times, now)
 	m.rows = append(m.rows, row)
 	m.nextAt = now + m.interval
-	m.mu.Unlock()
 }
 
 // NextDeadline reports the next sample instant (now, before the first
 // Tick anchors the schedule).
 func (m *Metrics) NextDeadline(now int64) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if !m.started {
 		return now
 	}
@@ -108,17 +90,11 @@ func (m *Metrics) NextDeadline(now int64) int64 {
 }
 
 // Samples returns the number of sample rows recorded.
-func (m *Metrics) Samples() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.rows)
-}
+func (m *Metrics) Samples() int { return len(m.rows) }
 
 // WriteCSV streams the timeseries as CSV: a time_ns column followed by
 // one column per series.
 func (m *Metrics) WriteCSV(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	cw := csv.NewWriter(w)
 	if err := cw.Write(append([]string{"time_ns"}, m.names...)); err != nil {
 		return err
@@ -161,8 +137,7 @@ type metricSeriesJSON struct {
 // WriteJSON streams the timeseries as JSON, one values array per
 // series aligned with times_ns.
 func (m *Metrics) WriteJSON(w io.Writer) error {
-	m.mu.Lock()
-	doc := metricsJSON{IntervalNS: m.interval, TimesNS: append([]int64(nil), m.times...)}
+	doc := metricsJSON{IntervalNS: m.interval, TimesNS: m.times}
 	for j, name := range m.names {
 		vals := make([]float64, len(m.rows))
 		for i, row := range m.rows {
@@ -170,14 +145,10 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		}
 		doc.Series = append(doc.Series, metricSeriesJSON{Name: name, Values: vals})
 	}
-	m.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }
 
 // String summarizes the registry for logs.
 func (m *Metrics) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return fmt.Sprintf("metrics: %d series, %d samples @ %d ns", len(m.names), len(m.rows), m.interval)
 }

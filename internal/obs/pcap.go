@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // pcap file constants (libpcap classic format, microsecond timestamps).
@@ -19,10 +18,8 @@ const (
 // PcapWriter streams frames into a libpcap capture readable by tcpdump
 // and Wireshark. It began life as fstack's per-stack tap sink and now
 // lives here so link-level taps (nic RX delivery, both ends of a peer
-// cable into one file) and stack taps share one writer. It is safe for
-// concurrent use — taps from multiple components may share one file.
+// cable into one file) and stack taps share one writer.
 type PcapWriter struct {
-	mu  sync.Mutex
 	w   io.Writer
 	err error
 	n   int
@@ -47,8 +44,6 @@ func NewPcapWriter(w io.Writer) (*PcapWriter, error) {
 // frame bytes are written synchronously, so callers may pass transient
 // buffers (arena frames) without copying.
 func (p *PcapWriter) WritePacket(tsNS int64, data []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.err != nil {
 		return p.err
 	}
@@ -74,15 +69,7 @@ func (p *PcapWriter) WritePacket(tsNS int64, data []byte) error {
 }
 
 // Count returns the packets written so far.
-func (p *PcapWriter) Count() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.n
-}
+func (p *PcapWriter) Count() int { return p.n }
 
 // Err reports the writer's sticky error.
-func (p *PcapWriter) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
+func (p *PcapWriter) Err() error { return p.err }

@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // EventType enumerates the flight recorder's event taxonomy. Each type
 // belongs to one layer of the stack; the A/B/C argument meanings are
 // per-type (documented on the constants) — fixed-size records keep the
@@ -180,9 +178,8 @@ type Event struct {
 // Trace is the flight recorder: a fixed-capacity ring of events that
 // keeps the most recent Capacity() records. Recording never allocates;
 // when the ring is full the oldest event is overwritten, which is
-// exactly what a flight recorder should do. Safe for concurrent use.
+// exactly what a flight recorder should do.
 type Trace struct {
-	mu    sync.Mutex
 	ring  []Event
 	next  int
 	total uint64
@@ -206,14 +203,12 @@ func (t *Trace) Record(ts int64, typ EventType, src uint16, a, b, c int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.ring[t.next] = Event{TS: ts, A: a, B: b, C: c, Type: typ, Src: src}
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
 	}
 	t.total++
-	t.mu.Unlock()
 }
 
 // Capacity returns the ring size.
@@ -221,20 +216,10 @@ func (t *Trace) Capacity() int { return len(t.ring) }
 
 // Total returns how many events were ever recorded (including ones the
 // ring has since overwritten).
-func (t *Trace) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
+func (t *Trace) Total() uint64 { return t.total }
 
 // Len returns how many events the ring currently holds.
 func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lenLocked()
-}
-
-func (t *Trace) lenLocked() int {
 	if t.total >= uint64(len(t.ring)) {
 		return len(t.ring)
 	}
@@ -243,10 +228,7 @@ func (t *Trace) lenLocked() int {
 
 // Snapshot copies the held events in chronological order.
 func (t *Trace) Snapshot() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.lenLocked()
-	out := make([]Event, 0, n)
+	out := make([]Event, 0, t.Len())
 	if t.total >= uint64(len(t.ring)) {
 		out = append(out, t.ring[t.next:]...)
 	}

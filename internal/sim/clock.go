@@ -1,37 +1,29 @@
 package sim
 
-import "sync/atomic"
-
 // VClock is a manually advanced virtual clock. It satisfies
-// hostos.Clock. It is safe for concurrent readers with a single
-// advancing driver.
+// hostos.Clock. A bed's one goroutine both advances and reads it.
 type VClock struct {
-	now atomic.Int64
+	now int64
 }
 
 // NewVClock starts a virtual clock at zero.
 func NewVClock() *VClock { return &VClock{} }
 
 // Now returns the current virtual time in nanoseconds.
-func (c *VClock) Now() int64 { return c.now.Load() }
+func (c *VClock) Now() int64 { return c.now }
 
 // Advance moves the clock forward by d nanoseconds.
 func (c *VClock) Advance(d int64) {
 	if d < 0 {
 		panic("sim: clock cannot go backwards")
 	}
-	c.now.Add(d)
+	c.now += d
 }
 
 // Set jumps the clock to t (must not move backwards).
 func (c *VClock) Set(t int64) {
-	for {
-		cur := c.now.Load()
-		if t < cur {
-			panic("sim: clock cannot go backwards")
-		}
-		if c.now.CompareAndSwap(cur, t) {
-			return
-		}
+	if t < c.now {
+		panic("sim: clock cannot go backwards")
 	}
+	c.now = t
 }

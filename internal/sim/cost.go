@@ -1,7 +1,5 @@
 package sim
 
-import "sync/atomic"
-
 // The crossing-cost table: what isolation costs a thread in virtual time
 // (DESIGN.md §15 derives it and works one sample by hand). Constants, not
 // settings. Three are fitted to the three numbers the paper publishes for
@@ -43,14 +41,12 @@ func CopyNS(n int) int64 { return int64(n) * CopyPSPerByte / 1000 }
 // booked here, and only a clock read made on that thread sees it — which
 // is all Figs. 4-6 measure, so a run that reads no compartment clock is
 // untouched. Bookings lapse as the bed's clock passes them.
-//
-// Safe for one booking thread and concurrent readers, like VClock.
-type Core struct{ busyUntil atomic.Int64 }
+type Core struct{ busyUntil int64 }
 
 // At is the thread's own time at bed instant now: no earlier than the end
 // of the work it has booked.
-func (c *Core) At(now int64) int64 { return max(now, c.busyUntil.Load()) }
+func (c *Core) At(now int64) int64 { return max(now, c.busyUntil) }
 
 // Book charges ns of work, begun when the thread is next free; with no
 // work it keeps the thread busy until now at least.
-func (c *Core) Book(now, ns int64) { c.busyUntil.Store(c.At(now) + ns) }
+func (c *Core) Book(now, ns int64) { c.busyUntil = c.At(now) + ns }

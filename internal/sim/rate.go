@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"repro/internal/hostos"
-)
+import "repro/internal/hostos"
 
 // Serializer models a transmission resource with a fixed bit rate (an
 // Ethernet line, a PCI bus). Admitting n cost-bytes books n*8/rate of
@@ -15,9 +11,7 @@ import (
 // The "how far ahead" window stands in for the device FIFO: a couple of
 // frame times is realistic and keeps the model work-conserving.
 type Serializer struct {
-	clk hostos.Clock
-
-	mu       sync.Mutex
+	clk      hostos.Clock
 	bitsPerS float64
 	maxAhead int64 // ns
 	nextFree int64 // ns timestamp at which the resource is free
@@ -37,8 +31,6 @@ func NewSerializer(clk hostos.Clock, bitsPerS float64, maxAheadNS int64) *Serial
 // resource is over-booked (caller retries on a later poll).
 func (s *Serializer) Admit(costBytes int) (doneAt int64, ok bool) {
 	now := s.clk.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nextFree < now {
 		s.nextFree = now
 	}
@@ -57,8 +49,6 @@ func (s *Serializer) Admit(costBytes int) (doneAt int64, ok bool) {
 // catches up, so the long-run rate is still honored exactly.
 func (s *Serializer) Book(costBytes int) (doneAt int64) {
 	now := s.clk.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nextFree < now {
 		s.nextFree = now
 	}
@@ -71,8 +61,6 @@ func (s *Serializer) Book(costBytes int) (doneAt int64) {
 // (line and bus) use it to avoid booking one when the other would refuse.
 func (s *Serializer) CanAdmit() bool {
 	now := s.clk.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	next := s.nextFree
 	if next < now {
 		next = now
@@ -87,8 +75,6 @@ func (s *Serializer) CanAdmit() bool {
 // value stays exact across a quiescent stretch, which is what lets the
 // event-driven driver leap straight to it.
 func (s *Serializer) NextAdmitAt(now int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	at := s.nextFree - s.maxAhead
 	if at < now {
 		return now
@@ -97,19 +83,10 @@ func (s *Serializer) NextAdmitAt(now int64) int64 {
 }
 
 // Busy reports whether the resource is currently booked past now.
-func (s *Serializer) Busy() bool {
-	now := s.clk.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextFree > now
-}
+func (s *Serializer) Busy() bool { return s.nextFree > s.clk.Now() }
 
 // Rate returns the configured rate in bits per second.
-func (s *Serializer) Rate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bitsPerS
-}
+func (s *Serializer) Rate() float64 { return s.bitsPerS }
 
 // SetRate changes the rate for future admissions (already-booked
 // transfers keep their completion times). The bus arbiter uses it to
@@ -118,7 +95,5 @@ func (s *Serializer) SetRate(bitsPerS float64) {
 	if bitsPerS <= 0 {
 		panic("sim: serializer rate must be positive")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bitsPerS = bitsPerS
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Histogram bucket geometry: values below 2*histSubCount map to their
@@ -56,10 +55,8 @@ func histUpper(i int) int64 {
 // Histogram is a log-bucketed latency histogram: constant-space,
 // allocation-free recording, bounded relative error (~3%), and
 // mergeable across shards. The zero value is ready to use. It is
-// ns-oriented like the rest of this package but unit-free. Recording
-// is safe for concurrent use.
+// ns-oriented like the rest of this package but unit-free.
 type Histogram struct {
-	mu     sync.Mutex
 	counts [histBuckets]uint64
 	n      uint64
 	sum    int64
@@ -74,7 +71,6 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	h.counts[histBucket(v)]++
 	if h.n == 0 || v < h.min {
 		h.min = v
@@ -84,21 +80,14 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.n++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
+func (h *Histogram) Count() uint64 { return h.n }
 
 // Mean returns the exact average of the recorded samples (the sum is
 // tracked outside the buckets, so it carries no quantization error).
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
 		return 0
 	}
@@ -107,8 +96,6 @@ func (h *Histogram) Mean() float64 {
 
 // Min returns the smallest recorded sample (0 when empty).
 func (h *Histogram) Min() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
 		return 0
 	}
@@ -117,8 +104,6 @@ func (h *Histogram) Min() int64 {
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
 		return 0
 	}
@@ -130,8 +115,6 @@ func (h *Histogram) Max() int64 {
 // [min, max]. The estimate's relative error is bounded by the bucket
 // geometry (~3%).
 func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
 		return 0
 	}
@@ -170,28 +153,22 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || h == other {
 		return
 	}
-	other.mu.Lock()
-	counts := other.counts
-	n, sum, mn, mx := other.n, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if n == 0 {
+	if other.n == 0 {
 		return
 	}
-	h.mu.Lock()
-	for i, c := range counts {
+	for i, c := range &other.counts {
 		if c != 0 {
 			h.counts[i] += c
 		}
 	}
-	if h.n == 0 || mn < h.min {
-		h.min = mn
+	if h.n == 0 || other.min < h.min {
+		h.min = other.min
 	}
-	if h.n == 0 || mx > h.max {
-		h.max = mx
+	if h.n == 0 || other.max > h.max {
+		h.max = other.max
 	}
-	h.n += n
-	h.sum += sum
-	h.mu.Unlock()
+	h.n += other.n
+	h.sum += other.sum
 }
 
 // fmtNS renders a nanosecond quantity with a human unit.

@@ -63,7 +63,7 @@ type Bed struct {
 
 	// arena is this bed's private frame-buffer pool, shared by the
 	// local machine, every peer and every link — frames never cross
-	// beds, so concurrent sweep cells never contend on one global pool.
+	// beds, so concurrent sweep cells never share one.
 	arena *nic.FrameArena
 
 	// gatesEnv is the environment Gates exports, so a restart knows
