@@ -46,7 +46,7 @@ func main() {
 	ground := setup.Peers[0].Env
 
 	// Ground station: UDP listener on the MAVLink port.
-	gapi := ground.Loop.Locked()
+	gapi := ground.Stk
 	gfd, _ := gapi.Socket(fstack.SockDgram)
 	gapi.Bind(gfd, fstack.IPv4Addr{}, 14550)
 	var received [][]byte

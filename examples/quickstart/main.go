@@ -32,7 +32,7 @@ func main() {
 
 	// The peer machine runs a TCP echo service in its main loop.
 	var echoFDs []int
-	papi := peer.Loop.Locked()
+	papi := peer.Stk
 	lfd, _ := papi.Socket(fstack.SockStream)
 	papi.Bind(lfd, fstack.IPv4Addr{}, 7)
 	papi.Listen(lfd, 4)
@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// The cVM application: connect, send, await the echo.
-	api := cvm1.Loop.Locked()
+	api := cvm1.Stk
 	fd, _ := api.Socket(fstack.SockStream)
 	if errno := api.Connect(fd, fstack.IP4(10, 0, 0, 2), 7); errno != hostos.EINPROGRESS {
 		log.Fatalf("connect: %v", errno)

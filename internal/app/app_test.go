@@ -42,6 +42,90 @@ func TestDNSIDRejectsShortMessages(t *testing.T) {
 	}
 }
 
+// dnsMsg builds a query or an answer carrying id.
+func dnsMsg(put func([]byte, uint16) int, id uint16) []byte {
+	buf := make([]byte, dnsAnswerLen)
+	return buf[:put(buf, id)]
+}
+
+// TestDNSClientTakesAnswersOnlyFromTheServer: a datagram carrying a live
+// ID completes its query only if it is a response (QR set) from the
+// server's address and port. A third party, the right host on another
+// port, the query echoed back and a short header complete nothing and are
+// counted stray.
+func TestDNSClientTakesAnswersOnlyFromTheServer(t *testing.T) {
+	srv := fstack.IP4(10, 0, 0, 2)
+	api := newFakeAPI()
+	c, err := NewDNSClient(srv, 53, 4000, 0, 1, 1e6, 1e6, 2) // closed-loop, one query
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Step(api, 0) // socket
+	c.Step(api, 1) // query ID 1
+	answer := dnsMsg(putDNSAnswer, 1)
+	api.dgrams = []fakeDgram{
+		{answer, fstack.IP4(10, 0, 0, 9), 53},
+		{answer, srv, 54},
+		{dnsMsg(putDNSQuery, 1), srv, 53},
+		{answer[:dnsHeaderLen-1], srv, 53},
+	}
+	c.Step(api, 2)
+	if c.Completed() != 0 || c.Stray() != 4 {
+		t.Fatalf("completed %d, stray %d: want 0 and 4", c.Completed(), c.Stray())
+	}
+	api.dgrams = []fakeDgram{{answer, srv, 53}}
+	c.Step(api, 3)
+	if c.Completed() != 1 || c.Stray() != 4 || c.Err() != hostos.OK {
+		t.Fatalf("completed %d, stray %d, err %v: the server's answer must complete the query", c.Completed(), c.Stray(), c.Err())
+	}
+}
+
+// dnsServe steps a set-up server over one readable datagram.
+func dnsServe(data []byte) (*DNSServer, *fakeAPI) {
+	api := newFakeAPI()
+	s := NewDNSServer(fstack.IPv4Addr{}, 53)
+	s.Step(api, 0)
+	api.dgrams = []fakeDgram{{data, fstack.IP4(10, 0, 0, 1), 40000}}
+	api.events = [][]fstack.Event{{{FD: s.fd, Events: fstack.EPOLLIN}}}
+	s.Step(api, 1)
+	return s, api
+}
+
+// TestDNSServerDoesNotAnswerResponses: a response (QR set) is not a
+// query. Answering it would let two responders, or one and a spoofed
+// source, reflect forever; it is counted malformed instead.
+func TestDNSServerDoesNotAnswerResponses(t *testing.T) {
+	s, api := dnsServe(dnsMsg(putDNSAnswer, 7))
+	if s.Served() != 0 || s.Malformed() != 1 || len(api.sent) != 0 {
+		t.Fatalf("served %d, malformed %d, sent %d: a response was answered", s.Served(), s.Malformed(), len(api.sent))
+	}
+}
+
+// FuzzDNSServerDatagram feeds any bytes to the server as one datagram:
+// it never panics, counts the datagram exactly once (served, malformed or
+// tx-busy), and sends an answer iff it served one, echoing the query's ID.
+func FuzzDNSServerDatagram(f *testing.F) {
+	f.Add(dnsMsg(putDNSQuery, 0xBEEF))
+	f.Add(dnsMsg(putDNSAnswer, 0xBEEF))
+	f.Add(make([]byte, dnsHeaderLen-1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, api := dnsServe(data)
+		if n := s.Served() + s.Malformed() + s.TxBusy(); n != 1 || s.Err() != hostos.OK {
+			t.Fatalf("counted %d times (err %v), want once", n, s.Err())
+		}
+		if uint64(len(api.sent)) != s.Served() {
+			t.Fatalf("%d answers sent, %d served", len(api.sent), s.Served())
+		}
+		if s.Served() == 1 {
+			got, _ := dnsID(api.sent[0])
+			if want, _ := dnsID(data); got != want {
+				t.Fatalf("answer ID %#x, query ID %#x", got, want)
+			}
+		}
+	})
+}
+
 // --- HTTP client incremental parser ---
 
 // newParserClient builds a client whose parser can be fed directly.

@@ -13,9 +13,12 @@ import (
 
 // The DNS-shaped wire format: a real 12-byte header (ID, flags,
 // counts) and one fixed A-record question, answered by echoing the
-// question and appending one compressed-name A record. The only field
-// the state machines key on is the 16-bit ID.
-const dnsHeaderLen = 12
+// question and appending one compressed-name A record. The state
+// machines key on the 16-bit ID and the QR bit (set on a response).
+const (
+	dnsHeaderLen = 12
+	dnsQR        = 0x80 // in the flags' high byte, msg[2]
+)
 
 // dnsQuestion is QNAME "cherinet.test." + QTYPE A + QCLASS IN.
 var dnsQuestion = []byte("\x08cherinet\x04test\x00\x00\x01\x00\x01")
@@ -103,7 +106,9 @@ func NewDNSServer(ip fstack.IPv4Addr, port uint16) *DNSServer {
 // Served reports answered queries.
 func (s *DNSServer) Served() uint64 { return s.served }
 
-// Malformed reports datagrams too short to carry a DNS header.
+// Malformed reports datagrams left unanswered because they are not a
+// query: too short to carry a DNS header, or a response (QR set, RFC 1035
+// §4.1.1) — answering one would let two responders reflect forever.
 func (s *DNSServer) Malformed() uint64 { return s.malformed }
 
 // TxBusy reports answers dropped because the transmit path was full;
@@ -139,7 +144,7 @@ func (s *DNSServer) Step(api API, now int64) {
 				return
 			}
 			id, ok := dnsID(s.buf[:n])
-			if !ok {
+			if !ok || s.buf[2]&dnsQR != 0 {
 				s.malformed++
 				continue
 			}
@@ -220,6 +225,7 @@ type DNSClient struct {
 	completed uint64
 	timeouts  uint64
 	abandoned uint64
+	stray     uint64
 }
 
 // NewDNSClient prepares the query driver.
@@ -257,6 +263,11 @@ func (c *DNSClient) Failed() uint64   { return c.abandoned }
 
 // Deferred reports pace slots skipped at the outstanding cap.
 func (c *DNSClient) Deferred() uint64 { return c.pace.deferred }
+
+// Stray counts datagrams that were not an answer from the server — from
+// another address or port, a query, or too short for a header — and so
+// completed nothing.
+func (c *DNSClient) Stray() uint64 { return c.stray }
 
 // RunNS returns the measured phase's virtual length (valid once Done).
 func (c *DNSClient) RunNS() int64 { return c.endNS - c.pace.start }
@@ -400,7 +411,7 @@ func (c *DNSClient) expire(api API, now int64) bool {
 // drainAnswers consumes arrived answers; false means the run failed.
 func (c *DNSClient) drainAnswers(api API, now int64) bool {
 	for {
-		n, _, _, errno := api.RecvFrom(c.fd, c.buf)
+		n, ip, port, errno := api.RecvFrom(c.fd, c.buf)
 		if errno == hostos.EAGAIN {
 			return true
 		}
@@ -411,7 +422,8 @@ func (c *DNSClient) drainAnswers(api API, now int64) bool {
 			return false
 		}
 		id, ok := dnsID(c.buf[:n])
-		if !ok {
+		if !ok || ip != c.ServerIP || port != c.Port || c.buf[2]&dnsQR == 0 {
+			c.stray++
 			continue
 		}
 		fl, live := c.flights[id]

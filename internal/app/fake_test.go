@@ -7,14 +7,15 @@ import (
 
 // fakeAPI scripts the socket surface the endpoints see: queued accepts
 // per listener, per-descriptor read chunks (an empty chunk is EOF),
-// queued datagrams, captured writes, queued epoll ready sets. Everything
+// queued datagrams with their source, captured writes and datagrams, queued epoll ready sets. Everything
 // else succeeds. It logs every call by name and fails the failAt-th
 // (1-based) with failWith — the fault the kit tests inject.
 type fakeAPI struct {
 	nextFD  int
 	accepts map[int][]int
 	reads   map[int][][]byte
-	dgrams  [][]byte
+	dgrams  []fakeDgram
+	sent    [][]byte // every datagram SendTo took, copied
 	writes  map[int][]byte
 	// room, when non-negative, is how many more bytes Write accepts
 	// before it answers EAGAIN.
@@ -25,6 +26,13 @@ type fakeAPI struct {
 	calls    []string
 	failAt   int
 	failWith hostos.Errno
+}
+
+// fakeDgram is one queued datagram and the address it came from.
+type fakeDgram struct {
+	data []byte
+	ip   fstack.IPv4Addr
+	port uint16
 }
 
 func newFakeAPI() *fakeAPI {
@@ -102,6 +110,7 @@ func (f *fakeAPI) SendTo(_ int, data []byte, _ fstack.IPv4Addr, _ uint16) (int, 
 	if errno := f.call("SendTo"); errno != hostos.OK {
 		return 0, errno
 	}
+	f.sent = append(f.sent, append([]byte(nil), data...))
 	return len(data), hostos.OK
 }
 func (f *fakeAPI) RecvFrom(_ int, dst []byte) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
@@ -113,7 +122,7 @@ func (f *fakeAPI) RecvFrom(_ int, dst []byte) (int, fstack.IPv4Addr, uint16, hos
 	}
 	d := f.dgrams[0]
 	f.dgrams = f.dgrams[1:]
-	return copy(dst, d), fstack.IPv4Addr{}, 40000, hostos.OK
+	return copy(dst, d.data), d.ip, d.port, hostos.OK
 }
 func (f *fakeAPI) Close(fd int) hostos.Errno {
 	f.closed[fd] = true

@@ -92,7 +92,7 @@ var setups = []struct {
 	}},
 	{"dns server", "EpollCreate Socket Bind EpollCtl EpollWait RecvFrom SendTo RecvFrom", func(api *fakeAPI) stepper {
 		api.events = [][]fstack.Event{ready(fstack.EPOLLIN, 10)}
-		api.dgrams = [][]byte{make([]byte, dnsQueryLen)}
+		api.dgrams = []fakeDgram{{data: make([]byte, dnsQueryLen), port: 40000}}
 		s := NewDNSServer(fstack.IPv4Addr{}, 53)
 		s.Step(api, 0)
 		s.Step(api, 1)

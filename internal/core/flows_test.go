@@ -198,9 +198,9 @@ func TestMeasurePlacesMixedSites(t *testing.T) {
 		want []int64
 		api  fstack.API
 	}{
-		{env1, []int64{0, 1 * ms}, s.Envs[1].Loop.Locked()},
-		{env2, []int64{0, 1 * ms}, s.Envs[1].Loop.Locked()},
-		{peer, []int64{0, 2 * ms}, s.Peers[0].Env.Loop.Locked()},
+		{env1, []int64{0, 1 * ms}, s.Envs[1].Stk},
+		{env2, []int64{0, 1 * ms}, s.Envs[1].Stk},
+		{peer, []int64{0, 2 * ms}, s.Peers[0].Env.Stk},
 		{app, []int64{0, 1 * ms, 2 * ms, 3 * ms}, s.Apps[0]},
 	} {
 		if !slices.Equal(c.p.steps, c.want) {

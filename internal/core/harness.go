@@ -275,14 +275,6 @@ func wanBudget(durationNS, delayNS int64) int64 {
 	return durationNS + 8_000e6 + 200*2*delayNS
 }
 
-// lockedStats snapshots an environment's stack counters under the
-// stack mutex.
-func lockedStats(env *Env) fstack.StackStats {
-	env.Stk.Lock()
-	defer env.Stk.Unlock()
-	return env.Stk.Stats()
-}
-
 // fresh is RunScenarioN: build the configuration's bed on a new
 // virtual clock, then run it once.
 func fresh[C, S, R any](build func(hostos.Clock, C) (S, error), cfg C, run func(S) (R, error)) (R, error) {

@@ -271,9 +271,9 @@ func TestScenario4ShardedStatsConsistency(t *testing.T) {
 		}
 		checks++
 		agg := ss.Stats()
-		sum := ss.ShardStats(0)
+		sum := ss.Shard(0).Stats()
 		for i := 1; i < ss.NumShards(); i++ {
-			sh := ss.ShardStats(i)
+			sh := ss.Shard(i).Stats()
 			sum.Add(sh)
 		}
 		if agg != sum {

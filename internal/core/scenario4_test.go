@@ -68,11 +68,11 @@ func TestScenario4ServerMode(t *testing.T) {
 	}
 }
 
-// TestScenario4ShardStatsSumToAggregate checks the stats invariant on a
+// TestScenario4ShardCountersSumToAggregate checks the stats invariant on a
 // live sharded run: per-shard counters sum to the aggregate, every
 // frame is processed by exactly one shard, and the flows really did
 // spread over multiple shards.
-func TestScenario4ShardStatsSumToAggregate(t *testing.T) {
+func TestScenario4ShardCountersSumToAggregate(t *testing.T) {
 	s, err := NewScenario4(sim.NewVClock(), Scenario4Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestScenario4ShardStatsSumToAggregate(t *testing.T) {
 	var rx, tx uint64
 	busy := 0
 	for i := 0; i < s.Sharded.NumShards(); i++ {
-		st := s.Sharded.ShardStats(i)
+		st := s.Sharded.Shard(i).Stats()
 		rx += st.RxFrames
 		tx += st.TxFrames
 		if st.TxFrames > 0 {

@@ -155,7 +155,7 @@ func Scenario5Bandwidth(s *Setup5, durationNS int64) (Scenario5Result, error) {
 		return res, err
 	}
 	res.Mbps = reps[0].recv.Mbps()
-	res.Stats = lockedStats(s.Envs[0])
+	res.Stats = s.Envs[0].Stk.Stats()
 	res.Fwd = link.Stats(0)
 	res.Obs = s.Obs
 	return res, nil

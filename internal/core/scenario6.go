@@ -222,7 +222,7 @@ func Scenario6Bandwidth(s *Setup6, flows int, durationNS int64) (Scenario6Result
 	// Stats carry the data sender's recovery story: the local shards
 	// for uploads, the peer stack for downloads.
 	if s.Cfg.Download {
-		res.Stats = lockedStats(s.Peers[0].Env)
+		res.Stats = s.Peers[0].Env.Stk.Stats()
 	} else {
 		res.Stats = s.Sharded.Stats()
 	}

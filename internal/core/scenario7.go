@@ -148,7 +148,7 @@ func Scenario7Bandwidth(s *Setup7, durationNS int64) (Scenario7Result, error) {
 		return res, err
 	}
 	res.Mbps = reps[0].recv.Mbps()
-	res.Stats = lockedStats(s.Envs[0])
+	res.Stats = s.Envs[0].Stk.Stats()
 	res.Fwd = link.Stats(0)
 	return res, nil
 }

@@ -122,9 +122,9 @@ func TestScenario8ShardedStatsConsistency(t *testing.T) {
 		}
 		checks++
 		agg := ss.Stats()
-		sum := ss.ShardStats(0)
+		sum := ss.Shard(0).Stats()
 		for i := 1; i < ss.NumShards(); i++ {
-			sum.Add(ss.ShardStats(i))
+			sum.Add(ss.Shard(i).Stats())
 		}
 		if agg != sum {
 			mismatches++

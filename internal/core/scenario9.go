@@ -167,11 +167,15 @@ type Scenario9Result struct {
 	Failed   uint64
 	// ServerBad, ServerMalformed and ServerTxBusy are what the server
 	// application itself dropped: malformed HTTP request heads, datagrams
-	// too short for a DNS header, and answers refused by a full transmit
-	// path. All zero on a clean run.
+	// that are not a DNS query, and answers refused by a full transmit path.
+	// All zero on a clean run.
 	ServerBad       uint64
 	ServerMalformed uint64
 	ServerTxBusy    uint64
+	// ClientStray counts datagrams the DNS clients took for no answer:
+	// not from the server, not a response, or too short. Zero on a
+	// clean run.
+	ClientStray uint64
 	// P50NS/P99NS/P999NS are per-request latency quantiles, merged
 	// across the workers (one per server shard).
 	P50NS  int64
@@ -300,6 +304,7 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 		res.tally(c.Issued(), c.Completed(), c.Deferred(), c.RunNS())
 		res.Timeouts += c.Timeouts()
 		res.Failed += c.Failed()
+		res.ClientStray += c.Stray()
 		merged.Merge(&c.Hist)
 	}
 	switch srv := srv.(type) {
@@ -411,6 +416,9 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 			if drop.n > 0 {
 				note += fmt.Sprintf("  (server: %d %s)", drop.n, drop.what)
 			}
+		}
+		if r.ClientStray > 0 {
+			note += fmt.Sprintf("  (client: %d stray datagrams)", r.ClientStray)
 		}
 		fmt.Fprintf(&b, "  %-9s %-14s %9.0f %9.1f %9.1f %9.1f %5d %6d%s\n",
 			modeName(r.CapMode), load, r.CompletedPerSec(),

@@ -39,6 +39,9 @@ func requireClean(t *testing.T, r Scenario9Result) {
 		t.Fatalf("the server application dropped: %d bad requests, %d malformed queries, %d answers tx-busy",
 			r.ServerBad, r.ServerMalformed, r.ServerTxBusy)
 	}
+	if r.ClientStray != 0 {
+		t.Fatalf("the clients took %d stray datagrams", r.ClientStray)
+	}
 	if r.P50NS <= 0 || r.P99NS < r.P50NS || r.P999NS < r.P99NS {
 		t.Fatalf("implausible quantiles p50=%d p99=%d p999=%d", r.P50NS, r.P99NS, r.P999NS)
 	}
@@ -186,9 +189,9 @@ func TestScenario9ShardedStatsConsistency(t *testing.T) {
 			}
 			checks++
 			want := ss.Stats()
-			got := ss.ShardStats(0)
+			got := ss.Shard(0).Stats()
 			for i := 1; i < ss.NumShards(); i++ {
-				got.Add(ss.ShardStats(i))
+				got.Add(ss.Shard(i).Stats())
 			}
 			if got != want {
 				mismatches++
@@ -226,18 +229,19 @@ func TestScenario9RejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestScenario9ReportsServerDrops: what the server application dropped is
-// in the row's trailing note when there is any, and only then — the
-// golden rows, which drop nothing, carry no note.
+// TestScenario9ReportsServerDrops: what the server application dropped,
+// and what the clients took as stray, is in the row's trailing note when
+// there is any, and only then — the golden rows, which drop nothing,
+// carry no note.
 func TestScenario9ReportsServerDrops(t *testing.T) {
 	clean := Scenario9Result{Proto: "dns", Shards: 2, Rate: 1000, Conns: 4, RunNS: 1e9, Completed: 1000}
-	if out := FormatScenario9("t", []Scenario9Result{clean}); strings.Contains(out, "server:") {
+	if out := FormatScenario9("t", []Scenario9Result{clean}); strings.Contains(out, "server:") || strings.Contains(out, "client:") {
 		t.Fatalf("a clean row carries a server note:\n%s", out)
 	}
 	dirty := clean
-	dirty.ServerBad, dirty.ServerMalformed, dirty.ServerTxBusy = 1, 2, 3
+	dirty.ServerBad, dirty.ServerMalformed, dirty.ServerTxBusy, dirty.ClientStray = 1, 2, 3, 4
 	out := FormatScenario9("t", []Scenario9Result{dirty})
-	for _, want := range []string{"(server: 1 bad requests)", "(server: 2 malformed queries)", "(server: 3 answers dropped tx-busy)"} {
+	for _, want := range []string{"(server: 1 bad requests)", "(server: 2 malformed queries)", "(server: 3 answers dropped tx-busy)", "(client: 4 stray datagrams)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("row lacks %q:\n%s", want, out)
 		}

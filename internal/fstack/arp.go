@@ -3,7 +3,6 @@ package fstack
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // ARP opcodes.
@@ -74,10 +73,8 @@ const arpPendingMax = 8
 // arpCache maps IPv4 addresses to MACs, with a short pending packet
 // queue per unresolved address. A sharded stack shares one cache across
 // every shard's view of the interface (neighbor state is read-mostly
-// and not flow-affine — ARP replies always land on queue 0), so the
-// cache carries its own lock; per-stack caches simply never contend.
+// and not flow-affine — ARP replies always land on queue 0).
 type arpCache struct {
-	mu      sync.Mutex
 	entries map[IPv4Addr]arpEntry
 	pending map[IPv4Addr][]*pendingPacket
 }
@@ -97,8 +94,6 @@ func newARPCache() *arpCache {
 
 // lookup returns the binding if present and fresh.
 func (c *arpCache) lookup(ip IPv4Addr, now int64) (MACAddr, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.entries[ip]
 	if !ok || now > e.expires {
 		return MACAddr{}, false
@@ -108,8 +103,6 @@ func (c *arpCache) lookup(ip IPv4Addr, now int64) (MACAddr, bool) {
 
 // insert installs a binding and returns the packets parked on it.
 func (c *arpCache) insert(ip IPv4Addr, mac MACAddr, now int64) []*pendingPacket {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.entries[ip] = arpEntry{mac: mac, expires: now + arpCacheTTL}
 	p := c.pending[ip]
 	delete(c.pending, ip)
@@ -119,8 +112,6 @@ func (c *arpCache) insert(ip IPv4Addr, mac MACAddr, now int64) []*pendingPacket 
 // reset forgets every binding and parked packet — the compartment that
 // learned them crashed; its successor re-resolves from scratch.
 func (c *arpCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	clear(c.entries)
 	clear(c.pending)
 }
@@ -128,8 +119,6 @@ func (c *arpCache) reset() {
 // park queues a packet waiting for ip to resolve, dropping the oldest
 // beyond the queue bound.
 func (c *arpCache) park(ip IPv4Addr, payload []byte, proto uint16) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	q := c.pending[ip]

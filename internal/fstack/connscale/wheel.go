@@ -66,7 +66,7 @@ type item[T any] struct {
 // Firing is exact: entries carry their precise deadline, and Advance
 // only fires those with deadline <= now — the tick merely buckets them.
 //
-// Not safe for concurrent use; fstack drives it under the stack mutex.
+// Not safe for concurrent use; a stack drives it from one goroutine.
 type Wheel[T any] struct {
 	shift   uint
 	start   int64

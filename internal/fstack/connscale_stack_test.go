@@ -55,12 +55,10 @@ func fullClose(e *testEnv, cfd, afd int) {
 	})
 	e.stkB.Close(afd)
 	e.pumpUntil(8000, "client reaches TIME_WAIT", func() bool {
-		e.stkA.Lock()
 		tw := false
 		for _, c := range e.stkA.conns {
 			tw = tw || c.state == tcpTimeWait
 		}
-		e.stkA.Unlock()
 		return tw
 	})
 }
@@ -78,12 +76,10 @@ func warmARP(e *testEnv) {
 		s  *Stack
 		fd int
 	}{{e.stkA, cfd}, {e.stkB, afd}, {e.stkB, lfd}} {
-		pr.s.Lock()
 		for _, c := range pr.s.conns {
 			pr.s.removeConn(c)
 		}
 		pr.s.socks.del(pr.fd)
-		pr.s.Unlock()
 	}
 }
 
@@ -360,12 +356,10 @@ func TestTimeWaitPassiveReuse(t *testing.T) {
 	})
 	e.stkA.Close(cfd)
 	e.pumpUntil(8000, "server reaches TIME_WAIT and client drains", func() bool {
-		e.stkB.Lock()
 		tw := false
 		for _, c := range e.stkB.conns {
 			tw = tw || c.state == tcpTimeWait
 		}
-		e.stkB.Unlock()
 		return tw && e.stkA.ConnCount() == 0
 	})
 
@@ -413,14 +407,12 @@ func TestTimeWaitFlood(t *testing.T) {
 		cfd, afd := establish(e, lfd, 7001, uint16(20000+i))
 		fullClose(e, cfd, afd)
 	}
-	e.stkA.Lock()
 	tw := 0
 	for _, c := range e.stkA.conns {
 		if c.state == tcpTimeWait {
 			tw++
 		}
 	}
-	e.stkA.Unlock()
 	if tw < flood/2 {
 		t.Fatalf("only %d/%d conns in TIME_WAIT; the flood never accumulated", tw, flood)
 	}
@@ -428,9 +420,7 @@ func TestTimeWaitFlood(t *testing.T) {
 		return e.stkA.ConnCount() == 0 && e.stkB.ConnCount() == 0
 	})
 	// The wheel must be empty too: nothing left to fire.
-	e.stkA.Lock()
 	n := e.stkA.wheel.Len()
-	e.stkA.Unlock()
 	if n != 0 {
 		t.Fatalf("timer wheel still holds %d entries after all conns expired", n)
 	}
@@ -440,12 +430,10 @@ func TestTimeWaitFlood(t *testing.T) {
 // connect to fail with EADDRNOTAVAIL, not spin or panic.
 func TestEphemeralPortExhaustion(t *testing.T) {
 	e := newEnv(t, false)
-	e.stkA.Lock()
 	e.stkA.portRefs = make([]uint32, 65536-ephemeralBase)
 	for i := range e.stkA.portRefs {
 		e.stkA.portRefs[i] = 1
 	}
-	e.stkA.Unlock()
 	cfd, _ := e.stkA.Socket(SockStream)
 	if errno := e.stkA.Connect(cfd, IP4(10, 0, 0, 2), 7001); errno != hostos.EADDRNOTAVAIL {
 		t.Fatalf("connect with no free ephemeral ports: %v, want EADDRNOTAVAIL", errno)

@@ -11,7 +11,7 @@ import (
 // trapped its cVM): every in-flight connection is aborted with
 // ECONNRESET, listeners and bound UDP endpoints latch ENETDOWN, epoll
 // interest sets are dropped, the SYN cache and ARP state vanish, and
-// the stack goes down — poll is a no-op and NextDeadline reports
+// the stack goes down — PollOnce is a no-op and NextDeadline reports
 // quiescence until Restart. Nothing is transmitted: a crashed stack is
 // silent; peers discover the death when the restarted stack answers
 // their retransmits with RSTs.
@@ -21,8 +21,6 @@ import (
 // latched errno instead of EAGAIN, and the app closes the stale fds
 // itself (which is what returns RetainedBytes to its pre-fault level).
 func (s *Stack) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return
 	}
@@ -106,8 +104,6 @@ func (s *Stack) Crash() {
 // how peers' dead connections get reset), and the application
 // re-creates its sockets and listeners through the normal API.
 func (s *Stack) Restart() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.down {
 		return
 	}
@@ -117,7 +113,5 @@ func (s *Stack) Restart() {
 
 // Down reports whether the stack is crashed (compartment-state gauge).
 func (s *Stack) Down() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.down
 }

@@ -217,7 +217,6 @@ func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []strin
 
 	// Name every registration before the crash recycles it.
 	name := map[*epollReg]string{}
-	b.Lock()
 	b.socks.each(func(fd int, sk *socket) {
 		for r := sk.regs; r != nil; r = r.nextSk {
 			for i, ep := range eps {
@@ -227,21 +226,18 @@ func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []strin
 			}
 		}
 	})
-	b.Unlock()
 	if len(name) != 2+210+105 {
 		t.Fatalf("%d registrations before the crash, want %d", len(name), 2+210+105)
 	}
 
 	b.Crash()
 
-	b.Lock()
 	for r := b.regFree; r != nil; r = r.nextSk {
 		if n, ok := name[r]; ok {
 			freed = append(freed, n)
 		}
 	}
 	stats = b.Stats()
-	b.Unlock()
 	retained = b.RetainedBytes()
 	for _, afd := range afds {
 		add(afd%3, afd, EPOLLIN|EPOLLOUT)

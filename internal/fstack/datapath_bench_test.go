@@ -56,8 +56,6 @@ func BenchmarkDatapathFrame(b *testing.B) {
 
 // sndBufLen peeks a connection's send-buffer occupancy (bench hook).
 func (e *testEnv) sndBufLen(fd int) int {
-	e.stkA.mu.Lock()
-	defer e.stkA.mu.Unlock()
 	sk := e.stkA.socks.get(fd)
 	if sk == nil || sk.conn == nil {
 		return -1

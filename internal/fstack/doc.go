@@ -21,11 +21,15 @@
 //     costs what is ready, not what is registered (epoll.go,
 //     DESIGN.md §10).
 //
-//   - API calls and the main loop are serialized by one stack mutex.
-//     In Baseline and Scenario 1 the application runs inside the loop
-//     callback, so the mutex is uncontended; in Scenario 2 separate
-//     application compartments call through cross-cVM gates and contend
-//     on it — the effect Fig. 6 measures.
+//   - In F-Stack, API calls and the main loop are serialized by one
+//     stack mutex. In Baseline and Scenario 1 the application runs
+//     inside the loop callback, so the mutex is uncontended; in
+//     Scenario 2 separate application compartments call through
+//     cross-cVM gates and contend on it — the effect Fig. 6 measures.
+//     Here that mutex is modelled, not taken: a bed runs on one
+//     goroutine, Stack is the one API whether called from OnLoop, a
+//     gate target or between iterations, and what holding and handing
+//     over the mutex costs is booked from sim's crossing-cost table.
 //
 //   - The multi-core escape from that mutex is ShardedStack: N Stack
 //     instances, each bound to one queue handle of the same port, with

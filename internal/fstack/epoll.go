@@ -85,8 +85,8 @@ func (r *epollReg) unqueue() {
 
 // wake queues every registration of sk for its instance's next Wait.
 // The contract that replaces the interest scan: every assignment that
-// can raise a bit of sk.readiness() is followed by a wake before the
-// stack mutex is released (DESIGN.md §10 lists the sites).
+// can raise a bit of sk.readiness() is followed by a wake before the API
+// call or poll that made it returns (DESIGN.md §10 lists the sites).
 func (sk *socket) wake() {
 	for r := sk.regs; r != nil; r = r.nextSk {
 		r.queue()
@@ -134,12 +134,6 @@ func (s *Stack) unregister(sk *socket, ep *epollInstance) {
 
 // EpollCreate makes an epoll descriptor.
 func (s *Stack) EpollCreate() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epollCreateLocked()
-}
-
-func (s *Stack) epollCreateLocked() int {
 	fd := s.nextFD
 	s.nextFD++
 	ep := &epollInstance{}
@@ -158,12 +152,6 @@ func (s *Stack) closeEpoll(epfd int, ep *epollInstance) {
 
 // EpollCtl manipulates the interest set.
 func (s *Stack) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epollCtlLocked(epfd, op, fd, events)
-}
-
-func (s *Stack) epollCtlLocked(epfd, op, fd int, events uint32) hostos.Errno {
 	ep, sk := s.epolls.get(epfd), s.socks.get(fd)
 	if ep == nil || sk == nil {
 		return hostos.EBADF
@@ -204,12 +192,6 @@ func (s *Stack) epollCtlLocked(epfd, op, fd int, events uint32) hostos.Errno {
 // more are ready than evs holds, the rest stay queued in order for the
 // next call — and lead it, since the reported ones went to the back.
 func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epollWaitLocked(epfd, evs)
-}
-
-func (s *Stack) epollWaitLocked(epfd int, evs []Event) (int, hostos.Errno) {
 	ep := s.epolls.get(epfd)
 	if ep == nil {
 		return -1, hostos.EBADF

@@ -56,8 +56,6 @@ func scanInterest(interest map[int]uint32, sockOf func(fd int) *socket, out []Ev
 // refStack scans a single stack's descriptor table.
 func refStack(s *Stack) func(map[int]uint32) []Event {
 	return func(interest map[int]uint32) []Event {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		return scanInterest(interest, s.socks.get, nil)
 	}
 }
@@ -69,7 +67,6 @@ func refSharded(a *ShardedAPI) func(map[int]uint32) []Event {
 	return func(interest map[int]uint32) []Event {
 		var out []Event
 		for i, s := range a.ss.shards {
-			s.mu.Lock()
 			out = scanInterest(interest, func(lfd int) *socket {
 				f := a.fds.get(lfd)
 				switch {
@@ -82,7 +79,6 @@ func refSharded(a *ShardedAPI) func(map[int]uint32) []Event {
 				}
 				return nil
 			}, out)
-			s.mu.Unlock()
 		}
 		return out
 	}

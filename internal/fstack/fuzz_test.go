@@ -232,8 +232,6 @@ func FuzzReassembly(f *testing.F) {
 		0, 0, 8, 0, 1, 100, 0, 99, 1, 0, 0, 99}) // past the window; a window overrun over a parked run
 	f.Add(bytes.Repeat([]byte{1, 8, 0, 0, 1, 4, 0, 0, 1, 6, 0, 0, 0, 0, 0, 7}, 40)) // one-byte segments
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		g.stk.Lock()
-		defer g.stk.Unlock()
 		const isn = uint32(1<<32 - size/2)
 		g.reset(t, size, len(ops)%2 == 1, isn, src)
 		c := g.conn
@@ -388,9 +386,7 @@ func FuzzFrameInput(f *testing.F) {
 		}
 		copy(buf, frame)
 		repairChecksums(buf)
-		stk.Lock()
 		stk.input(nif, m)
-		stk.Unlock()
 		for i := 0; i < 4 && pool.Avail() != before; i++ {
 			clk.Advance(1e6)
 			nif.dev.Poll() // send what the stack answered; reclaim the mbufs

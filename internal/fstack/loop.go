@@ -1,33 +1,28 @@
 package fstack
 
-import "sync/atomic"
-
 // Loop is the F-Stack main loop: after an initialization phase, a
 // poll-mode iteration runs forever — "(i) process the ring buffers of
 // the DPDK Ethernet driver; and (ii) execute a user-defined function
 // where calls to F-Stack API functions can be made" (§III-B).
 type Loop struct {
 	Stk *Stack
-	// OnLoop is the user-defined function, called every iteration while
-	// the stack mutex is held (the app and the stack share a compartment
-	// in Baseline and Scenario 1). It may call the *Locked API variants
-	// freely.
+	// OnLoop is the user-defined function, called at the end of every
+	// iteration (the app and the stack share a compartment in Baseline
+	// and Scenario 1). It calls the Stack's API directly.
 	OnLoop func(now int64)
 
-	iterations atomic.Uint64
+	iterations uint64
 }
 
-// RunOnce executes one locked iteration: drain RX rings, run protocol
-// input and timers, flush TX, then the user callback.
+// RunOnce executes one iteration: drain RX rings, run protocol input and
+// timers, flush TX, then the user callback.
 func (l *Loop) RunOnce() {
 	s := l.Stk
-	s.mu.Lock()
-	s.poll()
+	s.PollOnce()
 	if l.OnLoop != nil {
 		l.OnLoop(s.now())
 	}
-	s.mu.Unlock()
-	l.iterations.Add(1)
+	l.iterations++
 }
 
 // NextDeadline reports the earliest virtual instant at which this
@@ -42,12 +37,4 @@ func (l *Loop) NextDeadline(now int64) int64 {
 }
 
 // Iterations reports completed loop iterations.
-func (l *Loop) Iterations() uint64 { return l.iterations.Load() }
-
-// LockedAPI exposes the *Locked API variants to code that already holds
-// the stack mutex (the OnLoop callback and Scenario 2's gate targets).
-// It exists to make call sites explicit about their locking context.
-type LockedAPI struct{ S *Stack }
-
-// Locked returns the in-loop API view.
-func (l *Loop) Locked() LockedAPI { return LockedAPI{S: l.Stk} }
+func (l *Loop) Iterations() uint64 { return l.iterations }

@@ -17,8 +17,8 @@ import (
 // lifecycle — SYN, data, timers, FIN — runs on exactly one shard. The
 // connection table, socket table, listeners and timers are all
 // shard-local; only ARP/neighbor state is shared (read-mostly, and ARP
-// traffic always lands on queue 0). Shards therefore never take each
-// other's mutex on the datapath, which is what real F-Stack achieves by
+// traffic always lands on queue 0). Shards therefore need no
+// coordination on the datapath, which is what real F-Stack achieves by
 // pinning one stack process per core.
 
 // SteerFunc is the steering oracle: which RX queue the device's RSS
@@ -78,19 +78,11 @@ func (ss *ShardedStack) Shard(i int) *Stack { return ss.shards[i] }
 // own core on real hardware).
 func (ss *ShardedStack) Loops() []*Loop { return ss.loops }
 
-// ShardStats returns shard i's counters.
-func (ss *ShardedStack) ShardStats(i int) StackStats {
-	s := ss.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Stats()
-}
-
 // Stats aggregates the counters over every shard.
 func (ss *ShardedStack) Stats() StackStats {
 	var total StackStats
-	for i := range ss.shards {
-		total.Add(ss.ShardStats(i))
+	for _, s := range ss.shards {
+		total.Add(s.Stats())
 	}
 	return total
 }
@@ -134,8 +126,6 @@ func (ss *ShardedStack) SetTCPTuning(t TCPTuning) {
 // localIPFor reports the interface address the stack would source
 // packets to dst from.
 func (s *Stack) localIPFor(dst IPv4Addr) IPv4Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	nif := s.nifForDst(dst)
 	if nif == nil {
 		return IPv4Addr{}
@@ -174,8 +164,8 @@ type shardedFD struct {
 // whichever shard RSS steers it to; established connections are pinned
 // to their shard; locally initiated connections pick their source port
 // first, ask the device's steering oracle which queue the return
-// traffic will hit, and are created on that shard. Calls lock only the
-// shard(s) they touch.
+// traffic will hit, and are created on that shard. Calls touch only the
+// shard(s) they need.
 type ShardedAPI struct {
 	ss     *ShardedStack
 	nextFD int
@@ -186,9 +176,9 @@ type ShardedAPI struct {
 	rr     int // round-robin shard target for outbound connections
 }
 
-// API returns a sharded application view. Like a single Stack's
-// descriptor table it is not itself thread-safe: one application
-// driver uses one ShardedAPI.
+// API returns a sharded application view. It carries one application
+// driver's descriptors and port rotation: one driver uses one
+// ShardedAPI.
 func (ss *ShardedStack) API() *ShardedAPI {
 	return &ShardedAPI{ss: ss, nextFD: 3, rev: make([]fdTable[int], len(ss.shards)), eph: 40000}
 }

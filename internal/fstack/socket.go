@@ -14,8 +14,8 @@ const (
 )
 
 // API is the ff_* socket contract application code is written against.
-// Stack and ShardedAPI (self-locking), LockedAPI (inside the loop
-// callback) and the testbed's gated view (across compartments) all
+// Stack (inside the loop callback or beside it), ShardedAPI (over a
+// sharded stack) and the testbed's gated view (across compartments) all
 // satisfy it, so one workload runs unchanged in every layout — the
 // paper's single iperf3 port.
 type API interface {
@@ -158,18 +158,13 @@ type socket struct {
 	regs *epollReg
 }
 
-// The ff_* API. All calls are non-blocking and must run under the stack
-// mutex; the exported wrappers lock it (per-call), mirroring F-Stack's
-// serialization against the main loop.
+// The ff_* API. All calls are non-blocking and take no host lock: a bed
+// runs on one goroutine, so they may be made from OnLoop, from a gate
+// target or between iterations. F-Stack's serialization against the main
+// loop is modelled by sim's crossing-cost table, not by a mutex.
 
 // Socket creates a descriptor of the given type.
 func (s *Stack) Socket(typ int) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.socketLocked(typ)
-}
-
-func (s *Stack) socketLocked(typ int) (int, hostos.Errno) {
 	if typ != SockStream && typ != SockDgram {
 		return -1, hostos.EINVAL
 	}
@@ -198,12 +193,6 @@ func (s *Stack) allocSocket() *socket {
 
 // Bind attaches a local address. A zero IP binds all interfaces.
 func (s *Stack) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bindLocked(fd, ip, port)
-}
-
-func (s *Stack) bindLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return hostos.EBADF
@@ -234,12 +223,6 @@ func (s *Stack) bindLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 
 // Listen makes a bound stream socket passive.
 func (s *Stack) Listen(fd, backlog int) hostos.Errno {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.listenLocked(fd, backlog)
-}
-
-func (s *Stack) listenLocked(fd, backlog int) hostos.Errno {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return hostos.EBADF
@@ -259,12 +242,6 @@ func (s *Stack) listenLocked(fd, backlog int) hostos.Errno {
 // returning its new descriptor and the peer address. EAGAIN when none
 // is ready.
 func (s *Stack) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acceptLocked(fd)
-}
-
-func (s *Stack) acceptLocked(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
@@ -291,12 +268,6 @@ func (s *Stack) acceptLocked(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 // Connect starts an active open. It returns EINPROGRESS; completion is
 // reported by epoll writability, as with a non-blocking BSD socket.
 func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.connectLocked(fd, ip, port)
-}
-
-func (s *Stack) connectLocked(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return hostos.EBADF
@@ -380,12 +351,6 @@ func (s *Stack) connFor(fd int) (*socket, *tcpConn, hostos.Errno) {
 // (the Baseline's ff_write). Partial writes return the stored count;
 // a full buffer returns EAGAIN.
 func (s *Stack) Write(fd int, src []byte) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeLocked(fd, src)
-}
-
-func (s *Stack) writeLocked(fd int, src []byte) (int, hostos.Errno) {
 	_, c, errno := s.connFor(fd)
 	if errno != hostos.OK {
 		return -1, errno
@@ -409,12 +374,6 @@ func (s *Stack) writeLocked(fd int, src []byte) (int, hostos.Errno) {
 // capability (`const void * __capability buf`, §III-B) and every load
 // from it is checked.
 func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeCapLocked(fd, mem, buf, n)
-}
-
-func (s *Stack) writeCapLocked(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
 	_, c, errno := s.connFor(fd)
 	if errno != hostos.OK {
 		return -1, errno
@@ -452,12 +411,6 @@ func writableState(c *tcpConn) hostos.Errno {
 // Read consumes received bytes into a plain slice. Returns 0 at EOF
 // (peer FIN drained), EAGAIN when no data is buffered.
 func (s *Stack) Read(fd int, dst []byte) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLocked(fd, dst)
-}
-
-func (s *Stack) readLocked(fd int, dst []byte) (int, hostos.Errno) {
 	_, c, errno := s.connFor(fd)
 	if errno != hostos.OK {
 		return -1, errno
@@ -500,12 +453,6 @@ func (s *Stack) noteReadDrain(c *tcpConn) {
 // ReadCap is the CHERI ff_read: stores into the caller's capability
 // buffer are checked.
 func (s *Stack) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readCapLocked(fd, mem, buf, n)
-}
-
-func (s *Stack) readCapLocked(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
 	_, c, errno := s.connFor(fd)
 	if errno != hostos.OK {
 		return -1, errno
@@ -531,12 +478,6 @@ func (s *Stack) readCapLocked(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (in
 // Close shuts a descriptor down: streams FIN, listeners stop, datagram
 // sockets unbind, epoll instances drop their registrations.
 func (s *Stack) Close(fd int) hostos.Errno {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closeLocked(fd)
-}
-
-func (s *Stack) closeLocked(fd int) hostos.Errno {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		if ep := s.epolls.get(fd); ep != nil {
@@ -581,12 +522,6 @@ func (s *Stack) closeLocked(fd int) hostos.Errno {
 
 // SendTo transmits one UDP datagram.
 func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sendToLocked(fd, data, ip, port)
-}
-
-func (s *Stack) sendToLocked(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return -1, hostos.EBADF
@@ -602,7 +537,7 @@ func (s *Stack) sendToLocked(fd int, data []byte, ip IPv4Addr, port uint16) (int
 	}
 	if sk.udp == nil {
 		// Auto-bind an ephemeral port.
-		if errno := s.bindLocked(fd, IPv4Addr{}, s.allocEphemeral()); errno != hostos.OK {
+		if errno := s.Bind(fd, IPv4Addr{}, s.allocEphemeral()); errno != hostos.OK {
 			return -1, errno
 		}
 	}
@@ -630,12 +565,6 @@ func (s *Stack) sendToLocked(fd int, data []byte, ip IPv4Addr, port uint16) (int
 
 // RecvFrom pops one queued datagram.
 func (s *Stack) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recvFromLocked(fd, dst)
-}
-
-func (s *Stack) recvFromLocked(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
 	sk := s.socks.get(fd)
 	if sk == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
@@ -688,8 +617,6 @@ func (s *Stack) inputUDP(nif *NetIF, ip IPv4Header, seg []byte) {
 
 // ConnState reports the TCP state name of fd's connection (diagnostics).
 func (s *Stack) ConnState(fd int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sk := s.socks.get(fd)
 	if sk == nil || sk.conn == nil {
 		return "NONE"

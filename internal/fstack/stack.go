@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/dpdk"
@@ -151,16 +150,11 @@ type TCPTuning struct {
 }
 
 // Stack is a user-space TCP/IP instance: interfaces, connection tables
-// and socket layer, owned by one poll loop and guarded by one mutex.
+// and socket layer, owned by one poll loop.
 type Stack struct {
 	seg  *dpdk.MemSeg
 	pool *dpdk.Mempool
 	clk  hostos.Clock
-
-	// mu is THE F-Stack mutex: it serializes API calls against the main
-	// loop (paper §III-A, Scenario 2). A loop's RunOnce holds it for the
-	// duration of an iteration; API entry points hold it per call.
-	mu sync.Mutex
 
 	nifs      []*NetIF
 	conns     map[fourTuple]*tcpConn
@@ -236,8 +230,8 @@ type Stack struct {
 	rtoMinNS   int64 // 0 = package default (SetRTOMin)
 	tuning     TCPTuning
 
-	// down marks a crashed stack (see Crash/Restart in crash.go): poll
-	// is a no-op and nextDeadlineLocked reports quiescence until the
+	// down marks a crashed stack (see Crash/Restart in crash.go):
+	// PollOnce is a no-op and NextDeadline reports quiescence until the
 	// supervisor restarts the compartment.
 	down bool
 
@@ -252,8 +246,8 @@ type Stack struct {
 	// allocation per poll — the simulator's single hottest allocation
 	// site before it moved here. txOne is the same story for the
 	// transmit path's one-frame bursts (one allocation per frame).
-	// Both are safe as fields: all use is under the stack mutex and
-	// the device never retains the slice.
+	// Both are safe as fields: a stack runs on one goroutine and the
+	// device never retains the slice.
 	rxBurst [32]*dpdk.Mbuf
 	txOne   [1]*dpdk.Mbuf
 	// sackRx backs the SACK blocks of the segment being parsed, sackTx
@@ -404,11 +398,12 @@ func connDeadline(c *tcpConn) int64 {
 	return d
 }
 
-// nextDeadlineLocked reports the stack's earliest future work: the
-// timing wheels' minima (O(1) — no scan of idle connections, however
-// many are parked) and whatever the attached devices hold. Callers
-// hold the stack mutex.
-func (s *Stack) nextDeadlineLocked(now int64) int64 {
+// NextDeadline reports the earliest virtual instant at which this
+// stack could make progress; math.MaxInt64 means none, a value <= now
+// means work is due already. It reads the timing wheels' minima (O(1) —
+// no scan of idle connections, however many are parked) and whatever the
+// attached devices hold.
+func (s *Stack) NextDeadline(now int64) int64 {
 	if s.down {
 		// A crashed stack holds no work: arrivals park in the device
 		// rings until Restart (whose instant the supervisor's own
@@ -431,15 +426,6 @@ func (s *Stack) nextDeadlineLocked(now int64) int64 {
 	return d
 }
 
-// NextDeadline reports the earliest virtual instant at which this
-// stack (its connection timers or its devices) could make progress;
-// math.MaxInt64 means none, a value <= now means work is due already.
-func (s *Stack) NextDeadline(now int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextDeadlineLocked(now)
-}
-
 // AddNetIF binds one queue pair of a started ethdev with its IPv4
 // configuration.
 func (s *Stack) AddNetIF(name string, dev EthDevice, ip, mask IPv4Addr) *NetIF {
@@ -460,8 +446,6 @@ func (s *Stack) AddNetIF(name string, dev EthDevice, ip, mask IPv4Addr) *NetIF {
 // Call it before traffic starts, on every stack of the path whose
 // senders face ms-scale queueing delay.
 func (s *Stack) SetRTOMin(ns int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.rtoMinNS = ns
 }
 
@@ -480,8 +464,6 @@ func (s *Stack) rtoFloor() int64 {
 // path that needs it (an un-tuned peer simply declines the options and
 // the connection runs exactly as before).
 func (s *Stack) SetTCPTuning(t TCPTuning) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t.WindowScale > MaxWScale {
 		t.WindowScale = MaxWScale
 	}
@@ -490,22 +472,19 @@ func (s *Stack) SetTCPTuning(t TCPTuning) {
 
 // TCPTuning returns the stack's current TCP feature configuration.
 func (s *Stack) TCPTuning() TCPTuning {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.tuning
 }
 
-// Lock acquires the F-Stack API mutex.
-func (s *Stack) Lock() { s.mu.Lock() }
-
-// Unlock releases the F-Stack API mutex.
-func (s *Stack) Unlock() { s.mu.Unlock() }
+// Lock and Unlock do nothing: a bed runs on one goroutine, so the stack
+// has no host lock. They stay only because bench/ still calls them
+// (ROADMAP item 8 drops those calls, and then these go).
+func (s *Stack) Lock()   {}
+func (s *Stack) Unlock() {}
 
 // now reads the stack clock.
 func (s *Stack) now() int64 { return s.clk.Now() }
 
-// Stats returns a copy of the counters (callers hold the lock via API or
-// call between loop iterations).
+// Stats returns a copy of the counters.
 func (s *Stack) Stats() StackStats {
 	st := s.stats
 	for _, c := range s.conns {
@@ -523,17 +502,12 @@ func (s *Stack) Stats() StackStats {
 // TCP machinery; src tags emitted events (shard index for sharded
 // stacks). Call before traffic; nil detaches.
 func (s *Stack) SetObs(tr *obs.Trace, rtt *stats.Histogram, src uint16) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.obsTr, s.obsRTT, s.obsSrc = tr, rtt, src
 }
 
 // SumCwndPipe sums the live connections' congestion windows and
 // outstanding bytes — the metrics sampler's gauge over this stack.
-// Self-locking: call between loop iterations, not from inside the API.
 func (s *Stack) SumCwndPipe() (cwnd, pipe int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Map order is fine here: integer sums are order-independent.
 	for _, c := range s.conns {
 		cwnd += c.cc.Cwnd()
@@ -544,8 +518,6 @@ func (s *Stack) SumCwndPipe() (cwnd, pipe int) {
 
 // ConnCount reports the number of live connections (metrics gauge).
 func (s *Stack) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.conns)
 }
 
@@ -564,8 +536,6 @@ func (s *Stack) ConnCount() int {
 // garbage at -parallel > 1, while this count derives only from the
 // stack's own state and is identical at any host parallelism.
 func (s *Stack) RetainedBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	const (
 		connSz  = uint64(unsafe.Sizeof(tcpConn{}))
 		sockSz  = uint64(unsafe.Sizeof(socket{}))
@@ -603,8 +573,6 @@ func (s *Stack) RetainedBytes() uint64 {
 // AcceptQueueDepth sums the pending (accepted, not yet Accept()ed)
 // connections across listeners (metrics gauge).
 func (s *Stack) AcceptQueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, l := range s.listeners {
 		n += l.pendingCount()
@@ -614,8 +582,6 @@ func (s *Stack) AcceptQueueDepth() int {
 
 // HalfOpenCount reports the SYN-cache occupancy (testing hook).
 func (s *Stack) HalfOpenCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.syncache)
 }
 
@@ -966,10 +932,9 @@ func (s *Stack) removeConn(c *tcpConn) {
 	s.maybeRecycleConn(c)
 }
 
-// poll is one stack iteration: drain RX, fire due timers, then visit
-// exactly the connections with pending work. Callers hold the stack
-// mutex.
-func (s *Stack) poll() {
+// PollOnce is one stack iteration: drain RX, fire due timers, then visit
+// exactly the connections with pending work.
+func (s *Stack) PollOnce() {
 	if s.down {
 		return // crashed: not even the devices are stepped
 	}
@@ -1020,14 +985,6 @@ func (s *Stack) poll() {
 	for _, nif := range s.nifs {
 		nif.dev.Poll()
 	}
-}
-
-// PollOnce runs one locked stack iteration (exported for tests and the
-// Loop).
-func (s *Stack) PollOnce() {
-	s.mu.Lock()
-	s.poll()
-	s.mu.Unlock()
 }
 
 // String summarizes the stack.

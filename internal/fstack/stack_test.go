@@ -140,12 +140,8 @@ func TestTCPCloseHandshake(t *testing.T) {
 	}
 	// Both connection tables drain (TIME_WAIT expires).
 	e.pumpUntil(40000, "tables drained", func() bool {
-		e.stkA.Lock()
 		na := len(e.stkA.conns)
-		e.stkA.Unlock()
-		e.stkB.Lock()
 		nb := len(e.stkB.conns)
-		e.stkB.Unlock()
 		return na == 0 && nb == 0
 	})
 }
@@ -229,7 +225,6 @@ func TestARPResolutionHappensOnce(t *testing.T) {
 func TestICMPPing(t *testing.T) {
 	e := newEnv(t, false)
 	// Hand-craft an echo request from A to B via the stack's TX helpers.
-	e.stkA.Lock()
 	nif := e.stkA.nifs[0]
 	payload := []byte("abcdefgh")
 	m, frame := e.stkA.txAlloc(nif, IPv4HeaderLen+ICMPHeaderLen+len(payload))
@@ -240,7 +235,6 @@ func TestICMPPing(t *testing.T) {
 	copy(seg[ICMPHeaderLen:], payload)
 	PutICMPEcho(seg, ICMPEcho{Type: ICMPEchoRequest, ID: 77, Seq: 1})
 	e.stkA.sendIPv4(nif, m, frame, IP4(10, 0, 0, 2), ProtoICMP, ICMPHeaderLen+len(payload))
-	e.stkA.Unlock()
 
 	// The reply raises A's RX counter with an echo-reply frame; detect it
 	// by polling stats.

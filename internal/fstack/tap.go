@@ -11,15 +11,13 @@ const (
 )
 
 // Tap observes every frame entering or leaving a stack (tcpdump for the
-// simulated world). Taps run under the stack mutex and must not call
-// back into the stack.
+// simulated world). Taps run inside the stack's input and transmit paths
+// and must not call back into the stack.
 type Tap interface {
 	Frame(dir TapDir, tsNS int64, data []byte)
 }
 
 // SetTap installs (or, with nil, removes) the stack's frame observer.
 func (s *Stack) SetTap(t Tap) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tap = t
 }

@@ -15,12 +15,8 @@ func TestTCPSimultaneousClose(t *testing.T) {
 	e.stkA.Close(cfd)
 	e.stkB.Close(afd)
 	e.pumpUntil(60000, "both tables drained", func() bool {
-		e.stkA.Lock()
 		na := len(e.stkA.conns)
-		e.stkA.Unlock()
-		e.stkB.Lock()
 		nb := len(e.stkB.conns)
-		e.stkB.Unlock()
 		return na == 0 && nb == 0
 	})
 }
@@ -58,12 +54,10 @@ func TestTCPRstOnDataToClosedPort(t *testing.T) {
 	cfd, afd := e.connectPair(5001)
 	// Forcibly remove B's conn (simulates a crashed process); A's next
 	// data must be RST'd.
-	e.stkB.Lock()
 	for _, c := range e.stkB.conns {
 		e.stkB.removeConn(c)
 	}
 	e.stkB.socks.del(afd)
-	e.stkB.Unlock()
 	e.stkA.Write(cfd, []byte("into the void"))
 	e.pumpUntil(8000, "reset", func() bool {
 		_, errno := e.stkA.Read(cfd, make([]byte, 4))
@@ -129,16 +123,12 @@ func TestTCPDuplicateSynHandled(t *testing.T) {
 		if e.stkA.ConnState(cfd) != "ESTABLISHED" {
 			return false
 		}
-		e.stkB.Lock()
 		n := len(e.stkB.conns)
-		e.stkB.Unlock()
 		return n == 1
 	})
 	// Re-inject a duplicate SYN by hand: the server must re-ack, not
 	// crash or create a second connection.
-	e.stkB.Lock()
 	nconns := len(e.stkB.conns)
-	e.stkB.Unlock()
 	if nconns != 1 {
 		t.Fatalf("conns = %d", nconns)
 	}

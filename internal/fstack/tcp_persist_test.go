@@ -99,9 +99,7 @@ func TestPersistTimerRecoversLostWindowUpdate(t *testing.T) {
 	if !droppedUpdate {
 		t.Fatal("the window update was never dropped — test is vacuous")
 	}
-	e.stkA.Lock()
 	st := e.stkA.Stats()
-	e.stkA.Unlock()
 	if st.PersistProbes == 0 {
 		t.Fatalf("no zero-window probes sent: %+v", st)
 	}
@@ -136,8 +134,6 @@ func TestPersistSurvivesSqueezedAckChannel(t *testing.T) {
 	buf := make([]byte, 65536)
 	probesSeen := uint64(0)
 	probes := func() uint64 {
-		e.stkA.Lock()
-		defer e.stkA.Unlock()
 		return e.stkA.Stats().PersistProbes
 	}
 	e.pumpUntil(3_000_000, "transfer completes over the squeezed ACK channel", func() bool {
@@ -171,9 +167,7 @@ func TestPersistSurvivesSqueezedAckChannel(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("stream corrupted over the squeezed ACK channel")
 	}
-	e.stkA.Lock()
 	st := e.stkA.Stats()
-	e.stkA.Unlock()
 	t.Logf("sender: %s, %d persist probes", st.RecoverySummary(), st.PersistProbes)
 	if st.PersistProbes == 0 {
 		t.Fatalf("squeezed ACK channel never exercised the persist timer: %+v", st)

@@ -115,9 +115,7 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 	if !dropped {
 		t.Fatal("the drop hook never fired — test is vacuous")
 	}
-	e.stkA.Lock()
 	st := e.stkA.Stats()
-	e.stkA.Unlock()
 	if st.FastRetransmit == 0 {
 		t.Fatalf("no fast retransmit recorded: %+v", st)
 	}
@@ -211,9 +209,7 @@ func TestSpuriousRTONearRTOMin(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("stream corrupted across a spurious RTO")
 	}
-	e.stkA.Lock()
 	st := e.stkA.Stats()
-	e.stkA.Unlock()
 	if st.RTORetransmit == 0 {
 		t.Fatalf("the stall never provoked an RTO: %+v (test is vacuous)", st)
 	}
@@ -236,9 +232,7 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
 	cfd, afd := e.connectPair(5001)
 
-	e.stkA.Lock()
 	conn := e.stkA.socks.get(cfd).conn
-	e.stkA.Unlock()
 	if !conn.sackOK || conn.sndWScale != 4 || conn.rcvWScale != 4 {
 		t.Fatalf("negotiation failed: sackOK=%v snd<<%d rcv<<%d", conn.sackOK, conn.sndWScale, conn.rcvWScale)
 	}
@@ -251,9 +245,7 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("stream corrupted across SACK recovery")
 	}
-	e.stkA.Lock()
 	st := e.stkA.Stats()
-	e.stkA.Unlock()
 	t.Logf("sender recovery: %s", st.RecoverySummary())
 	if st.SACKRetransmit == 0 {
 		t.Fatalf("2%% loss never exercised the scoreboard: %+v", st)
@@ -266,10 +258,8 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 func TestTuningOffKeepsWireIdentical(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, _ := e.connectPair(5001)
-	e.stkA.Lock()
 	conn := e.stkA.socks.get(cfd).conn
 	sackOK, sndWS, rcvWS := conn.sackOK, conn.sndWScale, conn.rcvWScale
-	e.stkA.Unlock()
 	if sackOK || sndWS != 0 || rcvWS != 0 {
 		t.Fatalf("default tuning negotiated features: sack=%v ws=%d/%d", sackOK, sndWS, rcvWS)
 	}
@@ -283,14 +273,10 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	// SACK generation is receiver-local state; flip it on directly.
 	cfd, afd := e.connectPair(5001)
 	_ = cfd
-	e.stkB.Lock()
 	conn := e.stkB.socks.get(afd).conn
 	conn.sackOK = true
-	e.stkB.Unlock()
 
 	f := func(offsets []uint16, sizes []uint8) bool {
-		e.stkB.Lock()
-		defer e.stkB.Unlock()
 		conn.rcvOOO = nil
 		for i, off := range offsets {
 			size := 1
@@ -733,8 +719,6 @@ type reassRig struct {
 func newReassRig(t testing.TB) *reassRig {
 	e := newEnv(t, false)
 	_, afd := e.connectPair(5001)
-	e.stkB.Lock()
-	defer e.stkB.Unlock()
 	conn := e.stkB.socks.get(afd).conn
 	conn.sackOK = true
 	return &reassRig{stk: e.stkB, conn: conn}
@@ -790,8 +774,6 @@ func (g *reassRig) read(n int) []byte {
 func TestReassemblyMatchesReference(t *testing.T) {
 	const traces = 6000
 	g := newReassRig(t)
-	g.stk.Lock()
-	defer g.stk.Unlock()
 	var arrivals, parkedArrivals, refusals, wraps int
 	stream := make([]byte, 3*256<<10)
 	rand.New(rand.NewSource(1)).Read(stream)
@@ -944,8 +926,6 @@ func refDiscards(r *refReassembly, seq uint32, payload []byte) bool {
 func TestReassemblyHoldsASuperset(t *testing.T) {
 	const size, mss = 64 << 10, MaxSegData
 	g := newReassRig(t)
-	g.stk.Lock()
-	defer g.stk.Unlock()
 	ahead := 0
 	src := make([]byte, 3*size)
 	rand.New(rand.NewSource(1)).Read(src)

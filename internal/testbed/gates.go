@@ -17,7 +17,8 @@ import (
 // functions to the API of F-Stack to do the cross-compartment jump
 // between the running application and the cVM1", §III-B). Every call
 // crosses from the application compartment into the stack compartment
-// and takes the F-Stack mutex there.
+// and calls the stack's API there. The F-Stack mutex it would take is
+// modelled: the gate books its cost from sim's crossing-cost table.
 type StackGates struct {
 	socket, bind, listen, accept, connect *intravisor.Gate
 	read, write, sendTo, recvFrom, closeG *intravisor.Gate
@@ -60,10 +61,9 @@ func getSockaddr(b []byte) (fstack.IPv4Addr, uint16) {
 	return fstack.IPv4Addr{b[0], b[1], b[2], b[3]}, binary.LittleEndian.Uint16(b[4:6])
 }
 
-// stackAPI is what the gates export: the self-locking socket API of a
-// Stack, or of a ShardedAPI fanning out over a sharded one, with the
-// capability-buffer stream calls beside it. The gate targets never
-// learn which.
+// stackAPI is what the gates export: the socket API of a Stack, or of a
+// ShardedAPI fanning out over a sharded one, with the capability-buffer
+// stream calls beside it. The gate targets never learn which.
 type stackAPI interface {
 	fstack.API
 	ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)

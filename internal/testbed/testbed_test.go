@@ -12,10 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The four views application code can be handed, one contract.
+// The three views application code can be handed, one contract.
 var (
 	_ fstack.API = (*fstack.Stack)(nil)
-	_ fstack.API = fstack.LockedAPI{}
 	_ fstack.API = (*fstack.ShardedAPI)(nil)
 	_ fstack.API = (*GatedAPI)(nil)
 )
