@@ -208,6 +208,81 @@ func TestHTTPParserRejectsBadContentLength(t *testing.T) {
 	}
 }
 
+// runningClient is a closed-loop HTTP client on the scripted API with its
+// one connection (fd 10) up and k requests outstanding on it.
+func runningClient(t testing.TB, k int) (*HTTPClient, *fakeAPI, *httpCliConn) {
+	t.Helper()
+	api := newFakeAPI()
+	c, err := NewHTTPClient(fstack.IPv4Addr{}, 80, 1, nil, 0, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Step(api, 0) // dial fd 10
+	api.events = [][]fstack.Event{{{FD: 10, Events: fstack.EPOLLOUT}}}
+	c.Step(api, 1) // up, running
+	cc := c.conns[0]
+	if !cc.up || cc.fd != 10 || c.Err() != hostos.OK {
+		t.Fatalf("connection not up: fd %d up %v err %v", cc.fd, cc.up, c.Err())
+	}
+	for i := 0; i < k; i++ {
+		pend(c, cc, 1)
+	}
+	return c, api, cc
+}
+
+// TestHTTPClientResetsOnMalformedResponse: a response nothing asked for,
+// and a negative Content-Length (which would parse the next head out of
+// the body), are counted malformed and reset the connection. Neither
+// completes a request, panics or fails the run.
+func TestHTTPClientResetsOnMalformedResponse(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		outstanding int
+		stream      string
+	}{
+		{"unsolicited", 0, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"},
+		{"unsolicited after the last answer", 1,
+			"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"},
+		{"negative length", 2,
+			"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, api, cc := runningClient(t, tc.outstanding)
+			api.reads[10] = [][]byte{[]byte(tc.stream)}
+			completed := c.Completed()
+			if !c.read(api, cc, 2) || c.Err() != hostos.OK {
+				t.Fatalf("the run failed: %v", c.Err())
+			}
+			if c.Malformed() != 1 || !api.closed[10] || cc.fd == 10 || cc.up {
+				t.Fatalf("malformed %d, fd 10 closed %v, connection now fd %d up %v: want one count and a fresh dial",
+					c.Malformed(), api.closed[10], cc.fd, cc.up)
+			}
+			if c.Completed()+c.Lost() != c.Issued() || c.inflight != 0 {
+				t.Fatalf("issued %d = completed %d (was %d) + lost %d, in flight %d", c.Issued(), c.Completed(), completed, c.Lost(), c.inflight)
+			}
+		})
+	}
+}
+
+// FuzzHTTPClientResponse feeds any bytes as the response stream of a
+// connection with k requests outstanding: the client never panics and
+// never completes more requests than it issued.
+func FuzzHTTPClientResponse(f *testing.F) {
+	f.Add(uint8(1), []byte("HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"))
+	f.Add(uint8(2), []byte("HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nxHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"))
+	f.Add(uint8(0), []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"))
+	f.Add(uint8(1), []byte("HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nabc"))
+	f.Add(uint8(1), []byte("HTTP/1.1 200 OK\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, k uint8, stream []byte) {
+		c, api, cc := runningClient(t, int(k%8))
+		api.reads[10] = [][]byte{stream}
+		c.read(api, cc, 2)
+		if c.Completed() > c.Issued() || c.inflight < 0 {
+			t.Fatalf("completed %d of %d issued, %d in flight", c.Completed(), c.Issued(), c.inflight)
+		}
+	})
+}
+
 // --- HTTP server and client over the scripted API (fake_test.go) ---
 
 // TestHTTPServerPipelinedRequests drives the server over the scripted

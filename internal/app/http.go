@@ -289,6 +289,7 @@ type HTTPClient struct {
 	completed uint64
 	lost      uint64
 	resets    uint64
+	malformed uint64
 	inflight  int
 	rr        int
 }
@@ -324,6 +325,11 @@ func (c *HTTPClient) Deferred() uint64  { return c.pace.deferred }
 // connection re-establishments (Resilient mode).
 func (c *HTTPClient) Lost() uint64   { return c.lost }
 func (c *HTTPClient) Resets() uint64 { return c.resets }
+
+// Malformed reports responses the client refused to parse: one with no
+// request outstanding, or with a negative Content-Length. Each one resets
+// its connection (see read).
+func (c *HTTPClient) Malformed() uint64 { return c.malformed }
 
 // RunNS returns the measured phase's virtual length (valid once Done).
 func (c *HTTPClient) RunNS() int64 { return c.endNS - c.pace.start }
@@ -558,7 +564,12 @@ func (c *HTTPClient) read(api API, cc *httpCliConn, now int64) bool {
 			return c.reset(api, cc, hostos.ECONNRESET)
 		}
 		if !c.feed(cc, c.buf[:n], now) {
-			return false
+			if c.failed() {
+				return false
+			}
+			// A malformed response: the stream's framing is lost, so the
+			// connection goes and a fresh one is dialled in its place.
+			return c.reconnect(api, c.byFD[cc.fd])
 		}
 	}
 }
@@ -574,7 +585,11 @@ func contentLength(head []byte) (int, bool) {
 	return v, err == nil
 }
 
-// feed advances the incremental response parser over arrived bytes.
+// feed advances the incremental response parser over arrived bytes. It
+// returns false when the stream cannot be parsed on: a head without a
+// readable Content-Length fails the run, and a response no request is
+// outstanding for, or one with a negative length, is counted malformed
+// and completes nothing (the caller resets the connection).
 func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 	for len(b) > 0 {
 		if cc.need < 0 {
@@ -585,7 +600,11 @@ func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 				continue
 			}
 			v, ok := contentLength(cc.hdr[:i+len(crlfcrlf)])
-			if !ok {
+			switch {
+			case cc.outstanding() == 0 || ok && v < 0:
+				c.malformed++
+				return false
+			case !ok:
 				return c.ok(hostos.EINVAL)
 			}
 			cc.need, cc.bodyLen = v, v

@@ -9,39 +9,52 @@ const NumRegs = 32
 // of capability registers. In hybrid-mode code every legacy load/store is
 // implicitly checked against the DDC; a compartment therefore cannot
 // touch memory outside its DDC bounds (paper §II-A).
+//
+// The register file is held by reference and never written in place: a
+// nil file is every register null, and SetReg installs a fresh copy. So
+// copying a Context (a per-thread context seeded from a cVM's template)
+// copies two capabilities and a pointer, and a write to the copy never
+// reaches the template.
 type Context struct {
 	PCC  Cap
 	DDC  Cap
-	Regs [NumRegs]Cap
+	regs *[NumRegs]Cap // nil: every register null
 }
 
-// Frame is a saved register state, copied by trampolines on every domain
-// crossing. Copying the frame (and re-installing PCC/DDC) is the fixed
-// per-crossing cost the paper measures (~125 ns on Morello).
-type Frame struct {
-	PCC  Cap
-	DDC  Cap
-	Regs [NumRegs]Cap
+// Reg returns capability register i.
+func (ctx *Context) Reg(i int) Cap {
+	if ctx.regs == nil {
+		return NullCap
+	}
+	return ctx.regs[i]
 }
+
+// SetReg writes capability register i, into a fresh copy of the file.
+func (ctx *Context) SetReg(i int, c Cap) {
+	regs := new([NumRegs]Cap)
+	for j := range regs {
+		regs[j] = ctx.Reg(j)
+	}
+	regs[i] = c
+	ctx.regs = regs
+}
+
+// Frame is a saved register state, taken by trampolines on every domain
+// crossing. What a crossing costs in the model is sim's crossing-cost
+// table; taking a frame is O(1) on the host, since a register file is
+// never written in place.
+type Frame Context
 
 // Save captures the full register state.
-func (ctx *Context) Save() Frame {
-	return Frame{PCC: ctx.PCC, DDC: ctx.DDC, Regs: ctx.Regs}
-}
+func (ctx *Context) Save() Frame { return Frame(*ctx) }
 
 // Restore reinstates a previously saved register state.
-func (ctx *Context) Restore(f Frame) {
-	ctx.PCC = f.PCC
-	ctx.DDC = f.DDC
-	ctx.Regs = f.Regs
-}
+func (ctx *Context) Restore(f Frame) { *ctx = Context(f) }
 
-// ClearVolatile zeroes the caller-saved registers so no capabilities leak
+// ClearVolatile nulls the caller-saved registers so no capabilities leak
 // across a domain boundary (trampolines call this on entry and exit).
 func (ctx *Context) ClearVolatile() {
-	for i := range ctx.Regs {
-		ctx.Regs[i] = NullCap
-	}
+	ctx.regs = nil
 }
 
 // Load performs a hybrid-mode (DDC-relative) load into dst.

@@ -148,19 +148,53 @@ func TestSaveRestoreFrame(t *testing.T) {
 	root := mem.Root()
 	var ctx Context
 	ctx.DDC = root
-	ctx.Regs[3], _ = root.SetAddr(0x100).SetBounds(0x10)
+	reg, _ := root.SetAddr(0x100).SetBounds(0x10)
+	ctx.SetReg(3, reg)
 
 	f := ctx.Save()
 	ctx.ClearVolatile()
-	if ctx.Regs[3].Tag() {
+	if ctx.Reg(3).Tag() {
 		t.Fatal("ClearVolatile left a live capability")
 	}
 	ctx.DDC = NullCap
 	ctx.Restore(f)
-	if !ctx.Regs[3].Tag() || ctx.Regs[3].Base() != 0x100 {
-		t.Fatalf("restore lost register state: %v", ctx.Regs[3])
+	if !ctx.Reg(3).Tag() || ctx.Reg(3).Base() != 0x100 {
+		t.Fatalf("restore lost register state: %v", ctx.Reg(3))
 	}
 	if ctx.DDC.Len() != mem.Size() {
 		t.Fatalf("restore lost DDC: %v", ctx.DDC)
+	}
+}
+
+// TestRegisterFileIsNeverSharedByAWrite: a copied context shares its
+// register file until one side writes a register, and the write never
+// shows through the other; an empty file reads null everywhere.
+func TestRegisterFileIsNeverSharedByAWrite(t *testing.T) {
+	mem := NewTMem(1 << 20)
+	root := mem.Root()
+	var tmpl Context
+	for i := 0; i < NumRegs; i++ {
+		if tmpl.Reg(i) != NullCap {
+			t.Fatalf("register %d of an empty file reads %v, want null", i, tmpl.Reg(i))
+		}
+	}
+	a, _ := root.SetAddr(0x100).SetBounds(0x10)
+	b, _ := root.SetAddr(0x200).SetBounds(0x10)
+	tmpl.SetReg(5, a)
+	call := tmpl
+	call.SetReg(5, b)
+	call.SetReg(6, b)
+	if tmpl.Reg(5) != a || tmpl.Reg(6) != NullCap {
+		t.Fatalf("a write to the copy reached the template: r5 %v, r6 %v", tmpl.Reg(5), tmpl.Reg(6))
+	}
+	if call.Reg(5) != b || call.Reg(6) != b || call.Reg(4) != NullCap {
+		t.Fatalf("the copy reads r4 %v, r5 %v, r6 %v", call.Reg(4), call.Reg(5), call.Reg(6))
+	}
+	// A frame saved before a write restores the file as it was.
+	f := call.Save()
+	call.SetReg(6, a)
+	call.Restore(f)
+	if call.Reg(6) != b {
+		t.Fatalf("restore after a write reads r6 %v, want the saved %v", call.Reg(6), b)
 	}
 }

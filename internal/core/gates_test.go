@@ -176,13 +176,13 @@ func TestGatedWriteCachesStagedBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	api := s.Apps[0]
-	// Write to a nonexistent fd: errno path exercises staging anyway.
+	// Write to a nonexistent fd: the stack would load nothing, so nothing
+	// is staged, and the crossing still returns the stack's errno.
 	buf := make([]byte, 64)
 	if _, errno := api.Write(999, buf); errno != hostos.EBADF {
 		t.Fatalf("bad fd write: %v", errno)
 	}
-	// Same buffer again: the staging area already holds these bytes,
-	// so the copy is skipped; same errno.
+	// Same buffer again: same errno.
 	if _, errno := api.Write(999, buf); errno != hostos.EBADF {
 		t.Fatalf("bad fd write (cached): %v", errno)
 	}
@@ -195,39 +195,186 @@ func TestGatedWriteCachesStagedBuffer(t *testing.T) {
 	}
 }
 
-// TestGatedWriteRestagesABufferRefilledInPlace: the skip is keyed on
-// what the staging area holds, not on which buffer the caller passes —
-// a caller that rewrites one buffer between sends (the DNS client and
-// its query id) must not send the old bytes again.
+// TestGatedWriteRestagesABufferRefilledInPlace: what crosses is what the
+// caller's buffer holds at the call, not what an earlier call staged from
+// the same buffer — a caller that rewrites one buffer between sends (the
+// DNS client and its query id; a stream writer refilling its block while
+// the socket refuses it, or after a short write) must not send the old
+// bytes again.
 func TestGatedWriteRestagesABufferRefilledInPlace(t *testing.T) {
+	t.Run("datagram", func(t *testing.T) {
+		clk := sim.NewVClock()
+		s, err := NewScenario2(clk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		api, pstk := s.Apps[0], s.Peers[0].Env.Stk
+		pfd, _ := pstk.Socket(fstack.SockDgram)
+		if errno := pstk.Bind(pfd, fstack.IPv4Addr{}, 9999); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		ufd, _ := api.Socket(fstack.SockDgram)
+		msg := []byte("query 1")
+		for _, id := range []byte{'1', '2'} {
+			msg[len(msg)-1] = id
+			if n, errno := api.SendTo(ufd, msg, peerIP(0), 9999); errno != hostos.OK || n != len(msg) {
+				t.Fatalf("gated sendto %q: n=%d errno=%v", msg, n, errno)
+			}
+		}
+		buf := make([]byte, 64)
+		for _, want := range []string{"query 1", "query 2"} {
+			n, errno := -1, hostos.EAGAIN
+			for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
+				pumpS2(s, clk, 1)
+				n, _, _, errno = pstk.RecvFrom(pfd, buf)
+			}
+			if errno != hostos.OK || string(buf[:n]) != want {
+				t.Fatalf("peer read %q (errno %v), want %q", buf[:max(n, 0)], errno, want)
+			}
+		}
+	})
+	t.Run("stream refilled while refused", func(t *testing.T) {
+		g := newGatedStream(t)
+		buf := bytes.Repeat([]byte{'A'}, 64<<10)
+		// Fill the socket with A blocks: the peer does not read.
+		for i := 0; g.write(buf) != hostos.EAGAIN; i++ {
+			if i == 4000 {
+				t.Fatal("the socket never filled")
+			}
+			g.pump(1)
+		}
+		// Refill the block in place while the socket refuses it, then
+		// re-offer the same buffer as the peer drains.
+		for i := range buf {
+			buf[i] = 'B'
+		}
+		if errno := g.write(buf); errno != hostos.EAGAIN {
+			t.Fatalf("a write to a full socket: %v, want EAGAIN", errno)
+		}
+		for i := 0; bytes.Count(g.took, []byte{'B'}) < 2*len(buf); i++ {
+			if i == 4000 {
+				t.Fatal("the B blocks never left")
+			}
+			g.drain(1)
+			g.write(buf)
+		}
+		g.check()
+	})
+	t.Run("stream refilled after a short write", func(t *testing.T) {
+		g := newGatedStream(t)
+		buf := bytes.Repeat([]byte{'A'}, 64<<10)
+		// Offer A blocks until one is taken short, then refill the whole
+		// block in place and offer the rest of it: every byte taken from
+		// here on is a C.
+		short := 0
+		for i := 0; short == 0; i++ {
+			if i == 4000 {
+				t.Fatal("no write was short")
+			}
+			before := len(g.took)
+			if g.write(buf) == hostos.OK && len(g.took)-before < len(buf) {
+				short = len(g.took) - before
+			}
+			g.pump(1)
+		}
+		for i := range buf {
+			buf[i] = 'C'
+		}
+		for rest, i := buf[short:], 0; len(rest) > 0; i++ {
+			if i == 4000 {
+				t.Fatal("the rest of the block never left")
+			}
+			before := len(g.took)
+			g.write(rest)
+			rest = rest[len(g.took)-before:]
+			g.drain(1)
+		}
+		if c := bytes.Count(g.took, []byte{'C'}); c != len(buf)-short {
+			t.Fatalf("%d C bytes taken, want the %d after the short write", c, len(buf)-short)
+		}
+		g.check()
+	})
+}
+
+// gatedStream is one stream connection from Scenario 2's app cVM to a
+// listener on its peer, with what the app's writes took and what the
+// peer read.
+type gatedStream struct {
+	t         *testing.T
+	s         *Setup
+	clk       *sim.VClock
+	api       *testbed.GatedAPI
+	pstk      *fstack.Stack
+	fd, pfd   int
+	took, got []byte
+	rbuf      []byte
+}
+
+func newGatedStream(t *testing.T) *gatedStream {
+	t.Helper()
 	clk := sim.NewVClock()
 	s, err := NewScenario2(clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	api, pstk := s.Apps[0], s.Peers[0].Env.Stk
-	pfd, _ := pstk.Socket(fstack.SockDgram)
-	if errno := pstk.Bind(pfd, fstack.IPv4Addr{}, 9999); errno != hostos.OK {
+	g := &gatedStream{t: t, s: s, clk: clk, api: s.Apps[0], pstk: s.Peers[0].Env.Stk, rbuf: make([]byte, 64<<10)}
+	lfd, _ := g.pstk.Socket(fstack.SockStream)
+	if errno := g.pstk.Bind(lfd, fstack.IPv4Addr{}, 7000); errno != hostos.OK {
 		t.Fatal(errno)
 	}
-	ufd, _ := api.Socket(fstack.SockDgram)
-	msg := []byte("query 1")
-	for _, id := range []byte{'1', '2'} {
-		msg[len(msg)-1] = id
-		if n, errno := api.SendTo(ufd, msg, peerIP(0), 9999); errno != hostos.OK || n != len(msg) {
-			t.Fatalf("gated sendto %q: n=%d errno=%v", msg, n, errno)
+	if errno := g.pstk.Listen(lfd, 1); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	g.fd, _ = g.api.Socket(fstack.SockStream)
+	if errno := g.api.Connect(g.fd, peerIP(0), 7000); errno != hostos.EINPROGRESS {
+		t.Fatalf("gated connect: %v", errno)
+	}
+	errno := hostos.EAGAIN
+	for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
+		g.pump(1)
+		g.pfd, _, _, errno = g.pstk.Accept(lfd)
+	}
+	if errno != hostos.OK {
+		t.Fatalf("peer accept: %v", errno)
+	}
+	return g
+}
+
+func (g *gatedStream) pump(ticks int) { pumpS2(g.s, g.clk, ticks) }
+
+// write offers src once, keeping what the stack took.
+func (g *gatedStream) write(src []byte) hostos.Errno {
+	n, errno := g.api.Write(g.fd, src)
+	if errno == hostos.OK {
+		g.took = append(g.took, src[:n]...)
+	} else if errno != hostos.EAGAIN {
+		g.t.Fatalf("gated write: %v", errno)
+	}
+	return errno
+}
+
+// drain lets the peer read for ticks driver ticks.
+func (g *gatedStream) drain(ticks int) {
+	for i := 0; i < ticks; i++ {
+		g.pump(1)
+		for {
+			n, errno := g.pstk.Read(g.pfd, g.rbuf)
+			if errno != hostos.OK || n == 0 {
+				break
+			}
+			g.got = append(g.got, g.rbuf[:n]...)
 		}
 	}
-	buf := make([]byte, 64)
-	for _, want := range []string{"query 1", "query 2"} {
-		n, errno := -1, hostos.EAGAIN
-		for i := 0; i < 4000 && errno == hostos.EAGAIN; i++ {
-			pumpS2(s, clk, 1)
-			n, _, _, errno = pstk.RecvFrom(pfd, buf)
-		}
-		if errno != hostos.OK || string(buf[:n]) != want {
-			t.Fatalf("peer read %q (errno %v), want %q", buf[:max(n, 0)], errno, want)
-		}
+}
+
+// check drains the connection and holds the peer's stream to the app's.
+func (g *gatedStream) check() {
+	g.t.Helper()
+	for i := 0; i < 4000 && len(g.got) < len(g.took); i++ {
+		g.drain(1)
+	}
+	if !bytes.Equal(g.got, g.took) {
+		g.t.Fatalf("the peer read %d bytes, the app's writes took %d: the streams differ", len(g.got), len(g.took))
 	}
 }
 

@@ -176,6 +176,10 @@ type Scenario9Result struct {
 	// not from the server, not a response, or too short. Zero on a
 	// clean run.
 	ClientStray uint64
+	// ClientMalformed counts responses the HTTP clients refused, each
+	// resetting its connection: one with no request outstanding, or a
+	// negative Content-Length. Zero on a clean run.
+	ClientMalformed uint64
 	// P50NS/P99NS/P999NS are per-request latency quantiles, merged
 	// across the workers (one per server shard).
 	P50NS  int64
@@ -298,6 +302,7 @@ func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) 
 	var merged stats.Histogram
 	for _, c := range https {
 		res.tally(c.Issued(), c.Completed(), c.Deferred(), c.RunNS())
+		res.ClientMalformed += c.Malformed()
 		merged.Merge(&c.Hist)
 	}
 	for _, c := range dnss {
@@ -410,15 +415,18 @@ func FormatScenario9(title string, results []Scenario9Result) string {
 			note += fmt.Sprintf("  (%d failed)", r.Failed)
 		}
 		for _, drop := range []struct {
-			n    uint64
-			what string
-		}{{r.ServerBad, "bad requests"}, {r.ServerMalformed, "malformed queries"}, {r.ServerTxBusy, "answers dropped tx-busy"}} {
+			n         uint64
+			who, what string
+		}{
+			{r.ServerBad, "server", "bad requests"},
+			{r.ServerMalformed, "server", "malformed queries"},
+			{r.ServerTxBusy, "server", "answers dropped tx-busy"},
+			{r.ClientStray, "client", "stray datagrams"},
+			{r.ClientMalformed, "client", "malformed responses"},
+		} {
 			if drop.n > 0 {
-				note += fmt.Sprintf("  (server: %d %s)", drop.n, drop.what)
+				note += fmt.Sprintf("  (%s: %d %s)", drop.who, drop.n, drop.what)
 			}
-		}
-		if r.ClientStray > 0 {
-			note += fmt.Sprintf("  (client: %d stray datagrams)", r.ClientStray)
 		}
 		fmt.Fprintf(&b, "  %-9s %-14s %9.0f %9.1f %9.1f %9.1f %5d %6d%s\n",
 			modeName(r.CapMode), load, r.CompletedPerSec(),

@@ -39,8 +39,8 @@ func requireClean(t *testing.T, r Scenario9Result) {
 		t.Fatalf("the server application dropped: %d bad requests, %d malformed queries, %d answers tx-busy",
 			r.ServerBad, r.ServerMalformed, r.ServerTxBusy)
 	}
-	if r.ClientStray != 0 {
-		t.Fatalf("the clients took %d stray datagrams", r.ClientStray)
+	if r.ClientStray != 0 || r.ClientMalformed != 0 {
+		t.Fatalf("the clients took %d stray datagrams and %d malformed responses", r.ClientStray, r.ClientMalformed)
 	}
 	if r.P50NS <= 0 || r.P99NS < r.P50NS || r.P999NS < r.P99NS {
 		t.Fatalf("implausible quantiles p50=%d p99=%d p999=%d", r.P50NS, r.P99NS, r.P999NS)
@@ -239,9 +239,10 @@ func TestScenario9ReportsServerDrops(t *testing.T) {
 		t.Fatalf("a clean row carries a server note:\n%s", out)
 	}
 	dirty := clean
-	dirty.ServerBad, dirty.ServerMalformed, dirty.ServerTxBusy, dirty.ClientStray = 1, 2, 3, 4
+	dirty.ServerBad, dirty.ServerMalformed, dirty.ServerTxBusy, dirty.ClientStray, dirty.ClientMalformed = 1, 2, 3, 4, 5
 	out := FormatScenario9("t", []Scenario9Result{dirty})
-	for _, want := range []string{"(server: 1 bad requests)", "(server: 2 malformed queries)", "(server: 3 answers dropped tx-busy)", "(client: 4 stray datagrams)"} {
+	for _, want := range []string{"(server: 1 bad requests)", "(server: 2 malformed queries)", "(server: 3 answers dropped tx-busy)",
+		"(client: 4 stray datagrams)", "(client: 5 malformed responses)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("row lacks %q:\n%s", want, out)
 		}

@@ -397,6 +397,16 @@ func (a *ShardedAPI) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (in
 	return s.WriteCap(f.fd, mem, buf, n)
 }
 
+// WriteRoom is Stack.WriteRoom on the connection's shard: 0 for a
+// descriptor that is not a connection.
+func (a *ShardedAPI) WriteRoom(fd int) int {
+	s, f, errno := a.conn(fd)
+	if errno != hostos.OK {
+		return 0
+	}
+	return s.WriteRoom(f.fd)
+}
+
 // SendTo transmits one datagram. A bound UDP socket stays cloned across
 // every shard (Bind fans out), so datagrams are received wherever RSS
 // steers them; transmission goes through the shard whose RX queue the

@@ -393,6 +393,19 @@ func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, ho
 	return written, hostos.OK
 }
 
+// WriteRoom bounds what WriteCap on fd would load now: the send buffer's
+// free space while the connection takes writes, 0 when WriteCap would
+// refuse. It is never below what WriteCap loads, so a caller staging
+// only that many bytes hands over every byte the stack takes. A query,
+// not a call: it changes and books nothing.
+func (s *Stack) WriteRoom(fd int) int {
+	_, c, errno := s.connFor(fd)
+	if errno != hostos.OK || writableState(c) != hostos.OK {
+		return 0
+	}
+	return c.sndBuf.Free()
+}
+
 // writableState maps connection state to a write errno.
 func writableState(c *tcpConn) hostos.Errno {
 	if c.sockErr != hostos.OK {

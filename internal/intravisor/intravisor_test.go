@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newIV(t *testing.T) *Intravisor {
+func newIV(t testing.TB) *Intravisor {
 	t.Helper()
 	k, err := hostos.NewKernel(16 << 20)
 	if err != nil {
@@ -164,18 +164,51 @@ func TestTrampolineUnknownSyscall(t *testing.T) {
 	}
 }
 
+// TestTrampolinePreservesContext: a cVM with a live capability register
+// crosses — the musl trampoline, a served gate call, a refused one — and
+// comes back with its DDC and the register as they were. The crossing
+// runs on a per-call copy of the cVM's context; a register written on
+// such a copy never reaches the template.
 func TestTrampolinePreservesContext(t *testing.T) {
 	iv := newIV(t)
 	c, _ := iv.CreateCVM("c", 1<<20)
+	stack, _ := iv.CreateCVM("stack", 1<<20)
 	before := c.ctx.DDC
-	c.ctx.Regs[7], _ = c.DDC().SetAddr(c.Base()).SetBounds(64)
-	reg := c.ctx.Regs[7]
-	c.NowNS()
-	if c.ctx.DDC != before {
-		t.Fatalf("DDC changed across trampoline: %v -> %v", before, c.ctx.DDC)
+	reg, _ := c.DDC().SetAddr(c.Base()).SetBounds(64)
+	c.ctx.SetReg(7, reg)
+	verdict := hostos.OK
+	g, err := iv.NewGate(stack, func(*CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
+		// The crossing scrubbed its own copy, not the caller's template.
+		if c.ctx.Reg(7) != reg || c.ctx.DDC != before {
+			t.Errorf("the caller's template changed during the call: r7 %v, DDC %v", c.ctx.Reg(7), c.ctx.DDC)
+		}
+		return 0, verdict
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.ctx.Regs[7] != reg {
-		t.Fatalf("register state changed across trampoline")
+	for _, row := range []struct {
+		name  string
+		cross func()
+	}{
+		{"trampoline", func() { c.NowNS() }},
+		{"served gate call", func() { verdict = hostos.OK; g.Call(c, hostos.Args{}, cheri.NullCap) }},
+		{"refused gate call", func() { verdict = hostos.EAGAIN; g.Call(c, hostos.Args{}, cheri.NullCap) }},
+	} {
+		row.cross()
+		if c.ctx.DDC != before {
+			t.Fatalf("%s: DDC changed across the crossing: %v -> %v", row.name, before, c.ctx.DDC)
+		}
+		if c.ctx.Reg(7) != reg {
+			t.Fatalf("%s: register state changed across the crossing", row.name)
+		}
+	}
+	call := c.ctx // what Gate.Call and Syscall seed their context from
+	call.ClearVolatile()
+	call.SetReg(7, c.DDC())
+	call.SetReg(8, reg)
+	if c.ctx.Reg(7) != reg || c.ctx.Reg(8) != cheri.NullCap {
+		t.Fatalf("a write to the per-call context reached the template: r7 %v, r8 %v", c.ctx.Reg(7), c.ctx.Reg(8))
 	}
 }
 

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -23,6 +22,10 @@ type StackGates struct {
 	socket, bind, listen, accept, connect *intravisor.Gate
 	read, write, sendTo, recvFrom, closeG *intravisor.Gate
 	epCreate, epCtl, epWait               *intravisor.Gate
+	// api is the stack the gates enter, retained for WriteRoom only: how
+	// much a write would load is simulator introspection, not modelled
+	// datapath, so it burns no crossing (as DevGates.dev's deadlines).
+	api stackAPI
 }
 
 // Rebind re-exports every gate after the stack compartment restarted.
@@ -63,11 +66,13 @@ func getSockaddr(b []byte) (fstack.IPv4Addr, uint16) {
 
 // stackAPI is what the gates export: the socket API of a Stack, or of a
 // ShardedAPI fanning out over a sharded one, with the capability-buffer
-// stream calls beside it. The gate targets never learn which.
+// stream calls beside it and WriteCap's load bound. The gate targets
+// never learn which.
 type stackAPI interface {
 	fstack.API
 	ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
 	WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
+	WriteRoom(fd int) int
 }
 
 // capRoom is how many bytes c covers from its cursor on: 0 for an
@@ -102,7 +107,7 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 	}
 	s := stackEnv.api
 	mem := iv.Mem()
-	g := &StackGates{}
+	g := &StackGates{api: s}
 	// mk seals one entry point; the first failure sticks and is returned
 	// once every target is declared.
 	var err error
@@ -309,20 +314,20 @@ func (a *GatedAPI) Connect(fd int, ip fstack.IPv4Addr, port uint16) hostos.Errno
 	return errno
 }
 
-// stage puts src at offset off of the write staging area in the app
+// stage stores src at offset off of the write staging area in the app
 // window (it is the app's own memory) and derives the capability that
-// crosses the gate. Bytes the area already holds are not stored again,
-// so repeated sends of one unchanged buffer (iperf's pattern) skip the
-// copy while a buffer refilled in place is staged afresh.
-func (a *GatedAPI) stage(off int, src []byte) (cheri.Cap, hostos.Errno) {
+// crosses the gate, over n ≥ len(src) bytes from there: the bytes past
+// src are whatever an earlier call left, and the caller guarantees the
+// target loads none of them. An empty src stores nothing (a zero-length
+// access is a capability fault).
+func (a *GatedAPI) stage(off int, src []byte, n int) (cheri.Cap, hostos.Errno) {
 	at := stageWriteOff + uint64(off)
-	addr := a.App.Base() + at
-	if staged, err := a.App.Mem().CheckedSliceRO(a.App.DDC(), addr, len(src)); err != nil || !bytes.Equal(staged, src) {
-		if err := a.App.Store(addr, src); err != nil {
+	if len(src) > 0 {
+		if err := a.App.Store(a.App.Base()+at, src); err != nil {
 			return cheri.NullCap, hostos.EFAULT
 		}
 	}
-	buf, err := a.stageCap(at, len(src))
+	buf, err := a.stageCap(at, n)
 	if err != nil {
 		return cheri.NullCap, hostos.EFAULT
 	}
@@ -332,8 +337,10 @@ func (a *GatedAPI) stage(off int, src []byte) (cheri.Cap, hostos.Errno) {
 // Write sends bytes: a staged buffer's capability crosses the gate — the
 // measured ff_write path of Figs. 5 and 6. A buffer longer than
 // stageChunk crosses a chunk at a time for as long as the stack takes
-// every byte offered, so a caller re-offering a large buffer to a full
-// socket pays for checking one chunk of it, not all.
+// every byte offered. Each crossing offers its whole chunk but stages
+// only the part the stack can load now (its WriteRoom), so a poll of a
+// full socket stages nothing and an accepted write copies the bytes it
+// sends, not the chunk.
 func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 	if len(src) == 0 || len(src) > StageWriteSize {
 		return -1, hostos.EINVAL
@@ -341,7 +348,8 @@ func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 	sent := 0
 	for sent < len(src) {
 		chunk := src[sent:min(sent+stageChunk, len(src))]
-		buf, errno := a.stage(sent, chunk)
+		room := min(a.G.api.WriteRoom(fd), len(chunk))
+		buf, errno := a.stage(sent, chunk[:room], len(chunk))
 		if errno != hostos.OK {
 			return -1, errno
 		}
@@ -357,18 +365,18 @@ func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 			break
 		}
 	}
-	// The staging copy of the bytes the stack took (skipping an unchanged
-	// buffer is the simulator's economy, not the application's).
+	// The staging copy of the bytes the stack took.
 	a.App.Book(sim.CopyNS(sent))
 	return sent, hostos.OK
 }
 
-// SendTo transmits one datagram from the write staging area.
+// SendTo transmits one datagram from the write staging area; the target
+// loads all of it, so all of it is staged.
 func (a *GatedAPI) SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) (int, hostos.Errno) {
 	if len(data) == 0 || len(data) > StageWriteSize {
 		return -1, hostos.EINVAL
 	}
-	buf, errno := a.stage(0, data)
+	buf, errno := a.stage(0, data, len(data))
 	if errno != hostos.OK {
 		return -1, errno
 	}
