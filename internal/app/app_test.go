@@ -324,6 +324,163 @@ func TestHTTPServerPipelinedRequests(t *testing.T) {
 	}
 }
 
+// httpHead is a GET head of exactly n bytes, terminator included.
+func httpHead(n int) []byte {
+	h := []byte("GET / HTTP/1.1\r\nX: ")
+	h = append(h, bytes.Repeat([]byte{'x'}, n-len(h)-len(crlfcrlf))...)
+	return append(h, crlfcrlf...)
+}
+
+// refServe is what a server may make of a request stream: every head
+// that ends within httpMaxHead bytes of the last one is served until
+// one is not a GET, or one runs past the limit (ended or not); either
+// counts bad and ends the connection.
+func refServe(stream []byte) (served, bad uint64) {
+	for {
+		i := bytes.Index(stream, crlfcrlf)
+		if i < 0 && len(stream) < httpMaxHead {
+			return served, 0
+		}
+		if i < 0 || i+len(crlfcrlf) > httpMaxHead || !bytes.HasPrefix(stream, []byte("GET ")) {
+			return served, 1
+		}
+		served++
+		stream = stream[i+len(crlfcrlf):]
+	}
+}
+
+// checkedReads is the scripted API with a check run before every Read.
+type checkedReads struct {
+	*fakeAPI
+	check func()
+}
+
+func (a checkedReads) Read(fd int, dst []byte) (int, hostos.Errno) {
+	a.check()
+	return a.fakeAPI.Read(fd, dst)
+}
+
+// serveChunks runs a server with one accepted connection (fd 100) over
+// the scripted API and delivers stream to it in reads of the given
+// sizes (cycled). Before every read and after the last, a connection
+// still open holds a partial head under httpMaxHead.
+func serveChunks(t testing.TB, stream []byte, sizes ...int) *HTTPServer {
+	t.Helper()
+	const cfd = 100
+	srv := NewHTTPServer(fstack.IPv4Addr{}, 80, 8, 5)
+	check := func() {
+		if c, open := srv.conns[cfd]; open && len(c.rx) >= httpMaxHead {
+			t.Fatalf("a partial head of %d bytes is buffered, limit %d", len(c.rx), httpMaxHead)
+		}
+	}
+	api := checkedReads{newFakeAPI(), check}
+	srv.Step(api, 0)
+	api.accepts[srv.lfd] = []int{cfd}
+	api.events = [][]fstack.Event{{{FD: srv.lfd, Events: fstack.EPOLLIN}}}
+	srv.Step(api, 1)
+	for k := 0; len(stream) > 0; k++ {
+		n := min(len(stream), sizes[k%len(sizes)], len(srv.buf))
+		api.reads[cfd] = append(api.reads[cfd], stream[:n])
+		stream = stream[n:]
+	}
+	api.events = [][]fstack.Event{{{FD: cfd, Events: fstack.EPOLLIN}}}
+	srv.Step(api, 2)
+	check()
+	return srv
+}
+
+// TestHTTPServerBoundsTheHead: a head of exactly httpMaxHead bytes is
+// served however it arrives; one byte more, or a head that never ends,
+// is counted bad and closes the connection without the partial head
+// ever outgrowing the limit.
+func TestHTTPServerBoundsTheHead(t *testing.T) {
+	endless := bytes.Repeat([]byte("GET / HTTP/1.1\r\nX: y\r\n"), 2000)
+	for _, tc := range []struct {
+		name        string
+		stream      []byte
+		served, bad uint64
+	}{
+		{"at the limit", append(httpHead(httpMaxHead), httpRequest...), 2, 0},
+		{"one past the limit", append(httpRequest, httpHead(httpMaxHead+1)...), 1, 1},
+		{"never ends", endless, 0, 1},
+	} {
+		for _, size := range []int{1 << 14, 1000, 7} {
+			srv := serveChunks(t, tc.stream, size)
+			if srv.Served() != tc.served || srv.Bad() != tc.bad || srv.Err() != hostos.OK {
+				t.Errorf("%s in %d-byte reads: served %d bad %d (err %v), want %d and %d",
+					tc.name, size, srv.Served(), srv.Bad(), srv.Err(), tc.served, tc.bad)
+			}
+		}
+	}
+}
+
+// FuzzHTTPServerRequest feeds any bytes, in any chunking, as the request
+// stream of one connection: the server never panics, never buffers a
+// partial head at or past httpMaxHead, and serves and rejects exactly
+// what refServe does — so served + bad never exceeds the heads the
+// stream holds, plus the one that overran.
+func FuzzHTTPServerRequest(f *testing.F) {
+	f.Add([]byte{}, httpRequest)
+	f.Add([]byte{3}, append(append([]byte{}, httpRequest...), httpRequest...))
+	f.Add([]byte{0, 9}, []byte("GET / HT\r\n\r\nPUT / HTTP/1.1\r\n\r\n"))
+	f.Add([]byte{127}, httpHead(httpMaxHead))
+	f.Add([]byte{127, 0, 0}, httpHead(httpMaxHead+1))
+	f.Add([]byte{255}, bytes.Repeat([]byte{'\r', '\n', 'x'}, 4000))
+	f.Fuzz(func(t *testing.T, cuts, stream []byte) {
+		sizes := []int{1 << 14}
+		if len(cuts) > 0 {
+			sizes = sizes[:0]
+			for _, c := range cuts {
+				sizes = append(sizes, 1+int(c)<<6)
+			}
+		}
+		srv := serveChunks(t, stream, sizes...)
+		served, bad := refServe(stream)
+		if srv.Served() != served || srv.Bad() != bad {
+			t.Fatalf("served %d bad %d, reference %d and %d", srv.Served(), srv.Bad(), served, bad)
+		}
+	})
+}
+
+// TestHTTPClientBoundsTheHead: a response head past httpMaxHead is
+// malformed and resets the connection, with the partial head never
+// outgrowing the limit; one exactly at the limit completes its request.
+func TestHTTPClientBoundsTheHead(t *testing.T) {
+	head := func(n int) []byte {
+		h := []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\nX: ")
+		h = append(h, bytes.Repeat([]byte{'x'}, n-len(h)-len(crlfcrlf))...)
+		return append(h, crlfcrlf...)
+	}
+	for _, tc := range []struct {
+		name      string
+		stream    []byte
+		completed uint64
+		malformed uint64
+	}{
+		{"at the limit", head(httpMaxHead), 1, 0},
+		{"one past the limit", head(httpMaxHead + 1), 0, 1},
+		{"never ends", bytes.Repeat([]byte("Server: x\r\n"), 2000), 0, 1},
+	} {
+		c, api, cc := runningClient(t, 1)
+		for b := tc.stream; len(b) > 0 && cc.fd == 10; b = b[min(len(b), 1000):] {
+			api.reads[10] = [][]byte{b[:min(len(b), 1000)]}
+			if !c.read(api, cc, 2) {
+				t.Fatalf("%s: the run failed: %v", tc.name, c.Err())
+			}
+			if len(cc.hdr) >= httpMaxHead {
+				t.Fatalf("%s: a partial head of %d bytes is buffered", tc.name, len(cc.hdr))
+			}
+		}
+		if c.Completed() != tc.completed || c.Malformed() != tc.malformed || c.Err() != hostos.OK {
+			t.Errorf("%s: completed %d malformed %d (err %v), want %d and %d",
+				tc.name, c.Completed(), c.Malformed(), c.Err(), tc.completed, tc.malformed)
+		}
+		if tc.malformed > 0 && (!api.closed[10] || cc.fd == 10) {
+			t.Errorf("%s: fd 10 closed %v, connection now fd %d: want a fresh dial", tc.name, api.closed[10], cc.fd)
+		}
+	}
+}
+
 // TestHTTPServerAnnouncesQueuedWork pins the server's deadline hook to
 // the two kinds of work one Step leaves for the next, which no stack
 // event announces: a connection accepted after this Step's EpollWait

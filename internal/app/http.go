@@ -22,11 +22,47 @@ var (
 	clPrefix    = []byte("Content-Length: ")
 )
 
+// httpMaxHead bounds a request or response head, terminator included.
+// A peer that never ends its head costs its connection, not the
+// compartment's memory.
+const httpMaxHead = 8 << 10
+
+// nextHead finds the next complete head in a connection's partial head
+// *part followed by arrived bytes b, and returns it with the bytes
+// after it. *part never holds a terminator, so only its last three
+// bytes are searched again. With no terminator yet b joins *part and
+// the head is nil. ok is false when the head runs past httpMaxHead;
+// *part then stays within it. The head may alias *part, which is empty
+// again: use it before the next call.
+func nextHead(part *[]byte, b []byte) (head, rest []byte, ok bool) {
+	if len(*part) == 0 {
+		i := bytes.Index(b, crlfcrlf)
+		switch {
+		case i >= 0 && i+len(crlfcrlf) <= httpMaxHead:
+			return b[:i+len(crlfcrlf)], b[i+len(crlfcrlf):], true
+		case i < 0 && len(b) < httpMaxHead:
+			*part = append(*part, b...)
+			return nil, nil, true
+		}
+		return nil, nil, false
+	}
+	had := len(*part)
+	from := max(had-len(crlfcrlf)+1, 0)
+	*part = append(*part, b[:min(len(b), httpMaxHead-had)]...)
+	i := bytes.Index((*part)[from:], crlfcrlf)
+	if i < 0 {
+		return nil, nil, len(*part) < httpMaxHead
+	}
+	end := from + i + len(crlfcrlf)
+	head, *part = (*part)[:end], (*part)[:0]
+	return head, b[end-had:], true
+}
+
 // --- server ---
 
 // httpSrvConn is one accepted keep-alive connection's parse/flush
-// state. rx holds a partial request head; the sendq holds response
-// bytes Write has not yet accepted.
+// state. rx holds a partial request head (under httpMaxHead bytes); the
+// sendq holds response bytes Write has not yet accepted.
 type httpSrvConn struct {
 	rx []byte
 	sendq
@@ -96,7 +132,8 @@ func (s *HTTPServer) Restart(api API) {
 // handed to the stack).
 func (s *HTTPServer) Served() uint64 { return s.served }
 
-// Bad reports malformed request heads (the connection is closed).
+// Bad reports malformed request heads, and heads that ran past
+// httpMaxHead (the connection is closed).
 func (s *HTTPServer) Bad() uint64 { return s.bad }
 
 // NextDeadline: past its setup step the server reacts to stack events,
@@ -178,19 +215,17 @@ func (s *HTTPServer) read(api API, fd int, c *httpSrvConn) {
 			s.drop(api, fd)
 			return
 		}
-		c.rx = append(c.rx, s.buf[:n]...)
-		for {
-			i := bytes.Index(c.rx, crlfcrlf)
-			if i < 0 {
-				break
-			}
-			head := c.rx[:i+len(crlfcrlf)]
-			if !bytes.HasPrefix(head, []byte("GET ")) {
+		for b := s.buf[:n]; len(b) > 0; {
+			head, rest, ok := nextHead(&c.rx, b)
+			if !ok || head != nil && !bytes.HasPrefix(head, []byte("GET ")) {
 				s.bad++
 				s.drop(api, fd)
 				return
 			}
-			c.rx = c.rx[:copy(c.rx, c.rx[i+len(crlfcrlf):])]
+			if head == nil {
+				break
+			}
+			b = rest
 			c.tx = append(c.tx, s.resp...)
 			s.served++
 		}
@@ -217,9 +252,9 @@ func (s *HTTPServer) flush(api API, fd int, c *httpSrvConn) bool {
 
 // httpCliConn is one persistent connection's request pipeline: t0 is
 // the head-indexed FIFO of outstanding requests' issue instants, hdr
-// accumulates a partial response head, need counts the body bytes
-// still expected (-1 while parsing the head), the sendq buffers request
-// bytes the stack has not accepted.
+// holds a partial response head (under httpMaxHead bytes), need counts
+// the body bytes still expected (-1 while parsing the head), the sendq
+// buffers request bytes the stack has not accepted.
 type httpCliConn struct {
 	fd      int
 	up      bool
@@ -327,8 +362,8 @@ func (c *HTTPClient) Lost() uint64   { return c.lost }
 func (c *HTTPClient) Resets() uint64 { return c.resets }
 
 // Malformed reports responses the client refused to parse: one with no
-// request outstanding, or with a negative Content-Length. Each one resets
-// its connection (see read).
+// request outstanding, a negative Content-Length, or a head that ran past
+// httpMaxHead. Each one resets its connection (see read).
 func (c *HTTPClient) Malformed() uint64 { return c.malformed }
 
 // RunNS returns the measured phase's virtual length (valid once Done).
@@ -588,18 +623,22 @@ func contentLength(head []byte) (int, bool) {
 // feed advances the incremental response parser over arrived bytes. It
 // returns false when the stream cannot be parsed on: a head without a
 // readable Content-Length fails the run, and a response no request is
-// outstanding for, or one with a negative length, is counted malformed
-// and completes nothing (the caller resets the connection).
+// outstanding for, one with a negative length or a head past
+// httpMaxHead is counted malformed and completes nothing (the caller
+// resets the connection).
 func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 	for len(b) > 0 {
 		if cc.need < 0 {
-			cc.hdr = append(cc.hdr, b...)
-			b = b[:0]
-			i := bytes.Index(cc.hdr, crlfcrlf)
-			if i < 0 {
-				continue
+			head, rest, ok := nextHead(&cc.hdr, b)
+			if !ok {
+				c.malformed++
+				return false
 			}
-			v, ok := contentLength(cc.hdr[:i+len(crlfcrlf)])
+			if head == nil {
+				return true
+			}
+			b = rest // body bytes, and what follows
+			v, ok := contentLength(head)
 			switch {
 			case cc.outstanding() == 0 || ok && v < 0:
 				c.malformed++
@@ -608,9 +647,6 @@ func (c *HTTPClient) feed(cc *httpCliConn, b []byte, now int64) bool {
 				return c.ok(hostos.EINVAL)
 			}
 			cc.need, cc.bodyLen = v, v
-			// Bytes past the head are body bytes: re-feed them.
-			b = append(b[:0], cc.hdr[i+len(crlfcrlf):]...)
-			cc.hdr = cc.hdr[:0]
 			if cc.need == 0 {
 				c.complete(cc, now)
 			}

@@ -241,54 +241,62 @@ func BuildCap(auth, cand Cap) (Cap, error) {
 }
 
 // --- use checks (called by TMem and Context) ---
+//
+// Every use check is split in two. permits is the whole success path:
+// one predicate the compiler inlines into each caller as a chain of
+// compares on the capability's fields where they lie, as the hardware
+// tests them in parallel. useFault is the failure path, out of line: it
+// re-derives which check failed, in the fixed precedence the package
+// doc states.
+
+// permits reports whether an access of n bytes at addr needing every
+// permission in need passes all the checks: c is tagged and unsealed,
+// holds need, and [addr, addr+n) is non-empty, does not wrap and lies
+// inside its bounds. The pointer receiver is what keeps it cheap: a
+// value receiver copies the capability once per call.
+func (c *Cap) permits(need Perm, addr uint64, n int) bool {
+	end := addr + uint64(n)
+	return c.tag && c.otype == OTypeUnsealed && c.perms&need == need &&
+		n > 0 && addr >= c.base && end >= addr && end <= c.base+c.length
+}
+
+// useFault is the fault of one use check (an access needing perm under
+// op, or kind when perm is missing) that permits refused: tag, seal,
+// permission, bounds, the first that fails; nil if none does.
+func (c *Cap) useFault(op string, perm Perm, kind FaultKind, addr uint64, n int) *Fault {
+	switch {
+	case !c.tag:
+		return newFault(FaultTag, op, *c, addr, n)
+	case c.Sealed():
+		return newFault(FaultSeal, op, *c, addr, n)
+	case !c.perms.Has(perm):
+		return newFault(kind, op, *c, addr, n)
+	case !c.InBounds(addr, n):
+		return newFault(FaultBounds, op, *c, addr, n)
+	}
+	return nil
+}
 
 // CheckLoad verifies a data load of n bytes at addr through c.
 func (c Cap) CheckLoad(addr uint64, n int) error {
-	if !c.tag {
-		return newFault(FaultTag, "load", c, addr, n)
+	if c.permits(PermLoad, addr, n) {
+		return nil
 	}
-	if c.Sealed() {
-		return newFault(FaultSeal, "load", c, addr, n)
-	}
-	if !c.perms.Has(PermLoad) {
-		return newFault(FaultPermLoad, "load", c, addr, n)
-	}
-	if !c.InBounds(addr, n) {
-		return newFault(FaultBounds, "load", c, addr, n)
-	}
-	return nil
+	return c.useFault("load", PermLoad, FaultPermLoad, addr, n)
 }
 
 // CheckStore verifies a data store of n bytes at addr through c.
 func (c Cap) CheckStore(addr uint64, n int) error {
-	if !c.tag {
-		return newFault(FaultTag, "store", c, addr, n)
+	if c.permits(PermStore, addr, n) {
+		return nil
 	}
-	if c.Sealed() {
-		return newFault(FaultSeal, "store", c, addr, n)
-	}
-	if !c.perms.Has(PermStore) {
-		return newFault(FaultPermStore, "store", c, addr, n)
-	}
-	if !c.InBounds(addr, n) {
-		return newFault(FaultBounds, "store", c, addr, n)
-	}
-	return nil
+	return c.useFault("store", PermStore, FaultPermStore, addr, n)
 }
 
 // CheckFetch verifies an instruction fetch at addr through c (PCC use).
 func (c Cap) CheckFetch(addr uint64) error {
-	if !c.tag {
-		return newFault(FaultTag, "fetch", c, addr, 4)
+	if c.permits(PermExecute, addr, 4) {
+		return nil
 	}
-	if c.Sealed() {
-		return newFault(FaultSeal, "fetch", c, addr, 4)
-	}
-	if !c.perms.Has(PermExecute) {
-		return newFault(FaultPermExecute, "fetch", c, addr, 4)
-	}
-	if !c.InBounds(addr, 4) {
-		return newFault(FaultBounds, "fetch", c, addr, 4)
-	}
-	return nil
+	return c.useFault("fetch", PermExecute, FaultPermExecute, addr, 4)
 }

@@ -1,0 +1,379 @@
+package cheri
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// The use checks as they were before the success path became one
+// inlined predicate (permits) and the failure path one out-of-line
+// re-derivation (useFault, accessFault): four tests in order, each
+// helper handed its own copy of the capability. They are the reference
+// the fast path is held to — same nil-ness, same fault, same tags
+// cleared.
+
+func refCheck(c Cap, op string, perm Perm, kind FaultKind, addr uint64, n int) error {
+	if !c.tag {
+		return newFault(FaultTag, op, c, addr, n)
+	}
+	if c.Sealed() {
+		return newFault(FaultSeal, op, c, addr, n)
+	}
+	if !c.perms.Has(perm) {
+		return newFault(kind, op, c, addr, n)
+	}
+	if !c.InBounds(addr, n) {
+		return newFault(FaultBounds, op, c, addr, n)
+	}
+	return nil
+}
+
+func refCheckLoad(c Cap, addr uint64, n int) error {
+	return refCheck(c, "load", PermLoad, FaultPermLoad, addr, n)
+}
+
+func refCheckStore(c Cap, addr uint64, n int) error {
+	return refCheck(c, "store", PermStore, FaultPermStore, addr, n)
+}
+
+func refCheckFetch(c Cap, addr uint64) error {
+	return refCheck(c, "fetch", PermExecute, FaultPermExecute, addr, 4)
+}
+
+func refCheckedSlice(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
+	if err := refCheckLoad(c, addr, n); err != nil {
+		return nil, err
+	}
+	if err := refCheckStore(c, addr, n); err != nil {
+		return nil, err
+	}
+	if !m.inRange(addr, n) {
+		return nil, newFault(FaultBounds, "slice", c, addr, n)
+	}
+	m.clearTags(addr, n)
+	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
+}
+
+func refCheckedSliceRO(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
+	if err := refCheckLoad(c, addr, n); err != nil {
+		return nil, err
+	}
+	if !m.inRange(addr, n) {
+		return nil, newFault(FaultBounds, "slice", c, addr, n)
+	}
+	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
+}
+
+// refLoad and refStore are TMem.Load and Store as they were: the use
+// check, then physical range under the access's own op.
+func refLoad(m *TMem, c Cap, addr uint64, dst []byte) error {
+	if err := refCheckLoad(c, addr, len(dst)); err != nil {
+		return err
+	}
+	if !m.inRange(addr, len(dst)) {
+		return newFault(FaultBounds, "load", c, addr, len(dst))
+	}
+	copy(dst, m.data[addr:])
+	return nil
+}
+
+func refStore(m *TMem, c Cap, addr uint64, src []byte) error {
+	if err := refCheckStore(c, addr, len(src)); err != nil {
+		return err
+	}
+	if !m.inRange(addr, len(src)) {
+		return newFault(FaultBounds, "store", c, addr, len(src))
+	}
+	copy(m.data[addr:], src)
+	m.clearTags(addr, len(src))
+	return nil
+}
+
+// checkMemSize is the tagged memory every comparison runs against:
+// small, so that random ranges land inside, across and past its end.
+const checkMemSize = 4096
+
+// taggedMem returns memory with a capability stored in every third
+// granule, so a slice that clears one tag too many or too few shows.
+func taggedMem(t testing.TB) *TMem {
+	m := NewTMem(checkMemSize)
+	root := m.Root()
+	for a := uint64(0); a < checkMemSize; a += 3 * CapSize {
+		if err := m.StoreCap(root, a, root.SetAddr(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// sameErr fails unless got and want are both nil or both *Fault with
+// the same kind, op, capability, address and size.
+func sameErr(t testing.TB, what string, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: got %v, reference %v", what, got, want)
+	}
+	if got == nil {
+		return
+	}
+	gf, ok1 := got.(*Fault)
+	wf, ok2 := want.(*Fault)
+	if !ok1 || !ok2 || *gf != *wf {
+		t.Fatalf("%s: got %#v, reference %#v", what, got, want)
+	}
+}
+
+// sameSlice fails unless got, a view of mem, and want, a view of ref,
+// cover the same range: both start at addr in their memory.
+func sameSlice(t testing.TB, what string, mem, ref *TMem, addr uint64, got, want []byte) {
+	t.Helper()
+	if len(got) != len(want) || cap(got) != cap(want) || len(got) > 0 && (&got[0] != &mem.data[addr] || &want[0] != &ref.data[addr]) {
+		t.Fatalf("%s: slice len %d cap %d, reference len %d cap %d (or not at %#x)", what, len(got), cap(got), len(want), cap(want), addr)
+	}
+}
+
+// sameTags fails unless a and b hold the same tag bits and the same
+// stored capabilities.
+func sameTags(t testing.TB, what string, a, b *TMem) {
+	t.Helper()
+	if !slices.Equal(a.tags, b.tags) || len(a.caps) != len(b.caps) {
+		t.Fatalf("%s: tags %x (%d caps), reference %x (%d caps)", what, a.tags, len(a.caps), b.tags, len(b.caps))
+	}
+	for k, v := range b.caps {
+		if a.caps[k] != v {
+			t.Fatalf("%s: capability at %#x is %v, reference %v", what, k, a.caps[k], v)
+		}
+	}
+}
+
+// compareChecks runs every use check once on c, addr, n against its
+// reference. mem and ref start with the same tags; the slices (and, for
+// n in 0..64, the data accessors) run on mem and their references on
+// ref, which must end with the same tags. It returns CheckedSlice's
+// error, the one that can end in any outcome.
+func compareChecks(t testing.TB, mem, ref *TMem, c Cap, addr uint64, n int) error {
+	t.Helper()
+	sameErr(t, "CheckLoad", c.CheckLoad(addr, n), refCheckLoad(c, addr, n))
+	sameErr(t, "CheckStore", c.CheckStore(addr, n), refCheckStore(c, addr, n))
+	sameErr(t, "CheckFetch", c.CheckFetch(addr), refCheckFetch(c, addr))
+
+	got, err := mem.CheckedSliceRO(c, addr, n)
+	want, rerr := refCheckedSliceRO(ref, c, addr, n)
+	sameErr(t, "CheckedSliceRO", err, rerr)
+	sameSlice(t, "CheckedSliceRO", mem, ref, addr, got, want)
+
+	got, err = mem.CheckedSlice(c, addr, n)
+	want, rerr = refCheckedSlice(ref, c, addr, n)
+	sameErr(t, "CheckedSlice", err, rerr)
+	sameSlice(t, "CheckedSlice", mem, ref, addr, got, want)
+	sameTags(t, "CheckedSlice", mem, ref)
+	sliceErr := err
+
+	if n < 0 || n > 64 {
+		return sliceErr
+	}
+	var buf, rbuf [64]byte
+	sameErr(t, "Load", mem.Load(c, addr, buf[:n]), refLoad(ref, c, addr, rbuf[:n]))
+	sameErr(t, "Store", mem.Store(c, addr, buf[:n]), refStore(ref, c, addr, rbuf[:n]))
+	sameTags(t, "Store", mem, ref)
+	switch n {
+	case 2:
+		_, err := mem.LoadU16(c, addr)
+		sameErr(t, "LoadU16", err, refLoad(ref, c, addr, rbuf[:2]))
+		sameErr(t, "StoreU16", mem.StoreU16(c, addr, 1), refStore(ref, c, addr, rbuf[:2]))
+	case 4:
+		_, err := mem.LoadU32(c, addr)
+		sameErr(t, "LoadU32", err, refLoad(ref, c, addr, rbuf[:4]))
+		sameErr(t, "StoreU32", mem.StoreU32(c, addr, 1), refStore(ref, c, addr, rbuf[:4]))
+	case 8:
+		_, err := mem.LoadU64(c, addr)
+		sameErr(t, "LoadU64", err, refLoad(ref, c, addr, rbuf[:8]))
+		sameErr(t, "StoreU64", mem.StoreU64(c, addr, 1), refStore(ref, c, addr, rbuf[:8]))
+	}
+	sameTags(t, "scalar store", mem, ref)
+	return sliceErr
+}
+
+// near draws an address or length from where the checks have edges:
+// zero, memory's end, 2^64, a random point of memory or of the whole
+// address space.
+func near(r *rand.Rand) uint64 {
+	k := uint64(r.Intn(40))
+	switch r.Intn(6) {
+	case 0:
+		return k
+	case 1:
+		return checkMemSize - k
+	case 2:
+		return checkMemSize + k
+	case 3:
+		return math.MaxUint64 - k
+	case 4:
+		return uint64(r.Intn(checkMemSize))
+	}
+	return r.Uint64()
+}
+
+// randCase draws one capability, address and length: tagged or not,
+// sealed or not, any permission set, bounds anywhere up to and across
+// 2^64, an address at or just past either bound, and a length that is
+// negative, zero, small, memory-sized or huge.
+func randCase(r *rand.Rand) (Cap, uint64, int) {
+	c := Cap{
+		base:   near(r),
+		length: near(r),
+		perms:  Perm(r.Intn(int(PermAll) + 1)),
+		otype:  OTypeUnsealed,
+		tag:    r.Intn(6) != 0,
+	}
+	if r.Intn(6) == 0 {
+		c.otype = OTypeFirst + OType(r.Intn(int(OTypeLast)))
+	}
+	var n int
+	switch r.Intn(6) {
+	case 0:
+		n = -r.Intn(3)
+	case 1, 2:
+		n = 1 + r.Intn(64)
+	case 3:
+		n = 1 + r.Intn(2*checkMemSize)
+	case 4:
+		n = int(c.length) // the whole capability, whatever it is
+	default:
+		n = math.MaxInt - r.Intn(4)
+	}
+	var addr uint64
+	switch r.Intn(5) {
+	case 0:
+		addr = c.base + uint64(r.Intn(40))
+	case 1:
+		addr = c.base - 1 - uint64(r.Intn(4))
+	case 2:
+		addr = c.base + c.length - uint64(n) + uint64(r.Intn(3)) - 1 // ending at the top, ±1
+	case 3:
+		addr = c.base + c.length - uint64(r.Intn(40))
+	default:
+		addr = near(r)
+	}
+	c.addr = near(r)
+	return c, addr, n
+}
+
+// TestChecksMatchReference holds every use check to the reference on
+// hand-picked edges and 50 000 drawn cases, each of the eight
+// permission sets over load, store and execute forced in turn. The
+// drawn cases must reach every outcome a writable slice has.
+func TestChecksMatchReference(t *testing.T) {
+	root := NewRoot(0, checkMemSize, PermAll)
+	top := NewRoot(math.MaxUint64-15, 16, PermAll)
+	wrapped := Cap{base: math.MaxUint64 - 15, length: 32, perms: PermAll, otype: OTypeUnsealed, tag: true}
+	for _, tc := range []struct {
+		name string
+		c    Cap
+		addr uint64
+		n    int
+	}{
+		{"null", NullCap, 0, 1},
+		{"root, all of memory", root, 0, checkMemSize},
+		{"root, one past memory", root, 0, checkMemSize + 1},
+		{"root, zero length", root, 16, 0},
+		{"root, negative length", root, 16, -1},
+		{"root, wrapping length", root, 16, math.MaxInt},
+		{"wider than memory", NewRoot(0, 1<<20, PermAll), checkMemSize - 8, 16},
+		{"the last 16 bytes of the address space", top, math.MaxUint64 - 15, 16},
+		{"one past the address space", top, math.MaxUint64 - 15, 17},
+		{"bounds that wrap", wrapped, math.MaxUint64 - 15, 16},
+		{"bounds that wrap, past 2^64", wrapped, 0, 1},
+		{"sealed", Cap{length: checkMemSize, perms: PermAll, otype: 7, tag: true}, 0, 16},
+		{"untagged and sealed", Cap{length: checkMemSize, perms: PermAll, otype: 7}, 0, 16},
+		{"no perms, out of bounds", NewRoot(64, 64, 0), 0, 16},
+		{"load only, out of bounds", NewRoot(64, 64, PermLoad), 0, 16},
+		{"store only, out of bounds", NewRoot(64, 64, PermStore), 0, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) { compareChecks(t, taggedMem(t), taggedMem(t), tc.c, tc.addr, tc.n) })
+	}
+
+	type outcome struct {
+		kind FaultKind
+		op   string
+	}
+	seen := map[outcome]int{}
+	var mem, ref *TMem
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		if i%50 == 0 {
+			mem, ref = taggedMem(t), taggedMem(t)
+		}
+		c, addr, n := randCase(r)
+		c.perms = c.perms&^(PermLoad|PermStore|PermExecute) | Perm(i%8)
+		var o outcome
+		if f, ok := compareChecks(t, mem, ref, c, addr, n).(*Fault); ok {
+			o = outcome{f.Kind, f.Op}
+		}
+		seen[o]++
+	}
+	for _, o := range []outcome{
+		{FaultNone, ""},
+		{FaultTag, "load"},
+		{FaultSeal, "load"},
+		{FaultPermLoad, "load"},
+		{FaultBounds, "load"},
+		{FaultPermStore, "store"},
+		{FaultBounds, "slice"},
+	} {
+		if seen[o] == 0 {
+			t.Errorf("no drawn case ended in %v under %q: %v", o.kind, o.op, seen)
+		}
+	}
+}
+
+// FuzzCapCheck is the same fence on fuzzer-chosen fields: any
+// capability, address and length must fault exactly as the reference
+// does, and a writable slice must clear exactly the tags it clears.
+func FuzzCapCheck(f *testing.F) {
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 32; i++ {
+		c, addr, n := randCase(r)
+		f.Add(c.base, c.length, c.addr, uint16(c.perms), uint32(c.otype), c.tag, addr, n)
+	}
+	f.Add(uint64(0), uint64(checkMemSize), uint64(0), uint16(PermAll), uint32(OTypeUnsealed), true, uint64(0), checkMemSize)
+	f.Add(uint64(math.MaxUint64-15), uint64(32), uint64(0), uint16(PermAll), uint32(OTypeUnsealed), true, uint64(math.MaxUint64-15), 16)
+	f.Fuzz(func(t *testing.T, base, length, cursor uint64, perms uint16, otype uint32, tag bool, addr uint64, n int) {
+		c := Cap{base: base, length: length, addr: cursor, perms: Perm(perms), otype: OType(otype), tag: tag}
+		compareChecks(t, taggedMem(t), taggedMem(t), c, addr, n)
+	})
+}
+
+var sliceSink []byte
+
+func benchmarkCheckedSlice(b *testing.B, rw bool, n int) {
+	m := NewTMem(1 << 20)
+	c, err := m.Root().SetAddr(0x1000).SetBounds(64 << 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if rw {
+			sliceSink, err = m.CheckedSlice(c, 0x1000, n)
+		} else {
+			sliceSink, err = m.CheckedSliceRO(c, 0x1000, n)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The two sizes the datapath checks most: a 16-byte descriptor and a
+// full 1448-byte segment payload.
+func BenchmarkCheckedSliceRO(b *testing.B) {
+	b.Run("16B", func(b *testing.B) { benchmarkCheckedSlice(b, false, 16) })
+	b.Run("1448B", func(b *testing.B) { benchmarkCheckedSlice(b, false, 1448) })
+}
+
+func BenchmarkCheckedSlice(b *testing.B) {
+	b.Run("16B", func(b *testing.B) { benchmarkCheckedSlice(b, true, 16) })
+	b.Run("1448B", func(b *testing.B) { benchmarkCheckedSlice(b, true, 1448) })
+}

@@ -21,6 +21,20 @@
 // hardware traps; the scenario layer turns them into compartment
 // exceptions (paper Fig. 3).
 //
+// A use check (Cap.CheckLoad/CheckStore/CheckFetch and every TMem access
+// and checked slice) costs the host what it costs the hardware: its
+// success path is one inlined predicate, a straight chain of compares on
+// the capability's fields, and nothing is built unless it fails. The
+// fault is then re-derived out of line, and which fault an access gets
+// is a contract: tag, then seal, then the load permission and the
+// bounds (for an access that loads), then the store permission and the
+// bounds (for one that stores), then physical memory — the first that
+// fails names the fault, with the capability, address and size of the
+// access. A checked read-write slice therefore reports a missing store
+// permission only for a range the capability bounds. The checks as they
+// were before the split are the test reference (check_test.go,
+// FuzzCapCheck).
+//
 // The model is deliberately uncompressed (no CHERI Concentrate encoding):
 // bounds are exact. Tag granularity, alignment rules for capability
 // loads/stores, and permission monotonicity match the architectural

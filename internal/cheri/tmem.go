@@ -81,11 +81,8 @@ func (m *TMem) inRange(addr uint64, n int) bool {
 
 // Load copies len(dst) bytes at addr into dst through capability c.
 func (m *TMem) Load(c Cap, addr uint64, dst []byte) error {
-	if err := c.CheckLoad(addr, len(dst)); err != nil {
-		return err
-	}
-	if !m.inRange(addr, len(dst)) {
-		return newFault(FaultBounds, "load", c, addr, len(dst))
+	if !c.permits(PermLoad, addr, len(dst)) || !m.inRange(addr, len(dst)) {
+		return accessFault(&c, PermLoad, "load", addr, len(dst))
 	}
 	copy(dst, m.data[addr:])
 	return nil
@@ -94,11 +91,8 @@ func (m *TMem) Load(c Cap, addr uint64, dst []byte) error {
 // Store copies src into memory at addr through capability c, clearing
 // the tags of every granule it touches.
 func (m *TMem) Store(c Cap, addr uint64, src []byte) error {
-	if err := c.CheckStore(addr, len(src)); err != nil {
-		return err
-	}
-	if !m.inRange(addr, len(src)) {
-		return newFault(FaultBounds, "store", c, addr, len(src))
+	if !c.permits(PermStore, addr, len(src)) || !m.inRange(addr, len(src)) {
+		return accessFault(&c, PermStore, "store", addr, len(src))
 	}
 	copy(m.data[addr:], src)
 	m.clearTags(addr, len(src))
@@ -107,44 +101,32 @@ func (m *TMem) Store(c Cap, addr uint64, src []byte) error {
 
 // LoadU16 loads a little-endian uint16 through c.
 func (m *TMem) LoadU16(c Cap, addr uint64) (uint16, error) {
-	if err := c.CheckLoad(addr, 2); err != nil {
-		return 0, err
-	}
-	if !m.inRange(addr, 2) {
-		return 0, newFault(FaultBounds, "load", c, addr, 2)
+	if !c.permits(PermLoad, addr, 2) || !m.inRange(addr, 2) {
+		return 0, accessFault(&c, PermLoad, "load", addr, 2)
 	}
 	return binary.LittleEndian.Uint16(m.data[addr:]), nil
 }
 
 // LoadU32 loads a little-endian uint32 through c.
 func (m *TMem) LoadU32(c Cap, addr uint64) (uint32, error) {
-	if err := c.CheckLoad(addr, 4); err != nil {
-		return 0, err
-	}
-	if !m.inRange(addr, 4) {
-		return 0, newFault(FaultBounds, "load", c, addr, 4)
+	if !c.permits(PermLoad, addr, 4) || !m.inRange(addr, 4) {
+		return 0, accessFault(&c, PermLoad, "load", addr, 4)
 	}
 	return binary.LittleEndian.Uint32(m.data[addr:]), nil
 }
 
 // LoadU64 loads a little-endian uint64 through c.
 func (m *TMem) LoadU64(c Cap, addr uint64) (uint64, error) {
-	if err := c.CheckLoad(addr, 8); err != nil {
-		return 0, err
-	}
-	if !m.inRange(addr, 8) {
-		return 0, newFault(FaultBounds, "load", c, addr, 8)
+	if !c.permits(PermLoad, addr, 8) || !m.inRange(addr, 8) {
+		return 0, accessFault(&c, PermLoad, "load", addr, 8)
 	}
 	return binary.LittleEndian.Uint64(m.data[addr:]), nil
 }
 
 // StoreU16 stores a little-endian uint16 through c.
 func (m *TMem) StoreU16(c Cap, addr uint64, v uint16) error {
-	if err := c.CheckStore(addr, 2); err != nil {
-		return err
-	}
-	if !m.inRange(addr, 2) {
-		return newFault(FaultBounds, "store", c, addr, 2)
+	if !c.permits(PermStore, addr, 2) || !m.inRange(addr, 2) {
+		return accessFault(&c, PermStore, "store", addr, 2)
 	}
 	binary.LittleEndian.PutUint16(m.data[addr:], v)
 	m.clearTags(addr, 2)
@@ -153,11 +135,8 @@ func (m *TMem) StoreU16(c Cap, addr uint64, v uint16) error {
 
 // StoreU32 stores a little-endian uint32 through c.
 func (m *TMem) StoreU32(c Cap, addr uint64, v uint32) error {
-	if err := c.CheckStore(addr, 4); err != nil {
-		return err
-	}
-	if !m.inRange(addr, 4) {
-		return newFault(FaultBounds, "store", c, addr, 4)
+	if !c.permits(PermStore, addr, 4) || !m.inRange(addr, 4) {
+		return accessFault(&c, PermStore, "store", addr, 4)
 	}
 	binary.LittleEndian.PutUint32(m.data[addr:], v)
 	m.clearTags(addr, 4)
@@ -166,11 +145,8 @@ func (m *TMem) StoreU32(c Cap, addr uint64, v uint32) error {
 
 // StoreU64 stores a little-endian uint64 through c.
 func (m *TMem) StoreU64(c Cap, addr uint64, v uint64) error {
-	if err := c.CheckStore(addr, 8); err != nil {
-		return err
-	}
-	if !m.inRange(addr, 8) {
-		return newFault(FaultBounds, "store", c, addr, 8)
+	if !c.permits(PermStore, addr, 8) || !m.inRange(addr, 8) {
+		return accessFault(&c, PermStore, "store", addr, 8)
 	}
 	binary.LittleEndian.PutUint64(m.data[addr:], v)
 	m.clearTags(addr, 8)
@@ -286,14 +262,8 @@ func (m *TMem) RawInvalidate(addr uint64, n int) {
 // in-bounds accesses). Tags in the range are cleared, as any data store
 // would.
 func (m *TMem) CheckedSlice(c Cap, addr uint64, n int) ([]byte, error) {
-	if err := c.CheckLoad(addr, n); err != nil {
-		return nil, err
-	}
-	if err := c.CheckStore(addr, n); err != nil {
-		return nil, err
-	}
-	if !m.inRange(addr, n) {
-		return nil, newFault(FaultBounds, "slice", c, addr, n)
+	if !c.permits(PermLoad|PermStore, addr, n) || !m.inRange(addr, n) {
+		return nil, accessFault(&c, PermLoad|PermStore, "slice", addr, n)
 	}
 	m.clearTags(addr, n)
 	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
@@ -302,11 +272,26 @@ func (m *TMem) CheckedSlice(c Cap, addr uint64, n int) ([]byte, error) {
 // CheckedSliceRO verifies a load capability over the whole range and
 // returns the backing slice for reading.
 func (m *TMem) CheckedSliceRO(c Cap, addr uint64, n int) ([]byte, error) {
-	if err := c.CheckLoad(addr, n); err != nil {
-		return nil, err
-	}
-	if !m.inRange(addr, n) {
-		return nil, newFault(FaultBounds, "slice", c, addr, n)
+	if !c.permits(PermLoad, addr, n) || !m.inRange(addr, n) {
+		return nil, accessFault(&c, PermLoad, "slice", addr, n)
 	}
 	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
+}
+
+// accessFault is the failure path of every checked access above: the
+// load check's fault if need holds PermLoad, then the store check's if
+// it holds PermStore, then — both passed, so physical memory is what
+// refused — a bounds fault under physOp.
+func accessFault(c *Cap, need Perm, physOp string, addr uint64, n int) error {
+	if need&PermLoad != 0 {
+		if f := c.useFault("load", PermLoad, FaultPermLoad, addr, n); f != nil {
+			return f
+		}
+	}
+	if need&PermStore != 0 {
+		if f := c.useFault("store", PermStore, FaultPermStore, addr, n); f != nil {
+			return f
+		}
+	}
+	return newFault(FaultBounds, physOp, *c, addr, n)
 }

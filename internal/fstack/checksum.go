@@ -1,6 +1,9 @@
 package fstack
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the RFC 1071 internet checksum of data.
 func Checksum(data []byte) uint16 {
@@ -8,40 +11,52 @@ func Checksum(data []byte) uint16 {
 }
 
 // sumBytes adds data's 16-bit big-endian words to a running
-// ones'-complement sum, 8 bytes per load: a 64-bit big-endian word is
-// four 16-bit words at weights 2^48..1, all ≡ 1 mod 0xFFFF, so adding
-// its 32-bit halves into a 64-bit accumulator (no carry-out below 16 GiB
-// of input) and folding at the end gives the same checksum as summing
-// word by word; folding never turns a non-zero sum into zero. An odd
-// final byte is the high half of a word.
+// ones'-complement sum the way RFC 1071 §2 lets a machine do it: in its
+// own byte order and its own word size, with the carries deferred.
+// Loaded little-endian, every 16-bit lane holds its word byte-swapped,
+// and a byte swap is a multiplication by 2^8 mod 0xFFFF, so the lanes
+// still add (§2(B)); a 64-bit word is four lanes at weights ≡ 1 mod
+// 0xFFFF, and 2^64 ≡ 1 too, so the carry out of each 64-bit add goes
+// back in at the bottom of the next (§2(C)). The running sum enters
+// byte-swapped as well (a 32-bit swap swaps both of its lanes), and the
+// total is folded to 16 bits and swapped back once. An odd final byte
+// is the high half of a big-endian word, the low byte of a lane. A sum
+// of anything non-zero never folds to zero, so the result is the same
+// ones'-complement value, at most 0xFFFF, that word-by-word addition
+// gives.
 func sumBytes(sum uint32, data []byte) uint32 {
-	const lo32 = 0xFFFFFFFF
-	be := binary.BigEndian
-	s := uint64(sum)
+	le := binary.LittleEndian
+	s, c := uint64(bits.ReverseBytes32(sum)), uint64(0)
 	for len(data) >= 32 {
-		a, b, c, d := be.Uint64(data), be.Uint64(data[8:]), be.Uint64(data[16:]), be.Uint64(data[24:])
-		s += a>>32 + a&lo32 + b>>32 + b&lo32 + c>>32 + c&lo32 + d>>32 + d&lo32
+		s, c = bits.Add64(s, le.Uint64(data), c)
+		s, c = bits.Add64(s, le.Uint64(data[8:]), c)
+		s, c = bits.Add64(s, le.Uint64(data[16:]), c)
+		s, c = bits.Add64(s, le.Uint64(data[24:]), c)
 		data = data[32:]
 	}
 	for len(data) >= 8 {
-		a := be.Uint64(data)
-		s += a>>32 + a&lo32
+		s, c = bits.Add64(s, le.Uint64(data), c)
 		data = data[8:]
 	}
+	var tail uint64
 	if len(data) >= 4 {
-		s += uint64(be.Uint32(data))
+		tail = uint64(le.Uint32(data))
 		data = data[4:]
 	}
 	if len(data) >= 2 {
-		s += uint64(be.Uint16(data))
+		tail += uint64(le.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		s += uint64(data[0]) << 8
+		tail += uint64(data[0])
 	}
-	s = s>>32 + s&lo32
-	s = s>>32 + s&lo32
-	return uint32(s)
+	s, c = bits.Add64(s, tail, c)
+	// Fold 64 → 33 → 17 → 16 bits, each carry added back in.
+	s = s>>32 + s&0xFFFFFFFF + c
+	s = s>>16 + s&0xFFFF
+	s = s>>16 + s&0xFFFF
+	s = s>>16 + s&0xFFFF
+	return uint32(bits.ReverseBytes16(uint16(s)))
 }
 
 // finishChecksum folds the carries and complements.

@@ -2,6 +2,7 @@ package fstack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -34,11 +35,16 @@ func checkAgainstRef(t *testing.T, sum uint32, data []byte) {
 
 // checksumCorpus is the shared seed set of the differential test and
 // the fuzz target: the carry-saturating all-0xFF case, all zeros (the
-// one input whose sum is zero), and odd tails at every loop boundary.
+// one input whose sum is zero), odd tails at every loop boundary, and
+// single words whose 64-bit sum carries out of each step of the final
+// fold (0x1_FFFF_0000 after the first, then 0x1FFFF, then 0x10000).
 func checksumCorpus() [][]byte {
 	corpus := [][]byte{nil, {0}, {0xFF}, {0x12, 0x34, 0x56}}
 	for _, n := range []int{2, 4, 7, 8, 9, 31, 32, 33, 39, 40, 41, 63, 64, 65, 1459, 1460, 1461, 1600} {
 		corpus = append(corpus, bytes.Repeat([]byte{0xFF}, n), make([]byte, n))
+	}
+	for _, w := range []uint64{0xFFFFFFFF_FFFF0001, 0x0000FFFF_FFFF0000, 0x00000001_0000FFFF, 0xFFFFFFFF_00000001} {
+		corpus = append(corpus, binary.LittleEndian.AppendUint64(nil, w))
 	}
 	return corpus
 }

@@ -211,6 +211,28 @@ func TestTCPHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPFlagsAreDisjointBits pins the flag constants to single bits,
+// none shared, at their RFC 793 positions: a flag that is the union of
+// two others (a reset spelled Syn|Ack) would pass every h.Flags&f test
+// meant for either.
+func TestTCPFlagsAreDisjointBits(t *testing.T) {
+	flags := []struct {
+		name string
+		f    uint8
+		bit  int
+	}{{"FIN", TCPFin, 0}, {"SYN", TCPSyn, 1}, {"RST", TCPRst, 2}, {"PSH", TCPPsh, 3}, {"ACK", TCPAck, 4}}
+	var union uint8
+	for _, fl := range flags {
+		if fl.f != 1<<fl.bit {
+			t.Errorf("TCP%s = %#02x, want bit %d (%#02x)", fl.name, fl.f, fl.bit, 1<<fl.bit)
+		}
+		if union&fl.f != 0 {
+			t.Errorf("TCP%s = %#02x shares a bit with the flags before it (%#02x)", fl.name, fl.f, union)
+		}
+		union |= fl.f
+	}
+}
+
 func TestTCPChecksumDetectsCorruption(t *testing.T) {
 	src, dst := IP4(10, 0, 0, 1), IP4(10, 0, 0, 2)
 	h := TCPHeader{SrcPort: 1, DstPort: 2, HasTS: true}

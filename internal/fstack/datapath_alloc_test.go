@@ -2,7 +2,10 @@
 
 package fstack
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestDatapathFrameZeroAllocs pins the observability hard constraint:
 // with every obs hook left nil (the zero ObsSpec), the steady-state
@@ -22,7 +25,9 @@ func TestDatapathFrameZeroAllocs(t *testing.T) {
 
 // TestSACKAckZeroAllocs pins both halves of a SACK-bearing ACK at zero
 // allocations: building the option from a reassembly queue with more
-// runs than fit, and parsing it back on the stack's input path.
+// runs than fit, and parsing it back on the stack's input path — and
+// parsing the four blocks a peer without timestamps may send (RFC 2018
+// §3), one more than the stack ever builds.
 func TestSACKAckZeroAllocs(t *testing.T) {
 	c := bareReceiver(t, 32<<10, 0)
 	s := c.stk
@@ -42,6 +47,22 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("a SACK-bearing ACK costs %v allocs, want 0", a)
+	}
+
+	four := []SACKBlock{{100, 200}, {300, 400}, {500, 600}, {700, 800}}
+	h := TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPAck, SACK: four}
+	hl := h.encodedLen()
+	if hl != 56 {
+		t.Fatalf("a four-block header is %d bytes, want 56", hl)
+	}
+	PutTCPHeader(seg, h, src, dst, hl)
+	if a := testing.AllocsPerRun(100, func() {
+		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:])
+		if err != nil || !slices.Equal(got.SACK, four) {
+			t.Fatalf("four blocks without timestamps: %+v, %v", got, err)
+		}
+	}); a != 0 {
+		t.Fatalf("a four-block SACK costs %v allocs, want 0", a)
 	}
 }
 

@@ -252,7 +252,9 @@ type Stack struct {
 	txOne   [1]*dpdk.Mbuf
 	// sackRx backs the SACK blocks of the segment being parsed, sackTx
 	// those of the ACK being built: input ACKs while its header is live.
-	sackRx, sackTx [MaxSACKBlocks]SACKBlock
+	// A peer without timestamps may send one more block than we do.
+	sackRx [maxSACKBlocksRx]SACKBlock
+	sackTx [MaxSACKBlocks]SACKBlock
 
 	tap   Tap
 	stats StackStats

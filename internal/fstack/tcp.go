@@ -36,6 +36,12 @@ const MaxSegData = MSSDefault - tsOptionLen // 1448
 // RFC 2018 arithmetic every timestamp-enabled stack lands on.
 const MaxSACKBlocks = 3
 
+// maxSACKBlocksRx is how many SACK blocks a peer may send: with
+// timestamps off the option has the whole 40 bytes to itself, and
+// (40-2)/8 leaves room for four (RFC 2018 §3). No legal header carries
+// more, whatever mix of options it spends its space on.
+const maxSACKBlocksRx = 4
+
 // MaxWScale caps the window-scale shift (RFC 7323 §2.3).
 const MaxWScale = 14
 
@@ -157,12 +163,15 @@ func PutTCPHeader(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
 // ParseTCPHeader unmarshals and validates a TCP segment, returning the
 // header and the data offset.
 func ParseTCPHeader(b []byte, src, dst IPv4Addr) (TCPHeader, int, error) {
-	return parseTCPHeader(b, src, dst, nil)
+	return parseTCPHeader(b, src, dst, make([]SACKBlock, 0, maxSACKBlocksRx))
 }
 
 // parseTCPHeader is ParseTCPHeader with caller-owned backing for the
 // SACK blocks (appended to sack[:0], which the header's SACK field then
-// aliases), so the input path parses a SACK-bearing ACK without allocating.
+// aliases), so the input path parses a SACK-bearing ACK without
+// allocating. It never appends past cap(sack): blocks beyond it are
+// ignored, and a backing of maxSACKBlocksRx holds every block a legal
+// header can carry.
 func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock) (TCPHeader, int, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: short TCP segment (%d bytes)", len(b))
@@ -210,7 +219,7 @@ func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock) (TCPHeader, i
 					h.SACKPermitted = true
 				}
 			case 5: // SACK blocks
-				for rest := body[2:]; len(rest) >= 8; rest = rest[8:] {
+				for rest := body[2:]; len(rest) >= 8 && len(h.SACK) < cap(h.SACK); rest = rest[8:] {
 					h.SACK = append(h.SACK, SACKBlock{
 						Start: binary.BigEndian.Uint32(rest[0:4]),
 						End:   binary.BigEndian.Uint32(rest[4:8]),
