@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -454,4 +455,76 @@ func TestEnvNowNSPaths(t *testing.T) {
 	if c2 := s1.Envs[0].NowNS(); c2 != clk.Now()+sim.TrampolineNS {
 		t.Fatalf("a tick later the cVM reads %d, want %d: bookings lapse with the clock", c2, clk.Now()+sim.TrampolineNS)
 	}
+}
+
+// TestAPIGatedStackRestart: a capability fault kills the stack compartment
+// of a Scenario 2 layout, whose API the app cVM reaches only through
+// gates. The supervisor revives it and re-seals the gates in place
+// (StackGates.Rebind); the app's HTTP server, restarted from the hook on
+// the very GatedAPI it was placed on, serves requests issued after the
+// fault to a resilient client on the peer.
+func TestAPIGatedStackRestart(t *testing.T) {
+	const faultAt = int64(100e6)
+	bed, err := testbed.Build(testbed.Spec{
+		Clk:     sim.NewVClock(),
+		Machine: testbed.MachineSpec{Name: "morello", Ports: 2, BusLimited: true},
+		Compartments: []testbed.CompartmentSpec{{
+			Name: "cvm1", CVM: true,
+			Ifs:     []testbed.IfSpec{{Port: 0}},
+			APIGate: true,
+			AppCVMs: []string{"cvm2"},
+		}},
+		Peers: []testbed.PeerSpec{{Port: 0}},
+		Faults: testbed.FaultSpec{
+			CapFaults: []testbed.CapFaultSpec{{Env: "cvm1", At: []int64{faultAt}}},
+			Restart:   testbed.RestartSpec{BackoffNS: s10BackoffNS, MaxBackoffNS: s10MaxBackoffNS, MaxRetries: s10MaxRetries},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := bed.Apps[0]
+	site := gated.Site()
+	if site.API != fstack.API(gated) {
+		t.Fatalf("the app site's API is %T, want the GatedAPI", site.API)
+	}
+	srv := app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, 256)
+	hooked := 0
+	bed.RestartHook = func(e *testbed.Env, now int64) {
+		if e != bed.Envs[0] {
+			t.Errorf("restart hook for %s, want cvm1", e.Name)
+		}
+		hooked++
+		srv.Restart(gated)
+	}
+	cli, err := app.NewHTTPClient(localIP(0), s10Port, 2, nil, 0, 300e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.Resilient = true
+	cli.TimeoutNS = s10TimeoutNS
+	var before, after uint64
+	cli.OnComplete = func(now, issued int64) {
+		if issued > faultAt {
+			after++
+		} else {
+			before++
+		}
+	}
+	if err := measure(bed, "api-gated restart", []placed{
+		{"server", site, srv},
+		{"client", bed.Peers[0].Site(), cli},
+	}, phase{budgetNS: 2_000e6, done: cli.Done}); err != nil {
+		t.Fatal(err)
+	}
+	if bed.Super.Restarts != 1 || bed.Super.GiveUps != 0 || hooked != 1 {
+		t.Fatalf("restarts %d, give-ups %d, hook ran %d times; want 1, 0, 1", bed.Super.Restarts, bed.Super.GiveUps, hooked)
+	}
+	if bed.Envs[0].CVM.Trapped() || bed.Apps[0] != gated {
+		t.Fatalf("after the run: stack cVM trapped %v, app view replaced %v", bed.Envs[0].CVM.Trapped(), bed.Apps[0] != gated)
+	}
+	if before == 0 || after == 0 {
+		t.Fatalf("completed %d requests issued before the fault and %d after, want both", before, after)
+	}
+	t.Logf("completed %d before the fault, %d after; lost %d, resets %d", before, after, cli.Lost(), cli.Resets())
 }

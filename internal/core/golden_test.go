@@ -2,14 +2,12 @@ package core
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/fstack"
 	"repro/internal/netem"
-	"repro/internal/sim"
 )
 
 // The golden files under testdata were captured from the pre-testbed
@@ -79,25 +77,31 @@ func TestGoldenTable2(t *testing.T) {
 	assertGolden(t, "table2.golden", FormatTable2(blocks))
 }
 
-// TestGoldenScenario3 pins the device-gate layout's bandwidth summary.
+// runEntry runs the registry entry name with args as `cherinet name args`
+// does and returns what it printed.
+func runEntry(t *testing.T, name string, args ...string) string {
+	t.Helper()
+	e, ok := LookupScenario(name)
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	run := e.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestGoldenScenario3 pins the device-gate layout's bandwidth summary as
+// `cherinet scenario3` prints it.
 func TestGoldenScenario3(t *testing.T) {
 	skipUnderRace(t)
-	var b strings.Builder
-	for _, dir := range []Direction{LocalIsServer, LocalIsClient} {
-		s, err := NewScenario3(sim.NewVClock())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := BandwidthPair(s, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "SCENARIO 3 — %s\n", dir)
-		for _, r := range res {
-			fmt.Fprintf(&b, "  %v\n", r)
-		}
-	}
-	assertGolden(t, "scenario3.golden", b.String())
+	assertGolden(t, "scenario3.golden", runEntry(t, "scenario3"))
 }
 
 // TestGoldenScenario4 pins a short sharding sweep (1 and 4 shards,
@@ -237,19 +241,6 @@ func TestGoldenScenario8(t *testing.T) {
 func TestGoldenFigures(t *testing.T) {
 	skipUnderRace(t)
 	for _, name := range []string{"fig4", "fig5", "fig6"} {
-		e, ok := LookupScenario(name)
-		if !ok {
-			t.Fatalf("%s is not registered", name)
-		}
-		fs := flag.NewFlagSet(name, flag.ContinueOnError)
-		run := e.Bind(fs)
-		if err := fs.Parse([]string{"-iters", "2000"}); err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := run(&b); err != nil {
-			t.Fatal(err)
-		}
-		assertGolden(t, name+".golden", b.String())
+		assertGolden(t, name+".golden", runEntry(t, name, "-iters", "2000"))
 	}
 }

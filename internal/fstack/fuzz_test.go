@@ -286,7 +286,7 @@ func (nowhere) NextDeadline(int, int64) int64    { return math.MaxInt64 }
 func inputRig(t testing.TB) (*sim.VClock, *Stack) {
 	t.Helper()
 	clk := sim.NewVClock()
-	stk, card := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
+	stk, card := buildMachine(t, clk, "0000:04:00", 2, rigIP, false)
 	card.Port(0).Attach(nowhere{}, 0)
 	lfd, _ := stk.Socket(SockStream)
 	ufd, _ := stk.Socket(SockDgram)
@@ -296,9 +296,43 @@ func inputRig(t testing.TB) (*sim.VClock, *Stack) {
 	return clk, stk
 }
 
+// The rig's addresses: the stack under test and the peer that sends it
+// frames.
+var (
+	rigIP, rigPeerIP   = IP4(10, 0, 0, 2), IP4(10, 0, 0, 1)
+	rigMAC, rigPeerMAC = MACAddr{2, 0, 0, 0, 0, 2}, MACAddr{2, 0, 0, 0, 0, 1}
+)
+
+// rigARPRequest is the peer asking for the rig stack's MAC, which also
+// puts the peer in the stack's ARP cache.
+func rigARPRequest() []byte {
+	b := make([]byte, EthHeaderLen+ARPPacketLen)
+	PutEthHeader(b, EthHeader{Dst: BroadcastMAC, Src: rigPeerMAC, Type: EtherTypeARP})
+	PutARPPacket(b[EthHeaderLen:], ARPPacket{Op: ARPRequest, SenderMAC: rigPeerMAC, SenderIP: rigPeerIP, TargetIP: rigIP})
+	return b
+}
+
+// rigFrame builds the peer's IPv4 frame to the rig stack around a
+// transport segment.
+func rigFrame(proto uint8, seg []byte) []byte {
+	b := make([]byte, EthHeaderLen+IPv4HeaderLen+len(seg))
+	PutEthHeader(b, EthHeader{Dst: rigMAC, Src: rigPeerMAC, Type: EtherTypeIPv4})
+	PutIPv4Header(b[EthHeaderLen:], IPv4Header{TotalLen: uint16(IPv4HeaderLen + len(seg)), TTL: 64, Proto: proto, Src: rigPeerIP, Dst: rigIP})
+	copy(b[EthHeaderLen+IPv4HeaderLen:], seg)
+	return b
+}
+
+// rigEcho is an ICMP echo message carrying payload.
+func rigEcho(h ICMPEcho, payload []byte) []byte {
+	b := make([]byte, ICMPHeaderLen+len(payload))
+	copy(b[ICMPHeaderLen:], payload)
+	PutICMPEcho(b, h)
+	return b
+}
+
 // repairChecksums recomputes the IPv4 header checksum and, where the
-// total length fits the frame, the TCP or UDP one, so a mutation reaches
-// the decoders behind the checksums instead of stopping at them.
+// total length fits the frame, the ICMP, TCP or UDP one, so a mutation
+// reaches the decoders behind the checksums instead of stopping at them.
 func repairChecksums(frame []byte) {
 	if len(frame) < EthHeaderLen+IPv4HeaderLen || binary.BigEndian.Uint16(frame[12:14]) != EtherTypeIPv4 {
 		return
@@ -317,6 +351,9 @@ func repairChecksums(frame []byte) {
 	src, dst := IPv4Addr(ip[12:16]), IPv4Addr(ip[16:20])
 	seg := ip[ihl:total]
 	switch {
+	case ip[9] == ProtoICMP && len(seg) >= ICMPHeaderLen:
+		seg[2], seg[3] = 0, 0
+		binary.BigEndian.PutUint16(seg[2:4], Checksum(seg))
 	case ip[9] == ProtoTCP && len(seg) >= TCPHeaderLen:
 		seg[16], seg[17] = 0, 0
 		binary.BigEndian.PutUint16(seg[16:18], transportChecksum(src, dst, ProtoTCP, seg))
@@ -334,29 +371,17 @@ func repairChecksums(frame []byte) {
 // the mbuf pool must be back to its level once the device has sent what
 // the stack answered: every frame is consumed or freed, none leaks.
 func FuzzFrameInput(f *testing.F) {
-	ip, peer := IP4(10, 0, 0, 2), IP4(10, 0, 0, 1)
-	mac, peerMAC := MACAddr{2, 0, 0, 0, 0, 2}, MACAddr{2, 0, 0, 0, 0, 1}
-	arp := make([]byte, EthHeaderLen+ARPPacketLen)
-	PutEthHeader(arp, EthHeader{Dst: BroadcastMAC, Src: peerMAC, Type: EtherTypeARP})
-	PutARPPacket(arp[EthHeaderLen:], ARPPacket{Op: ARPRequest, SenderMAC: peerMAC, SenderIP: peer, TargetIP: ip})
-	f.Add(arp)
-	// ipFrame builds an IPv4 frame around a transport segment.
-	ipFrame := func(proto uint8, seg []byte) []byte {
-		b := make([]byte, EthHeaderLen+IPv4HeaderLen+len(seg))
-		PutEthHeader(b, EthHeader{Dst: mac, Src: peerMAC, Type: EtherTypeIPv4})
-		PutIPv4Header(b[EthHeaderLen:], IPv4Header{TotalLen: uint16(IPv4HeaderLen + len(seg)), TTL: 64, Proto: proto, Src: peer, Dst: ip})
-		copy(b[EthHeaderLen+IPv4HeaderLen:], seg)
-		return b
-	}
+	f.Add(rigARPRequest())
+	f.Add(rigFrame(ProtoICMP, rigEcho(ICMPEcho{Type: ICMPEchoRequest, ID: 1, Seq: 1}, []byte("ping"))))
 	syn := TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: TCPSyn, Window: 65535, MSS: MSSDefault}
 	seg := make([]byte, syn.encodedLen())
-	PutTCPHeader(seg, syn, peer, ip, len(seg))
-	synFrame := ipFrame(ProtoTCP, seg)
+	PutTCPHeader(seg, syn, rigPeerIP, rigIP, len(seg))
+	synFrame := rigFrame(ProtoTCP, seg)
 	f.Add(synFrame)
 	dgram := make([]byte, UDPHeaderLen+5)
 	copy(dgram[UDPHeaderLen:], "query")
-	PutUDPHeader(dgram, UDPHeader{SrcPort: 40001, DstPort: 53, Length: uint16(len(dgram))}, peer, ip)
-	udpFrame := ipFrame(ProtoUDP, dgram)
+	PutUDPHeader(dgram, UDPHeader{SrcPort: 40001, DstPort: 53, Length: uint16(len(dgram))}, rigPeerIP, rigIP)
+	udpFrame := rigFrame(ProtoUDP, dgram)
 	f.Add(udpFrame)
 	short := slices.Clone(udpFrame)
 	short[EthHeaderLen] = 0x44 // IHL 4 (16 bytes) < 5
@@ -364,8 +389,8 @@ func FuzzFrameInput(f *testing.F) {
 	long := slices.Clone(udpFrame)
 	binary.BigEndian.PutUint16(long[EthHeaderLen+2:], uint16(len(long)-EthHeaderLen+100)) // total length past the frame
 	f.Add(long)
-	f.Add(ipFrame(ProtoTCP, seg[:TCPHeaderLen/2])) // truncated TCP header
-	off := ipFrame(ProtoTCP, seg[:TCPHeaderLen])
+	f.Add(rigFrame(ProtoTCP, seg[:TCPHeaderLen/2])) // truncated TCP header
+	off := rigFrame(ProtoTCP, seg[:TCPHeaderLen])
 	off[EthHeaderLen+IPv4HeaderLen+12] = 15 << 4 // data offset 60 > a 20-byte segment
 	f.Add(off)
 	f.Fuzz(func(t *testing.T, frame []byte) {

@@ -11,10 +11,10 @@ const (
 	ClockMonotonicRaw = 11
 )
 
-// Clock provides monotonic time in nanoseconds since boot. Every bed the
-// experiments build runs on a virtual clock (sim.VClock), its kernels
-// included; the real clock is what a bare kernel boots with and what the
-// host-cost probes in bench/ time against.
+// Clock provides monotonic time in nanoseconds since boot. A kernel boots
+// on the clock it is handed: every bed the experiments build runs on one
+// virtual clock (sim.VClock), its kernels included. The real clock is what
+// the host-cost probes in bench/ time against.
 type Clock interface {
 	Now() int64
 }

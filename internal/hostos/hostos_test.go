@@ -1,10 +1,6 @@
 package hostos
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestClockMonotonic(t *testing.T) {
 	c := NewRealClock()
@@ -15,27 +11,24 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
+// fixedClock is a clock that reads what the test sets.
+type fixedClock int64
+
+func (c *fixedClock) Now() int64 { return int64(*c) }
+
 func TestKernelClockGettime(t *testing.T) {
-	k, err := NewKernel(1 << 20)
+	clk := fixedClock(1_500_000_123)
+	k, err := NewKernel(&clk, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, n0, errno := k.Syscall(SysClockGettime, Args{ClockMonotonicRaw})
-	if errno != OK {
-		t.Fatalf("clock_gettime: %v", errno)
+	s, ns, errno := k.Syscall(SysClockGettime, Args{ClockMonotonicRaw})
+	if errno != OK || s != 1 || ns != 500_000_123 {
+		t.Fatalf("clock_gettime = %d s %d ns %v, want 1 s 500000123 ns OK", s, ns, errno)
 	}
-	if n0 >= 1e9 {
-		t.Fatalf("nsec field out of range: %d", n0)
-	}
-	time.Sleep(2 * time.Millisecond)
-	s1, n1, errno := k.Syscall(SysClockGettime, Args{ClockMonotonicRaw})
-	if errno != OK {
-		t.Fatal(errno)
-	}
-	t0 := int64(s0)*1e9 + int64(n0)
-	t1 := int64(s1)*1e9 + int64(n1)
-	if t1 <= t0 {
-		t.Fatalf("time did not advance: %d -> %d", t0, t1)
+	clk += 2_000_000_000
+	if s, ns, errno := k.Syscall(SysClockGettime, Args{ClockMonotonic}); errno != OK || s != 3 || ns != 500_000_123 {
+		t.Fatalf("clock_gettime after 2 s = %d s %d ns %v, want the kernel's clock", s, ns, errno)
 	}
 	if _, _, errno := k.Syscall(SysClockGettime, Args{999}); errno != EINVAL {
 		t.Fatalf("bad clock id: got %v, want EINVAL", errno)
@@ -43,7 +36,7 @@ func TestKernelClockGettime(t *testing.T) {
 }
 
 func TestKernelUnknownSyscall(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
+	k, _ := NewKernel(new(fixedClock), 1<<20)
 	if _, _, errno := k.Syscall(SysNo(123456), Args{}); errno != ENOSYS {
 		t.Fatalf("unknown syscall: got %v, want ENOSYS", errno)
 	}
@@ -123,91 +116,6 @@ func TestPageAllocCoalesce(t *testing.T) {
 	}
 }
 
-func TestUmtxWaitValueMismatchReturnsImmediately(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
-	addr := uint64(PageSize)
-	s, _ := k.Mem.RawSlice(addr, 4)
-	s[0] = 1 // *addr = 1
-	if errno := k.Umtx.WaitUint(addr, 0, 0); errno != OK {
-		t.Fatalf("mismatched wait: got %v, want immediate OK", errno)
-	}
-}
-
-func TestUmtxWaitWake(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
-	addr := uint64(PageSize)
-	var wg sync.WaitGroup
-	woken := make(chan Errno, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		woken <- k.Umtx.WaitUint(addr, 0, 0)
-	}()
-	// Give the waiter time to park, then wake it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := k.Umtx.Wake(addr, 1); n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	wg.Wait()
-	if errno := <-woken; errno != OK {
-		t.Fatalf("woken waiter: got %v, want OK", errno)
-	}
-}
-
-func TestUmtxTimeout(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
-	addr := uint64(PageSize)
-	start := time.Now()
-	errno := k.Umtx.WaitUint(addr, 0, 5*time.Millisecond)
-	if errno != ETIMEDOUT {
-		t.Fatalf("timed wait: got %v, want ETIMEDOUT", errno)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("returned before timeout")
-	}
-}
-
-func TestUmtxWakeWithoutWaiters(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
-	if n := k.Umtx.Wake(PageSize, 10); n != 0 {
-		t.Fatalf("wake with no waiters woke %d", n)
-	}
-}
-
-func TestUmtxViaSyscall(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
-	addr := uint64(PageSize)
-	done := make(chan struct{})
-	go func() {
-		k.Syscall(SysUmtxOp, Args{addr, UmtxOpWaitUint, 0, 0})
-		close(done)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n, _, errno := k.Syscall(SysUmtxOp, Args{addr, UmtxOpWake, 1})
-		if errno != OK {
-			t.Fatal(errno)
-		}
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("syscall waiter never parked")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	<-done
-	if _, _, errno := k.Syscall(SysUmtxOp, Args{addr, 999, 0}); errno != EINVAL {
-		t.Fatalf("bad umtx op: got %v, want EINVAL", errno)
-	}
-}
-
 type fakeDev struct{ bdf string }
 
 func (d *fakeDev) BDF() string               { return d.bdf }
@@ -248,7 +156,7 @@ func TestPCIRegisterUnbindClaim(t *testing.T) {
 }
 
 func TestMmapSyscall(t *testing.T) {
-	k, _ := NewKernel(1 << 20)
+	k, _ := NewKernel(new(fixedClock), 1<<20)
 	addr, _, errno := k.Syscall(SysMmap, Args{3 * PageSize})
 	if errno != OK {
 		t.Fatal(errno)

@@ -1,10 +1,6 @@
 package hostos
 
-import (
-	"time"
-
-	"repro/internal/cheri"
-)
+import "repro/internal/cheri"
 
 // SysNo is a syscall number.
 type SysNo int
@@ -14,9 +10,6 @@ const (
 	// SysClockGettime returns the time of the clock in a0; r0=sec,
 	// r1=nsec.
 	SysClockGettime SysNo = 232
-	// SysUmtxOp performs the umtx operation a1 on address a0 with value
-	// a2 and timeout a3 (ns; 0 = infinite). r0 = woken count for wake.
-	SysUmtxOp SysNo = 454
 	// SysMmap reserves a0 bytes of page memory; r0 = base address.
 	SysMmap SysNo = 477
 	// SysMunmap releases the reservation [a0, a0+a1).
@@ -30,14 +23,14 @@ type Args [6]uint64
 type Kernel struct {
 	Mem   *cheri.TMem
 	Clk   Clock
-	Umtx  *Umtx
 	Pages *PageAlloc
 	PCI   *PCI
 }
 
-// NewKernel boots a host kernel over memSize bytes of tagged memory. The
-// first page is reserved (null page); the rest is the mmap arena.
-func NewKernel(memSize uint64) (*Kernel, error) {
+// NewKernel boots a host kernel on clk over memSize bytes of tagged
+// memory. The first page is reserved (null page); the rest is the mmap
+// arena.
+func NewKernel(clk Clock, memSize uint64) (*Kernel, error) {
 	mem := cheri.NewTMem(memSize)
 	pages, err := NewPageAlloc(PageSize, mem.Size()-PageSize)
 	if err != nil {
@@ -45,8 +38,7 @@ func NewKernel(memSize uint64) (*Kernel, error) {
 	}
 	return &Kernel{
 		Mem:   mem,
-		Clk:   NewRealClock(),
-		Umtx:  NewUmtx(mem),
+		Clk:   clk,
 		Pages: pages,
 		PCI:   NewPCI(),
 	}, nil
@@ -61,16 +53,6 @@ func (k *Kernel) Syscall(num SysNo, a Args) (r0, r1 uint64, errno Errno) {
 		case ClockMonotonic, ClockMonotonicRaw:
 			ns := k.Clk.Now()
 			return uint64(ns / 1e9), uint64(ns % 1e9), OK
-		default:
-			return 0, 0, EINVAL
-		}
-	case SysUmtxOp:
-		switch a[1] {
-		case UmtxOpWaitUint:
-			return 0, 0, k.Umtx.WaitUint(a[0], uint32(a[2]), time.Duration(a[3]))
-		case UmtxOpWake:
-			n := k.Umtx.Wake(a[0], int(a[2]))
-			return uint64(n), 0, OK
 		default:
 			return 0, 0, EINVAL
 		}

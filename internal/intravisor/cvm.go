@@ -58,7 +58,14 @@ type CVM struct {
 
 	state State
 	trap  *cheri.Fault
+
+	// mapped is what the proxy's mmap handed the cVM and it has not
+	// unmapped: the only ranges its munmap reaches.
+	mapped []span
 }
+
+// span is a page-aligned range [base, base+size) of machine memory.
+type span struct{ base, size uint64 }
 
 // Base returns the base address of the cVM's memory window.
 func (c *CVM) Base() uint64 { return c.base }

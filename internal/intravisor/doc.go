@@ -10,10 +10,13 @@
 // that saves the register state, clears volatile capability registers,
 // and enters the Intravisor through a sealed entry pair (CInvoke / blrs
 // on Morello). The Intravisor proxy translates musl-flavoured syscalls
-// to their CheriBSD equivalents (futex -> umtx, Linux clock ids ->
-// FreeBSD clock ids), validates that every address the cVM passed lies
-// inside that cVM's DDC, performs the host syscall, and returns through
-// the saved frame.
+// to their CheriBSD equivalents and performs them: clock_gettime (Linux
+// clock ids -> FreeBSD clock ids), mmap, and munmap of a range inside
+// what that cVM's own mmap was handed — never another cVM's window or the
+// code window. Anything else is ENOSYS, futex included: the paper's
+// futex -> umtx sleep on the contended F-Stack mutex is the modelled
+// sim.HandoffNS, booked at the gate (DESIGN.md §15), because a bed runs
+// on one goroutine and a parked cVM would never be woken.
 //
 // The same mechanism implements the cross-compartment call gates used by
 // Scenario 2, where an application cVM invokes F-Stack API wrappers that

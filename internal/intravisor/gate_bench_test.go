@@ -5,17 +5,14 @@ import (
 
 	"repro/internal/cheri"
 	"repro/internal/hostos"
-	"repro/internal/sim"
 )
 
 // gateBed is a stack cVM exporting one gate that answers a[0]+1, an app
 // cVM calling it, and a 16 KiB buffer capability of the app's (the shape
-// of the ff_write gate's argument), on a virtual clock so no crossing
-// reads the host's.
+// of the ff_write gate's argument).
 func gateBed(tb testing.TB) (g *Gate, app *CVM, buf cheri.Cap) {
 	tb.Helper()
 	iv := newIV(tb)
-	iv.K.Clk = sim.NewVClock()
 	stack, _ := iv.CreateCVM("stack", 1<<20)
 	app, _ = iv.CreateCVM("app", 1<<20)
 	g, err := iv.NewGate(stack, func(_ *CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) { return a[0] + 1, hostos.OK })

@@ -2,7 +2,6 @@ package intravisor
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cheri"
 	"repro/internal/hostos"
@@ -11,7 +10,7 @@ import (
 
 func newIV(t testing.TB) *Intravisor {
 	t.Helper()
-	k, err := hostos.NewKernel(16 << 20)
+	k, err := hostos.NewKernel(sim.NewVClock(), 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +141,10 @@ func TestTrampolineClockGettime(t *testing.T) {
 	if t0 < 0 {
 		t.Fatal("NowNS failed")
 	}
-	time.Sleep(time.Millisecond)
+	iv.K.Clk.(*sim.VClock).Advance(1_000_000)
 	t1 := c.NowNS()
-	if t1 <= t0 {
-		t.Fatalf("cVM clock did not advance: %d -> %d", t0, t1)
+	if t1 < t0+1_000_000 {
+		t.Fatalf("cVM clock did not follow the kernel's: %d -> %d", t0, t1)
 	}
 	if iv.Crossings.Load() < 2 {
 		t.Fatalf("crossings = %d, want >= 2", iv.Crossings.Load())
@@ -209,58 +208,6 @@ func TestTrampolinePreservesContext(t *testing.T) {
 	call.SetReg(8, reg)
 	if c.ctx.Reg(7) != reg || c.ctx.Reg(8) != cheri.NullCap {
 		t.Fatalf("a write to the per-call context reached the template: r7 %v, r8 %v", c.ctx.Reg(7), c.ctx.Reg(8))
-	}
-}
-
-func TestFutexTranslation(t *testing.T) {
-	iv := newIV(t)
-	c, _ := iv.CreateCVM("c", 1<<20)
-	word := c.Base() // first word of the window
-	if err := c.Store(word, []byte{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Only the waiting cVM's goroutine runs cVM code: the waker is the
-	// host side, straight into the kernel's umtx table the proxy
-	// translated the wait onto.
-	done := make(chan hostos.Errno, 1)
-	go func() { done <- c.FutexWait(word, 0) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n, _, errno := iv.K.Syscall(hostos.SysUmtxOp, hostos.Args{word, hostos.UmtxOpWake, 1})
-		if errno != hostos.OK {
-			t.Fatalf("umtx wake: %v", errno)
-		}
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("futex waiter never parked")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if errno := <-done; errno != hostos.OK {
-		t.Fatalf("futex wait: %v", errno)
-	}
-}
-
-func TestFutexAddressValidation(t *testing.T) {
-	iv := newIV(t)
-	a, _ := iv.CreateCVM("a", 1<<20)
-	b, _ := iv.CreateCVM("b", 1<<20)
-	// a tries to futex-wait on a word inside b's window: the proxy must
-	// refuse (EFAULT), not touch the foreign memory.
-	if errno := a.FutexWait(b.Base(), 0); errno != hostos.EFAULT {
-		t.Fatalf("foreign futex: got %v, want EFAULT", errno)
-	}
-	// The private flag is masked, not rejected.
-	_, _, errno := a.Syscall(MuslFutex,
-		hostos.Args{a.Base(), LinuxFutexWake | linuxFutexPrivateFlag, 1})
-	if errno != hostos.OK {
-		t.Fatalf("private-flag wake: %v", errno)
-	}
-	// Unknown futex op.
-	if _, _, errno := a.Syscall(MuslFutex, hostos.Args{a.Base(), 42, 0}); errno != hostos.EINVAL {
-		t.Fatalf("bad futex op: got %v, want EINVAL", errno)
 	}
 }
 
@@ -370,6 +317,98 @@ func TestMmapThroughProxy(t *testing.T) {
 	}
 }
 
+// TestMunmapCannotFreeAnotherWindow: a cVM that unmaps another cVM's
+// window must neither free it nor let the next cVM be placed over it —
+// which would leave two live DDCs covering the same memory.
+func TestMunmapCannotFreeAnotherWindow(t *testing.T) {
+	iv := newIV(t)
+	a, _ := iv.CreateCVM("a", 1<<20)
+	b, _ := iv.CreateCVM("b", 1<<20)
+	free := iv.K.Pages.FreeBytes()
+	if _, _, errno := a.Syscall(MuslMunmap, hostos.Args{b.Base(), b.Size()}); errno == hostos.OK {
+		t.Fatalf("a unmapped b's window [%#x,+%#x)", b.Base(), b.Size())
+	}
+	if got := iv.K.Pages.FreeBytes(); got != free {
+		t.Fatalf("free bytes %d -> %d after a refused munmap", free, got)
+	}
+	c, err := iv.CreateCVM("c", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Base() < b.Base()+b.Size() && b.Base() < c.Base()+c.Size() {
+		t.Fatalf("c's window [%#x,+%#x) overlaps b's [%#x,+%#x)", c.Base(), c.Size(), b.Base(), b.Size())
+	}
+}
+
+// TestProxiedSyscallsStayInTheirWindow walks every musl syscall the proxy
+// serves, and futex, which it does not: no call reaches another cVM's
+// window or the Intravisor's code window, and only a munmap inside what
+// the caller's own mmap was handed frees anything.
+func TestProxiedSyscallsStayInTheirWindow(t *testing.T) {
+	iv := newIV(t)
+	a, _ := iv.CreateCVM("a", 1<<20)
+	b, _ := iv.CreateCVM("b", 1<<20)
+	m, _, errno := a.Syscall(MuslMmap, hostos.Args{3*hostos.PageSize - 100})
+	if errno != hostos.OK {
+		t.Fatalf("mmap: %v", errno)
+	}
+	bm, _, errno := b.Syscall(MuslMmap, hostos.Args{hostos.PageSize})
+	if errno != hostos.OK {
+		t.Fatalf("mmap: %v", errno)
+	}
+	code := iv.codeCap
+	const pg = hostos.PageSize
+	for _, row := range []struct {
+		name  string
+		num   MuslSysNo
+		args  hostos.Args
+		errno hostos.Errno
+		freed uint64 // bytes the call returns to the kernel
+		by    *CVM   // the caller; nil is a
+	}{
+		{"clock_gettime", MuslClockGettime, hostos.Args{LinuxClockMonotonic}, hostos.OK, 0, nil},
+		{"clock_gettime, unknown clock", MuslClockGettime, hostos.Args{77}, hostos.EINVAL, 0, nil},
+		{"mmap of nothing", MuslMmap, hostos.Args{0}, hostos.EINVAL, 0, nil},
+		{"futex wait on another cVM's word", 98, hostos.Args{b.Base(), 0, 0}, hostos.ENOSYS, 0, nil},
+		{"futex wake", 98, hostos.Args{a.Base(), 1, 1}, hostos.ENOSYS, 0, nil},
+		{"munmap of another cVM's window", MuslMunmap, hostos.Args{b.Base(), b.Size()}, hostos.EINVAL, 0, nil},
+		{"munmap of a page of another cVM's window", MuslMunmap, hostos.Args{b.Base() + pg, pg}, hostos.EINVAL, 0, nil},
+		{"munmap of another cVM's mapping", MuslMunmap, hostos.Args{bm, pg}, hostos.EINVAL, 0, nil},
+		{"munmap of the code window", MuslMunmap, hostos.Args{code.Base(), code.Len()}, hostos.EINVAL, 0, nil},
+		{"munmap of its own window", MuslMunmap, hostos.Args{a.Base(), a.Size()}, hostos.EINVAL, 0, nil},
+		{"munmap past its mapping", MuslMunmap, hostos.Args{m, 4 * pg}, hostos.EINVAL, 0, nil},
+		{"munmap of nothing", MuslMunmap, hostos.Args{m, 0}, hostos.EINVAL, 0, nil},
+		{"munmap of a wrapping length", MuslMunmap, hostos.Args{m + pg, ^uint64(0)}, hostos.EINVAL, 0, nil},
+		{"munmap unaligned", MuslMunmap, hostos.Args{m + 8, pg}, hostos.EINVAL, 0, nil},
+		{"munmap of its mapping's middle page", MuslMunmap, hostos.Args{m + pg, pg}, hostos.OK, pg, nil},
+		{"munmap of that page again", MuslMunmap, hostos.Args{m + pg, pg}, hostos.EINVAL, 0, nil},
+		{"munmap across the hole", MuslMunmap, hostos.Args{m, 3 * pg}, hostos.EINVAL, 0, nil},
+		{"munmap of what is left, rounded up", MuslMunmap, hostos.Args{m, 1}, hostos.OK, pg, nil},
+		{"munmap of the last page", MuslMunmap, hostos.Args{m + 2*pg, pg}, hostos.OK, pg, nil},
+		{"munmap of a mapping by its owner", MuslMunmap, hostos.Args{bm, pg}, hostos.OK, pg, b},
+	} {
+		caller := a
+		if row.by != nil {
+			caller = row.by
+		}
+		free := iv.K.Pages.FreeBytes()
+		if _, _, errno := caller.Syscall(row.num, row.args); errno != row.errno {
+			t.Errorf("%s: got %v, want %v", row.name, errno, row.errno)
+		}
+		if got := iv.K.Pages.FreeBytes() - free; got != row.freed {
+			t.Errorf("%s: freed %d bytes, want %d", row.name, got, row.freed)
+		}
+		for _, c := range []*CVM{a, b} {
+			if c.Trapped() {
+				t.Fatalf("%s: cVM %s trapped", row.name, c.Name)
+			}
+		}
+	}
+	if len(a.mapped) != 0 || len(b.mapped) != 0 {
+		t.Fatalf("spans left after every page was unmapped: a %v, b %v", a.mapped, b.mapped)
+	}
+}
+
 // TestGateBooksTheCrossing pins the booking site on a virtual clock: a
 // served call leaves caller and callee busy through the caller's wait for
 // the callee, the work the target booked and one gate crossing; a
@@ -378,8 +417,7 @@ func TestMmapThroughProxy(t *testing.T) {
 // hand-off until the refused one is served.
 func TestGateBooksTheCrossing(t *testing.T) {
 	iv := newIV(t)
-	clk := sim.NewVClock()
-	iv.K.Clk = clk
+	clk := iv.K.Clk.(*sim.VClock)
 	clk.Advance(1_000_000)
 	now := clk.Now()
 	stack, _ := iv.CreateCVM("stack", 1<<20)

@@ -1,7 +1,7 @@
 package intravisor
 
 import (
-	"time"
+	"slices"
 
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -12,12 +12,11 @@ import (
 // trampoline calls carrying these numbers (§III-B).
 type MuslSysNo int
 
-// The musl syscalls the compartmentalized stack issues.
+// The musl syscalls the proxy serves; any other number (futex(2), 98,
+// among them) is ENOSYS.
 const (
 	// MuslClockGettime is Linux clock_gettime(2).
 	MuslClockGettime MuslSysNo = 113
-	// MuslFutex is Linux futex(2); the proxy translates it to umtx.
-	MuslFutex MuslSysNo = 98
 	// MuslMmap is Linux mmap(2).
 	MuslMmap MuslSysNo = 222
 	// MuslMunmap is Linux munmap(2).
@@ -28,14 +27,6 @@ const (
 const (
 	LinuxClockMonotonic    = 1
 	LinuxClockMonotonicRaw = 4
-)
-
-// Linux futex ops (FUTEX_PRIVATE_FLAG masked off by the proxy).
-const (
-	LinuxFutexWait = 0
-	LinuxFutexWake = 1
-
-	linuxFutexPrivateFlag = 128
 )
 
 // Syscall is the musl trampoline: the only road from a cVM to the host
@@ -70,9 +61,9 @@ func (c *CVM) Syscall(num MuslSysNo, a hostos.Args) (r0, r1 uint64, errno hostos
 }
 
 // proxy translates a musl syscall into its CheriBSD equivalent and
-// performs it. Addresses supplied by the cVM are validated against the
-// cVM's DDC before they reach the kernel: the Intravisor "correctly
-// handles the capabilities and mediates the access to the OS" (§II-B).
+// performs it. An address the cVM supplies reaches the kernel only inside
+// what the Intravisor handed that cVM: the Intravisor "correctly handles
+// the capabilities and mediates the access to the OS" (§II-B).
 func (iv *Intravisor) proxy(c *CVM, num MuslSysNo, a hostos.Args) (r0, r1 uint64, errno hostos.Errno) {
 	switch num {
 	case MuslClockGettime:
@@ -87,38 +78,51 @@ func (iv *Intravisor) proxy(c *CVM, num MuslSysNo, a hostos.Args) (r0, r1 uint64
 		}
 		return iv.K.Syscall(hostos.SysClockGettime, hostos.Args{clk})
 
-	case MuslFutex:
-		addr := a[0]
-		op := a[1] &^ linuxFutexPrivateFlag
-		val := a[2]
-		timeout := a[3]
-		// The futex word must lie inside the calling cVM's window.
-		if err := c.ddc.CheckLoad(addr, 4); err != nil {
-			return 0, 0, hostos.EFAULT
-		}
-		switch op {
-		case LinuxFutexWait:
-			return iv.K.Syscall(hostos.SysUmtxOp,
-				hostos.Args{addr, hostos.UmtxOpWaitUint, val, timeout})
-		case LinuxFutexWake:
-			return iv.K.Syscall(hostos.SysUmtxOp,
-				hostos.Args{addr, hostos.UmtxOpWake, val})
-		default:
-			return 0, 0, hostos.EINVAL
-		}
-
 	case MuslMmap:
-		// Length only; the proxy allocates inside the host arena. The
-		// region is NOT added to the cVM's DDC automatically — the
-		// Intravisor distributes capabilities explicitly.
-		return iv.K.Syscall(hostos.SysMmap, hostos.Args{a[0]})
+		// Length only; the proxy allocates inside the host arena and
+		// records the span. The region is NOT added to the cVM's DDC
+		// automatically — the Intravisor distributes capabilities
+		// explicitly.
+		addr, _, errno := iv.K.Syscall(hostos.SysMmap, hostos.Args{a[0]})
+		if errno == hostos.OK {
+			c.mapped = append(c.mapped, span{addr, pageUp(a[0])})
+		}
+		return addr, 0, errno
 
 	case MuslMunmap:
-		return iv.K.Syscall(hostos.SysMunmap, hostos.Args{a[0], a[1]})
+		return 0, 0, c.unmap(a[0], pageUp(a[1]))
 
 	default:
 		return 0, 0, hostos.ENOSYS
 	}
+}
+
+// pageUp rounds n up to whole pages, as mmap(2) and munmap(2) do.
+func pageUp(n uint64) uint64 { return (n + hostos.PageSize - 1) &^ (hostos.PageSize - 1) }
+
+// unmap releases [addr, addr+n) if it lies inside one span the proxy's
+// mmap handed c, and keeps what is left of that span either side. Any
+// other range is EINVAL and never reaches the kernel, whose allocator
+// frees whatever is allocated: another cVM's window, the code window.
+func (c *CVM) unmap(addr, n uint64) hostos.Errno {
+	for i, s := range c.mapped {
+		off := addr - s.base
+		if addr < s.base || off >= s.size || n == 0 || n > s.size-off {
+			continue
+		}
+		if _, _, errno := c.iv.K.Syscall(hostos.SysMunmap, hostos.Args{addr, n}); errno != hostos.OK {
+			return errno
+		}
+		c.mapped = slices.Delete(c.mapped, i, i+1)
+		if off > 0 {
+			c.mapped = append(c.mapped, span{s.base, off})
+		}
+		if off+n < s.size {
+			c.mapped = append(c.mapped, span{addr + n, s.size - off - n})
+		}
+		return hostos.OK
+	}
+	return hostos.EINVAL
 }
 
 // NowNS reads CLOCK_MONOTONIC_RAW through the trampoline, the way the
@@ -131,11 +135,5 @@ func (c *CVM) NowNS() int64 {
 	if errno != hostos.OK {
 		return -1
 	}
-	return c.Core.At(int64(s)*int64(time.Second) + int64(ns))
-}
-
-// FutexWait parks the caller while the word at addr equals val.
-func (c *CVM) FutexWait(addr uint64, val uint32) hostos.Errno {
-	_, _, errno := c.Syscall(MuslFutex, hostos.Args{addr, LinuxFutexWait, uint64(val), 0})
-	return errno
+	return c.Core.At(int64(s)*1e9 + int64(ns))
 }

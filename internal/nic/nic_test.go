@@ -418,7 +418,7 @@ func TestDualPortMACs(t *testing.T) {
 }
 
 func TestRegisterPCI(t *testing.T) {
-	k, err := hostos.NewKernel(1 << 20)
+	k, err := hostos.NewKernel(sim.NewVClock(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

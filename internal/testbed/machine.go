@@ -65,11 +65,11 @@ func machineMem(comps []CompartmentSpec) uint64 {
 // slot. Its memory is what comps take, its card does capability DMA iff
 // they are cVMs, and cVMs get their Intravisor here.
 func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms MachineSpec, comps []CompartmentSpec) (*Machine, error) {
-	k, err := hostos.NewKernel(machineMem(comps))
+	// One clock per bed: a compartment reads the time its stack runs on.
+	k, err := hostos.NewKernel(clk, machineMem(comps))
 	if err != nil {
 		return nil, err
 	}
-	k.Clk = clk // one clock per bed: a compartment reads the time its stack runs on
 	ncfg := nic.Config{
 		BDFBase:     fmt.Sprintf("0000:03:%02x", macLast),
 		Ports:       ms.Ports,
