@@ -45,12 +45,13 @@ func main() {
 	stackEnv := setup.Envs[0]
 	ground := setup.Peers[0].Env
 
-	// Ground station: UDP listener on the MAVLink port.
+	// Ground station: UDP listener on the MAVLink port, drained in its
+	// stack's main loop.
 	gapi := ground.Stk
 	gfd, _ := gapi.Socket(fstack.SockDgram)
 	gapi.Bind(gfd, fstack.IPv4Addr{}, 14550)
 	var received [][]byte
-	ground.Loop.OnLoop = func(now int64) {
+	ground.Stk.OnLoop = func(now int64) {
 		buf := make([]byte, 512)
 		for {
 			n, _, _, errno := gapi.RecvFrom(gfd, buf)
@@ -84,8 +85,9 @@ func main() {
 		}
 	}
 
-	// The app cVM is outside every stack's loop: the driver steps it
-	// after the loops, as core.measure does for a loop-less site.
+	// The app cVM is outside every stack's main loop: the driver steps
+	// it after each round of stack iterations, as core.measure does for
+	// a loop-less site.
 	loops := setup.Loops()
 	for i := 0; i < 200000 && len(received) < wanted; i++ {
 		for _, l := range loops {

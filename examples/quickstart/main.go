@@ -30,13 +30,14 @@ func main() {
 	fmt.Printf("booted %s: stack in compartment [%#x,+%#x), capability mode %v\n",
 		cvm1.Name, cvm1.CVM.Base(), cvm1.CVM.Size(), cvm1.CapMode())
 
-	// The peer machine runs a TCP echo service in its main loop.
+	// The peer machine runs a TCP echo service in its stack's main loop:
+	// OnLoop runs at the end of every iteration.
 	var echoFDs []int
 	papi := peer.Stk
 	lfd, _ := papi.Socket(fstack.SockStream)
 	papi.Bind(lfd, fstack.IPv4Addr{}, 7)
 	papi.Listen(lfd, 4)
-	peer.Loop.OnLoop = func(now int64) {
+	peer.Stk.OnLoop = func(now int64) {
 		if fd, _, _, errno := papi.Accept(lfd); errno == hostos.OK {
 			echoFDs = append(echoFDs, fd)
 		}
@@ -61,7 +62,7 @@ func main() {
 	msg := []byte("hello from a CHERI compartment")
 	var got []byte
 	sent := false
-	cvm1.Loop.OnLoop = func(now int64) {
+	cvm1.Stk.OnLoop = func(now int64) {
 		if !sent {
 			if n, errno := api.Write(fd, msg); errno == hostos.OK && n == len(msg) {
 				sent = true
@@ -74,7 +75,8 @@ func main() {
 		}
 	}
 
-	// Drive both machines in lockstep virtual time.
+	// Drive both machines in lockstep virtual time: every stack of the
+	// bed is one main loop, and RunOnce is one iteration of it.
 	loops := setup.Loops()
 	for i := 0; i < 100000 && len(got) < len(msg); i++ {
 		for _, l := range loops {

@@ -44,11 +44,11 @@ func TestIperfClientServerOverStack(t *testing.T) {
 	srv := app.NewIperfServer(fstack.IPv4Addr{}, 5201)
 	// Server runs on the peer, client on the local box.
 	papi := s.Peers[0].Env.Stk
-	s.Peers[0].Env.Loop.OnLoop = func(now int64) { srv.Step(papi, now) }
+	s.Peers[0].Env.Stk.OnLoop = func(now int64) { srv.Step(papi, now) }
 	cli := app.NewIperfClient(fstack.IP4(10, 0, 0, 2), 5201, 100e6 /* 100 ms */)
 	cli.IntervalNS = 20e6 // 20 ms windows
 	lapi := s.Envs[0].Stk
-	s.Envs[0].Loop.OnLoop = func(now int64) { cli.Step(lapi, now) }
+	s.Envs[0].Stk.OnLoop = func(now int64) { cli.Step(lapi, now) }
 	loops := s.Loops()
 	for i := 0; i < 200_000 && !(cli.Done() && srv.Done()); i++ {
 		for _, l := range loops {
@@ -94,7 +94,7 @@ func TestIperfClientConnectionRefused(t *testing.T) {
 	}
 	cli := app.NewIperfClient(fstack.IP4(10, 0, 0, 2), 9999, 50e6)
 	lapi := s.Envs[0].Stk
-	s.Envs[0].Loop.OnLoop = func(now int64) { cli.Step(lapi, now) }
+	s.Envs[0].Stk.OnLoop = func(now int64) { cli.Step(lapi, now) }
 	loops := s.Loops()
 	for i := 0; i < 100_000 && !cli.Done(); i++ {
 		for _, l := range loops {

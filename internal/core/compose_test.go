@@ -86,7 +86,7 @@ func runComposedObs(t *testing.T, shards int, layout string, upload bool, o test
 		run.received += rep.recv.Bytes
 	}
 	for i := 0; i < shards; i++ {
-		st := s.Sharded.Shard(i).Stats()
+		st := s.Sharded.Shards()[i].Stats()
 		run.shardRx = append(run.shardRx, st.RxFrames)
 		run.frames += st.RxFrames + st.TxFrames
 	}

@@ -169,7 +169,7 @@ func TestMeasurePlacesMixedSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := s.AppSites()
-	if len(sites) != 2 || sites[0].Name != "app1" || sites[0].Loop != nil || sites[1].Loop != s.Envs[1].Loop {
+	if len(sites) != 2 || sites[0].Name != "app1" || sites[0].Loop != nil || sites[1].Loop != s.Envs[1].Stk {
 		t.Fatalf("application sites %+v, want app cVM app1 (driver-stepped), then cvm2 in its own loop", sites)
 	}
 	var log []string

@@ -207,19 +207,7 @@ type driverRecording struct {
 // tapAll installs a frame-trace tap on every stack of the bed — local
 // compartments (each shard of a sharded one), then peers.
 func tapAll(s *Setup) []*traceTap {
-	var stacks []*fstack.Stack
-	for _, e := range s.Envs {
-		if e.Sharded != nil {
-			for i := 0; i < e.Sharded.NumShards(); i++ {
-				stacks = append(stacks, e.Sharded.Shard(i))
-			}
-		} else {
-			stacks = append(stacks, e.Stk)
-		}
-	}
-	for _, p := range s.Peers {
-		stacks = append(stacks, p.Env.Stk)
-	}
+	stacks := s.Loops()
 	taps := make([]*traceTap, len(stacks))
 	for i, stk := range stacks {
 		taps[i] = &traceTap{}

@@ -271,9 +271,9 @@ func TestScenario4ShardedStatsConsistency(t *testing.T) {
 		}
 		checks++
 		agg := ss.Stats()
-		sum := ss.Shard(0).Stats()
+		sum := ss.Shards()[0].Stats()
 		for i := 1; i < ss.NumShards(); i++ {
-			sh := ss.Shard(i).Stats()
+			sh := ss.Shards()[i].Stats()
 			sum.Add(sh)
 		}
 		if agg != sum {

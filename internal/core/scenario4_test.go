@@ -84,7 +84,7 @@ func TestScenario4ShardCountersSumToAggregate(t *testing.T) {
 	var rx, tx uint64
 	busy := 0
 	for i := 0; i < s.Sharded.NumShards(); i++ {
-		st := s.Sharded.Shard(i).Stats()
+		st := s.Sharded.Shards()[i].Stats()
 		rx += st.RxFrames
 		tx += st.TxFrames
 		if st.TxFrames > 0 {

@@ -115,7 +115,7 @@ func TestScenario6DownloadMode(t *testing.T) {
 	// traffic.
 	active := 0
 	for i := 0; i < s.Sharded.NumShards(); i++ {
-		if st := s.Sharded.Shard(i).Stats(); st.RxFrames > 0 {
+		if st := s.Sharded.Shards()[i].Stats(); st.RxFrames > 0 {
 			active++
 		}
 	}

@@ -122,9 +122,9 @@ func TestScenario8ShardedStatsConsistency(t *testing.T) {
 		}
 		checks++
 		agg := ss.Stats()
-		sum := ss.Shard(0).Stats()
+		sum := ss.Shards()[0].Stats()
 		for i := 1; i < ss.NumShards(); i++ {
-			sum.Add(ss.Shard(i).Stats())
+			sum.Add(ss.Shards()[i].Stats())
 		}
 		if agg != sum {
 			mismatches++
@@ -139,8 +139,10 @@ func TestScenario8ShardedStatsConsistency(t *testing.T) {
 		if n := ss.ConnCount(); n < 0 {
 			t.Errorf("at %d ns: negative conn count %d", now, n)
 		}
-		if d := ss.AcceptQueueDepth(); d < 0 {
-			t.Errorf("at %d ns: negative accept-queue depth %d", now, d)
+		for _, stk := range ss.Shards() {
+			if d := stk.AcceptQueueDepth(); d < 0 {
+				t.Errorf("at %d ns: negative accept-queue depth %d", now, d)
+			}
 		}
 	}
 	defer func() { visitHook = nil }()

@@ -189,9 +189,9 @@ func TestScenario9ShardedStatsConsistency(t *testing.T) {
 			}
 			checks++
 			want := ss.Stats()
-			got := ss.Shard(0).Stats()
+			got := ss.Shards()[0].Stats()
 			for i := 1; i < ss.NumShards(); i++ {
-				got.Add(ss.Shard(i).Stats())
+				got.Add(ss.Shards()[i].Stats())
 			}
 			if got != want {
 				mismatches++

@@ -32,7 +32,7 @@ func (r Table1Row) String() string {
 // equivalents of the `__capability` qualifiers and the modified API
 // signatures of §III-B).
 var capLinePattern = regexp.MustCompile(
-	`cheri\.(Cap|TMem)|WriteCap|ReadCap|writeFromCap|readIntoCap|CheckedSlice|CapMode|capMode|stageCap|DeriveBuf`)
+	`cheri\.(Cap|TMem)|WriteCap|ReadCap|CheckedSlice|CapMode|capMode|stageCap|DeriveBuf`)
 
 // fstackDir locates the fstack sources relative to this file.
 func fstackDir() (string, error) {

@@ -43,7 +43,9 @@ func TestPreloadAllocsPerConn(t *testing.T) {
 	nic.Connect(cardA.Port(0), cardB.Port(0))
 	tune := TCPTuning{LazyBuffers: true} // idle conns hold no segment memory
 	stkA.SetTCPTuning(tune)
-	ss.SetTCPTuning(tune)
+	for _, s := range ss.Shards() {
+		s.SetTCPTuning(tune)
+	}
 	api := ss.API()
 	lfd, _ := api.Socket(SockStream)
 	if errno := api.Bind(lfd, IPv4Addr{}, 8080); errno != hostos.OK {
@@ -66,8 +68,8 @@ func TestPreloadAllocsPerConn(t *testing.T) {
 					t.Fatalf("%d of %d connections of a batch accepted", accepted, batch)
 				}
 				stkA.PollOnce()
-				for _, l := range ss.Loops() {
-					l.RunOnce()
+				for _, s := range ss.Shards() {
+					s.RunOnce()
 				}
 				clk.Advance(5000)
 				for {

@@ -4,9 +4,10 @@
 //
 // Architecture, following F-Stack's:
 //
-//   - The stack is owned by a single poll-mode main loop (Loop): every
-//     iteration drains the NIC RX rings, runs protocol input, fires
-//     timers, flushes TX, and invokes a user callback. There are no
+//   - A Stack is its own single poll-mode main loop: every iteration
+//     (Stack.RunOnce) drains the NIC RX rings, runs protocol input,
+//     fires timers, flushes TX, and invokes the user callback
+//     (Stack.OnLoop). There are no
 //     interrupts and no kernel involvement after boot. A stack binds
 //     queue handles (EthDevice: one RX/TX queue pair each), never a
 //     device — what sits behind a handle (the driver itself, a gated

@@ -181,7 +181,9 @@ func newDiffRig(t *testing.T, shardsB int) *diffRig {
 	if shardsB > 1 {
 		var ss *ShardedStack
 		ss, cardB = buildShardedMachine(t, r.clk, "0000:04:00", 2, ipB, shardsB)
-		ss.SetTCPTuning(tune)
+		for _, s := range ss.Shards() {
+			s.SetTCPTuning(tune)
+		}
 		api := ss.API()
 		r.m[1] = &diffMachine{name: "B", api: api, stacks: ss.shards, ip: ipB, ref: refSharded(api)}
 	} else {

@@ -3,7 +3,6 @@ package fstack
 import (
 	"fmt"
 
-	"repro/internal/cheri"
 	"repro/internal/dpdk"
 )
 
@@ -106,35 +105,6 @@ func (b *sockBuf) commit(n int) error {
 	return nil
 }
 
-// writeFromCap appends up to n bytes loaded through the caller's
-// capability (the `const void * __capability buf` of ff_write). The
-// load is checked against cap; the store is checked against the
-// segment.
-func (b *sockBuf) writeFromCap(mem *cheri.TMem, cap cheri.Cap, n int) (int, error) {
-	if err := b.back(); err != nil {
-		return 0, err
-	}
-	n = min(n, b.Free())
-	written := 0
-	addr := cap.Addr()
-	for written < n {
-		off := int(b.w % uint64(b.size))
-		chunk := min(n-written, b.size-off)
-		src, err := mem.CheckedSliceRO(cap.SetAddr(addr+uint64(written)), addr+uint64(written), chunk)
-		if err != nil {
-			return written, err
-		}
-		dst, err := b.seg.Slice(b.base+uint64(off), chunk)
-		if err != nil {
-			return written, err
-		}
-		copy(dst, src)
-		b.w += uint64(chunk)
-		written += chunk
-	}
-	return written, nil
-}
-
 // readInto consumes up to len(dst) bytes into a plain slice.
 func (b *sockBuf) readInto(dst []byte) (int, error) {
 	n := min(len(dst), b.Len())
@@ -147,30 +117,6 @@ func (b *sockBuf) readInto(dst []byte) (int, error) {
 			return read, err
 		}
 		copy(dst[read:read+chunk], src)
-		b.r += uint64(chunk)
-		read += chunk
-	}
-	return read, nil
-}
-
-// readIntoCap consumes up to n bytes, storing them through the caller's
-// capability (ff_read with a __capability buffer).
-func (b *sockBuf) readIntoCap(mem *cheri.TMem, cap cheri.Cap, n int) (int, error) {
-	n = min(n, b.Len())
-	read := 0
-	addr := cap.Addr()
-	for read < n {
-		off := int(b.r % uint64(b.size))
-		chunk := min(n-read, b.size-off)
-		src, err := b.seg.SliceRO(b.base+uint64(off), chunk)
-		if err != nil {
-			return read, err
-		}
-		dst, err := mem.CheckedSlice(cap.SetAddr(addr+uint64(read)), addr+uint64(read), chunk)
-		if err != nil {
-			return read, err
-		}
-		copy(dst, src)
 		b.r += uint64(chunk)
 		read += chunk
 	}

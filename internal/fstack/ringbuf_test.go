@@ -125,56 +125,6 @@ func TestSockBufRejectsBadSize(t *testing.T) {
 	}
 }
 
-func TestSockBufCapCopies(t *testing.T) {
-	seg, mem := testSeg(t, true)
-	b, err := newSockBuf(seg, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An "application buffer" elsewhere in memory with its own capability.
-	const appBase = 0x300000
-	appCap, err := mem.Root().SetAddr(appBase).SetBounds(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appCap, _ = appCap.AndPerms(cheri.PermData)
-	msg := []byte("capability transfer!")
-	if err := mem.Store(mem.Root(), appBase, msg); err != nil {
-		t.Fatal(err)
-	}
-	n, err := b.writeFromCap(mem, appCap, len(msg))
-	if err != nil || n != len(msg) {
-		t.Fatalf("writeFromCap: %d %v", n, err)
-	}
-	// Read back through a second capability window.
-	outCap := appCap.SetAddr(appBase + 32)
-	if _, err := b.readIntoCap(mem, outCap, len(msg)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(msg))
-	if err := mem.Load(mem.Root(), appBase+32, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("cap round trip: %q", got)
-	}
-}
-
-func TestSockBufCapOutOfBoundsFaults(t *testing.T) {
-	seg, mem := testSeg(t, true)
-	b, _ := newSockBuf(seg, 1024)
-	small, err := mem.Root().SetAddr(0x300000).SetBounds(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, _ = small.AndPerms(cheri.PermData)
-	// Asking to write 16 bytes through an 8-byte capability faults after
-	// the in-bounds prefix.
-	if _, err := b.writeFromCap(mem, small, 16); err == nil {
-		t.Fatal("out-of-bounds capability load accepted")
-	}
-}
-
 // Property: interleaved writes and reads preserve the byte stream (FIFO
 // order, no loss, no duplication).
 func TestQuickSockBufStreamIntegrity(t *testing.T) {

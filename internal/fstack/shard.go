@@ -29,7 +29,6 @@ type SteerFunc func(src, dst [4]byte, proto byte, sport, dport uint16) int
 // ShardedStack is N independent Stacks over one multi-queue device.
 type ShardedStack struct {
 	shards []*Stack
-	loops  []*Loop
 	steer  SteerFunc // of the first interface bound
 }
 
@@ -45,7 +44,6 @@ func NewShardedStack(n int, seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clo
 		s := NewStack(seg, pool, clk)
 		s.ephemeral = uint16(32768 + i*2048)
 		ss.shards = append(ss.shards, s)
-		ss.loops = append(ss.loops, &Loop{Stk: s})
 	}
 	return ss, nil
 }
@@ -71,12 +69,10 @@ func (ss *ShardedStack) AddNetIF(name string, devs []EthDevice, steer SteerFunc,
 // NumShards reports the shard count.
 func (ss *ShardedStack) NumShards() int { return len(ss.shards) }
 
-// Shard returns shard i's Stack.
-func (ss *ShardedStack) Shard(i int) *Stack { return ss.shards[i] }
-
-// Loops returns one main loop per shard (each would be pinned to its
-// own core on real hardware).
-func (ss *ShardedStack) Loops() []*Loop { return ss.loops }
+// Shards returns every shard's Stack in shard order — one main loop
+// each, each pinned to its own core on real hardware. Callers must not
+// mutate the slice.
+func (ss *ShardedStack) Shards() []*Stack { return ss.shards }
 
 // Stats aggregates the counters over every shard.
 func (ss *ShardedStack) Stats() StackStats {
@@ -104,23 +100,6 @@ func (ss *ShardedStack) RetainedBytes() uint64 {
 		b += s.RetainedBytes()
 	}
 	return b
-}
-
-// AcceptQueueDepth sums not-yet-accepted connections over every shard.
-func (ss *ShardedStack) AcceptQueueDepth() int {
-	n := 0
-	for _, s := range ss.shards {
-		n += s.AcceptQueueDepth()
-	}
-	return n
-}
-
-// SetTCPTuning applies the TCP feature configuration to every shard
-// (connections are shard-local, so the knob simply fans out).
-func (ss *ShardedStack) SetTCPTuning(t TCPTuning) {
-	for _, s := range ss.shards {
-		s.SetTCPTuning(t)
-	}
 }
 
 // localIPFor reports the interface address the stack would source

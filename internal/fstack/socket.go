@@ -351,13 +351,35 @@ func (s *Stack) connFor(fd int) (*socket, *tcpConn, hostos.Errno) {
 // (the Baseline's ff_write). Partial writes return the stored count;
 // a full buffer returns EAGAIN.
 func (s *Stack) Write(fd int, src []byte) (int, hostos.Errno) {
-	_, c, errno := s.connFor(fd)
+	c, errno := s.writableConn(fd)
 	if errno != hostos.OK {
 		return -1, errno
 	}
-	if errno := writableState(c); errno != hostos.OK {
+	return s.write(c, src)
+}
+
+// WriteCap is the CHERI ff_write: the source buffer arrives as a
+// capability (`const void * __capability buf`, §III-B). The load is
+// checked once, over exactly the bytes the send buffer takes now, so a
+// capability fault stores nothing; a full buffer is EAGAIN unchecked.
+func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+	c, errno := s.writableConn(fd)
+	if errno != hostos.OK {
 		return -1, errno
 	}
+	if n = min(n, c.sndBuf.Free()); n <= 0 {
+		return -1, hostos.EAGAIN
+	}
+	src, err := mem.CheckedSliceRO(buf, buf.Addr(), n)
+	if err != nil {
+		return -1, hostos.EFAULT
+	}
+	return s.write(c, src)
+}
+
+// write stores src in a writable connection's send buffer, books the
+// call and sends what the window allows.
+func (s *Stack) write(c *tcpConn, src []byte) (int, hostos.Errno) {
 	n, err := c.sndBuf.writeFrom(src)
 	if err != nil {
 		return -1, hostos.EFAULT
@@ -370,27 +392,13 @@ func (s *Stack) Write(fd int, src []byte) (int, hostos.Errno) {
 	return n, hostos.OK
 }
 
-// WriteCap is the CHERI ff_write: the source buffer arrives as a
-// capability (`const void * __capability buf`, §III-B) and every load
-// from it is checked.
-func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+// writableConn resolves fd to a connection that takes writes now.
+func (s *Stack) writableConn(fd int) (*tcpConn, hostos.Errno) {
 	_, c, errno := s.connFor(fd)
 	if errno != hostos.OK {
-		return -1, errno
+		return nil, errno
 	}
-	if errno := writableState(c); errno != hostos.OK {
-		return -1, errno
-	}
-	written, err := c.sndBuf.writeFromCap(mem, buf, n)
-	if err != nil {
-		return -1, hostos.EFAULT
-	}
-	if written == 0 {
-		return -1, hostos.EAGAIN
-	}
-	s.Core.Book(s.now(), sim.WriteCallNS+sim.CopyNS(written))
-	c.output()
-	return written, hostos.OK
+	return c, writableState(c)
 }
 
 // WriteRoom bounds what WriteCap on fd would load now: the send buffer's
@@ -399,8 +407,8 @@ func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, ho
 // only that many bytes hands over every byte the stack takes. A query,
 // not a call: it changes and books nothing.
 func (s *Stack) WriteRoom(fd int) int {
-	_, c, errno := s.connFor(fd)
-	if errno != hostos.OK || writableState(c) != hostos.OK {
+	c, errno := s.writableConn(fd)
+	if errno != hostos.OK {
 		return 0
 	}
 	return c.sndBuf.Free()
@@ -424,24 +432,53 @@ func writableState(c *tcpConn) hostos.Errno {
 // Read consumes received bytes into a plain slice. Returns 0 at EOF
 // (peer FIN drained), EAGAIN when no data is buffered.
 func (s *Stack) Read(fd int, dst []byte) (int, hostos.Errno) {
-	_, c, errno := s.connFor(fd)
-	if errno != hostos.OK {
-		return -1, errno
+	c, n, errno := s.readableConn(fd)
+	if c == nil {
+		return n, errno
 	}
-	if c.rcvBuf.Len() == 0 {
-		switch {
-		case c.sockErr != hostos.OK:
-			return -1, c.sockErr
-		case c.finRcvd:
-			return 0, hostos.OK // EOF
-		case c.state == tcpSynSent || c.state == tcpSynReceived:
-			return -1, hostos.EAGAIN
-		case c.state == tcpClosed:
-			return -1, hostos.ENOTCONN
-		default:
-			return -1, hostos.EAGAIN
+	return s.read(c, dst)
+}
+
+// ReadCap is the CHERI ff_read: the store into the caller's capability
+// buffer is checked once, over exactly the bytes the read takes.
+func (s *Stack) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+	c, ret, errno := s.readableConn(fd)
+	if c == nil {
+		return ret, errno
+	}
+	var dst []byte
+	if n = min(n, c.rcvBuf.Len()); n > 0 {
+		var err error
+		if dst, err = mem.CheckedSlice(buf, buf.Addr(), n); err != nil {
+			return -1, hostos.EFAULT
 		}
 	}
+	return s.read(c, dst)
+}
+
+// readableConn resolves fd to a connection with bytes to read. With
+// none buffered it returns a nil connection and what the read returns
+// instead: 0 at EOF, otherwise -1 and the errno.
+func (s *Stack) readableConn(fd int) (*tcpConn, int, hostos.Errno) {
+	_, c, errno := s.connFor(fd)
+	switch {
+	case errno != hostos.OK:
+		return nil, -1, errno
+	case c.rcvBuf.Len() > 0:
+		return c, 0, hostos.OK
+	case c.sockErr != hostos.OK:
+		return nil, -1, c.sockErr
+	case c.finRcvd:
+		return nil, 0, hostos.OK // EOF
+	case c.state == tcpClosed:
+		return nil, -1, hostos.ENOTCONN
+	default:
+		return nil, -1, hostos.EAGAIN
+	}
+}
+
+// read consumes received bytes into dst.
+func (s *Stack) read(c *tcpConn, dst []byte) (int, hostos.Errno) {
 	n, err := c.rcvBuf.readInto(dst)
 	if err != nil {
 		return -1, hostos.EFAULT
@@ -461,31 +498,6 @@ func (s *Stack) noteReadDrain(c *tcpConn) {
 		s.wantPoll = true
 		s.markReady(c)
 	}
-}
-
-// ReadCap is the CHERI ff_read: stores into the caller's capability
-// buffer are checked.
-func (s *Stack) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	_, c, errno := s.connFor(fd)
-	if errno != hostos.OK {
-		return -1, errno
-	}
-	if c.rcvBuf.Len() == 0 {
-		switch {
-		case c.sockErr != hostos.OK:
-			return -1, c.sockErr
-		case c.finRcvd:
-			return 0, hostos.OK
-		default:
-			return -1, hostos.EAGAIN
-		}
-	}
-	read, err := c.rcvBuf.readIntoCap(mem, buf, n)
-	if err != nil {
-		return -1, hostos.EFAULT
-	}
-	s.noteReadDrain(c)
-	return read, hostos.OK
 }
 
 // Close shuts a descriptor down: streams FIN, listeners stop, datagram

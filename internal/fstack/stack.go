@@ -149,9 +149,18 @@ type TCPTuning struct {
 	LazyBuffers bool
 }
 
-// Stack is a user-space TCP/IP instance: interfaces, connection tables
-// and socket layer, owned by one poll loop.
+// Stack is a user-space TCP/IP instance — interfaces, connection tables
+// and socket layer — and the F-Stack main loop that owns it: after an
+// initialization phase, a poll-mode iteration runs forever, "(i)
+// process the ring buffers of the DPDK Ethernet driver; and (ii)
+// execute a user-defined function where calls to F-Stack API functions
+// can be made" (§III-B). RunOnce is one iteration.
 type Stack struct {
+	// OnLoop is the user-defined function, called at the end of every
+	// iteration (the app and the stack share a compartment in Baseline
+	// and Scenario 1). It calls the Stack's API directly.
+	OnLoop func(now int64)
+
 	seg  *dpdk.MemSeg
 	pool *dpdk.Mempool
 	clk  hostos.Clock
@@ -269,6 +278,8 @@ type Stack struct {
 	// Core is where the stack books what its work costs its thread (sim's
 	// cost table): its own, or the cVM's it runs in. Protocol time is clk's.
 	Core *sim.Core
+
+	iterations uint64
 }
 
 // ephemeralBase is the bottom of the ephemeral port range.
@@ -988,6 +999,21 @@ func (s *Stack) PollOnce() {
 		nif.dev.Poll()
 	}
 }
+
+// RunOnce executes one main-loop iteration: drain RX rings, run
+// protocol input and timers, flush TX, then the user callback. A
+// crashed stack polls nothing but still runs the callback and counts
+// the iteration.
+func (s *Stack) RunOnce() {
+	s.PollOnce()
+	if s.OnLoop != nil {
+		s.OnLoop(s.now())
+	}
+	s.iterations++
+}
+
+// Iterations reports completed main-loop iterations.
+func (s *Stack) Iterations() uint64 { return s.iterations }
 
 // String summarizes the stack.
 func (s *Stack) String() string {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dpdk"
 	"repro/internal/hostos"
+	"repro/internal/sim"
 )
 
 func TestTCPHandshake(t *testing.T) {
@@ -382,5 +384,74 @@ func TestConnStateDiagnostics(t *testing.T) {
 	}
 	if st := e.stkA.ConnState(12345); st != "NONE" {
 		t.Fatal(st)
+	}
+}
+
+func TestLoopRunOnceCountsIterations(t *testing.T) {
+	e := newEnv(t, false)
+	calls := 0
+	e.stkA.OnLoop = func(now int64) { calls++ }
+	for i := 0; i < 5; i++ {
+		e.stkA.RunOnce()
+	}
+	if calls != 5 {
+		t.Fatalf("callback ran %d times", calls)
+	}
+	if e.stkA.Iterations() != 5 {
+		t.Fatalf("iterations = %d", e.stkA.Iterations())
+	}
+}
+
+func TestLoopCallbackSeesMonotonicTime(t *testing.T) {
+	e := newEnv(t, false)
+	var last int64 = -1
+	ok := true
+	e.stkA.OnLoop = func(now int64) {
+		if now < last {
+			ok = false
+		}
+		last = now
+	}
+	for i := 0; i < 10; i++ {
+		e.stkA.RunOnce()
+		e.clk.Advance(1000)
+	}
+	if !ok {
+		t.Fatal("time went backwards inside the loop")
+	}
+}
+
+// stepCounter is an EthDevice that counts the calls a poll makes on it.
+type stepCounter struct {
+	EthDevice
+	calls int
+}
+
+func (d *stepCounter) RxBurst(out []*dpdk.Mbuf) int  { d.calls++; return d.EthDevice.RxBurst(out) }
+func (d *stepCounter) TxBurst(bufs []*dpdk.Mbuf) int { d.calls++; return d.EthDevice.TxBurst(bufs) }
+func (d *stepCounter) Poll()                         { d.calls++; d.EthDevice.Poll() }
+
+// TestCrashedRunOnceRunsCallback: a crashed stack's iteration steps no
+// device, but the user function still runs and the iteration counts.
+func TestCrashedRunOnceRunsCallback(t *testing.T) {
+	clk := sim.NewVClock()
+	seg, pool, dev, _ := buildDevice(t, clk, "0000:03:00", 1, false, 1)
+	stk := NewStack(seg, pool, clk)
+	d := &stepCounter{EthDevice: dev.Queue(0)}
+	stk.AddNetIF("eth0", d, IP4(10, 0, 0, 1), IP4(255, 255, 255, 0))
+	calls := 0
+	stk.OnLoop = func(int64) { calls++ }
+	stk.RunOnce()
+	if d.calls == 0 || calls != 1 || stk.Iterations() != 1 {
+		t.Fatalf("healthy iteration: %d device calls, %d callbacks, %d iterations", d.calls, calls, stk.Iterations())
+	}
+	stk.Crash()
+	d.calls = 0
+	stk.RunOnce()
+	if d.calls != 0 {
+		t.Fatalf("crashed iteration made %d device calls", d.calls)
+	}
+	if calls != 2 || stk.Iterations() != 2 {
+		t.Fatalf("crashed iteration: %d callbacks, %d iterations; want 2, 2", calls, stk.Iterations())
 	}
 }

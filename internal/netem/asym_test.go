@@ -107,10 +107,10 @@ func runForwardTransfer(t *testing.T, link *testbed.LinkSpec) float64 {
 	const port = 5601
 	cli := app.NewIperfClient(testbed.PeerIP(0), port, 200e6)
 	api := bed.Envs[0].Stk
-	bed.Envs[0].Loop.OnLoop = func(now int64) { cli.Step(api, now) }
+	bed.Envs[0].Stk.OnLoop = func(now int64) { cli.Step(api, now) }
 	srv := app.NewIperfServer(fstack.IPv4Addr{}, port)
 	papi := bed.Peers[0].Env.Stk
-	bed.Peers[0].Env.Loop.OnLoop = func(now int64) { srv.Step(papi, now) }
+	bed.Peers[0].Env.Stk.OnLoop = func(now int64) { srv.Step(papi, now) }
 
 	loops := bed.Loops()
 	for i := 0; i < 2_000_000 && !(cli.Done() && srv.Done()); i++ {

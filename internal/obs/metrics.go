@@ -9,21 +9,8 @@ import (
 	"strconv"
 )
 
-// Counter is a named monotonic metric; the sampler reads it into the
-// timeseries cumulatively.
-type Counter struct {
-	v uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Metrics is the registry: named gauges (sampled by calling back) and
-// counters (sampled cumulatively), recorded into per-series timeseries
-// every SampleNS of virtual time. Registration happens at wiring time;
+// Metrics is the registry: named gauges, sampled by calling back and
+// recorded into per-series timeseries every SampleNS of virtual time. Registration happens at wiring time;
 // Tick runs from the experiment driver, so samples land at
 // deterministic virtual instants.
 type Metrics struct {
@@ -51,14 +38,6 @@ func NewMetrics(intervalNS int64) *Metrics {
 func (m *Metrics) Gauge(name string, fn func(now int64) float64) {
 	m.names = append(m.names, name)
 	m.gauges = append(m.gauges, fn)
-}
-
-// Counter registers and returns a named counter, sampled as a
-// cumulative series.
-func (m *Metrics) Counter(name string) *Counter {
-	c := &Counter{}
-	m.Gauge(name, func(int64) float64 { return float64(c.Value()) })
-	return c
 }
 
 // Tick samples every registered series when a sample is due. The first

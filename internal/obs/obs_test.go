@@ -130,14 +130,15 @@ func TestMetricsSamplingAndExport(t *testing.T) {
 	var rising float64
 	m.Gauge("rising", func(now int64) float64 { rising++; return rising })
 	m.Gauge("time_ms", func(now int64) float64 { return float64(now) / 1e6 })
-	c := m.Counter("frames")
+	var frames uint64
+	m.Gauge("frames", func(int64) float64 { return float64(frames) })
 
 	// Before the first tick the sampler wants to run immediately.
 	if at := m.NextDeadline(5); at != 5 {
 		t.Fatalf("unanchored deadline %d, want now", at)
 	}
 	for now := int64(0); now <= 5_000_000; now += 250_000 {
-		c.Add(10)
+		frames += 10
 		m.Tick(now)
 	}
 	if m.Samples() != 6 { // t=0,1,2,3,4,5 ms
@@ -167,7 +168,7 @@ func TestMetricsSamplingAndExport(t *testing.T) {
 	if recs[1][0] != "0" || recs[2][0] != "1000000" {
 		t.Fatalf("csv times %q,%q", recs[1][0], recs[2][0])
 	}
-	// The counter column is cumulative and non-decreasing.
+	// The cumulative column is rising.
 	first, err1 := strconv.Atoi(recs[1][3])
 	last, err2 := strconv.Atoi(recs[6][3])
 	if err1 != nil || err2 != nil || first >= last {

@@ -82,12 +82,6 @@ func (s *Serializer) NextAdmitAt(now int64) int64 {
 	return at
 }
 
-// Busy reports whether the resource is currently booked past now.
-func (s *Serializer) Busy() bool { return s.nextFree > s.clk.Now() }
-
-// Rate returns the configured rate in bits per second.
-func (s *Serializer) Rate() float64 { return s.bitsPerS }
-
 // SetRate changes the rate for future admissions (already-booked
 // transfers keep their completion times). The bus arbiter uses it to
 // redistribute bandwidth as ports become active and idle.

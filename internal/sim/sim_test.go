@@ -62,8 +62,8 @@ func TestSerializerBackpressure(t *testing.T) {
 	if _, ok := s.Admit(1538); ok {
 		t.Fatal("second frame must be refused while the link is booked")
 	}
-	if !s.Busy() {
-		t.Fatal("link should be busy")
+	if s.CanAdmit() || s.NextAdmitAt(clk.Now()) <= clk.Now() {
+		t.Fatal("link should be booked past its window")
 	}
 	clk.Advance(12304)
 	if _, ok := s.Admit(1538); !ok {
@@ -117,9 +117,16 @@ func TestSerializerSharedContention(t *testing.T) {
 	}
 }
 
+// TestSerializerRate: a new rate prices the admissions after it,
+// and the bookings made before it keep their completion times.
 func TestSerializerRate(t *testing.T) {
-	s := NewSerializer(NewVClock(), 42e6, 1000)
-	if s.Rate() != 42e6 {
-		t.Fatalf("rate = %v", s.Rate())
+	clk := NewVClock()
+	s := NewSerializer(clk, 1e9, 1<<40)
+	if at, _ := s.Admit(1000); at != 8000 { // 8000 bits at 1 Gbit/s
+		t.Fatalf("first admission done at %d, want 8000", at)
+	}
+	s.SetRate(4e9)
+	if at, _ := s.Admit(1000); at != 8000+2000 {
+		t.Fatalf("admission after SetRate(4e9) done at %d, want 10000", at)
 	}
 }

@@ -59,7 +59,7 @@ type Bed struct {
 	// loops caches the Loops() result: the event-driven driver asks
 	// for it (via NextDeadline) on every iteration, and the topology
 	// never changes after Build.
-	loops []*fstack.Loop
+	loops []*fstack.Stack
 
 	// arena is this bed's private frame-buffer pool, shared by the
 	// local machine, every peer and every link — frames never cross
@@ -71,19 +71,19 @@ type Bed struct {
 	gatesEnv *Env
 }
 
-// Loops lists every main loop in the bed (local compartments first —
-// shard loops in shard order for sharded ones — then peers). The
-// slice is cached; callers must not mutate it.
-func (b *Bed) Loops() []*fstack.Loop {
+// Loops lists every main loop in the bed — every stack: each
+// compartment's Stacks in spec order, then each peer's. The slice is
+// cached; callers must not mutate it.
+func (b *Bed) Loops() []*fstack.Stack {
 	if b.loops != nil {
 		return b.loops
 	}
-	var out []*fstack.Loop
+	var out []*fstack.Stack
 	for _, e := range b.Envs {
-		out = append(out, e.Loops()...)
+		out = append(out, e.Stacks()...)
 	}
 	for _, p := range b.Peers {
-		out = append(out, p.Env.Loop)
+		out = append(out, p.Env.Stacks()...)
 	}
 	b.loops = out
 	return out
@@ -334,12 +334,13 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 				return nil, err
 			}
 		}
+		env.stacks = env.Sharded.Shards()
 	} else {
 		env.Stk = fstack.NewStack(env.Seg, env.Pool, b.Clk)
 		for i, ic := range cs.Ifs {
-			env.IFs = append(env.IFs, env.Stk.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i][0], ipOf(ic.Port), Mask24))
+			env.Stk.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i][0], ipOf(ic.Port), Mask24)
 		}
-		env.Loop = &fstack.Loop{Stk: env.Stk}
+		env.stacks = []*fstack.Stack{env.Stk}
 		// A cVM's main loop is the cVM's thread: stack work and crossings
 		// book on one core. (A shard is a thread of its own, and keeps its.)
 		if env.CVM != nil {
@@ -396,11 +397,11 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 		return err
 	}
 	p := &Peer{M: m, Env: env, Port: ps.Port}
-	// Bed.Loops() lists the compartments' loops in spec order, then one
-	// per peer; far counts up to this peer's.
+	// Bed.Loops() lists the compartments' stacks in spec order, then
+	// one per peer; far counts up to this peer's.
 	for i, cs := range spec.Compartments {
 		faces := slices.ContainsFunc(cs.Ifs, func(ic IfSpec) bool { return ic.Port == ps.Port })
-		for range b.Envs[i].Loops() {
+		for range b.Envs[i].Stacks() {
 			if faces {
 				p.near = append(p.near, p.far)
 			}
@@ -422,7 +423,7 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 // applyStackSpec applies the tuning half of a StackSpec to a built
 // environment (single stack or every shard).
 func applyStackSpec(env *Env, ss StackSpec) {
-	for _, stk := range envStacks(env) {
+	for _, stk := range env.Stacks() {
 		if ss.RTOMinNS > 0 {
 			stk.SetRTOMin(ss.RTOMinNS)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cheri"
 	"repro/internal/faultplane"
-	"repro/internal/fstack"
 	"repro/internal/obs"
 )
 
@@ -182,27 +181,12 @@ func (t *envTarget) Restart(now int64) error {
 			}
 		}
 	}
-	for _, stk := range envStacks(t.e) {
+	for _, stk := range t.e.Stacks() {
 		stk.Restart()
 	}
 	t.trapped = false
 	if t.b.RestartHook != nil {
 		t.b.RestartHook(t.e, now)
-	}
-	return nil
-}
-
-// envStacks lists an environment's stacks (one, or one per shard).
-func envStacks(e *Env) []*fstack.Stack {
-	if e.Sharded != nil {
-		out := make([]*fstack.Stack, e.Sharded.NumShards())
-		for i := range out {
-			out[i] = e.Sharded.Shard(i)
-		}
-		return out
-	}
-	if e.Stk != nil {
-		return []*fstack.Stack{e.Stk}
 	}
 	return nil
 }
@@ -215,7 +199,7 @@ func (t *envTarget) trap() {
 		t.e.CVM.Trap(&cheri.Fault{Kind: cheri.FaultBounds, Op: "injected"})
 	}
 	t.trapped = true
-	for _, stk := range envStacks(t.e) {
+	for _, stk := range t.e.Stacks() {
 		stk.Crash()
 	}
 }

@@ -244,7 +244,7 @@ func gatedWriteScript(t *testing.T, shards int, write func(*GatedAPI, int, []byt
 	fd2, pfd2 := dial(5003)
 	w("established", fd2, 5003, 5000)
 	drain(pfd2, 200)
-	for _, stk := range envStacks(bed.Envs[0]) {
+	for _, stk := range bed.Envs[0].Stacks() {
 		stk.Crash()
 	}
 	w("crashed", fd2, 5003, 5000)

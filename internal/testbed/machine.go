@@ -118,9 +118,10 @@ func (m *Machine) newCVM(name string, size uint64) (*intravisor.CVM, error) {
 }
 
 // Env is one network environment — the DPDK segment, buffer pool,
-// bound ports, stack and main loop of either a Baseline process or a
-// cVM. A sharded environment (StackSpec.Shards > 0) carries a
-// ShardedStack instead of a single Stack, and its loops live there.
+// bound ports and stack of either a Baseline process or a cVM. A
+// sharded environment (StackSpec.Shards > 0) carries a ShardedStack
+// instead of a single Stack. Either way each of its stacks is one main
+// loop, and Stacks lists them.
 type Env struct {
 	Name string
 	CVM  *intravisor.CVM // nil for Baseline processes
@@ -129,14 +130,12 @@ type Env struct {
 	// Devs are the devices driven from inside the environment (empty
 	// when the driver sits behind device gates).
 	Devs []*dpdk.EthDev
-	// IFs are the stack's bound interfaces, in IfSpec order (empty for
-	// sharded environments, whose single interface spans every shard).
-	IFs  []*fstack.NetIF
 	Stk  *fstack.Stack // nil when Sharded is set
-	Loop *fstack.Loop  // nil when Sharded is set
 	// Sharded is the multi-queue stack of a sharded environment.
 	Sharded *fstack.ShardedStack
 
+	// stacks is what Stacks returns.
+	stacks []*fstack.Stack
 	// drv is the builder's record of the devices the stack's queue
 	// handles lead to, in IfSpec order: Devs, except that a device-gated
 	// environment's driver sits in its own cVM and is not listed there.
@@ -169,13 +168,9 @@ func (e *Env) NowNS() int64 {
 	return t
 }
 
-// Loops lists the environment's main loops (one, or one per shard).
-func (e *Env) Loops() []*fstack.Loop {
-	if e.Sharded != nil {
-		return e.Sharded.Loops()
-	}
-	return []*fstack.Loop{e.Loop}
-}
+// Stacks lists the environment's stacks, each one main loop: Stk, or
+// every shard in shard order. Callers must not mutate the slice.
+func (e *Env) Stacks() []*fstack.Stack { return e.stacks }
 
 // baselineSeg allocates a plain kernel-memory segment for a process
 // environment: accesses are raw, DMA is raw.

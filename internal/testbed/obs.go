@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/fstack"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -54,12 +55,14 @@ func (b *Bed) wireObs(spec Spec) error {
 	}
 	devSrc := uint16(0)
 	for i, e := range b.Envs {
-		if e.Sharded != nil {
-			for s := 0; s < e.Sharded.NumShards(); s++ {
-				e.Sharded.Shard(s).SetObs(o.Trace, o.RTT, uint16(s))
+		// A shard's source id is its shard index, a single stack's its
+		// environment's index.
+		for s, stk := range e.Stacks() {
+			src := uint16(i)
+			if e.Sharded != nil {
+				src = uint16(s)
 			}
-		} else if e.Stk != nil {
-			e.Stk.SetObs(o.Trace, o.RTT, uint16(i))
+			stk.SetObs(o.Trace, o.RTT, src)
 		}
 		// Every driver device, a device-gated environment's included.
 		for _, d := range e.drv {
@@ -69,9 +72,7 @@ func (b *Bed) wireObs(spec Spec) error {
 	}
 	for _, p := range b.Peers {
 		p.M.Card.Port(0).SetObs(o.Trace, o.Datapath, peerPortSrc+uint16(p.Port))
-		if p.Env.Stk != nil {
-			p.Env.Stk.SetObs(o.Trace, o.RTT, peerStackSrc+uint16(p.Port))
-		}
+		p.Env.Stk.SetObs(o.Trace, o.RTT, peerStackSrc+uint16(p.Port))
 		for _, d := range p.Env.drv {
 			d.SetObs(o.Trace, now, devSrc)
 			devSrc++
@@ -98,48 +99,27 @@ func (b *Bed) wireObs(spec Spec) error {
 // fault-free timeseries keep their exact column set.
 func (b *Bed) registerGauges(m *obs.Metrics, spec Spec) {
 	faults := spec.Faults.Enabled()
-	sumCwndPipe := func(e *Env) func() (int, int) {
-		if ss := e.Sharded; ss != nil {
-			return func() (int, int) {
-				var cwnd, pipe int
-				for s := 0; s < ss.NumShards(); s++ {
-					c, p := ss.Shard(s).SumCwndPipe()
-					cwnd += c
-					pipe += p
+	for _, e := range b.Envs {
+		stacks := e.Stacks()
+		sum := func(f func(*fstack.Stack) int) func(int64) float64 {
+			return func(int64) float64 {
+				n := 0
+				for _, stk := range stacks {
+					n += f(stk)
 				}
-				return cwnd, pipe
+				return float64(n)
 			}
 		}
-		if stk := e.Stk; stk != nil {
-			return func() (int, int) { return stk.SumCwndPipe() }
-		}
-		return nil
-	}
-	connDepth := func(e *Env) func() (int, int) {
-		if ss := e.Sharded; ss != nil {
-			return func() (int, int) { return ss.ConnCount(), ss.AcceptQueueDepth() }
-		}
-		if stk := e.Stk; stk != nil {
-			return func() (int, int) { return stk.ConnCount(), stk.AcceptQueueDepth() }
-		}
-		return nil
-	}
-	for _, e := range b.Envs {
-		if get := sumCwndPipe(e); get != nil {
-			m.Gauge(e.Name+".cwnd_bytes", func(int64) float64 { c, _ := get(); return float64(c) })
-			m.Gauge(e.Name+".pipe_bytes", func(int64) float64 { _, p := get(); return float64(p) })
-		}
-		if get := connDepth(e); get != nil {
-			m.Gauge(e.Name+".conns", func(int64) float64 { c, _ := get(); return float64(c) })
-			m.Gauge(e.Name+".accept_queue", func(int64) float64 { _, d := get(); return float64(d) })
-		}
+		m.Gauge(e.Name+".cwnd_bytes", sum(func(stk *fstack.Stack) int { c, _ := stk.SumCwndPipe(); return c }))
+		m.Gauge(e.Name+".pipe_bytes", sum(func(stk *fstack.Stack) int { _, p := stk.SumCwndPipe(); return p }))
+		m.Gauge(e.Name+".conns", sum((*fstack.Stack).ConnCount))
+		m.Gauge(e.Name+".accept_queue", sum((*fstack.Stack).AcceptQueueDepth))
 		for j, d := range e.Devs {
 			d := d
 			m.Gauge(fmt.Sprintf("%s.dev%d.rx_mbps", e.Name, j), rateMbps(func() uint64 { return d.Stats().IBytes }))
 			m.Gauge(fmt.Sprintf("%s.dev%d.tx_mbps", e.Name, j), rateMbps(func() uint64 { return d.Stats().OBytes }))
 		}
 		if faults {
-			stacks := envStacks(e)
 			m.Gauge(e.Name+".up", func(int64) float64 {
 				for _, stk := range stacks {
 					if stk.Down() {

@@ -10,12 +10,12 @@ import "repro/internal/fstack"
 type Site struct {
 	Name string
 	API  fstack.API
-	// Loop is the loop whose OnLoop callback runs the site's code, at
-	// the end of each iteration. It is nil for code outside every stack's
-	// compartment — an application cVM behind the API gates, a user of a
-	// sharded stack's steering API — which the experiment driver steps
-	// itself.
-	Loop *fstack.Loop
+	// Loop is the stack whose OnLoop callback runs the site's code, at
+	// the end of each main-loop iteration. It is nil for code outside
+	// every stack's compartment — an application cVM behind the API
+	// gates, a user of a sharded stack's steering API — which the
+	// experiment driver steps itself.
+	Loop *fstack.Stack
 	// Now is the clock read application code makes there: the
 	// compartment's own, through whatever stands between it and the host.
 	Now func() int64
@@ -30,7 +30,7 @@ func (e *Env) Site() Site {
 	if e.Sharded != nil {
 		return Site{Name: e.Name, API: e.Sharded.API(), Now: e.NowNS}
 	}
-	return Site{Name: e.Name, API: e.Stk, Loop: e.Loop, Now: e.NowNS}
+	return Site{Name: e.Name, API: e.Stk, Loop: e.Stk, Now: e.NowNS}
 }
 
 // Site is application code on the link partner.

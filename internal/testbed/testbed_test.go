@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fstack"
+	"repro/internal/hostos"
 	"repro/internal/netem"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -219,19 +220,36 @@ func TestSpecDefaultsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := bed.Envs[0]
-	if env.Stk == nil || env.Loop == nil || env.Sharded != nil {
+	if env.Stk == nil || env.Sharded != nil || len(env.Stacks()) != 1 || env.Stacks()[0] != env.Stk {
 		t.Fatal("plain compartment shape wrong")
 	}
-	// The default plan addressed the interface.
-	if got := env.IFs[0].IP; got != LocalIP(0) {
-		t.Fatalf("interface address %v, want %v", got, LocalIP(0))
+	// The default plan addressed both ends of the cable: a datagram from
+	// the peer to LocalIP(0) arrives from PeerIP(0).
+	local, peer := env.Stk, bed.Peers[0].Env.Stk
+	lfd, _ := local.Socket(fstack.SockDgram)
+	if errno := local.Bind(lfd, fstack.IPv4Addr{}, 53); errno != hostos.OK {
+		t.Fatal(errno)
 	}
-	if env.IFs[0].Name != "eth0" {
-		t.Fatalf("interface name %q, want eth0", env.IFs[0].Name)
+	pfd, _ := peer.Socket(fstack.SockDgram)
+	if _, errno := peer.SendTo(pfd, []byte("plan"), LocalIP(0), 53); errno != hostos.OK {
+		t.Fatal(errno)
 	}
-	// Peer took the plan's .2 and the default MAC scheme.
-	if bed.Peers[0].Env.IFs[0].IP != PeerIP(0) {
-		t.Fatal("peer address off plan")
+	clk := bed.Clk.(*sim.VClock)
+	buf := make([]byte, 16)
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("datagram to LocalIP(0) never arrived")
+		}
+		for _, l := range bed.Loops() {
+			l.RunOnce()
+		}
+		clk.Advance(5000)
+		if _, from, _, errno := local.RecvFrom(lfd, buf); errno == hostos.OK {
+			if from != PeerIP(0) {
+				t.Fatalf("datagram from %v, want %v", from, PeerIP(0))
+			}
+			break
+		}
 	}
 	if mac := bed.Peers[0].M.Card.Port(0).MAC(); mac[5] != defaultPeerMAC {
 		t.Fatalf("peer MAC suffix %#02x, want %#02x", mac[5], defaultPeerMAC)
@@ -322,9 +340,8 @@ func TestShardedSpecBuildsShardedEnv(t *testing.T) {
 	if got := len(bed.Loops()); got != 5 {
 		t.Fatalf("loops: %d, want 5", got)
 	}
-	// RTOMin applied to every shard.
-	for i := 0; i < 4; i++ {
-		if bed.Sharded.Shard(i) == nil {
+	for i, stk := range bed.Sharded.Shards() {
+		if stk == nil {
 			t.Fatalf("shard %d missing", i)
 		}
 	}
