@@ -126,6 +126,55 @@ func FuzzDNSServerDatagram(f *testing.F) {
 	})
 }
 
+// FuzzDNSClientAnswer delivers any bytes twice, as two datagrams, to a
+// closed-loop client with 0, 1 or 3 queries (IDs 1..k) in flight, from
+// the server's address or from another. It never panics and never
+// completes more than it issued; each copy that is not an ID-parseable
+// response (QR set) from the server raises Stray by exactly one; and an
+// answer completes its in-flight ID once, the second copy nothing.
+func FuzzDNSClientAnswer(f *testing.F) {
+	f.Add(dnsMsg(putDNSAnswer, 1), uint8(1), true)
+	f.Add(dnsMsg(putDNSAnswer, 3), uint8(3), true)
+	f.Add(dnsMsg(putDNSAnswer, 1), uint8(1), false)
+	f.Add(dnsMsg(putDNSQuery, 1), uint8(1), true)
+	f.Add(make([]byte, dnsHeaderLen-1), uint8(0), true)
+	f.Add([]byte{}, uint8(3), false)
+	f.Fuzz(func(t *testing.T, data []byte, inflight uint8, fromServer bool) {
+		srv := fstack.IP4(10, 0, 0, 2)
+		k := []int{0, 1, 3}[inflight%3]
+		api := newFakeAPI()
+		c, err := NewDNSClient(srv, 53, 4000, 0, max(k, 1), 1e6, 1e6, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Step(api, 0) // socket
+		if k > 0 {
+			c.Step(api, 1) // queries 1..k
+		}
+		from := srv
+		if !fromServer {
+			from = fstack.IP4(10, 0, 0, 9)
+		}
+		api.dgrams = []fakeDgram{{data, from, 53}, {data, from, 53}}
+		c.Step(api, 2) // both copies drained before any new query
+		id, ok := dnsID(data)
+		answer := ok && fromServer && data[2]&dnsQR != 0
+		var wantStray, wantDone uint64
+		if !answer {
+			wantStray = 2
+		} else if int(id) >= 1 && int(id) <= k {
+			wantDone = 1
+		}
+		if c.Stray() != wantStray || c.Completed() != wantDone || c.Err() != hostos.OK {
+			t.Fatalf("%d in flight, id %d answer=%v: stray %d completed %d err %v, want stray %d completed %d",
+				k, id, answer, c.Stray(), c.Completed(), c.Err(), wantStray, wantDone)
+		}
+		if c.Completed() > c.Issued() {
+			t.Fatalf("completed %d of %d issued", c.Completed(), c.Issued())
+		}
+	})
+}
+
 // --- HTTP client incremental parser ---
 
 // newParserClient builds a client whose parser can be fed directly.

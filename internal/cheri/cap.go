@@ -15,12 +15,12 @@ const (
 	OTypeLast OType = 0x00FFFFFF
 )
 
-// CapSize is the in-memory size of a capability in bytes (128-bit
-// capability plus out-of-band tag). It is also the tag granule size.
+// CapSize is the architectural size of a capability in bytes (a 128-bit
+// capability; its tag is out of band). TMem rounds memory to it.
 const CapSize = 16
 
 // Cap is a CHERI capability: a bounded, permission-carrying, optionally
-// sealed reference to a range of tagged memory.
+// sealed reference to a range of memory.
 //
 // The zero Cap is the null capability: untagged, zero bounds, no
 // permissions. Any attempted use faults with FaultTag.
@@ -186,11 +186,13 @@ func (c Cap) Seal(sealer Cap) (Cap, error) {
 	if !sealer.perms.Has(PermSeal) {
 		return NullCap, newFault(FaultPermSeal, "seal", sealer, sealer.addr, 0)
 	}
-	ot := OType(sealer.addr)
-	if !sealer.InBounds(sealer.addr, 1) || ot < OTypeFirst || ot > OTypeLast {
-		return NullCap, newFault(FaultOType, "seal", sealer, sealer.addr, 0)
+	// The cursor is range-checked as the 64-bit value it is: converting
+	// first would let cursor 2^32+n alias otype n.
+	a := sealer.addr
+	if !sealer.InBounds(a, 1) || a < uint64(OTypeFirst) || a > uint64(OTypeLast) {
+		return NullCap, newFault(FaultOType, "seal", sealer, a, 0)
 	}
-	c.otype = ot
+	c.otype = OType(a)
 	return c, nil
 }
 
@@ -212,7 +214,7 @@ func (c Cap) Unseal(unsealer Cap) (Cap, error) {
 	if !unsealer.perms.Has(PermUnseal) {
 		return NullCap, newFault(FaultPermUnseal, "unseal", unsealer, unsealer.addr, 0)
 	}
-	if !unsealer.InBounds(unsealer.addr, 1) || OType(unsealer.addr) != c.otype {
+	if !unsealer.InBounds(unsealer.addr, 1) || unsealer.addr != uint64(c.otype) {
 		return NullCap, newFault(FaultOType, "unseal", unsealer, unsealer.addr, 0)
 	}
 	c.otype = OTypeUnsealed

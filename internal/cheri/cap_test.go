@@ -165,6 +165,12 @@ func TestSealRequiresAuthority(t *testing.T) {
 	if _, err := victim.Seal(oob); !IsFault(err, FaultOType) {
 		t.Fatalf("seal with out-of-bounds otype: got %v, want otype fault", err)
 	}
+	// An in-bounds cursor past 2^32 is out of otype range; it must not
+	// alias the otype of its low 32 bits.
+	high := NewRoot(1<<32, 64, PermSeal|PermUnseal).SetAddr(1<<32 + 5)
+	if s, err := victim.Seal(high); !IsFault(err, FaultOType) {
+		t.Fatalf("seal with cursor 2^32+5: got %v (otype %d), want otype fault", err, s.OType())
+	}
 }
 
 func TestUnsealWrongOType(t *testing.T) {
@@ -177,6 +183,15 @@ func TestUnsealWrongOType(t *testing.T) {
 	}
 	if _, err := sealed.Unseal(other); !IsFault(err, FaultOType) {
 		t.Fatalf("unseal with wrong otype: got %v, want otype fault", err)
+	}
+	// An unsealer whose cursor is 2^32 plus the otype is another otype.
+	five, err := victim.Seal(sealer.SetAddr(5))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	high := NewRoot(1<<32, 64, PermSeal|PermUnseal).SetAddr(1<<32 + 5)
+	if _, err := five.Unseal(high); !IsFault(err, FaultOType) {
+		t.Fatalf("unseal otype 5 with cursor 2^32+5: got %v, want otype fault", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package cheri
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -11,8 +10,7 @@ import (
 // inlined predicate (permits) and the failure path one out-of-line
 // re-derivation (useFault, accessFault): four tests in order, each
 // helper handed its own copy of the capability. They are the reference
-// the fast path is held to — same nil-ness, same fault, same tags
-// cleared.
+// the fast path is held to — same nil-ness, same fault, same view.
 
 func refCheck(c Cap, op string, perm Perm, kind FaultKind, addr uint64, n int) error {
 	if !c.tag {
@@ -52,7 +50,6 @@ func refCheckedSlice(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
 	if !m.inRange(addr, n) {
 		return nil, newFault(FaultBounds, "slice", c, addr, n)
 	}
-	m.clearTags(addr, n)
 	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
 }
 
@@ -87,26 +84,12 @@ func refStore(m *TMem, c Cap, addr uint64, src []byte) error {
 		return newFault(FaultBounds, "store", c, addr, len(src))
 	}
 	copy(m.data[addr:], src)
-	m.clearTags(addr, len(src))
 	return nil
 }
 
-// checkMemSize is the tagged memory every comparison runs against:
-// small, so that random ranges land inside, across and past its end.
+// checkMemSize is the memory every comparison runs against: small, so
+// that random ranges land inside, across and past its end.
 const checkMemSize = 4096
-
-// taggedMem returns memory with a capability stored in every third
-// granule, so a slice that clears one tag too many or too few shows.
-func taggedMem(t testing.TB) *TMem {
-	m := NewTMem(checkMemSize)
-	root := m.Root()
-	for a := uint64(0); a < checkMemSize; a += 3 * CapSize {
-		if err := m.StoreCap(root, a, root.SetAddr(a)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m
-}
 
 // sameErr fails unless got and want are both nil or both *Fault with
 // the same kind, op, capability, address and size.
@@ -125,74 +108,41 @@ func sameErr(t testing.TB, what string, got, want error) {
 	}
 }
 
-// sameSlice fails unless got, a view of mem, and want, a view of ref,
-// cover the same range: both start at addr in their memory.
-func sameSlice(t testing.TB, what string, mem, ref *TMem, addr uint64, got, want []byte) {
+// sameSlice fails unless got and want, views of m, cover the same
+// range: both start at addr.
+func sameSlice(t testing.TB, what string, m *TMem, addr uint64, got, want []byte) {
 	t.Helper()
-	if len(got) != len(want) || cap(got) != cap(want) || len(got) > 0 && (&got[0] != &mem.data[addr] || &want[0] != &ref.data[addr]) {
+	if len(got) != len(want) || cap(got) != cap(want) || len(got) > 0 && (&got[0] != &m.data[addr] || &want[0] != &m.data[addr]) {
 		t.Fatalf("%s: slice len %d cap %d, reference len %d cap %d (or not at %#x)", what, len(got), cap(got), len(want), cap(want), addr)
 	}
 }
 
-// sameTags fails unless a and b hold the same tag bits and the same
-// stored capabilities.
-func sameTags(t testing.TB, what string, a, b *TMem) {
-	t.Helper()
-	if !slices.Equal(a.tags, b.tags) || len(a.caps) != len(b.caps) {
-		t.Fatalf("%s: tags %x (%d caps), reference %x (%d caps)", what, a.tags, len(a.caps), b.tags, len(b.caps))
-	}
-	for k, v := range b.caps {
-		if a.caps[k] != v {
-			t.Fatalf("%s: capability at %#x is %v, reference %v", what, k, a.caps[k], v)
-		}
-	}
-}
-
 // compareChecks runs every use check once on c, addr, n against its
-// reference. mem and ref start with the same tags; the slices (and, for
-// n in 0..64, the data accessors) run on mem and their references on
-// ref, which must end with the same tags. It returns CheckedSlice's
-// error, the one that can end in any outcome.
-func compareChecks(t testing.TB, mem, ref *TMem, c Cap, addr uint64, n int) error {
+// reference, the slices (and, for n in 0..64, the data accessors) on m.
+// It returns CheckedSlice's error, the one that can end in any outcome.
+func compareChecks(t testing.TB, m *TMem, c Cap, addr uint64, n int) error {
 	t.Helper()
 	sameErr(t, "CheckLoad", c.CheckLoad(addr, n), refCheckLoad(c, addr, n))
 	sameErr(t, "CheckStore", c.CheckStore(addr, n), refCheckStore(c, addr, n))
 	sameErr(t, "CheckFetch", c.CheckFetch(addr), refCheckFetch(c, addr))
 
-	got, err := mem.CheckedSliceRO(c, addr, n)
-	want, rerr := refCheckedSliceRO(ref, c, addr, n)
+	got, err := m.CheckedSliceRO(c, addr, n)
+	want, rerr := refCheckedSliceRO(m, c, addr, n)
 	sameErr(t, "CheckedSliceRO", err, rerr)
-	sameSlice(t, "CheckedSliceRO", mem, ref, addr, got, want)
+	sameSlice(t, "CheckedSliceRO", m, addr, got, want)
 
-	got, err = mem.CheckedSlice(c, addr, n)
-	want, rerr = refCheckedSlice(ref, c, addr, n)
+	got, err = m.CheckedSlice(c, addr, n)
+	want, rerr = refCheckedSlice(m, c, addr, n)
 	sameErr(t, "CheckedSlice", err, rerr)
-	sameSlice(t, "CheckedSlice", mem, ref, addr, got, want)
-	sameTags(t, "CheckedSlice", mem, ref)
+	sameSlice(t, "CheckedSlice", m, addr, got, want)
 	sliceErr := err
 
 	if n < 0 || n > 64 {
 		return sliceErr
 	}
-	var buf, rbuf [64]byte
-	sameErr(t, "Load", mem.Load(c, addr, buf[:n]), refLoad(ref, c, addr, rbuf[:n]))
-	sameErr(t, "Store", mem.Store(c, addr, buf[:n]), refStore(ref, c, addr, rbuf[:n]))
-	sameTags(t, "Store", mem, ref)
-	switch n {
-	case 2:
-		_, err := mem.LoadU16(c, addr)
-		sameErr(t, "LoadU16", err, refLoad(ref, c, addr, rbuf[:2]))
-		sameErr(t, "StoreU16", mem.StoreU16(c, addr, 1), refStore(ref, c, addr, rbuf[:2]))
-	case 4:
-		_, err := mem.LoadU32(c, addr)
-		sameErr(t, "LoadU32", err, refLoad(ref, c, addr, rbuf[:4]))
-		sameErr(t, "StoreU32", mem.StoreU32(c, addr, 1), refStore(ref, c, addr, rbuf[:4]))
-	case 8:
-		_, err := mem.LoadU64(c, addr)
-		sameErr(t, "LoadU64", err, refLoad(ref, c, addr, rbuf[:8]))
-		sameErr(t, "StoreU64", mem.StoreU64(c, addr, 1), refStore(ref, c, addr, rbuf[:8]))
-	}
-	sameTags(t, "scalar store", mem, ref)
+	var buf [64]byte
+	sameErr(t, "Load", m.Load(c, addr, buf[:n]), refLoad(m, c, addr, buf[:n]))
+	sameErr(t, "Store", m.Store(c, addr, buf[:n]), refStore(m, c, addr, buf[:n]))
 	return sliceErr
 }
 
@@ -292,7 +242,7 @@ func TestChecksMatchReference(t *testing.T) {
 		{"load only, out of bounds", NewRoot(64, 64, PermLoad), 0, 16},
 		{"store only, out of bounds", NewRoot(64, 64, PermStore), 0, 16},
 	} {
-		t.Run(tc.name, func(t *testing.T) { compareChecks(t, taggedMem(t), taggedMem(t), tc.c, tc.addr, tc.n) })
+		t.Run(tc.name, func(t *testing.T) { compareChecks(t, NewTMem(checkMemSize), tc.c, tc.addr, tc.n) })
 	}
 
 	type outcome struct {
@@ -300,16 +250,13 @@ func TestChecksMatchReference(t *testing.T) {
 		op   string
 	}
 	seen := map[outcome]int{}
-	var mem, ref *TMem
+	m := NewTMem(checkMemSize)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 50000; i++ {
-		if i%50 == 0 {
-			mem, ref = taggedMem(t), taggedMem(t)
-		}
 		c, addr, n := randCase(r)
 		c.perms = c.perms&^(PermLoad|PermStore|PermExecute) | Perm(i%8)
 		var o outcome
-		if f, ok := compareChecks(t, mem, ref, c, addr, n).(*Fault); ok {
+		if f, ok := compareChecks(t, m, c, addr, n).(*Fault); ok {
 			o = outcome{f.Kind, f.Op}
 		}
 		seen[o]++
@@ -331,7 +278,7 @@ func TestChecksMatchReference(t *testing.T) {
 
 // FuzzCapCheck is the same fence on fuzzer-chosen fields: any
 // capability, address and length must fault exactly as the reference
-// does, and a writable slice must clear exactly the tags it clears.
+// does and, when it passes, give the reference's view.
 func FuzzCapCheck(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 32; i++ {
@@ -342,7 +289,7 @@ func FuzzCapCheck(f *testing.F) {
 	f.Add(uint64(math.MaxUint64-15), uint64(32), uint64(0), uint16(PermAll), uint32(OTypeUnsealed), true, uint64(math.MaxUint64-15), 16)
 	f.Fuzz(func(t *testing.T, base, length, cursor uint64, perms uint16, otype uint32, tag bool, addr uint64, n int) {
 		c := Cap{base: base, length: length, addr: cursor, perms: Perm(perms), otype: OType(otype), tag: tag}
-		compareChecks(t, taggedMem(t), taggedMem(t), c, addr, n)
+		compareChecks(t, NewTMem(checkMemSize), c, addr, n)
 	})
 }
 

@@ -9,9 +9,12 @@
 //     (address), permissions, an object type for sealing, and a validity
 //     tag. Derivation is monotonic: a derived capability can never carry
 //     more rights or wider bounds than its parent.
-//   - TMem: byte-addressable tagged memory. One tag bit guards each
-//     16-byte granule; writing data bytes into a granule clears its tag,
-//     so capabilities cannot be forged by writing their bit pattern.
+//   - TMem: byte-addressable memory behind capability checks. It holds
+//     data bytes only: a capability is a value code holds (a DDC or PCC,
+//     a register file, a gate argument, a DMA grant) and is never stored
+//     into memory, so no written bit pattern can come back as one. A
+//     tagged capability comes only from NewRoot, a monotone derivation,
+//     or BuildCap against an authority.
 //   - Context: a compartment execution context (PCC, DDC and a register
 //     file of capabilities) together with sealed entry pairs and the
 //     CInvoke/blrs-style domain-crossing operation used by trampolines.
@@ -36,7 +39,7 @@
 // FuzzCapCheck).
 //
 // The model is deliberately uncompressed (no CHERI Concentrate encoding):
-// bounds are exact. Tag granularity, alignment rules for capability
-// loads/stores, and permission monotonicity match the architectural
-// behaviour that the paper's evaluation depends on.
+// bounds are exact. Bounds and permission checks, sealing and
+// permission monotonicity match the architectural behaviour that the
+// paper's evaluation depends on.
 package cheri

@@ -22,10 +22,6 @@ const (
 	FaultPermStore
 	// FaultPermExecute: fetch attempted without PermExecute.
 	FaultPermExecute
-	// FaultPermLoadCap: capability load attempted without PermLoadCap.
-	FaultPermLoadCap
-	// FaultPermStoreCap: capability store attempted without PermStoreCap.
-	FaultPermStoreCap
 	// FaultPermSeal: seal attempted without PermSeal on the sealer.
 	FaultPermSeal
 	// FaultPermUnseal: unseal attempted without PermUnseal on the unsealer.
@@ -39,9 +35,6 @@ const (
 	FaultMonotonicity
 	// FaultOType: seal/unseal object-type mismatch or otype out of range.
 	FaultOType
-	// FaultAlignment: capability load/store at a non-16-byte-aligned
-	// address.
-	FaultAlignment
 )
 
 var faultNames = map[FaultKind]string{
@@ -51,15 +44,12 @@ var faultNames = map[FaultKind]string{
 	FaultPermLoad:     "permit-load violation",
 	FaultPermStore:    "permit-store violation",
 	FaultPermExecute:  "permit-execute violation",
-	FaultPermLoadCap:  "permit-load-capability violation",
-	FaultPermStoreCap: "permit-store-capability violation",
 	FaultPermSeal:     "permit-seal violation",
 	FaultPermUnseal:   "permit-unseal violation",
 	FaultPermInvoke:   "permit-invoke violation",
 	FaultPermSystem:   "permit-system-registers violation",
 	FaultMonotonicity: "monotonicity violation",
 	FaultOType:        "object-type violation",
-	FaultAlignment:    "capability alignment fault",
 }
 
 // String returns the architectural name of the fault kind.

@@ -14,9 +14,9 @@ const (
 	PermStore
 	// PermExecute allows instruction fetch (PCC-class capabilities).
 	PermExecute
-	// PermLoadCap allows loading valid capabilities (preserving tags).
+	// PermLoadCap allows loading valid capabilities.
 	PermLoadCap
-	// PermStoreCap allows storing valid capabilities (preserving tags).
+	// PermStoreCap allows storing valid capabilities.
 	PermStoreCap
 	// PermSeal allows sealing other capabilities with this one's otype
 	// range.

@@ -164,27 +164,3 @@ func TestQuickTMemRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: any data store over a tagged granule clears its tag.
-func TestQuickTagClearing(t *testing.T) {
-	m := NewTMem(1 << 16)
-	root := m.Root()
-	v, err := root.SetAddr(64).SetBounds(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(slot uint8, off uint8, b byte) bool {
-		addr := (uint64(slot) % 64) * CapSize
-		if err := m.StoreCap(root, addr, v); err != nil {
-			return false
-		}
-		wr := addr + uint64(off)%CapSize
-		if err := m.Store(root, wr, []byte{b}); err != nil {
-			return false
-		}
-		return !m.TagAt(addr)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -12,7 +12,7 @@ import (
 // TestBuildFitsItsMachines builds every layout the repository runs —
 // Table II's five, Scenario 3, Scenarios 4-10 in both modes at every
 // shard count, the gate × shard composites — and checks that each
-// machine, local and peer, has less than a page of tagged memory left.
+// machine, local and peer, has less than a page of memory left.
 // testbed.Build derives a machine's memory as the sum of what it is about
 // to place: a term missing from the sum fails the build with ENOMEM, a
 // term over-counted (or slack added back) fails here.

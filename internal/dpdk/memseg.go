@@ -45,7 +45,7 @@ func (s *MemSeg) CapMode() bool { return s.capMode }
 // their IOMMU window derived from it.
 func (s *MemSeg) Cap() cheri.Cap { return s.cap }
 
-// Mem returns the underlying tagged memory.
+// Mem returns the underlying machine memory.
 func (s *MemSeg) Mem() *cheri.TMem { return s.mem }
 
 // Alloc carves n bytes (aligned) out of the segment. Segment memory is

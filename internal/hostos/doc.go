@@ -8,7 +8,7 @@
 //   - a CLOCK_MONOTONIC_RAW clock (used by the evaluation's
 //     clock_gettime timing probes), read from the clock the kernel boots
 //     on — its bed's virtual clock,
-//   - page-granular memory reservations carved from the machine's tagged
+//   - page-granular memory reservations carved from the machine's
 //     memory (mmap/munmap: the Intravisor's cVM windows and the
 //     hugepage-like segments DPDK allocates at boot),
 //   - a PCI registry with kernel-driver unbind, which is how DPDK

@@ -27,7 +27,7 @@ type Kernel struct {
 	PCI   *PCI
 }
 
-// NewKernel boots a host kernel on clk over memSize bytes of tagged
+// NewKernel boots a host kernel on clk over memSize bytes of
 // memory. The first page is reserved (null page); the rest is the mmap
 // arena.
 func NewKernel(clk Clock, memSize uint64) (*Kernel, error) {

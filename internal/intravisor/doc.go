@@ -5,7 +5,7 @@
 // the host OS.
 //
 // A cVM is an isolated software component confined to a DDC window of
-// the machine's tagged memory. cVMs cannot issue host syscalls: their
+// the machine's memory. cVMs cannot issue host syscalls: their
 // (modified musl) libc replaces each svc instruction with a trampoline
 // that saves the register state, clears volatile capability registers,
 // and enters the Intravisor through a sealed entry pair (CInvoke / blrs

@@ -163,7 +163,7 @@ func (iv *Intravisor) CVMs() map[string]*CVM {
 	return out
 }
 
-// Mem returns the machine's tagged memory (Intravisor privilege).
+// Mem returns the machine's memory (Intravisor privilege).
 func (iv *Intravisor) Mem() *cheri.TMem { return iv.K.Mem }
 
 // Root returns the Intravisor's memory root capability. Only the

@@ -365,7 +365,7 @@ func (p *Port) dmaRO(addr uint64, n int) ([]byte, bool) {
 	return s, err == nil
 }
 
-// dmaRW maps [addr, addr+n) for a device write, invalidating tags.
+// dmaRW maps [addr, addr+n) of host memory for a device write.
 func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 	if p.dmaFault() {
 		return nil, false
@@ -375,11 +375,7 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 		return s, err == nil
 	}
 	s, err := p.mem.RawSlice(addr, n)
-	if err != nil {
-		return nil, false
-	}
-	p.mem.RawInvalidate(addr, n)
-	return s, true
+	return s, err == nil
 }
 
 // Step advances the device: it drains every armed TX ring onto the wire

@@ -48,6 +48,104 @@ type hostileTarget struct {
 	onePast uint64
 }
 
+// hostileBuf is one row of the buffer-capability column: a capability
+// a buffer-taking target is called with, its scalars all valid.
+type hostileBuf struct {
+	name string
+	c    cheri.Cap
+	// traps: the gate's re-derivation (BuildCap against the caller's
+	// DDC) refuses c, which traps the caller and nobody else.
+	traps bool
+}
+
+// storeTargets are the targets that write through the capability that
+// crosses with them.
+var storeTargets = map[string]bool{"accept": true, "read": true, "recvFrom": true, "epWait": true, "rx": true}
+
+// hostileBufs is the buffer column of target name, whose well-formed
+// staging capability is good: good itself, then copies of it that no
+// target may act on as if they were good, then victim, a capability
+// over another compartment's staging area.
+func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf {
+	t.Helper()
+	sealed, err := good.Seal(cheri.NewRoot(uint64(cheri.OTypeFirst), 1, cheri.PermSeal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := good.AndPerms(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []hostileBuf{
+		{"well-formed", good, false},
+		{"untagged", good.ClearTag(), false},
+		// BuildCap re-derives a sealed copy unsealed, so today it crosses
+		// and behaves as the unsealed one: pinned here, not endorsed.
+		{"sealed", sealed, false},
+		{"permission-less", none, false},
+	}
+	if storeTargets[name] {
+		ro, err := good.AndPerms(cheri.PermLoad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, hostileBuf{"read-only", ro, false})
+	}
+	return append(rows, hostileBuf{"victim's", victim, true})
+}
+
+// window copies the bytes of c's memory window.
+func window(t *testing.T, c *intravisor.CVM) []byte {
+	t.Helper()
+	w, err := c.Mem().RawSlice(c.Base(), int(c.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(w)
+}
+
+// callBufColumn calls target name's gate from attacker with every row
+// of its buffer column (hostileBufs; victimBuf is good's staging area
+// in victim's window), once per socket state that states opens, the
+// scalars valid. Each call must come back with an errno; the row the
+// gate's re-derivation refuses traps the attacker (restarted after the
+// row) with EFAULT, and no other row traps it; the sealed row answers as
+// the well-formed one did; and no byte of victim's window changes.
+func callBufColumn(t *testing.T, name string, gate *intravisor.Gate, good, victimBuf cheri.Cap, attacker, victim *intravisor.CVM,
+	states func() (fds []int, args func(fd int) hostos.Args, done func())) {
+	t.Helper()
+	var unsealed []hostos.Errno
+	for _, row := range hostileBufs(t, name, good, victimBuf) {
+		before := window(t, victim)
+		fds, args, done := states()
+		for i, fd := range fds {
+			_, errno := gate.Call(attacker, args(fd), row.c)
+			if testing.Verbose() {
+				t.Logf("%s with the %s buffer, state %d: %v", name, row.name, i, errno)
+			}
+			switch {
+			case attacker.Trapped() != row.traps:
+				t.Fatalf("%s with the %s buffer, state %d: attacker trapped = %v, want %v (%v)", name, row.name, i, attacker.Trapped(), row.traps, errno)
+			case row.traps && errno != hostos.EFAULT:
+				t.Fatalf("%s with the %s buffer, state %d: %v, want EFAULT", name, row.name, i, errno)
+			case row.name == "well-formed":
+				unsealed = append(unsealed, errno)
+			case row.name == "sealed" && errno != unsealed[i]:
+				t.Fatalf("%s with the sealed buffer, state %d: %v, the unsealed one %v", name, i, errno, unsealed[i])
+			}
+		}
+		if row.traps {
+			if err := attacker.Restart(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done()
+		if !bytes.Equal(before, window(t, victim)) {
+			t.Fatalf("%s with the %s buffer changed the victim's window", name, row.name)
+		}
+	}
+}
+
 // udpEcho checks that the stack still carries a well-behaved caller's
 // traffic: the peer's datagram reaches api's bound socket fd and the
 // answer gets back.
@@ -231,6 +329,18 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 				done()
 			}
 		}
+		if tg.buf.Tag() {
+			off := tg.buf.Base() - attacker.App.Base()
+			vbuf, err := victim.App.DeriveBuf(victim.App.Base()+off, tg.buf.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			callBufColumn(t, tg.name, tg.gate, tg.buf, vbuf, attacker.App, victim.App,
+				func() ([]int, func(int) hostos.Args, func()) {
+					fds, ep, done := sockets()
+					return fds[:], func(fd int) hostos.Args { return tg.args(uint64(fd), uint64(ep)) }, done
+				})
+		}
 		if bed.Envs[0].CVM.Trapped() {
 			t.Fatalf("the stack compartment trapped on %s", tg.name)
 		}
@@ -240,7 +350,7 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 
 // TestHostileDevGateCaller: the same rows against the three device-gate
 // targets, called as the stack compartment; the driver compartment keeps
-// moving the stack's frames afterwards.
+// moving the frames of a victim application cVM's socket afterwards.
 func TestHostileDevGateCaller(t *testing.T) {
 	clk := sim.NewVClock()
 	bed, err := Build(Spec{
@@ -248,6 +358,7 @@ func TestHostileDevGateCaller(t *testing.T) {
 		Machine: MachineSpec{Name: "morello", Ports: 1},
 		Compartments: []CompartmentSpec{{
 			Name: "stack", CVM: true, DeviceGate: true, Ifs: []IfSpec{{Port: 0}},
+			APIGate: true, AppCVMs: []string{"victim"},
 			Stack: StackSpec{Shards: 2},
 		}},
 		Peers: []PeerSpec{{Port: 0}},
@@ -255,17 +366,16 @@ func TestHostileDevGateCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := bed.Envs[0]
-	api := env.Sharded.API()
+	env, victim := bed.Envs[0], bed.Apps[0]
 	const port = 7
-	fd, errno := api.Socket(fstack.SockDgram)
+	fd, errno := victim.Socket(fstack.SockDgram)
 	if errno == hostos.OK {
-		errno = api.Bind(fd, fstack.IPv4Addr{}, port)
+		errno = victim.Bind(fd, fstack.IPv4Addr{}, port)
 	}
 	if errno != hostos.OK {
-		t.Fatalf("stack socket: %v", errno)
+		t.Fatalf("victim socket: %v", errno)
 	}
-	udpEcho(t, bed, clk, api, fd, port, "nothing")
+	udpEcho(t, bed, clk, victim, fd, port, "nothing")
 
 	g := env.devGates[0]
 	// A staging capability with room for four frames.
@@ -290,9 +400,19 @@ func TestHostileDevGateCaller(t *testing.T) {
 				}
 			}
 		}
+		if tg.buf.Tag() {
+			vbuf, err := victim.stageCap(stageWriteOff, int(tg.buf.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			callBufColumn(t, tg.name, tg.gate, tg.buf, vbuf, env.CVM, victim.App,
+				func() ([]int, func(int) hostos.Args, func()) {
+					return []int{0}, func(int) hostos.Args { return tg.args(0, 0) }, func() {}
+				})
+		}
 		if cvm := g.rx.Owner(); cvm.Trapped() {
 			t.Fatalf("the driver compartment trapped on %s", tg.name)
 		}
-		udpEcho(t, bed, clk, api, fd, port, tg.name)
+		udpEcho(t, bed, clk, victim, fd, port, tg.name)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/nic"
 )
 
-// Machine is one simulated computer: tagged memory + kernel + one NIC.
+// Machine is one simulated computer: memory + kernel + one NIC.
 type Machine struct {
 	Name string
 	K    *hostos.Kernel
@@ -39,7 +39,7 @@ func (cs CompartmentSpec) homeBytes() uint64 {
 	return n
 }
 
-// machineMem is the tagged memory of a machine hosting comps: the sum,
+// machineMem is the memory of a machine hosting comps: the sum,
 // reservation by reservation, of what newMachine and buildEnv place on
 // it — no more, so a term missing here is an ENOMEM in Build and a term
 // over-counted is caught by TestBuildFitsItsMachines.

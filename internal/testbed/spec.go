@@ -84,7 +84,7 @@ func (o ObsSpec) Enabled() bool {
 }
 
 // MachineSpec parameterizes the local machine: its NIC and bus model.
-// Its tagged memory is the sum of what Build places on it, and its card
+// Its memory is the sum of what Build places on it, and its card
 // does capability DMA exactly when its compartments are cVMs.
 type MachineSpec struct {
 	Name string
