@@ -227,6 +227,9 @@ func (c Cap) Unseal(unsealer Cap) (Cap, error) {
 // BuildCap validates that cand is derivable from auth (bounds within,
 // perms a subset) and returns a tagged copy of cand. It mirrors the
 // CBuildCap instruction used to re-derive capabilities after swapping.
+// The copy keeps cand's seal: re-deriving is not unsealing, which takes
+// PermUnseal, so a sealed candidate comes back sealed and every use
+// check refuses it.
 func BuildCap(auth, cand Cap) (Cap, error) {
 	if f := auth.checkDerivable("buildcap"); f != nil {
 		return NullCap, f
@@ -238,11 +241,10 @@ func BuildCap(auth, cand Cap) (Cap, error) {
 		return NullCap, newFault(FaultMonotonicity, "buildcap", auth, cand.base, 0)
 	}
 	cand.tag = true
-	cand.otype = OTypeUnsealed
 	return cand, nil
 }
 
-// --- use checks (called by TMem and Context) ---
+// --- use checks (called by TMem and CInvoke) ---
 //
 // Every use check is split in two. permits is the whole success path:
 // one predicate the compiler inlines into each caller as a chain of

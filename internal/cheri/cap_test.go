@@ -216,6 +216,18 @@ func TestBuildCap(t *testing.T) {
 	if _, err := BuildCap(auth, priv); !IsFault(err, FaultMonotonicity) {
 		t.Fatalf("perm-widening candidate: got %v, want monotonicity fault", err)
 	}
+	// A sealed candidate comes back sealed: re-deriving is not unsealing.
+	sealed := Cap{base: 0x1100, length: 0x100, addr: 0x1100, perms: PermLoad, otype: 42}
+	got, err = BuildCap(auth, sealed)
+	if err != nil {
+		t.Fatalf("BuildCap of a sealed candidate: %v", err)
+	}
+	if !got.Tag() || got.OType() != 42 {
+		t.Fatalf("rebuilt sealed cap %v, want tagged and sealed with otype 42", got)
+	}
+	if err := got.CheckLoad(0x1100, 1); !IsFault(err, FaultSeal) {
+		t.Fatalf("load through the rebuilt sealed cap: got %v, want seal fault", err)
+	}
 }
 
 func TestFaultErrorText(t *testing.T) {

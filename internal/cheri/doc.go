@@ -10,14 +10,13 @@
 //     tag. Derivation is monotonic: a derived capability can never carry
 //     more rights or wider bounds than its parent.
 //   - TMem: byte-addressable memory behind capability checks. It holds
-//     data bytes only: a capability is a value code holds (a DDC or PCC,
-//     a register file, a gate argument, a DMA grant) and is never stored
-//     into memory, so no written bit pattern can come back as one. A
-//     tagged capability comes only from NewRoot, a monotone derivation,
-//     or BuildCap against an authority.
-//   - Context: a compartment execution context (PCC, DDC and a register
-//     file of capabilities) together with sealed entry pairs and the
-//     CInvoke/blrs-style domain-crossing operation used by trampolines.
+//     data bytes only: a capability is a value code holds (a cVM's DDC, an
+//     entry pair, a gate argument, a DMA grant) and is never stored into
+//     memory, so no written bit pattern can come back as one. A tagged
+//     capability comes only from NewRoot, a monotone derivation, or
+//     BuildCap against an authority, which keeps its seal.
+//   - EntryPair: a sealed (code, data) pair, and CInvoke, the blrs-style
+//     check a trampoline or gate makes of it on every domain crossing.
 //
 // Faults mirror CHERI exception causes (tag, seal, permission, bounds,
 // monotonicity violations) and are reported as *Fault errors rather than

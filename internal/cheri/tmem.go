@@ -5,7 +5,7 @@ import "fmt"
 // TMem is physical memory: a flat byte array that every access reaches
 // through a capability check (or, for the Baseline and raw-mode bus
 // masters, none). It holds data bytes only. A capability is a value code
-// holds — a DDC or PCC, a register file, a gate argument, a port's DMA
+// holds — a cVM's DDC, an entry pair, a gate argument, a port's DMA
 // grant — and is never stored into memory, so no byte pattern written
 // here can come back as a tagged capability: unforgeability holds by
 // construction.

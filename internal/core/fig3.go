@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cheri"
-	"repro/internal/intravisor"
 	"repro/internal/sim"
 )
 
@@ -14,8 +13,8 @@ import (
 type Fig3Report struct {
 	// Fault is the CHERI exception the attacker received.
 	Fault *cheri.Fault
-	// AttackerState is the attacker cVM's lifecycle state afterwards.
-	AttackerState intravisor.State
+	// AttackerState is the attacker cVM's state afterwards.
+	AttackerState string
 	// VictimUnaffected reports that the victim cVM kept running and its
 	// memory kept its integrity.
 	VictimUnaffected bool
@@ -67,7 +66,7 @@ func RunFig3() (Fig3Report, error) {
 	// The victim must be alive and intact.
 	got := make([]byte, len(secret))
 	if err := victim.Load(victim.Base()+0x40, got); err == nil &&
-		string(got) == string(secret) && victim.State() != intravisor.StateTrapped {
+		string(got) == string(secret) && !victim.Trapped() {
 		rep.VictimUnaffected = true
 	}
 	return rep, nil

@@ -169,7 +169,7 @@ func TestFig3CapabilityViolation(t *testing.T) {
 	if !rep.VictimUnaffected {
 		t.Fatal("victim was affected")
 	}
-	if rep.AttackerState.String() != "trapped" {
+	if rep.AttackerState != "trapped" {
 		t.Fatalf("attacker state %v, want trapped", rep.AttackerState)
 	}
 }

@@ -8,8 +8,7 @@ import (
 	"repro/internal/hostos"
 )
 
-// TestCrossingsDoNotAllocate pins both crossings at zero allocations for a
-// cVM with no live register, the state of every cVM the scenarios run: a
+// TestCrossingsDoNotAllocate pins both crossings at zero allocations: a
 // gate call with a buffer capability, and a trampoline syscall.
 //
 // Skipped under the race detector, whose instrumentation allocates.

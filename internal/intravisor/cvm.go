@@ -7,36 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// State is a cVM lifecycle state.
-type State int
-
-const (
-	// StateCreated: configured but not yet started.
-	StateCreated State = iota
-	// StateRunning: executing as a thread of the Intravisor.
-	StateRunning
-	// StateTrapped: terminated by a capability fault (paper Fig. 3).
-	StateTrapped
-	// StateStopped: shut down cleanly.
-	StateStopped
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateCreated:
-		return "created"
-	case StateRunning:
-		return "running"
-	case StateTrapped:
-		return "trapped"
-	case StateStopped:
-		return "stopped"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 // CVM is a capability-VM: an isolated component running as a thread of
 // the Intravisor, confined to the DDC window it was granted.
 type CVM struct {
@@ -48,7 +18,6 @@ type CVM struct {
 	size  uint64
 	ddc   cheri.Cap
 	entry cheri.EntryPair // sealed entry into the Intravisor
-	ctx   cheri.Context
 
 	// Core is the virtual time the compartment's thread has booked.
 	Core sim.Core
@@ -56,8 +25,8 @@ type CVM struct {
 	// compartment's gates (Gate.Call's settle).
 	refused uint64
 
-	state State
-	trap  *cheri.Fault
+	// trap is the fault that terminated the cVM; nil while it runs.
+	trap *cheri.Fault
 
 	// mapped is what the proxy's mmap handed the cVM and it has not
 	// unmapped: the only ranges its munmap reaches.
@@ -79,43 +48,31 @@ func (c *CVM) Book(ns int64) { c.Core.Book(c.iv.K.Clk.Now(), ns) }
 // DDC returns the cVM's default data capability.
 func (c *CVM) DDC() cheri.Cap { return c.ddc }
 
-// State returns the lifecycle state.
-func (c *CVM) State() State { return c.state }
-
-// Start marks the cVM running.
-func (c *CVM) Start() {
-	if c.state == StateCreated || c.state == StateStopped {
-		c.state = StateRunning
+// State names the cVM's state for reports: "trapped" or "running".
+func (c *CVM) State() string {
+	if c.Trapped() {
+		return "trapped"
 	}
-}
-
-// Stop marks the cVM cleanly stopped.
-func (c *CVM) Stop() {
-	if c.state == StateRunning {
-		c.state = StateStopped
-	}
+	return "running"
 }
 
 // Trap records a capability fault and terminates the cVM, as CheriBSD's
 // SIGPROT delivery does for the paper's Fig. 3 experiment.
-func (c *CVM) Trap(f *cheri.Fault) {
-	c.state = StateTrapped
-	c.trap = f
-}
+func (c *CVM) Trap(f *cheri.Fault) { c.trap = f }
 
 // Trapped reports whether the cVM is dead from a capability fault (the
 // supervisor's poll predicate).
-func (c *CVM) Trapped() bool { return c.state == StateTrapped }
+func (c *CVM) Trapped() bool { return c.trap != nil }
 
 // Restart revives a trapped cVM in place. Intravisor restarts a crashed
 // compartment by re-entering its loader over the same memory window
 // (pages are never returned to the host), so the model re-derives the
-// DDC and register template from the root rather than re-allocating:
-// the window, ID and name survive; every capability the old incarnation
-// held is dead because new gates must be sealed over the fresh DDC.
+// DDC from the root rather than re-allocating: the window, ID and name
+// survive; every capability the old incarnation held is dead because new
+// gates must be sealed over the fresh DDC.
 func (c *CVM) Restart() error {
-	if c.state != StateTrapped {
-		return fmt.Errorf("intravisor: restart of cVM %q in state %v", c.Name, c.state)
+	if !c.Trapped() {
+		return fmt.Errorf("intravisor: restart of cVM %q, which is running", c.Name)
 	}
 	ddc, err := c.iv.root.SetAddr(c.base).SetBounds(c.size)
 	if err != nil {
@@ -125,14 +82,8 @@ func (c *CVM) Restart() error {
 	if err != nil {
 		return err
 	}
-	pcc, err := c.iv.codeCap.AndPerms(cheri.PermCode)
-	if err != nil {
-		return err
-	}
 	c.ddc = ddc
-	c.ctx = cheri.Context{DDC: ddc, PCC: pcc}
 	c.trap = nil
-	c.state = StateRunning
 	return nil
 }
 

@@ -37,10 +37,11 @@ func (iv *Intravisor) NewGate(owner *CVM, fn GateFunc) (*Gate, error) {
 func (g *Gate) Owner() *CVM { return g.owner }
 
 // Call performs the cross-compartment invocation from caller into the
-// gate's owner: validate the capability argument, save and scrub the
-// caller's register state, CInvoke through the sealed pair, run the
-// target, and cross back. This is the jump the paper's Scenario 2
-// wrappers execute around every F-Stack API call.
+// gate's owner: validate the capability argument, check the sealed pair
+// (CInvoke), run the target, and cross back. This is the jump the
+// paper's Scenario 2 wrappers execute around every F-Stack API call. A
+// broken pair traps the caller: EFAULT, the target never runs and no
+// crossing is counted.
 func (g *Gate) Call(caller *CVM, args hostos.Args, buf cheri.Cap) (uint64, hostos.Errno) {
 	// The buffer capability the caller passes must be derived from the
 	// caller's own authority: re-validate it against the caller's DDC
@@ -55,23 +56,15 @@ func (g *Gate) Call(caller *CVM, args hostos.Args, buf cheri.Cap) (uint64, hosto
 		}
 		buf = checked
 	}
-	// Per-thread register file, seeded from the caller's template (the
-	// same rule as the syscall trampoline).
-	ctx := caller.ctx
-	frame := ctx.Save()
-	ctx.ClearVolatile()
-	if err := ctx.CInvoke(g.pair); err != nil {
+	if err := cheri.CInvoke(g.pair); err != nil {
 		if f, ok := faultOf(err); ok {
 			caller.Trap(f)
 		}
-		ctx.Restore(frame)
 		return 0, hostos.EFAULT
 	}
 	now := g.iv.K.Clk.Now()
 	free := g.owner.Core.At(now)
 	r0, errno := g.fn(caller, args, buf)
-	ctx.ClearVolatile()
-	ctx.Restore(frame)
 	crossings := g.iv.Crossings.Add(1)
 	g.owner.settle(caller, now, free, errno == hostos.EAGAIN)
 	if g.iv.obsTr != nil {

@@ -26,8 +26,8 @@ func gateBed(tb testing.TB) (g *Gate, app *CVM, buf cheri.Cap) {
 }
 
 // BenchmarkGateCall is one served cross-compartment call: the buffer
-// capability's re-derivation, the register file's save, scrub and
-// restore, CInvoke, the target and the booking.
+// capability's re-derivation, the sealed pair's CInvoke check, the target
+// and the booking.
 func BenchmarkGateCall(b *testing.B) {
 	g, app, buf := gateBed(b)
 	b.ReportAllocs()

@@ -141,14 +141,7 @@ func (iv *Intravisor) CreateCVM(name string, size uint64) (*CVM, error) {
 		size:  size,
 		ddc:   ddc,
 		entry: entry,
-		state: StateCreated,
 	}
-	c.ctx.DDC = ddc
-	pcc, err := iv.codeCap.AndPerms(cheri.PermCode)
-	if err != nil {
-		return nil, err
-	}
-	c.ctx.PCC = pcc
 	iv.nextID++
 	iv.cvms[name] = c
 	return c, nil

@@ -67,14 +67,14 @@ func TestCVMIsolation(t *testing.T) {
 	if !cheri.IsFault(err, cheri.FaultBounds) {
 		t.Fatalf("cross-window store: got %v, want bounds fault", err)
 	}
-	if a.State() != StateTrapped {
-		t.Fatalf("attacker state = %v, want trapped", a.State())
+	if !a.Trapped() {
+		t.Fatal("the attacker is running, want trapped")
 	}
 	if a.TrapFault() == nil || a.TrapFault().Kind != cheri.FaultBounds {
 		t.Fatalf("trap fault = %v", a.TrapFault())
 	}
 	// The victim is unaffected (paper Fig. 3: other cVMs keep running).
-	if b.State() == StateTrapped {
+	if b.Trapped() {
 		t.Fatal("victim cVM must be unaffected")
 	}
 	got := make([]byte, 6)
@@ -86,29 +86,9 @@ func TestCVMIsolation(t *testing.T) {
 	}
 }
 
-func TestCVMLifecycle(t *testing.T) {
-	iv := newIV(t)
-	c, _ := iv.CreateCVM("c", 1<<20)
-	if c.State() != StateCreated {
-		t.Fatalf("fresh state = %v", c.State())
-	}
-	c.Start()
-	if c.State() != StateRunning {
-		t.Fatalf("after Start: %v", c.State())
-	}
-	c.Stop()
-	if c.State() != StateStopped {
-		t.Fatalf("after Stop: %v", c.State())
-	}
-	if s := c.State().String(); s != "stopped" {
-		t.Fatalf("state string = %q", s)
-	}
-}
-
 func TestCVMRestart(t *testing.T) {
 	iv := newIV(t)
 	c, _ := iv.CreateCVM("c", 1<<20)
-	c.Start()
 	if err := c.Restart(); err == nil {
 		t.Fatal("Restart of a running cVM must fail")
 	}
@@ -117,13 +97,13 @@ func TestCVMRestart(t *testing.T) {
 		t.Fatal("out-of-window load must fault")
 	}
 	if !c.Trapped() || c.TrapFault() == nil {
-		t.Fatalf("after fault: state=%v fault=%v", c.State(), c.TrapFault())
+		t.Fatalf("after fault: trapped=%v fault=%v", c.Trapped(), c.TrapFault())
 	}
 	if err := c.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if c.State() != StateRunning || c.Trapped() || c.TrapFault() != nil {
-		t.Fatalf("after restart: state=%v fault=%v", c.State(), c.TrapFault())
+	if c.Trapped() || c.TrapFault() != nil {
+		t.Fatalf("after restart: fault=%v", c.TrapFault())
 	}
 	// Same window, working DDC: in-window accesses go through again.
 	if c.DDC().Base() != c.Base() || c.DDC().Len() != c.Size() || !c.DDC().Tag() {
@@ -160,54 +140,6 @@ func TestTrampolineUnknownSyscall(t *testing.T) {
 	c, _ := iv.CreateCVM("c", 1<<20)
 	if _, _, errno := c.Syscall(MuslSysNo(9999), hostos.Args{}); errno != hostos.ENOSYS {
 		t.Fatalf("unknown musl syscall: got %v, want ENOSYS", errno)
-	}
-}
-
-// TestTrampolinePreservesContext: a cVM with a live capability register
-// crosses — the musl trampoline, a served gate call, a refused one — and
-// comes back with its DDC and the register as they were. The crossing
-// runs on a per-call copy of the cVM's context; a register written on
-// such a copy never reaches the template.
-func TestTrampolinePreservesContext(t *testing.T) {
-	iv := newIV(t)
-	c, _ := iv.CreateCVM("c", 1<<20)
-	stack, _ := iv.CreateCVM("stack", 1<<20)
-	before := c.ctx.DDC
-	reg, _ := c.DDC().SetAddr(c.Base()).SetBounds(64)
-	c.ctx.SetReg(7, reg)
-	verdict := hostos.OK
-	g, err := iv.NewGate(stack, func(*CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
-		// The crossing scrubbed its own copy, not the caller's template.
-		if c.ctx.Reg(7) != reg || c.ctx.DDC != before {
-			t.Errorf("the caller's template changed during the call: r7 %v, DDC %v", c.ctx.Reg(7), c.ctx.DDC)
-		}
-		return 0, verdict
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range []struct {
-		name  string
-		cross func()
-	}{
-		{"trampoline", func() { c.NowNS() }},
-		{"served gate call", func() { verdict = hostos.OK; g.Call(c, hostos.Args{}, cheri.NullCap) }},
-		{"refused gate call", func() { verdict = hostos.EAGAIN; g.Call(c, hostos.Args{}, cheri.NullCap) }},
-	} {
-		row.cross()
-		if c.ctx.DDC != before {
-			t.Fatalf("%s: DDC changed across the crossing: %v -> %v", row.name, before, c.ctx.DDC)
-		}
-		if c.ctx.Reg(7) != reg {
-			t.Fatalf("%s: register state changed across the crossing", row.name)
-		}
-	}
-	call := c.ctx // what Gate.Call and Syscall seed their context from
-	call.ClearVolatile()
-	call.SetReg(7, c.DDC())
-	call.SetReg(8, reg)
-	if c.ctx.Reg(7) != reg || c.ctx.Reg(8) != cheri.NullCap {
-		t.Fatalf("a write to the per-call context reached the template: r7 %v, r8 %v", c.ctx.Reg(7), c.ctx.Reg(8))
 	}
 }
 
@@ -270,8 +202,70 @@ func TestGateRejectsForgedCapability(t *testing.T) {
 	if _, errno := gate.Call(app, hostos.Args{}, forged); errno != hostos.EFAULT {
 		t.Fatalf("forged capability: got %v, want EFAULT", errno)
 	}
-	if app.State() != StateTrapped {
-		t.Fatalf("caller state = %v, want trapped", app.State())
+	if !app.Trapped() {
+		t.Fatal("the caller is running, want trapped")
+	}
+}
+
+// TestBrokenEntryPairTrapsTheCaller: a gate call and a trampoline
+// syscall through an entry pair whose halves disagree on their object
+// type, or lost a tag, trap the caller with the CInvoke fault and return
+// EFAULT; neither the gate target nor the syscall proxy runs, and no
+// crossing is counted or booked.
+func TestBrokenEntryPairTrapsTheCaller(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		fault cheri.FaultKind
+		// brk breaks p; other is a well-formed pair of another otype.
+		brk func(p, other cheri.EntryPair) cheri.EntryPair
+	}{
+		{"mismatched otypes", cheri.FaultOType, func(p, other cheri.EntryPair) cheri.EntryPair { p.Data = other.Data; return p }},
+		{"untagged code", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Code = p.Code.ClearTag(); return p }},
+		{"untagged data", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Data = p.Data.ClearTag(); return p }},
+	} {
+		iv := newIV(t)
+		now := iv.K.Clk.Now()
+		stack, _ := iv.CreateCVM("stack", 1<<20)
+		app, _ := iv.CreateCVM("app", 1<<20)
+		ran := false
+		g, err := iv.NewGate(stack, func(*CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
+			ran = true
+			return 0, hostos.OK
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.pair = row.brk(g.pair, stack.entry)
+		app.entry = row.brk(app.entry, stack.entry)
+		buf, _ := app.DeriveBuf(app.Base(), 64)
+		free := iv.K.Pages.FreeBytes()
+		for _, cross := range []struct {
+			name string
+			call func() hostos.Errno
+		}{
+			{"gate call", func() hostos.Errno { _, errno := g.Call(app, hostos.Args{}, buf); return errno }},
+			{"trampoline", func() hostos.Errno { _, _, errno := app.Syscall(MuslMmap, hostos.Args{hostos.PageSize}); return errno }},
+		} {
+			if errno := cross.call(); errno != hostos.EFAULT {
+				t.Fatalf("%s, %s: %v, want EFAULT", row.name, cross.name, errno)
+			}
+			if f := app.TrapFault(); f == nil || f.Kind != row.fault {
+				t.Fatalf("%s, %s: the caller's trap is %v, want a %v fault", row.name, cross.name, f, row.fault)
+			}
+			if ran || iv.K.Pages.FreeBytes() != free || len(app.mapped) != 0 {
+				t.Fatalf("%s, %s: the crossing ran its target (gate target ran: %v, pages taken: %d)",
+					row.name, cross.name, ran, free-iv.K.Pages.FreeBytes())
+			}
+			if n := iv.Crossings.Load(); n != 0 {
+				t.Fatalf("%s, %s: %d crossings counted, want none", row.name, cross.name, n)
+			}
+			if app.Core.At(now) != now || stack.Core.At(now) != now {
+				t.Fatalf("%s, %s: the refused crossing booked time", row.name, cross.name)
+			}
+			if err := app.Restart(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -300,8 +294,8 @@ func TestDeriveBufOutOfWindowTraps(t *testing.T) {
 	if _, err := app.DeriveBuf(app.Base()+app.Size(), 16); err == nil {
 		t.Fatal("deriving beyond the window must fail")
 	}
-	if app.State() != StateTrapped {
-		t.Fatalf("state = %v, want trapped", app.State())
+	if !app.Trapped() {
+		t.Fatal("the cVM is running, want trapped")
 	}
 }
 

@@ -3,6 +3,7 @@ package intravisor
 import (
 	"slices"
 
+	"repro/internal/cheri"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -30,31 +31,18 @@ const (
 )
 
 // Syscall is the musl trampoline: the only road from a cVM to the host
-// kernel. It performs the full domain crossing — frame save, volatile
-// register clearing, sealed-pair CInvoke into the Intravisor, proxy
-// translation, host syscall, return crossing — and books the crossing's
-// modelled cost on the calling cVM as it counts it.
+// kernel. It performs the domain crossing — the sealed-pair CInvoke into
+// the Intravisor, proxy translation, host syscall, return — and books
+// the crossing's modelled cost on the calling cVM as it counts it.
 func (c *CVM) Syscall(num MuslSysNo, a hostos.Args) (r0, r1 uint64, errno hostos.Errno) {
-	// Each cVM thread has its own register file (cVMs run as threads of
-	// the Intravisor); the trampoline operates on this thread's context,
-	// seeded from the cVM's template.
-	ctx := c.ctx
-	// Trampoline entry: preserve the caller's register state and make
-	// sure no live capability leaks into the Intravisor's world.
-	frame := ctx.Save()
-	ctx.ClearVolatile()
-	if err := ctx.CInvoke(c.entry); err != nil {
+	if err := cheri.CInvoke(c.entry); err != nil {
 		// A broken entry pair is a capability fault against the cVM.
 		if f, ok := faultOf(err); ok {
 			c.Trap(f)
 		}
-		ctx.Restore(frame)
 		return 0, 0, hostos.EFAULT
 	}
 	r0, r1, errno = c.iv.proxy(c, num, a)
-	// Return crossing: scrub and restore.
-	ctx.ClearVolatile()
-	ctx.Restore(frame)
 	c.iv.Crossings.Add(1)
 	c.Book(sim.TrampolineNS)
 	return r0, r1, errno

@@ -242,7 +242,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 	// for a plain process), a DPDK segment in it and a pool in that.
 	place := func(name, poolName string) (cvm *intravisor.CVM, seg *dpdk.MemSeg, pool *dpdk.Mempool, err error) {
 		if cs.CVM {
-			if cvm, err = m.newCVM(name, cs.homeBytes()); err == nil {
+			if cvm, err = m.IV.CreateCVM(name, cs.homeBytes()); err == nil {
 				seg, err = cvmSeg(m, cvm, cs.segBytes())
 			}
 		} else {
@@ -360,7 +360,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 		}
 		b.gatesEnv = env
 		for _, appName := range cs.AppCVMs {
-			app, err := m.newCVM(appName, appAreaBytes)
+			app, err := m.IV.CreateCVM(appName, appAreaBytes)
 			if err != nil {
 				return nil, err
 			}

@@ -63,7 +63,8 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		return crossedLen(v, devStageSize/devBurstMax, 0, devBurstMax, stage)
 	}
 	// rx: harvest up to a[0] frames from queue a[1]; pack [u16 len][bytes]...
-	// through the caller's staging capability; returns the frame count.
+	// through the caller's staging capability, checked writable before a
+	// frame is harvested for it; returns the frame count.
 	g.rx = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
 		q, ok := queue(a[1])
 		if !ok {
@@ -73,21 +74,18 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		if errno != hostos.OK {
 			return 0, errno
 		}
+		out, err := mem.CheckedSlice(stage, stage.Addr(), n*devStageSize/devBurstMax)
+		if err != nil {
+			return 0, hostos.EFAULT
+		}
 		var bufs [devBurstMax]*dpdk.Mbuf
 		k := dev.RxBurstQ(q, bufs[:n])
-		addr := stage.Addr()
-		packed := 0
-		for i := 0; i < k; i++ {
-			m := bufs[i]
-			data, err := m.BytesRO()
-			if err == nil {
-				var hdr [2]byte
-				binary.LittleEndian.PutUint16(hdr[:], uint16(len(data)))
-				if mem.Store(stage, addr, hdr[:]) == nil &&
-					mem.Store(stage, addr+2, data) == nil {
-					addr += 2 + uint64(len(data))
-					packed++
-				}
+		off, packed := 0, 0
+		for _, m := range bufs[:k] {
+			if data, err := m.BytesRO(); err == nil && off+2+len(data) <= len(out) {
+				binary.LittleEndian.PutUint16(out[off:], uint16(len(data)))
+				off += 2 + copy(out[off+2:], data)
+				packed++
 			}
 			m.Free()
 		}

@@ -128,22 +128,22 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		return 0, s.Listen(int(a[0]), int(a[1]))
 	})
 	g.accept = mk(func(_ *intravisor.CVM, a hostos.Args, addrOut cheri.Cap) (uint64, hostos.Errno) {
-		// Before a connection leaves the queue for a buffer too short to
-		// name its peer.
-		if addrOut.Tag() && capRoom(addrOut) < sockaddrLen {
-			return 0, hostos.EFAULT
+		// The peer address goes through the caller's sockaddr buffer,
+		// checked before a connection leaves the queue for a buffer that
+		// cannot take it.
+		var sa []byte
+		if addrOut.Tag() {
+			var err error
+			if sa, err = mem.CheckedSlice(addrOut, addrOut.Addr(), sockaddrLen); err != nil {
+				return 0, hostos.EFAULT
+			}
 		}
 		nfd, ip, port, errno := s.Accept(int(a[0]))
 		if errno != hostos.OK {
 			return 0, errno
 		}
-		// Write the peer address through the caller's sockaddr buffer.
-		var sa [sockaddrLen]byte
-		putSockaddr(sa[:], ip, port)
-		if addrOut.Tag() {
-			if err := mem.Store(addrOut, addrOut.Addr(), sa[:]); err != nil {
-				return 0, hostos.EFAULT
-			}
+		if sa != nil {
+			putSockaddr(sa, ip, port)
 		}
 		return uint64(nfd), hostos.OK
 	})
@@ -212,22 +212,20 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		if errno != hostos.OK {
 			return 0, errno
 		}
+		// Events go out (fd u32, events u32) through the caller's buffer
+		// capability, checked before any is collected.
+		out, err := mem.CheckedSlice(evOut, evOut.Addr(), maxEv*stageEventLen)
+		if err != nil {
+			return 0, hostos.EFAULT
+		}
 		var evs [stageEventsMax]fstack.Event
 		n, errno := s.EpollWait(int(a[0]), evs[:maxEv])
 		if errno != hostos.OK {
 			return 0, errno
 		}
-		// Marshal events (fd u32, events u32) through the caller's
-		// buffer capability.
-		var out [stageEventsMax * stageEventLen]byte
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(out[i*stageEventLen:], uint32(evs[i].FD))
-			binary.LittleEndian.PutUint32(out[i*stageEventLen+4:], evs[i].Events)
-		}
-		if n > 0 {
-			if err := mem.Store(evOut, evOut.Addr(), out[:n*stageEventLen]); err != nil {
-				return 0, hostos.EFAULT
-			}
+		for i, ev := range evs[:n] {
+			binary.LittleEndian.PutUint32(out[i*stageEventLen:], uint32(ev.FD))
+			binary.LittleEndian.PutUint32(out[i*stageEventLen+4:], ev.Events)
 		}
 		return uint64(n), hostos.OK
 	})

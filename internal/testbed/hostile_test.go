@@ -65,7 +65,9 @@ var storeTargets = map[string]bool{"accept": true, "read": true, "recvFrom": tru
 // hostileBufs is the buffer column of target name, whose well-formed
 // staging capability is good: good itself, then copies of it that no
 // target may act on as if they were good, then victim, a capability
-// over another compartment's staging area.
+// over another compartment's staging area. The sealed copy follows the
+// permission-less one: a gate does not unseal, so every target's use
+// check refuses the two alike.
 func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf {
 	t.Helper()
 	sealed, err := good.Seal(cheri.NewRoot(uint64(cheri.OTypeFirst), 1, cheri.PermSeal))
@@ -79,10 +81,8 @@ func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf
 	rows := []hostileBuf{
 		{"well-formed", good, false},
 		{"untagged", good.ClearTag(), false},
-		// BuildCap re-derives a sealed copy unsealed, so today it crosses
-		// and behaves as the unsealed one: pinned here, not endorsed.
-		{"sealed", sealed, false},
 		{"permission-less", none, false},
+		{"sealed", sealed, false},
 	}
 	if storeTargets[name] {
 		ro, err := good.AndPerms(cheri.PermLoad)
@@ -104,39 +104,65 @@ func window(t *testing.T, c *intravisor.CVM) []byte {
 	return bytes.Clone(w)
 }
 
+// callResult is what one gate call returned.
+type callResult struct {
+	r0    uint64
+	errno hostos.Errno
+}
+
+// gotNothing reports whether a call was refused or handed nothing back.
+func (c callResult) gotNothing() bool { return c.errno != hostos.OK || c.r0 == 0 }
+
 // callBufColumn calls target name's gate from attacker with every row
 // of its buffer column (hostileBufs; victimBuf is good's staging area
 // in victim's window), once per socket state that states opens, the
 // scalars valid. Each call must come back with an errno; the row the
 // gate's re-derivation refuses traps the attacker (restarted after the
-// row) with EFAULT, and no other row traps it; the sealed row answers as
-// the well-formed one did; and no byte of victim's window changes.
+// call) with EFAULT, and no other row traps it; the sealed row answers as
+// the permission-less one did; and no byte of victim's window changes.
+// A call that got nothing took nothing it could not hand back: a
+// well-formed call right after it in the same state gets something
+// exactly when the well-formed row did (a queued connection, queued
+// frames).
 func callBufColumn(t *testing.T, name string, gate *intravisor.Gate, good, victimBuf cheri.Cap, attacker, victim *intravisor.CVM,
 	states func() (fds []int, args func(fd int) hostos.Args, done func())) {
 	t.Helper()
-	var unsealed []hostos.Errno
+	var wellFormed, permless []callResult
 	for _, row := range hostileBufs(t, name, good, victimBuf) {
 		before := window(t, victim)
 		fds, args, done := states()
 		for i, fd := range fds {
-			_, errno := gate.Call(attacker, args(fd), row.c)
+			var got callResult
+			got.r0, got.errno = gate.Call(attacker, args(fd), row.c)
 			if testing.Verbose() {
-				t.Logf("%s with the %s buffer, state %d: %v", name, row.name, i, errno)
+				t.Logf("%s with the %s buffer, state %d: %d, %v", name, row.name, i, got.r0, got.errno)
 			}
 			switch {
 			case attacker.Trapped() != row.traps:
-				t.Fatalf("%s with the %s buffer, state %d: attacker trapped = %v, want %v (%v)", name, row.name, i, attacker.Trapped(), row.traps, errno)
-			case row.traps && errno != hostos.EFAULT:
-				t.Fatalf("%s with the %s buffer, state %d: %v, want EFAULT", name, row.name, i, errno)
+				t.Fatalf("%s with the %s buffer, state %d: attacker trapped = %v, want %v (%v)", name, row.name, i, attacker.Trapped(), row.traps, got.errno)
+			case row.traps && got.errno != hostos.EFAULT:
+				t.Fatalf("%s with the %s buffer, state %d: %v, want EFAULT", name, row.name, i, got.errno)
 			case row.name == "well-formed":
-				unsealed = append(unsealed, errno)
-			case row.name == "sealed" && errno != unsealed[i]:
-				t.Fatalf("%s with the sealed buffer, state %d: %v, the unsealed one %v", name, i, errno, unsealed[i])
+				wellFormed = append(wellFormed, got)
+				continue
+			case row.name == "permission-less":
+				permless = append(permless, got)
+			case row.name == "sealed" && got != permless[i]:
+				t.Fatalf("%s with the sealed buffer, state %d: %d, %v, the permission-less one %d, %v",
+					name, i, got.r0, got.errno, permless[i].r0, permless[i].errno)
 			}
-		}
-		if row.traps {
-			if err := attacker.Restart(); err != nil {
-				t.Fatal(err)
+			if row.traps {
+				if err := attacker.Restart(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got.gotNothing() {
+				var again callResult
+				again.r0, again.errno = gate.Call(attacker, args(fd), good)
+				if want := wellFormed[i]; again.errno != want.errno || again.gotNothing() != want.gotNothing() {
+					t.Fatalf("%s with the %s buffer, state %d, then well-formed: %d, %v; the well-formed row got %d, %v",
+						name, row.name, i, again.r0, again.errno, want.r0, want.errno)
+				}
 			}
 		}
 		done()
@@ -263,8 +289,9 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 	}
 
 	port := uint16(20000)
-	// sockets opens the four socket states afresh and registers them with
-	// a new epoll descriptor; done closes what it opened.
+	// sockets opens the four socket states afresh (the listener with a
+	// connection queued on it) and registers them with a new epoll
+	// descriptor; done closes what it opened.
 	sockets := func() (fds [4]int, ep int, done func()) {
 		must := func(errno hostos.Errno, what string) {
 			t.Helper()
@@ -287,6 +314,10 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 		if _, errno := peer.SendTo(pufd, []byte("queued"), LocalIP(0), port+1); errno != hostos.OK {
 			t.Fatalf("peer datagram: %v", errno)
 		}
+		pcfd, _ := peer.Socket(fstack.SockStream)
+		if errno := peer.Connect(pcfd, LocalIP(0), port); errno != hostos.EINPROGRESS {
+			t.Fatalf("peer connect: %v", errno)
+		}
 		pafd, errno := -1, hostos.EAGAIN
 		for i := 0; i < 400 && errno == hostos.EAGAIN; i++ {
 			pump(bed, clk, 1)
@@ -307,6 +338,7 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 			}
 			attacker.Close(ep)
 			peer.Close(pafd)
+			peer.Close(pcfd)
 			pump(bed, clk, 20)
 		}
 	}
@@ -349,8 +381,9 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 }
 
 // TestHostileDevGateCaller: the same rows against the three device-gate
-// targets, called as the stack compartment; the driver compartment keeps
-// moving the frames of a victim application cVM's socket afterwards.
+// targets, called as the stack compartment with frames queued for rx;
+// the driver compartment keeps moving the frames of a victim application
+// cVM's socket afterwards.
 func TestHostileDevGateCaller(t *testing.T) {
 	clk := sim.NewVClock()
 	bed, err := Build(Spec{
@@ -378,13 +411,24 @@ func TestHostileDevGateCaller(t *testing.T) {
 	udpEcho(t, bed, clk, victim, fd, port, "nothing")
 
 	g := env.devGates[0]
-	// A staging capability with room for four frames.
+	// A staging capability with room for four frames, on queue 0, where
+	// queueFrames's frames land.
 	const frames = 4
 	stage, err := env.CVM.DeriveBuf(env.CVM.Base()+devStageOff, frames*devStageSize/devBurstMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst := func(_, _ uint64) hostos.Args { return hostos.Args{frames, 1} }
+	burst := func(_, _ uint64) hostos.Args { return hostos.Args{frames, 0} }
+	// queueFrames puts three non-IP frames on queue 0 of the device.
+	queueFrames := func() {
+		p := bed.Local.Card.Port(0)
+		for i := 0; i < 3; i++ {
+			f := p.Arena().Alloc(60)
+			clear(f)
+			f[12], f[13] = 0x88, 0xB5 // a local experimental EtherType
+			p.DeliverFrame(f, clk.Now())
+		}
+	}
 	for _, tg := range []hostileTarget{
 		{"rx", g.rx, burst, 2, stage, frames + 1},
 		{"tx", g.tx, burst, 2, stage, frames + 1},
@@ -407,6 +451,7 @@ func TestHostileDevGateCaller(t *testing.T) {
 			}
 			callBufColumn(t, tg.name, tg.gate, tg.buf, vbuf, env.CVM, victim.App,
 				func() ([]int, func(int) hostos.Args, func()) {
+					queueFrames()
 					return []int{0}, func(int) hostos.Args { return tg.args(0, 0) }, func() {}
 				})
 		}

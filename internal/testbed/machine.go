@@ -107,16 +107,6 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 	return m, nil
 }
 
-// newCVM creates and starts a cVM with a window of size bytes.
-func (m *Machine) newCVM(name string, size uint64) (*intravisor.CVM, error) {
-	c, err := m.IV.CreateCVM(name, size)
-	if err != nil {
-		return nil, err
-	}
-	c.Start()
-	return c, nil
-}
-
 // Env is one network environment — the DPDK segment, buffer pool,
 // bound ports and stack of either a Baseline process or a cVM. A
 // sharded environment (StackSpec.Shards > 0) carries a ShardedStack
