@@ -80,6 +80,95 @@ func TestDNSClientTakesAnswersOnlyFromTheServer(t *testing.T) {
 	}
 }
 
+// TestDNSClientRetriesThenAbandons walks the retry path against a
+// server that never answers: with MaxTries 3 a query times out three
+// times, is retransmitted after the first two and abandoned at the
+// third. Then a second client's retried query is answered: it completes
+// once, timed from its first send, and the stale timeout of the retry
+// fires nothing. Both halves hold only if a retry's bumped tries and
+// attempt are written back to the flight.
+func TestDNSClientRetriesThenAbandons(t *testing.T) {
+	srv := fstack.IP4(10, 0, 0, 2)
+	const timeout = 100
+	api := newFakeAPI()
+	c, err := NewDNSClient(srv, 53, 4000, 0, 1, 10, timeout, 3) // closed-loop, one query
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Step(api, 0) // socket
+	c.Step(api, 1) // query ID 1; the duration ends before it resolves
+	for now := int64(1); !c.Done(); now += timeout {
+		if now > 10*timeout {
+			t.Fatalf("query still in flight at %d ns: timeouts %d, sent %d", now, c.Timeouts(), len(api.sent))
+		}
+		c.Step(api, now)
+	}
+	if c.Issued() != 1 || c.Timeouts() != 3 || len(api.sent) != 3 || c.Failed() != 1 || c.Completed() != 0 {
+		t.Fatalf("issued %d, timeouts %d, sent %d, failed %d, completed %d: want 1, 3, 3 (2 retransmits), 1, 0",
+			c.Issued(), c.Timeouts(), len(api.sent), c.Failed(), c.Completed())
+	}
+	for i, q := range api.sent {
+		if id, _ := dnsID(q); id != 1 {
+			t.Fatalf("datagram %d carries ID %d, want the query's ID 1", i, id)
+		}
+	}
+
+	api = newFakeAPI()
+	c, _ = NewDNSClient(srv, 53, 4000, 0, 1, 10, timeout, 3)
+	c.Step(api, 0)
+	c.Step(api, 1)         // query ID 1
+	c.Step(api, 1+timeout) // first timeout: retransmitted
+	answer := fakeDgram{dnsMsg(putDNSAnswer, 1), srv, 53}
+	api.dgrams = []fakeDgram{answer, answer}
+	c.Step(api, 150) // the answer and a duplicate
+	c.Step(api, 1+2*timeout)
+	if c.Completed() != 1 || c.Timeouts() != 1 || c.Failed() != 0 || len(api.sent) != 2 || !c.Done() {
+		t.Fatalf("completed %d, timeouts %d, failed %d, sent %d, done %v: want 1, 1, 0, 2, true",
+			c.Completed(), c.Timeouts(), c.Failed(), len(api.sent), c.Done())
+	}
+	if c.Hist.Count() != 1 || c.Hist.Min() != 149 {
+		t.Fatalf("latency samples %d, min %d ns: want one of 149 (from the first send)", c.Hist.Count(), c.Hist.Min())
+	}
+}
+
+// TestDNSClientTimeoutQueueStaysBounded: an open-loop run never drains
+// the timeout queue (answered queries leave their entries until the
+// deadline), so without compaction it grows to one entry per query ever
+// issued. With every query answered, it must stay a small multiple of
+// what one timeout's worth of queries holds.
+func TestDNSClientTimeoutQueueStaysBounded(t *testing.T) {
+	srv := fstack.IP4(10, 0, 0, 2)
+	const (
+		rate     = 100_000   // queries/s
+		timeout  = 1_000_000 // ns: 100 queries per timeout
+		duration = 100_000_000
+	)
+	api := newFakeAPI()
+	c, err := NewDNSClient(srv, 53, 4000, rate, 0, duration, timeout, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxCap := 0
+	for now := int64(0); !c.Done(); now += 10_000 {
+		if now > 2*duration {
+			t.Fatalf("run not done at %d ns", now)
+		}
+		for _, q := range api.sent {
+			id, _ := dnsID(q)
+			api.dgrams = append(api.dgrams, fakeDgram{dnsMsg(putDNSAnswer, id), srv, 53})
+		}
+		api.sent = api.sent[:0]
+		c.Step(api, now)
+		maxCap = max(maxCap, cap(c.queue))
+	}
+	if c.Issued() < 9000 || c.Completed() != c.Issued() {
+		t.Fatalf("issued %d, completed %d: want ≈ 10 000, all answered", c.Issued(), c.Completed())
+	}
+	if bound := 4 * rate * timeout / 1_000_000_000; maxCap > bound {
+		t.Fatalf("timeout queue reached capacity %d over %d queries, want ≤ %d", maxCap, c.Issued(), bound)
+	}
+}
+
 // dnsServe steps a set-up server over one readable datagram.
 func dnsServe(data []byte) (*DNSServer, *fakeAPI) {
 	api := newFakeAPI()

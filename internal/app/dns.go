@@ -167,19 +167,20 @@ func (s *DNSServer) Step(api API, now int64) {
 
 // dnsFlight is the live state of one query: t0 is the first-send
 // instant (the latency clock start, unchanged by retries), tries the
-// attempts made, attempt a generation counter matching the newest
-// timeout-queue entry (older entries for the same ID are stale).
+// attempts made (0: the ID is not in flight), attempt a generation
+// counter matching the newest timeout-queue entry (older entries for
+// the same ID are stale).
 type dnsFlight struct {
 	t0      int64
-	tries   int
-	attempt int
+	tries   int32
+	attempt int32
 }
 
 // dnsTimeout is one timeout-queue entry. The queue is a head-indexed
 // FIFO: the timeout is a constant, so send order is deadline order.
 type dnsTimeout struct {
 	id       uint16
-	attempt  int
+	attempt  int32
 	deadline int64
 }
 
@@ -215,7 +216,8 @@ type DNSClient struct {
 	fd        int
 	buf       []byte
 	qbuf      []byte
-	flights   map[uint16]*dnsFlight
+	flights   []dnsFlight // indexed by ID: one slab for every ID
+	inflight  int
 	queue     []dnsTimeout
 	qHead     int
 	nextID    uint16
@@ -242,7 +244,7 @@ func NewDNSClient(ip fstack.IPv4Addr, port, sport uint16, rate float64, concurre
 		DurationNS: durationNS, TimeoutNS: timeoutNS, MaxTries: maxTries,
 		buf:     make([]byte, 2048),
 		qbuf:    make([]byte, 2048),
-		flights: make(map[uint16]*dnsFlight),
+		flights: make([]dnsFlight, 1<<16),
 		nextID:  1,
 	}, nil
 }
@@ -308,7 +310,7 @@ func (c *DNSClient) Step(api API, now int64) {
 			return
 		}
 		if now >= c.pace.end {
-			if len(c.flights) == 0 {
+			if c.inflight == 0 {
 				c.endNS = now
 				api.Close(c.fd)
 				c.state = dnsCliDone
@@ -316,7 +318,7 @@ func (c *DNSClient) Step(api API, now int64) {
 			return
 		}
 		for k := c.pace.due(now); k > 0; k-- {
-			if len(c.flights) >= maxOutstanding {
+			if c.inflight >= maxOutstanding {
 				c.pace.deferred += k
 				break
 			}
@@ -325,7 +327,7 @@ func (c *DNSClient) Step(api API, now int64) {
 			}
 		}
 		// Closed-loop: hold Concurrency queries outstanding.
-		for c.Rate <= 0 && len(c.flights) < c.Concurrency {
+		for c.Rate <= 0 && c.inflight < c.Concurrency {
 			if !c.query(api, now) {
 				return
 			}
@@ -336,7 +338,8 @@ func (c *DNSClient) Step(api API, now int64) {
 // query issues a fresh query: the latency clock starts here.
 func (c *DNSClient) query(api API, now int64) bool {
 	id := c.allocID()
-	c.flights[id] = &dnsFlight{t0: now, tries: 1}
+	c.flights[id] = dnsFlight{t0: now, tries: 1}
+	c.inflight++
 	c.queue = append(c.queue, dnsTimeout{id: id, deadline: now + c.TimeoutNS})
 	c.issued++
 	return c.send(api, id)
@@ -350,7 +353,7 @@ func (c *DNSClient) allocID() uint16 {
 		if c.nextID == 0 {
 			c.nextID = 1
 		}
-		if _, busy := c.flights[id]; !busy {
+		if c.flights[id].tries == 0 {
 			return id
 		}
 	}
@@ -372,8 +375,12 @@ func (c *DNSClient) popTimeout(now int64) (dnsTimeout, bool) {
 	}
 	e := c.queue[c.qHead]
 	c.qHead++
-	if c.qHead == len(c.queue) {
-		c.queue, c.qHead = c.queue[:0], 0
+	// An open-loop run never drains the queue (answered queries leave
+	// stale entries behind), so the consumed head is cut off once it is
+	// the larger half: the queue stays O(outstanding), not O(issued).
+	if c.qHead > len(c.queue)/2 {
+		n := copy(c.queue, c.queue[c.qHead:])
+		c.queue, c.qHead = c.queue[:n], 0
 	}
 	return e, true
 }
@@ -386,12 +393,12 @@ func (c *DNSClient) expire(api API, now int64) bool {
 		if !ok {
 			return true
 		}
-		fl, live := c.flights[e.id]
-		if !live || fl.attempt != e.attempt {
+		fl := &c.flights[e.id]
+		if fl.tries == 0 || fl.attempt != e.attempt {
 			continue
 		}
 		c.timeouts++
-		if fl.tries < c.MaxTries {
+		if int(fl.tries) < c.MaxTries {
 			fl.tries++
 			fl.attempt++
 			c.queue = append(c.queue, dnsTimeout{id: e.id, attempt: fl.attempt, deadline: now + c.TimeoutNS})
@@ -400,10 +407,12 @@ func (c *DNSClient) expire(api API, now int64) bool {
 			}
 			continue
 		}
-		delete(c.flights, e.id)
+		t0 := fl.t0
+		*fl = dnsFlight{}
+		c.inflight--
 		c.abandoned++
 		if c.Trace != nil {
-			c.Trace.Record(now, obs.EvAppRequest, c.Src, now-fl.t0, 0, obs.ReqTimeout)
+			c.Trace.Record(now, obs.EvAppRequest, c.Src, now-t0, 0, obs.ReqTimeout)
 		}
 	}
 }
@@ -426,15 +435,17 @@ func (c *DNSClient) drainAnswers(api API, now int64) bool {
 			c.stray++
 			continue
 		}
-		fl, live := c.flights[id]
-		if !live {
+		fl := &c.flights[id]
+		if fl.tries == 0 {
 			continue // duplicate answer after a retry resolved it
 		}
-		delete(c.flights, id)
+		t0 := fl.t0
+		*fl = dnsFlight{}
+		c.inflight--
 		c.completed++
-		c.Hist.Record(now - fl.t0)
+		c.Hist.Record(now - t0)
 		if c.Trace != nil {
-			c.Trace.Record(now, obs.EvAppRequest, c.Src, now-fl.t0, int64(n), obs.ReqDNS)
+			c.Trace.Record(now, obs.EvAppRequest, c.Src, now-t0, int64(n), obs.ReqDNS)
 		}
 	}
 }

@@ -130,11 +130,15 @@ func NewMempool(seg *MemSeg, name string, n int, dataroom uint16) (*Mempool, err
 	if err != nil {
 		return nil, fmt.Errorf("dpdk: mempool %q: %w", name, err)
 	}
-	p.free = make([]*Mbuf, 0, n)
-	for i := 0; i < n; i++ {
-		m := &Mbuf{pool: p, buf: base + uint64(i)*uint64(dataroom), room: dataroom}
+	// The headers are one slab, as a DPDK mempool lays its objects out
+	// in one array: a pool costs the same few allocations at any size.
+	mbufs := make([]Mbuf, n)
+	p.free = make([]*Mbuf, n)
+	for i := range mbufs {
+		m := &mbufs[i]
+		*m = Mbuf{pool: p, buf: base + uint64(i)*uint64(dataroom), room: dataroom}
 		m.reset()
-		p.free = append(p.free, m)
+		p.free[i] = m
 	}
 	return p, nil
 }

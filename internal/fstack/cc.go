@@ -91,13 +91,14 @@ type CongestionController interface {
 	Ssthresh() int
 }
 
-// newCongestionController builds the controller tuning selects.
-func newCongestionController(name string) (CongestionController, error) {
+// newCongestionController takes a fresh controller of the algorithm
+// tuning selects from the stack's slab for it (slabTake).
+func (s *Stack) newCongestionController(name string) (CongestionController, error) {
 	switch name {
 	case "", CCReno:
-		return &renoCC{}, nil
+		return slabTake(&s.renoSlab), nil
 	case CCCubic:
-		return &cubicCC{}, nil
+		return slabTake(&s.cubicSlab), nil
 	default:
 		return nil, fmt.Errorf("fstack: unknown congestion-control algorithm %q (have %v)",
 			name, CongestionAlgos())

@@ -217,17 +217,18 @@ func TestCubicConvexStartWithoutLoss(t *testing.T) {
 // string and "reno" select the extracted default, "cubic" selects RFC
 // 8312, anything else is an error surfaced before a connection exists.
 func TestCongestionControllerRegistry(t *testing.T) {
+	s := &Stack{}
 	for _, name := range []string{"", CCReno} {
-		cc, err := newCongestionController(name)
+		cc, err := s.newCongestionController(name)
 		if err != nil || cc.Name() != CCReno {
 			t.Fatalf("%q: got %v, %v", name, cc, err)
 		}
 	}
-	cc, err := newCongestionController(CCCubic)
+	cc, err := s.newCongestionController(CCCubic)
 	if err != nil || cc.Name() != CCCubic {
 		t.Fatalf("cubic: got %v, %v", cc, err)
 	}
-	if _, err := newCongestionController("vegas"); err == nil {
+	if _, err := s.newCongestionController("vegas"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	if ValidCongestion("vegas") || !ValidCongestion("") || !ValidCongestion(CCCubic) {

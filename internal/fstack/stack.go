@@ -215,9 +215,12 @@ type Stack struct {
 	connFree []*tcpConn
 	sockFree []*socket
 	// connSlab/sockSlab are the unissued tails of the current slabs the
-	// arenas take fresh structs from (slabLen at a time).
-	connSlab []connBlock
-	sockSlab []socket
+	// arenas take fresh structs from (slabLen at a time); renoSlab/
+	// cubicSlab hold the fresh connections' congestion controllers.
+	connSlab  []connBlock
+	sockSlab  []socket
+	renoSlab  []renoCC
+	cubicSlab []cubicCC
 	// regFree pools epoll registrations the same way, chained through
 	// nextSk: churn registers and unregisters every short flow.
 	regFree *epollReg

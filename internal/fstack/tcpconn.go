@@ -208,7 +208,7 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 			return c, nil
 		}
 	}
-	cc, err := newCongestionController(s.tuning.Congestion)
+	cc, err := s.newCongestionController(s.tuning.Congestion)
 	if err != nil {
 		return nil, err
 	}

@@ -1,5 +1,7 @@
 package nic
 
+import "slices"
+
 // The frame arena recycles the per-frame byte buffers that carry
 // Ethernet frames between a port's TX path and the far port's RX FIFO
 // (directly over a Wire, or held in a netem delay line in between).
@@ -23,6 +25,19 @@ package nic
 // AllocFrame/FreeFrame keep their signatures over a process-wide
 // default arena for hand-wired tests and single-topology tools.
 
+// frameChunk is how many fresh frames one refill of an empty arena
+// allocates (the slabLen rule of fstack's arenas).
+const frameChunk = 64
+
+// chunkFrame is one frame of a refill chunk, padded to the 1536-byte
+// size class a lone [maxFrame]byte occupies: every frame then starts
+// cache-line aligned, as a lone one does, where packed 1514-byte frames
+// would start 2-byte aligned and slow every whole-frame copy.
+type chunkFrame struct {
+	b [maxFrame]byte
+	_ [1536 - maxFrame]byte
+}
+
 // FrameArena is one pool of wire-frame buffers, recycled last in, first
 // out. The zero value is an empty arena.
 type FrameArena struct {
@@ -31,7 +46,7 @@ type FrameArena struct {
 }
 
 // NewFrameArena returns an empty arena (buffers are allocated on
-// demand and recycled thereafter).
+// demand, frameChunk at a time, and recycled thereafter).
 func NewFrameArena() *FrameArena { return &FrameArena{} }
 
 // Alloc returns an n-byte frame buffer from the arena. Buffers always
@@ -44,7 +59,15 @@ func (a *FrameArena) Alloc(n int) []byte {
 	}
 	k := len(a.free) - 1
 	if k < 0 {
-		return new([maxFrame]byte)[:n]
+		// Refill a chunk at a time: one allocation per frameChunk fresh
+		// frames, the first returned and the rest pushed on the list
+		// (sized for them on the first refill).
+		chunk := new([frameChunk]chunkFrame)
+		a.free = slices.Grow(a.free, frameChunk-1)
+		for i := frameChunk - 1; i > 0; i-- {
+			a.free = append(a.free, &chunk[i].b)
+		}
+		return chunk[0].b[:n]
 	}
 	b := a.free[k]
 	a.free[k] = nil
