@@ -59,9 +59,6 @@ func NewChurnServer(ip fstack.IPv4Addr, preloadPort, churnPort uint16, ports, ba
 	}
 }
 
-// Parked reports how many idle connections the server holds.
-func (s *ChurnServer) Parked() int { return s.parked }
-
 // Served reports how many short flows ran to completion (EOF seen,
 // connection closed).
 func (s *ChurnServer) Served() uint64 { return s.served }

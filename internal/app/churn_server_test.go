@@ -56,7 +56,7 @@ func TestChurnServerAnnouncesQueuedWork(t *testing.T) {
 	api.events = [][]fstack.Event{in(100, 101), in(102)}
 	step("full wait", 4, true)
 	step("the rest reported", 5, false)
-	if srv.Parked() != 1 || srv.Served() != 3 || len(api.closed) != 3 {
-		t.Fatalf("parked %d, served %d, closed %d; want 1, 3, 3", srv.Parked(), srv.Served(), len(api.closed))
+	if srv.parked != 1 || srv.Served() != 3 || len(api.closed) != 3 {
+		t.Fatalf("parked %d, served %d, closed %d; want 1, 3, 3", srv.parked, srv.Served(), len(api.closed))
 	}
 }

@@ -66,14 +66,8 @@ func (c Cap) Top() uint64 { return c.base + c.length }
 // Addr returns the cursor.
 func (c Cap) Addr() uint64 { return c.addr }
 
-// Offset returns the cursor relative to base.
-func (c Cap) Offset() uint64 { return c.addr - c.base }
-
 // Perms returns the permission set.
 func (c Cap) Perms() Perm { return c.perms }
-
-// OType returns the object type; OTypeUnsealed when unsealed.
-func (c Cap) OType() OType { return c.otype }
 
 // Sealed reports whether the capability is sealed.
 func (c Cap) Sealed() bool { return c.otype != OTypeUnsealed }
@@ -124,13 +118,6 @@ func (c Cap) SetAddr(addr uint64) Cap {
 	return c
 }
 
-// IncAddr advances the cursor by delta (which may be interpreted as
-// signed two's-complement, as in pointer arithmetic).
-func (c Cap) IncAddr(delta uint64) Cap {
-	c.addr += delta
-	return c
-}
-
 // SetBounds derives a capability whose bounds are [c.Addr(),
 // c.Addr()+length). The new range must lie within the parent's bounds;
 // otherwise the derivation faults with FaultMonotonicity (length
@@ -164,12 +151,6 @@ func (c Cap) AndPerms(mask Perm) (Cap, error) {
 	return c, nil
 }
 
-// ClearTag returns an invalidated copy of c.
-func (c Cap) ClearTag() Cap {
-	c.tag = false
-	return c
-}
-
 // Seal returns c sealed with the object type designated by sealer's
 // cursor. The sealer must be tagged, unsealed, hold PermSeal, and its
 // cursor must be an in-bounds, in-range otype.
@@ -193,34 +174,6 @@ func (c Cap) Seal(sealer Cap) (Cap, error) {
 		return NullCap, newFault(FaultOType, "seal", sealer, a, 0)
 	}
 	c.otype = OType(a)
-	return c, nil
-}
-
-// Unseal returns c unsealed. The unsealer must be tagged, unsealed, hold
-// PermUnseal, and its cursor must equal c's otype (and be in bounds).
-func (c Cap) Unseal(unsealer Cap) (Cap, error) {
-	if !c.tag {
-		return NullCap, newFault(FaultTag, "unseal", c, c.addr, 0)
-	}
-	if !c.Sealed() {
-		return NullCap, newFault(FaultSeal, "unseal", c, c.addr, 0)
-	}
-	if !unsealer.tag {
-		return NullCap, newFault(FaultTag, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if unsealer.Sealed() {
-		return NullCap, newFault(FaultSeal, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if !unsealer.perms.Has(PermUnseal) {
-		return NullCap, newFault(FaultPermUnseal, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if !unsealer.InBounds(unsealer.addr, 1) || unsealer.addr != uint64(c.otype) {
-		return NullCap, newFault(FaultOType, "unseal", unsealer, unsealer.addr, 0)
-	}
-	c.otype = OTypeUnsealed
-	// Unsealing strips Global unless the unsealer is itself global —
-	// simplification: keep perms unchanged; CheriBSD's behaviour for the
-	// otype ranges used here is identity on permissions.
 	return c, nil
 }
 
@@ -279,22 +232,6 @@ func (c *Cap) useFault(op string, perm Perm, kind FaultKind, addr uint64, n int)
 		return newFault(FaultBounds, op, *c, addr, n)
 	}
 	return nil
-}
-
-// CheckLoad verifies a data load of n bytes at addr through c.
-func (c Cap) CheckLoad(addr uint64, n int) error {
-	if c.permits(PermLoad, addr, n) {
-		return nil
-	}
-	return c.useFault("load", PermLoad, FaultPermLoad, addr, n)
-}
-
-// CheckStore verifies a data store of n bytes at addr through c.
-func (c Cap) CheckStore(addr uint64, n int) error {
-	if c.permits(PermStore, addr, n) {
-		return nil
-	}
-	return c.useFault("store", PermStore, FaultPermStore, addr, n)
 }
 
 // CheckFetch verifies an instruction fetch at addr through c (PCC use).

@@ -262,7 +262,7 @@ func TestChecksMatchReference(t *testing.T) {
 		seen[o]++
 	}
 	for _, o := range []outcome{
-		{FaultNone, ""},
+		{},
 		{FaultTag, "load"},
 		{FaultSeal, "load"},
 		{FaultPermLoad, "load"},

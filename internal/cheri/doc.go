@@ -23,11 +23,11 @@
 // hardware traps; the scenario layer turns them into compartment
 // exceptions (paper Fig. 3).
 //
-// A use check (Cap.CheckLoad/CheckStore/CheckFetch and every TMem access
-// and checked slice) costs the host what it costs the hardware: its
-// success path is one inlined predicate, a straight chain of compares on
-// the capability's fields, and nothing is built unless it fails. The
-// fault is then re-derived out of line, and which fault an access gets
+// A use check (Cap.CheckFetch and every TMem access and checked slice)
+// costs the host what it costs the hardware: its success path is one
+// inlined predicate, a straight chain of compares on the capability's
+// fields, and nothing is built unless it fails. The fault is then
+// re-derived out of line, and which fault an access gets
 // is a contract: tag, then seal, then the load permission and the
 // bounds (for an access that loads), then the store permission and the
 // bounds (for one that stores), then physical memory — the first that

@@ -6,8 +6,8 @@ import "fmt"
 type FaultKind int
 
 const (
-	// FaultNone is the zero value; it never appears in a returned Fault.
-	FaultNone FaultKind = iota
+	// The zero FaultKind never appears in a returned Fault.
+	_ FaultKind = iota
 	// FaultTag: the capability's validity tag is clear.
 	FaultTag
 	// FaultSeal: a sealed capability was used for memory access, or
@@ -88,10 +88,4 @@ func (f *Fault) Error() string {
 
 func newFault(kind FaultKind, op string, c Cap, addr uint64, size int) *Fault {
 	return &Fault{Kind: kind, Cap: c, Addr: addr, Size: size, Op: op}
-}
-
-// IsFault reports whether err is a *Fault of the given kind.
-func IsFault(err error, kind FaultKind) bool {
-	f, ok := err.(*Fault)
-	return ok && f.Kind == kind
 }

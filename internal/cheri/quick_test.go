@@ -74,7 +74,7 @@ func TestQuickDerivationChainsMonotone(t *testing.T) {
 					c = d
 				}
 			case 2:
-				c = c.IncAddr(uint64(s % 64))
+				c = c.SetAddr(c.Addr() + uint64(s%64))
 			}
 		}
 		return c.Base() >= orig.Base() &&

@@ -58,8 +58,6 @@ type (
 	Env = testbed.Env
 	// Peer is a remote link partner.
 	Peer = testbed.Peer
-	// GatedAPI is an application compartment's gated F-Stack API view.
-	GatedAPI = testbed.GatedAPI
 )
 
 // mask24, localIP and peerIP forward to the testbed addressing plan:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"strings"
@@ -31,24 +32,25 @@ func (r recAPI) EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno) {
 	return r.API.EpollWait(epfd, evs)
 }
 
-// synTap notes every frame the peer stack moves (which happens inside
-// the peer loop's step) and the destination ports of the SYNs it sends.
+// synTap sits on the local port the peer's cable delivers to: it notes
+// every frame the peer sends (which reaches the wire inside the peer
+// loop's step) and the destination ports of the SYNs among them.
 type synTap struct {
 	note func(who string)
 	syns []uint16
 }
 
-func (s *synTap) Frame(dir fstack.TapDir, _ int64, data []byte) {
+func (s *synTap) frame(_ int64, data []byte) {
 	s.note("peer loop")
-	if eth, err := fstack.ParseEthHeader(data); err != nil || eth.Type != fstack.EtherTypeIPv4 || dir != fstack.TapTx {
+	if eth, err := fstack.ParseEthHeader(data); err != nil || eth.Type != fstack.EtherTypeIPv4 {
 		return
 	}
 	ip, ihl, err := fstack.ParseIPv4Header(data[fstack.EthHeaderLen:])
 	if err != nil || ip.Proto != fstack.ProtoTCP {
 		return
 	}
-	if tcp, _, err := fstack.ParseTCPHeader(data[fstack.EthHeaderLen+ihl:], ip.Src, ip.Dst); err == nil && tcp.Flags == fstack.TCPSyn {
-		s.syns = append(s.syns, tcp.DstPort)
+	if seg := data[fstack.EthHeaderLen+ihl:]; len(seg) >= fstack.TCPHeaderLen && seg[13] == fstack.TCPSyn {
+		s.syns = append(s.syns, binary.BigEndian.Uint16(seg[2:4]))
 	}
 }
 
@@ -78,7 +80,7 @@ func TestRunFlowsSteppingOrder(t *testing.T) {
 	visitHook = func(int64, bool) { note("iteration") }
 	defer func() { visitHook = nil }()
 	tap := &synTap{note: note}
-	s.Peers[0].Env.Stk.SetTap(tap)
+	s.Local.Card.Port(s.Peers[0].Port).SetRxTap(tap.frame)
 	var flows []bulkFlow
 	for i, site := range s.AppSites() {
 		who := []string{"app 0", "app 1"}[i]

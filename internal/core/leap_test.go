@@ -198,22 +198,11 @@ func withPollCap(c driverCell, maxPollsPerFrame float64) driverCell {
 type driverRecording struct {
 	visited []int64    // grid points the driver iterated at, in order
 	active  []int64    // those at which the bed reported work due now
-	frames  [][]string // every stack's frame trace (dir, ns, len, hash), in tapAll order
+	frames  [][]string // every port's and every stack's trace (frameTrace.traces)
+	total   int        // frames the stacks moved (frameTrace.frames)
 	polls   []uint64   // Loop.Iterations per loop, in Bed.Loops order
 	extra   int        // most goroutines alive at a visited instant beyond those before the run
 	report  string
-}
-
-// tapAll installs a frame-trace tap on every stack of the bed — local
-// compartments (each shard of a sharded one), then peers.
-func tapAll(s *Setup) []*traceTap {
-	stacks := s.Loops()
-	taps := make([]*traceTap, len(stacks))
-	for i, stk := range stacks {
-		taps[i] = &traceTap{}
-		stk.SetTap(taps[i])
-	}
-	return taps
 }
 
 // record runs the cell under the event driver (leap) or the tick
@@ -224,7 +213,9 @@ func (c driverCell) record(t *testing.T, leap bool) driverRecording {
 	oldLeap, oldHook := leapEnabled, visitHook
 	leapEnabled = leap
 	base := runtime.NumGoroutine()
+	var tr *frameTrace
 	visitHook = func(now int64, active bool) {
+		tr.visit(now)
 		rec.extra = max(rec.extra, runtime.NumGoroutine()-base)
 		rec.visited = append(rec.visited, now)
 		if active {
@@ -233,15 +224,12 @@ func (c driverCell) record(t *testing.T, leap bool) driverRecording {
 	}
 	defer func() { leapEnabled, visitHook = oldLeap, oldHook }()
 	var bed *Setup
-	var taps []*traceTap
 	var err error
-	rec.report, err = c.run(sim.NewVClock(), func(s *Setup) { bed, taps = s, tapAll(s) })
+	rec.report, err = c.run(sim.NewVClock(), func(s *Setup) { bed, tr = s, traceFrames(s) })
 	if err != nil {
 		t.Fatalf("%s (leap=%v): %v", c.name, leap, err)
 	}
-	for _, tap := range taps {
-		rec.frames = append(rec.frames, tap.events)
-	}
+	rec.frames, rec.total = tr.traces, tr.frames()
 	for _, l := range bed.Loops() {
 		rec.polls = append(rec.polls, l.Iterations())
 	}
@@ -249,33 +237,36 @@ func (c driverCell) record(t *testing.T, leap bool) driverRecording {
 }
 
 // sameHistory requires two recordings to agree on every frame every
-// stack saw — same bytes, same virtual instant, same per-stack order —
-// and on the formatted report. It returns the number of frames traced.
+// port took in — same bytes, same virtual instant, same per-port order —
+// on the instants at which every stack sent and took in frames, and on
+// the formatted report. It returns the number of frames the stacks
+// moved.
 func sameHistory(t *testing.T, aName string, a driverRecording, bName string, b driverRecording) int {
 	t.Helper()
 	if a.report != b.report {
 		t.Errorf("reports differ:\n-- %s --\n%s\n-- %s --\n%s", aName, a.report, bName, b.report)
 	}
 	if len(a.frames) != len(b.frames) {
-		t.Fatalf("stack counts differ: %s %d, %s %d", aName, len(a.frames), bName, len(b.frames))
+		t.Fatalf("trace counts differ: %s %d, %s %d", aName, len(a.frames), bName, len(b.frames))
 	}
-	total := 0
-	for st := range a.frames {
-		af, bf := a.frames[st], b.frames[st]
+	for k := range a.frames {
+		af, bf := a.frames[k], b.frames[k]
 		for i := 0; i < len(af) && i < len(bf); i++ {
 			if af[i] != bf[i] {
-				t.Fatalf("stack %d frame %d differs:\n  %s: %s\n  %s: %s", st, i, aName, af[i], bName, bf[i])
+				t.Fatalf("trace %d entry %d differs:\n  %s: %s\n  %s: %s", k, i, aName, af[i], bName, bf[i])
 			}
 		}
 		if len(af) != len(bf) {
-			t.Errorf("stack %d frame counts differ: %s %d, %s %d", st, aName, len(af), bName, len(bf))
+			t.Errorf("trace %d lengths differ: %s %d, %s %d", k, aName, len(af), bName, len(bf))
 		}
-		total += len(af)
 	}
-	if total == 0 {
+	if a.total != b.total {
+		t.Errorf("the stacks moved %d frames under the %s, %d under the %s", a.total, aName, b.total, bName)
+	}
+	if a.total == 0 {
 		t.Fatal("no frames traced; the workload is broken")
 	}
-	return total
+	return a.total
 }
 
 // TestEventDriverMatchesTickOracle asserts the tentpole invariant on

@@ -81,7 +81,11 @@ func TestScenario5Observability(t *testing.T) {
 
 	// Metrics sampler: the 100 ms run at a 1 ms interval must have
 	// produced a timeseries.
-	if n := r.Obs.Metrics.Samples(); n < 50 {
+	var csv bytes.Buffer
+	if err := r.Obs.Metrics.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(csv.Bytes(), []byte("\n")) - 1; n < 50 {
 		t.Errorf("metrics sampled %d times, want >= 50", n)
 	}
 

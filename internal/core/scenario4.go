@@ -88,8 +88,7 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 }
 
 // Scenario4Result is one measured (shard count, direction) point.
-// (Per-shard load shows up in each shard's Stats — ShardedStack.Shards —
-// and the device's QueueStats.)
+// (Per-shard load shows up in each shard's Stats — ShardedStack.Shards.)
 type Scenario4Result struct {
 	Shards  int
 	Flows   int

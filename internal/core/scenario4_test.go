@@ -98,13 +98,4 @@ func TestScenario4ShardCountersSumToAggregate(t *testing.T) {
 	if busy < 2 {
 		t.Fatalf("flows landed on %d shard(s); RSS did not spread the load", busy)
 	}
-	// Per-queue device counters must likewise sum to the whole-port
-	// software totals.
-	var qsum uint64
-	for q := 0; q < s.Dev.NumRxQueues(); q++ {
-		qsum += s.Dev.QueueStats(q).IPackets
-	}
-	if qsum != s.Dev.QueueStatsSum().IPackets {
-		t.Fatalf("per-queue stats %d != aggregate %d", qsum, s.Dev.QueueStatsSum().IPackets)
-	}
 }

@@ -7,26 +7,73 @@ import (
 
 	"repro/internal/fstack"
 	"repro/internal/netem"
+	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
-// traceTap records a fingerprint of every frame crossing a stack:
-// direction, virtual timestamp, length and a content hash.
-type traceTap struct {
-	events []string
+// frameTrace records what every stack of a bed puts on and takes off
+// the wire, through the ports' delivery taps and the stacks' counters:
+// per port, a fingerprint of each frame delivered to it (virtual
+// arrival instant, length, content hash) in arrival order; per stack,
+// its frame counters at every driver visit at which they moved.
+type frameTrace struct {
+	stacks []*fstack.Stack
+	last   []fstack.StackStats
+	// traces holds the ports' traces (local ports in order, then each
+	// peer's), then the stacks' (in Loops order).
+	traces [][]string
 }
 
-func (t *traceTap) Frame(dir fstack.TapDir, tsNS int64, data []byte) {
-	h := fnv.New64a()
-	h.Write(data)
-	t.events = append(t.events, fmt.Sprintf("%d %d %d %x", dir, tsNS, len(data), h.Sum64()))
+// traceFrames taps every port of s and records its stacks' counters at
+// each visit; the caller routes the driver's visit hook to visit.
+func traceFrames(s *Setup) *frameTrace {
+	var ports []*nic.Port
+	for i := range s.Local.Card.Ports() {
+		ports = append(ports, s.Local.Card.Port(i))
+	}
+	for _, p := range s.Peers {
+		ports = append(ports, p.M.Card.Port(0))
+	}
+	stacks := s.Loops()
+	tr := &frameTrace{stacks: stacks, last: make([]fstack.StackStats, len(stacks)), traces: make([][]string, len(ports)+len(stacks))}
+	for i, p := range ports {
+		p.SetRxTap(func(tsNS int64, data []byte) {
+			h := fnv.New64a()
+			h.Write(data)
+			tr.traces[i] = append(tr.traces[i], fmt.Sprintf("%d %d %x", tsNS, len(data), h.Sum64()))
+		})
+	}
+	return tr
+}
+
+// visit notes every stack whose frame counters moved since its last note.
+func (tr *frameTrace) visit(now int64) {
+	for i, stk := range tr.stacks {
+		st := stk.Stats()
+		if st.RxFrames != tr.last[i].RxFrames || st.TxFrames != tr.last[i].TxFrames {
+			k := len(tr.traces) - len(tr.stacks) + i
+			tr.traces[k] = append(tr.traces[k], fmt.Sprintf("%d rx %d tx %d", now, st.RxFrames, st.TxFrames))
+			tr.last[i] = st
+		}
+	}
+}
+
+// frames is how many frames the stacks moved: each one counted by the
+// stack that sent it and by the stack that took it in.
+func (tr *frameTrace) frames() int {
+	n := 0
+	for _, stk := range tr.stacks {
+		st := stk.Stats()
+		n += int(st.RxFrames + st.TxFrames)
+	}
+	return n
 }
 
 // runTransparencyRig runs one fixed 100 ms iperf transfer over either a
-// plain wire or a pristine netem link and returns the local stack's
-// frame trace.
-func runTransparencyRig(t *testing.T, linked bool) []string {
+// plain wire or a pristine netem link and returns the bed's frame
+// traces.
+func runTransparencyRig(t *testing.T, linked bool) [][]string {
 	t.Helper()
 	// Pin the peer sizing so both rigs differ ONLY in the conduit (a
 	// link implies the big sizing by default).
@@ -46,34 +93,38 @@ func runTransparencyRig(t *testing.T, linked bool) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := bed.Envs[0]
-	tap := &traceTap{}
-	env.Stk.SetTap(tap)
-
+	tr := traceFrames(bed)
+	visitHook = func(now int64, _ bool) { tr.visit(now) }
+	defer func() { visitHook = nil }()
 	if _, err := runFlows(bed, "transparency rig", wanUpload(bed, iperfPort), 100e6, bwDeadline); err != nil {
 		t.Fatal(err)
 	}
-	if len(tap.events) == 0 {
-		t.Fatal("tap recorded nothing")
+	if tr.frames() == 0 {
+		t.Fatal("the stacks moved no frames")
 	}
-	return tap.events
+	return tr.traces
 }
 
 // TestNetemPassThroughTransparent is the Scenario 1-4 safety assertion:
 // a netem.Link with a zero Config must be indistinguishable from the
-// plain wire — every frame byte-identical at the same virtual instant.
+// plain wire — every frame byte-identical at the same virtual instant,
+// and every stack sending and taking it in at the same instants.
 func TestNetemPassThroughTransparent(t *testing.T) {
 	wire := runTransparencyRig(t, false)
 	link := runTransparencyRig(t, true)
-	if len(wire) != len(link) {
-		t.Fatalf("trace lengths differ: wire %d frames, pristine link %d", len(wire), len(link))
-	}
-	for i := range wire {
-		if wire[i] != link[i] {
-			t.Fatalf("frame %d differs:\n  wire: %s\n  link: %s", i, wire[i], link[i])
+	n := 0
+	for k := range wire {
+		if len(wire[k]) != len(link[k]) {
+			t.Fatalf("trace %d lengths differ: wire %d, pristine link %d", k, len(wire[k]), len(link[k]))
 		}
+		for i := range wire[k] {
+			if wire[k][i] != link[k][i] {
+				t.Fatalf("trace %d entry %d differs:\n  wire: %s\n  link: %s", k, i, wire[k][i], link[k][i])
+			}
+		}
+		n += len(wire[k])
 	}
-	t.Logf("traces identical over %d frames", len(wire))
+	t.Logf("traces identical over %d entries", n)
 }
 
 // s5TestLossyLink is the acceptance link: 100 Mbit/s bottleneck,

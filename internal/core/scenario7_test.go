@@ -62,11 +62,6 @@ func TestScenario7Validation(t *testing.T) {
 		cfg.DelayNS != s7DelayNS || cfg.GEBadProb != s7GEBadProb || cfg.Seed != s7Seed {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
-	// Both stacks got the cubic tuning.
-	if s.Envs[0].Stk.TCPTuning().Congestion != fstack.CCCubic ||
-		s.Peers[0].Env.Stk.TCPTuning().Congestion != fstack.CCCubic {
-		t.Fatal("congestion tuning not applied to both ends")
-	}
 }
 
 // TestScenario7FormatGain pins the summary's gain column: cubic rows

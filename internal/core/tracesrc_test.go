@@ -12,8 +12,8 @@ import (
 // stackSources counts a trace's stack-layer events by source id.
 func stackSources(t *testing.T, tr *obs.Trace) map[uint16]int {
 	t.Helper()
-	if tr.Total() > uint64(tr.Capacity()) {
-		t.Fatalf("trace wrapped: %d events into %d", tr.Total(), tr.Capacity())
+	if tr.Total() != uint64(tr.Len()) {
+		t.Fatalf("trace wrapped: %d events, %d kept", tr.Total(), tr.Len())
 	}
 	out := map[uint16]int{}
 	for _, e := range tr.Snapshot() {

@@ -186,10 +186,10 @@ func TestTxRxRoundTrip(t *testing.T) {
 				t.Fatalf("payload mismatch: %x...", got[:8])
 			}
 			out[0].Free()
-			if r.popB.Avail() != r.popB.Total()-64 {
+			if len(r.popB.free) != r.popB.total-64 {
 				// 64 descriptors hold pool buffers; the harvested one
 				// was freed back.
-				t.Fatalf("pool accounting: avail=%d", r.popB.Avail())
+				t.Fatalf("pool accounting: avail=%d", len(r.popB.free))
 			}
 		})
 	}
@@ -223,8 +223,8 @@ func TestBurstOfMany(t *testing.T) {
 	// All mbufs must eventually return home.
 	r.pump(50)
 	r.devA.PollQ(0)
-	if got := r.popA.Avail(); got != r.popA.Total()-64 {
-		t.Fatalf("sender pool leaked: avail %d of %d", got, r.popA.Total())
+	if got := len(r.popA.free); got != r.popA.total-64 {
+		t.Fatalf("sender pool leaked: avail %d of %d", got, r.popA.total)
 	}
 }
 
@@ -292,8 +292,8 @@ func TestMempoolExhaustion(t *testing.T) {
 	for _, m := range taken {
 		m.Free()
 	}
-	if p.Avail() != 4 {
-		t.Fatalf("avail %d after freeing all", p.Avail())
+	if len(p.free) != 4 {
+		t.Fatalf("avail %d after freeing all", len(p.free))
 	}
 }
 
@@ -303,8 +303,8 @@ func TestMbufEditing(t *testing.T) {
 	p, _ := NewMempool(seg, "edit", 2, DefaultDataroom)
 	m, _ := p.Get()
 
-	if m.Headroom() != MbufHeadroom || m.Len() != 0 {
-		t.Fatalf("fresh mbuf: headroom=%d len=%d", m.Headroom(), m.Len())
+	if m.off != MbufHeadroom || m.Len() != 0 {
+		t.Fatalf("fresh mbuf: headroom=%d len=%d", m.off, m.Len())
 	}
 	body, err := m.Append(100)
 	if err != nil {
@@ -313,33 +313,16 @@ func TestMbufEditing(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i)
 	}
-	hdr, err := m.Prepend(14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(hdr, bytes.Repeat([]byte{0xEE}, 14))
-	if m.Len() != 114 {
-		t.Fatalf("len after prepend = %d", m.Len())
-	}
-	if err := m.Adj(14); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Trim(50); err != nil {
+	if err := m.SetLen(50); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.BytesRO()
 	if len(got) != 50 || got[0] != 0 || got[49] != 49 {
-		t.Fatalf("payload after adj+trim: len=%d", len(got))
+		t.Fatalf("payload after setlen: len=%d", len(got))
 	}
 	// Guards.
-	if _, err := m.Prepend(MbufHeadroom + 1); err == nil {
-		t.Fatal("prepend beyond headroom must fail")
-	}
-	if err := m.Adj(51); err == nil {
-		t.Fatal("adj beyond length must fail")
-	}
-	if err := m.Trim(51); err == nil {
-		t.Fatal("trim beyond length must fail")
+	if err := m.SetLen(DefaultDataroom); err == nil {
+		t.Fatal("setlen beyond the data room must fail")
 	}
 	if _, err := m.Append(1 << 16); err == nil {
 		t.Fatal("append beyond tailroom must fail")

@@ -23,15 +23,6 @@ type Stats struct {
 	IMissed  uint64 // RX drops at the device (ring/FIFO full)
 }
 
-// add accumulates other into s.
-func (s *Stats) add(other Stats) {
-	s.IPackets += other.IPackets
-	s.OPackets += other.OPackets
-	s.IBytes += other.IBytes
-	s.OBytes += other.OBytes
-	s.IMissed += other.IMissed
-}
-
 // rxQueue is one RX descriptor ring and its software state.
 type rxQueue struct {
 	base  uint64
@@ -39,7 +30,6 @@ type rxQueue struct {
 	mbufs []*Mbuf
 	next  uint32 // next descriptor to harvest
 	tail  uint32 // software copy of RDT
-	stats Stats  // software per-queue counters (harvested frames)
 }
 
 // txQueue is one TX descriptor ring and its software state.
@@ -50,7 +40,6 @@ type txQueue struct {
 	next    uint32 // next descriptor to program
 	reclaim uint32 // next descriptor to reclaim
 	free    uint32 // free descriptors
-	stats   Stats  // software per-queue counters (accepted frames)
 }
 
 // EthDev is one bound Ethernet port driven in user space (rte_ethdev +
@@ -332,8 +321,6 @@ func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 		if m != repl {
 			out[n] = m
 			n++
-			rq.stats.IPackets++
-			rq.stats.IBytes += uint64(length)
 		}
 		rq.next = (rq.next + 1) % rq.n
 		rq.tail = (rq.tail + 1) % rq.n
@@ -386,8 +373,6 @@ func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 		tq.mbufs[tq.next] = m
 		tq.next = (tq.next + 1) % tq.n
 		tq.free--
-		tq.stats.OPackets++
-		tq.stats.OBytes += uint64(m.Len())
 		n++
 	}
 	if n > 0 {
@@ -450,26 +435,6 @@ func (d *EthDev) Stats() Stats {
 		OBytes:   uint64(d.dev.RegRead32(nic.RegGOTCL)) | uint64(d.dev.RegRead32(nic.RegGOTCH))<<32,
 		IMissed:  uint64(d.dev.RegRead32(nic.RegMPC)),
 	}
-}
-
-// QueueStats returns queue q's software counters: frames the driver
-// harvested (RX) and frames it handed to the device (TX).
-func (d *EthDev) QueueStats(q int) Stats {
-	if q >= len(d.rxqs) {
-		return Stats{}
-	}
-	st := d.rxqs[q].stats
-	st.add(d.txqs[q].stats)
-	return st
-}
-
-// QueueStatsSum aggregates the software counters over every queue.
-func (d *EthDev) QueueStatsSum() Stats {
-	var st Stats
-	for q := range d.rxqs {
-		st.add(d.QueueStats(q))
-	}
-	return st
 }
 
 // Queue is one RX/TX queue pair of a device — the thing a stack binds

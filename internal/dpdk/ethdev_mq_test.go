@@ -103,8 +103,8 @@ func TestMultiQueueNonIPToQueueZero(t *testing.T) {
 	burst[0].Free()
 }
 
-// TestMultiQueueStatsSum: per-queue software counters must sum to the
-// aggregate, and agree with the device's own frame counter.
+// TestMultiQueueStatsSum: the frames harvested across every queue sum
+// to the device's own frame counter.
 func TestMultiQueueStatsSum(t *testing.T) {
 	const nq = 4
 	r := newRigQueues(t, false, nq)
@@ -134,17 +134,6 @@ func TestMultiQueueStatsSum(t *testing.T) {
 	}
 	if total != frames {
 		t.Fatalf("harvested %d frames, want %d", total, frames)
-	}
-	var sum Stats
-	for q := 0; q < nq; q++ {
-		sum.add(r.devA.QueueStats(q))
-	}
-	agg := r.devA.QueueStatsSum()
-	if sum != agg {
-		t.Fatalf("per-queue sum %+v != aggregate %+v", sum, agg)
-	}
-	if sum.IPackets != frames {
-		t.Fatalf("software RX count %d, want %d", sum.IPackets, frames)
 	}
 	if dev := r.devA.Stats(); dev.IPackets != frames {
 		t.Fatalf("device RX count %d, want %d", dev.IPackets, frames)

@@ -30,9 +30,6 @@ func (m *Mbuf) DataAddr() uint64 { return m.buf + uint64(m.off) }
 // Len returns the payload length.
 func (m *Mbuf) Len() int { return int(m.len) }
 
-// Headroom returns the unused space before the payload.
-func (m *Mbuf) Headroom() int { return int(m.off) }
-
 // Tailroom returns the unused space after the payload.
 func (m *Mbuf) Tailroom() int { return int(m.room - m.off - m.len) }
 
@@ -54,36 +51,6 @@ func (m *Mbuf) Append(n int) ([]byte, error) {
 	return m.pool.seg.Slice(addr, n)
 }
 
-// Prepend grows the payload by n bytes at the head (header push) and
-// returns a writable view of the new region.
-func (m *Mbuf) Prepend(n int) ([]byte, error) {
-	if n < 0 || n > int(m.off) {
-		return nil, fmt.Errorf("dpdk: prepend %d exceeds headroom %d", n, m.off)
-	}
-	m.off -= uint16(n)
-	m.len += uint16(n)
-	return m.pool.seg.Slice(m.buf+uint64(m.off), n)
-}
-
-// Adj strips n bytes from the head (header pull).
-func (m *Mbuf) Adj(n int) error {
-	if n < 0 || n > int(m.len) {
-		return fmt.Errorf("dpdk: adj %d exceeds length %d", n, m.len)
-	}
-	m.off += uint16(n)
-	m.len -= uint16(n)
-	return nil
-}
-
-// Trim strips n bytes from the tail.
-func (m *Mbuf) Trim(n int) error {
-	if n < 0 || n > int(m.len) {
-		return fmt.Errorf("dpdk: trim %d exceeds length %d", n, m.len)
-	}
-	m.len -= uint16(n)
-	return nil
-}
-
 // SetLen forces the payload length (used by RX harvest: the device wrote
 // the bytes already).
 func (m *Mbuf) SetLen(n int) error {
@@ -92,11 +59,6 @@ func (m *Mbuf) SetLen(n int) error {
 	}
 	m.len = uint16(n)
 	return nil
-}
-
-// Bytes returns a read-write view of the whole payload.
-func (m *Mbuf) Bytes() ([]byte, error) {
-	return m.pool.seg.Slice(m.DataAddr(), m.Len())
 }
 
 // BytesRO returns a read-only view of the whole payload.
@@ -164,9 +126,3 @@ func (p *Mempool) put(m *Mbuf) {
 	}
 	p.free = append(p.free, m)
 }
-
-// Avail reports free mbufs.
-func (p *Mempool) Avail() int { return len(p.free) }
-
-// Total reports the pool population.
-func (p *Mempool) Total() int { return p.total }

@@ -32,21 +32,12 @@ func NewMemSeg(mem *cheri.TMem, base, size uint64, c cheri.Cap, capMode bool) (*
 	return &MemSeg{mem: mem, base: base, size: size, capMode: capMode, cap: c}, nil
 }
 
-// Base returns the segment's base address.
-func (s *MemSeg) Base() uint64 { return s.base }
-
-// Size returns the segment's size.
-func (s *MemSeg) Size() uint64 { return s.size }
-
 // CapMode reports whether the segment enforces capability checks.
 func (s *MemSeg) CapMode() bool { return s.capMode }
 
 // Cap returns the segment capability (null in raw mode). Devices get
 // their IOMMU window derived from it.
 func (s *MemSeg) Cap() cheri.Cap { return s.cap }
-
-// Mem returns the underlying machine memory.
-func (s *MemSeg) Mem() *cheri.TMem { return s.mem }
 
 // Alloc carves n bytes (aligned) out of the segment. Segment memory is
 // never returned — DPDK pools live for the process lifetime.

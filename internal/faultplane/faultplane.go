@@ -70,9 +70,6 @@ func (p *Plane) NextDeadline(now int64) int64 {
 	return p.evs[p.idx].At
 }
 
-// Remaining reports how many events have not fired yet.
-func (p *Plane) Remaining() int { return len(p.evs) - p.idx }
-
 // Policy is the supervisor's restart discipline.
 type Policy struct {
 	// BackoffNS is the delay before the first restart attempt.
@@ -109,7 +106,6 @@ func (p Policy) backoff(n int) int64 {
 // Restart re-creates the compartment's world (cVM window, gates, stack
 // state, listeners) at the given virtual instant.
 type Target interface {
-	Name() string
 	Trapped() bool
 	Restart(now int64) error
 }
@@ -208,27 +204,6 @@ func (s *Supervisor) NextDeadline(now int64) int64 {
 		}
 	}
 	return d
-}
-
-// LastTrapAt reports the instant of the last trap of the target labeled
-// src — the MTTR numerator's left edge. Zero when it never trapped.
-func (s *Supervisor) LastTrapAt(src uint16) int64 {
-	for _, st := range s.targets {
-		if st.src == src {
-			return st.trappedAt
-		}
-	}
-	return 0
-}
-
-// GaveUp reports whether the target labeled src was abandoned.
-func (s *Supervisor) GaveUp(src uint16) bool {
-	for _, st := range s.targets {
-		if st.src == src {
-			return st.gaveUp
-		}
-	}
-	return false
 }
 
 // ExpSchedule materializes a Poisson fault-arrival process: instants in

@@ -37,22 +37,20 @@ func TestPlaneFiresInOrder(t *testing.T) {
 		t.Fatalf("NextDeadline = %d, want 200", d)
 	}
 	p.Step(200)
-	if p.Remaining() != 0 || p.NextDeadline(200) != math.MaxInt64 {
-		t.Fatalf("schedule not exhausted: remaining=%d", p.Remaining())
+	if p.idx != len(p.evs) || p.NextDeadline(200) != math.MaxInt64 {
+		t.Fatalf("schedule not exhausted: remaining=%d", len(p.evs)-p.idx)
 	}
 }
 
 // fakeTarget scripts a compartment: trap on demand, optionally refuse
 // to come back.
 type fakeTarget struct {
-	name      string
 	trapped   bool
 	restarts  int
 	restartAt []int64
 	fail      bool
 }
 
-func (f *fakeTarget) Name() string  { return f.name }
 func (f *fakeTarget) Trapped() bool { return f.trapped }
 func (f *fakeTarget) Restart(now int64) error {
 	if f.fail {
@@ -67,7 +65,7 @@ func (f *fakeTarget) Restart(now int64) error {
 func TestSupervisorBackoffDoubles(t *testing.T) {
 	pol := Policy{BackoffNS: 100, MaxBackoffNS: 400, MaxRetries: 10}
 	sup := NewSupervisor(pol)
-	ft := &fakeTarget{name: "stack0"}
+	ft := &fakeTarget{}
 	sup.Watch(ft, 7)
 
 	// Trap -> restart cycle four times; expected backoffs 100, 200,
@@ -100,7 +98,7 @@ func TestSupervisorBackoffDoubles(t *testing.T) {
 
 func TestSupervisorGivesUp(t *testing.T) {
 	sup := NewSupervisor(Policy{BackoffNS: 10, MaxBackoffNS: 10, MaxRetries: 2})
-	ft := &fakeTarget{name: "stack0"}
+	ft := &fakeTarget{}
 	sup.Watch(ft, 1)
 
 	for i := 0; i < 2; i++ {
@@ -110,8 +108,8 @@ func TestSupervisorGivesUp(t *testing.T) {
 	}
 	ft.trapped = true
 	sup.Step(5000)
-	if !sup.GaveUp(1) || sup.GiveUps != 1 {
-		t.Fatalf("GaveUp=%v GiveUps=%d, want abandoned after MaxRetries=2", sup.GaveUp(1), sup.GiveUps)
+	if !sup.targets[0].gaveUp || sup.GiveUps != 1 {
+		t.Fatalf("gaveUp=%v GiveUps=%d, want abandoned after MaxRetries=2", sup.targets[0].gaveUp, sup.GiveUps)
 	}
 	// Abandoned targets are inert: no deadline, no further restarts.
 	if d := sup.NextDeadline(5000); d != math.MaxInt64 {
@@ -125,12 +123,12 @@ func TestSupervisorGivesUp(t *testing.T) {
 
 func TestSupervisorFailedRestartIsTerminal(t *testing.T) {
 	sup := NewSupervisor(Policy{BackoffNS: 10, MaxBackoffNS: 10, MaxRetries: 5})
-	ft := &fakeTarget{name: "stack0", fail: true}
+	ft := &fakeTarget{fail: true}
 	sup.Watch(ft, 1)
 	ft.trapped = true
 	sup.Step(100)
 	sup.Step(110)
-	if sup.GiveUps != 1 || sup.Restarts != 0 || !sup.GaveUp(1) {
+	if sup.GiveUps != 1 || sup.Restarts != 0 || !sup.targets[0].gaveUp {
 		t.Fatalf("GiveUps=%d Restarts=%d", sup.GiveUps, sup.Restarts)
 	}
 }
@@ -139,7 +137,7 @@ func TestSupervisorTraceEvents(t *testing.T) {
 	tr := obs.NewTrace(16)
 	sup := NewSupervisor(Policy{BackoffNS: 100, MaxBackoffNS: 100, MaxRetries: 5})
 	sup.SetTrace(tr)
-	ft := &fakeTarget{name: "stack0"}
+	ft := &fakeTarget{}
 	sup.Watch(ft, 3)
 
 	ft.trapped = true
@@ -158,8 +156,8 @@ func TestSupervisorTraceEvents(t *testing.T) {
 		evs[1].B != 100 {
 		t.Fatalf("restart event = %+v (want downtime B=100)", evs[1])
 	}
-	if at := sup.LastTrapAt(3); at != 1000 {
-		t.Fatalf("LastTrapAt = %d", at)
+	if at := sup.targets[0].trappedAt; at != 1000 {
+		t.Fatalf("trappedAt = %d", at)
 	}
 }
 

@@ -51,9 +51,8 @@ func effectiveCC(name string) string {
 
 // CongestionController is the pluggable congestion-control interface.
 // The connection drives it from its ACK/loss-event sites and reads
-// back Cwnd (how many unacknowledged bytes may be outstanding) and
-// Ssthresh (the slow-start/congestion-avoidance boundary). All byte
-// quantities are bytes, all times stack-clock nanoseconds.
+// back Cwnd (how many unacknowledged bytes may be outstanding). All
+// byte quantities are bytes, all times stack-clock nanoseconds.
 type CongestionController interface {
 	// Name returns the registered algorithm name.
 	Name() string
@@ -87,8 +86,6 @@ type CongestionController interface {
 	OnRTO(pipe int, now int64)
 	// Cwnd is the congestion window in bytes.
 	Cwnd() int
-	// Ssthresh is the slow-start threshold in bytes.
-	Ssthresh() int
 }
 
 // newCongestionController takes a fresh controller of the algorithm
@@ -166,8 +163,7 @@ func (r *renoCC) OnRTO(pipe int, now int64) {
 	r.cwnd = r.mss
 }
 
-func (r *renoCC) Cwnd() int     { return r.cwnd }
-func (r *renoCC) Ssthresh() int { return r.ssthresh }
+func (r *renoCC) Cwnd() int { return r.cwnd }
 
 // --- CUBIC (RFC 8312) ---
 
@@ -315,5 +311,4 @@ func (c *cubicCC) OnRTO(pipe int, now int64) {
 	c.cwnd = c.mss // RFC 5681 restart; slow start climbs back to ssthresh
 }
 
-func (c *cubicCC) Cwnd() int     { return c.cwnd }
-func (c *cubicCC) Ssthresh() int { return c.ssthresh }
+func (c *cubicCC) Cwnd() int { return c.cwnd }

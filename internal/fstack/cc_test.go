@@ -40,9 +40,9 @@ func TestRenoTraceMatchesPreRefactor(t *testing.T) {
 	}
 	for _, s := range steps {
 		s.event()
-		if cc.Cwnd() != s.cwnd || cc.Ssthresh() != s.ssthr {
+		if cc.Cwnd() != s.cwnd || cc.ssthresh != s.ssthr {
 			t.Fatalf("%s: cwnd=%d ssthresh=%d, want %d/%d",
-				s.name, cc.Cwnd(), cc.Ssthresh(), s.cwnd, s.ssthr)
+				s.name, cc.Cwnd(), cc.ssthresh, s.cwnd, s.ssthr)
 		}
 	}
 }
@@ -53,8 +53,8 @@ func TestRenoTraceMatchesPreRefactor(t *testing.T) {
 func TestRenoUnboundedSlowStart(t *testing.T) {
 	cc := &renoCC{}
 	cc.OnInit(1448, true)
-	if cc.Ssthresh() != 1<<30 {
-		t.Fatalf("unbounded ssthresh = %d, want %d", cc.Ssthresh(), 1<<30)
+	if cc.ssthresh != 1<<30 {
+		t.Fatalf("unbounded ssthresh = %d, want %d", cc.ssthresh, 1<<30)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestCubicFastConvergence(t *testing.T) {
 	if cc.wMax != 1000 || cc.wLastMax != 1000 {
 		t.Fatalf("first loss: wMax=%.0f wLastMax=%.0f, want 1000/1000", cc.wMax, cc.wLastMax)
 	}
-	if cc.Ssthresh() != int(1000*cubicMSS*cubicBeta) {
-		t.Fatalf("ssthresh = %d, want 0.7 cwnd = %d", cc.Ssthresh(), int(1000*cubicMSS*cubicBeta))
+	if cc.ssthresh != int(1000*cubicMSS*cubicBeta) {
+		t.Fatalf("ssthresh = %d, want 0.7 cwnd = %d", cc.ssthresh, int(1000*cubicMSS*cubicBeta))
 	}
 	// Second loss below the last plateau: fast convergence shrinks.
 	cc.cwnd = 700 * cubicMSS
@@ -185,8 +185,8 @@ func TestCubicRTOCollapse(t *testing.T) {
 	if cc.Cwnd() != cubicMSS {
 		t.Fatalf("post-RTO cwnd = %d, want one MSS", cc.Cwnd())
 	}
-	if cc.Ssthresh() != int(80*cubicMSS*cubicBeta) {
-		t.Fatalf("post-RTO ssthresh = %d, want %d", cc.Ssthresh(), int(80*cubicMSS*cubicBeta))
+	if cc.ssthresh != int(80*cubicMSS*cubicBeta) {
+		t.Fatalf("post-RTO ssthresh = %d, want %d", cc.ssthresh, int(80*cubicMSS*cubicBeta))
 	}
 	if cc.epochStart != 0 {
 		t.Fatal("epoch not reset by the RTO")

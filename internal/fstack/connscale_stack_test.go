@@ -1,6 +1,7 @@
 package fstack
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hostos"
@@ -124,13 +125,13 @@ func TestPollVisitOrderIsCreationOrder(t *testing.T) {
 			}
 		}
 	}
-	var w pcapBuffer
-	e.stkA.SetTap(newPcapTap(t, &w))
+	var sent [][]byte
+	e.portB.SetRxTap(func(_ int64, frame []byte) { sent = append(sent, slices.Clone(frame)) })
 	e.stkA.PollOnce()
-	e.stkA.SetTap(nil)
+	e.portB.SetRxTap(nil)
 
 	var order []uint16
-	for _, frame := range parsePcap(t, w.Bytes()) {
+	for _, frame := range sent {
 		eth, err := ParseEthHeader(frame)
 		if err != nil || eth.Type != EtherTypeIPv4 {
 			continue
@@ -154,12 +155,6 @@ func TestPollVisitOrderIsCreationOrder(t *testing.T) {
 		}
 	}
 }
-
-// pcapBuffer is a minimal in-memory io.Writer for the tap.
-type pcapBuffer struct{ b []byte }
-
-func (p *pcapBuffer) Write(d []byte) (int, error) { p.b = append(p.b, d...); return len(d), nil }
-func (p *pcapBuffer) Bytes() []byte               { return p.b }
 
 // TestListenBacklogSilentDrop is the backlog-enforcement regression:
 // with backlog 2 and nobody accepting, at most two handshakes may be
@@ -237,7 +232,7 @@ func TestSynCacheGraduation(t *testing.T) {
 	e.stkB.PollOnce()
 	e.clk.Advance(5000)
 	e.stkB.PollOnce()
-	if got := e.stkB.HalfOpenCount(); got != 1 {
+	if got := len(e.stkB.syncache); got != 1 {
 		t.Fatalf("half-open %d after SYN, want 1", got)
 	}
 	if got := e.stkB.ConnCount(); got != 0 {
@@ -248,7 +243,7 @@ func TestSynCacheGraduation(t *testing.T) {
 	}
 	// Resume: the handshake completes and the entry graduates.
 	e.pumpUntil(8000, "graduation", func() bool {
-		return e.stkB.ConnCount() == 1 && e.stkB.HalfOpenCount() == 0
+		return e.stkB.ConnCount() == 1 && len(e.stkB.syncache) == 0
 	})
 	if got := e.stkB.AcceptQueueDepth(); got != 1 {
 		t.Fatalf("accept queue %d after graduation, want 1", got)
@@ -274,16 +269,16 @@ func TestSynCacheRetransmitAndGiveUp(t *testing.T) {
 	e.stkB.PollOnce()
 	e.clk.Advance(5000)
 	e.stkB.PollOnce()
-	if got := e.stkB.HalfOpenCount(); got != 1 {
+	if got := len(e.stkB.syncache); got != 1 {
 		t.Fatalf("half-open %d, want 1", got)
 	}
 	tx0 := e.stkB.Stats().TxFrames
 	// 100ms, 200, 400, 800, 1000 of backoff ≈ 2.5 s; give it 5 s.
-	for i := 0; i < 5000 && e.stkB.HalfOpenCount() > 0; i++ {
+	for i := 0; i < 5000 && len(e.stkB.syncache) > 0; i++ {
 		e.stkB.PollOnce()
 		e.clk.Advance(1e6)
 	}
-	if got := e.stkB.HalfOpenCount(); got != 0 {
+	if got := len(e.stkB.syncache); got != 0 {
 		t.Fatalf("half-open %d after the retry budget, want 0", got)
 	}
 	resent := e.stkB.Stats().TxFrames - tx0
@@ -314,7 +309,7 @@ func TestSynCacheOverflow(t *testing.T) {
 	e.stkB.PollOnce()
 	e.clk.Advance(5000)
 	e.stkB.PollOnce()
-	if got := e.stkB.HalfOpenCount(); got != 2 {
+	if got := len(e.stkB.syncache); got != 2 {
 		t.Fatalf("half-open %d, want the cache cap 2", got)
 	}
 	if st := e.stkB.Stats(); st.SynDrops != 3 {

@@ -17,6 +17,9 @@ type testEnv struct {
 	clk  *sim.VClock
 	stkA *Stack
 	stkB *Stack
+	// portA and portB are the two ends of the cable: portB takes in
+	// every frame stkA sends, portA every frame stkB sends.
+	portA, portB *nic.Port
 }
 
 // buildDevice makes one machine up to its started ethdev: memory, card,
@@ -106,7 +109,7 @@ func newEnv(t testing.TB, capMode bool) *testEnv {
 	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), capMode)
 	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), capMode)
 	nic.Connect(cardA.Port(0), cardB.Port(0))
-	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
+	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB, portA: cardA.Port(0), portB: cardB.Port(0)}
 }
 
 // tick runs one poll iteration on both stacks and advances 5 µs.

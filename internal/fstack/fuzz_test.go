@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dpdk"
 	"repro/internal/hostos"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -283,7 +284,7 @@ func (nowhere) NextDeadline(int, int64) int64    { return math.MaxInt64 }
 // inputRig is one stack (10.0.0.2) on one port cabled to nowhere, with a
 // TCP listener on port 80 and a UDP socket bound to port 53, so a SYN
 // and a datagram reach a socket.
-func inputRig(t testing.TB) (*sim.VClock, *Stack) {
+func inputRig(t testing.TB) (*sim.VClock, *Stack, *nic.Port) {
 	t.Helper()
 	clk := sim.NewVClock()
 	stk, card := buildMachine(t, clk, "0000:04:00", 2, rigIP, false)
@@ -293,7 +294,7 @@ func inputRig(t testing.TB) (*sim.VClock, *Stack) {
 	if stk.Bind(lfd, IPv4Addr{}, 80) != hostos.OK || stk.Listen(lfd, 8) != hostos.OK || stk.Bind(ufd, IPv4Addr{}, 53) != hostos.OK {
 		t.Fatal("rig sockets")
 	}
-	return clk, stk
+	return clk, stk, card.Port(0)
 }
 
 // The rig's addresses: the stack under test and the peer that sends it
@@ -365,6 +366,19 @@ func repairChecksums(frame []byte) {
 	}
 }
 
+// poolAvail counts p's free mbufs through Get and Free, handing them
+// back in reverse order so the pool's free list is as it was.
+func poolAvail(p *dpdk.Mempool) int {
+	var taken []*dpdk.Mbuf
+	for m, ok := p.Get(); ok; m, ok = p.Get() {
+		taken = append(taken, m)
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		taken[i].Free()
+	}
+	return len(taken)
+}
+
 // FuzzFrameInput hands arbitrary bytes, as a received frame, to a live
 // stack's input path — Ethernet, ARP, IPv4, ICMP, UDP and TCP decode and
 // everything a frame can make the stack do. It must never panic, and
@@ -397,9 +411,9 @@ func FuzzFrameInput(f *testing.F) {
 		if len(frame) == 0 {
 			return // the device drops an empty frame before a descriptor holds it
 		}
-		clk, stk := inputRig(t)
+		clk, stk, _ := inputRig(t)
 		nif, pool := stk.nifs[0], stk.pool
-		before := pool.Avail()
+		before := poolAvail(pool)
 		m, ok := pool.Get()
 		if !ok {
 			t.Fatal("empty pool")
@@ -412,11 +426,11 @@ func FuzzFrameInput(f *testing.F) {
 		copy(buf, frame)
 		repairChecksums(buf)
 		stk.input(nif, m)
-		for i := 0; i < 4 && pool.Avail() != before; i++ {
+		for i := 0; i < 4 && poolAvail(pool) != before; i++ {
 			clk.Advance(1e6)
 			nif.dev.Poll() // send what the stack answered; reclaim the mbufs
 		}
-		if got := pool.Avail(); got != before {
+		if got := poolAvail(pool); got != before {
 			t.Fatalf("pool holds %d mbufs after the frame, %d before it", got, before)
 		}
 	})

@@ -2,27 +2,31 @@ package fstack
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/nic"
 )
 
-// txTap keeps a copy of every frame a stack transmits.
-type txTap [][]byte
+// txWire is a cable end that keeps a copy of every frame sent into it.
+type txWire [][]byte
 
-func (t *txTap) Frame(dir TapDir, _ int64, data []byte) {
-	if dir == TapTx {
-		*t = append(*t, slices.Clone(data))
-	}
+func (w *txWire) Send(_ int, data []byte, _ int64) {
+	*w = append(*w, slices.Clone(data))
+	nic.FreeFrame(data)
 }
+func (*txWire) Pump(int64)                    {}
+func (*txWire) NextDeadline(int, int64) int64 { return math.MaxInt64 }
 
 // TestICMPEchoReply: an echo request to the stack is answered with an
 // echo reply to its sender carrying the same ID, Seq and payload under a
 // valid checksum; a request whose checksum is wrong is counted in
 // RxDropped and not answered.
 func TestICMPEchoReply(t *testing.T) {
-	_, stk := inputRig(t)
-	var tx txTap
-	stk.SetTap(&tx)
+	_, stk, port := inputRig(t)
+	var tx txWire
+	port.Attach(&tx, 0)
 	feed := func(frame []byte) {
 		t.Helper()
 		m, ok := stk.pool.Get()

@@ -9,13 +9,16 @@ import (
 	"repro/internal/dpdk"
 )
 
+// testSegBytes is the size of a testSeg segment.
+const testSegBytes = 2 << 20
+
 func testSeg(t testing.TB, capMode bool) (*dpdk.MemSeg, *cheri.TMem) {
 	t.Helper()
 	mem := cheri.NewTMem(4 << 20)
 	var c cheri.Cap
 	if capMode {
 		var err error
-		c, err = mem.Root().SetAddr(0x1000).SetBounds(2 << 20)
+		c, err = mem.Root().SetAddr(0x1000).SetBounds(testSegBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +27,7 @@ func testSeg(t testing.TB, capMode bool) (*dpdk.MemSeg, *cheri.TMem) {
 			t.Fatal(err)
 		}
 	}
-	seg, err := dpdk.NewMemSeg(mem, 0x1000, 2<<20, c, capMode)
+	seg, err := dpdk.NewMemSeg(mem, 0x1000, testSegBytes, c, capMode)
 	if err != nil {
 		t.Fatal(err)
 	}

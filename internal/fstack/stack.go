@@ -268,7 +268,6 @@ type Stack struct {
 	sackRx [maxSACKBlocksRx]SACKBlock
 	sackTx [MaxSACKBlocks]SACKBlock
 
-	tap   Tap
 	stats StackStats
 
 	// Flight-recorder hooks (nil = observability off, zero cost on the
@@ -486,11 +485,6 @@ func (s *Stack) SetTCPTuning(t TCPTuning) {
 	s.tuning = t
 }
 
-// TCPTuning returns the stack's current TCP feature configuration.
-func (s *Stack) TCPTuning() TCPTuning {
-	return s.tuning
-}
-
 // Lock and Unlock do nothing: a bed runs on one goroutine, so the stack
 // has no host lock. They stay only because bench/ still calls them
 // (ROADMAP item 8 drops those calls, and then these go).
@@ -596,11 +590,6 @@ func (s *Stack) AcceptQueueDepth() int {
 	return n
 }
 
-// HalfOpenCount reports the SYN-cache occupancy (testing hook).
-func (s *Stack) HalfOpenCount() int {
-	return len(s.syncache)
-}
-
 // nifForDst picks the outgoing interface for a destination.
 func (s *Stack) nifForDst(ip IPv4Addr) *NetIF {
 	for _, n := range s.nifs {
@@ -672,21 +661,18 @@ func (s *Stack) sendIPv4(nif *NetIF, m *dpdk.Mbuf, frame []byte, dst IPv4Addr, p
 		return true
 	}
 	PutEthHeader(frame, EthHeader{Dst: mac, Src: nif.MAC, Type: EtherTypeIPv4})
-	return s.txSubmit(nif, m, frame)
+	return s.txSubmit(nif, m)
 }
 
-// txSubmit hands a finished frame to the device, maintaining statistics
-// and the capture tap. It frees the mbuf on refusal.
-func (s *Stack) txSubmit(nif *NetIF, m *dpdk.Mbuf, frame []byte) bool {
+// txSubmit hands a finished frame to the device, maintaining statistics.
+// It frees the mbuf on refusal.
+func (s *Stack) txSubmit(nif *NetIF, m *dpdk.Mbuf) bool {
 	s.txOne[0] = m
 	if nif.dev.TxBurst(s.txOne[:]) != 1 {
 		m.Free()
 		return false
 	}
 	s.stats.TxFrames++
-	if s.tap != nil {
-		s.tap.Frame(TapTx, s.now(), frame)
-	}
 	return true
 }
 
@@ -703,7 +689,7 @@ func (s *Stack) sendARPRequest(nif *NetIF, target IPv4Addr) {
 		SenderIP:  nif.IP,
 		TargetIP:  target,
 	})
-	if s.txSubmit(nif, m, frame) {
+	if s.txSubmit(nif, m) {
 		s.stats.ArpTx++
 	}
 }
@@ -716,7 +702,7 @@ func (s *Stack) replayPending(nif *NetIF, dst IPv4Addr, mac MACAddr, p *pendingP
 	}
 	PutEthHeader(frame, EthHeader{Dst: mac, Src: nif.MAC, Type: p.proto})
 	copy(frame[EthHeaderLen:], p.payload)
-	s.txSubmit(nif, m, frame)
+	s.txSubmit(nif, m)
 }
 
 // --- receive path ---
@@ -740,9 +726,6 @@ func (s *Stack) input(nif *NetIF, m *dpdk.Mbuf) {
 	}
 	s.stats.RxFrames++
 	s.Core.Book(s.now(), sim.FrameHoldNS)
-	if s.tap != nil {
-		s.tap.Frame(TapRx, s.now(), frame)
-	}
 	payload := frame[EthHeaderLen:]
 	switch eth.Type {
 	case EtherTypeARP:
@@ -781,7 +764,7 @@ func (s *Stack) inputARP(nif *NetIF, b []byte) {
 			TargetMAC: p.SenderMAC,
 			TargetIP:  p.SenderIP,
 		})
-		s.txSubmit(nif, m, frame)
+		s.txSubmit(nif, m)
 	case ARPReply:
 		for _, pend := range nif.arp.insert(p.SenderIP, p.SenderMAC, s.now()) {
 			s.replayPending(nif, p.SenderIP, p.SenderMAC, pend)

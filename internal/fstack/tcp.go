@@ -160,13 +160,8 @@ func PutTCPHeader(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
 	return hl
 }
 
-// ParseTCPHeader unmarshals and validates a TCP segment, returning the
-// header and the data offset.
-func ParseTCPHeader(b []byte, src, dst IPv4Addr) (TCPHeader, int, error) {
-	return parseTCPHeader(b, src, dst, make([]SACKBlock, 0, maxSACKBlocksRx))
-}
-
-// parseTCPHeader is ParseTCPHeader with caller-owned backing for the
+// parseTCPHeader unmarshals and validates a TCP segment, returning the
+// header and the data offset. The caller owns the backing for the
 // SACK blocks (appended to sack[:0], which the header's SACK field then
 // aliases), so the input path parses a SACK-bearing ACK without
 // allocating. It never appends past cap(sack): blocks beyond it are

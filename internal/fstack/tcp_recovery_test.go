@@ -225,7 +225,8 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 	clk := sim.NewVClock()
 	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
 	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	netem.Connect(clk, cardA.Port(0), cardB.Port(0), netem.Config{Seed: 11, LossRate: 0.02})
+	cfg := netem.Config{Seed: 11, LossRate: 0.02}
+	netem.ConnectAsym(clk, cardA.Port(0), cardB.Port(0), cfg, cfg)
 	tune := TCPTuning{SACK: true, WindowScale: 4, SndBufBytes: 1 << 20, RcvBufBytes: 1 << 20}
 	stkA.SetTCPTuning(tune)
 	stkB.SetTCPTuning(tune)
@@ -729,7 +730,7 @@ func newReassRig(t testing.TB) *reassRig {
 func (g *reassRig) reset(t testing.TB, size int, lazy bool, isn uint32, src []byte) {
 	// A segment only ever grows; start a new one when this ring (backed
 	// now, or by its first write) would not fit.
-	if g.seg == nil || g.seg.Used()+uint64(size)+64 > g.seg.Size() {
+	if g.seg == nil || g.seg.Used()+uint64(size)+64 > testSegBytes {
 		g.seg, _ = testSeg(t, false)
 	}
 	mk := newSockBuf

@@ -12,6 +12,7 @@ const (
 	EPERM         Errno = 1
 	ENOENT        Errno = 2
 	EINTR         Errno = 4
+	EIO           Errno = 5
 	EBADF         Errno = 9
 	ENOMEM        Errno = 12
 	EFAULT        Errno = 14
@@ -37,6 +38,7 @@ var errnoNames = map[Errno]string{
 	EPERM:         "EPERM",
 	ENOENT:        "ENOENT",
 	EINTR:         "EINTR",
+	EIO:           "EIO",
 	EBADF:         "EBADF",
 	ENOMEM:        "ENOMEM",
 	EFAULT:        "EFAULT",

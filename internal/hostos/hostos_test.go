@@ -70,8 +70,8 @@ func TestPageAllocBasic(t *testing.T) {
 	if errno := p.Free(b, 2*PageSize); errno != OK {
 		t.Fatal(errno)
 	}
-	if got := p.FreeBytes(); got != 16*PageSize {
-		t.Fatalf("free bytes after full release = %d, want %d", got, 16*PageSize)
+	if len(p.free) != 1 || p.free[0] != (span{addr: p.base, size: 16 * PageSize}) {
+		t.Fatalf("free list after full release = %v, want one span of %d bytes", p.free, 16*PageSize)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestPCIRegisterUnbindClaim(t *testing.T) {
 	if errno := p.Unbind("nope"); errno != ENOENT {
 		t.Fatalf("unbind unknown: got %v, want ENOENT", errno)
 	}
-	if len(p.Devices()) != 1 {
-		t.Fatalf("devices = %v", p.Devices())
+	if len(p.slots) != 1 {
+		t.Fatalf("devices = %v", p.slots)
 	}
 }
 

@@ -85,12 +85,3 @@ func (p *PageAlloc) Free(addr, n uint64) Errno {
 	p.free = out
 	return OK
 }
-
-// FreeBytes reports the total unreserved size.
-func (p *PageAlloc) FreeBytes() uint64 {
-	var t uint64
-	for _, s := range p.free {
-		t += s.size
-	}
-	return t
-}

@@ -66,12 +66,3 @@ func (p *PCI) Claim(bdf string) (PCIDevice, Errno) {
 	}
 	return s.dev, OK
 }
-
-// Devices lists registered BDFs (unordered).
-func (p *PCI) Devices() []string {
-	out := make([]string, 0, len(p.slots))
-	for bdf := range p.slots {
-		out = append(out, bdf)
-	}
-	return out
-}

@@ -87,9 +87,6 @@ func (c *CVM) Restart() error {
 	return nil
 }
 
-// TrapFault returns the fault that terminated the cVM, if any.
-func (c *CVM) TrapFault() *cheri.Fault { return c.trap }
-
 // faultOf converts an error to *cheri.Fault when it is one.
 func faultOf(err error) (*cheri.Fault, bool) {
 	f, ok := err.(*cheri.Fault)
@@ -134,8 +131,3 @@ func (c *CVM) DeriveBuf(addr uint64, n uint64) (cheri.Cap, error) {
 	}
 	return b, nil
 }
-
-// Mem gives the cVM's view of machine memory. All checked accesses the
-// network stack performs inside this cVM go through capabilities derived
-// from the DDC.
-func (c *CVM) Mem() *cheri.TMem { return c.iv.K.Mem }

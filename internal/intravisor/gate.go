@@ -33,9 +33,6 @@ func (iv *Intravisor) NewGate(owner *CVM, fn GateFunc) (*Gate, error) {
 	return &Gate{iv: iv, owner: owner, pair: pair, fn: fn}, nil
 }
 
-// Owner returns the cVM the gate enters.
-func (g *Gate) Owner() *CVM { return g.owner }
-
 // Call performs the cross-compartment invocation from caller into the
 // gate's owner: validate the capability argument, check the sealed pair
 // (CInvoke), run the target, and cross back. This is the jump the

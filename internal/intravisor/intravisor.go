@@ -147,18 +147,5 @@ func (iv *Intravisor) CreateCVM(name string, size uint64) (*CVM, error) {
 	return c, nil
 }
 
-// CVMs returns the cVMs by name.
-func (iv *Intravisor) CVMs() map[string]*CVM {
-	out := make(map[string]*CVM, len(iv.cvms))
-	for k, v := range iv.cvms {
-		out[k] = v
-	}
-	return out
-}
-
 // Mem returns the machine's memory (Intravisor privilege).
 func (iv *Intravisor) Mem() *cheri.TMem { return iv.K.Mem }
-
-// Root returns the Intravisor's memory root capability. Only the
-// scenario builder uses it, to hand device queues their DMA windows.
-func (iv *Intravisor) Root() cheri.Cap { return iv.root }

@@ -8,6 +8,26 @@ import (
 	"repro/internal/sim"
 )
 
+// freeBytes is what p can still hand out, probed a page at a time
+// through Alloc and given back through Free.
+func freeBytes(t testing.TB, p *hostos.PageAlloc) uint64 {
+	t.Helper()
+	var pages []uint64
+	for {
+		addr, errno := p.Alloc(hostos.PageSize)
+		if errno != hostos.OK {
+			break
+		}
+		pages = append(pages, addr)
+	}
+	for _, addr := range pages {
+		if errno := p.Free(addr, hostos.PageSize); errno != hostos.OK {
+			t.Fatalf("free of probed page %#x: %v", addr, errno)
+		}
+	}
+	return uint64(len(pages)) * hostos.PageSize
+}
+
 func newIV(t testing.TB) *Intravisor {
 	t.Helper()
 	k, err := hostos.NewKernel(sim.NewVClock(), 16<<20)
@@ -48,8 +68,8 @@ func TestCreateCVMWindows(t *testing.T) {
 			t.Fatalf("cVM DDC carries privileged perm %v", p)
 		}
 	}
-	if len(iv.CVMs()) != 2 {
-		t.Fatalf("CVMs() = %d entries", len(iv.CVMs()))
+	if len(iv.cvms) != 2 {
+		t.Fatalf("%d cVMs registered", len(iv.cvms))
 	}
 }
 
@@ -64,14 +84,14 @@ func TestCVMIsolation(t *testing.T) {
 	}
 	// a reaches into b's window: capability out-of-bounds, a traps.
 	err := a.Store(b.Base()+64, []byte("attack"))
-	if !cheri.IsFault(err, cheri.FaultBounds) {
+	if f, ok := err.(*cheri.Fault); !ok || f.Kind != cheri.FaultBounds {
 		t.Fatalf("cross-window store: got %v, want bounds fault", err)
 	}
 	if !a.Trapped() {
 		t.Fatal("the attacker is running, want trapped")
 	}
-	if a.TrapFault() == nil || a.TrapFault().Kind != cheri.FaultBounds {
-		t.Fatalf("trap fault = %v", a.TrapFault())
+	if a.trap == nil || a.trap.Kind != cheri.FaultBounds {
+		t.Fatalf("trap fault = %v", a.trap)
 	}
 	// The victim is unaffected (paper Fig. 3: other cVMs keep running).
 	if b.Trapped() {
@@ -96,14 +116,14 @@ func TestCVMRestart(t *testing.T) {
 	if err := c.Load(c.Base()+c.Size(), make([]byte, 8)); err == nil {
 		t.Fatal("out-of-window load must fault")
 	}
-	if !c.Trapped() || c.TrapFault() == nil {
-		t.Fatalf("after fault: trapped=%v fault=%v", c.Trapped(), c.TrapFault())
+	if !c.Trapped() || c.trap == nil {
+		t.Fatalf("after fault: trapped=%v fault=%v", c.Trapped(), c.trap)
 	}
 	if err := c.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Trapped() || c.TrapFault() != nil {
-		t.Fatalf("after restart: fault=%v", c.TrapFault())
+	if c.Trapped() || c.trap != nil {
+		t.Fatalf("after restart: fault=%v", c.trap)
 	}
 	// Same window, working DDC: in-window accesses go through again.
 	if c.DDC().Base() != c.Base() || c.DDC().Len() != c.Size() || !c.DDC().Tag() {
@@ -179,7 +199,7 @@ func TestGateCrossCompartmentCall(t *testing.T) {
 	if gotLen != uint64(len(msg)) {
 		t.Fatalf("gate target saw %d bytes", gotLen)
 	}
-	if gate.Owner() != stack {
+	if gate.owner != stack {
 		t.Fatal("gate owner wrong")
 	}
 }
@@ -220,8 +240,8 @@ func TestBrokenEntryPairTrapsTheCaller(t *testing.T) {
 		brk func(p, other cheri.EntryPair) cheri.EntryPair
 	}{
 		{"mismatched otypes", cheri.FaultOType, func(p, other cheri.EntryPair) cheri.EntryPair { p.Data = other.Data; return p }},
-		{"untagged code", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Code = p.Code.ClearTag(); return p }},
-		{"untagged data", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Data = p.Data.ClearTag(); return p }},
+		{"untagged code", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Code = cheri.NullCap.SetAddr(p.Code.Addr()); return p }},
+		{"untagged data", cheri.FaultTag, func(p, _ cheri.EntryPair) cheri.EntryPair { p.Data = cheri.NullCap.SetAddr(p.Data.Addr()); return p }},
 	} {
 		iv := newIV(t)
 		now := iv.K.Clk.Now()
@@ -238,7 +258,7 @@ func TestBrokenEntryPairTrapsTheCaller(t *testing.T) {
 		g.pair = row.brk(g.pair, stack.entry)
 		app.entry = row.brk(app.entry, stack.entry)
 		buf, _ := app.DeriveBuf(app.Base(), 64)
-		free := iv.K.Pages.FreeBytes()
+		free := freeBytes(t, iv.K.Pages)
 		for _, cross := range []struct {
 			name string
 			call func() hostos.Errno
@@ -249,12 +269,12 @@ func TestBrokenEntryPairTrapsTheCaller(t *testing.T) {
 			if errno := cross.call(); errno != hostos.EFAULT {
 				t.Fatalf("%s, %s: %v, want EFAULT", row.name, cross.name, errno)
 			}
-			if f := app.TrapFault(); f == nil || f.Kind != row.fault {
+			if f := app.trap; f == nil || f.Kind != row.fault {
 				t.Fatalf("%s, %s: the caller's trap is %v, want a %v fault", row.name, cross.name, f, row.fault)
 			}
-			if ran || iv.K.Pages.FreeBytes() != free || len(app.mapped) != 0 {
+			if ran || freeBytes(t, iv.K.Pages) != free || len(app.mapped) != 0 {
 				t.Fatalf("%s, %s: the crossing ran its target (gate target ran: %v, pages taken: %d)",
-					row.name, cross.name, ran, free-iv.K.Pages.FreeBytes())
+					row.name, cross.name, ran, free-freeBytes(t, iv.K.Pages))
 			}
 			if n := iv.Crossings.Load(); n != 0 {
 				t.Fatalf("%s, %s: %d crossings counted, want none", row.name, cross.name, n)
@@ -318,11 +338,11 @@ func TestMunmapCannotFreeAnotherWindow(t *testing.T) {
 	iv := newIV(t)
 	a, _ := iv.CreateCVM("a", 1<<20)
 	b, _ := iv.CreateCVM("b", 1<<20)
-	free := iv.K.Pages.FreeBytes()
+	free := freeBytes(t, iv.K.Pages)
 	if _, _, errno := a.Syscall(MuslMunmap, hostos.Args{b.Base(), b.Size()}); errno == hostos.OK {
 		t.Fatalf("a unmapped b's window [%#x,+%#x)", b.Base(), b.Size())
 	}
-	if got := iv.K.Pages.FreeBytes(); got != free {
+	if got := freeBytes(t, iv.K.Pages); got != free {
 		t.Fatalf("free bytes %d -> %d after a refused munmap", free, got)
 	}
 	c, err := iv.CreateCVM("c", 1<<20)
@@ -385,11 +405,11 @@ func TestProxiedSyscallsStayInTheirWindow(t *testing.T) {
 		if row.by != nil {
 			caller = row.by
 		}
-		free := iv.K.Pages.FreeBytes()
+		free := freeBytes(t, iv.K.Pages)
 		if _, _, errno := caller.Syscall(row.num, row.args); errno != row.errno {
 			t.Errorf("%s: got %v, want %v", row.name, errno, row.errno)
 		}
-		if got := iv.K.Pages.FreeBytes() - free; got != row.freed {
+		if got := freeBytes(t, iv.K.Pages) - free; got != row.freed {
 			t.Errorf("%s: freed %d bytes, want %d", row.name, got, row.freed)
 		}
 		for _, c := range []*CVM{a, b} {

@@ -271,7 +271,7 @@ func fillDefaults(cfg Config) Config {
 }
 
 // New builds a symmetric link between two endpoints without attaching
-// anything; Connect is the usual entry point for nic ports. Direction d
+// anything; ConnectAsym is the entry point for nic ports. Direction d
 // carries frames from ends[d] to ends[1-d].
 func New(clk hostos.Clock, a, b Endpoint, cfg Config) *Link {
 	return NewAsym(clk, a, b, cfg, cfg)
@@ -291,13 +291,8 @@ func NewAsym(clk hostos.Clock, a, b Endpoint, ab, ba Config) *Link {
 	return l
 }
 
-// Connect interposes a symmetric link between two NIC ports (where
-// nic.Connect would put a plain wire) and raises link-up on both.
-func Connect(clk hostos.Clock, a, b *nic.Port, cfg Config) *Link {
-	return ConnectAsym(clk, a, b, cfg, cfg)
-}
-
-// ConnectAsym is Connect with independent per-direction configs: ab
+// ConnectAsym interposes a link between two NIC ports (where
+// nic.Connect would put a plain wire) and raises link-up on both; ab
 // impairs frames leaving port a toward b, ba the reverse path.
 func ConnectAsym(clk hostos.Clock, a, b *nic.Port, ab, ba Config) *Link {
 	l := NewAsym(clk, a, b, ab, ba)

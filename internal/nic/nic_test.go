@@ -171,7 +171,7 @@ func TestPCIIdentity(t *testing.T) {
 	}
 	// MAC is readable through RAL/RAH.
 	ral, rah := be.a.RegRead32(RegRAL0), be.a.RegRead32(RegRAH0)
-	mac := be.a.MAC()
+	mac := be.a.mac
 	if byte(ral) != mac[0] || byte(ral>>24) != mac[3] || byte(rah) != mac[4] {
 		t.Fatalf("RAL/RAH mismatch: %08x %08x vs %v", ral, rah, mac)
 	}
@@ -405,7 +405,7 @@ func TestDualPortMACs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0, m1 := card.Port(0).MAC(), card.Port(1).MAC()
+	m0, m1 := card.Port(0).mac, card.Port(1).mac
 	if m0 == m1 {
 		t.Fatal("ports must have distinct MACs")
 	}
@@ -433,8 +433,10 @@ func TestRegisterPCI(t *testing.T) {
 	if err := card.RegisterPCI(k.PCI); err != nil {
 		t.Fatal(err)
 	}
-	if len(k.PCI.Devices()) != 2 {
-		t.Fatalf("registered %d devices", len(k.PCI.Devices()))
+	for _, bdf := range []string{"0000:03:00.0", "0000:03:00.1"} {
+		if _, errno := k.PCI.Claim(bdf); errno != hostos.EBUSY {
+			t.Fatalf("claim of %s before unbind: %v, want EBUSY (registered, kernel-bound)", bdf, errno)
+		}
 	}
 	if errno := k.PCI.Unbind("0000:03:00.0"); errno != hostos.OK {
 		t.Fatal(errno)

@@ -159,9 +159,6 @@ func (p *Port) VendorID() uint16 { return 0x8086 }
 // DeviceID returns the 82576 device id.
 func (p *Port) DeviceID() uint16 { return 0x10C9 }
 
-// MAC returns the port's hardware address.
-func (p *Port) MAC() [6]byte { return p.mac }
-
 // SetDMACap grants the port its DMA window (IOMMU programming). Only
 // meaningful in capability-DMA mode.
 func (p *Port) SetDMACap(c cheri.Cap) {
@@ -322,11 +319,6 @@ func (p *Port) SetQueueStall(q int, stalled bool) {
 		return
 	}
 	p.stalled[q] = stalled
-}
-
-// QueueStalled reports one queue's stall state.
-func (p *Port) QueueStalled(q int) bool {
-	return q >= 0 && q < MaxQueues && p.stalled[q]
 }
 
 // InjectDMAFaults arms a burst: the next n DMA mappings (descriptor or
@@ -555,19 +547,6 @@ func (p *Port) Missed() uint64 {
 	}
 	return total
 }
-
-// PendingRX reports frames waiting in the RX FIFOs (testing hook).
-func (p *Port) PendingRX() int {
-	total := 0
-	for q := range p.fifos {
-		total += p.fifos[q].pending()
-	}
-	return total
-}
-
-// PendingRXQueue reports frames waiting in one queue's FIFO (testing
-// hook).
-func (p *Port) PendingRXQueue(q int) int { return p.fifos[q].pending() }
 
 // QueueDeadline reports the earliest virtual instant at or after which
 // queue pair q could make progress — what the loop that owns q, and only

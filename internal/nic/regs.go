@@ -82,7 +82,6 @@ func RegTDTQ(q int) uint64 { return RegTXQBase + uint64(q)*RegQStride + regQT }
 
 // CTRL bits.
 const (
-	CtrlSLU = 1 << 6  // set link up
 	CtrlRST = 1 << 26 // device reset
 )
 

@@ -77,9 +77,6 @@ func (f *rxFifo) pop(now int64) (frame, bool) {
 	return fr, true
 }
 
-// pending reports queued frames (testing hook).
-func (f *rxFifo) pending() int { return len(f.frames) - f.head }
-
 // Conduit is the medium a port transmits into. A *Wire is the direct
 // back-to-back cable; internal/netem's Link interposes an impairment
 // pipeline between the same two ports. The port calls Send with the

@@ -68,9 +68,6 @@ func (m *Metrics) NextDeadline(now int64) int64 {
 	return m.nextAt
 }
 
-// Samples returns the number of sample rows recorded.
-func (m *Metrics) Samples() int { return len(m.rows) }
-
 // WriteCSV streams the timeseries as CSV: a time_ns column followed by
 // one column per series.
 func (m *Metrics) WriteCSV(w io.Writer) error {

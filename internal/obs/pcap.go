@@ -16,13 +16,11 @@ const (
 )
 
 // PcapWriter streams frames into a libpcap capture readable by tcpdump
-// and Wireshark. It began life as fstack's per-stack tap sink and now
-// lives here so link-level taps (nic RX delivery, both ends of a peer
-// cable into one file) and stack taps share one writer.
+// and Wireshark, fed by link-level taps (nic RX delivery, both ends of
+// a peer cable into one file).
 type PcapWriter struct {
 	w   io.Writer
 	err error
-	n   int
 }
 
 // NewPcapWriter writes the global header and returns the writer.
@@ -64,12 +62,8 @@ func (p *PcapWriter) WritePacket(tsNS int64, data []byte) error {
 		p.err = err
 		return err
 	}
-	p.n++
 	return nil
 }
-
-// Count returns the packets written so far.
-func (p *PcapWriter) Count() int { return p.n }
 
 // Err reports the writer's sticky error.
 func (p *PcapWriter) Err() error { return p.err }

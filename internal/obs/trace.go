@@ -176,9 +176,9 @@ type Event struct {
 }
 
 // Trace is the flight recorder: a fixed-capacity ring of events that
-// keeps the most recent Capacity() records. Recording never allocates;
-// when the ring is full the oldest event is overwritten, which is
-// exactly what a flight recorder should do.
+// keeps the most recent ones. Recording never allocates; when the ring
+// is full the oldest event is overwritten, which is exactly what a
+// flight recorder should do.
 type Trace struct {
 	ring  []Event
 	next  int
@@ -210,9 +210,6 @@ func (t *Trace) Record(ts int64, typ EventType, src uint16, a, b, c int64) {
 	}
 	t.total++
 }
-
-// Capacity returns the ring size.
-func (t *Trace) Capacity() int { return len(t.ring) }
 
 // Total returns how many events were ever recorded (including ones the
 // ring has since overwritten).

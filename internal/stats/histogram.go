@@ -59,7 +59,6 @@ func histUpper(i int) int64 {
 type Histogram struct {
 	counts [histBuckets]uint64
 	n      uint64
-	sum    int64
 	min    int64 // valid when n > 0
 	max    int64
 }
@@ -79,28 +78,10 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 	h.n++
-	h.sum += v
 }
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the exact average of the recorded samples (the sum is
-// tracked outside the buckets, so it carries no quantization error).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max returns the largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
@@ -168,7 +149,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.max = other.max
 	}
 	h.n += other.n
-	h.sum += other.sum
 }
 
 // fmtNS renders a nanosecond quantity with a human unit.

@@ -108,16 +108,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 				t.Errorf("%s p%g: got %d, exact %d (tol %.0f)", name, q*100, got, want, tol)
 			}
 		}
-		if h.Min() != samples[0] || h.Max() != samples[n-1] {
-			t.Errorf("%s: min/max %d/%d, want %d/%d", name, h.Min(), h.Max(), samples[0], samples[n-1])
-		}
-		wantMean := 0.0
-		for _, v := range samples {
-			wantMean += float64(v)
-		}
-		wantMean /= n
-		if math.Abs(h.Mean()-wantMean) > 1e-6 {
-			t.Errorf("%s: mean %.3f, want %.3f", name, h.Mean(), wantMean)
+		if h.min != samples[0] || h.Max() != samples[n-1] {
+			t.Errorf("%s: min/max %d/%d, want %d/%d", name, h.min, h.Max(), samples[0], samples[n-1])
 		}
 	}
 }
@@ -156,8 +148,8 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 		if m.counts != whole.counts {
 			t.Fatalf("merged bucket counts differ from whole-stream recording")
 		}
-		if m.Min() != whole.Min() || m.Max() != whole.Max() || m.Mean() != whole.Mean() {
-			t.Fatalf("merged min/max/mean differ from whole-stream recording")
+		if m.min != whole.min || m.Max() != whole.Max() {
+			t.Fatalf("merged min/max differ from whole-stream recording")
 		}
 		for _, q := range []float64{0.5, 0.99, 0.999} {
 			if m.Quantile(q) != whole.Quantile(q) {
@@ -182,14 +174,14 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 // behavior the datapath hooks rely on.
 func TestHistogramEmptyAndClamp(t *testing.T) {
 	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatalf("empty histogram must read as zeros")
 	}
 	if h.String() != "n=0" {
 		t.Fatalf("empty String() = %q", h.String())
 	}
 	h.Record(-5)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 1 || h.min != 0 || h.Max() != 0 {
 		t.Fatalf("negative sample must clamp to 0: %v", h)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/netem"
+	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
 // outageSample is what a frame held toward a dead stack can move: the
-// link's two delay lines, and the local port's FIFOs and tail drops.
+// link's two delay lines, and the local port's FIFOs (frames delivered
+// to the port, less those DMA'd and those tail-dropped) and tail drops.
 type outageSample struct {
 	toPeer, toLocal int
 	pendingRX       int
@@ -43,6 +45,8 @@ func runOutage(t *testing.T, leap bool, endNS int64) (samples map[int64]outageSa
 		t.Fatal(err)
 	}
 	peer, port, link := bed.Peers[0].Env.Stk, bed.Local.Card.Port(0), bed.Links[0]
+	delivered := 0
+	port.SetRxTap(func(int64, []byte) { delivered++ })
 	fd, _ := peer.Socket(fstack.SockDgram)
 	datagram := make([]byte, 1400)
 	loops := bed.Loops()
@@ -68,7 +72,8 @@ func runOutage(t *testing.T, leap bool, endNS int64) (samples map[int64]outageSa
 		var s outageSample
 		s.toPeer, _ = link.Depth(0, now)
 		s.toLocal, _ = link.Depth(1, now)
-		s.pendingRX, s.missed = port.PendingRX(), port.Missed()
+		s.missed = port.Missed()
+		s.pendingRX = delivered - int(port.RegRead32(nic.RegGPRC)) - int(s.missed)
 		samples[now] = s
 		visited = append(visited, now)
 

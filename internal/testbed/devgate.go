@@ -186,7 +186,7 @@ func (d *GatedEthDev) RxBurst(out []*dpdk.Mbuf) int {
 		return 0
 	}
 	r, errno := d.g.rx.Call(d.caller, hostos.Args{uint64(want), d.q}, stage)
-	if errno != hostos.OK || r == 0 {
+	if errno != hostos.OK || r == 0 || r > uint64(want) {
 		return 0
 	}
 	addr := d.stageAddr()
@@ -240,7 +240,7 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 		packed++
 	}
 	r, errno := d.g.tx.Call(d.caller, hostos.Args{uint64(packed), d.q}, stage)
-	if errno != hostos.OK {
+	if errno != hostos.OK || r > uint64(packed) {
 		return 0
 	}
 	for i := 0; i < int(r); i++ {

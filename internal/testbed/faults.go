@@ -157,8 +157,6 @@ type envTarget struct {
 	trapped bool
 }
 
-func (t *envTarget) Name() string { return t.e.Name }
-
 func (t *envTarget) Trapped() bool {
 	if t.e.CVM != nil {
 		return t.e.CVM.Trapped()

@@ -2,7 +2,10 @@ package testbed
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestZeroFaultSpecIsInert(t *testing.T) {
@@ -43,13 +46,15 @@ func TestFaultSpecValidation(t *testing.T) {
 
 // TestNICFaultReachesGatedDriver: a device-gated environment lists no
 // device (its driver sits in another cVM), yet a NIC fault aimed at it
-// lands on that driver's port — on a sharded one, on the queue named.
+// fires on that driver — on a sharded one, on the queue named — at its
+// instant, as the flight recorder shows.
 func TestNICFaultReachesGatedDriver(t *testing.T) {
 	s := minimalSpec()
 	s.Compartments[0].CVM = true
 	s.Compartments[0].DeviceGate = true
 	s.Compartments[0].Stack.Shards = 2
 	s.Faults.NICFaults = []NICFaultSpec{{Env: "proc", Queue: 1, StallAt: 100, ResumeAt: 200, DMAFaultAt: 100, DMAFaults: 3}}
+	s.Obs.TraceEvents = 64
 	bed, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
@@ -57,14 +62,17 @@ func TestNICFaultReachesGatedDriver(t *testing.T) {
 	if n := len(bed.Envs[0].Devs); n != 0 {
 		t.Fatalf("device-gated environment lists %d devices", n)
 	}
-	port := bed.Local.Card.Port(0)
+	bed.FaultStep(99)
 	bed.FaultStep(100)
-	if port.QueueStalled(0) || !port.QueueStalled(1) {
-		t.Fatalf("at the stall: queue 0 stalled=%v, queue 1 stalled=%v", port.QueueStalled(0), port.QueueStalled(1))
+	var fired [][3]int64 // at, kind, queue
+	for _, e := range bed.Obs.Trace.Snapshot() {
+		if e.Type == obs.EvFault {
+			fired = append(fired, [3]int64{e.TS, e.A, e.C})
+		}
 	}
-	bed.FaultStep(200)
-	if port.QueueStalled(1) {
-		t.Fatal("queue 1 still stalled after its resume instant")
+	want := [][3]int64{{100, obs.FaultNICStall, 1}, {100, obs.FaultDMA, 1}}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("NIC faults fired %v, want %v", fired, want)
 	}
 }
 

@@ -358,6 +358,9 @@ func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 			}
 			return int(r), errno
 		}
+		if r > uint64(len(chunk)) {
+			return -1, hostos.EIO
+		}
 		sent += int(r)
 		if int(r) < len(chunk) {
 			break
@@ -379,10 +382,14 @@ func (a *GatedAPI) SendTo(fd int, data []byte, ip fstack.IPv4Addr, port uint16) 
 		return -1, errno
 	}
 	r, errno := a.G.sendTo.Call(a.App, hostos.Args{uint64(fd), uint64(len(data)), u64FromIP4(ip), uint64(port)}, buf)
-	if errno == hostos.OK {
-		a.App.Book(sim.CopyNS(int(r)))
+	if errno != hostos.OK {
+		return int(r), errno
 	}
-	return int(r), errno
+	if r > uint64(len(data)) {
+		return -1, hostos.EIO
+	}
+	a.App.Book(sim.CopyNS(int(r)))
+	return int(r), hostos.OK
 }
 
 // RecvFrom pops one datagram through the read staging area: the
@@ -397,12 +404,17 @@ func (a *GatedAPI) RecvFrom(fd int, dst []byte) (int, fstack.IPv4Addr, uint16, h
 	if errno != hostos.OK {
 		return -1, fstack.IPv4Addr{}, 0, errno
 	}
+	if r > uint64(n) {
+		return -1, fstack.IPv4Addr{}, 0, hostos.EIO
+	}
 	var sa [sockaddrLen]byte
 	if err := a.App.Load(a.App.Base()+stageReadOff, sa[:]); err != nil {
 		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
 	}
-	if err := a.App.Load(a.App.Base()+stageReadOff+sockaddrLen, dst[:r]); err != nil {
-		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
+	if r > 0 {
+		if err := a.App.Load(a.App.Base()+stageReadOff+sockaddrLen, dst[:r]); err != nil {
+			return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
+		}
 	}
 	ip, port := getSockaddr(sa[:])
 	return int(r), ip, port, hostos.OK
@@ -421,6 +433,9 @@ func (a *GatedAPI) Read(fd int, dst []byte) (int, hostos.Errno) {
 	r, errno := a.G.read.Call(a.App, hostos.Args{uint64(fd), uint64(n)}, buf)
 	if errno != hostos.OK {
 		return int(r), errno
+	}
+	if r > uint64(n) {
+		return -1, hostos.EIO
 	}
 	if r > 0 {
 		if err := a.App.Load(a.App.Base()+stageReadOff, dst[:r]); err != nil {
@@ -462,6 +477,9 @@ func (a *GatedAPI) EpollWait(epfd int, evs []fstack.Event) (int, hostos.Errno) {
 	r, errno := a.G.epWait.Call(a.App, hostos.Args{uint64(epfd), uint64(n)}, buf)
 	if errno != hostos.OK {
 		return -1, errno
+	}
+	if r > uint64(n) {
+		return -1, hostos.EIO
 	}
 	if r > 0 {
 		var raw [stageEventsMax * stageEventLen]byte

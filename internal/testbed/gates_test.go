@@ -3,6 +3,7 @@ package testbed
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -22,7 +23,8 @@ import (
 func refStage(a *GatedAPI, off int, src []byte) (cheri.Cap, hostos.Errno) {
 	at := stageWriteOff + uint64(off)
 	addr := a.App.Base() + at
-	if staged, err := a.App.Mem().CheckedSliceRO(a.App.DDC(), addr, len(src)); err != nil || !bytes.Equal(staged, src) {
+	staged := make([]byte, len(src))
+	if err := a.App.Load(addr, staged); err != nil || !bytes.Equal(staged, src) {
 		if err := a.App.Store(addr, src); err != nil {
 			return cheri.NullCap, hostos.EFAULT
 		}
@@ -86,16 +88,17 @@ func (w *wireStreams) tap(_ int64, frame []byte) {
 		return
 	}
 	seg := pkt[ihl:ip.TotalLen]
-	h, off, err := fstack.ParseTCPHeader(seg, ip.Src, ip.Dst)
-	if err != nil {
+	if len(seg) < fstack.TCPHeaderLen {
 		return
 	}
-	if h.Flags&fstack.TCPSyn != 0 {
-		w.isn[h.SrcPort] = h.Seq
+	sport, seq := binary.BigEndian.Uint16(seg[0:2]), binary.BigEndian.Uint32(seg[4:8])
+	off, flags := int(seg[12]>>4)*4, seg[13]
+	if flags&fstack.TCPSyn != 0 {
+		w.isn[sport] = seq
 		return
 	}
-	at, payload := int(h.Seq-w.isn[h.SrcPort]-1), seg[off:]
-	data, have := w.data[h.SrcPort], w.have[h.SrcPort]
+	at, payload := int(seq-w.isn[sport]-1), seg[off:]
+	data, have := w.data[sport], w.have[sport]
 	for len(data) < at+len(payload) {
 		data, have = append(data, 0), append(have, false)
 	}
@@ -105,7 +108,7 @@ func (w *wireStreams) tap(_ int64, frame []byte) {
 		}
 		data[at+i], have[at+i] = b, true
 	}
-	w.data[h.SrcPort], w.have[h.SrcPort] = data, have
+	w.data[sport], w.have[sport] = data, have
 }
 
 // stream is the contiguous payload seen on the connection from sport.

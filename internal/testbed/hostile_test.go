@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cheri"
+	"repro/internal/dpdk"
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/intravisor"
@@ -80,7 +81,7 @@ func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf
 	}
 	rows := []hostileBuf{
 		{"well-formed", good, false},
-		{"untagged", good.ClearTag(), false},
+		{"untagged", cheri.NullCap.SetAddr(good.Addr()), false},
 		{"permission-less", none, false},
 		{"sealed", sealed, false},
 	}
@@ -97,11 +98,11 @@ func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf
 // window copies the bytes of c's memory window.
 func window(t *testing.T, c *intravisor.CVM) []byte {
 	t.Helper()
-	w, err := c.Mem().RawSlice(c.Base(), int(c.Size()))
-	if err != nil {
+	w := make([]byte, c.Size())
+	if err := c.Load(c.Base(), w); err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Clone(w)
+	return w
 }
 
 // callResult is what one gate call returned.
@@ -455,9 +456,112 @@ func TestHostileDevGateCaller(t *testing.T) {
 					return []int{0}, func(int) hostos.Args { return tg.args(0, 0) }, func() {}
 				})
 		}
-		if cvm := g.rx.Owner(); cvm.Trapped() {
-			t.Fatalf("the driver compartment trapped on %s", tg.name)
-		}
 		udpEcho(t, bed, clk, victim, fd, port, tg.name)
 	}
+}
+
+// TestHostileCallee: the other direction of the table. A compromised
+// stack or driver compartment answers a well-formed call with any count
+// it likes, so the wrapper layer bounds every count that comes back by
+// what it asked for. For one application cVM (and one queue handle),
+// each count-returning target is swapped for a callee that returns
+// onePast and each of hostileValues: the socket wrappers answer a count
+// past the request with EIO and the device wrappers with 0 — never a
+// panic, a slice past the caller's buffer or an mbuf freed twice — and a
+// second application cVM behind the real gates keeps echoing.
+func TestHostileCallee(t *testing.T) {
+	clk := sim.NewVClock()
+	bed, err := Build(Spec{
+		Clk:     clk,
+		Machine: MachineSpec{Name: "morello", Ports: 1},
+		Compartments: []CompartmentSpec{{
+			Name: "stack", CVM: true, DeviceGate: true, Ifs: []IfSpec{{Port: 0}},
+			APIGate: true, AppCVMs: []string{"attacker", "victim"},
+		}},
+		Peers: []PeerSpec{{Port: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, attacker, victim := bed.Envs[0], bed.Apps[0], bed.Apps[1]
+	const port = 7
+	fd, errno := victim.Socket(fstack.SockDgram)
+	if errno == hostos.OK {
+		errno = victim.Bind(fd, fstack.IPv4Addr{}, port)
+	}
+	if errno != hostos.OK {
+		t.Fatalf("victim socket: %v", errno)
+	}
+	udpEcho(t, bed, clk, victim, fd, port, "nothing")
+
+	// liar is a gate into the stack compartment whose target claims v.
+	liar := func(v uint64) *intravisor.Gate {
+		g, err := bed.Local.IV.NewGate(env.CVM, func(*intravisor.CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
+			return v, hostos.OK
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	buf, evs := make([]byte, 64), make([]fstack.Event, 4)
+	for _, tg := range []struct {
+		name  string
+		asked uint64 // the largest count the call can take
+		swap  func(g *StackGates, liar *intravisor.Gate)
+		call  func(a *GatedAPI) (int, hostos.Errno)
+	}{
+		{"read", uint64(len(buf)), func(g *StackGates, l *intravisor.Gate) { g.read = l },
+			func(a *GatedAPI) (int, hostos.Errno) { return a.Read(3, buf) }},
+		{"recvFrom", uint64(len(buf)), func(g *StackGates, l *intravisor.Gate) { g.recvFrom = l },
+			func(a *GatedAPI) (int, hostos.Errno) { n, _, _, errno := a.RecvFrom(3, buf); return n, errno }},
+		{"epWait", uint64(len(evs)), func(g *StackGates, l *intravisor.Gate) { g.epWait = l },
+			func(a *GatedAPI) (int, hostos.Errno) { return a.EpollWait(3, evs) }},
+		{"write", uint64(len(buf)), func(g *StackGates, l *intravisor.Gate) { g.write = l },
+			func(a *GatedAPI) (int, hostos.Errno) { return a.Write(3, buf) }},
+		{"sendTo", uint64(len(buf)), func(g *StackGates, l *intravisor.Gate) { g.sendTo = l },
+			func(a *GatedAPI) (int, hostos.Errno) { return a.SendTo(3, buf, PeerIP(0), 9) }},
+	} {
+		for _, v := range append([]uint64{tg.asked + 1}, hostileValues...) {
+			gates := *bed.Gates
+			tg.swap(&gates, liar(v))
+			n, errno := tg.call(NewGatedAPI(&gates, attacker.App))
+			if v > tg.asked && (n != -1 || errno != hostos.EIO) {
+				t.Errorf("%s answered %d: the app got %d, %v; want -1, EIO", tg.name, v, n, errno)
+			}
+			if v <= tg.asked && (errno != hostos.OK || n != int(v)) {
+				t.Errorf("%s answered %d: the app got %d, %v; want %d, OK", tg.name, v, n, errno, v)
+			}
+		}
+		udpEcho(t, bed, clk, victim, fd, port, "a lying "+tg.name)
+	}
+	if attacker.App.Trapped() {
+		t.Fatal("a lying callee trapped its caller")
+	}
+
+	out := make([]*dpdk.Mbuf, 4)
+	for _, v := range append([]uint64{uint64(len(out)) + 1}, hostileValues...) {
+		g := *env.devGates[0]
+		g.rx = liar(v)
+		if got := NewGatedEthDev(&g, env.CVM, env.Pool, 0).RxBurst(out); got != 0 {
+			t.Errorf("rx answered %d: RxBurst returned %d frames, want 0", v, got)
+		}
+	}
+	udpEcho(t, bed, clk, victim, fd, port, "a lying rx")
+	for _, v := range append([]uint64{2}, hostileValues...) {
+		g := *env.devGates[0]
+		g.tx = liar(v)
+		m, ok := env.Pool.Get()
+		if !ok {
+			t.Fatal("stack pool empty")
+		}
+		if _, err := m.Append(60); err != nil {
+			t.Fatal(err)
+		}
+		if got := NewGatedEthDev(&g, env.CVM, env.Pool, 0).TxBurst([]*dpdk.Mbuf{m}); got != 0 {
+			t.Errorf("tx answered %d for one frame: TxBurst returned %d, want 0", v, got)
+		}
+		m.Free() // refused, so still the caller's
+	}
+	udpEcho(t, bed, clk, victim, fd, port, "a lying tx")
 }

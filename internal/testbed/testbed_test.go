@@ -251,7 +251,7 @@ func TestSpecDefaultsResolve(t *testing.T) {
 			break
 		}
 	}
-	if mac := bed.Peers[0].M.Card.Port(0).MAC(); mac[5] != defaultPeerMAC {
+	if mac := bed.Peers[0].Env.Devs[0].MAC(); mac[5] != defaultPeerMAC {
 		t.Fatalf("peer MAC suffix %#02x, want %#02x", mac[5], defaultPeerMAC)
 	}
 }
@@ -348,7 +348,9 @@ func TestShardedSpecBuildsShardedEnv(t *testing.T) {
 }
 
 // TestTuningReachesBothEnds: a StackSpec with TCP tuning lands on the
-// compartment's stack and the peer's.
+// compartment's stack and the peer's: the local SYN and the peer's
+// SYN-ACK both offer SACK and the spec's window-scale shift, which a
+// stack sends only when its own tuning asks for them.
 func TestTuningReachesBothEnds(t *testing.T) {
 	tun := &fstack.TCPTuning{SACK: true, WindowScale: 5, SndBufBytes: 1 << 20, RcvBufBytes: 1 << 20}
 	s := minimalSpec()
@@ -358,9 +360,62 @@ func TestTuningReachesBothEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stk := range []*fstack.Stack{bed.Envs[0].Stk, bed.Peers[0].Env.Stk} {
-		if got := stk.TCPTuning(); !got.SACK || got.WindowScale != 5 {
-			t.Fatalf("tuning not applied: %+v", got)
+	// synOpts maps "SYN" and "SYN-ACK" to the options each carried.
+	synOpts := map[string][]byte{}
+	tap := func(_ int64, frame []byte) {
+		pkt := frame[fstack.EthHeaderLen:]
+		ip, ihl, err := fstack.ParseIPv4Header(pkt)
+		if err != nil || ip.Proto != fstack.ProtoTCP {
+			return
+		}
+		seg := pkt[ihl:ip.TotalLen]
+		if flags := seg[13]; flags&fstack.TCPSyn != 0 {
+			kind := "SYN"
+			if flags&fstack.TCPAck != 0 {
+				kind = "SYN-ACK"
+			}
+			synOpts[kind] = seg[fstack.TCPHeaderLen : int(seg[12]>>4)*4]
+		}
+	}
+	bed.Local.Card.Port(0).SetRxTap(tap)
+	bed.Peers[0].M.Card.Port(0).SetRxTap(tap)
+	local, peer := bed.Envs[0].Stk, bed.Peers[0].Env.Stk
+	lfd, _ := peer.Socket(fstack.SockStream)
+	if errno := peer.Bind(lfd, fstack.IPv4Addr{}, 80); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := peer.Listen(lfd, 1); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	cfd, _ := local.Socket(fstack.SockStream)
+	if errno := local.Connect(cfd, PeerIP(0), 80); errno != hostos.OK && errno != hostos.EINPROGRESS {
+		t.Fatal(errno)
+	}
+	clk := bed.Clk.(*sim.VClock)
+	for i := 0; i < 1000 && len(synOpts) < 2; i++ {
+		for _, l := range bed.Loops() {
+			l.RunOnce()
+		}
+		clk.Advance(5000)
+	}
+	for _, kind := range []string{"SYN", "SYN-ACK"} {
+		opts := synOpts[kind]
+		sack, wscale := false, -1
+		for len(opts) > 0 && opts[0] != 0 {
+			if opts[0] == 1 || len(opts) < 2 { // NOP
+				opts = opts[1:]
+				continue
+			}
+			switch opts[0] {
+			case 3:
+				wscale = int(opts[2])
+			case 4:
+				sack = true
+			}
+			opts = opts[max(int(opts[1]), 2):]
+		}
+		if !sack || wscale != 5 {
+			t.Fatalf("%s options %x: SACK-permitted %v, window scale %d; want true, 5", kind, synOpts[kind], sack, wscale)
 		}
 	}
 }
