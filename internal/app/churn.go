@@ -182,6 +182,10 @@ type ChurnClient struct {
 	churnEnd  int64
 }
 
+// ChurnPorts is how many listen ports a preload of conns connections
+// needs: one per window of managed source ports.
+func ChurnPorts(conns int) int { return (conns + sportSpan - 1) / sportSpan }
+
 // NewChurnClient prepares the storm driver.
 func NewChurnClient(ip fstack.IPv4Addr, preloadPort, churnPort uint16, ports, preload int, rate float64, durationNS int64) (*ChurnClient, error) {
 	if preload > ports*sportSpan {

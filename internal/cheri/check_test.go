@@ -50,7 +50,7 @@ func refCheckedSlice(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
 	if !m.inRange(addr, n) {
 		return nil, newFault(FaultBounds, "slice", c, addr, n)
 	}
-	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
+	return m.view(addr, n), nil
 }
 
 func refCheckedSliceRO(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
@@ -60,7 +60,7 @@ func refCheckedSliceRO(m *TMem, c Cap, addr uint64, n int) ([]byte, error) {
 	if !m.inRange(addr, n) {
 		return nil, newFault(FaultBounds, "slice", c, addr, n)
 	}
-	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
+	return m.view(addr, n), nil
 }
 
 // refLoad and refStore are TMem.Load and Store as they were: the use
@@ -72,7 +72,7 @@ func refLoad(m *TMem, c Cap, addr uint64, dst []byte) error {
 	if !m.inRange(addr, len(dst)) {
 		return newFault(FaultBounds, "load", c, addr, len(dst))
 	}
-	copy(dst, m.data[addr:])
+	copy(dst, m.view(addr, len(dst)))
 	return nil
 }
 
@@ -83,12 +83,14 @@ func refStore(m *TMem, c Cap, addr uint64, src []byte) error {
 	if !m.inRange(addr, len(src)) {
 		return newFault(FaultBounds, "store", c, addr, len(src))
 	}
-	copy(m.data[addr:], src)
+	copy(m.view(addr, len(src)), src)
 	return nil
 }
 
 // checkMemSize is the memory every comparison runs against: small, so
-// that random ranges land inside, across and past its end.
+// that random ranges land inside, across and past its end, and one
+// hugepage, so that every in-range view is one a reference takes
+// (hugepage boundaries are flat_test.go's).
 const checkMemSize = 4096
 
 // sameErr fails unless got and want are both nil or both *Fault with
@@ -112,7 +114,7 @@ func sameErr(t testing.TB, what string, got, want error) {
 // range: both start at addr.
 func sameSlice(t testing.TB, what string, m *TMem, addr uint64, got, want []byte) {
 	t.Helper()
-	if len(got) != len(want) || cap(got) != cap(want) || len(got) > 0 && (&got[0] != &m.data[addr] || &want[0] != &m.data[addr]) {
+	if len(got) != len(want) || cap(got) != cap(want) || len(got) > 0 && (&got[0] != &m.view(addr, 1)[0] || &want[0] != &m.view(addr, 1)[0]) {
 		t.Fatalf("%s: slice len %d cap %d, reference len %d cap %d (or not at %#x)", what, len(got), cap(got), len(want), cap(want), addr)
 	}
 }

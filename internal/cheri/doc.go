@@ -9,8 +9,9 @@
 //     (address), permissions, an object type for sealing, and a validity
 //     tag. Derivation is monotonic: a derived capability can never carry
 //     more rights or wider bounds than its parent.
-//   - TMem: byte-addressable memory behind capability checks. It holds
-//     data bytes only: a capability is a value code holds (a cVM's DDC, an
+//   - TMem: byte-addressable memory behind capability checks, in 2 MiB
+//     hugepages backed on first touch; a view of it lies inside one
+//     hugepage. It holds data bytes only: a capability is a value code holds (a cVM's DDC, an
 //     entry pair, a gate argument, a DMA grant) and is never stored into
 //     memory, so no written bit pattern can come back as one. A tagged
 //     capability comes only from NewRoot, a monotone derivation, or

@@ -55,3 +55,14 @@ func IsFault(err error, kind FaultKind) bool {
 	f, ok := err.(*Fault)
 	return ok && f.Kind == kind
 }
+
+// HugePages reports how many of m's hugepages are backed.
+func (m *TMem) HugePages() int {
+	n := 0
+	for _, p := range m.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -73,7 +73,8 @@ type Fault struct {
 	// Size is the access size in bytes, when applicable.
 	Size int
 	// Op names the operation that faulted ("load", "store", "setbounds",
-	// "seal", ...).
+	// "seal", ...), or "hugepage" for a view refused only because it
+	// crosses a hugepage boundary of memory.
 	Op string
 }
 

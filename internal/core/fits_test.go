@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cheri"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -15,7 +16,9 @@ import (
 // machine, local and peer, has less than a page of memory left.
 // testbed.Build derives a machine's memory as the sum of what it is about
 // to place: a term missing from the sum fails the build with ENOMEM, a
-// term over-counted (or slack added back) fails here.
+// term over-counted (or slack added back, or padding left below a
+// hugepage boundary) fails here. Every cVM window and cVM segment starts
+// on a hugepage boundary, which gate staging and the mempools rely on.
 func TestBuildFitsItsMachines(t *testing.T) {
 	type layout struct {
 		name  string
@@ -84,6 +87,20 @@ func TestBuildFitsItsMachines(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", l.name, err)
 			continue
+		}
+		onBoundary := func(what string, base uint64) {
+			if bed.Local.K.Mem.PageEnd(base) != base+cheri.HugePageSize {
+				t.Errorf("%s: %s at %#x is not on a hugepage boundary", l.name, what, base)
+			}
+		}
+		for _, e := range bed.Envs {
+			if e.CVM != nil {
+				onBoundary(e.Name+"'s window", e.CVM.Base())
+				onBoundary(e.Name+"'s segment", e.Seg.Cap().Base())
+			}
+		}
+		for _, a := range bed.Apps {
+			onBoundary(a.App.Name+"'s window", a.App.Base())
 		}
 		machines := []*testbed.Machine{bed.Local}
 		for _, p := range bed.Peers {

@@ -86,7 +86,7 @@ func scenario9Cell(proto string) driverCell {
 }
 
 func scenario10Cell(shards int, capMode bool) driverCell {
-	cfg := Scenario10Config{Shards: shards, CapMode: capMode, Faults: 2, MTBFNS: 40e6, Conns: 2, DurationNS: 300e6}
+	cfg := Scenario10Config{Shards: shards, CapMode: capMode, Faults: 2, MTBFNS: 40e6, Conns: 2, DurationNS: 240e6}
 	name := fmt.Sprintf("scenario 10 %s storm, %d shards", modeName(capMode), shards)
 	return driverCell{name: name, run: func(clk hostos.Clock, tap func(*Setup)) (string, error) {
 		s, err := NewScenario10(clk, cfg)

@@ -29,10 +29,6 @@ const (
 	// The port is Scenario 4's fast multi-queue one, so the connection
 	// plane — not the wire — is the variable under test.
 
-	// s8Ports is the listen-port spread per flow class (preload and
-	// churn); the varying client source ports scatter connections
-	// across the RSS shards.
-	s8Ports = 4
 	// s8Backlog is every listener's accept-queue bound, comfortably
 	// above the client's handshake concurrency so the sweep measures
 	// throughput, not configured-in drops.
@@ -128,8 +124,13 @@ func (r Scenario8Result) AcceptsPerSec() float64 {
 func Scenario8Churn(s *testbed.Bed, cfg Scenario8Config) (Scenario8Result, error) {
 	res := Scenario8Result{Shards: cfg.Shards, CapMode: cfg.CapMode, Conns: cfg.Conns, Rate: cfg.Rate}
 
-	srv := app.NewChurnServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, s8Ports, s8Backlog)
-	cli, err := app.NewChurnClient(localIP(0), s8PreloadPort, s8ChurnPort, s8Ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
+	// The listen-port spread per flow class (preload and churn): as many
+	// ports as the preload's source ports need, and at least four, so
+	// the varying client source ports scatter connections across the
+	// RSS shards.
+	ports := max(4, app.ChurnPorts(cfg.Conns))
+	srv := app.NewChurnServer(fstack.IPv4Addr{}, s8PreloadPort, s8ChurnPort, ports, s8Backlog)
+	cli, err := app.NewChurnClient(localIP(0), s8PreloadPort, s8ChurnPort, ports, cfg.Conns, cfg.Rate, cfg.DurationNS)
 	if err != nil {
 		return res, err
 	}

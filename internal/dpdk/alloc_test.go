@@ -18,7 +18,7 @@ func TestMempoolAllocsIndependentOfSize(t *testing.T) {
 	mem := cheri.NewTMem(1 << 16) // NewMempool touches no payload byte
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			seg, err := NewMemSeg(mem, 0, uint64(n)*DefaultDataroom, cheri.NullCap, false)
+			seg, err := NewMemSeg(mem, 0, poolBytes(&MemSeg{mem: mem}, 0, n, DefaultDataroom), cheri.NullCap, false)
 			if err != nil {
 				t.Fatal(err)
 			}

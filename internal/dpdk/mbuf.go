@@ -79,7 +79,8 @@ type Mempool struct {
 	total int
 }
 
-// NewMempool carves n mbufs of the given dataroom out of seg.
+// NewMempool carves n mbufs of the given dataroom out of seg, none
+// across a hugepage boundary (objectAt).
 func NewMempool(seg *MemSeg, name string, n int, dataroom uint16) (*Mempool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dpdk: mempool %q needs a positive population", name)
@@ -88,21 +89,47 @@ func NewMempool(seg *MemSeg, name string, n int, dataroom uint16) (*Mempool, err
 		return nil, fmt.Errorf("dpdk: mempool %q dataroom %d too small", name, dataroom)
 	}
 	p := &Mempool{seg: seg, name: name, room: dataroom, total: n}
-	base, err := p.seg.Alloc(uint64(n)*uint64(dataroom), 64)
-	if err != nil {
+	base := seg.aligned(64)
+	if _, err := p.seg.Alloc(poolBytes(seg, base, n, uint64(dataroom)), 64); err != nil {
 		return nil, fmt.Errorf("dpdk: mempool %q: %w", name, err)
 	}
 	// The headers are one slab, as a DPDK mempool lays its objects out
 	// in one array: a pool costs the same few allocations at any size.
 	mbufs := make([]Mbuf, n)
 	p.free = make([]*Mbuf, n)
+	addr := base
 	for i := range mbufs {
+		addr = objectAt(seg, addr, uint64(dataroom))
 		m := &mbufs[i]
-		*m = Mbuf{pool: p, buf: base + uint64(i)*uint64(dataroom), room: dataroom}
+		*m = Mbuf{pool: p, buf: addr, room: dataroom}
 		m.reset()
 		p.free[i] = m
+		addr += uint64(dataroom)
 	}
 	return p, nil
+}
+
+// objectAt is where a pool object of size bytes goes at or after addr:
+// addr itself, or the next hugepage boundary if the object would cross
+// one there. No object straddles two hugepages (rte_mempool's rule on
+// hugepage memory), so every view of an mbuf's data room is one a
+// hugepage holds.
+func objectAt(seg *MemSeg, addr, size uint64) uint64 {
+	if end := seg.PageEnd(addr); addr+size > end {
+		return end
+	}
+	return addr
+}
+
+// poolBytes is the footprint of n objects of size bytes laid out from
+// base: n·size plus the tail of every hugepage too short for the next
+// object.
+func poolBytes(seg *MemSeg, base uint64, n int, size uint64) uint64 {
+	addr := base
+	for range n {
+		addr = objectAt(seg, addr, size) + size
+	}
+	return addr - base
 }
 
 // Name returns the pool's name.

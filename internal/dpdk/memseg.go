@@ -45,16 +45,23 @@ func (s *MemSeg) Alloc(n, align uint64) (uint64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("dpdk: zero-length allocation")
 	}
-	if align == 0 {
-		align = 1
-	}
-	off := (s.next + align - 1) &^ (align - 1)
+	off := s.aligned(align) - s.base
 	if off+n > s.size || off+n < off {
 		return 0, fmt.Errorf("dpdk: segment exhausted (%d of %d used, want %d)", s.next, s.size, n)
 	}
 	s.next = off + n
 	return s.base + off, nil
 }
+
+// aligned is where Alloc with this alignment would carve next.
+func (s *MemSeg) aligned(align uint64) uint64 {
+	align = max(align, 1)
+	return s.base + (s.next+align-1)&^(align-1)
+}
+
+// PageEnd returns the end of the hugepage that holds addr: no view
+// (Slice, SliceRO) from addr reaches past it.
+func (s *MemSeg) PageEnd(addr uint64) uint64 { return s.mem.PageEnd(addr) }
 
 // Used reports allocated bytes.
 func (s *MemSeg) Used() uint64 { return s.next }

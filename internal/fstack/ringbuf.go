@@ -52,6 +52,14 @@ func (b *sockBuf) back() error {
 	return nil
 }
 
+// span is where the n bytes at logical position pos begin in segment
+// memory, and how many of them one view holds: it ends at the ring's
+// wrap or at a hugepage boundary, whichever comes first.
+func (b *sockBuf) span(pos uint64, n int) (uint64, int) {
+	addr := b.base + pos%uint64(b.size)
+	return addr, int(min(uint64(n), b.base+uint64(b.size)-addr, b.seg.PageEnd(addr)-addr))
+}
+
 // Len returns buffered bytes.
 func (b *sockBuf) Len() int { return int(b.w - b.r) }
 
@@ -83,9 +91,8 @@ func (b *sockBuf) writeAt(off int, src []byte) error {
 	}
 	pos := b.w + uint64(off)
 	for len(src) > 0 {
-		o := int(pos % uint64(b.size))
-		chunk := min(len(src), b.size-o)
-		dst, err := b.seg.Slice(b.base+uint64(o), chunk)
+		addr, chunk := b.span(pos, len(src))
+		dst, err := b.seg.Slice(addr, chunk)
 		if err != nil {
 			return err
 		}
@@ -110,9 +117,8 @@ func (b *sockBuf) readInto(dst []byte) (int, error) {
 	n := min(len(dst), b.Len())
 	read := 0
 	for read < n {
-		off := int(b.r % uint64(b.size))
-		chunk := min(n-read, b.size-off)
-		src, err := b.seg.SliceRO(b.base+uint64(off), chunk)
+		addr, chunk := b.span(b.r, n-read)
+		src, err := b.seg.SliceRO(addr, chunk)
 		if err != nil {
 			return read, err
 		}
@@ -133,9 +139,8 @@ func (b *sockBuf) peek(off int, dst []byte) (int, error) {
 	read := 0
 	pos := b.r + uint64(off)
 	for read < n {
-		o := int(pos % uint64(b.size))
-		chunk := min(n-read, b.size-o)
-		src, err := b.seg.SliceRO(b.base+uint64(o), chunk)
+		addr, chunk := b.span(pos, n-read)
+		src, err := b.seg.SliceRO(addr, chunk)
 		if err != nil {
 			return read, err
 		}

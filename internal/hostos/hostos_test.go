@@ -1,6 +1,10 @@
 package hostos
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cheri"
+)
 
 func TestClockMonotonic(t *testing.T) {
 	c := NewRealClock()
@@ -43,7 +47,7 @@ func TestKernelUnknownSyscall(t *testing.T) {
 }
 
 func TestPageAllocBasic(t *testing.T) {
-	p, err := NewPageAlloc(PageSize, 16*PageSize)
+	p, err := NewPageAlloc(cheri.NewTMem(17*PageSize), PageSize, 16*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +80,7 @@ func TestPageAllocBasic(t *testing.T) {
 }
 
 func TestPageAllocExhaustion(t *testing.T) {
-	p, err := NewPageAlloc(PageSize, 4*PageSize)
+	p, err := NewPageAlloc(cheri.NewTMem(5*PageSize), PageSize, 4*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestPageAllocExhaustion(t *testing.T) {
 }
 
 func TestPageAllocCoalesce(t *testing.T) {
-	p, _ := NewPageAlloc(PageSize, 8*PageSize)
+	p, _ := NewPageAlloc(cheri.NewTMem(9*PageSize), PageSize, 8*PageSize)
 	a, _ := p.Alloc(2 * PageSize)
 	b, _ := p.Alloc(2 * PageSize)
 	c, _ := p.Alloc(2 * PageSize)
@@ -166,5 +170,54 @@ func TestMmapSyscall(t *testing.T) {
 	}
 	if _, _, errno := k.Syscall(SysMunmap, Args{addr, 3 * PageSize}); errno != OK {
 		t.Fatal(errno)
+	}
+}
+
+// TestPageAllocHugepageGrid: on a kernel whose memory is a short lowest
+// page (null page and code window) plus whole hugepages, a reservation
+// of a hugepage or more starts on a boundary of physical memory's grid
+// and takes only its pages; a smaller one stays first fit, in the gap
+// below a boundary too; a free returns exactly the pages it names.
+func TestPageAllocHugepageGrid(t *testing.T) {
+	const huge, low = cheri.HugePageSize, 0x101000
+	k, err := NewKernel(new(fixedClock), low+3*huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(n uint64) uint64 {
+		t.Helper()
+		addr, errno := k.Pages.Alloc(n)
+		if errno != OK {
+			t.Fatalf("Alloc(%#x): %v", n, errno)
+		}
+		return addr
+	}
+	if a := alloc(PageSize); a != PageSize {
+		t.Fatalf("first page at %#x, want %#x", a, PageSize)
+	}
+	big := alloc(huge + PageSize)
+	if big != low || k.Mem.PageEnd(big) != big+huge {
+		t.Fatalf("a reservation of a hugepage and a page starts at %#x (page end %#x), want the boundary %#x", big, k.Mem.PageEnd(big), low)
+	}
+	if a := alloc(3 * PageSize); a != 2*PageSize {
+		t.Fatalf("a small reservation after it at %#x, want first fit at %#x", a, 2*PageSize)
+	}
+	if a := alloc(huge); a != low+2*huge {
+		t.Fatalf("the next hugepage at %#x, want the next boundary %#x", a, low+2*huge)
+	}
+	if _, errno := k.Pages.Alloc(huge); errno != ENOMEM {
+		t.Fatalf("a hugepage past the top: %v, want ENOMEM", errno)
+	}
+	if errno := k.Pages.Free(big+PageSize, huge); errno != OK {
+		t.Fatal(errno)
+	}
+	if errno := k.Pages.Free(big+huge+PageSize, PageSize); errno != EINVAL {
+		t.Fatalf("a free of the page above what was freed: %v, want EINVAL (it was never allocated)", errno)
+	}
+	if errno := k.Pages.Free(big, PageSize); errno != OK {
+		t.Fatal(errno)
+	}
+	if a := alloc(huge); a != big {
+		t.Fatalf("a hugepage after the free at %#x, want %#x", a, big)
 	}
 }

@@ -32,7 +32,7 @@ type Kernel struct {
 // arena.
 func NewKernel(clk Clock, memSize uint64) (*Kernel, error) {
 	mem := cheri.NewTMem(memSize)
-	pages, err := NewPageAlloc(PageSize, mem.Size()-PageSize)
+	pages, err := NewPageAlloc(mem, PageSize, mem.Size()-PageSize)
 	if err != nil {
 		return nil, err
 	}

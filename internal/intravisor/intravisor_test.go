@@ -331,6 +331,59 @@ func TestMmapThroughProxy(t *testing.T) {
 	}
 }
 
+// TestHugeMunmapLeavesItsNeighbour: a cVM's munmap of a hugepage or
+// more from inside its mapping frees exactly the pages it names, so the
+// window just above the mapping (another cVM's) stays allocated, and a
+// mapping that is not whole hugepages can be unmapped to its last page.
+func TestHugeMunmapLeavesItsNeighbour(t *testing.T) {
+	const huge, pg = cheri.HugePageSize, hostos.PageSize
+	iv := newIV(t)
+	a, _ := iv.CreateCVM("a", 1<<20)
+	m, _, errno := a.Syscall(MuslMmap, hostos.Args{2 * huge})
+	if errno != hostos.OK {
+		t.Fatalf("mmap: %v", errno)
+	}
+	b, err := iv.CreateCVM("b", huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Base() != m+2*huge {
+		t.Fatalf("b's window at %#x, want right above the mapping at %#x", b.Base(), m+2*huge)
+	}
+	free := freeBytes(t, iv.K.Pages)
+	if _, _, errno := a.Syscall(MuslMunmap, hostos.Args{m + pg, huge + pg}); errno != hostos.OK {
+		t.Fatalf("munmap from the mapping's second page: %v", errno)
+	}
+	if got := freeBytes(t, iv.K.Pages) - free; got != huge+pg {
+		t.Fatalf("munmap of %d bytes freed %d", huge+pg, got)
+	}
+	for _, r := range [][2]uint64{{m, pg}, {m + huge + 2*pg, huge - 2*pg}} {
+		if _, _, errno := a.Syscall(MuslMunmap, hostos.Args{r[0], r[1]}); errno != hostos.OK {
+			t.Fatalf("munmap of the rest [%#x,+%#x): %v", r[0], r[1], errno)
+		}
+	}
+	if got := freeBytes(t, iv.K.Pages) - free; got != 2*huge {
+		t.Fatalf("unmapping the whole mapping freed %d bytes, want %d", got, 2*huge)
+	}
+	c, err := iv.CreateCVM("c", 3*huge)
+	if err == nil && c.Base() < b.Base()+b.Size() && b.Base() < c.Base()+c.Size() {
+		t.Fatalf("c's window [%#x,+%#x) overlaps b's [%#x,+%#x)", c.Base(), c.Size(), b.Base(), b.Size())
+	}
+
+	odd := uint64(huge + huge/2)
+	free = freeBytes(t, iv.K.Pages)
+	m, _, errno = a.Syscall(MuslMmap, hostos.Args{odd})
+	if errno != hostos.OK {
+		t.Fatalf("mmap of %#x: %v", odd, errno)
+	}
+	if _, _, errno := a.Syscall(MuslMunmap, hostos.Args{m, odd}); errno != hostos.OK {
+		t.Fatalf("munmap of the whole %#x: %v", odd, errno)
+	}
+	if got := freeBytes(t, iv.K.Pages); got != free {
+		t.Fatalf("mmap and munmap of %#x: free bytes %d -> %d", odd, free, got)
+	}
+}
+
 // TestMunmapCannotFreeAnotherWindow: a cVM that unmaps another cVM's
 // window must neither free it nor let the next cVM be placed over it —
 // which would leave two live DDCs covering the same memory.

@@ -63,13 +63,26 @@ type hostileBuf struct {
 // crosses with them.
 var storeTargets = map[string]bool{"accept": true, "read": true, "recvFrom": true, "epWait": true, "rx": true}
 
+// copyTargets are the targets that move the buffer's bytes with Load
+// and Store, which cross hugepage boundaries, rather than through one
+// view of memory.
+var copyTargets = map[string]bool{"tx": true}
+
+// crossingRow names the row whose capability lies in the caller's own
+// window but across a hugepage boundary: a target that takes one view
+// of it is refused by physical memory and answers EFAULT.
+const crossingRow = "hugepage-crossing"
+
 // hostileBufs is the buffer column of target name, whose well-formed
-// staging capability is good: good itself, then copies of it that no
-// target may act on as if they were good, then victim, a capability
-// over another compartment's staging area. The sealed copy follows the
+// staging capability is good in caller's window: good itself, then
+// copies of it that no target may act on as if they were good, then a
+// capability of good's length over caller's own window that starts 4
+// bytes below the hugepage boundary a hugepage above the window's base
+// (Build starts every window on one), then victim, a capability over
+// another compartment's staging area. The sealed copy follows the
 // permission-less one: a gate does not unseal, so every target's use
 // check refuses the two alike.
-func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf {
+func hostileBufs(t *testing.T, name string, good, victim cheri.Cap, caller *intravisor.CVM) []hostileBuf {
 	t.Helper()
 	sealed, err := good.Seal(cheri.NewRoot(uint64(cheri.OTypeFirst), 1, cheri.PermSeal))
 	if err != nil {
@@ -92,6 +105,11 @@ func hostileBufs(t *testing.T, name string, good, victim cheri.Cap) []hostileBuf
 		}
 		rows = append(rows, hostileBuf{"read-only", ro, false})
 	}
+	crossing, err := caller.DeriveBuf(caller.Base()+cheri.HugePageSize-4, good.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, hostileBuf{crossingRow, crossing, false})
 	return append(rows, hostileBuf{"victim's", victim, true})
 }
 
@@ -120,7 +138,10 @@ func (c callResult) gotNothing() bool { return c.errno != hostos.OK || c.r0 == 0
 // scalars valid. Each call must come back with an errno; the row the
 // gate's re-derivation refuses traps the attacker (restarted after the
 // call) with EFAULT, and no other row traps it; the sealed row answers as
-// the permission-less one did; and no byte of victim's window changes.
+// the permission-less one did; the hugepage-crossing row answers EFAULT
+// wherever the well-formed row got something, and at least once, unless
+// the target copies (it then reads the bytes there like any other
+// buffer of the caller's own); and no byte of victim's window changes.
 // A call that got nothing took nothing it could not hand back: a
 // well-formed call right after it in the same state gets something
 // exactly when the well-formed row did (a queued connection, queued
@@ -129,7 +150,8 @@ func callBufColumn(t *testing.T, name string, gate *intravisor.Gate, good, victi
 	states func() (fds []int, args func(fd int) hostos.Args, done func())) {
 	t.Helper()
 	var wellFormed, permless []callResult
-	for _, row := range hostileBufs(t, name, good, victimBuf) {
+	crossingFaults := 0
+	for _, row := range hostileBufs(t, name, good, victimBuf, attacker) {
 		before := window(t, victim)
 		fds, args, done := states()
 		for i, fd := range fds {
@@ -151,6 +173,12 @@ func callBufColumn(t *testing.T, name string, gate *intravisor.Gate, good, victi
 			case row.name == "sealed" && got != permless[i]:
 				t.Fatalf("%s with the sealed buffer, state %d: %d, %v, the permission-less one %d, %v",
 					name, i, got.r0, got.errno, permless[i].r0, permless[i].errno)
+			case row.name == crossingRow && !copyTargets[name]:
+				if got.errno == hostos.EFAULT {
+					crossingFaults++
+				} else if !wellFormed[i].gotNothing() {
+					t.Fatalf("%s with the %s buffer, state %d: %d, %v, want EFAULT", name, row.name, i, got.r0, got.errno)
+				}
 			}
 			if row.traps {
 				if err := attacker.Restart(); err != nil {
@@ -170,6 +198,9 @@ func callBufColumn(t *testing.T, name string, gate *intravisor.Gate, good, victi
 		if !bytes.Equal(before, window(t, victim)) {
 			t.Fatalf("%s with the %s buffer changed the victim's window", name, row.name)
 		}
+	}
+	if crossingFaults == 0 && !copyTargets[name] {
+		t.Fatalf("%s never refused the %s buffer", name, crossingRow)
 	}
 }
 

@@ -42,7 +42,11 @@ func (cs CompartmentSpec) homeBytes() uint64 {
 // machineMem is the memory of a machine hosting comps: the sum,
 // reservation by reservation, of what newMachine and buildEnv place on
 // it — no more, so a term missing here is an ENOMEM in Build and a term
-// over-counted is caught by TestBuildFitsItsMachines.
+// over-counted is caught by TestBuildFitsItsMachines. The reservations
+// under a hugepage (the null page, the code window) are the short lowest
+// page of physical memory's hugepage grid, which ends at the top: every
+// home above them is whole hugepages and starts on a boundary, with no
+// padding between.
 func machineMem(comps []CompartmentSpec) uint64 {
 	pages := func(n uint64) uint64 { return (n + hostos.PageSize - 1) &^ (hostos.PageSize - 1) }
 	mem := uint64(hostos.PageSize) // the kernel's null page
