@@ -11,6 +11,9 @@ import (
 
 // --- DNS codec ---
 
+// dnsAnswerLen is the fixed answer size.
+var dnsAnswerLen = dnsHeaderLen + len(dnsQuestion) + len(dnsAnswerRR)
+
 func TestDNSCodecRoundTrip(t *testing.T) {
 	buf := make([]byte, 512)
 	n := putDNSQuery(buf, 0xBEEF)

@@ -163,7 +163,6 @@ type ChurnClient struct {
 	ServerIP    fstack.IPv4Addr
 	PreloadPort uint16
 	ChurnPort   uint16
-	Ports       int
 	Preload     int
 	Rate        float64
 	DurationNS  int64
@@ -198,7 +197,7 @@ func NewChurnClient(ip fstack.IPv4Addr, preloadPort, churnPort uint16, ports, pr
 	return &ChurnClient{
 		kit:      kit{evs: make([]fstack.Event, evBuf)},
 		ServerIP: ip, PreloadPort: preloadPort, ChurnPort: churnPort,
-		Ports: ports, Preload: preload, Rate: rate, DurationNS: durationNS,
+		Preload: preload, Rate: rate, DurationNS: durationNS,
 		inflight: make(map[int]flight),
 		payload:  pay,
 	}, nil

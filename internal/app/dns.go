@@ -30,11 +30,8 @@ var dnsAnswerRR = []byte{
 	0x00, 0x00, 0x00, 0x3C, 0x00, 0x04, 10, 0, 0, 2,
 }
 
-// dnsQueryLen / dnsAnswerLen are the fixed message sizes.
-var (
-	dnsQueryLen  = dnsHeaderLen + len(dnsQuestion)
-	dnsAnswerLen = dnsHeaderLen + len(dnsQuestion) + len(dnsAnswerRR)
-)
+// dnsQueryLen is the fixed query size.
+var dnsQueryLen = dnsHeaderLen + len(dnsQuestion)
 
 // putDNSQuery writes a query with the given ID; buf needs dnsQueryLen
 // bytes. Flags 0x0100 (RD), QDCOUNT 1.

@@ -74,10 +74,9 @@ type httpSrvConn struct {
 // one segment are each answered, in order.
 type HTTPServer struct {
 	kit
-	ListenIP  fstack.IPv4Addr
-	Port      uint16
-	Backlog   int
-	RespBytes int // response body size
+	ListenIP fstack.IPv4Addr
+	Port     uint16
+	Backlog  int
 
 	started bool
 	lfd     int
@@ -98,7 +97,7 @@ func NewHTTPServer(ip fstack.IPv4Addr, port uint16, backlog, respBytes int) *HTT
 	}
 	return &HTTPServer{
 		kit:      kit{evs: make([]fstack.Event, evBuf)},
-		ListenIP: ip, Port: port, Backlog: backlog, RespBytes: respBytes,
+		ListenIP: ip, Port: port, Backlog: backlog,
 		conns: make(map[int]*httpSrvConn),
 		resp:  resp,
 		buf:   make([]byte, 16<<10),

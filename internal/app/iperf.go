@@ -8,33 +8,20 @@ import (
 	"repro/internal/hostos"
 )
 
-// Interval is one reporting window.
-type Interval struct {
-	StartNS int64
-	EndNS   int64
-	Bytes   uint64
-}
-
-// Mbps returns the interval's goodput in Mbit/s.
-func (iv Interval) Mbps() float64 {
-	d := iv.EndNS - iv.StartNS
-	if d <= 0 {
-		return 0
-	}
-	return float64(iv.Bytes) * 8 / float64(d) * 1e3
-}
-
 // Report is the final result of a client or server run.
 type Report struct {
-	Bytes     uint64
-	StartNS   int64
-	EndNS     int64
-	Intervals []Interval
+	Bytes   uint64
+	StartNS int64
+	EndNS   int64
 }
 
 // Mbps returns the whole-run goodput in Mbit/s.
 func (r Report) Mbps() float64 {
-	return Interval{StartNS: r.StartNS, EndNS: r.EndNS, Bytes: r.Bytes}.Mbps()
+	d := r.EndNS - r.StartNS
+	if d <= 0 {
+		return 0
+	}
+	return float64(r.Bytes) * 8 / float64(d) * 1e3
 }
 
 // Efficiency returns goodput over the theoretical line maximum, as
@@ -72,18 +59,15 @@ type IperfClient struct {
 	ServerIP   fstack.IPv4Addr
 	ServerPort uint16
 	DurationNS int64
-	IntervalNS int64 // 0 = no interval reports
 	// LocalPort, when nonzero, binds the connection's source port
 	// (iperf3's --cport). Load generators against RSS-sharded receivers
 	// engineer source ports to cover every queue.
 	LocalPort uint16
 
-	state     iperfState
-	fd        int
-	buf       []byte
-	report    Report
-	ivStartNS int64
-	ivBytes   uint64
+	state  iperfState
+	fd     int
+	buf    []byte
+	report Report
 }
 
 // NewIperfClient prepares a sender toward ip:port running for duration
@@ -101,20 +85,17 @@ func (c *IperfClient) Done() bool { return c.state == iperfDone || c.failed() }
 
 // NextDeadline reports the next virtual instant at which Step would do
 // something on its own clock rather than in reaction to stack events:
-// the transfer-duration end and the next interval-report boundary. All
-// other client activity (connecting, refilling the socket buffer) is
-// unblocked by stack events, which the testbed's own deadlines cover —
-// except the first write after connecting, which happens on the Step
-// after the one that saw the handshake complete (wantStep). Past it the
+// the transfer-duration end. All other client activity (connecting,
+// refilling the socket buffer) is unblocked by stack events, which the
+// testbed's own deadlines cover — except the first write after
+// connecting, which happens on the Step after the one that saw the
+// handshake complete (wantStep). Past it the
 // client is provably blocked on stack events: its write loop always
 // runs the socket buffer to EAGAIN or a short write.
 func (c *IperfClient) NextDeadline(now int64) int64 {
 	d := int64(math.MaxInt64)
 	if c.state == iperfRunning {
 		d = c.report.StartNS + c.DurationNS
-		if c.IntervalNS > 0 {
-			d = min(d, c.ivStartNS+c.IntervalNS)
-		}
 	}
 	return c.deadline(now, d)
 }
@@ -140,16 +121,12 @@ func (c *IperfClient) Step(api API, now int64) {
 		if c.established(api, c.fd) {
 			c.state = iperfRunning
 			c.report.StartNS = now
-			c.ivStartNS = now
 			c.wantStep = true // first write happens next Step
 		}
 
 	case iperfRunning:
 		c.wantStep = false
 		if now-c.report.StartNS >= c.DurationNS {
-			if c.ivBytes > 0 {
-				c.closeInterval(now)
-			}
 			c.report.EndNS = now
 			api.Close(c.fd)
 			c.state = iperfDone
@@ -161,25 +138,11 @@ func (c *IperfClient) Step(api API, now int64) {
 				break
 			}
 			c.report.Bytes += uint64(n)
-			c.ivBytes += uint64(n)
 			if n < len(c.buf) {
 				break
 			}
 		}
-		if now-c.ivStartNS >= c.IntervalNS {
-			c.closeInterval(now)
-		}
 	}
-}
-
-// closeInterval seals the open reporting window, when interval reports
-// are on.
-func (c *IperfClient) closeInterval(now int64) {
-	if c.IntervalNS <= 0 {
-		return
-	}
-	c.report.Intervals = append(c.report.Intervals, Interval{StartNS: c.ivStartNS, EndNS: now, Bytes: c.ivBytes})
-	c.ivStartNS, c.ivBytes = now, 0
 }
 
 // IperfServer is the receiver ("server (receiver) mode" of Table II).

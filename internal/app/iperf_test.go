@@ -10,20 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-func TestIntervalMath(t *testing.T) {
-	iv := app.Interval{StartNS: 0, EndNS: 1e9, Bytes: 125_000_000}
-	if got := iv.Mbps(); got < 999 || got > 1001 {
-		t.Fatalf("1 Gbit/s interval computed as %.1f", got)
-	}
-	if (app.Interval{}).Mbps() != 0 {
-		t.Fatal("degenerate interval")
-	}
-}
-
 func TestReportMath(t *testing.T) {
 	r := app.Report{Bytes: 125_000_000, StartNS: 0, EndNS: 2e9}
 	if got := r.Mbps(); got < 499 || got > 501 {
 		t.Fatalf("rate %.1f", got)
+	}
+	if (app.Report{Bytes: 1}).Mbps() != 0 {
+		t.Fatal("degenerate report")
 	}
 	if e := r.Efficiency(1000); e < 0.499 || e > 0.501 {
 		t.Fatalf("efficiency %.3f", e)
@@ -34,7 +27,7 @@ func TestReportMath(t *testing.T) {
 }
 
 // TestIperfClientServerOverStack runs a full iperf pair over the simulated
-// network in virtual time with interval reporting.
+// network in virtual time.
 func TestIperfClientServerOverStack(t *testing.T) {
 	clk := sim.NewVClock()
 	s, err := core.NewBaselineSingle(clk)
@@ -46,7 +39,6 @@ func TestIperfClientServerOverStack(t *testing.T) {
 	papi := s.Peers[0].Env.Stk
 	s.Peers[0].Env.Stk.OnLoop = func(now int64) { srv.Step(papi, now) }
 	cli := app.NewIperfClient(fstack.IP4(10, 0, 0, 2), 5201, 100e6 /* 100 ms */)
-	cli.IntervalNS = 20e6 // 20 ms windows
 	lapi := s.Envs[0].Stk
 	s.Envs[0].Stk.OnLoop = func(now int64) { cli.Step(lapi, now) }
 	loops := s.Loops()
@@ -69,18 +61,8 @@ func TestIperfClientServerOverStack(t *testing.T) {
 	if sr.Mbps() < 850 || sr.Mbps() > 950 {
 		t.Fatalf("server rate %.0f Mbit/s, want near line rate", sr.Mbps())
 	}
-	if len(cr.Intervals) < 3 {
-		t.Fatalf("interval reports: %d", len(cr.Intervals))
-	}
-	var ivBytes uint64
-	for _, iv := range cr.Intervals {
-		ivBytes += iv.Bytes
-		if iv.EndNS <= iv.StartNS {
-			t.Fatal("inverted interval")
-		}
-	}
-	if ivBytes != cr.Bytes {
-		t.Fatalf("interval bytes %d != total %d", ivBytes, cr.Bytes)
+	if cr.EndNS-cr.StartNS != 100e6 {
+		t.Fatalf("client ran %d ns, want its 100 ms duration", cr.EndNS-cr.StartNS)
 	}
 }
 

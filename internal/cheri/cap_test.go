@@ -143,15 +143,22 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		t.Fatalf("setbounds on sealed: got %v, want seal fault", err)
 	}
 
-	back, err := sealed.Unseal(sealer)
+	if sealed.Base() != victim.Base() || sealed.Len() != victim.Len() || sealed.Perms() != victim.Perms() {
+		t.Fatalf("sealing changed more than the otype: %v vs %v", sealed, victim)
+	}
+
+	// CInvoke is the model's one unsealing path: a pair sealed with this
+	// sealer passes, so its code half, unsealed, fetches at its cursor.
+	code := NewRoot(0x2000, 0x100, PermCode|PermInvoke)
+	pair, err := SealEntryPair(code, NewRoot(0x1000, 0x100, PermData|PermInvoke), sealer)
 	if err != nil {
-		t.Fatalf("Unseal: %v", err)
+		t.Fatalf("SealEntryPair: %v", err)
 	}
-	if back.Sealed() {
-		t.Fatal("unsealed cap still sealed")
+	if pair.Code.Base() != code.Base() || pair.Code.Len() != code.Len() || pair.Code.Addr() != code.Addr() {
+		t.Fatalf("sealing moved the code half: %v vs %v", pair.Code, code)
 	}
-	if back.Base() != victim.Base() || back.Len() != victim.Len() || back.Perms() != victim.Perms() {
-		t.Fatalf("round trip changed cap: %v vs %v", back, victim)
+	if err := CInvoke(pair); err != nil {
+		t.Fatalf("CInvoke: %v", err)
 	}
 }
 
@@ -173,25 +180,27 @@ func TestSealRequiresAuthority(t *testing.T) {
 	}
 }
 
+// TestUnsealWrongOType: CInvoke unseals a pair only when both halves
+// carry one otype, and a sealer cursor of 2^32 plus an otype seals
+// nothing rather than alias that otype.
 func TestUnsealWrongOType(t *testing.T) {
 	sealer := NewRoot(1, 1000, PermSeal|PermUnseal).SetAddr(42)
-	other := NewRoot(1, 1000, PermSeal|PermUnseal).SetAddr(43)
-	victim := NewRoot(0, 0x100, PermData)
-	sealed, err := victim.Seal(sealer)
+	code := NewRoot(0x2000, 0x100, PermCode|PermInvoke)
+	data := NewRoot(0, 0x100, PermData|PermInvoke)
+	sc, err := code.Seal(sealer)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := sealed.Unseal(other); !IsFault(err, FaultOType) {
-		t.Fatalf("unseal with wrong otype: got %v, want otype fault", err)
-	}
-	// An unsealer whose cursor is 2^32 plus the otype is another otype.
-	five, err := victim.Seal(sealer.SetAddr(5))
+	sd, err := data.Seal(sealer.SetAddr(43))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
+	}
+	if err := CInvoke(EntryPair{Code: sc, Data: sd}); !IsFault(err, FaultOType) {
+		t.Fatalf("invoke halves sealed 42 and 43: got %v, want otype fault", err)
 	}
 	high := NewRoot(1<<32, 64, PermSeal|PermUnseal).SetAddr(1<<32 + 5)
-	if _, err := five.Unseal(high); !IsFault(err, FaultOType) {
-		t.Fatalf("unseal otype 5 with cursor 2^32+5: got %v, want otype fault", err)
+	if _, err := data.Seal(high); !IsFault(err, FaultOType) {
+		t.Fatalf("seal with cursor 2^32+5: got %v, want otype fault", err)
 	}
 }
 

@@ -1,37 +1,13 @@
 package cheri
 
-// Operations only the tests need: the model never unseals, clears a tag
-// or checks a load or store outside a TMem access.
+// Operations only the tests need: the model never clears a tag or
+// checks a load or store outside a TMem access, and unseals only in
+// CInvoke.
 
 // ClearTag returns an invalidated copy of c.
 func (c Cap) ClearTag() Cap {
 	c.tag = false
 	return c
-}
-
-// Unseal returns c unsealed. The unsealer must be tagged, unsealed, hold
-// PermUnseal, and its cursor must equal c's otype (and be in bounds).
-func (c Cap) Unseal(unsealer Cap) (Cap, error) {
-	if !c.tag {
-		return NullCap, newFault(FaultTag, "unseal", c, c.addr, 0)
-	}
-	if !c.Sealed() {
-		return NullCap, newFault(FaultSeal, "unseal", c, c.addr, 0)
-	}
-	if !unsealer.tag {
-		return NullCap, newFault(FaultTag, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if unsealer.Sealed() {
-		return NullCap, newFault(FaultSeal, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if !unsealer.perms.Has(PermUnseal) {
-		return NullCap, newFault(FaultPermUnseal, "unseal", unsealer, unsealer.addr, 0)
-	}
-	if !unsealer.InBounds(unsealer.addr, 1) || unsealer.addr != uint64(c.otype) {
-		return NullCap, newFault(FaultOType, "unseal", unsealer, unsealer.addr, 0)
-	}
-	c.otype = OTypeUnsealed
-	return c, nil
 }
 
 // CheckLoad verifies a data load of n bytes at addr through c.

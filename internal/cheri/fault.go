@@ -10,8 +10,8 @@ const (
 	_ FaultKind = iota
 	// FaultTag: the capability's validity tag is clear.
 	FaultTag
-	// FaultSeal: a sealed capability was used for memory access, or
-	// seal/unseal preconditions failed.
+	// FaultSeal: a sealed capability was used for memory access, or a
+	// seal or CInvoke precondition on sealing failed.
 	FaultSeal
 	// FaultBounds: the access lies outside [base, base+length). This is
 	// the "Capability Out-of-Bounds exception" of paper Fig. 3.
@@ -24,16 +24,13 @@ const (
 	FaultPermExecute
 	// FaultPermSeal: seal attempted without PermSeal on the sealer.
 	FaultPermSeal
-	// FaultPermUnseal: unseal attempted without PermUnseal on the unsealer.
-	FaultPermUnseal
 	// FaultPermInvoke: CInvoke attempted on a capability without PermInvoke.
 	FaultPermInvoke
-	// FaultPermSystem: system-register access without PermSystem.
-	FaultPermSystem
 	// FaultMonotonicity: a derivation tried to widen bounds or add
 	// permissions.
 	FaultMonotonicity
-	// FaultOType: seal/unseal object-type mismatch or otype out of range.
+	// FaultOType: CInvoke's halves carry different object types, or a
+	// seal's otype is out of range.
 	FaultOType
 )
 
@@ -45,9 +42,7 @@ var faultNames = map[FaultKind]string{
 	FaultPermStore:    "permit-store violation",
 	FaultPermExecute:  "permit-execute violation",
 	FaultPermSeal:     "permit-seal violation",
-	FaultPermUnseal:   "permit-unseal violation",
 	FaultPermInvoke:   "permit-invoke violation",
-	FaultPermSystem:   "permit-system-registers violation",
 	FaultMonotonicity: "monotonicity violation",
 	FaultOType:        "object-type violation",
 }

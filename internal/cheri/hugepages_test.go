@@ -35,16 +35,16 @@ func TestScenario9DNSHugePages(t *testing.T) {
 	if r.Completed == 0 {
 		t.Fatal("the run completed no query")
 	}
-	machines := []*testbed.Machine{bed.Local}
+	names, machines := []string{"local"}, []*testbed.Machine{bed.Local}
 	for _, p := range bed.Peers {
-		machines = append(machines, p.M)
+		names, machines = append(names, p.Env.Name), append(machines, p.M)
 	}
-	for _, m := range machines {
+	for i, m := range machines {
 		mem := m.K.Mem
 		reserved := (mem.Size() + cheri.HugePageSize - 1) / cheri.HugePageSize
-		t.Logf("%s: %d of %d hugepages backed", m.Name, mem.HugePages(), reserved)
+		t.Logf("%s: %d of %d hugepages backed", names[i], mem.HugePages(), reserved)
 		if got := mem.HugePages(); got > maxDNSBedHugePages {
-			t.Errorf("%s backs %d of its %d hugepages after the run, want at most %d", m.Name, got, reserved, maxDNSBedHugePages)
+			t.Errorf("%s backs %d of its %d hugepages after the run, want at most %d", names[i], got, reserved, maxDNSBedHugePages)
 		}
 	}
 }

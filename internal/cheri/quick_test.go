@@ -109,23 +109,23 @@ func TestQuickCheckLoadComplete(t *testing.T) {
 	}
 }
 
-// Property: seal/unseal with the same authority is the identity on
-// bounds, cursor and permissions.
+// Property: sealing is the identity on bounds, cursor and permissions,
+// and CInvoke — the model's one unsealing path — admits a sealed pair
+// exactly when its code half, unsealed, fetches at its cursor.
 func TestQuickSealUnsealIdentity(t *testing.T) {
 	sealRoot := NewRoot(uint64(OTypeFirst), 1<<16, PermSeal|PermUnseal)
+	data := NewRoot(0, 0x100, PermData|PermInvoke)
 	f := func(g capGen, otSeed uint16) bool {
 		c := Cap(g)
 		sealer := sealRoot.SetAddr(uint64(OTypeFirst) + uint64(otSeed))
-		sealed, err := c.Seal(sealer)
+		pair, err := SealEntryPair(c, data, sealer)
 		if err != nil {
 			return true
 		}
-		back, err := sealed.Unseal(sealer)
-		if err != nil {
-			return false
-		}
-		return back.Base() == c.Base() && back.Len() == c.Len() &&
-			back.Addr() == c.Addr() && back.Perms() == c.Perms() && !back.Sealed()
+		sealed := pair.Code
+		return sealed.Base() == c.Base() && sealed.Len() == c.Len() &&
+			sealed.Addr() == c.Addr() && sealed.Perms() == c.Perms() && sealed.Sealed() &&
+			(CInvoke(pair) == nil) == (c.CheckFetch(c.Addr()) == nil)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

@@ -60,9 +60,7 @@ type (
 	Peer = testbed.Peer
 )
 
-// mask24, localIP and peerIP forward to the testbed addressing plan:
-// port i uses subnet 10.0.i.0/24 with .1 local and .2 remote.
-var mask24 = testbed.Mask24
-
+// localIP and peerIP forward to the testbed addressing plan: port i
+// uses subnet 10.0.i.0/24 with .1 local and .2 remote.
 func localIP(port int) fstack.IPv4Addr { return testbed.LocalIP(port) }
 func peerIP(port int) fstack.IPv4Addr  { return testbed.PeerIP(port) }

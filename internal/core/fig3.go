@@ -22,10 +22,15 @@ type Fig3Report struct {
 	Leaked []byte
 }
 
-// String renders the report like the paper's console excerpt.
+// String renders the report like the paper's console excerpt, and
+// what the attacker read when it read anything.
 func (r Fig3Report) String() string {
-	return fmt.Sprintf("attacker: %v (state=%v); victim unaffected: %v",
+	s := fmt.Sprintf("attacker: %v (state=%v); victim unaffected: %v",
 		r.Fault, r.AttackerState, r.VictimUnaffected)
+	if len(r.Leaked) > 0 {
+		s += fmt.Sprintf("; attacker read %q", r.Leaked)
+	}
+	return s
 }
 
 // RunFig3 reproduces Fig. 3 on a Scenario 1 layout: cVM2's application

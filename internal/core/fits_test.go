@@ -102,13 +102,13 @@ func TestBuildFitsItsMachines(t *testing.T) {
 		for _, a := range bed.Apps {
 			onBoundary(a.App.Name+"'s window", a.App.Base())
 		}
-		machines := []*testbed.Machine{bed.Local}
+		names, machines := []string{"local"}, []*testbed.Machine{bed.Local}
 		for _, p := range bed.Peers {
-			machines = append(machines, p.M)
+			names, machines = append(names, p.Env.Name), append(machines, p.M)
 		}
-		for _, m := range machines {
+		for i, m := range machines {
 			if addr, errno := m.K.Pages.Alloc(hostos.PageSize); errno == hostos.OK {
-				t.Errorf("%s: machine %s still has a free page at %#x of its %d bytes after Build", l.name, m.Name, addr, m.K.Mem.Size())
+				t.Errorf("%s: machine %s still has a free page at %#x of its %d bytes after Build", l.name, names[i], addr, m.K.Mem.Size())
 			}
 		}
 	}

@@ -172,6 +172,13 @@ func TestFig3CapabilityViolation(t *testing.T) {
 	if rep.AttackerState != "trapped" {
 		t.Fatalf("attacker state %v, want trapped", rep.AttackerState)
 	}
+	if s := rep.String(); strings.Contains(s, "attacker read") {
+		t.Fatalf("a report with nothing leaked names a read: %s", s)
+	}
+	rep.Leaked = []byte("flight")
+	if s := rep.String(); !strings.HasSuffix(s, `; attacker read "flight"`) {
+		t.Fatalf("a leak does not show in the report: %s", s)
+	}
 }
 
 func TestTable1Counts(t *testing.T) {

@@ -78,8 +78,6 @@ type Scenario10Config struct {
 	MTBFNS int64
 	// Conns is the closed-loop keep-alive connection count per shard.
 	Conns int
-	// RespBytes is the HTTP response body size (0 = 1200).
-	RespBytes int
 	// DurationNS is the measured phase's virtual length.
 	DurationNS int64
 	// Obs selects the observability instruments wired into the bed.
@@ -87,9 +85,6 @@ type Scenario10Config struct {
 }
 
 func (c *Scenario10Config) applyDefaults() {
-	if c.RespBytes == 0 {
-		c.RespBytes = 1200
-	}
 	if c.DurationNS == 0 {
 		c.DurationNS = DefaultScenario10Duration
 	}
@@ -169,7 +164,6 @@ type Scenario10Result struct {
 	Shards  int
 	CapMode bool
 	Faults  int // faults actually injected
-	MTBFNS  int64
 	Conns   int
 
 	// Issued / Completed sum over every shard's client; Lost counts
@@ -182,10 +176,10 @@ type Scenario10Result struct {
 	// Restarts / GiveUps are the supervisor's counters.
 	Restarts int
 	GiveUps  int
-	// FaultedDone is the targeted shard's completed requests;
+	// faultedDone is the targeted shard's completed requests;
 	// OtherMinDone/OtherMaxDone bound the surviving shards' (the blast
 	// radius probe — in capability mode they should not dip).
-	FaultedDone  uint64
+	faultedDone  uint64
 	OtherMinDone uint64
 	OtherMaxDone uint64
 	// Recovered counts faults with an observed recovery; MTTRMeanNS and
@@ -218,7 +212,7 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 	times := s10FaultTimes(cfg)
 	res := Scenario10Result{
 		Shards: cfg.Shards, CapMode: cfg.CapMode,
-		Faults: len(times), MTBFNS: cfg.MTBFNS, Conns: cfg.Conns,
+		Faults: len(times), Conns: cfg.Conns,
 	}
 
 	// One HTTP server per shard, inside its compartment. The
@@ -228,7 +222,7 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 	srvs := make([]*app.HTTPServer, len(s.Envs))
 	eps := make([]placed, len(s.Envs), len(s.Envs)+len(s.Peers))
 	for i, env := range s.Envs {
-		srvs[i] = app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, cfg.RespBytes)
+		srvs[i] = app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, httpRespBytes)
 		eps[i] = placed{fmt.Sprintf("shard %d server", i), env.Site(), srvs[i]}
 	}
 	s.RestartHook = func(e *Env, now int64) {
@@ -291,7 +285,7 @@ func Scenario10Run(s *testbed.Bed, cfg Scenario10Config) (Scenario10Result, erro
 		merged.Merge(&cli.Hist)
 		done := cli.Completed()
 		if i == 0 {
-			res.FaultedDone = done
+			res.faultedDone = done
 		} else {
 			if res.OtherMinDone == 0 || done < res.OtherMinDone {
 				res.OtherMinDone = done

@@ -32,7 +32,7 @@ func TestScenario10Clean(t *testing.T) {
 		if r.Lost != 0 || r.Resets != 0 || r.Restarts != 0 || r.GiveUps != 0 {
 			t.Fatalf("cap=%v: clean run saw faults: %+v", capMode, r)
 		}
-		if r.FaultedDone == 0 || r.OtherMinDone == 0 {
+		if r.faultedDone == 0 || r.OtherMinDone == 0 {
 			t.Fatalf("cap=%v: a shard served nothing: %+v", capMode, r)
 		}
 	}
@@ -61,8 +61,8 @@ func TestScenario10BlastRadiusContained(t *testing.T) {
 	if storm.Lost == 0 || storm.Resets == 0 {
 		t.Fatalf("faulted shard lost %d / reset %d, want both nonzero", storm.Lost, storm.Resets)
 	}
-	if storm.FaultedDone >= clean.FaultedDone {
-		t.Fatalf("faulted shard completed %d >= clean %d", storm.FaultedDone, clean.FaultedDone)
+	if storm.faultedDone >= clean.faultedDone {
+		t.Fatalf("faulted shard completed %d >= clean %d", storm.faultedDone, clean.faultedDone)
 	}
 	// The survivors do not: within 10% of the clean run.
 	if 10*storm.OtherMinDone < 9*clean.OtherMinDone {

@@ -93,9 +93,8 @@ type Scenario4Result struct {
 	Shards  int
 	Flows   int
 	CapMode bool
-	Dir     Direction
 	Mbps    float64   // aggregate goodput over all flows
-	PerFlow []float64 // per-flow goodput
+	perFlow []float64 // per-flow goodput
 	// Stats aggregates the local shards' counters; the retransmit
 	// breakdown makes recovery behavior observable in every run.
 	Stats fstack.StackStats
@@ -106,13 +105,13 @@ type Scenario4Result struct {
 // LocalIsClient mode the local shards send; in LocalIsServer mode they
 // receive on listeners cloned across every shard (see shardedFlows).
 func Scenario4Bandwidth(s *Setup4, dir Direction, flows int, durationNS int64) (Scenario4Result, error) {
-	res := Scenario4Result{Shards: s.Sharded.NumShards(), Flows: flows, CapMode: s.Envs[0].CVM != nil, Dir: dir}
+	res := Scenario4Result{Shards: s.Sharded.NumShards(), Flows: flows, CapMode: s.Envs[0].CVM != nil}
 	reps, err := runFlows(s, "scenario 4", shardedFlows(s, flows, s4BasePort, dir == LocalIsClient), durationNS, bwDeadline)
 	if err != nil {
 		return res, err
 	}
 	for _, rep := range reps {
-		res.PerFlow = append(res.PerFlow, rep.local.Mbps())
+		res.perFlow = append(res.perFlow, rep.local.Mbps())
 		res.Mbps += rep.local.Mbps()
 	}
 	res.Stats = s.Sharded.Stats()

@@ -39,7 +39,7 @@ func TestScenario4Scaling(t *testing.T) {
 				t.Fatalf("cap=%v shards=%d: %v", capMode, shards, err)
 			}
 			mbps[i] = res.Mbps
-			t.Logf("cap=%v shards=%d flows=8: %.0f Mbit/s (per flow %v)", capMode, shards, res.Mbps, res.PerFlow)
+			t.Logf("cap=%v shards=%d flows=8: %.0f Mbit/s (per flow %v)", capMode, shards, res.Mbps, res.perFlow)
 		}
 		if mbps[1] < 2.5*mbps[0] {
 			t.Fatalf("cap=%v: 4-shard goodput %.0f < 2.5x 1-shard %.0f", capMode, mbps[1], mbps[0])

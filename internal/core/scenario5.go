@@ -29,11 +29,9 @@ const (
 	s5LineRate = 1e9
 	// s5RateBps is the default WAN bottleneck.
 	s5RateBps = 100e6
-	// s5DelayNS is the default one-way propagation delay (50 ms: a
-	// transcontinental path; RTT 100 ms).
-	s5DelayNS = int64(50e6)
 	// s5QueueBytes is the bottleneck queue: roughly one BDP at the
-	// default rate and delay, the classic router-sizing rule.
+	// default rate over a transcontinental 100 ms RTT, the classic
+	// router-sizing rule.
 	s5QueueBytes = 1 << 20
 	// s5Seed makes every impairment stream reproducible.
 	s5Seed = 2025
@@ -134,8 +132,6 @@ type Scenario5Result struct {
 	// Stats are the local (sending) stack's counters — the retransmit
 	// breakdown is the recovery story of the run.
 	Stats fstack.StackStats
-	// Fwd is the data direction's link accounting.
-	Fwd netem.DirStats
 	// Obs carries the run's observability instruments (flight recorder,
 	// metrics timeseries, latency histograms); nil when the config's
 	// ObsSpec was zero.
@@ -156,7 +152,6 @@ func Scenario5Bandwidth(s *Setup5, durationNS int64) (Scenario5Result, error) {
 	}
 	res.Mbps = reps[0].recv.Mbps()
 	res.Stats = s.Envs[0].Stk.Stats()
-	res.Fwd = link.Stats(0)
 	res.Obs = s.Obs
 	return res, nil
 }

@@ -192,7 +192,11 @@ func TestScenario5WindowScalingHighBDP(t *testing.T) {
 // satellite: a lossy run's result must carry a nonzero retransmit
 // breakdown, and the formatted summary must include it.
 func TestScenario5RecoveryBreakdownVisible(t *testing.T) {
-	r, err := RunScenario5(Scenario5Config{Modern: true, Link: s5TestLossyLink}, 500e6)
+	s, err := NewScenario5(sim.NewVClock(), Scenario5Config{Modern: true, Link: s5TestLossyLink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Scenario5Bandwidth(s, 500e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestScenario5RecoveryBreakdownVisible(t *testing.T) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
-	if r.Fwd.Lost() == 0 {
+	if s.Links[0].Stats(0).Lost() == 0 {
 		t.Fatal("link accounting recorded no loss on a lossy run")
 	}
 }

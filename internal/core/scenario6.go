@@ -183,13 +183,10 @@ type Scenario6Result struct {
 	// flows.
 	Fwd     netem.Config
 	Mbps    float64   // aggregate receiver goodput over all flows
-	PerFlow []float64 // per-flow receiver goodput
+	perFlow []float64 // per-flow receiver goodput
 	// Stats aggregates the local shards' counters (the senders'
 	// recovery story).
 	Stats fstack.StackStats
-	// FwdStats / RevStats are the link's per-direction accounting.
-	FwdStats netem.DirStats
-	RevStats netem.DirStats
 }
 
 // Scenario6Bandwidth drives flows concurrent iperf transfers between
@@ -216,7 +213,7 @@ func Scenario6Bandwidth(s *Setup6, flows int, durationNS int64) (Scenario6Result
 	}
 	// Goodput is read at the data receivers, behind the impaired path.
 	for _, rep := range reps {
-		res.PerFlow = append(res.PerFlow, rep.recv.Mbps())
+		res.perFlow = append(res.perFlow, rep.recv.Mbps())
 		res.Mbps += rep.recv.Mbps()
 	}
 	// Stats carry the data sender's recovery story: the local shards
@@ -226,8 +223,6 @@ func Scenario6Bandwidth(s *Setup6, flows int, durationNS int64) (Scenario6Result
 	} else {
 		res.Stats = s.Sharded.Stats()
 	}
-	res.FwdStats = link.Stats(dataDir)
-	res.RevStats = link.Stats(1 - dataDir)
 	return res, nil
 }
 

@@ -21,7 +21,11 @@ func TestScenario6ComposedGate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cap=%v legacy: %v", capMode, err)
 		}
-		modern, err := RunScenario6(Scenario6Config{Shards: 4, CapMode: capMode, Modern: true}, 8, s6TestDuration)
+		s, err := NewScenario6(sim.NewVClock(), Scenario6Config{Shards: 4, CapMode: capMode, Modern: true})
+		if err != nil {
+			t.Fatalf("cap=%v modern: %v", capMode, err)
+		}
+		modern, err := Scenario6Bandwidth(s, 8, s6TestDuration)
 		if err != nil {
 			t.Fatalf("cap=%v modern: %v", capMode, err)
 		}
@@ -33,11 +37,11 @@ func TestScenario6ComposedGate(t *testing.T) {
 		}
 		// The win must come from both axes working: flows really spread
 		// over shards, and the link really destroyed frames.
-		if modern.FwdStats.Lost() == 0 {
+		if s.Links[0].Stats(0).Lost() == 0 {
 			t.Fatal("impaired link recorded no loss")
 		}
 		busy := 0
-		for _, mbps := range modern.PerFlow {
+		for _, mbps := range modern.perFlow {
 			if mbps > 0 {
 				busy++
 			}
@@ -59,10 +63,14 @@ func TestScenario6ReversePathImpairment(t *testing.T) {
 	}
 	// A 2 Mbit/s ACK channel with the same propagation delay: the data
 	// direction's config is bit-identical (same seed, same impairments).
-	squeezed, err := RunScenario6(Scenario6Config{
+	s, err := NewScenario6(sim.NewVClock(), Scenario6Config{
 		Shards: 2, Modern: true,
 		Rev: &netem.Config{DelayNS: s6DelayNS, RateBps: 2e6, QueueBytes: 64 << 10},
-	}, 4, s6TestDuration)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	squeezed, err := Scenario6Bandwidth(s, 4, s6TestDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestScenario6ReversePathImpairment(t *testing.T) {
 	if squeezed.Mbps > 0.7*clean.Mbps {
 		t.Fatalf("reverse-path squeeze did not bite: %.0f vs %.0f Mbit/s", squeezed.Mbps, clean.Mbps)
 	}
-	if squeezed.FwdStats.Sent == 0 || squeezed.RevStats.Sent == 0 {
+	if s.Links[0].Stats(0).Sent == 0 || s.Links[0].Stats(1).Sent == 0 {
 		t.Fatal("per-direction link accounting missing")
 	}
 }
@@ -95,7 +103,7 @@ func TestScenario6DownloadMode(t *testing.T) {
 		t.Fatal("result not marked as download mode")
 	}
 	busy := 0
-	for _, mbps := range r.PerFlow {
+	for _, mbps := range r.perFlow {
 		if mbps > 0 {
 			busy++
 		}
@@ -103,13 +111,15 @@ func TestScenario6DownloadMode(t *testing.T) {
 	if busy != 8 {
 		t.Fatalf("only %d of 8 download flows moved data", busy)
 	}
-	// The data direction (peer -> local) is the impaired one.
-	if r.FwdStats.Lost() == 0 {
+	// The data direction (peer -> local, link direction 1) is the
+	// impaired one.
+	fwd, rev := s.Links[0].Stats(1), s.Links[0].Stats(0)
+	if fwd.Lost() == 0 {
 		t.Fatal("impaired data direction recorded no loss")
 	}
-	if r.FwdStats.Delivered < r.RevStats.Delivered {
+	if fwd.Delivered < rev.Delivered {
 		t.Fatalf("data direction carried fewer frames (%d) than the ACK path (%d)",
-			r.FwdStats.Delivered, r.RevStats.Delivered)
+			fwd.Delivered, rev.Delivered)
 	}
 	// RSS acceptance really spread the SYNs: more than one shard took
 	// traffic.

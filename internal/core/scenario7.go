@@ -118,8 +118,6 @@ type Scenario7Result struct {
 	Mbps       float64
 	// Stats are the sending stack's counters.
 	Stats fstack.StackStats
-	// Fwd is the data direction's link accounting.
-	Fwd netem.DirStats
 }
 
 // RTTms is the path round-trip time implied by the link config.
@@ -149,7 +147,6 @@ func Scenario7Bandwidth(s *Setup7, durationNS int64) (Scenario7Result, error) {
 	}
 	res.Mbps = reps[0].recv.Mbps()
 	res.Stats = s.Envs[0].Stk.Stats()
-	res.Fwd = link.Stats(0)
 	return res, nil
 }
 

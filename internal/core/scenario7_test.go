@@ -17,17 +17,21 @@ import (
 // table `cherinet scenario7` prints.
 func TestScenario7CubicGate(t *testing.T) {
 	skipUnderRace(t) // deterministic lockstep run; too slow under the detector
+	// run returns the result and the data direction's link accounting.
+	run := func(cfg Scenario7Config) (Scenario7Result, netem.DirStats) {
+		s, err := NewScenario7(sim.NewVClock(), cfg)
+		if err != nil {
+			t.Fatalf("cap=%v %s: %v", cfg.CapMode, cfg.Congestion, err)
+		}
+		r, err := Scenario7Bandwidth(s, DefaultScenario7Duration)
+		if err != nil {
+			t.Fatalf("cap=%v %s: %v", cfg.CapMode, cfg.Congestion, err)
+		}
+		return r, s.Links[0].Stats(0)
+	}
 	for _, capMode := range []bool{false, true} {
-		reno, err := RunScenario7(Scenario7Config{CapMode: capMode, Congestion: fstack.CCReno},
-			DefaultScenario7Duration)
-		if err != nil {
-			t.Fatalf("cap=%v reno: %v", capMode, err)
-		}
-		cubic, err := RunScenario7(Scenario7Config{CapMode: capMode, Congestion: fstack.CCCubic},
-			DefaultScenario7Duration)
-		if err != nil {
-			t.Fatalf("cap=%v cubic: %v", capMode, err)
-		}
+		reno, renoFwd := run(Scenario7Config{CapMode: capMode, Congestion: fstack.CCReno})
+		cubic, cubicFwd := run(Scenario7Config{CapMode: capMode, Congestion: fstack.CCCubic})
 		t.Logf("cap=%v: reno %.1f Mbit/s (util %.0f%%), cubic %.1f Mbit/s (util %.0f%%), %.2fx",
 			capMode, reno.Mbps, reno.Utilization()*100, cubic.Mbps, cubic.Utilization()*100,
 			cubic.Mbps/reno.Mbps)
@@ -40,9 +44,9 @@ func TestScenario7CubicGate(t *testing.T) {
 		// The comparison must be about growth between loss events, not
 		// about recovery style: both runs ride the same seeded fades
 		// and neither may collapse into timeout territory.
-		if reno.Fwd.LostBurst == 0 || cubic.Fwd.LostBurst == 0 {
+		if renoFwd.LostBurst == 0 || cubicFwd.LostBurst == 0 {
 			t.Fatalf("cap=%v: seeded fades never fired (reno %d, cubic %d)",
-				capMode, reno.Fwd.LostBurst, cubic.Fwd.LostBurst)
+				capMode, renoFwd.LostBurst, cubicFwd.LostBurst)
 		}
 	}
 }

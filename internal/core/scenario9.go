@@ -36,6 +36,9 @@ const (
 	s9DNSPort  = uint16(5353)
 	// s9Backlog is the HTTP listener's accept-queue bound.
 	s9Backlog = 512
+	// httpRespBytes is the HTTP response body size, here and in
+	// Scenario 10.
+	httpRespBytes = 1200
 
 	// s9BufBytes sizes socket buffers: a few pipelined responses fit,
 	// but an overloaded open-loop point still backpressures into the
@@ -76,7 +79,7 @@ type Scenario9Config struct {
 	// Conns is the HTTP keep-alive connection count (the concurrency,
 	// closed-loop) or the DNS closed-loop outstanding-query count.
 	Conns int
-	// RespBytes is the HTTP response body size (0 = 1200).
+	// RespBytes is the HTTP response body size (0 = httpRespBytes).
 	RespBytes int
 	// Link, when non-zero, impairs the client-server path (loss,
 	// delay; seeded for determinism).
@@ -94,7 +97,7 @@ type Scenario9Config struct {
 
 func (c *Scenario9Config) applyDefaults() {
 	if c.RespBytes == 0 {
-		c.RespBytes = 1200
+		c.RespBytes = httpRespBytes
 	}
 	if c.TimeoutNS == 0 {
 		c.TimeoutNS = 200e6 + 8*c.Link.DelayNS
@@ -147,7 +150,6 @@ func NewScenario9(clk hostos.Clock, cfg Scenario9Config) (*testbed.Bed, error) {
 
 // Scenario9Result is one measured request/response point.
 type Scenario9Result struct {
-	Proto   string
 	Shards  int
 	CapMode bool
 	Rate    float64 // offered rate (open-loop); 0 = closed-loop
@@ -237,8 +239,7 @@ func (r *Scenario9Result) tally(issued, completed, deferred uint64, runNS int64)
 func Scenario9Run(s *testbed.Bed, cfg Scenario9Config) (Scenario9Result, error) {
 	cfg.applyDefaults()
 	res := Scenario9Result{
-		Proto: cfg.Proto, Shards: cfg.Shards, CapMode: cfg.CapMode,
-		Rate: cfg.Rate, Conns: cfg.Conns,
+		Shards: cfg.Shards, CapMode: cfg.CapMode, Rate: cfg.Rate, Conns: cfg.Conns,
 	}
 
 	// One client worker per server shard (never more workers than

@@ -234,7 +234,7 @@ func TestScenario9RejectsBadConfig(t *testing.T) {
 // there is any, and only then — the golden rows, which drop nothing,
 // carry no note.
 func TestScenario9ReportsServerDrops(t *testing.T) {
-	clean := Scenario9Result{Proto: "dns", Shards: 2, Rate: 1000, Conns: 4, RunNS: 1e9, Completed: 1000}
+	clean := Scenario9Result{Shards: 2, Rate: 1000, Conns: 4, RunNS: 1e9, Completed: 1000}
 	if out := FormatScenario9("t", []Scenario9Result{clean}); strings.Contains(out, "server:") || strings.Contains(out, "client:") {
 		t.Fatalf("a clean row carries a server note:\n%s", out)
 	}

@@ -19,9 +19,6 @@ type Mbuf struct {
 
 	off uint16 // data offset from buf
 	len uint16 // data length
-
-	// Port is the receiving port id, set by RxBurst.
-	Port int
 }
 
 // DataAddr returns the address of the first payload byte.
@@ -37,7 +34,6 @@ func (m *Mbuf) Tailroom() int { return int(m.room - m.off - m.len) }
 func (m *Mbuf) reset() {
 	m.off = MbufHeadroom
 	m.len = 0
-	m.Port = 0
 }
 
 // Append grows the payload by n bytes at the tail and returns a writable
@@ -73,7 +69,6 @@ func (m *Mbuf) Free() { m.pool.put(m) }
 type Mempool struct {
 	seg  *MemSeg
 	name string
-	room uint16
 
 	free  []*Mbuf
 	total int
@@ -88,7 +83,7 @@ func NewMempool(seg *MemSeg, name string, n int, dataroom uint16) (*Mempool, err
 	if dataroom < MbufHeadroom+64 {
 		return nil, fmt.Errorf("dpdk: mempool %q dataroom %d too small", name, dataroom)
 	}
-	p := &Mempool{seg: seg, name: name, room: dataroom, total: n}
+	p := &Mempool{seg: seg, name: name, total: n}
 	base := seg.aligned(64)
 	if _, err := p.seg.Alloc(poolBytes(seg, base, n, uint64(dataroom)), 64); err != nil {
 		return nil, fmt.Errorf("dpdk: mempool %q: %w", name, err)

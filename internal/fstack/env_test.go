@@ -79,7 +79,7 @@ func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IP
 	t.Helper()
 	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, capMode, 1)
 	stk := NewStack(seg, pool, clk)
-	stk.AddNetIF("eth0", dev.Queue(0), ip, IP4(255, 255, 255, 0))
+	stk.AddNetIF(dev.Queue(0), ip, IP4(255, 255, 255, 0))
 	return stk, card
 }
 
@@ -96,7 +96,7 @@ func buildShardedMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte
 	for q := range queues {
 		queues[q] = dev.Queue(q)
 	}
-	if err := ss.AddNetIF("eth0", queues, dev.RxQueueOf, ip, IP4(255, 255, 255, 0)); err != nil {
+	if err := ss.AddNetIF(queues, dev.RxQueueOf, ip, IP4(255, 255, 255, 0)); err != nil {
 		t.Fatal(err)
 	}
 	return ss, card

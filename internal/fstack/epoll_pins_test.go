@@ -15,8 +15,8 @@ func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(socket{}); got != 56 {
-		t.Errorf("sizeof(socket) = %d, want 56", got)
+	if got := unsafe.Sizeof(socket{}); got != 48 {
+		t.Errorf("sizeof(socket) = %d, want 48", got)
 	}
 	if got := unsafe.Sizeof(tcpConn{}); got != 416 {
 		t.Errorf("sizeof(tcpConn) = %d, want 416", got)

@@ -52,13 +52,13 @@ func NewShardedStack(n int, seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clo
 // a started multi-queue device, already wrapped in whatever the layout
 // puts in front of it — and every shard shares one ARP cache for the
 // interface. steer is that device's steering oracle.
-func (ss *ShardedStack) AddNetIF(name string, devs []EthDevice, steer SteerFunc, ip, mask IPv4Addr) error {
+func (ss *ShardedStack) AddNetIF(devs []EthDevice, steer SteerFunc, ip, mask IPv4Addr) error {
 	if len(devs) != len(ss.shards) {
 		return fmt.Errorf("fstack: %d queue handles for %d shards", len(devs), len(ss.shards))
 	}
 	arp := newARPCache()
 	for i, s := range ss.shards {
-		s.AddNetIF(name, devs[i], ip, mask).arp = arp
+		s.AddNetIF(devs[i], ip, mask).arp = arp
 	}
 	if ss.steer == nil {
 		ss.steer = steer

@@ -40,7 +40,6 @@ type API interface {
 // allocates nor shifts elements.
 type listener struct {
 	sk       *socket // the listening descriptor, for its epoll wakes
-	ep       tcpEndpoint
 	backlog  int
 	halfOpen int
 	pending  []*tcpConn // established, awaiting Accept
@@ -145,8 +144,7 @@ func (s *Stack) freeDgramBuf(b []byte) {
 // test: typ shares bound's word so the epoll chain head fits without
 // growing the struct.
 type socket struct {
-	fd  int
-	stk *Stack
+	fd int
 
 	bound tcpEndpoint
 	typ   int16     // SockStream or SockDgram
@@ -177,7 +175,7 @@ func (s *Stack) Socket(typ int) (int, hostos.Errno) {
 }
 
 // allocSocket takes a socket struct off the arena (or the current slab),
-// reset to the zero state with stk set.
+// reset to the zero state.
 func (s *Stack) allocSocket() *socket {
 	var sk *socket
 	if n := len(s.sockFree); n > 0 {
@@ -187,7 +185,7 @@ func (s *Stack) allocSocket() *socket {
 	} else {
 		sk = slabTake(&s.sockSlab)
 	}
-	*sk = socket{stk: s}
+	*sk = socket{}
 	return sk
 }
 
@@ -233,7 +231,7 @@ func (s *Stack) Listen(fd, backlog int) hostos.Errno {
 	if backlog < 1 {
 		backlog = 1
 	}
-	sk.lst = &listener{sk: sk, ep: sk.bound, backlog: backlog}
+	sk.lst = &listener{sk: sk, backlog: backlog}
 	s.listeners[sk.bound] = sk.lst
 	return hostos.OK
 }

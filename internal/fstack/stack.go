@@ -37,7 +37,6 @@ type EthDevice interface {
 // NetIF is a configured network interface: one Ethernet device plus its
 // IPv4 binding ("eth0"/"eth1" in the paper's scenarios).
 type NetIF struct {
-	Name string
 	IP   IPv4Addr
 	Mask IPv4Addr
 	MAC  MACAddr
@@ -443,9 +442,8 @@ func (s *Stack) NextDeadline(now int64) int64 {
 
 // AddNetIF binds one queue pair of a started ethdev with its IPv4
 // configuration.
-func (s *Stack) AddNetIF(name string, dev EthDevice, ip, mask IPv4Addr) *NetIF {
+func (s *Stack) AddNetIF(dev EthDevice, ip, mask IPv4Addr) *NetIF {
 	nif := &NetIF{
-		Name: name,
 		IP:   ip,
 		Mask: mask,
 		MAC:  MACAddr(dev.MAC()),

@@ -438,7 +438,7 @@ func TestCrashedRunOnceRunsCallback(t *testing.T) {
 	seg, pool, dev, _ := buildDevice(t, clk, "0000:03:00", 1, false, 1)
 	stk := NewStack(seg, pool, clk)
 	d := &stepCounter{EthDevice: dev.Queue(0)}
-	stk.AddNetIF("eth0", d, IP4(10, 0, 0, 1), IP4(255, 255, 255, 0))
+	stk.AddNetIF(d, IP4(10, 0, 0, 1), IP4(255, 255, 255, 0))
 	calls := 0
 	stk.OnLoop = func(int64) { calls++ }
 	stk.RunOnce()

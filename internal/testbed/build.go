@@ -330,7 +330,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 		// the driver programmed, so a device-gated stack asks it directly
 		// (like NextDeadline) instead of across the gates.
 		for i, ic := range cs.Ifs {
-			if err := env.Sharded.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
+			if err := env.Sharded.AddNetIF(handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
 				return nil, err
 			}
 		}
@@ -338,7 +338,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 	} else {
 		env.Stk = fstack.NewStack(env.Seg, env.Pool, b.Clk)
 		for i, ic := range cs.Ifs {
-			env.Stk.AddNetIF(fmt.Sprintf("eth%d", ic.Port), handles[i][0], ipOf(ic.Port), Mask24)
+			env.Stk.AddNetIF(handles[i][0], ipOf(ic.Port), Mask24)
 		}
 		env.stacks = []*fstack.Stack{env.Stk}
 		// A cVM's main loop is the cVM's thread: stack work and crossings

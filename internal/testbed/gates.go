@@ -3,6 +3,7 @@ package testbed
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/cheri"
 	"repro/internal/fstack"
@@ -269,10 +270,22 @@ func (a *GatedAPI) stageCap(off uint64, n int) (cheri.Cap, error) {
 	return a.App.DeriveBuf(a.App.Base()+off, uint64(n))
 }
 
+// fdFrom is the descriptor a crossing returned: -1 with the crossing's
+// errno, or with EIO for one past math.MaxInt32, since a descriptor
+// crosses back as a u32 in epoll events.
+func fdFrom(r uint64, errno hostos.Errno) (int, hostos.Errno) {
+	if errno != hostos.OK {
+		return -1, errno
+	}
+	if r > math.MaxInt32 {
+		return -1, hostos.EIO
+	}
+	return int(r), hostos.OK
+}
+
 // Socket creates a descriptor.
 func (a *GatedAPI) Socket(typ int) (int, hostos.Errno) {
-	r, errno := a.G.socket.Call(a.App, hostos.Args{uint64(typ)}, cheri.NullCap)
-	return int(r), errno
+	return fdFrom(a.G.socket.Call(a.App, hostos.Args{uint64(typ)}, cheri.NullCap))
 }
 
 // Bind attaches a local address.
@@ -294,7 +307,7 @@ func (a *GatedAPI) Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
 	if err != nil {
 		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
 	}
-	r, errno := a.G.accept.Call(a.App, hostos.Args{uint64(fd)}, sa)
+	nfd, errno := fdFrom(a.G.accept.Call(a.App, hostos.Args{uint64(fd)}, sa))
 	if errno != hostos.OK {
 		return -1, fstack.IPv4Addr{}, 0, errno
 	}
@@ -303,7 +316,7 @@ func (a *GatedAPI) Accept(fd int) (int, fstack.IPv4Addr, uint16, hostos.Errno) {
 		return -1, fstack.IPv4Addr{}, 0, hostos.EFAULT
 	}
 	ip, port := getSockaddr(buf[:])
-	return int(r), ip, port, hostos.OK
+	return nfd, ip, port, hostos.OK
 }
 
 // Connect starts an active open.
@@ -451,10 +464,11 @@ func (a *GatedAPI) Close(fd int) hostos.Errno {
 	return errno
 }
 
-// EpollCreate makes an epoll descriptor.
+// EpollCreate makes an epoll descriptor; -1 when the crossing or the
+// descriptor it returned fails.
 func (a *GatedAPI) EpollCreate() int {
-	r, _ := a.G.epCreate.Call(a.App, hostos.Args{}, cheri.NullCap)
-	return int(r)
+	fd, _ := fdFrom(a.G.epCreate.Call(a.App, hostos.Args{}, cheri.NullCap))
+	return fd
 }
 
 // EpollCtl manipulates an interest set.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cheri"
@@ -493,11 +494,13 @@ func TestHostileDevGateCaller(t *testing.T) {
 
 // TestHostileCallee: the other direction of the table. A compromised
 // stack or driver compartment answers a well-formed call with any count
-// it likes, so the wrapper layer bounds every count that comes back by
-// what it asked for. For one application cVM (and one queue handle),
-// each count-returning target is swapped for a callee that returns
-// onePast and each of hostileValues: the socket wrappers answer a count
-// past the request with EIO and the device wrappers with 0 — never a
+// or descriptor it likes, so the wrapper layer bounds every count that
+// comes back by what it asked for, and every descriptor by the u32 an
+// epoll event carries it in. For one application cVM (and one queue
+// handle), each count- or descriptor-returning target is swapped for a
+// callee that returns one past the bound and each of hostileValues: the
+// socket wrappers answer a value past the bound with EIO (EpollCreate,
+// which has no errno, with -1) and the device wrappers with 0 — never a
 // panic, a slice past the caller's buffer or an mbuf freed twice — and a
 // second application cVM behind the real gates keeps echoing.
 func TestHostileCallee(t *testing.T) {
@@ -538,7 +541,7 @@ func TestHostileCallee(t *testing.T) {
 	buf, evs := make([]byte, 64), make([]fstack.Event, 4)
 	for _, tg := range []struct {
 		name  string
-		asked uint64 // the largest count the call can take
+		asked uint64 // the largest count or descriptor the call can take
 		swap  func(g *StackGates, liar *intravisor.Gate)
 		call  func(a *GatedAPI) (int, hostos.Errno)
 	}{
@@ -552,6 +555,17 @@ func TestHostileCallee(t *testing.T) {
 			func(a *GatedAPI) (int, hostos.Errno) { return a.Write(3, buf) }},
 		{"sendTo", uint64(len(buf)), func(g *StackGates, l *intravisor.Gate) { g.sendTo = l },
 			func(a *GatedAPI) (int, hostos.Errno) { return a.SendTo(3, buf, PeerIP(0), 9) }},
+		{"socket", math.MaxInt32, func(g *StackGates, l *intravisor.Gate) { g.socket = l },
+			func(a *GatedAPI) (int, hostos.Errno) { return a.Socket(fstack.SockStream) }},
+		{"accept", math.MaxInt32, func(g *StackGates, l *intravisor.Gate) { g.accept = l },
+			func(a *GatedAPI) (int, hostos.Errno) { n, _, _, errno := a.Accept(3); return n, errno }},
+		{"epCreate", math.MaxInt32, func(g *StackGates, l *intravisor.Gate) { g.epCreate = l },
+			func(a *GatedAPI) (int, hostos.Errno) {
+				if fd := a.EpollCreate(); fd >= 0 {
+					return fd, hostos.OK
+				}
+				return -1, hostos.EIO
+			}},
 	} {
 		for _, v := range append([]uint64{tg.asked + 1}, hostileValues...) {
 			gates := *bed.Gates

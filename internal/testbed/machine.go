@@ -14,7 +14,6 @@ import (
 
 // Machine is one simulated computer: memory + kernel + one NIC.
 type Machine struct {
-	Name string
 	K    *hostos.Kernel
 	Card *nic.Card
 	IV   *intravisor.Intravisor // nil on a machine of processes
@@ -102,7 +101,7 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 			return nil, fmt.Errorf("testbed: unbinding port %d: %v", i, errno)
 		}
 	}
-	m := &Machine{Name: ms.Name, K: k, Card: card}
+	m := &Machine{K: k, Card: card}
 	if comps[0].CVM {
 		if m.IV, err = intravisor.New(k); err != nil {
 			return nil, err

@@ -23,9 +23,8 @@ const (
 // peer's cable, written at the receiving ends so dropped frames appear
 // as gaps.
 type LinkCapture struct {
-	Peer string
-	W    *obs.PcapWriter
-	f    io.Closer
+	W *obs.PcapWriter
+	f io.Closer
 }
 
 // wireObs attaches the spec'd instruments to an already-built bed.
@@ -201,7 +200,7 @@ func (b *Bed) openPcaps(spec ObsSpec) error {
 		tap := func(tsNS int64, data []byte) { _ = w.WritePacket(tsNS, data) }
 		b.Local.Card.Port(p.Port).SetRxTap(tap) // peer -> local direction
 		p.M.Card.Port(0).SetRxTap(tap)          // local -> peer direction
-		b.Pcaps = append(b.Pcaps, &LinkCapture{Peer: name, W: w, f: f})
+		b.Pcaps = append(b.Pcaps, &LinkCapture{W: w, f: f})
 	}
 	return nil
 }

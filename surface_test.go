@@ -16,13 +16,14 @@ import (
 	"testing"
 )
 
-// TestExportedIdentifiersHaveNonTestCallers pins the surface rule: an
-// exported identifier under internal/ — a func, type, alias, var, const,
-// method or struct field — is referenced from a file that is not a
-// _test.go file. Access that only a package's tests need lives in its
-// export_test.go. cmd/, examples/ and bench/ (the benchmark module, which
-// imports this one) count as callers.
-func TestExportedIdentifiersHaveNonTestCallers(t *testing.T) {
+// TestDeclarationsHaveNonTestUses pins the surface rule (DESIGN.md §4):
+// a package-level func, type, alias, var, const or method under
+// internal/, exported or not, is referenced from a file that is not a
+// _test.go file, and a struct field is read — an exported one outside
+// tests, an unexported one anywhere in its package. Access that only a
+// package's tests need lives in its export_test.go. cmd/, examples/ and
+// bench/ (the benchmark module, which imports this one) count as users.
+func TestDeclarationsHaveNonTestUses(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := srcPkgs{}
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
@@ -44,25 +45,44 @@ func TestExportedIdentifiersHaveNonTestCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range unused {
-		t.Errorf("%s has no non-test caller", u)
+		t.Errorf("%s has no non-test caller or reader", u)
 	}
 }
 
 // TestScanSurfaceFixture runs the scan on a two-package module parsed
-// from strings, so a scan that flags nothing fails here.
+// from strings, so a scan that flags nothing fails here: a field that is
+// only written (assigned, op=, ++, a literal key, self-appended) is
+// flagged, and a tagged field or one whose address is taken is not.
 func TestScanSurfaceFixture(t *testing.T) {
 	files := map[string]string{
 		"fix/a/a.go": `package a
-type T struct{ Kept, TestOnly int }
+type T struct {
+	Kept, TestOnly int
+	Tagged         int ` + "`json:\"tagged\"`" + `
+	addressed      int
+	tested         int
+	written        int
+	log            []int
+}
 func (T) String() string { return "t" }
 func (T) NextDeadline(now int64) int64 { return now }
 func (T) Unreached() {}
-func New() T { return T{Kept: 1} }
+func New() T { return T{Kept: 1, written: 1} }
+func (t *T) Note(v int) *int {
+	t.written = v
+	t.written += v
+	t.written++
+	t.log = append(t.log, v)
+	return &t.addressed
+}
 func OnlyTested() {}
+func onlyTested() {}
 func Recursive(n int) int { if n == 0 { return 0 }; return Recursive(n - 1) }
 `,
 		"fix/a/a_test.go": `package a
-func useInTest() { OnlyTested(); _ = T{}.TestOnly; T{}.Unreached(); Recursive(1) }
+func useInTest() {
+	OnlyTested(); onlyTested(); _ = T{}.TestOnly; _ = T{}.tested; T{}.Unreached(); Recursive(1)
+}
 `,
 		"fix/b/b.go": `package b
 import "repro/fix/a"
@@ -70,7 +90,8 @@ func Poll(x any) int64 {
 	if d, ok := x.(interface{ NextDeadline(int64) int64 }); ok {
 		return d.NextDeadline(0)
 	}
-	return int64(a.New().Kept)
+	t := a.New()
+	return int64(t.Kept + *t.Note(1))
 }
 `,
 	}
@@ -92,7 +113,7 @@ func Poll(x any) int64 {
 		got = append(got, u[strings.LastIndex(u, " ")+1:])
 	}
 	sort.Strings(got)
-	want := "a.OnlyTested a.Recursive a.T.TestOnly a.T.Unreached"
+	want := "a.OnlyTested a.Recursive a.T.TestOnly a.T.Unreached a.T.log a.T.written a.onlyTested"
 	if g := strings.Join(got, " "); g != want {
 		t.Fatalf("scan flagged %q, want %q", g, want)
 	}
@@ -182,11 +203,15 @@ func (s *scan) nonTest(pos token.Pos) bool {
 	return !strings.HasSuffix(s.fset.Position(pos).Filename, "_test.go")
 }
 
-// scanSurface returns, in source order, each exported identifier
-// declared in a non-test file of a package whose import path starts
-// with owned that no non-test file references, as "file:line: pkg.Name". A reference
+// scanSurface returns, in source order, each identifier declared in a
+// non-test file of a package whose import path starts with owned that
+// is unused, as "file:line: pkg.Name". `_`, init and main are exempt.
+// A declaration is used when a non-test file references it; a reference
 // from inside the identifier's own declaration (a recursive call, a
-// method's receiver naming its type) does not count. A method also
+// method's receiver naming its type) does not count. A struct field is
+// used only where it is read: outside tests for an exported field,
+// anywhere for an unexported one, and always when it carries a tag,
+// which encoding/json reads by reflection. A method also
 // counts as called when its receiver type satisfies an interface with a
 // method of that name that appears in non-test code — a named or
 // anonymous interface type, in a signature the code calls, or error and
@@ -241,7 +266,7 @@ func scanSurface(fset *token.FileSet, pkgs srcPkgs, owned string) ([]string, err
 				obj := s.info.Defs[id]
 				d := decl{pkg + label, obj, from, to}
 				declOf[obj] = d
-				if surface && id.IsExported() {
+				if surface && id.Name != "_" && id.Name != "init" && id.Name != "main" {
 					decls = append(decls, d)
 				}
 			}
@@ -271,6 +296,9 @@ func scanSurface(fset *token.FileSet, pkgs srcPkgs, owned string) ([]string, err
 								members = t.Methods.List
 							}
 							for _, m := range members {
+								if m.Tag != nil {
+									continue // encoding/json reads a tagged field by reflection
+								}
 								for _, id := range m.Names {
 									add(spec.Name.Name+"."+id.Name, id, id.Pos(), id.End())
 								}
@@ -286,9 +314,63 @@ func scanSurface(fset *token.FileSet, pkgs srcPkgs, owned string) ([]string, err
 		}
 	}
 
+	// A field is used only where it is read: an assignment's target, an
+	// op=, ++ or -- operand, a composite-literal key and the x.f of
+	// x.f = append(x.f, ...) only write it.
+	writes := map[*ast.Ident]bool{}
+	isField := func(id *ast.Ident) bool {
+		v, ok := s.info.Uses[id].(*types.Var)
+		return ok && v.IsField()
+	}
+	write := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok && isField(sel.Sel) {
+			writes[sel.Sel] = true
+		}
+	}
+	appendFn := types.Universe.Lookup("append")
+	for _, p := range pkgs {
+		for _, f := range append(p.files[:len(p.files):len(p.files)], p.xtest...) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						write(lhs)
+						if len(n.Rhs) != len(n.Lhs) {
+							continue
+						}
+						if call, ok := n.Rhs[i].(*ast.CallExpr); ok && len(call.Args) > 0 {
+							fn, _ := call.Fun.(*ast.Ident)
+							if s.info.Uses[fn] == appendFn && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+								write(call.Args[0])
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && isField(id) {
+								writes[id] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
 	used := map[types.Object]bool{}
 	for id, obj := range s.info.Uses {
 		obj = origin(obj)
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			// An unexported field may be read by its package's tests.
+			if !writes[id] && (s.nonTest(id.Pos()) || !v.Exported()) {
+				used[obj] = true
+			}
+			continue
+		}
 		if !s.nonTest(id.Pos()) || own[id] == obj {
 			continue
 		}
