@@ -36,8 +36,8 @@ type API interface {
 
 // listener is a passive TCP socket's accept machinery. halfOpen counts
 // this listener's SYN-cache entries; pending is the accept queue, run
-// as a head-indexed ring over one slice so steady-state churn neither
-// allocates nor shifts elements.
+// as a head-indexed queue over one slice (see cutHead) so steady-state
+// churn neither allocates nor grows it.
 type listener struct {
 	sk       *socket // the listening descriptor, for its epoll wakes
 	backlog  int
@@ -61,18 +61,27 @@ func (l *listener) pushPending(c *tcpConn) {
 	l.sk.wake()
 }
 
-// popPending dequeues the oldest pending connection, recycling the
-// slice's capacity whenever the queue drains.
+// popPending dequeues the oldest pending connection.
 func (l *listener) popPending() *tcpConn {
 	c := l.pending[l.head]
 	l.pending[l.head] = nil
-	l.head++
-	if l.head == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.head = 0
-	}
+	l.pending, l.head = cutHead(l.pending, l.head+1)
 	c.inPending = false
 	return c
+}
+
+// cutHead drops a head-indexed queue's consumed head once it is the
+// larger half, so a queue that never drains (one entry always waiting)
+// keeps its slice O(queued) rather than one slot per entry ever pushed;
+// a drained queue starts over at index 0. It returns the queue and its
+// new head.
+func cutHead[T any](q []T, head int) ([]T, int) {
+	if head <= len(q)/2 {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }
 
 // dgram is one queued UDP datagram.
@@ -89,8 +98,8 @@ const udpQueueMax = 256
 const udpPayloadMax = MTU - IPv4HeaderLen - UDPHeaderLen
 
 // udpSock is a bound UDP endpoint. The datagram queue is a head-indexed
-// ring like listener.pending: popped slots are cleared and the backing
-// array is reused once drained, so a steady query/answer exchange never
+// queue like listener.pending: popped slots are cleared and cutHead
+// reuses the backing array, so a steady query/answer exchange never
 // regrows it.
 type udpSock struct {
 	sk   *socket // the bound descriptor, for its epoll wakes
@@ -115,11 +124,7 @@ func (u *udpSock) pushDgram(d dgram) {
 func (u *udpSock) popDgram() dgram {
 	d := u.q[u.head]
 	u.q[u.head] = dgram{}
-	u.head++
-	if u.head == len(u.q) {
-		u.q = u.q[:0]
-		u.head = 0
-	}
+	u.q, u.head = cutHead(u.q, u.head+1)
 	return d
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/nic"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // wireOverheadBytes mirrors the per-frame on-the-wire overhead the nic
@@ -183,13 +184,13 @@ func (h *frameHeap) pop() heldFrame {
 
 // dirState is one direction's impairment pipeline.
 type dirState struct {
-	rng      *rand.Rand
-	geBad    bool
-	geAt     int64 // virtual time the GE chain has been stepped to
-	nextFree int64 // bottleneck serializer: time its queue drains
-	held     frameHeap
-	seq      uint64
-	stats    DirStats
+	rng   *rand.Rand
+	geBad bool
+	geAt  int64    // virtual time the GE chain has been stepped to
+	queue sim.Core // the bottleneck: busy until its queue drains
+	held  frameHeap
+	seq   uint64
+	stats DirStats
 	// Carrier flap schedule: carr holds the remaining toggle instants
 	// (sorted ascending; each consumes one flip of carrUp). The carrier
 	// starts up; nil carr means no schedule and zero cost, so
@@ -239,14 +240,10 @@ func (l *Link) SetTrace(tr *obs.Trace, src uint16) {
 
 // Depth reports one direction's occupancy for metrics gauges: frames
 // held in the delay line and the bottleneck backlog in ns (how far
-// ahead of now the serializer is booked).
+// ahead of now the bottleneck is booked).
 func (l *Link) Depth(dir int, now int64) (frames int, backlogNS int64) {
 	d := &l.dirs[dir]
-	frames = len(d.held)
-	if d.nextFree > now {
-		backlogNS = d.nextFree - now
-	}
-	return frames, backlogNS
+	return len(d.held), d.queue.At(now) - now
 }
 
 // fillDefaults resolves a direction config's derived knobs.
@@ -411,13 +408,10 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		return
 	}
 
-	// Bottleneck serializer with a bounded queue.
+	// Bottleneck with a bounded queue.
 	at := readyAt
 	if cfg.RateBps > 0 {
-		if d.nextFree < at {
-			d.nextFree = at
-		}
-		backlogBytes := int(float64(d.nextFree-at) * cfg.RateBps / 8e9)
+		backlogBytes := int(float64(d.queue.At(at)-at) * cfg.RateBps / 8e9)
 		if backlogBytes+len(data) > cfg.QueueBytes { // tail drop
 			d.stats.DroppedQueue++
 			if l.tr != nil {
@@ -426,8 +420,9 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 			l.freeFrame(data)
 			return
 		}
-		d.nextFree += int64(float64(len(data)+wireOverheadBytes) * 8e9 / cfg.RateBps)
-		at = d.nextFree
+		// Its own rounding, not sim.BytesNS: the two differ by a
+		// nanosecond on some frames, and the WAN results are priced in this.
+		at = d.queue.Book(at, int64(float64(len(data)+wireOverheadBytes)*8e9/cfg.RateBps))
 	}
 
 	// Delay, jitter, reordering.

@@ -34,8 +34,9 @@ type Config struct {
 	// MAC is the base hardware address; port i gets MAC with the last
 	// octet incremented by i.
 	MAC [6]byte
-	// Clk paces the serializers (virtual in bandwidth runs, real in
-	// latency runs).
+	// Clk is the bed's clock. A port's Step reads it once and books its
+	// line and bus share at that instant; nothing else in the card reads
+	// it.
 	Clk hostos.Clock
 	// Mem is the host memory the device DMAs into.
 	Mem *cheri.TMem
@@ -57,9 +58,9 @@ func DefaultBusConfig() (busRateBps, costTX, costRX float64) {
 	return 1.66e9, 1.0, 1.16
 }
 
-// serializerWindow is how far ahead the line/bus may be booked: a couple
-// of full-size frame times (the device FIFO the serializer stands for).
-const serializerWindow = 3 * 12304 // ns at 1 Gbit/s
+// bookWindow is how far ahead the line/bus may be booked: a couple
+// of full-size frame times (the device FIFO the booking stands for).
+const bookWindow = 3 * 12304 // ns at 1 Gbit/s
 
 // busActivityWindow is how long after its last DMA a port counts as an
 // active bus user for the fair-share arbiter.
@@ -70,17 +71,18 @@ const busActivityWindow = 1e6 // 1 ms
 // Bus model: PCIe arbitration is round-robin per transaction; at the
 // timescales of interest that is indistinguishable from an equal split
 // of the bus budget among the ports with outstanding DMA. The card
-// therefore gives each port a private serializer and re-divides the
-// total budget B among the currently active ports (full B when one port
-// works alone) — a work-conserving fair share that cannot be gamed by
-// polling order.
+// therefore gives each port a private share (a sim.Core) and books it
+// at the total budget B divided among the currently active ports (full
+// B when one port works alone) — a work-conserving fair share that
+// cannot be gamed by polling order.
 type Card struct {
 	cfg   Config
 	ports []*Port
 
-	busShare []*sim.Serializer // per-port slice of the bus; nil = ideal
-	busUse   []int64           // last admission attempt per port
-	busAct   int               // ports currently counted active
+	busShare []sim.Core // per-port slice of the bus; nil = ideal
+	busRate  float64    // each share's rate: B over the active ports
+	busUse   []int64    // last admission attempt per port
+	busAct   int        // ports currently counted active
 }
 
 // New builds a card and registers nothing: call RegisterPCI to make its
@@ -97,11 +99,11 @@ func New(cfg Config) (*Card, error) {
 	}
 	c := &Card{cfg: cfg}
 	if cfg.BusRateBps > 0 {
-		c.busShare = make([]*sim.Serializer, cfg.Ports)
+		c.busShare = make([]sim.Core, cfg.Ports)
+		c.busRate = cfg.BusRateBps
 		c.busUse = make([]int64, cfg.Ports)
 		c.busAct = 1
-		for i := 0; i < cfg.Ports; i++ {
-			c.busShare[i] = sim.NewSerializer(cfg.Clk, cfg.BusRateBps, serializerWindow)
+		for i := range c.busUse {
 			c.busUse[i] = -2 * busActivityWindow
 		}
 	}
@@ -120,7 +122,6 @@ func New(cfg Config) (*Card, error) {
 			clk:   cfg.Clk,
 			mem:   cfg.Mem,
 			arena: arena,
-			line:  sim.NewSerializer(cfg.Clk, cfg.LineRateBps, serializerWindow),
 		}
 		// Every RX queue gets a full packet-buffer slice; with RSS off
 		// only queue 0 is used and the buffering matches the old
@@ -155,10 +156,13 @@ func (c *Card) RegisterPCI(pci *hostos.PCI) error {
 	return nil
 }
 
-// busTouch records port activity and rebalances the per-port shares
-// when the active set changes. It returns the port's serializer.
-func (c *Card) busTouch(port int) *sim.Serializer {
-	now := c.cfg.Clk.Now()
+// busCanAdmit records the port's bus activity at now, rebalancing the
+// shares' rate when the active set changes, and reports whether the
+// port's share has window room. An ideal bus always admits.
+func (c *Card) busCanAdmit(port int, now int64) bool {
+	if c.busShare == nil {
+		return true
+	}
 	c.busUse[port] = now
 	active := 0
 	for _, last := range c.busUse {
@@ -171,30 +175,18 @@ func (c *Card) busTouch(port int) *sim.Serializer {
 	}
 	if active != c.busAct {
 		c.busAct = active
-		rate := c.cfg.BusRateBps / float64(active)
-		for _, s := range c.busShare {
-			s.SetRate(rate)
-		}
+		c.busRate = c.cfg.BusRateBps / float64(active)
 	}
-	return c.busShare[port]
+	return c.busShare[port].Admits(now, bookWindow)
 }
 
-// busAdmit books a DMA transfer of costBytes (already scaled) for the
-// given port; ideal buses always admit.
-func (c *Card) busAdmit(port, costBytes int) bool {
-	if c.busShare == nil {
-		return true
+// busBook books a DMA transfer of costBytes (already scaled) on the
+// port's share, which busCanAdmit admitted at the same now. An ideal bus
+// books nothing.
+func (c *Card) busBook(port int, now int64, costBytes int) {
+	if c.busShare != nil {
+		c.busShare[port].Book(now, sim.BytesNS(costBytes, c.busRate))
 	}
-	_, ok := c.busTouch(port).Admit(costBytes)
-	return ok
-}
-
-// busCanAdmit reports whether the port's bus share has window room.
-func (c *Card) busCanAdmit(port int) bool {
-	if c.busShare == nil {
-		return true
-	}
-	return c.busTouch(port).CanAdmit()
 }
 
 // busLimited reports whether the card models a finite PCI bus.
@@ -208,7 +200,7 @@ func (c *Card) busNextAdmitAt(port int, now int64) int64 {
 	if c.busShare == nil {
 		return now
 	}
-	return c.busShare[port].NextAdmitAt(now)
+	return c.busShare[port].AdmitAt(now, bookWindow)
 }
 
 // busPollBy reports the instant by which the port must have polled the

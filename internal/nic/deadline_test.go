@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // refDeadline is Port.NextDeadline as it was while the port answered for
@@ -48,7 +50,7 @@ func refDeadline(p *Port, now int64, only int) int64 {
 		}
 	}
 	if txPending {
-		at := p.line.NextAdmitAt(now)
+		at := p.line.AdmitAt(now, bookWindow)
 		if busAt > at {
 			at = busAt
 		}
@@ -116,11 +118,15 @@ func TestQueueDeadlinesMinIsThePortDeadline(t *testing.T) {
 					p.RegWrite32(RegRCTL, uint32(min(rng.Intn(5), 1))*RctlEN)
 					p.RegWrite32(RegTCTL, uint32(min(rng.Intn(5), 1))*TctlEN)
 				case 6:
-					p.line.Admit(1538)
+					if p.line.Admits(now, bookWindow) {
+						p.line.Book(now, sim.BytesNS(1538, c.cfg.LineRateBps))
+					}
 				case 7:
-					c.busAdmit(0, 1538) // books the share and polls the arbiter
+					if c.busCanAdmit(0, now) { // polls the arbiter, then books the share
+						c.busBook(0, now, 1538)
+					}
 				case 8:
-					c.busCanAdmit(rng.Intn(2)) // either port polls
+					c.busCanAdmit(rng.Intn(2), now) // either port polls
 				case 9:
 					pipe.at[rng.Intn(2)] = now + int64(rng.Intn(200_000))
 					if rng.Intn(3) == 0 {

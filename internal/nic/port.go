@@ -34,7 +34,7 @@ type Port struct {
 	clk   hostos.Clock
 	mem   *cheri.TMem
 	arena *FrameArena
-	line  *sim.Serializer
+	line  sim.Core // booked at the card's LineRateBps
 
 	// fifos are the per-RX-queue slices of the receive packet buffer;
 	// the RSS classifier picks one per arriving frame (queue 0 when RSS
@@ -393,7 +393,7 @@ func (p *Port) Step() {
 	}
 	for q := 0; q < nq; q++ {
 		if tx[q].n > 0 {
-			p.stepTX(q, tx[q])
+			p.stepTX(q, tx[q], now)
 		}
 	}
 	for q := 0; q < nq; q++ {
@@ -420,7 +420,7 @@ func (p *Port) movable(q int) (tx, rx ring) {
 }
 
 // stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r.
-func (p *Port) stepTX(q int, r ring) {
+func (p *Port) stepTX(q int, r ring, now int64) {
 	var sentFrames, sentBytes uint64
 	head := r.head
 	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
@@ -442,7 +442,7 @@ func (p *Port) stepTX(q int, r ring) {
 		}
 		// Admission: the line must have room AND the bus must have
 		// budget for the DMA read.
-		if !p.line.CanAdmit() || !p.card.busCanAdmit(p.idx) {
+		if !p.line.Admits(now, bookWindow) || !p.card.busCanAdmit(p.idx, now) {
 			break
 		}
 		buf, ok := p.dmaRO(bufAddr, length)
@@ -451,8 +451,8 @@ func (p *Port) stepTX(q int, r ring) {
 			head = (head + 1) % r.n
 			continue
 		}
-		doneAt, _ := p.line.Admit(length + wireOverhead)
-		p.card.busAdmit(p.idx, int(p.card.cfg.BusCostTX*float64(length+wireOverhead)))
+		doneAt := p.line.Book(now, sim.BytesNS(length+wireOverhead, p.card.cfg.LineRateBps))
+		p.card.busBook(p.idx, now, int(p.card.cfg.BusCostTX*float64(length+wireOverhead)))
 		data := p.arena.Alloc(length)
 		copy(data, buf)
 		p.pipe.Send(p.pipeEnd, data, doneAt+PropagationDelayNS)
@@ -463,7 +463,7 @@ func (p *Port) stepTX(q int, r ring) {
 		sentBytes += uint64(length)
 	}
 	if sentFrames > 0 && p.obs.tr != nil {
-		p.obs.tr.Record(p.clk.Now(), obs.EvNicTxBurst, p.obs.src, int64(sentFrames), int64(sentBytes), int64(q))
+		p.obs.tr.Record(now, obs.EvNicTxBurst, p.obs.src, int64(sentFrames), int64(sentBytes), int64(q))
 	}
 	p.gptc += sentFrames
 	p.gotc += sentBytes
@@ -477,7 +477,7 @@ func (p *Port) stepRX(q int, r ring, now int64) {
 	head := r.head
 	for burst := 0; burst < maxBurst && head != r.tail; burst++ {
 		// Bus budget gate BEFORE popping, so refused frames stay queued.
-		if !p.card.busCanAdmit(p.idx) {
+		if !p.card.busCanAdmit(p.idx, now) {
 			break
 		}
 		fr, ok := p.fifos[q].pop(now)
@@ -500,7 +500,7 @@ func (p *Port) stepRX(q int, r ring, now int64) {
 			continue
 		}
 		copy(dst, fr.data)
-		p.card.busAdmit(p.idx, int(p.card.cfg.BusCostRX*float64(len(fr.data)+wireOverhead)))
+		p.card.busBook(p.idx, now, int(p.card.cfg.BusCostRX*float64(len(fr.data)+wireOverhead)))
 		p.writeBackRX(descAddr, uint16(len(fr.data)))
 		head = (head + 1) % r.n
 		gotFrames++
@@ -590,7 +590,7 @@ func (p *Port) QueueDeadline(q int, now int64) int64 {
 		}
 	}
 	if tx.n > 0 {
-		d = min(d, max(p.line.NextAdmitAt(now), busAt))
+		d = min(d, max(p.line.AdmitAt(now, bookWindow), busAt))
 	}
 	if p.pipe != nil {
 		d = min(d, p.pipe.NextDeadline(p.pipeEnd, now))

@@ -42,7 +42,7 @@ func refStep(p *Port) {
 	}
 	for q := range tx {
 		if tx[q].n > 0 {
-			p.stepTX(q, tx[q])
+			p.stepTX(q, tx[q], now)
 		}
 	}
 	for q := range rx {
@@ -71,12 +71,12 @@ func deviceState(t *testing.T, be *bench, full bool) string {
 			}
 			sb.WriteByte('\n')
 		}
-		// NextAdmitAt(-inf) is nextFree - window: the booking itself.
-		fmt.Fprintf(&sb, " line=%d", p.line.NextAdmitAt(math.MinInt64))
+		// AdmitAt(-inf) is busyUntil - window: the booking itself.
+		fmt.Fprintf(&sb, " line=%d", p.line.AdmitAt(math.MinInt64, bookWindow))
 		c := p.card
 		fmt.Fprintf(&sb, " busUse=%v busAct=%d", c.busUse, c.busAct)
-		for _, s := range c.busShare {
-			fmt.Fprintf(&sb, " share=%d", s.NextAdmitAt(math.MinInt64))
+		for i := range c.busShare {
+			fmt.Fprintf(&sb, " share=%d", c.busShare[i].AdmitAt(math.MinInt64, bookWindow))
 		}
 		sb.WriteByte('\n')
 	}

@@ -34,19 +34,3 @@ const (
 
 // CopyNS is what moving n payload bytes once costs.
 func CopyNS(n int) int64 { return int64(n) * CopyPSPerByte / 1000 }
-
-// Core is the time one busy-polling thread has booked ahead of the bed's
-// clock. The driver visits an instant once and every thread does that
-// instant's work in zero virtual time; what the work would have cost is
-// booked here, and only a clock read made on that thread sees it — which
-// is all Figs. 4-6 measure, so a run that reads no compartment clock is
-// untouched. Bookings lapse as the bed's clock passes them.
-type Core struct{ busyUntil int64 }
-
-// At is the thread's own time at bed instant now: no earlier than the end
-// of the work it has booked.
-func (c *Core) At(now int64) int64 { return max(now, c.busyUntil) }
-
-// Book charges ns of work, begun when the thread is next free; with no
-// work it keeps the thread busy until now at least.
-func (c *Core) Book(now, ns int64) { c.busyUntil = c.At(now) + ns }

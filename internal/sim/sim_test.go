@@ -52,21 +52,20 @@ func TestSerializerPacesToRate(t *testing.T) {
 }
 
 func TestSerializerBackpressure(t *testing.T) {
-	clk := NewVClock()
-	s := NewSerializer(clk, 1e9, 1000) // tiny 1 µs window
-	if _, ok := s.Admit(1538); !ok {
+	var c Core
+	const window = 1000 // tiny 1 µs window
+	now := int64(0)
+	if !c.Admits(now, window) {
 		t.Fatal("first frame must be admitted")
 	}
+	c.Book(now, BytesNS(1538, 1e9))
 	// The first frame books 12.3 µs; the window is 1 µs, so the next
 	// admission must fail until time passes.
-	if _, ok := s.Admit(1538); ok {
-		t.Fatal("second frame must be refused while the link is booked")
-	}
-	if s.CanAdmit() || s.NextAdmitAt(clk.Now()) <= clk.Now() {
+	if c.Admits(now, window) || c.AdmitAt(now, window) <= now {
 		t.Fatal("link should be booked past its window")
 	}
-	clk.Advance(12304)
-	if _, ok := s.Admit(1538); !ok {
+	now += 12304
+	if !c.Admits(now, window) {
 		t.Fatal("frame must be admitted after the link drains")
 	}
 }
@@ -117,16 +116,14 @@ func TestSerializerSharedContention(t *testing.T) {
 	}
 }
 
-// TestSerializerRate: a new rate prices the admissions after it,
-// and the bookings made before it keep their completion times.
+// TestSerializerRate: a new rate prices the bookings after it, and the
+// bookings made before it keep their completion times.
 func TestSerializerRate(t *testing.T) {
-	clk := NewVClock()
-	s := NewSerializer(clk, 1e9, 1<<40)
-	if at, _ := s.Admit(1000); at != 8000 { // 8000 bits at 1 Gbit/s
-		t.Fatalf("first admission done at %d, want 8000", at)
+	var c Core
+	if at := c.Book(0, BytesNS(1000, 1e9)); at != 8000 { // 8000 bits at 1 Gbit/s
+		t.Fatalf("first booking done at %d, want 8000", at)
 	}
-	s.SetRate(4e9)
-	if at, _ := s.Admit(1000); at != 8000+2000 {
-		t.Fatalf("admission after SetRate(4e9) done at %d, want 10000", at)
+	if at := c.Book(0, BytesNS(1000, 4e9)); at != 8000+2000 {
+		t.Fatalf("booking at 4 Gbit/s done at %d, want 10000", at)
 	}
 }

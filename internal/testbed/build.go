@@ -14,7 +14,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nic"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Bed is a wired topology: the local machine with its environments and
@@ -315,7 +314,7 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 				h = NewGatedEthDev(env.devGates[i], env.CVM, env.Pool, q)
 			}
 			if cs.Stack.CPUBps > 0 {
-				h = cpuDev{dev: h, cpu: sim.NewSerializer(b.Clk, cs.Stack.CPUBps, cpuWindow(cs.Stack.CPUBps))}
+				h = newCPUDev(h, b.Clk, cs.Stack.CPUBps)
 			}
 			handles[i] = append(handles[i], h)
 		}

@@ -3,19 +3,27 @@ package testbed
 import (
 	"repro/internal/dpdk"
 	"repro/internal/fstack"
+	"repro/internal/hostos"
 	"repro/internal/sim"
 )
 
 // cpuDev models one core's packet-processing budget in front of a
 // shard's queue pair: every frame byte moved in or out of the stack is
-// charged against a serializer, and when the core is booked out the
+// booked on the core at its budget, and when the core is booked out the
 // burst returns empty — ring backpressure, exactly how an overloaded
 // poll loop behaves. (The wire and the bus are modeled elsewhere; a
 // sharded environment needs the core to be the bottleneck, or shard
 // counts could not matter.)
 type cpuDev struct {
-	dev fstack.EthDevice
-	cpu *sim.Serializer
+	dev    fstack.EthDevice
+	clk    hostos.Clock
+	cpu    *sim.Core
+	bps    float64 // the core's budget, bits/s
+	window int64   // cpuWindow(bps)
+}
+
+func newCPUDev(dev fstack.EthDevice, clk hostos.Clock, bps float64) cpuDev {
+	return cpuDev{dev: dev, clk: clk, cpu: new(sim.Core), bps: bps, window: cpuWindow(bps)}
 }
 
 // cpuChunk bounds how many frames are harvested per admission check,
@@ -25,21 +33,19 @@ type cpuDev struct {
 const cpuChunk = 4
 
 // cpuWindow is how far ahead a core may be booked: three full-size
-// frame times at its budget, like the device serializers.
+// frame times at its budget, like the NIC's line and bus shares.
 func cpuWindow(cpuBps float64) int64 {
 	return int64(3 * 1538 * 8e9 / cpuBps)
 }
 
 func (d cpuDev) RxBurst(out []*dpdk.Mbuf) int {
+	now := d.clk.Now()
 	total := 0
-	for total < len(out) {
-		if !d.cpu.CanAdmit() {
-			break
-		}
+	for total < len(out) && d.cpu.Admits(now, d.window) {
 		k := min(cpuChunk, len(out)-total)
 		n := d.dev.RxBurst(out[total : total+k])
 		for i := 0; i < n; i++ {
-			d.cpu.Book(out[total+i].Len())
+			d.cpu.Book(now, sim.BytesNS(out[total+i].Len(), d.bps))
 		}
 		total += n
 		if n < k {
@@ -67,8 +73,9 @@ func (d cpuDev) TxBurst(bufs []*dpdk.Mbuf) int {
 		lens[i] = m.Len()
 	}
 	n := d.dev.TxBurst(bufs)
+	now := d.clk.Now()
 	for i := 0; i < n; i++ {
-		d.cpu.Book(lens[i])
+		d.cpu.Book(now, sim.BytesNS(lens[i], d.bps))
 	}
 	return n
 }

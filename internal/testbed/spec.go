@@ -327,7 +327,8 @@ func (s Spec) validate() error {
 }
 
 // validRate rejects a bit rate that is neither unset (0) nor positive and
-// finite: it would pass for unset, or panic in sim.NewSerializer.
+// finite: it would pass for unset, or price the bookings of the sim.Core
+// it paces (sim.BytesNS) in negative, zero or undefined time.
 func validRate(v float64, what, field string) error {
 	if !(v >= 0) || math.IsInf(v, 0) {
 		return fmt.Errorf("testbed: %s: %s is %v; a rate is positive, or 0 for unset", what, field, v)

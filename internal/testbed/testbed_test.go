@@ -149,8 +149,9 @@ func TestSpecValidationErrors(t *testing.T) {
 	wantBuildError(t, s, "congestion")
 
 	// A rate is positive, or 0 for unset. A negative or NaN line rate
-	// passed cmp.Or and panicked in sim.NewSerializer inside Build; a
-	// negative CPU budget or link rate was silently "unset".
+	// would pass cmp.Or into Build and price the line's bookings in
+	// negative or undefined time; a negative CPU budget or link rate
+	// would be silently "unset".
 	s = minimalSpec()
 	s.Machine.LineRateBps = -1e9
 	wantBuildError(t, s, "machine morello: LineRateBps")
