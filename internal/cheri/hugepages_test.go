@@ -35,6 +35,13 @@ func TestScenario9DNSHugePages(t *testing.T) {
 	if r.Completed == 0 {
 		t.Fatal("the run completed no query")
 	}
+	checkHugePages(t, bed, maxDNSBedHugePages)
+}
+
+// checkHugePages fails for every machine of bed that backs more than
+// limit hugepages.
+func checkHugePages(t *testing.T, bed *testbed.Bed, limit int) {
+	t.Helper()
 	names, machines := []string{"local"}, []*testbed.Machine{bed.Local}
 	for _, p := range bed.Peers {
 		names, machines = append(names, p.Env.Name), append(machines, p.M)
@@ -43,8 +50,34 @@ func TestScenario9DNSHugePages(t *testing.T) {
 		mem := m.K.Mem
 		reserved := (mem.Size() + cheri.HugePageSize - 1) / cheri.HugePageSize
 		t.Logf("%s: %d of %d hugepages backed", names[i], mem.HugePages(), reserved)
-		if got := mem.HugePages(); got > maxDNSBedHugePages {
-			t.Errorf("%s backs %d of its %d hugepages after the run, want at most %d", names[i], got, reserved, maxDNSBedHugePages)
+		if got := mem.HugePages(); got > limit {
+			t.Errorf("%s backs %d of its %d hugepages after the run, want at most %d", names[i], got, reserved, limit)
 		}
 	}
+}
+
+// maxChurnBedHugePages is what one machine of Scenario 8's churn bed may
+// back after a run: the client parks ~rate × 2MSL connections in
+// TIME_WAIT, which hold no socket rings (2 hugepages on each machine
+// when this was written; 11 on the client while TIME_WAIT kept them).
+const maxChurnBedHugePages = 3
+
+// TestScenario8ChurnHugePages pins that a closed connection holds no
+// segment memory: a 4-shard capability churn bed — the churn_25k
+// benchmark workload's rate at a test-sized population and duration —
+// backs at most maxChurnBedHugePages hugepages per machine.
+func TestScenario8ChurnHugePages(t *testing.T) {
+	cfg := core.Scenario8Config{Shards: 4, CapMode: true, Conns: 2000, Rate: 50000, DurationNS: 100e6}
+	bed, err := core.NewScenario8(sim.NewVClock(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.Scenario8Churn(bed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed == 0 {
+		t.Fatal("the run completed no flow")
+	}
+	checkHugePages(t, bed, maxChurnBedHugePages)
 }

@@ -45,10 +45,11 @@ const (
 	s8SynCache = 4096
 
 	// Environment sizing: the segment carries the mbuf pool plus the
-	// lazily-backed buffers of the active churn population (TIME_WAIT
-	// holds a closed conn's buffers until the arena recycles them,
-	// ~rate × 2MSL conns on the client side). Idle preload conns never
-	// move data, so lazy buffers keep them out of this budget entirely.
+	// lazily-backed buffers of the churn flows still open (a conn gives
+	// its rings back to the segment on entering TIME_WAIT, so the ~rate
+	// × 2MSL conns parked there on the client side hold none). Idle
+	// preload conns never move data, so lazy buffers keep them out of
+	// this budget entirely.
 	s8SegSize  = 48 << 20
 	s8PoolBufs = 3072
 )

@@ -27,8 +27,8 @@ func (s *Stack) Crash() {
 	s.down = true
 
 	// Abort every live connection in creation order, so the trace
-	// events and counter folds this emits are identical run to run
-	// (map order is not).
+	// events this emits, and the order rings go back to the segment,
+	// are identical run to run (map order is not).
 	order := make([]*tcpConn, 0, len(s.conns))
 	for _, c := range s.conns {
 		order = append(order, c)

@@ -62,7 +62,9 @@
 //     state (BenchmarkConnChurn pins it).
 //     TIME_WAIT holds tuples for 2MSL with both BSD reuse paths
 //     (active reconnect and forward-sequence fresh SYN) counted in
-//     StackStats; ephemeral-port exhaustion returns EADDRNOTAVAIL.
+//     StackStats, and gives the conn's socket rings back to the
+//     segment on entry; ephemeral-port exhaustion returns
+//     EADDRNOTAVAIL.
 //
 //   - The datagram plane is bounded and pooled: each UDP socket holds
 //     a head-indexed receive ring (256 datagrams deep) whose overflow

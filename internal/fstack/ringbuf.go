@@ -18,7 +18,7 @@ type sockBuf struct {
 	base   uint64
 	size   int // power of two
 	r, w   uint64
-	backed bool // segment memory reserved (false only under LazyBuffers)
+	backed bool // segment memory reserved (false under LazyBuffers until the first write, and after release)
 }
 
 // init makes b an empty ring of the given power-of-two size. A lazy ring
@@ -50,6 +50,16 @@ func (b *sockBuf) back() error {
 	b.base = base
 	b.backed = true
 	return nil
+}
+
+// release empties the ring and gives its segment memory back: the
+// connection will neither read nor write it again. The next write, by a
+// recycled connection, backs it anew.
+func (b *sockBuf) release() {
+	if b.backed {
+		b.seg.Free(b.base, uint64(b.size))
+	}
+	b.base, b.r, b.w, b.backed = 0, 0, 0, false
 }
 
 // span is where the n bytes at logical position pos begin in segment

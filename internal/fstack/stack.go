@@ -493,18 +493,7 @@ func (s *Stack) Unlock() {}
 func (s *Stack) now() int64 { return s.clk.Now() }
 
 // Stats returns a copy of the counters.
-func (s *Stack) Stats() StackStats {
-	st := s.stats
-	for _, c := range s.conns {
-		st.Retransmit += c.retransSegs
-		st.FastRetransmit += c.fastRetrans
-		st.SACKRetransmit += c.sackRetrans
-		st.RTORetransmit += c.rtoRetrans
-		st.DupAcks += c.dupAcksIn
-		st.PersistProbes += c.persistProbes
-	}
-	return st
-}
+func (s *Stack) Stats() StackStats { return s.stats }
 
 // SetObs attaches the flight recorder and RTT histogram to this stack's
 // TCP machinery; src tags emitted events (shard index for sharded
@@ -902,21 +891,13 @@ func (s *Stack) sendRSTFor(nif *NetIF, ip IPv4Header, h TCPHeader, payloadLen in
 	s.sendIPv4(nif, m, frame, ip.Src, ProtoTCP, hl)
 }
 
-// removeConn drops the connection from the table: fold its counters,
-// unfile its timer, release its port — all O(1) — and recycle the
-// struct when nothing else can reach it.
+// removeConn drops the connection from the table: unfile its timer,
+// release its port — both O(1) — and recycle the struct when nothing
+// else can reach it.
 func (s *Stack) removeConn(c *tcpConn) {
 	if c.detached {
 		return
 	}
-	s.stats.Retransmit += c.retransSegs
-	s.stats.FastRetransmit += c.fastRetrans
-	s.stats.SACKRetransmit += c.sackRetrans
-	s.stats.RTORetransmit += c.rtoRetrans
-	s.stats.DupAcks += c.dupAcksIn
-	s.stats.PersistProbes += c.persistProbes
-	c.retransSegs, c.fastRetrans, c.sackRetrans, c.rtoRetrans = 0, 0, 0, 0
-	c.dupAcksIn, c.persistProbes = 0, 0
 	delete(s.conns, c.tuple)
 	if c.tuple.local.Port >= ephemeralBase {
 		s.portRelease(c.tuple.local.Port)

@@ -173,14 +173,6 @@ type tcpConn struct {
 	detached  bool
 	sk        *socket
 	inPending bool
-
-	// counters (exposed via stack stats)
-	retransSegs   uint64 // total retransmitted segments
-	fastRetrans   uint64 // dup-ACK fast retransmits (incl. NewReno partial-ACK resends)
-	sackRetrans   uint64 // scoreboard-guided hole fills
-	rtoRetrans    uint64 // segments resent after a timeout rewind
-	dupAcksIn     uint64 // duplicate ACKs received
-	persistProbes uint64 // zero-window probes sent
 }
 
 // newTCPConn builds a connection in the given state with buffers from
@@ -294,11 +286,15 @@ func (s *Stack) resetConn(c *tcpConn, nif *NetIF, tuple fourTuple, rcvSize int) 
 
 // maybeRecycleConn returns a detached connection struct to the arena
 // once nothing else can reach it: no socket, no accept-queue slot, no
-// poll visit-set or ready-list membership.
+// poll visit-set or ready-list membership. Its rings go back to the
+// segment then, not at removeConn: an aborted connection's socket may
+// still read what it received.
 func (s *Stack) maybeRecycleConn(c *tcpConn) {
 	if !c.detached || c.inPending || c.sk != nil || c.queued || c.onReady {
 		return
 	}
+	c.sndBuf.release()
+	c.rcvBuf.release()
 	s.connFree = append(s.connFree, c)
 }
 
@@ -504,8 +500,8 @@ func (c *tcpConn) output() {
 			break
 		}
 		if retransmitting {
-			c.retransSegs++
-			c.rtoRetrans++
+			c.stk.stats.Retransmit++
+			c.stk.stats.RTORetransmit++
 			c.noteRetx(obs.RetxRTO, c.sndNxt)
 		}
 		c.sndNxt += uint32(n)
@@ -579,7 +575,7 @@ func (c *tcpConn) onPersist() {
 		return
 	}
 	if c.sendSegment(TCPAck, c.sndUna, 1, false) {
-		c.persistProbes++
+		c.stk.stats.PersistProbes++
 		if c.sndNxt == c.sndUna {
 			c.sndNxt++
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
@@ -713,8 +709,8 @@ func (c *tcpConn) nextUnsacked(seq uint32, want int) (uint32, int) {
 func (c *tcpConn) retransmitHead() {
 	n := min(min(c.sndMSS, c.sndBuf.Len()), int(c.sndNxt-c.sndUna))
 	if n > 0 && c.sendSegment(TCPAck, c.sndUna, n, false) {
-		c.retransSegs++
-		c.fastRetrans++
+		c.stk.stats.Retransmit++
+		c.stk.stats.FastRetransmit++
 		c.noteRetx(obs.RetxFast, c.sndUna)
 	}
 	c.armRTO()
@@ -743,8 +739,8 @@ func (c *tcpConn) sackFill() {
 		if !c.sendSegment(TCPAck, seq, n, false) {
 			return // TX ring full: the next ACK retries
 		}
-		c.retransSegs++
-		c.sackRetrans++
+		c.stk.stats.Retransmit++
+		c.stk.stats.SACKRetransmit++
 		c.noteRetx(obs.RetxSACK, seq)
 		c.rtxNxt = seq + uint32(n)
 		c.armRTO()
@@ -787,7 +783,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		if ack == c.sndUna && c.inflight() > 0 && c.peerWnd(h) == c.sndWnd &&
 			c.persistAt == 0 {
 			c.dupAcks++
-			c.dupAcksIn++
+			c.stk.stats.DupAcks++
 			switch {
 			case c.dupAcks == 3 && !c.inRecovery:
 				c.enterRecovery()
@@ -1133,13 +1129,19 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 	}
 }
 
-// enterTimeWait parks the connection for 2MSL.
+// enterTimeWait parks the connection for 2MSL, keeping only what it
+// needs to answer a retransmitted FIN. Its rings go back to the segment
+// (FreeBSD's tcp_twstart): TIME_WAIT follows Close, our FIN is
+// acknowledged and the peer's is sequenced, so nothing reads or writes
+// either ring again.
 func (c *tcpConn) enterTimeWait() {
 	c.setState(tcpTimeWait)
 	c.timeWaitAt = c.stk.now() + timeWaitDur
 	c.stk.noteTimer(c, c.timeWaitAt)
 	c.rtxAt = 0
 	c.persistAt = 0
+	c.sndBuf.release()
+	c.rcvBuf.release()
 }
 
 // setState transitions the connection. Every state change goes through
@@ -1156,8 +1158,8 @@ func (c *tcpConn) setState(s tcpState) {
 }
 
 // noteRetx records one retransmission event (kind is obs.RetxRTO /
-// RetxFast / RetxSACK). The counters above remain the source of truth
-// for stats; the event adds when and which sequence to the trace.
+// RetxFast / RetxSACK). The stack's counters remain the source of
+// truth for stats; the event adds when and which sequence to the trace.
 func (c *tcpConn) noteRetx(kind int64, seq uint32) {
 	if tr := c.stk.obsTr; tr != nil {
 		tr.Record(c.stk.now(), obs.EvTCPRetransmit, c.stk.obsSrc,
@@ -1246,6 +1248,17 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 			c.sendSegment(TCPSyn|TCPAck, c.sndUna, 0, true)
 			return
 		} else {
+			return
+		}
+
+	case tcpTimeWait:
+		if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload))+1 == c.rcvNxt {
+			// The peer's FIN again: our ACK of it was lost. ACK it
+			// anew and restart 2MSL (RFC 793 p. 73, FreeBSD's
+			// tcp_twcheck).
+			c.sendAckNow()
+			c.timeWaitAt = c.stk.now() + timeWaitDur
+			c.stk.noteTimer(c, c.timeWaitAt)
 			return
 		}
 	}
