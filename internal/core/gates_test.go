@@ -462,7 +462,8 @@ func TestEnvNowNSPaths(t *testing.T) {
 // gates. The supervisor revives it and re-seals the gates in place
 // (StackGates.Rebind); the app's HTTP server, restarted from the hook on
 // the very GatedAPI it was placed on, serves requests issued after the
-// fault to a resilient client on the peer.
+// fault to a resilient client on the peer, and a socket the app opened
+// before the fault is still its own to close.
 func TestAPIGatedStackRestart(t *testing.T) {
 	const faultAt = int64(100e6)
 	bed, err := testbed.Build(testbed.Spec{
@@ -487,6 +488,12 @@ func TestAPIGatedStackRestart(t *testing.T) {
 	site := gated.Site()
 	if site.API != fstack.API(gated) {
 		t.Fatalf("the app site's API is %T, want the GatedAPI", site.API)
+	}
+	// A socket opened before the fault stays the app's own across the
+	// re-seal: the app's descriptor table outlives the gates.
+	extra, errno := gated.Socket(fstack.SockStream)
+	if errno != hostos.OK {
+		t.Fatalf("extra socket: %v", errno)
 	}
 	srv := app.NewHTTPServer(fstack.IPv4Addr{}, s10Port, s10Backlog, 256)
 	hooked := 0
@@ -525,6 +532,9 @@ func TestAPIGatedStackRestart(t *testing.T) {
 	}
 	if before == 0 || after == 0 {
 		t.Fatalf("completed %d requests issued before the fault and %d after, want both", before, after)
+	}
+	if errno := gated.Close(extra); errno != hostos.OK {
+		t.Fatalf("closing the socket opened before the fault: %v, want OK", errno)
 	}
 	t.Logf("completed %d before the fault, %d after; lost %d, resets %d", before, after, cli.Lost(), cli.Resets())
 }

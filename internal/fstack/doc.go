@@ -39,10 +39,10 @@
 //     Connection, socket and listener tables plus timers are
 //     shard-local; ARP state is shared (read-mostly); listening sockets
 //     are cloned per shard so a SYN is accepted wherever RSS lands it.
-//     ShardedAPI is the application view: cloned listeners, pinned
-//     connections, and outbound source-port engineering that
-//     round-robins new connections over the shards. Scenario 4
-//     measures the resulting aggregate-goodput scaling.
+//     ShardedAPI is one caller's view: its own descriptors over cloned
+//     listeners and pinned connections, and source ports from the
+//     stack's one rotation that round-robin new connections over the
+//     shards. Scenario 4 measures the resulting aggregate-goodput scaling.
 //
 //   - In capability mode (the CHERI port) socket buffers and all packet
 //     memory live in a bounded memory segment and every copy is a
@@ -74,7 +74,7 @@
 //     RecvFrom and Close, so a steady-state query/answer round trip is
 //     zero-alloc (BenchmarkUDPRoundTrip pins it). ShardedAPI extends
 //     SendTo/RecvFrom with the same RSS steering as TCP: an
-//     unbound-socket SendTo auto-binds an ephemeral source port, and
+//     unbound-socket SendTo auto-binds a source port of the rotation, and
 //     bound sockets are cloned per shard so a datagram is delivered
 //     wherever RSS lands it.
 //

@@ -26,39 +26,51 @@ import (
 // (dpdk.EthDev.RxQueueOf).
 type SteerFunc func(src, dst [4]byte, proto byte, sport, dport uint16) int
 
-// ShardedStack is N independent Stacks over one multi-queue device.
+// ShardedStack is N independent Stacks over one multi-queue device. An
+// unsharded stack is a ShardedStack of one.
 type ShardedStack struct {
 	shards []*Stack
 	steer  SteerFunc // of the first interface bound
+	// eph and rr are the port and shard rotation every view places an
+	// unbound socket by, so two views never pick one source port.
+	eph uint16
+	rr  int
 }
 
 // NewShardedStack builds n shards over the given segment, buffer pool
-// and clock. Each shard gets a disjoint ephemeral-port range so two
-// shards can never mint the same four-tuple.
+// and clock.
 func NewShardedStack(n int, seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) (*ShardedStack, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fstack: sharded stack needs at least one shard")
 	}
-	ss := &ShardedStack{}
+	ss := &ShardedStack{eph: 40000}
 	for i := 0; i < n; i++ {
-		s := NewStack(seg, pool, clk)
-		s.ephemeral = uint16(32768 + i*2048)
-		ss.shards = append(ss.shards, s)
+		ss.shards = append(ss.shards, NewStack(seg, pool, clk))
 	}
 	return ss, nil
 }
 
+// nextPort takes the next port of the stack's rotation.
+func (ss *ShardedStack) nextPort() uint16 {
+	p := ss.eph
+	ss.eph++
+	if ss.eph < 40000 {
+		ss.eph = 40000
+	}
+	return p
+}
+
 // AddNetIF binds one interface: shard i drives devs[i] — queue pair i of
 // a started multi-queue device, already wrapped in whatever the layout
-// puts in front of it — and every shard shares one ARP cache for the
-// interface. steer is that device's steering oracle.
+// puts in front of it — and every shard shares shard 0's ARP cache for
+// the interface. steer is that device's steering oracle.
 func (ss *ShardedStack) AddNetIF(devs []EthDevice, steer SteerFunc, ip, mask IPv4Addr) error {
 	if len(devs) != len(ss.shards) {
 		return fmt.Errorf("fstack: %d queue handles for %d shards", len(devs), len(ss.shards))
 	}
-	arp := newARPCache()
-	for i, s := range ss.shards {
-		s.AddNetIF(devs[i], ip, mask).arp = arp
+	arp := ss.shards[0].AddNetIF(devs[0], ip, mask).arp
+	for i, s := range ss.shards[1:] {
+		s.AddNetIF(devs[i+1], ip, mask).arp = arp
 	}
 	if ss.steer == nil {
 		ss.steer = steer
@@ -137,29 +149,28 @@ type shardedFD struct {
 	}
 }
 
-// ShardedAPI is the application's view of a ShardedStack: the same ff_*
+// ShardedAPI is one caller's view of a ShardedStack: the same ff_*
 // surface as a single stack, with descriptors fanned out underneath.
 // Listening sockets are cloned on every shard, so a SYN is accepted on
 // whichever shard RSS steers it to; established connections are pinned
 // to their shard; locally initiated connections pick their source port
 // first, ask the device's steering oracle which queue the return
 // traffic will hit, and are created on that shard. Calls touch only the
-// shard(s) they need.
+// shard(s) they need. A view of one shard has nothing to steer: its
+// calls are the shard's own.
 type ShardedAPI struct {
 	ss     *ShardedStack
 	nextFD int
 	fds    fdTable[*shardedFD]
 	rev    []fdTable[int] // per shard: shard fd -> logical fd
 	fdSlab []shardedFD    // unissued tail of the current slab (slabLen)
-	eph    uint16
-	rr     int // round-robin shard target for outbound connections
 }
 
-// API returns a sharded application view. It carries one application
-// driver's descriptors and port rotation: one driver uses one
-// ShardedAPI.
+// API returns a new view of the stack. A view is a descriptor table: a
+// caller acts only on the descriptors its own view issued, and every
+// view draws source ports from the stack's one rotation.
 func (ss *ShardedStack) API() *ShardedAPI {
-	return &ShardedAPI{ss: ss, nextFD: 3, rev: make([]fdTable[int], len(ss.shards)), eph: 40000}
+	return &ShardedAPI{ss: ss, nextFD: 3, rev: make([]fdTable[int], len(ss.shards))}
 }
 
 // alloc registers a logical descriptor, its struct taken from a slab
@@ -261,7 +272,8 @@ func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 // (the ephemeral-port engineering sharded clients do in practice); an
 // explicitly bound port pins the connection to wherever that tuple
 // actually hashes. Either way the clones on the other shards are
-// discarded and inbound segments need no cross-shard hand-off.
+// discarded and inbound segments need no cross-shard hand-off. With one
+// shard there is nothing to steer, and the shard picks its own port.
 func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	f := a.fds.get(fd)
 	if f == nil {
@@ -270,54 +282,49 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	if f.kind != sfSocket || f.typ != SockStream {
 		return hostos.EINVAL
 	}
-	steer := a.ss.steer
-	if steer == nil {
-		return hostos.EINVAL
-	}
-	localIP := f.bound.ip
-	if localIP == (IPv4Addr{}) {
-		localIP = a.ss.shards[0].localIPFor(ip)
-	}
-	sport := f.bound.port
-	if sport == 0 {
-		// Inbound segments of this flow will carry src=(ip,port),
-		// dst=(local,sport): walk the ephemeral range until the tuple
-		// hashes to the round-robin target shard.
-		want := a.rr % len(a.ss.shards)
-		a.rr++
-		for try := 0; try < 512; try++ {
-			p := a.eph
-			a.eph++
-			if a.eph < 40000 {
-				a.eph = 40000
+	ss, shard := a.ss, 0
+	if len(ss.shards) > 1 {
+		if ss.steer == nil {
+			return hostos.EINVAL
+		}
+		localIP := f.bound.ip
+		if localIP == (IPv4Addr{}) {
+			localIP = ss.shards[0].localIPFor(ip)
+		}
+		sport := f.bound.port
+		if sport == 0 {
+			// Inbound segments of this flow will carry src=(ip,port),
+			// dst=(local,sport): walk the stack's rotation until the
+			// tuple hashes to the round-robin target shard.
+			want := ss.rr % len(ss.shards)
+			ss.rr++
+			for try := 0; try < 512; try++ {
+				if p := ss.nextPort(); ss.steer(ip, localIP, ProtoTCP, port, p) == want {
+					sport = p
+					break
+				}
 			}
-			if steer(ip, localIP, ProtoTCP, port, p) == want {
-				sport = p
-				break
+			if sport == 0 { // no hit in the window: take the next port as-is
+				sport = ss.nextPort()
 			}
 		}
-		if sport == 0 { // no hit in the window: take the next port as-is
-			sport = a.eph
-			a.eph++
+		shard = ss.steer(ip, localIP, ProtoTCP, port, sport)
+		// Bind and connect on the target shard BEFORE discarding the
+		// other shards' clones: on failure the logical descriptor stays
+		// a plain socket with every clone intact, so the caller can
+		// retry or close it normally.
+		if f.bound.port == 0 {
+			if errno := ss.shards[shard].Bind(f.sub[shard], f.bound.ip, sport); errno != hostos.OK {
+				return errno
+			}
 		}
 	}
-	shard := steer(ip, localIP, ProtoTCP, port, sport)
-	s := a.ss.shards[shard]
 	sfd := f.sub[shard]
-	// Bind and connect on the target shard BEFORE discarding the other
-	// shards' clones: on failure the logical descriptor stays a plain
-	// socket with every clone intact, so the caller can retry or close
-	// it normally.
-	if f.bound.port == 0 {
-		if errno := s.Bind(sfd, f.bound.ip, sport); errno != hostos.OK {
-			return errno
-		}
-	}
-	errno := s.Connect(sfd, ip, port)
+	errno := ss.shards[shard].Connect(sfd, ip, port)
 	if errno != hostos.OK && errno != hostos.EINPROGRESS {
 		return errno
 	}
-	for i, other := range a.ss.shards {
+	for i, other := range ss.shards {
 		if i == shard {
 			continue
 		}
@@ -399,16 +406,15 @@ func (a *ShardedAPI) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int,
 	if f.kind != sfSocket || f.typ != SockDgram {
 		return -1, hostos.EINVAL
 	}
+	if len(a.ss.shards) == 1 {
+		// Nothing to steer: the shard auto-binds an unbound socket itself.
+		return a.ss.shards[0].SendTo(f.sub[0], data, ip, port)
+	}
 	if f.bound.port == 0 {
-		// Auto-bind one ephemeral port on every shard, like a single
-		// stack's SendTo: answers are then queued on whichever shard RSS
-		// picks and RecvFrom scans them all.
-		p := a.eph
-		a.eph++
-		if a.eph < 40000 {
-			a.eph = 40000
-		}
-		if errno := a.Bind(fd, IPv4Addr{}, p); errno != hostos.OK {
+		// Auto-bind one port of the stack's rotation on every shard, like
+		// a single stack's SendTo: answers are then queued on whichever
+		// shard RSS picks and RecvFrom scans them all.
+		if errno := a.Bind(fd, IPv4Addr{}, a.ss.nextPort()); errno != hostos.OK {
 			return -1, errno
 		}
 	}
@@ -430,7 +436,7 @@ func (a *ShardedAPI) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos
 	if f == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
-	if f.kind != sfSocket || f.typ != SockDgram || f.bound.port == 0 {
+	if f.kind != sfSocket || f.typ != SockDgram {
 		return -1, IPv4Addr{}, 0, hostos.EINVAL
 	}
 	for i, s := range a.ss.shards {

@@ -320,26 +320,22 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 		}
 	}
 
-	// 4. Which stack binds the handles.
-	if cs.Stack.Shards > 0 {
-		if env.Sharded, err = fstack.NewShardedStack(nq, env.Seg, env.Pool, b.Clk); err != nil {
+	// 4. Which stack binds the handles: one shard per queue pair, one for
+	// an unsharded stack. The steering oracle is a pure function of the
+	// RSS key and table the driver programmed, so a device-gated stack
+	// asks it directly (like NextDeadline) instead of across the gates.
+	if env.set, err = fstack.NewShardedStack(nq, env.Seg, env.Pool, b.Clk); err != nil {
+		return nil, err
+	}
+	for i, ic := range cs.Ifs {
+		if err := env.set.AddNetIF(handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
 			return nil, err
 		}
-		// The steering oracle is a pure function of the RSS key and table
-		// the driver programmed, so a device-gated stack asks it directly
-		// (like NextDeadline) instead of across the gates.
-		for i, ic := range cs.Ifs {
-			if err := env.Sharded.AddNetIF(handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
-				return nil, err
-			}
-		}
-		env.stacks = env.Sharded.Shards()
+	}
+	if cs.Stack.Shards > 0 {
+		env.Sharded = env.set
 	} else {
-		env.Stk = fstack.NewStack(env.Seg, env.Pool, b.Clk)
-		for i, ic := range cs.Ifs {
-			env.Stk.AddNetIF(handles[i][0], ipOf(ic.Port), Mask24)
-		}
-		env.stacks = []*fstack.Stack{env.Stk}
+		env.Stk = env.set.Shards()[0]
 		// A cVM's main loop is the cVM's thread: stack work and crossings
 		// book on one core. (A shard is a thread of its own, and keeps its.)
 		if env.CVM != nil {
@@ -348,12 +344,8 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 	}
 
 	// 5. Who calls the API: code inside the compartment, or application
-	// cVMs through sealed gates.
+	// cVMs through sealed gates, each on a descriptor view of its own.
 	if cs.APIGate {
-		env.api = env.Stk
-		if env.Sharded != nil {
-			env.api = env.Sharded.API()
-		}
 		if b.Gates, err = NewStackGates(m.IV, env); err != nil {
 			return nil, err
 		}

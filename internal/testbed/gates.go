@@ -23,10 +23,10 @@ type StackGates struct {
 	socket, bind, listen, accept, connect *intravisor.Gate
 	read, write, sendTo, recvFrom, closeG *intravisor.Gate
 	epCreate, epCtl, epWait               *intravisor.Gate
-	// api is the stack the gates enter, retained for WriteRoom only: how
-	// much a write would load is simulator introspection, not modelled
+	// env is whose stack the gates enter, retained for WriteRoom only:
+	// how much a write would load is simulator introspection, not modelled
 	// datapath, so it burns no crossing (as DevGates.dev's deadlines).
-	api stackAPI
+	env *Env
 }
 
 // Rebind re-exports every gate after the stack compartment restarted.
@@ -65,17 +65,6 @@ func getSockaddr(b []byte) (fstack.IPv4Addr, uint16) {
 	return fstack.IPv4Addr{b[0], b[1], b[2], b[3]}, binary.LittleEndian.Uint16(b[4:6])
 }
 
-// stackAPI is what the gates export: the socket API of a Stack, or of a
-// ShardedAPI fanning out over a sharded one, with the capability-buffer
-// stream calls beside it and WriteCap's load bound. The gate targets
-// never learn which.
-type stackAPI interface {
-	fstack.API
-	ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
-	WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno)
-	WriteRoom(fd int) int
-}
-
 // capRoom is how many bytes c covers from its cursor on: 0 for an
 // untagged capability or a cursor outside the bounds.
 func capRoom(c cheri.Cap) uint64 {
@@ -101,14 +90,14 @@ func crossedLen(v uint64, unit, hdr, limit int, buf cheri.Cap) (int, hostos.Errn
 }
 
 // NewStackGates exports the socket API of stackEnv's stack from its
-// cVM.
+// cVM. Every target enters the calling cVM's own descriptor view, so a
+// caller can act on no descriptor another caller opened.
 func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error) {
 	if stackEnv.CVM == nil {
 		return nil, fmt.Errorf("testbed: gates need a cVM-hosted stack")
 	}
-	s := stackEnv.api
 	mem := iv.Mem()
-	g := &StackGates{api: s}
+	g := &StackGates{env: stackEnv}
 	// mk seals one entry point; the first failure sticks and is returned
 	// once every target is declared.
 	var err error
@@ -118,17 +107,17 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		}
 		return gate
 	}
-	g.socket = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		fd, errno := s.Socket(int(a[0]))
+	g.socket = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		fd, errno := stackEnv.view(c).Socket(int(a[0]))
 		return uint64(fd), errno
 	})
-	g.bind = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return 0, s.Bind(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
+	g.bind = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return 0, stackEnv.view(c).Bind(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
 	})
-	g.listen = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return 0, s.Listen(int(a[0]), int(a[1]))
+	g.listen = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return 0, stackEnv.view(c).Listen(int(a[0]), int(a[1]))
 	})
-	g.accept = mk(func(_ *intravisor.CVM, a hostos.Args, addrOut cheri.Cap) (uint64, hostos.Errno) {
+	g.accept = mk(func(c *intravisor.CVM, a hostos.Args, addrOut cheri.Cap) (uint64, hostos.Errno) {
 		// The peer address goes through the caller's sockaddr buffer,
 		// checked before a connection leaves the queue for a buffer that
 		// cannot take it.
@@ -139,7 +128,7 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 				return 0, hostos.EFAULT
 			}
 		}
-		nfd, ip, port, errno := s.Accept(int(a[0]))
+		nfd, ip, port, errno := stackEnv.view(c).Accept(int(a[0]))
 		if errno != hostos.OK {
 			return 0, errno
 		}
@@ -148,26 +137,26 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		}
 		return uint64(nfd), hostos.OK
 	})
-	g.connect = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return 0, s.Connect(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
+	g.connect = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return 0, stackEnv.view(c).Connect(int(a[0]), ip4FromU64(a[1]), uint16(a[2]))
 	})
-	g.read = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
+	g.read = mk(func(c *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
 		want, errno := crossedLen(a[1], 1, 0, stageReadSize, dst)
 		if errno != hostos.OK {
 			return 0, errno
 		}
-		n, errno := s.ReadCap(int(a[0]), mem, dst, want)
+		n, errno := stackEnv.view(c).ReadCap(int(a[0]), mem, dst, want)
 		return uint64(n), errno
 	})
-	g.write = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
+	g.write = mk(func(c *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
 		have, errno := crossedLen(a[1], 1, 0, StageWriteSize, src)
 		if errno != hostos.OK {
 			return 0, errno
 		}
-		n, errno := s.WriteCap(int(a[0]), mem, src, have)
+		n, errno := stackEnv.view(c).WriteCap(int(a[0]), mem, src, have)
 		return uint64(n), errno
 	})
-	g.sendTo = mk(func(_ *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
+	g.sendTo = mk(func(c *intravisor.CVM, a hostos.Args, src cheri.Cap) (uint64, hostos.Errno) {
 		// The stack builds the datagram from the caller's staged bytes,
 		// read through the capability that crossed.
 		have, errno := crossedLen(a[1], 1, 0, StageWriteSize, src)
@@ -178,10 +167,10 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		if err != nil {
 			return 0, hostos.EFAULT
 		}
-		n, errno := s.SendTo(int(a[0]), data, ip4FromU64(a[2]), uint16(a[3]))
+		n, errno := stackEnv.view(c).SendTo(int(a[0]), data, ip4FromU64(a[2]), uint16(a[3]))
 		return uint64(n), errno
 	})
-	g.recvFrom = mk(func(_ *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
+	g.recvFrom = mk(func(c *intravisor.CVM, a hostos.Args, dst cheri.Cap) (uint64, hostos.Errno) {
 		// The sender's address leads the caller's buffer, the payload
 		// follows it.
 		want, errno := crossedLen(a[1], 1, sockaddrLen, stageReadSize-sockaddrLen, dst)
@@ -192,23 +181,23 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 		if err != nil {
 			return 0, hostos.EFAULT
 		}
-		n, ip, port, errno := s.RecvFrom(int(a[0]), buf[sockaddrLen:])
+		n, ip, port, errno := stackEnv.view(c).RecvFrom(int(a[0]), buf[sockaddrLen:])
 		if errno != hostos.OK {
 			return 0, errno
 		}
 		putSockaddr(buf, ip, port)
 		return uint64(n), hostos.OK
 	})
-	g.closeG = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return 0, s.Close(int(a[0]))
+	g.closeG = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return 0, stackEnv.view(c).Close(int(a[0]))
 	})
-	g.epCreate = mk(func(_ *intravisor.CVM, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return uint64(s.EpollCreate()), hostos.OK
+	g.epCreate = mk(func(c *intravisor.CVM, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return uint64(stackEnv.view(c).EpollCreate()), hostos.OK
 	})
-	g.epCtl = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		return 0, s.EpollCtl(int(a[0]), int(a[1]), int(a[2]), uint32(a[3]))
+	g.epCtl = mk(func(c *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
+		return 0, stackEnv.view(c).EpollCtl(int(a[0]), int(a[1]), int(a[2]), uint32(a[3]))
 	})
-	g.epWait = mk(func(_ *intravisor.CVM, a hostos.Args, evOut cheri.Cap) (uint64, hostos.Errno) {
+	g.epWait = mk(func(c *intravisor.CVM, a hostos.Args, evOut cheri.Cap) (uint64, hostos.Errno) {
 		maxEv, errno := crossedLen(a[1], stageEventLen, 0, stageEventsMax, evOut)
 		if errno != hostos.OK {
 			return 0, errno
@@ -220,7 +209,7 @@ func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error
 			return 0, hostos.EFAULT
 		}
 		var evs [stageEventsMax]fstack.Event
-		n, errno := s.EpollWait(int(a[0]), evs[:maxEv])
+		n, errno := stackEnv.view(c).EpollWait(int(a[0]), evs[:maxEv])
 		if errno != hostos.OK {
 			return 0, errno
 		}
@@ -359,7 +348,7 @@ func (a *GatedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
 	sent := 0
 	for sent < len(src) {
 		chunk := src[sent:min(sent+stageChunk, len(src))]
-		room := min(a.G.api.WriteRoom(fd), len(chunk))
+		room := min(a.G.env.view(a.App).WriteRoom(fd), len(chunk))
 		buf, errno := a.stage(sent, chunk[:room], len(chunk))
 		if errno != hostos.OK {
 			return -1, errno

@@ -249,7 +249,8 @@ func udpEcho(t *testing.T, bed *Bed, clk *sim.VClock, api fstack.API, fd int, po
 // every exported F-Stack entry point, on a fresh socket, a listening one,
 // a connected one with unread data and a bound datagram socket with a
 // queued datagram; a second application cVM's socket on the same stack
-// keeps echoing. On the single stack and on the sharded API.
+// keeps echoing, and the attacker can name none of its descriptors. On
+// the single stack and on the sharded API.
 func TestHostileStackGateCaller(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) { hostileStackGateCaller(t, shards) })
@@ -320,6 +321,25 @@ func hostileStackGateCaller(t *testing.T, shards int) {
 		{"epWait", g.epWait, func(_, ep uint64) hostos.Args { return hostos.Args{ep, 8} }, 2,
 			stage(stageEventsOff, 8*stageEventLen), 9},
 	}
+
+	// The isolation rows: the attacker names the victim's descriptors, a
+	// bound datagram socket and an epoll instance watching it, at every
+	// target that takes a descriptor. Both are another caller's, so each
+	// call is EBADF, and the victim's socket keeps echoing.
+	vep := victim.EpollCreate()
+	if errno := victim.EpollCtl(vep, fstack.EpollCtlAdd, vfd, fstack.EPOLLIN); errno != hostos.OK {
+		t.Fatalf("victim epoll: %v", errno)
+	}
+	for _, tg := range targets {
+		if tg.name == "socket" || tg.name == "epCreate" {
+			continue
+		}
+		a := tg.args(uint64(vfd), uint64(vep))
+		if _, errno := tg.gate.Call(attacker.App, a, tg.buf); errno != hostos.EBADF {
+			t.Errorf("%s(%v) on the victim's descriptors: %v, want EBADF", tg.name, a[:tg.nargs], errno)
+		}
+	}
+	udpEcho(t, bed, clk, victim, vfd, victimPort, "calls on the victim's descriptors")
 
 	port := uint16(20000)
 	// sockets opens the four socket states afresh (the listener with a

@@ -112,9 +112,9 @@ func newMachine(clk hostos.Clock, arena *nic.FrameArena, macLast byte, ms Machin
 
 // Env is one network environment — the DPDK segment, buffer pool,
 // bound ports and stack of either a Baseline process or a cVM. A
-// sharded environment (StackSpec.Shards > 0) carries a ShardedStack
-// instead of a single Stack. Either way each of its stacks is one main
-// loop, and Stacks lists them.
+// sharded environment (StackSpec.Shards > 0) exposes its ShardedStack,
+// an unsharded one that set's one shard as Stk. Either way each of its
+// stacks is one main loop, and Stacks lists them.
 type Env struct {
 	Name string
 	CVM  *intravisor.CVM // nil for Baseline processes
@@ -127,8 +127,10 @@ type Env struct {
 	// Sharded is the multi-queue stack of a sharded environment.
 	Sharded *fstack.ShardedStack
 
-	// stacks is what Stacks returns.
-	stacks []*fstack.Stack
+	// set is every stack: Sharded, or Stk as its one shard.
+	set *fstack.ShardedStack
+	// views are the gated callers' descriptor views of set, by caller ID.
+	views []*fstack.ShardedAPI
 	// drv is the builder's record of the devices the stack's queue
 	// handles lead to, in IfSpec order: Devs, except that a device-gated
 	// environment's driver sits in its own cVM and is not listed there.
@@ -136,8 +138,6 @@ type Env struct {
 	// devGates are the sealed entry points in front of drv, device by
 	// device, when the driver sits in its own cVM.
 	devGates []*DevGates
-	// api is the socket API the environment's gates export (APIGate).
-	api stackAPI
 	// k is the kernel of the machine the environment runs on.
 	k *hostos.Kernel
 }
@@ -163,7 +163,20 @@ func (e *Env) NowNS() int64 {
 
 // Stacks lists the environment's stacks, each one main loop: Stk, or
 // every shard in shard order. Callers must not mutate the slice.
-func (e *Env) Stacks() []*fstack.Stack { return e.stacks }
+func (e *Env) Stacks() []*fstack.Stack { return e.set.Shards() }
+
+// view is caller's own descriptor view of the stack, made on its first
+// call: a gated caller acts only on descriptors it opened. A view
+// outlives a re-seal of the gates, as a crashed stack's descriptors do.
+func (e *Env) view(caller *intravisor.CVM) *fstack.ShardedAPI {
+	if caller.ID >= len(e.views) {
+		e.views = append(e.views, make([]*fstack.ShardedAPI, caller.ID+1-len(e.views))...)
+	}
+	if e.views[caller.ID] == nil {
+		e.views[caller.ID] = e.set.API()
+	}
+	return e.views[caller.ID]
+}
 
 // baselineSeg allocates a plain kernel-memory segment for a process
 // environment: accesses are raw, DMA is raw.

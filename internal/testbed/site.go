@@ -23,9 +23,9 @@ type Site struct {
 
 // Site is application code inside the environment: in the loop callback
 // of a single stack, or on a new steering view of a sharded one. A view
-// carries one application driver's descriptors and its port and shard
-// rotation, so endpoints of one driver share one Site value: take it
-// once.
+// carries one application driver's descriptors (the port and shard
+// rotation is the stack's), so endpoints of one driver share one Site
+// value: take it once.
 func (e *Env) Site() Site {
 	if e.Sharded != nil {
 		return Site{Name: e.Name, API: e.Sharded.API(), Now: e.NowNS}
