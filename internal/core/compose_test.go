@@ -56,12 +56,13 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 
 // composedRun is what one cell's run leaves behind.
 type composedRun struct {
-	reports   string
-	sent      uint64 // uploads: bytes the local senders wrote
-	received  uint64 // bytes the receivers read
-	crossings uint64
-	frames    uint64 // frames the local shards moved, both ways
-	shardRx   []uint64
+	reports    string
+	sent       uint64 // uploads: bytes the local senders wrote
+	received   uint64 // bytes the receivers read
+	crossings  uint64
+	frames     uint64 // frames the local shards moved, both ways
+	frameBytes uint64 // their bytes, as the peer's device counted them
+	shardRx    []uint64
 }
 
 func runComposed(t *testing.T, shards int, layout string, upload bool) composedRun {
@@ -85,6 +86,8 @@ func runComposedObs(t *testing.T, shards int, layout string, upload bool, o test
 		run.sent += rep.local.Bytes
 		run.received += rep.recv.Bytes
 	}
+	peer := s.Peers[0].Env.Devs[0].Stats()
+	run.frameBytes = peer.IBytes + peer.OBytes
 	for i := 0; i < shards; i++ {
 		st := s.Sharded.Shards()[i].Stats()
 		run.shardRx = append(run.shardRx, st.RxFrames)
@@ -97,8 +100,22 @@ func runComposedObs(t *testing.T, shards int, layout string, upload bool, o test
 // every gate layout builds over every shard count and carries traffic —
 // every byte sent is received, every shard takes frames, gated layouts
 // cross compartments and the un-gated control never does — and a cell
-// re-run is the same run.
+// re-run is the same run. It is also where isolation shows: a crossing
+// costs the cores of the threads that run it, which are the cores the
+// shards' CPU budget admits frames on, so every gated cell's goodput —
+// bytes received from composeDuration of sending — reads strictly below
+// its un-gated control's (cells run in layout order, the control first).
+// At one shard the ratio is at or above what the cost table charges:
+// 1 − (crossings × GateCallNS + the staging copy of what the apps wrote)
+// ÷ the core time the frames took at s4CPUBps, their bytes and holds —
+// every crossing counted as booked, though a refused or empty one books
+// nothing.
 func TestShardsComposeWithGates(t *testing.T) {
+	type cell struct {
+		shards int
+		upload bool
+	}
+	control := map[cell]composedRun{}
 	for _, layout := range []string{layoutPlain, layoutAPIGated, layoutDevGated} {
 		for _, shards := range []int{1, 2, 4} {
 			for _, upload := range []bool{true, false} {
@@ -124,8 +141,30 @@ func TestShardsComposeWithGates(t *testing.T) {
 					if again := runComposed(t, shards, layout, upload); fmt.Sprint(again) != fmt.Sprint(run) {
 						t.Errorf("re-run differs:\n first  %+v\n second %+v", run, again)
 					}
-					t.Logf("%d bytes, %d frames, %d crossings = %.2f per frame",
-						run.received, run.frames, run.crossings, float64(run.crossings)/float64(run.frames))
+					ratio := "no control run"
+					if layout == layoutPlain {
+						control[cell{shards, upload}] = run
+						ratio = "control"
+					} else if plain, ok := control[cell{shards, upload}]; ok {
+						r := float64(run.received) / float64(plain.received)
+						ratio = fmt.Sprintf("goodput %.4f of un-gated", r)
+						if r >= 1 {
+							t.Errorf("gated cell received %d bytes, un-gated %d: isolation cost nothing", run.received, plain.received)
+						}
+						var rx uint64
+						for _, n := range run.shardRx {
+							rx += n
+						}
+						core := sim.BytesNS(int(run.frameBytes), s4CPUBps) + int64(rx)*sim.FrameHoldNS
+						cost := int64(run.crossings)*sim.GateCallNS + sim.CopyNS(int(run.sent))
+						bound := 1 - float64(cost)/float64(core)
+						if shards == 1 && r < bound {
+							t.Errorf("gated ÷ un-gated %.4f, below the cost table's %.4f", r, bound)
+						}
+						ratio += fmt.Sprintf(" (cost table: %.4f)", bound)
+					}
+					t.Logf("%d bytes, %d frames, %d crossings = %.2f per frame; %s",
+						run.received, run.frames, run.crossings, float64(run.crossings)/float64(run.frames), ratio)
 				})
 			}
 		}

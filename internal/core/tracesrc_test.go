@@ -54,7 +54,7 @@ func TestStackTraceSources(t *testing.T) {
 		got  map[uint16]int
 		want map[uint16]int
 	}{
-		{"scenario 4 x 4 shards", stackSources(t, s4.Trace), map[uint16]int{0: 558, 1: 558, 2: 561, 3: 558, 128: 20}},
+		{"scenario 4 x 4 shards", stackSources(t, s4.Trace), map[uint16]int{0: 560, 1: 560, 2: 560, 3: 576, 128: 22}},
 		{"table II dual port", stackSources(t, dual.Obs.Trace), map[uint16]int{0: 814, 1: 814, 128: 5, 129: 5}},
 	} {
 		if !maps.Equal(tc.got, tc.want) {

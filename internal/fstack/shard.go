@@ -140,7 +140,7 @@ const (
 type shardedFD struct {
 	kind  sfKind
 	typ   int
-	shard int   // sfConn: owning shard; sfEpoll: where EpollWait starts
+	shard int   // sfConn: owning shard; sfEpoll: where EpollWait starts; else -1
 	fd    int   // sfConn: descriptor on that shard
 	sub   []int // cloned kinds: descriptor per shard
 	bound struct {
@@ -333,6 +333,16 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 	}
 	f.kind, f.shard, f.fd, f.sub = sfConn, shard, sfd, nil
 	return errno
+}
+
+// ShardOf is the shard whose thread a call on fd starts on: a connection's
+// own, an epoll instance's next, else (listener, unplaced, none) shard 0.
+func (a *ShardedAPI) ShardOf(fd int) *Stack {
+	shard := 0
+	if f := a.fds.get(fd); f != nil {
+		shard = max(f.shard, 0)
+	}
+	return a.ss.shards[shard]
 }
 
 // conn resolves a pinned descriptor.

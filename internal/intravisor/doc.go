@@ -27,9 +27,9 @@
 // restore around the sealed-pair CInvoke — is the overhead the paper
 // measures at ~125 ns (Fig. 4). In virtual time it is a modelled
 // constant: the trampoline and Gate.Call book sim's cost table on the
-// calling (and called) cVM's core as they count the crossing, and a
-// cVM's clock read sees what its thread has booked — what Figs. 4-6
-// report (DESIGN.md §15). What the crossing costs the host running the
+// cores of the threads that run the crossing (a gate names them, see
+// Threads) as they count it, and a cVM's clock read sees what its thread
+// has booked — what Figs. 4-6 report (DESIGN.md §15). What the crossing costs the host running the
 // simulator is bench/'s to measure (intravisor.gate_call_ns,
 // trampoline_ns); no report depends on it.
 package intravisor

@@ -13,24 +13,35 @@ import (
 // `void * __capability` buffer of the modified F-Stack API (§III-B).
 type GateFunc func(caller *CVM, args hostos.Args, buf cheri.Cap) (r0 uint64, errno hostos.Errno)
 
+// Threads names the cores of the two threads a call runs on: the caller's
+// and the target's (one core if the caller's thread runs the target).
+type Threads func(caller *CVM, args hostos.Args) (from, to *sim.Core)
+
 // Gate is a sealed entry point into a cVM. Scenario 2 registers one gate
 // per wrapped F-Stack API function (ff_write, ff_read, ...); application
 // cVMs hold only the sealed pair, so they can reach exactly the exported
 // entry points of the stack compartment and nothing else.
 type Gate struct {
-	iv    *Intravisor
-	owner *CVM
-	pair  cheri.EntryPair
-	fn    GateFunc
+	iv      *Intravisor
+	owner   *CVM
+	pair    cheri.EntryPair
+	fn      GateFunc
+	threads Threads
 }
 
-// NewGate exports fn from the owner cVM as a callable gate.
+// NewGate exports fn from the owner cVM as a callable gate whose calls
+// run on the caller's cVM thread and the owner's.
 func (iv *Intravisor) NewGate(owner *CVM, fn GateFunc) (*Gate, error) {
+	return iv.NewGateOn(owner, func(c *CVM, _ hostos.Args) (*sim.Core, *sim.Core) { return &c.Core, &owner.Core }, fn)
+}
+
+// NewGateOn is NewGate for calls that run on the threads named.
+func (iv *Intravisor) NewGateOn(owner *CVM, threads Threads, fn GateFunc) (*Gate, error) {
 	pair, err := iv.sealPair(owner.ddc)
 	if err != nil {
 		return nil, err
 	}
-	return &Gate{iv: iv, owner: owner, pair: pair, fn: fn}, nil
+	return &Gate{iv: iv, owner: owner, pair: pair, fn: fn, threads: threads}, nil
 }
 
 // Call performs the cross-compartment invocation from caller into the
@@ -60,40 +71,39 @@ func (g *Gate) Call(caller *CVM, args hostos.Args, buf cheri.Cap) (uint64, hosto
 		return 0, hostos.EFAULT
 	}
 	now := g.iv.K.Clk.Now()
-	free := g.owner.Core.At(now)
+	from, to := g.threads(caller, args)
+	free := to.At(now)
+	start := max(from.At(now), free)
 	r0, errno := g.fn(caller, args, buf)
 	crossings := g.iv.Crossings.Add(1)
-	g.owner.settle(caller, now, free, errno == hostos.EAGAIN)
+	g.owner.settle(caller, from, to, start, to.At(now)-free, errno == hostos.EAGAIN)
 	if g.iv.obsTr != nil {
 		g.iv.obsTr.Record(g.iv.obsNow(), obs.EvGateCrossing, uint16(caller.ID), int64(crossings), 0, 0)
 	}
 	return r0, errno
 }
 
-// settle books one counted crossing into o (sim's cost table). The
-// caller's thread ran o's code: it began once it and the compartment —
-// free at `free` before the call; the F-Stack mutex, for the stack's
-// gates — were both available, did the work the target booked on o's core
-// meanwhile, and crossed; both cores are busy until it is back.
+// settle books one counted crossing into o (sim's cost table) on the
+// threads that ran it: begun at start, once from and to were both free —
+// to being the F-Stack mutex, for the stack's gates — it did the work the
+// target booked on to meanwhile, and crossed; both are busy until back.
 //
-// A call refused with EAGAIN is a poll, free as an idle loop iteration
-// is: poll-mode callers return every driver step, so a booking per
-// refusal would tie virtual time to how often the driver steps. It leaves
-// a mark instead — the caller stands refused on o and keeps coming back
-// for the lock — and while another caller stands so, taking the lock
-// costs the hand-off on top.
-func (o *CVM) settle(caller *CVM, now, free int64, refused bool) {
+// A call refused with EAGAIN moved nothing: a poll, free as an idle loop
+// iteration is, or virtual time would depend on how often the driver
+// steps. It leaves a mark — the caller stands refused on o and keeps
+// coming back for the lock — and while another caller stands so, taking
+// the lock costs the hand-off on top.
+func (o *CVM) settle(caller *CVM, from, to *sim.Core, start, work int64, refused bool) {
 	mark := uint64(1) << caller.ID // 0 past 64 cVMs: those never stand
 	if refused {
 		o.refused |= mark
 		return
 	}
 	o.refused &^= mark
-	start := max(caller.Core.At(now), free)
 	if o.refused != 0 {
 		start += sim.HandoffNS
 	}
-	end := start + (o.Core.At(now) - free) + sim.GateCallNS
-	o.Core.Book(end, 0)
-	caller.Core.Book(end, 0)
+	end := start + work + sim.GateCallNS
+	to.Book(end, 0)
+	from.Book(end, 0)
 }

@@ -481,7 +481,8 @@ func TestProxiedSyscallsStayInTheirWindow(t *testing.T) {
 // the callee, the work the target booked and one gate crossing; a
 // refused call leaves no booking on either side however often it is
 // repeated, only a standing mark that costs every other caller the
-// hand-off until the refused one is served.
+// hand-off until the refused one is served. A call whose two threads are
+// one books the crossing once.
 func TestGateBooksTheCrossing(t *testing.T) {
 	iv := newIV(t)
 	clk := iv.K.Clk.(*sim.VClock)
@@ -537,5 +538,39 @@ func TestGateBooksTheCrossing(t *testing.T) {
 	g.Call(app, hostos.Args{}, cheri.NullCap)
 	if want := int64(2 * (work + sim.GateCallNS)); busy(app) != want {
 		t.Fatalf("after the refused caller was served: app busy %d ns, want %d (queued behind it, no hand-off)", busy(app), want)
+	}
+
+	// One thread on both sides, as a device gate's: the caller's thread
+	// runs the callee's code, so a served call books the work and one
+	// crossing once, not once per side; and a call that moves nothing
+	// books nothing, however often it repeats.
+	var thread sim.Core
+	same, err := iv.NewGateOn(stack, func(*CVM, hostos.Args) (*sim.Core, *sim.Core) { return &thread, &thread },
+		func(*CVM, hostos.Args, cheri.Cap) (uint64, hostos.Errno) {
+			if verdict == hostos.OK {
+				thread.Book(clk.Now(), work)
+			}
+			return 0, verdict
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(50_000)
+	now = clk.Now()
+	thread.Book(now, 1000)
+	before := busy(stack)
+	same.Call(stack, hostos.Args{}, cheri.NullCap)
+	if got, want := thread.At(now)-now, int64(1000+work+sim.GateCallNS); got != want {
+		t.Fatalf("served call on one thread: busy %d ns, want %d (its earlier work, the call's and one crossing)", got, want)
+	}
+	if busy(stack) != before {
+		t.Fatalf("a call on its own thread booked %d ns on the owner cVM", busy(stack)-before)
+	}
+	verdict = hostos.EAGAIN
+	for i := 0; i < 5; i++ {
+		same.Call(stack, hostos.Args{}, cheri.NullCap)
+	}
+	if got, want := thread.At(now)-now, int64(1000+work+sim.GateCallNS); got != want {
+		t.Fatalf("five calls that moved nothing: busy %d ns, want %d (unchanged)", got, want)
 	}
 }

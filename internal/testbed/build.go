@@ -289,12 +289,12 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 		env.drv = append(env.drv, dev)
 	}
 
-	// 3. What stands in front of each queue handle: the gated proxy
-	// (its stack-side half needs the stack's home, placed after the
-	// driver's and its gates), then the core's CPU budget.
+	// 3. What stands in front of each queue handle: the gated proxy (its
+	// stack-side half needs the stack's home, placed after the driver's
+	// and its gates), then the CPU budget of the queue's shard's thread.
 	if cs.DeviceGate {
 		for _, dev := range env.drv {
-			g, err := NewDevGates(m.IV, drvCVM, dev, drvPool)
+			g, err := NewDevGates(m.IV, drvCVM, dev, drvPool, env)
 			if err != nil {
 				return nil, err
 			}
@@ -306,41 +306,39 @@ func (b *Bed) buildEnv(m *Machine, cs CompartmentSpec, ipOf func(port int) fstac
 	} else {
 		env.Devs = env.drv
 	}
-	handles := make([][]fstack.EthDevice, len(env.drv))
-	for i, dev := range env.drv {
-		for q := 0; q < nq; q++ {
-			var h fstack.EthDevice = dev.Queue(q)
-			if cs.DeviceGate {
-				h = NewGatedEthDev(env.devGates[i], env.CVM, env.Pool, q)
-			}
-			if cs.Stack.CPUBps > 0 {
-				h = newCPUDev(h, b.Clk, cs.Stack.CPUBps)
-			}
-			handles[i] = append(handles[i], h)
-		}
-	}
 
 	// 4. Which stack binds the handles: one shard per queue pair, one for
-	// an unsharded stack. The steering oracle is a pure function of the
-	// RSS key and table the driver programmed, so a device-gated stack
-	// asks it directly (like NextDeadline) instead of across the gates.
+	// an unsharded stack, whose thread in a cVM is the cVM's; every port's
+	// handle for a queue books on that shard's core. The steering oracle
+	// is a pure function of the RSS key and table the driver programmed,
+	// so a device-gated stack asks it directly (like NextDeadline) instead
+	// of across the gates.
 	if env.set, err = fstack.NewShardedStack(nq, env.Seg, env.Pool, b.Clk); err != nil {
 		return nil, err
 	}
+	shards := env.set.Shards()
+	if cs.Stack.Shards == 0 && env.CVM != nil {
+		shards[0].Core = &env.CVM.Core
+	}
 	for i, ic := range cs.Ifs {
-		if err := env.set.AddNetIF(handles[i], env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
+		handles := make([]fstack.EthDevice, nq)
+		for q := range handles {
+			handles[q] = env.drv[i].Queue(q)
+			if cs.DeviceGate {
+				handles[q] = NewGatedEthDev(env.devGates[i], env.CVM, env.Pool, q)
+			}
+			if cs.Stack.CPUBps > 0 {
+				handles[q] = newCPUDev(handles[q], b.Clk, shards[q].Core, cs.Stack.CPUBps)
+			}
+		}
+		if err := env.set.AddNetIF(handles, env.drv[i].RxQueueOf, ipOf(ic.Port), Mask24); err != nil {
 			return nil, err
 		}
 	}
 	if cs.Stack.Shards > 0 {
 		env.Sharded = env.set
 	} else {
-		env.Stk = env.set.Shards()[0]
-		// A cVM's main loop is the cVM's thread: stack work and crossings
-		// book on one core. (A shard is a thread of its own, and keeps its.)
-		if env.CVM != nil {
-			env.Stk.Core = &env.CVM.Core
-		}
+		env.Stk = shards[0]
 	}
 
 	// 5. Who calls the API: code inside the compartment, or application

@@ -11,9 +11,10 @@ import (
 // shard's queue pair: every frame byte moved in or out of the stack is
 // booked on the core at its budget, and when the core is booked out the
 // burst returns empty — ring backpressure, exactly how an overloaded
-// poll loop behaves. (The wire and the bus are modeled elsewhere; a
-// sharded environment needs the core to be the bottleneck, or shard
-// counts could not matter.)
+// poll loop behaves. The core is the shard's thread, whose every other
+// booking (frame holds, writes, crossings) counts against the same budget.
+// (The wire and the bus are modeled elsewhere; a sharded environment
+// needs the core to be the bottleneck, or shard counts could not matter.)
 type cpuDev struct {
 	dev    fstack.EthDevice
 	clk    hostos.Clock
@@ -22,8 +23,8 @@ type cpuDev struct {
 	window int64   // cpuWindow(bps)
 }
 
-func newCPUDev(dev fstack.EthDevice, clk hostos.Clock, bps float64) cpuDev {
-	return cpuDev{dev: dev, clk: clk, cpu: new(sim.Core), bps: bps, window: cpuWindow(bps)}
+func newCPUDev(dev fstack.EthDevice, clk hostos.Clock, cpu *sim.Core, bps float64) cpuDev {
+	return cpuDev{dev: dev, clk: clk, cpu: cpu, bps: bps, window: cpuWindow(bps)}
 }
 
 // cpuChunk bounds how many frames are harvested per admission check,

@@ -63,14 +63,16 @@ func mbufs(t *testing.T, n, size int) []*dpdk.Mbuf {
 // budget: RX harvests cpuChunk frames at a time while the core has
 // window room and stops once it is booked past cpuWindow, refuses
 // without asking the device until AdmitAt, and resumes there; TX books
-// every frame it passes on and never refuses one.
+// every frame it passes on and never refuses one. A built bed has one
+// budget per queue (oneBudgetPerQueue).
 func TestCPUDevAdmission(t *testing.T) {
+	t.Run("one budget per queue", oneBudgetPerQueue)
 	const bps, size = 1e9, 300 // 2.4 µs a frame: four chunks cross the 36.9 µs window
 	frameNS := sim.BytesNS(size, bps)
 	clk := sim.NewVClock()
 	clk.Set(1_000_000)
 	q := &queueDev{frames: mbufs(t, 64, size)}
-	d := newCPUDev(q, clk, bps)
+	d := newCPUDev(q, clk, new(sim.Core), bps)
 	out := make([]*dpdk.Mbuf, 32)
 
 	now := clk.Now()
@@ -114,5 +116,63 @@ func TestCPUDevAdmission(t *testing.T) {
 	}
 	if got := d.cpu.At(now) - before; got != 16*frameNS {
 		t.Fatalf("TX booked %d ns, want %d (16 frames)", got, 16*frameNS)
+	}
+}
+
+// oneBudgetPerQueue: in a built bed a queue's handle books on the
+// queue's shard's core, and so does the shard's own hold of each frame it
+// takes; any other handle for the queue (Spec admits one port per
+// budgeted stack, so it is made here the way buildEnv makes port i's)
+// shares that budget. Frames taken through the port's handle book the
+// core past its window, so the second handle refuses RX until the core
+// drains back inside it — from the bytes and the holds together.
+func oneBudgetPerQueue(t *testing.T) {
+	const bps, size, frames = 1e9, 1514, cpuChunk
+	clk := sim.NewVClock()
+	clk.Set(1_000_000)
+	bed, err := Build(Spec{
+		Clk:     clk,
+		Machine: MachineSpec{Name: "m", Ports: 1},
+		Compartments: []CompartmentSpec{{
+			Name: "stack", Ifs: []IfSpec{{Port: 0}},
+			Stack: StackSpec{Shards: 1, CPUBps: bps},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := bed.Envs[0]
+	shard := env.Sharded.Shards()[0]
+	// Frames on the port's one queue, addressed to the stack so that it
+	// takes (and holds) each before it drops the unknown EtherType.
+	p, mac := bed.Local.Card.Port(0), env.Devs[0].MAC()
+	for i := 0; i < frames; i++ {
+		f := p.Arena().Alloc(size)
+		clear(f)
+		copy(f, mac[:])
+		f[12], f[13] = 0x88, 0xB5 // a local experimental EtherType
+		p.DeliverFrame(f, clk.Now())
+	}
+	now := clk.Now()
+	shard.PollOnce()
+	if got := shard.Stats().RxFrames; got != frames {
+		t.Fatalf("one poll took %d frames, want %d", got, frames)
+	}
+	perFrame := sim.BytesNS(size, bps) + sim.FrameHoldNS
+	if got := shard.Core.At(now) - now; got != frames*perFrame {
+		t.Fatalf("the shard's core is booked %d ns ahead, want %d (%d frames' bytes and holds)", got, frames*perFrame, frames)
+	}
+
+	other := &queueDev{frames: mbufs(t, frames, size)}
+	h := newCPUDev(other, clk, shard.Core, bps)
+	out := make([]*dpdk.Mbuf, frames)
+	at := now + frames*perFrame - cpuWindow(bps)
+	clk.Set(at - 1)
+	if n := h.RxBurst(out); n != 0 || len(other.rxAsked) != 0 {
+		t.Fatalf("the queue's other handle took %d frames before the holds drained, want none", n)
+	}
+	clk.Set(at)
+	if n := h.RxBurst(out); n != frames {
+		t.Fatalf("once the core drained inside its window the other handle took %d frames, want %d", n, frames)
 	}
 }

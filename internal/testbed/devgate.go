@@ -8,6 +8,7 @@ import (
 	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/intravisor"
+	"repro/internal/sim"
 )
 
 // Device gates implement the paper's first future-work layout (§VI):
@@ -42,35 +43,49 @@ type DevGates struct {
 }
 
 // NewDevGates wraps dev (owned by dpdkCVM, with buffers in devPool)
-// into cross-compartment gates.
-func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.EthDev, devPool *dpdk.Mempool) (*DevGates, error) {
+// into cross-compartment gates for stackEnv, whose shard q polls queue q.
+func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.EthDev, devPool *dpdk.Mempool, stackEnv *Env) (*DevGates, error) {
 	mem := iv.Mem()
 	g := &DevGates{mac: dev.MAC(), dev: dev}
-	// mk seals one entry point; the first failure sticks.
+	// queue checks the queue index a caller passed across the boundary.
+	queue := func(v uint64) (int, bool) { return int(v), v < uint64(dev.NumRxQueues()) }
+	// A call runs on the thread of the queue it names, which runs the
+	// driver's code too; one naming no queue, on its caller's own.
+	on := func(c *intravisor.CVM, a hostos.Args) (*sim.Core, *sim.Core) {
+		if q, ok := queue(a[0]); ok {
+			return stackEnv.Stacks()[q].Core, stackEnv.Stacks()[q].Core
+		}
+		return &c.Core, &c.Core
+	}
+	// mk seals fn for the queue a[0] names (EINVAL for any other); a call
+	// that moves no frame is a poll, EAGAIN. The first failure sticks.
 	var err error
-	mk := func(fn intravisor.GateFunc) (gate *intravisor.Gate) {
+	mk := func(fn func(q int, a hostos.Args, buf cheri.Cap) (uint64, hostos.Errno)) (gate *intravisor.Gate) {
 		if err == nil {
-			gate, err = iv.NewGate(dpdkCVM, fn)
+			gate, err = iv.NewGateOn(dpdkCVM, on, func(_ *intravisor.CVM, a hostos.Args, buf cheri.Cap) (uint64, hostos.Errno) {
+				q, ok := queue(a[0])
+				if !ok {
+					return 0, hostos.EINVAL
+				}
+				if r, errno := fn(q, a, buf); r > 0 || errno != hostos.OK {
+					return r, errno
+				}
+				return 0, hostos.EAGAIN
+			})
 		}
 		return gate
 	}
-	// queue checks the queue index a caller passed across the boundary.
-	queue := func(v uint64) (int, bool) { return int(v), v < uint64(dev.NumRxQueues()) }
 	// burst checks a frame count and the staging capability it came with:
 	// a burst the stage cannot hold is refused whole, before a frame is
 	// harvested for it and lost.
 	burst := func(v uint64, stage cheri.Cap) (int, hostos.Errno) {
 		return crossedLen(v, devStageSize/devBurstMax, 0, devBurstMax, stage)
 	}
-	// rx: harvest up to a[0] frames from queue a[1]; pack [u16 len][bytes]...
+	// rx: harvest up to a[1] frames from queue a[0]; pack [u16 len][bytes]...
 	// through the caller's staging capability, checked writable before a
 	// frame is harvested for it; returns the frame count.
-	g.rx = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
-		q, ok := queue(a[1])
-		if !ok {
-			return 0, hostos.EINVAL
-		}
-		n, errno := burst(a[0], stage)
+	g.rx = mk(func(q int, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
+		n, errno := burst(a[1], stage)
 		if errno != hostos.OK {
 			return 0, errno
 		}
@@ -91,15 +106,11 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		}
 		return uint64(packed), hostos.OK
 	})
-	// tx: unpack a[0] frames from the staging capability into the DPDK
-	// compartment's own mbufs and transmit on queue a[1]; returns the
+	// tx: unpack a[1] frames from the staging capability into the DPDK
+	// compartment's own mbufs and transmit on queue a[0]; returns the
 	// accepted count.
-	g.tx = mk(func(_ *intravisor.CVM, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
-		q, ok := queue(a[1])
-		if !ok {
-			return 0, hostos.EINVAL
-		}
-		n, errno := burst(a[0], stage)
+	g.tx = mk(func(q int, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
+		n, errno := burst(a[1], stage)
 		if errno != hostos.OK {
 			return 0, errno
 		}
@@ -129,11 +140,7 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		}
 		return uint64(accepted), hostos.OK
 	})
-	g.poll = mk(func(_ *intravisor.CVM, a hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
-		q, ok := queue(a[0])
-		if !ok {
-			return 0, hostos.EINVAL
-		}
+	g.poll = mk(func(q int, _ hostos.Args, _ cheri.Cap) (uint64, hostos.Errno) {
 		dev.PollQ(q)
 		return 0, hostos.OK
 	})
@@ -185,7 +192,7 @@ func (d *GatedEthDev) RxBurst(out []*dpdk.Mbuf) int {
 	if err != nil {
 		return 0
 	}
-	r, errno := d.g.rx.Call(d.caller, hostos.Args{uint64(want), d.q}, stage)
+	r, errno := d.g.rx.Call(d.caller, hostos.Args{d.q, uint64(want)}, stage)
 	if errno != hostos.OK || r == 0 || r > uint64(want) {
 		return 0
 	}
@@ -239,7 +246,7 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 		addr += 2 + uint64(len(data))
 		packed++
 	}
-	r, errno := d.g.tx.Call(d.caller, hostos.Args{uint64(packed), d.q}, stage)
+	r, errno := d.g.tx.Call(d.caller, hostos.Args{d.q, uint64(packed)}, stage)
 	if errno != hostos.OK || r > uint64(packed) {
 		return 0
 	}

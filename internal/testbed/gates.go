@@ -91,19 +91,23 @@ func crossedLen(v uint64, unit, hdr, limit int, buf cheri.Cap) (int, hostos.Errn
 
 // NewStackGates exports the socket API of stackEnv's stack from its
 // cVM. Every target enters the calling cVM's own descriptor view, so a
-// caller can act on no descriptor another caller opened.
+// caller can act on no descriptor another caller opened. A call runs on
+// the caller's thread and that of the shard its a[0] names (ShardOf).
 func NewStackGates(iv *intravisor.Intravisor, stackEnv *Env) (*StackGates, error) {
 	if stackEnv.CVM == nil {
 		return nil, fmt.Errorf("testbed: gates need a cVM-hosted stack")
 	}
 	mem := iv.Mem()
 	g := &StackGates{env: stackEnv}
+	on := func(c *intravisor.CVM, a hostos.Args) (*sim.Core, *sim.Core) {
+		return &c.Core, stackEnv.view(c).ShardOf(int(a[0])).Core
+	}
 	// mk seals one entry point; the first failure sticks and is returned
 	// once every target is declared.
 	var err error
 	mk := func(fn intravisor.GateFunc) (gate *intravisor.Gate) {
 		if err == nil {
-			gate, err = iv.NewGate(stackEnv.CVM, fn)
+			gate, err = iv.NewGateOn(stackEnv.CVM, on, fn)
 		}
 		return gate
 	}

@@ -471,7 +471,7 @@ func TestHostileDevGateCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst := func(_, _ uint64) hostos.Args { return hostos.Args{frames, 0} }
+	burst := func(_, _ uint64) hostos.Args { return hostos.Args{0, frames} }
 	// queueFrames puts three non-IP frames on queue 0 of the device.
 	queueFrames := func() {
 		p := bed.Local.Card.Port(0)
