@@ -106,7 +106,7 @@ func (c *Scenario9Config) applyDefaults() {
 
 // s9Tuning is the request-plane stack configuration: modern loss
 // recovery (small exchanges cannot afford go-back-N under impairment),
-// sized buffers, lazy backing, a bounded SYN cache.
+// sized buffers, a bounded SYN cache.
 func s9Tuning() *fstack.TCPTuning { return connTuning(true, s9BufBytes, s9SynCache) }
 
 // NewScenario9 builds the RPC layout: a sharded server box (process or

@@ -162,12 +162,11 @@ func modernTuning(bufBytes int, wscale uint8, cc string) *fstack.TCPTuning {
 }
 
 // connTuning is the connection-plane configuration of Scenarios 8-10:
-// small lazily-backed socket buffers of bufBytes and a bounded
-// half-open cache, with or without SACK.
+// small socket buffers of bufBytes and a bounded half-open cache, with
+// or without SACK.
 func connTuning(sack bool, bufBytes, synCache int) *fstack.TCPTuning {
 	return &fstack.TCPTuning{
-		SACK:        sack,
+		SACK: sack, SynCacheSize: synCache,
 		SndBufBytes: bufBytes, RcvBufBytes: bufBytes,
-		LazyBuffers: true, SynCacheSize: synCache,
 	}
 }

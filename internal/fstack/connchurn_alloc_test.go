@@ -42,11 +42,6 @@ func TestPreloadAllocsPerConn(t *testing.T) {
 	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
 	ss, cardB := buildShardedMachine(t, clk, "0000:04:00", 2, ipB, 2)
 	nic.Connect(cardA.Port(0), cardB.Port(0))
-	tune := TCPTuning{LazyBuffers: true} // idle conns hold no segment memory
-	stkA.SetTCPTuning(tune)
-	for _, s := range ss.Shards() {
-		s.SetTCPTuning(tune)
-	}
 	api := ss.API()
 	lfd, _ := api.Socket(SockStream)
 	if errno := api.Bind(lfd, IPv4Addr{}, 8080); errno != hostos.OK {

@@ -181,7 +181,7 @@ func TestRetainedBytesRecoverAcrossRestart(t *testing.T) {
 // again.
 func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []string, events []Event) {
 	e := newEnv(t, false)
-	tune := TCPTuning{LazyBuffers: true, SndBufBytes: 16384, RcvBufBytes: 16384}
+	tune := TCPTuning{SndBufBytes: 16384, RcvBufBytes: 16384}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
 	b := e.stkB

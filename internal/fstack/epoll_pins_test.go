@@ -18,8 +18,8 @@ func TestConnPlaneStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(socket{}); got != 48 {
 		t.Errorf("sizeof(socket) = %d, want 48", got)
 	}
-	if got := unsafe.Sizeof(tcpConn{}); got != 368 {
-		t.Errorf("sizeof(tcpConn) = %d, want 368", got)
+	if got := unsafe.Sizeof(tcpConn{}); got != 360 {
+		t.Errorf("sizeof(tcpConn) = %d, want 360", got)
 	}
 }
 

@@ -18,27 +18,24 @@ type sockBuf struct {
 	base   uint64
 	size   int // power of two
 	r, w   uint64
-	backed bool // segment memory reserved (false under LazyBuffers until the first write, and after release)
+	backed bool // segment memory reserved: from the first write until release
 }
 
-// init makes b an empty ring of the given power-of-two size. A lazy ring
-// reserves its segment memory only on first write (the LazyBuffers
-// tuning knob): an idle accepted connection that never moves data then
-// costs no segment bytes — the per-idle-conn figure Scenario 8 measures.
-func (b *sockBuf) init(seg *dpdk.MemSeg, size int, lazy bool) error {
+// init makes b an empty, unbacked ring of the given power-of-two size. It
+// reserves its segment memory on its first write: a connection that never
+// moves data costs no segment bytes — the per-idle-conn figure Scenario 8
+// measures.
+func (b *sockBuf) init(seg *dpdk.MemSeg, size int) error {
 	if size <= 0 || size&(size-1) != 0 {
 		return fmt.Errorf("fstack: socket buffer size %d not a power of two", size)
 	}
 	*b = sockBuf{seg: seg, size: size}
-	if lazy {
-		return nil
-	}
-	return b.back()
+	return nil
 }
 
-// back reserves the segment memory of a lazily-built ring. Idempotent;
-// called from the write paths (reads of an unbacked ring see Len()==0
-// and never touch the segment).
+// back reserves the ring's segment memory. Idempotent; called from the
+// write paths (reads of an unbacked ring see Len()==0 and never touch the
+// segment).
 func (b *sockBuf) back() error {
 	if b.backed {
 		return nil

@@ -270,14 +270,20 @@ func TestSockBufWriteAtBacksLazyRing(t *testing.T) {
 
 // newSockBuf / newLazySockBuf build one standalone ring for the tests
 // (the stack itself initialises rings in place inside a connBlock).
+// newSockBuf backs its ring at once, so a test can place it in the
+// segment; newLazySockBuf leaves it to back on its first write, as a
+// connection's ring does.
 func newSockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
-	b := new(sockBuf)
-	return b, b.init(seg, size, false)
+	b, err := newLazySockBuf(seg, size)
+	if err != nil {
+		return nil, err
+	}
+	return b, b.back()
 }
 
 func newLazySockBuf(seg *dpdk.MemSeg, size int) (*sockBuf, error) {
 	b := new(sockBuf)
-	return b, b.init(seg, size, true)
+	return b, b.init(seg, size)
 }
 
 // TestSockBufAcrossHugepage: a ring that straddles a hugepage boundary

@@ -22,7 +22,7 @@ import (
 func TestTimeWaitReleasesRings(t *testing.T) {
 	const n, ring = 16, 8 << 10
 	e := newEnv(t, false)
-	tune := TCPTuning{SndBufBytes: ring, RcvBufBytes: ring, LazyBuffers: true}
+	tune := TCPTuning{SndBufBytes: ring, RcvBufBytes: ring}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
 	lfd, _ := e.stkB.Socket(SockStream)
@@ -132,5 +132,121 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 	if c.state != tcpTimeWait || c.timeWaitAt != at+timeWaitDur || c.sndBuf.backed || c.rcvBuf.backed {
 		t.Errorf("after the FIN: state %v, 2MSL ends %d ns later, rings backed %v/%v; want TIME_WAIT restarted for %d ns holding none",
 			c.state, c.timeWaitAt-at, c.sndBuf.backed, c.rcvBuf.backed, int64(timeWaitDur))
+	}
+}
+
+// TestRingsBackOnFirstByte pins when a connection's ring takes its
+// segment memory: on its first byte, not when the connection is made. A
+// default-tuned pair connects and accepts with neither segment moving;
+// the writer's first Write backs its send ring alone, and the reader's
+// first in-order byte its receive ring alone.
+func TestRingsBackOnFirstByte(t *testing.T) {
+	e := newEnv(t, false)
+	usedA, usedB := e.stkA.seg.Used(), e.stkB.seg.Used()
+	cfd, afd := e.connectPair(7002)
+	if a, b := e.stkA.seg.Used(), e.stkB.seg.Used(); a != usedA || b != usedB {
+		t.Fatalf("connect and accept carved %d B and %d B of segment, want none", a-usedA, b-usedB)
+	}
+	client, server := e.stkA.socks.get(cfd).conn, e.stkB.socks.get(afd).conn
+	backed := func() [4]bool {
+		return [4]bool{client.sndBuf.backed, client.rcvBuf.backed, server.sndBuf.backed, server.rcvBuf.backed}
+	}
+	// grew checks a segment grew by one ring of size, up to its alignment.
+	grew := func(name string, s *Stack, from uint64, size int) {
+		t.Helper()
+		if got := s.seg.Used() - from; got < uint64(size) || got >= uint64(size)+64 {
+			t.Errorf("%s segment grew %d B, want one %d B ring", name, got, size)
+		}
+	}
+	if k, errno := e.stkA.Write(cfd, []byte("x")); errno != hostos.OK || k != 1 {
+		t.Fatalf("write = %d, %v", k, errno)
+	}
+	if got, want := backed(), [4]bool{true, false, false, false}; got != want {
+		t.Fatalf("after the first Write, rings backed (client snd, rcv, server snd, rcv) %v, want %v", got, want)
+	}
+	grew("writer's", e.stkA, usedA, sndBufSize)
+	e.pumpUntil(4000, "the byte arrives", func() bool { return server.rcvBuf.Len() == 1 })
+	if got, want := backed(), [4]bool{true, false, false, true}; got != want {
+		t.Fatalf("after the first byte arrived, rings backed (client snd, rcv, server snd, rcv) %v, want %v", got, want)
+	}
+	grew("reader's", e.stkB, usedB, rcvBufSize)
+}
+
+// TestRecycledConnTakesNewTuning: a conn the arena holds is rebuilt to
+// the tuning in force when it is taken again, not dropped for a new one.
+// After SetTCPTuning changes both ring sizes and the congestion
+// controller, the next accepted conn is the pooled struct with the new
+// rings and controller, the slab untouched, and it moves bytes both ways.
+func TestRecycledConnTakesNewTuning(t *testing.T) {
+	e := newEnv(t, false)
+	lfd, _ := e.stkB.Socket(SockStream)
+	e.stkB.Bind(lfd, IPv4Addr{}, 7003)
+	e.stkB.Listen(lfd, 8)
+	cfd, afd := establish(e, lfd, 7003, 0)
+	e.stkA.Close(cfd)
+	e.pumpUntil(4000, "server sees FIN", func() bool { return e.stkB.ConnState(afd) == "CLOSE_WAIT" })
+	e.stkB.Close(afd)
+	e.pumpUntil(4000, "the arena takes the server conn", func() bool { return len(e.stkB.connFree) == 1 })
+	pooled := e.stkB.connFree[0]
+	if pooled.cc.Name() != CCReno || pooled.sndBuf.size != sndBufSize || pooled.rcvBuf.size != rcvBufSize {
+		t.Fatalf("pooled conn: %s, rings %d/%d; want the default tuning", pooled.cc.Name(), pooled.sndBuf.size, pooled.rcvBuf.size)
+	}
+	const snd, rcv = 16 << 10, 32 << 10
+	e.stkB.SetTCPTuning(TCPTuning{SndBufBytes: snd, RcvBufBytes: rcv, Congestion: CCCubic})
+	slab := len(e.stkB.connSlab)
+
+	cfd, afd = establish(e, lfd, 7003, 0)
+	c := e.stkB.socks.get(afd).conn
+	if c != pooled || len(e.stkB.connFree) != 0 || len(e.stkB.connSlab) != slab {
+		t.Fatalf("accepted the pooled conn: %v; %d pooled left, slab %d → %d; want it, none left, the slab untouched",
+			c == pooled, len(e.stkB.connFree), slab, len(e.stkB.connSlab))
+	}
+	if c.cc.Name() != CCCubic || c.sndBuf.size != snd || c.rcvBuf.size != rcv {
+		t.Fatalf("recycled conn: %s, rings %d/%d; want %s, %d/%d", c.cc.Name(), c.sndBuf.size, c.rcvBuf.size, CCCubic, snd, rcv)
+	}
+	buf := make([]byte, 64)
+	for _, d := range []struct {
+		from, to *Stack
+		wfd, rfd int
+		msg      string
+	}{
+		{e.stkA, e.stkB, cfd, afd, "to the recycled conn"},
+		{e.stkB, e.stkA, afd, cfd, "from the recycled conn"},
+	} {
+		if k, errno := d.from.Write(d.wfd, []byte(d.msg)); errno != hostos.OK || k != len(d.msg) {
+			t.Fatalf("%s: write = %d, %v", d.msg, k, errno)
+		}
+		var got []byte
+		e.pumpUntil(4000, d.msg, func() bool {
+			if k, errno := d.to.Read(d.rfd, buf); errno == hostos.OK {
+				got = append(got, buf[:k]...)
+			}
+			return len(got) >= len(d.msg)
+		})
+		if string(got) != d.msg {
+			t.Fatalf("read %q, want %q", got, d.msg)
+		}
+	}
+}
+
+// TestWriteIntoAFullSegment: a ring backs on its first write, so a
+// segment with no room left for it refuses that write with ENOMEM — what
+// Connect answered when rings backed at creation — not EFAULT, and the
+// connection stays up.
+func TestWriteIntoAFullSegment(t *testing.T) {
+	e := newEnv(t, false)
+	cfd, _ := e.connectPair(7004)
+	for n := uint64(1 << 40); n > 0; n /= 2 {
+		for {
+			if _, err := e.stkA.seg.Alloc(n, 1); err != nil {
+				break
+			}
+		}
+	}
+	if k, errno := e.stkA.Write(cfd, []byte("x")); errno != hostos.ENOMEM || k != -1 {
+		t.Fatalf("write into a full segment = %d, %v; want -1, ENOMEM", k, errno)
+	}
+	if got := e.stkA.ConnState(cfd); got != "ESTABLISHED" {
+		t.Fatalf("after the refused write the connection is %s, want ESTABLISHED", got)
 	}
 }

@@ -385,6 +385,9 @@ func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, ho
 func (s *Stack) write(c *tcpConn, src []byte) (int, hostos.Errno) {
 	n, err := c.sndBuf.writeFrom(src)
 	if err != nil {
+		if !c.sndBuf.backed {
+			return -1, hostos.ENOMEM // no room left in the segment for the ring
+		}
 		return -1, hostos.EFAULT
 	}
 	if n == 0 {

@@ -130,7 +130,8 @@ type TCPTuning struct {
 	// SndBufBytes / RcvBufBytes size new connections' socket buffers
 	// (powers of two; 0 keeps the 512 KiB / 256 KiB defaults). A
 	// scaled receive window is bounded by RcvBufBytes, so high-BDP
-	// paths must raise it.
+	// paths must raise it. A ring takes its segment memory on its first
+	// write, so an idle connection costs only its struct.
 	SndBufBytes int
 	RcvBufBytes int
 	// Congestion selects the congestion-control algorithm for new
@@ -142,10 +143,6 @@ type TCPTuning struct {
 	// SynCacheSize bounds the half-open SYN cache
 	// (net.inet.tcp.syncache.cachelimit); 0 keeps the 1024 default.
 	SynCacheSize int
-	// LazyBuffers defers socket-buffer segment backing until the first
-	// write, so an idle accepted connection costs only its struct —
-	// the knob that makes 100k parked connections fit in one segment.
-	LazyBuffers bool
 }
 
 // Stack is a user-space TCP/IP instance — interfaces, connection tables
@@ -485,7 +482,7 @@ func (s *Stack) SetTCPTuning(t TCPTuning) {
 
 // Lock and Unlock do nothing: a bed runs on one goroutine, so the stack
 // has no host lock. They stay only because bench/ still calls them
-// (ROADMAP item 8 drops those calls, and then these go).
+// (ROADMAP item 6 drops those calls, and then these go).
 func (s *Stack) Lock()   {}
 func (s *Stack) Unlock() {}
 

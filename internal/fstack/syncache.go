@@ -210,7 +210,7 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	}
 	c, err := s.newTCPConn(e.nif, e.tuple)
 	if err != nil {
-		return // segment exhausted: keep the entry, the peer retries
+		return // a tuning it cannot build: keep the entry, the peer retries
 	}
 	c.setState(tcpSynReceived)
 	c.rcvNxt = e.irs + 1

@@ -363,7 +363,7 @@ func checkRuns(c *tcpConn) error {
 }
 
 // bareReceiver is a connection with only what reassembly touches: a
-// receive ring, the budgets and a stack to count refusals on. Enough
+// receive ring and a stack to count refusals on. Enough
 // for oooInsert, oooDrain and sackBlocks; acceptData needs a real stack
 // to send its ACKs through (see reassRig).
 func bareReceiver(t testing.TB, size int, rcvNxt uint32) *tcpConn {
@@ -373,7 +373,7 @@ func bareReceiver(t testing.TB, size int, rcvNxt uint32) *tcpConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &tcpConn{stk: &Stack{}, rcvBuf: ring, rcvNxt: rcvNxt, oooCap: max(oooMaxBytes, size)}
+	return &tcpConn{stk: &Stack{}, rcvBuf: ring, rcvNxt: rcvNxt}
 }
 
 // oooSeg is one parked segment of the reference queue.
@@ -385,8 +385,9 @@ type oooSeg struct {
 // refReassembly is the receiver the stack had before runs lived in the
 // ring, kept as the differential reference: every parked segment its
 // own heap copy in a queue sorted by sequence number, walked whole for
-// the byte budget and for every SACK option, and copied a second time
-// into the receive buffer at drain. buf models the receive ring (bytes
+// every SACK option, and copied a second time into the receive buffer at
+// drain. It keeps the stack's arrival budget; the window check alone
+// bounds its parked bytes. buf models the receive ring (bytes
 // sequenced and not yet read); acceptData is the old acceptData minus
 // the ACKs it sent.
 type refReassembly struct {
@@ -395,8 +396,7 @@ type refReassembly struct {
 	buf     []byte
 	ooo     []oooSeg
 	lastOOO seqRange
-	oooCap  int
-	refused int // arrivals turned away by a budget or the window check
+	refused int // arrivals turned away by the budget or the window check
 }
 
 func (r *refReassembly) free() int { return r.size - len(r.buf) }
@@ -410,7 +410,7 @@ func (r *refReassembly) oooBytes() int {
 }
 
 func (r *refReassembly) oooInsert(seq uint32, payload []byte) {
-	if len(r.ooo) >= max(oooMaxSegs, r.oooCap/MaxSegData) || r.oooBytes()+len(payload) > r.oooCap {
+	if len(r.ooo) >= max(oooMaxSegs, r.size/MaxSegData) {
 		r.refused++
 		return
 	}
@@ -566,7 +566,7 @@ func TestSACKBlocksMatchReference(t *testing.T) {
 		// runs also grow at the front and merge in the middle.
 		seq := uint32(0xFFFFF000) + uint32(rng.Intn(0x2000))
 		c.rcvNxt, c.rcvOOO = seq-1, c.rcvOOO[:0]
-		ref := &refReassembly{rcvNxt: c.rcvNxt, size: c.rcvBuf.size, oooCap: c.oooCap}
+		ref := &refReassembly{rcvNxt: c.rcvNxt, size: c.rcvBuf.size}
 		var segs []seqRange
 		for n := 1 + rng.Intn(12); n > 0; n-- {
 			if rng.Intn(2) == 0 {
@@ -629,7 +629,7 @@ func TestReassemblyKeepsBytesPastANeighbour(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := bareReceiver(t, 1024, 0)
-			ref := &refReassembly{size: 1024, oooCap: c.oooCap}
+			ref := &refReassembly{size: 1024}
 			for _, s := range append(tc.parked, tc.arrival) {
 				c.oooInsert(s.start, stream[s.start:s.end])
 				ref.oooInsert(s.start, stream[s.start:s.end])
@@ -661,23 +661,17 @@ func TestReassemblyKeepsBytesPastANeighbour(t *testing.T) {
 func TestReassemblyRefusalsAreCounted(t *testing.T) {
 	c := bareReceiver(t, 64<<10, 1000)
 	seg := make([]byte, 1448)
-	c.oooCap = 2 * len(seg)
 	c.oooInsert(2000, seg)
 	c.oooInsert(5000, seg)
 	if c.stk.stats.ReassDrops != 0 || len(c.rcvOOO) != 2 {
-		t.Fatalf("two segments inside the budget: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+		t.Fatalf("two segments inside the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
 	}
-	c.oooInsert(8000, seg) // byte budget
-	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 2 {
-		t.Fatalf("over the byte budget: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
-	}
-	c.oooCap = oooMaxBytes
 	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1447, seg) // one byte past the window
-	if c.stk.stats.ReassDrops != 2 || len(c.rcvOOO) != 2 {
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 2 {
 		t.Fatalf("past the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
 	}
 	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1448, seg) // flush with it
-	if c.stk.stats.ReassDrops != 2 || len(c.rcvOOO) != 3 {
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 3 {
 		t.Fatalf("flush with the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
 	}
 	// Segment budget: one-byte arrivals, each its own run.
@@ -743,7 +737,6 @@ func (g *reassRig) reset(t testing.TB, size int, lazy bool, isn uint32, src []by
 	}
 	c := g.conn
 	c.rcvBuf, c.rcvNxt, c.rcvOOO, c.lastOOO = ring, isn, c.rcvOOO[:0], seqRange{}
-	c.oooCap = max(oooMaxBytes, size)
 	g.isn, g.src = isn, src
 }
 
@@ -763,7 +756,7 @@ func (g *reassRig) read(n int) []byte {
 // reassembly: seeded arrival traces near the sequence wrap — MSS-aligned
 // segments opening holes, retransmissions on the parked boundaries,
 // go-back-N resends from rcvNxt, fills, beyond-window probes, the
-// application reading in between, tight budgets, lazy and eager rings —
+// application reading in between, the arrival budget, lazy and eager rings —
 // drive the stack's receiver and the per-segment reference queue side by
 // side. After every arrival both must have made the same accept/refuse
 // decision and hold the same rcvNxt, the same SACK option and the same
@@ -785,12 +778,7 @@ func TestReassemblyMatchesReference(t *testing.T) {
 		src := stream[:3*size]
 		isn := -uint32(rng.Intn(2 * size))
 		g.reset(t, size, trace%2 == 1, isn, src)
-		ref := &refReassembly{rcvNxt: isn, size: size, oooCap: g.conn.oooCap}
-		if rng.Intn(4) == 0 {
-			// A budget tight enough to bite inside one window.
-			g.conn.oooCap = size / 8
-			ref.oooCap = size / 8
-		}
+		ref := &refReassembly{rcvNxt: isn, size: size}
 		var delivered []byte
 		steps := 120
 		if mss <= 100 {
@@ -922,8 +910,8 @@ func refDiscards(r *refReassembly, seq uint32, payload []byte) bool {
 // From the first such arrival the two receivers may differ, in one
 // direction only — the run list holds everything the reference holds and
 // possibly more, so its rcvNxt is never behind, and both still deliver
-// prefixes of the source. Budgets stay at their defaults, which a
-// 64 KiB ring cannot exhaust, so holding more never costs an accept.
+// prefixes of the source. A 64 KiB ring of these arrivals cannot
+// exhaust the arrival budget, so holding more never costs an accept.
 func TestReassemblyHoldsASuperset(t *testing.T) {
 	const size, mss = 64 << 10, MaxSegData
 	g := newReassRig(t)
@@ -934,7 +922,7 @@ func TestReassemblyHoldsASuperset(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trace)))
 		isn := -uint32(rng.Intn(size))
 		g.reset(t, size, false, isn, src)
-		ref := &refReassembly{rcvNxt: isn, size: size, oooCap: g.conn.oooCap}
+		ref := &refReassembly{rcvNxt: isn, size: size}
 		var delivered, refDelivered []byte
 		for step := 0; step < 150; step++ {
 			c := g.conn

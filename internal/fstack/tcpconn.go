@@ -110,7 +110,6 @@ type tcpConn struct {
 	tsRecent  uint32 // latest peer TSVal (echoed in TSEcr)
 	delackCnt int
 	delackAt  int64 // 0 = no pending delayed ack
-	oooCap    int   // reassembly byte budget (scales with rcvBuf)
 
 	// SACK + window scaling (RFC 2018 / RFC 7323), negotiated on the
 	// SYN; all zero on a stack with default tuning, which keeps the
@@ -175,11 +174,14 @@ type tcpConn struct {
 	inPending bool
 }
 
-// newTCPConn builds a connection in the given state with buffers from
-// the stack's segment, sized and featured per the stack's TCP tuning.
-// A recycled struct from the conn arena is preferred when its buffers
-// and congestion controller match the current tuning — the path that
-// makes connection churn allocation-free at steady state.
+// newTCPConn builds a connection in the given state with rings in the
+// stack's segment, sized and featured per the stack's TCP tuning. The
+// struct comes off the conn arena when one is pooled — the path that
+// makes connection churn allocation-free at steady state — and from the
+// slab otherwise; its congestion controller is kept when it runs the
+// tuning's algorithm. Either way one literal sets it, zeroing every
+// field not carried over, so a newly added field cannot leak state
+// between incarnations.
 func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 	sndSize, rcvSize := sndBufSize, rcvBufSize
 	if s.tuning.SndBufBytes > 0 {
@@ -188,38 +190,39 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 	if s.tuning.RcvBufBytes > 0 {
 		rcvSize = s.tuning.RcvBufBytes
 	}
+	var c *tcpConn
+	var snd, rcv *sockBuf
 	if n := len(s.connFree); n > 0 {
-		c := s.connFree[n-1]
+		c = s.connFree[n-1]
 		s.connFree[n-1] = nil
 		s.connFree = s.connFree[:n-1]
-		// A pooled conn whose buffer sizes or CC algorithm no longer
-		// match the tuning (a boot-time change) is simply dropped.
-		if c.sndBuf.size == sndSize && c.rcvBuf.size == rcvSize &&
-			c.cc.Name() == effectiveCC(s.tuning.Congestion) {
-			s.resetConn(c, nif, tuple, rcvSize)
-			return c, nil
+		snd, rcv = c.sndBuf, c.rcvBuf // released by maybeRecycleConn
+	} else {
+		b := slabTake(&s.connSlab)
+		c, snd, rcv = &b.conn, &b.snd, &b.rcv
+	}
+	cc := c.cc
+	if cc == nil || cc.Name() != effectiveCC(s.tuning.Congestion) {
+		var err error
+		if cc, err = s.newCongestionController(s.tuning.Congestion); err != nil {
+			return nil, err
 		}
 	}
-	cc, err := s.newCongestionController(s.tuning.Congestion)
-	if err != nil {
+	if err := snd.init(s.seg, sndSize); err != nil {
 		return nil, err
 	}
-	b := slabTake(&s.connSlab)
-	if err := b.snd.init(s.seg, sndSize, s.tuning.LazyBuffers); err != nil {
+	if err := rcv.init(s.seg, rcvSize); err != nil {
 		return nil, err
 	}
-	if err := b.rcv.init(s.seg, rcvSize, s.tuning.LazyBuffers); err != nil {
-		return nil, err
-	}
-	c := &b.conn
 	*c = tcpConn{
 		stk:       s,
 		nif:       nif,
 		tuple:     tuple,
 		state:     tcpClosed,
-		sndBuf:    &b.snd,
-		rcvBuf:    &b.rcv,
-		oooCap:    max(oooMaxBytes, rcvSize),
+		sndBuf:    snd,
+		rcvBuf:    rcv,
+		rcvOOO:    c.rcvOOO[:0],
+		sacked:    c.sacked[:0],
 		sndMSS:    MaxSegData,
 		cc:        cc,
 		rto:       rtoInitial,
@@ -253,35 +256,6 @@ func slabTake[T any](slab *[]T) *T {
 type connBlock struct {
 	conn     tcpConn
 	snd, rcv sockBuf
-}
-
-// resetConn reinitializes a pooled connection struct to fresh-conn
-// state, retaining its (reset) buffers, reassembly/scoreboard slices
-// and congestion controller. The struct literal zeroes every field not
-// explicitly carried over, so a newly added field cannot leak state
-// between incarnations.
-func (s *Stack) resetConn(c *tcpConn, nif *NetIF, tuple fourTuple, rcvSize int) {
-	snd, rcv, cc := c.sndBuf, c.rcvBuf, c.cc
-	snd.r, snd.w = 0, 0
-	rcv.r, rcv.w = 0, 0
-	*c = tcpConn{
-		stk:       s,
-		nif:       nif,
-		tuple:     tuple,
-		state:     tcpClosed,
-		sndBuf:    snd,
-		rcvBuf:    rcv,
-		rcvOOO:    c.rcvOOO[:0],
-		sacked:    c.sacked[:0],
-		oooCap:    max(oooMaxBytes, rcvSize),
-		sndMSS:    MaxSegData,
-		cc:        cc,
-		rto:       rtoInitial,
-		offerSACK: s.tuning.SACK,
-		offerWS:   s.tuning.WindowScale > 0,
-		timerH:    connscale.None,
-	}
-	c.cc.OnInit(c.sndMSS, c.offerWS)
 }
 
 // maybeRecycleConn returns a detached connection struct to the arena
@@ -940,18 +914,17 @@ type oooRun struct {
 // block is the run as RFC 2018 reports it.
 func (r oooRun) block() SACKBlock { return SACKBlock{Start: r.start, End: r.end} }
 
-// Reassembly bounds (FreeBSD's net.inet.tcp.reass analog): at most this
-// many segments / bytes parked per connection. The byte budget grows
-// with the receive buffer (tcpConn.oooCap) — a window-scaled high-BDP
-// flow can legitimately park most of a window behind one hole.
-const (
-	oooMaxSegs  = 128
-	oooMaxBytes = 192 * 1024
-)
+// oooMaxSegs bounds how many arrivals a connection parks for reassembly
+// (FreeBSD's net.inet.tcp.reass.maxqueuelen analog): as many as 192 KiB
+// of full segments, raised to a ring of full segments for larger rings.
+// Short segments reach it first — Scenario 9's HTTP requests do at
+// 20 000/s. Parked bytes need no budget of their own: the window check
+// in oooInsert keeps every one inside the receive ring's free space.
+const oooMaxSegs = 192 * 1024 / MaxSegData
 
-// oooSegCap derives the segment-count budget from the byte budget.
+// oooSegCap is the connection's arrival budget.
 func (c *tcpConn) oooSegCap() int {
-	return max(oooMaxSegs, c.oooCap/MaxSegData)
+	return max(oooMaxSegs, c.rcvBuf.size/MaxSegData)
 }
 
 // sackBlocks builds the SACK option content: the run holding the most
@@ -986,16 +959,14 @@ func (c *tcpConn) sackBlocks() []SACKBlock {
 // non-adjacent. A refused segment is counted; the sender retransmits.
 func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 	end := seq + uint32(len(payload))
-	// The budgets are sums over the (few) runs rather than running
-	// counters, so the connection struct carries no reassembly state
+	// The budget is a sum over the (few) runs rather than a running
+	// counter, so the connection struct carries no reassembly state
 	// beyond the list itself.
 	var segs uint32
-	parked := len(payload)
 	for _, r := range c.rcvOOO {
 		segs += r.segs
-		parked += int(r.end - r.start)
 	}
-	if int(segs) >= c.oooSegCap() || parked > c.oooCap {
+	if int(segs) >= c.oooSegCap() {
 		c.stk.stats.ReassDrops++ // reassembly budget exhausted
 		return
 	}

@@ -138,7 +138,7 @@ type gatedWriteRun struct {
 func gatedWriteScript(t *testing.T, shards int, write func(*GatedAPI, int, []byte) (int, hostos.Errno)) gatedWriteRun {
 	t.Helper()
 	clk := sim.NewVClock()
-	small := &fstack.TCPTuning{SndBufBytes: 16 << 10, RcvBufBytes: 16 << 10, LazyBuffers: true}
+	small := &fstack.TCPTuning{SndBufBytes: 16 << 10, RcvBufBytes: 16 << 10}
 	bed, err := Build(Spec{
 		Clk:     clk,
 		Machine: MachineSpec{Name: "morello", Ports: 1},

@@ -259,7 +259,7 @@ func TestHostileStackGateCaller(t *testing.T) {
 
 func hostileStackGateCaller(t *testing.T, shards int) {
 	clk := sim.NewVClock()
-	small := &fstack.TCPTuning{SndBufBytes: 16 << 10, RcvBufBytes: 16 << 10, LazyBuffers: true}
+	small := &fstack.TCPTuning{SndBufBytes: 16 << 10, RcvBufBytes: 16 << 10}
 	bed, err := Build(Spec{
 		Clk:     clk,
 		Machine: MachineSpec{Name: "morello", Ports: 1},

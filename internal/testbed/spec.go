@@ -340,9 +340,26 @@ func validRate(v float64, what, field string) error {
 // connection time — validation belongs here, where the spec's author
 // gets the error, not inside a failing connect mid-experiment.
 func validStackTuning(ss StackSpec, what string) error {
-	if ss.Tuning != nil && !fstack.ValidCongestion(ss.Tuning.Congestion) {
+	t := ss.Tuning
+	if t == nil {
+		return nil
+	}
+	if !fstack.ValidCongestion(t.Congestion) {
 		return fmt.Errorf("testbed: %s: unknown congestion-control algorithm %q (have %v)",
-			what, ss.Tuning.Congestion, fstack.CongestionAlgos())
+			what, t.Congestion, fstack.CongestionAlgos())
+	}
+	if err := validBufBytes(t.SndBufBytes, what, "SndBufBytes"); err != nil {
+		return err
+	}
+	return validBufBytes(t.RcvBufBytes, what, "RcvBufBytes")
+}
+
+// validBufBytes rejects a socket buffer size that is neither unset (0)
+// nor a power of two: a negative one would fall back to the default, and
+// any other would fail every connection the stack opens.
+func validBufBytes(v int, what, field string) error {
+	if v < 0 || v&(v-1) != 0 {
+		return fmt.Errorf("testbed: %s: Tuning.%s is %d; a socket buffer is a power of two, or 0 for the default", what, field, v)
 	}
 	return nil
 }

@@ -148,6 +148,25 @@ func TestSpecValidationErrors(t *testing.T) {
 	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{Congestion: "vegas"}
 	wantBuildError(t, s, "congestion")
 
+	// A socket buffer is a power of two, or 0 for the default, on
+	// compartments and peers alike: a negative size used to fall back to
+	// the default, and any other made every connect fail with ENOMEM.
+	s = minimalSpec()
+	s.Compartments[0].Stack.Tuning = &fstack.TCPTuning{SndBufBytes: 3000}
+	wantBuildError(t, s, "compartment proc: Tuning.SndBufBytes is 3000")
+
+	s = minimalSpec()
+	s.Compartments[0].Stack.Tuning = &fstack.TCPTuning{RcvBufBytes: -4096}
+	wantBuildError(t, s, "compartment proc: Tuning.RcvBufBytes is -4096")
+
+	s = minimalSpec()
+	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{RcvBufBytes: 3000}
+	wantBuildError(t, s, "peer0: Tuning.RcvBufBytes is 3000")
+
+	s = minimalSpec()
+	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{SndBufBytes: -4096}
+	wantBuildError(t, s, "peer0: Tuning.SndBufBytes is -4096")
+
 	// A rate is positive, or 0 for unset. A negative or NaN line rate
 	// would pass cmp.Or into Build and price the line's bookings in
 	// negative or undefined time; a negative CPU budget or link rate
