@@ -1,0 +1,120 @@
+package fstack
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestColdRecordTakenOnFirstNeed pins when a connection holds its cold
+// record: not while it is idle or moves data on a clean wire, from its
+// first out-of-order segment (the receiver), its first SACK loss episode
+// (the sender) or its first zero window (a sender with data and no
+// room), and no longer once it enters TIME_WAIT or the arena takes it.
+// Every record a stack issued is then back on its pool.
+func TestColdRecordTakenOnFirstNeed(t *testing.T) {
+	dropNext := false
+	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+		if from == 0 && dropNext && isDataFrame(data) {
+			dropNext = false
+			return 0, true
+		}
+		return 0, false
+	})
+	tune := TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 64 << 10}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
+	cfd, afd := e.connectPair(7005)
+	client, server := e.stkA.socks.get(cfd).conn, e.stkB.socks.get(afd).conn
+	held := func(when string) {
+		t.Helper()
+		if client.cold != nil || server.cold != nil {
+			t.Fatalf("%s: client holds a cold record %v, server %v; want neither", when, client.cold != nil, server.cold != nil)
+		}
+	}
+	held("after the handshake")
+	payload := make([]byte, 32<<10)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	if got := sendAll(e, cfd, afd, payload, 40000); !bytes.Equal(got, payload) {
+		t.Fatal("stream corrupted on a clean wire")
+	}
+	held("after a clean transfer")
+
+	// One lost data segment: the receiver parks the next one, the sender
+	// hears of it in SACK blocks.
+	dropNext = true
+	var got []byte
+	buf := make([]byte, 64<<10)
+	sent := 0
+	e.pumpUntil(4000, "the receiver parks a segment", func() bool {
+		if sent == 0 {
+			sent, _ = e.stkA.Write(cfd, payload)
+		}
+		return server.cold != nil
+	})
+	if len(server.rcvOOO()) == 0 {
+		t.Fatalf("the server took a cold record holding no parked run")
+	}
+	e.pumpUntil(4000, "the sender hears of the hole", func() bool { return client.cold != nil })
+	if len(client.sacked()) == 0 {
+		t.Fatalf("the client took a cold record with an empty scoreboard")
+	}
+	e.pumpUntil(40000, "the lost segment is refilled", func() bool {
+		if n, _ := e.stkB.Read(afd, buf); n > 0 {
+			got = append(got, buf[:n]...)
+		}
+		return len(got) == sent
+	})
+	if !bytes.Equal(got, payload[:sent]) || e.stkA.Stats().SACKRetransmit == 0 {
+		t.Fatalf("recovery: %d of %d bytes intact, %s", len(got), sent, e.stkA.Stats().RecoverySummary())
+	}
+
+	// A receiver that reads nothing closes its window: the sender's
+	// persist timer is what takes its record, not a duplicate ACK.
+	e.stkB.SetTCPTuning(TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 8 << 10})
+	cfd2, afd2 := e.connectPair(7006)
+	zw := e.stkA.socks.get(cfd2).conn
+	dupAcks := e.stkA.Stats().DupAcks
+	if n, _ := e.stkA.Write(cfd2, payload[:24<<10]); n != 24<<10 {
+		t.Fatalf("wrote %d of %d bytes", n, 24<<10)
+	}
+	e.pumpUntil(40000, "the sender arms its persist timer", func() bool { return zw.persistAt() != 0 })
+	if d := e.stkA.Stats().DupAcks - dupAcks; d != 0 {
+		t.Fatalf("%d duplicate ACKs before the window closed: the record is not the zero window's", d)
+	}
+	got = got[:0]
+	e.pumpUntil(400000, "the zero-window transfer completes", func() bool {
+		if n, _ := e.stkB.Read(afd2, buf); n > 0 {
+			got = append(got, buf[:n]...)
+		}
+		return len(got) == 24<<10
+	})
+
+	// Close everything: the clients' records go back at TIME_WAIT, the
+	// servers' when the arena takes the conns.
+	for _, p := range [][2]int{{cfd, afd}, {cfd2, afd2}} {
+		e.stkA.Close(p[0])
+		e.pumpUntil(8000, "server sees FIN", func() bool { return e.stkB.ConnState(p[1]) == "CLOSE_WAIT" })
+		e.stkB.Close(p[1])
+	}
+	e.pumpUntil(8000, "both clients in TIME_WAIT, both servers pooled", func() bool {
+		return e.stkA.ConnCount() == 2 && client.state == tcpTimeWait && zw.state == tcpTimeWait &&
+			len(e.stkB.connFree) == 2
+	})
+	for _, s := range []*Stack{e.stkA, e.stkB} {
+		for _, c := range s.conns {
+			if c.cold != nil {
+				t.Errorf("a %s conn holds its cold record", c.state)
+			}
+		}
+		for _, c := range s.connFree {
+			if c.cold != nil {
+				t.Error("a pooled conn holds its cold record")
+			}
+		}
+		if issued := slabLen - len(s.coldSlab); issued == 0 || issued != len(s.coldFree) {
+			t.Errorf("%d cold records issued, %d back on the pool; want every one back", issued, len(s.coldFree))
+		}
+	}
+}

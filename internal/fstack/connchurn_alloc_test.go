@@ -94,3 +94,118 @@ func TestPreloadAllocsPerConn(t *testing.T) {
 		t.Logf("%.2f allocations per idle connection", per)
 	}
 }
+
+// TestColdRecordLossZeroAllocs pins the cold record's pool: on a warm
+// stack, a connection's loss episode — a lost segment the receiver
+// parks around, the sender's SACK recovery — takes both records from
+// the pool, with the capacity their scoreboard and run list grew before,
+// and gives them back at TIME_WAIT and recycling, allocating nothing and
+// leaving the slabs untouched. Each episode runs on a fresh connection
+// over the 4-tuple the previous one left in TIME_WAIT (churnCycle's).
+//
+// Skipped under the race detector, whose instrumentation allocates.
+func TestColdRecordLossZeroAllocs(t *testing.T) {
+	armed, seen := false, 0
+	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+		if from != 0 || !armed || !isDataFrame(data) {
+			return 0, false
+		}
+		if seen++; seen == 2 { // the second data segment of the burst
+			armed, seen = false, 0
+			return 0, true
+		}
+		return 0, false
+	})
+	tune := TCPTuning{SACK: true, SndBufBytes: 16384, RcvBufBytes: 16384}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
+	lfd, _ := e.stkB.Socket(SockStream)
+	e.stkB.Bind(lfd, IPv4Addr{}, 9101)
+	e.stkB.Listen(lfd, 8)
+	payload, buf := make([]byte, 8<<10), make([]byte, 16<<10)
+	episode := func() {
+		cfd, afd := lossyCycleOpen(t, e, lfd)
+		armed = true
+		if n, errno := e.stkA.Write(cfd, payload); errno != hostos.OK || n != len(payload) {
+			t.Fatalf("write = %d, %v", n, errno)
+		}
+		for got, tick := 0, 0; got < len(payload); tick++ {
+			if tick >= 40000 {
+				t.Fatalf("%d of %d bytes arrived", got, len(payload))
+			}
+			e.tick()
+			if n, errno := e.stkB.Read(afd, buf); errno == hostos.OK {
+				got += n
+			}
+		}
+		lossyCycleClose(t, e, cfd, afd)
+	}
+	for i := 0; i < 8; i++ {
+		episode()
+	}
+	slabA, slabB := len(e.stkA.coldSlab), len(e.stkB.coldSlab)
+	sack := e.stkA.Stats().SACKRetransmit
+	const runs = 20
+	if a := testing.AllocsPerRun(runs, episode); a != 0 {
+		t.Fatalf("a loss episode on a warm stack costs %v allocs, want 0", a)
+	}
+	if d := e.stkA.Stats().SACKRetransmit - sack; d < runs {
+		t.Fatalf("%d SACK retransmissions in %d episodes: not every episode lost a segment", d, runs)
+	}
+	if len(e.stkA.coldSlab) != slabA || len(e.stkB.coldSlab) != slabB {
+		t.Fatalf("the cold slabs moved (%d → %d, %d → %d): episodes took fresh records, not pooled ones",
+			slabA, len(e.stkA.coldSlab), slabB, len(e.stkB.coldSlab))
+	}
+	if len(e.stkA.coldFree) == 0 || len(e.stkB.coldFree) == 0 {
+		t.Fatal("no cold record on either pool: the episodes never took one")
+	}
+}
+
+// lossyCycleOpen connects over churnCycle's fixed 4-tuple (source port
+// 25000) and accepts, with loops rather than closures so that an
+// allocation pin counts only the stack.
+func lossyCycleOpen(t *testing.T, e *testEnv, lfd int) (cfd, afd int) {
+	cfd, errno := e.stkA.Socket(SockStream)
+	if errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := e.stkA.Bind(cfd, IPv4Addr{}, 25000); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := e.stkA.Connect(cfd, IP4(10, 0, 0, 2), 9101); errno != hostos.EINPROGRESS {
+		t.Fatal(errno)
+	}
+	afd = -1
+	for tick := 0; afd < 0 || e.stkA.ConnState(cfd) != "ESTABLISHED"; tick++ {
+		if tick >= 8000 {
+			t.Fatal("handshake never completed")
+		}
+		e.tick()
+		if afd < 0 {
+			if fd, _, _, errno := e.stkB.Accept(lfd); errno == hostos.OK {
+				afd = fd
+			}
+		}
+	}
+	return cfd, afd
+}
+
+// lossyCycleClose closes the client then the server side and waits for
+// the server conn to be recycled and the client's to sit alone in
+// TIME_WAIT, as churnCycle does.
+func lossyCycleClose(t *testing.T, e *testEnv, cfd, afd int) {
+	e.stkA.Close(cfd)
+	for tick := 0; e.stkB.ConnState(afd) != "CLOSE_WAIT"; tick++ {
+		if tick >= 8000 {
+			t.Fatal("server never saw the FIN")
+		}
+		e.tick()
+	}
+	e.stkB.Close(afd)
+	for tick := 0; e.stkB.ConnCount() != 0 || e.stkA.ConnCount() != 1; tick++ {
+		if tick >= 8000 {
+			t.Fatal("teardown never drained")
+		}
+		e.tick()
+	}
+}

@@ -34,7 +34,7 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 	for i := uint32(0); i < 6; i++ {
 		c.oooInsert(1000+3000*i, make([]byte, 1448))
 	}
-	c.lastOOO = seqRange{start: 1000 + 3000*5, end: 1000 + 3000*5 + 1448}
+	c.cold.lastOOO = seqRange{start: 1000 + 3000*5, end: 1000 + 3000*5 + 1448}
 	src, dst := IPv4Addr{10, 0, 0, 1}, IPv4Addr{10, 0, 0, 2}
 	seg := make([]byte, 60)
 	if a := testing.AllocsPerRun(100, func() {
@@ -42,7 +42,7 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 		hl := h.encodedLen()
 		PutTCPHeader(seg, h, src, dst, hl)
 		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:])
-		if err != nil || len(got.SACK) != MaxSACKBlocks || got.SACK[0].Start != c.lastOOO.start {
+		if err != nil || len(got.SACK) != MaxSACKBlocks || got.SACK[0].Start != c.cold.lastOOO.start {
 			t.Fatalf("round trip: %+v, %v", got, err)
 		}
 	}); a != 0 {
@@ -80,13 +80,13 @@ func TestReassemblyZeroAllocs(t *testing.T) {
 			c.oooInsert(1100+300*i, seg) // each extended
 		}
 		c.oooInsert(1200, seg) // the first two merged
-		c.rcvBuf.writeFrom(hole)
+		c.rcvBuf.writeFrom(c.stk.seg, hole)
 		c.rcvNxt = 1000
 		c.oooDrain()
-		if c.rcvNxt != 1500 || c.rcvBuf.Len() != 1500 || len(c.rcvOOO) != 8 {
-			t.Fatalf("after the drain: rcvNxt %d, %d buffered, %d runs", c.rcvNxt, c.rcvBuf.Len(), len(c.rcvOOO))
+		if c.rcvNxt != 1500 || c.rcvBuf.Len() != 1500 || len(c.rcvOOO()) != 8 {
+			t.Fatalf("after the drain: rcvNxt %d, %d buffered, %d runs", c.rcvNxt, c.rcvBuf.Len(), len(c.rcvOOO()))
 		}
-		c.rcvNxt, c.rcvOOO, c.rcvBuf.r, c.rcvBuf.w = 0, c.rcvOOO[:0], 0, 0
+		c.rcvNxt, c.cold.rcvOOO, c.rcvBuf.r, c.rcvBuf.w = 0, c.cold.rcvOOO[:0], 0, 0
 	}
 	round()
 	if a := testing.AllocsPerRun(100, round); a != 0 {

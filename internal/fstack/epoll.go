@@ -237,7 +237,7 @@ func (sk *socket) readiness() uint32 {
 		case tcpClosed:
 			r |= EPOLLHUP
 		}
-		if c.sockErr != hostos.OK {
+		if c.err() != hostos.OK {
 			r |= EPOLLERR
 		}
 	case sk.udp != nil:

@@ -7,19 +7,28 @@ import (
 	"repro/internal/hostos"
 )
 
-// TestConnPlaneStructSizes pins the two structs Stack.RetainedBytes
+// TestConnPlaneStructSizes pins the structs Stack.RetainedBytes
 // multiplies by the connection count: Scenario 8's bytes-per-idle-
-// connection column (scenario8.golden) moves with either. The epoll
-// registration chain must fit in the slack, not grow them.
+// connection column (scenario8.golden) moves with tcpConn (its two ring
+// headers inside) or socket. The epoll registration chain must fit in
+// the slack, not grow them, and the cold record an idle connection does
+// not hold stays within 80 bytes.
 func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(socket{}); got != 48 {
-		t.Errorf("sizeof(socket) = %d, want 48", got)
-	}
-	if got := unsafe.Sizeof(tcpConn{}); got != 360 {
-		t.Errorf("sizeof(tcpConn) = %d, want 360", got)
+	for _, s := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"socket", unsafe.Sizeof(socket{}), 48},
+		{"tcpConn", unsafe.Sizeof(tcpConn{}), 240},
+		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
+		{"tcpCold", unsafe.Sizeof(tcpCold{}), 80},
+	} {
+		if s.got != s.want {
+			t.Errorf("sizeof(%s) = %d, want %d", s.name, s.got, s.want)
+		}
 	}
 }
 

@@ -201,7 +201,7 @@ func TestRecycledConnTakesNewTuning(t *testing.T) {
 		t.Fatalf("accepted the pooled conn: %v; %d pooled left, slab %d → %d; want it, none left, the slab untouched",
 			c == pooled, len(e.stkB.connFree), slab, len(e.stkB.connSlab))
 	}
-	if c.cc.Name() != CCCubic || c.sndBuf.size != snd || c.rcvBuf.size != rcv {
+	if c.cc.Name() != CCCubic || int(c.sndBuf.size) != snd || int(c.rcvBuf.size) != rcv {
 		t.Fatalf("recycled conn: %s, rings %d/%d; want %s, %d/%d", c.cc.Name(), c.sndBuf.size, c.rcvBuf.size, CCCubic, snd, rcv)
 	}
 	buf := make([]byte, 64)

@@ -305,10 +305,7 @@ func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 		old.setState(tcpClosed)
 		s.removeConn(old)
 	}
-	c, err := s.newTCPConn(nif, tuple)
-	if err != nil {
-		return hostos.ENOMEM
-	}
+	c := s.newTCPConn(nif, tuple)
 	iss := s.iss()
 	c.sndUna, c.sndNxt, c.sndMax = iss, iss+1, iss+1
 	c.setState(tcpSynSent)
@@ -383,7 +380,7 @@ func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, ho
 // write stores src in a writable connection's send buffer, books the
 // call and sends what the window allows.
 func (s *Stack) write(c *tcpConn, src []byte) (int, hostos.Errno) {
-	n, err := c.sndBuf.writeFrom(src)
+	n, err := c.sndBuf.writeFrom(s.seg, src)
 	if err != nil {
 		if !c.sndBuf.backed {
 			return -1, hostos.ENOMEM // no room left in the segment for the ring
@@ -422,8 +419,8 @@ func (s *Stack) WriteRoom(fd int) int {
 
 // writableState maps connection state to a write errno.
 func writableState(c *tcpConn) hostos.Errno {
-	if c.sockErr != hostos.OK {
-		return c.sockErr
+	if errno := c.err(); errno != hostos.OK {
+		return errno
 	}
 	switch c.state {
 	case tcpEstablished, tcpCloseWait:
@@ -472,8 +469,8 @@ func (s *Stack) readableConn(fd int) (*tcpConn, int, hostos.Errno) {
 		return nil, -1, errno
 	case c.rcvBuf.Len() > 0:
 		return c, 0, hostos.OK
-	case c.sockErr != hostos.OK:
-		return nil, -1, c.sockErr
+	case c.err() != hostos.OK:
+		return nil, -1, c.err()
 	case c.finRcvd:
 		return nil, 0, hostos.OK // EOF
 	case c.state == tcpClosed:
@@ -485,7 +482,7 @@ func (s *Stack) readableConn(fd int) (*tcpConn, int, hostos.Errno) {
 
 // read consumes received bytes into dst.
 func (s *Stack) read(c *tcpConn, dst []byte) (int, hostos.Errno) {
-	n, err := c.rcvBuf.readInto(dst)
+	n, err := c.rcvBuf.readInto(s.seg, dst)
 	if err != nil {
 		return -1, hostos.EFAULT
 	}

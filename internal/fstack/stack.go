@@ -128,21 +128,45 @@ type TCPTuning struct {
 	// the peer offers scaling too.
 	WindowScale uint8
 	// SndBufBytes / RcvBufBytes size new connections' socket buffers
-	// (powers of two; 0 keeps the 512 KiB / 256 KiB defaults). A
-	// scaled receive window is bounded by RcvBufBytes, so high-BDP
-	// paths must raise it. A ring takes its segment memory on its first
-	// write, so an idle connection costs only its struct.
+	// (powers of two up to maxRingBytes; 0 keeps the 512 KiB / 256 KiB
+	// defaults). A scaled receive window is bounded by RcvBufBytes, so
+	// high-BDP paths must raise it. A ring takes its segment memory on
+	// its first write, so an idle connection costs only its struct.
 	SndBufBytes int
 	RcvBufBytes int
 	// Congestion selects the congestion-control algorithm for new
 	// connections (net.inet.tcp.cc.algorithm): CCReno or CCCubic, with
 	// "" meaning the CCReno default — the extracted paper-stack
-	// behavior. Validate names early with ValidCongestion; an unknown
-	// name makes connection creation fail.
+	// behavior.
 	Congestion string
 	// SynCacheSize bounds the half-open SYN cache
 	// (net.inet.tcp.syncache.cachelimit); 0 keeps the 1024 default.
 	SynCacheSize int
+}
+
+// maxRingBytes is the largest socket buffer: a ring's size and counters
+// are 32-bit.
+const maxRingBytes = 1 << 31
+
+// Validate reports why no connection could be built with t: a socket
+// buffer size that is neither 0 (the default) nor a power of two up to
+// maxRingBytes, or an unknown congestion-control algorithm.
+// SetTCPTuning refuses such a tuning, and a testbed spec is checked
+// with it before anything is built.
+func (t TCPTuning) Validate() error {
+	if !ValidCongestion(t.Congestion) {
+		return fmt.Errorf("unknown congestion-control algorithm %q (have %v)", t.Congestion, CongestionAlgos())
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"SndBufBytes", t.SndBufBytes}, {"RcvBufBytes", t.RcvBufBytes}} {
+		if f.v < 0 || f.v > maxRingBytes || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("Tuning.%s is %d; a socket buffer is a power of two up to %d, or 0 for the default",
+				f.name, f.v, maxRingBytes)
+		}
+	}
+	return nil
 }
 
 // Stack is a user-space TCP/IP instance — interfaces, connection tables
@@ -204,17 +228,22 @@ type Stack struct {
 	synFree  []*synEntry
 
 	// connFree/sockFree recycle connection and socket structs so a
-	// churn of short flows reaches zero steady-state allocations.
-	// Plain per-stack free lists, not sync.Pool: the segment allocator
-	// backing socket buffers never frees, so a conn dropped to the GC
-	// would leak its buffers for good.
+	// churn of short flows reaches zero steady-state allocations, and
+	// coldFree the cold records connections take on loss, reordering
+	// or a zero window. Plain per-stack free lists, not sync.Pool: a
+	// pool may drop its contents at any GC, putting allocations back
+	// into steady-state churn, and hands structs back in an order no
+	// run can reproduce.
 	connFree []*tcpConn
 	sockFree []*socket
-	// connSlab/sockSlab are the unissued tails of the current slabs the
-	// arenas take fresh structs from (slabLen at a time); renoSlab/
-	// cubicSlab hold the fresh connections' congestion controllers.
-	connSlab  []connBlock
+	coldFree []*tcpCold
+	// connSlab/sockSlab/coldSlab are the unissued tails of the current
+	// slabs the arenas take fresh structs from (slabLen at a time);
+	// renoSlab/cubicSlab hold the fresh connections' congestion
+	// controllers.
+	connSlab  []tcpConn
 	sockSlab  []socket
+	coldSlab  []tcpCold
 	renoSlab  []renoCC
 	cubicSlab []cubicCC
 	// regFree pools epoll registrations the same way, chained through
@@ -397,8 +426,8 @@ func connDeadline(c *tcpConn) int64 {
 	if c.rtxAt != 0 && c.rtxAt < d {
 		d = c.rtxAt
 	}
-	if c.persistAt != 0 && c.persistAt < d {
-		d = c.persistAt
+	if at := c.persistAt(); at != 0 && at < d {
+		d = at
 	}
 	if c.delackAt != 0 && c.delackAt < d {
 		d = c.delackAt
@@ -472,12 +501,17 @@ func (s *Stack) rtoFloor() int64 {
 // the call. Like SetRTOMin it is a
 // boot-time knob: set it before traffic starts, on both ends of the
 // path that needs it (an un-tuned peer simply declines the options and
-// the connection runs exactly as before).
-func (s *Stack) SetTCPTuning(t TCPTuning) {
+// the connection runs exactly as before). A tuning Validate rejects is
+// refused and the stack keeps the one it had.
+func (s *Stack) SetTCPTuning(t TCPTuning) error {
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("fstack: %w", err)
+	}
 	if t.WindowScale > MaxWScale {
 		t.WindowScale = MaxWScale
 	}
 	s.tuning = t
+	return nil
 }
 
 // Lock and Unlock do nothing: a bed runs on one goroutine, so the stack
@@ -516,12 +550,13 @@ func (s *Stack) ConnCount() int {
 }
 
 // RetainedBytes is a deterministic accounting of the heap the stack's
-// connection plane holds onto: connection and socket structs (live and
-// free-listed), their buffer headers, reassembly run lists and SACK
-// scoreboards, half-open SYN-cache entries, and recycled datagram
-// buffers. Segment-backed socket buffer storage is excluded — the
-// segment allocator reports that itself (MemSeg.Used) — and so is the
-// unissued tail of the current slabs (at most one slab per type per
+// connection plane holds onto: connection structs with their ring
+// headers, their congestion controllers and cold records (live and
+// free-listed, a record's reassembly runs and SACK scoreboard at their
+// capacity), socket structs, half-open SYN-cache entries, and recycled
+// datagram buffers. Segment-backed socket buffer storage is excluded —
+// the segment allocator reports that itself (MemSeg.Used) — and so is
+// the unissued tail of the current slabs (at most one slab per type per
 // stack): capacity, not population.
 //
 // Scenario 8 measures the idle population's memory cost as a delta of
@@ -533,28 +568,37 @@ func (s *Stack) RetainedBytes() uint64 {
 	const (
 		connSz  = uint64(unsafe.Sizeof(tcpConn{}))
 		sockSz  = uint64(unsafe.Sizeof(socket{}))
-		bufSz   = uint64(unsafe.Sizeof(sockBuf{}))
 		synSz   = uint64(unsafe.Sizeof(synEntry{}))
+		coldSz  = uint64(unsafe.Sizeof(tcpCold{}))
 		rangeSz = uint64(unsafe.Sizeof(seqRange{}))
 		oooSz   = uint64(unsafe.Sizeof(oooRun{}))
+		renoSz  = uint64(unsafe.Sizeof(renoCC{}))
+		cubicSz = uint64(unsafe.Sizeof(cubicCC{}))
 	)
 	var b uint64
+	cold := func(k *tcpCold) {
+		b += coldSz + uint64(cap(k.sacked))*rangeSz + uint64(cap(k.rcvOOO))*oooSz
+	}
 	conn := func(c *tcpConn) {
 		b += connSz
-		if c.sndBuf != nil {
-			b += bufSz
+		switch c.cc.(type) {
+		case *renoCC:
+			b += renoSz
+		case *cubicCC:
+			b += cubicSz
 		}
-		if c.rcvBuf != nil {
-			b += bufSz
+		if c.cold != nil {
+			cold(c.cold)
 		}
-		b += uint64(cap(c.rcvOOO)) * oooSz
-		b += uint64(cap(c.sacked)) * rangeSz
 	}
 	for _, c := range s.conns {
 		conn(c)
 	}
 	for _, c := range s.connFree {
 		conn(c)
+	}
+	for _, k := range s.coldFree {
+		cold(k)
 	}
 	b += uint64(s.socks.len()+len(s.sockFree)) * sockSz
 	b += uint64(len(s.syncache)+len(s.synFree)) * synSz

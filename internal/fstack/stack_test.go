@@ -455,3 +455,39 @@ func TestCrashedRunOnceRunsCallback(t *testing.T) {
 		t.Fatalf("crashed iteration: %d callbacks, %d iterations; want 2, 2", calls, stk.Iterations())
 	}
 }
+
+// TestSetTCPTuningRefusesABadTuning: a tuning no connection could be
+// built with is refused where it is applied, and the stack keeps the
+// tuning it had. A listener once took RcvBufBytes 3000 silently: the
+// client reached ESTABLISHED while the server never made a connection
+// (Accepts 0), because every graduation failed to build its rings.
+func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
+	e := newEnv(t, false)
+	const kept = 16 << 10
+	if err := e.stkB.SetTCPTuning(TCPTuning{SndBufBytes: kept, RcvBufBytes: kept}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []TCPTuning{
+		{RcvBufBytes: 3000},
+		{SndBufBytes: -4096},
+		{RcvBufBytes: maxRingBytes << 1},
+		{Congestion: "vegas"},
+	} {
+		if err := e.stkB.SetTCPTuning(bad); err == nil {
+			t.Errorf("SetTCPTuning(%+v) accepted", bad)
+		}
+	}
+	cfd, afd := e.connectPair(5001)
+	if st := e.stkB.Stats(); st.Accepts != 1 {
+		t.Fatalf("server accepted %d connections, want 1", st.Accepts)
+	}
+	c := e.stkB.socks.get(afd).conn
+	if c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc.Name() != CCReno {
+		t.Fatalf("accepted conn: rings %d/%d, %s; want the kept tuning's %d/%d, %s",
+			c.sndBuf.size, c.rcvBuf.size, c.cc.Name(), kept, kept, CCReno)
+	}
+	msg := []byte("across the refused tuning")
+	if got := sendAll(e, cfd, afd, msg, 4000); !bytes.Equal(got, msg) {
+		t.Fatalf("read %q, want %q", got, msg)
+	}
+}

@@ -208,16 +208,13 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 		}
 		return
 	}
-	c, err := s.newTCPConn(e.nif, e.tuple)
-	if err != nil {
-		return // a tuning it cannot build: keep the entry, the peer retries
-	}
+	c := s.newTCPConn(e.nif, e.tuple)
 	c.setState(tcpSynReceived)
 	c.rcvNxt = e.irs + 1
 	c.tsRecent = e.tsRecent
 	if e.mss != 0 {
-		c.sndMSS = e.mss
-		c.cc.SetMSS(c.sndMSS)
+		c.sndMSS = int32(e.mss)
+		c.cc.SetMSS(e.mss)
 	}
 	c.offerSACK, c.sackOK = e.sackOK, e.sackOK
 	c.offerWS = e.wsOK

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dpdk"
 	"repro/internal/hostos"
 	"repro/internal/netem"
 	"repro/internal/nic"
@@ -278,7 +277,7 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	conn.sackOK = true
 
 	f := func(offsets []uint16, sizes []uint8) bool {
-		conn.rcvOOO = nil
+		conn.takeCold().rcvOOO = nil
 		for i, off := range offsets {
 			size := 1
 			if i < len(sizes) {
@@ -287,7 +286,7 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 			seq := conn.rcvNxt + 1 + uint32(off) // never at rcvNxt: always a hole
 			payload := make([]byte, size)
 			conn.oooInsert(seq, payload)
-			conn.lastOOO = seqRange{start: seq, end: seq + uint32(len(payload))}
+			conn.cold.lastOOO = seqRange{start: seq, end: seq + uint32(len(payload))}
 		}
 		if err := checkRuns(conn); err != nil {
 			t.Log(err)
@@ -317,9 +316,9 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 		// First block reports the most recent arrival's run, whenever
 		// that run survived the insert budget.
 		if len(blocks) > 0 {
-			for _, r := range conn.rcvOOO {
-				if seqLE(r.start, conn.lastOOO.start) && seqLT(conn.lastOOO.start, r.end) {
-					if !(seqLE(blocks[0].Start, conn.lastOOO.start) && seqLT(conn.lastOOO.start, blocks[0].End)) {
+			for _, r := range conn.rcvOOO() {
+				if seqLE(r.start, conn.cold.lastOOO.start) && seqLT(conn.cold.lastOOO.start, r.end) {
+					if !(seqLE(blocks[0].Start, conn.cold.lastOOO.start) && seqLT(conn.cold.lastOOO.start, blocks[0].End)) {
 						return false
 					}
 					break
@@ -341,12 +340,12 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 func checkRuns(c *tcpConn) error {
 	limit := c.rcvNxt + uint32(c.rcvBuf.Free())
 	live := 0
-	for i, r := range c.rcvOOO {
+	for i, r := range c.rcvOOO() {
 		switch {
 		case !seqLT(r.start, r.end) || r.segs == 0:
 			return fmt.Errorf("run %d %+v is empty", i, r)
-		case i > 0 && !seqLT(c.rcvOOO[i-1].end, r.start):
-			return fmt.Errorf("runs %d %+v and %d %+v overlap, touch or are out of order", i-1, c.rcvOOO[i-1], i, r)
+		case i > 0 && !seqLT(c.rcvOOO()[i-1].end, r.start):
+			return fmt.Errorf("runs %d %+v and %d %+v overlap, touch or are out of order", i-1, c.rcvOOO()[i-1], i, r)
 		case seqGT(r.end, limit):
 			return fmt.Errorf("run %d %+v ends past rcvNxt+Free = %d", i, r, limit)
 		case seqLE(r.start, c.rcvNxt) && seqGT(r.end, c.rcvNxt):
@@ -356,14 +355,15 @@ func checkRuns(c *tcpConn) error {
 			live += int(r.end - r.start)
 		}
 	}
-	if c.rcvBuf.Len()+live > c.rcvBuf.size {
+	if c.rcvBuf.Len()+live > int(c.rcvBuf.size) {
 		return fmt.Errorf("%d buffered + %d parked exceed the %d-byte ring", c.rcvBuf.Len(), live, c.rcvBuf.size)
 	}
 	return nil
 }
 
 // bareReceiver is a connection with only what reassembly touches: a
-// receive ring and a stack to count refusals on. Enough
+// receive ring and a stack to count refusals on, which owns the ring's
+// segment and pools the cold record. Enough
 // for oooInsert, oooDrain and sackBlocks; acceptData needs a real stack
 // to send its ACKs through (see reassRig).
 func bareReceiver(t testing.TB, size int, rcvNxt uint32) *tcpConn {
@@ -373,7 +373,7 @@ func bareReceiver(t testing.TB, size int, rcvNxt uint32) *tcpConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &tcpConn{stk: &Stack{}, rcvBuf: ring, rcvNxt: rcvNxt}
+	return &tcpConn{stk: &Stack{seg: seg}, rcvBuf: *ring, rcvNxt: rcvNxt}
 }
 
 // oooSeg is one parked segment of the reference queue.
@@ -550,7 +550,7 @@ func (r *refReassembly) sackBlocks() []SACKBlock {
 // connRuns is the connection's run list in the reference's terms.
 func connRuns(c *tcpConn) []SACKBlock {
 	var runs []SACKBlock
-	for _, r := range c.rcvOOO {
+	for _, r := range c.rcvOOO() {
 		runs = append(runs, r.block())
 	}
 	return runs
@@ -565,8 +565,9 @@ func TestSACKBlocksMatchReference(t *testing.T) {
 		// to well past MaxSACKBlocks — inserted in a shuffled order, so
 		// runs also grow at the front and merge in the middle.
 		seq := uint32(0xFFFFF000) + uint32(rng.Intn(0x2000))
-		c.rcvNxt, c.rcvOOO = seq-1, c.rcvOOO[:0]
-		ref := &refReassembly{rcvNxt: c.rcvNxt, size: c.rcvBuf.size}
+		k := c.takeCold()
+		c.rcvNxt, k.rcvOOO = seq-1, k.rcvOOO[:0]
+		ref := &refReassembly{rcvNxt: c.rcvNxt, size: int(c.rcvBuf.size)}
 		var segs []seqRange
 		for n := 1 + rng.Intn(12); n > 0; n-- {
 			if rng.Intn(2) == 0 {
@@ -587,14 +588,14 @@ func TestSACKBlocksMatchReference(t *testing.T) {
 		}
 		// The latest arrival: usually one of the queued segments (any
 		// position), sometimes a range the queue no longer holds.
-		c.lastOOO = segs[rng.Intn(len(segs))]
+		c.cold.lastOOO = segs[rng.Intn(len(segs))]
 		if rng.Intn(8) == 0 {
-			c.lastOOO.start -= 1 + uint32(rng.Intn(5000))
+			c.cold.lastOOO.start -= 1 + uint32(rng.Intn(5000))
 		}
-		ref.lastOOO = c.lastOOO
+		ref.lastOOO = c.cold.lastOOO
 		got, want := c.sackBlocks(), ref.sackBlocks()
 		if !slices.Equal(got, want) {
-			t.Fatalf("iter %d (%d segments, lastOOO %v):\n got %v\nwant %v", iter, len(segs), c.lastOOO, got, want)
+			t.Fatalf("iter %d (%d segments, lastOOO %v):\n got %v\nwant %v", iter, len(segs), c.cold.lastOOO, got, want)
 		}
 	}
 }
@@ -637,19 +638,19 @@ func TestReassemblyKeepsBytesPastANeighbour(t *testing.T) {
 			if got := ref.runs(); !slices.Equal(got, tc.refRuns) {
 				t.Fatalf("reference queue holds %v, want %v: the pinned difference moved", got, tc.refRuns)
 			}
-			if len(c.rcvOOO) != 1 || c.rcvOOO[0] != tc.want {
-				t.Fatalf("runs %+v, want [%+v]", c.rcvOOO, tc.want)
+			if len(c.rcvOOO()) != 1 || c.rcvOOO()[0] != tc.want {
+				t.Fatalf("runs %+v, want [%+v]", c.rcvOOO(), tc.want)
 			}
 			// Fill the hole: everything parked must come out, in order.
-			if n, err := c.rcvBuf.writeFrom(stream[:100]); n != 100 || err != nil {
+			if n, err := c.rcvBuf.writeFrom(c.stk.seg, stream[:100]); n != 100 || err != nil {
 				t.Fatal(n, err)
 			}
 			c.rcvNxt = 100
 			c.oooDrain()
 			got := make([]byte, len(stream))
-			n, _ := c.rcvBuf.readInto(got)
-			if c.rcvNxt != tc.want.end || len(c.rcvOOO) != 0 || !bytes.Equal(got[:n], stream[:tc.want.end]) {
-				t.Fatalf("after the fill: rcvNxt %d, %d runs, %d bytes read; want the first %d stream bytes", c.rcvNxt, len(c.rcvOOO), n, tc.want.end)
+			n, _ := c.rcvBuf.readInto(c.stk.seg, got)
+			if c.rcvNxt != tc.want.end || len(c.rcvOOO()) != 0 || !bytes.Equal(got[:n], stream[:tc.want.end]) {
+				t.Fatalf("after the fill: rcvNxt %d, %d runs, %d bytes read; want the first %d stream bytes", c.rcvNxt, len(c.rcvOOO()), n, tc.want.end)
 			}
 		})
 	}
@@ -663,24 +664,24 @@ func TestReassemblyRefusalsAreCounted(t *testing.T) {
 	seg := make([]byte, 1448)
 	c.oooInsert(2000, seg)
 	c.oooInsert(5000, seg)
-	if c.stk.stats.ReassDrops != 0 || len(c.rcvOOO) != 2 {
-		t.Fatalf("two segments inside the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	if c.stk.stats.ReassDrops != 0 || len(c.rcvOOO()) != 2 {
+		t.Fatalf("two segments inside the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO())
 	}
 	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1447, seg) // one byte past the window
-	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 2 {
-		t.Fatalf("past the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != 2 {
+		t.Fatalf("past the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO())
 	}
 	c.oooInsert(c.rcvNxt+uint32(c.rcvBuf.Free())-1448, seg) // flush with it
-	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != 3 {
-		t.Fatalf("flush with the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO)
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != 3 {
+		t.Fatalf("flush with the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO())
 	}
 	// Segment budget: one-byte arrivals, each its own run.
 	c = bareReceiver(t, 64<<10, 0)
 	for i := 0; i <= c.oooSegCap(); i++ {
 		c.oooInsert(uint32(10+2*i), seg[:1])
 	}
-	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO) != c.oooSegCap() {
-		t.Fatalf("over the segment budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO))
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != c.oooSegCap() {
+		t.Fatalf("over the segment budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO()))
 	}
 	var sum StackStats
 	sum.Add(c.stk.stats)
@@ -706,7 +707,6 @@ func TestReassemblyRefusalsAreCounted(t *testing.T) {
 type reassRig struct {
 	stk  *Stack
 	conn *tcpConn
-	seg  *dpdk.MemSeg // rings for reset come from here, not the stack's segment
 	isn  uint32
 	src  []byte
 }
@@ -720,23 +720,20 @@ func newReassRig(t testing.TB) *reassRig {
 }
 
 // reset gives the connection a fresh receive ring of the given size
-// (unbacked when lazy) and restarts the stream at isn.
+// (unbacked when lazy) and restarts the stream at isn. The old ring goes
+// back to the stack's segment first, which hands a ring of a size it
+// took before back again, so the segment holds one ring per size.
 func (g *reassRig) reset(t testing.TB, size int, lazy bool, isn uint32, src []byte) {
-	// A segment only ever grows; start a new one when this ring (backed
-	// now, or by its first write) would not fit.
-	if g.seg == nil || g.seg.Used()+uint64(size)+64 > testSegBytes {
-		g.seg, _ = testSeg(t, false)
-	}
-	mk := newSockBuf
-	if lazy {
-		mk = newLazySockBuf
-	}
-	ring, err := mk(g.seg, size)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := g.conn
-	c.rcvBuf, c.rcvNxt, c.rcvOOO, c.lastOOO = ring, isn, c.rcvOOO[:0], seqRange{}
+	c.rcvBuf.release(g.stk.seg)
+	c.rcvBuf = sockBuf{size: uint32(size)}
+	if !lazy {
+		if err := c.rcvBuf.back(g.stk.seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := c.takeCold()
+	c.rcvNxt, k.rcvOOO, k.lastOOO = isn, k.rcvOOO[:0], seqRange{}
 	g.isn, g.src = isn, src
 }
 
@@ -748,7 +745,7 @@ func (g *reassRig) arrive(from, to int) {
 // read is the application consuming up to n bytes.
 func (g *reassRig) read(n int) []byte {
 	out := make([]byte, n)
-	n, _ = g.conn.rcvBuf.readInto(out)
+	n, _ = g.conn.rcvBuf.readInto(g.stk.seg, out)
 	return out[:n]
 }
 
@@ -846,9 +843,9 @@ func TestReassemblyMatchesReference(t *testing.T) {
 			if got, want := int(g.stk.stats.ReassDrops-dropsBefore), ref.refused-wasRefused; got != want {
 				t.Fatalf("trace %d step %d [%d,%d): refused %d, reference %d", trace, step, from, to, got, want)
 			}
-			if c.rcvNxt != ref.rcvNxt || c.rcvBuf.Len() != len(ref.buf) || c.lastOOO != ref.lastOOO {
+			if c.rcvNxt != ref.rcvNxt || c.rcvBuf.Len() != len(ref.buf) || c.cold.lastOOO != ref.lastOOO {
 				t.Fatalf("trace %d step %d [%d,%d): rcvNxt %d len %d lastOOO %v, reference %d %d %v",
-					trace, step, from, to, c.rcvNxt, c.rcvBuf.Len(), c.lastOOO, ref.rcvNxt, len(ref.buf), ref.lastOOO)
+					trace, step, from, to, c.rcvNxt, c.rcvBuf.Len(), c.cold.lastOOO, ref.rcvNxt, len(ref.buf), ref.lastOOO)
 			}
 			if got, want := c.rcvWnd(), uint32(min(ref.free(), maxRcvWnd)); got != want {
 				t.Fatalf("trace %d step %d [%d,%d): window %d, reference %d: parked bytes must not be charged to it", trace, step, from, to, got, want)
@@ -959,11 +956,11 @@ func TestReassemblyHoldsASuperset(t *testing.T) {
 			}
 			for _, want := range ref.runs() {
 				held := seqGE(c.rcvNxt, want.End)
-				for _, r := range c.rcvOOO {
+				for _, r := range c.rcvOOO() {
 					held = held || seqLE(r.start, seqMax(want.Start, c.rcvNxt)) && seqGE(r.end, want.End)
 				}
 				if !held {
-					t.Fatalf("trace %d step %d: reference holds %v, runs %+v (rcvNxt %d) do not", trace, step, want, c.rcvOOO, c.rcvNxt)
+					t.Fatalf("trace %d step %d: reference holds %v, runs %+v (rcvNxt %d) do not", trace, step, want, c.rcvOOO(), c.rcvNxt)
 				}
 			}
 			if err := checkRuns(c); err != nil {

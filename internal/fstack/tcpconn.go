@@ -9,7 +9,7 @@ import (
 )
 
 // tcpState is the RFC 793 connection state.
-type tcpState int
+type tcpState uint8
 
 const (
 	tcpClosed tcpState = iota
@@ -81,97 +81,162 @@ type fourTuple struct {
 	remote tcpEndpoint
 }
 
-// tcpConn is a TCP connection.
+// tcpConn is a TCP connection: the state every segment, timer and call
+// of a connection reads, its two socket ring headers inside it. What
+// only loss, reordering or a zero window needs is in the cold record,
+// which an idle or healthy connection does not hold. Fields are ordered
+// by size so no padding falls between them: its size is Scenario 8's
+// bytes-per-idle-connection, pinned by TestConnPlaneStructSizes.
 type tcpConn struct {
-	stk   *Stack
-	nif   *NetIF
-	tuple fourTuple
-	state tcpState
+	stk  *Stack
+	nif  *NetIF
+	sk   *socket // owning socket: nil before accept / after close
+	cold *tcpCold
+	// cc owns cwnd/ssthresh; the connection reports ACK and loss events
+	// to it (see cc.go).
+	cc CongestionController
 
-	// send state
-	sndBuf    *sockBuf // buf.r position corresponds to sequence sndUna
-	sndUna    uint32
-	sndNxt    uint32
-	sndMax    uint32 // highest sequence ever sent (survives go-back-N rewinds)
-	sndWnd    uint32 // peer's advertised window
-	sndMSS    int    // payload bytes per segment (after options)
-	finQueued bool   // Close called: FIN after all buffered data
-	finSent   bool   // FIN is currently in flight (cleared by a rewind)
-	finEver   bool   // FIN has been transmitted at least once
-	finSeq    uint32 // sequence number the FIN occupies (valid when finEver)
-	finAcked  bool
+	sndBuf sockBuf // r position corresponds to sequence sndUna
+	rcvBuf sockBuf
 
-	// receive state
-	rcvBuf    *sockBuf
-	rcvOOO    []oooRun // out-of-order runs parked in rcvBuf (sorted, disjoint, non-adjacent)
-	rcvNxt    uint32
-	finRcvd   bool   // peer's FIN has been sequenced into rcvNxt
-	advWnd    uint32 // last advertised window
-	tsRecent  uint32 // latest peer TSVal (echoed in TSEcr)
-	delackCnt int
-	delackAt  int64 // 0 = no pending delayed ack
+	// RTT estimation (RFC 6298 via timestamps) and the timers; a
+	// deadline of 0 is off.
+	srtt       int64
+	rttvar     int64
+	rto        int64
+	rtxAt      int64 // retransmission deadline
+	delackAt   int64 // pending delayed ack
+	timeWaitAt int64
+	timerAt    int64 // the deadline timerH files on the stack's wheel
+	seq        uint64
 
-	// SACK + window scaling (RFC 2018 / RFC 7323), negotiated on the
+	sndUna   uint32
+	sndNxt   uint32
+	sndMax   uint32 // highest sequence ever sent (survives go-back-N rewinds)
+	sndWnd   uint32 // peer's advertised window
+	finSeq   uint32 // sequence number the FIN occupies (valid when finEver)
+	rcvNxt   uint32
+	advWnd   uint32 // last advertised window
+	tsRecent uint32 // latest peer TSVal (echoed in TSEcr)
+	sndMSS   int32  // payload bytes per segment (after options)
+	// obsCwnd is the last congestion window the flight recorder saw
+	// (noteCwnd), so the trace only carries changes.
+	obsCwnd int32
+	sockErr int32 // sticky hostos.Errno (ECONNRESET etc.)
+	timerH  connscale.Handle
+
+	tuple     fourTuple
+	state     tcpState
+	delackCnt uint8
+	rtxN      uint8 // consecutive backoffs
+	// Window scaling and SACK (RFC 7323 / RFC 2018), negotiated on the
 	// SYN; all zero on a stack with default tuning, which keeps the
 	// wire behavior of the paper's scenarios bit-identical.
+	sndWScale uint8 // shift applied to windows the peer advertises
+	rcvWScale uint8 // shift applied to windows we advertise
 	offerSACK bool  // we advertise SACK-permitted on our SYN/SYN|ACK
 	offerWS   bool  // we advertise window scaling on our SYN/SYN|ACK
 	sackOK    bool  // both sides agreed on SACK
-	sndWScale uint8 // shift applied to windows the peer advertises
-	rcvWScale uint8 // shift applied to windows we advertise
 
-	// receiver SACK generation: the most recently arrived
-	// out-of-order run leads the block list (RFC 2018 §4).
-	lastOOO seqRange
-
-	// sender scoreboard: disjoint sorted ranges the peer has SACKed,
-	// all within (sndUna, sndMax].
-	sacked     []seqRange
-	inRecovery bool
-	recoverPt  uint32 // sndMax when recovery began (RFC 6582 "recover")
-	rtxNxt     uint32 // next hole-fill candidate during SACK recovery
-
-	// congestion control: the connection reports ACK/loss events and
-	// the controller owns cwnd/ssthresh (see cc.go).
-	cc      CongestionController
-	dupAcks int
-
-	// persist timer (zero-window probing): armed when a zero peer
-	// window with data waiting leaves nothing in flight, so a lost
-	// window update cannot stall the connection forever.
-	persistAt int64 // probe deadline; 0 = off
-	persistN  int   // consecutive probe backoffs
-
-	// RTT estimation (RFC 6298 via timestamps)
-	srtt   int64
-	rttvar int64
-	rto    int64
-	rtxAt  int64 // retransmission deadline; 0 = off
-	rtxN   int   // consecutive backoffs
-
-	// lifecycle
-	timeWaitAt int64
-	sockErr    hostos.Errno // sticky error (ECONNRESET etc.)
-
-	// obsCwnd is the last congestion window the flight recorder saw
-	// (noteCwnd), so the trace only carries changes.
-	obsCwnd int
+	finQueued bool // Close called: FIN after all buffered data
+	finSent   bool // FIN is currently in flight (cleared by a rewind)
+	finEver   bool // FIN has been transmitted at least once
+	finAcked  bool
+	finRcvd   bool // peer's FIN has been sequenced into rcvNxt
 
 	// connection-scale plumbing (stack.go): seq stamps creation order
 	// for the poll visit sort; timerH/timerAt file the earliest armed
 	// timer on the stack's timing wheel; queued/onReady deduplicate
-	// visit-set membership; detached means removeConn ran; sk is the
-	// owning socket (nil before accept / after close) and inPending
-	// marks residence on a listener's accept queue — together they
-	// gate recycling the struct through the conn arena.
-	seq       uint64
-	timerH    connscale.Handle
-	timerAt   int64
+	// visit-set membership; detached means removeConn ran; sk and
+	// inPending (residence on a listener's accept queue) together gate
+	// recycling the struct through the conn arena.
 	queued    bool
 	onReady   bool
 	detached  bool
-	sk        *socket
 	inPending bool
+}
+
+// tcpCold is the part of a connection that only loss, reordering or a
+// zero window needs: the sender's scoreboard and recovery state, the
+// receiver's reassembly runs and the persist timer. A connection takes
+// one from its stack's pool the first time it needs any of it and gives
+// it back with its rings (enterTimeWait, maybeRecycleConn); a nil
+// record reads as no recovery, nothing parked and persist off. The
+// record keeps its slices' capacity between connections, so a warm
+// stack's loss episodes allocate nothing.
+type tcpCold struct {
+	// sender scoreboard: disjoint sorted ranges the peer has SACKed,
+	// all within (sndUna, sndMax].
+	sacked []seqRange
+	// out-of-order runs parked in rcvBuf (sorted, disjoint, non-adjacent)
+	rcvOOO []oooRun
+	// receiver SACK generation: the most recently arrived out-of-order
+	// run leads the block list (RFC 2018 §4).
+	lastOOO seqRange
+	// persist timer (zero-window probing): armed when a zero peer
+	// window with data waiting leaves nothing in flight, so a lost
+	// window update cannot stall the connection forever.
+	persistAt  int64  // probe deadline; 0 = off
+	recoverPt  uint32 // sndMax when recovery began (RFC 6582 "recover")
+	rtxNxt     uint32 // next hole-fill candidate during SACK recovery
+	dupAcks    int32
+	persistN   uint8 // consecutive probe backoffs
+	inRecovery bool
+}
+
+// takeCold returns the connection's cold record, taking one from the
+// stack's pool (or its slab) on first need.
+func (c *tcpConn) takeCold() *tcpCold {
+	if c.cold != nil {
+		return c.cold
+	}
+	s := c.stk
+	var k *tcpCold
+	if n := len(s.coldFree); n > 0 {
+		k = s.coldFree[n-1]
+		s.coldFree[n-1] = nil
+		s.coldFree = s.coldFree[:n-1]
+	} else {
+		k = slabTake(&s.coldSlab)
+	}
+	*k = tcpCold{sacked: k.sacked[:0], rcvOOO: k.rcvOOO[:0]}
+	c.cold = k
+	return k
+}
+
+// dropCold gives the connection's cold record back to the stack's pool.
+func (c *tcpConn) dropCold() {
+	if c.cold != nil {
+		c.stk.coldFree = append(c.stk.coldFree, c.cold)
+		c.cold = nil
+	}
+}
+
+// persistAt is the zero-window probe deadline; 0 = off.
+func (c *tcpConn) persistAt() int64 {
+	if c.cold == nil {
+		return 0
+	}
+	return c.cold.persistAt
+}
+
+// inRecovery reports whether loss recovery is under way.
+func (c *tcpConn) inRecovery() bool { return c.cold != nil && c.cold.inRecovery }
+
+// sacked is the sender's scoreboard (nil without a cold record).
+func (c *tcpConn) sacked() []seqRange {
+	if c.cold == nil {
+		return nil
+	}
+	return c.cold.sacked
+}
+
+// rcvOOO is the receiver's parked runs (nil without a cold record).
+func (c *tcpConn) rcvOOO() []oooRun {
+	if c.cold == nil {
+		return nil
+	}
+	return c.cold.rcvOOO
 }
 
 // newTCPConn builds a connection in the given state with rings in the
@@ -181,8 +246,9 @@ type tcpConn struct {
 // slab otherwise; its congestion controller is kept when it runs the
 // tuning's algorithm. Either way one literal sets it, zeroing every
 // field not carried over, so a newly added field cannot leak state
-// between incarnations.
-func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
+// between incarnations. It cannot fail: SetTCPTuning admits only ring
+// sizes and an algorithm a connection can be built with.
+func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
 	sndSize, rcvSize := sndBufSize, rcvBufSize
 	if s.tuning.SndBufBytes > 0 {
 		sndSize = s.tuning.SndBufBytes
@@ -191,38 +257,27 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 		rcvSize = s.tuning.RcvBufBytes
 	}
 	var c *tcpConn
-	var snd, rcv *sockBuf
 	if n := len(s.connFree); n > 0 {
-		c = s.connFree[n-1]
+		c = s.connFree[n-1] // its rings released by maybeRecycleConn
 		s.connFree[n-1] = nil
 		s.connFree = s.connFree[:n-1]
-		snd, rcv = c.sndBuf, c.rcvBuf // released by maybeRecycleConn
 	} else {
-		b := slabTake(&s.connSlab)
-		c, snd, rcv = &b.conn, &b.snd, &b.rcv
+		c = slabTake(&s.connSlab)
 	}
 	cc := c.cc
 	if cc == nil || cc.Name() != effectiveCC(s.tuning.Congestion) {
 		var err error
 		if cc, err = s.newCongestionController(s.tuning.Congestion); err != nil {
-			return nil, err
+			panic(err) // SetTCPTuning refuses an unknown algorithm
 		}
-	}
-	if err := snd.init(s.seg, sndSize); err != nil {
-		return nil, err
-	}
-	if err := rcv.init(s.seg, rcvSize); err != nil {
-		return nil, err
 	}
 	*c = tcpConn{
 		stk:       s,
 		nif:       nif,
 		tuple:     tuple,
 		state:     tcpClosed,
-		sndBuf:    snd,
-		rcvBuf:    rcv,
-		rcvOOO:    c.rcvOOO[:0],
-		sacked:    c.sacked[:0],
+		sndBuf:    sockBuf{size: uint32(sndSize)},
+		rcvBuf:    sockBuf{size: uint32(rcvSize)},
 		sndMSS:    MaxSegData,
 		cc:        cc,
 		rto:       rtoInitial,
@@ -230,8 +285,8 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) (*tcpConn, error) {
 		offerWS:   s.tuning.WindowScale > 0,
 		timerH:    connscale.None,
 	}
-	c.cc.OnInit(c.sndMSS, c.offerWS)
-	return c, nil
+	c.cc.OnInit(MaxSegData, c.offerWS)
+	return c
 }
 
 // slabLen is how many fresh structs one arena refill allocates (the
@@ -251,24 +306,18 @@ func slabTake[T any](slab *[]T) *T {
 	return p
 }
 
-// connBlock is one slab element: a connection and the headers of its two
-// socket buffers, which live and recycle together.
-type connBlock struct {
-	conn     tcpConn
-	snd, rcv sockBuf
-}
-
 // maybeRecycleConn returns a detached connection struct to the arena
 // once nothing else can reach it: no socket, no accept-queue slot, no
 // poll visit-set or ready-list membership. Its rings go back to the
-// segment then, not at removeConn: an aborted connection's socket may
-// still read what it received.
+// segment then, and its cold record to the pool, not at removeConn: an
+// aborted connection's socket may still read what it received.
 func (s *Stack) maybeRecycleConn(c *tcpConn) {
 	if !c.detached || c.inPending || c.sk != nil || c.queued || c.onReady {
 		return
 	}
-	c.sndBuf.release()
-	c.rcvBuf.release()
+	c.sndBuf.release(s.seg)
+	c.rcvBuf.release(s.seg)
+	c.dropCold()
 	s.connFree = append(s.connFree, c)
 }
 
@@ -354,7 +403,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 	tcpSeg := frame[EthHeaderLen+IPv4HeaderLen:]
 	if payloadLen > 0 {
 		off := int(seq - c.sndUna)
-		if _, err := c.sndBuf.peek(off, tcpSeg[hl:hl+payloadLen]); err != nil {
+		if _, err := c.sndBuf.peek(c.stk.seg, off, tcpSeg[hl:hl+payloadLen]); err != nil {
 			m.Free()
 			c.stk.markReady(c)
 			return false
@@ -397,14 +446,15 @@ func (c *tcpConn) inflight() int { return int(c.sndNxt - c.sndUna) }
 // counts sequence space below sndNxt, so a timeout rewind cannot turn
 // the whole scoreboard into send budget.
 func (c *tcpConn) lostBytes() int {
-	if len(c.sacked) == 0 {
+	sacked := c.sacked()
+	if len(sacked) == 0 {
 		return 0
 	}
-	top := c.sacked[len(c.sacked)-1].end
+	top := sacked[len(sacked)-1].end
 	if seqGT(top, c.sndNxt) {
 		top = c.sndNxt
 	}
-	seq := c.rtxNxt
+	seq := c.cold.rtxNxt
 	if seqLT(seq, c.sndUna) {
 		seq = c.sndUna
 	}
@@ -412,7 +462,7 @@ func (c *tcpConn) lostBytes() int {
 		return 0
 	}
 	lost := int(top - seq)
-	for _, r := range c.sacked {
+	for _, r := range sacked {
 		s, e := r.start, r.end
 		if seqLT(s, seq) {
 			s = seq
@@ -452,9 +502,9 @@ func (c *tcpConn) output() {
 		// scoreboard lets the resend pass skip runs the peer already
 		// holds instead of go-back-N'ing through them.
 		retransmitting := seqLT(c.sndNxt, c.sndMax)
-		limit := c.sndMSS
+		limit := int(c.sndMSS)
 		if retransmitting {
-			c.sndNxt, limit = c.nextUnsacked(c.sndNxt, c.sndMSS)
+			c.sndNxt, limit = c.nextUnsacked(c.sndNxt, limit)
 			retransmitting = seqLT(c.sndNxt, c.sndMax)
 		}
 		avail := c.sndBuf.Len() - int(c.sndNxt-c.sndUna) // bytes not yet sent
@@ -515,18 +565,19 @@ func (c *tcpConn) output() {
 	// connection forever. Arm the zero-window probe (RFC 9293
 	// §3.8.6.1); the top-of-function state switch already restricted
 	// this path to the sending states.
-	if c.persistAt == 0 && c.rtxAt == 0 && c.sndWnd == 0 &&
+	if c.persistAt() == 0 && c.rtxAt == 0 && c.sndWnd == 0 &&
 		c.inflight() == 0 && c.sndBuf.Len() > 0 {
-		c.persistN = 0
-		c.persistAt = c.stk.now() + c.persistInterval()
-		c.stk.noteTimer(c, c.persistAt)
+		k := c.takeCold()
+		k.persistN = 0
+		k.persistAt = c.stk.now() + c.persistInterval()
+		c.stk.noteTimer(c, k.persistAt)
 	}
 }
 
 // persistInterval is the current zero-window probe backoff: the RTO
 // doubled per unanswered probe, capped like the RTO itself.
 func (c *tcpConn) persistInterval() int64 {
-	return min(c.rto<<uint(min(c.persistN, 10)), int64(rtoMax))
+	return min(c.rto<<min(c.cold.persistN, 10), int64(rtoMax))
 }
 
 // onPersist fires when the persist timer expires: force one byte past
@@ -536,16 +587,17 @@ func (c *tcpConn) persistInterval() int64 {
 // idempotent; the first probe advances sndNxt over it so a peer that
 // has room can accept it.
 func (c *tcpConn) onPersist() {
-	c.persistAt = 0
+	k := c.cold
+	k.persistAt = 0
 	if c.sndWnd > 0 || c.sndBuf.Len() == 0 {
-		c.persistN = 0 // window opened (or data drained) while pending
+		k.persistN = 0 // window opened (or data drained) while pending
 		c.output()
 		return
 	}
 	switch c.state {
 	case tcpEstablished, tcpCloseWait, tcpFinWait1, tcpClosing, tcpLastAck:
 	default:
-		c.persistN = 0
+		k.persistN = 0
 		return
 	}
 	if c.sendSegment(TCPAck, c.sndUna, 1, false) {
@@ -555,11 +607,11 @@ func (c *tcpConn) onPersist() {
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
 		}
 	}
-	if c.persistN < 16 {
-		c.persistN++
+	if k.persistN < 16 {
+		k.persistN++
 	}
-	c.persistAt = c.stk.now() + c.persistInterval()
-	c.stk.noteTimer(c, c.persistAt)
+	k.persistAt = c.stk.now() + c.persistInterval()
+	c.stk.noteTimer(c, k.persistAt)
 }
 
 // --- input ---
@@ -594,6 +646,7 @@ func (c *tcpConn) rttSample(sample int64) {
 // sackUpdate merges the peer's SACK blocks into the scoreboard,
 // ignoring anything outside (sndUna, sndMax].
 func (c *tcpConn) sackUpdate(blocks []SACKBlock) {
+	k := c.takeCold()
 	for _, b := range blocks {
 		if !seqLT(b.Start, b.End) || seqLE(b.End, c.sndUna) || seqGT(b.End, c.sndMax) {
 			continue
@@ -603,16 +656,16 @@ func (c *tcpConn) sackUpdate(blocks []SACKBlock) {
 			r.start = c.sndUna
 		}
 		pos := 0
-		for pos < len(c.sacked) && seqLT(c.sacked[pos].start, r.start) {
+		for pos < len(k.sacked) && seqLT(k.sacked[pos].start, r.start) {
 			pos++
 		}
-		c.sacked = append(c.sacked, seqRange{})
-		copy(c.sacked[pos+1:], c.sacked[pos:])
-		c.sacked[pos] = r
+		k.sacked = append(k.sacked, seqRange{})
+		copy(k.sacked[pos+1:], k.sacked[pos:])
+		k.sacked[pos] = r
 		// Merge overlapping and adjacent neighbors back into a
 		// disjoint sorted list.
-		merged := c.sacked[:1]
-		for _, s := range c.sacked[1:] {
+		merged := k.sacked[:1]
+		for _, s := range k.sacked[1:] {
 			last := &merged[len(merged)-1]
 			if seqLE(s.start, last.end) {
 				last.end = seqMax(last.end, s.end)
@@ -620,14 +673,18 @@ func (c *tcpConn) sackUpdate(blocks []SACKBlock) {
 				merged = append(merged, s)
 			}
 		}
-		c.sacked = merged
+		k.sacked = merged
 	}
 }
 
 // sackPrune drops scoreboard state the cumulative ACK has overtaken.
 func (c *tcpConn) sackPrune() {
-	keep := c.sacked[:0]
-	for _, r := range c.sacked {
+	k := c.cold
+	if k == nil {
+		return
+	}
+	keep := k.sacked[:0]
+	for _, r := range k.sacked {
 		if seqLE(r.end, c.sndUna) {
 			continue
 		}
@@ -636,9 +693,9 @@ func (c *tcpConn) sackPrune() {
 		}
 		keep = append(keep, r)
 	}
-	c.sacked = keep
-	if seqLT(c.rtxNxt, c.sndUna) {
-		c.rtxNxt = c.sndUna
+	k.sacked = keep
+	if seqLT(k.rtxNxt, c.sndUna) {
+		k.rtxNxt = c.sndUna
 	}
 }
 
@@ -647,7 +704,7 @@ func (c *tcpConn) sackPrune() {
 // the whole lost window would be resent in one burst.
 func (c *tcpConn) sackedBytesBelow(ceil uint32) int {
 	t := 0
-	for _, r := range c.sacked {
+	for _, r := range c.sacked() {
 		e := r.end
 		if seqGT(e, ceil) {
 			e = ceil
@@ -662,7 +719,7 @@ func (c *tcpConn) sackedBytesBelow(ceil uint32) int {
 // nextUnsacked skips seq past any SACKed run it falls into and caps a
 // segment at want bytes so it cannot overlap the next SACKed run.
 func (c *tcpConn) nextUnsacked(seq uint32, want int) (uint32, int) {
-	for _, r := range c.sacked {
+	for _, r := range c.sacked() {
 		if seqGE(seq, r.start) && seqLT(seq, r.end) {
 			seq = r.end
 			continue
@@ -681,7 +738,7 @@ func (c *tcpConn) nextUnsacked(seq uint32, want int) (uint32, int) {
 // the RFC 6582 partial-ACK / three-dup-ACK retransmission for peers
 // without SACK.
 func (c *tcpConn) retransmitHead() {
-	n := min(min(c.sndMSS, c.sndBuf.Len()), int(c.sndNxt-c.sndUna))
+	n := min(min(int(c.sndMSS), c.sndBuf.Len()), int(c.sndNxt-c.sndUna))
 	if n > 0 && c.sendSegment(TCPAck, c.sndUna, n, false) {
 		c.stk.stats.Retransmit++
 		c.stk.stats.FastRetransmit++
@@ -696,13 +753,14 @@ func (c *tcpConn) retransmitHead() {
 // multi-loss window fills all its holes within one round trip instead
 // of one per returning ACK.
 func (c *tcpConn) sackFill() {
-	for len(c.sacked) > 0 && c.pipe() < c.cc.Cwnd() {
-		top := c.sacked[len(c.sacked)-1].end
-		seq := c.rtxNxt
+	k := c.cold
+	for len(k.sacked) > 0 && c.pipe() < c.cc.Cwnd() {
+		top := k.sacked[len(k.sacked)-1].end
+		seq := k.rtxNxt
 		if seqLT(seq, c.sndUna) {
 			seq = c.sndUna
 		}
-		seq, limit := c.nextUnsacked(seq, c.sndMSS)
+		seq, limit := c.nextUnsacked(seq, int(c.sndMSS))
 		if !seqLT(seq, top) {
 			break // no hole left below the scoreboard top
 		}
@@ -716,7 +774,7 @@ func (c *tcpConn) sackFill() {
 		c.stk.stats.Retransmit++
 		c.stk.stats.SACKRetransmit++
 		c.noteRetx(obs.RetxSACK, seq)
-		c.rtxNxt = seq + uint32(n)
+		k.rtxNxt = seq + uint32(n)
 		c.armRTO()
 	}
 	// Pipe room left over goes to new data (the limited-transmit
@@ -728,13 +786,14 @@ func (c *tcpConn) sackFill() {
 // scoreboard-guided when SACK is negotiated, RFC 6582 NewReno
 // otherwise.
 func (c *tcpConn) enterRecovery() {
-	c.inRecovery = true
-	c.recoverPt = c.sndMax
+	k := c.cold
+	k.inRecovery = true
+	k.recoverPt = c.sndMax
 	// The pipe estimate reads rtxNxt (via lostBytes), so it must be
 	// taken before the hole-fill cursor resets — the order the
 	// pre-refactor inline code used.
 	pipe := c.pipe()
-	c.rtxNxt = c.sndUna
+	k.rtxNxt = c.sndUna
 	c.cc.OnEnterRecovery(pipe, c.sackOK, c.stk.now())
 	c.noteCwnd()
 	if c.sackOK {
@@ -755,30 +814,31 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		// same (zero) window; while the persist timer runs those are
 		// probe answers, not loss signals.
 		if ack == c.sndUna && c.inflight() > 0 && c.peerWnd(h) == c.sndWnd &&
-			c.persistAt == 0 {
-			c.dupAcks++
+			c.persistAt() == 0 {
+			k := c.takeCold()
+			k.dupAcks++
 			c.stk.stats.DupAcks++
 			switch {
-			case c.dupAcks == 3 && !c.inRecovery:
+			case k.dupAcks == 3 && !k.inRecovery:
 				c.enterRecovery()
-			case c.inRecovery && c.sackOK:
+			case k.inRecovery && c.sackOK:
 				c.sackFill()
-			case c.inRecovery:
+			case k.inRecovery:
 				c.cc.OnDupAck() // NewReno window inflation
 				c.output()
 			}
 		}
 		if seqGE(ack, c.sndUna) {
 			c.sndWnd = c.peerWnd(h)
-			if c.persistAt != 0 && c.sndWnd > 0 {
+			if c.persistAt() != 0 && c.sndWnd > 0 {
 				// The window update the probes were fishing for: leave
 				// persist and disown any probe byte still unacked
 				// (sndMax too, so the in-order resend is fresh data to
 				// the stats, not a phantom RTO retransmit). If the
 				// peer did take the byte, the resend is a partial
 				// overlap its receiver already handles.
-				c.persistAt = 0
-				c.persistN = 0
+				c.cold.persistAt = 0
+				c.cold.persistN = 0
 				c.sndNxt = c.sndUna
 				c.sndMax = c.sndUna
 			}
@@ -812,10 +872,12 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	}
 	c.sackPrune()
 	c.sndWnd = c.peerWnd(h)
-	c.dupAcks = 0
 	c.rtxN = 0
-	c.persistAt = 0 // forward progress: the probe cycle (if any) is over
-	c.persistN = 0
+	if k := c.cold; k != nil {
+		k.dupAcks = 0
+		k.persistAt = 0 // forward progress: the probe cycle (if any) is over
+		k.persistN = 0
+	}
 	if h.HasTS && h.TSEcr != 0 {
 		sample := (int64(c.nowUS()) - int64(h.TSEcr)) * 1e3
 		c.rttSample(sample)
@@ -825,18 +887,18 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	}
 	// Congestion control: classify the ACK and report the event.
 	switch {
-	case c.inRecovery && seqLT(ack, c.recoverPt) && c.sackOK:
+	case c.inRecovery() && seqLT(ack, c.cold.recoverPt) && c.sackOK:
 		// Partial ACK with SACK: keep cwnd pinned at ssthresh and let
 		// the pipe govern what the scoreboard refills (RFC 6675 §5).
 		c.sackFill()
-	case c.inRecovery && seqLT(ack, c.recoverPt):
+	case c.inRecovery() && seqLT(ack, c.cold.recoverPt):
 		// Partial ACK (RFC 6582): the next hole starts at the new
 		// sndUna; resend it immediately, deflate instead of grow.
 		c.retransmitHead()
 		c.cc.OnPartialAck(dataAcked)
-	case c.inRecovery:
+	case c.inRecovery():
 		// Full ACK at or past the recovery point: done.
-		c.inRecovery = false
+		c.cold.inRecovery = false
 		c.cc.OnExitRecovery(c.stk.now())
 	default:
 		c.cc.OnAck(dataAcked, c.stk.now(), c.srtt) // slow start / avoidance
@@ -888,8 +950,10 @@ func (c *tcpConn) onRTO() {
 	}
 	c.cc.OnRTO(c.pipe(), c.stk.now())
 	c.noteCwnd()
-	c.dupAcks = 0
-	c.inRecovery = false
+	if k := c.cold; k != nil {
+		k.dupAcks = 0
+		k.inRecovery = false
+	}
 	// Rewind and let output() resend (it classifies the resends and
 	// skips SACKed runs).
 	c.sndNxt = c.sndUna
@@ -924,7 +988,7 @@ const oooMaxSegs = 192 * 1024 / MaxSegData
 
 // oooSegCap is the connection's arrival budget.
 func (c *tcpConn) oooSegCap() int {
-	return max(oooMaxSegs, c.rcvBuf.size/MaxSegData)
+	return max(oooMaxSegs, int(c.rcvBuf.size)/MaxSegData)
 }
 
 // sackBlocks builds the SACK option content: the run holding the most
@@ -933,20 +997,22 @@ func (c *tcpConn) oooSegCap() int {
 // parked runs are the blocks; the result lives in stack-owned scratch,
 // valid until the next call.
 func (c *tcpConn) sackBlocks() []SACKBlock {
-	if len(c.rcvOOO) == 0 {
+	runs := c.rcvOOO()
+	if len(runs) == 0 {
 		return nil
 	}
+	last := c.cold.lastOOO
 	first := 0
-	for i, r := range c.rcvOOO {
-		if seqLE(r.start, c.lastOOO.start) && seqLT(c.lastOOO.start, r.end) {
+	for i, r := range runs {
+		if seqLE(r.start, last.start) && seqLT(last.start, r.end) {
 			first = i
 			break
 		}
 	}
-	out := append(c.stk.sackTx[:0], c.rcvOOO[first].block())
-	for i := 0; i < len(c.rcvOOO) && len(out) < MaxSACKBlocks; i++ {
+	out := append(c.stk.sackTx[:0], runs[first].block())
+	for i := 0; i < len(runs) && len(out) < MaxSACKBlocks; i++ {
 		if i != first {
-			out = append(out, c.rcvOOO[i].block())
+			out = append(out, runs[i].block())
 		}
 	}
 	return out
@@ -958,12 +1024,13 @@ func (c *tcpConn) sackBlocks() []SACKBlock {
 // abuts coalesces with it, so the list stays sorted, disjoint and
 // non-adjacent. A refused segment is counted; the sender retransmits.
 func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
+	k := c.takeCold()
 	end := seq + uint32(len(payload))
 	// The budget is a sum over the (few) runs rather than a running
-	// counter, so the connection struct carries no reassembly state
-	// beyond the list itself.
+	// counter, so the cold record carries no reassembly state beyond
+	// the list itself.
 	var segs uint32
-	for _, r := range c.rcvOOO {
+	for _, r := range k.rcvOOO {
 		segs += r.segs
 	}
 	if int(segs) >= c.oooSegCap() {
@@ -978,7 +1045,7 @@ func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 	}
 	// runs[lo:hi] are the runs the segment overlaps or abuts. An arrival
 	// usually extends the newest run, so the search starts at the tail.
-	runs := c.rcvOOO
+	runs := k.rcvOOO
 	hi := len(runs)
 	for hi > 0 && seqGT(runs[hi-1].start, end) {
 		hi--
@@ -1001,7 +1068,7 @@ func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 			gapEnd = runs[i].start
 		}
 		if seqLT(at, gapEnd) {
-			if err := c.rcvBuf.writeAt(int(at-c.rcvNxt), payload[at-seq:gapEnd-seq]); err != nil {
+			if err := c.rcvBuf.writeAt(c.stk.seg, int(at-c.rcvNxt), payload[at-seq:gapEnd-seq]); err != nil {
 				c.abort(hostos.ENOMEM)
 				return
 			}
@@ -1016,14 +1083,18 @@ func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 		return // every byte already held
 	}
 	m.end = seqMax(end, at)
-	c.rcvOOO = slices.Replace(runs, lo, hi, m)
+	k.rcvOOO = slices.Replace(runs, lo, hi, m)
 }
 
 // oooDrain passes the receive ring's write point over every parked run
 // the in-order stream has reached; the bytes are already in place.
 func (c *tcpConn) oooDrain() {
+	k := c.cold
+	if k == nil {
+		return
+	}
 	n := 0
-	for _, r := range c.rcvOOO {
+	for _, r := range k.rcvOOO {
 		if seqGT(r.start, c.rcvNxt) {
 			break // still a hole
 		}
@@ -1036,7 +1107,7 @@ func (c *tcpConn) oooDrain() {
 		}
 		n++
 	}
-	c.rcvOOO = slices.Delete(c.rcvOOO, 0, n)
+	k.rcvOOO = slices.Delete(k.rcvOOO, 0, n)
 }
 
 // acceptData sequences payload into the receive buffer, parking
@@ -1052,13 +1123,13 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 				return // parking could not back the ring
 			}
 			// The dup-ACK below leads its SACK list with this run.
-			c.lastOOO = seqRange{start: h.Seq, end: h.Seq + uint32(len(payload))}
+			c.cold.lastOOO = seqRange{start: h.Seq, end: h.Seq + uint32(len(payload))}
 		} else if seqGT(h.Seq+uint32(len(payload)), c.rcvNxt) {
 			// Partial overlap with delivered data: take the new tail.
 			tail := payload[c.rcvNxt-h.Seq:]
 			n := min(len(tail), c.rcvBuf.Free())
 			if n > 0 {
-				if _, err := c.rcvBuf.writeFrom(tail[:n]); err != nil {
+				if _, err := c.rcvBuf.writeFrom(c.stk.seg, tail[:n]); err != nil {
 					c.abort(hostos.ENOMEM)
 					return
 				}
@@ -1072,7 +1143,7 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 	}
 	n := min(len(payload), c.rcvBuf.Free())
 	if n > 0 {
-		if _, err := c.rcvBuf.writeFrom(payload[:n]); err != nil {
+		if _, err := c.rcvBuf.writeFrom(c.stk.seg, payload[:n]); err != nil {
 			c.abort(hostos.ENOMEM)
 			return
 		}
@@ -1083,7 +1154,7 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 		c.sendAckNow()
 		return
 	}
-	filled := len(c.rcvOOO) > 0
+	filled := len(c.rcvOOO()) > 0
 	c.oooDrain()
 	if filled {
 		// Filling a hole: ack immediately so the sender exits recovery.
@@ -1102,17 +1173,18 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 
 // enterTimeWait parks the connection for 2MSL, keeping only what it
 // needs to answer a retransmitted FIN. Its rings go back to the segment
+// and its cold record to the pool, which also turns persist off
 // (FreeBSD's tcp_twstart): TIME_WAIT follows Close, our FIN is
 // acknowledged and the peer's is sequenced, so nothing reads or writes
-// either ring again.
+// either ring again, and nothing is left to recover.
 func (c *tcpConn) enterTimeWait() {
 	c.setState(tcpTimeWait)
 	c.timeWaitAt = c.stk.now() + timeWaitDur
 	c.stk.noteTimer(c, c.timeWaitAt)
 	c.rtxAt = 0
-	c.persistAt = 0
-	c.sndBuf.release()
-	c.rcvBuf.release()
+	c.sndBuf.release(c.stk.seg)
+	c.rcvBuf.release(c.stk.seg)
+	c.dropCold()
 }
 
 // setState transitions the connection. Every state change goes through
@@ -1146,19 +1218,24 @@ func (c *tcpConn) noteCwnd() {
 	if tr == nil {
 		return
 	}
-	if w := c.cc.Cwnd(); w != c.obsCwnd {
-		c.obsCwnd = w
+	if w := c.cc.Cwnd(); int32(w) != c.obsCwnd {
+		c.obsCwnd = int32(w)
 		tr.Record(c.stk.now(), obs.EvTCPCwnd, c.stk.obsSrc,
 			int64(w), 0, int64(c.tuple.local.Port))
 	}
 }
 
+// err is the connection's sticky error (hostos.OK until abort).
+func (c *tcpConn) err() hostos.Errno { return hostos.Errno(c.sockErr) }
+
 // abort kills the connection with a sticky error.
 func (c *tcpConn) abort(errno hostos.Errno) {
-	c.sockErr = errno
+	c.sockErr = int32(errno)
 	c.setState(tcpClosed)
 	c.rtxAt = 0
-	c.persistAt = 0
+	if c.cold != nil {
+		c.cold.persistAt = 0
+	}
 	c.stk.removeConn(c)
 }
 
@@ -1188,8 +1265,8 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.sndUna = h.Ack
 		c.sndWnd = c.peerWnd(h)
 		if h.MSS != 0 {
-			c.sndMSS = min(int(h.MSS)-tsOptionLen, MaxSegData)
-			c.cc.SetMSS(c.sndMSS)
+			c.sndMSS = int32(min(int(h.MSS)-tsOptionLen, MaxSegData))
+			c.cc.SetMSS(int(c.sndMSS))
 		}
 		// Feature negotiation: each option is on only if both sides
 		// offered it (RFC 7323 §2.2, RFC 2018 §3).
@@ -1247,7 +1324,9 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.rcvNxt++
 		// Nothing follows a FIN, and it took a sequence number but no ring
 		// byte: anything parked past it would now sit one off.
-		c.rcvOOO = c.rcvOOO[:0]
+		if k := c.cold; k != nil {
+			k.rcvOOO = k.rcvOOO[:0]
+		}
 		c.sendAckNow()
 		switch c.state {
 		case tcpEstablished, tcpSynReceived:
@@ -1275,7 +1354,7 @@ func (c *tcpConn) onTimers(now int64) {
 	if c.rtxAt != 0 && now >= c.rtxAt {
 		c.onRTO()
 	}
-	if c.persistAt != 0 && now >= c.persistAt {
+	if at := c.persistAt(); at != 0 && now >= at {
 		c.onPersist()
 	}
 	if c.delackAt != 0 && now >= c.delackAt {

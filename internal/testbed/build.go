@@ -204,10 +204,14 @@ func Build(spec Spec) (*Bed, error) {
 	// Stack tuning last, before any traffic: compartments in spec
 	// order, then peers.
 	for i, cs := range spec.Compartments {
-		applyStackSpec(bed.Envs[i], cs.Stack)
+		if err := applyStackSpec(bed.Envs[i], cs.Stack); err != nil {
+			return nil, err
+		}
 	}
 	for i, ps := range spec.Peers {
-		applyStackSpec(bed.Peers[i].Env, ps.Stack)
+		if err := applyStackSpec(bed.Peers[i].Env, ps.Stack); err != nil {
+			return nil, err
+		}
 	}
 	// Observability last, over the finished topology; a zero ObsSpec
 	// never reaches wireObs, so the hook pointers stay nil everywhere.
@@ -411,13 +415,16 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 
 // applyStackSpec applies the tuning half of a StackSpec to a built
 // environment (single stack or every shard).
-func applyStackSpec(env *Env, ss StackSpec) {
+func applyStackSpec(env *Env, ss StackSpec) error {
 	for _, stk := range env.Stacks() {
 		if ss.RTOMinNS > 0 {
 			stk.SetRTOMin(ss.RTOMinNS)
 		}
 		if ss.Tuning != nil {
-			stk.SetTCPTuning(*ss.Tuning)
+			if err := stk.SetTCPTuning(*ss.Tuning); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }

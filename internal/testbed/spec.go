@@ -336,30 +336,15 @@ func validRate(v float64, what, field string) error {
 	return nil
 }
 
-// validStackTuning rejects TCP tunings the stack would refuse at
-// connection time — validation belongs here, where the spec's author
-// gets the error, not inside a failing connect mid-experiment.
+// validStackTuning rejects a TCP tuning the stack would refuse
+// (fstack.TCPTuning.Validate), here, where the spec's author gets the
+// error naming the compartment or peer, before anything is built.
 func validStackTuning(ss StackSpec, what string) error {
-	t := ss.Tuning
-	if t == nil {
+	if ss.Tuning == nil {
 		return nil
 	}
-	if !fstack.ValidCongestion(t.Congestion) {
-		return fmt.Errorf("testbed: %s: unknown congestion-control algorithm %q (have %v)",
-			what, t.Congestion, fstack.CongestionAlgos())
-	}
-	if err := validBufBytes(t.SndBufBytes, what, "SndBufBytes"); err != nil {
-		return err
-	}
-	return validBufBytes(t.RcvBufBytes, what, "RcvBufBytes")
-}
-
-// validBufBytes rejects a socket buffer size that is neither unset (0)
-// nor a power of two: a negative one would fall back to the default, and
-// any other would fail every connection the stack opens.
-func validBufBytes(v int, what, field string) error {
-	if v < 0 || v&(v-1) != 0 {
-		return fmt.Errorf("testbed: %s: Tuning.%s is %d; a socket buffer is a power of two, or 0 for the default", what, field, v)
+	if err := ss.Tuning.Validate(); err != nil {
+		return fmt.Errorf("testbed: %s: %w", what, err)
 	}
 	return nil
 }
