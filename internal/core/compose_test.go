@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fstack"
 	"repro/internal/hostos"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -30,7 +31,7 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 		Ifs: []testbed.IfSpec{{Port: 0}},
 		Stack: testbed.StackSpec{
 			Shards: shards, RingSize: s4RingSize,
-			CPUBps: s4CPUBps, RTOMinNS: s4RTOMin,
+			CPUBps: s4CPUBps, Tuning: &fstack.TCPTuning{RTOMinNS: s4RTOMin},
 		},
 	}
 	switch layout {
@@ -48,7 +49,7 @@ func newComposedBed(clk hostos.Clock, shards int, layout string, o testbed.ObsSp
 		Compartments: []testbed.CompartmentSpec{cs},
 		Peers: []testbed.PeerSpec{{
 			Port:  0,
-			Stack: testbed.StackSpec{RTOMinNS: s4RTOMin},
+			Stack: testbed.StackSpec{Tuning: &fstack.TCPTuning{RTOMinNS: s4RTOMin}},
 		}},
 		Obs: o,
 	})

@@ -81,9 +81,9 @@ func NewScenario4(clk hostos.Clock, cfg Scenario4Config) (*Setup4, error) {
 		segBytes: s4SegSize, poolBufs: s4PoolBufs,
 		stack: testbed.StackSpec{
 			Shards: cfg.Shards, RingSize: s4RingSize,
-			CPUBps: s4CPUBps, RTOMinNS: s4RTOMin,
+			CPUBps: s4CPUBps, Tuning: &fstack.TCPTuning{RTOMinNS: s4RTOMin},
 		},
-		peerStack: testbed.StackSpec{RTOMinNS: s4RTOMin},
+		peerStack: testbed.StackSpec{Tuning: &fstack.TCPTuning{RTOMinNS: s4RTOMin}},
 	}.build(clk)
 }
 

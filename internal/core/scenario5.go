@@ -86,10 +86,11 @@ type Setup5 struct {
 
 // wanBox is the layout Scenarios 5 and 7 share: the local box (process
 // or cVM) and one link partner on 1 GbE access ports, joined by a
-// symmetric impairment pipeline, the same stack tuning (nil = the
+// symmetric impairment pipeline, the same stack tuning (zero = the
 // paper's stack) and WAN-scale RTO floor on both ends.
-func wanBox(capMode bool, tuning *fstack.TCPTuning, link netem.Config, obs testbed.ObsSpec) boxSpec {
-	stack := testbed.StackSpec{RTOMinNS: s5RTOMin, Tuning: tuning}
+func wanBox(capMode bool, tuning fstack.TCPTuning, link netem.Config, obs testbed.ObsSpec) boxSpec {
+	tuning.RTOMinNS = s5RTOMin
+	stack := testbed.StackSpec{Tuning: &tuning}
 	return boxSpec{
 		capMode: capMode, lineRate: s5LineRate,
 		segBytes: s5SegSize, poolBufs: s5PoolBufs,
@@ -110,7 +111,7 @@ func NewScenario5(clk hostos.Clock, cfg Scenario5Config) (*Setup5, error) {
 	if cfg.Link.Seed == 0 {
 		cfg.Link.Seed = s5Seed
 	}
-	var tuning *fstack.TCPTuning
+	var tuning fstack.TCPTuning
 	if cfg.Modern {
 		tuning = modernTuning(s5BufBytes, s5WScale, cfg.Congestion)
 	}

@@ -142,15 +142,16 @@ func NewScenario6(clk hostos.Clock, cfg Scenario6Config) (*Setup6, error) {
 	}
 	cfg.Fwd, cfg.Rev = fwd, &rev
 
+	var tuning fstack.TCPTuning
+	if cfg.Modern {
+		tuning = modernTuning(s6BufBytes, s6WScale, cfg.Congestion)
+	}
+	tuning.RTOMinNS = s6RTOMin
 	stack := testbed.StackSpec{
 		Shards: cfg.Shards, RingSize: s4RingSize,
-		CPUBps: s4CPUBps, RTOMinNS: s6RTOMin,
+		CPUBps: s4CPUBps, Tuning: &tuning,
 	}
-	peerStack := testbed.StackSpec{RTOMinNS: s6RTOMin}
-	if cfg.Modern {
-		stack.Tuning = modernTuning(s6BufBytes, s6WScale, cfg.Congestion)
-		peerStack.Tuning = stack.Tuning
-	}
+	peerStack := testbed.StackSpec{Tuning: &tuning}
 	// Fwd impairs the data direction: toward the peer for uploads,
 	// toward the local box for downloads.
 	link := &testbed.LinkSpec{ToPeer: fwd, ToLocal: rev}

@@ -17,7 +17,7 @@ import (
 // of the bottleneck, because Reno grows the window one MSS per RTT —
 // at 100 ms that is ~12 KB/s² of acceleration, and every loss event
 // throws away tens of seconds of climbing. This scenario swaps the
-// congestion controller (the fstack CC seam) while holding everything
+// congestion control (TCPTuning.Congestion) while holding everything
 // else fixed: one flow, modern tuning on both ends, a seeded
 // 100 Mbit/s bottleneck with a deep queue and sparse short loss
 // fades, the one-way delay swept across the paper's BDP ladder

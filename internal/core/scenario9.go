@@ -142,8 +142,8 @@ func NewScenario9(clk hostos.Clock, cfg Scenario9Config) (*testbed.Bed, error) {
 	if cfg.Link.DelayNS >= 1e6 {
 		// ms-scale RTTs: raise the RTO floor on both ends so queueing
 		// jitter cannot fire spurious retransmissions (DESIGN.md §7).
-		box.stack.RTOMinNS = s9RTOMin
-		box.peerStack.RTOMinNS = s9RTOMin
+		box.stack.Tuning.RTOMinNS = s9RTOMin
+		box.peerStack.Tuning.RTOMinNS = s9RTOMin
 	}
 	return box.build(clk)
 }

@@ -153,8 +153,8 @@ func (b boxSpec) build(clk hostos.Clock) (*Setup, error) {
 // modernTuning is the stack configuration the paper's port lacks:
 // RFC 2018 SACK, RFC 7323 window scaling by wscale, both socket buffers
 // at bufBytes, and the named congestion controller ("" = reno).
-func modernTuning(bufBytes int, wscale uint8, cc string) *fstack.TCPTuning {
-	return &fstack.TCPTuning{
+func modernTuning(bufBytes int, wscale uint8, cc string) fstack.TCPTuning {
+	return fstack.TCPTuning{
 		SACK: true, WindowScale: wscale,
 		SndBufBytes: bufBytes, RcvBufBytes: bufBytes,
 		Congestion: cc,

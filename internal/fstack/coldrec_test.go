@@ -8,9 +8,11 @@ import (
 // TestColdRecordTakenOnFirstNeed pins when a connection holds its cold
 // record: not while it is idle or moves data on a clean wire, from its
 // first out-of-order segment (the receiver), its first SACK loss episode
-// (the sender) or its first zero window (a sender with data and no
-// room), and no longer once it enters TIME_WAIT or the arena takes it.
-// Every record a stack issued is then back on its pool.
+// (the sender), its first zero window (a sender with data and no room)
+// or, running CUBIC, its first congestion-avoidance ACK (not in slow
+// start; kept through a loss episode), and no longer once it enters
+// TIME_WAIT or the arena takes it. Every record a stack issued is then
+// back on its pool.
 func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	dropNext := false
 	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
@@ -91,16 +93,72 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 		return len(got) == 24<<10
 	})
 
+	// A CUBIC sender on a clean wire: no record in slow start, one on
+	// its first avoidance ACK, where its epoch opens. ssthresh is lowered
+	// so avoidance starts twenty segments of growth in.
+	e.stkA.SetTCPTuning(TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 64 << 10, Congestion: CCCubic})
+	e.stkB.SetTCPTuning(tune)
+	cfd3, afd3 := e.connectPair(7007)
+	cu := e.stkA.socks.get(cfd3).conn
+	if cu.cc != ccCubic {
+		t.Fatalf("the CUBIC stack built a conn running algorithm %d", cu.cc)
+	}
+	cu.ssthresh = cu.cwnd + 20*int(cu.sndMSS)
+	stream := func() {
+		e.stkA.Write(cfd3, payload)
+		for {
+			if n, _ := e.stkB.Read(afd3, buf); n <= 0 {
+				return
+			}
+		}
+	}
+	retx := e.stkA.Stats().Retransmit
+	slowStart := false
+	e.pumpUntil(40000, "the first avoidance ACK", func() bool {
+		stream()
+		if cu.cold == nil {
+			slowStart = slowStart || cu.cwnd > initialCwnd
+			return false
+		}
+		if cu.cwnd < cu.ssthresh {
+			t.Fatalf("the CUBIC sender took its record in slow start (cwnd %d, ssthresh %d)", cu.cwnd, cu.ssthresh)
+		}
+		return true
+	})
+	if !slowStart || cu.cold.cubic.epochStart == 0 || e.stkA.Stats().Retransmit != retx {
+		t.Fatalf("CUBIC record: grew in slow start without one %v, epoch opened at %d, %d retransmits; want true, > 0, 0",
+			slowStart, cu.cold.cubic.epochStart, e.stkA.Stats().Retransmit-retx)
+	}
+	// One lost segment: the loss is recorded in the same record, which
+	// outlives the recovery.
+	rec := cu.cold
+	dropNext = true
+	e.pumpUntil(40000, "the CUBIC sender recovers", func() bool {
+		stream()
+		return e.stkA.Stats().Retransmit > retx && !cu.inRecovery() && !dropNext
+	})
+	if cu.cold != rec || rec.cubic.wLastMax == 0 {
+		t.Fatalf("after recovery: record kept %v, plateau %.1f segments; want the same record holding the loss",
+			cu.cold == rec, rec.cubic.wLastMax)
+	}
+	e.pumpUntil(40000, "the CUBIC sender drains", func() bool {
+		for {
+			if n, _ := e.stkB.Read(afd3, buf); n <= 0 {
+				return cu.sndBuf.Len() == 0
+			}
+		}
+	})
+
 	// Close everything: the clients' records go back at TIME_WAIT, the
 	// servers' when the arena takes the conns.
-	for _, p := range [][2]int{{cfd, afd}, {cfd2, afd2}} {
+	for _, p := range [][2]int{{cfd, afd}, {cfd2, afd2}, {cfd3, afd3}} {
 		e.stkA.Close(p[0])
 		e.pumpUntil(8000, "server sees FIN", func() bool { return e.stkB.ConnState(p[1]) == "CLOSE_WAIT" })
 		e.stkB.Close(p[1])
 	}
-	e.pumpUntil(8000, "both clients in TIME_WAIT, both servers pooled", func() bool {
-		return e.stkA.ConnCount() == 2 && client.state == tcpTimeWait && zw.state == tcpTimeWait &&
-			len(e.stkB.connFree) == 2
+	e.pumpUntil(8000, "every client in TIME_WAIT, every server pooled", func() bool {
+		return e.stkA.ConnCount() == 3 && client.state == tcpTimeWait && zw.state == tcpTimeWait &&
+			cu.state == tcpTimeWait && len(e.stkB.connFree) == 3
 	})
 	for _, s := range []*Stack{e.stkA, e.stkB} {
 		for _, c := range s.conns {

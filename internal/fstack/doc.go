@@ -92,11 +92,11 @@
 // control. Stack.SetTCPTuning opts into the modern machinery per
 // stack: RFC 2018 SACK with an RFC 6675 pipe-driven sender scoreboard
 // (RFC 6582 NewReno as the non-SACK fallback), RFC 7323 window
-// scaling, sized socket buffers, and a pluggable congestion controller
-// (cc.go: the extracted renoCC default or RFC 8312 cubicCC, selected
-// by TCPTuning.Congestion). The connection reports ACK/loss events
-// through the CongestionController seam and reads back cwnd/ssthresh;
-// DESIGN.md §2 and §7 discuss both layers, and why stacks on paths
-// with ms-scale queueing must raise the retransmission-timer floor
-// (SetRTOMin).
+// scaling, sized socket buffers, the congestion-control algorithm
+// (TCPTuning.Congestion: the paper stack's Reno or RFC 8312 CUBIC) and
+// the retransmission-timer floor. A connection's window is two of its
+// fields, cwnd and ssthresh, moved by its ACK/loss-event methods in
+// cc.go; CUBIC's epoch rides in the cold record. DESIGN.md §2 and §7
+// discuss both layers, and why stacks on paths with ms-scale queueing
+// must raise the floor (TCPTuning.RTOMinNS).
 package fstack

@@ -175,8 +175,8 @@ func TestRingsBackOnFirstByte(t *testing.T) {
 // TestRecycledConnTakesNewTuning: a conn the arena holds is rebuilt to
 // the tuning in force when it is taken again, not dropped for a new one.
 // After SetTCPTuning changes both ring sizes and the congestion
-// controller, the next accepted conn is the pooled struct with the new
-// rings and controller, the slab untouched, and it moves bytes both ways.
+// control, the next accepted conn is the pooled struct with the new
+// rings and algorithm, the slab untouched, and it moves bytes both ways.
 func TestRecycledConnTakesNewTuning(t *testing.T) {
 	e := newEnv(t, false)
 	lfd, _ := e.stkB.Socket(SockStream)
@@ -188,8 +188,8 @@ func TestRecycledConnTakesNewTuning(t *testing.T) {
 	e.stkB.Close(afd)
 	e.pumpUntil(4000, "the arena takes the server conn", func() bool { return len(e.stkB.connFree) == 1 })
 	pooled := e.stkB.connFree[0]
-	if pooled.cc.Name() != CCReno || pooled.sndBuf.size != sndBufSize || pooled.rcvBuf.size != rcvBufSize {
-		t.Fatalf("pooled conn: %s, rings %d/%d; want the default tuning", pooled.cc.Name(), pooled.sndBuf.size, pooled.rcvBuf.size)
+	if pooled.cc != ccReno || pooled.sndBuf.size != sndBufSize || pooled.rcvBuf.size != rcvBufSize {
+		t.Fatalf("pooled conn: algorithm %d, rings %d/%d; want the default tuning", pooled.cc, pooled.sndBuf.size, pooled.rcvBuf.size)
 	}
 	const snd, rcv = 16 << 10, 32 << 10
 	e.stkB.SetTCPTuning(TCPTuning{SndBufBytes: snd, RcvBufBytes: rcv, Congestion: CCCubic})
@@ -201,8 +201,8 @@ func TestRecycledConnTakesNewTuning(t *testing.T) {
 		t.Fatalf("accepted the pooled conn: %v; %d pooled left, slab %d → %d; want it, none left, the slab untouched",
 			c == pooled, len(e.stkB.connFree), slab, len(e.stkB.connSlab))
 	}
-	if c.cc.Name() != CCCubic || int(c.sndBuf.size) != snd || int(c.rcvBuf.size) != rcv {
-		t.Fatalf("recycled conn: %s, rings %d/%d; want %s, %d/%d", c.cc.Name(), c.sndBuf.size, c.rcvBuf.size, CCCubic, snd, rcv)
+	if c.cc != ccCubic || int(c.sndBuf.size) != snd || int(c.rcvBuf.size) != rcv {
+		t.Fatalf("recycled conn: algorithm %d, rings %d/%d; want %d (cubic), %d/%d", c.cc, c.sndBuf.size, c.rcvBuf.size, ccCubic, snd, rcv)
 	}
 	buf := make([]byte, 64)
 	for _, d := range []struct {

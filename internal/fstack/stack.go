@@ -124,8 +124,8 @@ type TCPTuning struct {
 	// selective acknowledgment both ways (net.inet.tcp.sack.enable).
 	SACK bool
 	// WindowScale, when nonzero, advertises that RFC 7323 window-scale
-	// shift on SYNs (part of net.inet.tcp.rfc1323). Effective only if
-	// the peer offers scaling too.
+	// shift (at most MaxWScale) on SYNs (part of net.inet.tcp.rfc1323).
+	// Effective only if the peer offers scaling too.
 	WindowScale uint8
 	// SndBufBytes / RcvBufBytes size new connections' socket buffers
 	// (powers of two up to maxRingBytes; 0 keeps the 512 KiB / 256 KiB
@@ -142,6 +142,10 @@ type TCPTuning struct {
 	// SynCacheSize bounds the half-open SYN cache
 	// (net.inet.tcp.syncache.cachelimit); 0 keeps the 1024 default.
 	SynCacheSize int
+	// RTOMinNS raises the retransmission-timer floor
+	// (net.inet.tcp.rexmit_min); 0 keeps the 2 ms default. Every stack
+	// of a path whose senders face ms-scale queueing delay needs it.
+	RTOMinNS int64
 }
 
 // maxRingBytes is the largest socket buffer: a ring's size and counters
@@ -150,12 +154,20 @@ const maxRingBytes = 1 << 31
 
 // Validate reports why no connection could be built with t: a socket
 // buffer size that is neither 0 (the default) nor a power of two up to
-// maxRingBytes, or an unknown congestion-control algorithm.
-// SetTCPTuning refuses such a tuning, and a testbed spec is checked
-// with it before anything is built.
+// maxRingBytes, a window-scale shift past MaxWScale, a negative RTO
+// floor, or an unknown congestion-control algorithm. SetTCPTuning
+// refuses such a tuning, and a testbed spec is checked with it before
+// anything is built.
 func (t TCPTuning) Validate() error {
 	if !ValidCongestion(t.Congestion) {
 		return fmt.Errorf("unknown congestion-control algorithm %q (have %v)", t.Congestion, CongestionAlgos())
+	}
+	if t.WindowScale > MaxWScale {
+		return fmt.Errorf("Tuning.WindowScale is %d; a window-scale shift is at most %d (RFC 7323 §2.3)",
+			t.WindowScale, MaxWScale)
+	}
+	if t.RTOMinNS < 0 {
+		return fmt.Errorf("Tuning.RTOMinNS is %d; the RTO floor is positive, or 0 for the default", t.RTOMinNS)
 	}
 	for _, f := range [...]struct {
 		name string
@@ -238,14 +250,10 @@ type Stack struct {
 	sockFree []*socket
 	coldFree []*tcpCold
 	// connSlab/sockSlab/coldSlab are the unissued tails of the current
-	// slabs the arenas take fresh structs from (slabLen at a time);
-	// renoSlab/cubicSlab hold the fresh connections' congestion
-	// controllers.
-	connSlab  []tcpConn
-	sockSlab  []socket
-	coldSlab  []tcpCold
-	renoSlab  []renoCC
-	cubicSlab []cubicCC
+	// slabs the arenas take fresh structs from (slabLen at a time).
+	connSlab []tcpConn
+	sockSlab []socket
+	coldSlab []tcpCold
 	// regFree pools epoll registrations the same way, chained through
 	// nextSk: churn registers and unregisters every short flow.
 	regFree *epollReg
@@ -264,7 +272,6 @@ type Stack struct {
 	issCounter uint32
 	ipID       uint16
 	ephemeral  uint16
-	rtoMinNS   int64 // 0 = package default (SetRTOMin)
 	tuning     TCPTuning
 
 	// down marks a crashed stack (see Crash/Restart in crash.go):
@@ -480,35 +487,23 @@ func (s *Stack) AddNetIF(dev EthDevice, ip, mask IPv4Addr) *NetIF {
 	return nif
 }
 
-// SetRTOMin raises the retransmission-timer floor for connections of
-// this stack (net.inet.tcp.rexmit_min in F-Stack's FreeBSD heritage).
-// Call it before traffic starts, on every stack of the path whose
-// senders face ms-scale queueing delay.
-func (s *Stack) SetRTOMin(ns int64) {
-	s.rtoMinNS = ns
-}
-
 // rtoFloor returns the effective retransmission-timer floor.
 func (s *Stack) rtoFloor() int64 {
-	if s.rtoMinNS > 0 {
-		return s.rtoMinNS
+	if s.tuning.RTOMinNS > 0 {
+		return s.tuning.RTOMinNS
 	}
 	return rtoMin
 }
 
-// SetTCPTuning configures SACK, window scaling, socket buffer sizes
-// and the congestion-control algorithm for connections created after
-// the call. Like SetRTOMin it is a
-// boot-time knob: set it before traffic starts, on both ends of the
-// path that needs it (an un-tuned peer simply declines the options and
-// the connection runs exactly as before). A tuning Validate rejects is
-// refused and the stack keeps the one it had.
+// SetTCPTuning configures SACK, window scaling, socket buffer sizes,
+// the congestion-control algorithm and the retransmission-timer floor.
+// It is a boot-time knob: set it before traffic starts, on both ends of
+// the path that needs it (an un-tuned peer simply declines the options
+// and the connection runs exactly as before). A tuning Validate rejects
+// is refused and the stack keeps the one it had.
 func (s *Stack) SetTCPTuning(t TCPTuning) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("fstack: %w", err)
-	}
-	if t.WindowScale > MaxWScale {
-		t.WindowScale = MaxWScale
 	}
 	s.tuning = t
 	return nil
@@ -538,7 +533,7 @@ func (s *Stack) SetObs(tr *obs.Trace, rtt *stats.Histogram, src uint16) {
 func (s *Stack) SumCwndPipe() (cwnd, pipe int) {
 	// Map order is fine here: integer sums are order-independent.
 	for _, c := range s.conns {
-		cwnd += c.cc.Cwnd()
+		cwnd += c.cwnd
 		pipe += c.pipe()
 	}
 	return cwnd, pipe
@@ -551,7 +546,7 @@ func (s *Stack) ConnCount() int {
 
 // RetainedBytes is a deterministic accounting of the heap the stack's
 // connection plane holds onto: connection structs with their ring
-// headers, their congestion controllers and cold records (live and
+// headers and congestion windows, their cold records (live and
 // free-listed, a record's reassembly runs and SACK scoreboard at their
 // capacity), socket structs, half-open SYN-cache entries, and recycled
 // datagram buffers. Segment-backed socket buffer storage is excluded —
@@ -572,8 +567,6 @@ func (s *Stack) RetainedBytes() uint64 {
 		coldSz  = uint64(unsafe.Sizeof(tcpCold{}))
 		rangeSz = uint64(unsafe.Sizeof(seqRange{}))
 		oooSz   = uint64(unsafe.Sizeof(oooRun{}))
-		renoSz  = uint64(unsafe.Sizeof(renoCC{}))
-		cubicSz = uint64(unsafe.Sizeof(cubicCC{}))
 	)
 	var b uint64
 	cold := func(k *tcpCold) {
@@ -581,12 +574,6 @@ func (s *Stack) RetainedBytes() uint64 {
 	}
 	conn := func(c *tcpConn) {
 		b += connSz
-		switch c.cc.(type) {
-		case *renoCC:
-			b += renoSz
-		case *cubicCC:
-			b += cubicSz
-		}
 		if c.cold != nil {
 			cold(c.cold)
 		}

@@ -472,6 +472,8 @@ func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
 		{SndBufBytes: -4096},
 		{RcvBufBytes: maxRingBytes << 1},
 		{Congestion: "vegas"},
+		{WindowScale: MaxWScale + 1},
+		{RTOMinNS: -1},
 	} {
 		if err := e.stkB.SetTCPTuning(bad); err == nil {
 			t.Errorf("SetTCPTuning(%+v) accepted", bad)
@@ -482,9 +484,9 @@ func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
 		t.Fatalf("server accepted %d connections, want 1", st.Accepts)
 	}
 	c := e.stkB.socks.get(afd).conn
-	if c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc.Name() != CCReno {
-		t.Fatalf("accepted conn: rings %d/%d, %s; want the kept tuning's %d/%d, %s",
-			c.sndBuf.size, c.rcvBuf.size, c.cc.Name(), kept, kept, CCReno)
+	if c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc != ccReno || c.offerWS || e.stkB.rtoFloor() != rtoMin {
+		t.Fatalf("accepted conn: rings %d/%d, algorithm %d, window scaling %v, RTO floor %d; want the kept tuning's %d/%d, %d (reno), off, %d",
+			c.sndBuf.size, c.rcvBuf.size, c.cc, c.offerWS, e.stkB.rtoFloor(), kept, kept, ccReno, int64(rtoMin))
 	}
 	msg := []byte("across the refused tuning")
 	if got := sendAll(e, cfd, afd, msg, 4000); !bytes.Equal(got, msg) {

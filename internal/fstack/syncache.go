@@ -214,7 +214,6 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	c.tsRecent = e.tsRecent
 	if e.mss != 0 {
 		c.sndMSS = int32(e.mss)
-		c.cc.SetMSS(e.mss)
 	}
 	c.offerSACK, c.sackOK = e.sackOK, e.sackOK
 	c.offerWS = e.wsOK

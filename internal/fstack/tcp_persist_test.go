@@ -122,9 +122,8 @@ func TestPersistSurvivesSqueezedAckChannel(t *testing.T) {
 		netem.Config{RateBps: 100e3, QueueBytes: 150, Seed: 7})
 	// Slow-ACK serialization means ms-scale ACK delays; keep the RTO
 	// off the sender's back so the reverse path is the only villain.
-	stkA.SetRTOMin(100e6)
-	stkB.SetRTOMin(100e6)
-	stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192})
+	stkA.SetTCPTuning(TCPTuning{RTOMinNS: 100e6})
+	stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192, RTOMinNS: 100e6})
 	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
 	cfd, afd := e.connectPair(5001)
 

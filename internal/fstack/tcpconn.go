@@ -39,7 +39,7 @@ const (
 	// above the simulated wire RTT and fast enough for tests; stacks
 	// whose path includes ms-scale queueing (Scenario 4's CPU-budgeted
 	// shards buffer several ms of frames under overload) must raise it
-	// via Stack.SetRTOMin or every sender spuriously times out and
+	// via TCPTuning.RTOMinNS or every sender spuriously times out and
 	// go-back-N floods the queue it is waiting on.
 	rtoMin        = 2e6
 	rtoMax        = 1e9   // 1 s
@@ -92,9 +92,10 @@ type tcpConn struct {
 	nif  *NetIF
 	sk   *socket // owning socket: nil before accept / after close
 	cold *tcpCold
-	// cc owns cwnd/ssthresh; the connection reports ACK and loss events
-	// to it (see cc.go).
-	cc CongestionController
+	// The congestion window and slow-start threshold (bytes); cc.go's
+	// event methods move them.
+	cwnd     int
+	ssthresh int
 
 	sndBuf sockBuf // r position corresponds to sequence sndUna
 	rcvBuf sockBuf
@@ -128,7 +129,8 @@ type tcpConn struct {
 	tuple     fourTuple
 	state     tcpState
 	delackCnt uint8
-	rtxN      uint8 // consecutive backoffs
+	rtxN      uint8  // consecutive backoffs
+	cc        ccAlgo // congestion control, from the stack's tuning
 	// Window scaling and SACK (RFC 7323 / RFC 2018), negotiated on the
 	// SYN; all zero on a stack with default tuning, which keeps the
 	// wire behavior of the paper's scenarios bit-identical.
@@ -156,14 +158,15 @@ type tcpConn struct {
 	inPending bool
 }
 
-// tcpCold is the part of a connection that only loss, reordering or a
-// zero window needs: the sender's scoreboard and recovery state, the
-// receiver's reassembly runs and the persist timer. A connection takes
-// one from its stack's pool the first time it needs any of it and gives
-// it back with its rings (enterTimeWait, maybeRecycleConn); a nil
-// record reads as no recovery, nothing parked and persist off. The
-// record keeps its slices' capacity between connections, so a warm
-// stack's loss episodes allocate nothing.
+// tcpCold is the part of a connection that only loss, reordering, a
+// zero window or CUBIC's congestion avoidance needs: the sender's
+// scoreboard and recovery state, the receiver's reassembly runs, the
+// persist timer and CUBIC's epoch. A connection takes one from its
+// stack's pool the first time it needs any of it and gives it back with
+// its rings (enterTimeWait, maybeRecycleConn); a nil record reads as no
+// recovery, nothing parked, persist off and no CUBIC epoch. The record
+// keeps its slices' capacity between connections, so a warm stack's
+// loss episodes allocate nothing.
 type tcpCold struct {
 	// sender scoreboard: disjoint sorted ranges the peer has SACKed,
 	// all within (sndUna, sndMax].
@@ -173,6 +176,8 @@ type tcpCold struct {
 	// receiver SACK generation: the most recently arrived out-of-order
 	// run leads the block list (RFC 2018 §4).
 	lastOOO seqRange
+	// CUBIC's epoch (cc.go); untouched on a Reno connection.
+	cubic cubicEpoch
 	// persist timer (zero-window probing): armed when a zero peer
 	// window with data waiting leaves nothing in flight, so a lost
 	// window update cannot stall the connection forever.
@@ -243,11 +248,10 @@ func (c *tcpConn) rcvOOO() []oooRun {
 // stack's segment, sized and featured per the stack's TCP tuning. The
 // struct comes off the conn arena when one is pooled — the path that
 // makes connection churn allocation-free at steady state — and from the
-// slab otherwise; its congestion controller is kept when it runs the
-// tuning's algorithm. Either way one literal sets it, zeroing every
-// field not carried over, so a newly added field cannot leak state
-// between incarnations. It cannot fail: SetTCPTuning admits only ring
-// sizes and an algorithm a connection can be built with.
+// slab otherwise. Either way one literal sets it, zeroing every field,
+// so a newly added field cannot leak state between incarnations. It
+// cannot fail: SetTCPTuning admits only ring sizes and an algorithm a
+// connection can be built with.
 func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
 	sndSize, rcvSize := sndBufSize, rcvBufSize
 	if s.tuning.SndBufBytes > 0 {
@@ -264,12 +268,9 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
 	} else {
 		c = slabTake(&s.connSlab)
 	}
-	cc := c.cc
-	if cc == nil || cc.Name() != effectiveCC(s.tuning.Congestion) {
-		var err error
-		if cc, err = s.newCongestionController(s.tuning.Congestion); err != nil {
-			panic(err) // SetTCPTuning refuses an unknown algorithm
-		}
+	ssthresh := initialSsthresh
+	if s.tuning.WindowScale > 0 {
+		ssthresh = unboundedSsthresh
 	}
 	*c = tcpConn{
 		stk:       s,
@@ -279,13 +280,14 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
 		sndBuf:    sockBuf{size: uint32(sndSize)},
 		rcvBuf:    sockBuf{size: uint32(rcvSize)},
 		sndMSS:    MaxSegData,
-		cc:        cc,
+		cwnd:      initialCwnd,
+		ssthresh:  ssthresh,
+		cc:        s.tuning.algo(),
 		rto:       rtoInitial,
 		offerSACK: s.tuning.SACK,
 		offerWS:   s.tuning.WindowScale > 0,
 		timerH:    connscale.None,
 	}
-	c.cc.OnInit(MaxSegData, c.offerWS)
 	return c
 }
 
@@ -496,7 +498,7 @@ func (c *tcpConn) output() {
 	default:
 		return
 	}
-	wnd := min(int(c.sndWnd), c.cc.Cwnd())
+	wnd := min(int(c.sndWnd), c.cwnd)
 	for {
 		// After a timeout rewind sndNxt sits below sndMax; the
 		// scoreboard lets the resend pass skip runs the peer already
@@ -754,7 +756,7 @@ func (c *tcpConn) retransmitHead() {
 // of one per returning ACK.
 func (c *tcpConn) sackFill() {
 	k := c.cold
-	for len(k.sacked) > 0 && c.pipe() < c.cc.Cwnd() {
+	for len(k.sacked) > 0 && c.pipe() < c.cwnd {
 		top := k.sacked[len(k.sacked)-1].end
 		seq := k.rtxNxt
 		if seqLT(seq, c.sndUna) {
@@ -794,7 +796,7 @@ func (c *tcpConn) enterRecovery() {
 	// pre-refactor inline code used.
 	pipe := c.pipe()
 	k.rtxNxt = c.sndUna
-	c.cc.OnEnterRecovery(pipe, c.sackOK, c.stk.now())
+	c.ccEnterRecovery(pipe)
 	c.noteCwnd()
 	if c.sackOK {
 		c.sackFill()
@@ -824,7 +826,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 			case k.inRecovery && c.sackOK:
 				c.sackFill()
 			case k.inRecovery:
-				c.cc.OnDupAck() // NewReno window inflation
+				c.ccDupAck() // NewReno window inflation
 				c.output()
 			}
 		}
@@ -895,13 +897,13 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		// Partial ACK (RFC 6582): the next hole starts at the new
 		// sndUna; resend it immediately, deflate instead of grow.
 		c.retransmitHead()
-		c.cc.OnPartialAck(dataAcked)
+		c.ccPartialAck(dataAcked)
 	case c.inRecovery():
 		// Full ACK at or past the recovery point: done.
 		c.cold.inRecovery = false
-		c.cc.OnExitRecovery(c.stk.now())
+		c.ccExitRecovery()
 	default:
-		c.cc.OnAck(dataAcked, c.stk.now(), c.srtt) // slow start / avoidance
+		c.ccAck(dataAcked) // slow start / avoidance
 	}
 	c.noteCwnd()
 	if c.inflight() == 0 {
@@ -948,7 +950,7 @@ func (c *tcpConn) onRTO() {
 		c.rtxAt = 0
 		return
 	}
-	c.cc.OnRTO(c.pipe(), c.stk.now())
+	c.ccRTO(c.pipe())
 	c.noteCwnd()
 	if k := c.cold; k != nil {
 		k.dupAcks = 0
@@ -1218,7 +1220,7 @@ func (c *tcpConn) noteCwnd() {
 	if tr == nil {
 		return
 	}
-	if w := c.cc.Cwnd(); int32(w) != c.obsCwnd {
+	if w := c.cwnd; int32(w) != c.obsCwnd {
 		c.obsCwnd = int32(w)
 		tr.Record(c.stk.now(), obs.EvTCPCwnd, c.stk.obsSrc,
 			int64(w), 0, int64(c.tuple.local.Port))
@@ -1266,7 +1268,6 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.sndWnd = c.peerWnd(h)
 		if h.MSS != 0 {
 			c.sndMSS = int32(min(int(h.MSS)-tsOptionLen, MaxSegData))
-			c.cc.SetMSS(int(c.sndMSS))
 		}
 		// Feature negotiation: each option is on only if both sides
 		// offered it (RFC 7323 §2.2, RFC 2018 §3).

@@ -88,21 +88,20 @@ func TestAsymmetricDelayIsDirectional(t *testing.T) {
 func runForwardTransfer(t *testing.T, link *testbed.LinkSpec) float64 {
 	t.Helper()
 	clk := sim.NewVClock()
+	// WAN RTTs need a WAN RTO floor, or queue-induced RTT bumps fire
+	// spurious timeouts.
+	wan := testbed.StackSpec{Tuning: &fstack.TCPTuning{RTOMinNS: 200e6}}
 	bed, err := testbed.Build(testbed.Spec{
 		Clk:     clk,
 		Machine: testbed.MachineSpec{Name: "morello", Ports: 1},
 		Compartments: []testbed.CompartmentSpec{
-			{Name: "proc", Ifs: []testbed.IfSpec{{Port: 0}}},
+			{Name: "proc", Ifs: []testbed.IfSpec{{Port: 0}}, Stack: wan},
 		},
-		Peers: []testbed.PeerSpec{{Port: 0, Link: link}},
+		Peers: []testbed.PeerSpec{{Port: 0, Link: link, Stack: wan}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WAN RTTs need a WAN RTO floor, or queue-induced RTT bumps fire
-	// spurious timeouts.
-	bed.Envs[0].Stk.SetRTOMin(200e6)
-	bed.Peers[0].Env.Stk.SetRTOMin(200e6)
 
 	const port = 5601
 	cli := app.NewIperfClient(testbed.PeerIP(0), port, 200e6)

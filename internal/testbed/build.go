@@ -416,14 +416,12 @@ func (b *Bed) buildPeer(spec Spec, ps PeerSpec) error {
 // applyStackSpec applies the tuning half of a StackSpec to a built
 // environment (single stack or every shard).
 func applyStackSpec(env *Env, ss StackSpec) error {
+	if ss.Tuning == nil {
+		return nil
+	}
 	for _, stk := range env.Stacks() {
-		if ss.RTOMinNS > 0 {
-			stk.SetRTOMin(ss.RTOMinNS)
-		}
-		if ss.Tuning != nil {
-			if err := stk.SetTCPTuning(*ss.Tuning); err != nil {
-				return err
-			}
+		if err := stk.SetTCPTuning(*ss.Tuning); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -115,12 +115,11 @@ type StackSpec struct {
 	// rejected on peers (ideal cores). A core may be booked three
 	// full-size frame times ahead.
 	CPUBps float64
-	// Tuning, when non-nil, applies modern TCP knobs (SACK, window
-	// scaling, buffer sizes, congestion-control selection); nil keeps
-	// the paper's stack. An unknown Congestion name is a spec error.
+	// Tuning, when non-nil, applies TCP knobs (SACK, window scaling,
+	// buffer sizes, congestion-control selection, the RTO floor); nil
+	// keeps the paper's stack. A tuning fstack.TCPTuning.Validate
+	// refuses is a spec error.
 	Tuning *fstack.TCPTuning
-	// RTOMinNS, when positive, raises the retransmission-timer floor.
-	RTOMinNS int64
 }
 
 // queues is how many queue pairs each of the environment's ports is

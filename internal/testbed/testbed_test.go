@@ -167,6 +167,16 @@ func TestSpecValidationErrors(t *testing.T) {
 	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{SndBufBytes: -4096}
 	wantBuildError(t, s, "peer0: Tuning.SndBufBytes is -4096")
 
+	// A window-scale shift past RFC 7323's 14 is refused, not clamped
+	// to 14 where the stack applies it; an RTO floor is not negative.
+	s = minimalSpec()
+	s.Compartments[0].Stack.Tuning = &fstack.TCPTuning{WindowScale: fstack.MaxWScale + 1}
+	wantBuildError(t, s, "compartment proc: Tuning.WindowScale is 15")
+
+	s = minimalSpec()
+	s.Peers[0].Stack.Tuning = &fstack.TCPTuning{RTOMinNS: -1}
+	wantBuildError(t, s, "peer0: Tuning.RTOMinNS is -1")
+
 	// A rate is positive, or 0 for unset. A negative or NaN line rate
 	// would pass cmp.Or into Build and price the line's bookings in
 	// negative or undefined time; a negative CPU budget or link rate
@@ -341,7 +351,7 @@ func TestShardedSpecBuildsShardedEnv(t *testing.T) {
 			{
 				Name: "mq", SegBytes: 16 << 20, PoolBufs: 3072,
 				Ifs:   []IfSpec{{Port: 0}},
-				Stack: StackSpec{Shards: 4, RingSize: 256, CPUBps: 1e9, RTOMinNS: 20e6},
+				Stack: StackSpec{Shards: 4, RingSize: 256, CPUBps: 1e9, Tuning: &fstack.TCPTuning{RTOMinNS: 20e6}},
 			},
 		},
 		Peers: []PeerSpec{{Port: 0}},
