@@ -13,7 +13,7 @@ import (
 // Scenario 8 — connection churn storm. Scenarios 4-7 measure the
 // datapath: long flows, bytes per second. This scenario measures the
 // connection plane the connscale work rebuilt: the timing wheel (no
-// per-conn timer scans), the ready list (poll visits only conns with
+// per-conn timer scans), the visit list (poll visits only conns with
 // due work), the SYN cache (half-open handshakes cost a pooled entry,
 // not a conn), the conn/socket arena (steady-state churn allocates
 // nothing) and lazy socket buffers (an idle conn reserves no segment

@@ -137,6 +137,9 @@ func (w *Wheel[T]) Insert(deadline int64, v T) Handle {
 	return h
 }
 
+// Deadline returns the exact instant a live entry was inserted with.
+func (w *Wheel[T]) Deadline(h Handle) int64 { return w.items[h].deadline }
+
 // Remove unregisters a live entry. The handle must be one returned by
 // Insert that has neither fired nor been removed.
 func (w *Wheel[T]) Remove(h Handle) {

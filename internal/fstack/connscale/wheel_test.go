@@ -1,6 +1,7 @@
 package connscale
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -158,6 +159,44 @@ func TestWheelRandomized(t *testing.T) {
 		}
 		if got := w.NextDeadline(); got != wantMin {
 			t.Fatalf("step %d: NextDeadline %d != model %d", step, got, wantMin)
+		}
+	}
+}
+
+// TestWheelDeadlineSurvivesCascades: Deadline(h) is the instant the
+// entry was inserted with, wherever it lives now — a handle keeps its
+// item through every cascade down the levels and every re-sort of the
+// overflow list, and the stack reads a connection's filed deadline
+// nowhere else.
+func TestWheelDeadlineSurvivesCascades(t *testing.T) {
+	w := New[int](0, DefaultTickShift)
+	const topSlot = int64(1) << (DefaultTickShift + slotBits*(numLevels-1))
+	at := []int64{
+		1 << 20,          // level 0
+		1<<28 + 12345,    // level 1
+		1<<34 + 67,       // level 2
+		300*topSlot + 89, // past the top level: the overflow list
+	}
+	hs := make([]Handle, len(at))
+	for i, d := range at {
+		hs[i] = w.Insert(d, i)
+	}
+	check := func(when string, live int) {
+		t.Helper()
+		for i := len(at) - live; i < len(at); i++ {
+			if got := w.Deadline(hs[i]); got != at[i] {
+				t.Fatalf("%s: Deadline(entry %d) = %d, want the inserted %d", when, i, got, at[i])
+			}
+		}
+	}
+	check("as inserted", 4)
+	for i, now := range at {
+		// Just short of each deadline: the later entries cascade (the
+		// overflow list is re-sorted once the top cursor moves) but none fires.
+		w.Advance(now-1, func(v int) { t.Fatalf("entry %d fired before its deadline", v) })
+		check(fmt.Sprintf("advanced to %d", now-1), len(at)-i)
+		if got := collect(w, now); len(got) != 1 || got[0] != i {
+			t.Fatalf("at %d fired %v, want [%d]", now, got, i)
 		}
 	}
 }

@@ -85,8 +85,8 @@ func warmARP(e *testEnv) {
 }
 
 // TestPollVisitOrderIsCreationOrder pins the determinism contract of
-// the ready-list poll: connections marked ready in any order are
-// visited in creation order. The probe is the wire — three receivers
+// the visit-list poll: connections queued in any order are visited in
+// creation order. The probe is the wire — three receivers
 // with closed windows drain their buffers in reverse creation order,
 // all three then owe a window-update ACK at A's next poll, and the
 // ACKs must leave in creation order (remote ports 6001, 6002, 6003),

@@ -77,15 +77,12 @@ func (s *Stack) Crash() {
 		s.synFreeEntry(e)
 	}
 
-	// Pending-work scratch: the conns are all detached, drop the flags.
-	for i, c := range s.ready {
-		s.ready[i] = nil
-		c.onReady = false
-	}
-	s.ready = s.ready[:0]
+	// The visit list: the conns are all CLOSED, so each leaves it for
+	// the arena unless a socket or an accept queue still holds it.
 	for i, c := range s.visit {
 		s.visit[i] = nil
 		c.queued = false
+		s.maybeRecycleConn(c)
 	}
 	s.visit = s.visit[:0]
 

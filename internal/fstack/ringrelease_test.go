@@ -105,12 +105,39 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		t.Errorf("client segment grew %d B while %d conns sat in TIME_WAIT, want 0 (their rings are free)", got-used, n)
 	}
 
-	// A retransmitted FIN (our ACK of it was lost) draws a fresh ACK.
+	// TIME_WAIT keeps its 2MSL deadline in rtxAt. A stray pure ACK and
+	// an old data segment leave it where it is. From here only the client
+	// polls: the server, whose side of the tuple is long gone, would
+	// answer each of the client's ACKs with a reset.
 	c := tw[0]
-	fin := TCPHeader{SrcPort: c.tuple.remote.Port, DstPort: c.tuple.local.Port,
-		Seq: c.rcvNxt - 1, Ack: c.sndNxt, Flags: TCPFin | TCPAck, Window: ring}
-	seg := make([]byte, fin.encodedLen())
-	PutTCPHeader(seg, fin, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+	pumpA := func(maxTicks int, what string, cond func() bool) {
+		t.Helper()
+		for i := 0; !cond(); i++ {
+			if i == maxTicks {
+				t.Fatalf("condition %q not reached after %d ticks", what, maxTicks)
+			}
+			e.stkA.PollOnce()
+			e.clk.Advance(5000)
+		}
+	}
+	inject := func(h TCPHeader, payload []byte) {
+		h.SrcPort, h.DstPort, h.Window = c.tuple.remote.Port, c.tuple.local.Port, ring
+		seg := make([]byte, h.encodedLen()+len(payload))
+		copy(seg[h.encodedLen():], payload)
+		PutTCPHeader(seg, h, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+		e.stkA.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg)
+	}
+	retx := e.stkA.stats.Retransmit
+	twEnd := c.rtxAt
+	old := []byte("old")
+	inject(TCPHeader{Seq: c.rcvNxt, Ack: c.sndNxt, Flags: TCPAck}, nil)
+	inject(TCPHeader{Seq: c.rcvNxt - 1 - uint32(len(old)), Ack: c.sndNxt, Flags: TCPAck}, old)
+	e.stkA.PollOnce()
+	if c.state != tcpTimeWait || c.rtxAt != twEnd {
+		t.Fatalf("after a stray ACK and old data: state %v, rtxAt %d; want TIME_WAIT ending at %d", c.state, c.rtxAt, twEnd)
+	}
+
+	// A retransmitted FIN (our ACK of it was lost) draws a fresh ACK.
 	var acks []TCPHeader
 	e.portB.SetRxTap(func(_ int64, frame []byte) {
 		ip, ihl, err := ParseIPv4Header(frame[EthHeaderLen:])
@@ -122,16 +149,27 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		}
 	})
 	at := e.clk.Now()
-	e.stkA.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg)
-	e.pumpUntil(100, "ACK of the retransmitted FIN", func() bool { return len(acks) > 0 })
+	inject(TCPHeader{Seq: c.rcvNxt - 1, Ack: c.sndNxt, Flags: TCPFin | TCPAck}, nil)
+	pumpA(100, "ACK of the retransmitted FIN", func() bool { return len(acks) > 0 })
 	e.portB.SetRxTap(nil)
 	if h := acks[0]; h.Flags != TCPAck || h.Ack != c.rcvNxt || h.Seq != c.sndNxt {
 		t.Errorf("answer to a retransmitted FIN: flags %#x seq %d ack %d, want a bare ACK seq %d ack %d",
 			h.Flags, h.Seq, h.Ack, c.sndNxt, c.rcvNxt)
 	}
-	if c.state != tcpTimeWait || c.timeWaitAt != at+timeWaitDur || c.sndBuf.backed || c.rcvBuf.backed {
+	if c.state != tcpTimeWait || c.rtxAt != at+timeWaitDur || c.sndBuf.backed || c.rcvBuf.backed {
 		t.Errorf("after the FIN: state %v, 2MSL ends %d ns later, rings backed %v/%v; want TIME_WAIT restarted for %d ns holding none",
-			c.state, c.timeWaitAt-at, c.sndBuf.backed, c.rcvBuf.backed, int64(timeWaitDur))
+			c.state, c.rtxAt-at, c.sndBuf.backed, c.rcvBuf.backed, int64(timeWaitDur))
+	}
+
+	// The connection leaves at the restarted deadline, not the first one
+	// its wheel entry was filed for, and never retransmits.
+	end := c.rtxAt
+	pumpA(int(2*timeWaitDur/5000), "TIME_WAIT ends", func() bool { return c.state == tcpClosed })
+	if now := e.clk.Now(); now < end || now > end+5000 {
+		t.Errorf("TIME_WAIT ended %d ns after its deadline, want within one tick", now-end)
+	}
+	if got := e.stkA.stats.Retransmit - retx; got != 0 {
+		t.Errorf("TIME_WAIT counted %d retransmissions, want 0", got)
 	}
 }
 

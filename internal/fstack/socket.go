@@ -302,7 +302,6 @@ func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 		// connection may take the tuple over immediately (the new ISS
 		// is far from the old sequence space).
 		s.stats.TimeWaitReuses++
-		old.setState(tcpClosed)
 		s.removeConn(old)
 	}
 	c := s.newTCPConn(nif, tuple)
@@ -425,7 +424,7 @@ func writableState(c *tcpConn) hostos.Errno {
 	switch c.state {
 	case tcpEstablished, tcpCloseWait:
 		return hostos.OK
-	case tcpSynSent, tcpSynReceived:
+	case tcpSynSent:
 		return hostos.EAGAIN
 	default:
 		return hostos.EPIPE
@@ -495,11 +494,11 @@ func (s *Stack) read(c *tcpConn, dst []byte) (int, hostos.Errno) {
 // the next poll's visit pass will send the window update — flag that
 // pending work so the event-driven driver visits that iteration
 // instead of leaping over it to the peer's (much later) persist probe,
-// and put the connection in that poll's visit set.
+// and put the connection on that poll's visit list.
 func (s *Stack) noteReadDrain(c *tcpConn) {
 	if c.needsWindowUpdate() {
 		s.wantPoll = true
-		s.markReady(c)
+		s.queueVisit(c)
 	}
 }
 
@@ -527,7 +526,7 @@ func (s *Stack) Close(fd int) hostos.Errno {
 		}
 	case sk.conn != nil:
 		c := sk.conn
-		if c.state == tcpEstablished || c.state == tcpCloseWait || c.state == tcpSynReceived {
+		if c.state == tcpEstablished || c.state == tcpCloseWait {
 			c.finQueued = true
 			c.output()
 		} else if c.state == tcpSynSent {

@@ -206,7 +206,7 @@ type Stack struct {
 	nextFD    int
 
 	// connSeq numbers connections in creation order. The poll loop
-	// sorts its visit set by seq so timer firing and output
+	// sorts its visit list by seq so timer firing and output
 	// interleaving are identical run to run — map iteration order is
 	// randomized per process, and the goldens must not depend on
 	// winning that lottery.
@@ -226,11 +226,11 @@ type Stack struct {
 	fireConnF func(*tcpConn)
 	fireSynF  func(*synEntry)
 
-	// ready lists connections an API call or a failed transmit marked
-	// for the next poll (window update owed, TX ring was full). visit
-	// is the poll's scratch: fired ∪ ready, deduplicated via c.queued
-	// and sorted by creation seq before the walk.
-	ready []*tcpConn
+	// visit lists the connections the next poll visits, once each
+	// (c.queued): those whose wheel entry fired, and those an API call
+	// or a failed transmit queued (window update owed, TX ring full).
+	// The poll sorts it by creation seq and walks what it held when the
+	// walk began; what the walk queues waits for the next poll.
 	visit []*tcpConn
 
 	// syncache holds half-open connections: a SYN costs one pooled
@@ -377,24 +377,23 @@ func (s *Stack) portRelease(p uint16) {
 // re-files the exact minimum. Disarming likewise.
 func (s *Stack) noteTimer(c *tcpConn, at int64) {
 	if c.timerH != connscale.None {
-		if at >= c.timerAt {
+		if at >= s.wheel.Deadline(c.timerH) {
 			return
 		}
 		s.wheel.Remove(c.timerH)
 	}
-	c.timerAt = at
 	c.timerH = s.wheel.Insert(at, c)
 }
 
 // syncTimer reconciles a connection's wheel entry with its exact
 // earliest deadline, called after every poll visit.
 func (s *Stack) syncTimer(c *tcpConn) {
-	if c.detached {
+	if c.state == tcpClosed {
 		return
 	}
 	d := connDeadline(c)
 	if c.timerH != connscale.None {
-		if d == c.timerAt {
+		if d == s.wheel.Deadline(c.timerH) {
 			return
 		}
 		s.wheel.Remove(c.timerH)
@@ -403,24 +402,15 @@ func (s *Stack) syncTimer(c *tcpConn) {
 	if d == math.MaxInt64 {
 		return
 	}
-	c.timerAt = d
 	c.timerH = s.wheel.Insert(d, c)
 }
 
-// markReady queues a connection for the next poll's visit set: a
-// transmit failed (ring full — retry when the device drains) or an API
-// call owes protocol work (window-update ACK after a read).
-func (s *Stack) markReady(c *tcpConn) {
-	if c.onReady || c.detached {
-		return
-	}
-	c.onReady = true
-	s.ready = append(s.ready, c)
-}
-
-// queueVisit adds a connection to this poll's visit set (deduplicated).
+// queueVisit adds a connection to the visit list (deduplicated): its
+// wheel entry fired, a transmit failed (ring full — retry when the
+// device drains) or an API call owes protocol work (window-update ACK
+// after a read).
 func (s *Stack) queueVisit(c *tcpConn) {
-	if c.queued {
+	if c.queued || c.state == tcpClosed {
 		return
 	}
 	c.queued = true
@@ -438,9 +428,6 @@ func connDeadline(c *tcpConn) int64 {
 	}
 	if c.delackAt != 0 && c.delackAt < d {
 		d = c.delackAt
-	}
-	if c.state == tcpTimeWait && c.timeWaitAt < d {
-		d = c.timeWaitAt
 	}
 	return d
 }
@@ -845,7 +832,6 @@ func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte) {
 		// sequence number beyond the old connection's recycles the
 		// tuple immediately instead of making the peer wait out 2MSL.
 		s.stats.TimeWaitReuses++
-		c.setState(tcpClosed)
 		s.removeConn(c)
 		// Fall through to the listener path: the SYN starts a new flow.
 	}
@@ -919,13 +905,14 @@ func (s *Stack) sendRSTFor(nif *NetIF, ip IPv4Header, h TCPHeader, payloadLen in
 	s.sendIPv4(nif, m, frame, ip.Src, ProtoTCP, hl)
 }
 
-// removeConn drops the connection from the table: unfile its timer,
-// release its port — both O(1) — and recycle the struct when nothing
-// else can reach it.
+// removeConn ends the connection: CLOSED, dropped from the table, its
+// timer unfiled and its port released — all O(1) — and the struct
+// recycled when nothing else can reach it.
 func (s *Stack) removeConn(c *tcpConn) {
-	if c.detached {
+	if c.state == tcpClosed {
 		return
 	}
+	c.setState(tcpClosed)
 	delete(s.conns, c.tuple)
 	if c.tuple.local.Port >= ephemeralBase {
 		s.portRelease(c.tuple.local.Port)
@@ -934,7 +921,6 @@ func (s *Stack) removeConn(c *tcpConn) {
 		s.wheel.Remove(c.timerH)
 		c.timerH = connscale.None
 	}
-	c.detached = true
 	s.maybeRecycleConn(c)
 }
 
@@ -960,13 +946,7 @@ func (s *Stack) PollOnce() {
 	now := s.now()
 	s.wheel.Advance(now, s.fireConnF)
 	s.synWheel.Advance(now, s.fireSynF)
-	for i, c := range s.ready {
-		s.ready[i] = nil
-		c.onReady = false
-		s.queueVisit(c)
-	}
-	s.ready = s.ready[:0]
-	if len(s.visit) > 0 {
+	if n := len(s.visit); n > 0 {
 		// Creation order, not wheel or map order: reproducible timer
 		// and output interleaving. Visiting only this subset is
 		// equivalent to the historical visit-every-connection walk —
@@ -975,18 +955,20 @@ func (s *Stack) PollOnce() {
 		slices.SortFunc(s.visit, func(a, b *tcpConn) int {
 			return cmp.Compare(a.seq, b.seq)
 		})
-		for i := 0; i < len(s.visit); i++ {
-			c := s.visit[i]
-			s.visit[i] = nil
+		// Only the n queued when the walk began: a connection whose
+		// transmit fails during its visit queues itself again, and is
+		// retried by the next poll, not in this pass.
+		for _, c := range s.visit[:n] {
 			c.queued = false
-			if c.detached {
+			if c.state == tcpClosed {
+				s.maybeRecycleConn(c) // closed while queued
 				continue
 			}
 			c.onTimers(now)
 			c.output()
 			s.syncTimer(c)
 		}
-		s.visit = s.visit[:0]
+		s.visit = slices.Delete(s.visit, 0, n)
 	}
 	for _, nif := range s.nifs {
 		nif.dev.Poll()

@@ -431,6 +431,90 @@ func (d *stepCounter) RxBurst(out []*dpdk.Mbuf) int  { d.calls++; return d.EthDe
 func (d *stepCounter) TxBurst(bufs []*dpdk.Mbuf) int { d.calls++; return d.EthDevice.TxBurst(bufs) }
 func (d *stepCounter) Poll()                         { d.calls++; d.EthDevice.Poll() }
 
+// txRefuser is an EthDevice whose transmit refuses the next refuse
+// bursts; tries counts every burst offered.
+type txRefuser struct {
+	EthDevice
+	refuse, tries int
+}
+
+func (d *txRefuser) TxBurst(bufs []*dpdk.Mbuf) int {
+	d.tries++
+	if d.refuse > 0 {
+		d.refuse--
+		return 0
+	}
+	return d.EthDevice.TxBurst(bufs)
+}
+
+// TestRefusedTransmitRetriesNextPoll pins the visit list's one pass: a
+// connection whose transmit the ring refuses queues itself, and one
+// refused during its own visit is retried by the next poll, not again
+// in the same pass — a walk over what the pass itself queued would
+// spin for as long as the ring stays full.
+func TestRefusedTransmitRetriesNextPoll(t *testing.T) {
+	e := newEnv(t, false)
+	cfd, _ := e.connectPair(5060)
+	nif := e.stkA.nifs[0]
+	d := &txRefuser{EthDevice: nif.dev, refuse: 2}
+	nif.dev = d
+	s, c := e.stkA, e.stkA.socks.get(cfd).conn
+	state := func(when string, tries int, queued bool) {
+		t.Helper()
+		inList := len(s.visit) == 1 && s.visit[0] == c
+		if d.tries != tries || c.queued != queued || inList != queued || len(s.visit) > 1 {
+			t.Fatalf("%s: %d transmits offered, queued %v, visit list %d long (holds the conn: %v); want %d offered, queued %v",
+				when, d.tries, c.queued, len(s.visit), inList, tries, queued)
+		}
+	}
+	if k, errno := s.Write(cfd, []byte("x")); k != 1 || errno != hostos.OK {
+		t.Fatalf("write = %d, %v", k, errno)
+	}
+	state("after the refused write", 1, true)
+	s.PollOnce()
+	state("after the poll whose visit was refused", 2, true)
+	s.PollOnce()
+	state("after the poll that sent", 3, false)
+	if c.sndNxt-c.sndUna != 1 {
+		t.Fatalf("%d bytes in flight after the retry, want the written byte", c.sndNxt-c.sndUna)
+	}
+}
+
+// TestConnClosedWhileQueuedIsRecycled: a connection on the visit list
+// is not recycled, so one that is reset, or whose stack crashes, after
+// its application closed it is recycled where it leaves the list — by
+// the next poll's walk or by Crash — with its send ring back in the
+// segment. Both once only dropped it, and its ring stayed carved.
+func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
+	for _, end := range []string{"reset", "crash"} {
+		e := newEnv(t, false)
+		cfd, _ := e.connectPair(5061)
+		nif := e.stkA.nifs[0]
+		nif.dev = &txRefuser{EthDevice: nif.dev, refuse: 1}
+		s, c := e.stkA, e.stkA.socks.get(cfd).conn
+		if k, errno := s.Write(cfd, []byte("x")); k != 1 || errno != hostos.OK {
+			t.Fatalf("%s: write = %d, %v", end, k, errno)
+		}
+		s.Close(cfd)
+		if end == "reset" {
+			rst := TCPHeader{SrcPort: c.tuple.remote.Port, DstPort: c.tuple.local.Port, Seq: c.rcvNxt, Flags: TCPRst}
+			seg := make([]byte, rst.encodedLen())
+			PutTCPHeader(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+			s.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg)
+			if c.state != tcpClosed || !c.queued || len(s.connFree) != 0 {
+				t.Fatalf("reset: state %v, queued %v, %d pooled; want CLOSED, still queued, none pooled", c.state, c.queued, len(s.connFree))
+			}
+			s.PollOnce()
+		} else {
+			s.Crash()
+		}
+		if len(s.connFree) != 1 || s.connFree[0] != c || c.sndBuf.backed {
+			t.Errorf("%s: %d pooled (the conn: %v), send ring backed %v; want the conn pooled, its ring back",
+				end, len(s.connFree), len(s.connFree) == 1 && s.connFree[0] == c, c.sndBuf.backed)
+		}
+	}
+}
+
 // TestCrashedRunOnceRunsCallback: a crashed stack's iteration steps no
 // device, but the user function still runs and the iteration counts.
 func TestCrashedRunOnceRunsCallback(t *testing.T) {

@@ -102,14 +102,12 @@ type tcpConn struct {
 
 	// RTT estimation (RFC 6298 via timestamps) and the timers; a
 	// deadline of 0 is off.
-	srtt       int64
-	rttvar     int64
-	rto        int64
-	rtxAt      int64 // retransmission deadline
-	delackAt   int64 // pending delayed ack
-	timeWaitAt int64
-	timerAt    int64 // the deadline timerH files on the stack's wheel
-	seq        uint64
+	srtt     int64
+	rttvar   int64
+	rto      int64
+	rtxAt    int64 // retransmission deadline; in TIME_WAIT, the 2MSL one
+	delackAt int64 // pending delayed ack
+	seq      uint64
 
 	sndUna   uint32
 	sndNxt   uint32
@@ -147,14 +145,12 @@ type tcpConn struct {
 	finRcvd   bool // peer's FIN has been sequenced into rcvNxt
 
 	// connection-scale plumbing (stack.go): seq stamps creation order
-	// for the poll visit sort; timerH/timerAt file the earliest armed
-	// timer on the stack's timing wheel; queued/onReady deduplicate
-	// visit-set membership; detached means removeConn ran; sk and
-	// inPending (residence on a listener's accept queue) together gate
-	// recycling the struct through the conn arena.
+	// for the poll visit sort; timerH files the earliest armed timer on
+	// the stack's timing wheel, which keeps its instant; queued
+	// deduplicates visit-list membership; sk and inPending (residence on
+	// a listener's accept queue) together gate recycling the struct
+	// through the conn arena once removeConn has made it CLOSED.
 	queued    bool
-	onReady   bool
-	detached  bool
 	inPending bool
 }
 
@@ -308,13 +304,13 @@ func slabTake[T any](slab *[]T) *T {
 	return p
 }
 
-// maybeRecycleConn returns a detached connection struct to the arena
+// maybeRecycleConn returns a CLOSED connection struct to the arena
 // once nothing else can reach it: no socket, no accept-queue slot, no
-// poll visit-set or ready-list membership. Its rings go back to the
-// segment then, and its cold record to the pool, not at removeConn: an
-// aborted connection's socket may still read what it received.
+// visit-list membership. Its rings go back to the segment then, and its
+// cold record to the pool, not at removeConn: an aborted connection's
+// socket may still read what it received.
 func (s *Stack) maybeRecycleConn(c *tcpConn) {
-	if !c.detached || c.inPending || c.sk != nil || c.queued || c.onReady {
+	if c.state != tcpClosed || c.inPending || c.sk != nil || c.queued {
 		return
 	}
 	c.sndBuf.release(s.seg)
@@ -397,9 +393,8 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 	total := hl + payloadLen
 	m, frame := c.stk.txAlloc(c.nif, IPv4HeaderLen+total)
 	if m == nil {
-		// Pool or ring exhausted: mark ready so the next poll's visit
-		// set includes this connection and the send is retried.
-		c.stk.markReady(c)
+		// Pool or ring exhausted: the next poll's visit retries the send.
+		c.stk.queueVisit(c)
 		return false
 	}
 	tcpSeg := frame[EthHeaderLen+IPv4HeaderLen:]
@@ -407,7 +402,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 		off := int(seq - c.sndUna)
 		if _, err := c.sndBuf.peek(c.stk.seg, off, tcpSeg[hl:hl+payloadLen]); err != nil {
 			m.Free()
-			c.stk.markReady(c)
+			c.stk.queueVisit(c)
 			return false
 		}
 	}
@@ -420,7 +415,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 		}
 		c.advWnd = uint32(h.Window) << shift
 	} else {
-		c.stk.markReady(c)
+		c.stk.queueVisit(c)
 	}
 	return ok
 }
@@ -919,7 +914,6 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		case tcpClosing:
 			c.enterTimeWait()
 		case tcpLastAck:
-			c.setState(tcpClosed)
 			c.stk.removeConn(c)
 		}
 	}
@@ -931,17 +925,13 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 // output() skips runs the peer already holds; without it this is plain
 // go-back-N.
 func (c *tcpConn) onRTO() {
-	if c.state == tcpSynSent || c.state == tcpSynReceived {
+	if c.state == tcpSynSent {
 		c.rtxN++
 		if c.rtxN > synRetries {
 			c.abort(hostos.ETIMEDOUT)
 			return
 		}
-		flags := TCPSyn
-		if c.state == tcpSynReceived {
-			flags |= TCPAck
-		}
-		c.sendSegment(flags, c.sndUna, 0, true)
+		c.sendSegment(TCPSyn, c.sndUna, 0, true)
 		c.rto = min(c.rto*2, int64(rtoMax))
 		c.armRTO()
 		return
@@ -1178,12 +1168,12 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 // and its cold record to the pool, which also turns persist off
 // (FreeBSD's tcp_twstart): TIME_WAIT follows Close, our FIN is
 // acknowledged and the peer's is sequenced, so nothing reads or writes
-// either ring again, and nothing is left to recover.
+// either ring again, and nothing is left to recover or retransmit —
+// rtxAt holds the 2MSL deadline instead.
 func (c *tcpConn) enterTimeWait() {
 	c.setState(tcpTimeWait)
-	c.timeWaitAt = c.stk.now() + timeWaitDur
-	c.stk.noteTimer(c, c.timeWaitAt)
-	c.rtxAt = 0
+	c.rtxAt = c.stk.now() + timeWaitDur
+	c.stk.noteTimer(c, c.rtxAt)
 	c.sndBuf.release(c.stk.seg)
 	c.rcvBuf.release(c.stk.seg)
 	c.dropCold()
@@ -1233,7 +1223,6 @@ func (c *tcpConn) err() hostos.Errno { return hostos.Errno(c.sockErr) }
 // abort kills the connection with a sticky error.
 func (c *tcpConn) abort(errno hostos.Errno) {
 	c.sockErr = int32(errno)
-	c.setState(tcpClosed)
 	c.rtxAt = 0
 	if c.cold != nil {
 		c.cold.persistAt = 0
@@ -1283,31 +1272,14 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.output()
 		return
 
-	case tcpSynReceived:
-		if h.Flags&TCPAck != 0 && h.Ack == c.sndNxt {
-			c.sndUna = h.Ack
-			c.sndWnd = c.peerWnd(h)
-			c.setState(tcpEstablished)
-			c.rtxAt = 0
-			c.rtxN = 0
-			c.stk.notifyAccept(c)
-			// Fall through to normal processing of any payload.
-		} else if h.Flags&TCPSyn != 0 {
-			// Duplicate SYN: re-ack.
-			c.sendSegment(TCPSyn|TCPAck, c.sndUna, 0, true)
-			return
-		} else {
-			return
-		}
-
 	case tcpTimeWait:
 		if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload))+1 == c.rcvNxt {
 			// The peer's FIN again: our ACK of it was lost. ACK it
 			// anew and restart 2MSL (RFC 793 p. 73, FreeBSD's
 			// tcp_twcheck).
 			c.sendAckNow()
-			c.timeWaitAt = c.stk.now() + timeWaitDur
-			c.stk.noteTimer(c, c.timeWaitAt)
+			c.rtxAt = c.stk.now() + timeWaitDur
+			c.stk.noteTimer(c, c.rtxAt)
 			return
 		}
 	}
@@ -1330,7 +1302,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		}
 		c.sendAckNow()
 		switch c.state {
-		case tcpEstablished, tcpSynReceived:
+		case tcpEstablished:
 			c.setState(tcpCloseWait)
 		case tcpFinWait1:
 			if c.finAcked {
@@ -1350,9 +1322,11 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 	c.wake()
 }
 
-// onTimers runs the connection's timers; called from the loop.
+// onTimers runs the connection's timers; called from the loop. In
+// TIME_WAIT rtxAt is the 2MSL deadline, which ends the connection after
+// the other timers have run, never a retransmission.
 func (c *tcpConn) onTimers(now int64) {
-	if c.rtxAt != 0 && now >= c.rtxAt {
+	if c.state != tcpTimeWait && c.rtxAt != 0 && now >= c.rtxAt {
 		c.onRTO()
 	}
 	if at := c.persistAt(); at != 0 && now >= at {
@@ -1361,8 +1335,7 @@ func (c *tcpConn) onTimers(now int64) {
 	if c.delackAt != 0 && now >= c.delackAt {
 		c.sendAckNow()
 	}
-	if c.state == tcpTimeWait && now >= c.timeWaitAt {
-		c.setState(tcpClosed)
+	if c.state == tcpTimeWait && now >= c.rtxAt {
 		c.stk.removeConn(c)
 	}
 	// Window update: if we advertised (near) zero and space opened, tell
