@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checksum"
 	"repro/internal/fstack"
 	"repro/internal/netem"
 	"repro/internal/obs"
@@ -222,6 +223,57 @@ func TestSweepObsReachesScenario9And10(t *testing.T) {
 	}
 	exported("s10_baseline_clean", "peer0")
 	exported("s10_cheri_1F", "peer1")
+}
+
+// TestScenario9PcapChecksums: a tap reads the bytes the wire carries.
+// Every TCP and UDP checksum in the link captures of a short traced
+// Scenario 9 run, HTTP and DNS, verifies — although the stacks leave
+// the sums to the NIC, which fills one in only where a tap reads it.
+func TestScenario9PcapChecksums(t *testing.T) {
+	skipUnderRace(t)
+	for _, proto := range []string{"http", "dns"} {
+		dir := t.TempDir()
+		if _, err := RunScenario9RateSweep(proto, 1, 4, []float64{2000}, netem.Config{}, 10e6, SweepObs{PcapDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		caps, err := filepath.Glob(filepath.Join(dir, "*", "*.pcap"))
+		if err != nil || len(caps) == 0 {
+			t.Fatalf("%s: no captures (%v)", proto, err)
+		}
+		segs := 0
+		for _, name := range caps {
+			raw, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 24; off+16 <= len(raw); {
+				n := int(binary.LittleEndian.Uint32(raw[off+8:]))
+				frame := raw[off+16 : off+16+n]
+				off += 16 + n
+				if eth, err := fstack.ParseEthHeader(frame); err != nil || eth.Type != fstack.EtherTypeIPv4 {
+					continue
+				}
+				ip, ihl, err := fstack.ParseIPv4Header(frame[fstack.EthHeaderLen:])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if ip.Proto != fstack.ProtoTCP && ip.Proto != fstack.ProtoUDP {
+					continue
+				}
+				seg := frame[fstack.EthHeaderLen+ihl : fstack.EthHeaderLen+int(ip.TotalLen)]
+				pseudo := uint32(binary.BigEndian.Uint16(ip.Src[:])) + uint32(binary.BigEndian.Uint16(ip.Src[2:])) +
+					uint32(binary.BigEndian.Uint16(ip.Dst[:])) + uint32(binary.BigEndian.Uint16(ip.Dst[2:])) +
+					uint32(ip.Proto) + uint32(len(seg))
+				if checksum.Finish(checksum.Add(pseudo, seg)) != 0 {
+					t.Fatalf("%s: a captured %s segment's checksum does not verify: % x", name, proto, seg)
+				}
+				segs++
+			}
+		}
+		if segs < 10 {
+			t.Fatalf("%s: the captures hold %d TCP/UDP segments", proto, segs)
+		}
+	}
 }
 
 // TestGateCrossingEvents wires the flight recorder into a Scenario 2

@@ -194,29 +194,58 @@ func (d *EthDev) ConfigureQueues(nq int, nrx, ntx uint32, pool *Mempool) error {
 func (d *EthDev) NumRxQueues() int { return len(d.rxqs) }
 
 // writeDesc programs one descriptor (through the segment, so it is a
-// checked store in capability mode).
-func (d *EthDev) writeDesc(descAddr, bufAddr uint64, length uint16, cmd byte) error {
+// checked store in capability mode): an RX buffer to fill (cmd, cso and
+// css zero) or a frame to send, whose checksum the device inserts at
+// cso, summing from css, when cmd carries TxCmdIC.
+func (d *EthDev) writeDesc(descAddr, bufAddr uint64, length uint16, cmd, cso, css byte) error {
 	s, err := d.seg.Slice(descAddr, nic.DescSize)
 	if err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint64(s[0:8], bufAddr)
 	binary.LittleEndian.PutUint16(s[8:10], length)
-	s[10] = 0
+	s[nic.TxDescCSO] = cso
 	s[11] = cmd
 	s[12] = 0 // status
-	s[13] = 0
+	s[nic.TxDescCSS] = css
 	binary.LittleEndian.PutUint16(s[14:16], 0)
 	return nil
 }
 
-// descStatus reads a descriptor's status byte and length.
-func (d *EthDev) descStatus(descAddr uint64) (status byte, length uint16, err error) {
+// descStatus reads a descriptor's status byte, its errors byte (RX;
+// CSS on a TX descriptor) and its length.
+func (d *EthDev) descStatus(descAddr uint64) (status, errs byte, length uint16, err error) {
 	s, err := d.seg.SliceRO(descAddr, nic.DescSize)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return s[12], binary.LittleEndian.Uint16(s[8:10]), nil
+	return s[12], s[13], binary.LittleEndian.Uint16(s[8:10]), nil
+}
+
+// l4SumOffsets locates the checksum an offloading frame owes: CSS, where
+// its TCP or UDP header starts, and CSO, where that header's checksum
+// field sits — what a DPDK application states beside the flag as
+// l2_len, l3_len and the L4 type, read here from the Ethernet and IPv4
+// headers. ok is false for any other frame, which goes out as built.
+func l4SumOffsets(frame []byte) (css, cso byte, ok bool) {
+	const ipOff = 14 // Ethernet header
+	if len(frame) < ipOff+20 || binary.BigEndian.Uint16(frame[12:]) != 0x0800 {
+		return 0, 0, false
+	}
+	l4 := ipOff + int(frame[ipOff]&0x0F)*4
+	var field int
+	switch frame[ipOff+9] {
+	case 6: // TCP
+		field = l4 + 16
+	case 17: // UDP
+		field = l4 + 6
+	default:
+		return 0, 0, false
+	}
+	if field+2 > len(frame) {
+		return 0, 0, false
+	}
+	return byte(l4), byte(field), true
 }
 
 // programRSS installs the Toeplitz key, an identity-modulo redirection
@@ -268,7 +297,7 @@ func (d *EthDev) Start() error {
 				return fmt.Errorf("dpdk: pool %q exhausted while filling RX ring %d", d.pool.Name(), q)
 			}
 			rq.mbufs[i] = m
-			if err := d.writeDesc(rq.base+uint64(i)*nic.DescSize, m.DataAddr(), 0, 0); err != nil {
+			if err := d.writeDesc(rq.base+uint64(i)*nic.DescSize, m.DataAddr(), 0, 0, 0, 0); err != nil {
 				return err
 			}
 		}
@@ -285,7 +314,8 @@ func (d *EthDev) Start() error {
 }
 
 // RxBurstQ polls the device and harvests up to len(out) received frames
-// from queue q. Each returned mbuf's payload is the raw Ethernet frame.
+// from queue q. Each returned mbuf's payload is the raw Ethernet frame,
+// flagged (L4Sum) when the device found its transport checksum good.
 func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 	if !d.started || q >= len(d.rxqs) {
 		return 0
@@ -295,7 +325,7 @@ func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 	n := 0
 	for n < len(out) {
 		descAddr := rq.base + uint64(rq.next)*nic.DescSize
-		status, length, err := d.descStatus(descAddr)
+		status, errs, length, err := d.descStatus(descAddr)
 		if err != nil || status&nic.StatDD == 0 {
 			break
 		}
@@ -307,6 +337,7 @@ func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 		}
 		m := rq.mbufs[rq.next]
 		m.off = MbufHeadroom
+		m.l4sum = status&nic.RxStatTCPCS != 0 && errs&nic.RxErrTCPE == 0
 		if err := m.SetLen(int(length)); err != nil {
 			// Oversized: drop.
 			repl.Free()
@@ -315,7 +346,7 @@ func (d *EthDev) RxBurstQ(q int, out []*Mbuf) int {
 		}
 
 		rq.mbufs[rq.next] = repl
-		if err := d.writeDesc(descAddr, repl.DataAddr(), 0, 0); err != nil {
+		if err := d.writeDesc(descAddr, repl.DataAddr(), 0, 0, 0, 0); err != nil {
 			break
 		}
 		if m != repl {
@@ -338,7 +369,7 @@ func (d *EthDev) reclaimTX(q int) {
 	tq := &d.txqs[q]
 	for tq.free < tq.n-1 {
 		descAddr := tq.base + uint64(tq.reclaim)*nic.DescSize
-		status, _, err := d.descStatus(descAddr)
+		status, _, _, err := d.descStatus(descAddr)
 		if err != nil || status&nic.StatDD == 0 {
 			return
 		}
@@ -353,7 +384,9 @@ func (d *EthDev) reclaimTX(q int) {
 
 // TxBurstQ enqueues up to len(bufs) frames on queue q and returns how
 // many were accepted; ownership of accepted mbufs passes to the driver
-// (they return to the pool after the device sends them).
+// (they return to the pool after the device sends them). A flagged
+// mbuf's descriptor asks the device to insert its transport checksum
+// (CMD.IC with CSS and CSO).
 func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 	if !d.started || q >= len(d.txqs) {
 		return 0
@@ -367,7 +400,16 @@ func (d *EthDev) TxBurstQ(q int, bufs []*Mbuf) int {
 			break
 		}
 		descAddr := tq.base + uint64(tq.next)*nic.DescSize
-		if err := d.writeDesc(descAddr, m.DataAddr(), uint16(m.Len()), nic.TxCmdEOP|nic.TxCmdRS); err != nil {
+		cmd, cso, css := byte(nic.TxCmdEOP|nic.TxCmdRS), byte(0), byte(0)
+		if m.l4sum {
+			if frame, err := m.BytesRO(); err == nil {
+				var ok bool
+				if css, cso, ok = l4SumOffsets(frame); ok {
+					cmd |= nic.TxCmdIC
+				}
+			}
+		}
+		if err := d.writeDesc(descAddr, m.DataAddr(), uint16(m.Len()), cmd, cso, css); err != nil {
 			break
 		}
 		tq.mbufs[tq.next] = m
@@ -422,7 +464,7 @@ func (d *EthDev) NextDeadline(now int64) int64 {
 // frame the driver has not harvested.
 func (d *EthDev) rxReady(q int) bool {
 	rq := &d.rxqs[q]
-	status, _, err := d.descStatus(rq.base + uint64(rq.next)*nic.DescSize)
+	status, _, _, err := d.descStatus(rq.base + uint64(rq.next)*nic.DescSize)
 	return err == nil && status&nic.StatDD != 0
 }
 

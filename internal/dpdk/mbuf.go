@@ -19,6 +19,14 @@ type Mbuf struct {
 
 	off uint16 // data offset from buf
 	len uint16 // data length
+
+	// l4sum is the one offload flag (rte_mbuf's ol_flags) this model
+	// keeps. On a TX mbuf the stack sets it: the TCP or UDP checksum
+	// field holds only the pseudo-header sum, and the device completes
+	// it (RTE_MBUF_F_TX_TCP_CKSUM, _UDP_CKSUM). On an RX mbuf the driver
+	// sets it: the device checked that checksum and found it good
+	// (RTE_MBUF_F_RX_L4_CKSUM_GOOD). Cleared when the mbuf is freed.
+	l4sum bool
 }
 
 // DataAddr returns the address of the first payload byte.
@@ -30,11 +38,20 @@ func (m *Mbuf) Len() int { return int(m.len) }
 // Tailroom returns the unused space after the payload.
 func (m *Mbuf) Tailroom() int { return int(m.room - m.off - m.len) }
 
-// reset rewinds the mbuf to headroom-only, zero length.
+// reset rewinds the mbuf to headroom-only, zero length, no offload.
 func (m *Mbuf) reset() {
 	m.off = MbufHeadroom
 	m.len = 0
+	m.l4sum = false
 }
+
+// SetL4Sum sets the mbuf's offload flag: on a frame to transmit, the
+// device completes its transport checksum; on a received one, the
+// device found that checksum good.
+func (m *Mbuf) SetL4Sum() { m.l4sum = true }
+
+// L4Sum reports the offload flag (SetL4Sum).
+func (m *Mbuf) L4Sum() bool { return m.l4sum }
 
 // Append grows the payload by n bytes at the tail and returns a writable
 // view of the new region (capability-checked in CHERI mode).

@@ -83,6 +83,7 @@ type arpCache struct {
 type pendingPacket struct {
 	payload []byte // IP packet bytes (copied)
 	proto   uint16
+	l4sum   bool // its mbuf's offload flag, for the replay's mbuf
 }
 
 func newARPCache() *arpCache {
@@ -118,12 +119,12 @@ func (c *arpCache) reset() {
 
 // park queues a packet waiting for ip to resolve, dropping the oldest
 // beyond the queue bound.
-func (c *arpCache) park(ip IPv4Addr, payload []byte, proto uint16) {
+func (c *arpCache) park(ip IPv4Addr, payload []byte, proto uint16, l4sum bool) {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	q := c.pending[ip]
 	if len(q) >= arpPendingMax {
 		q = q[1:]
 	}
-	c.pending[ip] = append(q, &pendingPacket{payload: cp, proto: proto})
+	c.pending[ip] = append(q, &pendingPacket{payload: cp, proto: proto, l4sum: l4sum})
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"repro/internal/checksum"
 )
 
-// refSumBytes is the byte-pair loop sumBytes used to be, kept here as
-// the reference the word-wide implementation is checked against. Its
+// refSumBytes is the byte-pair loop checksum.Add used to be, kept here
+// as the reference the word-wide implementation is checked against. Its
 // 32-bit accumulator silently drops a carry once the total passes 2^32,
 // which no real segment approaches (a pseudo-header sum is under 2^19,
 // an MTU of all-ones adds under 2^26) — so the tests keep initial sums
@@ -28,7 +30,7 @@ func refSumBytes(sum uint32, data []byte) uint32 {
 // callers see of the running sum) for one input and one initial sum.
 func checkAgainstRef(t *testing.T, sum uint32, data []byte) {
 	t.Helper()
-	if got, want := finishChecksum(sumBytes(sum, data)), finishChecksum(refSumBytes(sum, data)); got != want {
+	if got, want := checksum.Finish(checksum.Add(sum, data)), checksum.Finish(refSumBytes(sum, data)); got != want {
 		t.Fatalf("len %d, initial sum %#x: checksum %#04x, reference %#04x", len(data), sum, got, want)
 	}
 }
@@ -119,3 +121,37 @@ func benchmarkChecksum(b *testing.B, n int) {
 
 func BenchmarkChecksum64(b *testing.B)   { benchmarkChecksum(b, 64) }
 func BenchmarkChecksum1460(b *testing.B) { benchmarkChecksum(b, 1460) }
+
+// putTCPHeaderEager is PutTCPHeader as it was before the NIC completed
+// the checksum: the full checksum in the field, summed in software. It
+// is the reference what a tap reads is held to, and how a test builds a
+// segment it hands to a stack itself (which, with no NIC to vouch for
+// it, verifies the segment in software).
+func putTCPHeaderEager(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
+	hl := PutTCPHeader(b, h, src, dst, length)
+	sumTCPEager(b[:length], src, dst)
+	return hl
+}
+
+// putUDPHeaderEager is PutUDPHeader's eager reference (putTCPHeaderEager).
+func putUDPHeaderEager(b []byte, h UDPHeader, src, dst IPv4Addr) {
+	PutUDPHeader(b, h, src, dst)
+	sumUDPEager(b[:h.Length], src, dst)
+}
+
+// sumTCPEager writes a TCP segment's checksum summed in software.
+func sumTCPEager(seg []byte, src, dst IPv4Addr) {
+	seg[16], seg[17] = 0, 0
+	binary.BigEndian.PutUint16(seg[16:18], transportChecksum(src, dst, ProtoTCP, seg))
+}
+
+// sumUDPEager writes a UDP datagram's checksum summed in software, a
+// zero sum as 0xFFFF (RFC 768: zero means "no checksum").
+func sumUDPEager(seg []byte, src, dst IPv4Addr) {
+	seg[6], seg[7] = 0, 0
+	cs := transportChecksum(src, dst, ProtoUDP, seg)
+	if cs == 0 {
+		cs = 0xFFFF
+	}
+	binary.BigEndian.PutUint16(seg[6:8], cs)
+}

@@ -128,8 +128,8 @@ func TestARPCache(t *testing.T) {
 	if _, ok := c.lookup(ip, 0); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.park(ip, []byte{1, 2, 3}, EtherTypeIPv4)
-	c.park(ip, []byte{4, 5, 6}, EtherTypeIPv4)
+	c.park(ip, []byte{1, 2, 3}, EtherTypeIPv4, true)
+	c.park(ip, []byte{4, 5, 6}, EtherTypeIPv4, false)
 	mac := MACAddr{9, 9, 9, 9, 9, 9}
 	pend := c.insert(ip, mac, 1000)
 	if len(pend) != 2 || !bytes.Equal(pend[0].payload, []byte{1, 2, 3}) ||
@@ -153,8 +153,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	payload := []byte("telemetry")
 	b := make([]byte, UDPHeaderLen+len(payload))
 	copy(b[UDPHeaderLen:], payload)
-	PutUDPHeader(b, UDPHeader{SrcPort: 1000, DstPort: 2000, Length: uint16(len(b))}, src, dst)
-	h, err := ParseUDPHeader(b, src, dst)
+	putUDPHeaderEager(b, UDPHeader{SrcPort: 1000, DstPort: 2000, Length: uint16(len(b))}, src, dst)
+	h, err := ParseUDPHeader(b, src, dst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestUDPRoundTrip(t *testing.T) {
 		t.Fatalf("header: %+v", h)
 	}
 	b[UDPHeaderLen]++ // corrupt payload
-	if _, err := ParseUDPHeader(b, src, dst); err == nil {
+	if _, err := ParseUDPHeader(b, src, dst, false); err == nil {
 		t.Fatal("corruption must fail the checksum")
 	}
 }
@@ -191,7 +191,7 @@ func TestTCPHeaderRoundTrip(t *testing.T) {
 	}
 	b := make([]byte, h.encodedLen()+len(payload))
 	copy(b[h.encodedLen():], payload)
-	hl := PutTCPHeader(b, h, src, dst, len(b))
+	hl := putTCPHeaderEager(b, h, src, dst, len(b))
 	if hl != TCPHeaderLen+4+tsOptionLen {
 		t.Fatalf("header length %d", hl)
 	}
@@ -237,7 +237,7 @@ func TestTCPChecksumDetectsCorruption(t *testing.T) {
 	src, dst := IP4(10, 0, 0, 1), IP4(10, 0, 0, 2)
 	h := TCPHeader{SrcPort: 1, DstPort: 2, HasTS: true}
 	b := make([]byte, h.encodedLen()+4)
-	PutTCPHeader(b, h, src, dst, len(b))
+	putTCPHeaderEager(b, h, src, dst, len(b))
 	b[len(b)-1] ^= 0x80
 	if _, _, err := ParseTCPHeader(b, src, dst); err == nil {
 		t.Fatal("corruption must fail the checksum")
@@ -261,7 +261,7 @@ func TestTCPHeaderQuickRoundTrip(t *testing.T) {
 		}
 		b := make([]byte, h.encodedLen()+len(payload))
 		copy(b[h.encodedLen():], payload)
-		PutTCPHeader(b, h, src, dst, len(b))
+		putTCPHeaderEager(b, h, src, dst, len(b))
 		got, hl, err := ParseTCPHeader(b, src, dst)
 		if err != nil {
 			return false

@@ -40,8 +40,8 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		h := TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPAck, HasTS: true, SACK: c.sackBlocks()}
 		hl := h.encodedLen()
-		PutTCPHeader(seg, h, src, dst, hl)
-		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:])
+		putTCPHeaderEager(seg, h, src, dst, hl)
+		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:], false)
 		if err != nil || len(got.SACK) != MaxSACKBlocks || got.SACK[0].Start != c.cold.lastOOO.start {
 			t.Fatalf("round trip: %+v, %v", got, err)
 		}
@@ -55,9 +55,9 @@ func TestSACKAckZeroAllocs(t *testing.T) {
 	if hl != 56 {
 		t.Fatalf("a four-block header is %d bytes, want 56", hl)
 	}
-	PutTCPHeader(seg, h, src, dst, hl)
+	putTCPHeaderEager(seg, h, src, dst, hl)
 	if a := testing.AllocsPerRun(100, func() {
-		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:])
+		got, _, err := parseTCPHeader(seg[:hl], src, dst, s.sackRx[:], false)
 		if err != nil || !slices.Equal(got.SACK, four) {
 			t.Fatalf("four blocks without timestamps: %+v, %v", got, err)
 		}

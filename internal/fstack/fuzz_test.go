@@ -79,7 +79,7 @@ func TestQuickParseTCPNeverPanics(t *testing.T) {
 func TestQuickParseUDPICMPNeverPanic(t *testing.T) {
 	src, dst := IP4(10, 0, 0, 1), IP4(10, 0, 0, 2)
 	f := func(b []byte) bool {
-		if h, err := ParseUDPHeader(b, src, dst); err == nil {
+		if h, err := ParseUDPHeader(b, src, dst, false); err == nil {
 			if int(h.Length) > len(b) {
 				return false
 			}
@@ -199,7 +199,7 @@ func FuzzTCPHeader(f *testing.F) {
 		payload := b[hl:]
 		out := make([]byte, h.encodedLen()+len(payload))
 		copy(out[h.encodedLen():], payload)
-		PutTCPHeader(out, h, src, dst, len(out))
+		putTCPHeaderEager(out, h, src, dst, len(out))
 		h2, hl2, err := ParseTCPHeader(out, src, dst)
 		if err != nil {
 			t.Fatalf("re-encoded header does not parse: %v\n%+v", err, h)
@@ -277,9 +277,9 @@ func FuzzReassembly(f *testing.F) {
 // attached to it transmits, completes and frees every frame it is given.
 type nowhere struct{}
 
-func (nowhere) Send(_ int, data []byte, _ int64) { nic.FreeFrame(data) }
-func (nowhere) Pump(int64)                       {}
-func (nowhere) NextDeadline(int, int64) int64    { return math.MaxInt64 }
+func (nowhere) Carry(_ int, data []byte, _ int64, _ nic.PendingSum) { nic.FreeFrame(data) }
+func (nowhere) Pump(int64)                                          {}
+func (nowhere) NextDeadline(int, int64) int64                       { return math.MaxInt64 }
 
 // inputRig is one stack (10.0.0.2) on one port cabled to nowhere, with a
 // TCP listener on port 80 and a UDP socket bound to port 53, so a SYN
@@ -389,12 +389,12 @@ func FuzzFrameInput(f *testing.F) {
 	f.Add(rigFrame(ProtoICMP, rigEcho(ICMPEcho{Type: ICMPEchoRequest, ID: 1, Seq: 1}, []byte("ping"))))
 	syn := TCPHeader{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: TCPSyn, Window: 65535, MSS: MSSDefault}
 	seg := make([]byte, syn.encodedLen())
-	PutTCPHeader(seg, syn, rigPeerIP, rigIP, len(seg))
+	putTCPHeaderEager(seg, syn, rigPeerIP, rigIP, len(seg))
 	synFrame := rigFrame(ProtoTCP, seg)
 	f.Add(synFrame)
 	dgram := make([]byte, UDPHeaderLen+5)
 	copy(dgram[UDPHeaderLen:], "query")
-	PutUDPHeader(dgram, UDPHeader{SrcPort: 40001, DstPort: 53, Length: uint16(len(dgram))}, rigPeerIP, rigIP)
+	putUDPHeaderEager(dgram, UDPHeader{SrcPort: 40001, DstPort: 53, Length: uint16(len(dgram))}, rigPeerIP, rigIP)
 	udpFrame := rigFrame(ProtoUDP, dgram)
 	f.Add(udpFrame)
 	short := slices.Clone(udpFrame)

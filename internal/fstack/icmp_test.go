@@ -9,10 +9,12 @@ import (
 	"repro/internal/nic"
 )
 
-// txWire is a cable end that keeps a copy of every frame sent into it.
+// txWire is a cable end that keeps a copy of every frame sent into it,
+// as the wire carries it: a pending checksum is settled first.
 type txWire [][]byte
 
-func (w *txWire) Send(_ int, data []byte, _ int64) {
+func (w *txWire) Carry(_ int, data []byte, _ int64, sum nic.PendingSum) {
+	sum.Settle(data)
 	*w = append(*w, slices.Clone(data))
 	nic.FreeFrame(data)
 }

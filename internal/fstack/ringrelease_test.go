@@ -124,8 +124,8 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		h.SrcPort, h.DstPort, h.Window = c.tuple.remote.Port, c.tuple.local.Port, ring
 		seg := make([]byte, h.encodedLen()+len(payload))
 		copy(seg[h.encodedLen():], payload)
-		PutTCPHeader(seg, h, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
-		e.stkA.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg)
+		putTCPHeaderEager(seg, h, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+		e.stkA.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
 	}
 	retx := e.stkA.stats.Retransmit
 	twEnd := c.rtxAt

@@ -611,9 +611,13 @@ func (s *Stack) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errn
 	return n, d.src.IP, d.src.Port, hostos.OK
 }
 
-// inputUDP queues a datagram on its bound socket.
-func (s *Stack) inputUDP(nif *NetIF, ip IPv4Header, seg []byte) {
-	h, err := ParseUDPHeader(seg, ip.Src, ip.Dst)
+// inputUDP queues a datagram on its bound socket; nicSum is the
+// frame's offload flag (inputIPv4).
+func (s *Stack) inputUDP(nif *NetIF, ip IPv4Header, seg []byte, nicSum bool) {
+	if nicSum {
+		s.stats.RxL4Offload++
+	}
+	h, err := ParseUDPHeader(seg, ip.Src, ip.Dst, nicSum)
 	if err != nil {
 		s.stats.RxDropped++
 		return

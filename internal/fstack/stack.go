@@ -76,6 +76,10 @@ type StackStats struct {
 	AcceptOverflows uint64 // graduations deferred/refused: accept queue full
 	TimeWaitReuses  uint64 // TIME_WAIT tuples recycled for a fresh connection
 	ReassDrops      uint64 // out-of-order segments refused: reassembly budget or window
+	// RxL4Offload counts the TCP/UDP segments whose checksum the NIC
+	// found good, so the stack did not sum them; every other segment
+	// (hand-delivered, injected, edited on the way) is verified here.
+	RxL4Offload uint64
 }
 
 // Add accumulates another stack's counters into st — the one place
@@ -98,6 +102,7 @@ func (st *StackStats) Add(o StackStats) {
 	st.AcceptOverflows += o.AcceptOverflows
 	st.TimeWaitReuses += o.TimeWaitReuses
 	st.ReassDrops += o.ReassDrops
+	st.RxL4Offload += o.RxL4Offload
 }
 
 // RecoverySummary formats the retransmit breakdown for scenario
@@ -640,10 +645,15 @@ func (s *Stack) txAlloc(nif *NetIF, ipLen int) (*dpdk.Mbuf, []byte) {
 
 // sendIPv4 finishes an outgoing packet: the transport wrote its segment
 // at frame[EthHeaderLen+IPv4HeaderLen:]; this fills the IP and Ethernet
-// headers, resolves the next hop and transmits. Returns false when the
-// frame could not be queued (caller retries later); ARP-parked packets
-// count as sent.
+// headers, resolves the next hop and transmits. A TCP or UDP segment's
+// checksum holds only its seed (PutTCPHeader, PutUDPHeader), so its
+// mbuf asks the NIC to complete it. Returns false when the frame could
+// not be queued (caller retries later); ARP-parked packets count as
+// sent.
 func (s *Stack) sendIPv4(nif *NetIF, m *dpdk.Mbuf, frame []byte, dst IPv4Addr, proto uint8, segLen int) bool {
+	if proto == ProtoTCP || proto == ProtoUDP {
+		m.SetL4Sum()
+	}
 	s.ipID++
 	PutIPv4Header(frame[EthHeaderLen:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderLen + segLen),
@@ -657,7 +667,7 @@ func (s *Stack) sendIPv4(nif *NetIF, m *dpdk.Mbuf, frame []byte, dst IPv4Addr, p
 	mac, ok := nif.arp.lookup(dst, s.now())
 	if !ok {
 		// Park the IP packet and ask for the binding.
-		nif.arp.park(dst, frame[EthHeaderLen:], EtherTypeIPv4)
+		nif.arp.park(dst, frame[EthHeaderLen:], EtherTypeIPv4, m.L4Sum())
 		m.Free()
 		s.sendARPRequest(nif, dst)
 		return true
@@ -704,6 +714,9 @@ func (s *Stack) replayPending(nif *NetIF, dst IPv4Addr, mac MACAddr, p *pendingP
 	}
 	PutEthHeader(frame, EthHeader{Dst: mac, Src: nif.MAC, Type: p.proto})
 	copy(frame[EthHeaderLen:], p.payload)
+	if p.l4sum {
+		m.SetL4Sum()
+	}
 	s.txSubmit(nif, m)
 }
 
@@ -733,7 +746,7 @@ func (s *Stack) input(nif *NetIF, m *dpdk.Mbuf) {
 	case EtherTypeARP:
 		s.inputARP(nif, payload)
 	case EtherTypeIPv4:
-		s.inputIPv4(nif, payload)
+		s.inputIPv4(nif, payload, m.L4Sum())
 	default:
 		s.stats.RxDropped++
 	}
@@ -774,8 +787,9 @@ func (s *Stack) inputARP(nif *NetIF, b []byte) {
 	}
 }
 
-// inputIPv4 dispatches to the transport protocols.
-func (s *Stack) inputIPv4(nif *NetIF, b []byte) {
+// inputIPv4 dispatches to the transport protocols; nicSum is the
+// frame's offload flag: the NIC found its TCP/UDP checksum good.
+func (s *Stack) inputIPv4(nif *NetIF, b []byte, nicSum bool) {
 	h, ihl, err := ParseIPv4Header(b)
 	if err != nil || h.Dst != nif.IP {
 		s.stats.RxDropped++
@@ -786,9 +800,9 @@ func (s *Stack) inputIPv4(nif *NetIF, b []byte) {
 	case ProtoICMP:
 		s.inputICMP(nif, h, seg)
 	case ProtoTCP:
-		s.inputTCP(nif, h, seg)
+		s.inputTCP(nif, h, seg, nicSum)
 	case ProtoUDP:
-		s.inputUDP(nif, h, seg)
+		s.inputUDP(nif, h, seg, nicSum)
 	default:
 		s.stats.RxDropped++
 	}
@@ -811,9 +825,13 @@ func (s *Stack) inputICMP(nif *NetIF, ip IPv4Header, seg []byte) {
 	s.sendIPv4(nif, m, frame, ip.Src, ProtoICMP, len(seg))
 }
 
-// inputTCP finds or creates the connection for a segment.
-func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte) {
-	h, hl, err := parseTCPHeader(seg, ip.Src, ip.Dst, s.sackRx[:])
+// inputTCP finds or creates the connection for a segment; nicSum is the
+// frame's offload flag.
+func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte, nicSum bool) {
+	if nicSum {
+		s.stats.RxL4Offload++
+	}
+	h, hl, err := parseTCPHeader(seg, ip.Src, ip.Dst, s.sackRx[:], nicSum)
 	if err != nil {
 		s.stats.RxDropped++
 		return

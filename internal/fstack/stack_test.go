@@ -499,8 +499,8 @@ func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
 		if end == "reset" {
 			rst := TCPHeader{SrcPort: c.tuple.remote.Port, DstPort: c.tuple.local.Port, Seq: c.rcvNxt, Flags: TCPRst}
 			seg := make([]byte, rst.encodedLen())
-			PutTCPHeader(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
-			s.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg)
+			putTCPHeaderEager(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+			s.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
 			if c.state != tcpClosed || !c.queued || len(s.connFree) != 0 {
 				t.Fatalf("reset: state %v, queued %v, %d pooled; want CLOSED, still queued, none pooled", c.state, c.queued, len(s.connFree))
 			}

@@ -100,8 +100,9 @@ func (h *TCPHeader) encodedLen() int {
 }
 
 // PutTCPHeader marshals h into b (which must already hold the payload at
-// b[h.encodedLen():length]) and computes the checksum over b[:length].
-// It returns the header length.
+// b[h.encodedLen():length]) and leaves the checksum over b[:length] to
+// the NIC: the field gets the pseudo-header seed, and the frame's mbuf
+// the offload flag (sendIPv4). It returns the header length.
 func PutTCPHeader(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
 	hl := h.encodedLen()
 	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
@@ -155,19 +156,19 @@ func PutTCPHeader(b []byte, h TCPHeader, src, dst IPv4Addr, length int) int {
 			off += 8
 		}
 	}
-	cs := transportChecksum(src, dst, ProtoTCP, b[:length])
-	binary.BigEndian.PutUint16(b[16:18], cs)
+	binary.BigEndian.PutUint16(b[16:18], pseudoHeaderSeed(src, dst, ProtoTCP, length))
 	return hl
 }
 
 // parseTCPHeader unmarshals and validates a TCP segment, returning the
-// header and the data offset. The caller owns the backing for the
+// header and the data offset. The checksum is verified here unless the
+// NIC already found it good (nicSum). The caller owns the backing for the
 // SACK blocks (appended to sack[:0], which the header's SACK field then
 // aliases), so the input path parses a SACK-bearing ACK without
 // allocating. It never appends past cap(sack): blocks beyond it are
 // ignored, and a backing of maxSACKBlocksRx holds every block a legal
 // header can carry.
-func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock) (TCPHeader, int, error) {
+func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock, nicSum bool) (TCPHeader, int, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: short TCP segment (%d bytes)", len(b))
 	}
@@ -175,7 +176,7 @@ func parseTCPHeader(b []byte, src, dst IPv4Addr, sack []SACKBlock) (TCPHeader, i
 	if hl < TCPHeaderLen || hl > len(b) {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: bad TCP data offset %d", hl)
 	}
-	if transportChecksum(src, dst, ProtoTCP, b) != 0 {
+	if !nicSum && transportChecksum(src, dst, ProtoTCP, b) != 0 {
 		return TCPHeader{}, 0, fmt.Errorf("fstack: TCP checksum mismatch")
 	}
 	h := TCPHeader{SACK: sack[:0]}

@@ -18,7 +18,9 @@ import (
 
 // hookWire is a test conduit: a transparent cable whose per-direction
 // hook may drop or delay each frame. It stands in for nic.Connect so
-// recovery tests can lose exactly the segment they mean to.
+// recovery tests can lose exactly the segment they mean to. A hook reads
+// the bytes but never the checksum field, and edits nothing, so a frame
+// keeps the checksum its sender left pending.
 type hookWire struct {
 	ends [2]*nic.Port
 	// hook returns (extraDelayNS, drop). nil passes through.
@@ -32,7 +34,7 @@ func connectHooked(a, b *nic.Port, hook func(from int, data []byte, readyAt int6
 	return w
 }
 
-func (w *hookWire) Send(from int, data []byte, readyAt int64) {
+func (w *hookWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
 	if w.hook != nil {
 		extra, drop := w.hook(from, data, readyAt)
 		if drop {
@@ -40,7 +42,7 @@ func (w *hookWire) Send(from int, data []byte, readyAt int64) {
 		}
 		readyAt += extra
 	}
-	w.ends[1-from].DeliverFrame(data, readyAt)
+	w.ends[1-from].DeliverPending(data, readyAt, sum)
 }
 
 func (w *hookWire) Pump(int64) {}

@@ -15,22 +15,21 @@ type UDPHeader struct {
 	Length  uint16
 }
 
-// PutUDPHeader marshals h into b and computes the checksum over the
-// complete segment b (header + payload) with the pseudo header.
+// PutUDPHeader marshals h into b and leaves the checksum over the
+// complete segment b (header + payload) to the NIC: the field gets the
+// pseudo-header seed, and the frame's mbuf the offload flag (sendIPv4).
+// The NIC writes a zero sum as 0xFFFF (RFC 768).
 func PutUDPHeader(b []byte, h UDPHeader, src, dst IPv4Addr) {
 	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
 	binary.BigEndian.PutUint16(b[4:6], h.Length)
-	b[6], b[7] = 0, 0
-	cs := transportChecksum(src, dst, ProtoUDP, b[:h.Length])
-	if cs == 0 {
-		cs = 0xFFFF // RFC 768: zero means "no checksum"
-	}
-	binary.BigEndian.PutUint16(b[6:8], cs)
+	binary.BigEndian.PutUint16(b[6:8], pseudoHeaderSeed(src, dst, ProtoUDP, int(h.Length)))
 }
 
-// ParseUDPHeader unmarshals and validates a UDP segment.
-func ParseUDPHeader(b []byte, src, dst IPv4Addr) (UDPHeader, error) {
+// ParseUDPHeader unmarshals and validates a UDP segment. A non-zero
+// checksum is verified here unless the NIC already found it good
+// (nicSum).
+func ParseUDPHeader(b []byte, src, dst IPv4Addr, nicSum bool) (UDPHeader, error) {
 	if len(b) < UDPHeaderLen {
 		return UDPHeader{}, fmt.Errorf("fstack: short UDP segment (%d bytes)", len(b))
 	}
@@ -41,7 +40,7 @@ func ParseUDPHeader(b []byte, src, dst IPv4Addr) (UDPHeader, error) {
 	if int(h.Length) < UDPHeaderLen || int(h.Length) > len(b) {
 		return UDPHeader{}, fmt.Errorf("fstack: UDP length %d outside segment", h.Length)
 	}
-	if cs := binary.BigEndian.Uint16(b[6:8]); cs != 0 {
+	if cs := binary.BigEndian.Uint16(b[6:8]); cs != 0 && !nicSum {
 		if transportChecksum(src, dst, ProtoUDP, b[:h.Length]) != 0 {
 			return UDPHeader{}, fmt.Errorf("fstack: UDP checksum mismatch")
 		}

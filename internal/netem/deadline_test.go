@@ -17,8 +17,8 @@ func refLinkDeadline(l *Link) int64 {
 	at := int64(math.MaxInt64)
 	for i := range l.dirs {
 		d := &l.dirs[i]
-		if len(d.held) > 0 {
-			at = min(at, d.held[0].deliverAt)
+		if d.held.len() > 0 {
+			at = min(at, d.held.first().deliverAt)
 		}
 		if len(d.carr) > 0 {
 			at = min(at, d.carr[0])

@@ -19,32 +19,91 @@ func sortHeld(fs []heldFrame) {
 	})
 }
 
-// TestFrameHeapPopsInSortedOrder interleaves pushes and pops at random
-// — instants drawn from a range small enough that ties are common — and
-// requires every pop to return exactly what a full sort of the current
-// contents would put first.
+// frameHeap is the binary min-heap in `before` order the delay line was
+// before it became a ring, kept as the ring's reference.
+type frameHeap []heldFrame
+
+func (h *frameHeap) push(f heldFrame) {
+	s := append(*h, f)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest frame; the heap must be non-empty.
+func (h *frameHeap) pop() heldFrame {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0], s[n] = s[n], heldFrame{}
+	*h = s[:n]
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && s[l].before(s[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && s[r].before(s[min]) {
+			min = r
+		}
+		if min == i {
+			return top
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+}
+
+// TestFrameHeapPopsInSortedOrder drives the ring and its reference heap
+// side by side — pushes and pops interleaved at random, instants drawn
+// from a range small enough that ties are common, stretches of
+// non-decreasing instants (the no-jitter link) between stretches of
+// random ones, and runs deep enough to grow the ring and wrap its head —
+// and requires every pop of both to return exactly what a full sort of
+// the current contents would put first.
 func TestFrameHeapPopsInSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var h frameHeap
+	var r delayLine
 	var model []heldFrame
 	seq := uint64(0)
-	for op := 0; op < 20000; op++ {
-		if len(model) == 0 || rng.Intn(5) < 3 {
-			f := heldFrame{deliverAt: int64(rng.Intn(64)), seq: seq}
+	base := int64(0)
+	for op := 0; op < 40000; op++ {
+		monotone := op/2000%2 == 1
+		if len(model) == 0 || rng.Intn(5) < 3 || op%10000 < 300 {
+			at := base + int64(rng.Intn(64))
+			if monotone {
+				base += int64(rng.Intn(3))
+				at = base + 63
+			}
+			f := heldFrame{deliverAt: at, seq: seq}
 			seq++
 			h.push(f)
+			r.push(f)
 			model = append(model, f)
 			continue
 		}
 		sortHeld(model)
 		want := model[0]
 		model = model[1:]
-		if got := h.pop(); got.deliverAt != want.deliverAt || got.seq != want.seq {
-			t.Fatalf("op %d: popped (%d, %d), sorted order has (%d, %d) first", op, got.deliverAt, got.seq, want.deliverAt, want.seq)
+		ref, got := h.pop(), r.pop()
+		if ref.deliverAt != want.deliverAt || ref.seq != want.seq {
+			t.Fatalf("op %d: heap popped (%d, %d), sorted order has (%d, %d) first", op, ref.deliverAt, ref.seq, want.deliverAt, want.seq)
 		}
-		if len(h) != len(model) {
-			t.Fatalf("op %d: heap holds %d, model %d", op, len(h), len(model))
+		if got.deliverAt != want.deliverAt || got.seq != want.seq {
+			t.Fatalf("op %d: ring popped (%d, %d), the heap (%d, %d)", op, got.deliverAt, got.seq, ref.deliverAt, ref.seq)
 		}
+		if r.len() != len(model) || len(h) != len(model) {
+			t.Fatalf("op %d: ring holds %d, heap %d, model %d", op, r.len(), len(h), len(model))
+		}
+	}
+	if len(r.buf) < 256 {
+		t.Fatalf("the ring grew only to %d slots: the run never held many frames", len(r.buf))
 	}
 }
 

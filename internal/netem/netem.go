@@ -125,15 +125,32 @@ type Endpoint interface {
 	DeliverFrame(data []byte, readyAt int64)
 }
 
+// receiver is what a link delivers into: a *nic.Port takes a frame with
+// the checksum its sender left pending; any other Endpoint is wrapped in
+// settled, which hands it the final bytes.
+type receiver interface {
+	DeliverPending(data []byte, readyAt int64, sum nic.PendingSum)
+}
+
+// settled delivers to an Endpoint that is not a port: the bytes are
+// made final first, since it reads them as the wire carries them.
+type settled struct{ Endpoint }
+
+func (e settled) DeliverPending(data []byte, readyAt int64, sum nic.PendingSum) {
+	sum.Settle(data)
+	e.DeliverFrame(data, readyAt)
+}
+
 // heldFrame is one frame in the link's delay line.
 type heldFrame struct {
 	data      []byte
 	deliverAt int64
 	seq       uint64 // tie-break: equal instants deliver in send order
+	sum       nic.PendingSum
 }
 
 // before is the delay line's order, (deliverAt, seq): total, since seq
-// is unique per direction, so any correct heap pops the same sequence.
+// is unique per direction.
 func (f heldFrame) before(g heldFrame) bool {
 	if f.deliverAt != g.deliverAt {
 		return f.deliverAt < g.deliverAt
@@ -141,45 +158,54 @@ func (f heldFrame) before(g heldFrame) bool {
 	return f.seq < g.seq
 }
 
-// frameHeap is a binary min-heap of held frames in `before` order —
-// typed, because container/heap's `any` elements boxed every heldFrame
-// on Push and again on Pop: two allocations per frame.
-type frameHeap []heldFrame
-
-func (h *frameHeap) push(f heldFrame) {
-	s := append(*h, f)
-	*h = s
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
+// delayLine holds one direction's frames in flight in `before` order: a
+// ring (a power-of-two array, head index and count) whose push appends
+// at the tail and moves the frame back past every later-due one. A push
+// carries the largest seq yet, so it moves only past frames due strictly
+// later: none on a link whose delivery instants never decrease (no
+// jitter, no reordering), where push and pop are both O(1).
+type delayLine struct {
+	buf  []heldFrame
+	head int
+	n    int
 }
 
-// pop removes and returns the earliest frame; the heap must be non-empty.
-func (h *frameHeap) pop() heldFrame {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0], s[n] = s[n], heldFrame{} // and drop the data reference
-	*h = s[:n]
-	for i := 0; ; {
-		min := i
-		if l := 2*i + 1; l < n && s[l].before(s[min]) {
-			min = l
+// len reports the frames held.
+func (r *delayLine) len() int { return r.n }
+
+// first is the earliest frame; the line must be non-empty.
+func (r *delayLine) first() *heldFrame { return &r.buf[r.head] }
+
+// push inserts f in order, doubling the ring when it is full.
+func (r *delayLine) push(f heldFrame) {
+	if r.n == len(r.buf) {
+		grown := make([]heldFrame, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
-		if r := 2*i + 2; r < n && s[r].before(s[min]) {
-			min = r
-		}
-		if min == i {
-			return top
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		r.buf, r.head = grown, 0
 	}
+	mask := len(r.buf) - 1
+	i := r.n
+	for ; i > 0; i-- {
+		prev := &r.buf[(r.head+i-1)&mask]
+		if !f.before(*prev) {
+			break
+		}
+		r.buf[(r.head+i)&mask] = *prev
+	}
+	r.buf[(r.head+i)&mask] = f
+	r.n++
+}
+
+// pop removes and returns the earliest frame; the line must be
+// non-empty.
+func (r *delayLine) pop() heldFrame {
+	f := r.buf[r.head]
+	r.buf[r.head] = heldFrame{} // drop the data reference
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return f
 }
 
 // dirState is one direction's impairment pipeline.
@@ -188,7 +214,7 @@ type dirState struct {
 	geBad bool
 	geAt  int64    // virtual time the GE chain has been stepped to
 	queue sim.Core // the bottleneck: busy until its queue drains
-	held  frameHeap
+	held  delayLine
 	seq   uint64
 	stats DirStats
 	// Carrier flap schedule: carr holds the remaining toggle instants
@@ -207,7 +233,7 @@ type dirState struct {
 type Link struct {
 	clk  hostos.Clock
 	cfg  [2]Config // per direction: 0 = a-to-b, 1 = b-to-a
-	ends [2]Endpoint
+	ends [2]receiver
 	dirs [2]dirState
 
 	// tr is the flight recorder (nil = off); direction d's events carry
@@ -243,7 +269,7 @@ func (l *Link) SetTrace(tr *obs.Trace, src uint16) {
 // ahead of now the bottleneck is booked).
 func (l *Link) Depth(dir int, now int64) (frames int, backlogNS int64) {
 	d := &l.dirs[dir]
-	return len(d.held), d.queue.At(now) - now
+	return d.held.len(), d.queue.At(now) - now
 }
 
 // fillDefaults resolves a direction config's derived knobs.
@@ -280,7 +306,14 @@ func New(clk hostos.Clock, a, b Endpoint, cfg Config) *Link {
 // symmetric link always has), so an impaired reverse path never
 // perturbs the forward path's randomness.
 func NewAsym(clk hostos.Clock, a, b Endpoint, ab, ba Config) *Link {
-	l := &Link{clk: clk, cfg: [2]Config{fillDefaults(ab), fillDefaults(ba)}, ends: [2]Endpoint{a, b}}
+	l := &Link{clk: clk, cfg: [2]Config{fillDefaults(ab), fillDefaults(ba)}}
+	for i, e := range [2]Endpoint{a, b} {
+		if r, ok := e.(receiver); ok {
+			l.ends[i] = r
+		} else {
+			l.ends[i] = settled{e}
+		}
+	}
 	for d := range l.dirs {
 		// Distinct, seed-derived streams per direction.
 		l.dirs[d].rng = rand.New(rand.NewSource(l.cfg[d].Seed ^ (int64(d+1) * 0x6C62272E07BB0141)))
@@ -352,9 +385,17 @@ func (l *Link) advanceCarrier(d *dirState, dir int, t int64) {
 	}
 }
 
-// Send implements nic.Conduit: impair one frame leaving endpoint
-// `from`, and schedule (or drop) its delivery to the peer.
+// Send offers a frame whose bytes are final (one built by hand) to the
+// link: Carry with no checksum pending.
 func (l *Link) Send(from int, data []byte, readyAt int64) {
+	l.Carry(from, data, readyAt, nic.PendingSum{})
+}
+
+// Carry implements nic.Conduit: impair one frame leaving endpoint
+// `from`, and schedule (or drop) its delivery to the peer with the
+// checksum its sender left pending. No impairment edits bytes, so the
+// sum travels with the frame untouched.
+func (l *Link) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
 	dst := l.ends[1-from]
 	d := &l.dirs[from]
 	cfg := l.cfg[from]
@@ -379,7 +420,7 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		// plain wire.
 		d.stats.Sent++
 		d.stats.Delivered++
-		dst.DeliverFrame(data, readyAt)
+		dst.DeliverPending(data, readyAt, sum)
 		return
 	}
 
@@ -435,10 +476,10 @@ func (l *Link) Send(from int, data []byte, readyAt int64) {
 		d.stats.Reordered++
 	}
 
-	d.held.push(heldFrame{data: data, deliverAt: at, seq: d.seq})
+	d.held.push(heldFrame{data: data, deliverAt: at, seq: d.seq, sum: sum})
 	d.seq++
 	if l.tr != nil {
-		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(len(d.held)))
+		l.tr.Record(now, obs.EvNetemEnqueue, l.trSrc+uint16(from), int64(len(data)), at, int64(d.held.len()))
 	}
 	d.release(dst, now)
 }
@@ -509,8 +550,8 @@ func (d *dirState) stepGE(cfg Config, at int64) {
 // head or the next carrier toggle, math.MaxInt64 for neither.
 func (d *dirState) wakeAt() int64 {
 	at := int64(math.MaxInt64)
-	if len(d.held) > 0 {
-		at = d.held[0].deliverAt
+	if d.held.len() > 0 {
+		at = d.held.first().deliverAt
 	}
 	if len(d.carr) > 0 && d.carr[0] < at {
 		at = d.carr[0]
@@ -519,10 +560,10 @@ func (d *dirState) wakeAt() int64 {
 }
 
 // release hands dst every held frame due at now, in delivery order.
-func (d *dirState) release(dst Endpoint, now int64) {
-	for len(d.held) > 0 && d.held[0].deliverAt <= now {
+func (d *dirState) release(dst receiver, now int64) {
+	for d.held.len() > 0 && d.held.first().deliverAt <= now {
 		f := d.held.pop()
 		d.stats.Delivered++
-		dst.DeliverFrame(f.data, f.deliverAt)
+		dst.DeliverPending(f.data, f.deliverAt, f.sum)
 	}
 }

@@ -10,8 +10,8 @@ import "slices"
 // scratch was fixed — and the buffers died as soon as the receiving
 // port DMAed them into its descriptor ring.
 //
-// Ownership contract: a frame handed to Conduit.Send or
-// Endpoint.DeliverFrame belongs to the receiving side. Whoever
+// Ownership contract: a frame handed to Conduit.Carry or
+// Port.DeliverPending belongs to the receiving side. Whoever
 // consumes it (the RX path after copying it into descriptor memory, an
 // impairment pipeline that drops it) returns it to the arena it came
 // from; nobody may retain the slice afterward. Code that needs the

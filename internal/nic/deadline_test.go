@@ -75,8 +75,8 @@ func refDeadline(p *Port, now int64, only int) int64 {
 // table, so a port that asked for the wrong end reads the wrong value.
 type stubConduit struct{ at [2]int64 }
 
-func (c *stubConduit) Send(int, []byte, int64) {}
-func (c *stubConduit) Pump(int64)              {}
+func (c *stubConduit) Carry(int, []byte, int64, PendingSum) {}
+func (c *stubConduit) Pump(int64)                           {}
 func (c *stubConduit) NextDeadline(to int, _ int64) int64 {
 	return c.at[to]
 }
@@ -101,7 +101,7 @@ func TestQueueDeadlinesMinIsThePortDeadline(t *testing.T) {
 				q, now := rng.Intn(nq), clk.Now()
 				switch rng.Intn(11) {
 				case 0:
-					p.fifos[q].push(frame{data: make([]byte, 100), readyAt: now + int64(rng.Intn(60_000)) - 30_000})
+					p.fifos[q].push(make([]byte, 100), now+int64(rng.Intn(60_000))-30_000, PendingSum{})
 				case 1:
 					p.fifos[q].pop(now)
 				case 2: // program, unprogram, fill or free an RX ring
@@ -179,7 +179,7 @@ func TestStalledQueueLeavesSiblingsTheirDeadlines(t *testing.T) {
 	now := clk.Now()
 	heads := [3]int64{now + 7_000, now + 3_000, now + 9_000}
 	for q, at := range heads {
-		p.fifos[q].push(frame{data: make([]byte, 100), readyAt: at})
+		p.fifos[q].push(make([]byte, 100), at, PendingSum{})
 	}
 	p.SetQueueStall(1, true)
 	for q, want := range [3]int64{heads[0], math.MaxInt64, heads[2]} {

@@ -37,6 +37,14 @@
 // (arena.go) whose ownership rules are documented there and in
 // DESIGN.md §8.
 //
+// The legacy descriptor's transport checksum offload is modelled
+// without running the engine (offload.go): a TX descriptor with CMD.IC
+// sends its frame tagged with the sum it owes (PendingSum), the far
+// port reports a tagged frame's checksum good (RX status TCPCS), and
+// the sum is filled into the bytes only where something reads them —
+// an RX tap, or a conduit delivering to anything but a port. DESIGN.md
+// §8 has the model.
+//
 // Beyond the paper's single-queue setup, each port carries up to
 // MaxQueues RX/TX queue pairs with receive-side scaling: a symmetric
 // Toeplitz hash over the flow tuple indexes a 128-entry redirection

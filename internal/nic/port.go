@@ -137,10 +137,11 @@ func (p *Port) SetObs(tr *obs.Trace, dp *stats.Histogram, src uint16) {
 // SetRxTap installs (or, with nil, removes) a delivery observer: fn
 // sees every frame the conduit hands this port, before FIFO admission
 // — so what the tap captures is exactly what survived the link, and
-// impairment drops show as gaps. The tap runs synchronously and must
-// not retain data (the bytes return to the frame arena after DMA); a
-// pcap writer, which copies into its output stream, is the intended
-// consumer.
+// impairment drops show as gaps. It sees the bytes the wire carries: a
+// checksum the sender left pending is filled in first. The tap runs
+// synchronously and must not retain data (the bytes return to the frame
+// arena after DMA); a pcap writer, which copies into its output stream,
+// is the intended consumer.
 func (p *Port) SetRxTap(fn func(tsNS int64, data []byte)) {
 	p.rxTap = fn
 }
@@ -298,15 +299,26 @@ func (p *Port) countProgrammed() {
 	}
 }
 
-// DeliverFrame places an arriving frame in the RX queue the RSS
-// classifier selects (the far end of the conduit calls this). readyAt
-// is the virtual instant the last bit arrives; the frame becomes
-// visible to the RX rings from then on.
+// DeliverFrame places an arriving frame whose bytes are final (one
+// built by hand, injected or fuzzed) in the RX queue the RSS classifier
+// selects. readyAt is the virtual instant the last bit arrives; the
+// frame becomes visible to the RX rings from then on. Its transport
+// checksum is not checked by the device, so the stack verifies it.
 func (p *Port) DeliverFrame(data []byte, readyAt int64) {
+	p.DeliverPending(data, readyAt, PendingSum{})
+}
+
+// DeliverPending is DeliverFrame for a frame from the far end of a
+// conduit, with the checksum its sender left pending (zero: none). A
+// frame whose sum is pending crossed unedited, so stepRX reports its
+// checksum good. The tap, if any, reads the real bytes: the sum is
+// filled in before it looks.
+func (p *Port) DeliverPending(data []byte, readyAt int64, sum PendingSum) {
 	if p.rxTap != nil {
+		sum.fill(data)
 		p.rxTap(readyAt, data)
 	}
-	p.fifos[p.classify(data)].push(frame{data: data, readyAt: readyAt})
+	p.fifos[p.classify(data)].push(data, readyAt, sum)
 }
 
 // SetQueueStall freezes (or thaws) one queue pair: a stalled queue's
@@ -374,49 +386,49 @@ func (p *Port) dmaRW(addr uint64, n int) ([]byte, bool) {
 // and fills every armed RX ring from its FIFO, under line-rate and
 // bus-budget admission. The DPDK poll-mode driver calls it from every
 // burst, far more often than a ring has anything to move, so this is the
-// simulator's hottest path: one pass snapshots the rings that can move at
-// all and only those enter stepTX/stepRX. An RX ring is also skipped
-// while its FIFO's head frame has not fully arrived — except on a
-// bus-limited card, where stepRX's arbiter poll is itself simulated state
-// (DESIGN.md §8 proves each skip a no-op).
+// simulator's hottest path: each queue's ring is snapshotted where its
+// loop reaches it and only rings that can move at all enter
+// stepTX/stepRX. An RX ring is also skipped while its FIFO's head frame
+// has not fully arrived — except on a bus-limited card, where stepRX's
+// arbiter poll is itself simulated state (DESIGN.md §8 proves each skip
+// a no-op, and that a snapshot taken after Pump and the TX loop reads
+// what one taken before them would).
 func (p *Port) Step() {
-	var tx, rx [MaxQueues]ring
-	nq := p.nq
-	for q := 0; q < nq; q++ {
-		tx[q], rx[q] = p.movable(q)
-	}
 	now := p.clk.Now()
 	if p.pipe != nil {
 		// Let a frame-holding conduit (netem delay line, rate limiter)
 		// release whatever is due before the RX rings look for arrivals.
 		p.pipe.Pump(now)
 	}
-	for q := 0; q < nq; q++ {
-		if tx[q].n > 0 {
-			p.stepTX(q, tx[q], now)
+	for q := 0; q < p.nq; q++ {
+		if tx := p.txMovable(q); tx.n > 0 {
+			p.stepTX(q, tx, now)
 		}
 	}
-	for q := 0; q < nq; q++ {
-		if rx[q].n > 0 && (p.card.busLimited() || p.fifos[q].headAt() <= now) {
-			p.stepRX(q, rx[q], now)
+	for q := 0; q < p.nq; q++ {
+		if rx := p.rxMovable(q); rx.n > 0 && (p.card.busLimited() || p.fifos[q].headAt() <= now) {
+			p.stepRX(q, rx, now)
 		}
 	}
 }
 
-// movable snapshots queue q's rings where the device may advance them:
-// the direction enabled (TX also needs a conduit), the queue not
-// stalled, the ring movable.
-func (p *Port) movable(q int) (tx, rx ring) {
-	if p.stalled[q] {
-		return
+// txMovable snapshots queue q's TX ring where the device may advance
+// it: transmit enabled with a conduit attached, the queue not stalled,
+// the ring movable.
+func (p *Port) txMovable(q int) ring {
+	if p.stalled[q] || p.regs.tctl&TctlEN == 0 || p.pipe == nil {
+		return ring{}
 	}
-	if p.regs.tctl&TctlEN != 0 && p.pipe != nil {
-		tx = p.regs.txq[q].movable()
+	return p.regs.txq[q].movable()
+}
+
+// rxMovable snapshots queue q's RX ring where the device may advance
+// it: receive enabled, the queue not stalled, the ring movable.
+func (p *Port) rxMovable(q int) ring {
+	if p.stalled[q] || p.regs.rctl&RctlEN == 0 {
+		return ring{}
 	}
-	if p.regs.rctl&RctlEN != 0 {
-		rx = p.regs.rxq[q].movable()
-	}
-	return tx, rx
+	return p.regs.rxq[q].movable()
 }
 
 // stepTX transmits queue q's descriptors [TDH, TDT) as snapshotted in r.
@@ -453,9 +465,15 @@ func (p *Port) stepTX(q int, r ring, now int64) {
 		}
 		doneAt := p.line.Book(now, sim.BytesNS(length+wireOverhead, p.card.cfg.LineRateBps))
 		p.card.busBook(p.idx, now, int(p.card.cfg.BusCostTX*float64(length+wireOverhead)))
+		// The checksum engine is not run here: the frame leaves tagged
+		// with the sum it owes (PendingSum), summed only where read.
+		var sum PendingSum
+		if cmd&TxCmdIC != 0 {
+			sum = txSum(desc[TxDescCSS], desc[TxDescCSO], length)
+		}
 		data := p.arena.Alloc(length)
 		copy(data, buf)
-		p.pipe.Send(p.pipeEnd, data, doneAt+PropagationDelayNS)
+		p.pipe.Carry(p.pipeEnd, data, doneAt+PropagationDelayNS, sum)
 
 		p.writeBackStatus(descAddr, StatDD)
 		head = (head + 1) % r.n
@@ -480,39 +498,39 @@ func (p *Port) stepRX(q int, r ring, now int64) {
 		if !p.card.busCanAdmit(p.idx, now) {
 			break
 		}
-		fr, ok := p.fifos[q].pop(now)
+		data, readyAt, sum, ok := p.fifos[q].pop(now)
 		if !ok {
 			break
 		}
 		descAddr := r.base + uint64(head)*DescSize
 		desc, ok := p.dmaRO(descAddr, DescSize)
 		if !ok {
-			p.arena.Free(fr.data) // popped, so ours to release
+			p.arena.Free(data) // popped, so ours to release
 			break
 		}
 		bufAddr := binary.LittleEndian.Uint64(desc[0:8])
-		dst, ok := p.dmaRW(bufAddr, len(fr.data))
+		dst, ok := p.dmaRW(bufAddr, len(data))
 		if !ok {
 			// Bad buffer: drop the frame, consume the descriptor.
-			p.arena.Free(fr.data)
-			p.writeBackRX(descAddr, 0)
+			p.arena.Free(data)
+			p.writeBackRX(descAddr, 0, 0)
 			head = (head + 1) % r.n
 			continue
 		}
-		copy(dst, fr.data)
-		p.card.busBook(p.idx, now, int(p.card.cfg.BusCostRX*float64(len(fr.data)+wireOverhead)))
-		p.writeBackRX(descAddr, uint16(len(fr.data)))
+		copy(dst, data)
+		p.card.busBook(p.idx, now, int(p.card.cfg.BusCostRX*float64(len(data)+wireOverhead)))
+		p.writeBackRX(descAddr, uint16(len(data)), sum.rxStatus())
 		head = (head + 1) % r.n
 		gotFrames++
-		gotBytes += uint64(len(fr.data))
+		gotBytes += uint64(len(data))
 		if p.obs.dp != nil {
 			// Datapath latency: last bit on the wire to DMA completion
 			// (FIFO residence + bus admission).
-			p.obs.dp.Record(now - fr.readyAt)
+			p.obs.dp.Record(now - readyAt)
 		}
 		// The frame now lives in descriptor memory; its wire buffer
 		// returns to the arena (see the ownership contract in arena.go).
-		p.arena.Free(fr.data)
+		p.arena.Free(data)
 	}
 	if gotFrames > 0 && p.obs.tr != nil {
 		p.obs.tr.Record(now, obs.EvNicRxBurst, p.obs.src, int64(gotFrames), int64(gotBytes), int64(q))
@@ -529,12 +547,13 @@ func (p *Port) writeBackStatus(descAddr uint64, status byte) {
 	}
 }
 
-// writeBackRX completes an RX descriptor: length + DD|EOP status.
-func (p *Port) writeBackRX(descAddr uint64, length uint16) {
+// writeBackRX completes an RX descriptor: length, DD|EOP status plus
+// the checksum status l4 (RxStatTCPCS or nothing), no errors.
+func (p *Port) writeBackRX(descAddr uint64, length uint16, l4 byte) {
 	if s, ok := p.dmaRW(descAddr+8, 8); ok {
 		binary.LittleEndian.PutUint16(s[0:2], length)
-		s[2], s[3] = 0, 0 // checksum (unused)
-		s[4] = StatDD | StatEOP
+		s[2], s[3] = 0, 0 // packet checksum (unused)
+		s[4] = StatDD | StatEOP | l4
 		s[5] = 0 // errors
 	}
 }
@@ -567,12 +586,11 @@ func (p *Port) QueueDeadline(q int, now int64) int64 {
 	// leaping driver from spinning at `now` on a ring that will not move
 	// until the fault plane thaws it.
 	rxArmed := p.regs.rctl&RctlEN != 0 && p.regs.rxq[q].length >= DescSize && !p.stalled[q]
-	tx, _ := p.movable(q)
+	tx := p.txMovable(q)
 	rxPolls := false // some queue's Step enters stepRX, which polls the arbiter
 	if p.card.busLimited() {
 		for i := 0; i < p.nq && !rxPolls; i++ {
-			_, rx := p.movable(i)
-			rxPolls = rx.n > 0
+			rxPolls = p.rxMovable(i).n > 0
 		}
 	}
 

@@ -103,9 +103,20 @@ const (
 
 	// TX command bits.
 	TxCmdEOP = 1 << 0 // end of packet
+	TxCmdIC  = 1 << 2 // insert checksum: sum [CSS, end) into the field at CSO
 	TxCmdRS  = 1 << 3 // report status (write DD back)
+
+	// TX descriptor bytes of the checksum engine (CMD.IC).
+	TxDescCSO = 10 // checksum offset: where the sum goes
+	TxDescCSS = 13 // checksum start: where summing begins
 
 	// Status bits (both rings).
 	StatDD  = 1 << 0 // descriptor done
 	StatEOP = 1 << 1 // end of packet (RX)
+
+	// RX status and error bits of the transport checksum: TCPCS says
+	// the device checked it, TCPE that it was wrong. TCPCS clear means
+	// not checked.
+	RxStatTCPCS = 1 << 5
+	RxErrTCPE   = 1 << 5
 )

@@ -252,9 +252,10 @@ func TestRxFifoQueueDiscipline(t *testing.T) {
 				model = append(model, fr)
 				modelBytes += len(fr.data)
 			}
-			f.push(fr)
+			f.push(fr.data, fr.readyAt, fr.sum)
 		} else {
-			got, ok := f.pop(now)
+			data, readyAt, _, ok := f.pop(now)
+			got := frame{data: data, readyAt: readyAt}
 			wantOK := len(model) > 0 && model[0].readyAt <= now
 			if ok != wantOK {
 				t.Fatalf("op %d: pop ok=%v, model says %v", op, ok, wantOK)

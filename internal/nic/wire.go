@@ -12,11 +12,13 @@ const PropagationDelayNS = 500
 // the PCI bus (not the line) is the bottleneck.
 const RxFifoBytes = 64 * 1024
 
-// frame is a packet in flight: the bytes plus the virtual instant the
-// last bit arrives at the receiver.
+// frame is a packet in flight: the bytes, the virtual instant the last
+// bit arrives at the receiver, and the transport checksum its sender
+// left pending (zero: none).
 type frame struct {
 	data    []byte
 	readyAt int64
+	sum     PendingSum
 }
 
 // rxFifo is a port's receive packet buffer: a strictly first-in-first-out
@@ -32,18 +34,23 @@ type rxFifo struct {
 }
 
 // push stores an arriving frame, tail-dropping when the buffer is full.
-func (f *rxFifo) push(fr frame) {
-	if f.bytes+len(fr.data) > f.limit {
+// push and pop move a frame field by field: a frame is five words, one
+// more than the compiler keeps a struct value in registers for, and a
+// whole-struct copy through the stack stalls on store forwarding.
+func (f *rxFifo) push(data []byte, readyAt int64, sum PendingSum) {
+	if f.bytes+len(data) > f.limit {
 		f.missed++
 		arena := f.arena
 		if arena == nil {
 			arena = defaultArena
 		}
-		arena.Free(fr.data)
+		arena.Free(data)
 		return
 	}
-	f.frames = append(f.frames, fr)
-	f.bytes += len(fr.data)
+	f.frames = append(f.frames, frame{})
+	e := &f.frames[len(f.frames)-1]
+	e.data, e.readyAt, e.sum = data, readyAt, sum
+	f.bytes += len(data)
 }
 
 // headAt is the head frame's readyAt (math.MaxInt64 when empty). pop only
@@ -57,11 +64,12 @@ func (f *rxFifo) headAt() int64 {
 }
 
 // pop removes the next fully arrived frame, if any.
-func (f *rxFifo) pop(now int64) (frame, bool) {
+func (f *rxFifo) pop(now int64) (data []byte, readyAt int64, sum PendingSum, ok bool) {
 	if f.headAt() > now {
-		return frame{}, false
+		return nil, 0, PendingSum{}, false
 	}
-	fr := f.frames[f.head]
+	e := &f.frames[f.head]
+	data, readyAt, sum = e.data, e.readyAt, e.sum
 	f.head++
 	live := len(f.frames) - f.head
 	if f.head >= live {
@@ -73,26 +81,30 @@ func (f *rxFifo) pop(now int64) (frame, bool) {
 		clear(f.frames[live:])
 		f.frames, f.head = f.frames[:live], 0
 	}
-	f.bytes -= len(fr.data)
-	return fr, true
+	f.bytes -= len(data)
+	return data, readyAt, sum, true
 }
 
 // Conduit is the medium a port transmits into. A *Wire is the direct
 // back-to-back cable; internal/netem's Link interposes an impairment
-// pipeline between the same two ports. The port calls Send with the
+// pipeline between the same two ports. The port calls Carry with the
 // instant the last bit leaves its serializer (propagation already
-// added) and calls Pump from every device step so a conduit that holds
-// frames (delay lines, rate limiters) can release the ones now due.
+// added) and the checksum it left pending, and calls Pump from every
+// device step so a conduit that holds frames (delay lines, rate
+// limiters) can release the ones now due. A conduit hands a frame on
+// with its PendingSum (Port.DeliverPending), or settles it first
+// (PendingSum.Settle) if it edits the bytes or delivers them to
+// anything but a port.
 //
-// Ownership: `data` passes to the receiving side on Send — the
+// Ownership: `data` passes to the receiving side on Carry — the
 // consumer (the far port's RX path, or the conduit itself when it
 // drops the frame) returns it to the frame arena via FreeFrame, so a
 // caller must not retain the slice afterward. Beware in particular of
 // hand-built full-MTU (1514-byte-cap) buffers: FreeFrame recognizes
 // arena frames by that capacity and would recycle them.
 type Conduit interface {
-	// Send carries one frame away from endpoint `from` (0 or 1).
-	Send(from int, data []byte, readyAt int64)
+	// Carry carries one frame away from endpoint `from` (0 or 1).
+	Carry(from int, data []byte, readyAt int64, sum PendingSum)
 	// Pump delivers any held frames that are due at virtual time now.
 	Pump(now int64)
 	// NextDeadline reports the earliest instant Pump has something to
@@ -120,10 +132,10 @@ func Connect(a, b *Port) *Wire {
 	return w
 }
 
-// Send forwards a frame from endpoint `from` to the peer, whose RSS
+// Carry forwards a frame from endpoint `from` to the peer, whose RSS
 // classifier picks the destination RX FIFO.
-func (w *Wire) Send(from int, data []byte, readyAt int64) {
-	w.ends[1-from].DeliverFrame(data, readyAt)
+func (w *Wire) Carry(from int, data []byte, readyAt int64, sum PendingSum) {
+	w.ends[1-from].DeliverPending(data, readyAt, sum)
 }
 
 // Pump implements Conduit; a plain cable never holds frames.

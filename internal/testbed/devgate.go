@@ -28,7 +28,31 @@ const (
 	// devBurstMax frames per crossing; 32 frames of 1514 bytes plus
 	// framing fit the staging buffer.
 	devBurstMax = 32
+	// devL4Sum is the top bit of a stage record's length word: the
+	// frame's mbuf offload flag (dpdk.Mbuf.L4Sum) crossing with it — on
+	// TX the device completes the checksum, on RX it found it good. A
+	// frame is at most 1514 bytes, so the bit is never a length bit.
+	devL4Sum = 0x8000
 )
+
+// stageHeader is the length word of a stage record for m's frame of n
+// bytes: n, with devL4Sum when m carries the offload flag.
+func stageHeader(m *dpdk.Mbuf, n int) [2]byte {
+	v := uint16(n)
+	if m.L4Sum() {
+		v |= devL4Sum
+	}
+	var hdr [2]byte
+	binary.LittleEndian.PutUint16(hdr[:], v)
+	return hdr
+}
+
+// stageRecord decodes a stage record's length word: the frame length
+// and the offload flag that crossed with it.
+func stageRecord(hdr [2]byte) (length int, l4sum bool) {
+	v := binary.LittleEndian.Uint16(hdr[:])
+	return int(v &^ devL4Sum), v&devL4Sum != 0
+}
 
 // DevGates exports a DPDK compartment's ethdev as sealed entry points;
 // every call names the queue pair it is for.
@@ -82,8 +106,9 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		return crossedLen(v, devStageSize/devBurstMax, 0, devBurstMax, stage)
 	}
 	// rx: harvest up to a[1] frames from queue a[0]; pack [u16 len][bytes]...
-	// through the caller's staging capability, checked writable before a
-	// frame is harvested for it; returns the frame count.
+	// (stageHeader) through the caller's staging capability, checked
+	// writable before a frame is harvested for it; returns the frame
+	// count.
 	g.rx = mk(func(q int, a hostos.Args, stage cheri.Cap) (uint64, hostos.Errno) {
 		n, errno := burst(a[1], stage)
 		if errno != hostos.OK {
@@ -98,7 +123,8 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 		off, packed := 0, 0
 		for _, m := range bufs[:k] {
 			if data, err := m.BytesRO(); err == nil && off+2+len(data) <= len(out) {
-				binary.LittleEndian.PutUint16(out[off:], uint16(len(data)))
+				hdr := stageHeader(m, len(data))
+				copy(out[off:], hdr[:])
 				off += 2 + copy(out[off+2:], data)
 				packed++
 			}
@@ -121,7 +147,7 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 			if mem.Load(stage, addr, hdr[:]) != nil {
 				break
 			}
-			length := int(binary.LittleEndian.Uint16(hdr[:]))
+			length, l4sum := stageRecord(hdr)
 			m, ok := devPool.Get()
 			if !ok {
 				break
@@ -130,6 +156,9 @@ func NewDevGates(iv *intravisor.Intravisor, dpdkCVM *intravisor.CVM, dev *dpdk.E
 			if err != nil || mem.Load(stage, addr+2, dst) != nil {
 				m.Free()
 				break
+			}
+			if l4sum {
+				m.SetL4Sum()
 			}
 			if dev.TxBurstQ(q, []*dpdk.Mbuf{m}) != 1 {
 				m.Free()
@@ -203,7 +232,7 @@ func (d *GatedEthDev) RxBurst(out []*dpdk.Mbuf) int {
 		if d.caller.Load(addr, hdr[:]) != nil {
 			break
 		}
-		length := int(binary.LittleEndian.Uint16(hdr[:]))
+		length, l4sum := stageRecord(hdr)
 		m, ok := d.pool.Get()
 		if !ok {
 			break // frames beyond this point are lost, as on pool exhaustion
@@ -212,6 +241,9 @@ func (d *GatedEthDev) RxBurst(out []*dpdk.Mbuf) int {
 		if err != nil || d.caller.Load(addr+2, dst) != nil {
 			m.Free()
 			break
+		}
+		if l4sum {
+			m.SetL4Sum()
 		}
 		out[got] = m
 		got++
@@ -238,8 +270,7 @@ func (d *GatedEthDev) TxBurst(bufs []*dpdk.Mbuf) int {
 		if err != nil {
 			break
 		}
-		var hdr [2]byte
-		binary.LittleEndian.PutUint16(hdr[:], uint16(len(data)))
+		hdr := stageHeader(m, len(data))
 		if d.caller.Store(addr, hdr[:]) != nil || d.caller.Store(addr+2, data) != nil {
 			break
 		}

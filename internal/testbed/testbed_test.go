@@ -449,3 +449,53 @@ func TestTuningReachesBothEnds(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceGateCarriesL4Sum: the mbuf offload flag crosses the device
+// gate both ways in the stage record. A datagram from the peer reaches
+// the gated stack with its checksum found good by the NIC, so the flag
+// came back across the rx gate; the echo leaves the gated stack with
+// only the pseudo-header seed in its checksum field, so it reaches the
+// peer whole, and on the NIC's word, only if the flag crossed the tx
+// gate to the driver compartment — and the peer's tap reads a checksum
+// that verifies.
+func TestDeviceGateCarriesL4Sum(t *testing.T) {
+	clk := sim.NewVClock()
+	bed, err := Build(Spec{
+		Clk:          clk,
+		Machine:      MachineSpec{Name: "morello", Ports: 1},
+		Compartments: []CompartmentSpec{{Name: "stack", CVM: true, DeviceGate: true, Ifs: []IfSpec{{Port: 0}}}},
+		Peers:        []PeerSpec{{Port: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk, peer := bed.Envs[0].Stk, bed.Peers[0].Env.Stk
+	const port = 7
+	fd, errno := stk.Socket(fstack.SockDgram)
+	if errno == hostos.OK {
+		errno = stk.Bind(fd, fstack.IPv4Addr{}, port)
+	}
+	if errno != hostos.OK {
+		t.Fatalf("socket: %v", errno)
+	}
+	echoes := 0
+	tap := bed.Peers[0].M.Card.Port(0)
+	tap.SetRxTap(func(_ int64, f []byte) {
+		ip, ihl, err := fstack.ParseIPv4Header(f[fstack.EthHeaderLen:])
+		if err != nil || ip.Proto != fstack.ProtoUDP {
+			return
+		}
+		seg := f[fstack.EthHeaderLen+ihl : fstack.EthHeaderLen+int(ip.TotalLen)]
+		if _, err := fstack.ParseUDPHeader(seg, ip.Src, ip.Dst, false); err != nil {
+			t.Errorf("the peer's tap read a bad datagram: %v", err)
+		}
+		echoes++
+	})
+	udpEcho(t, bed, clk, stk, fd, port, "nothing")
+	tap.SetRxTap(nil)
+	g, p := stk.Stats(), peer.Stats()
+	if echoes != 1 || g.RxL4Offload != 1 || p.RxL4Offload != 1 || g.RxDropped+p.RxDropped != 0 {
+		t.Fatalf("%d echoes tapped; offloaded: gated stack %d, peer %d (want 1 each); dropped %d + %d",
+			echoes, g.RxL4Offload, p.RxL4Offload, g.RxDropped, p.RxDropped)
+	}
+}
