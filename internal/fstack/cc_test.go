@@ -18,7 +18,7 @@ func ccConn(t *testing.T, algo string, wscale uint8) (*tcpConn, *sim.VClock) {
 	if err := s.SetTCPTuning(TCPTuning{Congestion: algo, WindowScale: wscale}); err != nil {
 		t.Fatal(err)
 	}
-	return s.newTCPConn(nil, fourTuple{}), clk
+	return s.newTCPConn(fourTuple{}), clk
 }
 
 // TestRenoTraceMatchesPreRefactor replays a recorded ACK/loss event

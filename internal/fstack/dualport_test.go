@@ -1,0 +1,217 @@
+package fstack
+
+import (
+	"testing"
+
+	"repro/internal/hostos"
+	"repro/internal/nic"
+	"repro/internal/sim"
+)
+
+// dualRig is a machine M with two ports, 10.0.0.1/24 on port 0 cabled to
+// stack B (10.0.0.2) and 10.0.1.1/24 on port 1 cabled to stack C
+// (10.0.1.2). tapped[0] holds what reached B, so what left M's port 0;
+// tapped[1] what reached C.
+type dualRig struct {
+	t       *testing.T
+	clk     *sim.VClock
+	m, b, c *Stack
+	tapped  [2][]tappedFrame
+}
+
+// tappedFrame is what the dual-port test reads of one frame: its IPv4
+// source and TCP ports and flags, or the target of an ARP request.
+type tappedFrame struct {
+	arpTarget        IPv4Addr // zero unless an ARP request
+	src              IPv4Addr
+	srcPort, dstPort uint16
+	flags            uint8
+	payloadLen       int
+}
+
+func newDualRig(t *testing.T) *dualRig {
+	clk := sim.NewVClock()
+	seg, pool, devs, card := buildDevice(t, clk, "0000:03:00", 1, false, 2, 1)
+	m := NewStack(seg, pool, clk)
+	m.AddNetIF(devs[0].Queue(0), IP4(10, 0, 0, 1), IP4(255, 255, 255, 0))
+	m.AddNetIF(devs[1].Queue(0), IP4(10, 0, 1, 1), IP4(255, 255, 255, 0))
+	b, cardB := buildMachine(t, clk, "0000:04:00", 3, IP4(10, 0, 0, 2), false)
+	c, cardC := buildMachine(t, clk, "0000:05:00", 4, IP4(10, 0, 1, 2), false)
+	nic.Connect(card.Port(0), cardB.Port(0))
+	nic.Connect(card.Port(1), cardC.Port(0))
+	r := &dualRig{t: t, clk: clk, m: m, b: b, c: c}
+	for i, p := range []*nic.Port{cardB.Port(0), cardC.Port(0)} {
+		p.SetRxTap(func(_ int64, frame []byte) {
+			if f, ok := readTapped(frame); ok {
+				r.tapped[i] = append(r.tapped[i], f)
+			}
+		})
+	}
+	return r
+}
+
+// readTapped decodes a frame a tap saw; ok is false for anything but a
+// TCP segment or an ARP request.
+func readTapped(frame []byte) (tappedFrame, bool) {
+	if eth, err := ParseEthHeader(frame); err == nil && eth.Type == EtherTypeARP {
+		p, err := ParseARPPacket(frame[EthHeaderLen:])
+		if err != nil || p.Op != ARPRequest {
+			return tappedFrame{}, false
+		}
+		return tappedFrame{arpTarget: p.TargetIP, src: p.SenderIP}, true
+	}
+	ip, h, n, ok := wireSeg(frame)
+	if !ok {
+		return tappedFrame{}, false
+	}
+	return tappedFrame{src: ip.Src, srcPort: h.SrcPort, dstPort: h.DstPort, flags: h.Flags, payloadLen: n}, true
+}
+
+// pumpUntil polls all three stacks 5 µs apart until cond holds.
+func (r *dualRig) pumpUntil(maxTicks int, what string, cond func() bool) {
+	r.t.Helper()
+	for i := 0; i < maxTicks; i++ {
+		if cond() {
+			return
+		}
+		r.m.PollOnce()
+		r.b.PollOnce()
+		r.c.PollOnce()
+		r.clk.Advance(5000)
+	}
+	r.t.Fatalf("condition %q not reached after %d ticks", what, maxTicks)
+}
+
+// listen opens a listener on every address of s at port.
+func listen(t *testing.T, s *Stack, port uint16) int {
+	t.Helper()
+	lfd, _ := s.Socket(SockStream)
+	if errno := s.Bind(lfd, IPv4Addr{}, port); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := s.Listen(lfd, 8); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	return lfd
+}
+
+// dial starts an active open from s, bound to local first when it is
+// not the zero address.
+func dial(t *testing.T, s *Stack, local, ip IPv4Addr, port uint16) int {
+	t.Helper()
+	fd, _ := s.Socket(SockStream)
+	if local != (IPv4Addr{}) {
+		if errno := s.Bind(fd, local, 0); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+	}
+	if errno := s.Connect(fd, ip, port); errno != hostos.EINPROGRESS {
+		t.Fatalf("connect: %v", errno)
+	}
+	return fd
+}
+
+// TestDualPortSegmentsLeaveByTheirLocalAddress: a connection has no
+// interface of its own; every segment leaves by the port that owns its
+// local address. On a two-port machine an accepted connection on each
+// port and an unbound active open toward each port's subnet carry a
+// request, a reply and both FINs, and every TCP frame each peer sees
+// carries its own port's address. The one case where the owning port
+// and the route part, an active open bound to port 0's address toward
+// port 1's subnet, is pinned as it behaves: its SYN waits on port 0 for
+// an ARP answer no host there gives, and nothing reaches port 1.
+func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
+	r := newDualRig(t)
+	addrs := [2]IPv4Addr{IP4(10, 0, 0, 1), IP4(10, 0, 1, 1)}
+	peers := [2]*Stack{r.b, r.c}
+	peerIPs := [2]IPv4Addr{IP4(10, 0, 0, 2), IP4(10, 0, 1, 2)}
+
+	// M's listener accepts one connection from each peer; each peer's
+	// listener takes one unbound active open from M.
+	mLfd := listen(t, r.m, 7000)
+	type pair struct{ mfd, pfd int }
+	var pairs []pair
+	for i, p := range peers {
+		pfd := dial(t, p, IPv4Addr{}, addrs[i], 7000)
+		var mfd int
+		r.pumpUntil(4000, "M accepts", func() bool {
+			fd, _, _, errno := r.m.Accept(mLfd)
+			mfd = fd
+			return errno == hostos.OK
+		})
+		pairs = append(pairs, pair{mfd, pfd})
+		plfd := listen(t, p, 7001)
+		mfd = dial(t, r.m, IPv4Addr{}, peerIPs[i], 7001)
+		r.pumpUntil(4000, "peer accepts", func() bool {
+			fd, _, _, errno := p.Accept(plfd)
+			pfd = fd
+			return errno == hostos.OK
+		})
+		pairs = append(pairs, pair{mfd, pfd})
+	}
+	buf := make([]byte, 64)
+	for i, pr := range pairs {
+		p := peers[i/2]
+		r.pumpUntil(4000, "established", func() bool { return r.m.ConnState(pr.mfd) == "ESTABLISHED" })
+		if _, errno := r.m.Write(pr.mfd, []byte("request")); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		r.pumpUntil(4000, "peer reads", func() bool { n, _ := p.Read(pr.pfd, buf); return n > 0 })
+		if _, errno := p.Write(pr.pfd, []byte("reply")); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		r.pumpUntil(4000, "M reads", func() bool { n, _ := r.m.Read(pr.mfd, buf); return n > 0 })
+		r.m.Close(pr.mfd)
+		p.Close(pr.pfd)
+	}
+	r.pumpUntil(40000, "M's table drained", func() bool { return r.m.ConnCount() == 0 })
+
+	for i, frames := range r.tapped {
+		// Each of the port's two connections sent its opening segment
+		// (SYN or SYN|ACK), data and a FIN by this port.
+		seen := map[uint16]uint8{}
+		for _, f := range frames {
+			if f.arpTarget != (IPv4Addr{}) {
+				continue
+			}
+			if f.src != addrs[i] {
+				t.Fatalf("port %d sent a segment from %v (ports %d→%d, flags %#x)",
+					i, f.src, f.srcPort, f.dstPort, f.flags)
+			}
+			if f.payloadLen > 0 {
+				seen[f.srcPort] |= TCPPsh
+			}
+			seen[f.srcPort] |= f.flags & (TCPSyn | TCPFin)
+		}
+		if len(seen) != 2 {
+			t.Fatalf("port %d carried segments of %d connections, want 2: %v", i, len(seen), seen)
+		}
+		for port, got := range seen {
+			if got != TCPSyn|TCPPsh|TCPFin {
+				t.Errorf("port %d, local port %d: saw flags %#x, want a SYN, data and a FIN", i, port, got)
+			}
+		}
+	}
+
+	// Bound to port 0's address, toward port 1's subnet.
+	r.tapped = [2][]tappedFrame{}
+	fd := dial(t, r.m, addrs[0], peerIPs[1], 7001)
+	resent := r.clk.Now() + rtoInitial + rtoInitial/2
+	r.pumpUntil(40000, "SYN resent", func() bool { return r.clk.Now() > resent })
+	if st := r.m.ConnState(fd); st != "SYN_SENT" {
+		t.Errorf("bound active open is %s, want SYN_SENT", st)
+	}
+	arps := 0
+	for _, f := range r.tapped[0] {
+		if f.arpTarget != peerIPs[1] || f.src != addrs[0] {
+			t.Fatalf("port 0 sent %+v, want only ARP requests for %v", f, peerIPs[1])
+		}
+		arps++
+	}
+	if arps < 2 {
+		t.Errorf("port 0 asked for %v %d times, want the SYN and its resend", peerIPs[1], arps)
+	}
+	if len(r.tapped[1]) != 0 {
+		t.Errorf("port 1 sent %d frames of a connection bound to port 0's address: %+v", len(r.tapped[1]), r.tapped[1])
+	}
+}

@@ -1,6 +1,7 @@
 package fstack
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cheri"
@@ -22,14 +23,15 @@ type testEnv struct {
 	portA, portB *nic.Port
 }
 
-// buildDevice makes one machine up to its started ethdev: memory, card,
-// segment, pool, and nq RX/TX queue pairs.
-func buildDevice(t testing.TB, clk *sim.VClock, bdf string, macLast byte, capMode bool, nq int) (*dpdk.MemSeg, *dpdk.Mempool, *dpdk.EthDev, *nic.Card) {
+// buildDevice makes one machine up to its started ethdevs: memory, a
+// card of the given ports, segment, pool, and nq RX/TX queue pairs on
+// every port's ethdev.
+func buildDevice(t testing.TB, clk *sim.VClock, bdf string, macLast byte, capMode bool, ports, nq int) (*dpdk.MemSeg, *dpdk.Mempool, []*dpdk.EthDev, *nic.Card) {
 	t.Helper()
 	mem := cheri.NewTMem(16 << 20)
 	pci := hostos.NewPCI()
 	card, err := nic.New(nic.Config{
-		BDFBase: bdf, Ports: 1, LineRateBps: 1e9,
+		BDFBase: bdf, Ports: ports, LineRateBps: 1e9,
 		MAC: [6]byte{2, 0, 0, 0, 0, macLast}, Clk: clk, Mem: mem, CapDMA: capMode,
 	})
 	if err != nil {
@@ -37,9 +39,6 @@ func buildDevice(t testing.TB, clk *sim.VClock, bdf string, macLast byte, capMod
 	}
 	if err := card.RegisterPCI(pci); err != nil {
 		t.Fatal(err)
-	}
-	if errno := pci.Unbind(bdf + ".0"); errno != hostos.OK {
-		t.Fatal(errno)
 	}
 	var segCap cheri.Cap
 	const segBase, segSize = 0x100000, 8 << 20
@@ -61,25 +60,33 @@ func buildDevice(t testing.TB, clk *sim.VClock, bdf string, macLast byte, capMod
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := dpdk.Probe(pci, bdf+".0", seg)
-	if err != nil {
-		t.Fatal(err)
+	devs := make([]*dpdk.EthDev, ports)
+	for i := range devs {
+		fn := fmt.Sprintf("%s.%d", bdf, i)
+		if errno := pci.Unbind(fn); errno != hostos.OK {
+			t.Fatal(errno)
+		}
+		dev, err := dpdk.Probe(pci, fn, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.ConfigureQueues(nq, 256, 256, pool); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Start(); err != nil {
+			t.Fatal(err)
+		}
+		devs[i] = dev
 	}
-	if err := dev.ConfigureQueues(nq, 256, 256, pool); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return seg, pool, dev, card
+	return seg, pool, devs, card
 }
 
 // buildMachine makes one machine: a single-queue device under one stack.
 func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IPv4Addr, capMode bool) (*Stack, *nic.Card) {
 	t.Helper()
-	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, capMode, 1)
+	seg, pool, devs, card := buildDevice(t, clk, bdf, macLast, capMode, 1, 1)
 	stk := NewStack(seg, pool, clk)
-	stk.AddNetIF(dev.Queue(0), ip, IP4(255, 255, 255, 0))
+	stk.AddNetIF(devs[0].Queue(0), ip, IP4(255, 255, 255, 0))
 	return stk, card
 }
 
@@ -87,7 +94,8 @@ func buildMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IP
 // ShardedStack.
 func buildShardedMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte, ip IPv4Addr, nq int) (*ShardedStack, *nic.Card) {
 	t.Helper()
-	seg, pool, dev, card := buildDevice(t, clk, bdf, macLast, false, nq)
+	seg, pool, devs, card := buildDevice(t, clk, bdf, macLast, false, 1, nq)
+	dev := devs[0]
 	ss, err := NewShardedStack(nq, seg, pool, clk)
 	if err != nil {
 		t.Fatal(err)

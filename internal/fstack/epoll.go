@@ -226,7 +226,7 @@ func (sk *socket) readiness() uint32 {
 		}
 	case sk.conn != nil:
 		c := sk.conn
-		if c.rcvBuf.Len() > 0 || c.finRcvd {
+		if c.rcvBuf.Len() > 0 || c.peerFin() {
 			r |= EPOLLIN
 		}
 		switch c.state {

@@ -22,7 +22,7 @@ func TestConnPlaneStructSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"socket", unsafe.Sizeof(socket{}), 48},
-		{"tcpConn", unsafe.Sizeof(tcpConn{}), 224},
+		{"tcpConn", unsafe.Sizeof(tcpConn{}), 208},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
 		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},
 	} {

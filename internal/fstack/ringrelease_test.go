@@ -125,7 +125,7 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		seg := make([]byte, h.encodedLen()+len(payload))
 		copy(seg[h.encodedLen():], payload)
 		putTCPHeaderEager(seg, h, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
-		e.stkA.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
+		e.stkA.inputTCP(e.stkA.nifByIP(c.tuple.local.IP), IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
 	}
 	retx := e.stkA.stats.Retransmit
 	twEnd := c.rtxAt

@@ -304,7 +304,7 @@ func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 		s.stats.TimeWaitReuses++
 		s.removeConn(old)
 	}
-	c := s.newTCPConn(nif, tuple)
+	c := s.newTCPConn(tuple)
 	iss := s.iss()
 	c.sndUna, c.sndNxt, c.sndMax = iss, iss+1, iss+1
 	c.setState(tcpSynSent)
@@ -470,7 +470,7 @@ func (s *Stack) readableConn(fd int) (*tcpConn, int, hostos.Errno) {
 		return c, 0, hostos.OK
 	case c.err() != hostos.OK:
 		return nil, -1, c.err()
-	case c.finRcvd:
+	case c.peerFin():
 		return nil, 0, hostos.OK // EOF
 	case c.state == tcpClosed:
 		return nil, -1, hostos.ENOTCONN
@@ -526,10 +526,18 @@ func (s *Stack) Close(fd int) hostos.Errno {
 		}
 	case sk.conn != nil:
 		c := sk.conn
-		if c.state == tcpEstablished || c.state == tcpCloseWait {
-			c.finQueued = true
+		switch c.state {
+		case tcpEstablished, tcpCloseWait:
+			// RFC 793's CLOSE: our FIN follows every byte queued now,
+			// and nothing can be queued after it.
+			c.finSeq = c.sndUna + uint32(c.sndBuf.Len())
+			if c.state == tcpEstablished {
+				c.setState(tcpFinWait1)
+			} else {
+				c.setState(tcpLastAck)
+			}
 			c.output()
-		} else if c.state == tcpSynSent {
+		case tcpSynSent:
 			c.abort(hostos.ECONNRESET)
 		}
 		// The application can no longer reach the connection: drop the

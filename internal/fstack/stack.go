@@ -860,7 +860,7 @@ func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte, nicSum bool) {
 	// New flow: only a SYN to a listener is welcome.
 	if h.Flags&TCPSyn != 0 && h.Flags&TCPAck == 0 {
 		if l := s.findListener(tuple.local); l != nil {
-			s.acceptSyn(nif, l, tuple, h)
+			s.acceptSyn(l, tuple, h)
 			return
 		}
 	}

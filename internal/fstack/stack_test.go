@@ -500,7 +500,7 @@ func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
 			rst := TCPHeader{SrcPort: c.tuple.remote.Port, DstPort: c.tuple.local.Port, Seq: c.rcvNxt, Flags: TCPRst}
 			seg := make([]byte, rst.encodedLen())
 			putTCPHeaderEager(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
-			s.inputTCP(c.nif, IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
+			s.inputTCP(s.nifByIP(c.tuple.local.IP), IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
 			if c.state != tcpClosed || !c.queued || len(s.connFree) != 0 {
 				t.Fatalf("reset: state %v, queued %v, %d pooled; want CLOSED, still queued, none pooled", c.state, c.queued, len(s.connFree))
 			}
@@ -519,9 +519,9 @@ func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
 // device, but the user function still runs and the iteration counts.
 func TestCrashedRunOnceRunsCallback(t *testing.T) {
 	clk := sim.NewVClock()
-	seg, pool, dev, _ := buildDevice(t, clk, "0000:03:00", 1, false, 1)
+	seg, pool, devs, _ := buildDevice(t, clk, "0000:03:00", 1, false, 1, 1)
 	stk := NewStack(seg, pool, clk)
-	d := &stepCounter{EthDevice: dev.Queue(0)}
+	d := &stepCounter{EthDevice: devs[0].Queue(0)}
 	stk.AddNetIF(d, IP4(10, 0, 0, 1), IP4(255, 255, 255, 0))
 	calls := 0
 	stk.OnLoop = func(int64) { calls++ }

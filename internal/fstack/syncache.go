@@ -20,7 +20,6 @@ const defaultSynCacheCap = 1024
 // synEntry is one half-open connection.
 type synEntry struct {
 	tuple fourTuple
-	nif   *NetIF
 
 	iss      uint32 // our initial sequence number
 	irs      uint32 // peer's initial sequence number (SYN's Seq)
@@ -72,7 +71,7 @@ func (s *Stack) noteSynDrop(reason int64, l *listener, port uint16) {
 // acceptSyn admits a SYN into the cache and answers SYN|ACK. A SYN
 // refused because the backlog or the cache is full is counted and
 // dropped silently (the peer retransmits).
-func (s *Stack) acceptSyn(nif *NetIF, l *listener, tuple fourTuple, h TCPHeader) {
+func (s *Stack) acceptSyn(l *listener, tuple fourTuple, h TCPHeader) {
 	if l.pendingCount()+l.halfOpen >= l.backlog {
 		s.noteSynDrop(obs.SynDropBacklog, l, tuple.local.Port)
 		return
@@ -83,7 +82,6 @@ func (s *Stack) acceptSyn(nif *NetIF, l *listener, tuple fourTuple, h TCPHeader)
 	}
 	e := s.allocSynEntry()
 	e.tuple = tuple
-	e.nif = nif
 	e.irs = h.Seq
 	if h.HasTS {
 		e.tsRecent = h.TSVal
@@ -146,12 +144,13 @@ func (s *Stack) sendSynAck(e *synEntry) {
 	}
 	h.SACKPermitted = e.sackOK
 	hl := h.encodedLen()
-	m, frame := s.txAlloc(e.nif, IPv4HeaderLen+hl)
+	nif := s.nifByIP(e.tuple.local.IP)
+	m, frame := s.txAlloc(nif, IPv4HeaderLen+hl)
 	if m == nil {
 		return // ring full: the retransmit timer is the retry path
 	}
 	PutTCPHeader(frame[EthHeaderLen+IPv4HeaderLen:], h, e.tuple.local.IP, e.tuple.remote.IP, hl)
-	s.sendIPv4(e.nif, m, frame, e.tuple.remote.IP, ProtoTCP, hl)
+	s.sendIPv4(nif, m, frame, e.tuple.remote.IP, ProtoTCP, hl)
 }
 
 // synRetransmit fires off the synWheel: resend the SYN|ACK with
@@ -208,7 +207,7 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 		}
 		return
 	}
-	c := s.newTCPConn(e.nif, e.tuple)
+	c := s.newTCPConn(e.tuple)
 	c.setState(tcpSynReceived)
 	c.rcvNxt = e.irs + 1
 	c.tsRecent = e.tsRecent
@@ -254,6 +253,5 @@ func (s *Stack) synFreeEntry(e *synEntry) {
 		e.timerH = connscale.None
 	}
 	delete(s.syncache, e.tuple)
-	e.nif = nil
 	s.synFree = append(s.synFree, e)
 }

@@ -2,23 +2,68 @@ package fstack
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hostos"
+	"repro/internal/obs"
 )
 
+// TestTCPSimultaneousClose closes both ends in the same tick, so the
+// FINs cross. Close enters FIN_WAIT_1 at once (RFC 793's CLOSE), even
+// with data still queued: when A's FIN waits behind 64 KiB, B's FIN
+// reaches A first, and both ends still pass through TIME_WAIT.
 func TestTCPSimultaneousClose(t *testing.T) {
-	e := newEnv(t, false)
-	cfd, afd := e.connectPair(5001)
-	// Both sides close in the same tick: FINs cross (CLOSING path).
-	e.stkA.Close(cfd)
-	e.stkB.Close(afd)
-	e.pumpUntil(60000, "both tables drained", func() bool {
-		na := len(e.stkA.conns)
-		nb := len(e.stkB.conns)
-		return na == 0 && nb == 0
-	})
+	for _, tc := range []struct {
+		name   string
+		queued int // bytes A writes just before its Close
+		walkA  string
+		walkB  string
+	}{
+		{"FINs cross", 0,
+			"FIN_WAIT_1 CLOSING TIME_WAIT CLOSED", "FIN_WAIT_1 CLOSING TIME_WAIT CLOSED"},
+		{"A closes with 64 KiB queued", 64 << 10,
+			"FIN_WAIT_1 CLOSING TIME_WAIT CLOSED", "FIN_WAIT_1 FIN_WAIT_2 TIME_WAIT CLOSED"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, false)
+			cfd, afd := e.connectPair(5001)
+			walkA, walkB := stateWalk(e.stkA), stateWalk(e.stkB)
+			if tc.queued > 0 {
+				if n, errno := e.stkA.Write(cfd, make([]byte, tc.queued)); errno != hostos.OK || n != tc.queued {
+					t.Fatalf("write: %d, %v", n, errno)
+				}
+			}
+			e.stkA.Close(cfd)
+			e.stkB.Close(afd)
+			e.pumpUntil(60000, "both tables drained", func() bool {
+				return len(e.stkA.conns) == 0 && len(e.stkB.conns) == 0
+			})
+			if got := walkA(); got != tc.walkA {
+				t.Errorf("A went %s, want %s", got, tc.walkA)
+			}
+			if got := walkB(); got != tc.walkB {
+				t.Errorf("B went %s, want %s", got, tc.walkB)
+			}
+		})
+	}
+}
+
+// stateWalk records every state the stack's connections enter from now
+// on; the returned func lists them in order.
+func stateWalk(s *Stack) func() string {
+	tr := obs.NewTrace(1024)
+	s.SetObs(tr, nil, 0)
+	return func() string {
+		var walk []string
+		for _, ev := range tr.Snapshot() {
+			if ev.Type == obs.EvTCPState {
+				walk = append(walk, tcpState(ev.B).String())
+			}
+		}
+		return strings.Join(walk, " ")
+	}
 }
 
 func TestTCPWriteAfterCloseFails(t *testing.T) {

@@ -61,6 +61,27 @@ func newHookedEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) 
 	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
 }
 
+// wireSeg parses a wire frame as an IPv4 TCP segment, returning its IP
+// and TCP headers and its payload length; ok is false for anything
+// else. A hook sees the checksum its sender left pending, so it is not
+// verified.
+func wireSeg(frame []byte) (ip IPv4Header, h TCPHeader, payloadLen int, ok bool) {
+	eth, err := ParseEthHeader(frame)
+	if err != nil || eth.Type != EtherTypeIPv4 {
+		return ip, h, 0, false
+	}
+	ip, ihl, err := ParseIPv4Header(frame[EthHeaderLen:])
+	if err != nil || ip.Proto != ProtoTCP {
+		return ip, h, 0, false
+	}
+	seg := frame[EthHeaderLen+ihl : EthHeaderLen+int(ip.TotalLen)]
+	h, hl, err := parseTCPHeader(seg, ip.Src, ip.Dst, nil, true)
+	if err != nil {
+		return ip, h, 0, false
+	}
+	return ip, h, len(seg) - hl, true
+}
+
 // isDataFrame filters for TCP segments with a real payload (the
 // handshake, ACKs and ARP stay under ~90 bytes on this stack).
 func isDataFrame(data []byte) bool { return len(data) > 200 }
@@ -181,6 +202,95 @@ func TestRTOBackoffExponential(t *testing.T) {
 	}
 	if capped == 0 {
 		t.Fatalf("backoff never reached the rtoMax cap (gaps %v)", gaps)
+	}
+}
+
+// TestLostFINResentAtFinSeq loses A's FIN, and in the second row the
+// segment carrying the last data byte with it. Close fixed the FIN's
+// sequence number, so the timeout rewind requeues the FIN by itself: it
+// leaves once more, after the RTO and at the same finSeq, and both ends
+// close, A through TIME_WAIT.
+func TestLostFINResentAtFinSeq(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dropLast bool // also drop the first segment that ends at finSeq
+	}{
+		{"FIN dropped", false},
+		{"last data segment and FIN dropped", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var finSeq uint32
+			var finAt []int64 // when each of A's FINs left
+			var finSeqs []uint32
+			droppedFIN, droppedLast := false, false
+			e := newHookedEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
+				_, h, n, ok := wireSeg(data)
+				if from != 0 || !ok {
+					return 0, false
+				}
+				switch {
+				case h.Flags&TCPFin != 0:
+					finAt = append(finAt, readyAt)
+					finSeqs = append(finSeqs, h.Seq)
+					if !droppedFIN {
+						droppedFIN = true
+						return 0, true
+					}
+				case tc.dropLast && !droppedLast && n > 0 && h.Seq+uint32(n) == finSeq:
+					droppedLast = true
+					return 0, true
+				}
+				return 0, false
+			})
+			cfd, afd := e.connectPair(5001)
+			walkA := stateWalk(e.stkA)
+			c := e.stkA.socks.get(cfd).conn
+			payload := bytes.Repeat([]byte{0x5A}, 10000)
+			finSeq = c.sndNxt + uint32(len(payload))
+			if n, errno := e.stkA.Write(cfd, payload); errno != hostos.OK || n != len(payload) {
+				t.Fatalf("write: %d, %v", n, errno)
+			}
+			e.stkA.Close(cfd)
+			if c.finSeq != finSeq {
+				t.Fatalf("Close set finSeq %d, want %d (sndUna + queued bytes)", c.finSeq, finSeq)
+			}
+			// B reads to EOF, then closes.
+			var got []byte
+			buf := make([]byte, 4096)
+			closedB := false
+			e.pumpUntil(60000, "both tables drained", func() bool {
+				for !closedB {
+					n, errno := e.stkB.Read(afd, buf)
+					if errno != hostos.OK {
+						break
+					}
+					if n == 0 {
+						e.stkB.Close(afd)
+						closedB = true
+					}
+					got = append(got, buf[:n]...)
+				}
+				return len(e.stkA.conns) == 0 && len(e.stkB.conns) == 0
+			})
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("B read %d bytes, want the %d A wrote", len(got), len(payload))
+			}
+			if !droppedFIN || droppedLast != tc.dropLast {
+				t.Fatalf("drops: FIN %v, last segment %v — the hook missed its segment", droppedFIN, droppedLast)
+			}
+			if len(finAt) != 2 || finSeqs[0] != finSeq || finSeqs[1] != finSeq {
+				t.Fatalf("A sent FINs at seqs %v, want two at finSeq %d", finSeqs, finSeq)
+			}
+			if gap := finAt[1] - finAt[0]; gap < rtoMin {
+				t.Errorf("FIN resent %d ns after the first, before an RTO (floor %d ns)", gap, int64(rtoMin))
+			}
+			if rto := e.stkA.Stats().RTORetransmit; (rto > 0) != tc.dropLast {
+				t.Errorf("%d data segments resent after the timeout", rto)
+			}
+			if got, want := walkA(), "FIN_WAIT_1 FIN_WAIT_2 TIME_WAIT CLOSED"; got != want {
+				t.Errorf("A went %s, want %s", got, want)
+			}
+		})
 	}
 }
 

@@ -89,7 +89,6 @@ type fourTuple struct {
 // bytes-per-idle-connection, pinned by TestConnPlaneStructSizes.
 type tcpConn struct {
 	stk  *Stack
-	nif  *NetIF
 	sk   *socket // owning socket: nil before accept / after close
 	cold *tcpCold
 	// The congestion window and slow-start threshold (bytes); cc.go's
@@ -113,7 +112,7 @@ type tcpConn struct {
 	sndNxt   uint32
 	sndMax   uint32 // highest sequence ever sent (survives go-back-N rewinds)
 	sndWnd   uint32 // peer's advertised window
-	finSeq   uint32 // sequence number the FIN occupies (valid when finEver)
+	finSeq   uint32 // sequence number our FIN occupies, fixed by Close (finQueued)
 	rcvNxt   uint32
 	advWnd   uint32 // last advertised window
 	tsRecent uint32 // latest peer TSVal (echoed in TSEcr)
@@ -137,12 +136,6 @@ type tcpConn struct {
 	offerSACK bool  // we advertise SACK-permitted on our SYN/SYN|ACK
 	offerWS   bool  // we advertise window scaling on our SYN/SYN|ACK
 	sackOK    bool  // both sides agreed on SACK
-
-	finQueued bool // Close called: FIN after all buffered data
-	finSent   bool // FIN is currently in flight (cleared by a rewind)
-	finEver   bool // FIN has been transmitted at least once
-	finAcked  bool
-	finRcvd   bool // peer's FIN has been sequenced into rcvNxt
 
 	// connection-scale plumbing (stack.go): seq stamps creation order
 	// for the poll visit sort; timerH files the earliest armed timer on
@@ -240,6 +233,31 @@ func (c *tcpConn) rcvOOO() []oooRun {
 	return c.cold.rcvOOO
 }
 
+// finQueued reports whether the application has closed the connection:
+// the five states after RFC 793's CLOSE, in which finSeq is the sequence
+// number our FIN takes once every queued byte is out. Our FIN is in
+// flight while sndNxt is past finSeq; a timeout rewind requeues it.
+func (c *tcpConn) finQueued() bool {
+	switch c.state {
+	case tcpFinWait1, tcpFinWait2, tcpClosing, tcpLastAck, tcpTimeWait:
+		return true
+	}
+	return false
+}
+
+// finAcked reports whether the peer has acknowledged our FIN.
+func (c *tcpConn) finAcked() bool { return c.finQueued() && seqGT(c.sndUna, c.finSeq) }
+
+// peerFin reports whether the peer's FIN has been sequenced into rcvNxt:
+// the four states that follow one.
+func (c *tcpConn) peerFin() bool {
+	switch c.state {
+	case tcpCloseWait, tcpClosing, tcpLastAck, tcpTimeWait:
+		return true
+	}
+	return false
+}
+
 // newTCPConn builds a connection in the given state with rings in the
 // stack's segment, sized and featured per the stack's TCP tuning. The
 // struct comes off the conn arena when one is pooled — the path that
@@ -248,7 +266,7 @@ func (c *tcpConn) rcvOOO() []oooRun {
 // so a newly added field cannot leak state between incarnations. It
 // cannot fail: SetTCPTuning admits only ring sizes and an algorithm a
 // connection can be built with.
-func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
+func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 	sndSize, rcvSize := sndBufSize, rcvBufSize
 	if s.tuning.SndBufBytes > 0 {
 		sndSize = s.tuning.SndBufBytes
@@ -270,7 +288,6 @@ func (s *Stack) newTCPConn(nif *NetIF, tuple fourTuple) *tcpConn {
 	}
 	*c = tcpConn{
 		stk:       s,
-		nif:       nif,
 		tuple:     tuple,
 		state:     tcpClosed,
 		sndBuf:    sockBuf{size: uint32(sndSize)},
@@ -391,7 +408,9 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 	}
 	hl := h.encodedLen()
 	total := hl + payloadLen
-	m, frame := c.stk.txAlloc(c.nif, IPv4HeaderLen+total)
+	// The segment leaves by the port that owns the local address.
+	nif := c.stk.nifByIP(c.tuple.local.IP)
+	m, frame := c.stk.txAlloc(nif, IPv4HeaderLen+total)
 	if m == nil {
 		// Pool or ring exhausted: the next poll's visit retries the send.
 		c.stk.queueVisit(c)
@@ -407,7 +426,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 		}
 	}
 	PutTCPHeader(tcpSeg, h, c.tuple.local.IP, c.tuple.remote.IP, total)
-	ok := c.stk.sendIPv4(c.nif, m, frame, c.tuple.remote.IP, ProtoTCP, total)
+	ok := c.stk.sendIPv4(nif, m, frame, c.tuple.remote.IP, ProtoTCP, total)
 	if ok {
 		shift := c.rcvWScale
 		if flags&TCPSyn != 0 {
@@ -504,10 +523,8 @@ func (c *tcpConn) output() {
 			c.sndNxt, limit = c.nextUnsacked(c.sndNxt, limit)
 			retransmitting = seqLT(c.sndNxt, c.sndMax)
 		}
-		avail := c.sndBuf.Len() - int(c.sndNxt-c.sndUna) // bytes not yet sent
-		if c.finSent && !c.finAcked {
-			avail = 0
-		}
+		// Bytes not yet sent; -1 while our FIN is in flight.
+		avail := c.sndBuf.Len() - int(c.sndNxt-c.sndUna)
 		space := wnd - c.pipe()
 		n := min(min(avail, space), limit)
 		if n <= 0 {
@@ -533,26 +550,14 @@ func (c *tcpConn) output() {
 			c.armRTO()
 		}
 	}
-	// FIN, once all data is out.
-	if c.finQueued && !c.finSent &&
-		int(c.sndNxt-c.sndUna) == c.sndBuf.Len() &&
-		c.inflight() <= wnd {
+	// FIN, once all data is out: Close fixed its sequence number and
+	// state, so sending it changes neither.
+	if c.finQueued() && c.sndNxt == c.finSeq && c.inflight() <= wnd {
 		if c.sendSegment(TCPFin|TCPAck, c.sndNxt, 0, false) {
-			if !c.finEver {
-				c.finEver = true
-				c.finSeq = c.sndNxt
-			}
 			c.sndNxt++
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
-			c.finSent = true
 			if c.rtxAt == 0 {
 				c.armRTO()
-			}
-			switch c.state {
-			case tcpEstablished:
-				c.setState(tcpFinWait1)
-			case tcpCloseWait:
-				c.setState(tcpLastAck)
 			}
 		}
 	}
@@ -849,11 +854,9 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	// New data acknowledged.
 	acked := int(ack - c.sndUna)
 	dataAcked := acked
-	if c.finEver && seqGT(ack, c.finSeq) {
+	if c.finQueued() && seqGT(ack, c.finSeq) {
 		// The FIN consumed one sequence number.
 		dataAcked--
-		c.finAcked = true
-		c.finSent = true
 	}
 	if dataAcked > 0 {
 		if err := c.sndBuf.consume(dataAcked); err != nil {
@@ -907,7 +910,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		c.armRTO()
 	}
 	// State transitions driven by our FIN being acked.
-	if c.finAcked {
+	if c.finAcked() {
 		switch c.state {
 		case tcpFinWait1:
 			c.setState(tcpFinWait2)
@@ -936,7 +939,7 @@ func (c *tcpConn) onRTO() {
 		c.armRTO()
 		return
 	}
-	if c.inflight() == 0 && !(c.finSent && !c.finAcked) {
+	if c.inflight() == 0 { // a FIN in flight counts: it has a sequence number
 		c.rtxAt = 0
 		return
 	}
@@ -947,11 +950,8 @@ func (c *tcpConn) onRTO() {
 		k.inRecovery = false
 	}
 	// Rewind and let output() resend (it classifies the resends and
-	// skips SACKed runs).
+	// skips SACKed runs, and requeues a FIN the rewind passed below).
 	c.sndNxt = c.sndUna
-	if c.finSent && !c.finAcked {
-		c.finSent = false // FIN will be requeued by output()
-	}
 	c.rto = min(c.rto*2, int64(rtoMax))
 	c.rtxN++
 	c.armRTO()
@@ -1292,8 +1292,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		}
 	}
 	c.acceptData(h, payload)
-	if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt && !c.finRcvd {
-		c.finRcvd = true
+	if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt && !c.peerFin() {
 		c.rcvNxt++
 		// Nothing follows a FIN, and it took a sequence number but no ring
 		// byte: anything parked past it would now sit one off.
@@ -1305,7 +1304,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		case tcpEstablished:
 			c.setState(tcpCloseWait)
 		case tcpFinWait1:
-			if c.finAcked {
+			if c.finAcked() {
 				c.enterTimeWait()
 			} else {
 				c.setState(tcpClosing)
