@@ -28,7 +28,7 @@ func appMem(t *testing.T, size uint64) (*cheri.TMem, cheri.Cap) {
 }
 
 // buffered reports the received bytes waiting on a connection.
-func buffered(s *Stack, fd int) int { return s.socks.get(fd).conn.rcvBuf.Len() }
+func buffered(s *Stack, fd int) int { return s.sockOf(fd).conn.rcvBuf.Len() }
 
 // TestCapCopiesRoundTrip: bytes loaded through one capability by
 // WriteCap arrive, and ReadCap stores them through another.
@@ -191,7 +191,7 @@ func TestReadCapMatchesRead(t *testing.T) {
 		}},
 		{"closed_no_error_no_fin", func(e *testEnv) int {
 			cfd, _ := e.connectPair(5001)
-			e.stkA.socks.get(cfd).conn.state = tcpClosed
+			e.stkA.sockOf(cfd).conn.state = tcpClosed
 			return cfd
 		}},
 	} {

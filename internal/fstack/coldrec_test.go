@@ -26,7 +26,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
 	cfd, afd := e.connectPair(7005)
-	client, server := e.stkA.socks.get(cfd).conn, e.stkB.socks.get(afd).conn
+	client, server := e.stkA.sockOf(cfd).conn, e.stkB.sockOf(afd).conn
 	held := func(when string) {
 		t.Helper()
 		if client.cold != nil || server.cold != nil {
@@ -76,7 +76,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	// persist timer is what takes its record, not a duplicate ACK.
 	e.stkB.SetTCPTuning(TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 8 << 10})
 	cfd2, afd2 := e.connectPair(7006)
-	zw := e.stkA.socks.get(cfd2).conn
+	zw := e.stkA.sockOf(cfd2).conn
 	dupAcks := e.stkA.Stats().DupAcks
 	if n, _ := e.stkA.Write(cfd2, payload[:24<<10]); n != 24<<10 {
 		t.Fatalf("wrote %d of %d bytes", n, 24<<10)
@@ -99,7 +99,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	e.stkA.SetTCPTuning(TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 64 << 10, Congestion: CCCubic})
 	e.stkB.SetTCPTuning(tune)
 	cfd3, afd3 := e.connectPair(7007)
-	cu := e.stkA.socks.get(cfd3).conn
+	cu := e.stkA.sockOf(cfd3).conn
 	if cu.cc != ccCubic {
 		t.Fatalf("the CUBIC stack built a conn running algorithm %d", cu.cc)
 	}

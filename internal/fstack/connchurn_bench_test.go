@@ -111,7 +111,7 @@ func sparseEpoll(tb testing.TB, s *Stack, n int) (epfd int, fds []int, hot *udpS
 	if k, errno := s.EpollWait(epfd, evs[:]); errno != hostos.OK || k != 0 {
 		tb.Fatalf("quiet sockets reported: n=%d errno=%v", k, errno)
 	}
-	return epfd, fds, s.socks.get(fds[n/2]).udp
+	return epfd, fds, s.sockOf(fds[n/2]).udp
 }
 
 // BenchmarkEpollWaitSparse is the case the pushed ready list exists
@@ -122,13 +122,13 @@ func sparseEpoll(tb testing.TB, s *Stack, n int) (epfd int, fds []int, hot *udpS
 func BenchmarkEpollWaitSparse(b *testing.B) {
 	e := newEnv(b, false)
 	s := e.stkB
-	epfd, _, hot := sparseEpoll(b, s, 4096)
+	epfd, fds, hot := sparseEpoll(b, s, 4096)
 	var evs [8]Event
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hot.pushDgram(dgram{})
-		if k, _ := s.EpollWait(epfd, evs[:]); k != 1 || evs[0].FD != hot.sk.fd {
+		if k, _ := s.EpollWait(epfd, evs[:]); k != 1 || evs[0].FD != fds[len(fds)/2] {
 			b.Fatalf("woken socket not reported: n=%d %v", k, evs[0])
 		}
 		hot.popDgram()

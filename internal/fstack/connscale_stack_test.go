@@ -80,7 +80,7 @@ func warmARP(e *testEnv) {
 		for _, c := range pr.s.conns {
 			pr.s.removeConn(c)
 		}
-		pr.s.socks.del(pr.fd)
+		pr.s.fds.del(pr.fd)
 	}
 }
 

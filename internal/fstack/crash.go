@@ -69,7 +69,7 @@ func (s *Stack) Crash() {
 
 	// Epoll: registrations are fully dropped — a restarted application
 	// re-registers from scratch. The instances (and their fds) remain.
-	s.socks.each(func(_ int, sk *socket) { s.unregister(sk, nil) })
+	s.dropRegs(nil)
 
 	// Half-open connections die silently; freeing every entry empties
 	// the SYN wheel (order-free: nothing observable is emitted).

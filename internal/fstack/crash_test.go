@@ -217,10 +217,13 @@ func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []strin
 
 	// Name every registration before the crash recycles it.
 	name := map[*epollReg]string{}
-	b.socks.each(func(fd int, sk *socket) {
-		for r := sk.regs; r != nil; r = r.nextSk {
+	b.fds.each(func(fd int, f *shardedFD) {
+		if f.sk == nil {
+			return
+		}
+		for r := f.sk.regs; r != nil; r = r.nextSk {
 			for i, ep := range eps {
-				if b.epolls.get(ep) == r.ep {
+				if b.fds.get(ep).ep == r.ep {
 					name[r] = fmt.Sprintf("%d@%d", fd, i)
 				}
 			}

@@ -56,7 +56,7 @@ func BenchmarkDatapathFrame(b *testing.B) {
 
 // sndBufLen peeks a connection's send-buffer occupancy (bench hook).
 func (e *testEnv) sndBufLen(fd int) int {
-	sk := e.stkA.socks.get(fd)
+	sk := e.stkA.sockOf(fd)
 	if sk == nil || sk.conn == nil {
 		return -1
 	}

@@ -36,13 +36,16 @@
 //     instances, each bound to one queue handle of the same port, with
 //     symmetric RSS steering keeping both directions of every flow on
 //     one shard.
-//     Connection, socket and listener tables plus timers are
-//     shard-local; ARP state is shared (read-mostly); listening sockets
-//     are cloned per shard so a SYN is accepted wherever RSS lands it.
-//     ShardedAPI is one caller's view: its own descriptors over cloned
-//     listeners and pinned connections, and source ports from the
-//     stack's one rotation that round-robin new connections over the
-//     shards. Scenario 4 measures the resulting aggregate-goodput scaling.
+//     Connections, sockets, listener tables and timers are shard-local;
+//     ARP state is shared (read-mostly). ShardedAPI is one caller's
+//     descriptor table: a number names the socket itself, which lives on
+//     shard 0 until placed — Listen copies it onto every shard, so a SYN
+//     is accepted wherever RSS lands it, and Connect moves it to the
+//     shard its return traffic reaches — and an epoll registration
+//     carries the number, so a wait reports it untranslated. Source
+//     ports come from the stack's one rotation and round-robin new
+//     connections over the shards. A Stack is the view of itself alone.
+//     Scenario 4 measures the resulting aggregate-goodput scaling.
 //
 //   - In capability mode (the CHERI port) socket buffers and all packet
 //     memory live in a bounded memory segment and every copy is a
@@ -75,8 +78,8 @@
 //     zero-alloc (BenchmarkUDPRoundTrip pins it). ShardedAPI extends
 //     SendTo/RecvFrom with the same RSS steering as TCP: an
 //     unbound-socket SendTo auto-binds a source port of the rotation, and
-//     bound sockets are cloned per shard so a datagram is delivered
-//     wherever RSS lands it.
+//     Bind copies a datagram socket onto every shard so a datagram is
+//     delivered wherever RSS lands it.
 //
 // Protocols: Ethernet II, ARP, IPv4 (no fragmentation — the MSS never
 // exceeds the MTU), ICMP echo, UDP, and TCP with the features the

@@ -118,8 +118,8 @@ func dial(t *testing.T, s *Stack, local, ip IPv4Addr, port uint16) int {
 // request, a reply and both FINs, and every TCP frame each peer sees
 // carries its own port's address. The one case where the owning port
 // and the route part, an active open bound to port 0's address toward
-// port 1's subnet, is pinned as it behaves: its SYN waits on port 0 for
-// an ARP answer no host there gives, and nothing reaches port 1.
+// port 1's subnet, is refused by Connect with EADDRNOTAVAIL before any
+// frame leaves.
 func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
 	r := newDualRig(t)
 	addrs := [2]IPv4Addr{IP4(10, 0, 0, 1), IP4(10, 0, 1, 1)}
@@ -193,25 +193,30 @@ func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
 		}
 	}
 
-	// Bound to port 0's address, toward port 1's subnet.
+	// Bound to port 0's address, toward port 1's subnet: the SYN could
+	// only wait on port 0 for an ARP answer no host there gives, so
+	// Connect refuses up front, nothing leaves either port, and the
+	// socket still opens toward port 0's own subnet.
 	r.tapped = [2][]tappedFrame{}
-	fd := dial(t, r.m, addrs[0], peerIPs[1], 7001)
+	fd, _ := r.m.Socket(SockStream)
+	if errno := r.m.Bind(fd, addrs[0], 0); errno != hostos.OK {
+		t.Fatal(errno)
+	}
+	if errno := r.m.Connect(fd, peerIPs[1], 7001); errno != hostos.EADDRNOTAVAIL {
+		t.Fatalf("bound active open toward port 1's subnet: %v, want EADDRNOTAVAIL", errno)
+	}
 	resent := r.clk.Now() + rtoInitial + rtoInitial/2
-	r.pumpUntil(40000, "SYN resent", func() bool { return r.clk.Now() > resent })
-	if st := r.m.ConnState(fd); st != "SYN_SENT" {
-		t.Errorf("bound active open is %s, want SYN_SENT", st)
+	r.pumpUntil(40000, "a SYN's resend time passed", func() bool { return r.clk.Now() > resent })
+	if st := r.m.ConnState(fd); st != "NONE" {
+		t.Errorf("refused active open is %s, want no connection", st)
 	}
-	arps := 0
-	for _, f := range r.tapped[0] {
-		if f.arpTarget != peerIPs[1] || f.src != addrs[0] {
-			t.Fatalf("port 0 sent %+v, want only ARP requests for %v", f, peerIPs[1])
+	for i, frames := range r.tapped {
+		if len(frames) != 0 {
+			t.Errorf("port %d sent %d frames for a refused open: %+v", i, len(frames), frames)
 		}
-		arps++
 	}
-	if arps < 2 {
-		t.Errorf("port 0 asked for %v %d times, want the SYN and its resend", peerIPs[1], arps)
+	if errno := r.m.Connect(fd, peerIPs[0], 7001); errno != hostos.EINPROGRESS {
+		t.Fatalf("the refused socket toward port 0's subnet: %v, want EINPROGRESS", errno)
 	}
-	if len(r.tapped[1]) != 0 {
-		t.Errorf("port 1 sent %d frames of a connection bound to port 0's address: %+v", len(r.tapped[1]), r.tapped[1])
-	}
+	r.pumpUntil(4000, "established from port 0's address", func() bool { return r.m.ConnState(fd) == "ESTABLISHED" })
 }

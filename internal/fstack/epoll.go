@@ -39,15 +39,33 @@ type epollInstance struct {
 	// ready is the sentinel of the circular ready list, oldest wake
 	// first.
 	ready epollReg
+	// set is the epoll number's instances, one per shard of its view,
+	// this one among them: a socket copied or moved onto shard i
+	// registers with set[i].
+	set []epollInstance
+}
+
+// newEpollSet makes one epoll number's instances, one per shard.
+func newEpollSet(n int) []epollInstance {
+	set := make([]epollInstance, n)
+	for i := range set {
+		ep := &set[i]
+		ep.ready.prev, ep.ready.next = &ep.ready, &ep.ready
+		ep.set = set
+	}
+	return set
 }
 
 // epollReg is one socket's registration with one instance. Pooled per
 // stack (regFree) and chained intrusively, so registering allocates
 // nothing at steady state and the socket struct carries one pointer.
 type epollReg struct {
-	ep   *epollInstance
+	ep   *epollInstance // nil while the registration is free
 	sk   *socket
 	want uint32
+	// data is the number the registration was made under, which
+	// EpollWait reports as is (F-Stack's epoll_event.data).
+	data int32
 
 	// nextSk chains the registrations of one socket, one per instance
 	// watching it (and the stack's free list).
@@ -102,7 +120,8 @@ func (c *tcpConn) wake() {
 }
 
 // allocReg takes a registration off the pool, refilling it a slab at a
-// time.
+// time. The stack keeps its slabs: closing an instance and a crash walk
+// them for the live registrations.
 func (s *Stack) allocReg() *epollReg {
 	if s.regFree == nil {
 		slab := make([]epollReg, regSlabLen)
@@ -110,9 +129,18 @@ func (s *Stack) allocReg() *epollReg {
 			slab[i].nextSk = &slab[i+1]
 		}
 		s.regFree = &slab[0]
+		s.regSlabs = append(s.regSlabs, slab)
 	}
 	r := s.regFree
 	s.regFree = r.nextSk
+	return r
+}
+
+// register chains a new registration of sk with ep under number data.
+func (s *Stack) register(ep *epollInstance, sk *socket, data int32, want uint32) *epollReg {
+	r := s.allocReg()
+	*r = epollReg{ep: ep, sk: sk, want: want, data: data, nextSk: sk.regs}
+	sk.regs = r
 	return r
 }
 
@@ -132,30 +160,23 @@ func (s *Stack) unregister(sk *socket, ep *epollInstance) {
 	}
 }
 
-// EpollCreate makes an epoll descriptor.
-func (s *Stack) EpollCreate() int {
-	fd := s.nextFD
-	s.nextFD++
-	ep := &epollInstance{}
-	ep.ready.prev, ep.ready.next = &ep.ready, &ep.ready
-	s.epolls.put(fd, ep)
-	return fd
-}
-
-// closeEpoll drops an instance and every registration with it. The one
-// operation here that walks the descriptor table: an application makes
-// an instance per lifetime, not per connection.
-func (s *Stack) closeEpoll(epfd int, ep *epollInstance) {
-	s.socks.each(func(_ int, sk *socket) { s.unregister(sk, ep) })
-	s.epolls.del(epfd)
-}
-
-// EpollCtl manipulates the interest set.
-func (s *Stack) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
-	ep, sk := s.epolls.get(epfd), s.socks.get(fd)
-	if ep == nil || sk == nil {
-		return hostos.EBADF
+// dropRegs drops every registration with ep, or with any instance when
+// ep is nil: an instance's close, a crash. The one operation here that
+// walks the registration slabs: an application makes an instance per
+// lifetime, not per connection.
+func (s *Stack) dropRegs(ep *epollInstance) {
+	for _, slab := range s.regSlabs {
+		for i := range slab {
+			if r := &slab[i]; r.ep != nil && (ep == nil || r.ep == ep) {
+				s.unregister(r.sk, r.ep)
+			}
+		}
 	}
+}
+
+// epollCtl changes sk's registration with ep; an added one carries the
+// number data.
+func (s *Stack) epollCtl(ep *epollInstance, op int, sk *socket, data int32, events uint32) hostos.Errno {
 	r := sk.regs
 	for r != nil && r.ep != ep {
 		r = r.nextSk
@@ -165,12 +186,9 @@ func (s *Stack) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 		if r != nil {
 			return hostos.EINVAL
 		}
-		r = s.allocReg()
-		*r = epollReg{ep: ep, sk: sk, want: events, nextSk: sk.regs}
-		sk.regs = r
 		// Whatever the socket already holds (data that arrived before
 		// Accept, a completed connect) is reported by the next Wait.
-		r.queue()
+		s.register(ep, sk, data, events).queue()
 	case EpollCtlMod:
 		if r == nil {
 			return hostos.ENOENT
@@ -185,24 +203,20 @@ func (s *Stack) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 	return hostos.OK
 }
 
-// EpollWait collects ready events (non-blocking), oldest wake first. It
-// visits only the registrations woken since they last reported nothing:
-// each is re-evaluated, reported and re-queued behind the others if
-// still ready (level-triggered), dropped from the list if not. When
-// more are ready than evs holds, the rest stay queued in order for the
-// next call — and lead it, since the reported ones went to the back.
-func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
-	ep := s.epolls.get(epfd)
-	if ep == nil {
-		return -1, hostos.EBADF
-	}
+// epollWait collects ep's ready events (non-blocking), oldest wake
+// first. It visits only the registrations woken since they last reported
+// nothing: each is re-evaluated, reported and re-queued behind the
+// others if still ready (level-triggered), dropped from the list if not.
+// When more are ready than evs holds, the rest stay queued in order for
+// the next call — and lead it, since the reported ones went to the back.
+func (s *Stack) epollWait(ep *epollInstance, evs []Event) int {
 	n := 0
 	last := ep.ready.prev // one pass: what follows it is re-queued by this call
 	for n < len(evs) && ep.ready.next != &ep.ready {
 		r := ep.ready.next
 		r.unqueue()
 		if got := r.sk.readiness() & (r.want | EPOLLERR | EPOLLHUP); got != 0 {
-			evs[n] = Event{FD: r.sk.fd, Events: got}
+			evs[n] = Event{FD: int(r.data), Events: got}
 			n++
 			r.queue()
 		}
@@ -210,7 +224,7 @@ func (s *Stack) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 			break
 		}
 	}
-	return n, hostos.OK
+	return n
 }
 
 // readiness computes the level-triggered event set of a socket.

@@ -56,26 +56,20 @@ func scanInterest(interest map[int]uint32, sockOf func(fd int) *socket, out []Ev
 // refStack scans a single stack's descriptor table.
 func refStack(s *Stack) func(map[int]uint32) []Event {
 	return func(interest map[int]uint32) []Event {
-		return scanInterest(interest, s.socks.get, nil)
+		return scanInterest(interest, s.sockOf, nil)
 	}
 }
 
-// refSharded scans every shard of a ShardedAPI: a pinned descriptor on
-// its shard, a cloned one wherever a clone is ready (so a listener ready
+// refSharded scans every shard of a ShardedAPI: a socket on the shard
+// it lives on, a copied one wherever a copy is ready (so a listener ready
 // on two shards is two events, as ShardedAPI.EpollWait reports it).
 func refSharded(a *ShardedAPI) func(map[int]uint32) []Event {
 	return func(interest map[int]uint32) []Event {
 		var out []Event
-		for i, s := range a.ss.shards {
-			out = scanInterest(interest, func(lfd int) *socket {
-				f := a.fds.get(lfd)
-				switch {
-				case f == nil:
-					return nil
-				case f.kind != sfConn:
-					return s.socks.get(f.sub[i])
-				case f.shard == i:
-					return s.socks.get(f.fd)
+		for i := range a.shards {
+			out = scanInterest(interest, func(fd int) *socket {
+				if f := a.sock(fd); f != nil {
+					return f.on(i)
 				}
 				return nil
 			}, out)
@@ -562,7 +556,7 @@ func TestEpollClose(t *testing.T) {
 	if errno := s.Close(ep); errno != hostos.EBADF {
 		t.Fatalf("second Close(epfd): %v, want EBADF", errno)
 	}
-	if sk := s.socks.get(fd); sk == nil || sk.regs != nil {
+	if sk := s.sockOf(fd); sk == nil || sk.regs != nil {
 		t.Fatalf("socket after its instance closed: %+v, want it open and unregistered", sk)
 	}
 	ep2 := s.EpollCreate()

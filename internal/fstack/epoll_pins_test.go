@@ -11,8 +11,9 @@ import (
 // multiplies by the connection count: Scenario 8's bytes-per-idle-
 // connection column (scenario8.golden) moves with tcpConn (its two ring
 // headers inside) or socket. The epoll registration chain must fit in
-// the slack, not grow them, and the cold record an idle connection does
-// not hold (CUBIC's 32 B epoch inside it) stays within 112 bytes.
+// the slack, not grow them, the number a registration carries must fit
+// in its padding, and the cold record an idle connection does not hold
+// (CUBIC's 32 B epoch inside it) stays within 112 bytes.
 func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
@@ -21,7 +22,8 @@ func TestConnPlaneStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"socket", unsafe.Sizeof(socket{}), 48},
+		{"socket", unsafe.Sizeof(socket{}), 40},
+		{"epollReg", unsafe.Sizeof(epollReg{}), 48},
 		{"tcpConn", unsafe.Sizeof(tcpConn{}), 208},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
 		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},

@@ -16,7 +16,6 @@ const (
 // closing one descriptor at a time would otherwise reallocate per call.
 type fdTable[T comparable] struct {
 	pages []fdPage[T]
-	n     int
 }
 
 // fdPage is one page's slots (nil while it holds nothing, the newest
@@ -52,7 +51,6 @@ func (t *fdTable[T]) put(fd int, v T) {
 	slot := &p.slot[fd&(fdPageLen-1)]
 	if *slot == zero {
 		p.live++
-		t.n++
 	}
 	*slot = v
 }
@@ -66,28 +64,7 @@ func (t *fdTable[T]) del(fd int) {
 	p := &t.pages[fd>>fdPageBits]
 	p.slot[fd&(fdPageLen-1)] = zero
 	p.live--
-	t.n--
 	if p.live == 0 && fd>>fdPageBits != len(t.pages)-1 {
 		p.slot = nil
-	}
-}
-
-// len reports the number of descriptors held.
-func (t *fdTable[T]) len() int { return t.n }
-
-// each calls f for every descriptor in ascending order. f may delete
-// the descriptor it is given.
-func (t *fdTable[T]) each(f func(fd int, v T)) {
-	var zero T
-	for p := range t.pages {
-		slot := t.pages[p].slot
-		if slot == nil {
-			continue
-		}
-		for i, v := range slot {
-			if v != zero {
-				f(p<<fdPageBits|i, v)
-			}
-		}
 	}
 }

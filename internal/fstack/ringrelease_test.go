@@ -185,7 +185,7 @@ func TestRingsBackOnFirstByte(t *testing.T) {
 	if a, b := e.stkA.seg.Used(), e.stkB.seg.Used(); a != usedA || b != usedB {
 		t.Fatalf("connect and accept carved %d B and %d B of segment, want none", a-usedA, b-usedB)
 	}
-	client, server := e.stkA.socks.get(cfd).conn, e.stkB.socks.get(afd).conn
+	client, server := e.stkA.sockOf(cfd).conn, e.stkB.sockOf(afd).conn
 	backed := func() [4]bool {
 		return [4]bool{client.sndBuf.backed, client.rcvBuf.backed, server.sndBuf.backed, server.rcvBuf.backed}
 	}
@@ -234,7 +234,7 @@ func TestRecycledConnTakesNewTuning(t *testing.T) {
 	slab := len(e.stkB.connSlab)
 
 	cfd, afd = establish(e, lfd, 7003, 0)
-	c := e.stkB.socks.get(afd).conn
+	c := e.stkB.sockOf(afd).conn
 	if c != pooled || len(e.stkB.connFree) != 0 || len(e.stkB.connSlab) != slab {
 		t.Fatalf("accepted the pooled conn: %v; %d pooled left, slab %d → %d; want it, none left, the slab untouched",
 			c == pooled, len(e.stkB.connFree), slab, len(e.stkB.connSlab))

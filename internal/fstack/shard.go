@@ -1,6 +1,7 @@
 package fstack
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/cheri"
@@ -15,7 +16,7 @@ import (
 // classifier uses a symmetric flow hash, so both directions of a TCP
 // connection arrive on the same queue and a connection's entire
 // lifecycle — SYN, data, timers, FIN — runs on exactly one shard. The
-// connection table, socket table, listeners and timers are all
+// connections, sockets, listeners and timers are all
 // shard-local; only ARP/neighbor state is shared (read-mostly, and ARP
 // traffic always lands on queue 0). Shards therefore need no
 // coordination on the datapath, which is what real F-Stack achieves by
@@ -124,144 +125,166 @@ func (s *Stack) localIPFor(dst IPv4Addr) IPv4Addr {
 	return nif.IP
 }
 
-// --- sharded application API ---
+// --- the descriptor layer ---
 
-// sfKind distinguishes the logical descriptor flavors.
-type sfKind int
-
-const (
-	sfSocket   sfKind = iota // created, not yet placed on a shard
-	sfListener               // cloned across every shard
-	sfConn                   // pinned to one shard
-	sfEpoll                  // cloned across every shard
-)
-
-// shardedFD is one logical descriptor of the ShardedAPI.
+// shardedFD is what one number of a view names: a socket, on the one
+// shard it lives on or copied onto every shard, or an epoll number's
+// instances, one per shard.
 type shardedFD struct {
-	kind  sfKind
-	typ   int
-	shard int   // sfConn: owning shard; sfEpoll: where EpollWait starts; else -1
-	fd    int   // sfConn: descriptor on that shard
-	sub   []int // cloned kinds: descriptor per shard
-	bound struct {
-		ip   IPv4Addr
-		port uint16
-	}
+	sk *socket // the socket, or its copy on shard 0
+	// peers are a listener's or a bound datagram socket's copies, one per
+	// shard (peers[0] is sk); nil while the socket lives on one shard.
+	peers []*socket
+	ep    *epollInstance // an epoll number's instance on shard 0; ep.set holds every shard's
+	// shard is where sk lives; for an epoll number, the shard EpollWait
+	// asks first.
+	shard int
+	// free chains the view's recycled entries while this one is one.
+	free *shardedFD
 }
 
-// ShardedAPI is one caller's view of a ShardedStack: the same ff_*
-// surface as a single stack, with descriptors fanned out underneath.
-// Listening sockets are cloned on every shard, so a SYN is accepted on
-// whichever shard RSS steers it to; established connections are pinned
-// to their shard; locally initiated connections pick their source port
-// first, ask the device's steering oracle which queue the return
-// traffic will hit, and are created on that shard. Calls touch only the
-// shard(s) they need. A view of one shard has nothing to steer: its
-// calls are the shard's own.
+// on is the number's socket on shard i, nil if it has none there.
+func (f *shardedFD) on(i int) *socket {
+	if f.peers != nil {
+		return f.peers[i]
+	}
+	if i == f.shard {
+		return f.sk
+	}
+	return nil
+}
+
+// ShardedAPI is one caller's descriptor table over a set of shards, the
+// way FreeBSD's fd_ofiles is a process's: a number names a socket (or an
+// epoll number's instances) directly, and every ff_* call resolves it
+// once. A socket lives on shard 0 until it is placed: Listen and a
+// datagram Bind copy it onto every shard, so a SYN or a datagram is taken
+// on whichever shard RSS steers it to; Connect picks its source port
+// first, asks the device's steering oracle which queue the return
+// traffic will hit and moves the socket to that shard if it is another.
+// Calls touch only the shard(s) they need. A Stack is the view of itself
+// alone, and a view of one shard has nothing to steer: its calls are the
+// shard's own.
 type ShardedAPI struct {
-	ss     *ShardedStack
-	nextFD int
+	ss     *ShardedStack // the port and shard rotation; nil in a stack's own view
+	shards []*Stack
+	next   int // the next number issued
 	fds    fdTable[*shardedFD]
-	rev    []fdTable[int] // per shard: shard fd -> logical fd
-	fdSlab []shardedFD    // unissued tail of the current slab (slabLen)
+	// free chains the entries of closed numbers for reuse, and slab is
+	// the unissued tail of the slab fresh ones come from, a table page's
+	// worth (fdPageLen) at a time: a stack that holds a number per parked
+	// connection pays for its entries as it does for its table pages.
+	free *shardedFD
+	slab []shardedFD
 }
 
 // API returns a new view of the stack. A view is a descriptor table: a
 // caller acts only on the descriptors its own view issued, and every
 // view draws source ports from the stack's one rotation.
 func (ss *ShardedStack) API() *ShardedAPI {
-	return &ShardedAPI{ss: ss, nextFD: 3, rev: make([]fdTable[int], len(ss.shards))}
+	return &ShardedAPI{ss: ss, shards: ss.shards, next: 3}
 }
 
-// alloc registers a logical descriptor, its struct taken from a slab
-// refilled slabLen at a time.
+// alloc issues the next number for f, its entry a recycled one or the
+// slab's next.
 func (a *ShardedAPI) alloc(f shardedFD) int {
-	p := slabTake(&a.fdSlab)
+	p := a.free
+	if p != nil {
+		a.free = p.free
+	} else {
+		p = slabTake(&a.slab, fdPageLen)
+	}
 	*p = f
-	fd := a.nextFD
-	a.nextFD++
+	fd := a.next
+	a.next++
 	a.fds.put(fd, p)
 	return fd
 }
 
-// Socket creates a descriptor. It exists on every shard until Listen or
-// Connect decides whether it is cloned or pinned.
+// sock resolves a number that names a socket; nil if it names none.
+func (a *ShardedAPI) sock(fd int) *shardedFD {
+	if f := a.fds.get(fd); f != nil && f.sk != nil {
+		return f
+	}
+	return nil
+}
+
+// Socket creates a socket of the given type, on shard 0 until placed.
 func (a *ShardedAPI) Socket(typ int) (int, hostos.Errno) {
-	sub := make([]int, len(a.ss.shards))
-	for i, s := range a.ss.shards {
-		fd, errno := s.Socket(typ)
-		if errno != hostos.OK {
-			for j := 0; j < i; j++ {
-				a.ss.shards[j].Close(sub[j])
-			}
-			return -1, errno
-		}
-		sub[i] = fd
+	if typ != SockStream && typ != SockDgram {
+		return -1, hostos.EINVAL
 	}
-	lfd := a.alloc(shardedFD{kind: sfSocket, typ: typ, shard: -1, sub: sub})
-	for i := range a.ss.shards {
-		a.rev[i].put(sub[i], lfd)
-	}
-	return lfd, hostos.OK
+	return a.alloc(shardedFD{sk: a.shards[0].newSocket(int16(typ))}), hostos.OK
 }
 
-// Bind attaches a local address on every shard.
+// Bind attaches a local address; a datagram socket is then copied onto
+// every shard.
 func (a *ShardedAPI) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return hostos.EBADF
 	}
-	if f.kind != sfSocket {
-		return hostos.EINVAL
+	if errno := a.shards[f.shard].bind(f.sk, ip, port); errno != hostos.OK || f.sk.typ != SockDgram {
+		return errno
 	}
-	for i, s := range a.ss.shards {
-		if errno := s.Bind(f.sub[i], ip, port); errno != hostos.OK {
-			return errno
-		}
-	}
-	f.bound.ip, f.bound.port = ip, port
-	return hostos.OK
+	return a.spread(f, func(s *Stack, sk *socket) hostos.Errno { return s.openUDP(sk, sk.bound) })
 }
 
-// Listen clones the listener across every shard.
+// Listen makes a bound stream socket passive and copies it onto every
+// shard.
 func (a *ShardedAPI) Listen(fd, backlog int) hostos.Errno {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return hostos.EBADF
 	}
-	if f.kind != sfSocket || f.typ != SockStream {
-		return hostos.EINVAL
+	if errno := a.shards[f.shard].listen(f.sk, backlog); errno != hostos.OK {
+		return errno
 	}
-	for i, s := range a.ss.shards {
-		if errno := s.Listen(f.sub[i], backlog); errno != hostos.OK {
-			return errno
-		}
-	}
-	f.kind = sfListener
-	return hostos.OK
+	return a.spread(f, func(s *Stack, sk *socket) hostos.Errno { return s.listen(sk, backlog) })
 }
 
-// Accept dequeues an established connection from whichever shard has
-// one; the returned descriptor is pinned to that shard.
+// spread copies f's socket, just made a listener or a bound datagram
+// socket on its shard, onto every other shard, where do makes each copy
+// the same.
+func (a *ShardedAPI) spread(f *shardedFD, do func(*Stack, *socket) hostos.Errno) hostos.Errno {
+	if len(a.shards) == 1 {
+		return hostos.OK
+	}
+	f.peers = make([]*socket, len(a.shards))
+	first := hostos.OK
+	for i, s := range a.shards {
+		sk := f.sk
+		if i != f.shard {
+			sk = s.copySocket(f.sk, i)
+			first = cmp.Or(first, do(s, sk))
+		}
+		f.peers[i] = sk
+	}
+	f.sk, f.shard = f.peers[0], 0
+	return first
+}
+
+// Accept dequeues an established connection from the first shard that
+// has one; the new number names that shard's socket.
 func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
-	if f.kind != sfListener {
-		return -1, IPv4Addr{}, 0, hostos.EINVAL
-	}
-	for i, s := range a.ss.shards {
-		nfd, ip, port, errno := s.Accept(f.sub[i])
+	for i, s := range a.shards {
+		sk := f.on(i)
+		if sk == nil {
+			continue
+		}
+		nsk, errno := s.accept(sk)
 		if errno == hostos.EAGAIN {
 			continue
 		}
 		if errno != hostos.OK {
 			return -1, IPv4Addr{}, 0, errno
 		}
-		lfd := a.alloc(shardedFD{kind: sfConn, typ: SockStream, shard: i, fd: nfd})
-		a.rev[i].put(nfd, lfd)
-		return lfd, ip, port, hostos.OK
+		peer := nsk.conn.tuple.remote
+		return a.alloc(shardedFD{sk: nsk, shard: i}), peer.IP, peer.Port, hostos.OK
 	}
 	return -1, IPv4Addr{}, 0, hostos.EAGAIN
 }
@@ -271,32 +294,32 @@ func (a *ShardedAPI) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
 // steering oracle so consecutive connections round-robin the shards
 // (the ephemeral-port engineering sharded clients do in practice); an
 // explicitly bound port pins the connection to wherever that tuple
-// actually hashes. Either way the clones on the other shards are
-// discarded and inbound segments need no cross-shard hand-off. With one
-// shard there is nothing to steer, and the shard picks its own port.
+// actually hashes. The socket moves there before the open, so inbound
+// segments need no cross-shard hand-off; if the open fails it stays
+// there, unconnected, for the caller to retry or close. With one shard
+// there is nothing to steer, and the shard picks its own port.
 func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return hostos.EBADF
 	}
-	if f.kind != sfSocket || f.typ != SockStream {
-		return hostos.EINVAL
+	if f.sk.typ != SockStream || f.sk.conn != nil || f.sk.lst != nil {
+		return hostos.EISCONN
 	}
-	ss, shard := a.ss, 0
-	if len(ss.shards) > 1 {
+	shard, sport := f.shard, uint16(0)
+	if ss := a.ss; len(a.shards) > 1 {
 		if ss.steer == nil {
 			return hostos.EINVAL
 		}
-		localIP := f.bound.ip
+		localIP := f.sk.bound.IP
 		if localIP == (IPv4Addr{}) {
-			localIP = ss.shards[0].localIPFor(ip)
+			localIP = a.shards[0].localIPFor(ip)
 		}
-		sport := f.bound.port
-		if sport == 0 {
+		if sport = f.sk.bound.Port; sport == 0 {
 			// Inbound segments of this flow will carry src=(ip,port),
 			// dst=(local,sport): walk the stack's rotation until the
 			// tuple hashes to the round-robin target shard.
-			want := ss.rr % len(ss.shards)
+			want := ss.rr % len(a.shards)
 			ss.rr++
 			for try := 0; try < 512; try++ {
 				if p := ss.nextPort(); ss.steer(ip, localIP, ProtoTCP, port, p) == want {
@@ -308,243 +331,251 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 				sport = ss.nextPort()
 			}
 		}
-		shard = ss.steer(ip, localIP, ProtoTCP, port, sport)
-		// Bind and connect on the target shard BEFORE discarding the
-		// other shards' clones: on failure the logical descriptor stays
-		// a plain socket with every clone intact, so the caller can
-		// retry or close it normally.
-		if f.bound.port == 0 {
-			if errno := ss.shards[shard].Bind(f.sub[shard], f.bound.ip, sport); errno != hostos.OK {
-				return errno
-			}
+		if shard = ss.steer(ip, localIP, ProtoTCP, port, sport); shard != f.shard {
+			sk := a.shards[shard].copySocket(f.sk, shard)
+			a.shards[f.shard].close(f.sk)
+			f.sk, f.shard = sk, shard
 		}
 	}
-	sfd := f.sub[shard]
-	errno := ss.shards[shard].Connect(sfd, ip, port)
-	if errno != hostos.OK && errno != hostos.EINPROGRESS {
-		return errno
-	}
-	for i, other := range ss.shards {
-		if i == shard {
-			continue
-		}
-		other.Close(f.sub[i])
-		a.rev[i].del(f.sub[i])
-	}
-	f.kind, f.shard, f.fd, f.sub = sfConn, shard, sfd, nil
-	return errno
+	return a.shards[shard].connect(f.sk, ip, port, sport)
 }
 
-// ShardOf is the shard whose thread a call on fd starts on: a connection's
-// own, an epoll instance's next, else (listener, unplaced, none) shard 0.
+// ShardOf is the shard whose thread a call on fd starts on: a socket's
+// own (shard 0 for one copied onto every shard), an epoll number's next,
+// else shard 0.
 func (a *ShardedAPI) ShardOf(fd int) *Stack {
 	shard := 0
 	if f := a.fds.get(fd); f != nil {
-		shard = max(f.shard, 0)
+		shard = f.shard
 	}
-	return a.ss.shards[shard]
+	return a.shards[shard]
 }
 
-// conn resolves a pinned descriptor.
-func (a *ShardedAPI) conn(fd int) (*Stack, *shardedFD, hostos.Errno) {
-	f := a.fds.get(fd)
+// conn resolves a number that names a connection, and its shard.
+func (a *ShardedAPI) conn(fd int) (*Stack, *tcpConn, hostos.Errno) {
+	f := a.sock(fd)
 	if f == nil {
 		return nil, nil, hostos.EBADF
 	}
-	if f.kind != sfConn {
+	if f.sk.conn == nil {
 		return nil, nil, hostos.ENOTCONN
 	}
-	return a.ss.shards[f.shard], f, hostos.OK
+	return a.shards[f.shard], f.sk.conn, hostos.OK
 }
 
-// Read consumes received bytes from the connection's shard.
-func (a *ShardedAPI) Read(fd int, dst []byte) (int, hostos.Errno) {
-	s, f, errno := a.conn(fd)
-	if errno != hostos.OK {
-		return -1, errno
+// writable resolves fd to a connection that takes writes now.
+func (a *ShardedAPI) writable(fd int) (*Stack, *tcpConn, hostos.Errno) {
+	s, c, errno := a.conn(fd)
+	if errno == hostos.OK {
+		errno = writableState(c)
 	}
-	return s.Read(f.fd, dst)
+	return s, c, errno
 }
 
-// Write stores bytes for transmission on the connection's shard.
+// Write copies from a plain byte slice into the socket send buffer
+// (the Baseline's ff_write). Partial writes return the stored count;
+// a full buffer returns EAGAIN.
 func (a *ShardedAPI) Write(fd int, src []byte) (int, hostos.Errno) {
-	s, f, errno := a.conn(fd)
+	s, c, errno := a.writable(fd)
 	if errno != hostos.OK {
 		return -1, errno
 	}
-	return s.Write(f.fd, src)
+	return s.write(c, src)
 }
 
-// ReadCap and WriteCap are Read and Write through a capability buffer
-// (what a gate target hands down), on the connection's shard.
-func (a *ShardedAPI) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	s, f, errno := a.conn(fd)
-	if errno != hostos.OK {
-		return -1, errno
-	}
-	return s.ReadCap(f.fd, mem, buf, n)
-}
-
+// WriteCap is the CHERI ff_write: the source buffer arrives as a
+// capability (`const void * __capability buf`, §III-B). The load is
+// checked once, over exactly the bytes the send buffer takes now, so a
+// capability fault stores nothing; a full buffer is EAGAIN unchecked.
 func (a *ShardedAPI) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	s, f, errno := a.conn(fd)
+	s, c, errno := a.writable(fd)
 	if errno != hostos.OK {
 		return -1, errno
 	}
-	return s.WriteCap(f.fd, mem, buf, n)
+	if n = min(n, c.sndBuf.Free()); n <= 0 {
+		return -1, hostos.EAGAIN
+	}
+	src, err := mem.CheckedSliceRO(buf, buf.Addr(), n)
+	if err != nil {
+		return -1, hostos.EFAULT
+	}
+	return s.write(c, src)
 }
 
-// WriteRoom is Stack.WriteRoom on the connection's shard: 0 for a
-// descriptor that is not a connection.
+// WriteRoom bounds what WriteCap on fd would load now: the send buffer's
+// free space while the connection takes writes, 0 when WriteCap would
+// refuse. It is never below what WriteCap loads, so a caller staging
+// only that many bytes hands over every byte the stack takes. A query,
+// not a call: it changes and books nothing.
 func (a *ShardedAPI) WriteRoom(fd int) int {
-	s, f, errno := a.conn(fd)
+	_, c, errno := a.writable(fd)
 	if errno != hostos.OK {
 		return 0
 	}
-	return s.WriteRoom(f.fd)
+	return c.sndBuf.Free()
 }
 
-// SendTo transmits one datagram. A bound UDP socket stays cloned across
-// every shard (Bind fans out), so datagrams are received wherever RSS
-// steers them; transmission goes through the shard whose RX queue the
-// flow's return traffic will hit, keeping both directions of a
-// query/answer exchange on one shard the way pinned TCP connections are.
+// Read consumes received bytes into a plain slice. Returns 0 at EOF
+// (peer FIN drained), EAGAIN when no data is buffered.
+func (a *ShardedAPI) Read(fd int, dst []byte) (int, hostos.Errno) {
+	s, c, n, errno := a.readable(fd)
+	if c == nil {
+		return n, errno
+	}
+	return s.read(c, dst)
+}
+
+// ReadCap is the CHERI ff_read: the store into the caller's capability
+// buffer is checked once, over exactly the bytes the read takes.
+func (a *ShardedAPI) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
+	s, c, ret, errno := a.readable(fd)
+	if c == nil {
+		return ret, errno
+	}
+	var dst []byte
+	if n = min(n, c.rcvBuf.Len()); n > 0 {
+		var err error
+		if dst, err = mem.CheckedSlice(buf, buf.Addr(), n); err != nil {
+			return -1, hostos.EFAULT
+		}
+	}
+	return s.read(c, dst)
+}
+
+// readable resolves fd to a connection with bytes to read. With none
+// buffered it returns a nil connection and what the read returns
+// instead: 0 at EOF, otherwise -1 and the errno.
+func (a *ShardedAPI) readable(fd int) (*Stack, *tcpConn, int, hostos.Errno) {
+	s, c, errno := a.conn(fd)
+	switch {
+	case errno != hostos.OK:
+		return nil, nil, -1, errno
+	case c.rcvBuf.Len() > 0:
+		return s, c, 0, hostos.OK
+	case c.err() != hostos.OK:
+		return nil, nil, -1, c.err()
+	case c.peerFin():
+		return nil, nil, 0, hostos.OK // EOF
+	case c.state == tcpClosed:
+		return nil, nil, -1, hostos.ENOTCONN
+	default:
+		return nil, nil, -1, hostos.EAGAIN
+	}
+}
+
+// SendTo transmits one datagram. Across several shards an unbound
+// socket is first bound to the next port of the stack's rotation (and so
+// copied onto every shard), and the datagram leaves by the shard whose
+// RX queue the flow's return traffic will hit, keeping both directions
+// of a query/answer exchange on one shard the way a connection is. On
+// one shard the shard auto-binds an unbound socket itself.
 func (a *ShardedAPI) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return -1, hostos.EBADF
 	}
-	if f.kind != sfSocket || f.typ != SockDgram {
+	if f.sk.typ != SockDgram {
 		return -1, hostos.EINVAL
 	}
-	if len(a.ss.shards) == 1 {
-		// Nothing to steer: the shard auto-binds an unbound socket itself.
-		return a.ss.shards[0].SendTo(f.sub[0], data, ip, port)
+	if len(a.shards) == 1 {
+		return a.shards[0].sendTo(f.sk, data, ip, port)
 	}
-	if f.bound.port == 0 {
-		// Auto-bind one port of the stack's rotation on every shard, like
-		// a single stack's SendTo: answers are then queued on whichever
-		// shard RSS picks and RecvFrom scans them all.
+	if f.sk.udp == nil {
 		if errno := a.Bind(fd, IPv4Addr{}, a.ss.nextPort()); errno != hostos.OK {
 			return -1, errno
 		}
 	}
 	shard := 0
 	if steer := a.ss.steer; steer != nil {
-		localIP := f.bound.ip
+		localIP := f.sk.bound.IP
 		if localIP == (IPv4Addr{}) {
-			localIP = a.ss.shards[0].localIPFor(ip)
+			localIP = a.shards[0].localIPFor(ip)
 		}
-		shard = steer(ip, localIP, ProtoUDP, port, f.bound.port)
+		shard = steer(ip, localIP, ProtoUDP, port, f.sk.bound.Port)
 	}
-	return a.ss.shards[shard].SendTo(f.sub[shard], data, ip, port)
+	return a.shards[shard].sendTo(f.on(shard), data, ip, port)
 }
 
 // RecvFrom pops the oldest queued datagram, scanning shards in shard
 // order (deterministic under the fixed RSS steering).
 func (a *ShardedAPI) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
-	f := a.fds.get(fd)
+	f := a.sock(fd)
 	if f == nil {
 		return -1, IPv4Addr{}, 0, hostos.EBADF
 	}
-	if f.kind != sfSocket || f.typ != SockDgram {
-		return -1, IPv4Addr{}, 0, hostos.EINVAL
-	}
-	for i, s := range a.ss.shards {
-		n, ip, port, errno := s.RecvFrom(f.sub[i], dst)
-		if errno == hostos.OK {
-			return n, ip, port, hostos.OK
-		}
-		if errno != hostos.EAGAIN {
-			return -1, IPv4Addr{}, 0, errno
+	for i, s := range a.shards {
+		if sk := f.on(i); sk != nil {
+			if n, ip, port, errno := s.recvFrom(sk, dst); errno != hostos.EAGAIN {
+				return n, ip, port, errno
+			}
 		}
 	}
 	return -1, IPv4Addr{}, 0, hostos.EAGAIN
 }
 
-// Close shuts the logical descriptor down on every shard that holds a
-// piece of it.
+// Close releases the number and shuts what it names down on every shard
+// that holds a piece of it: a socket's copies, an epoll number's
+// instances with their registrations.
 func (a *ShardedAPI) Close(fd int) hostos.Errno {
 	f := a.fds.get(fd)
 	if f == nil {
 		return hostos.EBADF
 	}
 	a.fds.del(fd)
-	switch f.kind {
-	case sfConn:
-		a.rev[f.shard].del(f.fd)
-		return a.ss.shards[f.shard].Close(f.fd)
-	default:
-		var first hostos.Errno = hostos.OK
-		for i, s := range a.ss.shards {
-			a.rev[i].del(f.sub[i])
-			if errno := s.Close(f.sub[i]); errno != hostos.OK && first == hostos.OK {
-				first = errno
-			}
+	for i, s := range a.shards {
+		if f.ep != nil {
+			s.dropRegs(&f.ep.set[i])
+		} else if sk := f.on(i); sk != nil {
+			s.close(sk)
 		}
-		return first
 	}
+	*f = shardedFD{free: a.free}
+	a.free = f
+	return hostos.OK
 }
 
-// EpollCreate makes a logical epoll descriptor cloned on every shard.
+// EpollCreate makes an epoll number: an instance on every shard.
 func (a *ShardedAPI) EpollCreate() int {
-	sub := make([]int, len(a.ss.shards))
-	for i, s := range a.ss.shards {
-		sub[i] = s.EpollCreate()
-	}
-	return a.alloc(shardedFD{kind: sfEpoll, sub: sub})
+	return a.alloc(shardedFD{ep: &newEpollSet(len(a.shards))[0]})
 }
 
-// EpollCtl manipulates the interest set: pinned targets on their shard,
-// cloned targets on every shard.
+// EpollCtl changes fd's registration with epfd on every shard fd has a
+// socket on. A registration carries fd: EpollWait reports it as is.
 func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
-	ep, f := a.fds.get(epfd), a.fds.get(fd)
-	if ep == nil || ep.kind != sfEpoll || f == nil {
+	ep, f := a.fds.get(epfd), a.sock(fd)
+	if ep == nil || ep.ep == nil || f == nil {
 		return hostos.EBADF
 	}
-	if f.kind == sfConn {
-		return a.ss.shards[f.shard].EpollCtl(ep.sub[f.shard], op, f.fd, events)
-	}
-	for i, s := range a.ss.shards {
-		if errno := s.EpollCtl(ep.sub[i], op, f.sub[i], events); errno != hostos.OK {
-			return errno
+	for i, s := range a.shards {
+		if sk := f.on(i); sk != nil {
+			if errno := s.epollCtl(&ep.ep.set[i], op, sk, int32(fd), events); errno != hostos.OK {
+				return errno
+			}
 		}
 	}
 	return hostos.OK
 }
 
-// EpollWait collects ready events across every shard, translated back
-// to logical descriptors.
+// EpollWait collects ready events across every shard.
 func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
-	ep := a.fds.get(epfd)
-	if ep == nil || ep.kind != sfEpoll {
+	f := a.fds.get(epfd)
+	if f == nil || f.ep == nil {
 		return -1, hostos.EBADF
 	}
 	// Each shard reports straight into what is left of the caller's
-	// buffer and the descriptors are translated in place: whatever does
-	// not fit stays queued on its shard, in order, for the next call.
-	// The shards are asked from ep.shard on, and a call that runs out of
-	// room moves it to the first shard it could not ask, so a full shard
-	// cannot keep the buffer to itself; a call with room for every shard
-	// leaves it where it was.
-	n, shards := 0, len(a.ss.shards)
+	// buffer: whatever does not fit stays queued on its shard, in order,
+	// for the next call. The shards are asked from f.shard on, and a
+	// call that runs out of room moves it to the first shard it could
+	// not ask, so a full shard cannot keep the buffer to itself; a call
+	// with room for every shard leaves it where it was.
+	n, shards := 0, len(a.shards)
 	for j := range shards {
-		i := (ep.shard + j) % shards
+		i := (f.shard + j) % shards
 		if n == len(evs) {
-			ep.shard = i
+			f.shard = i
 			break
 		}
-		k, errno := a.ss.shards[i].EpollWait(ep.sub[i], evs[n:])
-		if errno != hostos.OK {
-			return -1, errno
-		}
-		for _, ev := range evs[n : n+k] {
-			lfd := a.rev[i].get(ev.FD)
-			if lfd == 0 {
-				continue // descriptor raced with Close
-			}
-			evs[n] = Event{FD: lfd, Events: ev.Events}
-			n++
-		}
+		n += a.shards[i].epollWait(&f.ep.set[i], evs[n:])
 	}
 	return n, hostos.OK
 }

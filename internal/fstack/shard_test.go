@@ -66,3 +66,67 @@ func TestShardedViewsShareOnePortSpace(t *testing.T) {
 		t.Fatalf("datagrams from source ports %v, want two distinct", udpPorts)
 	}
 }
+
+// TestShardedDialAllocs pins the descriptor layer on a warm 4-shard
+// view: a dial — Socket, EpollCtl(ADD, EPOLLOUT), Connect, Close —
+// allocates nothing, and only shard 0, where the socket is made, and the
+// shard its connection lands on take a socket struct or a registration;
+// the other shards are not touched. The connections round-robin the
+// shards, so every shard is the target in turn. Under the race detector,
+// whose instrumentation allocates, only the shards are checked.
+func TestShardedDialAllocs(t *testing.T) {
+	clk := sim.NewVClock()
+	ipB := IP4(10, 0, 0, 2)
+	ss, cardA := buildShardedMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), 4)
+	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, ipB, false)
+	nic.Connect(cardA.Port(0), cardB.Port(0))
+	api := ss.API()
+	ep := api.EpollCreate()
+	target := -1
+	dial := func() {
+		fd, _ := api.Socket(SockStream)
+		if errno := api.EpollCtl(ep, EpollCtlAdd, fd, EPOLLOUT); errno != hostos.OK {
+			t.Fatalf("epoll add: %v", errno)
+		}
+		if errno := api.Connect(fd, ipB, 9200); errno != hostos.EINPROGRESS {
+			t.Fatalf("connect: %v", errno)
+		}
+		target = api.fds.get(fd).shard
+		api.Close(fd)
+		for range 4 { // the SYN leaves and the peer's RST comes back
+			for _, s := range ss.shards {
+				s.PollOnce()
+			}
+			stkB.PollOnce()
+			clk.Advance(5000)
+		}
+	}
+	for range 64 { // ARP, the slabs, the pools, the descriptor page
+		dial()
+	}
+	type held struct {
+		issued, free int
+		regs         *epollReg
+	}
+	for i := range 8 {
+		var before [4]held
+		for k, s := range ss.shards {
+			before[k] = held{s.sockIssued, len(s.sockFree), s.regFree}
+		}
+		dial()
+		if target != i%4 {
+			t.Fatalf("dial %d landed on shard %d, want the rotation's %d", i, target, i%4)
+		}
+		for k, s := range ss.shards {
+			if k != 0 && k != target && (held{s.sockIssued, len(s.sockFree), s.regFree}) != before[k] {
+				t.Errorf("a dial to shard %d touched shard %d's sockets or registrations", target, k)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if a := testing.AllocsPerRun(200, dial); a != 0 {
+		t.Fatalf("a dial on a warm 4-shard view costs %.0f allocations, want 0", a)
+	}
+}

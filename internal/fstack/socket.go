@@ -1,7 +1,6 @@
 package fstack
 
 import (
-	"repro/internal/cheri"
 	"repro/internal/hostos"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -144,151 +143,141 @@ func (s *Stack) freeDgramBuf(b []byte) {
 	s.dgramFree = append(s.dgramFree, b[:0])
 }
 
-// socket is one file descriptor. Its size is part of Scenario 8's
+// socket is one open socket on one stack, named by a number of a view
+// (ShardedAPI). Its size is part of Scenario 8's
 // bytes-per-idle-connection figure (Stack.RetainedBytes) and pinned by a
 // test: typ shares bound's word so the epoll chain head fits without
 // growing the struct.
 type socket struct {
-	fd int
-
 	bound tcpEndpoint
 	typ   int16     // SockStream or SockDgram
 	conn  *tcpConn  // stream, after connect/accept
 	lst   *listener // stream, after listen
 	udp   *udpSock  // dgram, after bind
 
-	// regs chains this descriptor's epoll registrations (epoll.go).
+	// regs chains this socket's epoll registrations (epoll.go).
 	regs *epollReg
 }
 
-// The ff_* API. All calls are non-blocking and take no host lock: a bed
-// runs on one goroutine, so they may be made from OnLoop, from a gate
-// target or between iterations. F-Stack's serialization against the main
-// loop is modelled by sim's crossing-cost table, not by a mutex.
+// What follows is the stack's half of the ff_* API: what a call does to
+// the socket a view resolved its number to. All calls are non-blocking
+// and take no host lock: a bed runs on one goroutine, so they may be made
+// from OnLoop, from a gate target or between iterations. F-Stack's
+// serialization against the main loop is modelled by sim's crossing-cost
+// table, not by a mutex.
 
-// Socket creates a descriptor of the given type.
-func (s *Stack) Socket(typ int) (int, hostos.Errno) {
-	if typ != SockStream && typ != SockDgram {
-		return -1, hostos.EINVAL
-	}
-	fd := s.nextFD
-	s.nextFD++
-	sk := s.allocSocket()
-	sk.fd, sk.typ = fd, int16(typ)
-	s.socks.put(fd, sk)
-	return fd, hostos.OK
-}
-
-// allocSocket takes a socket struct off the arena (or the current slab),
-// reset to the zero state.
-func (s *Stack) allocSocket() *socket {
+// newSocket takes a socket struct of the given type off the arena (or
+// the current slab).
+func (s *Stack) newSocket(typ int16) *socket {
 	var sk *socket
 	if n := len(s.sockFree); n > 0 {
 		sk = s.sockFree[n-1]
 		s.sockFree[n-1] = nil
 		s.sockFree = s.sockFree[:n-1]
 	} else {
-		sk = slabTake(&s.sockSlab)
+		sk = slabTake(&s.sockSlab, slabLen)
+		s.sockIssued++
 	}
-	*sk = socket{}
+	*sk = socket{typ: typ}
 	return sk
 }
 
-// Bind attaches a local address. A zero IP binds all interfaces.
-func (s *Stack) Bind(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return hostos.EBADF
+// copySocket makes sk's copy on this stack, shard i of a view: its type,
+// its address and its registrations, each with the same epoll number's
+// instance on shard i and queued if the original is.
+func (s *Stack) copySocket(sk *socket, i int) *socket {
+	c := s.newSocket(sk.typ)
+	c.bound = sk.bound
+	for r := sk.regs; r != nil; r = r.nextSk {
+		if nr := s.register(&r.ep.set[i], c, r.data, r.want); r.next != nil {
+			nr.queue()
+		}
 	}
-	if sk.bound.Port != 0 {
+	return c
+}
+
+// bind attaches a local address. A zero IP binds all interfaces.
+func (s *Stack) bind(sk *socket, ip IPv4Addr, port uint16) hostos.Errno {
+	if sk.bound.Port != 0 || sk.udp != nil {
 		return hostos.EINVAL
 	}
 	if ip != (IPv4Addr{}) && s.nifByIP(ip) == nil {
 		return hostos.EINVAL
 	}
 	ep := tcpEndpoint{IP: ip, Port: port}
-	switch sk.typ {
-	case SockStream:
-		if _, dup := s.listeners[ep]; dup {
-			return hostos.EADDRINUSE
-		}
-	case SockDgram:
-		if _, dup := s.udps[ep]; dup {
-			return hostos.EADDRINUSE
-		}
-		sk.udp = &udpSock{sk: sk, ep: ep}
-		s.udps[ep] = sk.udp
-		sk.wake() // a bound datagram socket is writable
+	if sk.typ == SockDgram {
+		return s.openUDP(sk, ep)
+	}
+	if _, dup := s.listeners[ep]; dup {
+		return hostos.EADDRINUSE
 	}
 	sk.bound = ep
 	return hostos.OK
 }
 
-// Listen makes a bound stream socket passive.
-func (s *Stack) Listen(fd, backlog int) hostos.Errno {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return hostos.EBADF
+// openUDP binds a datagram socket to ep on this stack.
+func (s *Stack) openUDP(sk *socket, ep tcpEndpoint) hostos.Errno {
+	if _, dup := s.udps[ep]; dup {
+		return hostos.EADDRINUSE
 	}
+	sk.bound, sk.udp = ep, &udpSock{sk: sk, ep: ep}
+	s.udps[ep] = sk.udp
+	sk.wake() // a bound datagram socket is writable
+	return hostos.OK
+}
+
+// listen makes a bound stream socket passive.
+func (s *Stack) listen(sk *socket, backlog int) hostos.Errno {
 	if sk.typ != SockStream || sk.bound.Port == 0 || sk.lst != nil || sk.conn != nil {
 		return hostos.EINVAL
 	}
-	if backlog < 1 {
-		backlog = 1
-	}
-	sk.lst = &listener{sk: sk, backlog: backlog}
+	sk.lst = &listener{sk: sk, backlog: max(backlog, 1)}
 	s.listeners[sk.bound] = sk.lst
 	return hostos.OK
 }
 
-// Accept takes one established connection off the listen queue,
-// returning its new descriptor and the peer address. EAGAIN when none
-// is ready.
-func (s *Stack) Accept(fd int) (int, IPv4Addr, uint16, hostos.Errno) {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return -1, IPv4Addr{}, 0, hostos.EBADF
-	}
-	if sk.lst == nil {
-		return -1, IPv4Addr{}, 0, hostos.EINVAL
-	}
-	if sk.lst.err != hostos.OK {
-		return -1, IPv4Addr{}, 0, sk.lst.err
-	}
-	if sk.lst.pendingCount() == 0 {
-		return -1, IPv4Addr{}, 0, hostos.EAGAIN
+// accept takes one established connection off a listener's queue as a
+// new socket. EAGAIN when none is ready.
+func (s *Stack) accept(sk *socket) (*socket, hostos.Errno) {
+	switch {
+	case sk.lst == nil:
+		return nil, hostos.EINVAL
+	case sk.lst.err != hostos.OK:
+		return nil, sk.lst.err
+	case sk.lst.pendingCount() == 0:
+		return nil, hostos.EAGAIN
 	}
 	c := sk.lst.popPending()
-	nfd := s.nextFD
-	s.nextFD++
-	nsk := s.allocSocket()
-	nsk.fd, nsk.typ, nsk.conn, nsk.bound = nfd, SockStream, c, c.tuple.local
+	nsk := s.newSocket(SockStream)
+	nsk.conn, nsk.bound = c, c.tuple.local
 	c.sk = nsk
-	s.socks.put(nfd, nsk)
-	return nfd, c.tuple.remote.IP, c.tuple.remote.Port, hostos.OK
+	return nsk, hostos.OK
 }
 
-// Connect starts an active open. It returns EINPROGRESS; completion is
-// reported by epoll writability, as with a non-blocking BSD socket.
-func (s *Stack) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return hostos.EBADF
-	}
-	if sk.typ != SockStream || sk.conn != nil || sk.lst != nil {
-		return hostos.EISCONN
-	}
+// connect starts an active open of an unconnected stream socket from its
+// bound port, else sport, else an ephemeral port. It returns
+// EINPROGRESS; completion is reported by epoll writability, as with a
+// non-blocking BSD socket. A socket bound to an address that the
+// interface toward ip does not own, while that interface is on ip's
+// subnet, is EADDRNOTAVAIL: its SYN would wait on the bound port's ARP
+// for a host that is not on that wire.
+func (s *Stack) connect(sk *socket, ip IPv4Addr, port, sport uint16) hostos.Errno {
 	nif := s.nifForDst(ip)
 	if nif == nil {
 		return hostos.EINVAL
 	}
 	local := sk.bound
-	if local.IP == (IPv4Addr{}) {
+	switch {
+	case local.IP == (IPv4Addr{}):
 		local.IP = nif.IP
+	case local.IP != nif.IP && nif.sameSubnet(ip):
+		return hostos.EADDRNOTAVAIL
 	}
 	if local.Port == 0 {
-		local.Port = s.allocEphemeral()
-		if local.Port == 0 {
+		local.Port = sport
+	}
+	if local.Port == 0 {
+		if local.Port = s.allocEphemeral(); local.Port == 0 {
 			return hostos.EADDRNOTAVAIL
 		}
 	}
@@ -334,48 +323,6 @@ func (s *Stack) allocEphemeral() uint16 {
 	return 0
 }
 
-// connFor returns the stream connection behind fd.
-func (s *Stack) connFor(fd int) (*socket, *tcpConn, hostos.Errno) {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return nil, nil, hostos.EBADF
-	}
-	if sk.typ != SockStream || sk.conn == nil {
-		return sk, nil, hostos.ENOTCONN
-	}
-	return sk, sk.conn, hostos.OK
-}
-
-// Write copies from a plain byte slice into the socket send buffer
-// (the Baseline's ff_write). Partial writes return the stored count;
-// a full buffer returns EAGAIN.
-func (s *Stack) Write(fd int, src []byte) (int, hostos.Errno) {
-	c, errno := s.writableConn(fd)
-	if errno != hostos.OK {
-		return -1, errno
-	}
-	return s.write(c, src)
-}
-
-// WriteCap is the CHERI ff_write: the source buffer arrives as a
-// capability (`const void * __capability buf`, §III-B). The load is
-// checked once, over exactly the bytes the send buffer takes now, so a
-// capability fault stores nothing; a full buffer is EAGAIN unchecked.
-func (s *Stack) WriteCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	c, errno := s.writableConn(fd)
-	if errno != hostos.OK {
-		return -1, errno
-	}
-	if n = min(n, c.sndBuf.Free()); n <= 0 {
-		return -1, hostos.EAGAIN
-	}
-	src, err := mem.CheckedSliceRO(buf, buf.Addr(), n)
-	if err != nil {
-		return -1, hostos.EFAULT
-	}
-	return s.write(c, src)
-}
-
 // write stores src in a writable connection's send buffer, books the
 // call and sends what the window allows.
 func (s *Stack) write(c *tcpConn, src []byte) (int, hostos.Errno) {
@@ -394,28 +341,6 @@ func (s *Stack) write(c *tcpConn, src []byte) (int, hostos.Errno) {
 	return n, hostos.OK
 }
 
-// writableConn resolves fd to a connection that takes writes now.
-func (s *Stack) writableConn(fd int) (*tcpConn, hostos.Errno) {
-	_, c, errno := s.connFor(fd)
-	if errno != hostos.OK {
-		return nil, errno
-	}
-	return c, writableState(c)
-}
-
-// WriteRoom bounds what WriteCap on fd would load now: the send buffer's
-// free space while the connection takes writes, 0 when WriteCap would
-// refuse. It is never below what WriteCap loads, so a caller staging
-// only that many bytes hands over every byte the stack takes. A query,
-// not a call: it changes and books nothing.
-func (s *Stack) WriteRoom(fd int) int {
-	c, errno := s.writableConn(fd)
-	if errno != hostos.OK {
-		return 0
-	}
-	return c.sndBuf.Free()
-}
-
 // writableState maps connection state to a write errno.
 func writableState(c *tcpConn) hostos.Errno {
 	if errno := c.err(); errno != hostos.OK {
@@ -428,54 +353,6 @@ func writableState(c *tcpConn) hostos.Errno {
 		return hostos.EAGAIN
 	default:
 		return hostos.EPIPE
-	}
-}
-
-// Read consumes received bytes into a plain slice. Returns 0 at EOF
-// (peer FIN drained), EAGAIN when no data is buffered.
-func (s *Stack) Read(fd int, dst []byte) (int, hostos.Errno) {
-	c, n, errno := s.readableConn(fd)
-	if c == nil {
-		return n, errno
-	}
-	return s.read(c, dst)
-}
-
-// ReadCap is the CHERI ff_read: the store into the caller's capability
-// buffer is checked once, over exactly the bytes the read takes.
-func (s *Stack) ReadCap(fd int, mem *cheri.TMem, buf cheri.Cap, n int) (int, hostos.Errno) {
-	c, ret, errno := s.readableConn(fd)
-	if c == nil {
-		return ret, errno
-	}
-	var dst []byte
-	if n = min(n, c.rcvBuf.Len()); n > 0 {
-		var err error
-		if dst, err = mem.CheckedSlice(buf, buf.Addr(), n); err != nil {
-			return -1, hostos.EFAULT
-		}
-	}
-	return s.read(c, dst)
-}
-
-// readableConn resolves fd to a connection with bytes to read. With
-// none buffered it returns a nil connection and what the read returns
-// instead: 0 at EOF, otherwise -1 and the errno.
-func (s *Stack) readableConn(fd int) (*tcpConn, int, hostos.Errno) {
-	_, c, errno := s.connFor(fd)
-	switch {
-	case errno != hostos.OK:
-		return nil, -1, errno
-	case c.rcvBuf.Len() > 0:
-		return c, 0, hostos.OK
-	case c.err() != hostos.OK:
-		return nil, -1, c.err()
-	case c.peerFin():
-		return nil, 0, hostos.OK // EOF
-	case c.state == tcpClosed:
-		return nil, -1, hostos.ENOTCONN
-	default:
-		return nil, -1, hostos.EAGAIN
 	}
 }
 
@@ -502,18 +379,9 @@ func (s *Stack) noteReadDrain(c *tcpConn) {
 	}
 }
 
-// Close shuts a descriptor down: streams FIN, listeners stop, datagram
-// sockets unbind, epoll instances drop their registrations.
-func (s *Stack) Close(fd int) hostos.Errno {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		if ep := s.epolls.get(fd); ep != nil {
-			s.closeEpoll(fd, ep)
-			return hostos.OK
-		}
-		return hostos.EBADF
-	}
-	s.socks.del(fd)
+// close shuts a socket down — a stream FINs, a listener stops, a
+// datagram socket unbinds — and gives the struct back to the arena.
+func (s *Stack) close(sk *socket) {
 	s.unregister(sk, nil)
 	switch {
 	case sk.lst != nil:
@@ -552,18 +420,11 @@ func (s *Stack) Close(fd int) hostos.Errno {
 		delete(s.udps, sk.udp.ep)
 	}
 	s.sockFree = append(s.sockFree, sk)
-	return hostos.OK
 }
 
-// SendTo transmits one UDP datagram.
-func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return -1, hostos.EBADF
-	}
-	if sk.typ != SockDgram {
-		return -1, hostos.EINVAL
-	}
+// sendTo transmits one UDP datagram from a datagram socket, binding an
+// unbound one to an ephemeral port first.
+func (s *Stack) sendTo(sk *socket, data []byte, ip IPv4Addr, port uint16) (int, hostos.Errno) {
 	if len(data) > udpPayloadMax {
 		return -1, hostos.EMSGSIZE
 	}
@@ -571,8 +432,7 @@ func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, host
 		return -1, sk.udp.err
 	}
 	if sk.udp == nil {
-		// Auto-bind an ephemeral port.
-		if errno := s.Bind(fd, IPv4Addr{}, s.allocEphemeral()); errno != hostos.OK {
+		if errno := s.bind(sk, IPv4Addr{}, s.allocEphemeral()); errno != hostos.OK {
 			return -1, errno
 		}
 	}
@@ -581,7 +441,7 @@ func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, host
 		return -1, hostos.EINVAL
 	}
 	segLen := UDPHeaderLen + len(data)
-	m, frame := s.txAlloc(nif, IPv4HeaderLen+segLen)
+	m, frame := s.txAlloc(IPv4HeaderLen + segLen)
 	if m == nil {
 		return -1, hostos.EAGAIN
 	}
@@ -598,19 +458,14 @@ func (s *Stack) SendTo(fd int, data []byte, ip IPv4Addr, port uint16) (int, host
 	return len(data), hostos.OK
 }
 
-// RecvFrom pops one queued datagram.
-func (s *Stack) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
-	sk := s.socks.get(fd)
-	if sk == nil {
-		return -1, IPv4Addr{}, 0, hostos.EBADF
-	}
-	if sk.typ != SockDgram || sk.udp == nil {
+// recvFrom pops one datagram queued on a bound datagram socket.
+func (s *Stack) recvFrom(sk *socket, dst []byte) (int, IPv4Addr, uint16, hostos.Errno) {
+	switch {
+	case sk.udp == nil:
 		return -1, IPv4Addr{}, 0, hostos.EINVAL
-	}
-	if sk.udp.err != hostos.OK {
+	case sk.udp.err != hostos.OK:
 		return -1, IPv4Addr{}, 0, sk.udp.err
-	}
-	if sk.udp.queued() == 0 {
+	case sk.udp.queued() == 0:
 		return -1, IPv4Addr{}, 0, hostos.EAGAIN
 	}
 	d := sk.udp.popDgram()
@@ -654,11 +509,11 @@ func (s *Stack) inputUDP(nif *NetIF, ip IPv4Header, seg []byte, nicSum bool) {
 	})
 }
 
-// ConnState reports the TCP state name of fd's connection (diagnostics).
+// ConnState reports the TCP state name of the connection behind the
+// stack's own descriptor fd (diagnostics).
 func (s *Stack) ConnState(fd int) string {
-	sk := s.socks.get(fd)
-	if sk == nil || sk.conn == nil {
-		return "NONE"
+	if f := s.sock(fd); f != nil && f.sk.conn != nil {
+		return f.sk.conn.state.String()
 	}
-	return sk.conn.state.String()
+	return "NONE"
 }

@@ -198,6 +198,12 @@ type Stack struct {
 	// and Scenario 1). It calls the Stack's API directly.
 	OnLoop func(now int64)
 
+	// ShardedAPI is the stack's own descriptor table: the view of this
+	// stack alone, whose ff_* calls are the Stack's. self is its shard
+	// list, held here so that the view costs no allocation of its own.
+	ShardedAPI
+	self [1]*Stack
+
 	seg  *dpdk.MemSeg
 	pool *dpdk.Mempool
 	clk  hostos.Clock
@@ -206,9 +212,6 @@ type Stack struct {
 	conns     map[fourTuple]*tcpConn
 	listeners map[tcpEndpoint]*listener
 	udps      map[tcpEndpoint]*udpSock
-	socks     fdTable[*socket]
-	epolls    fdTable[*epollInstance]
-	nextFD    int
 
 	// connSeq numbers connections in creation order. The poll loop
 	// sorts its visit list by seq so timer firing and output
@@ -259,9 +262,14 @@ type Stack struct {
 	connSlab []tcpConn
 	sockSlab []socket
 	coldSlab []tcpCold
+	// sockIssued counts the socket structs taken from slabs: every one
+	// is open or in sockFree.
+	sockIssued int
 	// regFree pools epoll registrations the same way, chained through
-	// nextSk: churn registers and unregisters every short flow.
-	regFree *epollReg
+	// nextSk: churn registers and unregisters every short flow. regSlabs
+	// are the slabs they came from.
+	regFree  *epollReg
+	regSlabs [][]epollReg
 
 	// dgramFree recycles UDP payload buffers (udpPayloadMax capacity
 	// each) between inputUDP and RecvFrom/Close, keeping the datagram
@@ -335,11 +343,12 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 		listeners: make(map[tcpEndpoint]*listener),
 		udps:      make(map[tcpEndpoint]*udpSock),
 		syncache:  make(map[fourTuple]*synEntry),
-		nextFD:    3,
 		ephemeral: ephemeralBase,
 		wheel:     connscale.New[*tcpConn](0, connscale.DefaultTickShift),
 		synWheel:  connscale.New[*synEntry](0, connscale.DefaultTickShift),
 	}
+	s.self[0] = s
+	s.ShardedAPI = ShardedAPI{shards: s.self[:], next: 3}
 	s.fireConnF = func(c *tcpConn) {
 		c.timerH = connscale.None
 		s.queueVisit(c)
@@ -503,7 +512,7 @@ func (s *Stack) SetTCPTuning(t TCPTuning) error {
 
 // Lock and Unlock do nothing: a bed runs on one goroutine, so the stack
 // has no host lock. They stay only because bench/ still calls them
-// (ROADMAP item 6 drops those calls, and then these go).
+// (ROADMAP item 9 drops those calls, and then these go).
 func (s *Stack) Lock()   {}
 func (s *Stack) Unlock() {}
 
@@ -579,7 +588,7 @@ func (s *Stack) RetainedBytes() uint64 {
 	for _, k := range s.coldFree {
 		cold(k)
 	}
-	b += uint64(s.socks.len()+len(s.sockFree)) * sockSz
+	b += uint64(s.sockIssued) * sockSz
 	b += uint64(len(s.syncache)+len(s.synFree)) * synSz
 	for _, d := range s.dgramFree {
 		b += uint64(cap(d))
@@ -630,7 +639,7 @@ func (s *Stack) nifByIP(ip IPv4Addr) *NetIF {
 
 // txAlloc grabs an mbuf and reserves a frame of EthHeaderLen+ipLen
 // bytes, returning the writable frame slice.
-func (s *Stack) txAlloc(nif *NetIF, ipLen int) (*dpdk.Mbuf, []byte) {
+func (s *Stack) txAlloc(ipLen int) (*dpdk.Mbuf, []byte) {
 	m, ok := s.pool.Get()
 	if !ok {
 		return nil, nil
@@ -690,7 +699,7 @@ func (s *Stack) txSubmit(nif *NetIF, m *dpdk.Mbuf) bool {
 
 // sendARPRequest broadcasts a who-has query.
 func (s *Stack) sendARPRequest(nif *NetIF, target IPv4Addr) {
-	m, frame := s.txAlloc(nif, ARPPacketLen)
+	m, frame := s.txAlloc(ARPPacketLen)
 	if m == nil {
 		return
 	}
@@ -708,7 +717,7 @@ func (s *Stack) sendARPRequest(nif *NetIF, target IPv4Addr) {
 
 // replayPending retransmits a packet that was parked on an ARP miss.
 func (s *Stack) replayPending(nif *NetIF, dst IPv4Addr, mac MACAddr, p *pendingPacket) {
-	m, frame := s.txAlloc(nif, len(p.payload))
+	m, frame := s.txAlloc(len(p.payload))
 	if m == nil {
 		return
 	}
@@ -767,7 +776,7 @@ func (s *Stack) inputARP(nif *NetIF, b []byte) {
 		if p.TargetIP != nif.IP {
 			return
 		}
-		m, frame := s.txAlloc(nif, ARPPacketLen)
+		m, frame := s.txAlloc(ARPPacketLen)
 		if m == nil {
 			return
 		}
@@ -815,7 +824,7 @@ func (s *Stack) inputICMP(nif *NetIF, ip IPv4Header, seg []byte) {
 		s.stats.RxDropped++
 		return
 	}
-	m, frame := s.txAlloc(nif, IPv4HeaderLen+len(seg))
+	m, frame := s.txAlloc(IPv4HeaderLen + len(seg))
 	if m == nil {
 		return
 	}
@@ -915,7 +924,7 @@ func (s *Stack) sendRSTFor(nif *NetIF, ip IPv4Header, h TCPHeader, payloadLen in
 		rst.Flags = TCPRst
 	}
 	hl := rst.encodedLen()
-	m, frame := s.txAlloc(nif, IPv4HeaderLen+hl)
+	m, frame := s.txAlloc(IPv4HeaderLen + hl)
 	if m == nil {
 		return
 	}
@@ -1010,5 +1019,5 @@ func (s *Stack) Iterations() uint64 { return s.iterations }
 
 // String summarizes the stack.
 func (s *Stack) String() string {
-	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.socks.len())
+	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.sockIssued-len(s.sockFree))
 }

@@ -229,7 +229,7 @@ func TestICMPPing(t *testing.T) {
 	// Hand-craft an echo request from A to B via the stack's TX helpers.
 	nif := e.stkA.nifs[0]
 	payload := []byte("abcdefgh")
-	m, frame := e.stkA.txAlloc(nif, IPv4HeaderLen+ICMPHeaderLen+len(payload))
+	m, frame := e.stkA.txAlloc(IPv4HeaderLen + ICMPHeaderLen + len(payload))
 	if m == nil {
 		t.Fatal("alloc failed")
 	}
@@ -458,7 +458,7 @@ func TestRefusedTransmitRetriesNextPoll(t *testing.T) {
 	nif := e.stkA.nifs[0]
 	d := &txRefuser{EthDevice: nif.dev, refuse: 2}
 	nif.dev = d
-	s, c := e.stkA, e.stkA.socks.get(cfd).conn
+	s, c := e.stkA, e.stkA.sockOf(cfd).conn
 	state := func(when string, tries int, queued bool) {
 		t.Helper()
 		inList := len(s.visit) == 1 && s.visit[0] == c
@@ -491,7 +491,7 @@ func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
 		cfd, _ := e.connectPair(5061)
 		nif := e.stkA.nifs[0]
 		nif.dev = &txRefuser{EthDevice: nif.dev, refuse: 1}
-		s, c := e.stkA, e.stkA.socks.get(cfd).conn
+		s, c := e.stkA, e.stkA.sockOf(cfd).conn
 		if k, errno := s.Write(cfd, []byte("x")); k != 1 || errno != hostos.OK {
 			t.Fatalf("%s: write = %d, %v", end, k, errno)
 		}
@@ -567,7 +567,7 @@ func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
 	if st := e.stkB.Stats(); st.Accepts != 1 {
 		t.Fatalf("server accepted %d connections, want 1", st.Accepts)
 	}
-	c := e.stkB.socks.get(afd).conn
+	c := e.stkB.sockOf(afd).conn
 	if c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc != ccReno || c.offerWS || e.stkB.rtoFloor() != rtoMin {
 		t.Fatalf("accepted conn: rings %d/%d, algorithm %d, window scaling %v, RTO floor %d; want the kept tuning's %d/%d, %d (reno), off, %d",
 			c.sndBuf.size, c.rcvBuf.size, c.cc, c.offerWS, e.stkB.rtoFloor(), kept, kept, ccReno, int64(rtoMin))

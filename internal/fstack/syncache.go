@@ -145,7 +145,7 @@ func (s *Stack) sendSynAck(e *synEntry) {
 	h.SACKPermitted = e.sackOK
 	hl := h.encodedLen()
 	nif := s.nifByIP(e.tuple.local.IP)
-	m, frame := s.txAlloc(nif, IPv4HeaderLen+hl)
+	m, frame := s.txAlloc(IPv4HeaderLen + hl)
 	if m == nil {
 		return // ring full: the retransmit timer is the retry path
 	}

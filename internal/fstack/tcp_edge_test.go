@@ -102,7 +102,7 @@ func TestTCPRstOnDataToClosedPort(t *testing.T) {
 	for _, c := range e.stkB.conns {
 		e.stkB.removeConn(c)
 	}
-	e.stkB.socks.del(afd)
+	e.stkB.fds.del(afd)
 	e.stkA.Write(cfd, []byte("into the void"))
 	e.pumpUntil(8000, "reset", func() bool {
 		_, errno := e.stkA.Read(cfd, make([]byte, 4))

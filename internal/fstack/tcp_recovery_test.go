@@ -244,7 +244,7 @@ func TestLostFINResentAtFinSeq(t *testing.T) {
 			})
 			cfd, afd := e.connectPair(5001)
 			walkA := stateWalk(e.stkA)
-			c := e.stkA.socks.get(cfd).conn
+			c := e.stkA.sockOf(cfd).conn
 			payload := bytes.Repeat([]byte{0x5A}, 10000)
 			finSeq = c.sndNxt + uint32(len(payload))
 			if n, errno := e.stkA.Write(cfd, payload); errno != hostos.OK || n != len(payload) {
@@ -344,7 +344,7 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
 	cfd, afd := e.connectPair(5001)
 
-	conn := e.stkA.socks.get(cfd).conn
+	conn := e.stkA.sockOf(cfd).conn
 	if !conn.sackOK || conn.sndWScale != 4 || conn.rcvWScale != 4 {
 		t.Fatalf("negotiation failed: sackOK=%v snd<<%d rcv<<%d", conn.sackOK, conn.sndWScale, conn.rcvWScale)
 	}
@@ -370,7 +370,7 @@ func TestSACKRecoveryOverLossyLink(t *testing.T) {
 func TestTuningOffKeepsWireIdentical(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, _ := e.connectPair(5001)
-	conn := e.stkA.socks.get(cfd).conn
+	conn := e.stkA.sockOf(cfd).conn
 	sackOK, sndWS, rcvWS := conn.sackOK, conn.sndWScale, conn.rcvWScale
 	if sackOK || sndWS != 0 || rcvWS != 0 {
 		t.Fatalf("default tuning negotiated features: sack=%v ws=%d/%d", sackOK, sndWS, rcvWS)
@@ -385,7 +385,7 @@ func TestQuickSACKBlocksValid(t *testing.T) {
 	// SACK generation is receiver-local state; flip it on directly.
 	cfd, afd := e.connectPair(5001)
 	_ = cfd
-	conn := e.stkB.socks.get(afd).conn
+	conn := e.stkB.sockOf(afd).conn
 	conn.sackOK = true
 
 	f := func(offsets []uint16, sizes []uint8) bool {
@@ -826,7 +826,7 @@ type reassRig struct {
 func newReassRig(t testing.TB) *reassRig {
 	e := newEnv(t, false)
 	_, afd := e.connectPair(5001)
-	conn := e.stkB.socks.get(afd).conn
+	conn := e.stkB.sockOf(afd).conn
 	conn.sackOK = true
 	return &reassRig{stk: e.stkB, conn: conn}
 }

@@ -191,7 +191,7 @@ func (c *tcpConn) takeCold() *tcpCold {
 		s.coldFree[n-1] = nil
 		s.coldFree = s.coldFree[:n-1]
 	} else {
-		k = slabTake(&s.coldSlab)
+		k = slabTake(&s.coldSlab, slabLen)
 	}
 	*k = tcpCold{sacked: k.sacked[:0], rcvOOO: k.rcvOOO[:0]}
 	c.cold = k
@@ -280,7 +280,7 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 		s.connFree[n-1] = nil
 		s.connFree = s.connFree[:n-1]
 	} else {
-		c = slabTake(&s.connSlab)
+		c = slabTake(&s.connSlab, slabLen)
 	}
 	ssthresh := initialSsthresh
 	if s.tuning.WindowScale > 0 {
@@ -310,11 +310,11 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 // of it the free lists and RetainedBytes do not see.
 const slabLen = 64
 
-// slabTake returns the next unissued struct of *slab, refilling it when
-// the last one has gone.
-func slabTake[T any](slab *[]T) *T {
+// slabTake returns the next unissued struct of *slab, refilling it n
+// at a time when the last one has gone.
+func slabTake[T any](slab *[]T, n int) *T {
 	if len(*slab) == 0 {
-		*slab = make([]T, slabLen)
+		*slab = make([]T, n)
 	}
 	p := &(*slab)[0]
 	*slab = (*slab)[1:]
@@ -410,7 +410,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 	total := hl + payloadLen
 	// The segment leaves by the port that owns the local address.
 	nif := c.stk.nifByIP(c.tuple.local.IP)
-	m, frame := c.stk.txAlloc(nif, IPv4HeaderLen+total)
+	m, frame := c.stk.txAlloc(IPv4HeaderLen + total)
 	if m == nil {
 		// Pool or ring exhausted: the next poll's visit retries the send.
 		c.stk.queueVisit(c)
