@@ -158,7 +158,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	}
 	e.pumpUntil(8000, "every client in TIME_WAIT, every server pooled", func() bool {
 		return e.stkA.ConnCount() == 3 && client.state == tcpTimeWait && zw.state == tcpTimeWait &&
-			cu.state == tcpTimeWait && len(e.stkB.connFree) == 3
+			cu.state == tcpTimeWait && len(e.stkB.connArena.free) == 3
 	})
 	for _, s := range []*Stack{e.stkA, e.stkB} {
 		for _, c := range s.conns {
@@ -166,13 +166,13 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 				t.Errorf("a %s conn holds its cold record", c.state)
 			}
 		}
-		for _, c := range s.connFree {
+		for _, c := range s.connArena.free {
 			if c.cold != nil {
 				t.Error("a pooled conn holds its cold record")
 			}
 		}
-		if issued := slabLen - len(s.coldSlab); issued == 0 || issued != len(s.coldFree) {
-			t.Errorf("%d cold records issued, %d back on the pool; want every one back", issued, len(s.coldFree))
+		if issued := s.coldArena.issued; issued == 0 || issued != len(s.coldArena.free) {
+			t.Errorf("%d cold records issued, %d back on the pool; want every one back", issued, len(s.coldArena.free))
 		}
 	}
 }

@@ -143,7 +143,7 @@ func TestColdRecordLossZeroAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		episode()
 	}
-	slabA, slabB := len(e.stkA.coldSlab), len(e.stkB.coldSlab)
+	slabA, slabB := e.stkA.coldArena.issued, e.stkB.coldArena.issued
 	sack := e.stkA.Stats().SACKRetransmit
 	const runs = 20
 	if a := testing.AllocsPerRun(runs, episode); a != 0 {
@@ -152,11 +152,11 @@ func TestColdRecordLossZeroAllocs(t *testing.T) {
 	if d := e.stkA.Stats().SACKRetransmit - sack; d < runs {
 		t.Fatalf("%d SACK retransmissions in %d episodes: not every episode lost a segment", d, runs)
 	}
-	if len(e.stkA.coldSlab) != slabA || len(e.stkB.coldSlab) != slabB {
+	if e.stkA.coldArena.issued != slabA || e.stkB.coldArena.issued != slabB {
 		t.Fatalf("the cold slabs moved (%d → %d, %d → %d): episodes took fresh records, not pooled ones",
-			slabA, len(e.stkA.coldSlab), slabB, len(e.stkB.coldSlab))
+			slabA, e.stkA.coldArena.issued, slabB, e.stkB.coldArena.issued)
 	}
-	if len(e.stkA.coldFree) == 0 || len(e.stkB.coldFree) == 0 {
+	if len(e.stkA.coldArena.free) == 0 || len(e.stkB.coldArena.free) == 0 {
 		t.Fatal("no cold record on either pool: the episodes never took one")
 	}
 }

@@ -74,7 +74,7 @@ func (s *Stack) Crash() {
 	// Half-open connections die silently; freeing every entry empties
 	// the SYN wheel (order-free: nothing observable is emitted).
 	for _, e := range s.syncache {
-		s.synFreeEntry(e)
+		s.synForget(e)
 	}
 
 	// The visit list: the conns are all CLOSED, so each leaves it for

@@ -171,6 +171,77 @@ func TestRetainedBytesRecoverAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRetainedBytesNeverFalls: RetainedBytes counts what the arenas
+// issued, so on a stack that moves no datagrams it never falls, sampled
+// after every poll of a connect, a reset and the closes. A connection reset while its
+// socket is open is CLOSED and out of the tuple index but not yet
+// recycled: it stays counted.
+func TestRetainedBytesNeverFalls(t *testing.T) {
+	e := newEnv(t, false)
+	var last [2]uint64
+	polls := 0
+	poll := func() {
+		t.Helper()
+		e.tick()
+		polls++
+		for i, s := range []*Stack{e.stkA, e.stkB} {
+			b := s.RetainedBytes()
+			if b < last[i] {
+				t.Fatalf("poll %d: stack %d retains %d B, down from %d", polls, i, b, last[i])
+			}
+			last[i] = b
+		}
+	}
+	pollUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for range 4000 {
+			if cond() {
+				return
+			}
+			poll()
+		}
+		t.Fatalf("condition %q not reached", what)
+	}
+
+	lfd, _ := e.stkB.Socket(SockStream)
+	e.stkB.Bind(lfd, IPv4Addr{}, 8080)
+	e.stkB.Listen(lfd, 8)
+	cfd, _ := e.stkA.Socket(SockStream)
+	if errno := e.stkA.Connect(cfd, IP4(10, 0, 0, 2), 8080); errno != hostos.EINPROGRESS {
+		t.Fatalf("connect: %v", errno)
+	}
+	afd := -1
+	pollUntil("accept", func() bool {
+		fd, _, _, errno := e.stkB.Accept(lfd)
+		afd = fd
+		return errno == hostos.OK
+	})
+	pollUntil("client established", func() bool { return e.stkA.ConnState(cfd) == "ESTABLISHED" })
+
+	// The peer's RST resets the accepted connection; its socket stays open.
+	s, c := e.stkB, e.stkB.sockOf(afd).conn
+	rst := TCPHeader{SrcPort: c.tuple.remote.Port, DstPort: c.tuple.local.Port, Seq: c.rcvNxt, Flags: TCPRst}
+	seg := make([]byte, rst.encodedLen())
+	putTCPHeaderEager(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
+	s.inputTCP(s.nifByIP(c.tuple.local.IP), IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
+	for range 40 {
+		poll()
+	}
+	if c.state != tcpClosed || s.ConnCount() != 0 || len(s.connArena.free) != 0 {
+		t.Fatalf("after the RST: state %v, %d indexed, %d pooled; want CLOSED, unindexed, not recycled",
+			c.state, s.ConnCount(), len(s.connArena.free))
+	}
+
+	e.stkB.Close(afd)
+	pollUntil("the reset conn recycled", func() bool { return len(s.connArena.free) == 1 })
+	e.stkA.Close(cfd)
+	e.stkB.Close(lfd)
+	pollUntil("the client's conn gone", func() bool { return e.stkA.ConnCount() == 0 })
+	for range 400 {
+		poll()
+	}
+}
+
 // crashScript parks 210 connections on stack B, each registered with one
 // or two of three epoll instances (a listener and a datagram socket
 // too), makes some of them readable, crashes B and reports everything a
@@ -235,7 +306,7 @@ func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []strin
 
 	b.Crash()
 
-	for r := b.regFree; r != nil; r = r.nextSk {
+	for _, r := range slices.Backward(b.regArena.free) {
 		if n, ok := name[r]; ok {
 			freed = append(freed, n)
 		}

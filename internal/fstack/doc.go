@@ -60,9 +60,11 @@
 //     FreeBSD-style SYN cache (a half-open costs one pooled entry,
 //     not a conn; backlog/cache overflow is counted, traced and
 //     dropped silently), and setup and teardown recycle conns,
-//     sockets, syncache entries and timer items through arenas — a
-//     full connect/accept/close/close cycle is zero-alloc at steady
-//     state (BenchmarkConnChurn pins it).
+//     sockets, cold records, syncache entries and epoll registrations
+//     through one arena type (arena.go: slab refills and a last-in,
+//     first-out free list, FreeBSD's UMA zone) and timer items through
+//     the wheels' pools — a full connect/accept/close/close cycle is
+//     zero-alloc at steady state (BenchmarkConnChurn pins it).
 //     TIME_WAIT holds tuples for 2MSL with both BSD reuse paths
 //     (active reconnect and forward-sequence fresh SYN) counted in
 //     StackStats, and gives the conn's socket rings back to the
@@ -73,7 +75,7 @@
 //     a head-indexed receive ring (256 datagrams deep) whose overflow
 //     sheds into the dedicated StackStats.UdpQueueDrops counter and an
 //     EvUDPDrop trace event — distinct from the datapath's RxDropped —
-//     and payload buffers come from a per-stack arena recycled on
+//     and payload buffers come from a per-stack free list recycled on
 //     RecvFrom and Close, so a steady-state query/answer round trip is
 //     zero-alloc (BenchmarkUDPRoundTrip pins it). ShardedAPI extends
 //     SendTo/RecvFrom with the same RSS steering as TCP: an

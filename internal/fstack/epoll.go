@@ -56,9 +56,10 @@ func newEpollSet(n int) []epollInstance {
 	return set
 }
 
-// epollReg is one socket's registration with one instance. Pooled per
-// stack (regFree) and chained intrusively, so registering allocates
-// nothing at steady state and the socket struct carries one pointer.
+// epollReg is one socket's registration with one instance. Taken from
+// the stack's arena (regArena) and chained intrusively, so registering
+// allocates nothing at steady state and the socket struct carries one
+// pointer.
 type epollReg struct {
 	ep   *epollInstance // nil while the registration is free
 	sk   *socket
@@ -68,14 +69,14 @@ type epollReg struct {
 	data int32
 
 	// nextSk chains the registrations of one socket, one per instance
-	// watching it (and the stack's free list).
+	// watching it.
 	nextSk *epollReg
 	// prev/next link the registration into ep's ready list; nil while
 	// it is not queued.
 	prev, next *epollReg
 }
 
-// regSlabLen is how many registrations one pool refill allocates: a run
+// regSlabLen is how many registrations one arena refill allocates: a run
 // that parks tens of thousands of registered connections pays one
 // allocation per slab, not one per connection.
 const regSlabLen = 128
@@ -119,33 +120,16 @@ func (c *tcpConn) wake() {
 	}
 }
 
-// allocReg takes a registration off the pool, refilling it a slab at a
-// time. The stack keeps its slabs: closing an instance and a crash walk
-// them for the live registrations.
-func (s *Stack) allocReg() *epollReg {
-	if s.regFree == nil {
-		slab := make([]epollReg, regSlabLen)
-		for i := range slab[:regSlabLen-1] {
-			slab[i].nextSk = &slab[i+1]
-		}
-		s.regFree = &slab[0]
-		s.regSlabs = append(s.regSlabs, slab)
-	}
-	r := s.regFree
-	s.regFree = r.nextSk
-	return r
-}
-
 // register chains a new registration of sk with ep under number data.
 func (s *Stack) register(ep *epollInstance, sk *socket, data int32, want uint32) *epollReg {
-	r := s.allocReg()
+	r := s.regArena.take()
 	*r = epollReg{ep: ep, sk: sk, want: want, data: data, nextSk: sk.regs}
 	sk.regs = r
 	return r
 }
 
 // unregister drops sk's registration with ep — with every instance when
-// ep is nil — and returns the structs to the pool.
+// ep is nil — and gives the structs back to the arena.
 func (s *Stack) unregister(sk *socket, ep *epollInstance) {
 	for link := &sk.regs; *link != nil; {
 		r := *link
@@ -155,23 +139,21 @@ func (s *Stack) unregister(sk *socket, ep *epollInstance) {
 		}
 		*link = r.nextSk
 		r.unqueue()
-		*r = epollReg{nextSk: s.regFree}
-		s.regFree = r
+		*r = epollReg{}
+		s.regArena.put(r)
 	}
 }
 
 // dropRegs drops every registration with ep, or with any instance when
 // ep is nil: an instance's close, a crash. The one operation here that
-// walks the registration slabs: an application makes an instance per
-// lifetime, not per connection.
+// walks the registration arena (a live registration has its ep set): an
+// application makes an instance per lifetime, not per connection.
 func (s *Stack) dropRegs(ep *epollInstance) {
-	for _, slab := range s.regSlabs {
-		for i := range slab {
-			if r := &slab[i]; r.ep != nil && (ep == nil || r.ep == ep) {
-				s.unregister(r.sk, r.ep)
-			}
+	s.regArena.each(func(r *epollReg) {
+		if r.ep != nil && (ep == nil || r.ep == ep) {
+			s.unregister(r.sk, r.ep)
 		}
-	}
+	})
 }
 
 // epollCtl changes sk's registration with ep; an added one carries the

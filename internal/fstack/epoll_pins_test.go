@@ -13,7 +13,8 @@ import (
 // headers inside) or socket. The epoll registration chain must fit in
 // the slack, not grow them, the number a registration carries must fit
 // in its padding, and the cold record an idle connection does not hold
-// (CUBIC's 32 B epoch inside it) stays within 112 bytes.
+// (CUBIC's 32 B epoch inside it) stays within 112 bytes. A view's entry
+// (shardedFD), one per connection end a view names, is 48 B.
 func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
@@ -27,6 +28,7 @@ func TestConnPlaneStructSizes(t *testing.T) {
 		{"tcpConn", unsafe.Sizeof(tcpConn{}), 208},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
 		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},
+		{"shardedFD", unsafe.Sizeof(shardedFD{}), 48},
 	} {
 		if s.got != s.want {
 			t.Errorf("sizeof(%s) = %d, want %d", s.name, s.got, s.want)
@@ -35,7 +37,7 @@ func TestConnPlaneStructSizes(t *testing.T) {
 }
 
 // TestEpollSteadyStateZeroAllocs: registrations come from the stack's
-// pool, so an ADD/DEL cycle — churn_25k runs one per short flow — a MOD,
+// arena, so an ADD/DEL cycle — churn_25k runs one per short flow — a MOD,
 // and a warm EpollWait that reports, re-queues and drops entries all
 // allocate nothing.
 func TestEpollSteadyStateZeroAllocs(t *testing.T) {

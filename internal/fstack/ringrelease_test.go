@@ -224,20 +224,20 @@ func TestRecycledConnTakesNewTuning(t *testing.T) {
 	e.stkA.Close(cfd)
 	e.pumpUntil(4000, "server sees FIN", func() bool { return e.stkB.ConnState(afd) == "CLOSE_WAIT" })
 	e.stkB.Close(afd)
-	e.pumpUntil(4000, "the arena takes the server conn", func() bool { return len(e.stkB.connFree) == 1 })
-	pooled := e.stkB.connFree[0]
+	e.pumpUntil(4000, "the arena takes the server conn", func() bool { return len(e.stkB.connArena.free) == 1 })
+	pooled := e.stkB.connArena.free[0]
 	if pooled.cc != ccReno || pooled.sndBuf.size != sndBufSize || pooled.rcvBuf.size != rcvBufSize {
 		t.Fatalf("pooled conn: algorithm %d, rings %d/%d; want the default tuning", pooled.cc, pooled.sndBuf.size, pooled.rcvBuf.size)
 	}
 	const snd, rcv = 16 << 10, 32 << 10
 	e.stkB.SetTCPTuning(TCPTuning{SndBufBytes: snd, RcvBufBytes: rcv, Congestion: CCCubic})
-	slab := len(e.stkB.connSlab)
+	slab := e.stkB.connArena.issued
 
 	cfd, afd = establish(e, lfd, 7003, 0)
 	c := e.stkB.sockOf(afd).conn
-	if c != pooled || len(e.stkB.connFree) != 0 || len(e.stkB.connSlab) != slab {
+	if c != pooled || len(e.stkB.connArena.free) != 0 || e.stkB.connArena.issued != slab {
 		t.Fatalf("accepted the pooled conn: %v; %d pooled left, slab %d → %d; want it, none left, the slab untouched",
-			c == pooled, len(e.stkB.connFree), slab, len(e.stkB.connSlab))
+			c == pooled, len(e.stkB.connArena.free), slab, e.stkB.connArena.issued)
 	}
 	if c.cc != ccCubic || int(c.sndBuf.size) != snd || int(c.rcvBuf.size) != rcv {
 		t.Fatalf("recycled conn: algorithm %d, rings %d/%d; want %d (cubic), %d/%d", c.cc, c.sndBuf.size, c.rcvBuf.size, ccCubic, snd, rcv)

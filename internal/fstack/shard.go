@@ -139,8 +139,6 @@ type shardedFD struct {
 	// shard is where sk lives; for an epoll number, the shard EpollWait
 	// asks first.
 	shard int
-	// free chains the view's recycled entries while this one is one.
-	free *shardedFD
 }
 
 // on is the number's socket on shard i, nil if it has none there.
@@ -170,30 +168,29 @@ type ShardedAPI struct {
 	shards []*Stack
 	next   int // the next number issued
 	fds    fdTable[*shardedFD]
-	// free chains the entries of closed numbers for reuse, and slab is
-	// the unissued tail of the slab fresh ones come from, a table page's
-	// worth (fdPageLen) at a time: a stack that holds a number per parked
-	// connection pays for its entries as it does for its table pages.
-	free *shardedFD
-	slab []shardedFD
+	// entries is the arena the numbers' entries come from, a table
+	// page's worth (fdPageLen) a refill: a stack that holds a number per
+	// parked connection pays for its entries as it does for its table
+	// pages.
+	entries arena[shardedFD]
+}
+
+// newView is a view of the given shards with no number issued yet.
+func newView(ss *ShardedStack, shards []*Stack) ShardedAPI {
+	return ShardedAPI{ss: ss, shards: shards, next: 3, entries: arena[shardedFD]{slab: fdPageLen}}
 }
 
 // API returns a new view of the stack. A view is a descriptor table: a
 // caller acts only on the descriptors its own view issued, and every
 // view draws source ports from the stack's one rotation.
 func (ss *ShardedStack) API() *ShardedAPI {
-	return &ShardedAPI{ss: ss, shards: ss.shards, next: 3}
+	a := newView(ss, ss.shards)
+	return &a
 }
 
-// alloc issues the next number for f, its entry a recycled one or the
-// slab's next.
+// alloc issues the next number for f, its entry from the view's arena.
 func (a *ShardedAPI) alloc(f shardedFD) int {
-	p := a.free
-	if p != nil {
-		a.free = p.free
-	} else {
-		p = slabTake(&a.slab, fdPageLen)
-	}
+	p := a.entries.take()
 	*p = f
 	fd := a.next
 	a.next++
@@ -529,8 +526,8 @@ func (a *ShardedAPI) Close(fd int) hostos.Errno {
 			s.close(sk)
 		}
 	}
-	*f = shardedFD{free: a.free}
-	a.free = f
+	*f = shardedFD{}
+	a.entries.put(f)
 	return hostos.OK
 }
 

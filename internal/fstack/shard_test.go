@@ -104,21 +104,21 @@ func TestShardedDialAllocs(t *testing.T) {
 	for range 64 { // ARP, the slabs, the pools, the descriptor page
 		dial()
 	}
-	type held struct {
-		issued, free int
-		regs         *epollReg
+	type held struct{ socks, freeSocks, regs, freeRegs int }
+	heldBy := func(s *Stack) held {
+		return held{s.sockArena.issued, len(s.sockArena.free), s.regArena.issued, len(s.regArena.free)}
 	}
 	for i := range 8 {
 		var before [4]held
 		for k, s := range ss.shards {
-			before[k] = held{s.sockIssued, len(s.sockFree), s.regFree}
+			before[k] = heldBy(s)
 		}
 		dial()
 		if target != i%4 {
 			t.Fatalf("dial %d landed on shard %d, want the rotation's %d", i, target, i%4)
 		}
 		for k, s := range ss.shards {
-			if k != 0 && k != target && (held{s.sockIssued, len(s.sockFree), s.regFree}) != before[k] {
+			if k != 0 && k != target && heldBy(s) != before[k] {
 				t.Errorf("a dial to shard %d touched shard %d's sockets or registrations", target, k)
 			}
 		}

@@ -127,7 +127,7 @@ func (u *udpSock) popDgram() dgram {
 	return d
 }
 
-// allocDgramBuf takes a payload buffer off the arena (or allocates one
+// allocDgramBuf takes a payload buffer off the free list (or allocates one
 // at full capacity, so it is reusable for any datagram size).
 func (s *Stack) allocDgramBuf() []byte {
 	if n := len(s.dgramFree); n > 0 {
@@ -166,18 +166,9 @@ type socket struct {
 // serialization against the main loop is modelled by sim's crossing-cost
 // table, not by a mutex.
 
-// newSocket takes a socket struct of the given type off the arena (or
-// the current slab).
+// newSocket takes a socket struct of the given type off the arena.
 func (s *Stack) newSocket(typ int16) *socket {
-	var sk *socket
-	if n := len(s.sockFree); n > 0 {
-		sk = s.sockFree[n-1]
-		s.sockFree[n-1] = nil
-		s.sockFree = s.sockFree[:n-1]
-	} else {
-		sk = slabTake(&s.sockSlab, slabLen)
-		s.sockIssued++
-	}
+	sk := s.sockArena.take()
 	*sk = socket{typ: typ}
 	return sk
 }
@@ -419,7 +410,7 @@ func (s *Stack) close(sk *socket) {
 		}
 		delete(s.udps, sk.udp.ep)
 	}
-	s.sockFree = append(s.sockFree, sk)
+	s.sockArena.put(sk)
 }
 
 // sendTo transmits one UDP datagram from a datagram socket, binding an

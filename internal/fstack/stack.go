@@ -245,31 +245,18 @@ type Stack struct {
 	// entry here, not a full tcpConn. Entries graduate to connections
 	// on the final ACK and retransmit SYN|ACKs via synWheel.
 	syncache map[fourTuple]*synEntry
-	synFree  []*synEntry
 
-	// connFree/sockFree recycle connection and socket structs so a
-	// churn of short flows reaches zero steady-state allocations, and
-	// coldFree the cold records connections take on loss, reordering
-	// or a zero window. Plain per-stack free lists, not sync.Pool: a
-	// pool may drop its contents at any GC, putting allocations back
-	// into steady-state churn, and hands structs back in an order no
-	// run can reproduce.
-	connFree []*tcpConn
-	sockFree []*socket
-	coldFree []*tcpCold
-	// connSlab/sockSlab/coldSlab are the unissued tails of the current
-	// slabs the arenas take fresh structs from (slabLen at a time).
-	connSlab []tcpConn
-	sockSlab []socket
-	coldSlab []tcpCold
-	// sockIssued counts the socket structs taken from slabs: every one
-	// is open or in sockFree.
-	sockIssued int
-	// regFree pools epoll registrations the same way, chained through
-	// nextSk: churn registers and unregisters every short flow. regSlabs
-	// are the slabs they came from.
-	regFree  *epollReg
-	regSlabs [][]epollReg
+	// The arenas every struct of the connection plane comes from, so a
+	// churn of short flows reaches zero steady-state allocations:
+	// connections, sockets, the cold records connections take on loss,
+	// reordering or a zero window, SYN-cache entries and epoll
+	// registrations (regSlabLen a refill: churn registers and
+	// unregisters every short flow).
+	connArena arena[tcpConn]
+	sockArena arena[socket]
+	coldArena arena[tcpCold]
+	synArena  arena[synEntry]
+	regArena  arena[epollReg]
 
 	// dgramFree recycles UDP payload buffers (udpPayloadMax capacity
 	// each) between inputUDP and RecvFrom/Close, keeping the datagram
@@ -346,9 +333,10 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 		ephemeral: ephemeralBase,
 		wheel:     connscale.New[*tcpConn](0, connscale.DefaultTickShift),
 		synWheel:  connscale.New[*synEntry](0, connscale.DefaultTickShift),
+		regArena:  arena[epollReg]{slab: regSlabLen},
 	}
 	s.self[0] = s
-	s.ShardedAPI = ShardedAPI{shards: s.self[:], next: 3}
+	s.ShardedAPI = newView(nil, s.self[:])
 	s.fireConnF = func(c *tcpConn) {
 		c.timerH = connscale.None
 		s.queueVisit(c)
@@ -546,14 +534,17 @@ func (s *Stack) ConnCount() int {
 }
 
 // RetainedBytes is a deterministic accounting of the heap the stack's
-// connection plane holds onto: connection structs with their ring
-// headers and congestion windows, their cold records (live and
-// free-listed, a record's reassembly runs and SACK scoreboard at their
-// capacity), socket structs, half-open SYN-cache entries, and recycled
-// datagram buffers. Segment-backed socket buffer storage is excluded —
-// the segment allocator reports that itself (MemSeg.Used) — and so is
-// the unissued tail of the current slabs (at most one slab per type per
-// stack): capacity, not population.
+// connection plane holds onto. It counts what the arenas issued, live or
+// free: connection structs with their ring headers and congestion
+// windows, cold records (each at its reassembly runs' and SACK
+// scoreboard's capacity), socket structs and SYN-cache entries; and the
+// recycled datagram buffers. The arenas' part never falls while the
+// stack runs: a struct once issued stays the stack's. A datagram buffer
+// counts only while it is free-listed. Segment-backed socket buffer
+// storage is excluded — the segment allocator reports that itself
+// (MemSeg.Used) — and so is the unissued tail of each arena's current
+// slab: capacity, not population. Epoll registrations and view entries
+// are not counted yet.
 //
 // Scenario 8 measures the idle population's memory cost as a delta of
 // this count, not of runtime.MemStats: the process heap is shared by
@@ -562,34 +553,16 @@ func (s *Stack) ConnCount() int {
 // stack's own state and is identical at any host parallelism.
 func (s *Stack) RetainedBytes() uint64 {
 	const (
-		connSz  = uint64(unsafe.Sizeof(tcpConn{}))
-		sockSz  = uint64(unsafe.Sizeof(socket{}))
-		synSz   = uint64(unsafe.Sizeof(synEntry{}))
-		coldSz  = uint64(unsafe.Sizeof(tcpCold{}))
 		rangeSz = uint64(unsafe.Sizeof(seqRange{}))
 		oooSz   = uint64(unsafe.Sizeof(oooRun{}))
 	)
-	var b uint64
-	cold := func(k *tcpCold) {
-		b += coldSz + uint64(cap(k.sacked))*rangeSz + uint64(cap(k.rcvOOO))*oooSz
-	}
-	conn := func(c *tcpConn) {
-		b += connSz
-		if c.cold != nil {
-			cold(c.cold)
-		}
-	}
-	for _, c := range s.conns {
-		conn(c)
-	}
-	for _, c := range s.connFree {
-		conn(c)
-	}
-	for _, k := range s.coldFree {
-		cold(k)
-	}
-	b += uint64(s.sockIssued) * sockSz
-	b += uint64(len(s.syncache)+len(s.synFree)) * synSz
+	b := uint64(s.connArena.issued)*uint64(unsafe.Sizeof(tcpConn{})) +
+		uint64(s.coldArena.issued)*uint64(unsafe.Sizeof(tcpCold{})) +
+		uint64(s.sockArena.issued)*uint64(unsafe.Sizeof(socket{})) +
+		uint64(s.synArena.issued)*uint64(unsafe.Sizeof(synEntry{}))
+	s.coldArena.each(func(k *tcpCold) {
+		b += uint64(cap(k.sacked))*rangeSz + uint64(cap(k.rcvOOO))*oooSz
+	})
 	for _, d := range s.dgramFree {
 		b += uint64(cap(d))
 	}
@@ -1019,5 +992,5 @@ func (s *Stack) Iterations() uint64 { return s.iterations }
 
 // String summarizes the stack.
 func (s *Stack) String() string {
-	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.sockIssued-len(s.sockFree))
+	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.sockArena.issued-len(s.sockArena.free))
 }

@@ -501,16 +501,16 @@ func TestConnClosedWhileQueuedIsRecycled(t *testing.T) {
 			seg := make([]byte, rst.encodedLen())
 			putTCPHeaderEager(seg, rst, c.tuple.remote.IP, c.tuple.local.IP, len(seg))
 			s.inputTCP(s.nifByIP(c.tuple.local.IP), IPv4Header{Src: c.tuple.remote.IP, Dst: c.tuple.local.IP, Proto: ProtoTCP}, seg, false)
-			if c.state != tcpClosed || !c.queued || len(s.connFree) != 0 {
-				t.Fatalf("reset: state %v, queued %v, %d pooled; want CLOSED, still queued, none pooled", c.state, c.queued, len(s.connFree))
+			if c.state != tcpClosed || !c.queued || len(s.connArena.free) != 0 {
+				t.Fatalf("reset: state %v, queued %v, %d pooled; want CLOSED, still queued, none pooled", c.state, c.queued, len(s.connArena.free))
 			}
 			s.PollOnce()
 		} else {
 			s.Crash()
 		}
-		if len(s.connFree) != 1 || s.connFree[0] != c || c.sndBuf.backed {
+		if free := s.connArena.free; len(free) != 1 || free[0] != c || c.sndBuf.backed {
 			t.Errorf("%s: %d pooled (the conn: %v), send ring backed %v; want the conn pooled, its ring back",
-				end, len(s.connFree), len(s.connFree) == 1 && s.connFree[0] == c, c.sndBuf.backed)
+				end, len(free), len(free) == 1 && free[0] == c, c.sndBuf.backed)
 		}
 	}
 }

@@ -44,18 +44,6 @@ func (s *Stack) synCacheCap() int {
 	return defaultSynCacheCap
 }
 
-// allocSynEntry takes an entry off the pool (or allocates one).
-func (s *Stack) allocSynEntry() *synEntry {
-	if n := len(s.synFree); n > 0 {
-		e := s.synFree[n-1]
-		s.synFree[n-1] = nil
-		s.synFree = s.synFree[:n-1]
-		*e = synEntry{timerH: connscale.None}
-		return e
-	}
-	return &synEntry{timerH: connscale.None}
-}
-
 // noteSynDrop counts and traces one refused SYN.
 func (s *Stack) noteSynDrop(reason int64, l *listener, port uint16) {
 	s.stats.SynDrops++
@@ -80,9 +68,8 @@ func (s *Stack) acceptSyn(l *listener, tuple fourTuple, h TCPHeader) {
 		s.noteSynDrop(obs.SynDropCache, l, tuple.local.Port)
 		return
 	}
-	e := s.allocSynEntry()
-	e.tuple = tuple
-	e.irs = h.Seq
+	e := s.synArena.take()
+	*e = synEntry{tuple: tuple, irs: h.Seq, timerH: connscale.None}
 	if h.HasTS {
 		e.tsRecent = h.TSVal
 	}
@@ -227,7 +214,7 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	c.rto = e.rto // carries any SYN|ACK backoff, like the conn path did
 	s.addConn(e.tuple, c)
 	s.stats.Accepts++
-	s.synFreeEntry(e)
+	s.synForget(e)
 	c.setState(tcpEstablished)
 	s.notifyAccept(c)
 	if c.state == tcpClosed {
@@ -242,16 +229,16 @@ func (s *Stack) synDropEntry(e *synEntry) {
 	if l := s.findListener(e.tuple.local); l != nil && l.halfOpen > 0 {
 		l.halfOpen--
 	}
-	s.synFreeEntry(e)
+	s.synForget(e)
 }
 
-// synFreeEntry removes an entry from the cache and returns it to the
-// pool.
-func (s *Stack) synFreeEntry(e *synEntry) {
+// synForget removes an entry from the cache and gives it back to the
+// arena.
+func (s *Stack) synForget(e *synEntry) {
 	if e.timerH != connscale.None {
 		s.synWheel.Remove(e.timerH)
 		e.timerH = connscale.None
 	}
 	delete(s.syncache, e.tuple)
-	s.synFree = append(s.synFree, e)
+	s.synArena.put(e)
 }

@@ -179,29 +179,21 @@ type tcpCold struct {
 }
 
 // takeCold returns the connection's cold record, taking one from the
-// stack's pool (or its slab) on first need.
+// stack's arena on first need.
 func (c *tcpConn) takeCold() *tcpCold {
 	if c.cold != nil {
 		return c.cold
 	}
-	s := c.stk
-	var k *tcpCold
-	if n := len(s.coldFree); n > 0 {
-		k = s.coldFree[n-1]
-		s.coldFree[n-1] = nil
-		s.coldFree = s.coldFree[:n-1]
-	} else {
-		k = slabTake(&s.coldSlab, slabLen)
-	}
+	k := c.stk.coldArena.take()
 	*k = tcpCold{sacked: k.sacked[:0], rcvOOO: k.rcvOOO[:0]}
 	c.cold = k
 	return k
 }
 
-// dropCold gives the connection's cold record back to the stack's pool.
+// dropCold gives the connection's cold record back to the stack's arena.
 func (c *tcpConn) dropCold() {
 	if c.cold != nil {
-		c.stk.coldFree = append(c.stk.coldFree, c.cold)
+		c.stk.coldArena.put(c.cold)
 		c.cold = nil
 	}
 }
@@ -260,9 +252,9 @@ func (c *tcpConn) peerFin() bool {
 
 // newTCPConn builds a connection in the given state with rings in the
 // stack's segment, sized and featured per the stack's TCP tuning. The
-// struct comes off the conn arena when one is pooled — the path that
-// makes connection churn allocation-free at steady state — and from the
-// slab otherwise. Either way one literal sets it, zeroing every field,
+// struct comes off the conn arena — a recycled one, the path that makes
+// connection churn allocation-free at steady state, or a fresh one.
+// Either way one literal sets it, zeroing every field,
 // so a newly added field cannot leak state between incarnations. It
 // cannot fail: SetTCPTuning admits only ring sizes and an algorithm a
 // connection can be built with.
@@ -274,14 +266,7 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 	if s.tuning.RcvBufBytes > 0 {
 		rcvSize = s.tuning.RcvBufBytes
 	}
-	var c *tcpConn
-	if n := len(s.connFree); n > 0 {
-		c = s.connFree[n-1] // its rings released by maybeRecycleConn
-		s.connFree[n-1] = nil
-		s.connFree = s.connFree[:n-1]
-	} else {
-		c = slabTake(&s.connSlab, slabLen)
-	}
+	c := s.connArena.take() // a recycled one's rings released by maybeRecycleConn
 	ssthresh := initialSsthresh
 	if s.tuning.WindowScale > 0 {
 		ssthresh = unboundedSsthresh
@@ -304,27 +289,10 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 	return c
 }
 
-// slabLen is how many fresh structs one arena refill allocates (the
-// regSlabLen rule): populating a stack costs one allocation per slab
-// and type, not one per struct. A slab's unissued tail is the only part
-// of it the free lists and RetainedBytes do not see.
-const slabLen = 64
-
-// slabTake returns the next unissued struct of *slab, refilling it n
-// at a time when the last one has gone.
-func slabTake[T any](slab *[]T, n int) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, n)
-	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
-}
-
 // maybeRecycleConn returns a CLOSED connection struct to the arena
 // once nothing else can reach it: no socket, no accept-queue slot, no
 // visit-list membership. Its rings go back to the segment then, and its
-// cold record to the pool, not at removeConn: an aborted connection's
+// cold record to its arena, not at removeConn: an aborted connection's
 // socket may still read what it received.
 func (s *Stack) maybeRecycleConn(c *tcpConn) {
 	if c.state != tcpClosed || c.inPending || c.sk != nil || c.queued {
@@ -333,7 +301,7 @@ func (s *Stack) maybeRecycleConn(c *tcpConn) {
 	c.sndBuf.release(s.seg)
 	c.rcvBuf.release(s.seg)
 	c.dropCold()
-	s.connFree = append(s.connFree, c)
+	s.connArena.put(c)
 }
 
 // iss generates the initial send sequence number.
@@ -1165,7 +1133,7 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 
 // enterTimeWait parks the connection for 2MSL, keeping only what it
 // needs to answer a retransmitted FIN. Its rings go back to the segment
-// and its cold record to the pool, which also turns persist off
+// and its cold record to its arena, which also turns persist off
 // (FreeBSD's tcp_twstart): TIME_WAIT follows Close, our FIN is
 // acknowledged and the peer's is sequenced, so nothing reads or writes
 // either ring again, and nothing is left to recover or retransmit —

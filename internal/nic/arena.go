@@ -26,7 +26,7 @@ import "slices"
 // default arena for hand-wired tests and single-topology tools.
 
 // frameChunk is how many fresh frames one refill of an empty arena
-// allocates (the slabLen rule of fstack's arenas).
+// allocates (the slabLen rule of fstack's arena).
 const frameChunk = 64
 
 // chunkFrame is one frame of a refill chunk, padded to the 1536-byte
