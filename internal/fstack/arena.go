@@ -2,9 +2,9 @@ package fstack
 
 import "slices"
 
-// slabLen is how many fresh structs one arena refill makes unless the
-// arena says otherwise: populating a stack costs one allocation per slab
-// and type, not one per struct.
+// slabLen is how many fresh structs one arena refill asks for unless
+// the arena says otherwise: populating a stack costs one allocation per
+// slab and type, not one per struct.
 const slabLen = 64
 
 // arena pools one struct type of the connection plane, the way
@@ -13,10 +13,11 @@ const slabLen = 64
 // so every run reissues structs in one order. Not a sync.Pool: a pool
 // may drop its contents at any GC, putting allocations back into
 // steady-state churn, and hands structs back in an order no run can
-// reproduce. The zero value is ready to use, refilling slabLen at a
-// time.
+// reproduce. The zero value is ready to use, refilling at least
+// slabLen at a time.
 type arena[T any] struct {
-	// slab is the structs per refill; 0 means slabLen.
+	// slab is the structs a refill asks for; 0 means slabLen. A slab
+	// holds as many as its allocation has room for (newSlab).
 	slab int
 	// issued counts the structs taken from slabs: each one is live or
 	// in free.
@@ -30,12 +31,26 @@ type arena[T any] struct {
 	more  [][]T
 }
 
-// size is the structs per slab.
+// size is the structs per slab: the first slab's length once it is
+// made, every later one being as long.
 func (a *arena[T]) size() int {
-	if a.slab > 0 {
+	switch {
+	case a.first != nil:
+		return len(a.first)
+	case a.slab > 0:
 		return a.slab
 	}
 	return slabLen
+}
+
+// newSlab makes a slab of at least n structs, and of as many as its
+// allocation holds: the heap rounds a request up to its size class, so
+// 64 connections of 200 B, 12 800 B, take a 13 568 B block, which holds
+// 67. A slab made for that many rounds up to the same class, so every
+// slab of an arena is as long as its first.
+func newSlab[T any](n int) []T {
+	s := slices.Grow([]T(nil), n)
+	return s[:cap(s)]
 }
 
 // at is the i-th struct issued.
@@ -59,11 +74,11 @@ func (a *arena[T]) take() *T {
 	if n := a.size(); a.issued%n == 0 {
 		switch {
 		case a.first == nil:
-			a.first = make([]T, n)
+			a.first = newSlab[T](n)
 		case a.more == nil:
-			a.more = append(make([][]T, 0, slabLen), make([]T, n))
+			a.more = append(make([][]T, 0, slabLen), newSlab[T](n))
 		default:
-			a.more = append(a.more, make([]T, n))
+			a.more = append(a.more, newSlab[T](n))
 		}
 	}
 	a.issued++

@@ -98,11 +98,11 @@ func (c *tcpConn) ccAck(dataAcked int) {
 	mss := int(c.sndMSS)
 	switch {
 	case c.cwnd < c.ssthresh:
-		c.cwnd += min(dataAcked, mss) // slow start (RFC 8312 §4.8 too)
+		c.cwnd += uint32(min(dataAcked, mss)) // slow start (RFC 8312 §4.8 too)
 	case c.cc == ccCubic:
 		c.cubicAvoid(dataAcked)
 	default:
-		c.cwnd += max(1, mss*mss/c.cwnd) // AIMD
+		c.cwnd += uint32(max(1, mss*mss/int(c.cwnd))) // AIMD
 	}
 }
 
@@ -149,7 +149,7 @@ func (c *tcpConn) cubicAvoid(dataAcked int) {
 		wCubic := e.wMax + cubicC*math.Pow(t-e.k, 3)
 		if wCubic < wEst {
 			if wEst > cwndSeg {
-				c.cwnd += int(math.Min((wEst-cwndSeg)*mss, mss))
+				c.cwnd += uint32(math.Min((wEst-cwndSeg)*mss, mss))
 			}
 			return
 		}
@@ -161,7 +161,7 @@ func (c *tcpConn) cubicAvoid(dataAcked int) {
 	target := e.wMax + cubicC*math.Pow(t+rtt-e.k, 3)
 	if target > cwndSeg {
 		inc := (target - cwndSeg) / cwndSeg * mss
-		c.cwnd += int(math.Min(inc, mss))
+		c.cwnd += uint32(math.Min(inc, mss))
 	}
 }
 
@@ -173,7 +173,7 @@ func (c *tcpConn) cubicAvoid(dataAcked int) {
 func (c *tcpConn) ccLossCut(pipe int) {
 	mss := int(c.sndMSS)
 	if c.cc == ccReno {
-		c.ssthresh = max(pipe/2, 2*mss)
+		c.ssthresh = uint32(max(pipe/2, 2*mss))
 		return
 	}
 	e := &c.takeCold().cubic
@@ -186,7 +186,7 @@ func (c *tcpConn) ccLossCut(pipe int) {
 		e.wLastMax = cwndSeg
 		e.wMax = cwndSeg
 	}
-	c.ssthresh = max(int(math.Round(float64(c.cwnd)*cubicBeta)), 2*mss)
+	c.ssthresh = uint32(max(int(math.Round(float64(c.cwnd)*cubicBeta)), 2*mss))
 }
 
 // ccEnterRecovery starts loss recovery off the third duplicate ACK.
@@ -197,19 +197,19 @@ func (c *tcpConn) ccEnterRecovery(pipe int) {
 	c.ccLossCut(pipe)
 	c.cwnd = c.ssthresh
 	if !c.sackOK {
-		c.cwnd += 3 * int(c.sndMSS)
+		c.cwnd += 3 * uint32(c.sndMSS)
 	}
 }
 
 // ccDupAck is the RFC 6582 window inflation of a duplicate ACK during
 // non-SACK recovery.
-func (c *tcpConn) ccDupAck() { c.cwnd += int(c.sndMSS) }
+func (c *tcpConn) ccDupAck() { c.cwnd += uint32(c.sndMSS) }
 
 // ccPartialAck deflates the window by a partial ACK's dataAcked bytes
 // during non-SACK recovery (RFC 6582) instead of growing it.
 func (c *tcpConn) ccPartialAck(dataAcked int) {
 	mss := int(c.sndMSS)
-	c.cwnd = max(c.cwnd-dataAcked+mss, 2*mss)
+	c.cwnd = uint32(max(int(c.cwnd)-dataAcked+mss, 2*mss))
 }
 
 // ccExitRecovery is the full ACK at or past the recovery point.
@@ -220,5 +220,5 @@ func (c *tcpConn) ccExitRecovery() { c.cwnd = c.ssthresh }
 // ssthresh.
 func (c *tcpConn) ccRTO(pipe int) {
 	c.ccLossCut(pipe)
-	c.cwnd = int(c.sndMSS)
+	c.cwnd = uint32(c.sndMSS)
 }

@@ -283,7 +283,7 @@ type ccState struct {
 // refState reads a connection's window and CUBIC epoch (zero without a
 // cold record).
 func refState(c *tcpConn) ccState {
-	st := ccState{cwnd: c.cwnd, ssthresh: c.ssthresh}
+	st := ccState{cwnd: int(c.cwnd), ssthresh: int(c.ssthresh)}
 	if c.cold != nil {
 		st.cubic = c.cold.cubic
 	}
@@ -319,7 +319,7 @@ func refEvent(rng *rand.Rand, c *tcpConn, ref refCC, inRecovery *bool, now int64
 		ref.OnAck(n, now, c.srtt)
 		return "ack"
 	case !*inRecovery && r < 95:
-		pipe := rng.Intn(2*c.cwnd + 1)
+		pipe := rng.Intn(2*int(c.cwnd) + 1)
 		c.sackOK = rng.Intn(2) == 0
 		c.ccEnterRecovery(pipe)
 		ref.OnEnterRecovery(pipe, c.sackOK, now)
@@ -342,7 +342,7 @@ func refEvent(rng *rand.Rand, c *tcpConn, ref refCC, inRecovery *bool, now int64
 		*inRecovery = false
 		return "exit"
 	}
-	pipe := rng.Intn(2*c.cwnd + 1)
+	pipe := rng.Intn(2*int(c.cwnd) + 1)
 	c.ccRTO(pipe)
 	ref.OnRTO(pipe, now)
 	*inRecovery = false

@@ -36,7 +36,7 @@ func TestRenoTraceMatchesPreRefactor(t *testing.T) {
 	steps := []struct {
 		name        string
 		event       func()
-		cwnd, ssthr int
+		cwnd, ssthr uint32
 	}{
 		{"init", func() {}, 14480, 262144},
 		{"slow start full ack", func() { clk.Set(1); c.ccAck(1448) }, 15928, 262144},
@@ -83,7 +83,7 @@ const cubicMSS = 1448
 func cubicInCA(t *testing.T, wSeg int) (*tcpConn, *sim.VClock) {
 	c, clk := ccConn(t, CCCubic, 0)
 	c.sackOK = true
-	c.cwnd = wSeg * cubicMSS
+	c.cwnd = uint32(wSeg * cubicMSS)
 	c.ccEnterRecovery(wSeg * cubicMSS)
 	c.ccExitRecovery()
 	return c, clk
@@ -178,7 +178,7 @@ func TestCubicFastConvergence(t *testing.T) {
 	if e.wMax != 1000 || e.wLastMax != 1000 {
 		t.Fatalf("first loss: wMax=%.0f wLastMax=%.0f, want 1000/1000", e.wMax, e.wLastMax)
 	}
-	if c.ssthresh != int(1000*cubicMSS*cubicBeta) {
+	if c.ssthresh != uint32(1000*cubicMSS*cubicBeta) {
 		t.Fatalf("ssthresh = %d, want 0.7 cwnd = %d", c.ssthresh, int(1000*cubicMSS*cubicBeta))
 	}
 	// Second loss below the last plateau: fast convergence shrinks.
@@ -211,7 +211,7 @@ func TestCubicRTOCollapse(t *testing.T) {
 	if c.cwnd != cubicMSS {
 		t.Fatalf("post-RTO cwnd = %d, want one MSS", c.cwnd)
 	}
-	if c.ssthresh != int(80*cubicMSS*cubicBeta) {
+	if c.ssthresh != uint32(80*cubicMSS*cubicBeta) {
 		t.Fatalf("post-RTO ssthresh = %d, want %d", c.ssthresh, int(80*cubicMSS*cubicBeta))
 	}
 	if c.cold.cubic.epochStart != 0 {

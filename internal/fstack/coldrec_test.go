@@ -103,7 +103,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	if cu.cc != ccCubic {
 		t.Fatalf("the CUBIC stack built a conn running algorithm %d", cu.cc)
 	}
-	cu.ssthresh = cu.cwnd + 20*int(cu.sndMSS)
+	cu.ssthresh = cu.cwnd + 20*uint32(cu.sndMSS)
 	stream := func() {
 		e.stkA.Write(cfd3, payload)
 		for {
@@ -161,7 +161,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 			cu.state == tcpTimeWait && len(e.stkB.connArena.free) == 3
 	})
 	for _, s := range []*Stack{e.stkA, e.stkB} {
-		for _, c := range s.conns {
+		for c := range s.conns.all() {
 			if c.cold != nil {
 				t.Errorf("a %s conn holds its cold record", c.state)
 			}

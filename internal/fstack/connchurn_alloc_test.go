@@ -33,16 +33,77 @@ func TestConnChurnZeroAllocs(t *testing.T) {
 // idle connections — Scenario 8's preload, the bench's churn_25k — costs
 // at most half a heap allocation per connection end to end, client
 // stack and 2-shard server together (the amortised slabs, congestion
-// controllers included, table pages and map growth). One `new` per
-// tcpConn, sockBuf, socket and shardedFD made it ≈ 8.7; one congestion
-// controller per connection on each side kept it at ≈ 2.1.
+// controllers included, table pages and tuple-table growth). One `new`
+// per tcpConn, sockBuf, socket and shardedFD made it ≈ 8.7; one
+// congestion controller per connection on each side kept it at ≈ 2.1.
 func TestPreloadAllocsPerConn(t *testing.T) {
+	b := newPreloadBed(t)
+	b.open(1)  // ARP parks only a few packets per neighbour
+	b.open(63) // the first slabs and pages, scratch slices
+	const conns = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.open(conns)
+	runtime.ReadMemStats(&after)
+	if got := b.srv.ConnCount(); got != 64+conns {
+		t.Fatalf("%d connections parked on the server, want %d", got, 64+conns)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / conns; per > 0.5 {
+		t.Fatalf("establishing an idle connection costs %.2f allocations end to end, want <= 0.5", per)
+	} else {
+		t.Logf("%.2f allocations per idle connection", per)
+	}
+}
+
+// TestPreloadHeapPerConn pins what an idle connection holds, on
+// TestPreloadAllocsPerConn's bed: the live heap 20 000 more parked
+// connections add, both ends and every table and arena they fill, read
+// after a collection on either side, is at most 700 B a connection. The
+// tuple index as a Go map, a view entry taken from an arena and pointed
+// at from its table page, and a 64-bit window put it at 761 B.
+func TestPreloadHeapPerConn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parks 20 000 connections; skipped in -short")
+	}
+	b := newPreloadBed(t)
+	b.open(1) // ARP first, as above
+	b.open(63)
+	const conns = 20_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.open(conns)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := b.srv.ConnCount(); got != 64+conns {
+		t.Fatalf("%d connections parked on the server, want %d", got, 64+conns)
+	}
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / conns
+	if per > 700 {
+		t.Fatalf("an idle connection holds %.0f B of live heap end to end, want <= 700", per)
+	}
+	t.Logf("%.0f B of live heap per idle connection", per)
+	runtime.KeepAlive(b)
+}
+
+// preloadBed is a one-shard client stack and a 2-shard server listening
+// on port 8080, wired back to back, on which open parks idle
+// connections.
+type preloadBed struct {
+	t   *testing.T
+	clk *sim.VClock
+	cli *Stack
+	srv *ShardedStack
+	api *ShardedAPI
+	lfd int
+}
+
+func newPreloadBed(t *testing.T) *preloadBed {
 	clk := sim.NewVClock()
-	ipB := IP4(10, 0, 0, 2)
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	ss, cardB := buildShardedMachine(t, clk, "0000:04:00", 2, ipB, 2)
+	cli, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
+	srv, cardB := buildShardedMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), 2)
 	nic.Connect(cardA.Port(0), cardB.Port(0))
-	api := ss.API()
+	api := srv.API()
 	lfd, _ := api.Socket(SockStream)
 	if errno := api.Bind(lfd, IPv4Addr{}, 8080); errno != hostos.OK {
 		t.Fatal(errno)
@@ -50,48 +111,37 @@ func TestPreloadAllocsPerConn(t *testing.T) {
 	if errno := api.Listen(lfd, 128); errno != hostos.OK {
 		t.Fatal(errno)
 	}
-	open := func(n int) {
-		for done := 0; done < n; {
-			batch := min(32, n-done)
-			for i := 0; i < batch; i++ {
-				cfd, _ := stkA.Socket(SockStream)
-				if errno := stkA.Connect(cfd, ipB, 8080); errno != hostos.EINPROGRESS {
-					t.Fatalf("connect: %v", errno)
-				}
+	return &preloadBed{t: t, clk: clk, cli: cli, srv: srv, api: api, lfd: lfd}
+}
+
+// open parks n more idle connections, 32 handshakes at a time, each
+// accepted on the server.
+func (b *preloadBed) open(n int) {
+	for done := 0; done < n; {
+		batch := min(32, n-done)
+		for i := 0; i < batch; i++ {
+			cfd, _ := b.cli.Socket(SockStream)
+			if errno := b.cli.Connect(cfd, IP4(10, 0, 0, 2), 8080); errno != hostos.EINPROGRESS {
+				b.t.Fatalf("connect: %v", errno)
 			}
-			for accepted, ticks := 0, 0; accepted < batch; ticks++ {
-				if ticks > 20000 {
-					t.Fatalf("%d of %d connections of a batch accepted", accepted, batch)
-				}
-				stkA.PollOnce()
-				for _, s := range ss.Shards() {
-					s.RunOnce()
-				}
-				clk.Advance(5000)
-				for {
-					if _, _, _, errno := api.Accept(lfd); errno != hostos.OK {
-						break
-					}
-					accepted++
-				}
-			}
-			done += batch
 		}
-	}
-	open(1)  // ARP parks only a few packets per neighbour
-	open(63) // the first slabs and pages, scratch slices
-	const conns = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	open(conns)
-	runtime.ReadMemStats(&after)
-	if got := ss.ConnCount(); got != 64+conns {
-		t.Fatalf("%d connections parked on the server, want %d", got, 64+conns)
-	}
-	if per := float64(after.Mallocs-before.Mallocs) / conns; per > 0.5 {
-		t.Fatalf("establishing an idle connection costs %.2f allocations end to end, want <= 0.5", per)
-	} else {
-		t.Logf("%.2f allocations per idle connection", per)
+		for accepted, ticks := 0, 0; accepted < batch; ticks++ {
+			if ticks > 20000 {
+				b.t.Fatalf("%d of %d connections of a batch accepted", accepted, batch)
+			}
+			b.cli.PollOnce()
+			for _, s := range b.srv.Shards() {
+				s.RunOnce()
+			}
+			b.clk.Advance(5000)
+			for {
+				if _, _, _, errno := b.api.Accept(b.lfd); errno != hostos.OK {
+					break
+				}
+				accepted++
+			}
+		}
+		done += batch
 	}
 }
 

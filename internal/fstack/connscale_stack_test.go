@@ -57,7 +57,7 @@ func fullClose(e *testEnv, cfd, afd int) {
 	e.stkB.Close(afd)
 	e.pumpUntil(8000, "client reaches TIME_WAIT", func() bool {
 		tw := false
-		for _, c := range e.stkA.conns {
+		for c := range e.stkA.conns.all() {
 			tw = tw || c.state == tcpTimeWait
 		}
 		return tw
@@ -77,7 +77,7 @@ func warmARP(e *testEnv) {
 		s  *Stack
 		fd int
 	}{{e.stkA, cfd}, {e.stkB, afd}, {e.stkB, lfd}} {
-		for _, c := range pr.s.conns {
+		for _, c := range slices.Collect(pr.s.conns.all()) {
 			pr.s.removeConn(c)
 		}
 		pr.s.fds.del(pr.fd)
@@ -352,7 +352,7 @@ func TestTimeWaitPassiveReuse(t *testing.T) {
 	e.stkA.Close(cfd)
 	e.pumpUntil(8000, "server reaches TIME_WAIT and client drains", func() bool {
 		tw := false
-		for _, c := range e.stkB.conns {
+		for c := range e.stkB.conns.all() {
 			tw = tw || c.state == tcpTimeWait
 		}
 		return tw && e.stkA.ConnCount() == 0
@@ -403,7 +403,7 @@ func TestTimeWaitFlood(t *testing.T) {
 		fullClose(e, cfd, afd)
 	}
 	tw := 0
-	for _, c := range e.stkA.conns {
+	for c := range e.stkA.conns.all() {
 		if c.state == tcpTimeWait {
 			tw++
 		}

@@ -28,12 +28,8 @@ func (s *Stack) Crash() {
 
 	// Abort every live connection in creation order, so the trace
 	// events this emits, and the order rings go back to the segment,
-	// are identical run to run (map order is not).
-	order := make([]*tcpConn, 0, len(s.conns))
-	for _, c := range s.conns {
-		order = append(order, c)
-	}
-	slices.SortFunc(order, func(a, b *tcpConn) int {
+	// are identical run to run (slot order depends on the tuples).
+	order := slices.SortedFunc(s.conns.all(), func(a, b *tcpConn) int {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, c := range order {

@@ -172,10 +172,13 @@ func TestRetainedBytesRecoverAcrossRestart(t *testing.T) {
 }
 
 // TestRetainedBytesNeverFalls: RetainedBytes counts what the arenas
-// issued, so on a stack that moves no datagrams it never falls, sampled
-// after every poll of a connect, a reset and the closes. A connection reset while its
-// socket is open is CLOSED and out of the tuple index but not yet
-// recycled: it stays counted.
+// issued and every datagram buffer made, so it never falls, sampled
+// after every poll of a connect, a reset and the closes, then of
+// datagrams received one at a time on a bound socket. A connection
+// reset while its socket is open is CLOSED and out of the tuple index
+// but not yet recycled: it stays counted. A datagram buffer queued on
+// its socket stays counted too: counted only while free-listed, it took
+// the count down by 1472 B every round.
 func TestRetainedBytesNeverFalls(t *testing.T) {
 	e := newEnv(t, false)
 	var last [2]uint64
@@ -240,6 +243,29 @@ func TestRetainedBytesNeverFalls(t *testing.T) {
 	for range 400 {
 		poll()
 	}
+
+	// A bound datagram socket receiving one datagram at a time: each
+	// round's buffer comes off the free list and goes back on RecvFrom.
+	ufd, _ := e.stkB.Socket(SockDgram)
+	if errno := e.stkB.Bind(ufd, IPv4Addr{}, 5353); errno != hostos.OK {
+		t.Fatalf("bind: %v", errno)
+	}
+	sfd, _ := e.stkA.Socket(SockDgram)
+	buf := make([]byte, 64)
+	for round := range 8 {
+		if _, errno := e.stkA.SendTo(sfd, []byte("query"), IP4(10, 0, 0, 2), 5353); errno != hostos.OK {
+			t.Fatalf("round %d: send: %v", round, errno)
+		}
+		pollUntil("the datagram received", func() bool {
+			n, _, _, errno := e.stkB.RecvFrom(ufd, buf)
+			return errno == hostos.OK && n == len("query")
+		})
+	}
+	e.stkA.Close(sfd)
+	e.stkB.Close(ufd)
+	for range 40 {
+		poll()
+	}
 }
 
 // crashScript parks 210 connections on stack B, each registered with one
@@ -288,13 +314,13 @@ func crashScript(t *testing.T) (stats StackStats, retained uint64, freed []strin
 
 	// Name every registration before the crash recycles it.
 	name := map[*epollReg]string{}
-	b.fds.each(func(fd int, f *shardedFD) {
+	b.fds.each(func(fd int, f shardedFD) {
 		if f.sk == nil {
 			return
 		}
 		for r := f.sk.regs; r != nil; r = r.nextSk {
 			for i, ep := range eps {
-				if b.fds.get(ep).ep == r.ep {
+				if b.fds.ref(ep).epoll() == r.ep {
 					name[r] = fmt.Sprintf("%d@%d", fd, i)
 				}
 			}

@@ -42,7 +42,8 @@
 //     shard 0 until placed — Listen copies it onto every shard, so a SYN
 //     is accepted wherever RSS lands it, and Connect moves it to the
 //     shard its return traffic reaches — and an epoll registration
-//     carries the number, so a wait reports it untranslated. Source
+//     carries the number, so a wait reports it untranslated. A number's
+//     24-byte entry lives in its table page (fdtable.go). Source
 //     ports come from the stack's one rotation and round-robin new
 //     connections over the shards. A Stack is the view of itself alone.
 //     Scenario 4 measures the resulting aggregate-goodput scaling.
@@ -56,7 +57,10 @@
 //     bulk flows: timers live on hierarchical timing wheels
 //     (fstack/connscale — O(1) arm/disarm, exact firing), the poll
 //     visits only connections with pending work (idle conns cost
-//     nothing per iteration), inbound handshakes go through a
+//     nothing per iteration), a segment finds its connection in an
+//     open-addressed tuple table (conntable.go, FreeBSD's
+//     in_pcblookup_hash shape: linear probing at most half full,
+//     deletes shifting the probe run back), inbound handshakes go through a
 //     FreeBSD-style SYN cache (a half-open costs one pooled entry,
 //     not a conn; backlog/cache overflow is counted, traced and
 //     dropped silently), and setup and teardown recycle conns,
@@ -100,7 +104,7 @@
 // scaling, sized socket buffers, the congestion-control algorithm
 // (TCPTuning.Congestion: the paper stack's Reno or RFC 8312 CUBIC) and
 // the retransmission-timer floor. A connection's window is two of its
-// fields, cwnd and ssthresh, moved by its ACK/loss-event methods in
+// 32-bit fields, cwnd and ssthresh, moved by its ACK/loss-event methods in
 // cc.go; CUBIC's epoch rides in the cold record. DESIGN.md §2 and §7
 // discuss both layers, and why stacks on paths with ms-scale queueing
 // must raise the floor (TCPTuning.RTOMinNS).

@@ -14,7 +14,9 @@ import (
 // the slack, not grow them, the number a registration carries must fit
 // in its padding, and the cold record an idle connection does not hold
 // (CUBIC's 32 B epoch inside it) stays within 112 bytes. A view's entry
-// (shardedFD), one per connection end a view names, is 48 B.
+// (shardedFD), one per connection end a view names and held in its table
+// page, is 24 B: a spread number's copies and instances sit behind one
+// pointer. A 32-bit window took tcpConn from 208 to 200 B.
 func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
@@ -25,10 +27,10 @@ func TestConnPlaneStructSizes(t *testing.T) {
 	}{
 		{"socket", unsafe.Sizeof(socket{}), 40},
 		{"epollReg", unsafe.Sizeof(epollReg{}), 48},
-		{"tcpConn", unsafe.Sizeof(tcpConn{}), 208},
+		{"tcpConn", unsafe.Sizeof(tcpConn{}), 200},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
 		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},
-		{"shardedFD", unsafe.Sizeof(shardedFD{}), 48},
+		{"shardedFD", unsafe.Sizeof(shardedFD{}), 24},
 	} {
 		if s.got != s.want {
 			t.Errorf("sizeof(%s) = %d, want %d", s.name, s.got, s.want)

@@ -14,6 +14,14 @@ func (s *Stack) sockOf(fd int) *socket {
 	return nil
 }
 
+// get returns fd's value, or the zero T.
+func (t *fdTable[T]) get(fd int) (v T) {
+	if p := t.ref(fd); p != nil {
+		v = *p
+	}
+	return v
+}
+
 // len reports the number of descriptors held.
 func (t *fdTable[T]) len() int {
 	n := 0

@@ -1,7 +1,7 @@
 package fstack
 
-// fdPageLen is the slots of one descriptor-table page (4 KiB of
-// pointers).
+// fdPageLen is the slots of one descriptor-table page: 12 KiB of a
+// view's 24-byte entries, which live in the page itself.
 const (
 	fdPageBits = 9
 	fdPageLen  = 1 << fdPageBits
@@ -25,12 +25,16 @@ type fdPage[T comparable] struct {
 	live int
 }
 
-// get returns fd's value, or the zero T.
-func (t *fdTable[T]) get(fd int) (v T) {
+// ref returns fd's slot, nil if fd holds the zero T. The slot stays
+// fd's until del: a put of another descriptor moves no slot.
+func (t *fdTable[T]) ref(fd int) *T {
+	var zero T
 	if p := uint(fd) >> fdPageBits; p < uint(len(t.pages)) && t.pages[p].slot != nil {
-		v = t.pages[p].slot[fd&(fdPageLen-1)]
+		if v := &t.pages[p].slot[fd&(fdPageLen-1)]; *v != zero {
+			return v
+		}
 	}
-	return v
+	return nil
 }
 
 // put stores a non-zero v under fd >= 0.
@@ -57,12 +61,13 @@ func (t *fdTable[T]) put(fd int, v T) {
 
 // del removes fd, if present.
 func (t *fdTable[T]) del(fd int) {
-	var zero T
-	if t.get(fd) == zero {
+	v := t.ref(fd)
+	if v == nil {
 		return
 	}
+	var zero T
+	*v = zero
 	p := &t.pages[fd>>fdPageBits]
-	p.slot[fd&(fdPageLen-1)] = zero
 	p.live--
 	if p.live == 0 && fd>>fdPageBits != len(t.pages)-1 {
 		p.slot = nil

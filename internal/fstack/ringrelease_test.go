@@ -30,7 +30,7 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 	e.stkB.Listen(lfd, 8)
 	timeWait := func() []*tcpConn {
 		var tw []*tcpConn
-		for _, c := range e.stkA.conns {
+		for c := range e.stkA.conns.all() {
 			if c.state == tcpTimeWait {
 				tw = append(tw, c)
 			}

@@ -129,27 +129,45 @@ func (s *Stack) localIPFor(dst IPv4Addr) IPv4Addr {
 
 // shardedFD is what one number of a view names: a socket, on the one
 // shard it lives on or copied onto every shard, or an epoll number's
-// instances, one per shard.
+// instances, one per shard. It is held by value in the view's table
+// page, and its zero value is "no such number".
 type shardedFD struct {
 	sk *socket // the socket, or its copy on shard 0
-	// peers are a listener's or a bound datagram socket's copies, one per
-	// shard (peers[0] is sk); nil while the socket lives on one shard.
-	peers []*socket
-	ep    *epollInstance // an epoll number's instance on shard 0; ep.set holds every shard's
+	// wide is what a number spread over every shard holds, taken only
+	// at Listen, a datagram Bind or EpollCreate; nil while the socket
+	// lives on one shard.
+	wide *fdWide
 	// shard is where sk lives; for an epoll number, the shard EpollWait
 	// asks first.
 	shard int
 }
 
+// fdWide is a spread number's per-shard half: a listener's or a bound
+// datagram socket's copies, or an epoll number's instances.
+type fdWide struct {
+	// peers are the socket's copies, one per shard (peers[0] is sk).
+	peers []*socket
+	ep    *epollInstance // an epoll number's instance on shard 0; ep.set holds every shard's
+}
+
 // on is the number's socket on shard i, nil if it has none there.
 func (f *shardedFD) on(i int) *socket {
-	if f.peers != nil {
-		return f.peers[i]
+	if f.wide != nil {
+		return f.wide.peers[i]
 	}
 	if i == f.shard {
 		return f.sk
 	}
 	return nil
+}
+
+// epoll is the number's epoll instance on shard 0, nil if it names
+// none.
+func (f *shardedFD) epoll() *epollInstance {
+	if f == nil || f.wide == nil {
+		return nil
+	}
+	return f.wide.ep
 }
 
 // ShardedAPI is one caller's descriptor table over a set of shards, the
@@ -167,17 +185,15 @@ type ShardedAPI struct {
 	ss     *ShardedStack // the port and shard rotation; nil in a stack's own view
 	shards []*Stack
 	next   int // the next number issued
-	fds    fdTable[*shardedFD]
-	// entries is the arena the numbers' entries come from, a table
-	// page's worth (fdPageLen) a refill: a stack that holds a number per
-	// parked connection pays for its entries as it does for its table
-	// pages.
-	entries arena[shardedFD]
+	// fds holds each number's entry in its table page, so a stack that
+	// holds a number per parked connection pays for its entries as it
+	// does for its pages.
+	fds fdTable[shardedFD]
 }
 
 // newView is a view of the given shards with no number issued yet.
 func newView(ss *ShardedStack, shards []*Stack) ShardedAPI {
-	return ShardedAPI{ss: ss, shards: shards, next: 3, entries: arena[shardedFD]{slab: fdPageLen}}
+	return ShardedAPI{ss: ss, shards: shards, next: 3}
 }
 
 // API returns a new view of the stack. A view is a descriptor table: a
@@ -188,19 +204,17 @@ func (ss *ShardedStack) API() *ShardedAPI {
 	return &a
 }
 
-// alloc issues the next number for f, its entry from the view's arena.
+// alloc issues the next number for f.
 func (a *ShardedAPI) alloc(f shardedFD) int {
-	p := a.entries.take()
-	*p = f
 	fd := a.next
 	a.next++
-	a.fds.put(fd, p)
+	a.fds.put(fd, f)
 	return fd
 }
 
 // sock resolves a number that names a socket; nil if it names none.
 func (a *ShardedAPI) sock(fd int) *shardedFD {
-	if f := a.fds.get(fd); f != nil && f.sk != nil {
+	if f := a.fds.ref(fd); f != nil && f.sk != nil {
 		return f
 	}
 	return nil
@@ -247,7 +261,7 @@ func (a *ShardedAPI) spread(f *shardedFD, do func(*Stack, *socket) hostos.Errno)
 	if len(a.shards) == 1 {
 		return hostos.OK
 	}
-	f.peers = make([]*socket, len(a.shards))
+	peers := make([]*socket, len(a.shards))
 	first := hostos.OK
 	for i, s := range a.shards {
 		sk := f.sk
@@ -255,9 +269,9 @@ func (a *ShardedAPI) spread(f *shardedFD, do func(*Stack, *socket) hostos.Errno)
 			sk = s.copySocket(f.sk, i)
 			first = cmp.Or(first, do(s, sk))
 		}
-		f.peers[i] = sk
+		peers[i] = sk
 	}
-	f.sk, f.shard = f.peers[0], 0
+	f.sk, f.wide, f.shard = peers[0], &fdWide{peers: peers}, 0
 	return first
 }
 
@@ -342,7 +356,7 @@ func (a *ShardedAPI) Connect(fd int, ip IPv4Addr, port uint16) hostos.Errno {
 // else shard 0.
 func (a *ShardedAPI) ShardOf(fd int) *Stack {
 	shard := 0
-	if f := a.fds.get(fd); f != nil {
+	if f := a.fds.ref(fd); f != nil {
 		shard = f.shard
 	}
 	return a.shards[shard]
@@ -514,38 +528,38 @@ func (a *ShardedAPI) RecvFrom(fd int, dst []byte) (int, IPv4Addr, uint16, hostos
 // that holds a piece of it: a socket's copies, an epoll number's
 // instances with their registrations.
 func (a *ShardedAPI) Close(fd int) hostos.Errno {
-	f := a.fds.get(fd)
-	if f == nil {
+	p := a.fds.ref(fd)
+	if p == nil {
 		return hostos.EBADF
 	}
+	f := *p
 	a.fds.del(fd)
+	ep := f.epoll()
 	for i, s := range a.shards {
-		if f.ep != nil {
-			s.dropRegs(&f.ep.set[i])
+		if ep != nil {
+			s.dropRegs(&ep.set[i])
 		} else if sk := f.on(i); sk != nil {
 			s.close(sk)
 		}
 	}
-	*f = shardedFD{}
-	a.entries.put(f)
 	return hostos.OK
 }
 
 // EpollCreate makes an epoll number: an instance on every shard.
 func (a *ShardedAPI) EpollCreate() int {
-	return a.alloc(shardedFD{ep: &newEpollSet(len(a.shards))[0]})
+	return a.alloc(shardedFD{wide: &fdWide{ep: &newEpollSet(len(a.shards))[0]}})
 }
 
 // EpollCtl changes fd's registration with epfd on every shard fd has a
 // socket on. A registration carries fd: EpollWait reports it as is.
 func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
-	ep, f := a.fds.get(epfd), a.sock(fd)
-	if ep == nil || ep.ep == nil || f == nil {
+	ep, f := a.fds.ref(epfd).epoll(), a.sock(fd)
+	if ep == nil || f == nil {
 		return hostos.EBADF
 	}
 	for i, s := range a.shards {
 		if sk := f.on(i); sk != nil {
-			if errno := s.epollCtl(&ep.ep.set[i], op, sk, int32(fd), events); errno != hostos.OK {
+			if errno := s.epollCtl(&ep.set[i], op, sk, int32(fd), events); errno != hostos.OK {
 				return errno
 			}
 		}
@@ -555,8 +569,9 @@ func (a *ShardedAPI) EpollCtl(epfd, op, fd int, events uint32) hostos.Errno {
 
 // EpollWait collects ready events across every shard.
 func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
-	f := a.fds.get(epfd)
-	if f == nil || f.ep == nil {
+	f := a.fds.ref(epfd)
+	ep := f.epoll()
+	if ep == nil {
 		return -1, hostos.EBADF
 	}
 	// Each shard reports straight into what is left of the caller's
@@ -572,7 +587,7 @@ func (a *ShardedAPI) EpollWait(epfd int, evs []Event) (int, hostos.Errno) {
 			f.shard = i
 			break
 		}
-		n += a.shards[i].epollWait(&f.ep.set[i], evs[n:])
+		n += a.shards[i].epollWait(&ep.set[i], evs[n:])
 	}
 	return n, hostos.OK
 }

@@ -136,6 +136,7 @@ func (s *Stack) allocDgramBuf() []byte {
 		s.dgramFree = s.dgramFree[:n-1]
 		return b
 	}
+	s.dgramMade++
 	return make([]byte, 0, udpPayloadMax)
 }
 
@@ -273,7 +274,7 @@ func (s *Stack) connect(sk *socket, ip IPv4Addr, port, sport uint16) hostos.Errn
 		}
 	}
 	tuple := fourTuple{local: local, remote: tcpEndpoint{IP: ip, Port: port}}
-	if old, dup := s.conns[tuple]; dup {
+	if old := s.conns.get(tuple); old != nil {
 		if old.state != tcpTimeWait {
 			return hostos.EADDRINUSE
 		}
@@ -288,7 +289,7 @@ func (s *Stack) connect(sk *socket, ip IPv4Addr, port, sport uint16) hostos.Errn
 	iss := s.iss()
 	c.sndUna, c.sndNxt, c.sndMax = iss, iss+1, iss+1
 	c.setState(tcpSynSent)
-	s.addConn(tuple, c)
+	s.addConn(c)
 	sk.conn = c
 	sk.bound = local
 	c.sk = sk

@@ -209,7 +209,7 @@ type Stack struct {
 	clk  hostos.Clock
 
 	nifs      []*NetIF
-	conns     map[fourTuple]*tcpConn
+	conns     connTable
 	listeners map[tcpEndpoint]*listener
 	udps      map[tcpEndpoint]*udpSock
 
@@ -260,8 +260,10 @@ type Stack struct {
 
 	// dgramFree recycles UDP payload buffers (udpPayloadMax capacity
 	// each) between inputUDP and RecvFrom/Close, keeping the datagram
-	// round trip allocation-free at steady state.
+	// round trip allocation-free at steady state. dgramMade counts the
+	// buffers made: each one is queued on a socket or free-listed.
 	dgramFree [][]byte
+	dgramMade int
 
 	// portRefs counts live connections per local ephemeral port
 	// (index port-ephemeralBase), allocated on first use. It bounds
@@ -326,7 +328,6 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 		pool:      pool,
 		clk:       clk,
 		Core:      new(sim.Core),
-		conns:     make(map[fourTuple]*tcpConn),
 		listeners: make(map[tcpEndpoint]*listener),
 		udps:      make(map[tcpEndpoint]*udpSock),
 		syncache:  make(map[fourTuple]*synEntry),
@@ -350,12 +351,12 @@ func NewStack(seg *dpdk.MemSeg, pool *dpdk.Mempool, clk hostos.Clock) *Stack {
 
 // addConn registers a connection in the table, stamping its creation
 // order and pinning its local ephemeral port.
-func (s *Stack) addConn(tuple fourTuple, c *tcpConn) {
+func (s *Stack) addConn(c *tcpConn) {
 	s.connSeq++
 	c.seq = s.connSeq
-	s.conns[tuple] = c
-	if tuple.local.Port >= ephemeralBase {
-		s.portAcquire(tuple.local.Port)
+	s.conns.add(c)
+	if c.tuple.local.Port >= ephemeralBase {
+		s.portAcquire(c.tuple.local.Port)
 	}
 }
 
@@ -520,9 +521,9 @@ func (s *Stack) SetObs(tr *obs.Trace, rtt *stats.Histogram, src uint16) {
 // SumCwndPipe sums the live connections' congestion windows and
 // outstanding bytes — the metrics sampler's gauge over this stack.
 func (s *Stack) SumCwndPipe() (cwnd, pipe int) {
-	// Map order is fine here: integer sums are order-independent.
-	for _, c := range s.conns {
-		cwnd += c.cwnd
+	// Slot order is fine here: integer sums are order-independent.
+	for c := range s.conns.all() {
+		cwnd += int(c.cwnd)
 		pipe += c.pipe()
 	}
 	return cwnd, pipe
@@ -530,21 +531,22 @@ func (s *Stack) SumCwndPipe() (cwnd, pipe int) {
 
 // ConnCount reports the number of live connections (metrics gauge).
 func (s *Stack) ConnCount() int {
-	return len(s.conns)
+	return s.conns.n
 }
 
 // RetainedBytes is a deterministic accounting of the heap the stack's
 // connection plane holds onto. It counts what the arenas issued, live or
 // free: connection structs with their ring headers and congestion
 // windows, cold records (each at its reassembly runs' and SACK
-// scoreboard's capacity), socket structs and SYN-cache entries; and the
-// recycled datagram buffers. The arenas' part never falls while the
-// stack runs: a struct once issued stays the stack's. A datagram buffer
-// counts only while it is free-listed. Segment-backed socket buffer
-// storage is excluded — the segment allocator reports that itself
-// (MemSeg.Used) — and so is the unissued tail of each arena's current
-// slab: capacity, not population. Epoll registrations and view entries
-// are not counted yet.
+// scoreboard's capacity), socket structs, SYN-cache entries and epoll
+// registrations; the tuple table's slots; and every datagram buffer
+// made, queued or free-listed. None of it falls while the stack runs:
+// a struct or buffer once made stays the stack's, and the tuple table
+// only grows. Segment-backed socket buffer storage is excluded — the
+// segment allocator reports that itself (MemSeg.Used) — and so is the
+// unissued tail of each arena's current slab: capacity, not
+// population. A view's entries live in its table pages, which are not
+// counted yet.
 //
 // Scenario 8 measures the idle population's memory cost as a delta of
 // this count, not of runtime.MemStats: the process heap is shared by
@@ -559,13 +561,13 @@ func (s *Stack) RetainedBytes() uint64 {
 	b := uint64(s.connArena.issued)*uint64(unsafe.Sizeof(tcpConn{})) +
 		uint64(s.coldArena.issued)*uint64(unsafe.Sizeof(tcpCold{})) +
 		uint64(s.sockArena.issued)*uint64(unsafe.Sizeof(socket{})) +
-		uint64(s.synArena.issued)*uint64(unsafe.Sizeof(synEntry{}))
+		uint64(s.synArena.issued)*uint64(unsafe.Sizeof(synEntry{})) +
+		uint64(s.regArena.issued)*uint64(unsafe.Sizeof(epollReg{})) +
+		uint64(len(s.conns.slots))*uint64(unsafe.Sizeof((*tcpConn)(nil))) +
+		uint64(s.dgramMade)*udpPayloadMax
 	s.coldArena.each(func(k *tcpCold) {
 		b += uint64(cap(k.sacked))*rangeSz + uint64(cap(k.rcvOOO))*oooSz
 	})
-	for _, d := range s.dgramFree {
-		b += uint64(cap(d))
-	}
 	return b
 }
 
@@ -823,7 +825,7 @@ func (s *Stack) inputTCP(nif *NetIF, ip IPv4Header, seg []byte, nicSum bool) {
 		remote: tcpEndpoint{IP: ip.Src, Port: h.SrcPort},
 	}
 	payload := seg[hl:]
-	if c, ok := s.conns[tuple]; ok {
+	if c := s.conns.get(tuple); c != nil {
 		if c.state != tcpTimeWait || h.Flags&(TCPSyn|TCPAck|TCPRst) != TCPSyn || !seqGT(h.Seq, c.rcvNxt) {
 			c.input(h, payload)
 			return
@@ -913,7 +915,7 @@ func (s *Stack) removeConn(c *tcpConn) {
 		return
 	}
 	c.setState(tcpClosed)
-	delete(s.conns, c.tuple)
+	s.conns.del(c)
 	if c.tuple.local.Port >= ephemeralBase {
 		s.portRelease(c.tuple.local.Port)
 	}
@@ -992,5 +994,5 @@ func (s *Stack) Iterations() uint64 { return s.iterations }
 
 // String summarizes the stack.
 func (s *Stack) String() string {
-	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), len(s.conns), s.sockArena.issued-len(s.sockArena.free))
+	return fmt.Sprintf("fstack{%d nifs, %d conns, %d socks}", len(s.nifs), s.conns.n, s.sockArena.issued-len(s.sockArena.free))
 }

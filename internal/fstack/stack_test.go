@@ -142,8 +142,8 @@ func TestTCPCloseHandshake(t *testing.T) {
 	}
 	// Both connection tables drain (TIME_WAIT expires).
 	e.pumpUntil(40000, "tables drained", func() bool {
-		na := len(e.stkA.conns)
-		nb := len(e.stkB.conns)
+		na := e.stkA.conns.n
+		nb := e.stkB.conns.n
 		return na == 0 && nb == 0
 	})
 }

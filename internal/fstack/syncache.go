@@ -212,7 +212,7 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	c.sndWnd = c.peerWnd(h)
 	c.advWnd = e.advWnd
 	c.rto = e.rto // carries any SYN|ACK backoff, like the conn path did
-	s.addConn(e.tuple, c)
+	s.addConn(c)
 	s.stats.Accepts++
 	s.synForget(e)
 	c.setState(tcpEstablished)

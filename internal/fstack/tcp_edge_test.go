@@ -38,7 +38,7 @@ func TestTCPSimultaneousClose(t *testing.T) {
 			e.stkA.Close(cfd)
 			e.stkB.Close(afd)
 			e.pumpUntil(60000, "both tables drained", func() bool {
-				return len(e.stkA.conns) == 0 && len(e.stkB.conns) == 0
+				return e.stkA.conns.n == 0 && e.stkB.conns.n == 0
 			})
 			if got := walkA(); got != tc.walkA {
 				t.Errorf("A went %s, want %s", got, tc.walkA)
@@ -99,7 +99,7 @@ func TestTCPRstOnDataToClosedPort(t *testing.T) {
 	cfd, afd := e.connectPair(5001)
 	// Forcibly remove B's conn (simulates a crashed process); A's next
 	// data must be RST'd.
-	for _, c := range e.stkB.conns {
+	for c := range e.stkB.conns.all() {
 		e.stkB.removeConn(c)
 	}
 	e.stkB.fds.del(afd)
@@ -168,12 +168,12 @@ func TestTCPDuplicateSynHandled(t *testing.T) {
 		if e.stkA.ConnState(cfd) != "ESTABLISHED" {
 			return false
 		}
-		n := len(e.stkB.conns)
+		n := e.stkB.conns.n
 		return n == 1
 	})
 	// Re-inject a duplicate SYN by hand: the server must re-ack, not
 	// crash or create a second connection.
-	nconns := len(e.stkB.conns)
+	nconns := e.stkB.conns.n
 	if nconns != 1 {
 		t.Fatalf("conns = %d", nconns)
 	}

@@ -270,7 +270,7 @@ func TestLostFINResentAtFinSeq(t *testing.T) {
 					}
 					got = append(got, buf[:n]...)
 				}
-				return len(e.stkA.conns) == 0 && len(e.stkB.conns) == 0
+				return e.stkA.conns.n == 0 && e.stkB.conns.n == 0
 			})
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("B read %d bytes, want the %d A wrote", len(got), len(payload))

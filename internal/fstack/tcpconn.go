@@ -91,10 +91,6 @@ type tcpConn struct {
 	stk  *Stack
 	sk   *socket // owning socket: nil before accept / after close
 	cold *tcpCold
-	// The congestion window and slow-start threshold (bytes); cc.go's
-	// event methods move them.
-	cwnd     int
-	ssthresh int
 
 	sndBuf sockBuf // r position corresponds to sequence sndUna
 	rcvBuf sockBuf
@@ -116,7 +112,12 @@ type tcpConn struct {
 	rcvNxt   uint32
 	advWnd   uint32 // last advertised window
 	tsRecent uint32 // latest peer TSVal (echoed in TSEcr)
-	sndMSS   int32  // payload bytes per segment (after options)
+	// The congestion window and slow-start threshold (bytes); cc.go's
+	// event methods move them, and unboundedSsthresh bounds both far
+	// below 2³².
+	cwnd     uint32
+	ssthresh uint32
+	sndMSS   int32 // payload bytes per segment (after options)
 	// obsCwnd is the last congestion window the flight recorder saw
 	// (noteCwnd), so the trace only carries changes.
 	obsCwnd int32
@@ -267,7 +268,7 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 		rcvSize = s.tuning.RcvBufBytes
 	}
 	c := s.connArena.take() // a recycled one's rings released by maybeRecycleConn
-	ssthresh := initialSsthresh
+	ssthresh := uint32(initialSsthresh)
 	if s.tuning.WindowScale > 0 {
 		ssthresh = unboundedSsthresh
 	}
@@ -480,7 +481,7 @@ func (c *tcpConn) output() {
 	default:
 		return
 	}
-	wnd := min(int(c.sndWnd), c.cwnd)
+	wnd := min(int(c.sndWnd), int(c.cwnd))
 	for {
 		// After a timeout rewind sndNxt sits below sndMax; the
 		// scoreboard lets the resend pass skip runs the peer already
@@ -724,7 +725,7 @@ func (c *tcpConn) retransmitHead() {
 // of one per returning ACK.
 func (c *tcpConn) sackFill() {
 	k := c.cold
-	for len(k.sacked) > 0 && c.pipe() < c.cwnd {
+	for len(k.sacked) > 0 && c.pipe() < int(c.cwnd) {
 		top := k.sacked[len(k.sacked)-1].end
 		seq := k.rtxNxt
 		if seqLT(seq, c.sndUna) {
