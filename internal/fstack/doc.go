@@ -93,7 +93,12 @@
 // options (12 bytes, giving the canonical 1448-byte MSS payload and the
 // 941 Mbit/s GbE goodput ceiling), delayed ACKs, fast retransmit, RTO
 // with exponential backoff, and a persist timer probing zero receive
-// windows so a lost window update cannot stall a connection.
+// windows so a lost window update cannot stall a connection. RFC 793's
+// states are one table (tcpStates: each state's name, what it means to
+// the rest of the stack, and where CLOSE, the peer's FIN and our FIN
+// acked lead from it); both opens agree on the handshake's options in
+// one function (negotiate), and one rule (offeredWnd) sizes every
+// window a connection offers, its SYN|ACK's included.
 //
 // With the zero-value TCPTuning the stack reproduces the paper
 // exactly: no SACK (loss recovery is go-back-N — out-of-order segments

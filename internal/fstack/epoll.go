@@ -222,15 +222,13 @@ func (sk *socket) readiness() uint32 {
 		}
 	case sk.conn != nil:
 		c := sk.conn
-		if c.rcvBuf.Len() > 0 || c.peerFin() {
+		if c.rcvBuf.Len() > 0 || c.is(peerFin) {
 			r |= EPOLLIN
 		}
-		switch c.state {
-		case tcpEstablished, tcpCloseWait:
-			if c.sndBuf.Free() > 0 {
-				r |= EPOLLOUT
-			}
-		case tcpClosed:
+		if c.is(writable) && c.sndBuf.Free() > 0 {
+			r |= EPOLLOUT
+		}
+		if c.state == tcpClosed {
 			r |= EPOLLHUP
 		}
 		if c.err() != hostos.OK {

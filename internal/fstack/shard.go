@@ -465,7 +465,7 @@ func (a *ShardedAPI) readable(fd int) (*Stack, *tcpConn, int, hostos.Errno) {
 		return s, c, 0, hostos.OK
 	case c.err() != hostos.OK:
 		return nil, nil, -1, c.err()
-	case c.peerFin():
+	case c.is(peerFin):
 		return nil, nil, 0, hostos.OK // EOF
 	case c.state == tcpClosed:
 		return nil, nil, -1, hostos.ENOTCONN

@@ -338,10 +338,10 @@ func writableState(c *tcpConn) hostos.Errno {
 	if errno := c.err(); errno != hostos.OK {
 		return errno
 	}
-	switch c.state {
-	case tcpEstablished, tcpCloseWait:
+	switch {
+	case c.is(writable):
 		return hostos.OK
-	case tcpSynSent:
+	case c.state == tcpSynSent:
 		return hostos.EAGAIN
 	default:
 		return hostos.EPIPE
@@ -386,18 +386,14 @@ func (s *Stack) close(sk *socket) {
 		}
 	case sk.conn != nil:
 		c := sk.conn
-		switch c.state {
-		case tcpEstablished, tcpCloseWait:
+		switch {
+		case c.is(writable):
 			// RFC 793's CLOSE: our FIN follows every byte queued now,
 			// and nothing can be queued after it.
 			c.finSeq = c.sndUna + uint32(c.sndBuf.Len())
-			if c.state == tcpEstablished {
-				c.setState(tcpFinWait1)
-			} else {
-				c.setState(tcpLastAck)
-			}
+			c.advance(evClose)
 			c.output()
-		case tcpSynSent:
+		case c.state == tcpSynSent:
 			c.abort(hostos.ECONNRESET)
 		}
 		// The application can no longer reach the connection: drop the

@@ -568,9 +568,10 @@ func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
 		t.Fatalf("server accepted %d connections, want 1", st.Accepts)
 	}
 	c := e.stkB.sockOf(afd).conn
-	if c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc != ccReno || c.offerWS || e.stkB.rtoFloor() != rtoMin {
-		t.Fatalf("accepted conn: rings %d/%d, algorithm %d, window scaling %v, RTO floor %d; want the kept tuning's %d/%d, %d (reno), off, %d",
-			c.sndBuf.size, c.rcvBuf.size, c.cc, c.offerWS, e.stkB.rtoFloor(), kept, kept, ccReno, int64(rtoMin))
+	if ws := e.stkB.tuning.WindowScale; c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc != ccReno || ws != 0 ||
+		c.sndWScale != 0 || c.rcvWScale != 0 || e.stkB.rtoFloor() != rtoMin {
+		t.Fatalf("accepted conn: rings %d/%d, algorithm %d, window-scale shift %d (conn %d/%d), RTO floor %d; want the kept tuning's %d/%d, %d (reno), 0 (off), %d",
+			c.sndBuf.size, c.rcvBuf.size, c.cc, ws, c.sndWScale, c.rcvWScale, e.stkB.rtoFloor(), kept, kept, ccReno, int64(rtoMin))
 	}
 	msg := []byte("across the refused tuning")
 	if got := sendAll(e, cfd, afd, msg, 4000); !bytes.Equal(got, msg) {

@@ -24,12 +24,8 @@ type synEntry struct {
 	iss      uint32 // our initial sequence number
 	irs      uint32 // peer's initial sequence number (SYN's Seq)
 	tsRecent uint32 // latest peer TSVal (echoed in TSEcr)
-	mss      int    // negotiated send MSS; 0 = peer offered no MSS option
-	sackOK   bool   // both sides agreed on SACK
-	wsOK     bool   // both sides agreed on window scaling
-	peerWS   uint8  // peer's window-scale shift
-	wnd      uint32 // receive window our SYN|ACK advertises
-	advWnd   uint32 // what that advertisement decodes to (seeds conn.advWnd)
+	advWnd   uint32 // the window our SYN|ACK advertises (seeds conn.advWnd)
+	handshake
 
 	rto    int64 // SYN|ACK retransmit interval (doubles per resend)
 	rxtN   int   // resend count
@@ -73,42 +69,18 @@ func (s *Stack) acceptSyn(l *listener, tuple fourTuple, h TCPHeader) {
 	if h.HasTS {
 		e.tsRecent = h.TSVal
 	}
-	if h.MSS != 0 {
-		e.mss = min(int(h.MSS)-tsOptionLen, MaxSegData)
-	}
-	// Feature negotiation: only echo what the client offered AND the
-	// stack's tuning enables; the SYN|ACK then carries our side of the
-	// agreement.
-	e.sackOK = s.tuning.SACK && h.SACKPermitted
-	e.wsOK = s.tuning.WindowScale > 0 && h.HasWS
-	e.peerWS = h.WScale
-	e.wnd = s.freshRcvWnd()
-	e.advWnd = min(e.wnd, 65535) // SYN windows are never scaled
+	// The SYN|ACK carries our side of the agreement, and offers the
+	// window a fresh connection's empty ring offers under the shift it
+	// will run with (unscaled: SYN windows never are), so no later
+	// window of that connection falls below it.
+	e.handshake = s.negotiate(h)
+	e.advWnd = min(offeredWnd(s.tuning.rcvRing(), e.rcvWScale), 65535)
 	e.iss = s.iss()
 	e.rto = rtoInitial
 	s.syncache[tuple] = e
 	l.halfOpen++
 	s.sendSynAck(e)
 	e.timerH = s.synWheel.Insert(s.now()+e.rto, e)
-}
-
-// freshRcvWnd is the receive window a brand-new connection would
-// advertise: its buffer is empty, so only the tuned size and the
-// scaling caps apply. Must match tcpConn.rcvWnd on a fresh conn so the
-// SYN|ACK is byte-identical to the one the pre-syncache stack sent.
-func (s *Stack) freshRcvWnd() uint32 {
-	w := rcvBufSize
-	if s.tuning.RcvBufBytes > 0 {
-		w = s.tuning.RcvBufBytes
-	}
-	if s.tuning.WindowScale == 0 {
-		if w > maxRcvWnd {
-			w = maxRcvWnd
-		}
-	} else if cap := 65535 << s.tuning.WindowScale; w > cap {
-		w = cap
-	}
-	return uint32(w)
 }
 
 // sendSynAck emits (or re-emits) the entry's SYN|ACK.
@@ -122,14 +94,13 @@ func (s *Stack) sendSynAck(e *synEntry) {
 		HasTS:   true,
 		TSVal:   uint32(s.now() / 1e3),
 		TSEcr:   e.tsRecent,
-		Window:  uint16(min(e.wnd, 65535)),
+		Window:  uint16(e.advWnd),
 		MSS:     MSSDefault,
+		// rcvWScale is nonzero iff both sides offered scaling.
+		HasWS:         e.rcvWScale > 0,
+		WScale:        e.rcvWScale,
+		SACKPermitted: e.sackOK,
 	}
-	if e.wsOK {
-		h.HasWS = true
-		h.WScale = s.tuning.WindowScale
-	}
-	h.SACKPermitted = e.sackOK
 	hl := h.encodedLen()
 	nif := s.nifByIP(e.tuple.local.IP)
 	m, frame := s.txAlloc(IPv4HeaderLen + hl)
@@ -198,15 +169,7 @@ func (s *Stack) graduate(e *synEntry, h TCPHeader, payload []byte) {
 	c.setState(tcpSynReceived)
 	c.rcvNxt = e.irs + 1
 	c.tsRecent = e.tsRecent
-	if e.mss != 0 {
-		c.sndMSS = int32(e.mss)
-	}
-	c.offerSACK, c.sackOK = e.sackOK, e.sackOK
-	c.offerWS = e.wsOK
-	if e.wsOK {
-		c.sndWScale = e.peerWS
-		c.rcvWScale = s.tuning.WindowScale
-	}
+	c.handshake = e.handshake
 	// The handshake is complete: sndUna already past the SYN.
 	c.sndUna, c.sndNxt, c.sndMax = e.iss+1, e.iss+1, e.iss+1
 	c.sndWnd = c.peerWnd(h)

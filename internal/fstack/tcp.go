@@ -30,6 +30,12 @@ const MSSDefault = MTU - IPv4HeaderLen - TCPHeaderLen // 1460
 // MaxSegData is the real payload per segment once timestamps are on.
 const MaxSegData = MSSDefault - tsOptionLen // 1448
 
+// minMSS is the smallest MSS option a handshake accepts; a smaller one is
+// raised to it, so every connection sends a positive payload per segment
+// and congestion control never divides by a zero MSS (FreeBSD's
+// tcp_minmss, 216).
+const minMSS = 216
+
 // MaxSACKBlocks is how many SACK blocks fit next to the timestamps
 // option: 40 bytes of option space minus 12 (TS) minus 4 (2 NOPs +
 // kind/len) leaves room for exactly three 8-byte blocks, which is the

@@ -2,12 +2,16 @@ package fstack
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hostos"
+	"repro/internal/nic"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestTCPSimultaneousClose closes both ends in the same tick, so the
@@ -53,16 +57,33 @@ func TestTCPSimultaneousClose(t *testing.T) {
 // stateWalk records every state the stack's connections enter from now
 // on; the returned func lists them in order.
 func stateWalk(s *Stack) func() string {
-	tr := obs.NewTrace(1024)
-	s.SetObs(tr, nil, 0)
+	edges := stateEdges(s)
 	return func() string {
 		var walk []string
-		for _, ev := range tr.Snapshot() {
-			if ev.Type == obs.EvTCPState {
-				walk = append(walk, tcpState(ev.B).String())
-			}
+		for _, e := range edges() {
+			walk = append(walk, e[1].String())
 		}
 		return strings.Join(walk, " ")
+	}
+}
+
+// stateEdges records every state change of the stack's connections from
+// now on; the returned func lists them in order as from/to pairs, or nil
+// once the recorder has overwritten any.
+func stateEdges(s *Stack) func() [][2]tcpState {
+	tr := obs.NewTrace(1 << 14)
+	s.SetObs(tr, nil, 0)
+	return func() [][2]tcpState {
+		if tr.Total() > uint64(tr.Len()) {
+			return nil
+		}
+		var edges [][2]tcpState
+		for _, ev := range tr.Snapshot() {
+			if ev.Type == obs.EvTCPState {
+				edges = append(edges, [2]tcpState{tcpState(ev.A), tcpState(ev.B)})
+			}
+		}
+		return edges
 	}
 }
 
@@ -248,5 +269,179 @@ func TestQuickTCPStreamIntegrity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandshakeAgreesAcrossTunings opens a connection from a client to
+// a listener, each tuned for SACK and window scaling or left at the
+// default, in all four pairings. Both ends must agree on what the
+// handshake negotiated, and no segment from the listener may pull its
+// right window edge (ack + window<<shift) below the edge its SYN|ACK
+// advertised (RFC 9293 §3.8.6.2.2). A listener tuned to scale used to
+// offer an unscaled client 65 535 on the SYN|ACK and 57 344 after it.
+func TestHandshakeAgreesAcrossTunings(t *testing.T) {
+	tuned := TCPTuning{SACK: true, WindowScale: 7}
+	for _, tc := range []struct {
+		name             string
+		listener, client TCPTuning
+	}{
+		{"both tuned", tuned, tuned},
+		{"tuned listener, untuned client", tuned, TCPTuning{}},
+		{"untuned listener, tuned client", TCPTuning{}, tuned},
+		{"both untuned", TCPTuning{}, TCPTuning{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fromListener []TCPHeader
+			e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+				if _, h, _, ok := wireSeg(data); ok && from == 1 {
+					fromListener = append(fromListener, h)
+				}
+				return 0, false
+			})
+			if err := e.stkB.SetTCPTuning(tc.listener); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.stkA.SetTCPTuning(tc.client); err != nil {
+				t.Fatal(err)
+			}
+			cfd, afd := e.connectPair(5001)
+			payload := bytes.Repeat([]byte{0x5A}, 64<<10)
+			if got := sendAll(e, cfd, afd, payload, 20000); !bytes.Equal(got, payload) {
+				t.Fatal("stream corrupted")
+			}
+
+			cli, srv := e.stkA.sockOf(cfd).conn, e.stkB.sockOf(afd).conn
+			scaled := tc.listener.WindowScale > 0 && tc.client.WindowScale > 0
+			want := struct {
+				sackOK         bool
+				cliRcv, srvRcv uint8
+			}{sackOK: tc.listener.SACK && tc.client.SACK}
+			if scaled {
+				want.cliRcv, want.srvRcv = tc.client.WindowScale, tc.listener.WindowScale
+			}
+			if cli.sndMSS != MaxSegData || srv.sndMSS != MaxSegData ||
+				cli.sackOK != want.sackOK || srv.sackOK != want.sackOK ||
+				cli.rcvWScale != want.cliRcv || srv.sndWScale != want.cliRcv ||
+				srv.rcvWScale != want.srvRcv || cli.sndWScale != want.srvRcv {
+				t.Fatalf("client MSS %d, SACK %v, shifts %d/%d (send/receive); listener MSS %d, SACK %v, shifts %d/%d; want MSS %d, SACK %v, client shift %d, listener shift %d on both ends",
+					cli.sndMSS, cli.sackOK, cli.sndWScale, cli.rcvWScale, srv.sndMSS, srv.sackOK, srv.sndWScale, srv.rcvWScale,
+					MaxSegData, want.sackOK, want.cliRcv, want.srvRcv)
+			}
+
+			if len(fromListener) < 2 {
+				t.Fatalf("the listener sent %d segments; want its SYN|ACK and more", len(fromListener))
+			}
+			if fromListener[0].Flags != TCPSyn|TCPAck {
+				t.Fatalf("the listener's first segment has flags %#x; want its SYN|ACK", fromListener[0].Flags)
+			}
+			synAck := fromListener[0]
+			edge := synAck.Ack + uint32(synAck.Window)
+			for i, h := range fromListener[1:] {
+				if got := h.Ack + uint32(h.Window)<<srv.rcvWScale; seqLT(got, edge) {
+					t.Fatalf("listener segment %d (ack %d, window %d<<%d) puts the right edge %d bytes below its SYN|ACK's (window %d)",
+						i+1, h.Ack, h.Window, srv.rcvWScale, edge-got, synAck.Window)
+				}
+			}
+		})
+	}
+}
+
+// mssWire is a cable that rewrites the MSS option of every SYN its end
+// `from` sends to mss. The frame is settled first and its checksums
+// repaired after, so the receiver verifies and takes the edit.
+type mssWire struct {
+	ends [2]*nic.Port
+	from int
+	mss  uint16
+}
+
+func (w *mssWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
+	if _, h, _, ok := wireSeg(data); ok && from == w.from && h.Flags&TCPSyn != 0 {
+		sum = sum.Settle(data)
+		seg := data[EthHeaderLen+IPv4HeaderLen:]
+		opts := seg[TCPHeaderLen : int(seg[12]>>4)*4]
+		for i := 0; i+1 < len(opts) && opts[i] != 0; {
+			if opts[i] == 1 {
+				i++
+				continue
+			}
+			if opts[i] == 2 {
+				binary.BigEndian.PutUint16(opts[i+2:], w.mss)
+			}
+			i += int(opts[i+1])
+		}
+		repairChecksums(data)
+	}
+	w.ends[1-from].DeliverPending(data, readyAt, sum)
+}
+func (*mssWire) Pump(int64)                    {}
+func (*mssWire) NextDeadline(int, int64) int64 { return math.MaxInt64 }
+
+// TestTinyMSSOptionIsRaised: a SYN or SYN|ACK whose MSS option leaves
+// no payload past the timestamps option (12 bytes, or 1) is raised to
+// minMSS on either open, so the end that heard it sends its stream in
+// segments of minMSS less the option, and closes. Taken as offered, such
+// an MSS left a send MSS of 0 or below: a connection that never sent,
+// and a congestion window an RTO cut to 0 that the next ACK divided by.
+func TestTinyMSSOptionIsRaised(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		from int // the end whose SYN carries the tiny option
+		mss  uint16
+	}{
+		{"passive open, MSS 12", 0, 12},
+		{"passive open, MSS 1", 0, 1},
+		{"active open, MSS 12", 1, 12},
+		{"active open, MSS 1", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := sim.NewVClock()
+			stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
+			stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
+			w := &mssWire{ends: [2]*nic.Port{cardA.Port(0), cardB.Port(0)}, from: tc.from, mss: tc.mss}
+			cardA.Port(0).Attach(w, 0)
+			cardB.Port(0).Attach(w, 1)
+			e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
+			cfd, afd := e.connectPair(5003)
+			stks, fds := [2]*Stack{stkA, stkB}, [2]int{cfd, afd}
+			tx, rx := 1-tc.from, tc.from
+			if got := stks[tx].sockOf(fds[tx]).conn.sndMSS; got != minMSS-tsOptionLen {
+				t.Fatalf("send MSS %d after an MSS option of %d; want %d", got, tc.mss, minMSS-tsOptionLen)
+			}
+
+			payload := bytes.Repeat([]byte{0xA5}, 16<<10)
+			var got []byte
+			sent, buf := 0, make([]byte, 4096)
+			e.pumpUntil(20000, "transfer completes", func() bool {
+				if sent < len(payload) {
+					if n, errno := stks[tx].Write(fds[tx], payload[sent:]); errno == hostos.OK {
+						sent += n
+					}
+				}
+				for {
+					n, errno := stks[rx].Read(fds[rx], buf)
+					if errno != hostos.OK || n == 0 {
+						break
+					}
+					got = append(got, buf[:n]...)
+				}
+				return len(got) == len(payload)
+			})
+			if !bytes.Equal(got, payload) {
+				t.Fatal("stream corrupted")
+			}
+			stks[tx].Close(fds[tx])
+			stks[rx].Close(fds[rx])
+			e.pumpUntil(20000, "both ends closed", func() bool {
+				for _, s := range stks {
+					for c := range s.conns.all() {
+						if c.state != tcpTimeWait {
+							return false
+						}
+					}
+				}
+				return true
+			})
+		})
 	}
 }

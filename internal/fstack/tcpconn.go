@@ -1,6 +1,7 @@
 package fstack
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/fstack/connscale"
@@ -24,14 +25,51 @@ const (
 	tcpTimeWait
 )
 
-var tcpStateNames = map[tcpState]string{
-	tcpClosed: "CLOSED", tcpSynSent: "SYN_SENT", tcpSynReceived: "SYN_RCVD",
-	tcpEstablished: "ESTABLISHED", tcpFinWait1: "FIN_WAIT_1", tcpFinWait2: "FIN_WAIT_2",
-	tcpCloseWait: "CLOSE_WAIT", tcpClosing: "CLOSING", tcpLastAck: "LAST_ACK",
-	tcpTimeWait: "TIME_WAIT",
+// stateFacts is what a state means to the rest of the stack, as bits.
+type stateFacts uint8
+
+const (
+	sends     stateFacts = 1 << iota // output and the persist timer may transmit
+	writable                         // the application may queue bytes, and CLOSE
+	receives                         // the peer may still send data: a window update is owed
+	finQueued                        // after CLOSE: our FIN takes finSeq once every queued byte is out
+	peerFin                          // the peer's FIN is sequenced into rcvNxt
+)
+
+// closeEvent is one of the three events that move a connection from
+// ESTABLISHED toward CLOSED.
+type closeEvent uint8
+
+const (
+	evClose    closeEvent = iota // the application's CLOSE (RFC 793 §3.9)
+	evPeerFin                    // the peer's FIN sequenced into rcvNxt
+	evFinAcked                   // the peer acknowledged our FIN
+	nCloseEvents
+)
+
+// tcpStates is RFC 793's state machine as a table: each state's name,
+// its facts, and where each close event leads from it — to the state
+// itself where the event moves nothing. advance takes its edges; the
+// only other moves are the handshake's (CLOSED → SYN_SENT or SYN_RCVD
+// → ESTABLISHED) and an abort's (any state → CLOSED).
+var tcpStates = [...]struct {
+	name  string
+	facts stateFacts
+	next  [nCloseEvents]tcpState // after CLOSE, the peer's FIN, our FIN acked
+}{
+	tcpClosed:      {"CLOSED", 0, [...]tcpState{tcpClosed, tcpClosed, tcpClosed}},
+	tcpSynSent:     {"SYN_SENT", 0, [...]tcpState{tcpSynSent, tcpSynSent, tcpSynSent}},
+	tcpSynReceived: {"SYN_RCVD", 0, [...]tcpState{tcpSynReceived, tcpSynReceived, tcpSynReceived}},
+	tcpEstablished: {"ESTABLISHED", sends | writable | receives, [...]tcpState{tcpFinWait1, tcpCloseWait, tcpEstablished}},
+	tcpFinWait1:    {"FIN_WAIT_1", sends | receives | finQueued, [...]tcpState{tcpFinWait1, tcpClosing, tcpFinWait2}},
+	tcpFinWait2:    {"FIN_WAIT_2", receives | finQueued, [...]tcpState{tcpFinWait2, tcpTimeWait, tcpFinWait2}},
+	tcpCloseWait:   {"CLOSE_WAIT", sends | writable | peerFin, [...]tcpState{tcpLastAck, tcpCloseWait, tcpCloseWait}},
+	tcpClosing:     {"CLOSING", sends | finQueued | peerFin, [...]tcpState{tcpClosing, tcpClosing, tcpTimeWait}},
+	tcpLastAck:     {"LAST_ACK", sends | finQueued | peerFin, [...]tcpState{tcpLastAck, tcpLastAck, tcpClosed}},
+	tcpTimeWait:    {"TIME_WAIT", finQueued | peerFin, [...]tcpState{tcpTimeWait, tcpTimeWait, tcpTimeWait}},
 }
 
-func (s tcpState) String() string { return tcpStateNames[s] }
+func (s tcpState) String() string { return tcpStates[s].name }
 
 // Timer constants (ns).
 const (
@@ -63,6 +101,10 @@ const (
 	// is off — a scaled window is bounded by the receive buffer alone.
 	maxRcvWnd = 56 * 1024
 )
+
+// rcvRing is the receive ring a new connection gets: the one size both
+// its windows and its listener's SYN|ACK window are offered from.
+func (t TCPTuning) rcvRing() int { return cmp.Or(t.RcvBufBytes, rcvBufSize) }
 
 // seqRange is one [start, end) range of sequence space.
 type seqRange struct {
@@ -117,26 +159,18 @@ type tcpConn struct {
 	// below 2³².
 	cwnd     uint32
 	ssthresh uint32
-	sndMSS   int32 // payload bytes per segment (after options)
 	// obsCwnd is the last congestion window the flight recorder saw
 	// (noteCwnd), so the trace only carries changes.
 	obsCwnd int32
 	sockErr int32 // sticky hostos.Errno (ECONNRESET etc.)
 	timerH  connscale.Handle
+	handshake
 
 	tuple     fourTuple
 	state     tcpState
 	delackCnt uint8
 	rtxN      uint8  // consecutive backoffs
 	cc        ccAlgo // congestion control, from the stack's tuning
-	// Window scaling and SACK (RFC 7323 / RFC 2018), negotiated on the
-	// SYN; all zero on a stack with default tuning, which keeps the
-	// wire behavior of the paper's scenarios bit-identical.
-	sndWScale uint8 // shift applied to windows the peer advertises
-	rcvWScale uint8 // shift applied to windows we advertise
-	offerSACK bool  // we advertise SACK-permitted on our SYN/SYN|ACK
-	offerWS   bool  // we advertise window scaling on our SYN/SYN|ACK
-	sackOK    bool  // both sides agreed on SACK
 
 	// connection-scale plumbing (stack.go): seq stamps creation order
 	// for the poll visit sort; timerH files the earliest armed timer on
@@ -226,29 +260,48 @@ func (c *tcpConn) rcvOOO() []oooRun {
 	return c.cold.rcvOOO
 }
 
-// finQueued reports whether the application has closed the connection:
-// the five states after RFC 793's CLOSE, in which finSeq is the sequence
-// number our FIN takes once every queued byte is out. Our FIN is in
-// flight while sndNxt is past finSeq; a timeout rewind requeues it.
-func (c *tcpConn) finQueued() bool {
-	switch c.state {
-	case tcpFinWait1, tcpFinWait2, tcpClosing, tcpLastAck, tcpTimeWait:
-		return true
+// is reports whether the connection's state has fact f.
+func (c *tcpConn) is(f stateFacts) bool { return tcpStates[c.state].facts&f != 0 }
+
+// advance moves the connection along the table's edge for ev, if the
+// state has one: TIME_WAIT is entered through enterTimeWait, CLOSED
+// through removeConn.
+func (c *tcpConn) advance(ev closeEvent) {
+	switch to := tcpStates[c.state].next[ev]; to {
+	case c.state:
+	case tcpTimeWait:
+		c.enterTimeWait()
+	case tcpClosed:
+		c.stk.removeConn(c)
+	default:
+		c.setState(to)
 	}
-	return false
 }
 
-// finAcked reports whether the peer has acknowledged our FIN.
-func (c *tcpConn) finAcked() bool { return c.finQueued() && seqGT(c.sndUna, c.finSeq) }
+// handshake is what the two SYNs agreed: the send MSS, and window
+// scaling and SACK (RFC 7323 / RFC 2018), each on only if both sides
+// offered it. Scaling and SACK are off on a stack with default tuning,
+// which keeps the wire behavior of the paper's scenarios bit-identical.
+type handshake struct {
+	sndMSS    int32 // payload bytes per segment (after options)
+	sndWScale uint8 // shift applied to windows the peer advertises
+	rcvWScale uint8 // shift applied to windows we advertise
+	sackOK    bool  // both sides agreed on SACK
+}
 
-// peerFin reports whether the peer's FIN has been sequenced into rcvNxt:
-// the four states that follow one.
-func (c *tcpConn) peerFin() bool {
-	switch c.state {
-	case tcpCloseWait, tcpClosing, tcpLastAck, tcpTimeWait:
-		return true
+// negotiate is the one handshake negotiation, for an active open on the
+// peer's SYN|ACK and a passive one on its SYN: the peer's offers in h
+// against what the stack's tuning offers (RFC 7323 §2.2, RFC 2018 §3).
+// No MSS option leaves MaxSegData; one below minMSS is raised to it.
+func (s *Stack) negotiate(h TCPHeader) handshake {
+	n := handshake{sndMSS: MaxSegData, sackOK: s.tuning.SACK && h.SACKPermitted}
+	if h.MSS != 0 {
+		n.sndMSS = int32(min(max(int(h.MSS), minMSS)-tsOptionLen, MaxSegData))
 	}
-	return false
+	if s.tuning.WindowScale > 0 && h.HasWS {
+		n.sndWScale, n.rcvWScale = h.WScale, s.tuning.WindowScale
+	}
+	return n
 }
 
 // newTCPConn builds a connection in the given state with rings in the
@@ -260,13 +313,6 @@ func (c *tcpConn) peerFin() bool {
 // cannot fail: SetTCPTuning admits only ring sizes and an algorithm a
 // connection can be built with.
 func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
-	sndSize, rcvSize := sndBufSize, rcvBufSize
-	if s.tuning.SndBufBytes > 0 {
-		sndSize = s.tuning.SndBufBytes
-	}
-	if s.tuning.RcvBufBytes > 0 {
-		rcvSize = s.tuning.RcvBufBytes
-	}
 	c := s.connArena.take() // a recycled one's rings released by maybeRecycleConn
 	ssthresh := uint32(initialSsthresh)
 	if s.tuning.WindowScale > 0 {
@@ -276,15 +322,13 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 		stk:       s,
 		tuple:     tuple,
 		state:     tcpClosed,
-		sndBuf:    sockBuf{size: uint32(sndSize)},
-		rcvBuf:    sockBuf{size: uint32(rcvSize)},
-		sndMSS:    MaxSegData,
+		sndBuf:    sockBuf{size: uint32(cmp.Or(s.tuning.SndBufBytes, sndBufSize))},
+		rcvBuf:    sockBuf{size: uint32(s.tuning.rcvRing())},
+		handshake: handshake{sndMSS: MaxSegData},
 		cwnd:      initialCwnd,
 		ssthresh:  ssthresh,
 		cc:        s.tuning.algo(),
 		rto:       rtoInitial,
-		offerSACK: s.tuning.SACK,
-		offerWS:   s.tuning.WindowScale > 0,
 		timerH:    connscale.None,
 	}
 	return c
@@ -314,21 +358,19 @@ func (s *Stack) iss() uint32 {
 // nowUS is the timestamp-option clock (µs, truncated).
 func (c *tcpConn) nowUS() uint32 { return uint32(c.stk.now() / 1e3) }
 
-// rcvWnd computes the window to advertise. Without window scaling the
-// historical 56 KiB cap applies; with it, the receive buffer is the
-// only bound (the advertised field still truncates to 16 bits after
-// the shift).
-func (c *tcpConn) rcvWnd() uint32 {
-	w := c.rcvBuf.Free()
-	if c.rcvWScale == 0 {
-		if w > maxRcvWnd {
-			w = maxRcvWnd
-		}
-	} else if cap := 65535 << c.rcvWScale; w > cap {
-		w = cap // the largest value the shifted 16-bit field can carry
+// offeredWnd is the one window rule: the window a receive ring with
+// free bytes offers under a window-scale shift. Without scaling the
+// historical 56 KiB cap applies; with it, the ring is the only bound
+// short of the largest value the shifted 16-bit field can carry.
+func offeredWnd(free int, shift uint8) uint32 {
+	if shift == 0 {
+		return uint32(min(free, maxRcvWnd))
 	}
-	return uint32(w)
+	return uint32(min(free, 65535<<shift))
 }
+
+// rcvWnd computes the window to advertise.
+func (c *tcpConn) rcvWnd() uint32 { return offeredWnd(c.rcvBuf.Free(), c.rcvWScale) }
 
 // peerWnd decodes the peer's advertised window: scaled except on SYN
 // segments (RFC 7323 §2.2).
@@ -356,14 +398,12 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 	}
 	wnd := c.rcvWnd()
 	if flags&TCPSyn != 0 {
-		// SYN windows are never scaled; SYNs also carry the feature
-		// offers (MSS is the caller's withMSS, below).
+		// SYN windows are never scaled; a SYN also offers what the
+		// stack's tuning enables (MSS is the caller's withMSS, below).
 		h.Window = uint16(min(wnd, 65535))
-		if c.offerWS {
-			h.HasWS = true
-			h.WScale = c.stk.tuning.WindowScale
-		}
-		h.SACKPermitted = c.offerSACK
+		h.HasWS = c.stk.tuning.WindowScale > 0
+		h.WScale = c.stk.tuning.WindowScale
+		h.SACKPermitted = c.stk.tuning.SACK
 	} else {
 		h.Window = uint16(wnd >> c.rcvWScale)
 		// SACK blocks ride pure ACKs only: a full-MSS data segment has
@@ -476,9 +516,7 @@ func (c *tcpConn) pipe() int {
 // output transmits whatever the windows allow. Called from the loop and
 // after API writes.
 func (c *tcpConn) output() {
-	switch c.state {
-	case tcpEstablished, tcpCloseWait, tcpFinWait1, tcpClosing, tcpLastAck:
-	default:
+	if !c.is(sends) {
 		return
 	}
 	wnd := min(int(c.sndWnd), int(c.cwnd))
@@ -521,7 +559,7 @@ func (c *tcpConn) output() {
 	}
 	// FIN, once all data is out: Close fixed its sequence number and
 	// state, so sending it changes neither.
-	if c.finQueued() && c.sndNxt == c.finSeq && c.inflight() <= wnd {
+	if c.is(finQueued) && c.sndNxt == c.finSeq && c.inflight() <= wnd {
 		if c.sendSegment(TCPFin|TCPAck, c.sndNxt, 0, false) {
 			c.sndNxt++
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
@@ -534,8 +572,8 @@ func (c *tcpConn) output() {
 	// in flight means the peer's window update is the only event that
 	// can restart this sender — and a lost update would stall the
 	// connection forever. Arm the zero-window probe (RFC 9293
-	// §3.8.6.1); the top-of-function state switch already restricted
-	// this path to the sending states.
+	// §3.8.6.1); the top-of-function guard already restricted this path
+	// to the sending states.
 	if c.persistAt() == 0 && c.rtxAt == 0 && c.sndWnd == 0 &&
 		c.inflight() == 0 && c.sndBuf.Len() > 0 {
 		k := c.takeCold()
@@ -565,9 +603,7 @@ func (c *tcpConn) onPersist() {
 		c.output()
 		return
 	}
-	switch c.state {
-	case tcpEstablished, tcpCloseWait, tcpFinWait1, tcpClosing, tcpLastAck:
-	default:
+	if !c.is(sends) {
 		k.persistN = 0
 		return
 	}
@@ -823,7 +859,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	// New data acknowledged.
 	acked := int(ack - c.sndUna)
 	dataAcked := acked
-	if c.finQueued() && seqGT(ack, c.finSeq) {
+	if c.is(finQueued) && seqGT(ack, c.finSeq) {
 		// The FIN consumed one sequence number.
 		dataAcked--
 	}
@@ -878,16 +914,10 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	} else {
 		c.armRTO()
 	}
-	// State transitions driven by our FIN being acked.
-	if c.finAcked() {
-		switch c.state {
-		case tcpFinWait1:
-			c.setState(tcpFinWait2)
-		case tcpClosing:
-			c.enterTimeWait()
-		case tcpLastAck:
-			c.stk.removeConn(c)
-		}
+	// Our FIN is acked once sndUna is past finSeq; a timeout rewind
+	// requeues it, so it is in flight only while sndNxt is past finSeq.
+	if c.is(finQueued) && seqGT(c.sndUna, c.finSeq) {
+		c.advance(evFinAcked)
 	}
 }
 
@@ -1224,16 +1254,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.rcvNxt = h.Seq + 1
 		c.sndUna = h.Ack
 		c.sndWnd = c.peerWnd(h)
-		if h.MSS != 0 {
-			c.sndMSS = int32(min(int(h.MSS)-tsOptionLen, MaxSegData))
-		}
-		// Feature negotiation: each option is on only if both sides
-		// offered it (RFC 7323 §2.2, RFC 2018 §3).
-		c.sackOK = c.offerSACK && h.SACKPermitted
-		if c.offerWS && h.HasWS {
-			c.sndWScale = h.WScale
-			c.rcvWScale = c.stk.tuning.WindowScale
-		}
+		c.handshake = c.stk.negotiate(h)
 		c.setState(tcpEstablished)
 		c.rtxAt = 0
 		c.rtxN = 0
@@ -1261,7 +1282,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		}
 	}
 	c.acceptData(h, payload)
-	if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt && !c.peerFin() {
+	if h.Flags&TCPFin != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt && !c.is(peerFin) {
 		c.rcvNxt++
 		// Nothing follows a FIN, and it took a sequence number but no ring
 		// byte: anything parked past it would now sit one off.
@@ -1269,18 +1290,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 			k.rcvOOO = k.rcvOOO[:0]
 		}
 		c.sendAckNow()
-		switch c.state {
-		case tcpEstablished:
-			c.setState(tcpCloseWait)
-		case tcpFinWait1:
-			if c.finAcked() {
-				c.enterTimeWait()
-			} else {
-				c.setState(tcpClosing)
-			}
-		case tcpFinWait2:
-			c.enterTimeWait()
-		}
+		c.advance(evPeerFin)
 	}
 	// Push out anything the new window allows.
 	c.output()
@@ -1320,9 +1330,5 @@ func (c *tcpConn) onTimers(now int64) {
 // to visit that iteration) — if the two drifted apart, the leap driver
 // could skip exactly the iteration the update is due in.
 func (c *tcpConn) needsWindowUpdate() bool {
-	switch c.state {
-	case tcpEstablished, tcpFinWait1, tcpFinWait2:
-		return c.advWnd < uint32(c.sndMSS) && c.rcvWnd() >= uint32(2*c.sndMSS)
-	}
-	return false
+	return c.is(receives) && c.advWnd < uint32(c.sndMSS) && c.rcvWnd() >= uint32(2*c.sndMSS)
 }
