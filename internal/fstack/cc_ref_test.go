@@ -250,7 +250,7 @@ func TestControllerMatchesReference(t *testing.T) {
 					if i > 0 {
 						clk.Advance(rng.Int63n(20e6))
 						if rng.Intn(8) == 0 {
-							c.srtt = rng.Int63n(200e6)
+							c.srtt = uint32(rng.Int63n(200e6))
 						}
 						what = refEvent(rng, c, ref, &inRecovery, clk.Now())
 					}
@@ -316,7 +316,7 @@ func refEvent(rng *rand.Rand, c *tcpConn, ref refCC, inRecovery *bool, now int64
 	case !*inRecovery && r < 85:
 		n := rng.Intn(3*mss + 1)
 		c.ccAck(n)
-		ref.OnAck(n, now, c.srtt)
+		ref.OnAck(n, now, int64(c.srtt))
 		return "ack"
 	case !*inRecovery && r < 95:
 		pipe := rng.Intn(2*int(c.cwnd) + 1)

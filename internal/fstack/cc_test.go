@@ -93,7 +93,7 @@ func cubicInCA(t *testing.T, wSeg int) (*tcpConn, *sim.VClock) {
 // smoothed RTT srtt.
 func ackAt(c *tcpConn, clk *sim.VClock, now, srtt int64) {
 	clk.Set(now)
-	c.srtt = srtt
+	c.srtt = uint32(srtt)
 	c.ccAck(cubicMSS)
 }
 

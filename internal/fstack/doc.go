@@ -98,7 +98,11 @@
 // the rest of the stack, and where CLOSE, the peer's FIN and our FIN
 // acked lead from it); both opens agree on the handshake's options in
 // one function (negotiate), and one rule (offeredWnd) sizes every
-// window a connection offers, its SYN|ACK's included.
+// window a connection offers, its SYN|ACK's included. One
+// retransmission timer (rexmt: RFC 6298's estimate, timeout and backoff
+// count, 32-bit ns) serves the SYN, the SYN|ACK, data resends and the
+// zero-window probe; a connection and a half-open synEntry each embed
+// one.
 //
 // With the zero-value TCPTuning the stack reproduces the paper
 // exactly: no SACK (loss recovery is go-back-N — out-of-order segments

@@ -16,7 +16,9 @@ import (
 // (CUBIC's 32 B epoch inside it) stays within 112 bytes. A view's entry
 // (shardedFD), one per connection end a view names and held in its table
 // page, is 24 B: a spread number's copies and instances sit behind one
-// pointer. A 32-bit window took tcpConn from 208 to 200 B.
+// pointer. A 32-bit window took tcpConn from 208 to 200 B, and the one
+// 32-bit retransmission timer (rexmt) to 192 B; the same timer holds a
+// half-open synEntry at 56 B.
 func TestConnPlaneStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit targets")
@@ -27,7 +29,8 @@ func TestConnPlaneStructSizes(t *testing.T) {
 	}{
 		{"socket", unsafe.Sizeof(socket{}), 40},
 		{"epollReg", unsafe.Sizeof(epollReg{}), 48},
-		{"tcpConn", unsafe.Sizeof(tcpConn{}), 200},
+		{"tcpConn", unsafe.Sizeof(tcpConn{}), 192},
+		{"synEntry", unsafe.Sizeof(synEntry{}), 56},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
 		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},
 		{"shardedFD", unsafe.Sizeof(shardedFD{}), 24},

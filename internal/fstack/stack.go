@@ -477,14 +477,6 @@ func (s *Stack) AddNetIF(dev EthDevice, ip, mask IPv4Addr) *NetIF {
 	return nif
 }
 
-// rtoFloor returns the effective retransmission-timer floor.
-func (s *Stack) rtoFloor() int64 {
-	if s.tuning.RTOMinNS > 0 {
-		return s.tuning.RTOMinNS
-	}
-	return rtoMin
-}
-
 // SetTCPTuning configures SACK, window scaling, socket buffer sizes,
 // the congestion-control algorithm and the retransmission-timer floor.
 // It is a boot-time knob: set it before traffic starts, on both ends of

@@ -569,9 +569,9 @@ func TestSetTCPTuningRefusesABadTuning(t *testing.T) {
 	}
 	c := e.stkB.sockOf(afd).conn
 	if ws := e.stkB.tuning.WindowScale; c.sndBuf.size != kept || c.rcvBuf.size != kept || c.cc != ccReno || ws != 0 ||
-		c.sndWScale != 0 || c.rcvWScale != 0 || e.stkB.rtoFloor() != rtoMin {
+		c.sndWScale != 0 || c.rcvWScale != 0 || e.stkB.tuning.rtoFloor() != rtoMin {
 		t.Fatalf("accepted conn: rings %d/%d, algorithm %d, window-scale shift %d (conn %d/%d), RTO floor %d; want the kept tuning's %d/%d, %d (reno), 0 (off), %d",
-			c.sndBuf.size, c.rcvBuf.size, c.cc, ws, c.sndWScale, c.rcvWScale, e.stkB.rtoFloor(), kept, kept, ccReno, int64(rtoMin))
+			c.sndBuf.size, c.rcvBuf.size, c.cc, ws, c.sndWScale, c.rcvWScale, e.stkB.tuning.rtoFloor(), kept, kept, ccReno, int64(rtoMin))
 	}
 	msg := []byte("across the refused tuning")
 	if got := sendAll(e, cfd, afd, msg, 4000); !bytes.Equal(got, msg) {

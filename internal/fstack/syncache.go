@@ -26,9 +26,7 @@ type synEntry struct {
 	tsRecent uint32 // latest peer TSVal (echoed in TSEcr)
 	advWnd   uint32 // the window our SYN|ACK advertises (seeds conn.advWnd)
 	handshake
-
-	rto    int64 // SYN|ACK retransmit interval (doubles per resend)
-	rxtN   int   // resend count
+	rexmt  // the SYN|ACK's timeout and resend count; no RTT sample
 	timerH connscale.Handle
 }
 
@@ -65,7 +63,7 @@ func (s *Stack) acceptSyn(l *listener, tuple fourTuple, h TCPHeader) {
 		return
 	}
 	e := s.synArena.take()
-	*e = synEntry{tuple: tuple, irs: h.Seq, timerH: connscale.None}
+	*e = synEntry{tuple: tuple, irs: h.Seq, rexmt: rexmt{rto: rtoInitial}, timerH: connscale.None}
 	if h.HasTS {
 		e.tsRecent = h.TSVal
 	}
@@ -76,11 +74,10 @@ func (s *Stack) acceptSyn(l *listener, tuple fourTuple, h TCPHeader) {
 	e.handshake = s.negotiate(h)
 	e.advWnd = min(offeredWnd(s.tuning.rcvRing(), e.rcvWScale), 65535)
 	e.iss = s.iss()
-	e.rto = rtoInitial
 	s.syncache[tuple] = e
 	l.halfOpen++
 	s.sendSynAck(e)
-	e.timerH = s.synWheel.Insert(s.now()+e.rto, e)
+	e.timerH = s.synWheel.Insert(s.now()+int64(e.rto), e)
 }
 
 // sendSynAck emits (or re-emits) the entry's SYN|ACK.
@@ -92,7 +89,7 @@ func (s *Stack) sendSynAck(e *synEntry) {
 		Ack:     e.irs + 1,
 		Flags:   TCPSyn | TCPAck,
 		HasTS:   true,
-		TSVal:   uint32(s.now() / 1e3),
+		TSVal:   s.nowUS(),
 		TSEcr:   e.tsRecent,
 		Window:  uint16(e.advWnd),
 		MSS:     MSSDefault,
@@ -116,14 +113,12 @@ func (s *Stack) sendSynAck(e *synEntry) {
 // after synRetries resends — mirroring the SYN_RCVD RTO path
 // connections used before the cache existed.
 func (s *Stack) synRetransmit(e *synEntry) {
-	e.rxtN++
-	if e.rxtN > synRetries {
+	if e.backoff() > synRetries {
 		s.synDropEntry(e)
 		return
 	}
 	s.sendSynAck(e)
-	e.rto = min(e.rto*2, int64(rtoMax))
-	e.timerH = s.synWheel.Insert(s.now()+e.rto, e)
+	e.timerH = s.synWheel.Insert(s.now()+int64(e.rto), e)
 }
 
 // synInput processes a segment addressed to a half-open entry.

@@ -2,6 +2,7 @@ package fstack
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/fstack/connscale"
@@ -85,7 +86,48 @@ const (
 	delackTimeout = 500e3 // 500 µs, scaled to the simulated RTTs
 	timeWaitDur   = 50e6  // 50 ms (2MSL stand-in)
 	synRetries    = 5
+	// maxShift bounds the backoff count: 2¹⁰ times any timeout is past
+	// rtoMax, so a larger count could not lengthen the probe interval.
+	maxShift = 10
 )
+
+// rexmt is the one retransmission timer (RFC 6298), FreeBSD's
+// t_srtt/t_rttvar/t_rxtcur and t_rxtshift: the smoothed round trip, its
+// variance and the timeout they set (ns), and the backoffs since forward
+// progress or the persist timer's arming. A connection and a half-open
+// synEntry each embed one; the SYN, the SYN|ACK, a data resend and the
+// zero-window probe all back off through it.
+type rexmt struct {
+	srtt, rttvar, rto uint32
+	shift             uint8
+}
+
+// sample folds a round-trip sample (ns) into the estimate and sets the
+// timeout from it, at least floor and at most rtoMax (RFC 6298 §2). A
+// sample ≤ 0 is ignored; one past 2³²−1 ns counts as 2³²−1.
+func (r *rexmt) sample(ns, floor int64) {
+	if ns <= 0 {
+		return
+	}
+	ns = min(ns, math.MaxUint32)
+	srtt, rttvar := int64(r.srtt), int64(r.rttvar)
+	if srtt == 0 {
+		srtt, rttvar = ns, ns/2
+	} else {
+		rttvar = (3*rttvar + max(srtt-ns, ns-srtt)) / 4
+		srtt = (7*srtt + ns) / 8
+	}
+	r.srtt, r.rttvar = uint32(srtt), uint32(rttvar)
+	r.rto = uint32(min(max(srtt+4*rttvar, floor), rtoMax))
+}
+
+// backoff doubles the timeout, to at most rtoMax, for the resend a
+// timeout makes (RFC 6298 §5.5), and returns the backoff count.
+func (r *rexmt) backoff() uint8 {
+	r.rto = min(r.rto*2, rtoMax)
+	r.shift = min(r.shift+1, maxShift)
+	return r.shift
+}
 
 // Buffer sizes (bytes, powers of two). 512 KiB send / 256 KiB receive
 // mirror F-Stack's defaults closely enough; without window scaling the
@@ -105,6 +147,9 @@ const (
 // rcvRing is the receive ring a new connection gets: the one size both
 // its windows and its listener's SYN|ACK window are offered from.
 func (t TCPTuning) rcvRing() int { return cmp.Or(t.RcvBufBytes, rcvBufSize) }
+
+// rtoFloor is the retransmission timer's floor.
+func (t TCPTuning) rtoFloor() int64 { return cmp.Or(t.RTOMinNS, rtoMin) }
 
 // seqRange is one [start, end) range of sequence space.
 type seqRange struct {
@@ -137,11 +182,7 @@ type tcpConn struct {
 	sndBuf sockBuf // r position corresponds to sequence sndUna
 	rcvBuf sockBuf
 
-	// RTT estimation (RFC 6298 via timestamps) and the timers; a
-	// deadline of 0 is off.
-	srtt     int64
-	rttvar   int64
-	rto      int64
+	// The timers' deadlines; 0 is off.
 	rtxAt    int64 // retransmission deadline; in TIME_WAIT, the 2MSL one
 	delackAt int64 // pending delayed ack
 	seq      uint64
@@ -164,12 +205,12 @@ type tcpConn struct {
 	obsCwnd int32
 	sockErr int32 // sticky hostos.Errno (ECONNRESET etc.)
 	timerH  connscale.Handle
+	rexmt   // RTT estimate, timeout and backoff count, from timestamps
 	handshake
 
 	tuple     fourTuple
 	state     tcpState
 	delackCnt uint8
-	rtxN      uint8  // consecutive backoffs
 	cc        ccAlgo // congestion control, from the stack's tuning
 
 	// connection-scale plumbing (stack.go): seq stamps creation order
@@ -209,7 +250,6 @@ type tcpCold struct {
 	recoverPt  uint32 // sndMax when recovery began (RFC 6582 "recover")
 	rtxNxt     uint32 // next hole-fill candidate during SACK recovery
 	dupAcks    int32
-	persistN   uint8 // consecutive probe backoffs
 	inRecovery bool
 }
 
@@ -328,7 +368,7 @@ func (s *Stack) newTCPConn(tuple fourTuple) *tcpConn {
 		cwnd:      initialCwnd,
 		ssthresh:  ssthresh,
 		cc:        s.tuning.algo(),
-		rto:       rtoInitial,
+		rexmt:     rexmt{rto: rtoInitial},
 		timerH:    connscale.None,
 	}
 	return c
@@ -355,8 +395,9 @@ func (s *Stack) iss() uint32 {
 	return s.issCounter
 }
 
-// nowUS is the timestamp-option clock (µs, truncated).
-func (c *tcpConn) nowUS() uint32 { return uint32(c.stk.now() / 1e3) }
+// nowUS is the timestamp-option clock (µs, truncated), for a
+// connection's segments and a half-open entry's SYN|ACK alike.
+func (s *Stack) nowUS() uint32 { return uint32(s.now() / 1e3) }
 
 // offeredWnd is the one window rule: the window a receive ring with
 // free bytes offers under a window-scale shift. Without scaling the
@@ -393,7 +434,7 @@ func (c *tcpConn) sendSegment(flags uint8, seq uint32, payloadLen int, withMSS b
 		Ack:     c.rcvNxt,
 		Flags:   flags,
 		HasTS:   true,
-		TSVal:   c.nowUS(),
+		TSVal:   c.stk.nowUS(),
 		TSEcr:   c.tsRecent,
 	}
 	wnd := c.rcvWnd()
@@ -457,7 +498,7 @@ func (c *tcpConn) sendAckNow() {
 
 // armRTO (re)arms the retransmission timer.
 func (c *tcpConn) armRTO() {
-	c.rtxAt = c.stk.now() + c.rto
+	c.rtxAt = c.stk.now() + int64(c.rto)
 	c.stk.noteTimer(c, c.rtxAt)
 }
 
@@ -577,16 +618,16 @@ func (c *tcpConn) output() {
 	if c.persistAt() == 0 && c.rtxAt == 0 && c.sndWnd == 0 &&
 		c.inflight() == 0 && c.sndBuf.Len() > 0 {
 		k := c.takeCold()
-		k.persistN = 0
+		c.shift = 0 // an episode counts its own probes
 		k.persistAt = c.stk.now() + c.persistInterval()
 		c.stk.noteTimer(c, k.persistAt)
 	}
 }
 
 // persistInterval is the current zero-window probe backoff: the RTO
-// doubled per unanswered probe, capped like the RTO itself.
+// doubled per backoff counted, capped like the RTO itself.
 func (c *tcpConn) persistInterval() int64 {
-	return min(c.rto<<min(c.cold.persistN, 10), int64(rtoMax))
+	return min(int64(c.rto)<<c.shift, rtoMax)
 }
 
 // onPersist fires when the persist timer expires: force one byte past
@@ -598,13 +639,11 @@ func (c *tcpConn) persistInterval() int64 {
 func (c *tcpConn) onPersist() {
 	k := c.cold
 	k.persistAt = 0
-	if c.sndWnd > 0 || c.sndBuf.Len() == 0 {
-		k.persistN = 0 // window opened (or data drained) while pending
+	if c.sndWnd > 0 || c.sndBuf.Len() == 0 { // window opened (or data drained) while pending
 		c.output()
 		return
 	}
 	if !c.is(sends) {
-		k.persistN = 0
 		return
 	}
 	if c.sendSegment(TCPAck, c.sndUna, 1, false) {
@@ -614,39 +653,12 @@ func (c *tcpConn) onPersist() {
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
 		}
 	}
-	if k.persistN < 16 {
-		k.persistN++
-	}
+	c.shift = min(c.shift+1, maxShift)
 	k.persistAt = c.stk.now() + c.persistInterval()
 	c.stk.noteTimer(c, k.persistAt)
 }
 
 // --- input ---
-
-// rttSample updates SRTT/RTTVAR/RTO from a sample (ns).
-func (c *tcpConn) rttSample(sample int64) {
-	if sample <= 0 {
-		return
-	}
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-	} else {
-		d := c.srtt - sample
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + sample) / 8
-	}
-	c.rto = c.srtt + 4*c.rttvar
-	if floor := c.stk.rtoFloor(); c.rto < floor {
-		c.rto = floor
-	}
-	if c.rto > rtoMax {
-		c.rto = rtoMax
-	}
-}
 
 // --- sender scoreboard (RFC 2018) ---
 
@@ -845,7 +857,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 				// peer did take the byte, the resend is a partial
 				// overlap its receiver already handles.
 				c.cold.persistAt = 0
-				c.cold.persistN = 0
+				c.shift = 0
 				c.sndNxt = c.sndUna
 				c.sndMax = c.sndUna
 			}
@@ -877,15 +889,14 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	}
 	c.sackPrune()
 	c.sndWnd = c.peerWnd(h)
-	c.rtxN = 0
+	c.shift = 0 // forward progress: any backoff or probe cycle is over
 	if k := c.cold; k != nil {
 		k.dupAcks = 0
-		k.persistAt = 0 // forward progress: the probe cycle (if any) is over
-		k.persistN = 0
+		k.persistAt = 0
 	}
 	if h.HasTS && h.TSEcr != 0 {
-		sample := (int64(c.nowUS()) - int64(h.TSEcr)) * 1e3
-		c.rttSample(sample)
+		sample := (int64(c.stk.nowUS()) - int64(h.TSEcr)) * 1e3
+		c.sample(sample, c.stk.tuning.rtoFloor())
 		if c.stk.obsRTT != nil && sample > 0 {
 			c.stk.obsRTT.Record(sample)
 		}
@@ -928,13 +939,11 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 // go-back-N.
 func (c *tcpConn) onRTO() {
 	if c.state == tcpSynSent {
-		c.rtxN++
-		if c.rtxN > synRetries {
+		if c.backoff() > synRetries {
 			c.abort(hostos.ETIMEDOUT)
 			return
 		}
 		c.sendSegment(TCPSyn, c.sndUna, 0, true)
-		c.rto = min(c.rto*2, int64(rtoMax))
 		c.armRTO()
 		return
 	}
@@ -951,8 +960,7 @@ func (c *tcpConn) onRTO() {
 	// Rewind and let output() resend (it classifies the resends and
 	// skips SACKed runs, and requeues a FIN the rewind passed below).
 	c.sndNxt = c.sndUna
-	c.rto = min(c.rto*2, int64(rtoMax))
-	c.rtxN++
+	c.backoff()
 	c.armRTO()
 	c.output()
 }
@@ -1257,7 +1265,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.handshake = c.stk.negotiate(h)
 		c.setState(tcpEstablished)
 		c.rtxAt = 0
-		c.rtxN = 0
+		c.shift = 0
 		c.sendAckNow()
 		c.output()
 		return
