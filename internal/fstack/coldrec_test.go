@@ -8,10 +8,10 @@ import (
 // TestColdRecordTakenOnFirstNeed pins when a connection holds its cold
 // record: not while it is idle or moves data on a clean wire, from its
 // first out-of-order segment (the receiver), its first SACK loss episode
-// (the sender), its first zero window (a sender with data and no room)
-// or, running CUBIC, its first congestion-avoidance ACK (not in slow
-// start; kept through a loss episode), and no longer once it enters
-// TIME_WAIT or the arena takes it. Every record a stack issued is then
+// (the sender) or, running CUBIC, its first congestion-avoidance ACK (not
+// in slow start; kept through a loss episode), and no longer once it
+// enters TIME_WAIT or the arena takes it. A zero window takes none: the
+// probe rides the connection's one deadline. Every record a stack issued is then
 // back on its pool.
 func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	dropNext := false
@@ -72,8 +72,8 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 		t.Fatalf("recovery: %d of %d bytes intact, %s", len(got), sent, e.stkA.Stats().RecoverySummary())
 	}
 
-	// A receiver that reads nothing closes its window: the sender's
-	// persist timer is what takes its record, not a duplicate ACK.
+	// A receiver that reads nothing closes its window: the sender
+	// probes it on its one deadline and takes no record for it.
 	e.stkB.SetTCPTuning(TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 8 << 10})
 	cfd2, afd2 := e.connectPair(7006)
 	zw := e.stkA.sockOf(cfd2).conn
@@ -81,9 +81,10 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	if n, _ := e.stkA.Write(cfd2, payload[:24<<10]); n != 24<<10 {
 		t.Fatalf("wrote %d of %d bytes", n, 24<<10)
 	}
-	e.pumpUntil(40000, "the sender arms its persist timer", func() bool { return zw.persistAt() != 0 })
-	if d := e.stkA.Stats().DupAcks - dupAcks; d != 0 {
-		t.Fatalf("%d duplicate ACKs before the window closed: the record is not the zero window's", d)
+	probes := e.stkA.Stats().PersistProbes
+	e.pumpUntil(40000, "the sender probes the zero window", func() bool { return e.stkA.Stats().PersistProbes > probes })
+	if d := e.stkA.Stats().DupAcks - dupAcks; d != 0 || zw.cold != nil {
+		t.Fatalf("the persisting sender holds a cold record %v after %d duplicate ACKs; want none", zw.cold != nil, d)
 	}
 	got = got[:0]
 	e.pumpUntil(400000, "the zero-window transfer completes", func() bool {

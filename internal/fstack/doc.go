@@ -72,8 +72,9 @@
 //     TIME_WAIT holds tuples for 2MSL with both BSD reuse paths
 //     (active reconnect and forward-sequence fresh SYN) counted in
 //     StackStats, and gives the conn's socket rings back to the
-//     segment on entry; ephemeral-port exhaustion returns
-//     EADDRNOTAVAIL.
+//     segment on entry; a FIN_WAIT_2 whose peer is silent for 2MSL is
+//     dropped and counted (FinWait2Drops); ephemeral-port exhaustion
+//     returns EADDRNOTAVAIL.
 //
 //   - The datagram plane is bounded and pooled: each UDP socket holds
 //     a head-indexed receive ring (256 datagrams deep) whose overflow
@@ -92,8 +93,8 @@
 // evaluation exercises: 3-way handshake, sliding window, timestamp
 // options (12 bytes, giving the canonical 1448-byte MSS payload and the
 // 941 Mbit/s GbE goodput ceiling), delayed ACKs, fast retransmit, RTO
-// with exponential backoff, and a persist timer probing zero receive
-// windows so a lost window update cannot stall a connection. RFC 793's
+// with exponential backoff, and a zero-window probe so a lost window
+// update cannot stall a connection. RFC 793's
 // states are one table (tcpStates: each state's name, what it means to
 // the rest of the stack, and where CLOSE, the peer's FIN and our FIN
 // acked lead from it); both opens agree on the handshake's options in
@@ -102,7 +103,11 @@
 // retransmission timer (rexmt: RFC 6298's estimate, timeout and backoff
 // count, 32-bit ns) serves the SYN, the SYN|ACK, data resends and the
 // zero-window probe; a connection and a half-open synEntry each embed
-// one.
+// one. A connection has two deadlines: the delayed ACK's, and rtxAt,
+// which onTimers reads by state — 2MSL's in TIME_WAIT and FIN_WAIT_2,
+// the probe's while persisting (a sending state, a zero peer window,
+// bytes queued), a retransmission timeout otherwise (FreeBSD's
+// tcp_timer.c shape).
 //
 // With the zero-value TCPTuning the stack reproduces the paper
 // exactly: no SACK (loss recovery is go-back-N — out-of-order segments

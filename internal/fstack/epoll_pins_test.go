@@ -13,7 +13,8 @@ import (
 // headers inside) or socket. The epoll registration chain must fit in
 // the slack, not grow them, the number a registration carries must fit
 // in its padding, and the cold record an idle connection does not hold
-// (CUBIC's 32 B epoch inside it) stays within 112 bytes. A view's entry
+// (CUBIC's 32 B epoch inside it) stays within 104 bytes: the zero-window
+// probe rides the connection's one deadline, not a field of its own. A view's entry
 // (shardedFD), one per connection end a view names and held in its table
 // page, is 24 B: a spread number's copies and instances sit behind one
 // pointer. A 32-bit window took tcpConn from 208 to 200 B, and the one
@@ -32,7 +33,7 @@ func TestConnPlaneStructSizes(t *testing.T) {
 		{"tcpConn", unsafe.Sizeof(tcpConn{}), 192},
 		{"synEntry", unsafe.Sizeof(synEntry{}), 56},
 		{"sockBuf", unsafe.Sizeof(sockBuf{}), 24},
-		{"tcpCold", unsafe.Sizeof(tcpCold{}), 112},
+		{"tcpCold", unsafe.Sizeof(tcpCold{}), 104},
 		{"shardedFD", unsafe.Sizeof(shardedFD{}), 24},
 	} {
 		if s.got != s.want {

@@ -193,10 +193,10 @@ func TestSynSentGivesUpAfterSynRetries(t *testing.T) {
 // TestPersistProbesBackOff: toward a receiver that reads nothing, each
 // zero-window probe interval doubles from the connection's rto and
 // holds at rtoMax. The backoff count is the retransmission timer's, and
-// both ways out of a zero-window episode clear it: a window update (the
-// first episode's end), and forward progress (the second's, whose window
-// update is lost, so the receiver's ACK of a probe byte ends it). Each
-// new episode's intervals start again at rto.
+// an episode ends either way: on a window update (the first episode's
+// end), or on forward progress (the second's, whose window update is
+// lost, so the receiver's ACK of a probe byte ends it). Each new
+// episode's intervals start again at rto: the arming clears the count.
 func TestPersistProbesBackOff(t *testing.T) {
 	probes, loseUpdate := 0, false
 	var e *testEnv
@@ -219,14 +219,15 @@ func TestPersistProbesBackOff(t *testing.T) {
 	if _, errno := e.stkA.Write(cfd, bytes.Repeat([]byte{0x5A}, 32<<10)); errno != hostos.OK {
 		t.Fatal(errno)
 	}
-	// episode records each interval the persist timer is armed for, until
-	// it has seen n, and checks them against rto doubled per probe.
+	// episode records each interval the persisting connection's deadline
+	// is armed for, until it has seen n, and checks them against rto
+	// doubled per probe.
 	episode := func(name string, n int) []int64 {
 		t.Helper()
 		var got []int64
 		var last int64
 		e.leapUntil(e.clk.Now()+20e9, name, func() bool {
-			if at := c.persistAt(); at != 0 && at != last {
+			if at := c.rtxAt; c.persisting() && at != 0 && at != last {
 				got = append(got, at-e.clk.Now())
 				last = at
 			}
@@ -240,17 +241,13 @@ func TestPersistProbesBackOff(t *testing.T) {
 		}
 		return got
 	}
-	// drain reads one receive buffer and steps until the episode ends,
-	// where the count must be clear.
+	// drain reads one receive buffer and steps until the episode ends.
 	drain := func(how string) {
 		t.Helper()
 		if n, errno := e.stkB.Read(afd, make([]byte, 8192)); errno != hostos.OK || n != 8192 {
 			t.Fatalf("read %d: %v", n, errno)
 		}
-		e.leapUntil(e.clk.Now()+5e9, how, func() bool { return c.persistAt() == 0 })
-		if c.shift != 0 {
-			t.Fatalf("%s left the backoff count at %d", how, c.shift)
-		}
+		e.leapUntil(e.clk.Now()+5e9, how, func() bool { return !c.persisting() })
 	}
 	const n = 12 // 2 ms doubles past rtoMax by the tenth
 	first := episode("first episode", n)

@@ -294,7 +294,7 @@ func (s *Stack) connect(sk *socket, ip IPv4Addr, port, sport uint16) hostos.Errn
 	sk.bound = local
 	c.sk = sk
 	c.sendSegment(TCPSyn, iss, 0, true)
-	c.armRTO()
+	c.arm(int64(c.rto))
 	return hostos.EINPROGRESS
 }
 

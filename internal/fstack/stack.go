@@ -70,6 +70,7 @@ type StackStats struct {
 	RTORetransmit   uint64 // segments resent after a timeout rewind
 	DupAcks         uint64 // duplicate ACKs received
 	PersistProbes   uint64 // zero-window probes sent (persist timer)
+	FinWait2Drops   uint64 // FIN_WAIT_2 connections dropped after 2MSL with no segment from the peer
 	ArpTx           uint64
 	Accepts         uint64 // connections graduated from the SYN cache
 	SynDrops        uint64 // SYNs refused (backlog or SYN cache full)
@@ -96,6 +97,7 @@ func (st *StackStats) Add(o StackStats) {
 	st.RTORetransmit += o.RTORetransmit
 	st.DupAcks += o.DupAcks
 	st.PersistProbes += o.PersistProbes
+	st.FinWait2Drops += o.FinWait2Drops
 	st.ArpTx += o.ArpTx
 	st.Accepts += o.Accepts
 	st.SynDrops += o.SynDrops
@@ -425,9 +427,6 @@ func connDeadline(c *tcpConn) int64 {
 	d := int64(math.MaxInt64)
 	if c.rtxAt != 0 && c.rtxAt < d {
 		d = c.rtxAt
-	}
-	if at := c.persistAt(); at != 0 && at < d {
-		d = at
 	}
 	if c.delackAt != 0 && c.delackAt < d {
 		d = c.delackAt

@@ -115,6 +115,60 @@ func TestTCPHalfClose(t *testing.T) {
 	})
 }
 
+// TestFinWait2DropsASilentPeer: once its FIN is acked a closed end waits
+// in FIN_WAIT_2 for the peer's. Every segment from the peer restarts the
+// wait, so a peer that writes every 30 ms keeps it well past 2MSL; 2MSL
+// (timeWaitDur) of silence then drops it without a segment and counts it
+// in FinWait2Drops, and the peer's next write is reset.
+func TestFinWait2DropsASilentPeer(t *testing.T) {
+	e := newHookedEnv(t, nil) // a cable whose frames a deadline announces
+	cfd, afd := e.connectPair(5001)
+	c := e.stkA.sockOf(cfd).conn
+	// step polls both stacks from deadline to deadline until cond holds
+	// or the clock reaches until, whichever is first.
+	step := func(until int64, cond func() bool) {
+		for {
+			e.stkA.PollOnce()
+			e.stkB.PollOnce()
+			now := e.clk.Now()
+			if cond() || now >= until {
+				return
+			}
+			e.clk.Set(min(max(min(e.stkA.NextDeadline(now), e.stkB.NextDeadline(now)), now+5000), until))
+		}
+	}
+	e.stkA.Close(cfd)
+	step(e.clk.Now()+10e6, func() bool { return c.state == tcpFinWait2 })
+	var heard int64 // when the peer's last segment arrived
+	for i := range 4 {
+		if c.state != tcpFinWait2 {
+			t.Fatalf("%v after %d of the peer's segments, want FIN_WAIT_2", c.state, i)
+		}
+		e.stkB.Write(afd, []byte{byte(i)})
+		rcv := c.rcvNxt
+		step(e.clk.Now()+10e6, func() bool { return c.rcvNxt != rcv })
+		heard = e.clk.Now()
+		step(heard+30e6, func() bool { return false })
+	}
+	if c.state != tcpFinWait2 || c.rtxAt != heard+timeWaitDur {
+		t.Fatalf("%v with its deadline %d ns after the peer's last segment, want FIN_WAIT_2 and %d", c.state, c.rtxAt-heard, int64(timeWaitDur))
+	}
+	tx := e.stkA.Stats().TxFrames
+	step(heard+timeWaitDur, func() bool { return false })
+	if st := e.stkA.Stats(); c.state != tcpClosed || e.stkA.conns.n != 0 || st.FinWait2Drops != 1 || st.TxFrames != tx {
+		t.Fatalf("2MSL after the peer's last segment: %v, %d conns, %d FIN_WAIT_2 drops, %d frames sent; want CLOSED, 0, 1, 0",
+			c.state, e.stkA.conns.n, st.FinWait2Drops, st.TxFrames-tx)
+	}
+	e.stkB.Write(afd, []byte("late"))
+	step(e.clk.Now()+10e6, func() bool {
+		_, errno := e.stkB.Read(afd, make([]byte, 16))
+		return errno == hostos.ECONNRESET
+	})
+	if _, errno := e.stkB.Read(afd, make([]byte, 16)); errno != hostos.ECONNRESET {
+		t.Fatalf("the peer's write after the drop: read %v, want ECONNRESET", errno)
+	}
+}
+
 func TestTCPRstOnDataToClosedPort(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, afd := e.connectPair(5001)

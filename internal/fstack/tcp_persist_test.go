@@ -3,6 +3,8 @@ package fstack
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/hostos"
@@ -171,4 +173,199 @@ func TestPersistSurvivesSqueezedAckChannel(t *testing.T) {
 	if st.PersistProbes == 0 {
 		t.Fatalf("squeezed ACK channel never exercised the persist timer: %+v", st)
 	}
+}
+
+// refPersist is the zero-window probe as its own timer decided it before
+// it rode the connection's one deadline: armed when nothing is in
+// flight, the peer's window is zero and bytes are queued; fired every
+// min(rto<<k, rtoMax) after the k-th probe, measured from the poll that
+// sent it; ended by a window update or by forward progress.
+type refPersist struct {
+	armed bool
+	una   uint32 // sndUna at arming: forward progress moves it
+	k     int    // probes sent this episode
+	next  int64  // the next probe's deadline
+}
+
+// interval is the wait before the episode's next probe.
+func (r *refPersist) interval(rto uint32) int64 {
+	if r.k >= 30 {
+		return rtoMax
+	}
+	return min(int64(rto)<<r.k, rtoMax)
+}
+
+// step applies the rules to the sender as one poll at now left it. It
+// reports whether the episode ended, and whether a probe was due.
+func (r *refPersist) step(c *tcpConn, now int64) (ended, probe bool) {
+	if r.armed && (c.sndUna != r.una || c.sndWnd > 0) {
+		r.armed, ended = false, true
+	}
+	if r.armed && now >= r.next {
+		r.k++
+		r.next = now + r.interval(c.rto)
+		probe = true
+	}
+	if !r.armed && c.is(sends) && c.inflight() == 0 && c.sndWnd == 0 && c.sndBuf.Len() > 0 {
+		*r = refPersist{armed: true, una: c.sndUna}
+		r.next = now + r.interval(c.rto)
+	}
+	return ended, probe
+}
+
+// TestPersistMatchesParentRules walks zero-window episodes on 24 seeds
+// and holds every probe to refPersist. The receiver has an 8 KiB ring and
+// reads random amounts at random instants; the wire drops random pure
+// ACKs from receiver to sender (window updates and probe answers among
+// them) and rewrites none. After each sender poll the reference must
+// agree on whether a probe left, and the seeds together must end
+// episodes both ways and reach rtoMax.
+func TestPersistMatchesParentRules(t *testing.T) {
+	var seen struct{ probes, byUpdate, byProgress, capped int }
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		wire := rand.New(rand.NewSource(^seed))
+		e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+			_, h, n, ok := wireSeg(data)
+			return 0, ok && from == 1 && n == 0 && h.Flags&(TCPSyn|TCPFin) == 0 && wire.Float64() < 0.3
+		})
+		if err := e.stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192}); err != nil {
+			t.Fatal(err)
+		}
+		cfd, afd := e.connectPair(5001)
+		c := e.stkA.sockOf(cfd).conn
+		payload := make([]byte, 96<<10)
+		rng.Read(payload)
+		if n, errno := e.stkA.Write(cfd, payload); errno != hostos.OK || n != len(payload) {
+			t.Fatalf("seed %d: wrote %d: %v", seed, n, errno)
+		}
+		var ref refPersist
+		var got []byte
+		buf := make([]byte, 8192)
+		nextRead := e.clk.Now()
+		for len(got) < len(payload) {
+			now := e.clk.Now()
+			if now > 600e9 {
+				t.Fatalf("seed %d: %d of %d bytes by %.1f s virtual", seed, len(got), len(payload), float64(now)/1e9)
+			}
+			probes := e.stkA.Stats().PersistProbes
+			e.stkA.PollOnce()
+			ended, probe := ref.step(c, now)
+			if sent := e.stkA.Stats().PersistProbes - probes; sent > 1 || (sent == 1) != probe {
+				t.Fatalf("seed %d at %d ns: %d probes sent, the reference expected %v (episode armed %v, probe %d, next %d, rto %d)",
+					seed, now, sent, probe, ref.armed, ref.k, ref.next, c.rto)
+			}
+			if ended {
+				if c.sndUna != ref.una {
+					seen.byProgress++
+				} else {
+					seen.byUpdate++
+				}
+			}
+			if probe {
+				seen.probes++
+				if ref.interval(c.rto) == rtoMax {
+					seen.capped++
+				}
+			}
+			e.stkB.PollOnce()
+			if now >= nextRead {
+				if n, _ := e.stkB.Read(afd, buf[:1+rng.Intn(len(buf))]); n > 0 {
+					got = append(got, buf[:n]...)
+				}
+				// 20 µs to 2 s, log-uniform.
+				nextRead = now + int64(math.Exp(math.Log(20e3)+rng.Float64()*math.Log(2e9/20e3)))
+			}
+			next := min(e.stkA.NextDeadline(now), e.stkB.NextDeadline(now), nextRead)
+			e.clk.Set(max(next, now+5000))
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("seed %d: stream corrupted", seed)
+		}
+	}
+	t.Logf("%+v", seen)
+	if seen.probes == 0 || seen.byUpdate == 0 || seen.byProgress == 0 || seen.capped == 0 {
+		t.Fatalf("the walk missed a case: %+v", seen)
+	}
+}
+
+// TestRetractedWindowIsProbed: a receiver's pure ACK, rewritten on the
+// wire to window 0 while about 20 KB is in flight, retracts the window
+// (RFC 1122 §4.2.2.16), and the receiver is then silent for 3 s. The
+// sender's first timeout after it is a 1-byte probe at sndUna, one rto
+// after the ACK, with cwnd and rto untouched: a zero window is probed,
+// not taken for loss (FreeBSD's tcp_output stops its retransmission
+// timer and persists on sendwin == 0). Past the silence the 512 KiB
+// transfer completes intact.
+func TestRetractedWindowIsProbed(t *testing.T) {
+	var c *tcpConn
+	var silentUntil int64
+	type seg struct {
+		at  int64
+		seq uint32
+		n   int
+	}
+	var after []seg // the sender's segments once the window is rewritten
+	var e *testEnv
+	e = newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+		_, h, n, ok := wireSeg(data)
+		switch {
+		case !ok || c == nil:
+		case from == 0 && silentUntil != 0:
+			after = append(after, seg{e.clk.Now(), h.Seq, n})
+		case e.clk.Now() < silentUntil:
+			return 0, true
+		case silentUntil == 0 && n == 0 && h.Flags == TCPAck && c.sndMax-h.Ack >= 20<<10:
+			// The window field sits past the sum's start, so the sum
+			// the sender left pending covers the edit.
+			binary.BigEndian.PutUint16(data[EthHeaderLen+IPv4HeaderLen+14:], 0)
+			silentUntil = e.clk.Now() + 3e9
+		}
+		return 0, false
+	})
+	cfd, afd := e.connectPair(5001)
+	c = e.stkA.sockOf(cfd).conn
+	payload := make([]byte, 512<<10)
+	rand.New(rand.NewSource(1)).Read(payload)
+	var got []byte
+	sent := 0
+	buf := make([]byte, 64<<10)
+	pump := func() {
+		if n, errno := e.stkA.Write(cfd, payload[sent:]); errno == hostos.OK {
+			sent += n
+		}
+		for {
+			n, errno := e.stkB.Read(afd, buf)
+			if errno != hostos.OK || n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+	}
+	e.leapUntil(1e9, "the retracted window reaches the sender", func() bool {
+		pump()
+		return silentUntil != 0 && c.sndWnd == 0
+	})
+	armed, cwnd, rto, retx, tx := c.rtxAt, c.cwnd, c.rto, e.stkA.Stats().Retransmit, e.stkA.Stats().TxFrames
+	if c.inflight() < 20<<10 || armed != e.clk.Now()+int64(rto) {
+		t.Fatalf("%d bytes in flight, deadline %d ns away; want ≥ 20 KiB and one rto (%d)", c.inflight(), armed-e.clk.Now(), rto)
+	}
+	una := c.sndUna
+	e.leapUntil(armed+1, "the first timeout", func() bool { return e.clk.Now() >= armed })
+	// Segments the stack queued before the ACK arrived may still reach
+	// the wire after it: the stack sends one frame, the probe, last.
+	st := e.stkA.Stats()
+	if st.TxFrames-tx != 1 || len(after) == 0 || after[len(after)-1] != (seg{armed, una, 1}) ||
+		c.cwnd != cwnd || c.rto != rto || st.Retransmit != retx {
+		t.Fatalf("first timeout at %d ns: %d frames sent, the wire's last %+v; cwnd %d → %d, rto %d → %d, %d retransmits; want one 1-byte probe at sndUna %d and nothing else moved",
+			armed, st.TxFrames-tx, after[max(len(after)-1, 0):], cwnd, c.cwnd, rto, c.rto, st.Retransmit-retx, una)
+	}
+	e.leapUntil(silentUntil+10e9, "the transfer completes past the silence", func() bool {
+		pump()
+		return len(got) == len(payload)
+	})
+	if !bytes.Equal(got, payload) || e.stkA.Stats().RxDropped != 0 {
+		t.Fatalf("stream intact %v, %d frames dropped by the sender", bytes.Equal(got, payload), e.stkA.Stats().RxDropped)
+	}
+	t.Logf("cwnd %d, rto %d ns; %d probes", cwnd, rto, e.stkA.Stats().PersistProbes)
 }

@@ -19,8 +19,9 @@ import (
 // hookWire is a test conduit: a transparent cable whose per-direction
 // hook may drop or delay each frame. It stands in for nic.Connect so
 // recovery tests can lose exactly the segment they mean to. A hook reads
-// the bytes but never the checksum field, and edits nothing, so a frame
-// keeps the checksum its sender left pending.
+// the bytes but never the checksum field, so a frame keeps the checksum
+// its sender left pending; a hook may rewrite a header field in place,
+// since that sum is taken over the bytes as they arrive.
 type hookWire struct {
 	ends [2]*nic.Port
 	// hook returns (extraDelayNS, drop). nil passes through.

@@ -93,10 +93,10 @@ const (
 
 // rexmt is the one retransmission timer (RFC 6298), FreeBSD's
 // t_srtt/t_rttvar/t_rxtcur and t_rxtshift: the smoothed round trip, its
-// variance and the timeout they set (ns), and the backoffs since forward
-// progress or the persist timer's arming. A connection and a half-open
-// synEntry each embed one; the SYN, the SYN|ACK, a data resend and the
-// zero-window probe all back off through it.
+// variance and the timeout they set (ns), and the backoffs counted since
+// the handshake began or the zero-window probe was armed. A connection
+// and a half-open synEntry each embed one; the SYN, the SYN|ACK, a data
+// resend and the zero-window probe all back off through it.
 type rexmt struct {
 	srtt, rttvar, rto uint32
 	shift             uint8
@@ -182,8 +182,10 @@ type tcpConn struct {
 	sndBuf sockBuf // r position corresponds to sequence sndUna
 	rcvBuf sockBuf
 
-	// The timers' deadlines; 0 is off.
-	rtxAt    int64 // retransmission deadline; in TIME_WAIT, the 2MSL one
+	// The timers' deadlines; 0 is off. rtxAt is the one deadline arm
+	// sets: the retransmission's, the zero-window probe's while
+	// persisting, and 2MSL's in TIME_WAIT and an idle FIN_WAIT_2.
+	rtxAt    int64
 	delackAt int64 // pending delayed ack
 	seq      uint64
 
@@ -223,15 +225,14 @@ type tcpConn struct {
 	inPending bool
 }
 
-// tcpCold is the part of a connection that only loss, reordering, a
-// zero window or CUBIC's congestion avoidance needs: the sender's
-// scoreboard and recovery state, the receiver's reassembly runs, the
-// persist timer and CUBIC's epoch. A connection takes one from its
-// stack's pool the first time it needs any of it and gives it back with
-// its rings (enterTimeWait, maybeRecycleConn); a nil record reads as no
-// recovery, nothing parked, persist off and no CUBIC epoch. The record
-// keeps its slices' capacity between connections, so a warm stack's
-// loss episodes allocate nothing.
+// tcpCold is the part of a connection that only loss, reordering or
+// CUBIC's congestion avoidance needs: the sender's scoreboard and
+// recovery state, the receiver's reassembly runs and CUBIC's epoch. A
+// connection takes one from its stack's pool the first time it needs any
+// of it and gives it back with its rings (enterTimeWait,
+// maybeRecycleConn); a nil record reads as no recovery, nothing parked
+// and no CUBIC epoch. The record keeps its slices' capacity between
+// connections, so a warm stack's loss episodes allocate nothing.
 type tcpCold struct {
 	// sender scoreboard: disjoint sorted ranges the peer has SACKed,
 	// all within (sndUna, sndMax].
@@ -242,11 +243,7 @@ type tcpCold struct {
 	// run leads the block list (RFC 2018 §4).
 	lastOOO seqRange
 	// CUBIC's epoch (cc.go); untouched on a Reno connection.
-	cubic cubicEpoch
-	// persist timer (zero-window probing): armed when a zero peer
-	// window with data waiting leaves nothing in flight, so a lost
-	// window update cannot stall the connection forever.
-	persistAt  int64  // probe deadline; 0 = off
+	cubic      cubicEpoch
 	recoverPt  uint32 // sndMax when recovery began (RFC 6582 "recover")
 	rtxNxt     uint32 // next hole-fill candidate during SACK recovery
 	dupAcks    int32
@@ -271,14 +268,6 @@ func (c *tcpConn) dropCold() {
 		c.stk.coldArena.put(c.cold)
 		c.cold = nil
 	}
-}
-
-// persistAt is the zero-window probe deadline; 0 = off.
-func (c *tcpConn) persistAt() int64 {
-	if c.cold == nil {
-		return 0
-	}
-	return c.cold.persistAt
 }
 
 // inRecovery reports whether loss recovery is under way.
@@ -496,9 +485,10 @@ func (c *tcpConn) sendAckNow() {
 	c.sendSegment(TCPAck, c.sndNxt, 0, false)
 }
 
-// armRTO (re)arms the retransmission timer.
-func (c *tcpConn) armRTO() {
-	c.rtxAt = c.stk.now() + int64(c.rto)
+// arm sets the connection's deadline d ns from now and files it on the
+// stack's timing wheel.
+func (c *tcpConn) arm(d int64) {
+	c.rtxAt = c.stk.now() + d
 	c.stk.noteTimer(c, c.rtxAt)
 }
 
@@ -595,7 +585,7 @@ func (c *tcpConn) output() {
 		c.delackCnt = 0
 		c.delackAt = 0
 		if c.rtxAt == 0 {
-			c.armRTO()
+			c.arm(int64(c.rto))
 		}
 	}
 	// FIN, once all data is out: Close fixed its sequence number and
@@ -605,23 +595,27 @@ func (c *tcpConn) output() {
 			c.sndNxt++
 			c.sndMax = seqMax(c.sndMax, c.sndNxt)
 			if c.rtxAt == 0 {
-				c.armRTO()
+				c.arm(int64(c.rto))
 			}
 		}
 	}
-	// Persist timer: a zero peer window with data waiting and nothing
-	// in flight means the peer's window update is the only event that
-	// can restart this sender — and a lost update would stall the
-	// connection forever. Arm the zero-window probe (RFC 9293
-	// §3.8.6.1); the top-of-function guard already restricted this path
-	// to the sending states.
-	if c.persistAt() == 0 && c.rtxAt == 0 && c.sndWnd == 0 &&
-		c.inflight() == 0 && c.sndBuf.Len() > 0 {
-		k := c.takeCold()
+	// A zero peer window with data waiting and nothing in flight means
+	// the peer's window update is the only event that can restart this
+	// sender — and a lost update would stall the connection forever. Arm
+	// the zero-window probe (RFC 9293 §3.8.6.1) on the one deadline,
+	// which nothing else holds now (FreeBSD's tcp_setpersist).
+	if c.rtxAt == 0 && c.inflight() == 0 && c.persisting() {
 		c.shift = 0 // an episode counts its own probes
-		k.persistAt = c.stk.now() + c.persistInterval()
-		c.stk.noteTimer(c, k.persistAt)
+		c.arm(c.persistInterval())
 	}
+}
+
+// persisting reports whether the deadline is the zero-window probe's: a
+// sending state, a zero peer window and bytes queued. A window retracted
+// under bytes in flight persists too: a timeout probes it rather than
+// resending into it.
+func (c *tcpConn) persisting() bool {
+	return c.is(sends) && c.sndWnd == 0 && c.sndBuf.Len() > 0
 }
 
 // persistInterval is the current zero-window probe backoff: the RTO
@@ -630,22 +624,13 @@ func (c *tcpConn) persistInterval() int64 {
 	return min(int64(c.rto)<<c.shift, rtoMax)
 }
 
-// onPersist fires when the persist timer expires: force one byte past
-// the zero window. The peer must answer any in-window-or-not segment
-// with an ACK carrying its current window, which repairs a lost window
-// update. The probe byte rides at sndUna so repeated probes stay
-// idempotent; the first probe advances sndNxt over it so a peer that
-// has room can accept it.
+// onPersist fires when a persisting connection's deadline expires: force
+// one byte past the zero window. The peer must answer any
+// in-window-or-not segment with an ACK carrying its current window,
+// which repairs a lost window update. The probe byte rides at sndUna so
+// repeated probes stay idempotent; the first probe advances sndNxt over
+// it so a peer that has room can accept it.
 func (c *tcpConn) onPersist() {
-	k := c.cold
-	k.persistAt = 0
-	if c.sndWnd > 0 || c.sndBuf.Len() == 0 { // window opened (or data drained) while pending
-		c.output()
-		return
-	}
-	if !c.is(sends) {
-		return
-	}
 	if c.sendSegment(TCPAck, c.sndUna, 1, false) {
 		c.stk.stats.PersistProbes++
 		if c.sndNxt == c.sndUna {
@@ -654,8 +639,7 @@ func (c *tcpConn) onPersist() {
 		}
 	}
 	c.shift = min(c.shift+1, maxShift)
-	k.persistAt = c.stk.now() + c.persistInterval()
-	c.stk.noteTimer(c, k.persistAt)
+	c.arm(c.persistInterval())
 }
 
 // --- input ---
@@ -763,7 +747,7 @@ func (c *tcpConn) retransmitHead() {
 		c.stk.stats.FastRetransmit++
 		c.noteRetx(obs.RetxFast, c.sndUna)
 	}
-	c.armRTO()
+	c.arm(int64(c.rto))
 }
 
 // sackFill transmits whatever the pipe has room for during recovery
@@ -794,7 +778,7 @@ func (c *tcpConn) sackFill() {
 		c.stk.stats.SACKRetransmit++
 		c.noteRetx(obs.RetxSACK, seq)
 		k.rtxNxt = seq + uint32(n)
-		c.armRTO()
+		c.arm(int64(c.rto))
 	}
 	// Pipe room left over goes to new data (the limited-transmit
 	// generalization); output() shares the same pipe arithmetic.
@@ -830,10 +814,9 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	}
 	if seqLE(ack, c.sndUna) {
 		// A zero-window probe's rejection echoes ack == sndUna with the
-		// same (zero) window; while the persist timer runs those are
-		// probe answers, not loss signals.
+		// same (zero) window: a probe answer, not a loss signal.
 		if ack == c.sndUna && c.inflight() > 0 && c.peerWnd(h) == c.sndWnd &&
-			c.persistAt() == 0 {
+			c.sndWnd != 0 {
 			k := c.takeCold()
 			k.dupAcks++
 			c.stk.stats.DupAcks++
@@ -848,16 +831,17 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 			}
 		}
 		if seqGE(ack, c.sndUna) {
+			persisting := c.persisting()
 			c.sndWnd = c.peerWnd(h)
-			if c.persistAt() != 0 && c.sndWnd > 0 {
+			if persisting && c.sndWnd > 0 {
 				// The window update the probes were fishing for: leave
-				// persist and disown any probe byte still unacked
+				// persist and disown whatever is still unacked, a probe
+				// byte or bytes sent before the window was retracted
 				// (sndMax too, so the in-order resend is fresh data to
 				// the stats, not a phantom RTO retransmit). If the
-				// peer did take the byte, the resend is a partial
-				// overlap its receiver already handles.
-				c.cold.persistAt = 0
-				c.shift = 0
+				// peer did take them, the resend is an overlap its
+				// receiver already handles.
+				c.rtxAt = 0
 				c.sndNxt = c.sndUna
 				c.sndMax = c.sndUna
 			}
@@ -889,10 +873,8 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	}
 	c.sackPrune()
 	c.sndWnd = c.peerWnd(h)
-	c.shift = 0 // forward progress: any backoff or probe cycle is over
 	if k := c.cold; k != nil {
 		k.dupAcks = 0
-		k.persistAt = 0
 	}
 	if h.HasTS && h.TSEcr != 0 {
 		sample := (int64(c.stk.nowUS()) - int64(h.TSEcr)) * 1e3
@@ -923,7 +905,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	if c.inflight() == 0 {
 		c.rtxAt = 0
 	} else {
-		c.armRTO()
+		c.arm(int64(c.rto))
 	}
 	// Our FIN is acked once sndUna is past finSeq; a timeout rewind
 	// requeues it, so it is in flight only while sndNxt is past finSeq.
@@ -944,7 +926,7 @@ func (c *tcpConn) onRTO() {
 			return
 		}
 		c.sendSegment(TCPSyn, c.sndUna, 0, true)
-		c.armRTO()
+		c.arm(int64(c.rto))
 		return
 	}
 	if c.inflight() == 0 { // a FIN in flight counts: it has a sequence number
@@ -961,7 +943,7 @@ func (c *tcpConn) onRTO() {
 	// skips SACKed runs, and requeues a FIN the rewind passed below).
 	c.sndNxt = c.sndUna
 	c.backoff()
-	c.armRTO()
+	c.arm(int64(c.rto))
 	c.output()
 }
 
@@ -1172,15 +1154,13 @@ func (c *tcpConn) acceptData(h TCPHeader, payload []byte) {
 
 // enterTimeWait parks the connection for 2MSL, keeping only what it
 // needs to answer a retransmitted FIN. Its rings go back to the segment
-// and its cold record to its arena, which also turns persist off
-// (FreeBSD's tcp_twstart): TIME_WAIT follows Close, our FIN is
-// acknowledged and the peer's is sequenced, so nothing reads or writes
-// either ring again, and nothing is left to recover or retransmit —
-// rtxAt holds the 2MSL deadline instead.
+// and its cold record to its arena (FreeBSD's tcp_twstart): TIME_WAIT
+// follows Close, our FIN is acknowledged and the peer's is sequenced, so
+// nothing reads or writes either ring again, and nothing is left to
+// recover or retransmit — the deadline is 2MSL's instead.
 func (c *tcpConn) enterTimeWait() {
 	c.setState(tcpTimeWait)
-	c.rtxAt = c.stk.now() + timeWaitDur
-	c.stk.noteTimer(c, c.rtxAt)
+	c.arm(timeWaitDur)
 	c.sndBuf.release(c.stk.seg)
 	c.rcvBuf.release(c.stk.seg)
 	c.dropCold()
@@ -1231,9 +1211,6 @@ func (c *tcpConn) err() hostos.Errno { return hostos.Errno(c.sockErr) }
 func (c *tcpConn) abort(errno hostos.Errno) {
 	c.sockErr = int32(errno)
 	c.rtxAt = 0
-	if c.cold != nil {
-		c.cold.persistAt = 0
-	}
 	c.stk.removeConn(c)
 }
 
@@ -1265,7 +1242,6 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.handshake = c.stk.negotiate(h)
 		c.setState(tcpEstablished)
 		c.rtxAt = 0
-		c.shift = 0
 		c.sendAckNow()
 		c.output()
 		return
@@ -1276,8 +1252,7 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 			// anew and restart 2MSL (RFC 793 p. 73, FreeBSD's
 			// tcp_twcheck).
 			c.sendAckNow()
-			c.rtxAt = c.stk.now() + timeWaitDur
-			c.stk.noteTimer(c, c.rtxAt)
+			c.arm(timeWaitDur)
 			return
 		}
 	}
@@ -1302,27 +1277,38 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 	}
 	// Push out anything the new window allows.
 	c.output()
+	// Once our FIN is acked, FIN_WAIT_2 waits for the peer's: any
+	// segment from the peer restarts the wait, and a peer silent for
+	// 2MSL is dropped (FreeBSD's tcp_finwait2_timeout).
+	if c.state == tcpFinWait2 {
+		c.arm(timeWaitDur)
+	}
 	// The segment may have delivered data or a FIN (EPOLLIN) or acked
 	// send-buffer space free (EPOLLOUT); the early returns above change
 	// readiness only through setState.
 	c.wake()
 }
 
-// onTimers runs the connection's timers; called from the loop. In
-// TIME_WAIT rtxAt is the 2MSL deadline, which ends the connection after
-// the other timers have run, never a retransmission.
+// onTimers runs the connection's timers; called from the loop. The one
+// deadline ends TIME_WAIT and an idle FIN_WAIT_2, probes a persisting
+// connection's zero window, and is a retransmission timeout otherwise.
 func (c *tcpConn) onTimers(now int64) {
-	if c.state != tcpTimeWait && c.rtxAt != 0 && now >= c.rtxAt {
-		c.onRTO()
-	}
-	if at := c.persistAt(); at != 0 && now >= at {
-		c.onPersist()
+	if c.rtxAt != 0 && now >= c.rtxAt {
+		switch {
+		case c.state == tcpFinWait2:
+			c.stk.stats.FinWait2Drops++
+			fallthrough
+		case c.state == tcpTimeWait:
+			c.stk.removeConn(c)
+			return
+		case c.persisting():
+			c.onPersist()
+		default:
+			c.onRTO()
+		}
 	}
 	if c.delackAt != 0 && now >= c.delackAt {
 		c.sendAckNow()
-	}
-	if c.state == tcpTimeWait && now >= c.rtxAt {
-		c.stk.removeConn(c)
 	}
 	// Window update: if we advertised (near) zero and space opened, tell
 	// the peer.

@@ -47,7 +47,8 @@ func refOutputSends(s tcpState) bool {
 	return true
 }
 
-// refPersistSends is onPersist's guard.
+// refPersistSends is onPersist's guard, for a connection with a zero
+// peer window and bytes queued.
 func refPersistSends(s tcpState) bool {
 	switch s {
 	case tcpEstablished, tcpCloseWait, tcpFinWait1, tcpClosing, tcpLastAck:
@@ -153,7 +154,7 @@ func TestStateTableMatchesSwitches(t *testing.T) {
 		s := tcpState(i)
 		c := &tcpConn{
 			state:     s,
-			sndBuf:    sockBuf{size: 4096},
+			sndBuf:    sockBuf{size: 4096, w: 1}, // one byte queued, the peer's window shut
 			rcvBuf:    sockBuf{size: 64 << 10},
 			handshake: handshake{sndMSS: MaxSegData},
 		}
@@ -165,7 +166,7 @@ func TestStateTableMatchesSwitches(t *testing.T) {
 			{"finQueued", c.is(finQueued), refFinQueued(s)},
 			{"peerFin", c.is(peerFin), refPeerFin(s)},
 			{"output sends", c.is(sends), refOutputSends(s)},
-			{"onPersist sends", c.is(sends), refPersistSends(s)},
+			{"persisting", c.persisting(), refPersistSends(s)},
 			{"needsWindowUpdate", c.needsWindowUpdate(), refNeedsWindowUpdate(s)},
 			{"writableState", writableState(c), refWritableState(s)},
 			{"readiness", (&socket{conn: c}).readiness(), refReadiness(s)},

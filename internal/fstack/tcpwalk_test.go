@@ -21,12 +21,11 @@ import (
 // must be one of the table's close edges, a handshake edge, or a move
 // into CLOSED. Once both applications have closed everything and the
 // run has drained, every connection's walk has ended in CLOSED and both
-// tuple tables are empty, but for one known hole: the stack has no
-// FIN_WAIT_2 timer (FreeBSD's tcp_finwait2_timeout), so a connection
-// that was in FIN_WAIT_2 when its peer's stack crashed waits for a FIN
-// that never comes. Those are logged, and nothing else may be left. A
-// failing seed prints its operation log, and the seeds together must
-// walk every edge but the aborts.
+// tuple tables are empty: none is left in FIN_WAIT_2, not even one whose
+// peer's stack crashed after acking its FIN, because 2MSL of silence
+// drops it (FreeBSD's tcp_finwait2_timeout). A failing seed prints its
+// operation log, and the seeds together must walk every edge but the
+// aborts and must drop at least one such FIN_WAIT_2 connection.
 func TestTCPWalksFollowTheTable(t *testing.T) {
 	// The edges the seeds must walk: the table's close edges and the
 	// handshake's.
@@ -49,8 +48,12 @@ func TestTCPWalksFollowTheTable(t *testing.T) {
 	for from := range legal {
 		legal[from][tcpClosed] = from != int(tcpClosed)
 	}
+	var finWait2Drops uint64
 	for seed := int64(1); seed <= 24; seed++ {
-		walkOneSeed(t, seed, &legal, &seen)
+		finWait2Drops += walkOneSeed(t, seed, &legal, &seen)
+	}
+	if finWait2Drops == 0 {
+		t.Error("no seed stranded a FIN_WAIT_2 connection for its timer to drop")
 	}
 	for from := range walked {
 		for to := range walked[from] {
@@ -96,7 +99,9 @@ func (w *walkSide) drop(fd int) {
 	w.fds = slices.DeleteFunc(w.fds, func(f int) bool { return f == fd })
 }
 
-func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) {
+// walkOneSeed runs one seed and returns how many FIN_WAIT_2 connections
+// the two stacks dropped.
+func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) uint64 {
 	ops := rand.New(rand.NewSource(seed))
 	wire := rand.New(rand.NewSource(^seed))
 	e := newHookedEnv(t, func(int, []byte, int64) (int64, bool) {
@@ -181,9 +186,6 @@ func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) {
 
 	buf := make([]byte, 64<<10)
 	crashed := false
-	// orphans are the survivor's FIN_WAIT_2 connections when the crashed
-	// stack restarts.
-	orphans := map[fourTuple]bool{}
 	for range 24 {
 		wi := ops.Intn(2)
 		w, o := sides[wi], sides[1-wi]
@@ -235,11 +237,6 @@ func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) {
 			poll(e.clk.Now() + 1e6 + ops.Int63n(4e6))
 			w.stk.Restart()
 			logf("%s restart", w.name)
-			for c := range o.stk.conns.all() {
-				if c.state == tcpFinWait2 {
-					orphans[c.tuple] = true
-				}
-			}
 			// The application closes its stale descriptors and listens
 			// again.
 			for len(w.fds) > 0 {
@@ -269,13 +266,8 @@ func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) {
 		e.clk.Set(max(next, now+5000))
 	}
 	var left []string
-	stuck := map[*walkSide]int{}
 	for _, w := range sides {
 		for c := range w.stk.conns.all() {
-			if c.state == tcpFinWait2 && orphans[c.tuple] {
-				stuck[w]++
-				continue
-			}
 			left = append(left, fmt.Sprintf("%s %v %d->%d", w.name, c.state, c.tuple.local.Port, c.tuple.remote.Port))
 		}
 	}
@@ -303,12 +295,13 @@ func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) {
 		}
 		// Every walk leaves CLOSED once, so it ended there iff it
 		// entered CLOSED once.
-		if opened-closed != stuck[w] || opened == 0 {
-			fail("%s: %d walks left CLOSED, %d ended there, %d wait in FIN_WAIT_2 for a crashed peer",
-				w.name, opened, closed, stuck[w])
-		}
-		if stuck[w] > 0 {
-			t.Logf("seed %d: %s holds %d FIN_WAIT_2 connection(s) whose peer crashed", seed, w.name, stuck[w])
+		if opened != closed || opened == 0 {
+			fail("%s: %d walks left CLOSED, %d ended there", w.name, opened, closed)
 		}
 	}
+	drops := e.stkA.Stats().FinWait2Drops + e.stkB.Stats().FinWait2Drops
+	if drops > 0 {
+		t.Logf("seed %d: %d FIN_WAIT_2 connection(s) dropped after 2MSL of silence", seed, drops)
+	}
+	return drops
 }
