@@ -110,8 +110,8 @@
 // tcp_timer.c shape).
 //
 // With the zero-value TCPTuning the stack reproduces the paper
-// exactly: no SACK (loss recovery is go-back-N — out-of-order segments
-// are not queued), no window scaling (64 KiB windows), Reno congestion
+// exactly: no SACK (the sender recovers by NewReno, and go-back-N after
+// a timeout), no window scaling (64 KiB windows), Reno congestion
 // control. Stack.SetTCPTuning opts into the modern machinery per
 // stack: RFC 2018 SACK with an RFC 6675 pipe-driven sender scoreboard
 // (RFC 6582 NewReno as the non-SACK fallback), RFC 7323 window
@@ -119,7 +119,14 @@
 // (TCPTuning.Congestion: the paper stack's Reno or RFC 8312 CUBIC) and
 // the retransmission-timer floor. A connection's window is two of its
 // 32-bit fields, cwnd and ssthresh, moved by its ACK/loss-event methods in
-// cc.go; CUBIC's epoch rides in the cold record. DESIGN.md §2 and §7
+// cc.go; CUBIC's epoch rides in the cold record. A receiver parks
+// out-of-order bytes in its receive ring as coalesced runs, and its
+// budget counts runs, not arrivals (oooRunCap), so it takes every
+// segment inside the window it advertised while a hostile peer's
+// islands stop at the budget. A timeout records sndMax as its recovery
+// point: duplicate ACKs at or below it are the go-back resend's echoes
+// and start no fast recovery (RFC 6582 §3.2), and a SYN or FIN is never
+// a duplicate ACK (RFC 5681 §2). DESIGN.md §2 and §7
 // discuss both layers, and why stacks on paths with ms-scale queueing
 // must raise the floor (TCPTuning.RTOMinNS).
 package fstack

@@ -144,6 +144,27 @@ func (e *testEnv) pumpUntil(maxTicks int, what string, cond func() bool) {
 // connects; returns (client fd on A, accepted fd on B).
 func (e *testEnv) connectPair(port uint16) (int, int) {
 	e.t.Helper()
+	lfd, cfd := e.dial(port)
+	afd := -1
+	e.pumpUntil(4000, "accept", func() bool {
+		fd, _, _, errno := e.stkB.Accept(lfd)
+		if errno == hostos.OK {
+			afd = fd
+			return true
+		}
+		return false
+	})
+	e.pumpUntil(4000, "client established", func() bool {
+		return e.stkA.ConnState(cfd) == "ESTABLISHED"
+	})
+	return cfd, afd
+}
+
+// dial makes B listen on port and starts A's active open toward it;
+// returns (listener fd on B, client fd on A). The caller steps the
+// handshake.
+func (e *testEnv) dial(port uint16) (int, int) {
+	e.t.Helper()
 	lfd, errno := e.stkB.Socket(SockStream)
 	if errno != hostos.OK {
 		e.t.Fatal(errno)
@@ -161,17 +182,5 @@ func (e *testEnv) connectPair(port uint16) (int, int) {
 	if errno := e.stkA.Connect(cfd, IP4(10, 0, 0, 2), port); errno != hostos.EINPROGRESS {
 		e.t.Fatalf("connect: %v", errno)
 	}
-	afd := -1
-	e.pumpUntil(4000, "accept", func() bool {
-		fd, _, _, errno := e.stkB.Accept(lfd)
-		if errno == hostos.OK {
-			afd = fd
-			return true
-		}
-		return false
-	})
-	e.pumpUntil(4000, "client established", func() bool {
-		return e.stkA.ConnState(cfd) == "ESTABLISHED"
-	})
-	return cfd, afd
+	return lfd, cfd
 }

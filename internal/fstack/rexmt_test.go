@@ -129,7 +129,7 @@ func TestRexmtMatchesRFC6298(t *testing.T) {
 
 // leapUntil steps both stacks from deadline to deadline (at least 5 µs
 // apart) until cond, read after each poll, holds; it fails past limit ns
-// of virtual time.
+// of virtual time, or once neither stack has a deadline left.
 func (e *testEnv) leapUntil(limit int64, what string, cond func() bool) {
 	e.t.Helper()
 	for {
@@ -143,6 +143,9 @@ func (e *testEnv) leapUntil(limit int64, what string, cond func() bool) {
 			e.t.Fatalf("condition %q not reached by %.1f ms virtual", what, float64(now)/1e6)
 		}
 		next := min(e.stkA.NextDeadline(now), e.stkB.NextDeadline(now))
+		if next == math.MaxInt64 {
+			e.t.Fatalf("condition %q not reached: both stacks went quiet at %.1f ms virtual", what, float64(now)/1e6)
+		}
 		e.clk.Set(max(next, now+5000))
 	}
 }

@@ -26,13 +26,31 @@ type hookWire struct {
 	ends [2]*nic.Port
 	// hook returns (extraDelayNS, drop). nil passes through.
 	hook func(from int, data []byte, readyAt int64) (int64, bool)
+	// long holds each frame on the wire until its readyAt, in order
+	// per direction (line[to]), as a long path does. Otherwise a frame
+	// lands in the peer's RX packet buffer at once and waits there, so
+	// more than its 64 KiB in flight tail-drops.
+	long bool
+	line [2][]heldFrame
+}
+
+// heldFrame is a frame a long hookWire carries toward its due instant.
+type heldFrame struct {
+	data    []byte
+	readyAt int64
+	sum     nic.PendingSum
 }
 
 func connectHooked(a, b *nic.Port, hook func(from int, data []byte, readyAt int64) (int64, bool)) *hookWire {
-	w := &hookWire{ends: [2]*nic.Port{a, b}, hook: hook}
+	w := &hookWire{hook: hook}
+	w.attach(a, b)
+	return w
+}
+
+func (w *hookWire) attach(a, b *nic.Port) {
+	w.ends = [2]*nic.Port{a, b}
 	a.Attach(w, 0)
 	b.Attach(w, 1)
-	return w
 }
 
 func (w *hookWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
@@ -43,22 +61,51 @@ func (w *hookWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSu
 		}
 		readyAt += extra
 	}
+	if w.long {
+		w.line[1-from] = append(w.line[1-from], heldFrame{data, readyAt, sum})
+		return
+	}
 	w.ends[1-from].DeliverPending(data, readyAt, sum)
 }
 
-func (w *hookWire) Pump(int64) {}
+// Pump implements nic.Conduit: a long wire releases what is due.
+func (w *hookWire) Pump(now int64) {
+	for to, q := range w.line {
+		for len(q) > 0 && q[0].readyAt <= now {
+			w.ends[to].DeliverPending(q[0].data, q[0].readyAt, q[0].sum)
+			q = q[1:]
+		}
+		w.line[to] = q
+	}
+}
 
-// NextDeadline implements nic.Conduit: the hook delays frames via
-// readyAt, so held work already shows up as far-FIFO deadlines.
-func (w *hookWire) NextDeadline(int, int64) int64 { return math.MaxInt64 }
+// NextDeadline implements nic.Conduit: a long wire's next release
+// toward to. Otherwise the hook delays frames via readyAt, so held work
+// already shows up as far-FIFO deadlines.
+func (w *hookWire) NextDeadline(to int, _ int64) int64 {
+	if q := w.line[to]; len(q) > 0 {
+		return q[0].readyAt
+	}
+	return math.MaxInt64
+}
 
 // newHookedEnv is newEnv with a hookWire instead of a plain cable.
 func newHookedEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) (int64, bool)) *testEnv {
+	return newWireEnv(t, &hookWire{hook: hook})
+}
+
+// newLongPathEnv is newHookedEnv on a long hookWire: a hook's delay
+// may keep megabytes in flight.
+func newLongPathEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) (int64, bool)) *testEnv {
+	return newWireEnv(t, &hookWire{hook: hook, long: true})
+}
+
+func newWireEnv(t *testing.T, w *hookWire) *testEnv {
 	t.Helper()
 	clk := sim.NewVClock()
 	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
 	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	connectHooked(cardA.Port(0), cardB.Port(0), hook)
+	w.attach(cardA.Port(0), cardB.Port(0))
 	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
 }
 
@@ -455,7 +502,7 @@ func checkRuns(c *tcpConn) error {
 	live := 0
 	for i, r := range c.rcvOOO() {
 		switch {
-		case !seqLT(r.start, r.end) || r.segs == 0:
+		case !seqLT(r.start, r.end):
 			return fmt.Errorf("run %d %+v is empty", i, r)
 		case i > 0 && !seqLT(c.rcvOOO()[i-1].end, r.start):
 			return fmt.Errorf("runs %d %+v and %d %+v overlap, touch or are out of order", i-1, c.rcvOOO()[i-1], i, r)
@@ -499,8 +546,10 @@ type oooSeg struct {
 // ring, kept as the differential reference: every parked segment its
 // own heap copy in a queue sorted by sequence number, walked whole for
 // every SACK option, and copied a second time into the receive buffer at
-// drain. It keeps the stack's arrival budget; the window check alone
-// bounds its parked bytes. buf models the receive ring (bytes
+// drain. It keeps the stack's run budget, counted over its coalesced
+// runs: at the budget an arrival that would start a run of its own is
+// refused, one that overlaps or abuts a run is not. The window check
+// alone bounds its parked bytes. buf models the receive ring (bytes
 // sequenced and not yet read); acceptData is the old acceptData minus
 // the ACKs it sent.
 type refReassembly struct {
@@ -523,11 +572,13 @@ func (r *refReassembly) oooBytes() int {
 }
 
 func (r *refReassembly) oooInsert(seq uint32, payload []byte) {
-	if len(r.ooo) >= max(oooMaxSegs, r.size/MaxSegData) {
+	end := seq + uint32(len(payload))
+	if runs := r.runs(); len(runs) >= max(oooMaxRuns, r.size/MaxSegData) &&
+		!slices.ContainsFunc(runs, func(b SACKBlock) bool { return seqLE(b.Start, end) && seqGE(b.End, seq) }) {
 		r.refused++
 		return
 	}
-	if seqGT(seq+uint32(len(payload)), r.rcvNxt+uint32(r.free())) {
+	if seqGT(end, r.rcvNxt+uint32(r.free())) {
 		r.refused++
 		return
 	}
@@ -735,11 +786,11 @@ func TestReassemblyKeepsBytesPastANeighbour(t *testing.T) {
 		want    oooRun
 	}{
 		{"two abutting segments", []seqRange{{100, 200}, {200, 300}}, seqRange{150, 350},
-			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350, segs: 3}},
+			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350}},
 		{"short segment resent longer", []seqRange{{100, 150}}, seqRange{100, 200},
-			[]SACKBlock{{100, 150}}, oooRun{start: 100, end: 200, segs: 2}},
+			[]SACKBlock{{100, 150}}, oooRun{start: 100, end: 200}},
 		{"across a hole and a run", []seqRange{{100, 200}, {250, 300}}, seqRange{150, 350},
-			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350, segs: 3}},
+			[]SACKBlock{{100, 300}}, oooRun{start: 100, end: 350}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := bareReceiver(t, 1024, 0)
@@ -788,23 +839,51 @@ func TestReassemblyRefusalsAreCounted(t *testing.T) {
 	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != 3 {
 		t.Fatalf("flush with the window: %d drops, runs %+v", c.stk.stats.ReassDrops, c.rcvOOO())
 	}
-	// Segment budget: one-byte arrivals, each its own run.
+	// Run budget: a hostile peer's alternating one-byte arrivals, each
+	// its own run, stop at the budget.
+	// The reference takes the same arrivals and must agree on each.
 	c = bareReceiver(t, 64<<10, 0)
-	for i := 0; i <= c.oooSegCap(); i++ {
-		c.oooInsert(uint32(10+2*i), seg[:1])
+	ref := &refReassembly{size: 64 << 10}
+	insert := func(seq uint32) {
+		c.oooInsert(seq, seg[:1])
+		ref.oooInsert(seq, seg[:1])
 	}
-	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != c.oooSegCap() {
-		t.Fatalf("over the segment budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO()))
+	budget := c.oooRunCap()
+	for i := 0; i <= budget; i++ {
+		insert(uint32(10 + 2*i))
+	}
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != budget {
+		t.Fatalf("over the run budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO()))
+	}
+	// At the budget an arrival that abuts a run, or fills the hole
+	// between two, costs no run and is taken; the freed run takes the
+	// next island.
+	last := uint32(10 + 2*(budget-1))
+	insert(last + 1)
+	insert(11)
+	if c.stk.stats.ReassDrops != 1 || len(c.rcvOOO()) != budget-1 {
+		t.Fatalf("arrivals that grow runs at the budget: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO()))
+	}
+	insert(last + 10)
+	insert(last + 20)
+	if c.stk.stats.ReassDrops != 2 || len(c.rcvOOO()) != budget {
+		t.Fatalf("islands after a merge: %d drops, %d runs", c.stk.stats.ReassDrops, len(c.rcvOOO()))
+	}
+	if err := checkRuns(c); err != nil {
+		t.Fatal(err)
+	}
+	if int(c.stk.stats.ReassDrops) != ref.refused || !slices.Equal(connRuns(c), ref.runs()) {
+		t.Fatalf("the reference refused %d and holds %d runs; the stack %d and %d", ref.refused, len(ref.runs()), c.stk.stats.ReassDrops, len(c.rcvOOO()))
 	}
 	var sum StackStats
 	sum.Add(c.stk.stats)
 	sum.Add(StackStats{ReassDrops: 4})
-	if sum.ReassDrops != 5 {
-		t.Fatalf("StackStats.Add carried %d reassembly drops, want 5", sum.ReassDrops)
+	if sum.ReassDrops != 6 {
+		t.Fatalf("StackStats.Add carried %d reassembly drops, want 6", sum.ReassDrops)
 	}
 	// The counter reaches the reports — and only when it has something
 	// to say, so a run that dropped nothing prints as it always did.
-	if got := sum.RecoverySummary(); !strings.HasSuffix(got, ", reass-drops 5") {
+	if got := sum.RecoverySummary(); !strings.HasSuffix(got, ", reass-drops 6") {
 		t.Fatalf("summary does not report the drops: %q", got)
 	}
 	if got := (StackStats{}).RecoverySummary(); strings.Contains(got, "reass") {
@@ -866,7 +945,7 @@ func (g *reassRig) read(n int) []byte {
 // reassembly: seeded arrival traces near the sequence wrap — MSS-aligned
 // segments opening holes, retransmissions on the parked boundaries,
 // go-back-N resends from rcvNxt, fills, beyond-window probes, the
-// application reading in between, the arrival budget, lazy and eager rings —
+// application reading in between, lazy and eager rings —
 // drive the stack's receiver and the per-segment reference queue side by
 // side. After every arrival both must have made the same accept/refuse
 // decision and hold the same rcvNxt, the same SACK option and the same
@@ -892,7 +971,9 @@ func TestReassemblyMatchesReference(t *testing.T) {
 		var delivered []byte
 		steps := 120
 		if mss <= 100 {
-			steps = 400 // enough small arrivals to run into the segment budget
+			// Many short runs to merge and split. No trace reaches the
+			// run budget: TestReassemblyRefusalsAreCounted's rows do.
+			steps = 400
 		}
 		for step := 0; step < steps; step++ {
 			nxt := int(ref.rcvNxt - isn) // stream offset of rcvNxt
@@ -1021,7 +1102,7 @@ func refDiscards(r *refReassembly, seq uint32, payload []byte) bool {
 // direction only — the run list holds everything the reference holds and
 // possibly more, so its rcvNxt is never behind, and both still deliver
 // prefixes of the source. A 64 KiB ring of these arrivals cannot
-// exhaust the arrival budget, so holding more never costs an accept.
+// exhaust the run budget, so holding more never costs an accept.
 func TestReassemblyHoldsASuperset(t *testing.T) {
 	const size, mss = 64 << 10, MaxSegData
 	g := newReassRig(t)
@@ -1088,5 +1169,179 @@ func TestReassemblyHoldsASuperset(t *testing.T) {
 	}
 	if ahead == 0 {
 		t.Fatal("the run list never got ahead of the reference: the traces hold no spanning arrival")
+	}
+}
+
+// TestReceiverTakesWhatItAdvertised: a sender's 128 KiB writes leave a
+// short segment among the full ones, and one frame lost as the flow
+// fills a 4 MiB window parks the whole next window behind the hole —
+// more arrivals than the ring holds full segments. The receiver must
+// take every one of them, since each lies inside the window it
+// advertised: no reassembly refusal, and so no resend left to the
+// timeout. A budget on arrivals, not runs, refused the window's tail.
+func TestReceiverTakesWhatItAdvertised(t *testing.T) {
+	const ring, write, oneWay = 4 << 20, 128 << 10, 20e6
+	var snd *tcpConn
+	dropped := false
+	var idle [2]int64 // each direction is a 2.5 Gbit/s line with an unbounded queue
+	e := newLongPathEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
+		if from == 0 && !dropped && snd != nil && snd.cwnd >= ring && isDataFrame(data) {
+			dropped = true
+			return 0, true
+		}
+		idle[from] = max(readyAt, idle[from]) + int64(16*len(data)/5)
+		return idle[from] - readyAt + oneWay, false
+	})
+	tune := TCPTuning{SACK: true, WindowScale: 7, SndBufBytes: ring, RcvBufBytes: ring}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
+	lfd, cfd := e.dial(5001)
+	afd := -1
+	e.leapUntil(1e9, "accept", func() bool {
+		if afd < 0 {
+			afd, _, _, _ = e.stkB.Accept(lfd)
+		}
+		return afd >= 0 && e.stkA.ConnState(cfd) == "ESTABLISHED"
+	})
+	snd, rcv := e.stkA.sockOf(cfd).conn, e.stkB.sockOf(afd).conn
+	payload := make([]byte, 24<<20)
+	rand.New(rand.NewSource(1)).Read(payload)
+	var got []byte
+	sent, maxParked := 0, 0
+	buf := make([]byte, 256<<10)
+	e.leapUntil(30e9, "transfer completes", func() bool {
+		for sent < len(payload) {
+			n, errno := e.stkA.Write(cfd, payload[sent:min(sent+write, len(payload))])
+			if errno != hostos.OK {
+				break
+			}
+			sent += n
+		}
+		for {
+			n, errno := e.stkB.Read(afd, buf)
+			if errno != hostos.OK || n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+		parked := 0
+		for _, r := range rcv.rcvOOO() {
+			parked += int(r.end - r.start)
+		}
+		maxParked = max(maxParked, parked)
+		return len(got) == len(payload)
+	})
+	if !bytes.Equal(got, payload) {
+		t.Fatal("stream corrupted across the recovery")
+	}
+	if !dropped || maxParked < ring/2 {
+		t.Fatalf("dropped %v, at most %d bytes parked: the loss never parked a window — test is vacuous", dropped, maxParked)
+	}
+	if st := e.stkB.Stats(); st.ReassDrops != 0 {
+		t.Fatalf("the receiver refused %d in-window segments (at most %d bytes parked of a %d-byte ring)", st.ReassDrops, maxParked, ring)
+	}
+	if st := e.stkA.Stats(); st.RTORetransmit != 0 || st.SACKRetransmit == 0 {
+		t.Fatalf("one loss took %d timeout resends and %d SACK fills, want 0 and some", st.RTORetransmit, st.SACKRetransmit)
+	}
+}
+
+// TestTimeoutRecoveryPointGatesFastRecovery: a timeout records sndMax
+// as its recovery point (RFC 6582 §3.2, FreeBSD's snd_recover). While
+// the cumulative ACK is at or below it, duplicate ACKs are the go-back
+// resend's echoes: a third one must not start fast recovery, whose
+// ssthresh would come from the post-timeout pipe and whose own
+// recovery point would lie a window ahead. Once an ACK passes the point
+// the next three do.
+func TestTimeoutRecoveryPointGatesFastRecovery(t *testing.T) {
+	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+		return 0, from == 0 && isDataFrame(data) // the peer never sees our data
+	})
+	tune := TCPTuning{SACK: true}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
+	cfd, _ := e.connectPair(5001)
+	c := e.stkA.sockOf(cfd).conn
+	if n, errno := e.stkA.Write(cfd, make([]byte, 8*MaxSegData)); n != 8*MaxSegData || errno != hostos.OK {
+		t.Fatal(n, errno)
+	}
+	e.leapUntil(5e9, "a timeout", func() bool { return e.stkA.Stats().RTORetransmit > 0 })
+	point := c.sndMax
+	if c.cold == nil || c.cold.recoverPt != point || !c.cold.rtoRecover {
+		t.Fatalf("after the timeout the cold record is %+v, want its recovery point at sndMax %d", c.cold, point)
+	}
+	// The peer's ACKs, delivered as segment arrivals: each pushes out
+	// what the window allows, as a wire arrival does.
+	ack := func(seq uint32) {
+		c.input(TCPHeader{Flags: TCPAck, Seq: c.rcvNxt, Ack: seq, Window: uint16(c.sndWnd >> c.sndWScale)}, nil)
+	}
+	dupAcks := func(what string, want bool) {
+		t.Helper()
+		before := e.stkA.Stats().DupAcks
+		for range 3 {
+			ack(c.sndUna)
+		}
+		if got := e.stkA.Stats().DupAcks - before; got != 3 {
+			t.Fatalf("%s: %d duplicate ACKs counted, want 3", what, got)
+		}
+		if c.inRecovery() != want {
+			t.Fatalf("%s: three duplicate ACKs at %d (recovery point %d) left inRecovery %v, want %v", what, c.sndUna, point, c.inRecovery(), want)
+		}
+	}
+	dupAcks("below the point", false)
+	ack(c.sndUna + MaxSegData) // a partial ACK, still below the point
+	dupAcks("after a partial ACK", false)
+	ack(point) // everything the timeout saw in flight, but not past it
+	if n, errno := e.stkA.Write(cfd, make([]byte, 8*MaxSegData)); n != 8*MaxSegData || errno != hostos.OK {
+		t.Fatal(n, errno)
+	}
+	e.stkA.PollOnce()
+	if !seqGT(c.sndMax, point+MaxSegData) {
+		t.Fatalf("no new data went out past the point (sndMax %d, point %d)", c.sndMax, point)
+	}
+	dupAcks("at the point", false)
+	ack(point + MaxSegData) // past the point: the mark clears
+	if c.cold.rtoRecover {
+		t.Fatal("an ACK past the recovery point left it marked as a timeout's")
+	}
+	dupAcks("past the point", true)
+}
+
+// TestResentSynAckIsNotADuplicateAck: on a 200 ms path the listener's
+// SYN cache resends its SYN|ACK at 100 ms, before the client's ACK can
+// reach it, so an ESTABLISHED client that has sent data receives a
+// SYN|ACK that echoes sndUna with the window unchanged. A SYN (or FIN)
+// is not a duplicate ACK (RFC 5681 §2 (c)): the client counts none.
+func TestResentSynAckIsNotADuplicateAck(t *testing.T) {
+	synAcks := 0
+	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
+		if _, h, _, ok := wireSeg(data); ok && from == 1 && h.Flags&TCPSyn != 0 {
+			synAcks++
+		}
+		return 100e6, false
+	})
+	lfd, cfd := e.dial(5001)
+	// The client writes as soon as it is ESTABLISHED, a round trip
+	// before its ACK reaches the listener.
+	e.leapUntil(1e9, "client established", func() bool { return e.stkA.ConnState(cfd) == "ESTABLISHED" })
+	payload := bytes.Repeat([]byte{0x5A}, 4*MaxSegData)
+	if n, errno := e.stkA.Write(cfd, payload); n != len(payload) || errno != hostos.OK {
+		t.Fatal(n, errno)
+	}
+	afd := -1
+	var got []byte
+	buf := make([]byte, len(payload))
+	e.leapUntil(5e9, "the data arrives and is acked", func() bool {
+		if afd < 0 {
+			afd, _, _, _ = e.stkB.Accept(lfd)
+		} else if n, errno := e.stkB.Read(afd, buf); errno == hostos.OK {
+			got = append(got, buf[:n]...)
+		}
+		return len(got) == len(payload) && e.stkA.sockOf(cfd).conn.inflight() == 0
+	})
+	if synAcks < 2 {
+		t.Fatalf("the listener sent %d SYN|ACKs: no resend reached the client — test is vacuous", synAcks)
+	}
+	if st := e.stkA.Stats(); st.DupAcks != 0 {
+		t.Fatalf("the client counted %d duplicate ACKs from %d SYN|ACKs", st.DupAcks, synAcks)
 	}
 }

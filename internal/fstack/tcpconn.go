@@ -244,10 +244,15 @@ type tcpCold struct {
 	lastOOO seqRange
 	// CUBIC's epoch (cc.go); untouched on a Reno connection.
 	cubic      cubicEpoch
-	recoverPt  uint32 // sndMax when recovery began (RFC 6582 "recover")
+	recoverPt  uint32 // sndMax when recovery or a timeout began (RFC 6582 "recover")
 	rtxNxt     uint32 // next hole-fill candidate during SACK recovery
 	dupAcks    int32
 	inRecovery bool
+	// rtoRecover marks recoverPt as a timeout's that no ACK has passed
+	// yet: until one does, duplicate ACKs are the go-back resend's
+	// echoes and start no fast recovery (RFC 6582 §3.2; FreeBSD's
+	// SEQ_LEQ(th_ack, snd_recover)).
+	rtoRecover bool
 }
 
 // takeCold returns the connection's cold record, taking one from the
@@ -815,13 +820,15 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	if seqLE(ack, c.sndUna) {
 		// A zero-window probe's rejection echoes ack == sndUna with the
 		// same (zero) window: a probe answer, not a loss signal.
+		// Nor is a SYN or FIN (RFC 5681 §2 (c)): a resent SYN|ACK or
+		// a FIN echoes the ack a duplicate would.
 		if ack == c.sndUna && c.inflight() > 0 && c.peerWnd(h) == c.sndWnd &&
-			c.sndWnd != 0 {
+			c.sndWnd != 0 && h.Flags&(TCPSyn|TCPFin) == 0 {
 			k := c.takeCold()
 			k.dupAcks++
 			c.stk.stats.DupAcks++
 			switch {
-			case k.dupAcks == 3 && !k.inRecovery:
+			case k.dupAcks == 3 && !k.inRecovery && !k.rtoRecover:
 				c.enterRecovery()
 			case k.inRecovery && c.sackOK:
 				c.sackFill()
@@ -875,6 +882,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 	c.sndWnd = c.peerWnd(h)
 	if k := c.cold; k != nil {
 		k.dupAcks = 0
+		k.rtoRecover = k.rtoRecover && seqLE(ack, k.recoverPt)
 	}
 	if h.HasTS && h.TSEcr != 0 {
 		sample := (int64(c.stk.nowUS()) - int64(h.TSEcr)) * 1e3
@@ -935,10 +943,10 @@ func (c *tcpConn) onRTO() {
 	}
 	c.ccRTO(c.pipe())
 	c.noteCwnd()
-	if k := c.cold; k != nil {
-		k.dupAcks = 0
-		k.inRecovery = false
-	}
+	k := c.takeCold()
+	k.dupAcks = 0
+	k.inRecovery = false
+	k.recoverPt, k.rtoRecover = c.sndMax, true
 	// Rewind and let output() resend (it classifies the resends and
 	// skips SACKed runs, and requeues a FIN the rewind passed below).
 	c.sndNxt = c.sndUna
@@ -948,28 +956,30 @@ func (c *tcpConn) onRTO() {
 }
 
 // oooRun is one contiguous run of out-of-order bytes parked for
-// reassembly: sequence range [start, end), accepted as segs arrivals.
-// The bytes sit in the receive ring itself, at offset seq-rcvNxt past
-// its write point, where the in-order stream will reach them.
+// reassembly: sequence range [start, end). The bytes sit in the receive
+// ring itself, at offset seq-rcvNxt past its write point, where the
+// in-order stream will reach them.
 type oooRun struct {
 	start, end uint32
-	segs       uint32
 }
 
 // block is the run as RFC 2018 reports it.
 func (r oooRun) block() SACKBlock { return SACKBlock{Start: r.start, End: r.end} }
 
-// oooMaxSegs bounds how many arrivals a connection parks for reassembly
-// (FreeBSD's net.inet.tcp.reass.maxqueuelen analog): as many as 192 KiB
-// of full segments, raised to a ring of full segments for larger rings.
-// Short segments reach it first — Scenario 9's HTTP requests do at
-// 20 000/s. Parked bytes need no budget of their own: the window check
-// in oooInsert keeps every one inside the receive ring's free space.
-const oooMaxSegs = 192 * 1024 / MaxSegData
+// oooMaxRuns bounds how many runs a connection parks for reassembly
+// (FreeBSD's net.inet.tcp.reass.maxqueuelen analog): one per full
+// segment of 192 KiB, raised to one per full segment of a larger ring.
+// It bounds runs, not arrivals: an arrival that extends or fills
+// between runs costs nothing, so a receiver takes every in-window
+// segment a sender's short writes produce, and a hostile peer's
+// one-byte islands stop at the budget. Parked bytes need no budget of
+// their own: the window check in oooInsert keeps every one inside the
+// receive ring's free space.
+const oooMaxRuns = 192 * 1024 / MaxSegData
 
-// oooSegCap is the connection's arrival budget.
-func (c *tcpConn) oooSegCap() int {
-	return max(oooMaxSegs, int(c.rcvBuf.size)/MaxSegData)
+// oooRunCap is the connection's run budget.
+func (c *tcpConn) oooRunCap() int {
+	return max(oooMaxRuns, int(c.rcvBuf.size)/MaxSegData)
 }
 
 // sackBlocks builds the SACK option content: the run holding the most
@@ -1007,17 +1017,6 @@ func (c *tcpConn) sackBlocks() []SACKBlock {
 func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 	k := c.takeCold()
 	end := seq + uint32(len(payload))
-	// The budget is a sum over the (few) runs rather than a running
-	// counter, so the cold record carries no reassembly state beyond
-	// the list itself.
-	var segs uint32
-	for _, r := range k.rcvOOO {
-		segs += r.segs
-	}
-	if int(segs) >= c.oooSegCap() {
-		c.stk.stats.ReassDrops++ // reassembly budget exhausted
-		return
-	}
 	// Beyond what we could ever buffer. This is also what keeps every run
 	// inside the ring's free space: run.end <= rcvNxt + Free().
 	if seqGT(end, c.rcvNxt+uint32(c.rcvBuf.Free())) {
@@ -1035,9 +1034,13 @@ func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 	for lo > 0 && seqGE(runs[lo-1].end, seq) {
 		lo--
 	}
+	if lo == hi && len(runs) >= c.oooRunCap() {
+		c.stk.stats.ReassDrops++ // a new run past the budget
+		return
+	}
 	// Store the gaps between those runs; at is the first byte of the
 	// segment not known to be held. m is the run all of it coalesces into.
-	m := oooRun{start: seq, end: end, segs: 1}
+	m := oooRun{start: seq, end: end}
 	if lo < hi && seqLT(runs[lo].start, seq) {
 		m.start = runs[lo].start
 	}
@@ -1057,7 +1060,6 @@ func (c *tcpConn) oooInsert(seq uint32, payload []byte) {
 		}
 		if i < hi {
 			at = seqMax(at, runs[i].end)
-			m.segs += runs[i].segs
 		}
 	}
 	if !stored {
