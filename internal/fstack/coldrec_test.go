@@ -14,14 +14,9 @@ import (
 // probe rides the connection's one deadline. Every record a stack issued is then
 // back on its pool.
 func TestColdRecordTakenOnFirstNeed(t *testing.T) {
-	dropNext := false
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		if from == 0 && dropNext && isDataFrame(data) {
-			dropNext = false
-			return 0, true
-		}
-		return 0, false
-	})
+	w := &scriptWire{}
+	e := newRig(t, false, w.attach)
+	lose := wireRule{from: fromA, kind: dataSeg, drop: true}
 	tune := TCPTuning{SACK: true, SndBufBytes: 64 << 10, RcvBufBytes: 64 << 10}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
@@ -45,7 +40,7 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 
 	// One lost data segment: the receiver parks the next one, the sender
 	// hears of it in SACK blocks.
-	dropNext = true
+	w.once(lose)
 	var got []byte
 	buf := make([]byte, 64<<10)
 	sent := 0
@@ -133,10 +128,10 @@ func TestColdRecordTakenOnFirstNeed(t *testing.T) {
 	// One lost segment: the loss is recorded in the same record, which
 	// outlives the recovery.
 	rec := cu.cold
-	dropNext = true
+	dropped := w.once(lose)
 	e.pumpUntil(40000, "the CUBIC sender recovers", func() bool {
 		stream()
-		return e.stkA.Stats().Retransmit > retx && !cu.inRecovery() && !dropNext
+		return e.stkA.Stats().Retransmit > retx && !cu.inRecovery() && dropped.seen > 0
 	})
 	if cu.cold != rec || rec.cubic.wLastMax == 0 {
 		t.Fatalf("after recovery: record kept %v, plateau %.1f segments; want the same record holding the loss",

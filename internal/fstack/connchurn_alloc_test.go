@@ -155,17 +155,8 @@ func (b *preloadBed) open(n int) {
 //
 // Skipped under the race detector, whose instrumentation allocates.
 func TestColdRecordLossZeroAllocs(t *testing.T) {
-	armed, seen := false, 0
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		if from != 0 || !armed || !isDataFrame(data) {
-			return 0, false
-		}
-		if seen++; seen == 2 { // the second data segment of the burst
-			armed, seen = false, 0
-			return 0, true
-		}
-		return 0, false
-	})
+	lose := &wireRule{from: fromA, kind: dataSeg, nth: 2, drop: true} // the second data segment of the burst
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{lose}}).attach)
 	tune := TCPTuning{SACK: true, SndBufBytes: 16384, RcvBufBytes: 16384}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
@@ -175,7 +166,7 @@ func TestColdRecordLossZeroAllocs(t *testing.T) {
 	payload, buf := make([]byte, 8<<10), make([]byte, 16<<10)
 	episode := func() {
 		cfd, afd := lossyCycleOpen(t, e, lfd)
-		armed = true
+		lose.seen = 0
 		if n, errno := e.stkA.Write(cfd, payload); errno != hostos.OK || n != len(payload) {
 			t.Fatalf("write = %d, %v", n, errno)
 		}

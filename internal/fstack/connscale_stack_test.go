@@ -132,19 +132,9 @@ func TestPollVisitOrderIsCreationOrder(t *testing.T) {
 
 	var order []uint16
 	for _, frame := range sent {
-		eth, err := ParseEthHeader(frame)
-		if err != nil || eth.Type != EtherTypeIPv4 {
-			continue
+		if _, h, _, ok := wireSeg(frame, nil); ok {
+			order = append(order, h.DstPort)
 		}
-		ip, ihl, err := ParseIPv4Header(frame[EthHeaderLen:])
-		if err != nil || ip.Proto != ProtoTCP {
-			continue
-		}
-		tcp, _, err := ParseTCPHeader(frame[EthHeaderLen+ihl:], ip.Src, ip.Dst)
-		if err != nil {
-			continue
-		}
-		order = append(order, tcp.DstPort)
 	}
 	if len(order) < 3 {
 		t.Fatalf("expected 3 window updates, captured %d TCP frames: %v", len(order), order)

@@ -73,8 +73,11 @@
 //     (active reconnect and forward-sequence fresh SYN) counted in
 //     StackStats, and gives the conn's socket rings back to the
 //     segment on entry; a FIN_WAIT_2 whose peer is silent for 2MSL is
-//     dropped and counted (FinWait2Drops); ephemeral-port exhaustion
-//     returns EADDRNOTAVAIL.
+//     dropped and counted (FinWait2Drops), and a connection whose data
+//     resends go unanswered maxShift timeouts in a row is given up with
+//     ETIMEDOUT and counted (TimeoutDrops); a RST outside the receive
+//     window (RFC 9293 §3.10.7.4) is dropped and counted (BadRsts);
+//     ephemeral-port exhaustion returns EADDRNOTAVAIL.
 //
 //   - The datagram plane is bounded and pooled: each UDP socket holds
 //     a head-indexed receive ring (256 datagrams deep) whose overflow

@@ -4,29 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
-	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
 // dualRig is a machine M with two ports, 10.0.0.1/24 on port 0 cabled to
 // stack B (10.0.0.2) and 10.0.1.1/24 on port 1 cabled to stack C
-// (10.0.1.2). tapped[0] holds what reached B, so what left M's port 0;
-// tapped[1] what reached C.
+// (10.0.1.2), each through a recording wire with M at end 0.
 type dualRig struct {
 	t       *testing.T
 	clk     *sim.VClock
 	m, b, c *Stack
-	tapped  [2][]tappedFrame
-}
-
-// tappedFrame is what the dual-port test reads of one frame: its IPv4
-// source and TCP ports and flags, or the target of an ARP request.
-type tappedFrame struct {
-	arpTarget        IPv4Addr // zero unless an ARP request
-	src              IPv4Addr
-	srcPort, dstPort uint16
-	flags            uint8
-	payloadLen       int
+	wires   [2]*scriptWire
 }
 
 func newDualRig(t *testing.T) *dualRig {
@@ -37,34 +25,10 @@ func newDualRig(t *testing.T) *dualRig {
 	m.AddNetIF(devs[1].Queue(0), IP4(10, 0, 1, 1), IP4(255, 255, 255, 0))
 	b, cardB := buildMachine(t, clk, "0000:04:00", 3, IP4(10, 0, 0, 2), false)
 	c, cardC := buildMachine(t, clk, "0000:05:00", 4, IP4(10, 0, 1, 2), false)
-	nic.Connect(card.Port(0), cardB.Port(0))
-	nic.Connect(card.Port(1), cardC.Port(0))
-	r := &dualRig{t: t, clk: clk, m: m, b: b, c: c}
-	for i, p := range []*nic.Port{cardB.Port(0), cardC.Port(0)} {
-		p.SetRxTap(func(_ int64, frame []byte) {
-			if f, ok := readTapped(frame); ok {
-				r.tapped[i] = append(r.tapped[i], f)
-			}
-		})
-	}
+	r := &dualRig{t: t, clk: clk, m: m, b: b, c: c, wires: [2]*scriptWire{{record: true}, {record: true}}}
+	r.wires[0].attach(clk, card.Port(0), cardB.Port(0))
+	r.wires[1].attach(clk, card.Port(1), cardC.Port(0))
 	return r
-}
-
-// readTapped decodes a frame a tap saw; ok is false for anything but a
-// TCP segment or an ARP request.
-func readTapped(frame []byte) (tappedFrame, bool) {
-	if eth, err := ParseEthHeader(frame); err == nil && eth.Type == EtherTypeARP {
-		p, err := ParseARPPacket(frame[EthHeaderLen:])
-		if err != nil || p.Op != ARPRequest {
-			return tappedFrame{}, false
-		}
-		return tappedFrame{arpTarget: p.TargetIP, src: p.SenderIP}, true
-	}
-	ip, h, n, ok := wireSeg(frame)
-	if !ok {
-		return tappedFrame{}, false
-	}
-	return tappedFrame{src: ip.Src, srcPort: h.SrcPort, dstPort: h.DstPort, flags: h.Flags, payloadLen: n}, true
 }
 
 // pumpUntil polls all three stacks 5 µs apart until cond holds.
@@ -80,35 +44,6 @@ func (r *dualRig) pumpUntil(maxTicks int, what string, cond func() bool) {
 		r.clk.Advance(5000)
 	}
 	r.t.Fatalf("condition %q not reached after %d ticks", what, maxTicks)
-}
-
-// listen opens a listener on every address of s at port.
-func listen(t *testing.T, s *Stack, port uint16) int {
-	t.Helper()
-	lfd, _ := s.Socket(SockStream)
-	if errno := s.Bind(lfd, IPv4Addr{}, port); errno != hostos.OK {
-		t.Fatal(errno)
-	}
-	if errno := s.Listen(lfd, 8); errno != hostos.OK {
-		t.Fatal(errno)
-	}
-	return lfd
-}
-
-// dial starts an active open from s, bound to local first when it is
-// not the zero address.
-func dial(t *testing.T, s *Stack, local, ip IPv4Addr, port uint16) int {
-	t.Helper()
-	fd, _ := s.Socket(SockStream)
-	if local != (IPv4Addr{}) {
-		if errno := s.Bind(fd, local, 0); errno != hostos.OK {
-			t.Fatal(errno)
-		}
-	}
-	if errno := s.Connect(fd, ip, port); errno != hostos.EINPROGRESS {
-		t.Fatalf("connect: %v", errno)
-	}
-	return fd
 }
 
 // TestDualPortSegmentsLeaveByTheirLocalAddress: a connection has no
@@ -166,22 +101,19 @@ func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
 	}
 	r.pumpUntil(40000, "M's table drained", func() bool { return r.m.ConnCount() == 0 })
 
-	for i, frames := range r.tapped {
+	for i, w := range r.wires {
 		// Each of the port's two connections sent its opening segment
 		// (SYN or SYN|ACK), data and a FIN by this port.
 		seen := map[uint16]uint8{}
-		for _, f := range frames {
-			if f.arpTarget != (IPv4Addr{}) {
-				continue
-			}
-			if f.src != addrs[i] {
+		for _, f := range w.segs(0) {
+			if f.ip.Src != addrs[i] {
 				t.Fatalf("port %d sent a segment from %v (ports %d→%d, flags %#x)",
-					i, f.src, f.srcPort, f.dstPort, f.flags)
+					i, f.ip.Src, f.h.SrcPort, f.h.DstPort, f.h.Flags)
 			}
-			if f.payloadLen > 0 {
-				seen[f.srcPort] |= TCPPsh
+			if f.n > 0 {
+				seen[f.h.SrcPort] |= TCPPsh
 			}
-			seen[f.srcPort] |= f.flags & (TCPSyn | TCPFin)
+			seen[f.h.SrcPort] |= f.h.Flags & (TCPSyn | TCPFin)
 		}
 		if len(seen) != 2 {
 			t.Fatalf("port %d carried segments of %d connections, want 2: %v", i, len(seen), seen)
@@ -197,7 +129,7 @@ func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
 	// only wait on port 0 for an ARP answer no host there gives, so
 	// Connect refuses up front, nothing leaves either port, and the
 	// socket still opens toward port 0's own subnet.
-	r.tapped = [2][]tappedFrame{}
+	r.wires[0].log, r.wires[1].log = nil, nil
 	fd, _ := r.m.Socket(SockStream)
 	if errno := r.m.Bind(fd, addrs[0], 0); errno != hostos.OK {
 		t.Fatal(errno)
@@ -210,9 +142,9 @@ func TestDualPortSegmentsLeaveByTheirLocalAddress(t *testing.T) {
 	if st := r.m.ConnState(fd); st != "NONE" {
 		t.Errorf("refused active open is %s, want no connection", st)
 	}
-	for i, frames := range r.tapped {
-		if len(frames) != 0 {
-			t.Errorf("port %d sent %d frames for a refused open: %+v", i, len(frames), frames)
+	for i, w := range r.wires {
+		if len(w.log) != 0 {
+			t.Errorf("port %d sent %d frames for a refused open", i, len(w.log))
 		}
 	}
 	if errno := r.m.Connect(fd, peerIPs[0], 7001); errno != hostos.EINPROGRESS {

@@ -1,12 +1,15 @@
 package fstack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cheri"
 	"repro/internal/dpdk"
 	"repro/internal/hostos"
+	"repro/internal/netem"
 	"repro/internal/nic"
 	"repro/internal/sim"
 )
@@ -110,14 +113,67 @@ func buildShardedMachine(t testing.TB, clk *sim.VClock, bdf string, macLast byte
 	return ss, card
 }
 
-// newEnv builds the rig.
-func newEnv(t testing.TB, capMode bool) *testEnv {
+// newRig builds the two-machine rig, stack A (10.0.0.1) and stack B
+// (10.0.0.2), and cables their ports with link: plainCable, netemLink or
+// a scriptWire's attach.
+func newRig(t testing.TB, capMode bool, link func(clk *sim.VClock, a, b *nic.Port)) *testEnv {
 	t.Helper()
 	clk := sim.NewVClock()
 	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), capMode)
 	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), capMode)
-	nic.Connect(cardA.Port(0), cardB.Port(0))
+	link(clk, cardA.Port(0), cardB.Port(0))
 	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB, portA: cardA.Port(0), portB: cardB.Port(0)}
+}
+
+// newEnv is the rig on a plain cable.
+func newEnv(t testing.TB, capMode bool) *testEnv { return newRig(t, capMode, plainCable) }
+
+func plainCable(_ *sim.VClock, a, b *nic.Port) { nic.Connect(a, b) }
+
+// netemLink cables the rig through netem, ab impairing what A sends.
+func netemLink(ab, ba netem.Config) func(*sim.VClock, *nic.Port, *nic.Port) {
+	return func(clk *sim.VClock, a, b *nic.Port) { netem.ConnectAsym(clk, a, b, ab, ba) }
+}
+
+// stream is a payload on its way from socket wfd of one stack to rfd
+// of another.
+type stream struct {
+	from, to *Stack
+	wfd, rfd int
+	payload  []byte
+	chunk    int // bytes a Write offers; 0 is 16 KiB
+	sent     int
+	got      []byte
+}
+
+// pump writes what the sender takes and reads what has arrived; it
+// reports whether all of the payload has.
+func (s *stream) pump() bool {
+	for s.sent < len(s.payload) {
+		n, errno := s.from.Write(s.wfd, s.payload[s.sent:min(s.sent+cmp.Or(s.chunk, 16<<10), len(s.payload))])
+		if errno != hostos.OK || n == 0 {
+			break
+		}
+		s.sent += n
+	}
+	for {
+		s.got = slices.Grow(s.got, 64<<10)
+		n, errno := s.to.Read(s.rfd, s.got[len(s.got):cap(s.got)])
+		if errno != hostos.OK || n == 0 {
+			break
+		}
+		s.got = s.got[:len(s.got)+n]
+	}
+	return len(s.got) == len(s.payload)
+}
+
+// sendAll pushes payload through cfd, draining afd, until the receiver
+// holds everything; returns the received bytes.
+func sendAll(e *testEnv, cfd, afd int, payload []byte, maxTicks int) []byte {
+	e.t.Helper()
+	s := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: payload}
+	e.pumpUntil(maxTicks, "transfer completes", s.pump)
+	return s.got
 }
 
 // tick runs one poll iteration on both stacks and advances 5 µs.
@@ -165,22 +221,34 @@ func (e *testEnv) connectPair(port uint16) (int, int) {
 // handshake.
 func (e *testEnv) dial(port uint16) (int, int) {
 	e.t.Helper()
-	lfd, errno := e.stkB.Socket(SockStream)
-	if errno != hostos.OK {
-		e.t.Fatal(errno)
+	return listen(e.t, e.stkB, port), dial(e.t, e.stkA, IPv4Addr{}, IP4(10, 0, 0, 2), port)
+}
+
+// listen opens a listener on every address of s at port.
+func listen(t testing.TB, s *Stack, port uint16) int {
+	t.Helper()
+	lfd, _ := s.Socket(SockStream)
+	if errno := s.Bind(lfd, IPv4Addr{}, port); errno != hostos.OK {
+		t.Fatal(errno)
 	}
-	if errno := e.stkB.Bind(lfd, IPv4Addr{}, port); errno != hostos.OK {
-		e.t.Fatal(errno)
+	if errno := s.Listen(lfd, 8); errno != hostos.OK {
+		t.Fatal(errno)
 	}
-	if errno := e.stkB.Listen(lfd, 8); errno != hostos.OK {
-		e.t.Fatal(errno)
+	return lfd
+}
+
+// dial starts an active open from s, bound to local first when it is
+// not the zero address.
+func dial(t testing.TB, s *Stack, local, ip IPv4Addr, port uint16) int {
+	t.Helper()
+	fd, _ := s.Socket(SockStream)
+	if local != (IPv4Addr{}) {
+		if errno := s.Bind(fd, local, 0); errno != hostos.OK {
+			t.Fatal(errno)
+		}
 	}
-	cfd, errno := e.stkA.Socket(SockStream)
-	if errno != hostos.OK {
-		e.t.Fatal(errno)
+	if errno := s.Connect(fd, ip, port); errno != hostos.EINPROGRESS {
+		t.Fatalf("connect: %v", errno)
 	}
-	if errno := e.stkA.Connect(cfd, IP4(10, 0, 0, 2), port); errno != hostos.EINPROGRESS {
-		e.t.Fatalf("connect: %v", errno)
-	}
-	return lfd, cfd
+	return fd
 }

@@ -186,9 +186,8 @@ func newDiffRig(t *testing.T, shardsB int) *diffRig {
 		stkB.SetTCPTuning(tune)
 		r.m[1] = &diffMachine{name: "B", api: stkB, stacks: []*Stack{stkB}, ip: ipB, ref: refStack(stkB), oneAtATime: true}
 	}
-	connectHooked(cardA.Port(0), cardB.Port(0), func(int, []byte, int64) (int64, bool) {
-		return 0, r.cut
-	})
+	cut := &wireRule{when: func(*wireFrame) bool { return r.cut }, drop: true}
+	(&scriptWire{rules: []*wireRule{cut}}).attach(r.clk, cardA.Port(0), cardB.Port(0))
 	for _, m := range r.m {
 		m.interest = map[int]map[int]uint32{m.api.EpollCreate(): {}}
 	}

@@ -3,7 +3,6 @@ package fstack
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,9 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dpdk"
-	"repro/internal/hostos"
-	"repro/internal/nic"
-	"repro/internal/sim"
 )
 
 // These property tests feed arbitrary bytes into every wire-format
@@ -273,30 +269,6 @@ func FuzzReassembly(f *testing.F) {
 	})
 }
 
-// nowhere is a cable that drops whatever is sent into it, so a port
-// attached to it transmits, completes and frees every frame it is given.
-type nowhere struct{}
-
-func (nowhere) Carry(_ int, data []byte, _ int64, _ nic.PendingSum) { nic.FreeFrame(data) }
-func (nowhere) Pump(int64)                                          {}
-func (nowhere) NextDeadline(int, int64) int64                       { return math.MaxInt64 }
-
-// inputRig is one stack (10.0.0.2) on one port cabled to nowhere, with a
-// TCP listener on port 80 and a UDP socket bound to port 53, so a SYN
-// and a datagram reach a socket.
-func inputRig(t testing.TB) (*sim.VClock, *Stack, *nic.Port) {
-	t.Helper()
-	clk := sim.NewVClock()
-	stk, card := buildMachine(t, clk, "0000:04:00", 2, rigIP, false)
-	card.Port(0).Attach(nowhere{}, 0)
-	lfd, _ := stk.Socket(SockStream)
-	ufd, _ := stk.Socket(SockDgram)
-	if stk.Bind(lfd, IPv4Addr{}, 80) != hostos.OK || stk.Listen(lfd, 8) != hostos.OK || stk.Bind(ufd, IPv4Addr{}, 53) != hostos.OK {
-		t.Fatal("rig sockets")
-	}
-	return clk, stk, card.Port(0)
-}
-
 // The rig's addresses: the stack under test and the peer that sends it
 // frames.
 var (
@@ -411,7 +383,8 @@ func FuzzFrameInput(f *testing.F) {
 		if len(frame) == 0 {
 			return // the device drops an empty frame before a descriptor holds it
 		}
-		clk, stk, _ := inputRig(t)
+		r := inputRig(t)
+		clk, stk := r.clk, r.stk
 		nif, pool := stk.nifs[0], stk.pool
 		before := poolAvail(pool)
 		m, ok := pool.Get()

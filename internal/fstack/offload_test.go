@@ -9,19 +9,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/hostos"
 	"repro/internal/netem"
-	"repro/internal/nic"
-	"repro/internal/sim"
 )
-
-// newNetemEnv is newEnv with a netem link instead of a plain cable.
-func newNetemEnv(t testing.TB, cfg netem.Config) *testEnv {
-	t.Helper()
-	clk := sim.NewVClock()
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	netem.ConnectAsym(clk, cardA.Port(0), cardB.Port(0), cfg, cfg)
-	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB, portA: cardA.Port(0), portB: cardB.Port(0)}
-}
 
 // eagerFrame is f with its TCP or UDP checksum summed in software, as
 // putTCPHeaderEager and putUDPHeaderEager write it; any other frame
@@ -74,7 +62,8 @@ func TestOffloadedFramesMatchEagerReference(t *testing.T) {
 	}{
 		{"cable", func(t *testing.T) *testEnv { return newEnv(t, false) }},
 		{"netem", func(t *testing.T) *testEnv {
-			return newNetemEnv(t, netem.Config{DelayNS: 40_000, JitterNS: 5_000, Seed: 3})
+			cfg := netem.Config{DelayNS: 40_000, JitterNS: 5_000, Seed: 3}
+			return newRig(t, false, netemLink(cfg, cfg))
 		}},
 	} {
 		t.Run(link.name, func(t *testing.T) {
@@ -159,9 +148,10 @@ func TestOffloadedFramesMatchEagerReference(t *testing.T) {
 // dropped and counted in RxDropped as before the offload, and none of
 // them counts as offloaded.
 func TestHandDeliveredSegmentsAreVerified(t *testing.T) {
-	clk, stk, port := inputRig(t)
+	r := inputRig(t)
+	stk := r.stk
 	deliver := func(frame []byte) {
-		port.DeliverFrame(frame, clk.Now())
+		r.w.inject(0, r.clk.Now(), frame)
 		stk.PollOnce()
 	}
 	deliver(rigARPRequest())
@@ -189,46 +179,18 @@ func TestHandDeliveredSegmentsAreVerified(t *testing.T) {
 	}
 }
 
-// settleWire is a cable whose edit hook sees every frame stack A sends,
-// after settling it (PendingSum.Settle): the bytes are final, the frame
-// untagged, so the far port reports its checksum not checked and stack
-// B verifies it in software.
-type settleWire struct {
-	ends [2]*nic.Port
-	edit func(data []byte)
-}
-
-func (w *settleWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
-	if from == 0 {
-		sum = sum.Settle(data)
-		w.edit(data)
-	}
-	w.ends[1-from].DeliverPending(data, readyAt, sum)
-}
-func (*settleWire) Pump(int64)                    {}
-func (*settleWire) NextDeadline(int, int64) int64 { return 1<<63 - 1 }
-
 // TestSettledFramesAreVerifiedInSoftware: frames edited on the way go
 // through PendingSum.Settle and lose their tag, so the receiving stack
 // sums every one of them itself — none counts as offloaded, an intact
-// one is taken, and the one data segment whose payload the hook flips
+// one is taken, and the one data segment whose payload a rule flips
 // is dropped as a bad checksum and recovered by retransmission. The
 // other direction, untouched, stays offloaded.
 func TestSettledFramesAreVerifiedInSoftware(t *testing.T) {
-	clk := sim.NewVClock()
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	dataFrames := 0
-	w := &settleWire{ends: [2]*nic.Port{cardA.Port(0), cardB.Port(0)}, edit: func(data []byte) {
-		if len(data) > 1000 {
-			if dataFrames++; dataFrames == 3 {
-				data[len(data)-1] ^= 0x01
-			}
-		}
-	}}
-	cardA.Port(0).Attach(w, 0)
-	cardB.Port(0).Attach(w, 1)
-	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB, portA: cardA.Port(0), portB: cardB.Port(0)}
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{
+		{from: fromA, edit: func(*wireFrame) {}}, // settle every frame A sends
+		{from: fromA, kind: dataSeg, nth: 3, corrupt: true, edit: func(f *wireFrame) { f.data[len(f.data)-1] ^= 0x01 }},
+	}}).attach)
+	stkA, stkB := e.stkA, e.stkB
 
 	cfd, afd := e.connectPair(5002)
 	msg := bytes.Repeat([]byte{0x5a, 0xa5, 0x3c}, 8000)

@@ -155,31 +155,22 @@ func (e *testEnv) leapUntil(limit int64, what string, cond func() bool) {
 // doubling from rtoInitial to rtoMax, and gives up with ETIMEDOUT on the
 // next timeout, at 3.5 s.
 func TestSynSentGivesUpAfterSynRetries(t *testing.T) {
-	var syns []int64
-	var e *testEnv
-	e = newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		_, h, _, ok := wireSeg(data)
-		if !ok || from != 0 {
-			return 0, false // ARP passes: the peer is silent, not absent
-		}
-		if h.Flags&TCPSyn != 0 {
-			syns = append(syns, e.clk.Now())
-		}
-		return 0, true
-	})
-	fd, errno := e.stkA.Socket(SockStream)
-	if errno != hostos.OK {
-		t.Fatal(errno)
-	}
-	if errno := e.stkA.Connect(fd, IP4(10, 0, 0, 2), 5001); errno != hostos.EINPROGRESS {
-		t.Fatalf("connect: %v", errno)
-	}
+	// ARP passes: the peer is silent, not absent.
+	w := &scriptWire{rules: []*wireRule{{from: fromA, kind: tcpSeg, drop: true}}, record: true}
+	e := newRig(t, false, w.attach)
+	fd := dial(t, e.stkA, IPv4Addr{}, IP4(10, 0, 0, 2), 5001)
 	var gaveUp int64
 	e.leapUntil(10e9, "ETIMEDOUT", func() bool {
 		_, errno := e.stkA.Read(fd, make([]byte, 1))
 		gaveUp = e.clk.Now()
 		return errno == hostos.ETIMEDOUT
 	})
+	var syns []int64
+	for _, f := range w.segs(0) {
+		if f.h.Flags&TCPSyn != 0 {
+			syns = append(syns, f.at)
+		}
+	}
 	// The first SYN waits out the peer's ARP reply; the timer runs from
 	// Connect.
 	if want := []int64{100e6, 300e6, 700e6, 1500e6, 2500e6}; len(syns) == 0 || syns[0] >= 1e6 || !slices.Equal(syns[1:], want) {
@@ -193,27 +184,68 @@ func TestSynSentGivesUpAfterSynRetries(t *testing.T) {
 	}
 }
 
+// TestDataRetransmissionGivesUp: toward a peer that goes silent
+// mid-transfer, each timeout resends the unacked segment and doubles the
+// wait from rto up to rtoMax; the maxShift-th timeout in a row gives up
+// (FreeBSD's TCP_MAXRXTSHIFT): the application reads ETIMEDOUT, the
+// connection is gone, and TimeoutDrops counts it.
+func TestDataRetransmissionGivesUp(t *testing.T) {
+	s := newScript(t)
+	fd := -1
+	s.run(s.opened(&fd, 0)...)
+	s.run(
+		line{at: 2e6, call: func() {
+			if n, errno := s.stk.Write(fd, make([]byte, 2*MaxSegData)); n != 2*MaxSegData || errno != hostos.OK {
+				t.Fatal(n, errno)
+			}
+		}},
+		line{at: 3e6, out: &pkt{flags: TCPAck, seq: 1, ack: 1, n: MaxSegData, win: maxRcvWnd}},
+		line{at: 3e6, out: &pkt{flags: TCPPsh | TCPAck, seq: 1 + MaxSegData, ack: 1, n: MaxSegData, win: maxRcvWnd}},
+		line{at: 3e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1 + MaxSegData, win: 65535}}, // then silence
+	)
+	s.until(3e6)
+	rto := int64(s.stk.sockOf(fd).conn.rto)
+	want := []int64{3e6 + rto} // eleven resends; the twelfth timeout gives up
+	for k := 1; k < 11; k++ {
+		want = append(want, want[k-1]+min(rto<<k, rtoMax))
+	}
+	gaveUp := want[len(want)-1] + rtoMax
+	s.until(gaveUp - 1)
+	if _, errno := s.stk.Read(fd, make([]byte, 1)); errno != hostos.EAGAIN {
+		t.Fatalf("read %v at %d ns, before the last timeout; want EAGAIN", errno, s.clk.Now())
+	}
+	s.until(gaveUp)
+	if _, errno := s.stk.Read(fd, make([]byte, 1)); errno != hostos.ETIMEDOUT || s.stk.conns.n != 0 || s.stk.Stats().TimeoutDrops != 1 {
+		t.Fatalf("read %v, %d conns, %d timeout drops at %d ns; want ETIMEDOUT, 0, 1", errno, s.stk.conns.n, s.stk.Stats().TimeoutDrops, gaveUp)
+	}
+	s.until(gaveUp + 10e9)
+	var resent []int64
+	for _, f := range s.w.segs(0) {
+		if f.at > 3e6 {
+			if p := s.w.pkt(f); p.n != MaxSegData || p.seq != 1+MaxSegData {
+				t.Fatalf("at %d ns the stack sent %v; want only resends of the unacked segment", f.at, p)
+			}
+			resent = append(resent, f.at)
+		}
+	}
+	if !slices.Equal(resent, want) {
+		t.Fatalf("resends at %v ns, want %v", resent, want)
+	}
+}
+
 // TestPersistProbesBackOff: toward a receiver that reads nothing, each
 // zero-window probe interval doubles from the connection's rto and
 // holds at rtoMax. The backoff count is the retransmission timer's, and
 // an episode ends either way: on a window update (the first episode's
 // end), or on forward progress (the second's, whose window update is
-// lost, so the receiver's ACK of a probe byte ends it). Each new
-// episode's intervals start again at rto: the arming clears the count.
+// lost, so the receiver's ACK of a probe byte ends it). A window update
+// clears the count, as does each episode's arming, so a timeout after
+// the episode does not start near the give-up and each new episode's
+// intervals start again at rto.
 func TestPersistProbesBackOff(t *testing.T) {
-	probes, loseUpdate := 0, false
-	var e *testEnv
-	e = newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		_, h, n, ok := wireSeg(data)
-		switch {
-		case ok && from == 0 && n == 1:
-			probes++
-		case ok && from == 1 && n == 0 && h.Window > 0 && loseUpdate:
-			loseUpdate = false
-			return 0, true
-		}
-		return 0, false
-	})
+	probe := &wireRule{from: fromA, kind: dataSeg, when: func(f *wireFrame) bool { return f.n == 1 }} // counts, no action
+	w := &scriptWire{rules: []*wireRule{probe}}
+	e := newRig(t, false, w.attach)
 	if err := e.stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +286,20 @@ func TestPersistProbesBackOff(t *testing.T) {
 	}
 	const n = 12 // 2 ms doubles past rtoMax by the tenth
 	first := episode("first episode", n)
-	if first[n-1] != rtoMax || probes < n-1 {
-		t.Fatalf("first episode: intervals %v, %d probes on the wire; want the cap reached and a probe per interval", first, probes)
+	if first[n-1] != rtoMax || probe.seen < n-1 {
+		t.Fatalf("first episode: intervals %v, %d probes on the wire; want the cap reached and a probe per interval", first, probe.seen)
 	}
 	drain("a window update")
+	if c.shift != 0 {
+		t.Fatalf("backoff count %d after the window update ended the episode, want 0", c.shift)
+	}
 	second := episode("second episode", 5)
 	una := c.sndUna
-	loseUpdate = true
+	lost := w.once(wireRule{from: fromB, kind: bareSeg, when: func(f *wireFrame) bool { return f.h.Window > 0 }, drop: true})
 	drain("forward progress")
-	if loseUpdate || c.sndUna == una {
-		t.Fatalf("the window update was not lost (%v) or no probe byte was taken (sndUna %d)", !loseUpdate, c.sndUna)
+	if lost.seen == 0 || c.sndUna == una {
+		t.Fatalf("the window update was not lost (%v) or no probe byte was taken (sndUna %d)", lost.seen == 0, c.sndUna)
 	}
 	third := episode("third episode", 3)
-	t.Logf("rto %d ns; intervals %v, %v, %v; %d probes", c.rto, first, second, third, probes)
+	t.Logf("rto %d ns; intervals %v, %v, %v; %d probes", c.rto, first, second, third, probe.seen)
 }

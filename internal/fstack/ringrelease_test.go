@@ -140,11 +140,7 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 	// A retransmitted FIN (our ACK of it was lost) draws a fresh ACK.
 	var acks []TCPHeader
 	e.portB.SetRxTap(func(_ int64, frame []byte) {
-		ip, ihl, err := ParseIPv4Header(frame[EthHeaderLen:])
-		if err != nil || ip.Proto != ProtoTCP {
-			return
-		}
-		if h, _, err := ParseTCPHeader(frame[EthHeaderLen+ihl:], ip.Src, ip.Dst); err == nil && h.SrcPort == c.tuple.local.Port {
+		if _, h, _, ok := wireSeg(frame, nil); ok && h.SrcPort == c.tuple.local.Port {
 			acks = append(acks, h)
 		}
 	})

@@ -71,6 +71,8 @@ type StackStats struct {
 	DupAcks         uint64 // duplicate ACKs received
 	PersistProbes   uint64 // zero-window probes sent (persist timer)
 	FinWait2Drops   uint64 // FIN_WAIT_2 connections dropped after 2MSL with no segment from the peer
+	TimeoutDrops    uint64 // connections given up after maxShift timeouts in a row (ETIMEDOUT)
+	BadRsts         uint64 // RSTs refused: sequence number outside the receive window
 	ArpTx           uint64
 	Accepts         uint64 // connections graduated from the SYN cache
 	SynDrops        uint64 // SYNs refused (backlog or SYN cache full)
@@ -98,6 +100,8 @@ func (st *StackStats) Add(o StackStats) {
 	st.DupAcks += o.DupAcks
 	st.PersistProbes += o.PersistProbes
 	st.FinWait2Drops += o.FinWait2Drops
+	st.TimeoutDrops += o.TimeoutDrops
+	st.BadRsts += o.BadRsts
 	st.ArpTx += o.ArpTx
 	st.Accepts += o.Accepts
 	st.SynDrops += o.SynDrops

@@ -28,41 +28,8 @@ func TestTCPHandshake(t *testing.T) {
 func TestTCPDataTransfer(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, afd := e.connectPair(5001)
-
 	msg := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
-	sent := 0
-	e.pumpUntil(8000, "write all", func() bool {
-		for sent < len(msg) {
-			n, errno := e.stkA.Write(cfd, msg[sent:])
-			if errno == hostos.EAGAIN {
-				return false
-			}
-			if errno != hostos.OK {
-				t.Fatalf("write: %v", errno)
-			}
-			sent += n
-		}
-		return true
-	})
-	var got []byte
-	buf := make([]byte, 4096)
-	e.pumpUntil(8000, "read all", func() bool {
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno == hostos.EAGAIN {
-				break
-			}
-			if errno != hostos.OK {
-				t.Fatalf("read: %v", errno)
-			}
-			got = append(got, buf[:n]...)
-			if n == 0 {
-				break
-			}
-		}
-		return len(got) >= len(msg)
-	})
-	if !bytes.Equal(got, msg) {
+	if got := sendAll(e, cfd, afd, msg, 16000); !bytes.Equal(got, msg) {
 		t.Fatalf("data corrupted: %d bytes vs %d", len(got), len(msg))
 	}
 }
@@ -71,22 +38,13 @@ func TestTCPBidirectional(t *testing.T) {
 	e := newEnv(t, false)
 	cfd, afd := e.connectPair(5001)
 	// Both directions at once.
-	a2b := bytes.Repeat([]byte{0xAA}, 5000)
-	b2a := bytes.Repeat([]byte{0xBB}, 7000)
-	e.stkA.Write(cfd, a2b)
-	e.stkB.Write(afd, b2a)
-	var gotB, gotA []byte
-	buf := make([]byte, 2048)
+	ab := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: bytes.Repeat([]byte{0xAA}, 5000)}
+	ba := &stream{from: e.stkB, to: e.stkA, wfd: afd, rfd: cfd, payload: bytes.Repeat([]byte{0xBB}, 7000)}
 	e.pumpUntil(8000, "both directions", func() bool {
-		if n, errno := e.stkB.Read(afd, buf); errno == hostos.OK && n > 0 {
-			gotB = append(gotB, buf[:n]...)
-		}
-		if n, errno := e.stkA.Read(cfd, buf); errno == hostos.OK && n > 0 {
-			gotA = append(gotA, buf[:n]...)
-		}
-		return len(gotB) == len(a2b) && len(gotA) == len(b2a)
+		doneAB, doneBA := ab.pump(), ba.pump()
+		return doneAB && doneBA
 	})
-	if !bytes.Equal(gotB, a2b) || !bytes.Equal(gotA, b2a) {
+	if !bytes.Equal(ab.got, ab.payload) || !bytes.Equal(ba.got, ba.payload) {
 		t.Fatal("bidirectional data corrupted")
 	}
 }
@@ -96,32 +54,10 @@ func TestTCPLargeTransferExceedsWindow(t *testing.T) {
 	// acks, congestion control.
 	e := newEnv(t, false)
 	cfd, afd := e.connectPair(5001)
-	const total = 1 << 20
-	chunk := bytes.Repeat([]byte{0xCD}, 32768)
-	sent, rcvd := 0, 0
-	buf := make([]byte, 65536)
-	e.pumpUntil(60000, "1MiB transfer", func() bool {
-		for sent < total {
-			n, errno := e.stkA.Write(cfd, chunk[:min(len(chunk), total-sent)])
-			if errno == hostos.EAGAIN {
-				break
-			}
-			if errno != hostos.OK {
-				t.Fatalf("write: %v", errno)
-			}
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			rcvd += n
-		}
-		return rcvd >= total
-	})
-	if rcvd != total {
-		t.Fatalf("received %d of %d", rcvd, total)
+	st := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: bytes.Repeat([]byte{0xCD}, 1<<20), chunk: 32768}
+	e.pumpUntil(60000, "1MiB transfer", st.pump)
+	if len(st.got) != len(st.payload) {
+		t.Fatalf("received %d of %d", len(st.got), len(st.payload))
 	}
 }
 

@@ -3,15 +3,12 @@ package fstack
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hostos"
-	"repro/internal/nic"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // TestTCPSimultaneousClose closes both ends in the same tick, so the
@@ -121,51 +118,72 @@ func TestTCPHalfClose(t *testing.T) {
 // (timeWaitDur) of silence then drops it without a segment and counts it
 // in FinWait2Drops, and the peer's next write is reset.
 func TestFinWait2DropsASilentPeer(t *testing.T) {
-	e := newHookedEnv(t, nil) // a cable whose frames a deadline announces
-	cfd, afd := e.connectPair(5001)
-	c := e.stkA.sockOf(cfd).conn
-	// step polls both stacks from deadline to deadline until cond holds
-	// or the clock reaches until, whichever is first.
-	step := func(until int64, cond func() bool) {
-		for {
-			e.stkA.PollOnce()
-			e.stkB.PollOnce()
-			now := e.clk.Now()
-			if cond() || now >= until {
-				return
-			}
-			e.clk.Set(min(max(min(e.stkA.NextDeadline(now), e.stkB.NextDeadline(now)), now+5000), until))
-		}
-	}
-	e.stkA.Close(cfd)
-	step(e.clk.Now()+10e6, func() bool { return c.state == tcpFinWait2 })
-	var heard int64 // when the peer's last segment arrived
-	for i := range 4 {
+	s := newScript(t)
+	fd := -1
+	s.run(s.opened(&fd, 0)...)
+	c := s.stk.sockOf(fd).conn
+	s.run(
+		line{at: 2e6, call: func() { s.stk.Close(fd) }},
+		line{at: 3e6, out: &pkt{flags: TCPFin | TCPAck, seq: 1, ack: 1, win: maxRcvWnd}},
+		line{at: 3e6, in: &pkt{flags: TCPAck, seq: 1, ack: 2, win: 65535}},
+	)
+	heard := int64(3e6) // when the peer's last segment arrived
+	for i := range uint32(4) {
+		s.until(heard + 1)
 		if c.state != tcpFinWait2 {
 			t.Fatalf("%v after %d of the peer's segments, want FIN_WAIT_2", c.state, i)
 		}
-		e.stkB.Write(afd, []byte{byte(i)})
-		rcv := c.rcvNxt
-		step(e.clk.Now()+10e6, func() bool { return c.rcvNxt != rcv })
-		heard = e.clk.Now()
-		step(heard+30e6, func() bool { return false })
+		heard += 30e6
+		s.run(
+			line{at: heard, in: &pkt{flags: TCPAck, seq: 1 + i, ack: 2, n: 1, win: 65535}},
+			line{at: heard + 1e6, out: &pkt{flags: TCPAck, seq: 2, ack: 2 + i, win: maxRcvWnd}},
+		)
 	}
 	if c.state != tcpFinWait2 || c.rtxAt != heard+timeWaitDur {
 		t.Fatalf("%v with its deadline %d ns after the peer's last segment, want FIN_WAIT_2 and %d", c.state, c.rtxAt-heard, int64(timeWaitDur))
 	}
-	tx := e.stkA.Stats().TxFrames
-	step(heard+timeWaitDur, func() bool { return false })
-	if st := e.stkA.Stats(); c.state != tcpClosed || e.stkA.conns.n != 0 || st.FinWait2Drops != 1 || st.TxFrames != tx {
+	tx := s.stk.Stats().TxFrames
+	s.until(heard + timeWaitDur)
+	if st := s.stk.Stats(); c.state != tcpClosed || s.stk.conns.n != 0 || st.FinWait2Drops != 1 || st.TxFrames != tx {
 		t.Fatalf("2MSL after the peer's last segment: %v, %d conns, %d FIN_WAIT_2 drops, %d frames sent; want CLOSED, 0, 1, 0",
-			c.state, e.stkA.conns.n, st.FinWait2Drops, st.TxFrames-tx)
+			c.state, s.stk.conns.n, st.FinWait2Drops, st.TxFrames-tx)
 	}
-	e.stkB.Write(afd, []byte("late"))
-	step(e.clk.Now()+10e6, func() bool {
-		_, errno := e.stkB.Read(afd, make([]byte, 16))
-		return errno == hostos.ECONNRESET
-	})
-	if _, errno := e.stkB.Read(afd, make([]byte, 16)); errno != hostos.ECONNRESET {
-		t.Fatalf("the peer's write after the drop: read %v, want ECONNRESET", errno)
+	// The peer's next write is reset.
+	s.run(
+		line{at: heard + timeWaitDur + 1e6, in: &pkt{flags: TCPAck, seq: 5, ack: 2, n: 4, win: 65535}},
+		line{at: heard + timeWaitDur + 2e6, out: &pkt{flags: TCPRst, seq: 2}},
+	)
+}
+
+// TestOutOfWindowRstIsDropped: a connection takes a RST only at a
+// sequence number inside its receive window, rcvNxt ≤ seq <
+// rcvNxt+window (RFC 9293 §3.10.7.4). RSTs at the window's right edge
+// and one below rcvNxt are dropped and counted in BadRsts, and the flow
+// still moves bytes both ways; a RST at rcvNxt resets it.
+func TestOutOfWindowRstIsDropped(t *testing.T) {
+	s := newScript(t)
+	fd := -1
+	s.run(s.opened(&fd, 0)...)
+	s.run(
+		line{at: 2e6, in: &pkt{flags: TCPRst, seq: 1 + maxRcvWnd}},
+		line{at: 2e6, in: &pkt{flags: TCPRst, seq: 0}},
+		line{at: 3e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1, n: 100, win: 65535}},
+		line{at: 4e6, out: &pkt{flags: TCPAck, seq: 1, ack: 101, win: maxRcvWnd}},
+		line{at: 4e6, call: func() {
+			if n, errno := s.stk.Read(fd, make([]byte, 200)); n != 100 || errno != hostos.OK {
+				t.Fatalf("read %d, %v; want the peer's 100 bytes", n, errno)
+			}
+			s.stk.Write(fd, []byte("still here"))
+		}},
+		line{at: 5e6, out: &pkt{flags: TCPPsh | TCPAck, seq: 1, ack: 101, n: 10, win: maxRcvWnd}},
+	)
+	if st := s.stk.Stats(); st.BadRsts != 2 || s.stk.ConnState(fd) != "ESTABLISHED" {
+		t.Fatalf("%d RSTs refused, state %s; want 2, ESTABLISHED", st.BadRsts, s.stk.ConnState(fd))
+	}
+	s.run(line{at: 6e6, in: &pkt{flags: TCPRst, seq: 101}})
+	s.until(6e6)
+	if _, errno := s.stk.Read(fd, make([]byte, 1)); errno != hostos.ECONNRESET || s.stk.Stats().BadRsts != 2 {
+		t.Fatalf("after a RST at rcvNxt: read %v, %d RSTs refused; want ECONNRESET, 2", errno, s.stk.Stats().BadRsts)
 	}
 }
 
@@ -209,48 +227,23 @@ func TestTCPZeroWindowRecovery(t *testing.T) {
 		t.Fatal("the flow never hit backpressure — window logic untested")
 	}
 	// Drain and confirm the transfer completes.
-	rcvd := 0
-	buf := make([]byte, 65536)
-	e.pumpUntil(120000, "drain completes", func() bool {
-		for sent < len(payload) {
-			n, errno := e.stkA.Write(cfd, payload[sent:min(sent+16384, len(payload))])
-			if errno != hostos.OK {
-				break
-			}
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			rcvd += n
-		}
-		return rcvd == len(payload)
-	})
+	st := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: payload, sent: sent}
+	e.pumpUntil(120000, "drain completes", st.pump)
 }
 
+// TestTCPDuplicateSynHandled: a SYN again on an established connection
+// neither resets it nor makes a second one, and the stream goes on. (It
+// draws no challenge ACK: RFC 5961's is not implemented.)
 func TestTCPDuplicateSynHandled(t *testing.T) {
-	e := newEnv(t, false)
-	lfd, _ := e.stkB.Socket(SockStream)
-	e.stkB.Bind(lfd, IPv4Addr{}, 5001)
-	e.stkB.Listen(lfd, 4)
-	cfd, _ := e.stkA.Socket(SockStream)
-	e.stkA.Connect(cfd, IP4(10, 0, 0, 2), 5001)
-	// The server's conn exists only once the handshake's final ACK
-	// graduates the syncache entry, so wait for both sides.
-	e.pumpUntil(4000, "established", func() bool {
-		if e.stkA.ConnState(cfd) != "ESTABLISHED" {
-			return false
-		}
-		n := e.stkB.conns.n
-		return n == 1
-	})
-	// Re-inject a duplicate SYN by hand: the server must re-ack, not
-	// crash or create a second connection.
-	nconns := e.stkB.conns.n
-	if nconns != 1 {
-		t.Fatalf("conns = %d", nconns)
+	s := newScript(t)
+	fd := -1
+	s.run(append(s.opened(&fd, 0),
+		line{at: 2e6, in: &pkt{flags: TCPSyn, win: 65535, mss: MSSDefault, sackOK: true}},
+		line{at: 3e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1, n: 10, win: 65535}},
+		line{at: 4e6, out: &pkt{flags: TCPAck, seq: 1, ack: 11, win: maxRcvWnd}},
+	)...)
+	if n := s.stk.conns.n; n != 1 || s.stk.ConnState(fd) != "ESTABLISHED" {
+		t.Fatalf("%d conns, state %s after a duplicate SYN; want 1, ESTABLISHED", n, s.stk.ConnState(fd))
 	}
 }
 
@@ -345,13 +338,8 @@ func TestHandshakeAgreesAcrossTunings(t *testing.T) {
 		{"both untuned", TCPTuning{}, TCPTuning{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var fromListener []TCPHeader
-			e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-				if _, h, _, ok := wireSeg(data); ok && from == 1 {
-					fromListener = append(fromListener, h)
-				}
-				return 0, false
-			})
+			w := &scriptWire{record: true}
+			e := newRig(t, false, w.attach)
 			if err := e.stkB.SetTCPTuning(tc.listener); err != nil {
 				t.Fatal(err)
 			}
@@ -382,6 +370,10 @@ func TestHandshakeAgreesAcrossTunings(t *testing.T) {
 					MaxSegData, want.sackOK, want.cliRcv, want.srvRcv)
 			}
 
+			var fromListener []TCPHeader
+			for _, f := range w.segs(1) {
+				fromListener = append(fromListener, f.h)
+			}
 			if len(fromListener) < 2 {
 				t.Fatalf("the listener sent %d segments; want its SYN|ACK and more", len(fromListener))
 			}
@@ -399,37 +391,6 @@ func TestHandshakeAgreesAcrossTunings(t *testing.T) {
 		})
 	}
 }
-
-// mssWire is a cable that rewrites the MSS option of every SYN its end
-// `from` sends to mss. The frame is settled first and its checksums
-// repaired after, so the receiver verifies and takes the edit.
-type mssWire struct {
-	ends [2]*nic.Port
-	from int
-	mss  uint16
-}
-
-func (w *mssWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
-	if _, h, _, ok := wireSeg(data); ok && from == w.from && h.Flags&TCPSyn != 0 {
-		sum = sum.Settle(data)
-		seg := data[EthHeaderLen+IPv4HeaderLen:]
-		opts := seg[TCPHeaderLen : int(seg[12]>>4)*4]
-		for i := 0; i+1 < len(opts) && opts[i] != 0; {
-			if opts[i] == 1 {
-				i++
-				continue
-			}
-			if opts[i] == 2 {
-				binary.BigEndian.PutUint16(opts[i+2:], w.mss)
-			}
-			i += int(opts[i+1])
-		}
-		repairChecksums(data)
-	}
-	w.ends[1-from].DeliverPending(data, readyAt, sum)
-}
-func (*mssWire) Pump(int64)                    {}
-func (*mssWire) NextDeadline(int, int64) int64 { return math.MaxInt64 }
 
 // TestTinyMSSOptionIsRaised: a SYN or SYN|ACK whose MSS option leaves
 // no payload past the timestamps option (12 bytes, or 1) is raised to
@@ -449,39 +410,32 @@ func TestTinyMSSOptionIsRaised(t *testing.T) {
 		{"active open, MSS 1", 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := sim.NewVClock()
-			stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-			stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-			w := &mssWire{ends: [2]*nic.Port{cardA.Port(0), cardB.Port(0)}, from: tc.from, mss: tc.mss}
-			cardA.Port(0).Attach(w, 0)
-			cardB.Port(0).Attach(w, 1)
-			e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
+			// Rewrite the MSS option of every SYN end tc.from sends.
+			setMSS := func(f *wireFrame) {
+				seg := f.data[EthHeaderLen+IPv4HeaderLen:]
+				opts := seg[TCPHeaderLen : int(seg[12]>>4)*4]
+				for i := 0; i+1 < len(opts) && opts[i] != 0; {
+					if opts[i] == 1 {
+						i++
+						continue
+					}
+					if opts[i] == 2 {
+						binary.BigEndian.PutUint16(opts[i+2:], tc.mss)
+					}
+					i += int(opts[i+1])
+				}
+			}
+			e := newRig(t, false, (&scriptWire{rules: []*wireRule{{from: 1 << tc.from, flags: TCPSyn, edit: setMSS}}}).attach)
 			cfd, afd := e.connectPair(5003)
-			stks, fds := [2]*Stack{stkA, stkB}, [2]int{cfd, afd}
+			stks, fds := [2]*Stack{e.stkA, e.stkB}, [2]int{cfd, afd}
 			tx, rx := 1-tc.from, tc.from
 			if got := stks[tx].sockOf(fds[tx]).conn.sndMSS; got != minMSS-tsOptionLen {
 				t.Fatalf("send MSS %d after an MSS option of %d; want %d", got, tc.mss, minMSS-tsOptionLen)
 			}
 
-			payload := bytes.Repeat([]byte{0xA5}, 16<<10)
-			var got []byte
-			sent, buf := 0, make([]byte, 4096)
-			e.pumpUntil(20000, "transfer completes", func() bool {
-				if sent < len(payload) {
-					if n, errno := stks[tx].Write(fds[tx], payload[sent:]); errno == hostos.OK {
-						sent += n
-					}
-				}
-				for {
-					n, errno := stks[rx].Read(fds[rx], buf)
-					if errno != hostos.OK || n == 0 {
-						break
-					}
-					got = append(got, buf[:n]...)
-				}
-				return len(got) == len(payload)
-			})
-			if !bytes.Equal(got, payload) {
+			st := &stream{from: stks[tx], to: stks[rx], wfd: fds[tx], rfd: fds[rx], payload: bytes.Repeat([]byte{0xA5}, 16<<10)}
+			e.pumpUntil(20000, "transfer completes", st.pump)
+			if !bytes.Equal(st.got, st.payload) {
 				t.Fatal("stream corrupted")
 			}
 			stks[tx].Close(fds[tx])

@@ -9,30 +9,11 @@ import (
 
 	"repro/internal/hostos"
 	"repro/internal/netem"
-	"repro/internal/sim"
 )
-
-// parsePureAckWindow decodes an Ethernet/IPv4/TCP frame far enough to
-// report the advertised window and whether the segment carries
-// payload. ok is false for anything that is not a plain TCP frame.
-func parsePureAckWindow(data []byte) (wnd uint16, payloadLen int, ok bool) {
-	if len(data) < 54 || binary.BigEndian.Uint16(data[12:14]) != 0x0800 {
-		return 0, 0, false
-	}
-	ip := data[14:]
-	if ip[9] != 6 { // not TCP
-		return 0, 0, false
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
-	tcp := ip[ihl:]
-	dataOff := int(tcp[12]>>4) * 4
-	return binary.BigEndian.Uint16(tcp[14:16]), totalLen - ihl - dataOff, true
-}
 
 // TestPersistTimerRecoversLostWindowUpdate is the deterministic
 // zero-window deadlock regression: the receiver advertises a zero
-// window, reopens it, and the hook destroys exactly that one window
+// window, reopens it, and a wire rule destroys exactly that one window
 // update. Before the persist timer this stalled the connection
 // forever — the receiver's update logic fires once (it tracks the
 // advertised window it already sent), and the sender had no timer
@@ -40,72 +21,38 @@ func parsePureAckWindow(data []byte) (wnd uint16, payloadLen int, ok bool) {
 // probe must force a byte through and elicit a fresh ACK carrying the
 // open window.
 func TestPersistTimerRecoversLostWindowUpdate(t *testing.T) {
-	sawZero, droppedUpdate := false, false
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		if from != 1 { // only watch receiver -> sender ACKs
-			return 0, false
-		}
-		wnd, payload, ok := parsePureAckWindow(data)
-		if !ok || payload != 0 {
-			return 0, false
-		}
-		if wnd == 0 {
-			sawZero = true
-		} else if sawZero && !droppedUpdate {
-			droppedUpdate = true
-			return 0, true // the window update: lose it
-		}
-		return 0, false
-	})
+	sawZero := false
+	// Watch the receiver's pure ACKs: lose the first window update after a
+	// zero window.
+	update := &wireRule{from: fromB, kind: bareSeg, nth: 1, drop: true, when: func(f *wireFrame) bool {
+		sawZero = sawZero || f.h.Window == 0
+		return sawZero && f.h.Window > 0
+	}}
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{update}}).attach)
 	// An 8 KiB receive buffer makes the window trivial to slam shut.
 	e.stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192})
 	cfd, afd := e.connectPair(5001)
 
-	payload := bytes.Repeat([]byte{0x5A}, 24*1024)
-	sent := 0
-	for sent < len(payload) {
-		n, errno := e.stkA.Write(cfd, payload[sent:])
-		if errno != hostos.OK {
-			break
-		}
-		sent += n
-	}
+	st := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: bytes.Repeat([]byte{0x5A}, 24*1024), chunk: 24 * 1024}
+	st.sent, _ = e.stkA.Write(cfd, st.payload)
 	// Let the transfer fill the receiver's buffer and stall: the
 	// receiver application reads nothing.
 	e.pumpUntil(20000, "zero window advertised", func() bool { return sawZero })
 
 	// Drain the receiver; its single window update is destroyed by the
-	// hook, so only the persist probe can restart the sender.
-	var got []byte
-	buf := make([]byte, 65536)
-	e.pumpUntil(400000, "transfer completes past the lost update", func() bool {
-		for sent < len(payload) {
-			n, errno := e.stkA.Write(cfd, payload[sent:])
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		return len(got) == len(payload)
-	})
-	if !bytes.Equal(got, payload) {
+	// rule, so only the persist probe can restart the sender.
+	e.pumpUntil(400000, "transfer completes past the lost update", st.pump)
+	if !bytes.Equal(st.got, st.payload) {
 		t.Fatal("stream corrupted across the zero-window stall")
 	}
-	if !droppedUpdate {
+	if update.seen == 0 {
 		t.Fatal("the window update was never dropped — test is vacuous")
 	}
-	st := e.stkA.Stats()
-	if st.PersistProbes == 0 {
-		t.Fatalf("no zero-window probes sent: %+v", st)
+	if probes := e.stkA.Stats().PersistProbes; probes == 0 {
+		t.Fatalf("no zero-window probes sent: %+v", e.stkA.Stats())
+	} else {
+		t.Logf("recovered via %d persist probe(s)", probes)
 	}
-	t.Logf("recovered via %d persist probe(s)", st.PersistProbes)
 }
 
 // TestPersistSurvivesSqueezedAckChannel is the ConnectAsym version of
@@ -116,17 +63,13 @@ func TestPersistTimerRecoversLostWindowUpdate(t *testing.T) {
 // deadlock that only the persist timer clears. The forward direction
 // is clean, so any stall is the reverse path's doing.
 func TestPersistSurvivesSqueezedAckChannel(t *testing.T) {
-	clk := sim.NewVClock()
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	netem.ConnectAsym(clk, cardA.Port(0), cardB.Port(0),
+	e := newRig(t, false, netemLink(
 		netem.Config{}, // clean data direction
-		netem.Config{RateBps: 100e3, QueueBytes: 150, Seed: 7})
+		netem.Config{RateBps: 100e3, QueueBytes: 150, Seed: 7}))
 	// Slow-ACK serialization means ms-scale ACK delays; keep the RTO
 	// off the sender's back so the reverse path is the only villain.
-	stkA.SetTCPTuning(TCPTuning{RTOMinNS: 100e6})
-	stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192, RTOMinNS: 100e6})
-	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
+	e.stkA.SetTCPTuning(TCPTuning{RTOMinNS: 100e6})
+	e.stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192, RTOMinNS: 100e6})
 	cfd, afd := e.connectPair(5001)
 
 	payload := bytes.Repeat([]byte{0xC3}, 64*1024)
@@ -225,10 +168,9 @@ func TestPersistMatchesParentRules(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		wire := rand.New(rand.NewSource(^seed))
-		e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-			_, h, n, ok := wireSeg(data)
-			return 0, ok && from == 1 && n == 0 && h.Flags&(TCPSyn|TCPFin) == 0 && wire.Float64() < 0.3
-		})
+		e := newRig(t, false, (&scriptWire{rules: []*wireRule{{from: fromB, kind: bareSeg, drop: true, when: func(f *wireFrame) bool {
+			return f.h.Flags&(TCPSyn|TCPFin) == 0 && wire.Float64() < 0.3
+		}}}}).attach)
 		if err := e.stkB.SetTCPTuning(TCPTuning{RcvBufBytes: 8192}); err != nil {
 			t.Fatal(err)
 		}
@@ -300,50 +242,22 @@ func TestPersistMatchesParentRules(t *testing.T) {
 func TestRetractedWindowIsProbed(t *testing.T) {
 	var c *tcpConn
 	var silentUntil int64
-	type seg struct {
-		at  int64
-		seq uint32
-		n   int
-	}
-	var after []seg // the sender's segments once the window is rewritten
-	var e *testEnv
-	e = newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		_, h, n, ok := wireSeg(data)
-		switch {
-		case !ok || c == nil:
-		case from == 0 && silentUntil != 0:
-			after = append(after, seg{e.clk.Now(), h.Seq, n})
-		case e.clk.Now() < silentUntil:
-			return 0, true
-		case silentUntil == 0 && n == 0 && h.Flags == TCPAck && c.sndMax-h.Ack >= 20<<10:
-			// The window field sits past the sum's start, so the sum
-			// the sender left pending covers the edit.
-			binary.BigEndian.PutUint16(data[EthHeaderLen+IPv4HeaderLen+14:], 0)
-			silentUntil = e.clk.Now() + 3e9
-		}
-		return 0, false
-	})
+	w := &scriptWire{record: true, rules: []*wireRule{
+		{from: fromB, kind: tcpSeg, drop: true, when: func(f *wireFrame) bool { return c != nil && f.at < silentUntil }},
+		{from: fromB, kind: bareSeg, nth: 1, when: func(f *wireFrame) bool {
+			return c != nil && f.h.Flags == TCPAck && c.sndMax-f.h.Ack >= 20<<10
+		}, edit: func(f *wireFrame) {
+			binary.BigEndian.PutUint16(f.data[EthHeaderLen+IPv4HeaderLen+14:], 0)
+			silentUntil = f.at + 3e9
+		}},
+	}}
+	e := newRig(t, false, w.attach)
 	cfd, afd := e.connectPair(5001)
 	c = e.stkA.sockOf(cfd).conn
-	payload := make([]byte, 512<<10)
-	rand.New(rand.NewSource(1)).Read(payload)
-	var got []byte
-	sent := 0
-	buf := make([]byte, 64<<10)
-	pump := func() {
-		if n, errno := e.stkA.Write(cfd, payload[sent:]); errno == hostos.OK {
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-	}
+	st := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: make([]byte, 512<<10), chunk: 512 << 10}
+	rand.New(rand.NewSource(1)).Read(st.payload)
 	e.leapUntil(1e9, "the retracted window reaches the sender", func() bool {
-		pump()
+		st.pump()
 		return silentUntil != 0 && c.sndWnd == 0
 	})
 	armed, cwnd, rto, retx, tx := c.rtxAt, c.cwnd, c.rto, e.stkA.Stats().Retransmit, e.stkA.Stats().TxFrames
@@ -354,18 +268,15 @@ func TestRetractedWindowIsProbed(t *testing.T) {
 	e.leapUntil(armed+1, "the first timeout", func() bool { return e.clk.Now() >= armed })
 	// Segments the stack queued before the ACK arrived may still reach
 	// the wire after it: the stack sends one frame, the probe, last.
-	st := e.stkA.Stats()
-	if st.TxFrames-tx != 1 || len(after) == 0 || after[len(after)-1] != (seg{armed, una, 1}) ||
-		c.cwnd != cwnd || c.rto != rto || st.Retransmit != retx {
-		t.Fatalf("first timeout at %d ns: %d frames sent, the wire's last %+v; cwnd %d → %d, rto %d → %d, %d retransmits; want one 1-byte probe at sndUna %d and nothing else moved",
-			armed, st.TxFrames-tx, after[max(len(after)-1, 0):], cwnd, c.cwnd, rto, c.rto, st.Retransmit-retx, una)
+	stats, segs := e.stkA.Stats(), w.segs(0)
+	if last := segs[len(segs)-1]; stats.TxFrames-tx != 1 || last.at != armed || last.h.Seq != una || last.n != 1 ||
+		c.cwnd != cwnd || c.rto != rto || stats.Retransmit != retx {
+		t.Fatalf("first timeout at %d ns: %d frames sent, the wire's last seq %d (%d bytes) at %d ns; cwnd %d → %d, rto %d → %d, %d retransmits; want one 1-byte probe at sndUna %d and nothing else moved",
+			armed, stats.TxFrames-tx, last.h.Seq, last.n, last.at, cwnd, c.cwnd, rto, c.rto, stats.Retransmit-retx, una)
 	}
-	e.leapUntil(silentUntil+10e9, "the transfer completes past the silence", func() bool {
-		pump()
-		return len(got) == len(payload)
-	})
-	if !bytes.Equal(got, payload) || e.stkA.Stats().RxDropped != 0 {
-		t.Fatalf("stream intact %v, %d frames dropped by the sender", bytes.Equal(got, payload), e.stkA.Stats().RxDropped)
+	e.leapUntil(silentUntil+10e9, "the transfer completes past the silence", st.pump)
+	if !bytes.Equal(st.got, st.payload) || e.stkA.Stats().RxDropped != 0 {
+		t.Fatalf("stream intact %v, %d frames dropped by the sender", bytes.Equal(st.got, st.payload), e.stkA.Stats().RxDropped)
 	}
 	t.Logf("cwnd %d, rto %d ns; %d probes", cwnd, rto, e.stkA.Stats().PersistProbes)
 }

@@ -3,7 +3,6 @@ package fstack
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,178 +11,21 @@ import (
 
 	"repro/internal/hostos"
 	"repro/internal/netem"
-	"repro/internal/nic"
-	"repro/internal/sim"
 )
-
-// hookWire is a test conduit: a transparent cable whose per-direction
-// hook may drop or delay each frame. It stands in for nic.Connect so
-// recovery tests can lose exactly the segment they mean to. A hook reads
-// the bytes but never the checksum field, so a frame keeps the checksum
-// its sender left pending; a hook may rewrite a header field in place,
-// since that sum is taken over the bytes as they arrive.
-type hookWire struct {
-	ends [2]*nic.Port
-	// hook returns (extraDelayNS, drop). nil passes through.
-	hook func(from int, data []byte, readyAt int64) (int64, bool)
-	// long holds each frame on the wire until its readyAt, in order
-	// per direction (line[to]), as a long path does. Otherwise a frame
-	// lands in the peer's RX packet buffer at once and waits there, so
-	// more than its 64 KiB in flight tail-drops.
-	long bool
-	line [2][]heldFrame
-}
-
-// heldFrame is a frame a long hookWire carries toward its due instant.
-type heldFrame struct {
-	data    []byte
-	readyAt int64
-	sum     nic.PendingSum
-}
-
-func connectHooked(a, b *nic.Port, hook func(from int, data []byte, readyAt int64) (int64, bool)) *hookWire {
-	w := &hookWire{hook: hook}
-	w.attach(a, b)
-	return w
-}
-
-func (w *hookWire) attach(a, b *nic.Port) {
-	w.ends = [2]*nic.Port{a, b}
-	a.Attach(w, 0)
-	b.Attach(w, 1)
-}
-
-func (w *hookWire) Carry(from int, data []byte, readyAt int64, sum nic.PendingSum) {
-	if w.hook != nil {
-		extra, drop := w.hook(from, data, readyAt)
-		if drop {
-			return
-		}
-		readyAt += extra
-	}
-	if w.long {
-		w.line[1-from] = append(w.line[1-from], heldFrame{data, readyAt, sum})
-		return
-	}
-	w.ends[1-from].DeliverPending(data, readyAt, sum)
-}
-
-// Pump implements nic.Conduit: a long wire releases what is due.
-func (w *hookWire) Pump(now int64) {
-	for to, q := range w.line {
-		for len(q) > 0 && q[0].readyAt <= now {
-			w.ends[to].DeliverPending(q[0].data, q[0].readyAt, q[0].sum)
-			q = q[1:]
-		}
-		w.line[to] = q
-	}
-}
-
-// NextDeadline implements nic.Conduit: a long wire's next release
-// toward to. Otherwise the hook delays frames via readyAt, so held work
-// already shows up as far-FIFO deadlines.
-func (w *hookWire) NextDeadline(to int, _ int64) int64 {
-	if q := w.line[to]; len(q) > 0 {
-		return q[0].readyAt
-	}
-	return math.MaxInt64
-}
-
-// newHookedEnv is newEnv with a hookWire instead of a plain cable.
-func newHookedEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) (int64, bool)) *testEnv {
-	return newWireEnv(t, &hookWire{hook: hook})
-}
-
-// newLongPathEnv is newHookedEnv on a long hookWire: a hook's delay
-// may keep megabytes in flight.
-func newLongPathEnv(t *testing.T, hook func(from int, data []byte, readyAt int64) (int64, bool)) *testEnv {
-	return newWireEnv(t, &hookWire{hook: hook, long: true})
-}
-
-func newWireEnv(t *testing.T, w *hookWire) *testEnv {
-	t.Helper()
-	clk := sim.NewVClock()
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
-	w.attach(cardA.Port(0), cardB.Port(0))
-	return &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
-}
-
-// wireSeg parses a wire frame as an IPv4 TCP segment, returning its IP
-// and TCP headers and its payload length; ok is false for anything
-// else. A hook sees the checksum its sender left pending, so it is not
-// verified.
-func wireSeg(frame []byte) (ip IPv4Header, h TCPHeader, payloadLen int, ok bool) {
-	eth, err := ParseEthHeader(frame)
-	if err != nil || eth.Type != EtherTypeIPv4 {
-		return ip, h, 0, false
-	}
-	ip, ihl, err := ParseIPv4Header(frame[EthHeaderLen:])
-	if err != nil || ip.Proto != ProtoTCP {
-		return ip, h, 0, false
-	}
-	seg := frame[EthHeaderLen+ihl : EthHeaderLen+int(ip.TotalLen)]
-	h, hl, err := parseTCPHeader(seg, ip.Src, ip.Dst, nil, true)
-	if err != nil {
-		return ip, h, 0, false
-	}
-	return ip, h, len(seg) - hl, true
-}
-
-// isDataFrame filters for TCP segments with a real payload (the
-// handshake, ACKs and ARP stay under ~90 bytes on this stack).
-func isDataFrame(data []byte) bool { return len(data) > 200 }
-
-// sendAll pushes payload through cfd, draining afd, until the receiver
-// holds everything; returns the received bytes.
-func sendAll(e *testEnv, cfd, afd int, payload []byte, maxTicks int) []byte {
-	e.t.Helper()
-	var got []byte
-	sent := 0
-	buf := make([]byte, 65536)
-	e.pumpUntil(maxTicks, "transfer completes", func() bool {
-		for sent < len(payload) {
-			n, errno := e.stkA.Write(cfd, payload[sent:min(sent+16384, len(payload))])
-			if errno != hostos.OK {
-				break
-			}
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		return len(got) == len(payload)
-	})
-	return got
-}
 
 // TestFastRetransmitOnThreeDupAcks drops exactly one data segment;
 // recovery must complete via the dup-ACK fast path, without an RTO.
 func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
-	dataSeen, dropped := 0, false
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		if from != 0 || !isDataFrame(data) {
-			return 0, false
-		}
-		dataSeen++
-		if dataSeen == 5 && !dropped {
-			dropped = true
-			return 0, true
-		}
-		return 0, false
-	})
+	drop := &wireRule{from: fromA, kind: dataSeg, nth: 5, drop: true}
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{drop}}).attach)
 	cfd, afd := e.connectPair(5001)
 	payload := bytes.Repeat([]byte{0xA5}, 128*1024)
 	got := sendAll(e, cfd, afd, payload, 60000)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("stream corrupted across fast retransmit")
 	}
-	if !dropped {
-		t.Fatal("the drop hook never fired — test is vacuous")
+	if drop.seen < drop.nth {
+		t.Fatal("the drop rule never fired — test is vacuous")
 	}
 	st := e.stkA.Stats()
 	if st.FastRetransmit == 0 {
@@ -201,22 +43,20 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 // on repeated timeouts of the same segment the retransmission gaps
 // must double, capped at rtoMax, not tick at a fixed rtoMin cadence.
 func TestRTOBackoffExponential(t *testing.T) {
-	blackhole := false
 	var attempts []int64
-	e := newHookedEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
-		if from == 0 && isDataFrame(data) && blackhole {
-			attempts = append(attempts, readyAt)
-			return 0, true
-		}
-		return 0, false
-	})
+	blackhole := &wireRule{from: fromA, kind: dataSeg, when: func(f *wireFrame) bool {
+		attempts = append(attempts, f.at)
+		return true
+	}, drop: true}
+	w := &scriptWire{}
+	e := newRig(t, false, w.attach)
 	cfd, afd := e.connectPair(5001)
 	// Warm the RTT estimator so rto sits at the floor before the loss.
 	warm := bytes.Repeat([]byte{1}, 8192)
 	if got := sendAll(e, cfd, afd, warm, 20000); len(got) != len(warm) {
 		t.Fatal("warmup transfer failed")
 	}
-	blackhole = true
+	w.rules = append(w.rules, blackhole)
 	if _, errno := e.stkA.Write(cfd, bytes.Repeat([]byte{2}, 1000)); errno != hostos.OK {
 		t.Fatalf("write: %v", errno)
 	}
@@ -268,28 +108,12 @@ func TestLostFINResentAtFinSeq(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var finSeq uint32
-			var finAt []int64 // when each of A's FINs left
-			var finSeqs []uint32
-			droppedFIN, droppedLast := false, false
-			e := newHookedEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
-				_, h, n, ok := wireSeg(data)
-				if from != 0 || !ok {
-					return 0, false
-				}
-				switch {
-				case h.Flags&TCPFin != 0:
-					finAt = append(finAt, readyAt)
-					finSeqs = append(finSeqs, h.Seq)
-					if !droppedFIN {
-						droppedFIN = true
-						return 0, true
-					}
-				case tc.dropLast && !droppedLast && n > 0 && h.Seq+uint32(n) == finSeq:
-					droppedLast = true
-					return 0, true
-				}
-				return 0, false
-			})
+			dropFIN := &wireRule{from: fromA, flags: TCPFin, nth: 1, drop: true}
+			dropLast := &wireRule{from: fromA, kind: dataSeg, nth: 1, drop: true, when: func(f *wireFrame) bool {
+				return tc.dropLast && f.h.Seq+uint32(f.n) == finSeq
+			}}
+			w := &scriptWire{rules: []*wireRule{dropFIN, dropLast}, record: true}
+			e := newRig(t, false, w.attach)
 			cfd, afd := e.connectPair(5001)
 			walkA := stateWalk(e.stkA)
 			c := e.stkA.sockOf(cfd).conn
@@ -323,8 +147,15 @@ func TestLostFINResentAtFinSeq(t *testing.T) {
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("B read %d bytes, want the %d A wrote", len(got), len(payload))
 			}
-			if !droppedFIN || droppedLast != tc.dropLast {
-				t.Fatalf("drops: FIN %v, last segment %v — the hook missed its segment", droppedFIN, droppedLast)
+			var finAt []int64 // when each of A's FINs left
+			var finSeqs []uint32
+			for _, f := range w.segs(0) {
+				if f.h.Flags&TCPFin != 0 {
+					finAt, finSeqs = append(finAt, f.at), append(finSeqs, f.h.Seq)
+				}
+			}
+			if droppedFIN, droppedLast := dropFIN.seen > 0, dropLast.seen > 0; !droppedFIN || droppedLast != tc.dropLast {
+				t.Fatalf("drops: FIN %v, last segment %v — the rule missed its segment", droppedFIN, droppedLast)
 			}
 			if len(finAt) != 2 || finSeqs[0] != finSeq || finSeqs[1] != finSeq {
 				t.Fatalf("A sent FINs at seqs %v, want two at finSeq %d", finSeqs, finSeq)
@@ -348,13 +179,10 @@ func TestLostFINResentAtFinSeq(t *testing.T) {
 // and carry on intact.
 func TestSpuriousRTONearRTOMin(t *testing.T) {
 	var stallUntil int64
-	e := newHookedEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
-		if from == 1 && readyAt < stallUntil {
-			// Hold the receiver's ACKs back to the end of the stall.
-			return stallUntil - readyAt, false
-		}
-		return 0, false
-	})
+	// Hold the receiver's ACKs back to the end of the stall.
+	stall := &wireRule{from: fromB, when: func(f *wireFrame) bool { return f.readyAt < stallUntil },
+		delay: func(f *wireFrame) int64 { return stallUntil - f.readyAt }}
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{stall}}).attach)
 	cfd, afd := e.connectPair(5001)
 	warm := bytes.Repeat([]byte{1}, 8192)
 	if got := sendAll(e, cfd, afd, warm, 20000); len(got) != len(warm) {
@@ -381,15 +209,11 @@ func TestSpuriousRTONearRTOMin(t *testing.T) {
 // and window scaling on: the stream must survive intact and recovery
 // must be scoreboard-driven.
 func TestSACKRecoveryOverLossyLink(t *testing.T) {
-	clk := sim.NewVClock()
-	stkA, cardA := buildMachine(t, clk, "0000:03:00", 1, IP4(10, 0, 0, 1), false)
-	stkB, cardB := buildMachine(t, clk, "0000:04:00", 2, IP4(10, 0, 0, 2), false)
 	cfg := netem.Config{Seed: 11, LossRate: 0.02}
-	netem.ConnectAsym(clk, cardA.Port(0), cardB.Port(0), cfg, cfg)
+	e := newRig(t, false, netemLink(cfg, cfg))
 	tune := TCPTuning{SACK: true, WindowScale: 4, SndBufBytes: 1 << 20, RcvBufBytes: 1 << 20}
-	stkA.SetTCPTuning(tune)
-	stkB.SetTCPTuning(tune)
-	e := &testEnv{t: t, clk: clk, stkA: stkA, stkB: stkB}
+	e.stkA.SetTCPTuning(tune)
+	e.stkB.SetTCPTuning(tune)
 	cfd, afd := e.connectPair(5001)
 
 	conn := e.stkA.sockOf(cfd).conn
@@ -1182,16 +1006,14 @@ func TestReassemblyHoldsASuperset(t *testing.T) {
 func TestReceiverTakesWhatItAdvertised(t *testing.T) {
 	const ring, write, oneWay = 4 << 20, 128 << 10, 20e6
 	var snd *tcpConn
-	dropped := false
+	drop := &wireRule{from: fromA, kind: dataSeg, nth: 1, drop: true,
+		when: func(*wireFrame) bool { return snd != nil && snd.cwnd >= ring }}
 	var idle [2]int64 // each direction is a 2.5 Gbit/s line with an unbounded queue
-	e := newLongPathEnv(t, func(from int, data []byte, readyAt int64) (int64, bool) {
-		if from == 0 && !dropped && snd != nil && snd.cwnd >= ring && isDataFrame(data) {
-			dropped = true
-			return 0, true
-		}
-		idle[from] = max(readyAt, idle[from]) + int64(16*len(data)/5)
-		return idle[from] - readyAt + oneWay, false
-	})
+	path := &wireRule{delay: func(f *wireFrame) int64 {
+		idle[f.from] = max(f.readyAt, idle[f.from]) + int64(16*len(f.data)/5)
+		return idle[f.from] - f.readyAt + oneWay
+	}}
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{drop, path}}).attach)
 	tune := TCPTuning{SACK: true, WindowScale: 7, SndBufBytes: ring, RcvBufBytes: ring}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
@@ -1204,37 +1026,22 @@ func TestReceiverTakesWhatItAdvertised(t *testing.T) {
 		return afd >= 0 && e.stkA.ConnState(cfd) == "ESTABLISHED"
 	})
 	snd, rcv := e.stkA.sockOf(cfd).conn, e.stkB.sockOf(afd).conn
-	payload := make([]byte, 24<<20)
-	rand.New(rand.NewSource(1)).Read(payload)
-	var got []byte
-	sent, maxParked := 0, 0
-	buf := make([]byte, 256<<10)
+	st := &stream{from: e.stkA, to: e.stkB, wfd: cfd, rfd: afd, payload: make([]byte, 24<<20), chunk: write}
+	rand.New(rand.NewSource(1)).Read(st.payload)
+	maxParked := 0
 	e.leapUntil(30e9, "transfer completes", func() bool {
-		for sent < len(payload) {
-			n, errno := e.stkA.Write(cfd, payload[sent:min(sent+write, len(payload))])
-			if errno != hostos.OK {
-				break
-			}
-			sent += n
-		}
-		for {
-			n, errno := e.stkB.Read(afd, buf)
-			if errno != hostos.OK || n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
+		done := st.pump()
 		parked := 0
 		for _, r := range rcv.rcvOOO() {
 			parked += int(r.end - r.start)
 		}
 		maxParked = max(maxParked, parked)
-		return len(got) == len(payload)
+		return done
 	})
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(st.got, st.payload) {
 		t.Fatal("stream corrupted across the recovery")
 	}
-	if !dropped || maxParked < ring/2 {
+	if dropped := drop.seen > 0; !dropped || maxParked < ring/2 {
 		t.Fatalf("dropped %v, at most %d bytes parked: the loss never parked a window — test is vacuous", dropped, maxParked)
 	}
 	if st := e.stkB.Stats(); st.ReassDrops != 0 {
@@ -1253,9 +1060,8 @@ func TestReceiverTakesWhatItAdvertised(t *testing.T) {
 // recovery point would lie a window ahead. Once an ACK passes the point
 // the next three do.
 func TestTimeoutRecoveryPointGatesFastRecovery(t *testing.T) {
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		return 0, from == 0 && isDataFrame(data) // the peer never sees our data
-	})
+	// The peer never sees our data.
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{{from: fromA, kind: dataSeg, drop: true}}}).attach)
 	tune := TCPTuning{SACK: true}
 	e.stkA.SetTCPTuning(tune)
 	e.stkB.SetTCPTuning(tune)
@@ -1306,42 +1112,75 @@ func TestTimeoutRecoveryPointGatesFastRecovery(t *testing.T) {
 	dupAcks("past the point", true)
 }
 
-// TestResentSynAckIsNotADuplicateAck: on a 200 ms path the listener's
-// SYN cache resends its SYN|ACK at 100 ms, before the client's ACK can
-// reach it, so an ESTABLISHED client that has sent data receives a
-// SYN|ACK that echoes sndUna with the window unchanged. A SYN (or FIN)
-// is not a duplicate ACK (RFC 5681 §2 (c)): the client counts none.
+// TestSACKBlocksOutsideTheWindowAreIgnored: the sender's scoreboard
+// takes SACK blocks that end inside (sndUna, sndMax] only. After an ACK
+// with one such block, an ACK whose blocks lie above sndMax, below
+// sndUna and inverted leaves the scoreboard as it was, and nothing is
+// retransmitted.
+func TestSACKBlocksOutsideTheWindowAreIgnored(t *testing.T) {
+	const m = MaxSegData
+	s := newScript(t)
+	s.stk.SetTCPTuning(TCPTuning{SACK: true})
+	fd := -1
+	lines := append(s.opened(&fd, 0), line{at: 2e6, call: func() {
+		if n, errno := s.stk.Write(fd, make([]byte, 4*m)); n != 4*m || errno != hostos.OK {
+			t.Fatal(n, errno)
+		}
+	}})
+	for i, flags := range []uint8{TCPAck, TCPAck, TCPAck, TCPPsh | TCPAck} {
+		lines = append(lines, line{at: 3e6, out: &pkt{flags: flags, seq: 1 + uint32(i)*m, ack: 1, n: m, win: maxRcvWnd}})
+	}
+	s.run(append(lines, line{at: 3e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1 + m, win: 65535, sack: []SACKBlock{{1 + 2*m, 1 + 3*m}}}})...)
+	s.until(3e6)
+	c := s.stk.sockOf(fd).conn
+	want := slices.Clone(c.sacked())
+	if len(want) != 1 {
+		t.Fatalf("scoreboard %v after one block inside the window", want)
+	}
+	s.run(line{at: 4e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1 + m, win: 65535, sack: []SACKBlock{
+		{1 + 4*m + 100, 1 + 4*m + 200}, // above sndMax
+		{1, 101},                       // below sndUna
+		{1 + 3*m + 100, 1 + 3*m},       // inverted
+	}}})
+	s.until(50e6)
+	if got := c.sacked(); !slices.Equal(got, want) {
+		t.Fatalf("scoreboard %v after blocks outside the window, want %v", got, want)
+	}
+	if n := len(s.w.segs(0)); s.stk.Stats().Retransmit != 0 || n != 5 {
+		t.Fatalf("%d retransmits, %d segments sent; want none past the SYN|ACK and the four", s.stk.Stats().Retransmit, n)
+	}
+}
+
+// TestResentSynAckIsNotADuplicateAck: on a long path the listener's SYN
+// cache resends its SYN|ACK before the client's ACK can reach it, so an
+// ESTABLISHED client that has sent data receives SYN|ACKs that echo
+// sndUna with the window unchanged. A SYN (or FIN) is not a duplicate ACK
+// (RFC 5681 §2 (c)): the client counts none.
 func TestResentSynAckIsNotADuplicateAck(t *testing.T) {
-	synAcks := 0
-	e := newHookedEnv(t, func(from int, data []byte, _ int64) (int64, bool) {
-		if _, h, _, ok := wireSeg(data); ok && from == 1 && h.Flags&TCPSyn != 0 {
-			synAcks++
-		}
-		return 100e6, false
-	})
-	lfd, cfd := e.dial(5001)
-	// The client writes as soon as it is ESTABLISHED, a round trip
-	// before its ACK reaches the listener.
-	e.leapUntil(1e9, "client established", func() bool { return e.stkA.ConnState(cfd) == "ESTABLISHED" })
-	payload := bytes.Repeat([]byte{0x5A}, 4*MaxSegData)
-	if n, errno := e.stkA.Write(cfd, payload); n != len(payload) || errno != hostos.OK {
-		t.Fatal(n, errno)
+	s := newScript(t)
+	fd := -1
+	synAck := &pkt{flags: TCPSyn | TCPAck, ack: 1, win: 65535, mss: MSSDefault}
+	lines := []line{
+		{call: func() { fd = dial(t, s.stk, IPv4Addr{}, rigPeerIP, scriptPort) }},
+		{at: 1e6, out: &pkt{flags: TCPSyn, win: maxRcvWnd, mss: MSSDefault}},
+		{at: 1e6, in: synAck},
+		{at: 2e6, out: &pkt{flags: TCPAck, seq: 1, ack: 1, win: maxRcvWnd}},
+		{at: 2e6, call: func() {
+			if n, errno := s.stk.Write(fd, make([]byte, 4*MaxSegData)); n != 4*MaxSegData || errno != hostos.OK {
+				t.Fatal(n, errno)
+			}
+		}},
 	}
-	afd := -1
-	var got []byte
-	buf := make([]byte, len(payload))
-	e.leapUntil(5e9, "the data arrives and is acked", func() bool {
-		if afd < 0 {
-			afd, _, _, _ = e.stkB.Accept(lfd)
-		} else if n, errno := e.stkB.Read(afd, buf); errno == hostos.OK {
-			got = append(got, buf[:n]...)
-		}
-		return len(got) == len(payload) && e.stkA.sockOf(cfd).conn.inflight() == 0
-	})
-	if synAcks < 2 {
-		t.Fatalf("the listener sent %d SYN|ACKs: no resend reached the client — test is vacuous", synAcks)
+	for i, flags := range []uint8{TCPAck, TCPAck, TCPAck, TCPPsh | TCPAck} {
+		lines = append(lines, line{at: 3e6, out: &pkt{flags: flags, seq: 1 + uint32(i)*MaxSegData, ack: 1, n: MaxSegData, win: maxRcvWnd}})
 	}
-	if st := e.stkA.Stats(); st.DupAcks != 0 {
-		t.Fatalf("the client counted %d duplicate ACKs from %d SYN|ACKs", st.DupAcks, synAcks)
+	s.run(append(lines,
+		line{at: 10e6, in: synAck}, // the SYN cache's resends
+		line{at: 30e6, in: synAck},
+		line{at: 40e6, in: &pkt{flags: TCPAck, seq: 1, ack: 1 + 4*MaxSegData, win: 65535}},
+	)...)
+	s.until(41e6)
+	if c := s.stk.sockOf(fd).conn; c.inflight() != 0 || s.stk.Stats().DupAcks != 0 {
+		t.Fatalf("%d bytes in flight; the client counted %d duplicate ACKs from two resent SYN|ACKs", c.inflight(), s.stk.Stats().DupAcks)
 	}
 }

@@ -86,15 +86,18 @@ const (
 	delackTimeout = 500e3 // 500 µs, scaled to the simulated RTTs
 	timeWaitDur   = 50e6  // 50 ms (2MSL stand-in)
 	synRetries    = 5
-	// maxShift bounds the backoff count: 2¹⁰ times any timeout is past
-	// rtoMax, so a larger count could not lengthen the probe interval.
-	maxShift = 10
+	// maxShift is how many timeouts in a row a data resend takes before
+	// the connection gives up with ETIMEDOUT (FreeBSD's TCP_MAXRXTSHIFT),
+	// and the cap on the zero-window probe's backoff count: 2¹² times any
+	// timeout is past rtoMax, so a larger count could not lengthen it.
+	maxShift = 12
 )
 
 // rexmt is the one retransmission timer (RFC 6298), FreeBSD's
 // t_srtt/t_rttvar/t_rxtcur and t_rxtshift: the smoothed round trip, its
 // variance and the timeout they set (ns), and the backoffs counted since
-// the handshake began or the zero-window probe was armed. A connection
+// the handshake began, the peer last acked new data, or the zero-window
+// probe was armed or ended. A connection
 // and a half-open synEntry each embed one; the SYN, the SYN|ACK, a data
 // resend and the zero-window probe all back off through it.
 type rexmt struct {
@@ -851,6 +854,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 				c.rtxAt = 0
 				c.sndNxt = c.sndUna
 				c.sndMax = c.sndUna
+				c.shift = 0
 			}
 		}
 		return
@@ -873,6 +877,7 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 		}
 	}
 	c.sndUna = ack
+	c.shift = 0 // progress: the next timeout backs off from the start
 	// After a timeout rewind the peer may acknowledge past sndNxt:
 	// skip ahead rather than resending what it already has.
 	if seqGT(ack, c.sndNxt) {
@@ -926,7 +931,8 @@ func (c *tcpConn) handleAck(h TCPHeader) {
 // with exponential backoff (RFC 6298 §5). With SACK negotiated the
 // scoreboard survives the timeout (RFC 2018 §8), so the resend pass in
 // output() skips runs the peer already holds; without it this is plain
-// go-back-N.
+// go-back-N. The maxShift-th timeout with no progress between gives up
+// with ETIMEDOUT, as the SYN's does after synRetries.
 func (c *tcpConn) onRTO() {
 	if c.state == tcpSynSent {
 		if c.backoff() > synRetries {
@@ -941,6 +947,11 @@ func (c *tcpConn) onRTO() {
 		c.rtxAt = 0
 		return
 	}
+	if c.backoff() == maxShift {
+		c.stk.stats.TimeoutDrops++
+		c.abort(hostos.ETIMEDOUT)
+		return
+	}
 	c.ccRTO(c.pipe())
 	c.noteCwnd()
 	k := c.takeCold()
@@ -950,7 +961,6 @@ func (c *tcpConn) onRTO() {
 	// Rewind and let output() resend (it classifies the resends and
 	// skips SACKed runs, and requeues a FIN the rewind passed below).
 	c.sndNxt = c.sndUna
-	c.backoff()
 	c.arm(int64(c.rto))
 	c.output()
 }
@@ -1227,8 +1237,15 @@ func (c *tcpConn) input(h TCPHeader, payload []byte) {
 		c.tsRecent = h.TSVal
 	}
 	if h.Flags&TCPRst != 0 {
-		if c.state == tcpSynSent && (h.Flags&TCPAck == 0 || h.Ack != c.sndNxt) {
-			return // RST not for our SYN
+		if c.state == tcpSynSent {
+			if h.Flags&TCPAck == 0 || h.Ack != c.sndNxt {
+				return // RST not for our SYN
+			}
+		} else if h.Seq-c.rcvNxt >= max(c.advWnd, 1) {
+			// Outside rcvNxt ≤ seq < rcvNxt+window: not from the peer
+			// that holds this connection (RFC 9293 §3.10.7.4).
+			c.stk.stats.BadRsts++
+			return
 		}
 		c.abort(hostos.ECONNRESET)
 		return

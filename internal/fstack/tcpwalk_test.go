@@ -104,15 +104,11 @@ func (w *walkSide) drop(fd int) {
 func walkOneSeed(t *testing.T, seed int64, legal, seen *stateEdgeSet) uint64 {
 	ops := rand.New(rand.NewSource(seed))
 	wire := rand.New(rand.NewSource(^seed))
-	e := newHookedEnv(t, func(int, []byte, int64) (int64, bool) {
-		switch p := wire.Float64(); {
-		case p < 0.02:
-			return 0, true
-		case p < 0.07:
-			return wire.Int63n(400e3), false
-		}
-		return 0, false
-	})
+	var p float64 // one draw per frame: 2 % are lost, 5 % delayed up to 400 µs
+	e := newRig(t, false, (&scriptWire{rules: []*wireRule{
+		{drop: true, when: func(*wireFrame) bool { p = wire.Float64(); return p < 0.02 }},
+		{when: func(*wireFrame) bool { return p < 0.07 }, delay: func(*wireFrame) int64 { return wire.Int63n(400e3) }},
+	}}).attach)
 	var log []string
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%9.3f ms  ", float64(e.clk.Now())/1e6)+fmt.Sprintf(format, args...))
